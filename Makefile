@@ -2,11 +2,15 @@
 # subsystems (staging hub + spill tier, SST transport, endpoint loop,
 # archive record/replay, MPI runtime) under the race detector.
 # `make bench` regenerates every BENCH_*.json artifact at smoke scale;
+# `make bench-kernels` smoke-runs the solver hot-path benchmarks;
+# `make bench-e2e` runs the end-to-end benchmark as alternating
+# parent/change pairs and compares them; `make generate-check` fails
+# when the generated tensor kernels are stale;
 # `make clean` removes example/figure outputs and bench JSON scratch.
 
 GO ?= go
 
-.PHONY: build test race vet fmt bench telemetry-smoke profile clean all
+.PHONY: build test race vet fmt bench bench-kernels bench-e2e generate-check telemetry-smoke profile clean all
 
 all: build vet fmt test
 
@@ -43,6 +47,27 @@ bench:
 	cd bench-out && $(GO) run nekrs-sensei/cmd/figures -fig codec -out .
 	cd bench-out && $(GO) run nekrs-sensei/cmd/figures -fig recovery -out .
 	@echo "bench artifacts in bench-out/"
+
+# The solver's per-iteration path, a fixed iteration count each:
+# generated derivative kernels, fused Laplacian/Helmholtz, one CG
+# iteration, gather-scatter. -benchmem shows the zero-allocation
+# steady state.
+bench-kernels:
+	$(GO) test -run='^$$' -bench='Deriv|Laplacian|Helmholtz|CGIteration|GSSum' \
+		-benchmem -benchtime=100x ./internal/tensor ./internal/fluid ./internal/gs
+
+# Ten alternating parent/change pairs of `bash benchmark/run.sh` and
+# the benchmark's -compare over them (benchmark/README.md, "Noise").
+# BASE (default HEAD~1) names the parent; WORKLOADS, PAIRS and
+# RUN_SECONDS override the defaults (pb146-solve, 10, 25).
+bench-e2e:
+	bash scripts/bench_e2e.sh
+
+# internal/tensor/kernels_gen.go is generated (go generate) and
+# committed; this fails when it no longer matches its generator.
+generate-check:
+	$(GO) generate ./internal/tensor
+	git diff --exit-code -- internal/tensor/kernels_gen.go
 
 # Curl-smoke the live telemetry plane: real producer + endpoint with
 # -telemetry on, asserting /metrics, /statusz and /debug/pprof answer

@@ -167,14 +167,17 @@ func QueueGrowthDemo(cfg InTransitConfig, delay time.Duration) (fast, slow InTra
 	fastCfg := cfg
 	fastCfg.EndpointDelay = 0
 	// Make the producer's trigger period exceed the fast endpoint's
-	// processing time (heavier solver steps, trigger every other
-	// step), and keep the staging queue deeper than the trigger count,
+	// processing time (heavier solver steps — order 6 since the
+	// solver's hot path got ~3x faster; order 4 left the fast run so
+	// short that one scheduling stall of the endpoint could back its
+	// queue up like the slow one's — trigger every other step), and
+	// keep the staging queue deeper than the trigger count,
 	// so occupancy reflects consumption lag rather than the cap: the
 	// fast endpoint keeps one or two frames staged, the slow one
 	// accumulates nearly every trigger.
 	fastCfg.Interval = 2
-	if fastCfg.Order < 4 {
-		fastCfg.Order = 4
+	if fastCfg.Order < 6 {
+		fastCfg.Order = 6
 	}
 	if fastCfg.Steps == 0 {
 		fastCfg.Steps = 12

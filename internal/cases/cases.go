@@ -100,6 +100,83 @@ func Pebbles() []Sphere {
 	return out
 }
 
+// pebbleGrid answers "is this point inside any pebble" by testing only
+// the pebbles near it: a uniform grid of cells over the bed, each
+// listing (CSR) the pebbles whose bounding box reaches into it. The
+// solver asks once per node per step for the heat source, so testing
+// all 146 spheres there costs more than the advection it feeds.
+type pebbleGrid struct {
+	pebbles  []Sphere
+	inv      float64 // cells per unit length
+	n        [3]int  // cells per axis
+	off, idx []int32 // cell c's candidates are idx[off[c]:off[c+1]]
+}
+
+// pebbleCell is the cell edge: between one and two pebble radii, so a
+// pebble reaches into at most 3 cells per axis and a cell sees a
+// handful of pebbles.
+const pebbleCell = 0.125
+
+// newPebbleGrid covers the box [0,lx] x [0,ly] x [0,lz], which must
+// contain every pebble entirely.
+func newPebbleGrid(pebbles []Sphere, lx, ly, lz float64) *pebbleGrid {
+	g := &pebbleGrid{pebbles: pebbles, inv: 1 / pebbleCell}
+	for a, l := range [3]float64{lx, ly, lz} {
+		g.n[a] = int(math.Ceil(l * g.inv))
+	}
+	cells := make([][]int32, g.n[0]*g.n[1]*g.n[2])
+	for p, s := range pebbles {
+		// A point the sphere contains lies strictly within R of the
+		// centre along every axis; the margin covers the rounding of
+		// the bounds, and cell() is monotone, so the cells of the
+		// padded bounding box include the cell of every such point.
+		r := s.R * (1 + 1e-9)
+		lo, hi := g.cell(s.X-r, s.Y-r, s.Z-r), g.cell(s.X+r, s.Y+r, s.Z+r)
+		for k := lo[2]; k <= hi[2]; k++ {
+			for j := lo[1]; j <= hi[1]; j++ {
+				for i := lo[0]; i <= hi[0]; i++ {
+					c := (k*g.n[1]+j)*g.n[0] + i
+					cells[c] = append(cells[c], int32(p))
+				}
+			}
+		}
+	}
+	g.off = make([]int32, len(cells)+1)
+	for c, list := range cells {
+		g.idx = append(g.idx, list...)
+		g.off[c+1] = int32(len(g.idx))
+	}
+	return g
+}
+
+// cell returns the grid coordinates of a point, clamped to the grid.
+func (g *pebbleGrid) cell(x, y, z float64) [3]int {
+	var c [3]int
+	for a, v := range [3]float64{x, y, z} {
+		i := int(math.Floor(v * g.inv))
+		if i < 0 {
+			i = 0
+		} else if i >= g.n[a] {
+			i = g.n[a] - 1
+		}
+		c[a] = i
+	}
+	return c
+}
+
+// contains reports whether any pebble contains the point: the answer
+// of Sphere.Contains over all pebbles, from the candidates alone.
+func (g *pebbleGrid) contains(x, y, z float64) bool {
+	c := g.cell(x, y, z)
+	cell := (c[2]*g.n[1]+c[1])*g.n[0] + c[0]
+	for _, p := range g.idx[g.off[cell]:g.off[cell+1]] {
+		if g.pebbles[p].Contains(x, y, z) {
+			return true
+		}
+	}
+	return false
+}
+
 // PB146 is the pebble-bed reactor case: forcing-driven flow through
 // 146 penalized spheres in a [0,1]^2 x [0,2] column, periodic along
 // the flow (z) with no-slip side walls, and a heated-pebble
@@ -112,13 +189,12 @@ func PB146(refine, order int) Case {
 	if order < 1 {
 		order = 4
 	}
-	pebbles := Pebbles()
+	const lx, ly, lz = 1, 1, 2
+	pebbles := newPebbleGrid(Pebbles(), lx, ly, lz)
 	const chi = 1e4 // Brinkman drag inside pebbles
 	brink := func(x, y, z float64) float64 {
-		for _, p := range pebbles {
-			if p.Contains(x, y, z) {
-				return chi
-			}
+		if pebbles.contains(x, y, z) {
+			return chi
 		}
 		return 0
 	}
@@ -126,7 +202,7 @@ func PB146(refine, order int) Case {
 		Name: "pb146",
 		Mesh: mesh.BoxConfig{
 			Nx: 4 * refine, Ny: 4 * refine, Nz: 8 * refine,
-			Lx: 1, Ly: 1, Lz: 2,
+			Lx: lx, Ly: ly, Lz: lz,
 			Order:    order,
 			Periodic: [3]bool{false, false, true},
 		},

@@ -2,8 +2,10 @@ package cases
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"nekrs-sensei/internal/mesh"
 	"nekrs-sensei/internal/metrics"
 	"nekrs-sensei/internal/mpirt"
 	"nekrs-sensei/internal/occa"
@@ -82,6 +84,61 @@ func TestPB146SolidFraction(t *testing.T) {
 	want := 146 * 4.0 / 3 * math.Pi * math.Pow(PebbleRadius, 3)
 	if relErr := math.Abs(got-want) / want; relErr > 0.02 {
 		t.Errorf("solid volume = %v, analytic %v (rel err %.3f)", got, want, relErr)
+	}
+}
+
+// TestPebbleGridMatchesAllPebbles: the candidate table gives the answer
+// of testing all 146 spheres — on every node of the order-6 mesh the
+// benchmark runs and on 1e5 random points, a tenth of them outside the
+// domain and a tenth within 1e-6 of a pebble surface.
+func TestPebbleGridMatchesAllPebbles(t *testing.T) {
+	all := Pebbles()
+	bruteForce := func(x, y, z float64) bool {
+		for _, p := range all {
+			if p.Contains(x, y, z) {
+				return true
+			}
+		}
+		return false
+	}
+	c := PB146(1, 6)
+	inside := 0
+	check := func(x, y, z float64) {
+		t.Helper()
+		want := bruteForce(x, y, z)
+		if want {
+			inside++
+		}
+		if got := c.Brinkman(x, y, z) > 0; got != want {
+			t.Fatalf("Brinkman(%v, %v, %v) > 0 is %v, all-pebbles test says %v", x, y, z, got, want)
+		}
+		if got := c.HeatSource(x, y, z, 0) > 0; got != want {
+			t.Fatalf("HeatSource(%v, %v, %v) > 0 is %v, all-pebbles test says %v", x, y, z, got, want)
+		}
+	}
+	m, err := mesh.NewBox(c.Mesh, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range m.X {
+		check(m.X[i], m.Y[i], m.Z[i])
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 100000; i++ {
+		switch i % 10 {
+		case 0: // around and outside the domain
+			check(-0.2+1.4*rng.Float64(), -0.2+1.4*rng.Float64(), -0.2+2.4*rng.Float64())
+		case 1: // hugging a pebble surface
+			p := all[rng.Intn(len(all))]
+			dx, dy, dz := rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
+			r := p.R * (1 + 1e-6*(2*rng.Float64()-1)) / math.Sqrt(dx*dx+dy*dy+dz*dz)
+			check(p.X+r*dx, p.Y+r*dy, p.Z+r*dz)
+		default:
+			check(rng.Float64(), rng.Float64(), 2*rng.Float64())
+		}
+	}
+	if inside == 0 {
+		t.Fatal("no test point fell inside a pebble")
 	}
 }
 

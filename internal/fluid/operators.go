@@ -2,116 +2,219 @@ package fluid
 
 import "nekrs-sensei/internal/tensor"
 
+// The element-local operators below make one pass over the mesh: each
+// element's three reference derivatives live in element-sized scratch
+// on the kernel's stack while the metric terms are applied, so an
+// operator application reads its input and the geometric factors once
+// and writes its output once. Every output value is formed by the same
+// floating-point operations in the same order as the textbook
+// formulation (derivative sweeps over the whole mesh, then pointwise
+// sweeps) that operators_test.go keeps as the reference.
+
+// stackElem is the node count of the largest element (Nq = 8) whose
+// scratch is carved from the kernel's stack frame; larger elements
+// take theirs from the heap, once per launch.
+const stackElem = 512
+
+// elemScratch returns 3*np values of scratch, on the caller's stack
+// when they fit. Scratch belongs to one kernel invocation, so a device
+// that splits a launch across workers hands each its own.
+func elemScratch(stack *[3 * stackElem]float64, np int) []float64 {
+	if 3*np <= len(stack) {
+		return stack[:3*np]
+	}
+	return make([]float64, 3*np)
+}
+
+// derivs3 computes the three reference derivatives of one element into
+// the thirds of w.
+func derivs3(d []float64, nq int, ue, w []float64) (ur, us, ut []float64) {
+	np := len(ue)
+	ur, us, ut = w[:np:np], w[np:2*np:2*np], w[2*np:3*np:3*np]
+	tensor.DerivR(d, nq, ue, ur)
+	tensor.DerivS(d, nq, ue, us)
+	tensor.DerivT(d, nq, ue, ut)
+	return ur, us, ut
+}
+
+// Kernel operands. A launch body may run on the device's worker
+// goroutines, so it escapes and a closure per call would cost a heap
+// allocation per operator application; the bodies are built into
+// occa kernels once (NewSolver) and read their operands from here.
+type (
+	helmholtzArgs struct {
+		in, out  []float64
+		visc, h0 float64
+		chi      []float64 // Brinkman drag per node, or nil
+		mass     bool      // false: the bare weak Laplacian
+	}
+	gradientArgs struct {
+		in, outx, outy, outz []float64
+	}
+	advectArgs struct {
+		in, out []float64
+	}
+	divergenceArgs struct {
+		ax, ay, az, out []float64
+	}
+)
+
+func (s *Solver) buildKernels() {
+	s.kHelmholtz = s.dev.BuildKernel("helmholtz", s.helmholtzElems)
+	s.kGradient = s.dev.BuildKernel("gradient", s.gradientElems)
+	s.kAdvect = s.dev.BuildKernel("advect", s.advectElems)
+	s.kDivergence = s.dev.BuildKernel("divergence", s.divergenceElems)
+}
+
 // localLaplacian applies the unassembled weak Laplacian A_L = D^T G D
 // element by element: out_e = Dr^T(Grr ur + Grs us + Grt ut) + ... .
-// It overwrites out and uses wr/ws/wt as scratch; in must not alias out
-// or the scratch arrays.
+// It overwrites out; in must not alias out.
 func (s *Solver) localLaplacian(in, out []float64) {
-	nq, np := s.nq, s.np
-	d := s.mesh.D
-	g := s.mesh.G
-	s.dev.Launch(s.nelt, func(elo, ehi int) {
-		for e := elo; e < ehi; e++ {
-			off := e * np
-			ue := in[off : off+np]
-			ur := s.wr[off : off+np]
-			us := s.ws[off : off+np]
-			ut := s.wt[off : off+np]
-			tensor.DerivR(d, nq, ue, ur)
-			tensor.DerivS(d, nq, ue, us)
-			tensor.DerivT(d, nq, ue, ut)
-			for p := 0; p < np; p++ {
-				g6 := g[6*(off+p) : 6*(off+p)+6]
-				r, sv, tv := ur[p], us[p], ut[p]
-				ur[p] = g6[0]*r + g6[1]*sv + g6[2]*tv
-				us[p] = g6[1]*r + g6[3]*sv + g6[4]*tv
-				ut[p] = g6[2]*r + g6[4]*sv + g6[5]*tv
-			}
-			oe := out[off : off+np]
-			for p := range oe {
-				oe[p] = 0
-			}
-			tensor.DerivRT(d, nq, ur, oe)
-			tensor.DerivST(d, nq, us, oe)
-			tensor.DerivTT(d, nq, ut, oe)
-		}
-	})
-}
-
-// gradient computes the physical gradient of in into (outx, outy, outz)
-// using the chain rule with the inverse metric. Uses wr/ws/wt as
-// scratch.
-func (s *Solver) gradient(in, outx, outy, outz []float64) {
-	nq, np := s.nq, s.np
-	d := s.mesh.D
-	rx := s.mesh.RX
-	s.dev.Launch(s.nelt, func(elo, ehi int) {
-		for e := elo; e < ehi; e++ {
-			off := e * np
-			ue := in[off : off+np]
-			ur := s.wr[off : off+np]
-			us := s.ws[off : off+np]
-			ut := s.wt[off : off+np]
-			tensor.DerivR(d, nq, ue, ur)
-			tensor.DerivS(d, nq, ue, us)
-			tensor.DerivT(d, nq, ue, ut)
-			for p := 0; p < np; p++ {
-				r9 := rx[9*(off+p) : 9*(off+p)+9]
-				outx[off+p] = r9[0]*ur[p] + r9[1]*us[p] + r9[2]*ut[p]
-				outy[off+p] = r9[3]*ur[p] + r9[4]*us[p] + r9[5]*ut[p]
-				outz[off+p] = r9[6]*ur[p] + r9[7]*us[p] + r9[8]*ut[p]
-			}
-		}
-	})
-}
-
-// divergence computes div(ax, ay, az) pointwise into out. Uses
-// wr/ws/wt as scratch; out must not alias the inputs or scratch.
-func (s *Solver) divergence(ax, ay, az, out []float64) {
-	nq, np := s.nq, s.np
-	d := s.mesh.D
-	rx := s.mesh.RX
-	s.dev.Launch(s.nelt, func(elo, ehi int) {
-		for e := elo; e < ehi; e++ {
-			off := e * np
-			oe := out[off : off+np]
-			for p := range oe {
-				oe[p] = 0
-			}
-			for comp, field := range [3][]float64{ax, ay, az} {
-				fe := field[off : off+np]
-				ur := s.wr[off : off+np]
-				us := s.ws[off : off+np]
-				ut := s.wt[off : off+np]
-				tensor.DerivR(d, nq, fe, ur)
-				tensor.DerivS(d, nq, fe, us)
-				tensor.DerivT(d, nq, fe, ut)
-				for p := 0; p < np; p++ {
-					r9 := rx[9*(off+p) : 9*(off+p)+9]
-					oe[p] += r9[3*comp]*ur[p] + r9[3*comp+1]*us[p] + r9[3*comp+2]*ut[p]
-				}
-			}
-		}
-	})
+	s.helm = helmholtzArgs{in: in, out: out}
+	s.kHelmholtz.Run(s.nelt)
 }
 
 // helmholtzLocal applies the unassembled Helmholtz operator
 // visc*A_L + (h0 + chi) B (chi only when withBrinkman) into out.
 func (s *Solver) helmholtzLocal(in, out []float64, visc, h0 float64, withBrinkman bool) {
-	s.localLaplacian(in, out)
-	b := s.mesh.B
-	if visc != 1 {
-		for i := range out {
-			out[i] *= visc
+	s.helm = helmholtzArgs{in: in, out: out, visc: visc, h0: h0, mass: true}
+	if withBrinkman {
+		s.helm.chi = s.brink
+	}
+	s.kHelmholtz.Run(s.nelt)
+}
+
+func (s *Solver) helmholtzElems(elo, ehi int) {
+	a := &s.helm
+	nq, np := s.nq, s.np
+	d, g, b := s.mesh.D, s.mesh.G, s.mesh.B
+	var stack [3 * stackElem]float64
+	w := elemScratch(&stack, np)
+	for e := elo; e < ehi; e++ {
+		off := e * np
+		ue := a.in[off : off+np : off+np]
+		oe := a.out[off : off+np : off+np]
+		ur, us, ut := derivs3(d, nq, ue, w)
+		ge := g[6*off : 6*(off+np)]
+		for p := range ur {
+			g6 := ge[6*p : 6*p+6 : 6*p+6]
+			r, sv, tv := ur[p], us[p], ut[p]
+			ur[p] = g6[0]*r + g6[1]*sv + g6[2]*tv
+			us[p] = g6[1]*r + g6[3]*sv + g6[4]*tv
+			ut[p] = g6[2]*r + g6[4]*sv + g6[5]*tv
+		}
+		for p := range oe {
+			oe[p] = 0
+		}
+		tensor.DerivRT(d, nq, ur, oe)
+		tensor.DerivST(d, nq, us, oe)
+		tensor.DerivTT(d, nq, ut, oe)
+		if !a.mass {
+			continue
+		}
+		be := b[off : off+np : off+np]
+		if a.visc != 1 {
+			for p := range oe {
+				oe[p] *= a.visc
+			}
+		}
+		if a.chi != nil {
+			chi := a.chi[off : off+np : off+np]
+			for p := range oe {
+				oe[p] += (a.h0 + chi[p]) * be[p] * ue[p]
+			}
+		} else {
+			for p := range oe {
+				oe[p] += a.h0 * be[p] * ue[p]
+			}
 		}
 	}
-	if withBrinkman && s.brink != nil {
-		for i := range out {
-			out[i] += (h0 + s.brink[i]) * b[i] * in[i]
+}
+
+// gradient computes the physical gradient of in into (outx, outy, outz)
+// using the chain rule with the inverse metric.
+func (s *Solver) gradient(in, outx, outy, outz []float64) {
+	s.grad = gradientArgs{in: in, outx: outx, outy: outy, outz: outz}
+	s.kGradient.Run(s.nelt)
+}
+
+func (s *Solver) gradientElems(elo, ehi int) {
+	a := &s.grad
+	nq, np := s.nq, s.np
+	d, rx := s.mesh.D, s.mesh.RX
+	var stack [3 * stackElem]float64
+	w := elemScratch(&stack, np)
+	for e := elo; e < ehi; e++ {
+		off := e * np
+		ur, us, ut := derivs3(d, nq, a.in[off:off+np:off+np], w)
+		re := rx[9*off : 9*(off+np)]
+		ox, oy, oz := a.outx[off:off+np:off+np], a.outy[off:off+np:off+np], a.outz[off:off+np:off+np]
+		for p := range ur {
+			r9 := re[9*p : 9*p+9 : 9*p+9]
+			ox[p] = r9[0]*ur[p] + r9[1]*us[p] + r9[2]*ut[p]
+			oy[p] = r9[3]*ur[p] + r9[4]*us[p] + r9[5]*ut[p]
+			oz[p] = r9[6]*ur[p] + r9[7]*us[p] + r9[8]*ut[p]
 		}
-	} else {
-		for i := range out {
-			out[i] += h0 * b[i] * in[i]
+	}
+}
+
+// advect computes the advection term -(u . grad) in of the current
+// velocity into out: the gradient and its contraction with the
+// velocity in one pass, without the gradient ever reaching memory.
+func (s *Solver) advect(in, out []float64) {
+	s.adv = advectArgs{in: in, out: out}
+	s.kAdvect.Run(s.nelt)
+}
+
+func (s *Solver) advectElems(elo, ehi int) {
+	a := &s.adv
+	nq, np := s.nq, s.np
+	d, rx := s.mesh.D, s.mesh.RX
+	u, v, wv := s.U.Data(), s.V.Data(), s.W.Data()
+	var stack [3 * stackElem]float64
+	w := elemScratch(&stack, np)
+	for e := elo; e < ehi; e++ {
+		off := e * np
+		ur, us, ut := derivs3(d, nq, a.in[off:off+np:off+np], w)
+		re := rx[9*off : 9*(off+np)]
+		ue, ve, we := u[off:off+np:off+np], v[off:off+np:off+np], wv[off:off+np:off+np]
+		oe := a.out[off : off+np : off+np]
+		for p := range ur {
+			r9 := re[9*p : 9*p+9 : 9*p+9]
+			gx := r9[0]*ur[p] + r9[1]*us[p] + r9[2]*ut[p]
+			gy := r9[3]*ur[p] + r9[4]*us[p] + r9[5]*ut[p]
+			gz := r9[6]*ur[p] + r9[7]*us[p] + r9[8]*ut[p]
+			oe[p] = -(ue[p]*gx + ve[p]*gy + we[p]*gz)
+		}
+	}
+}
+
+// divergence computes div(ax, ay, az) pointwise into out; out must not
+// alias the inputs.
+func (s *Solver) divergence(ax, ay, az, out []float64) {
+	s.div = divergenceArgs{ax: ax, ay: ay, az: az, out: out}
+	s.kDivergence.Run(s.nelt)
+}
+
+func (s *Solver) divergenceElems(elo, ehi int) {
+	a := &s.div
+	nq, np := s.nq, s.np
+	d, rx := s.mesh.D, s.mesh.RX
+	var stack [3 * stackElem]float64
+	w := elemScratch(&stack, np)
+	for e := elo; e < ehi; e++ {
+		off := e * np
+		oe := a.out[off : off+np : off+np]
+		for p := range oe {
+			oe[p] = 0
+		}
+		re := rx[9*off : 9*(off+np)]
+		for comp, field := range [3][]float64{a.ax, a.ay, a.az} {
+			ur, us, ut := derivs3(d, nq, field[off:off+np:off+np], w)
+			for p := range ur {
+				r3 := re[9*p+3*comp : 9*p+3*comp+3 : 9*p+3*comp+3]
+				oe[p] += r3[0]*ur[p] + r3[1]*us[p] + r3[2]*ut[p]
+			}
 		}
 	}
 }

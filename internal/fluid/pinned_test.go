@@ -1,0 +1,159 @@
+package fluid_test
+
+import (
+	"flag"
+	"fmt"
+	"math"
+	"runtime"
+	"testing"
+
+	"nekrs-sensei/internal/cases"
+	"nekrs-sensei/internal/fluid"
+	"nekrs-sensei/internal/mpirt"
+	"nekrs-sensei/internal/occa"
+)
+
+// printPins makes TestPinnedTrajectories print the table below from
+// the tree it runs in instead of checking it:
+//
+//	go test ./internal/fluid -run TestPinnedTrajectories -args -print-pins
+//
+// Regenerate only in a change that deliberately alters the trajectory.
+var printPins = flag.Bool("print-pins", false, "print the pinned-trajectory table instead of checking it")
+
+const pinnedSteps = 6
+
+// pin is one pinned run: per-step iteration counts (pressure, three
+// viscous components, scalar) and the four diagnostics after the last
+// step.
+type pin struct {
+	name  string
+	ranks int
+	iters [pinnedSteps][5]int
+	diag  [4]float64 // KineticEnergy, DivergenceL2, MaxVelocity, ScalarFlux
+}
+
+func pinnedCase(name string) cases.Case {
+	switch name {
+	case "pb146-o3":
+		return cases.PB146(1, 3)
+	case "pb146-o6":
+		return cases.PB146(1, 6)
+	case "rbc-o3":
+		return cases.RBC(1e5, 0.71, 2, 4, 3, 3)
+	case "rbc-o7":
+		return cases.RBC(1e5, 0.71, 2, 4, 3, 7)
+	}
+	panic("unknown pinned case " + name)
+}
+
+// pinned was recorded at commit eef326f (PR 12), before the solver hot
+// path was rebuilt: generic tensor loops, four-collective CG, map-based
+// gather-scatter. Performance work must reproduce it.
+var pinned = []pin{
+	{name: "pb146-o3", ranks: 1,
+		iters: [pinnedSteps][5]int{{25, 4, 4, 3, 4}, {60, 3, 3, 3, 3}, {54, 3, 3, 3, 3}, {49, 3, 3, 3, 3}, {47, 3, 3, 3, 3}, {44, 3, 3, 3, 3}},
+		diag:  [4]float64{9.9910314900567018e-05, 0.10685363014655544, 0.019712756293652635, 6.8702611985360553e-07}},
+	{name: "pb146-o3", ranks: 2,
+		iters: [pinnedSteps][5]int{{25, 4, 4, 3, 4}, {60, 3, 3, 3, 3}, {54, 3, 3, 3, 3}, {49, 3, 3, 3, 3}, {47, 3, 3, 3, 3}, {44, 3, 3, 3, 3}},
+		diag:  [4]float64{9.991031490056695e-05, 0.10685363014655554, 0.019712756293652628, 6.8702611985363656e-07}},
+	{name: "pb146-o6", ranks: 1,
+		iters: [pinnedSteps][5]int{{59, 6, 6, 6, 5}, {139, 5, 5, 5, 5}, {122, 5, 5, 5, 5}, {106, 5, 5, 5, 4}, {100, 5, 5, 5, 4}, {93, 5, 5, 5, 4}},
+		diag:  [4]float64{9.3754132709538709e-05, 0.10237180653446171, 0.017559437864277602, 1.3995268669618995e-06}},
+	{name: "pb146-o6", ranks: 2,
+		iters: [pinnedSteps][5]int{{59, 6, 6, 6, 5}, {139, 5, 5, 5, 5}, {122, 5, 5, 5, 5}, {106, 5, 5, 5, 4}, {100, 5, 5, 5, 4}, {93, 5, 5, 5, 4}},
+		diag:  [4]float64{9.3754132712476625e-05, 0.10237180653963462, 0.017559437863650901, 1.3995268670532107e-06}},
+	{name: "rbc-o3", ranks: 1,
+		iters: [pinnedSteps][5]int{{17, 3, 3, 3, 1}, {20, 3, 3, 3, 1}, {18, 3, 3, 3, 1}, {15, 3, 3, 3, 1}, {17, 3, 3, 3, 1}, {17, 3, 3, 3, 1}},
+		diag:  [4]float64{5.054866841154294e-08, 0.00020803472986919097, 0.00039743857648230212, 8.5029285390165974e-07}},
+	{name: "rbc-o3", ranks: 2,
+		iters: [pinnedSteps][5]int{{17, 3, 3, 3, 1}, {20, 3, 3, 3, 1}, {18, 3, 3, 3, 1}, {15, 3, 3, 3, 1}, {17, 3, 3, 3, 1}, {17, 3, 3, 3, 1}},
+		diag:  [4]float64{5.0548668410655613e-08, 0.0002080347316191612, 0.00039743857803398175, 8.5029285802705293e-07}},
+	{name: "rbc-o7", ranks: 1,
+		iters: [pinnedSteps][5]int{{58, 5, 5, 5, 2}, {59, 4, 4, 4, 2}, {57, 4, 4, 4, 2}, {51, 4, 4, 4, 1}, {49, 4, 4, 4, 1}, {48, 4, 4, 4, 1}},
+		diag:  [4]float64{5.2912435306631982e-08, 5.4840161298451941e-05, 0.0004309584629004936, 8.8695870390392979e-07}},
+	{name: "rbc-o7", ranks: 2,
+		iters: [pinnedSteps][5]int{{58, 5, 5, 5, 2}, {59, 4, 4, 4, 2}, {57, 4, 4, 4, 2}, {51, 4, 4, 4, 1}, {49, 4, 4, 4, 1}, {48, 4, 4, 4, 1}},
+		diag:  [4]float64{5.2912435306606188e-08, 5.4840161923311148e-05, 0.00043095846305714981, 8.8695870205321172e-07}},
+}
+
+// runPinned advances the case pinnedSteps steps and returns rank 0's
+// view (the statistics and diagnostics are collective, so every rank
+// holds the same values).
+func runPinned(t *testing.T, name string, ranks int) pin {
+	t.Helper()
+	got := pin{name: name, ranks: ranks}
+	c := pinnedCase(name)
+	err := mpirt.RunErr(ranks, func(comm *mpirt.Comm) error {
+		s, err := c.NewSolver(comm, occa.NewDevice(occa.CUDA, nil), nil, nil)
+		if err != nil {
+			return err
+		}
+		var p pin
+		for i := 0; i < pinnedSteps; i++ {
+			st := s.Step()
+			p.iters[i] = [5]int{st.PressureIters, st.ViscousIters[0], st.ViscousIters[1], st.ViscousIters[2], st.ScalarIters}
+		}
+		p.diag = diagnostics(s)
+		if comm.Rank() == 0 {
+			got.iters, got.diag = p.iters, p.diag
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+func diagnostics(s *fluid.Solver) [4]float64 {
+	return [4]float64{s.KineticEnergy(), s.DivergenceL2(), s.MaxVelocity(), s.ScalarFlux()}
+}
+
+// TestPinnedTrajectories is ROADMAP's "physics trajectories pinned so
+// performance work cannot silently change the answer": exact iteration
+// counts and diagnostics to 1e-13 relative for pb146 and RBC at a low
+// and a production order on one and two ranks.
+func TestPinnedTrajectories(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// The table was recorded where the compiler never fuses a
+		// multiply with an add; where it does (arm64, ppc64le, s390x,
+		// riscv64) every such pair rounds once instead of twice and
+		// the trajectory differs in the last digits.
+		t.Skipf("pinned values are amd64's; %s may fuse multiply-adds", runtime.GOARCH)
+	}
+	if *printPins {
+		for _, name := range []string{"pb146-o3", "pb146-o6", "rbc-o3", "rbc-o7"} {
+			for _, ranks := range []int{1, 2} {
+				p := runPinned(t, name, ranks)
+				fmt.Printf("\t{name: %q, ranks: %d,\n\t\titers: [pinnedSteps][5]int{", p.name, p.ranks)
+				for i, it := range p.iters {
+					if i > 0 {
+						fmt.Print(", ")
+					}
+					fmt.Printf("{%d, %d, %d, %d, %d}", it[0], it[1], it[2], it[3], it[4])
+				}
+				fmt.Printf("},\n\t\tdiag:  [4]float64{%.17g, %.17g, %.17g, %.17g}},\n", p.diag[0], p.diag[1], p.diag[2], p.diag[3])
+			}
+		}
+		return
+	}
+	if len(pinned) == 0 {
+		t.Fatal("no pinned trajectories recorded")
+	}
+	names := [4]string{"KineticEnergy", "DivergenceL2", "MaxVelocity", "ScalarFlux"}
+	for _, want := range pinned {
+		want := want
+		t.Run(fmt.Sprintf("%s/ranks=%d", want.name, want.ranks), func(t *testing.T) {
+			got := runPinned(t, want.name, want.ranks)
+			if got.iters != want.iters {
+				t.Errorf("iteration counts (pressure, viscous x3, scalar per step)\n got %v\nwant %v", got.iters, want.iters)
+			}
+			for i := range want.diag {
+				if d := math.Abs(got.diag[i] - want.diag[i]); d > 1e-13*math.Abs(want.diag[i]) {
+					t.Errorf("%s = %.17g, want %.17g (off by %.3g relative)", names[i], got.diag[i], want.diag[i], d/math.Abs(want.diag[i]))
+				}
+			}
+		})
+	}
+}

@@ -125,12 +125,36 @@ type Solver struct {
 	diagHV, diagHT []float64
 	diagB0         float64 // b0/dt the Helmholtz diagonals were built with
 
-	// Work arrays.
-	wr, ws, wt     []float64
+	// Work arrays. DESIGN.md ("Solver hot path") maps which array
+	// plays which role in each phase of Step.
 	gx, gy, gz     []float64
 	fu, fv, fw, ft []float64
 	ru, rv, rw, rt []float64
 	scr1, scr2     []float64
+
+	// cg is the workspace of every Krylov solve: three arrays of its
+	// own and scr1, which is free whenever a solve runs.
+	cg krylov.Workspace
+
+	// Element kernels, built once, and their operands (operators.go).
+	kHelmholtz, kGradient, kAdvect, kDivergence *occa.Kernel
+	helm                                        helmholtzArgs
+	grad                                        gradientArgs
+	adv                                         advectArgs
+	div                                         divergenceArgs
+
+	// Assembled operators of the three kinds of solve and the global
+	// sum their inner products reduce with, built once so a step
+	// creates no closures. b0dt is the BDF coefficient over dt of the
+	// step in progress, which the Helmholtz operators read.
+	pOp, vOp, tOp krylov.Operator
+	allSum        func(partial []float64)
+	b0dt          float64
+
+	// Dirichlet faces that prescribe a value, in face order, with
+	// their node lists: what refreshBoundaryValues evaluates.
+	velFaces  []velFace
+	tempFaces []tempFace
 
 	time float64
 	step int
@@ -138,8 +162,46 @@ type Solver struct {
 	// bootstrap forces BDF1/EXT1 on the next step (first step and
 	// after restarts, where no BDF history exists).
 	bootstrap bool
+}
 
-	timeDependentBC bool
+// velFace and tempFace are one Dirichlet face with a prescribed value
+// and the local nodes on it.
+type velFace struct {
+	value func(x, y, z, t float64) (u, v, w float64)
+	nodes []int
+}
+
+type tempFace struct {
+	value func(x, y, z, t float64) float64
+	nodes []int
+}
+
+// assembledOp is the operator of one kind of CG solve: the gathered
+// Helmholtz operator gs(visc*A_L + (b0/dt + chi) B) with Dirichlet
+// rows masked — or, with mass unset, the gathered weak Laplacian of
+// the pressure Poisson problem.
+type assembledOp struct {
+	s        *Solver
+	visc     float64
+	mass     bool
+	brinkman bool
+	mask     []float64 // nil: no Dirichlet rows
+}
+
+// Apply implements krylov.Operator.
+func (o *assembledOp) Apply(out, in []float64) {
+	s := o.s
+	if o.mass {
+		s.helmholtzLocal(in, out, o.visc, s.b0dt, o.brinkman)
+	} else {
+		s.localLaplacian(in, out)
+	}
+	s.gsh.Sum(out)
+	if mask := o.mask; mask != nil {
+		for i := range out {
+			out[i] *= mask[i]
+		}
+	}
 }
 
 // NewSolver builds a solver; collective over cfg.Comm.
@@ -203,11 +265,11 @@ func NewSolver(cfg Config) (*Solver, error) {
 	s.fu1, s.fv1, s.fw1 = alloc(n), alloc(n), alloc(n)
 	s.maskV = alloc(n)
 	s.ub, s.vb, s.wb = alloc(n), alloc(n), alloc(n)
-	s.wr, s.ws, s.wt = alloc(n), alloc(n), alloc(n)
 	s.gx, s.gy, s.gz = alloc(n), alloc(n), alloc(n)
 	s.fu, s.fv, s.fw = alloc(n), alloc(n), alloc(n)
 	s.ru, s.rv, s.rw = alloc(n), alloc(n), alloc(n)
 	s.scr1, s.scr2 = alloc(n), alloc(n)
+	s.cg = krylov.Workspace{R: alloc(n), Z: alloc(n), P: alloc(n), Q: s.scr1}
 	if cfg.Temperature {
 		s.t1, s.ft1 = alloc(n), alloc(n)
 		s.maskT = alloc(n)
@@ -227,12 +289,18 @@ func NewSolver(cfg Config) (*Solver, error) {
 	}
 	s.nUnique = s.comm.AllreduceF64Scalar(uniq, mpirt.OpSum)
 
+	s.buildKernels()
 	s.buildMasks()
 	s.buildBrinkman()
+	s.allSum = func(partial []float64) { s.comm.AllreduceF64InPlace(partial, mpirt.OpSum) }
+	s.pOp = &assembledOp{s: s}
+	s.vOp = &assembledOp{s: s, visc: cfg.Nu, mass: true, brinkman: true, mask: s.maskV}
+	if cfg.Temperature {
+		s.tOp = &assembledOp{s: s, visc: cfg.Kappa, mass: true, mask: s.maskT}
+	}
 	s.diagA = s.laplacianDiag()
 	s.applyInitialConditions()
 	s.refreshBoundaryValues(0)
-	s.timeDependentBC = true // conservatively re-evaluate BC fields each step
 	return s, nil
 }
 
@@ -246,13 +314,21 @@ func sortedFaces[V any](m map[mesh.Face]V) []mesh.Face {
 	return fs
 }
 
+// buildMasks marks the Dirichlet nodes and keeps, for the faces that
+// prescribe a value, the node lists refreshBoundaryValues walks every
+// step (faces in ascending order, so where two meet the later one
+// wins, on every step alike).
 func (s *Solver) buildMasks() {
 	for i := range s.maskV {
 		s.maskV[i] = 1
 	}
 	for _, f := range sortedFaces(s.cfg.VelBC) {
-		for _, i := range s.mesh.BoundaryNodes(f) {
+		nodes := s.mesh.BoundaryNodes(f)
+		for _, i := range nodes {
 			s.maskV[i] = 0
+		}
+		if value := s.cfg.VelBC[f].Value; value != nil {
+			s.velFaces = append(s.velFaces, velFace{value, nodes})
 		}
 	}
 	s.gsh.Min(s.maskV)
@@ -261,8 +337,12 @@ func (s *Solver) buildMasks() {
 			s.maskT[i] = 1
 		}
 		for _, f := range sortedFaces(s.cfg.TempBC) {
-			for _, i := range s.mesh.BoundaryNodes(f) {
+			nodes := s.mesh.BoundaryNodes(f)
+			for _, i := range nodes {
 				s.maskT[i] = 0
+			}
+			if value := s.cfg.TempBC[f].Value; value != nil {
+				s.tempFaces = append(s.tempFaces, tempFace{value, nodes})
 			}
 		}
 		s.gsh.Min(s.maskT)
@@ -310,30 +390,17 @@ func (s *Solver) applyInitialConditions() {
 }
 
 // refreshBoundaryValues fills the Dirichlet lifting fields at time t.
+// They are zero off the faces that prescribe a value, and stay so.
 func (s *Solver) refreshBoundaryValues(t float64) {
 	m := s.mesh
-	for i := range s.ub {
-		s.ub[i], s.vb[i], s.wb[i] = 0, 0, 0
-	}
-	for _, f := range sortedFaces(s.cfg.VelBC) {
-		bc := s.cfg.VelBC[f]
-		for _, i := range m.BoundaryNodes(f) {
-			if bc.Value != nil {
-				s.ub[i], s.vb[i], s.wb[i] = bc.Value(m.X[i], m.Y[i], m.Z[i], t)
-			}
+	for _, f := range s.velFaces {
+		for _, i := range f.nodes {
+			s.ub[i], s.vb[i], s.wb[i] = f.value(m.X[i], m.Y[i], m.Z[i], t)
 		}
 	}
-	if s.cfg.Temperature {
-		for i := range s.tb {
-			s.tb[i] = 0
-		}
-		for _, f := range sortedFaces(s.cfg.TempBC) {
-			bc := s.cfg.TempBC[f]
-			for _, i := range m.BoundaryNodes(f) {
-				if bc.Value != nil {
-					s.tb[i] = bc.Value(m.X[i], m.Y[i], m.Z[i], t)
-				}
-			}
+	for _, f := range s.tempFaces {
+		for _, i := range f.nodes {
+			s.tb[i] = f.value(m.X[i], m.Y[i], m.Z[i], t)
 		}
 	}
 }
@@ -375,40 +442,19 @@ func (s *Solver) Fields() map[string]*occa.Memory {
 	return f
 }
 
-// dot is the global, multiplicity-weighted inner product.
-func (s *Solver) dot(a, b []float64) float64 {
-	var sum float64
-	for i := range a {
-		sum += s.invMult[i] * a[i] * b[i]
-	}
-	return s.comm.AllreduceF64Scalar(sum, mpirt.OpSum)
-}
-
-// projectMean removes the global mean (unique-dof average) from v,
-// the null-space projection for the all-Neumann pressure solve.
-func (s *Solver) projectMean(v []float64) {
-	var sum float64
-	for i := range v {
-		sum += s.invMult[i] * v[i]
-	}
-	mean := s.comm.AllreduceF64Scalar(sum, mpirt.OpSum) / s.nUnique
-	for i := range v {
-		v[i] -= mean
-	}
-}
-
-// solverOptions assembles krylov options with the solver's dot product.
+// solverOptions describes a solve to krylov.CG: the solver's
+// multiplicity-weighted inner product, reduced over the communicator,
+// and for the all-Neumann pressure problem the null-space projection.
 func (s *Solver) solverOptions(tol float64, diag []float64, project bool) krylov.Options {
-	o := krylov.Options{
-		Tol:     tol,
-		MaxIter: s.cfg.MaxIter,
-		Diag:    diag,
-		Dot:     s.dot,
+	return krylov.Options{
+		Tol:        tol,
+		MaxIter:    s.cfg.MaxIter,
+		Diag:       diag,
+		Weight:     s.invMult,
+		AllSum:     s.allSum,
+		RemoveMean: project,
+		Count:      s.nUnique,
 	}
-	if project {
-		o.Project = s.projectMean
-	}
-	return o
 }
 
 // LoadFields overwrites the primary fields from host data (a restart

@@ -2,8 +2,10 @@ package fluid
 
 import (
 	"math"
+	"time"
 
 	"nekrs-sensei/internal/krylov"
+	"nekrs-sensei/internal/metrics"
 	"nekrs-sensei/internal/mpirt"
 )
 
@@ -21,22 +23,12 @@ func bdfCoefficients(step int) (b0, b1, b2, e0, e1 float64) {
 // computeExplicitTerms evaluates F^n = -(u·grad)u + f(x,t,T) into
 // fu/fv/fw and, when enabled, F_T^n = -(u·grad)T + q into ft.
 func (s *Solver) computeExplicitTerms(t float64) {
-	u, v, w := s.U.Data(), s.V.Data(), s.W.Data()
 	m := s.mesh
 
 	// Advection of each velocity component.
-	s.gradient(u, s.gx, s.gy, s.gz)
-	for i := 0; i < s.n; i++ {
-		s.fu[i] = -(u[i]*s.gx[i] + v[i]*s.gy[i] + w[i]*s.gz[i])
-	}
-	s.gradient(v, s.gx, s.gy, s.gz)
-	for i := 0; i < s.n; i++ {
-		s.fv[i] = -(u[i]*s.gx[i] + v[i]*s.gy[i] + w[i]*s.gz[i])
-	}
-	s.gradient(w, s.gx, s.gy, s.gz)
-	for i := 0; i < s.n; i++ {
-		s.fw[i] = -(u[i]*s.gx[i] + v[i]*s.gy[i] + w[i]*s.gz[i])
-	}
+	s.advect(s.U.Data(), s.fu)
+	s.advect(s.V.Data(), s.fv)
+	s.advect(s.W.Data(), s.fw)
 
 	if s.cfg.Forcing != nil {
 		var tp []float64
@@ -56,11 +48,7 @@ func (s *Solver) computeExplicitTerms(t float64) {
 	}
 
 	if s.cfg.Temperature {
-		tp := s.T.Data()
-		s.gradient(tp, s.gx, s.gy, s.gz)
-		for i := 0; i < s.n; i++ {
-			s.ft[i] = -(u[i]*s.gx[i] + v[i]*s.gy[i] + w[i]*s.gz[i])
-		}
+		s.advect(s.T.Data(), s.ft)
 		if s.cfg.HeatSource != nil {
 			for i := 0; i < s.n; i++ {
 				s.ft[i] += s.cfg.HeatSource(m.X[i], m.Y[i], m.Z[i], t)
@@ -69,12 +57,24 @@ func (s *Solver) computeExplicitTerms(t float64) {
 	}
 }
 
+// bdfRHS forms the BDF/EXT right-hand side r = (b1 u^n + b2 u^{n-1})/dt
+// + e0 F^n + e1 F^{n-1} of one field and rotates its histories in the
+// same sweep: u1 <- u^n, f1 <- F^n.
+func bdfRHS(r, u, u1, f, f1 []float64, b1, b2, e0, e1, dt float64) {
+	u, u1, f, f1 = u[:len(r)], u1[:len(r)], f[:len(r)], f1[:len(r)]
+	for i := range r {
+		ui, fi := u[i], f[i]
+		r[i] = (b1*ui+b2*u1[i])/dt + e0*fi + e1*f1[i]
+		u1[i], f1[i] = ui, fi
+	}
+}
+
 // Step advances the solution by one timestep and returns solve
-// statistics. Collective over the communicator.
+// statistics. Collective over the communicator. A steady-state step
+// allocates nothing.
 func (s *Solver) Step() StepStats {
 	timer := s.cfg.Timer
-	stopStep := timer.Start("step")
-	defer stopStep()
+	stepBegin := time.Now()
 
 	dt := s.cfg.Dt
 	tNew := s.time + dt
@@ -85,59 +85,35 @@ func (s *Solver) Step() StepStats {
 	}
 	b0, b1, b2, e0, e1 := bdfCoefficients(effStep)
 	b0dt := b0 / dt
+	s.b0dt = b0dt
 
 	u, v, w := s.U.Data(), s.V.Data(), s.W.Data()
 
 	// Explicit terms and BDF/EXT right-hand side r_i.
-	stopAdv := timer.Start("advection")
+	begin := stepBegin
 	s.computeExplicitTerms(s.time)
-	for i := 0; i < s.n; i++ {
-		s.ru[i] = (b1*u[i]+b2*s.u1[i])/dt + e0*s.fu[i] + e1*s.fu1[i]
-		s.rv[i] = (b1*v[i]+b2*s.v1[i])/dt + e0*s.fv[i] + e1*s.fv1[i]
-		s.rw[i] = (b1*w[i]+b2*s.w1[i])/dt + e0*s.fw[i] + e1*s.fw1[i]
-	}
+	bdfRHS(s.ru, u, s.u1, s.fu, s.fu1, b1, b2, e0, e1, dt)
+	bdfRHS(s.rv, v, s.v1, s.fv, s.fv1, b1, b2, e0, e1, dt)
+	bdfRHS(s.rw, w, s.w1, s.fw, s.fw1, b1, b2, e0, e1, dt)
 	if s.cfg.Temperature {
-		tp := s.T.Data()
-		for i := 0; i < s.n; i++ {
-			s.rt[i] = (b1*tp[i]+b2*s.t1[i])/dt + e0*s.ft[i] + e1*s.ft1[i]
-		}
+		bdfRHS(s.rt, s.T.Data(), s.t1, s.ft, s.ft1, b1, b2, e0, e1, dt)
 	}
-	// Rotate histories now: u1 <- u^n, fu1 <- F^n.
-	copy(s.u1, u)
-	copy(s.v1, v)
-	copy(s.w1, w)
-	copy(s.fu1, s.fu)
-	copy(s.fv1, s.fv)
-	copy(s.fw1, s.fw)
-	if s.cfg.Temperature {
-		copy(s.t1, s.T.Data())
-		copy(s.ft1, s.ft)
-	}
-	stopAdv()
+	begin = lap(timer, "advection", begin)
 
 	// Pressure Poisson: A p = -gs(B div r), all-Neumann with mean
 	// projection.
-	stopP := timer.Start("pressure")
 	s.divergence(s.ru, s.rv, s.rw, s.scr1)
 	b := s.mesh.B
 	for i := 0; i < s.n; i++ {
 		s.scr2[i] = -b[i] * s.scr1[i]
 	}
 	s.gsh.Sum(s.scr2)
-	pOp := krylov.OperatorFunc(func(out, in []float64) {
-		s.localLaplacian(in, out)
-		s.gsh.Sum(out)
-	})
-	pOpts := s.solverOptions(s.cfg.PressureTol, s.diagA, true)
-	pRes := krylov.CG(pOp, s.scr2, s.P.Data(), pOpts)
-	stopP()
+	pRes := krylov.CG(s.pOp, s.scr2, s.P.Data(), &s.cg, s.solverOptions(s.cfg.PressureTol, s.diagA, true))
+	begin = lap(timer, "pressure", begin)
 
 	// Velocity Helmholtz solves with Dirichlet lifting.
-	stopV := timer.Start("viscous")
 	s.gradient(s.P.Data(), s.gx, s.gy, s.gz)
-	if s.timeDependentBC {
-		s.refreshBoundaryValues(tNew)
-	}
+	s.refreshBoundaryValues(tNew)
 	s.buildHelmholtzDiags(b0dt)
 
 	var viscIters [3]int
@@ -148,20 +124,22 @@ func (s *Solver) Step() StepStats {
 		{v, s.rv, s.gy, s.vb},
 		{w, s.rw, s.gz, s.wb},
 	}
-	hOp := krylov.OperatorFunc(func(out, in []float64) {
-		s.helmholtzLocal(in, out, s.cfg.Nu, b0dt, true)
-		s.gsh.Sum(out)
-		for i := range out {
-			out[i] *= s.maskV[i]
-		}
-	})
 	hOpts := s.solverOptions(s.cfg.VelocityTol, s.diagHV, false)
 	for c := range comps {
 		cm := &comps[c]
-		// rhs = gs(B (r - grad p) - H_L bc) * mask
-		s.helmholtzLocal(cm.bc, s.scr1, s.cfg.Nu, b0dt, true)
-		for i := 0; i < s.n; i++ {
-			s.scr2[i] = b[i]*(cm.r[i]-cm.grad[i]) - s.scr1[i]
+		// rhs = gs(B (r - grad p) - H_L bc) * mask. Without a
+		// prescribed boundary value bc is identically zero, H_L bc
+		// is +0 everywhere and subtracting it changes no bit, so the
+		// operator application is skipped.
+		if len(s.velFaces) > 0 {
+			s.helmholtzLocal(cm.bc, s.scr1, s.cfg.Nu, b0dt, true)
+			for i := 0; i < s.n; i++ {
+				s.scr2[i] = b[i]*(cm.r[i]-cm.grad[i]) - s.scr1[i]
+			}
+		} else {
+			for i := 0; i < s.n; i++ {
+				s.scr2[i] = b[i] * (cm.r[i] - cm.grad[i])
+			}
 		}
 		s.gsh.Sum(s.scr2)
 		for i := 0; i < s.n; i++ {
@@ -172,30 +150,27 @@ func (s *Solver) Step() StepStats {
 		for i := 0; i < s.n; i++ {
 			x[i] = (cm.vel[i] - cm.bc[i]) * s.maskV[i]
 		}
-		res := krylov.CG(hOp, s.scr2, x, hOpts)
+		res := krylov.CG(s.vOp, s.scr2, x, &s.cg, hOpts)
 		viscIters[c] = res.Iters
 		for i := 0; i < s.n; i++ {
 			cm.vel[i] = x[i] + cm.bc[i]
 		}
 	}
-	stopV()
+	begin = lap(timer, "viscous", begin)
 
 	// Scalar (temperature) Helmholtz.
 	scalarIters := 0
 	if s.cfg.Temperature {
-		stopT := timer.Start("scalar")
 		tp := s.T.Data()
-		tOp := krylov.OperatorFunc(func(out, in []float64) {
-			s.helmholtzLocal(in, out, s.cfg.Kappa, b0dt, false)
-			s.gsh.Sum(out)
-			for i := range out {
-				out[i] *= s.maskT[i]
+		if len(s.tempFaces) > 0 {
+			s.helmholtzLocal(s.tb, s.scr1, s.cfg.Kappa, b0dt, false)
+			for i := 0; i < s.n; i++ {
+				s.scr2[i] = b[i]*s.rt[i] - s.scr1[i]
 			}
-		})
-		tOpts := s.solverOptions(s.cfg.ScalarTol, s.diagHT, false)
-		s.helmholtzLocal(s.tb, s.scr1, s.cfg.Kappa, b0dt, false)
-		for i := 0; i < s.n; i++ {
-			s.scr2[i] = b[i]*s.rt[i] - s.scr1[i]
+		} else {
+			for i := 0; i < s.n; i++ {
+				s.scr2[i] = b[i] * s.rt[i]
+			}
 		}
 		s.gsh.Sum(s.scr2)
 		for i := 0; i < s.n; i++ {
@@ -205,17 +180,17 @@ func (s *Solver) Step() StepStats {
 		for i := 0; i < s.n; i++ {
 			x[i] = (tp[i] - s.tb[i]) * s.maskT[i]
 		}
-		res := krylov.CG(tOp, s.scr2, x, tOpts)
+		res := krylov.CG(s.tOp, s.scr2, x, &s.cg, s.solverOptions(s.cfg.ScalarTol, s.diagHT, false))
 		scalarIters = res.Iters
 		for i := 0; i < s.n; i++ {
 			tp[i] = x[i] + s.tb[i]
 		}
-		stopT()
+		lap(timer, "scalar", begin)
 	}
 
 	s.time = tNew
 	s.step++
-	return StepStats{
+	stats := StepStats{
 		Step:          s.step,
 		Time:          s.time,
 		PressureIters: pRes.Iters,
@@ -223,6 +198,17 @@ func (s *Solver) Step() StepStats {
 		ScalarIters:   scalarIters,
 		CFL:           s.CFL(),
 	}
+	timer.Add("step", time.Since(stepBegin))
+	return stats
+}
+
+// lap charges the time since begin to the named phase and returns the
+// start of the next one. (Timer.Start would allocate a closure per
+// phase.)
+func lap(timer *metrics.Timer, phase string, begin time.Time) time.Time {
+	now := time.Now()
+	timer.Add(phase, now.Sub(begin))
+	return now
 }
 
 // Run advances n steps, invoking hook (if non-nil) after each step.

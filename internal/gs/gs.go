@@ -62,28 +62,49 @@ const (
 	posInf = 1.797693134862315708145274237317043567981e+308
 )
 
-// GS is a configured gather-scatter exchange for one id map.
+// GS is a configured gather-scatter exchange for one id map. It owns
+// the exchange buffers, so one GS serves one Apply at a time (the
+// owning rank's), like the Comm it drives.
 type GS struct {
 	comm *mpirt.Comm
 	n    int
 
-	// localGroups: gids with multiple copies all on this rank.
-	localGroups [][]int
+	// Groups of local indices that share a gid, in CSR form: group k
+	// is idx[off[k]:off[k+1]], ascending. local holds the gids whose
+	// copies are all on this rank; shared the gids other ranks hold
+	// too, ordered by (owner rank, gid).
+	local, shared groups
 
-	// Contributor role: sharedGroups[k] holds the local indices of the
-	// k-th shared gid, ordered by (owner rank, gid); sendCount[d] is
-	// the number of shared gids owned by rank d.
-	sharedGroups [][]int
-	sendCount    []int
-
-	// Owner role: for each source rank, ownContrib[src][k] is the slot
-	// (into the owned-shared-gid table) of the k-th value received
-	// from src. ownSlots is the table size.
-	ownContrib [][]int
-	ownSlots   int
+	// Exchange buffers, one slice per peer rank, reused by every
+	// Apply. Contributor role: send[d] carries this rank's partial
+	// value of each shared gid owned by d, back[d] receives the
+	// totals in the same order. Owner role: recv[src] receives src's
+	// partials, reply[src] returns the totals; ownContrib[src][k] is
+	// the slot (into totals) of the k-th value exchanged with src.
+	send, back  [][]float64
+	recv, reply [][]float64
+	ownContrib  [][]int32
+	totals      []float64
 
 	mult []float64 // node multiplicity (copies across all ranks)
 }
+
+// groups is a CSR list of index groups: group k is idx[off[k]:off[k+1]].
+type groups struct {
+	off, idx []int32
+}
+
+func newGroups() groups { return groups{off: []int32{0}} }
+
+func (g *groups) add(members []int) {
+	for _, i := range members {
+		g.idx = append(g.idx, int32(i))
+	}
+	g.off = append(g.off, int32(len(g.idx)))
+}
+
+// count reports the number of groups.
+func (g *groups) count() int { return len(g.off) - 1 }
 
 // owner maps a global id to its owning rank.
 func owner(gid int64, size int) int {
@@ -98,7 +119,7 @@ func owner(gid int64, size int) int {
 // Every rank of comm must call New collectively with its own ids.
 func New(comm *mpirt.Comm, gids []int64) *GS {
 	size := comm.Size()
-	g := &GS{comm: comm, n: len(gids)}
+	g := &GS{comm: comm, n: len(gids), local: newGroups(), shared: newGroups()}
 
 	// Group local indices by gid.
 	byGid := make(map[int64][]int, len(gids))
@@ -139,19 +160,19 @@ func New(comm *mpirt.Comm, gids []int64) *GS {
 	for s, id := range ownShared {
 		slotOf[id] = s
 	}
-	g.ownSlots = len(ownShared)
+	g.totals = make([]float64, len(ownShared))
 
 	// Rendezvous round 2: reply shared/not flags aligned with each
 	// source's (sorted) setup list, and record the owner-side receive
 	// plan in the same order.
 	replyFlags := make([][]int64, size)
-	g.ownContrib = make([][]int, size)
+	g.ownContrib = make([][]int32, size)
 	for src, ids := range recvSetup {
 		flags := make([]int64, len(ids))
 		for k, id := range ids {
 			if slot, ok := slotOf[id]; ok {
 				flags[k] = 1
-				g.ownContrib[src] = append(g.ownContrib[src], slot)
+				g.ownContrib[src] = append(g.ownContrib[src], int32(slot))
 			}
 		}
 		replyFlags[src] = flags
@@ -161,18 +182,25 @@ func New(comm *mpirt.Comm, gids []int64) *GS {
 	// Contributor: split gids into purely-local groups and shared
 	// groups ordered by (owner, gid) — the same order the owner
 	// recorded above.
-	g.sendCount = make([]int, size)
+	sendCount := make([]int, size)
 	for d := 0; d < size; d++ {
 		flags := sharedFlags[d]
 		for k, id := range sendSetup[d] {
 			if flags[k] == 1 {
-				g.sharedGroups = append(g.sharedGroups, byGid[id])
-				g.sendCount[d]++
+				g.shared.add(byGid[id])
+				sendCount[d]++
 			} else if len(byGid[id]) > 1 {
-				g.localGroups = append(g.localGroups, byGid[id])
+				g.local.add(byGid[id])
 			}
 		}
 	}
+
+	recvCount := make([]int, size)
+	for src, plan := range g.ownContrib {
+		recvCount[src] = len(plan)
+	}
+	g.send, g.back = peerBuffers(sendCount)
+	g.recv, g.reply = peerBuffers(recvCount)
 
 	// Multiplicity via a Sum on ones.
 	ones := make([]float64, len(gids))
@@ -182,6 +210,24 @@ func New(comm *mpirt.Comm, gids []int64) *GS {
 	g.Apply(ones, OpSum)
 	g.mult = ones
 	return g
+}
+
+// peerBuffers carves two sets of per-peer buffers, counts[p] values
+// for peer p in each, out of one allocation.
+func peerBuffers(counts []int) (a, b [][]float64) {
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	flat := make([]float64, 2*total)
+	a, b = make([][]float64, len(counts)), make([][]float64, len(counts))
+	pos := 0
+	for p, c := range counts {
+		a[p] = flat[pos : pos+c : pos+c]
+		b[p] = flat[total+pos : total+pos+c : total+pos+c]
+		pos += c
+	}
+	return a, b
 }
 
 // Len reports the local vector length the exchange was built for.
@@ -195,14 +241,21 @@ func (g *GS) Multiplicity() []float64 { return g.mult }
 // Apply combines all copies of every global node with op and writes
 // the combined value back to every copy, in place. Collective: every
 // rank must call with its local vector.
+//
+// The order of combination is part of the contract (the solver's
+// trajectories are pinned bit for bit): within a rank a node's copies
+// combine in ascending local index, and across ranks the owner starts
+// from the identity and folds the contributors' partials in ascending
+// rank.
 func (g *GS) Apply(u []float64, op Op) {
 	if len(u) != g.n {
 		panic("gs: vector length does not match setup")
 	}
-	size := g.comm.Size()
 
 	// Purely local duplicates.
-	for _, grp := range g.localGroups {
+	idx := g.local.idx
+	for k, n := 0, g.local.count(); k < n; k++ {
+		grp := idx[g.local.off[k]:g.local.off[k+1]]
 		acc := u[grp[0]]
 		for _, i := range grp[1:] {
 			acc = op.combine(acc, u[i])
@@ -211,59 +264,56 @@ func (g *GS) Apply(u []float64, op Op) {
 			u[i] = acc
 		}
 	}
+	if g.comm.Size() == 1 {
+		return // a node is shared only when two ranks hold it
+	}
 
 	// Locally combine shared groups and ship partials to owners.
-	send := make([][]float64, size)
-	pos := 0
-	for d := 0; d < size; d++ {
-		buf := make([]float64, g.sendCount[d])
-		for k := range buf {
-			grp := g.sharedGroups[pos+k]
+	idx = g.shared.idx
+	k := 0
+	for _, buf := range g.send {
+		for j := range buf {
+			grp := idx[g.shared.off[k]:g.shared.off[k+1]]
 			acc := u[grp[0]]
 			for _, i := range grp[1:] {
 				acc = op.combine(acc, u[i])
 			}
-			buf[k] = acc
+			buf[j] = acc
+			k++
 		}
-		send[d] = buf
-		pos += g.sendCount[d]
 	}
-	recv := g.comm.AlltoallF64(send)
+	g.comm.AlltoallF64Into(g.send, g.recv)
 
-	// Owner combine.
-	totals := make([]float64, g.ownSlots)
+	// Owner combine, then return the totals to the contributors in
+	// their send order.
+	totals := g.totals
+	identity := op.identity()
 	for i := range totals {
-		totals[i] = op.identity()
+		totals[i] = identity
 	}
-	for src, buf := range recv {
+	for src, buf := range g.recv {
 		plan := g.ownContrib[src]
-		for k, v := range buf {
-			totals[plan[k]] = op.combine(totals[plan[k]], v)
+		for j, v := range buf {
+			totals[plan[j]] = op.combine(totals[plan[j]], v)
 		}
 	}
-
-	// Return totals to contributors in their send order.
-	reply := make([][]float64, size)
-	for src := range reply {
+	for src, buf := range g.reply {
 		plan := g.ownContrib[src]
-		buf := make([]float64, len(plan))
-		for k, slot := range plan {
-			buf[k] = totals[slot]
+		for j := range buf {
+			buf[j] = totals[plan[j]]
 		}
-		reply[src] = buf
 	}
-	back := g.comm.AlltoallF64(reply)
+	g.comm.AlltoallF64Into(g.reply, g.back)
 
 	// Scatter combined values to all local copies.
-	pos = 0
-	for d := 0; d < size; d++ {
-		buf := back[d]
-		for k, v := range buf {
-			for _, i := range g.sharedGroups[pos+k] {
+	k = 0
+	for _, buf := range g.back {
+		for _, v := range buf {
+			for _, i := range idx[g.shared.off[k]:g.shared.off[k+1]] {
 				u[i] = v
 			}
+			k++
 		}
-		pos += g.sendCount[d]
 	}
 }
 

@@ -35,6 +35,121 @@ func serialReference(gids [][]int64, vals [][]float64, op Op) [][]float64 {
 	return out
 }
 
+// orderedReference spells out the order of combination Apply promises
+// (and the map-and-slices implementation it replaced had): a node's
+// copies on one rank combine in ascending local index; when several
+// ranks hold the node, the owner starts from the identity and folds
+// those per-rank partials in ascending rank.
+func orderedReference(gids [][]int64, vals [][]float64, op Op) [][]float64 {
+	type partial struct {
+		rank int
+		v    float64
+	}
+	partials := make(map[int64][]partial)
+	for r := range gids {
+		seen := make(map[int64]int) // gid -> index into partials[gid]
+		for i, id := range gids[r] {
+			if k, ok := seen[id]; ok {
+				partials[id][k].v = op.combine(partials[id][k].v, vals[r][i])
+			} else {
+				seen[id] = len(partials[id])
+				partials[id] = append(partials[id], partial{r, vals[r][i]})
+			}
+		}
+	}
+	total := make(map[int64]float64, len(partials))
+	for id, ps := range partials {
+		if len(ps) == 1 {
+			total[id] = ps[0].v
+			continue
+		}
+		acc := op.identity()
+		for _, p := range ps { // appended in ascending rank
+			acc = op.combine(acc, p.v)
+		}
+		total[id] = acc
+	}
+	out := make([][]float64, len(gids))
+	for r := range gids {
+		out[r] = make([]float64, len(gids[r]))
+		for i, id := range gids[r] {
+			out[r][i] = total[id]
+		}
+	}
+	return out
+}
+
+// TestApplyBitIdenticalToOrderedReference: on the node numbering of a
+// real mesh split over 1, 2 and 3 ranks, every op returns exactly the
+// bits the documented order of combination gives — including repeated
+// calls on the reused exchange buffers.
+func TestApplyBitIdenticalToOrderedReference(t *testing.T) {
+	cfg := mesh.BoxConfig{Nx: 3, Ny: 2, Nz: 3, Lx: 1, Ly: 1, Lz: 1, Order: 3, Periodic: [3]bool{false, false, true}}
+	rng := rand.New(rand.NewSource(17))
+	for _, size := range []int{1, 2, 3} {
+		gids := make([][]int64, size)
+		for r := range gids {
+			m, err := mesh.NewBox(cfg, r, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gids[r] = m.GlobalID
+		}
+		const rounds = 3
+		vals := make([][][]float64, rounds)
+		for k := range vals {
+			vals[k] = make([][]float64, size)
+			for r := range gids {
+				vals[k][r] = make([]float64, len(gids[r]))
+				for i := range vals[k][r] {
+					vals[k][r][i] = rng.NormFloat64()
+					if rng.Intn(6) == 0 {
+						vals[k][r][i] = 0
+					}
+				}
+			}
+		}
+		for _, op := range []Op{OpSum, OpMin, OpMax} {
+			got := make([][][]float64, rounds)
+			for k := range got {
+				got[k] = make([][]float64, size)
+			}
+			mpirt.Run(size, func(c *mpirt.Comm) {
+				g := New(c, gids[c.Rank()])
+				for k := 0; k < rounds; k++ {
+					u := append([]float64(nil), vals[k][c.Rank()]...)
+					g.Apply(u, op)
+					got[k][c.Rank()] = u
+				}
+			})
+			for k := 0; k < rounds; k++ {
+				want := orderedReference(gids, vals[k], op)
+				for r := range want {
+					for i := range want[r] {
+						if math.Float64bits(got[k][r][i]) != math.Float64bits(want[r][i]) {
+							t.Fatalf("%d ranks, op %d, round %d: rank %d node %d = %v, reference %v",
+								size, op, k, r, i, got[k][r][i], want[r][i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestApplyDoesNotAllocate: the exchange runs on the buffers New built.
+func TestApplyDoesNotAllocate(t *testing.T) {
+	m, err := mesh.NewBox(mesh.BoxConfig{Nx: 2, Ny: 2, Nz: 2, Lx: 1, Ly: 1, Lz: 1, Order: 3}, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := New(mpirt.NewWorld(1).Comm(0), m.GlobalID)
+	u := make([]float64, m.NumNodes())
+	if allocs := testing.AllocsPerRun(20, func() { g.Sum(u) }); allocs != 0 {
+		t.Errorf("Sum allocates %v times per call, want 0", allocs)
+	}
+}
+
 func runGS(t *testing.T, gids [][]int64, vals [][]float64, op Op) [][]float64 {
 	t.Helper()
 	n := len(gids)

@@ -1,10 +1,13 @@
 package krylov
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"nekrs-sensei/internal/mpirt"
 )
 
 // denseOp wraps a dense row-major matrix as an Operator.
@@ -66,7 +69,7 @@ func TestCGSolvesSPD(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		x := make([]float64, n)
-		res := CG(op, b, x, Options{Tol: 1e-12, MaxIter: 10 * n})
+		res := CG(op, b, x, NewWorkspace(len(b)), Options{Tol: 1e-12, MaxIter: 10 * n})
 		if !res.Converged {
 			t.Errorf("n=%d: CG did not converge: %+v", n, res)
 		}
@@ -80,7 +83,7 @@ func TestCGZeroRHS(t *testing.T) {
 	op := randomSPD(rand.New(rand.NewSource(2)), 8)
 	b := make([]float64, 8)
 	x := make([]float64, 8)
-	res := CG(op, b, x, Options{})
+	res := CG(op, b, x, NewWorkspace(len(b)), Options{})
 	if !res.Converged || res.Iters != 0 {
 		t.Errorf("zero rhs: %+v", res)
 	}
@@ -94,9 +97,9 @@ func TestCGWarmStart(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	cold := make([]float64, 30)
-	r1 := CG(op, b, cold, Options{Tol: 1e-10})
+	r1 := CG(op, b, cold, NewWorkspace(len(b)), Options{Tol: 1e-10})
 	warm := append([]float64(nil), cold...)
-	r2 := CG(op, b, warm, Options{Tol: 1e-10})
+	r2 := CG(op, b, warm, NewWorkspace(len(b)), Options{Tol: 1e-10})
 	if r2.Iters > r1.Iters/2+1 {
 		t.Errorf("warm start took %d iters vs cold %d", r2.Iters, r1.Iters)
 	}
@@ -124,9 +127,9 @@ func TestJacobiPreconditioningHelps(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	x1 := make([]float64, n)
-	plain := CG(op, b, x1, Options{Tol: 1e-10, MaxIter: 100000})
+	plain := CG(op, b, x1, NewWorkspace(len(b)), Options{Tol: 1e-10, MaxIter: 100000})
 	x2 := make([]float64, n)
-	prec := CG(op, b, x2, Options{Tol: 1e-10, MaxIter: 100000, Diag: diag})
+	prec := CG(op, b, x2, NewWorkspace(len(b)), Options{Tol: 1e-10, MaxIter: 100000, Diag: diag})
 	if !prec.Converged {
 		t.Fatalf("preconditioned CG failed: %+v", prec)
 	}
@@ -137,7 +140,7 @@ func TestJacobiPreconditioningHelps(t *testing.T) {
 
 // TestCGSingularConsistent solves the 1D periodic graph Laplacian — a
 // singular system with constant null space, the same structure as the
-// pressure Poisson problem — using the Project hook.
+// pressure Poisson problem — using RemoveMean.
 func TestCGSingularConsistent(t *testing.T) {
 	n := 16
 	op := OperatorFunc(func(out, in []float64) {
@@ -161,7 +164,7 @@ func TestCGSingularConsistent(t *testing.T) {
 	}
 	meanProject(b) // consistency
 	x := make([]float64, n)
-	res := CG(op, b, x, Options{Tol: 1e-12, MaxIter: 200, Project: meanProject})
+	res := CG(op, b, x, NewWorkspace(len(b)), Options{Tol: 1e-12, MaxIter: 200, RemoveMean: true, Count: float64(n)})
 	if !res.Converged {
 		t.Fatalf("singular CG did not converge: %+v", res)
 	}
@@ -195,15 +198,8 @@ func TestCGCustomDot(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	dot := func(a, c []float64) float64 {
-		var s float64
-		for i := range a {
-			s += wts[i] * a[i] * c[i]
-		}
-		return s
-	}
 	x := make([]float64, n)
-	res := CG(op, b, x, Options{Tol: 1e-10, MaxIter: 500, Dot: dot})
+	res := CG(op, b, x, NewWorkspace(len(b)), Options{Tol: 1e-10, MaxIter: 500, Weight: wts})
 	if !res.Converged {
 		t.Errorf("custom-dot CG: %+v", res)
 	}
@@ -267,7 +263,7 @@ func TestCGMatchesGMRES(t *testing.T) {
 		}
 		x1 := make([]float64, n)
 		x2 := make([]float64, n)
-		CG(op, b, x1, Options{Tol: 1e-13, MaxIter: 100 * n})
+		CG(op, b, x1, NewWorkspace(len(b)), Options{Tol: 1e-13, MaxIter: 100 * n})
 		GMRES(op, b, x2, n+1, Options{Tol: 1e-13, MaxIter: 100 * n})
 		for i := range x1 {
 			if math.Abs(x1[i]-x2[i]) > 1e-6*(1+math.Abs(x1[i])) {
@@ -288,8 +284,205 @@ func TestMaxIterRespected(t *testing.T) {
 		b[i] = 1
 	}
 	x := make([]float64, 40)
-	res := CG(op, b, x, Options{Tol: 1e-30, AbsTol: 1e-30, MaxIter: 3})
+	res := CG(op, b, x, NewWorkspace(len(b)), Options{Tol: 1e-30, AbsTol: 1e-30, MaxIter: 3})
 	if res.Iters > 3 {
 		t.Errorf("iters = %d, want <= 3", res.Iters)
+	}
+}
+
+// referenceCG is the textbook formulation the fused CG must reproduce
+// bit for bit: one sweep and one global sum per inner product, the
+// null-space projection as its own two sweeps, four work vectors
+// allocated per solve.
+func referenceCG(op Operator, b, x []float64, tol float64, maxIter int, diag []float64,
+	dot func(a, b []float64) float64, project func(v []float64)) Result {
+	n := len(b)
+	r, z, p, q := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	op.Apply(r, x)
+	for i := range r {
+		r[i] = b[i] - r[i]
+	}
+	if project != nil {
+		project(r)
+	}
+	normb := math.Sqrt(dot(b, b))
+	tol = math.Max(tol*normb, 1e-300)
+	applyPrec := func(dst, src []float64) {
+		if diag != nil {
+			for i := range dst {
+				dst[i] = src[i] / diag[i]
+			}
+		} else {
+			copy(dst, src)
+		}
+	}
+	applyPrec(z, r)
+	copy(p, z)
+	rz := dot(r, z)
+	res := math.Sqrt(dot(r, r))
+	if res <= tol {
+		return Result{Iters: 0, Residual: res, Converged: true}
+	}
+	for it := 1; it <= maxIter; it++ {
+		op.Apply(q, p)
+		pq := dot(p, q)
+		if pq == 0 {
+			return Result{Iters: it - 1, Residual: res, Converged: false}
+		}
+		alpha := rz / pq
+		for i := range x {
+			x[i] += alpha * p[i]
+			r[i] -= alpha * q[i]
+		}
+		if project != nil {
+			project(r)
+		}
+		res = math.Sqrt(dot(r, r))
+		if res <= tol {
+			if project != nil {
+				project(x)
+			}
+			return Result{Iters: it, Residual: res, Converged: true}
+		}
+		applyPrec(z, r)
+		rz2 := dot(r, z)
+		beta := rz2 / rz
+		rz = rz2
+		for i := range p {
+			p[i] = z[i] + beta*p[i]
+		}
+	}
+	if project != nil {
+		project(x)
+	}
+	return Result{Iters: maxIter, Residual: res, Converged: false}
+}
+
+// TestCGBitIdenticalToReference runs the fused CG against referenceCG
+// on 1, 2 and 3 ranks — a periodic 1D Laplacian split across the
+// ranks (singular: constant null space) plus a diagonal shift when
+// the mean is not removed — with and without weights, preconditioner
+// and null-space projection, and demands equal iteration counts and
+// solutions equal in every bit. The reference reduces each inner
+// product with its own scalar allreduce; the fused CG ships several
+// partial sums per allreduce.
+func TestCGBitIdenticalToReference(t *testing.T) {
+	const nLocal = 23
+	for _, ranks := range []int{1, 2, 3} {
+		for _, c := range []struct {
+			name                     string
+			weighted, diag, nullMean bool
+			tol                      float64
+			maxIter                  int
+		}{
+			{"plain", false, false, false, 1e-10, 500},
+			{"weighted+diag", true, true, false, 1e-10, 500},
+			{"pressure-like", true, true, true, 1e-9, 500},
+			{"capped", true, true, true, 1e-30, 7},
+		} {
+			t.Run(fmt.Sprintf("ranks=%d/%s", ranks, c.name), func(t *testing.T) {
+				mpirt.Run(ranks, func(comm *mpirt.Comm) {
+					rng := rand.New(rand.NewSource(int64(100 + comm.Rank())))
+					shift := 0.5
+					if c.nullMean {
+						shift = 0
+					}
+					op := OperatorFunc(func(out, in []float64) {
+						// Periodic ring across ranks: every rank
+						// learns its neighbours' end values.
+						ends := comm.AllgatherF64([]float64{in[0], in[nLocal-1]})
+						left := ends[(comm.Rank()+ranks-1)%ranks][1]
+						right := ends[(comm.Rank()+1)%ranks][0]
+						for i := 0; i < nLocal; i++ {
+							l, r := left, right
+							if i > 0 {
+								l = in[i-1]
+							}
+							if i < nLocal-1 {
+								r = in[i+1]
+							}
+							out[i] = (2+shift)*in[i] - l - r
+						}
+					})
+					var w, diag []float64
+					count := float64(ranks * nLocal)
+					if c.weighted {
+						// Unequal weights break the operator's
+						// symmetry in the weighted inner product; CG
+						// still runs the same arithmetic on both
+						// sides, which is what is compared.
+						w = make([]float64, nLocal)
+						local := 0.0
+						for i := range w {
+							w[i] = 1 / float64(1+rng.Intn(3))
+							local += w[i]
+						}
+						count = comm.AllreduceF64Scalar(local, mpirt.OpSum)
+					}
+					if c.diag {
+						diag = make([]float64, nLocal)
+						for i := range diag {
+							diag[i] = 2 + shift + 0.1*rng.Float64()
+						}
+					}
+					b := make([]float64, nLocal)
+					for i := range b {
+						b[i] = rng.NormFloat64()
+					}
+
+					weight := func(i int) float64 {
+						if w == nil {
+							return 1
+						}
+						return w[i]
+					}
+					dot := func(a, b []float64) float64 {
+						var sum float64
+						for i := range a {
+							if w != nil {
+								sum += w[i] * a[i] * b[i]
+							} else {
+								sum += a[i] * b[i]
+							}
+						}
+						return comm.AllreduceF64Scalar(sum, mpirt.OpSum)
+					}
+					var project func(v []float64)
+					if c.nullMean {
+						project = func(v []float64) {
+							var sum float64
+							for i := range v {
+								sum += weight(i) * v[i]
+							}
+							mean := comm.AllreduceF64Scalar(sum, mpirt.OpSum) / count
+							for i := range v {
+								v[i] -= mean
+							}
+						}
+					}
+					want := make([]float64, nLocal)
+					wantRes := referenceCG(op, b, want, c.tol, c.maxIter, diag, dot, project)
+
+					got := make([]float64, nLocal)
+					gotRes := CG(op, b, got, NewWorkspace(nLocal), Options{
+						Tol: c.tol, MaxIter: c.maxIter, Diag: diag, Weight: w,
+						AllSum:     func(p []float64) { comm.AllreduceF64InPlace(p, mpirt.OpSum) },
+						RemoveMean: c.nullMean, Count: count,
+					})
+					if gotRes != wantRes {
+						t.Errorf("rank %d: result %+v, reference %+v", comm.Rank(), gotRes, wantRes)
+					}
+					if wantRes.Iters < 3 {
+						t.Errorf("rank %d: reference stopped after %d iterations; the case tests nothing", comm.Rank(), wantRes.Iters)
+					}
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Errorf("rank %d: x[%d] = %v, reference %v", comm.Rank(), i, got[i], want[i])
+							break
+						}
+					}
+				})
+			})
+		}
 	}
 }

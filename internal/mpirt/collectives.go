@@ -68,30 +68,50 @@ func (o Op) combineI64(a, b int64) int64 {
 // returns the reduced vector on every rank. All ranks must pass vectors
 // of equal length.
 func (c *Comm) AllreduceF64(vals []float64, op Op) []float64 {
-	cp := make([]float64, len(vals))
-	copy(cp, vals)
-	res := c.joinCollective("allreduce-f64", cp, func(contrib []interface{}) interface{} {
-		acc := make([]float64, len(cp))
-		copy(acc, contrib[0].([]float64))
-		for r := 1; r < len(contrib); r++ {
-			v := contrib[r].([]float64)
-			if len(v) != len(acc) {
-				panic(fmt.Sprintf("mpirt: allreduce length mismatch: %d vs %d", len(v), len(acc)))
-			}
-			for i := range acc {
-				acc[i] = op.combineF64(acc[i], v[i])
-			}
-		}
-		return acc
-	})
-	out := make([]float64, len(vals))
-	copy(out, res.([]float64))
+	out := append([]float64(nil), vals...)
+	c.AllreduceF64InPlace(out, op)
 	return out
+}
+
+// AllreduceF64InPlace is AllreduceF64 that overwrites vals with the
+// reduced vector and allocates nothing: the solver's inner products
+// and the Krylov solvers' fused multi-sum reductions call it several
+// times per iteration. Contributions combine in ascending rank order,
+// element by element, so reducing k values in one call gives exactly
+// the bits of k scalar reductions.
+func (c *Comm) AllreduceF64InPlace(vals []float64, op Op) {
+	rv := c.rv
+	rv.mu.Lock()
+	last := c.arrive("allreduce-f64")
+	rv.f64[c.rank] = vals
+	if !last {
+		c.await()
+		return
+	}
+	acc := append(rv.acc[:0], rv.f64[0]...)
+	for r := 1; r < len(rv.f64); r++ {
+		v := rv.f64[r]
+		if len(v) != len(acc) {
+			c.fail(fmt.Sprintf("mpirt: allreduce length mismatch: rank %d has %d values, rank 0 has %d", r, len(v), len(acc)))
+		}
+		for i := range acc {
+			acc[i] = op.combineF64(acc[i], v[i])
+		}
+	}
+	for r := range rv.f64 {
+		copy(rv.f64[r], acc)
+		rv.f64[r] = nil
+	}
+	rv.acc = acc
+	c.release()
+	rv.mu.Unlock()
 }
 
 // AllreduceF64Scalar reduces one float64 across all ranks.
 func (c *Comm) AllreduceF64Scalar(v float64, op Op) float64 {
-	return c.AllreduceF64([]float64{v}, op)[0]
+	c.scalar[0] = v
+	c.AllreduceF64InPlace(c.scalar[:], op)
+	return c.scalar[0]
 }
 
 // AllreduceI64 element-wise reduces int64 vectors across all ranks.
@@ -258,38 +278,51 @@ func (c *Comm) AlltoallI64(send [][]int64) [][]int64 {
 	return out
 }
 
-// AlltoallF64 performs a personalized all-to-all exchange of float64
-// vectors, the data-movement pattern of a gather-scatter operation.
-func (c *Comm) AlltoallF64(send [][]float64) [][]float64 {
-	if len(send) != len(c.group) {
-		panic(fmt.Sprintf("mpirt: alltoall needs %d send buffers, got %d", len(c.group), len(send)))
+// AlltoallF64Into performs a personalized all-to-all exchange of
+// float64 vectors between buffers the caller owns, the data-movement
+// pattern of a gather-scatter operation: send[d] is copied into rank
+// d's recv[c.Rank()], whose length must match. Nothing is allocated,
+// and when the call returns every copy out of send has been made, so
+// the caller may refill it at once.
+func (c *Comm) AlltoallF64Into(send, recv [][]float64) {
+	n := len(c.group)
+	if len(send) != n || len(recv) != n {
+		panic(fmt.Sprintf("mpirt: alltoall needs %d send and receive buffers, got %d and %d", n, len(send), len(recv)))
 	}
-	cp := make([][]float64, len(send))
-	for i, s := range send {
-		cp[i] = append([]float64(nil), s...)
+	rv := c.rv
+	rv.mu.Lock()
+	last := c.arrive("alltoall-f64-into")
+	rv.send[c.rank], rv.recv[c.rank] = send, recv
+	if !last {
+		c.await()
+		return
 	}
-	res := c.joinCollective("alltoall-f64", cp, func(contrib []interface{}) interface{} {
-		n := len(contrib)
-		out := make([][][]float64, n)
-		for d := 0; d < n; d++ {
-			out[d] = make([][]float64, n)
-			for s := 0; s < n; s++ {
-				out[d][s] = contrib[s].([][]float64)[d]
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			from, to := rv.send[src][dst], rv.recv[dst][src]
+			if len(from) != len(to) {
+				c.fail(fmt.Sprintf("mpirt: alltoall size mismatch: rank %d sends %d values to rank %d, which expects %d", src, len(from), dst, len(to)))
 			}
+			copy(to, from)
 		}
-		return out
-	})
-	mine := res.([][][]float64)[c.rank]
-	out := make([][]float64, len(mine))
-	for s, v := range mine {
-		out[s] = append([]float64(nil), v...)
 	}
-	return out
+	for r := 0; r < n; r++ {
+		rv.send[r], rv.recv[r] = nil, nil
+	}
+	c.release()
+	rv.mu.Unlock()
 }
 
 // splitReq is one rank's (color, key) contribution to Split.
 type splitReq struct {
 	color, key, rank int
+}
+
+// splitResult is what Split's reduction hands every rank.
+type splitResult struct {
+	ids    map[int]int
+	groups map[int][]int
+	rvs    map[int]*rendezvous
 }
 
 // commIDCounter allocates unique communicator ids during Split; the
@@ -315,8 +348,9 @@ func (c *Comm) Split(color, key int) *Comm {
 			colors = append(colors, col)
 		}
 		sort.Ints(colors)
-		ids := make(map[int]int)      // color -> new comm id
-		groups := make(map[int][]int) // color -> old ranks in new order
+		ids := make(map[int]int)         // color -> new comm id
+		groups := make(map[int][]int)    // color -> old ranks in new order
+		rvs := make(map[int]*rendezvous) // color -> the new communicator's meeting point
 		for _, col := range colors {
 			reqs := byColor[col]
 			sort.Slice(reqs, func(i, j int) bool {
@@ -331,19 +365,14 @@ func (c *Comm) Split(color, key int) *Comm {
 				g[i] = r.rank
 			}
 			groups[col] = g
+			rvs[col] = newRendezvous(len(g))
 		}
-		return struct {
-			ids    map[int]int
-			groups map[int][]int
-		}{ids, groups}
+		return splitResult{ids, groups, rvs}
 	})
 	if color < 0 {
 		return nil
 	}
-	sr := res.(struct {
-		ids    map[int]int
-		groups map[int][]int
-	})
+	sr := res.(splitResult)
 	oldGroup := sr.groups[color]
 	newRank := -1
 	group := make([]int, len(oldGroup))
@@ -353,5 +382,5 @@ func (c *Comm) Split(color, key int) *Comm {
 			newRank = i
 		}
 	}
-	return &Comm{world: c.world, id: sr.ids[color], rank: newRank, group: group}
+	return &Comm{world: c.world, rv: sr.rvs[color], id: sr.ids[color], rank: newRank, group: group}
 }

@@ -2,7 +2,9 @@ package mpirt
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -340,5 +342,144 @@ func TestCollectiveMismatchPanics(t *testing.T) {
 		} else {
 			c.AllreduceF64Scalar(1, OpSum)
 		}
+	})
+}
+
+// TestAllreduceInPlaceBitIdenticalToScalars: on 1, 2 and 3 ranks a
+// k-element in-place allreduce returns, on every rank, exactly the bits
+// of k scalar allreduces — contributions fold in ascending rank order
+// element by element — which is what lets the Krylov solvers ship
+// several partial sums in one collective without moving a trajectory.
+func TestAllreduceInPlaceBitIdenticalToScalars(t *testing.T) {
+	for _, n := range []int{1, 2, 3} {
+		for _, op := range []Op{OpSum, OpMax, OpMin} {
+			Run(n, func(c *Comm) {
+				rng := rand.New(rand.NewSource(int64(7 + c.Rank())))
+				for iter := 0; iter < 200; iter++ {
+					vals := []float64{rng.NormFloat64() * 1e8, rng.NormFloat64(), rng.NormFloat64() * 1e-8}
+					var want [3]float64
+					for i, v := range vals {
+						want[i] = c.AllreduceF64Scalar(v, op)
+					}
+					// The ascending-rank fold, spelled out.
+					for i := range vals {
+						all := c.AllgatherF64(vals[i : i+1])
+						acc := all[0][0]
+						for r := 1; r < n; r++ {
+							acc = op.combineF64(acc, all[r][0])
+						}
+						if math.Float64bits(acc) != math.Float64bits(want[i]) {
+							t.Errorf("%d ranks, %v: scalar allreduce %v, ascending-rank fold %v", n, op, want[i], acc)
+						}
+					}
+					c.AllreduceF64InPlace(vals[:2], op)
+					c.AllreduceF64InPlace(vals[2:], op)
+					for i := range vals {
+						if math.Float64bits(vals[i]) != math.Float64bits(want[i]) {
+							t.Errorf("%d ranks, %v, iter %d: in place [%d] = %v, scalar %v", n, op, iter, i, vals[i], want[i])
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+func TestAlltoallInto(t *testing.T) {
+	const n = 3
+	Run(n, func(c *Comm) {
+		send := make([][]float64, n)
+		recv := make([][]float64, n)
+		for d := 0; d < n; d++ {
+			// rank r sends r+d values to rank d (rank 0 none to
+			// itself, to cover empty messages).
+			send[d] = make([]float64, c.Rank()+d)
+			recv[d] = make([]float64, d+c.Rank())
+		}
+		value := func(round, src, dst, k int) float64 { return float64(1000*round + 100*src + 10*dst + k) }
+		for round := 0; round < 50; round++ {
+			for d := range send {
+				for k := range send[d] {
+					send[d][k] = value(round, c.Rank(), d, k)
+				}
+			}
+			c.AlltoallF64Into(send, recv)
+			for s := 0; s < n; s++ {
+				for k, got := range recv[s] {
+					if want := value(round, s, c.Rank(), k); got != want {
+						t.Errorf("rank %d round %d: recv[%d][%d] = %v, want %v", c.Rank(), round, s, k, got, want)
+					}
+				}
+			}
+		}
+	})
+}
+
+func TestAlltoallIntoSizeMismatchPanicsEverywhere(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic on mismatched alltoall sizes")
+		}
+	}()
+	Run(2, func(c *Comm) {
+		send := [][]float64{make([]float64, 2), make([]float64, 2)}
+		recv := [][]float64{make([]float64, 2), make([]float64, 2+c.Rank())}
+		c.AlltoallF64Into(send, recv)
+	})
+}
+
+// TestMixedCollectivesReuseTheRendezvous drives the communicator's one
+// rendezvous slot through boxed and in-place collectives in turn, on a
+// split communicator as well, with ranks arriving in varying order.
+func TestMixedCollectivesReuseTheRendezvous(t *testing.T) {
+	const n = 4
+	Run(n, func(c *Comm) {
+		half := c.Split(c.Rank()%2, c.Rank())
+		buf := make([]float64, 2)
+		for iter := 0; iter < 300; iter++ {
+			if (iter+c.Rank())%3 == 0 {
+				runtime.Gosched()
+			}
+			buf[0], buf[1] = float64(c.Rank()), float64(iter)
+			c.AllreduceF64InPlace(buf, OpSum)
+			if buf[0] != 6 || buf[1] != float64(n*iter) {
+				t.Fatalf("iter %d: allreduce = %v", iter, buf)
+			}
+			c.Barrier()
+			if got := c.BcastF64(iter%n, []float64{float64(iter)}); got[0] != float64(iter) {
+				t.Fatalf("iter %d: bcast = %v", iter, got)
+			}
+			if got := half.AllreduceF64Scalar(1, OpSum); got != 2 {
+				t.Fatalf("iter %d: split allreduce = %v", iter, got)
+			}
+			if got := c.AllgatherI64([]int64{int64(c.Rank())}); got[3][0] != 3 {
+				t.Fatalf("iter %d: allgather = %v", iter, got)
+			}
+		}
+	})
+}
+
+func TestInPlaceCollectivesDoNotAllocate(t *testing.T) {
+	c := NewWorld(1).Comm(0)
+	buf := []float64{1, 2}
+	send, recv := [][]float64{{1, 2, 3}}, [][]float64{make([]float64, 3)}
+	allocs := testing.AllocsPerRun(50, func() {
+		c.AllreduceF64InPlace(buf, OpSum)
+		_ = c.AllreduceF64Scalar(3, OpMax)
+		c.AlltoallF64Into(send, recv)
+	})
+	if allocs != 0 {
+		t.Errorf("in-place collectives allocate %v times per round, want 0", allocs)
+	}
+}
+
+func TestAllreduceLengthMismatchPanicsEverywhere(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic on mismatched allreduce lengths")
+		}
+	}()
+	Run(3, func(c *Comm) {
+		c.AllreduceF64InPlace(make([]float64, 1+c.Rank()%2), OpSum)
 	})
 }

@@ -6,10 +6,72 @@ package tensor
 // fastest-varying (r/x) index, j the s/y index, and k the t/z index.
 // Multi-element fields stack elements contiguously.
 
+//go:generate go run gen.go
+
+// The six derivative kernels below dispatch on nq alone: the sizes the
+// cases run (see gen.go) go to generated kernels that hold the pencil
+// being contracted in registers; every other size takes the generic
+// loops further down, which are also the reference the generated code
+// is tested against, bit for bit. Both form each output value the same
+// way — start from zero (DerivR/S/T) or from the value already in out
+// (DerivRT/ST/TT) and add the products in ascending m — which is the
+// summation-order contract the pinned solver trajectories rest on.
+
 // DerivR applies the 1D operator D (row-major Nq x Nq) along the r
 // (fastest) axis of one element: out[k,j,i] = sum_m D[i,m] u[k,j,m].
-// out must not alias u.
+// u and out hold one element; out must not alias u.
 func DerivR(d []float64, nq int, u, out []float64) {
+	if !derivRFixed(d, nq, u, out) {
+		derivRGeneric(d, nq, u, out)
+	}
+}
+
+// DerivS applies D along the s (middle) axis: out[k,j,i] = sum_m D[j,m] u[k,m,i].
+// out must not alias u.
+func DerivS(d []float64, nq int, u, out []float64) {
+	if !derivSFixed(d, nq, u, out) {
+		derivSGeneric(d, nq, u, out)
+	}
+}
+
+// DerivT applies D along the t (slowest) axis: out[k,j,i] = sum_m D[k,m] u[m,j,i].
+// out must not alias u.
+func DerivT(d []float64, nq int, u, out []float64) {
+	if !derivTFixed(d, nq, u, out) {
+		derivTGeneric(d, nq, u, out)
+	}
+}
+
+// DerivRT accumulates the transpose application along r:
+// out[k,j,i] += sum_m D[m,i] u[k,j,m]. Used for the D^T G D weak
+// Laplacian. out may hold prior partial sums; it must not alias u.
+func DerivRT(d []float64, nq int, u, out []float64) {
+	if !derivRTFixed(d, nq, u, out) {
+		derivRTGeneric(d, nq, u, out)
+	}
+}
+
+// DerivST accumulates the transpose application along s:
+// out[k,j,i] += sum_m D[m,j] u[k,m,i]. out must not alias u.
+func DerivST(d []float64, nq int, u, out []float64) {
+	if !derivSTFixed(d, nq, u, out) {
+		derivSTGeneric(d, nq, u, out)
+	}
+}
+
+// DerivTT accumulates the transpose application along t:
+// out[k,j,i] += sum_m D[m,k] u[m,j,i]. out must not alias u.
+func DerivTT(d []float64, nq int, u, out []float64) {
+	if !derivTTFixed(d, nq, u, out) {
+		derivTTGeneric(d, nq, u, out)
+	}
+}
+
+// The generic kernels. The c == 0 shortcuts skip adding a signed zero
+// to a sum that is never -0, which changes no bit on finite data.
+
+// derivRGeneric is DerivR for any nq.
+func derivRGeneric(d []float64, nq int, u, out []float64) {
 	nq2 := nq * nq
 	for k := 0; k < nq; k++ {
 		for j := 0; j < nq; j++ {
@@ -27,9 +89,8 @@ func DerivR(d []float64, nq int, u, out []float64) {
 	}
 }
 
-// DerivS applies D along the s (middle) axis: out[k,j,i] = sum_m D[j,m] u[k,m,i].
-// out must not alias u.
-func DerivS(d []float64, nq int, u, out []float64) {
+// derivSGeneric is DerivS for any nq.
+func derivSGeneric(d []float64, nq int, u, out []float64) {
 	nq2 := nq * nq
 	for k := 0; k < nq; k++ {
 		plane := u[k*nq2 : (k+1)*nq2]
@@ -54,9 +115,8 @@ func DerivS(d []float64, nq int, u, out []float64) {
 	}
 }
 
-// DerivT applies D along the t (slowest) axis: out[k,j,i] = sum_m D[k,m] u[m,j,i].
-// out must not alias u.
-func DerivT(d []float64, nq int, u, out []float64) {
+// derivTGeneric is DerivT for any nq.
+func derivTGeneric(d []float64, nq int, u, out []float64) {
 	nq2 := nq * nq
 	for k := 0; k < nq; k++ {
 		row := d[k*nq : (k+1)*nq]
@@ -77,10 +137,8 @@ func DerivT(d []float64, nq int, u, out []float64) {
 	}
 }
 
-// DerivRT accumulates the transpose application along r:
-// out[k,j,i] += sum_m D[m,i] u[k,j,m]. Used for the D^T G D weak
-// Laplacian. out may hold prior partial sums; it must not alias u.
-func DerivRT(d []float64, nq int, u, out []float64) {
+// derivRTGeneric is DerivRT for any nq.
+func derivRTGeneric(d []float64, nq int, u, out []float64) {
 	nq2 := nq * nq
 	for k := 0; k < nq; k++ {
 		for j := 0; j < nq; j++ {
@@ -101,9 +159,8 @@ func DerivRT(d []float64, nq int, u, out []float64) {
 	}
 }
 
-// DerivST accumulates the transpose application along s:
-// out[k,j,i] += sum_m D[m,j] u[k,m,i]. out must not alias u.
-func DerivST(d []float64, nq int, u, out []float64) {
+// derivSTGeneric is DerivST for any nq.
+func derivSTGeneric(d []float64, nq int, u, out []float64) {
 	nq2 := nq * nq
 	for k := 0; k < nq; k++ {
 		plane := u[k*nq2 : (k+1)*nq2]
@@ -125,9 +182,8 @@ func DerivST(d []float64, nq int, u, out []float64) {
 	}
 }
 
-// DerivTT accumulates the transpose application along t:
-// out[k,j,i] += sum_m D[m,k] u[m,j,i]. out must not alias u.
-func DerivTT(d []float64, nq int, u, out []float64) {
+// derivTTGeneric is DerivTT for any nq.
+func derivTTGeneric(d []float64, nq int, u, out []float64) {
 	nq2 := nq * nq
 	for m := 0; m < nq; m++ {
 		src := u[m*nq2 : (m+1)*nq2]
