@@ -1,16 +1,23 @@
 # Build/test entry points. `make race` covers the concurrent
 # subsystems (staging hub + spill tier, SST transport, endpoint loop,
-# archive record/replay, MPI runtime) under the race detector.
+# archive record/replay, MPI runtime, and the render path whose rank
+# goroutines composite out of each other's framebuffers) under the
+# race detector.
 # `make bench` regenerates every BENCH_*.json artifact at smoke scale;
-# `make bench-kernels` smoke-runs the solver hot-path benchmarks;
+# `make bench-kernels` smoke-runs the solver hot-path benchmarks and
+# `make bench-render` the in situ render ones;
 # `make bench-e2e` runs the end-to-end benchmark as alternating
-# parent/change pairs and compares them; `make generate-check` fails
-# when the generated tensor kernels are stale;
-# `make clean` removes example/figure outputs and bench JSON scratch.
+# parent/change pairs and compares them, by default on pb146-solve;
+# a change to the solver or the render path is measured on every
+# workload that runs it and on the ones that must not move:
+#   WORKLOADS="pb146-insitu rbc-mesh-live pb146-solve pb146-mesh-replay" make bench-e2e
+# `make generate-check` fails when the generated tensor kernels are
+# stale; `make clean` removes example/figure outputs and bench JSON
+# scratch.
 
 GO ?= go
 
-.PHONY: build test race vet fmt bench bench-kernels bench-e2e generate-check telemetry-smoke profile clean all
+.PHONY: build test race vet fmt bench bench-kernels bench-render bench-e2e generate-check telemetry-smoke profile clean all
 
 all: build vet fmt test
 
@@ -24,7 +31,8 @@ race:
 	$(GO) test -race ./internal/staging/... ./internal/intransit/... \
 		./internal/adios/... ./internal/archive/... ./internal/mpirt/... \
 		./internal/telemetry/... ./internal/metrics/... ./internal/codec/... \
-		./internal/relay/... ./internal/faultnet/...
+		./internal/relay/... ./internal/faultnet/... ./internal/render/... \
+		./internal/isosurf/... ./internal/catalyst/...
 
 vet:
 	$(GO) vet ./...
@@ -55,6 +63,15 @@ bench:
 bench-kernels:
 	$(GO) test -run='^$$' -bench='Deriv|Laplacian|Helmholtz|CGIteration|GSSum' \
 		-benchmem -benchtime=100x ./internal/tensor ./internal/fluid ./internal/gs
+
+# The in situ render path, a fixed iteration count each: rasteriser
+# (against the reference loop it must match bit for bit), binary-swap
+# composite, PNG writer (against image/png), the cell filters and one
+# whole Catalyst trigger of the pb146-insitu workload. -benchmem shows
+# the steady state: 0 allocs/op but for the image files' os.Create.
+bench-render:
+	$(GO) test -run '^$$' -bench 'Draw|Composite|EncodePNG|ContourCells|SliceCells|CatalystExecute' \
+		-benchmem -benchtime=20x ./internal/render ./internal/isosurf ./internal/catalyst
 
 # Ten alternating parent/change pairs of `bash benchmark/run.sh` and
 # the benchmark's -compare over them (benchmark/README.md, "Noise").

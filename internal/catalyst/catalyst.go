@@ -15,6 +15,7 @@ package catalyst
 import (
 	"encoding/xml"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -177,13 +178,30 @@ func ParsePipelines(doc []byte) ([]Pipeline, error) {
 }
 
 // Adaptor is the Catalyst analysis adaptor.
+//
+// It renders every trigger into workspaces it keeps for its lifetime
+// (DESIGN.md, "Render hot path"): one triangle soup and one
+// framebuffer that the pipelines use in turn, a compositor per
+// pipeline whose output is that pipeline's frame, the slice filter's
+// distance scratch and the PNG encoder. The accountant is told what it
+// was told when these were allocated per image — the live soup and one
+// framebuffer for the length of a pipeline — so the memory figures of
+// a run are those of the paper's transient Catalyst buffers.
 type Adaptor struct {
 	ctx       *sensei.Context
 	meshName  string
 	pipelines []Pipeline
 
-	bounds     [6]float64 // global xmin,xmax,ymin,ymax,zmin,zmax
-	haveBounds bool
+	cameras []render.Camera // per pipeline, fitted to the global mesh bounds once
+
+	soup        render.TriangleSoup
+	dist        []float64 // slice filters' signed distances
+	fb          *render.Framebuffer
+	compositors []render.Compositor // per pipeline
+	png         render.PNGEncoder
+	path        []byte // the image path being written
+	dirMade     bool
+	create      func(path string) (io.WriteCloser, error) // os.Create, but for tests
 
 	imagesWritten int
 	lastFrames    []*render.Framebuffer // rank 0: last composited frames
@@ -194,7 +212,11 @@ func New(ctx *sensei.Context, meshName string, pipelines []Pipeline) *Adaptor {
 	if meshName == "" {
 		meshName = "mesh"
 	}
-	return &Adaptor{ctx: ctx, meshName: meshName, pipelines: pipelines}
+	return &Adaptor{
+		ctx: ctx, meshName: meshName, pipelines: pipelines,
+		compositors: make([]render.Compositor, len(pipelines)),
+		create:      func(path string) (io.WriteCloser, error) { return os.Create(path) },
+	}
 }
 
 func init() {
@@ -220,12 +242,15 @@ func init() {
 func (a *Adaptor) ImagesWritten() int { return a.imagesWritten }
 
 // LastFrames exposes rank 0's most recent composited framebuffers for
-// testing and interactive use.
+// testing and interactive use. They are the pipelines' compositors'
+// images: the next Execute overwrites them.
 func (a *Adaptor) LastFrames() []*render.Framebuffer { return a.lastFrames }
 
-// computeBounds caches the global mesh bounding box.
-func (a *Adaptor) computeBounds(g *vtkdata.UnstructuredGrid) {
-	if a.haveBounds {
+// fitCameras reduces the global mesh bounding box and fits every
+// pipeline's camera to it, on the first trigger (NekRS meshes are
+// static). Collective then.
+func (a *Adaptor) fitCameras(g *vtkdata.UnstructuredGrid) {
+	if a.cameras != nil {
 		return
 	}
 	lo := [3]float64{math.Inf(1), math.Inf(1), math.Inf(1)}
@@ -243,8 +268,13 @@ func (a *Adaptor) computeBounds(g *vtkdata.UnstructuredGrid) {
 	}
 	glo := a.ctx.Comm.AllreduceF64(lo[:], mpirt.OpMin)
 	ghi := a.ctx.Comm.AllreduceF64(hi[:], mpirt.OpMax)
-	a.bounds = [6]float64{glo[0], ghi[0], glo[1], ghi[1], glo[2], ghi[2]}
-	a.haveBounds = true
+	a.cameras = make([]render.Camera, len(a.pipelines))
+	for i, p := range a.pipelines {
+		a.cameras[i] = render.FitBox(
+			render.Vec3{X: glo[0], Y: glo[1], Z: glo[2]},
+			render.Vec3{X: ghi[0], Y: ghi[1], Z: ghi[2]},
+			render.Vec3{X: p.CameraDir[0], Y: p.CameraDir[1], Z: p.CameraDir[2]})
+	}
 }
 
 // fields lists every array any pipeline reads (color and contour
@@ -268,91 +298,119 @@ func (a *Adaptor) Describe() sensei.Requirements {
 
 // Execute implements sensei.Analysis: runs each pipeline's filter over
 // the shared pulled step, renders locally, composites, and writes PNGs
-// on rank 0.
+// on rank 0. Every image is on disk when it returns.
 func (a *Adaptor) Execute(st *sensei.Step) (bool, error) {
 	g, err := st.Mesh(a.meshName)
 	if err != nil {
 		return false, err
 	}
-	a.computeBounds(g)
+	a.fitCameras(g)
 
 	a.lastFrames = a.lastFrames[:0]
-	for _, p := range a.pipelines {
-		color := g.FindPointData(p.Field)
-		if color == nil {
-			return false, fmt.Errorf("catalyst: array %q missing", p.Field)
-		}
-		var soup *render.TriangleSoup
-		switch {
-		case p.Slice != nil:
-			soup, err = isosurf.SliceCells(g, p.Slice.Normal, p.Slice.Offset, color.Data)
-		case p.Contour != nil:
-			cf := g.FindPointData(p.Contour.Field)
-			if cf == nil {
-				return false, fmt.Errorf("catalyst: contour array %q missing", p.Contour.Field)
-			}
-			soup, err = isosurf.ContourCells(g, cf.Data, color.Data, p.Contour.Iso)
-		}
-		if err != nil {
+	for i := range a.pipelines {
+		if err := a.render(i, g, st.TimeStep()); err != nil {
 			return false, err
 		}
-		a.ctx.Acct.Alloc("catalyst-geom", soup.Bytes())
-
-		// Scalar range must agree across ranks for consistent colors.
-		smin, smax := p.Min, p.Max
-		if smin == smax {
-			lo, hi := math.Inf(1), math.Inf(-1)
-			for _, v := range color.Data {
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
-			}
-			smin = a.ctx.Comm.AllreduceF64Scalar(lo, mpirt.OpMin)
-			smax = a.ctx.Comm.AllreduceF64Scalar(hi, mpirt.OpMax)
-		}
-
-		cam := render.FitBox(
-			render.Vec3{X: a.bounds[0], Y: a.bounds[2], Z: a.bounds[4]},
-			render.Vec3{X: a.bounds[1], Y: a.bounds[3], Z: a.bounds[5]},
-			render.Vec3{X: p.CameraDir[0], Y: p.CameraDir[1], Z: p.CameraDir[2]})
-		fb := render.NewFramebuffer(p.Width, p.Height)
-		a.ctx.Acct.Alloc("catalyst-fb", fb.Bytes())
-		render.Draw(fb, cam, soup, render.ColormapByName(p.Colormap), smin, smax, render.DefaultLight())
-
-		final := render.Composite(a.ctx.Comm, fb, 0)
-		if final != nil {
-			name := p.Output
-			if strings.Contains(name, "%") {
-				name = fmt.Sprintf(p.Output, st.TimeStep())
-			}
-			if err := a.writePNG(name, final); err != nil {
-				return false, err
-			}
-			a.lastFrames = append(a.lastFrames, final)
-		}
-		a.ctx.Acct.Free("catalyst-fb", fb.Bytes())
-		a.ctx.Acct.Free("catalyst-geom", soup.Bytes())
 	}
 	return false, nil
 }
 
-func (a *Adaptor) writePNG(name string, fb *render.Framebuffer) error {
+// render runs pipeline i: filter, draw, composite, write. What it
+// tells the accountant it takes back on every way out.
+func (a *Adaptor) render(i int, g *vtkdata.UnstructuredGrid, step int) error {
+	p := &a.pipelines[i]
+	color := g.FindPointData(p.Field)
+	if color == nil {
+		return fmt.Errorf("catalyst: array %q missing", p.Field)
+	}
+	soup := &a.soup
+	soup.Reset()
+	var err error
+	switch {
+	case p.Slice != nil:
+		a.dist, err = isosurf.SliceCellsInto(soup, a.dist, g, p.Slice.Normal, p.Slice.Offset, color.Data)
+	case p.Contour != nil:
+		cf := g.FindPointData(p.Contour.Field)
+		if cf == nil {
+			return fmt.Errorf("catalyst: contour array %q missing", p.Contour.Field)
+		}
+		err = isosurf.ContourCellsInto(soup, g, cf.Data, color.Data, p.Contour.Iso)
+	}
+	if err != nil {
+		return err
+	}
+	a.ctx.Acct.Alloc("catalyst-geom", soup.Bytes())
+	defer a.ctx.Acct.Free("catalyst-geom", soup.Bytes())
+
+	// Scalar range must agree across ranks for consistent colors.
+	smin, smax := p.Min, p.Max
+	if smin == smax {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, v := range color.Data {
+			if v < lo {
+				lo = v
+			}
+			if v > hi {
+				hi = v
+			}
+		}
+		smin = a.ctx.Comm.AllreduceF64Scalar(lo, mpirt.OpMin)
+		smax = a.ctx.Comm.AllreduceF64Scalar(hi, mpirt.OpMax)
+	}
+
+	fb := a.framebuffer(p.Width, p.Height)
+	a.ctx.Acct.Alloc("catalyst-fb", fb.Bytes())
+	defer a.ctx.Acct.Free("catalyst-fb", fb.Bytes())
+	render.Draw(fb, a.cameras[i], soup, render.ColormapByName(p.Colormap), smin, smax, render.DefaultLight())
+
+	final := a.compositors[i].Composite(a.ctx.Comm, fb, 0)
+	if final == nil {
+		return nil
+	}
+	if err := a.writePNG(p.Output, step, final); err != nil {
+		return err
+	}
+	a.lastFrames = append(a.lastFrames, final)
+	return nil
+}
+
+// framebuffer returns the shared framebuffer, cleared, at w×h.
+func (a *Adaptor) framebuffer(w, h int) *render.Framebuffer {
+	if a.fb == nil || a.fb.W != w || a.fb.H != h {
+		a.fb = render.NewFramebuffer(w, h)
+	} else {
+		a.fb.Clear([4]uint8{0, 0, 0, 255})
+	}
+	return a.fb
+}
+
+// writePNG writes fb under the output directory as pattern with the
+// step filled in, and counts the image once it is whole on disk.
+func (a *Adaptor) writePNG(pattern string, step int, fb *render.Framebuffer) error {
 	dir := a.ctx.OutputDir
 	if dir == "" {
 		dir = "."
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+	if !a.dirMade {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return err
+		}
+		a.dirMade = true
 	}
-	f, err := os.Create(filepath.Join(dir, name))
+	a.path = append(append(a.path[:0], dir...), filepath.Separator)
+	if strings.Contains(pattern, "%") {
+		a.path = fmt.Appendf(a.path, pattern, step)
+	} else {
+		a.path = append(a.path, pattern...)
+	}
+	f, err := a.create(string(a.path))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	n, err := render.EncodePNG(f, fb)
+	n, err := a.png.Encode(f, fb)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return err
 	}

@@ -313,6 +313,40 @@ func (c *Comm) AlltoallF64Into(send, recv [][]float64) {
 	rv.mu.Unlock()
 }
 
+// ShareRefs is the runtime's shared-memory window (MPI_Win_allocate_
+// shared and MPI_Win_shared_query in one call): every rank deposits one
+// reference — a pointer, or a small struct of them — and receives all
+// of them in rank order in refs, which must have Size() entries. What a
+// reference points at is not copied: afterwards ranks read and write
+// each other's memory directly, and which rank may touch which part,
+// and until when, is the callers' protocol. The runtime orders memory
+// only at its own calls: what a rank wrote before a collective is
+// visible to every rank after it, so such a protocol separates a write
+// from a peer's access to the same memory by ShareRefs, Barrier or any
+// other collective. Nothing is allocated.
+func (c *Comm) ShareRefs(mine interface{}, refs []interface{}) {
+	n := len(c.group)
+	if len(refs) != n {
+		panic(fmt.Sprintf("mpirt: ShareRefs needs room for %d references, got %d", n, len(refs)))
+	}
+	rv := c.rv
+	rv.mu.Lock()
+	last := c.arrive("share-refs")
+	rv.contrib[c.rank], rv.refs[c.rank] = mine, refs
+	if !last {
+		c.await()
+		return
+	}
+	for r := 0; r < n; r++ {
+		copy(rv.refs[r], rv.contrib)
+	}
+	for r := 0; r < n; r++ {
+		rv.contrib[r], rv.refs[r] = nil, nil
+	}
+	c.release()
+	rv.mu.Unlock()
+}
+
 // splitReq is one rank's (color, key) contribution to Split.
 type splitReq struct {
 	color, key, rank int

@@ -100,6 +100,7 @@ type rendezvous struct {
 	f64        [][]float64
 	send, recv [][][]float64
 	acc        []float64
+	refs       [][]interface{} // ShareRefs: where each rank wants the table
 }
 
 func newRendezvous(size int) *rendezvous {
@@ -108,6 +109,7 @@ func newRendezvous(size int) *rendezvous {
 		f64:     make([][]float64, size),
 		send:    make([][][]float64, size),
 		recv:    make([][][]float64, size),
+		refs:    make([][]interface{}, size),
 	}
 	rv.cond = sync.NewCond(&rv.mu)
 	return rv
@@ -197,6 +199,24 @@ type Comm struct {
 	group []int       // communicator rank -> world rank
 
 	scalar [1]float64 // AllreduceF64Scalar's operand
+
+	attrs map[interface{}]interface{} // this rank's cached attributes
+}
+
+// Attr returns what this rank cached on its communicator handle under
+// key, or nil — MPI's attribute caching (MPI_Comm_get_attr): the place
+// a library keeps per-communicator state, such as collective scratch
+// buffers, that has to outlive one call without a global table. Keys
+// follow context.WithValue's rule: an unexported type of the caching
+// package.
+func (c *Comm) Attr(key interface{}) interface{} { return c.attrs[key] }
+
+// SetAttr caches val on this rank's communicator handle under key.
+func (c *Comm) SetAttr(key, val interface{}) {
+	if c.attrs == nil {
+		c.attrs = make(map[interface{}]interface{})
+	}
+	c.attrs[key] = val
 }
 
 // Rank reports this rank's index within the communicator.

@@ -463,10 +463,15 @@ func TestInPlaceCollectivesDoNotAllocate(t *testing.T) {
 	c := NewWorld(1).Comm(0)
 	buf := []float64{1, 2}
 	send, recv := [][]float64{{1, 2, 3}}, [][]float64{make([]float64, 3)}
+	refs := make([]interface{}, 1)
+	c.SetAttr(attrKey{}, &buf)
 	allocs := testing.AllocsPerRun(50, func() {
 		c.AllreduceF64InPlace(buf, OpSum)
 		_ = c.AllreduceF64Scalar(3, OpMax)
 		c.AlltoallF64Into(send, recv)
+		c.ShareRefs(&buf, refs)
+		c.Barrier()
+		_ = c.Attr(attrKey{})
 	})
 	if allocs != 0 {
 		t.Errorf("in-place collectives allocate %v times per round, want 0", allocs)
@@ -481,5 +486,54 @@ func TestAllreduceLengthMismatchPanicsEverywhere(t *testing.T) {
 	}()
 	Run(3, func(c *Comm) {
 		c.AllreduceF64InPlace(make([]float64, 1+c.Rank()%2), OpSum)
+	})
+}
+
+type attrKey struct{}
+
+// TestShareRefs: every rank receives every rank's reference in rank
+// order, uncopied — a write a rank makes to its own memory before the
+// next collective is what its peers read after it, on a split
+// communicator too — and a table of the wrong length is refused.
+func TestShareRefs(t *testing.T) {
+	const n = 4
+	Run(n, func(world *Comm) {
+		for _, c := range []*Comm{world, world.Split(world.Rank()%2, world.Rank())} {
+			mine := []int{c.Rank(), 0}
+			refs := make([]interface{}, c.Size())
+			for round := 1; round <= 50; round++ {
+				c.ShareRefs(&mine, refs)
+				mine[1] = round
+				c.Barrier()
+				for r, ref := range refs {
+					if peer := *ref.(*[]int); peer[0] != r || peer[1] != round {
+						t.Errorf("round %d: rank %d sees %v through rank %d's reference", round, c.Rank(), peer, r)
+					}
+				}
+				c.Barrier() // nobody writes round+1 while a peer still reads round
+			}
+		}
+	})
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic on a reference table of the wrong length")
+		}
+	}()
+	NewWorld(1).Comm(0).ShareRefs(nil, make([]interface{}, 2))
+}
+
+// TestCommAttr: attributes are cached per rank handle and per key.
+func TestCommAttr(t *testing.T) {
+	type otherKey struct{}
+	Run(2, func(c *Comm) {
+		if c.Attr(attrKey{}) != nil {
+			t.Error("attribute set before SetAttr")
+		}
+		c.SetAttr(attrKey{}, c.Rank())
+		c.SetAttr(otherKey{}, "x")
+		c.Barrier()
+		if c.Attr(attrKey{}) != c.Rank() || c.Attr(otherKey{}) != "x" {
+			t.Errorf("rank %d reads %v and %v", c.Rank(), c.Attr(attrKey{}), c.Attr(otherKey{}))
+		}
 	})
 }

@@ -1,7 +1,9 @@
 package render
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -48,7 +50,7 @@ func TestBinarySwapMatchesSerial(t *testing.T) {
 		var swapped, serial *Framebuffer
 		mpirt.Run(size, func(c *mpirt.Comm) {
 			fb := randomFB(16, 12, int64(c.Rank())+7)
-			s1 := compositeBinarySwap(c, fb, 0)
+			s1 := new(Compositor).Composite(c, fb, 0)
 			s2 := CompositeToRoot(c, fb, 0)
 			if c.Rank() == 0 {
 				swapped, serial = s1, s2
@@ -73,7 +75,7 @@ func TestBinarySwapProperty(t *testing.T) {
 		var ok bool
 		mpirt.Run(size, func(c *mpirt.Comm) {
 			fb := randomFB(w, h, seed+int64(c.Rank())*31)
-			s1 := compositeBinarySwap(c, fb, 0)
+			s1 := new(Compositor).Composite(c, fb, 0)
 			s2 := CompositeToRoot(c, fb, 0)
 			if c.Rank() == 0 {
 				ok = framebuffersEqual(s1, s2)
@@ -112,7 +114,7 @@ func TestBinarySwapPreservesInput(t *testing.T) {
 	mpirt.Run(2, func(c *mpirt.Comm) {
 		fb := randomFB(8, 8, int64(c.Rank()))
 		before := append([]uint8(nil), fb.Color...)
-		compositeBinarySwap(c, fb, 0)
+		new(Compositor).Composite(c, fb, 0)
 		for i := range before {
 			if fb.Color[i] != before[i] {
 				t.Errorf("rank %d: input framebuffer mutated", c.Rank())
@@ -122,16 +124,109 @@ func TestBinarySwapPreservesInput(t *testing.T) {
 	})
 }
 
-func BenchmarkCompositeBinarySwap(b *testing.B) {
-	const size = 4
+// TestCompositeRepeatCalls: one Compositor composites again and again
+// — the same frames, then other frames of another size — and each
+// result is the serial composite of that call's inputs, in the image
+// the Compositor owns.
+func TestCompositeRepeatCalls(t *testing.T) {
+	for _, size := range []int{1, 2, 3, 4} {
+		mpirt.Run(size, func(c *mpirt.Comm) {
+			var comp Compositor
+			var first *Framebuffer
+			for call, shape := range [][3]int{{16, 12, 7}, {16, 12, 7}, {16, 12, 99}, {9, 5, 3}, {16, 12, 7}} {
+				fb := randomFB(shape[0], shape[1], int64(shape[2]*10+c.Rank()))
+				got := comp.Composite(c, fb, 0)
+				want := CompositeToRoot(c, fb, 0)
+				if c.Rank() != 0 {
+					if got != nil {
+						t.Errorf("size %d call %d: rank %d got an image", size, call, c.Rank())
+					}
+					continue
+				}
+				if !framebuffersEqual(got, want) {
+					t.Errorf("size %d call %d: differs from the serial composite", size, call)
+				}
+				if call == 0 {
+					first = got
+				} else if call < 3 && got != first {
+					t.Errorf("size %d call %d: same-size composite did not reuse the image", size, call)
+				}
+			}
+		})
+	}
+}
+
+// TestCompositeSizeMismatch: ranks that disagree on the frame size all
+// fail, with one message, whichever rank is the odd one — a folded
+// rank included — instead of one indexing out of range and the rest
+// waiting for it forever.
+func TestCompositeSizeMismatch(t *testing.T) {
+	for _, size := range []int{2, 3} {
+		for odd := 0; odd < size; odd++ {
+			msgs := make([]string, size)
+			mpirt.Run(size, func(c *mpirt.Comm) {
+				defer func() { msgs[c.Rank()] = fmt.Sprint(recover()) }()
+				fb := NewFramebuffer(8, 8)
+				if c.Rank() == odd {
+					fb = NewFramebuffer(8, 4)
+				}
+				Composite(c, fb, 0)
+			})
+			for r, m := range msgs {
+				if m != msgs[0] || !strings.Contains(m, "composite size mismatch") || !strings.Contains(m, "8x4") {
+					t.Errorf("size %d, rank %d odd: rank %d failed with %q, rank 0 with %q", size, odd, r, m, msgs[0])
+				}
+			}
+		}
+	}
+}
+
+// TestCompositeSteadyStateAllocs: a Compositor that has composited a
+// frame size composites it again without allocating, on any rank
+// (AllocsPerRun counts the whole process), through the method and
+// through Composite's communicator-cached Compositor alike.
+func TestCompositeSteadyStateAllocs(t *testing.T) {
+	const runs = 10
+	for _, size := range []int{1, 2, 3, 4} {
+		mpirt.Run(size, func(c *mpirt.Comm) {
+			fb := randomFB(64, 64, int64(c.Rank()))
+			var comp Compositor
+			call := func() {
+				comp.Composite(c, fb, 0)
+				Composite(c, fb, 0)
+			}
+			call()
+			c.Barrier()
+			if c.Rank() != 0 {
+				for i := 0; i < runs+1; i++ { // AllocsPerRun warms up with one extra run
+					call()
+				}
+				return
+			}
+			if allocs := testing.AllocsPerRun(runs, call); allocs != 0 {
+				t.Errorf("size %d: steady-state composite allocates %v times, want 0", size, allocs)
+			}
+		})
+	}
+}
+
+// benchmarkComposite times steady-state composites of 512² frames,
+// the benchmark workloads' image size.
+func benchmarkComposite(b *testing.B, size int) {
 	b.ReportAllocs()
 	mpirt.Run(size, func(c *mpirt.Comm) {
-		fb := randomFB(256, 256, int64(c.Rank()))
+		fb := randomFB(512, 512, int64(c.Rank()))
+		var comp Compositor
+		comp.Composite(c, fb, 0)
 		if c.Rank() == 0 {
 			b.ResetTimer()
 		}
 		for i := 0; i < b.N; i++ {
-			compositeBinarySwap(c, fb, 0)
+			comp.Composite(c, fb, 0)
 		}
 	})
 }
+
+func BenchmarkComposite2(b *testing.B) { benchmarkComposite(b, 2) }
+func BenchmarkComposite3(b *testing.B) { benchmarkComposite(b, 3) }
+func BenchmarkComposite4(b *testing.B) { benchmarkComposite(b, 4) }

@@ -1,32 +1,41 @@
 package render
 
-// Colormap maps a normalized scalar t in [0,1] (clamped) to RGB.
-type Colormap func(t float64) (r, g, b uint8)
+// Colormap maps a normalized scalar t in [0,1] (clamped) to RGB by
+// linear interpolation through evenly spaced control points. It is a
+// table rather than a function so the rasterizer can evaluate it in
+// line for every pixel it shades.
+type Colormap struct {
+	pts [][3]float64
+}
 
-// lerpTable interpolates linearly through evenly spaced RGB control
-// points.
-func lerpTable(pts [][3]float64) Colormap {
-	n := len(pts)
-	return func(t float64) (uint8, uint8, uint8) {
-		if t <= 0 {
-			return uint8(pts[0][0]), uint8(pts[0][1]), uint8(pts[0][2])
-		}
-		if t >= 1 {
-			return uint8(pts[n-1][0]), uint8(pts[n-1][1]), uint8(pts[n-1][2])
-		}
-		x := t * float64(n-1)
-		i := int(x)
-		f := x - float64(i)
-		r := pts[i][0] + f*(pts[i+1][0]-pts[i][0])
-		g := pts[i][1] + f*(pts[i+1][1]-pts[i][1])
-		b := pts[i][2] + f*(pts[i+1][2]-pts[i][2])
-		return uint8(r), uint8(g), uint8(b)
+// At returns the color at t.
+func (c Colormap) At(t float64) (r, g, b uint8) { return lerp8(c.segment(t)) }
+
+// segment locates t between two control points: lo + f·(hi − lo).
+// Below 0 and above 1 it is the first point and the last — the last
+// as lo + 1·(hi − lo), which is hi exactly because control points are
+// whole numbers. It and lerp8 are split so that both inline into the
+// rasterizer's pixel loop.
+func (c Colormap) segment(t float64) (lo, hi *[3]float64, f float64) {
+	k, top := 0, len(c.pts)-1
+	if t >= 1 {
+		k, f = top-1, 1
+	} else if t > 0 {
+		x := t * float64(top)
+		k = int(x)
+		f = x - float64(k)
 	}
+	return &c.pts[k], &c.pts[k+1], f
+}
+
+// lerp8 interpolates the three channels and truncates them to bytes.
+func lerp8(lo, hi *[3]float64, f float64) (r, g, b uint8) {
+	return uint8(lo[0] + f*(hi[0]-lo[0])), uint8(lo[1] + f*(hi[1]-lo[1])), uint8(lo[2] + f*(hi[2]-lo[2]))
 }
 
 // Viridis is the perceptually uniform matplotlib default, the usual
 // choice for scalar fields.
-var Viridis = lerpTable([][3]float64{
+var Viridis = Colormap{[][3]float64{
 	{68, 1, 84},
 	{71, 44, 122},
 	{59, 81, 139},
@@ -36,20 +45,20 @@ var Viridis = lerpTable([][3]float64{
 	{92, 200, 99},
 	{170, 220, 50},
 	{253, 231, 37},
-})
+}}
 
 // CoolWarm is the diverging blue-white-red map used for signed fields
 // such as vertical velocity in convection renders.
-var CoolWarm = lerpTable([][3]float64{
+var CoolWarm = Colormap{[][3]float64{
 	{59, 76, 192},
 	{144, 178, 254},
 	{221, 221, 221},
 	{246, 153, 122},
 	{180, 4, 38},
-})
+}}
 
 // Grayscale maps t to luminance.
-var Grayscale = lerpTable([][3]float64{{0, 0, 0}, {255, 255, 255}})
+var Grayscale = Colormap{[][3]float64{{0, 0, 0}, {255, 255, 255}}}
 
 // ColormapByName resolves a colormap from its configuration-file name;
 // unknown names fall back to Viridis.

@@ -1,12 +1,8 @@
 package render
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"image"
-	"image/png"
-	"io"
 	"math"
 
 	"nekrs-sensei/internal/mpirt"
@@ -47,20 +43,4 @@ func CompositeToRoot(comm *mpirt.Comm, fb *Framebuffer, root int) *Framebuffer {
 		}
 	}
 	return out
-}
-
-// EncodePNG writes the framebuffer as a PNG image and returns the
-// encoded size in bytes.
-func EncodePNG(w io.Writer, fb *Framebuffer) (int64, error) {
-	img := &image.NRGBA{
-		Pix:    fb.Color,
-		Stride: 4 * fb.W,
-		Rect:   image.Rect(0, 0, fb.W, fb.H),
-	}
-	var buf bytes.Buffer
-	if err := png.Encode(&buf, img); err != nil {
-		return 0, err
-	}
-	n, err := w.Write(buf.Bytes())
-	return int64(n), err
 }

@@ -133,29 +133,33 @@ func TestScalarInterpolationGradient(t *testing.T) {
 }
 
 func TestColormapEndpoints(t *testing.T) {
-	r, g, b := Viridis(0)
+	r, g, b := Viridis.At(0)
 	if r != 68 || g != 1 || b != 84 {
 		t.Errorf("viridis(0) = %d,%d,%d", r, g, b)
 	}
-	r, g, b = Viridis(1)
+	r, g, b = Viridis.At(1)
 	if r != 253 || g != 231 || b != 37 {
 		t.Errorf("viridis(1) = %d,%d,%d", r, g, b)
 	}
 	// Clamping.
-	r1, g1, b1 := Viridis(-5)
-	r2, g2, b2 := Viridis(0)
+	r1, g1, b1 := Viridis.At(-5)
+	r2, g2, b2 := Viridis.At(0)
 	if r1 != r2 || g1 != g2 || b1 != b2 {
 		t.Error("clamp below failed")
 	}
-	if ColormapByName("coolwarm") == nil || ColormapByName("unknown") == nil {
-		t.Error("ColormapByName returned nil")
+	// Names resolve, unknown ones to Viridis.
+	if r, g, b := ColormapByName("coolwarm").At(0); r != 59 || g != 76 || b != 192 {
+		t.Errorf("coolwarm(0) = %d,%d,%d", r, g, b)
+	}
+	if r, g, b := ColormapByName("unknown").At(0); r != 68 || g != 1 || b != 84 {
+		t.Errorf("unknown name: (0) = %d,%d,%d, want viridis", r, g, b)
 	}
 }
 
 func TestGrayscaleMonotone(t *testing.T) {
 	prev := -1
 	for i := 0; i <= 100; i++ {
-		r, g, b := Grayscale(float64(i) / 100)
+		r, g, b := Grayscale.At(float64(i) / 100)
 		if int(r) < prev {
 			t.Fatalf("not monotone at %d", i)
 		}
@@ -227,16 +231,24 @@ func TestEncodePNGRoundTrip(t *testing.T) {
 	}
 }
 
-func BenchmarkDraw(b *testing.B) {
+// stripSoup is 500 tall triangles marching across the view, each
+// some 25 by 128 pixels of a 256² image.
+func stripSoup() *TriangleSoup {
 	soup := &TriangleSoup{}
 	for i := 0; i < 500; i++ {
 		f := float64(i) / 500
 		soup.Append(
 			Vec3{f*2 - 1, -0.5, f - 0.5}, Vec3{f*2 - 0.8, -0.5, f - 0.5}, Vec3{f*2 - 0.9, 0.5, f - 0.5},
-			f, f, f)
+			f, 1-f, f)
 	}
+	return soup
+}
+
+func BenchmarkDraw(b *testing.B) {
+	soup := stripSoup()
 	fb := NewFramebuffer(256, 256)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fb.Clear([4]uint8{0, 0, 0, 255})
 		Draw(fb, testCamera(), soup, Viridis, 0, 1, DefaultLight())

@@ -295,14 +295,19 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.conns[conn] = cons
 	}
 	s.mu.Unlock()
-	if closed {
-		// The server closed between handshake and pump start: hand the
-		// reader an empty-but-clean stream instead of a dropped
-		// connection.
+	if closed && !s.hub.Closed() {
+		// The server closed, hub still open, between handshake and pump
+		// start — after Close walked the connections, so nobody closed
+		// this consumer: hand the reader an empty-but-clean stream
+		// instead of a dropped connection.
 		var eos [8]byte
 		conn.Write(eos[:]) //nolint:errcheck // best-effort EOS
 		return
 	}
+	// A server closed after its hub drains like any other (see Close):
+	// the pump below delivers what the consumer still holds and ends at
+	// the hub's end-of-stream. Close waits for it, and bounded it with
+	// the deadline it set on every accepted connection.
 
 	// The credit bytes follow the handshake on the same connection.
 	credits, err := adios.SpliceHandshake(dec, br)
@@ -430,7 +435,8 @@ func awaitCredit(conn net.Conn, credits io.Reader, liveness time.Duration) error
 // Close stops accepting, nudges stuck connections with a deadline,
 // and waits for every pump to finish. Close the hub first: pumps then
 // drain their consumers' remaining steps and exit through the
-// end-of-stream path. If the hub is still open, consumers are closed
+// end-of-stream path — a pump that has only just completed its
+// handshake included. If the hub is still open, consumers are closed
 // forcibly instead (undelivered steps are returned to the hub) — but
 // their readers still receive a clean end-of-stream marker, so an
 // abrupt producer-side shutdown surfaces downstream as io.EOF, never

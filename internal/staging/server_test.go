@@ -3,6 +3,7 @@ package staging
 import (
 	"errors"
 	"io"
+	"net"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -405,6 +406,95 @@ func TestServerForcedCloseCleanEOS(t *testing.T) {
 		t.Fatal("reader never saw end-of-stream")
 	}
 	h.Close()
+}
+
+// TestServerCloseDrainsLateStartingPump: hub.Close then Server.Close
+// is a drain, also for a connection whose pump has not started when
+// the server closes. The reader is held inside its handshake (in the
+// subscribe callback, after the consumer is bound) while the producer
+// publishes past the drop window, closes the hub and closes the
+// server; the pump then starts on a closed server and must still
+// deliver the consumer's window before end-of-stream, so that every
+// published step is accounted delivered or dropped. (It used to send
+// end-of-stream at once and the window was neither — the one-in-
+// sixteen conservation failure of bench.TestRunFanoutStagedPolicies.)
+func TestServerCloseDrainsLateStartingPump(t *testing.T) {
+	const published, depth = 8, 2
+	for _, policy := range []Policy{Block, DropOldest, LatestOnly} {
+		h := NewHub(nil)
+		bound, release := make(chan struct{}), make(chan struct{})
+		srv, err := Serve(h, "127.0.0.1:0", func(req SubscribeRequest) (*Subscription, error) {
+			cons, err := h.Subscribe(req.Name, policy, depth)
+			close(bound)
+			<-release
+			return &Subscription{Cons: cons}, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps := make(chan int, published)
+		readerErr := make(chan error, 1)
+		go func() {
+			defer close(steps)
+			r, err := adios.OpenReaderWith(srv.Addr(), adios.ReaderOptions{Consumer: "late"})
+			if err != nil {
+				readerErr <- err
+				return
+			}
+			defer r.Close()
+			for {
+				if _, err := r.BeginStep(); err != nil {
+					if !errors.Is(err, io.EOF) {
+						readerErr <- err
+					}
+					return
+				}
+				steps <- 1
+			}
+		}()
+		<-bound
+		n := published
+		if policy == Block {
+			n = depth // beyond its window Publish would wait for the held reader
+		}
+		for i := 0; i < n; i++ {
+			if err := h.Publish(mkStep(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+		closed := make(chan error, 1)
+		go func() { closed <- srv.Close() }()
+		// The listener goes down right after Close marks the server
+		// closed: once dialing fails, the held pump will find it so.
+		waitFor(t, func() bool {
+			c, err := net.Dial("tcp", srv.Addr())
+			if err == nil {
+				c.Close()
+			}
+			return err != nil
+		})
+		close(release)
+		if err := <-closed; err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		for range steps {
+			got++
+		}
+		select {
+		case err := <-readerErr:
+			t.Fatalf("%s: reader: %v", policy, err)
+		default:
+		}
+		st := h.Stats()[0]
+		if st.Delivered+st.Dropped != int64(n) || got != int(st.Delivered) || got == 0 {
+			t.Errorf("%s: published %d, the reader got %d, the hub counts %d delivered + %d dropped",
+				policy, n, got, st.Delivered, st.Dropped)
+		}
+	}
 }
 
 // TestPublishFrameSharesBytes: a pre-marshaled publish (the relay's
