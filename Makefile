@@ -4,8 +4,9 @@
 # goroutines composite out of each other's framebuffers) under the
 # race detector.
 # `make bench` regenerates every BENCH_*.json artifact at smoke scale;
-# `make bench-kernels` smoke-runs the solver hot-path benchmarks and
-# `make bench-render` the in situ render ones;
+# `make bench-kernels` smoke-runs the solver hot-path benchmarks,
+# `make bench-render` the in situ render ones and `make bench-codec`
+# the mesh payload ones;
 # `make bench-e2e` runs the end-to-end benchmark as alternating
 # parent/change pairs and compares them, by default on pb146-solve;
 # a change to the solver or the render path is measured on every
@@ -17,7 +18,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt bench bench-kernels bench-render bench-e2e generate-check telemetry-smoke profile clean all
+.PHONY: build test race vet fmt bench bench-kernels bench-render bench-codec bench-e2e generate-check telemetry-smoke profile clean all
 
 all: build vet fmt test
 
@@ -72,6 +73,16 @@ bench-kernels:
 bench-render:
 	$(GO) test -run '^$$' -bench 'Draw|Composite|EncodePNG|ContourCells|SliceCells|CatalystExecute' \
 		-benchmem -benchtime=20x ./internal/render ./internal/isosurf ./internal/catalyst
+
+# The mesh payload path, a fixed iteration count each: the three wire
+# codecs and the zero-RLE stage on rank 0's arrays of two consecutive
+# pb146 steps (solved once per test binary, internal/adios/adiostest),
+# each with its MB/s of raw array and its raw/encoded ratio, and the
+# BP05 marshal and unmarshal of one such step. -benchmem shows the
+# steady state: 0 allocs/op.
+bench-codec:
+	$(GO) test -run '^$$' -bench 'Quantize|TransposeDelta|TemporalDelta|Zrle|MarshalInto|UnmarshalInto' \
+		-benchmem -benchtime=200x ./internal/codec ./internal/adios
 
 # Ten alternating parent/change pairs of `bash benchmark/run.sh` and
 # the benchmark's -compare over them (benchmark/README.md, "Noise").

@@ -14,9 +14,9 @@
 //
 // The marshal layer is built for an allocation-free steady state: a
 // step's wire size is computed exactly up front (MarshaledSize), the
-// encode is a single pass straight into the destination (MarshalInto,
-// chunked across goroutines for large arrays), frames lease from a
-// refcounted FramePool (MarshalFrame), and readers decode into
+// encode is a single pass straight into the destination (MarshalInto;
+// a numeric payload is one copy of the array's bytes), frames lease
+// from a refcounted FramePool (MarshalFrame), and readers decode into
 // recycled Step storage (UnmarshalInto / ReuseStep). See DESIGN.md
 // "Memory discipline" for the ownership rules.
 //
@@ -35,9 +35,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
+
+	"nekrs-sensei/internal/lebytes"
 )
 
 // bpMagic heads every marshaled step.
@@ -147,67 +147,6 @@ func MarshaledSize(s *Step) int {
 	return n
 }
 
-// parallelEncodeMin is the element count above which the bulk encode
-// of one array is chunked across goroutines (256 KiB of float64s) —
-// large enough that goroutine startup is noise against the copy.
-const parallelEncodeMin = 1 << 15
-
-// chunked splits n elements across min(NumCPU, 8) workers and runs f
-// on each [lo, hi) range concurrently.
-func chunked(n int, f func(lo, hi int)) {
-	workers := runtime.NumCPU()
-	if workers > 8 {
-		workers = 8
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// encodeF64 bulk-encodes src little-endian into dst, chunking large
-// arrays across goroutines. Returns bytes written.
-func encodeF64(dst []byte, src []float64) int {
-	if len(src) >= parallelEncodeMin {
-		chunked(len(src), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(src[i]))
-			}
-		})
-		return 8 * len(src)
-	}
-	for i, x := range src {
-		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(x))
-	}
-	return 8 * len(src)
-}
-
-// encodeI64 is encodeF64 for int64 payloads.
-func encodeI64(dst []byte, src []int64) int {
-	if len(src) >= parallelEncodeMin {
-		chunked(len(src), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				binary.LittleEndian.PutUint64(dst[8*i:], uint64(src[i]))
-			}
-		})
-		return 8 * len(src)
-	}
-	for i, x := range src {
-		binary.LittleEndian.PutUint64(dst[8*i:], uint64(x))
-	}
-	return 8 * len(src)
-}
-
 // MarshalInto serializes a step in BP-style binary form straight into
 // dst, which must be exactly MarshaledSize(s) bytes (the single-pass,
 // zero-growth encode under Marshal and MarshalFrame). Returns the
@@ -225,8 +164,10 @@ func MarshalInto(s *Step, dst []byte) int {
 	putU64(uint64(s.Step))
 	putU64(math.Float64bits(s.Time))
 	putU64(uint64(len(s.Attrs)))
-	// Sorted attribute order for deterministic output.
-	keys := make([]string, 0, len(s.Attrs))
+	// Sorted attribute order for deterministic output; the usual
+	// handful of keys sorts on the stack.
+	var few [8]string
+	keys := few[:0]
 	for k := range s.Attrs {
 		keys = append(keys, k)
 	}
@@ -248,9 +189,9 @@ func MarshalInto(s *Step, dst []byte) int {
 		putU64(uint64(v.Len()))
 		switch v.Kind {
 		case KindFloat64:
-			off += encodeF64(dst[off:], v.F64)
+			off += lebytes.Put(dst[off:], v.F64)
 		case KindInt64:
-			off += encodeI64(dst[off:], v.I64)
+			off += lebytes.Put(dst[off:], v.I64)
 		case KindUint8:
 			off += copy(dst[off:], v.U8)
 		}
@@ -376,36 +317,6 @@ func decodeAttrsInto(raw []byte, pos int, out *Step) (int, error) {
 	return pos, nil
 }
 
-// decodeF64 bulk-decodes little-endian floats, chunking large arrays.
-func decodeF64(dst []float64, raw []byte) {
-	if len(dst) >= parallelEncodeMin {
-		chunked(len(dst), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-			}
-		})
-		return
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
-}
-
-// decodeI64 is decodeF64 for int64 payloads.
-func decodeI64(dst []int64, raw []byte) {
-	if len(dst) >= parallelEncodeMin {
-		chunked(len(dst), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				dst[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
-			}
-		})
-		return
-	}
-	for i := range dst {
-		dst[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
-}
-
 // UnmarshalInto decodes a step marshaled by Marshal into out, reusing
 // out's attribute map, variable headers, shape slices and payload
 // storage wherever capacities allow — the decode side of the
@@ -529,7 +440,7 @@ func UnmarshalInto(raw []byte, out *Step) error {
 			} else {
 				vv.F64 = vv.F64[:n]
 			}
-			decodeF64(vv.F64, raw[pos:])
+			lebytes.Get(vv.F64, raw[pos:])
 			pos += 8 * int(n)
 		case KindInt64:
 			if n > uint64(len(raw)-pos)/8 {
@@ -540,7 +451,7 @@ func UnmarshalInto(raw []byte, out *Step) error {
 			} else {
 				vv.I64 = vv.I64[:n]
 			}
-			decodeI64(vv.I64, raw[pos:])
+			lebytes.Get(vv.I64, raw[pos:])
 			pos += 8 * int(n)
 		case KindUint8:
 			if n > uint64(len(raw)-pos) {

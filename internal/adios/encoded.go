@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"nekrs-sensei/internal/codec"
+	"nekrs-sensei/internal/lebytes"
 )
 
 // This file is the encoded sibling of bp.go: the BPC5 frame format
@@ -126,6 +127,7 @@ func (e *StreamEncoder) encodeVars(s *Step, temporalOK bool) (int, bool) {
 	e.enc = e.enc[:len(s.Vars)]
 	total := 0
 	usedTemporal := false
+	var raw, coded int64 // one telemetry update per frame, not two per variable
 	for i := range s.Vars {
 		v := &s.Vars[i]
 		if !codecEligible(v) {
@@ -152,9 +154,11 @@ func (e *StreamEncoder) encodeVars(s *Step, temporalOK bool) (int, bool) {
 		}
 		e.enc[i] = buf
 		total += len(buf)
-		e.rawBytes.Add(v.Bytes())
-		e.encBytes.Add(int64(len(buf)))
+		raw += v.Bytes()
+		coded += int64(len(buf))
 	}
+	e.rawBytes.Add(raw)
+	e.encBytes.Add(coded)
 	return total, usedTemporal
 }
 
@@ -226,9 +230,9 @@ func (e *StreamEncoder) marshalEncoded(s *Step, dst []byte, base int64, temporal
 		putU64(uint64(v.Bytes()))
 		switch v.Kind {
 		case KindFloat64:
-			off += encodeF64(dst[off:], v.F64)
+			off += lebytes.Put(dst[off:], v.F64)
 		case KindInt64:
-			off += encodeI64(dst[off:], v.I64)
+			off += lebytes.Put(dst[off:], v.I64)
 		case KindUint8:
 			off += copy(dst[off:], v.U8)
 		}
@@ -542,7 +546,7 @@ func decodePlainPayload(vv *Variable, n uint64, enc []byte) error {
 		} else {
 			vv.F64 = vv.F64[:n]
 		}
-		decodeF64(vv.F64, enc)
+		lebytes.Get(vv.F64, enc)
 	case KindInt64:
 		if uint64(len(enc)) != 8*n {
 			return fmt.Errorf("adios: plain payload for %q is %d bytes, want %d", vv.Name, len(enc), 8*n)
@@ -552,7 +556,7 @@ func decodePlainPayload(vv *Variable, n uint64, enc []byte) error {
 		} else {
 			vv.I64 = vv.I64[:n]
 		}
-		decodeI64(vv.I64, enc)
+		lebytes.Get(vv.I64, enc)
 	case KindUint8:
 		if uint64(len(enc)) != n {
 			return fmt.Errorf("adios: plain payload for %q is %d bytes, want %d", vv.Name, len(enc), n)

@@ -3,6 +3,7 @@ package adios
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -30,7 +31,7 @@ func codedStep(step int64, n int) *Step {
 	}
 }
 
-func mustSpec(t *testing.T, entries ...string) codec.Spec {
+func mustSpec(t testing.TB, entries ...string) codec.Spec {
 	t.Helper()
 	sp, err := codec.ParseSpec(entries)
 	if err != nil {
@@ -269,12 +270,21 @@ func TestEncodedGoldenFrame(t *testing.T) {
 	u64(3)                   // elems
 	// The coded payload for {1.0, 1.0, 1.5} as pinned by the codec
 	// package's golden layout test.
-	payload := []byte{0x01, 0x91, 0x03, 0xf0, 0x00, 0x08, 0x3f, 0x81}
+	payload := []byte{0x02, 0x91, 0x03, 0xe0, 0x00, 0x10, 0x7f, 0x81}
 	u64(uint64(len(payload)))
+	header := want.Len()
 	want.Write(payload)
 
 	if !bytes.Equal(f.Bytes(), want.Bytes()) {
 		t.Errorf("BPC5 frame layout changed:\n got %x\nwant %x", f.Bytes(), want.Bytes())
+	}
+
+	// The same frame with the payload an encoder before the sign fold
+	// wrote (mode 1, two's-complement deltas) is refused, not misread.
+	retired := append(want.Bytes()[:header:header], 0x01, 0x91, 0x03, 0xf0, 0x00, 0x08, 0x3f, 0x81)
+	var out Step
+	if err := NewStreamDecoder(false).DecodeInto(retired, &out); !errors.Is(err, codec.ErrMode) {
+		t.Errorf("frame with a mode 1 payload: err = %v, want codec.ErrMode", err)
 	}
 }
 
@@ -469,6 +479,87 @@ func TestSSTCodecNegotiation(t *testing.T) {
 		}
 		if r := w.CodecRatio(); r != 1 {
 			t.Errorf("CodecRatio = %v, want 1", r)
+		}
+	})
+}
+
+// FuzzStreamDecoder feeds the BPC5 decoder whatever a peer could send:
+// arbitrary bytes and mutated key and chain frames, to a fresh decoder
+// or to one that holds the chain's base step. It must answer with an
+// error or a step — never panic — and never size storage past what the
+// frame's own bytes could decode to (a zero-RLE token yields at most
+// 128 bytes: the 16:1 element bound of decodeEncodedInto).
+func FuzzStreamDecoder(f *testing.F) {
+	enc := NewStreamEncoder(mustSpec(f, "temporal-delta", "p=quantize:0.001"))
+	pool := NewFramePool()
+	mkStep := func(step int64) *Step {
+		s := codedStep(step, 100)
+		s.Vars = append(s.Vars, NewF64("array/p", []float64{1, 2, 3, 4}, 4))
+		return s
+	}
+	keyFrame, _ := enc.EncodeFrame(mkStep(0), pool)
+	chainFrame, _ := enc.EncodeFrame(mkStep(1), pool)
+	key, chain := keyFrame.Bytes(), chainFrame.Bytes()
+
+	for _, held := range []bool{false, true} {
+		f.Add(key, held)
+		f.Add(chain, held)
+		f.Add(Marshal(mkStep(2)), held)
+		f.Add(chain[:len(chain)/2], held)
+		f.Add([]byte("BPC5"), held)
+		f.Add([]byte{}, held)
+	}
+	// A retired and an unknown payload mode, and an element count far
+	// past what the payload could hold.
+	fi, err := ScanFrame(key)
+	if err != nil {
+		f.Fatal(err)
+	}
+	u := fi.FindVar("array/u")
+	for _, mode := range []byte{1, 3} {
+		bad := append([]byte(nil), key...)
+		bad[u.PayloadOff] = mode
+		f.Add(bad, false)
+	}
+	huge := append([]byte(nil), key...)
+	binary.LittleEndian.PutUint64(huge[u.PayloadOff-16:], 1<<40)
+	f.Add(huge, false)
+
+	f.Fuzz(func(t *testing.T, raw []byte, held bool) {
+		dec := NewStreamDecoder(true)
+		var base Step
+		if held {
+			if err := dec.DecodeInto(key, &base); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var out Step
+		err := dec.DecodeInto(raw, &out)
+		var sized int
+		for i := range out.Vars {
+			v := &out.Vars[i]
+			sized += 8*cap(v.F64) + 8*cap(v.I64) + cap(v.U8)
+		}
+		if sized > 128*len(raw) {
+			t.Fatalf("a %d-byte frame sized %d bytes of payload storage (err %v)", len(raw), sized, err)
+		}
+		if err != nil {
+			return
+		}
+		// A decoded step is a whole one: it marshals, and decoding the
+		// same frame into recycled storage gives the same step.
+		want := Marshal(&out)
+		again := NewStreamDecoder(true)
+		if held {
+			if err := again.DecodeInto(key, &base); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := again.DecodeInto(raw, &base); err != nil {
+			t.Fatalf("fresh decode succeeded, recycled decode: %v", err)
+		}
+		if !bytes.Equal(Marshal(&base), want) {
+			t.Fatal("fresh and recycled decodes disagree")
 		}
 	})
 }

@@ -82,11 +82,10 @@ func TestMarshalIntoMatchesMarshal(t *testing.T) {
 	}
 }
 
-// TestMarshalParallelPath covers the chunked encode/decode used for
-// arrays above the parallel threshold: output must be identical to the
-// serial path's.
-func TestMarshalParallelPath(t *testing.T) {
-	n := parallelEncodeMin + 1234
+// TestMarshalLargeArrays round-trips arrays past 32 Ki elements, the
+// size one pb146 rank array has.
+func TestMarshalLargeArrays(t *testing.T) {
+	n := 1<<15 + 1234
 	big := make([]float64, n)
 	conn := make([]int64, n)
 	for i := range big {

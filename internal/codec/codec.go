@@ -5,11 +5,13 @@
 // Four codecs are defined:
 //
 //	identity        raw little-endian float64 bytes, the PR 3 wire
-//	transpose-delta lossless: per-element u64 bit-pattern delta, then
-//	                8-lane byte transpose, then a zero-run-length pass
-//	temporal-delta  lossless: u64 delta against the SAME array in the
-//	                previous encoded step, then transpose + zero-RLE;
-//	                falls back to transpose-delta when no base exists
+//	transpose-delta lossless: per-element wrapping difference of the
+//	                u64 bit patterns, sign-folded, then 8-lane byte
+//	                transpose, then a zero-run-length pass
+//	temporal-delta  lossless: the same difference against the SAME
+//	                array in the previous encoded step, then fold +
+//	                transpose + zero-RLE; falls back to
+//	                transpose-delta when no base exists
 //	quantize        lossy with a declared absolute error bound b: each
 //	                value is stored as round(x/(2b)) and reconstructed
 //	                as q*(2b), guaranteeing |x - x'| <= b; values the
@@ -20,20 +22,27 @@
 // Every encoded payload begins with a one-byte mode: modeRaw (0)
 // means the original little-endian float64 bytes follow verbatim
 // (used whenever the coded form would be larger, and for the
-// quantizer's representability fallback), modeCoded (1) means the
+// quantizer's representability fallback), modeFolded (2) means the
 // codec's coded form follows. Lossless codecs therefore never expand
 // a payload by more than one byte, and decode is always byte-exact.
+// Decoders refuse every other mode byte with ErrMode.
 //
 // The package is deliberately free of any adios/staging imports: it
 // transforms slices. Frame framing lives in internal/adios.
 package codec
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+
+	"nekrs-sensei/internal/lebytes"
 )
 
 // ID identifies a codec on the wire (one byte per variable record).
@@ -52,11 +61,18 @@ const (
 	numCodecs = 4
 )
 
-// Payload mode bytes (first byte of every encoded payload).
+// Payload mode bytes (first byte of every encoded payload). Mode 1
+// was the coded form over two's-complement deltas; it only ever
+// travelled on live connections (archives and spill store plain
+// BP05), so it was replaced, not versioned, and is refused.
 const (
-	modeRaw   = 0 // verbatim little-endian float64 bytes follow
-	modeCoded = 1 // codec-specific coded bytes follow
+	modeRaw    = 0 // verbatim little-endian float64 bytes follow
+	modeFolded = 2 // sign-folded delta lanes, transposed and zero-RLE'd, follow
 )
+
+// ErrMode marks a payload whose mode byte no encoder of this format
+// writes.
+var ErrMode = errors.New("codec: unknown payload mode")
 
 var idNames = [numCodecs]string{"identity", "transpose-delta", "temporal-delta", "quantize"}
 
@@ -337,131 +353,268 @@ func (sc *Scratch) bytes(n int) []byte {
 	return sc.b[:n]
 }
 
-// --- stage: u64 delta ---
+// --- stage: sign-folded u64 delta ---
 
-// deltaBits fills dst with the wrapping first-order difference of the
-// bit patterns of src: dst[0] = bits(src[0]), dst[i] = bits(src[i]) -
-// bits(src[i-1]). Smooth fields leave most high bytes zero.
-func deltaBits(dst []uint64, src []float64) {
+// fold maps a wrapping difference to its magnitude with the sign in
+// bit 0 (0, -1, 1, -2, ... -> 0, 1, 2, 3, ...), so a small delta of
+// either sign has zero high bytes. Two's-complement deltas put 0xFF
+// there for every negative one, which the zero-RLE cannot code.
+func fold(d uint64) uint64 { return d<<1 ^ uint64(int64(d)>>63) }
+
+// unfold inverts fold.
+func unfold(z uint64) uint64 { return z>>1 ^ -(z & 1) }
+
+// deltaBits fills dst with the folded first-order difference of the
+// bit patterns of src (dst[0] is bits(src[0]) folded) and returns the
+// OR of all lanes, whose zero bytes name the byte planes that are zero
+// in every lane.
+func deltaBits(dst []uint64, src []float64) (or uint64) {
 	prev := uint64(0)
 	for i, x := range src {
 		b := math.Float64bits(x)
-		dst[i] = b - prev
+		z := fold(b - prev)
+		dst[i] = z
+		or |= z
 		prev = b
 	}
+	return or
 }
 
 // undeltaBits inverts deltaBits: a wrapping prefix sum back into
 // float64 bit patterns.
 func undeltaBits(dst []float64, src []uint64) {
 	acc := uint64(0)
-	for i, d := range src {
-		acc += d
+	for i, z := range src {
+		acc += unfold(z)
 		dst[i] = math.Float64frombits(acc)
 	}
 }
 
-// deltaAgainst fills dst with the wrapping difference of src's bit
-// patterns against base's (the temporal codec's inner stage). Lengths
-// must match.
-func deltaAgainst(dst []uint64, src, base []float64) {
+// deltaAgainst is deltaBits against base's bit patterns instead of the
+// previous element's (the temporal codec's inner stage). Lengths must
+// match.
+func deltaAgainst(dst []uint64, src, base []float64) (or uint64) {
 	for i, x := range src {
-		dst[i] = math.Float64bits(x) - math.Float64bits(base[i])
+		z := fold(math.Float64bits(x) - math.Float64bits(base[i]))
+		dst[i] = z
+		or |= z
 	}
+	return or
 }
 
 // undeltaAgainst inverts deltaAgainst.
 func undeltaAgainst(dst []float64, src []uint64, base []float64) {
-	for i, d := range src {
-		dst[i] = math.Float64frombits(math.Float64bits(base[i]) + d)
-	}
-}
-
-// deltaInts fills dst with the wrapping first-order difference of
-// quantized integers (the quantizer's inner stage).
-func deltaInts(dst []uint64, src []int64) {
-	prev := uint64(0)
-	for i, q := range src {
-		b := uint64(q)
-		dst[i] = b - prev
-		prev = b
+	for i, z := range src {
+		dst[i] = math.Float64frombits(math.Float64bits(base[i]) + unfold(z))
 	}
 }
 
 // --- stage: 8-lane byte transpose ---
 
-// transpose writes the little-endian bytes of src lane-major into
-// dst: dst[b*n+i] = byte b of src[i]. len(dst) must be 8*len(src).
-// Grouping same-significance bytes is what turns smooth-field deltas
-// into long zero runs for the RLE stage.
-func transpose(dst []byte, src []uint64) {
+// transpose writes the little-endian bytes of src plane-major into
+// dst: dst[p*n+i] = byte p of src[i], len(dst) = 8*len(src). Grouping
+// same-significance bytes is what turns small deltas into long zero
+// runs. Planes whose byte of or — the OR of all of src — is zero hold
+// nothing but zeros and are left unwritten: the RLE stage emits them
+// as runs without reading them.
+func transpose(dst []byte, src []uint64, or uint64) {
 	n := len(src)
-	for i, v := range src {
-		dst[i] = byte(v)
-		dst[n+i] = byte(v >> 8)
-		dst[2*n+i] = byte(v >> 16)
-		dst[3*n+i] = byte(v >> 24)
-		dst[4*n+i] = byte(v >> 32)
-		dst[5*n+i] = byte(v >> 40)
-		dst[6*n+i] = byte(v >> 48)
-		dst[7*n+i] = byte(v >> 56)
+	live, k := livePlanes(or)
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		s := src[i : i+8 : i+8]
+		var t [8]uint64
+		t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7] = transpose8(s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7])
+		for _, p := range live[:k] {
+			binary.LittleEndian.PutUint64(dst[p*n+i:], t[p])
+		}
+	}
+	for ; i < n; i++ {
+		for _, p := range live[:k] {
+			dst[p*n+i] = byte(src[i] >> (8 * p))
+		}
 	}
 }
 
-// untranspose inverts transpose. len(src) must be 8*len(dst).
+// untranspose inverts transpose, len(src) = 8*len(dst), without
+// reading the planes that are all zero.
 func untranspose(dst []uint64, src []byte) {
 	n := len(dst)
-	for i := range dst {
-		dst[i] = uint64(src[i]) |
-			uint64(src[n+i])<<8 |
-			uint64(src[2*n+i])<<16 |
-			uint64(src[3*n+i])<<24 |
-			uint64(src[4*n+i])<<32 |
-			uint64(src[5*n+i])<<40 |
-			uint64(src[6*n+i])<<48 |
-			uint64(src[7*n+i])<<56
+	var or uint64
+	for p := 0; p < 8; p++ {
+		if !allZero(src[p*n : (p+1)*n]) {
+			or |= 0xff << (8 * p)
+		}
 	}
+	live, k := livePlanes(or)
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		var t [8]uint64
+		for _, p := range live[:k] {
+			t[p] = binary.LittleEndian.Uint64(src[p*n+i:])
+		}
+		d := dst[i : i+8 : i+8]
+		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = transpose8(t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7])
+	}
+	for ; i < n; i++ {
+		var v uint64
+		for _, p := range live[:k] {
+			v |= uint64(src[p*n+i]) << (8 * p)
+		}
+		dst[i] = v
+	}
+}
+
+// livePlanes lists, as live[:k], the byte planes in which or — the OR
+// of a set of lanes — is not zero.
+func livePlanes(or uint64) (live [8]int, k int) {
+	for p := 0; p < 8; p++ {
+		if byte(or>>(8*p)) != 0 {
+			live[k] = p
+			k++
+		}
+	}
+	return live, k
+}
+
+// transpose8 transposes the 8×8 byte matrix whose row r is the
+// little-endian bytes of word r: byte c of result r is byte r of
+// argument c. Three rounds swap the off-diagonal blocks of every 2×2,
+// 4×4 and 8×8 square, eight bytes per operation; it is its own
+// inverse.
+func transpose8(a0, a1, a2, a3, a4, a5, a6, a7 uint64) (_, _, _, _, _, _, _, _ uint64) {
+	const m1, m2, m4 = 0x00ff00ff00ff00ff, 0x0000ffff0000ffff, 0x00000000ffffffff
+	t := (a0>>8 ^ a1) & m1
+	a0, a1 = a0^t<<8, a1^t
+	t = (a2>>8 ^ a3) & m1
+	a2, a3 = a2^t<<8, a3^t
+	t = (a4>>8 ^ a5) & m1
+	a4, a5 = a4^t<<8, a5^t
+	t = (a6>>8 ^ a7) & m1
+	a6, a7 = a6^t<<8, a7^t
+
+	t = (a0>>16 ^ a2) & m2
+	a0, a2 = a0^t<<16, a2^t
+	t = (a1>>16 ^ a3) & m2
+	a1, a3 = a1^t<<16, a3^t
+	t = (a4>>16 ^ a6) & m2
+	a4, a6 = a4^t<<16, a6^t
+	t = (a5>>16 ^ a7) & m2
+	a5, a7 = a5^t<<16, a7^t
+
+	t = (a0>>32 ^ a4) & m4
+	a0, a4 = a0^t<<32, a4^t
+	t = (a1>>32 ^ a5) & m4
+	a1, a5 = a1^t<<32, a5^t
+	t = (a2>>32 ^ a6) & m4
+	a2, a6 = a2^t<<32, a6^t
+	t = (a3>>32 ^ a7) & m4
+	a3, a7 = a3^t<<32, a7^t
+	return a0, a1, a2, a3, a4, a5, a6, a7
+}
+
+func allZero(b []byte) bool {
+	for len(b) >= 8 {
+		if binary.LittleEndian.Uint64(b) != 0 {
+			return false
+		}
+		b = b[8:]
+	}
+	for _, x := range b {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // --- stage: zero run-length coding ---
 
 // Token grammar: t < 128 copies t+1 literal bytes that follow;
-// t >= 128 emits t-127 zero bytes (runs of 1..128). Worst case
-// (no zeros at all) expands n bytes to n + ceil(n/128).
+// t >= 128 emits t-127 zero bytes (runs of 1..128). A literal ends
+// at a run of three or more zeros, at 128 bytes or at the end of the
+// input, and never ends in a zero: one or two zeros inside it cost
+// less than the token that breaking it would add. Worst case (no
+// zeros at all) expands n bytes to n + ceil(n/128), and a token
+// yields at most 128 bytes, which is the bound decoders size against.
 
-// zrleAppend appends the zero-RLE coding of src to dst.
-func zrleAppend(dst, src []byte) []byte {
+// zrleMax is the most bytes the coding of n bytes can take.
+func zrleMax(n int) int { return n + (n+127)/128 }
+
+// zeroBytes returns 0x80 in every byte of the result whose byte of v
+// is zero, and zero elsewhere.
+func zeroBytes(v uint64) uint64 {
+	const low7 = 0x7f7f7f7f7f7f7f7f
+	return ^((v&low7 + low7) | v | low7)
+}
+
+// zrleAppend appends the coding of src to dst, as the continuation of
+// a stream that ends in zeros zero bytes not yet written as tokens,
+// and returns the trailing zeros of src it holds back in turn
+// (zrleFlush writes them): a run then codes the same however the
+// stream was cut into calls. dst must have room for the whole stream,
+// zrleMax of its length.
+func zrleAppend(dst []byte, zeros int, src []byte) ([]byte, int) {
 	i, n := 0, len(src)
 	for i < n {
 		if src[i] == 0 {
-			run := 1
-			for i+run < n && run < 128 && src[i+run] == 0 {
-				run++
+			j := i + 1
+			for j+8 <= n && binary.LittleEndian.Uint64(src[j:]) == 0 {
+				j += 8
 			}
-			dst = append(dst, byte(127+run))
-			i += run
+			for j < n && src[j] == 0 {
+				j++
+			}
+			zeros += j - i
+			i = j
 			continue
 		}
-		lit := 1
-		for i+lit < n && lit < 128 {
-			if src[i+lit] == 0 {
-				// Absorb isolated zeros into the literal: a zero "run" of
-				// length 1 or 2 costs a token byte either way, and breaking
-				// the literal adds another token. Only stop for runs >= 3.
-				if i+lit+2 < n && src[i+lit+1] == 0 && src[i+lit+2] == 0 {
+		dst, zeros = zrleFlush(dst, zeros), 0
+		// src[i] starts a literal; p looks for the three zeros that end
+		// it, a word at a time: eight bytes on when none of them is
+		// zero, else six, so that a run begun in the last two is seen
+		// whole by the next word.
+		lim := min(i+128, n)
+		p := i + 1
+		for p < lim {
+			if p+8 > n {
+				if src[p] == 0 && p+2 < n && src[p+1] == 0 && src[p+2] == 0 {
 					break
 				}
+				p++
+				continue
 			}
-			lit++
+			z := zeroBytes(binary.LittleEndian.Uint64(src[p:]))
+			if z == 0 {
+				p += 8
+				continue
+			}
+			if run := z & (z >> 8) & (z >> 16); run != 0 {
+				p += bits.TrailingZeros64(run) >> 3
+				break
+			}
+			p += 6
 		}
-		// Trim trailing zeros off the literal so runs at the boundary
-		// code as runs.
-		for lit > 1 && src[i+lit-1] == 0 {
+		lit := min(p, lim) - i
+		for src[i+lit-1] == 0 {
 			lit--
 		}
-		dst = append(dst, byte(lit-1))
-		dst = append(dst, src[i:i+lit]...)
+		w := len(dst)
+		dst = dst[:w+1+lit]
+		dst[w] = byte(lit - 1)
+		copy(dst[w+1:], src[i:i+lit])
 		i += lit
+	}
+	return dst, zeros
+}
+
+// zrleFlush appends run tokens for zeros zero bytes.
+func zrleFlush(dst []byte, zeros int) []byte {
+	for ; zeros >= 128; zeros -= 128 {
+		dst = append(dst, 255)
+	}
+	if zeros > 0 {
+		dst = append(dst, byte(127+zeros))
 	}
 	return dst
 }
@@ -480,7 +633,7 @@ func zrleDecode(dst, src []byte) error {
 			if w+run > len(dst) {
 				return fmt.Errorf("codec: zero run overflows payload (%d > %d)", w+run, len(dst))
 			}
-			zero(dst[w : w+run])
+			clear(dst[w : w+run])
 			w += run
 			continue
 		}
@@ -501,23 +654,15 @@ func zrleDecode(dst, src []byte) error {
 	return nil
 }
 
-func zero(b []byte) {
-	for i := range b {
-		b[i] = 0
-	}
-}
-
 // --- composed codecs ---
 
 // appendRaw appends the modeRaw form: the verbatim little-endian
 // bytes of src.
 func appendRaw(dst []byte, src []float64) []byte {
 	dst = append(dst, modeRaw)
-	for _, x := range src {
-		b := math.Float64bits(x)
-		dst = append(dst, byte(b), byte(b>>8), byte(b>>16), byte(b>>24),
-			byte(b>>32), byte(b>>40), byte(b>>48), byte(b>>56))
-	}
+	body := len(dst)
+	dst = slices.Grow(dst, 8*len(src))[:body+8*len(src)]
+	lebytes.Put(dst[body:], src)
 	return dst
 }
 
@@ -526,28 +671,62 @@ func decodeRaw(dst []float64, body []byte) error {
 	if len(body) != 8*len(dst) {
 		return fmt.Errorf("codec: raw payload is %d bytes, want %d", len(body), 8*len(dst))
 	}
-	for i := range dst {
-		b := body[8*i:]
-		v := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-		dst[i] = math.Float64frombits(v)
-	}
+	lebytes.Get(dst, body)
 	return nil
 }
 
 // appendLanes runs the shared tail of every coded form — transpose
-// the delta lanes, zero-RLE the bytes — and appends the smaller of
-// the coded and raw forms to dst.
-func appendLanes(dst []byte, lanes []uint64, src []float64, sc *Scratch) []byte {
-	tb := sc.bytes(8 * len(lanes))
-	transpose(tb, lanes)
+// the folded delta lanes, zero-RLE the bytes — and appends the smaller
+// of the coded and raw forms to dst. or is the OR of all lanes.
+func appendLanes(dst []byte, lanes []uint64, or uint64, src []float64, sc *Scratch) []byte {
+	n := len(lanes)
+	if n < 3 {
+		// A plane this short is not a run that ends a literal, so the
+		// stream cannot be cut at it.
+		or = ^uint64(0)
+	}
+	tb := sc.bytes(8 * n)
+	transpose(tb, lanes, or)
 	mark := len(dst)
-	dst = append(dst, modeCoded)
-	dst = zrleAppend(dst, tb)
-	if len(dst)-mark > 1+8*len(src) {
+	dst = append(slices.Grow(dst, 1+zrleMax(8*n)), modeFolded)
+	// Code each stretch of non-zero planes; the zero planes between
+	// them only lengthen the run the next stretch starts after.
+	zeros := 0
+	for p := 0; p < 8; {
+		if byte(or>>(8*p)) == 0 {
+			zeros += n
+			p++
+			continue
+		}
+		q := p + 1
+		for q < 8 && byte(or>>(8*q)) != 0 {
+			q++
+		}
+		dst, zeros = zrleAppend(dst, zeros, tb[p*n:q*n])
+		p = q
+	}
+	dst = zrleFlush(dst, zeros)
+	if len(dst)-mark > 1+8*n {
 		return appendRaw(dst[:mark], src)
 	}
 	return dst
+}
+
+// payloadBody splits a payload into its mode and body: coded reports
+// the folded form, false the verbatim one. Any other mode byte —
+// including 1, the two's-complement form no encoder writes any more —
+// is ErrMode: a decoder never guesses.
+func payloadBody(enc []byte) (body []byte, coded bool, err error) {
+	if len(enc) < 1 {
+		return nil, false, fmt.Errorf("codec: empty payload")
+	}
+	switch enc[0] {
+	case modeRaw:
+		return enc[1:], false, nil
+	case modeFolded:
+		return enc[1:], true, nil
+	}
+	return nil, false, fmt.Errorf("%w %d", ErrMode, enc[0])
 }
 
 // decodeLanes inverts appendLanes' coded form into the lane scratch.
@@ -564,20 +743,20 @@ func decodeLanes(body []byte, n int, sc *Scratch) ([]uint64, error) {
 // AppendTransposeDelta appends the transpose-delta coding of src.
 func AppendTransposeDelta(dst []byte, src []float64, sc *Scratch) []byte {
 	lanes := sc.lanes(len(src))
-	deltaBits(lanes, src)
-	return appendLanes(dst, lanes, src, sc)
+	return appendLanes(dst, lanes, deltaBits(lanes, src), src, sc)
 }
 
 // DecodeTransposeDelta decodes into dst, which must already have the
 // array's length.
 func DecodeTransposeDelta(dst []float64, enc []byte, sc *Scratch) error {
-	if len(enc) < 1 {
-		return fmt.Errorf("codec: empty payload")
+	body, coded, err := payloadBody(enc)
+	if err != nil {
+		return err
 	}
-	if enc[0] == modeRaw {
-		return decodeRaw(dst, enc[1:])
+	if !coded {
+		return decodeRaw(dst, body)
 	}
-	lanes, err := decodeLanes(enc[1:], len(dst), sc)
+	lanes, err := decodeLanes(body, len(dst), sc)
 	if err != nil {
 		return err
 	}
@@ -591,23 +770,23 @@ func DecodeTransposeDelta(dst []float64, enc []byte, sc *Scratch) error {
 // AppendTransposeDelta when no valid base exists.
 func AppendTemporalDelta(dst []byte, src, base []float64, sc *Scratch) []byte {
 	lanes := sc.lanes(len(src))
-	deltaAgainst(lanes, src, base)
-	return appendLanes(dst, lanes, src, sc)
+	return appendLanes(dst, lanes, deltaAgainst(lanes, src, base), src, sc)
 }
 
 // DecodeTemporalDelta decodes into dst against base, the decoder's
 // copy of the same array from the frame's base step.
 func DecodeTemporalDelta(dst []float64, base []float64, enc []byte, sc *Scratch) error {
-	if len(enc) < 1 {
-		return fmt.Errorf("codec: empty payload")
+	body, coded, err := payloadBody(enc)
+	if err != nil {
+		return err
 	}
-	if enc[0] == modeRaw {
-		return decodeRaw(dst, enc[1:])
+	if !coded {
+		return decodeRaw(dst, body)
 	}
 	if len(base) != len(dst) {
 		return fmt.Errorf("codec: temporal base has %d elements, want %d", len(base), len(dst))
 	}
-	lanes, err := decodeLanes(enc[1:], len(dst), sc)
+	lanes, err := decodeLanes(body, len(dst), sc)
 	if err != nil {
 		return err
 	}
@@ -621,7 +800,8 @@ func DecodeTemporalDelta(dst []float64, base []float64, enc []byte, sc *Scratch)
 // the grid cannot hold within the bound (NaN, Inf, |q| beyond 2^53,
 // rounding pathologies) switches the whole array to the verbatim
 // modeRaw fallback, so decode(encode(x)) is within bound for every
-// finite input and bit-exact for arrays that fall back.
+// finite input and bit-exact for arrays that fall back. The integers
+// ship as folded first-order differences.
 func AppendQuantize(dst []byte, src []float64, bound float64, sc *Scratch) []byte {
 	step := 2 * bound
 	if math.IsInf(step, 0) {
@@ -629,7 +809,7 @@ func AppendQuantize(dst []byte, src []float64, bound float64, sc *Scratch) []byt
 		return appendRaw(dst, src)
 	}
 	lanes := sc.lanes(len(src))
-	prev := uint64(0)
+	prev, or := uint64(0), uint64(0)
 	for i, x := range src {
 		q := math.Round(x / step)
 		// Verify representability and the bound on the actual
@@ -640,28 +820,31 @@ func AppendQuantize(dst []byte, src []float64, bound float64, sc *Scratch) []byt
 			return appendRaw(dst, src)
 		}
 		b := uint64(int64(q))
-		lanes[i] = b - prev
+		z := fold(b - prev)
+		lanes[i] = z
+		or |= z
 		prev = b
 	}
-	return appendLanes(dst, lanes, src, sc)
+	return appendLanes(dst, lanes, or, src, sc)
 }
 
 // DecodeQuantize decodes into dst with the bound the frame declared.
 func DecodeQuantize(dst []float64, bound float64, enc []byte, sc *Scratch) error {
-	if len(enc) < 1 {
-		return fmt.Errorf("codec: empty payload")
+	body, coded, err := payloadBody(enc)
+	if err != nil {
+		return err
 	}
-	if enc[0] == modeRaw {
-		return decodeRaw(dst, enc[1:])
+	if !coded {
+		return decodeRaw(dst, body)
 	}
-	lanes, err := decodeLanes(enc[1:], len(dst), sc)
+	lanes, err := decodeLanes(body, len(dst), sc)
 	if err != nil {
 		return err
 	}
 	step := 2 * bound
 	acc := uint64(0)
-	for i, d := range lanes {
-		acc += d
+	for i, z := range lanes {
+		acc += unfold(z)
 		dst[i] = float64(int64(acc)) * step
 	}
 	return nil

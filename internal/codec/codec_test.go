@@ -1,6 +1,8 @@
 package codec
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -263,7 +265,7 @@ func TestTemporalDeltaBaseLengthMismatch(t *testing.T) {
 	var sc Scratch
 	src := smoothField(64)
 	enc := AppendTemporalDelta(nil, src, append([]float64(nil), src...), &sc)
-	if enc[0] != modeCoded {
+	if enc[0] != modeFolded {
 		t.Skip("payload fell back to raw; mismatch check not reachable")
 	}
 	dst := make([]float64, 64)
@@ -330,7 +332,7 @@ func TestQuantizeConstantFieldCodesTiny(t *testing.T) {
 		src[i] = 0.4 // not representable in binary; rounds every element the same way
 	}
 	enc := AppendQuantize(nil, src, 1e-3, &sc)
-	if enc[0] != modeCoded {
+	if enc[0] != modeFolded {
 		t.Fatal("constant field fell back to raw")
 	}
 	if len(enc) > 700 {
@@ -386,18 +388,16 @@ func TestZrleRoundTripAndBounds(t *testing.T) {
 	rng.Read(random)
 	cases = append(cases, random)
 	for _, src := range cases {
-		enc := zrleAppend(nil, src)
-		if max := len(src) + (len(src)+127)/128; len(enc) > max {
-			t.Fatalf("zrle expanded %d bytes to %d (worst case %d)", len(src), len(enc), max)
+		enc := zrleAll(nil, src)
+		if len(enc) > zrleMax(len(src)) {
+			t.Fatalf("zrle expanded %d bytes to %d (worst case %d)", len(src), len(enc), zrleMax(len(src)))
 		}
 		dst := make([]byte, len(src))
 		if err := zrleDecode(dst, enc); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		for i := range src {
-			if dst[i] != src[i] {
-				t.Fatalf("byte %d: got %d want %d", i, dst[i], src[i])
-			}
+		if !bytes.Equal(dst, src) {
+			t.Fatalf("round trip of %d bytes differs", len(src))
 		}
 	}
 }
@@ -424,39 +424,87 @@ func TestZrleHostileDecode(t *testing.T) {
 // --- golden wire bytes ---
 
 // TestGoldenPayloadLayout pins the exact coded bytes of a tiny known
-// array so accidental format changes fail loudly: archived BPC5 frames
-// must decode forever.
+// array so accidental format changes fail loudly.
 func TestGoldenPayloadLayout(t *testing.T) {
 	var sc Scratch
 	src := []float64{1.0, 1.0, 1.5}
 	// bits(1.0)  = 0x3FF0000000000000
-	// delta[0]   = 0x3FF0000000000000
+	// delta[0]   = 0x3FF0000000000000, folded 0x7FE0000000000000
 	// delta[1]   = 0
-	// delta[2]   = bits(1.5)-bits(1.0) = 0x0008000000000000
-	// transpose (8 lanes × 3 elements, low byte lane first):
-	//   lanes 0..5: all zero (18 bytes)
-	//   lane 6:     F0 00 08   (byte 6 of each delta)
-	//   lane 7:     3F 00 00   (byte 7 of each delta)
-	// zrle over 18×00, F0, 00, 08, 3F, 00, 00: the isolated zero inside
+	// delta[2]   = bits(1.5)-bits(1.0) = 0x0008000000000000, folded 0x0010000000000000
+	// transpose (8 planes × 3 elements, low byte plane first):
+	//   planes 0..5: all zero (18 bytes)
+	//   plane 6:     E0 00 10   (byte 6 of each folded delta)
+	//   plane 7:     7F 00 00   (byte 7 of each folded delta)
+	// zrle over 18×00, E0, 00, 10, 7F, 00, 00: the isolated zero inside
 	// the literal is absorbed, the trailing pair codes as a run.
 	want := []byte{
-		modeCoded,
+		modeFolded,
 		0x91,                   // zero run of 18
 		0x03,                   // literal of 4
-		0xf0, 0x00, 0x08, 0x3f, //   lane bytes
+		0xe0, 0x00, 0x10, 0x7f, //   plane bytes
 		0x81, // trailing zero run of 2
 	}
 	got := AppendTransposeDelta(nil, src, &sc)
-	if len(got) != len(want) {
+	if !bytes.Equal(got, want) {
 		t.Fatalf("golden layout changed: got % x, want % x", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("golden byte %d: got %#02x want %#02x (full: % x)", i, got[i], want[i], got)
-		}
 	}
 	dst := make([]float64, 3)
 	if err := DecodeTransposeDelta(dst, got, &sc); err != nil || !bitsEqual(src, dst) {
 		t.Fatalf("golden payload does not decode: %v", err)
+	}
+}
+
+// TestRetiredModeIsRefused feeds the decoders the golden payload of
+// the retired mode 1 (the same array over two's-complement deltas):
+// it is a well-formed token stream that would decode to wrong values
+// if read as mode 2, so it must be refused by name.
+func TestRetiredModeIsRefused(t *testing.T) {
+	var sc Scratch
+	retired := []byte{0x01, 0x91, 0x03, 0xf0, 0x00, 0x08, 0x3f, 0x81}
+	dst := make([]float64, 3)
+	for name, err := range map[string]error{
+		"transpose-delta": DecodeTransposeDelta(dst, retired, &sc),
+		"temporal-delta":  DecodeTemporalDelta(dst, make([]float64, 3), retired, &sc),
+		"quantize":        DecodeQuantize(dst, 1e-3, retired, &sc),
+	} {
+		if !errors.Is(err, ErrMode) {
+			t.Errorf("%s: mode 1 payload: err = %v, want ErrMode", name, err)
+		}
+	}
+}
+
+// TestDecodeRefusesUnknownModes: every mode byte but 0 and 2 is an
+// error from every decoder — no panic, and dst is left as it was.
+func TestDecodeRefusesUnknownModes(t *testing.T) {
+	var sc Scratch
+	src := smoothField(64)
+	enc := AppendTransposeDelta(nil, src, &sc)
+	if enc[0] != modeFolded {
+		t.Fatalf("smooth field coded with mode %d", enc[0])
+	}
+	dst, base := make([]float64, len(src)), make([]float64, len(src))
+	for i := range dst {
+		dst[i] = -7
+	}
+	for mode := 0; mode < 256; mode++ {
+		if mode == modeRaw || mode == modeFolded {
+			continue
+		}
+		enc[0] = byte(mode)
+		for name, err := range map[string]error{
+			"transpose-delta": DecodeTransposeDelta(dst, enc, &sc),
+			"temporal-delta":  DecodeTemporalDelta(dst, base, enc, &sc),
+			"quantize":        DecodeQuantize(dst, 1e-3, enc, &sc),
+		} {
+			if !errors.Is(err, ErrMode) {
+				t.Fatalf("%s: mode byte %d: err = %v, want ErrMode", name, mode, err)
+			}
+		}
+		for i, x := range dst {
+			if x != -7 {
+				t.Fatalf("mode byte %d: refused payload wrote dst[%d] = %g", mode, i, x)
+			}
+		}
 	}
 }

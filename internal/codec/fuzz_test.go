@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
+
+	"nekrs-sensei/internal/lebytes"
 )
 
 // bytesToFloats reinterprets fuzz bytes as a float64 payload; a
@@ -29,10 +31,20 @@ func fuzzSeedCorpus() [][]byte {
 		}
 		seeds = append(seeds, b)
 	}
+	floats := func(xs ...float64) []byte {
+		b := make([]byte, 8*len(xs))
+		lebytes.Put(b, xs)
+		return b
+	}
+	var sc Scratch
 	seeds = append(seeds,
 		[]byte{},
 		[]byte{1, 2, 3},          // partial word
 		[]byte{0x91, 0x03, 0xf0}, // looks like a coded stream
+		AppendTransposeDelta(nil, smoothField(64), &sc),          // a mode 2 payload, as hostile input
+		[]byte{0x01, 0x91, 0x03, 0xf0, 0x00, 0x08, 0x3f, 0x81},   // the retired mode 1
+		floats(1<<54, -(1<<54), 1<<54, -(1<<54)),                 // q = ±2^53 at bound 1: deltas of ±2^54
+		floats(0, math.Copysign(0, -1), 0, math.Copysign(0, -1)), // bit-pattern deltas of MinInt64: the fold's wrap
 	)
 	return seeds
 }
