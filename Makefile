@@ -13,12 +13,13 @@
 # workload that runs it and on the ones that must not move:
 #   WORKLOADS="pb146-insitu rbc-mesh-live pb146-solve pb146-mesh-replay" make bench-e2e
 # `make generate-check` fails when the generated tensor kernels are
-# stale; `make clean` removes example/figure outputs and bench JSON
-# scratch.
+# stale; `make loc` prints non-test Go lines per package and checks the
+# wire-path packages against scripts/loc.ceiling; `make clean` removes
+# example/figure outputs and bench JSON scratch.
 
 GO ?= go
 
-.PHONY: build test race vet fmt bench bench-kernels bench-render bench-codec bench-e2e generate-check telemetry-smoke profile clean all
+.PHONY: build test race vet fmt bench bench-kernels bench-render bench-codec bench-e2e generate-check loc telemetry-smoke profile clean all
 
 all: build vet fmt test
 
@@ -96,6 +97,12 @@ bench-e2e:
 generate-check:
 	$(GO) generate ./internal/tensor
 	git diff --exit-code -- internal/tensor/kernels_gen.go
+
+# Non-test, non-generated Go lines per package. The sum over adios +
+# staging + relay + intransit may only shrink (ROADMAP item 4): lower
+# scripts/loc.ceiling in the PR that earns it, never raise it.
+loc:
+	bash scripts/loc.sh -check
 
 # Curl-smoke the live telemetry plane: real producer + endpoint with
 # -telemetry on, asserting /metrics, /statusz and /debug/pprof answer

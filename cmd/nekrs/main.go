@@ -26,10 +26,9 @@ import (
 	"nekrs-sensei/internal/sensei"
 	"nekrs-sensei/internal/telemetry"
 
-	_ "nekrs-sensei/internal/catalyst"  // analysis type "catalyst"
-	_ "nekrs-sensei/internal/intransit" // analysis type "adios"
-	_ "nekrs-sensei/internal/probe"     // analysis type "probe"
-	_ "nekrs-sensei/internal/staging"   // analysis type "staging"
+	_ "nekrs-sensei/internal/catalyst" // analysis type "catalyst"
+	_ "nekrs-sensei/internal/probe"    // analysis type "probe"
+	_ "nekrs-sensei/internal/staging"  // analysis types "staging" and "adios"
 )
 
 func main() {
@@ -38,14 +37,13 @@ func main() {
 	ranks := flag.Int("ranks", 4, "simulated MPI ranks")
 	steps := flag.Int("steps", 100, "timesteps")
 	senseiCfg := flag.String("sensei", "", "SENSEI XML configuration (enables instrumentation)")
-	record := flag.String("record", "", "record the outgoing stream (staging or adios analysis) into per-rank archives under this directory")
+	record := flag.String("record", "", "record the outgoing stream (the hub of the staging or adios analysis) into per-rank archives under this directory")
 	ckEvery := flag.Int("checkpoint-every", 0, "built-in checkpoint cadence in steps (0 = off)")
 	refine := flag.Int("refine", 1, "mesh refinement factor")
 	order := flag.Int("order", 4, "polynomial order")
 	out := flag.String("out", "nekrs-out", "output directory")
 	logEvery := flag.Int("log-every", 10, "print step diagnostics every n steps")
-	retry := flag.Int("retry", 0, "mid-stream consumer reattach budget for direct SST writers (adios analysis; 0 = a disconnect ends the stream)")
-	sessionTTL := flag.Duration("session-ttl", 0, "staging analysis: retain a disconnected consumer's cursor and queue for this long, resumable exactly-once (0 = off)")
+	sessionTTL := flag.Duration("session-ttl", 0, "staging or adios analysis: retain a disconnected consumer's cursor and queue for this long, resumable exactly-once (0 = off)")
 	telAddr := flag.String("telemetry", "", "serve /metrics, /statusz and /debug/pprof on this address (e.g. 127.0.0.1:9150; empty = off)")
 	flag.Parse()
 
@@ -57,16 +55,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nekrs: -record needs -sensei with a staging or adios analysis (there is no stream to record)")
 		os.Exit(2)
 	}
-	if *retry < 0 || *sessionTTL < 0 {
-		fmt.Fprintln(os.Stderr, "nekrs: -retry and -session-ttl must be non-negative")
+	if *sessionTTL < 0 {
+		fmt.Fprintln(os.Stderr, "nekrs: -session-ttl must be non-negative")
 		os.Exit(2)
 	}
-	// The resilience flags become attribute defaults for the
+	// The resilience flag becomes an attribute default for the
 	// XML-configured analyses: an explicit attribute in the config wins.
 	attrDefaults := map[string]string{}
-	if *retry > 0 {
-		attrDefaults["reattach"] = fmt.Sprint(*retry)
-	}
 	if *sessionTTL > 0 {
 		attrDefaults["session-ttl"] = sessionTTL.String()
 	}

@@ -91,16 +91,16 @@ type options struct {
 
 // readerOptions folds the resilience flags into a reader hello: with
 // -retry the reader redials through backoff (re-resolving the contact
-// file, in case a restarted hub republished new addresses) and — in
-// staged, non-group mode — announces a resumable session so the hub
-// parks its cursor and queue across the outage.
+// file, in case a restarted hub republished new addresses) and —
+// outside group mode — announces a resumable session so the hub parks
+// its cursor and queue across the outage.
 func (o *options) readerOptions(base adios.ReaderOptions) adios.ReaderOptions {
 	base.LivenessTimeout = o.liveness
 	if o.retry <= 0 {
 		return base
 	}
 	base.Retry = adios.DefaultRetryPolicy(o.retry)
-	if base.Consumer != "" && base.Group <= 1 && o.sessionTTL > 0 {
+	if base.Group <= 1 && o.sessionTTL > 0 {
 		base.Session = true
 		base.SessionTTL = o.sessionTTL
 	}
@@ -130,7 +130,7 @@ func parseArgs(argv []string) (*options, error) {
 	fs.StringVar(&o.record, "record", "", "record the received streams into per-source archives under this directory (group mode records rank 0's sources)")
 	spec := fs.String("consumer", "", `consumer spec "name[:policy[:depth[:arrays[:codecs]]]]" (shorthand for -name/-policy/-depth/-arrays/-codecs with +-separated fields, enables staged mode)`)
 	fs.IntVar(&o.retry, "retry", 0, "reconnect attempts after a dial or mid-stream failure (0 = fail fast); exponential backoff with jitter")
-	fs.DurationVar(&o.sessionTTL, "session-ttl", 30*time.Second, "with -retry in staged mode: ask the hub to park this consumer's cursor and queue for this long across a disconnect (0 = plain reconnect)")
+	fs.DurationVar(&o.sessionTTL, "session-ttl", 30*time.Second, "with -retry (direct or staged mode, not -group): ask the hub to park this consumer's cursor and queue for this long across a disconnect (0 = plain reconnect)")
 	fs.DurationVar(&o.liveness, "liveness", 0, "declare a silent producer dead after this long without frames or keepalives (0 = wait forever)")
 	fs.StringVar(&o.telemetry, "telemetry", "", "serve /metrics, /statusz and /debug/pprof on this address (e.g. 127.0.0.1:9151; empty = off)")
 	fs.StringVar(&o.peerStatus, "peer-status", "", "producer telemetry base URL (e.g. 127.0.0.1:9150); fetched at shutdown to report hub consumer lag and the merged cross-process step trace")
@@ -410,7 +410,7 @@ func (o *options) redial(src int) func() (string, error) {
 }
 
 // runDirect is the classic one-consumer workflow: each endpoint rank
-// drains its share of the simulation's SST writers.
+// drains its share of the simulation's direct ("adios") streams.
 func runDirect(o *options, tel *telemetry.Telemetry) error {
 	cfgXML, err := readConfig(o.config)
 	if err != nil {

@@ -41,12 +41,12 @@
 // Analysis contract — declare-what-you-need Describe, pull-once
 // shared Steps, stop signal — and the XML-configurable planner),
 // internal/core (the nek_sensei coupling bridge), internal/adios +
-// internal/intransit (the SST transport with array subsetting on the
-// wire, the serial endpoint, and the parallel endpoint group),
-// internal/staging (the multi-consumer hub: ring buffer,
-// reference-counted zero-copy payloads, block / drop-oldest /
-// latest-only / spill policies, consumer groups, per-consumer array
-// subsets), internal/archive (the persistent tier: segment store +
+// internal/intransit (the SST wire format and reader, the serial
+// endpoint, and the parallel endpoint group), internal/staging (the
+// hub and the one wire server: ring buffer, reference-counted zero-copy
+// payloads, block / drop-oldest / latest-only / spill policies,
+// consumer groups, per-consumer array subsets; XML type "staging" for
+// fan-out, "adios" for the paper's one-reader direct stream), internal/archive (the persistent tier: segment store +
 // sidecar index, crash recovery, spill stores, indexed replay),
 // internal/render (rasterizer and binary-swap compositing), and
 // internal/bench (the figure harness plus the fan-out,

@@ -1,17 +1,13 @@
 package adios
 
 import (
-	"io"
 	"math/rand"
 	"net"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
-
-	"nekrs-sensei/internal/metrics"
 )
 
 func sampleStep() *Step {
@@ -100,161 +96,6 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 }
 
-func TestSSTStreamDelivery(t *testing.T) {
-	w, err := ListenWriter("127.0.0.1:0", WriterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const steps = 10
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < steps; i++ {
-			s := sampleStep()
-			s.Step = int64(i)
-			if err := w.Put(s); err != nil {
-				t.Errorf("put %d: %v", i, err)
-				return
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	}()
-
-	r, err := OpenReader(w.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	for i := 0; i < steps; i++ {
-		s, err := r.BeginStep()
-		if err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
-		if s.Step != int64(i) {
-			t.Errorf("step order: got %d want %d", s.Step, i)
-		}
-		if s.FindVar("pressure") == nil {
-			t.Error("missing variable")
-		}
-	}
-	if _, err := r.BeginStep(); err != io.EOF {
-		t.Errorf("want EOF, got %v", err)
-	}
-	wg.Wait()
-	if r.StepsReceived() != steps {
-		t.Errorf("StepsReceived = %d", r.StepsReceived())
-	}
-	if w.StepsSent() != steps {
-		t.Errorf("StepsSent = %d", w.StepsSent())
-	}
-}
-
-func TestSSTBackpressure(t *testing.T) {
-	acct := metrics.NewAccountant()
-	w, err := ListenWriter("127.0.0.1:0", WriterOptions{QueueLimit: 2, Acct: acct})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No reader yet: the first two Puts stage, the third must block.
-	put := func() { w.Put(sampleStep()) } //nolint:errcheck // error path tested elsewhere
-	put()
-	put()
-	if acct.CategoryInUse("sst-queue") == 0 {
-		t.Error("queue not accounted")
-	}
-	blocked := make(chan struct{})
-	go func() {
-		put()
-		close(blocked)
-	}()
-	select {
-	case <-blocked:
-		t.Error("third Put should block on full queue")
-	case <-time.After(50 * time.Millisecond):
-	}
-	// A consumer drains the queue and unblocks the producer.
-	r, err := OpenReader(w.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	for i := 0; i < 3; i++ {
-		if _, err := r.BeginStep(); err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
-	}
-	select {
-	case <-blocked:
-	case <-time.After(2 * time.Second):
-		t.Fatal("producer still blocked after drain")
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := acct.CategoryInUse("sst-queue"); got != 0 {
-		t.Errorf("queue accounting leak: %d", got)
-	}
-	if acct.CategoryPeak("sst-queue") == 0 {
-		t.Error("no queue peak recorded")
-	}
-}
-
-func TestSSTQueueGrowsWithSlowConsumer(t *testing.T) {
-	acct := metrics.NewAccountant()
-	w, err := ListenWriter("127.0.0.1:0", WriterOptions{QueueLimit: 8, Acct: acct})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if err := w.Put(sampleStep()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// All eight steps staged: queue memory is the per-step frame size
-	// times the depth — the Figure 6 mechanism.
-	frame := int64(len(Marshal(sampleStep())))
-	if got := w.QueuedBytes(); got != 8*frame {
-		t.Errorf("QueuedBytes = %d, want %d", got, 8*frame)
-	}
-	r, err := OpenReader(w.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	go w.Close() //nolint:errcheck // drained below
-	n := 0
-	for {
-		if _, err := r.BeginStep(); err != nil {
-			break
-		}
-		n++
-	}
-	if n != 8 {
-		t.Errorf("received %d steps, want 8", n)
-	}
-}
-
-func TestWriterPutAfterClose(t *testing.T) {
-	w, err := ListenWriter("127.0.0.1:0", WriterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenReader(w.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Put(sampleStep()); err == nil {
-		t.Error("expected error on closed writer")
-	}
-}
-
 func TestContactFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "contact.txt")
 	addrs := []string{"127.0.0.1:1111", "127.0.0.1:2222"}
@@ -300,41 +141,6 @@ func BenchmarkMarshal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Marshal(s)
 	}
-}
-
-func BenchmarkSSTThroughput(b *testing.B) {
-	data := make([]float64, 50000)
-	s := &Step{Step: 1, Time: 0.1, Vars: []Variable{NewF64("u", data)}}
-	w, err := ListenWriter("127.0.0.1:0", WriterOptions{QueueLimit: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := OpenReader(w.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer r.Close()
-	b.SetBytes(s.Bytes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < b.N; i++ {
-			if _, err := r.BeginStep(); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	}()
-	for i := 0; i < b.N; i++ {
-		if err := w.Put(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-	<-done
-	b.StopTimer()
-	w.Close() //nolint:errcheck
 }
 
 func TestOpenReaderBadServer(t *testing.T) {

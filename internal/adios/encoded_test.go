@@ -380,109 +380,6 @@ func TestPlainUnmarshalRejectsEncoded(t *testing.T) {
 	}
 }
 
-// TestSSTCodecNegotiation drives the direct writer/reader pair: codec
-// requests outside the advertisement are rejected at handshake, and an
-// accepted request compresses the stream end-to-end — including a
-// structure step mid-stream that resets the temporal chain.
-func TestSSTCodecNegotiation(t *testing.T) {
-	t.Run("reject unadvertised codec", func(t *testing.T) {
-		w, err := ListenWriter("127.0.0.1:0", WriterOptions{
-			AdvertiseCodecs: []string{"transpose-delta"},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer w.Close()
-		_, err = OpenReaderWith(w.Addr(), ReaderOptions{Codecs: []string{"quantize:1e-3"}})
-		if err == nil || !strings.Contains(err.Error(), "quantize") {
-			t.Fatalf("err = %v, want quantize rejection", err)
-		}
-	})
-
-	t.Run("bad codec spec fails before dial", func(t *testing.T) {
-		if _, err := OpenReaderWith("127.0.0.1:1", ReaderOptions{Codecs: []string{"bogus"}}); err == nil ||
-			!strings.Contains(err.Error(), "bogus") {
-			t.Fatalf("err = %v, want unknown codec", err)
-		}
-	})
-
-	t.Run("temporal stream with structure step", func(t *testing.T) {
-		w, err := ListenWriter("127.0.0.1:0", WriterOptions{QueueLimit: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		const steps = 8
-		want := make([]*Step, steps)
-		for i := range want {
-			want[i] = codedStep(int64(i), 300)
-			if i == 4 {
-				want[i].Attrs["structure"] = "1"
-			}
-		}
-		errCh := make(chan error, 1)
-		go func() {
-			for _, s := range want {
-				if err := w.Put(s); err != nil {
-					errCh <- err
-					return
-				}
-			}
-			errCh <- w.Close()
-		}()
-		r, err := OpenReaderWith(w.Addr(), ReaderOptions{Codecs: []string{"temporal-delta"}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		for i := 0; i < steps; i++ {
-			got, err := r.BeginStep()
-			if err != nil {
-				t.Fatalf("step %d: %v", i, err)
-			}
-			if got.Step != int64(i) {
-				t.Fatalf("step order: got %d want %d", got.Step, i)
-			}
-			if !f64BitsEqual(want[i].FindVar("array/u").F64, got.FindVar("array/u").F64) {
-				t.Fatalf("step %d: payload mismatch over the wire", i)
-			}
-		}
-		if err := <-errCh; err != nil {
-			t.Fatal(err)
-		}
-		if got := w.RequestedCodecs(); len(got) != 1 || got[0] != "temporal-delta" {
-			t.Errorf("RequestedCodecs = %v", got)
-		}
-		if r := w.CodecRatio(); !(r > 0 && r < 1) {
-			t.Errorf("CodecRatio = %v, want < 1 on the smooth field", r)
-		}
-	})
-
-	t.Run("identity request leaves the wire plain", func(t *testing.T) {
-		w, err := ListenWriter("127.0.0.1:0", WriterOptions{QueueLimit: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			w.Put(codedStep(0, 10)) //nolint:errcheck
-			w.Close()               //nolint:errcheck
-		}()
-		r, err := OpenReader(w.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		if _, err := r.BeginStep(); err != nil {
-			t.Fatal(err)
-		}
-		if got := w.RequestedCodecs(); got != nil {
-			t.Errorf("RequestedCodecs = %v, want nil", got)
-		}
-		if r := w.CodecRatio(); r != 1 {
-			t.Errorf("CodecRatio = %v, want 1", r)
-		}
-	})
-}
-
 // FuzzStreamDecoder feeds the BPC5 decoder whatever a peer could send:
 // arbitrary bytes and mutated key and chain frames, to a fresh decoder
 // or to one that holds the chain's base step. It must answer with an

@@ -13,16 +13,15 @@ import (
 	"time"
 
 	"nekrs-sensei/internal/codec"
-	"nekrs-sensei/internal/metrics"
 	"nekrs-sensei/internal/telemetry"
 )
 
-// Hello is the control-plane handshake message, shared by every
-// server speaking this wire protocol (the single-reader Writer here
-// and the staging hub's multi-reader server). The consumer fields are
-// optional extensions: readers attaching to a multi-consumer hub
-// announce which named consumer they are and the backpressure policy
-// they want; plain SST writers ignore them. Error carries a
+// Hello is the control-plane handshake message of the one server
+// speaking this wire protocol, staging.Server. The consumer fields are
+// optional: a reader announces which named hub consumer it is and the
+// backpressure policy it wants; a producer whose consumer set is closed
+// (analysis type "adios": one pre-declared block consumer) hands its
+// stream to the first reader whatever it announces. Error carries a
 // handshake-level rejection reason (Role "rejected").
 type Hello struct {
 	Type    string `json:"type"`
@@ -38,10 +37,8 @@ type Hello struct {
 	// arrays travel on this connection (the structure step is always
 	// shipped whole). Empty means every array the producer publishes.
 	// A producer that advertises its array set rejects a hello naming
-	// an unadvertised array. On a direct (single-reader) writer the
-	// subset takes effect at the producer's next marshal: steps staged
-	// before the handshake arrived — at most the writer's queue depth
-	// — still carry the full configured set.
+	// an unadvertised array. The subset applies on delivery, so steps
+	// staged before the handshake arrived are narrowed too.
 	Arrays []string `json:"arrays,omitempty"`
 	// Codecs is the reader's wire-compression request (codec.ParseSpec
 	// grammar: a default choice and/or "array=choice" overrides). The
@@ -50,15 +47,14 @@ type Hello struct {
 	Codecs []string `json:"codecs,omitempty"`
 	Error  string   `json:"error,omitempty"`
 
-	// Session state (staging hubs only; plain SST writers ignore it).
-	// A reader sets NewSession to request a resumable session; the
-	// hub's reply carries the issued token in Session. On reconnect the
-	// reader presents the token in Session, and Resume names the first
-	// sim-step ordinal it has NOT yet consumed (0 = nothing consumed /
-	// resume from the parked cursor), so the hub redelivers exactly the
-	// steps the reader is missing. SessionTTL is the reader's requested
-	// grace period in seconds (the hub clamps it to its configured
-	// maximum).
+	// Session state. A reader sets NewSession to request a resumable
+	// session; the hub's reply carries the issued token in Session. On
+	// reconnect the reader presents the token in Session, and Resume
+	// names the first sim-step ordinal it has NOT yet consumed (0 =
+	// nothing consumed / resume from the parked cursor), so the hub
+	// redelivers exactly the steps the reader is missing. SessionTTL is
+	// the reader's requested grace period in seconds (the hub clamps it
+	// to its configured maximum).
 	Session    string  `json:"session,omitempty"`
 	NewSession bool    `json:"new_session,omitempty"`
 	Resume     int64   `json:"resume,omitempty"`
@@ -125,92 +121,6 @@ type FrameSink interface {
 	AppendFrame(frame []byte) (int64, error)
 }
 
-// WriterOptions configures an SST writer.
-type WriterOptions struct {
-	// QueueLimit bounds the number of marshaled steps staged on the
-	// producer; Put blocks when the queue is full (back-pressure from
-	// a slow consumer). Default 2, the SST default queue depth.
-	QueueLimit int
-	// CloseWait bounds how long Close waits for a reader to connect
-	// so queued steps and the end-of-stream marker can be delivered.
-	// Default 5s; after the deadline staged steps are discarded.
-	CloseWait time.Duration
-	// Acct, when non-nil, tracks staged bytes under "sst-queue" — the
-	// simulation-node memory overhead Figure 6 measures.
-	Acct *metrics.Accountant
-	// Advertise lists the arrays this producer can supply. When set, a
-	// reader handshake requesting an array outside the list is rejected
-	// (Role "rejected" with the offending name); when nil, any request
-	// is accepted and resolution is deferred to the producer's Execute.
-	Advertise []string
-	// AdvertiseCodecs lists the codec names this producer is willing to
-	// apply; a reader handshake requesting one outside the list is
-	// rejected. Nil advertises every codec the build implements.
-	AdvertiseCodecs []string
-	// Record, when non-nil, receives every staged frame (Put and
-	// PutFrame alike) before it enters the queue — the direct-path
-	// recording sink. The append is synchronous on the producer; a
-	// sink error fails the Put.
-	Record FrameSink
-	// Heartbeat, when > 0, emits a keepalive marker on the idle stream
-	// every interval so liveness-checking readers can tell "no steps
-	// yet" from "producer hung". No frame payload changes: the marker
-	// is a reserved length prefix the reader discards.
-	Heartbeat time.Duration
-	// LivenessTimeout, when > 0, bounds how long the writer waits for
-	// a reader's step credit without any sign of life (credits or
-	// keepalives) before declaring the peer hung. Set it above the
-	// consumer's worst-case per-step analysis time unless the consumer
-	// also runs with a liveness timeout (which makes it keepalive
-	// while waiting).
-	LivenessTimeout time.Duration
-	// MaxReattach lets the writer survive a mid-stream reader
-	// disconnect: up to this many successor connections are accepted,
-	// the unacknowledged in-flight frame is resent (or skipped when
-	// the successor's hello Resume proves it was delivered), and the
-	// stream continues. 0 keeps the classic single-shot stream. Only
-	// plain (uncoded) streams can reattach: a codec stream's queued
-	// frames are temporal deltas against the lost receiver's state.
-	MaxReattach int
-}
-
-// queuedFrame is one staged step: the wire bytes plus the pooled
-// frame they lease from (nil for caller-owned PutFrame bytes). The
-// sender releases the lease once the reader's credit arrives.
-type queuedFrame struct {
-	b []byte
-	f *Frame
-}
-
-// Writer is the producer side of an SST stream. The writer listens and
-// advertises its address; exactly one reader connects (the paper pairs
-// each group of simulation ranks with its endpoint rank).
-type Writer struct {
-	ln   net.Listener
-	opts WriterOptions
-	pool *FramePool // Put's marshal leases recycle here after send
-
-	queue chan queuedFrame
-
-	mu         sync.Mutex
-	sendErr    error
-	queued     int64
-	stepsSent  int64
-	reattaches int64
-	closed     bool
-	accepted   bool
-	reqArrays  []string       // the reader's declared subset, nil until known
-	reqCodecs  []string       // the reader's codec request, nil until known
-	enc        *StreamEncoder // non-nil once a non-identity codec spec arrived
-
-	// tel is the writer's telemetry handles (zero value = disabled).
-	// Guarded by mu: SetTelemetry may race the serve goroutine's
-	// post-handshake read.
-	tel sstTelemetry
-
-	done chan struct{}
-}
-
 // UnadvertisedArrayError reports a reader handshake requesting an
 // array the producer does not advertise.
 type UnadvertisedArrayError struct {
@@ -223,9 +133,7 @@ func (e *UnadvertisedArrayError) Error() string {
 }
 
 // CheckAdvertised validates a requested subset against an advertised
-// array set; nil advertise accepts anything. Shared by every server
-// speaking this wire protocol (the direct Writer here and the staging
-// hub) so the rejection rule stays identical.
+// array set; nil advertise accepts anything.
 func CheckAdvertised(requested, advertise []string) error {
 	if advertise == nil {
 		return nil
@@ -243,462 +151,6 @@ func CheckAdvertised(requested, advertise []string) error {
 		}
 	}
 	return nil
-}
-
-// ListenWriter starts a writer listening on addr (use "127.0.0.1:0"
-// for an ephemeral port) and returns immediately; the background
-// sender streams queued steps once a reader connects.
-func ListenWriter(addr string, opts WriterOptions) (*Writer, error) {
-	if opts.QueueLimit <= 0 {
-		opts.QueueLimit = 2
-	}
-	if opts.CloseWait <= 0 {
-		opts.CloseWait = 5 * time.Second
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("adios: listen: %w", err)
-	}
-	w := &Writer{
-		ln:    ln,
-		opts:  opts,
-		pool:  NewFramePool(),
-		queue: make(chan queuedFrame, opts.QueueLimit),
-		done:  make(chan struct{}),
-	}
-	go w.serve()
-	return w, nil
-}
-
-// Addr reports the writer's contact address for the rendezvous step.
-func (w *Writer) Addr() string { return w.ln.Addr().String() }
-
-// QueuedBytes reports bytes currently staged in the queue.
-func (w *Writer) QueuedBytes() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.queued
-}
-
-// StepsSent reports steps fully handed to the network.
-func (w *Writer) StepsSent() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.stepsSent
-}
-
-// Reattaches reports how many successor readers took over the stream
-// after a mid-stream disconnect (see WriterOptions.MaxReattach).
-func (w *Writer) Reattaches() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.reattaches
-}
-
-// SetRecord installs (or clears) the frame sink receiving every
-// staged frame — the recording seam for writers whose options were
-// fixed at construction (the XML-configured send adaptor).
-func (w *Writer) SetRecord(sink FrameSink) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.opts.Record = sink
-}
-
-// RequestedArrays reports the array subset the connected reader
-// declared in its handshake: nil while no reader has connected or
-// when the reader wants everything. The producer's send adaptor
-// consults this per step to marshal only the requested arrays.
-func (w *Writer) RequestedArrays() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.reqArrays
-}
-
-// RequestedCodecs reports the codec entries the connected reader
-// declared in its handshake, nil while none arrived (or for an
-// identity request).
-func (w *Writer) RequestedCodecs() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.reqCodecs
-}
-
-// CodecRatio reports encoded/raw bytes over the writer's codec
-// stream, 1 when no codec is active.
-func (w *Writer) CodecRatio() float64 {
-	w.mu.Lock()
-	enc := w.enc
-	w.mu.Unlock()
-	if enc == nil {
-		return 1
-	}
-	return enc.Ratio()
-}
-
-func (w *Writer) setErr(err error) {
-	w.mu.Lock()
-	if w.sendErr == nil {
-		w.sendErr = err
-	}
-	w.mu.Unlock()
-}
-
-// drain discards queued frames (producer unblocking + accounting) on
-// error or shutdown paths.
-func (w *Writer) drain() {
-	for qf := range w.queue {
-		w.mu.Lock()
-		w.queued -= int64(len(qf.b))
-		w.mu.Unlock()
-		w.opts.Acct.Free("sst-queue", int64(len(qf.b)))
-		if qf.f != nil {
-			qf.f.Release()
-		}
-	}
-}
-
-// serve accepts the reader (and, with MaxReattach > 0, successor
-// readers after a mid-stream disconnect), handshakes, and drains the
-// queue. The unacknowledged in-flight frame survives a disconnect and
-// is resent to the successor — unless its hello Resume ordinal proves
-// it was already consumed.
-func (w *Writer) serve() {
-	defer close(w.done)
-	reattach := w.opts.MaxReattach
-	var pending *queuedFrame
-	for {
-		conn, err := w.ln.Accept()
-		if err != nil {
-			w.setErr(fmt.Errorf("adios: accept: %w", err))
-			break
-		}
-		w.mu.Lock()
-		w.accepted = true
-		w.mu.Unlock()
-		done, serr := w.serveConn(conn, &pending)
-		conn.Close()
-		if done {
-			if serr != nil {
-				w.setErr(serr)
-			}
-			break
-		}
-		w.mu.Lock()
-		closed := w.closed
-		coded := w.enc != nil
-		w.mu.Unlock()
-		if reattach <= 0 || closed || coded {
-			if serr == nil {
-				serr = fmt.Errorf("adios: reader disconnected mid-stream")
-			}
-			if coded && reattach > 0 {
-				serr = fmt.Errorf("adios: cannot reattach a codec stream (queued frames are temporal deltas): %w", serr)
-			}
-			w.setErr(serr)
-			break
-		}
-		reattach--
-		w.mu.Lock()
-		w.reattaches++
-		w.mu.Unlock()
-	}
-	if pending != nil {
-		w.finishFrame(*pending)
-	}
-	w.drain()
-}
-
-// serveConn handshakes and pumps one reader connection. It returns
-// done=true when the stream is finished for good (queue drained and
-// end-of-stream sent) and done=false when the connection failed and a
-// successor may take over. On the false path the in-flight frame, if
-// any, is parked in *pending for the successor.
-func (w *Writer) serveConn(conn net.Conn, pending **queuedFrame) (done bool, err error) {
-	// Control plane: exchange hello messages.
-	dec := json.NewDecoder(conn)
-	var h Hello
-	if err := dec.Decode(&h); err != nil || h.Role != "reader" {
-		return false, fmt.Errorf("adios: bad reader handshake: %v", err)
-	}
-	enc := json.NewEncoder(conn)
-	if err := CheckAdvertised(h.Arrays, w.opts.Advertise); err != nil {
-		enc.Encode(Hello{Type: "hello", Role: "rejected", Error: err.Error()}) //nolint:errcheck // best-effort reject
-		return false, err
-	}
-	spec, err := codec.CheckAdvertised(h.Codecs, w.opts.AdvertiseCodecs)
-	if err != nil {
-		enc.Encode(Hello{Type: "hello", Role: "rejected", Error: err.Error()}) //nolint:errcheck // best-effort reject
-		return false, err
-	}
-	w.mu.Lock()
-	if len(h.Arrays) > 0 {
-		w.reqArrays = append([]string(nil), h.Arrays...)
-	}
-	if !spec.IsIdentity() {
-		w.reqCodecs = append([]string(nil), h.Codecs...)
-		w.enc = NewStreamEncoder(spec)
-	}
-	w.mu.Unlock()
-	// The reply echoes the effective codec entries so the reader
-	// configures its decoder from what the producer will actually ship.
-	if err := enc.Encode(Hello{Type: "hello", Role: "writer", Engine: "sst", Marshal: "bp",
-		Codecs: spec.Entries()}); err != nil {
-		return false, err
-	}
-
-	// Data plane: length-prefixed frames; zero length terminates.
-	// After each frame the writer waits for the reader's credit (ACK),
-	// SST's reader-driven flow control: a step only leaves the staging
-	// queue when the consumer has actually taken it, so a slow
-	// endpoint is visible as producer-side queue growth regardless of
-	// kernel socket buffering.
-	bw := bufio.NewWriterSize(conn, 1<<16)
-	// Connection-scoped scratch: the length prefix lives on the stack
-	// for the whole stream, not per step.
-	var lenBuf [8]byte
-	w.mu.Lock()
-	tel := w.tel
-	w.mu.Unlock()
-
-	sendOne := func(qf queuedFrame) error {
-		frame := qf.b
-		binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(frame)))
-		if _, err := bw.Write(lenBuf[:]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(frame); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		creditBegin := time.Now()
-		if err := awaitCredit(conn, w.opts.LivenessTimeout); err != nil {
-			return fmt.Errorf("adios: waiting for step credit: %w", err)
-		}
-		tel.creditWait.Observe(time.Since(creditBegin))
-		tel.credits.Inc()
-		tel.steps.Inc()
-		tel.bytes.Add(int64(len(frame)))
-		w.mu.Lock()
-		w.stepsSent++
-		w.mu.Unlock()
-		return nil
-	}
-
-	// A successor connection first settles the predecessor's in-flight
-	// frame: resend it, unless the reader's Resume ordinal shows it
-	// was consumed before the disconnect.
-	if *pending != nil {
-		qf := **pending
-		if h.Resume > 0 {
-			if fi, err := ScanFrame(qf.b); err == nil && fi.Step < h.Resume {
-				w.finishFrame(qf)
-				*pending = nil
-			}
-		}
-		if *pending != nil {
-			if err := sendOne(qf); err != nil {
-				return false, err
-			}
-			w.finishFrame(qf)
-			*pending = nil
-		}
-	}
-
-	var tick <-chan time.Time
-	if w.opts.Heartbeat > 0 {
-		t := time.NewTicker(w.opts.Heartbeat)
-		defer t.Stop()
-		tick = t.C
-	}
-	for {
-		var qf queuedFrame
-		var ok bool
-		select {
-		case qf, ok = <-w.queue:
-		case <-tick:
-			// Idle keepalive: a reserved length prefix with no frame
-			// behind it, discarded by the reader.
-			binary.LittleEndian.PutUint64(lenBuf[:], HeartbeatMarker)
-			if _, err := bw.Write(lenBuf[:]); err != nil {
-				return false, err
-			}
-			if err := bw.Flush(); err != nil {
-				return false, err
-			}
-			continue
-		}
-		if !ok {
-			binary.LittleEndian.PutUint64(lenBuf[:], 0)
-			bw.Write(lenBuf[:]) //nolint:errcheck // best-effort EOS
-			bw.Flush()          //nolint:errcheck
-			return true, nil
-		}
-		if err := sendOne(qf); err != nil {
-			*pending = &qf
-			return false, err
-		}
-		w.finishFrame(qf)
-	}
-}
-
-// awaitCredit blocks for one step credit, skipping keepalive bytes.
-// With a liveness timeout the wait polls under short read deadlines
-// and fails once the peer has shown no sign of life — neither credits
-// nor keepalives — for the full timeout.
-func awaitCredit(conn net.Conn, liveness time.Duration) error {
-	var b [1]byte
-	if liveness <= 0 {
-		for {
-			if _, err := io.ReadFull(conn, b[:]); err != nil {
-				return err
-			}
-			if b[0] == CreditKeepalive {
-				continue
-			}
-			return nil
-		}
-	}
-	interval := liveness / 3
-	if interval <= 0 {
-		interval = liveness
-	}
-	last := time.Now()
-	defer conn.SetReadDeadline(time.Time{}) //nolint:errcheck // restore blocking reads
-	for {
-		conn.SetReadDeadline(time.Now().Add(interval)) //nolint:errcheck // best effort
-		_, err := conn.Read(b[:])
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				if time.Since(last) >= liveness {
-					return fmt.Errorf("peer silent for %v (liveness timeout)", liveness)
-				}
-				continue
-			}
-			return err
-		}
-		last = time.Now()
-		if b[0] == CreditKeepalive {
-			continue
-		}
-		return nil
-	}
-}
-
-// release returns the pooled lease behind a staged frame, if any.
-func (q queuedFrame) release() {
-	if q.f != nil {
-		q.f.Release()
-	}
-}
-
-// finishFrame retires one dequeued frame — queue-byte accounting freed
-// and the pooled lease released — on success and error paths alike, so
-// a failed send cannot leak its bytes from QueuedBytes and the
-// accountant's "sst-queue" category.
-func (w *Writer) finishFrame(qf queuedFrame) {
-	w.mu.Lock()
-	w.queued -= int64(len(qf.b))
-	w.mu.Unlock()
-	w.opts.Acct.Free("sst-queue", int64(len(qf.b)))
-	qf.release()
-}
-
-// Put marshals and stages one step, blocking if the staging queue is
-// full (back-pressure). The marshal is a single-pass encode into a
-// frame leased from the writer's pool; the buffer recycles once the
-// reader's credit confirms delivery, so a steady stream of same-shaped
-// steps stages without allocating. Returns any transport error
-// observed so far.
-func (w *Writer) Put(s *Step) error {
-	w.mu.Lock()
-	trace := w.tel.trace
-	enc := w.enc
-	w.mu.Unlock()
-	var f *Frame
-	if enc != nil && s.Attrs["structure"] != "1" {
-		// The reader negotiated wire compression: encode under its spec.
-		// Only Put (one producer goroutine) touches the encoder after the
-		// handshake installs it.
-		f, _ = enc.EncodeFrame(s, w.pool)
-	} else {
-		if enc != nil {
-			// A structure step ships as plain BP05 and resets the reader's
-			// temporal state; restart the chain so the next coded frame is
-			// a keyframe.
-			enc.Reset()
-		}
-		f = MarshalFrame(s, w.pool)
-	}
-	trace.Stamp(s.Step, telemetry.StageMarshal)
-	err := w.putFrame(queuedFrame{b: f.Bytes(), f: f})
-	if err == nil {
-		trace.Stamp(s.Step, telemetry.StagePublish)
-	}
-	return err
-}
-
-// PutFrame stages an already-marshaled step, the zero-copy path for
-// fan-out servers that marshal once and hand the same frame to many
-// writers. The frame must not be mutated after the call.
-func (w *Writer) PutFrame(frame []byte) error {
-	return w.putFrame(queuedFrame{b: frame})
-}
-
-func (w *Writer) putFrame(qf queuedFrame) error {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		qf.release()
-		return fmt.Errorf("adios: put on closed writer")
-	}
-	err := w.sendErr
-	record := w.opts.Record
-	w.mu.Unlock()
-	if err != nil {
-		qf.release()
-		return err
-	}
-	if record != nil {
-		if _, err := record.AppendFrame(qf.b); err != nil {
-			qf.release()
-			return fmt.Errorf("adios: recording staged frame: %w", err)
-		}
-	}
-	w.opts.Acct.Alloc("sst-queue", int64(len(qf.b)))
-	w.mu.Lock()
-	w.queued += int64(len(qf.b))
-	w.mu.Unlock()
-	w.queue <- qf
-	return nil
-}
-
-// Close drains the queue, sends end-of-stream, and releases the
-// listener. If no reader is connected yet, Close waits up to
-// CloseWait for one so the end-of-stream marker is delivered; after
-// the deadline staged steps are discarded.
-func (w *Writer) Close() error {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return nil
-	}
-	w.closed = true
-	accepted := w.accepted
-	w.mu.Unlock()
-	close(w.queue)
-	if !accepted {
-		if tl, ok := w.ln.(*net.TCPListener); ok {
-			tl.SetDeadline(time.Now().Add(w.opts.CloseWait)) //nolint:errcheck // best effort
-		}
-	}
-	<-w.done
-	w.ln.Close()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.sendErr
 }
 
 // Reader is the consumer side of an SST stream. Its receive path is
@@ -723,7 +175,6 @@ type Reader struct {
 	// drop replayed steps at or below lastStep.
 	addr       string
 	opts       ReaderOptions
-	engine     string
 	session    string
 	lastStep   int64
 	dedup      bool
@@ -745,10 +196,9 @@ type Reader struct {
 	tel sstTelemetry
 }
 
-// ReaderOptions carries the staging extensions of the reader
-// handshake: which named hub consumer this reader is (or wants to
-// become) and the backpressure policy/window it requests. All fields
-// are optional and ignored by plain SST writers.
+// ReaderOptions carries the optional fields of the reader handshake:
+// which named hub consumer this reader is (or wants to become), the
+// backpressure policy/window it requests, and how it survives a cut.
 type ReaderOptions struct {
 	// Consumer names the hub consumer to attach as.
 	Consumer string
@@ -773,8 +223,8 @@ type ReaderOptions struct {
 
 	// Retry, when non-nil, makes the reader resilient: the initial dial
 	// retries under the policy's backoff, and a mid-stream transport
-	// failure on a staging stream reconnects and resumes transparently
-	// instead of surfacing an error.
+	// failure reconnects and resumes transparently instead of surfacing
+	// an error.
 	Retry *RetryPolicy
 	// Redial, when non-nil, re-resolves the producer's address before a
 	// reconnect attempt (a restarted producer rendezvouses again with a
@@ -931,7 +381,6 @@ func (r *Reader) connectTo(addr string) error {
 	// be swallowed, not sent, or the credit stream desynchronizes.
 	r.wconn, r.creditedFloor = conn, r.lastStep
 	r.wmu.Unlock()
-	r.engine = h.Engine
 	if h.Session != "" {
 		r.session = h.Session
 	}
@@ -1040,10 +489,10 @@ func (r *Reader) BeginStep() (*Step, error) {
 
 // receiveFrame is the resilient transport half of BeginStep, shared
 // with BeginRawStep: it pulls the next frame via receiveFrameOnce and,
-// when the reader is configured for retry against a staging hub,
-// reconnects and resumes on transport failure instead of surfacing the
-// error. A clean end-of-stream (io.EOF from the zero-length marker)
-// never triggers a reconnect.
+// when the reader is configured for retry, reconnects and resumes on
+// transport failure instead of surfacing the error. A clean
+// end-of-stream (io.EOF from the zero-length marker) never triggers a
+// reconnect.
 func (r *Reader) receiveFrame() (time.Time, error) {
 	for {
 		recv, retryable, err := r.receiveFrameOnce()
@@ -1054,7 +503,7 @@ func (r *Reader) receiveFrame() (time.Time, error) {
 			r.tel.events.Emit(telemetry.EventHeartbeatMiss, r.tel.subject, r.lastStep+1,
 				fmt.Sprintf("producer %s silent past liveness timeout", r.addr))
 		}
-		if !retryable || r.opts.Retry == nil || r.engine != "sst-staging" {
+		if !retryable || r.opts.Retry == nil {
 			return time.Time{}, err
 		}
 		r.conn.Close()

@@ -4,52 +4,24 @@ import (
 	"nekrs-sensei/internal/telemetry"
 )
 
-// sstTelemetry is one endpoint's (writer's or reader's) slice of the
-// process telemetry plane. The zero value is the disabled plane:
-// every handle is nil and all stamps/increments no-op, so a stream
-// without telemetry keeps the PR 4 zero-allocation steady state
-// untouched.
+// sstTelemetry is one reader's slice of the process telemetry plane.
+// The zero value is the disabled plane: every handle is nil and all
+// stamps/increments no-op, so a stream without telemetry keeps the
+// zero-allocation steady state untouched.
 type sstTelemetry struct {
 	trace *telemetry.StepTracer
 	steps *telemetry.Counter
 	bytes *telemetry.Counter
-	// credits counts flow-control round trips; creditWait (writer
-	// only) is the distribution of time spent blocked on the reader's
-	// per-step credit — the direct signature of a slow endpoint.
-	credits    *telemetry.Counter
-	creditWait *telemetry.Histogram
-	// reconnects (reader only) counts mid-stream reconnect + resume
-	// cycles — the self-healing plane's visible heartbeat.
+	// credits counts flow-control round trips.
+	credits *telemetry.Counter
+	// reconnects counts mid-stream reconnect + resume cycles — the
+	// self-healing plane's visible heartbeat.
 	reconnects *telemetry.Counter
-	// events (reader only) is the process recovery journal; subject
-	// names this stream in emitted events (the consumer name, or the
-	// dialed address when anonymous).
+	// events is the process recovery journal; subject names this
+	// stream in emitted events (the consumer name, or the dialed
+	// address when anonymous).
 	events  *telemetry.EventJournal
 	subject string
-}
-
-// SetTelemetry attaches the writer to a telemetry plane: marshal and
-// publish stamps keyed by the step ordinal, sent-step/byte/credit
-// counters, and a credit-wait histogram. Labels are alternating
-// key,value pairs distinguishing multiple writers in one process
-// (e.g. "stream", "rank-0"). Call before streaming starts.
-func (w *Writer) SetTelemetry(tel *telemetry.Telemetry, labels ...string) {
-	if tel == nil {
-		return
-	}
-	reg := tel.Registry()
-	w.mu.Lock()
-	w.tel = sstTelemetry{
-		trace:      tel.Tracer(),
-		steps:      reg.Counter("sst_writer_steps_total", labels...),
-		bytes:      reg.Counter("sst_writer_bytes_total", labels...),
-		credits:    reg.Counter("sst_writer_credits_total", labels...),
-		creditWait: reg.Histogram("sst_writer_credit_wait_seconds", labels...),
-	}
-	w.mu.Unlock()
-	reg.RegisterSampler(func(s *telemetry.Sample) {
-		s.Gauge("sst_writer_queued_bytes", float64(w.QueuedBytes()), labels...)
-	})
 }
 
 // SetTelemetry attaches the reader to a telemetry plane: deliver and

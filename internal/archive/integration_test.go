@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"path/filepath"
@@ -145,5 +146,67 @@ func TestXMLSpillAttribute(t *testing.T) {
 	}
 	if got != steps {
 		t.Fatalf("spill consumer drained %d of %d steps", got, steps)
+	}
+}
+
+// TestAttachAnalysisRecordsDirectStream: -record on a direct ("adios")
+// stream records through the same hub consumer as on a staging one —
+// every step the reader received is in the archive, byte for byte.
+func TestAttachAnalysisRecordsDirectStream(t *testing.T) {
+	ctx := &sensei.Context{
+		Comm: mpirt.NewWorld(1).Comm(0), Acct: metrics.NewAccountant(),
+		Timer: metrics.NewTimer(), Storage: metrics.NewStorageCounter(),
+	}
+	ca := sensei.NewConfigurableAnalysis(ctx)
+	if err := ca.InitializeXML([]byte(`<sensei><analysis type="adios" queue="4"/></sensei>`)); err != nil {
+		t.Fatal(err)
+	}
+	a, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	finish, err := AttachAnalysis(ca, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ad := ca.FindAdaptor("adios").(*staging.Adaptor)
+	r, err := adios.OpenReader(ad.Server().Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	const steps = 5
+	go func() {
+		for s := 0; s < steps; s++ {
+			ad.Hub().Publish(hexStep(int64(s))) //nolint:errcheck // a failure shows as a short stream
+		}
+		ca.Finalize() //nolint:errcheck
+	}()
+	var received [][]byte
+	for {
+		st, err := r.BeginStep()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		received = append(received, adios.Marshal(st))
+	}
+	if err := finish(); err != nil {
+		t.Fatal(err)
+	}
+	if len(received) != steps || a.Len() != steps {
+		t.Fatalf("reader got %d steps, archive holds %d, want %d each", len(received), a.Len(), steps)
+	}
+	for id, want := range received {
+		got, err := a.ReadFrameInto(int64(id), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("record %d differs from the frame the reader received", id)
+		}
 	}
 }

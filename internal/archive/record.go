@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"path/filepath"
 
-	"nekrs-sensei/internal/intransit"
 	"nekrs-sensei/internal/sensei"
 	"nekrs-sensei/internal/staging"
 )
@@ -84,23 +83,20 @@ func (r *HubRecorder) Wait() error {
 }
 
 // AttachAnalysis wires recording into an already-configured analysis:
-// a "staging" adaptor gets a recording hub consumer, an "adios" send
-// adaptor gets the archive as its writer's frame sink. Returns a
-// finish func to call after the analysis is finalized (it drains the
-// hub recorder and reports append errors; the caller still owns
-// closing the archive). Errors if the configuration has neither
-// adaptor — there is no stream to record.
+// the hub of its "staging" or "adios" adaptor gets a recording
+// consumer. Returns a finish func to call after the analysis is
+// finalized (it drains the hub recorder and reports append errors; the
+// caller still owns closing the archive). Errors if the configuration
+// has neither adaptor — there is no stream to record.
 func AttachAnalysis(ca *sensei.ConfigurableAnalysis, a *Archive) (finish func() error, err error) {
-	if ad, ok := ca.FindAdaptor("staging").(*staging.Adaptor); ok {
-		rec, err := RecordHub(ad.Hub(), "", 0, a)
-		if err != nil {
-			return nil, err
+	for _, typ := range []string{"staging", "adios"} {
+		if ad, ok := ca.FindAdaptor(typ).(*staging.Adaptor); ok {
+			rec, err := RecordHub(ad.Hub(), "", 0, a)
+			if err != nil {
+				return nil, err
+			}
+			return rec.Wait, nil
 		}
-		return rec.Wait, nil
-	}
-	if ad, ok := ca.FindAdaptor("adios").(*intransit.SendAdaptor); ok {
-		ad.Writer().SetRecord(a)
-		return func() error { return nil }, nil
 	}
 	return nil, fmt.Errorf("archive: nothing to record: configuration has no staging or adios analysis")
 }

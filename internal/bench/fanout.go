@@ -15,12 +15,12 @@ import (
 
 // FanoutConfig parameterizes one fan-out transport measurement: one
 // producer streaming synthetic timesteps to N consumers, either over
-// N independent SST writers (direct — each step marshaled and queued
-// once per consumer) or through one staging hub (staged — marshaled
-// once, shared by every consumer).
+// N independent single-consumer streams (direct — each step marshaled
+// and queued once per consumer) or through one staging hub (staged —
+// marshaled once, shared by every consumer).
 type FanoutConfig struct {
 	Consumers  int
-	Policy     staging.Policy // staged mode only; direct SST is always Block
+	Policy     staging.Policy // staged mode only; direct is always Block
 	Depth      int            // queue depth / consumer window (default 2)
 	Steps      int            // timesteps to stream (default 40)
 	PayloadF64 int            // float64s per step (default 16384 = 128 KiB)
@@ -128,83 +128,15 @@ func linkPace(n int64, rate float64) {
 	time.Sleep(time.Duration(float64(n) / (rate * (1 << 20)) * float64(time.Second)))
 }
 
-// RunFanoutDirect streams through N independent SST writers, the only
-// fan-out shape the one-producer/one-consumer transport supports: the
-// producer marshals and queues every step once per consumer and blocks
-// on the slowest queue (SST semantics).
+// RunFanoutDirect streams through N single-consumer hubs, which is
+// what N direct streams are and the only fan-out shape a
+// one-producer/one-consumer transport supports: the producer stages
+// every step once per consumer, each stream marshals its own frame, and
+// the producer blocks on the slowest queue (SST semantics).
 func RunFanoutDirect(cfg FanoutConfig) (FanoutResult, error) {
 	c := cfg.withDefaults()
-	writers := make([]*adios.Writer, c.Consumers)
-	for i := range writers {
-		w, err := adios.ListenWriter("127.0.0.1:0", adios.WriterOptions{QueueLimit: c.Depth})
-		if err != nil {
-			return FanoutResult{}, err
-		}
-		writers[i] = w
-	}
-	recvd := make([]int64, c.Consumers)
-	errs := make([]error, c.Consumers)
-	var wg sync.WaitGroup
-	for i, w := range writers {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			r, err := adios.OpenReader(addr)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer r.Close()
-			var seen int64
-			for {
-				if _, err := r.BeginStep(); err != nil {
-					if !errors.Is(err, io.EOF) {
-						errs[i] = err
-					}
-					return
-				}
-				recvd[i]++
-				linkPace(r.BytesReceived()-seen, c.LinkMBps)
-				seen = r.BytesReceived()
-				if c.ConsumerDelay > 0 {
-					time.Sleep(c.ConsumerDelay)
-				}
-			}
-		}(i, w.Addr())
-	}
-
-	var payload int64
-	start := time.Now()
-	for s := 0; s < c.Steps; s++ {
-		step := fanoutStep(s, c.PayloadF64, c.Field)
-		payload += step.Bytes()
-		for _, w := range writers {
-			if err := w.Put(step); err != nil {
-				return FanoutResult{}, err
-			}
-		}
-	}
-	wall := time.Since(start)
-	for _, w := range writers {
-		if err := w.Close(); err != nil {
-			return FanoutResult{}, err
-		}
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return FanoutResult{}, err
-		}
-	}
-	res := FanoutResult{
-		Mode: "direct", Policy: staging.Block, Consumers: c.Consumers,
-		Steps: c.Steps, ProducerWall: wall, ProducerMBps: mbps(payload, wall),
-		WireRatio: 1,
-	}
-	for _, n := range recvd {
-		res.Delivered += n
-	}
-	return res, nil
+	c.Policy, c.Codecs = staging.Block, nil
+	return runFanout(c, "direct", c.Consumers, nil)
 }
 
 // RunFanoutStaged streams through one staging hub serving N network
@@ -218,17 +150,27 @@ func RunFanoutStaged(cfg FanoutConfig) (FanoutResult, error) {
 // attached to the hub and every reader — the instrumented arm of the
 // telemetry-overhead measurement. tel == nil runs bare.
 func runFanoutStaged(cfg FanoutConfig, tel *telemetry.Telemetry) (FanoutResult, error) {
-	c := cfg.withDefaults()
-	hub := staging.NewHub(nil)
-	hub.SetTelemetry(tel, "bench")
-	srv, err := staging.Serve(hub, "127.0.0.1:0", nil)
-	if err != nil {
-		return FanoutResult{}, err
+	return runFanout(cfg.withDefaults(), "staged", 1, tel)
+}
+
+// runFanout streams c.Steps steps to c.Consumers network readers
+// spread round-robin over nHubs hubs, each behind its own server.
+func runFanout(c FanoutConfig, mode string, nHubs int, tel *telemetry.Telemetry) (FanoutResult, error) {
+	hubs := make([]*staging.Hub, nHubs)
+	srvs := make([]*staging.Server, nHubs)
+	for i := range hubs {
+		hubs[i] = staging.NewHub(nil)
+		hubs[i].SetTelemetry(tel, "bench")
+		srv, err := staging.Serve(hubs[i], "127.0.0.1:0", nil)
+		if err != nil {
+			return FanoutResult{}, err
+		}
+		srvs[i] = srv
 	}
 	errs := make([]error, c.Consumers)
 	var wg sync.WaitGroup
 	for i := 0; i < c.Consumers; i++ {
-		r, err := adios.OpenReaderWith(srv.Addr(), adios.ReaderOptions{
+		r, err := adios.OpenReaderWith(srvs[i%nHubs].Addr(), adios.ReaderOptions{
 			Consumer: fmt.Sprintf("bench-%d", i),
 			Policy:   c.Policy.String(),
 			Depth:    c.Depth,
@@ -267,16 +209,20 @@ func runFanoutStaged(cfg FanoutConfig, tel *telemetry.Telemetry) (FanoutResult, 
 	for s := 0; s < c.Steps; s++ {
 		step := fanoutStep(s, c.PayloadF64, c.Field)
 		payload += step.Bytes()
-		if err := hub.Publish(step); err != nil {
-			return FanoutResult{}, err
+		for _, hub := range hubs {
+			if err := hub.Publish(step); err != nil {
+				return FanoutResult{}, err
+			}
 		}
 	}
 	wall := time.Since(start)
-	if err := hub.Close(); err != nil {
-		return FanoutResult{}, err
-	}
-	if err := srv.Close(); err != nil {
-		return FanoutResult{}, err
+	for i, hub := range hubs {
+		if err := hub.Close(); err != nil {
+			return FanoutResult{}, err
+		}
+		if err := srvs[i].Close(); err != nil {
+			return FanoutResult{}, err
+		}
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -285,23 +231,23 @@ func runFanoutStaged(cfg FanoutConfig, tel *telemetry.Telemetry) (FanoutResult, 
 		}
 	}
 	res := FanoutResult{
-		Mode: "staged", Policy: c.Policy, Consumers: c.Consumers,
+		Mode: mode, Policy: c.Policy, Consumers: c.Consumers,
 		Steps: c.Steps, ProducerWall: wall, ProducerMBps: mbps(payload, wall),
 		WireRatio: 1,
 	}
-	for _, s := range hub.Stats() {
-		res.Delivered += s.Delivered
-		res.Dropped += s.Dropped
-	}
-	if cs := hub.Status().CodecStreams; len(cs) > 0 {
-		var raw, enc int64
-		for _, s := range cs {
+	var raw, enc int64
+	for _, hub := range hubs {
+		for _, s := range hub.Stats() {
+			res.Delivered += s.Delivered
+			res.Dropped += s.Dropped
+		}
+		for _, s := range hub.Status().CodecStreams {
 			raw += s.RawBytes
 			enc += s.EncodedBytes
 		}
-		if raw > 0 {
-			res.WireRatio = float64(enc) / float64(raw)
-		}
+	}
+	if raw > 0 {
+		res.WireRatio = float64(enc) / float64(raw)
 	}
 	return res, nil
 }

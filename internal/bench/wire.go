@@ -53,8 +53,7 @@ type WireResult struct {
 	FrameBytes int64 // wire size of one steady-state step
 
 	// Producer publish throughput: marshaling one step into its wire
-	// frame, the per-step encode cost of every publish path (hub pump,
-	// direct SST Put).
+	// frame, the per-step encode cost of the hub pump.
 	PrePRMarshalMBps  float64 // bytes.Buffer reference encode (pre-PR)
 	PooledMarshalMBps float64 // exact-size single-pass into a pooled frame
 	MarshalSpeedup    float64

@@ -251,9 +251,9 @@ func (s Spec) Entries() []string {
 func (s Spec) Key() string { return strings.Join(s.Entries(), ",") }
 
 // UnsupportedCodecError reports a codecs request naming a codec the
-// producer does not advertise (or that no build implements). Both the
-// staging server and the direct SST writer reject the handshake with
-// it, mirroring the arrays negotiation.
+// producer does not advertise (or that no build implements). The
+// staging server rejects the handshake with it, mirroring the arrays
+// negotiation.
 type UnsupportedCodecError struct {
 	Codec     string
 	Advertise []string

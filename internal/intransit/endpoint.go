@@ -1,3 +1,23 @@
+// Package intransit implements the endpoint half of the paper's in
+// transit workflow: a runtime that receives steps from the ADIOS2/SST
+// transport, reconstructs the VTK data model, and drives its own SENSEI
+// ConfigurableAnalysis — "the endpoint of our workflow is always a
+// SENSEI data consumer." The simulation half is the staging package's
+// analysis adaptor (XML types "adios" and "staging"), which ships each
+// trigger's data through the hub instead of analyzing locally.
+//
+// With this split, the memory available to simulation ranks is
+// independent of the number of visualization ranks (the property the
+// paper emphasizes), and a slow endpoint shows up on the simulation
+// side only as bounded staging-queue growth.
+//
+// Two endpoint runtimes consume the stream: Endpoint is the paper's
+// serial consumer, and Group is its parallel generalization — R
+// cooperative ranks that claim one staging consumer name as a group,
+// shard the analysis work by block range (reductions merge across
+// ranks, rendering composites via binary swap into one image per
+// step), and realign skewed streams at a per-step barrier with
+// straggler accounting. See group.go and DESIGN.md.
 package intransit
 
 import (

@@ -2,13 +2,16 @@ package intransit
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"nekrs-sensei/internal/adios"
 	"nekrs-sensei/internal/core"
@@ -54,21 +57,37 @@ func ctxFor(comm *mpirt.Comm, dir string) *sensei.Context {
 	}
 }
 
+// directAdaptor builds the simulation side of a direct stream the way
+// the XML does: analysis type "adios", one reader, served by the hub.
+func directAdaptor(t *testing.T, ctx *sensei.Context, attrs map[string]string) *staging.Adaptor {
+	t.Helper()
+	a, err := sensei.NewAnalysisAdaptor("adios", ctx, attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a.(*staging.Adaptor)
+}
+
 // TestFullPipelineIntegrity streams two simulation ranks' data through
-// SST into a single endpoint and verifies values arrive bit-exact.
+// SST into a single endpoint and verifies values arrive bit-exact; the
+// endpoint finds the ranks through the contact file, whose addresses
+// must come in rank order for the merge comparison to hold.
 func TestFullPipelineIntegrity(t *testing.T) {
 	const simRanks = 2
 	const steps = 3
 
-	// Simulation side writers (addresses collected for the endpoint).
-	addrCh := make(chan [simRanks]string, 1)
+	contact := filepath.Join(t.TempDir(), "contact.txt")
 	var endpointErr error
 	var received [][]float64 // per step: merged temperature
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		addrs := <-addrCh
+		addrs, err := adios.ReadContact(contact, 10*time.Second)
+		if err != nil || len(addrs) != simRanks {
+			endpointErr = fmt.Errorf("contact = %v, %v", addrs, err)
+			return
+		}
 		var readers []*adios.Reader
 		for _, a := range addrs {
 			r, err := adios.OpenReader(a)
@@ -105,22 +124,19 @@ func TestFullPipelineIntegrity(t *testing.T) {
 
 	var sent [][]float64 // per step: concatenated rank temps (rank order)
 	sentPerStep := make([][][]float64, steps)
+	addrOf := make([]string, simRanks)
 	mpirt.Run(simRanks, func(c *mpirt.Comm) {
 		s := newSolver(t, c, simRanks)
 		ctx := ctxFor(c, "")
-		w, err := adios.ListenWriter("127.0.0.1:0", adios.WriterOptions{Acct: ctx.Acct})
+		a, err := sensei.NewAnalysisAdaptor("adios", ctx, map[string]string{
+			"arrays": "temperature", "contact": contact,
+		})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		// Rendezvous: rank order matters for the merge comparison.
-		all := gatherAddrs(c, w.Addr())
-		if c.Rank() == 0 {
-			var a [simRanks]string
-			copy(a[:], all)
-			addrCh <- a
-		}
-		send := NewSendAdaptor(ctx, w, "mesh", []string{"temperature"})
+		send := a.(*staging.Adaptor)
+		addrOf[c.Rank()] = send.Server().Addr()
 		da := core.NewNekDataAdaptor(s, ctx.Acct)
 		for step := 0; step < steps; step++ {
 			s.Step()
@@ -152,6 +168,9 @@ func TestFullPipelineIntegrity(t *testing.T) {
 	wg.Wait()
 	if endpointErr != nil {
 		t.Fatal(endpointErr)
+	}
+	if addrs, err := adios.ReadContact(contact, 0); err != nil || !reflect.DeepEqual(addrs, addrOf) {
+		t.Errorf("contact lists %v (%v), want the ranks' addresses in rank order %v", addrs, err, addrOf)
 	}
 	for step := range sentPerStep {
 		var merged []float64
@@ -220,12 +239,8 @@ func TestEndpointVTUCheckpoint(t *testing.T) {
 	comm := mpirt.NewWorld(1).Comm(0)
 	s := newSolver(t, comm, 1)
 	ctx := ctxFor(comm, "")
-	w, err := adios.ListenWriter("127.0.0.1:0", adios.WriterOptions{Acct: ctx.Acct})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrCh <- w.Addr()
-	send := NewSendAdaptor(ctx, w, "mesh", nil) // all arrays
+	send := directAdaptor(t, ctx, nil) // all arrays
+	addrCh <- send.Server().Addr()
 	da := core.NewNekDataAdaptor(s, ctx.Acct)
 	for step := 0; step < steps; step++ {
 		s.Step()
@@ -262,16 +277,12 @@ func TestStructureSentOnce(t *testing.T) {
 	comm := mpirt.NewWorld(1).Comm(0)
 	s := newSolver(t, comm, 1)
 	ctx := ctxFor(comm, "")
-	w, err := adios.ListenWriter("127.0.0.1:0", adios.WriterOptions{QueueLimit: 4, Acct: ctx.Acct})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := adios.OpenReader(w.Addr())
+	send := directAdaptor(t, ctx, map[string]string{"queue": "4", "arrays": "pressure"})
+	r, err := adios.OpenReader(send.Server().Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	send := NewSendAdaptor(ctx, w, "mesh", []string{"pressure"})
 	da := core.NewNekDataAdaptor(s, ctx.Acct)
 	for step := 0; step < 2; step++ {
 		da.SetStep(step, 0)
@@ -284,7 +295,7 @@ func TestStructureSentOnce(t *testing.T) {
 		}
 		da.ReleaseData() //nolint:errcheck
 	}
-	go w.Close() //nolint:errcheck
+	go send.Finalize() //nolint:errcheck
 	s1, err := r.BeginStep()
 	if err != nil {
 		t.Fatal(err)
@@ -301,6 +312,18 @@ func TestStructureSentOnce(t *testing.T) {
 	}
 	if s1.Bytes() <= s2.Bytes() {
 		t.Errorf("structure step (%d B) should exceed array step (%d B)", s1.Bytes(), s2.Bytes())
+	}
+	// The structure step is sent whole: every grid variable beside the array.
+	for _, name := range []string{"points", "connectivity", "offsets", "types", "array/pressure"} {
+		if s1.FindVar(name) == nil {
+			t.Errorf("structure step lacks %q", name)
+		}
+	}
+	if _, err := r.BeginStep(); !errors.Is(err, io.EOF) {
+		t.Errorf("want EOF after Finalize, got %v", err)
+	}
+	if got := ctx.Acct.CategoryInUse("staging-hub"); got != 0 {
+		t.Errorf("staging-hub accounting after Finalize = %d, want 0", got)
 	}
 }
 
@@ -563,37 +586,31 @@ func TestStagingFanoutEndpoints(t *testing.T) {
 	}
 }
 
-func TestSendAdaptorFactory(t *testing.T) {
+func TestDirectAdaptorFactory(t *testing.T) {
 	dir := t.TempDir()
 	contact := filepath.Join(dir, "contact.txt")
 	comm := mpirt.NewWorld(1).Comm(0)
 	ctx := ctxFor(comm, "")
-	a, err := sensei.NewAnalysisAdaptor("adios", ctx, map[string]string{
+	send := directAdaptor(t, ctx, map[string]string{
 		"address": "127.0.0.1:0", "queue": "4", "contact": contact,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	send := a.(*SendAdaptor)
-	if send.Writer().Addr() == "" {
-		t.Error("no address")
-	}
+	addr := send.Server().Addr()
 	addrs, err := adios.ReadContact(contact, 0)
-	if err != nil || len(addrs) != 1 || addrs[0] != send.Writer().Addr() {
+	if err != nil || len(addrs) != 1 || addrs[0] != addr {
 		t.Errorf("contact = %v, %v", addrs, err)
 	}
 	// Connect a sink so Finalize's end-of-stream delivery completes
 	// without waiting for the close deadline.
-	r, err := adios.OpenReader(send.Writer().Addr())
+	r, err := adios.OpenReader(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	done := make(chan struct{})
+	done := make(chan error, 1)
 	go func() {
-		defer close(done)
 		for {
 			if _, err := r.BeginStep(); err != nil {
+				done <- err
 				return
 			}
 		}
@@ -601,53 +618,76 @@ func TestSendAdaptorFactory(t *testing.T) {
 	if err := send.Finalize(); err != nil {
 		t.Error(err)
 	}
-	<-done
+	if err := <-done; !errors.Is(err, io.EOF) {
+		t.Errorf("stream ended with %v, want EOF after Finalize", err)
+	}
 	if _, err := sensei.NewAnalysisAdaptor("adios", ctx, map[string]string{"queue": "bogus"}); err == nil {
 		t.Error("expected queue error")
 	}
 }
 
+// TestDirectSecondReaderRejected: a direct stream has one reader. A
+// second one dialing while the first is attached must be told so in the
+// handshake — not sit unanswered in the listen backlog for as long as
+// the first stream lives.
+func TestDirectSecondReaderRejected(t *testing.T) {
+	send := directAdaptor(t, ctxFor(mpirt.NewWorld(1).Comm(0), ""), nil)
+	addr := send.Server().Addr()
+	first, err := adios.OpenReaderWith(addr, adios.ReaderOptions{Consumer: "whatever-name"})
+	if err != nil {
+		t.Fatalf("first reader (any announced name claims the stream): %v", err)
+	}
+	defer first.Close()
+	got := make(chan error, 1)
+	go func() {
+		second, err := adios.OpenReader(addr)
+		if err == nil {
+			second.Close()
+		}
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		var rej *adios.RejectedError
+		if !errors.As(err, &rej) || !strings.Contains(rej.Reason, "already attached") {
+			t.Errorf("second reader: %v, want a handshake rejection \"already attached\"", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("second reader's hello still unanswered after 2s")
+	}
+	go send.Finalize() //nolint:errcheck
+	if _, err := first.BeginStep(); !errors.Is(err, io.EOF) {
+		t.Errorf("first reader: %v, want EOF", err)
+	}
+}
+
 // TestSendSubsetOnWire: a reader declaring an array subset in its
-// hello makes the send adaptor pull and ship only those arrays
-// (structure step excepted); an unadvertised array is rejected in the
-// handshake.
+// hello makes the direct-stream adaptor pull and ship only those
+// arrays (structure step excepted); an unadvertised array is rejected
+// in the handshake and leaves the stream claimable.
 func TestSendSubsetOnWire(t *testing.T) {
 	comm := mpirt.NewWorld(1).Comm(0)
 	s := newSolver(t, comm, 1)
 	ctx := ctxFor(comm, "")
-	w, err := adios.ListenWriter("127.0.0.1:0", adios.WriterOptions{
-		QueueLimit: 8, Acct: ctx.Acct,
-		Advertise: []string{"pressure", "temperature"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	send := directAdaptor(t, ctx, map[string]string{"queue": "8", "arrays": "pressure,temperature"})
+	addr := send.Server().Addr()
 
+	// Before any reader the declaration is the configured set.
+	if n := len(send.Describe().Mesh("mesh").PointArrayNames()); n != 2 {
+		t.Errorf("Describe before a reader names %d arrays, want 2", n)
+	}
 	// Handshake rejection: the requested array is not advertised.
-	if _, err := adios.OpenReaderWith(w.Addr(), adios.ReaderOptions{
+	if _, err := adios.OpenReaderWith(addr, adios.ReaderOptions{
 		Arrays: []string{"vorticity_x"},
 	}); err == nil || !strings.Contains(err.Error(), "rejected") {
 		t.Fatalf("want handshake rejection, got %v", err)
 	}
-	w.Close() //nolint:errcheck // rejected handshake poisons the writer
-
-	w, err = adios.ListenWriter("127.0.0.1:0", adios.WriterOptions{
-		QueueLimit: 8, Acct: ctx.Acct,
-		Advertise: []string{"pressure", "temperature"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := adios.OpenReaderWith(w.Addr(), adios.ReaderOptions{Arrays: []string{"pressure"}})
+	r, err := adios.OpenReaderWith(addr, adios.ReaderOptions{Arrays: []string{"pressure"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 
-	send := NewSendAdaptor(ctx, w, "mesh", []string{"pressure", "temperature"})
-	if got := w.RequestedArrays(); len(got) != 1 || got[0] != "pressure" {
-		t.Fatalf("RequestedArrays = %v, want [pressure]", got)
-	}
 	// The declaration shrank to the reader's subset.
 	if req := send.Describe(); req.Mesh("mesh") == nil ||
 		len(req.Mesh("mesh").PointArrayNames()) != 1 {
@@ -662,6 +702,9 @@ func TestSendSubsetOnWire(t *testing.T) {
 		st, err := sensei.Pull(da, send.Describe(), nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if g, err := st.Mesh("mesh"); err != nil || g.FindPointData("temperature") != nil {
+			t.Errorf("step %d: pull fetched the unrequested array (%v)", step, err)
 		}
 		if _, err := send.Execute(st); err != nil {
 			t.Fatal(err)

@@ -100,10 +100,18 @@ func ParseConsumers(s string) ([]ConsumerSpec, error) {
 	return out, nil
 }
 
-// Adaptor is the simulation-side staging analysis (SENSEI analysis
-// type "staging"): Execute publishes the requested arrays — and, once,
-// the grid structure — into the hub, from which any number of
-// consumers fan out. XML attributes:
+// Adaptor is the simulation-side staging analysis (SENSEI's "ADIOS2
+// analysis adaptor"): Execute publishes the requested arrays — and,
+// once, the grid structure — into the hub. Its two analysis types
+// differ only in who may attach. "staging" serves an open consumer
+// set: any number fan out, pre-declared or dynamic. "adios" is the
+// paper's direct stream, a closed set of one pre-declared block
+// consumer of depth `queue`: the first reader claims it whatever name
+// its hello announces, a second concurrent one is rejected "already
+// attached", the producer pulls only the arrays that reader asked for,
+// and Finalize gives a reader yet to dial closeWait to collect what is
+// staged; consumers, policy, depth and spill do not apply to it.
+// XML attributes:
 //
 //	address   server listen address (default 127.0.0.1:0)
 //	contact   contact file for the rendezvous (rank 0 writes it); with
@@ -133,6 +141,7 @@ func ParseConsumers(s string) ([]ConsumerSpec, error) {
 //	          unlisted codec in a hello rejects the handshake
 //	policy    default policy for consumers not pre-declared
 //	depth     default queue depth (default 2)
+//	queue     the direct stream's queue depth ("adios" only, default 2)
 //	session-ttl
 //	          enables resumable consumer sessions: a disconnected
 //	          reader's cursor, policy window, and spill queue are
@@ -158,6 +167,7 @@ type Adaptor struct {
 	defPolicy Policy
 	defDepth  int
 	binder    *Binder // resolves reader handshakes, built at serve time
+	closeWait time.Duration
 
 	structureSent bool
 	stepsStaged   int
@@ -175,8 +185,20 @@ func New(ctx *sensei.Context, hub *Hub, meshName string, arrays []string) *Adapt
 	}
 }
 
+// closeWait bounds how long a direct stream's Finalize waits for its
+// reader to attach before discarding what is staged.
+const closeWait = 5 * time.Second
+
 func init() {
-	sensei.Register("staging", func(ctx *sensei.Context, attrs map[string]string) (sensei.Analysis, error) {
+	sensei.Register("staging", xmlFactory(false))
+	sensei.Register("adios", xmlFactory(true))
+}
+
+// xmlFactory is the XML-configured adaptor: hub, binder, network server
+// and contact-file rendezvous. direct (analysis type "adios") closes
+// the consumer set.
+func xmlFactory(direct bool) sensei.Factory {
+	return func(ctx *sensei.Context, attrs map[string]string) (sensei.Analysis, error) {
 		hub := NewHub(ctx.Acct)
 		var arrays []string
 		if a := strings.TrimSpace(attrs["arrays"]); a != "" {
@@ -215,10 +237,14 @@ func init() {
 			}
 			ad.defPolicy = pol
 		}
-		if d := attrs["depth"]; d != "" {
+		depthKey := "depth"
+		if direct {
+			depthKey = "queue"
+		}
+		if d := attrs[depthKey]; d != "" {
 			v, err := strconv.Atoi(d)
 			if err != nil || v < 1 {
-				return nil, fmt.Errorf("staging: bad depth %q", d)
+				return nil, fmt.Errorf("staging: bad %s %q", depthKey, d)
 			}
 			ad.defDepth = v
 		}
@@ -227,6 +253,10 @@ func init() {
 			return nil, err
 		}
 		ad.binder = NewBinder(hub, ad.defPolicy, ad.defDepth)
+		if direct {
+			specs = []ConsumerSpec{{Name: soleName, Policy: Block}}
+			ad.binder.sole, ad.closeWait = true, closeWait
+		}
 		for _, spec := range specs {
 			if _, err := ad.binder.Declare(spec); err != nil {
 				return nil, err
@@ -275,8 +305,8 @@ func init() {
 		}
 		ad.server = srv
 		// Rendezvous: gather every rank's server address; rank 0
-		// publishes the contact file readers poll — the same mechanism
-		// as direct SST streams. When a telemetry exporter is live its
+		// publishes the contact file readers poll, addresses in rank
+		// order. When a telemetry exporter is live its
 		// address rides along as a "#telemetry=" stamp so the mesh
 		// observatory can find this process, and the contact directory
 		// itself gets a /meshz mount (any process that knows the
@@ -302,7 +332,7 @@ func init() {
 			}
 		}
 		return ad, nil
-	})
+	}
 }
 
 // RetainsStepData implements sensei.StepRetainer: published steps
@@ -321,15 +351,29 @@ func (a *Adaptor) Server() *Server { return a.server }
 // StepsStaged reports Execute calls that published a step.
 func (a *Adaptor) StepsStaged() int { return a.stepsStaged }
 
+// sendSet is the arrays a step must carry: the configured set (nil =
+// every advertised array), shrunk on a closed consumer set to the one
+// reader's declared subset.
+func (a *Adaptor) sendSet() []string {
+	if a.binder != nil {
+		if sub := a.binder.soleArrays(); sub != nil {
+			return sub
+		}
+	}
+	return a.arrays
+}
+
 // Describe implements sensei.Analysis: the configured arrays, or
-// every advertised array when none were configured. The hub stages
+// every advertised array when none were configured. An open hub stages
 // the full published set — per-consumer subsets are applied on
 // delivery (Consumer arrays / the hello's arrays field), because
 // consumers attach and detach dynamically and late subscribers must
-// still be able to request anything published.
+// still be able to request anything published. A closed set has no
+// late subscribers, so its one reader's subset reaches all the way
+// into the simulation-side pull.
 func (a *Adaptor) Describe() sensei.Requirements {
-	if len(a.arrays) > 0 {
-		return sensei.RequireArrays(a.meshName, sensei.AssocPoint, a.arrays...)
+	if set := a.sendSet(); len(set) > 0 {
+		return sensei.RequireArrays(a.meshName, sensei.AssocPoint, set...)
 	}
 	return sensei.RequireAllArrays(a.meshName)
 }
@@ -337,7 +381,7 @@ func (a *Adaptor) Describe() sensei.Requirements {
 // Execute implements sensei.Analysis: one step is marshaled into the
 // hub regardless of how many consumers fan out of it.
 func (a *Adaptor) Execute(st *sensei.Step) (bool, error) {
-	arrays := a.arrays
+	arrays := a.sendSet()
 	if len(arrays) == 0 {
 		md, err := st.Metadata(a.meshName)
 		if err != nil {
@@ -383,8 +427,12 @@ func (a *Adaptor) Execute(st *sensei.Step) (bool, error) {
 
 // Finalize closes the hub (consumers drain and see end-of-stream) and
 // then the network server, waiting for every pump to deliver its
-// remaining steps.
+// remaining steps. A direct stream first gives an unattached reader
+// closeWait to claim what is staged.
 func (a *Adaptor) Finalize() error {
+	if a.binder != nil {
+		a.binder.awaitSole(a.closeWait)
+	}
 	err := a.hub.Close()
 	if a.binder != nil {
 		// Parked sessions would otherwise hold their backpressure claims

@@ -46,6 +46,12 @@ type Binder struct {
 	claimed    map[string]bool
 	groups     groupBroker // group members handed out per logical name
 	dynSeq     int
+	// sole marks a closed consumer set — a direct stream, analysis type
+	// "adios": the one Block consumer declared, soleName, is the only one
+	// there will ever be. Every reader resolves to it whatever name its
+	// hello announces, so the first claims it, a second concurrent one
+	// is rejected "already attached", and nothing attaches dynamically.
+	sole bool
 
 	// Resumable-session state (nil maps until EnableSessions).
 	sessTTL      time.Duration
@@ -71,6 +77,10 @@ type boundSession struct {
 	parked bool
 	gen    int
 }
+
+// soleName is what a closed set's one consumer is called in stats and
+// session adoption; readers never need to know it.
+const soleName = "direct"
 
 // defaultSessionMax bounds concurrently tracked sessions so a token
 // churn cannot grow binder state without bound.
@@ -127,6 +137,41 @@ func (b *Binder) Declare(spec ConsumerSpec) (*Consumer, error) {
 	return cons, nil
 }
 
+// soleArrays reports the array subset the sole consumer's reader
+// declared: nil on an open set, while unclaimed, or when the reader
+// wants everything. The producer pulls only these (Adaptor.Describe).
+func (b *Binder) soleArrays() []string {
+	if !b.sole { // fixed before serving: the open set's triggers take no lock
+		return nil
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.claimed[soleName] {
+		return nil
+	}
+	return b.registered[soleName].Arrays()
+}
+
+// awaitSole is the closed set's shutdown grace: it waits up to d for
+// the sole consumer to be claimed, so a producer that finished before
+// its reader dialed still delivers every staged step and end-of-stream;
+// past the bound the consumer is closed, releasing what it staged.
+// No-op on an open set.
+func (b *Binder) awaitSole(d time.Duration) {
+	if !b.sole {
+		return
+	}
+	for deadline := time.Now().Add(d); !b.FullyAttached() && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.claimed[soleName] {
+		b.claimed[soleName] = true
+		b.registered[soleName].Close()
+	}
+}
+
 // FullyAttached reports whether every pre-declared consumer has been
 // claimed by a reader — and, for names claimed as consumer groups,
 // whether all announced members have attached. A short-lived producer
@@ -160,6 +205,9 @@ func (b *Binder) FullyAttached() bool {
 //     the reader announced one, and a fresh token is issued when
 //     sessions are enabled and the reader asked for one.
 func (b *Binder) Resolve(req SubscribeRequest) (*Subscription, error) {
+	if b.sole {
+		req.Name = soleName
+	}
 	if req.Group > 1 {
 		// Consumer groups keep their own attachment discipline and do
 		// not participate in sessions.

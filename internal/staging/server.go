@@ -95,9 +95,9 @@ type ServerOptions struct {
 const defaultHandshakeTimeout = 10 * time.Second
 
 // Server accepts any number of SST readers on one address and pumps
-// each one from its own hub consumer: the multi-consumer counterpart
-// of the single-reader adios.Writer. Each frame is marshaled once in
-// the hub and shared by every connection.
+// each one from its own hub consumer — the one producer-side server of
+// this wire protocol. Each frame is marshaled once in the hub and
+// shared by every connection.
 type Server struct {
 	hub       *Hub
 	ln        net.Listener

@@ -61,11 +61,12 @@
 // StepRef.Frame are valid only until that reference's Release.
 //
 // Entry points: NewHub/Subscribe/SubscribeGroup/Publish for
-// programmatic use, the "staging" analysis type (adaptor.go) for
-// Listing-1 XML configuration, and Serve (server.go) for network
-// consumers speaking the adios/SST wire protocol (specified in
-// DESIGN.md), so `internal/intransit` endpoints attach through the
-// same contact-file rendezvous as direct SST streams.
+// programmatic use, the "staging" and "adios" analysis types
+// (adaptor.go) for Listing-1 XML configuration — the second is the
+// paper's direct stream, this hub with its consumer set closed to one
+// reader — and Serve (server.go), the one server of the adios/SST wire
+// protocol (specified in DESIGN.md), to which `internal/intransit`
+// endpoints attach through the contact-file rendezvous.
 package staging
 
 import (
