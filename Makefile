@@ -12,6 +12,8 @@
 # a change to the solver or the render path is measured on every
 # workload that runs it and on the ones that must not move:
 #   WORKLOADS="pb146-insitu rbc-mesh-live pb146-solve pb146-mesh-replay" make bench-e2e
+# and a change to the mesh (staging, relay, wire) against its parent:
+#   BASE=<parent> WORKLOADS="pb146-mesh-replay rbc-mesh-live pb146-insitu pb146-solve" make bench-e2e
 # `make generate-check` fails when the generated tensor kernels are
 # stale; `make loc` prints non-test Go lines per package and checks the
 # wire-path packages against scripts/loc.ceiling; `make clean` removes

@@ -121,21 +121,25 @@ func render(w io.Writer, snap *meshobs.Snapshot, o *options) {
 	procs.Render(w)
 
 	if len(snap.Edges) > 0 {
-		edges := metrics.NewTable("edges", "from", "hub", "consumer", "to", "policy", "depth", "lag", "spillq", "delivered", "wire", "ratio", "state")
+		edges := metrics.NewTable("edges", "from", "hub", "consumer", "to", "policy", "depth", "lag", "resident", "blocked", "spillq", "delivered", "wire", "ratio", "state")
 		for _, e := range snap.Edges {
 			state := ""
 			switch {
 			case e.Closed:
 				state = "closed"
+			case e.Parked && e.Blocking:
+				state = "parked,blocking"
 			case e.Parked:
 				state = "parked"
+			case e.Blocking:
+				state = "blocking"
 			}
 			ratio := "-"
 			if e.CodecRatio > 0 {
 				ratio = fmt.Sprintf("%.2fx", e.CodecRatio)
 			}
 			edges.AddRow(e.From, e.Hub, e.Consumer, e.To, e.Policy, e.Depth,
-				e.Lag, e.SpillQueue, e.Delivered, metrics.HumanBytes(e.WireBytes), ratio, state)
+				e.Lag, e.Resident, fmt.Sprintf("%.1fms", e.BlockedMs), e.SpillQueue, e.Delivered, metrics.HumanBytes(e.WireBytes), ratio, state)
 		}
 		edges.Render(w)
 	}

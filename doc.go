@@ -44,7 +44,8 @@
 // internal/intransit (the SST wire format and reader, the serial
 // endpoint, and the parallel endpoint group), internal/staging (the
 // hub and the one wire server: ring buffer, reference-counted zero-copy
-// payloads, block / drop-oldest / latest-only / spill policies,
+// payloads, block / drop-oldest / latest-only / spill policies (a
+// block:N edge holds N steps, publish to release),
 // consumer groups, per-consumer array subsets; XML type "staging" for
 // fan-out, "adios" for the paper's one-reader direct stream), internal/archive (the persistent tier: segment store +
 // sidecar index, crash recovery, spill stores, indexed replay),

@@ -1,0 +1,100 @@
+package adios_test
+
+import (
+	"bufio"
+	"encoding/json"
+	"errors"
+	"io"
+	"net"
+	"strings"
+	"testing"
+
+	"nekrs-sensei/internal/adios"
+	"nekrs-sensei/internal/staging"
+)
+
+// countingReader counts what a decoder pulled from the peer.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// hugeHello is a syntactically valid hello whose consumer name runs
+// for size bytes.
+func hugeHello(size int) io.Reader {
+	return io.MultiReader(strings.NewReader(`{"type":"hello","role":"reader","consumer":"`),
+		strings.NewReader(strings.Repeat("a", size)), strings.NewReader("\"}\n"))
+}
+
+// TestReadHelloCap: a 1 MiB hello is refused by name after at most the
+// cap (plus one read-ahead buffer) was pulled from the peer — it is
+// never buffered whole — while a real hello decodes and hands back
+// whatever the decoder read past it.
+func TestReadHelloCap(t *testing.T) {
+	src := &countingReader{r: hugeHello(1 << 20)}
+	var h adios.Hello
+	_, err := adios.ReadHello(bufio.NewReaderSize(src, 1<<16), &h)
+	if !errors.Is(err, adios.ErrHelloTooLarge) {
+		t.Fatalf("1 MiB hello: %v, want ErrHelloTooLarge", err)
+	}
+	if src.n > adios.MaxHelloBytes+1<<16 {
+		t.Errorf("read %d bytes of an oversized hello, cap is %d", src.n, adios.MaxHelloBytes)
+	}
+
+	// Hello, its newline and two credit bytes in one segment: the
+	// decoder over-reads them and the data plane must still see them.
+	line, _ := json.Marshal(adios.Hello{Type: "hello", Role: "reader", Consumer: "c"})
+	wire := append(append(line, '\n'), adios.CreditStep, adios.CreditKeepalive)
+	rest, err := adios.ReadHello(bufio.NewReader(strings.NewReader(string(wire))), &h)
+	if err != nil || h.Consumer != "c" {
+		t.Fatalf("plain hello: %+v, %v", h, err)
+	}
+	got, err := io.ReadAll(rest)
+	if err != nil || string(got) != string([]byte{adios.CreditStep, adios.CreditKeepalive}) {
+		t.Errorf("bytes after the hello = %v (%v), want the two credit bytes", got, err)
+	}
+}
+
+// TestOversizedHelloRefusedBothSides: the server refuses a reader's
+// 1 MiB hello and the reader a writer's, each with the named error.
+func TestOversizedHelloRefusedBothSides(t *testing.T) {
+	hub := staging.NewHub(nil)
+	srv, err := staging.Serve(hub, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(conn, hugeHello(1<<20)) //nolint:errcheck // the server hangs up partway
+	conn.Close()
+	hub.Close()
+	srv.Close() // waits for the connection's goroutine, so Err is settled
+	if err := srv.Err(); !errors.Is(err, adios.ErrHelloTooLarge) {
+		t.Errorf("server saw %v, want ErrHelloTooLarge", err)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		io.Copy(conn, hugeHello(1<<20)) //nolint:errcheck // the reader hangs up partway
+		conn.Close()
+	}()
+	if _, err := adios.OpenReader(ln.Addr().String()); !errors.Is(err, adios.ErrHelloTooLarge) {
+		t.Errorf("reader saw %v, want ErrHelloTooLarge", err)
+	}
+}

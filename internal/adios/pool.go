@@ -26,6 +26,15 @@ type Frame struct {
 	pool *FramePool
 }
 
+// WrapFrame adopts buf as an unpooled frame holding one reference —
+// for bytes that arrive already allocated (a frame read back from a
+// spill store) and must travel where a leased frame is expected.
+func WrapFrame(buf []byte) *Frame {
+	f := &Frame{buf: buf}
+	f.refs.Store(1)
+	return f
+}
+
 // Bytes exposes the frame's payload, valid until Release.
 func (f *Frame) Bytes() []byte { return f.buf }
 

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 )
 
 // This file is the header-only walk of a marshaled frame: ScanFrame
@@ -50,6 +52,41 @@ type FrameInfo struct {
 	// shared by every subset spliced from this frame.
 	VarsOff int64
 	Vars    []VarSpan
+}
+
+// KeepVar is the array-subset rule shared by the hub, the archive and
+// SubsetFrame: variables outside the "array/" namespace (structure,
+// metadata) always travel; arrays only when named in arrays.
+func KeepVar(varName string, arrays []string) bool {
+	name, isArray := strings.CutPrefix(varName, arrayPrefix)
+	return !isArray || name == "" || slices.Contains(arrays, name)
+}
+
+// SubsetFrame cuts an array subset out of a plain frame along its
+// scanned layout: the frame header, a fresh variable count and the
+// records KeepVar selects, copied span by span into a frame leased
+// from pool — no payload is decoded. The bytes equal Marshal of the
+// subset-filtered step (the operation the archive performs on disk).
+// fi must be ScanFrame's layout of raw.
+func SubsetFrame(raw []byte, fi *FrameInfo, arrays []string, pool *FramePool) *Frame {
+	size, kept := fi.VarsOff+8, 0
+	for i := range fi.Vars {
+		if KeepVar(fi.Vars[i].Name, arrays) {
+			size += fi.Vars[i].RecordLen
+			kept++
+		}
+	}
+	f := pool.Lease(int(size))
+	dst := f.Bytes()
+	off := copy(dst, raw[:fi.VarsOff])
+	binary.LittleEndian.PutUint64(dst[off:], uint64(kept))
+	off += 8
+	for i := range fi.Vars {
+		if vs := &fi.Vars[i]; KeepVar(vs.Name, arrays) {
+			off += copy(dst[off:], raw[vs.RecordOff:vs.RecordOff+vs.RecordLen])
+		}
+	}
+	return f
 }
 
 // FindVar returns the span of the named variable, or nil.

@@ -2,6 +2,8 @@ package adios
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 )
 
@@ -75,4 +77,78 @@ func TestScanFrameTruncated(t *testing.T) {
 	if _, err := ScanFrame(append(raw[:len(raw):len(raw)], 0)); err == nil {
 		t.Fatal("trailing byte scanned clean")
 	}
+}
+
+// FuzzScanFrame feeds the header walk whatever a peer or a disk could
+// hold. The hub ships bytes along the spans a clean scan reports, so a
+// clean scan must mean: every span lies inside raw, a plain frame
+// decodes, and any subset cut along the spans decodes to the step with
+// those variables filtered out.
+func FuzzScanFrame(f *testing.F) {
+	plain := Marshal(sampleStep())
+	f.Add(plain)
+	f.Add(Marshal(blockStep(3, 1, 9)))
+	f.Add(plain[:len(plain)/2])
+	f.Add([]byte("BP05"))
+	f.Add([]byte{})
+	enc := NewStreamEncoder(mustSpec(f, "transpose-delta"))
+	coded, _ := enc.EncodeFrame(codedStep(1, 50), NewFramePool())
+	f.Add(coded.Bytes())
+	fi, err := ScanFrame(plain)
+	if err != nil {
+		f.Fatal(err)
+	}
+	huge := append([]byte(nil), plain...) // an element count past the frame
+	binary.LittleEndian.PutUint64(huge[fi.Vars[0].PayloadOff-8:], 1<<60)
+	f.Add(huge)
+
+	pool := NewFramePool()
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		fi, err := ScanFrame(raw)
+		if err != nil {
+			return
+		}
+		n := int64(len(raw))
+		if fi.VarsOff < 4 || fi.VarsOff+8 > n {
+			t.Fatalf("VarsOff %d outside a %d-byte frame", fi.VarsOff, n)
+		}
+		for _, vs := range fi.Vars {
+			if vs.RecordOff < fi.VarsOff+8 || vs.RecordLen < 0 || vs.RecordOff+vs.RecordLen > n ||
+				vs.PayloadOff < vs.RecordOff || vs.PayloadLen < 0 ||
+				vs.PayloadOff+vs.PayloadLen != vs.RecordOff+vs.RecordLen {
+				t.Fatalf("span of %q leaves the frame or its record: %+v (frame %d bytes)", vs.Name, vs, n)
+			}
+		}
+		if fi.Encoded {
+			return // BPC5 payloads are the StreamDecoder's to vet (FuzzStreamDecoder)
+		}
+		full, err := Unmarshal(raw)
+		if err != nil {
+			t.Fatalf("frame scanned clean but does not decode: %v", err)
+		}
+		// Keep every other array: the cut must decode to the filtered
+		// step (compared re-marshaled: a hostile header may repeat an
+		// attribute key, which a decoded map holds once).
+		var keep []string
+		for i, vs := range fi.Vars {
+			if name, ok := strings.CutPrefix(vs.Name, "array/"); ok && i%2 == 0 {
+				keep = append(keep, name)
+			}
+		}
+		cut := SubsetFrame(raw, &fi, keep, pool)
+		defer cut.Release()
+		sub, err := Unmarshal(cut.Bytes())
+		if err != nil {
+			t.Fatalf("subset cut does not decode: %v", err)
+		}
+		want := &Step{Step: full.Step, Time: full.Time, Attrs: full.Attrs}
+		for i := range full.Vars {
+			if KeepVar(full.Vars[i].Name, keep) {
+				want.Vars = append(want.Vars, full.Vars[i])
+			}
+		}
+		if !bytes.Equal(Marshal(sub), Marshal(want)) {
+			t.Fatal("subset cut decodes to something other than the filtered step")
+		}
+	})
 }

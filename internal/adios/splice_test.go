@@ -118,3 +118,52 @@ func TestSpliceFramesRefusals(t *testing.T) {
 		t.Fatal("want error for var mismatch")
 	}
 }
+
+// FuzzSpliceFrames splices a well-formed rank frame with whatever a
+// second upstream could send, in both orders. The relay publishes the
+// result as bytes, so it must be an error or a frame that scans and
+// decodes — never a panic, never a read outside an input.
+func FuzzSpliceFrames(f *testing.F) {
+	good := Marshal(blockStep(7, 0, 5))
+	peer := Marshal(blockStep(7, 1, 5))
+	f.Add(peer)
+	f.Add(good)
+	f.Add(peer[:len(peer)-3])
+	f.Add(Marshal(blockStep(8, 1, 5))) // another step
+	f.Add(Marshal(blockStep(7, 1, 0))) // empty block
+	f.Add(Marshal(sampleStep()))       // other variables
+	f.Add([]byte("BP05"))
+	f.Add([]byte{})
+	shaped := blockStep(7, 1, 6)
+	shaped.Vars[0].Shape = []int64{2, 3}
+	f.Add(Marshal(shaped))
+
+	pool := NewFramePool()
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		for _, frames := range [][][]byte{{good, raw}, {raw, good}, {raw}} {
+			out, err := SpliceFrames(frames, pool)
+			if err != nil {
+				continue
+			}
+			var st Step
+			if _, serr := ScanFrame(out.Bytes()); serr != nil {
+				t.Fatalf("spliced frame does not scan: %v", serr)
+			}
+			if derr := UnmarshalInto(out.Bytes(), &st); derr != nil {
+				t.Fatalf("spliced frame does not decode: %v", derr)
+			}
+			var in, got int64
+			for _, fr := range frames {
+				part, perr := Unmarshal(fr)
+				if perr != nil {
+					t.Fatalf("splice accepted an input that does not decode: %v", perr)
+				}
+				in += part.Bytes()
+			}
+			if got = st.Bytes(); got != in {
+				t.Fatalf("spliced payload is %d bytes, inputs carry %d", got, in)
+			}
+			out.Release()
+		}
+	})
+}

@@ -97,13 +97,31 @@ func (e *RejectedError) Error() string {
 	return fmt.Sprintf("adios: writer rejected reader: %s", e.Reason)
 }
 
-// SpliceHandshake builds the data-plane reader that follows a JSON
-// handshake: any bytes the decoder over-read are spliced back in
-// front of rest, and the newline json.Encoder appends after the hello
-// is discarded — the first data frame (or credit byte) starts right
-// after it.
-func SpliceHandshake(dec *json.Decoder, rest io.Reader) (*bufio.Reader, error) {
-	combined := bufio.NewReaderSize(io.MultiReader(dec.Buffered(), rest), 1<<16)
+// MaxHelloBytes caps a peer's JSON hello in both directions: a real
+// hello is a few hundred bytes, and without the cap a peer could feed
+// the decoder an arbitrarily large one for the whole handshake
+// timeout.
+const MaxHelloBytes = 64 << 10
+
+// ErrHelloTooLarge refuses a handshake whose hello exceeds
+// MaxHelloBytes.
+var ErrHelloTooLarge = fmt.Errorf("adios: handshake hello exceeds %d bytes", MaxHelloBytes)
+
+// ReadHello decodes the peer's hello from br, reading at most
+// MaxHelloBytes for it, and returns the data-plane reader that follows:
+// any bytes the decoder over-read are spliced back in front of br, and
+// the newline json.Encoder appends after the hello is discarded — the
+// first data frame (or credit byte) starts right after it.
+func ReadHello(br *bufio.Reader, h *Hello) (*bufio.Reader, error) {
+	lim := &io.LimitedReader{R: br, N: MaxHelloBytes}
+	dec := json.NewDecoder(lim)
+	if err := dec.Decode(h); err != nil {
+		if lim.N <= 0 {
+			return nil, ErrHelloTooLarge
+		}
+		return nil, err
+	}
+	combined := bufio.NewReaderSize(io.MultiReader(dec.Buffered(), br), 1<<16)
 	if b, err := combined.ReadByte(); err == nil && b != '\n' {
 		if err := combined.UnreadByte(); err != nil {
 			return nil, err
@@ -342,11 +360,11 @@ func (r *Reader) connectTo(addr string) error {
 		return err
 	}
 	br := bufio.NewReaderSize(conn, 1<<16)
-	dec := json.NewDecoder(br)
 	var h Hello
-	if err := dec.Decode(&h); err != nil {
+	combined, err := ReadHello(br, &h)
+	if err != nil {
 		conn.Close()
-		return fmt.Errorf("adios: bad writer handshake: %v", err)
+		return fmt.Errorf("adios: bad writer handshake: %w", err)
 	}
 	if h.Role == "rejected" {
 		conn.Close()
@@ -355,11 +373,6 @@ func (r *Reader) connectTo(addr string) error {
 	if h.Role != "writer" {
 		conn.Close()
 		return fmt.Errorf("adios: bad writer handshake: unexpected role %q", h.Role)
-	}
-	combined, err := SpliceHandshake(dec, br)
-	if err != nil {
-		conn.Close()
-		return err
 	}
 	// Configure the decoder from the echoed effective codecs (the
 	// producer may assign codecs to a pre-declared staging consumer the

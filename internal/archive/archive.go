@@ -644,28 +644,12 @@ func (a *Archive) ReadFrameInto(id int64, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// keepVar decides which variables survive an array-subset query:
-// non-array variables (structure, metadata) always travel; arrays
-// only when requested — the same rule the staging hub applies on
-// delivery, so spliced subsets match staged subsets byte for byte.
-func keepVar(varName string, arrays []string) bool {
-	name, isArray := arrayName(varName)
-	if !isArray {
-		return true
-	}
-	for _, a := range arrays {
-		if a == name {
-			return true
-		}
-	}
-	return false
-}
-
 // ReadSubsetFrameInto answers an array-subset query from the index:
 // it splices a valid frame containing only the requested arrays (and
 // every non-array variable) by reading the frame header and the
-// selected variable records — unrequested payload bytes are never
-// read from disk. A nil/empty subset, or a structure-carrying step
+// selected variable records (adios.KeepVar, the rule the staging hub
+// applies on delivery, so spliced subsets match staged subsets byte for
+// byte) — unrequested payload bytes are never read from disk. A nil/empty subset, or a structure-carrying step
 // (which always travels whole), reads the full frame. The spliced
 // bytes are identical to marshaling the subset-filtered step.
 func (a *Archive) ReadSubsetFrameInto(id int64, arrays []string, buf []byte) ([]byte, error) {
@@ -679,7 +663,7 @@ func (a *Archive) ReadSubsetFrameInto(id int64, arrays []string, buf []byte) ([]
 	total := si.VarsOff + 8
 	kept := 0
 	for i := range si.Vars {
-		if keepVar(si.Vars[i].Name, arrays) {
+		if adios.KeepVar(si.Vars[i].Name, arrays) {
 			total += si.Vars[i].RecordLen
 			kept++
 		}
@@ -696,7 +680,7 @@ func (a *Archive) ReadSubsetFrameInto(id int64, arrays []string, buf []byte) ([]
 	pos := si.VarsOff + 8
 	for i := range si.Vars {
 		vs := &si.Vars[i]
-		if !keepVar(vs.Name, arrays) {
+		if !adios.KeepVar(vs.Name, arrays) {
 			continue
 		}
 		if _, err := f.ReadAt(buf[pos:pos+vs.RecordLen], frameBase+vs.RecordOff); err != nil {

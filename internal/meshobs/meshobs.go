@@ -16,6 +16,7 @@ package meshobs
 
 import (
 	"encoding/json"
+	"fmt"
 	"sort"
 	"strings"
 
@@ -42,6 +43,9 @@ type HubConsumer struct {
 	WireBytes  int64    `json:"wire_bytes"`
 	Lag        int64    `json:"lag"`
 	SpillQueue int      `json:"spill_queue"`
+	Resident   int64    `json:"resident"`
+	Blocking   bool     `json:"blocking,omitempty"`
+	BlockedNs  int64    `json:"blocked_ns"`
 	Closed     bool     `json:"closed"`
 	Parked     bool     `json:"parked,omitempty"`
 	Suppressed int64    `json:"suppressed,omitempty"`
@@ -126,8 +130,10 @@ type Process struct {
 }
 
 // Edge is one hub→consumer attachment in the mesh graph, with the
-// state an operator triages by: policy, lag, spill depth, park state,
-// shipped volume, and the trunk codec ratio when determinable.
+// state an operator triages by: policy, lag, spill depth, the steps
+// the hub holds for it (Resident, what a block edge's depth bounds) and
+// how long its full window has stalled the producer (BlockedMs), park
+// state, shipped volume, and the trunk codec ratio when determinable.
 type Edge struct {
 	From       string  `json:"from"` // entry of the serving process
 	Hub        string  `json:"hub"`
@@ -138,6 +144,9 @@ type Edge struct {
 	Delivered  int64   `json:"delivered"`
 	Lag        int64   `json:"lag"`
 	SpillQueue int     `json:"spill_queue"`
+	Resident   int64   `json:"resident"`
+	Blocking   bool    `json:"blocking,omitempty"` // the producer is waiting on this edge now
+	BlockedMs  float64 `json:"blocked_ms"`
 	Parked     bool    `json:"parked,omitempty"`
 	Closed     bool    `json:"closed,omitempty"`
 	WireBytes  int64   `json:"wire_bytes"`
@@ -219,12 +228,30 @@ func Assemble(dir string, nodes []Node, lastK int) *Snapshot {
 	snap.Steps = telemetry.MergeTraces(rings...)
 	snap.Latency = telemetry.AttributeLatency(snap.Steps, lastK)
 	if b, ok := telemetry.FindBottleneck(snap.Steps, lastK); ok {
-		snap.Bottleneck = b.Verdict()
+		snap.Bottleneck = b.Verdict() + blockedOn(snap.Edges, b.Process)
 	}
 	sort.SliceStable(snap.Events, func(i, j int) bool {
 		return snap.Events[i].TimeUnixNs < snap.Events[j].TimeUnixNs
 	})
 	return snap
+}
+
+// blockedOn names the cause behind a bottleneck verdict when a hub
+// recorded one: of the edges into or out of the verdict's process, the
+// consumer whose full window stalled its producer the longest.
+func blockedOn(edges []Edge, process string) string {
+	var worst *Edge
+	for i := range edges {
+		e := &edges[i]
+		if (e.From == process || e.To == process) && e.BlockedMs > 0 && (worst == nil || e.BlockedMs > worst.BlockedMs) {
+			worst = e
+		}
+	}
+	if worst == nil {
+		return ""
+	}
+	return fmt.Sprintf("; producer %s blocked %.1f ms on consumer %q (%s, %d/%d resident)",
+		worst.From, worst.BlockedMs, worst.Consumer, worst.Policy, worst.Resident, worst.Depth)
 }
 
 // decodeSections fills p from the status document's known section
@@ -285,6 +312,7 @@ func buildEdges(procs []Process) []Edge {
 					Policy: c.Policy, Depth: c.Depth,
 					Delivered: c.Delivered, Lag: c.Lag,
 					SpillQueue: c.SpillQueue, Parked: c.Parked,
+					Resident: c.Resident, Blocking: c.Blocking, BlockedMs: float64(c.BlockedNs) / 1e6,
 					Closed: c.Closed, WireBytes: c.WireBytes,
 				}
 				if e.To == e.From {

@@ -33,10 +33,11 @@
 // The data path never decodes a float when it can avoid it: with a
 // plain (uncoded) trunk, upstream frames are received raw
 // (adios.Reader.BeginRawStep), re-blocked span-by-span
-// (adios.SpliceFrames over ScanFrame layouts), and published
-// pre-marshaled (staging.Hub.PublishFrame), so the splice output
-// bytes are shared by every downstream connection. Structure steps —
-// once per stream — and coded trunks fall back to a decoded
+// (adios.SpliceFrames over ScanFrame layouts), and published as bytes
+// (staging.Hub.PublishFrame): the output hub ships the spliced frame,
+// or a cut of it along its spans, to every raw consumer and decodes
+// only the arrays a coded consumer's encoder asks for. Structure steps
+// — once per stream — and coded trunks fall back to a decoded
 // Step-level merge with connectivity/offsets rebasing (the same rule
 // as intransit.StreamDataAdaptor.Seal).
 package relay
@@ -198,6 +199,7 @@ type Relay struct {
 	// Per-source/per-output stream state, owned by the Run goroutine.
 	pendingStruct []*adios.Step // structure held from skipped steps
 	structSent    []bool        // per output
+	frames        [][]byte      // per source: splice input scratch
 
 	steps   atomic.Int64
 	skipped atomic.Int64
@@ -290,6 +292,7 @@ func New(upstream []string, opts Options) (*Relay, error) {
 	}
 	r.pendingStruct = make([]*adios.Step, len(upstream))
 	r.structSent = make([]bool, o.OutRanks)
+	r.frames = make([][]byte, len(upstream))
 
 	if o.WaitDownstream > 0 && len(o.Downstream) > 0 {
 		deadline := time.Now().Add(o.WaitDownstream)
@@ -550,10 +553,7 @@ func (r *Relay) Run() (err error) {
 			err = nil // deliberate Close mid-run is a clean stop
 		}
 	}()
-	if r.raw {
-		return r.runFrames()
-	}
-	return r.runSteps()
+	return r.run()
 }
 
 // Close tears the relay down: upstream readers, then output hubs
@@ -652,45 +652,76 @@ func (r *Relay) publishPendingStructure(o int) error {
 
 var errEndedEarly = fmt.Errorf("relay: upstream source ended mid-stream while peers continued")
 
-// runFrames is the plain-trunk pump: raw frames in, spliced frames
-// out, floats never decoded except for the once-per-stream structure
-// merge.
-func (r *Relay) runFrames() error {
-	P := len(r.readers)
-	raws := make([][]byte, P)
-	infos := make([]adios.FrameInfo, P)
-	fetch := func(i int) (bool, error) {
-		raw, err := r.readers[i].BeginRawStep()
-		if errors.Is(err, io.EOF) {
-			return true, nil
-		}
-		if err != nil {
-			return false, fmt.Errorf("relay: upstream %d: %w", i, err)
-		}
-		fi, err := adios.ScanFrame(raw)
-		if err != nil {
-			return false, fmt.Errorf("relay: upstream %d: %w", i, err)
-		}
-		raws[i], infos[i] = raw, fi
-		r.bytesIn.Add(int64(len(raw)))
-		if r.opts.OnIngest != nil {
-			r.opts.OnIngest(i, int64(len(raw)))
-		}
-		return false, nil
+// part is one upstream source's current step: the raw frame (plain
+// trunk; the reader's receive buffer, valid until its next fetch) or
+// the decoded step (coded trunk, whose connection decoder owns the
+// wire format), with the header fields step agreement runs on.
+type part struct {
+	raw       []byte
+	step      *adios.Step
+	sim       int64
+	structure bool
+}
+
+// decoded returns the part as a step, decoding a raw frame into fresh
+// storage.
+func (p *part) decoded() (*adios.Step, error) {
+	if p.step != nil {
+		return p.step, nil
 	}
+	return adios.Unmarshal(p.raw)
+}
+
+// fetch receives source i's next step into p; eof reports a clean end
+// of that stream.
+func (r *Relay) fetch(i int, p *part) (eof bool, err error) {
+	rd := r.readers[i]
+	before := rd.BytesReceived()
+	if r.raw {
+		var fi adios.FrameInfo
+		if p.raw, err = rd.BeginRawStep(); err == nil {
+			fi, err = adios.ScanFrame(p.raw)
+		}
+		p.sim, p.structure = fi.Step, fi.Structure
+	} else if p.step, err = rd.BeginStep(); err == nil {
+		p.sim, p.structure = p.step.Step, p.step.Attrs["structure"] == "1"
+	}
+	if errors.Is(err, io.EOF) {
+		return true, nil
+	}
+	if err != nil {
+		return false, fmt.Errorf("relay: upstream %d: %w", i, err)
+	}
+	n := rd.BytesReceived() - before
+	r.bytesIn.Add(n)
+	if r.opts.OnIngest != nil {
+		r.opts.OnIngest(i, n)
+	}
+	return false, nil
+}
+
+// run is the relay pump for either trunk: receive one step from every
+// source, realign skewed streams to the max step seen (structure from
+// skipped steps is kept), re-block the aligned step into the outputs,
+// and queue its upstream credits.
+func (r *Relay) run() error {
+	P := len(r.readers)
+	parts := make([]part, P)
+	have := make([]bool, P)
 	for {
 		eofs := 0
-		for i := 0; i < P; i++ {
-			if raws[i] != nil {
+		for i := range parts {
+			if have[i] {
 				continue
 			}
-			eof, err := fetch(i)
+			eof, err := r.fetch(i, &parts[i])
 			if err != nil {
 				return err
 			}
 			if eof {
 				eofs++
 			}
+			have[i] = !eof
 		}
 		if eofs == P {
 			return nil
@@ -698,19 +729,16 @@ func (r *Relay) runFrames() error {
 		if eofs > 0 {
 			return errEndedEarly
 		}
-		// Step agreement: realign every source to the max step seen,
-		// preserving skipped structure.
-		target := infos[0].Step
+		target := parts[0].sim
 		for i := 1; i < P; i++ {
-			if infos[i].Step > target {
-				target = infos[i].Step
-			}
+			target = max(target, parts[i].sim)
 		}
 		aligned := true
-		for i := 0; i < P; i++ {
-			for infos[i].Step < target {
-				if infos[i].Structure {
-					st, err := adios.Unmarshal(raws[i])
+		for i := range parts {
+			p := &parts[i]
+			for p.sim < target {
+				if p.structure {
+					st, err := p.decoded()
 					if err != nil {
 						return fmt.Errorf("relay: upstream %d structure: %w", i, err)
 					}
@@ -720,16 +748,16 @@ func (r *Relay) runFrames() error {
 				if r.crediter != nil {
 					// Discarded during realignment: never published, so
 					// nothing downstream can retire it. Credit at once.
-					r.crediter.enqueue(i, infos[i].Step, true)
+					r.crediter.enqueue(i, p.sim, true)
 				}
-				eof, err := fetch(i)
+				eof, err := r.fetch(i, p)
 				if err != nil {
 					return err
 				}
 				if eof {
 					return errEndedEarly
 				}
-				if infos[i].Step > target {
+				if p.sim > target {
 					aligned = false // overshoot: re-agree next round
 					break
 				}
@@ -739,224 +767,83 @@ func (r *Relay) runFrames() error {
 			continue
 		}
 
-		if err := r.relayAlignedFrames(raws, infos); err != nil {
+		if err := r.relayAligned(parts); err != nil {
 			return err
 		}
 		if r.crediter != nil {
 			// Structure steps live in the hubs forever (bootstrap), so
 			// they never retire — credit immediately. Data steps wait
 			// for retirement from every output hub.
-			for i := 0; i < P; i++ {
-				r.crediter.enqueue(i, target, infos[0].Structure)
+			for i := range parts {
+				r.crediter.enqueue(i, target, parts[0].structure)
 			}
 		}
 		r.steps.Add(1)
-		for i := range raws {
-			raws[i] = nil
-		}
+		clear(have)
 	}
 }
 
-// relayAlignedFrames re-blocks one aligned step (every source at the
-// same step number) into the R outputs.
-func (r *Relay) relayAlignedFrames(raws [][]byte, infos []adios.FrameInfo) error {
-	structured := infos[0].Structure
-	for i := range infos {
-		if infos[i].Structure != structured {
-			return fmt.Errorf("relay: step %d: source %d structure flag disagrees with source 0", infos[0].Step, i)
+// relayAligned re-blocks one aligned step (every source at the same
+// step number) into the R outputs. Structure steps — once per stream —
+// are decoded and merged with point/connectivity rebasing, and the hub
+// retains them as the bootstrap for late subscribers. A data step on
+// the plain trunk is a block-range splice over the recorded spans,
+// published as bytes: every downstream connection ships them (or a cut
+// of them) and the relay decodes nothing. On a coded trunk the decoded
+// steps merge instead, and sources the merge copied are recycled to
+// their readers for decode-into-reuse.
+func (r *Relay) relayAligned(parts []part) error {
+	structured := parts[0].structure
+	for i := range parts {
+		if parts[i].structure != structured {
+			return fmt.Errorf("relay: step %d: source %d structure flag disagrees with source 0", parts[0].sim, i)
 		}
 	}
-	for o := range r.hubs {
-		lo, hi := r.shard(o)
-		if structured {
-			// Once per stream: decode the shard's frames and merge with
-			// point/connectivity rebasing. The hub retains it as the
-			// bootstrap for late subscribers.
-			parts := make([]*adios.Step, hi-lo)
-			for i := lo; i < hi; i++ {
-				st, err := adios.Unmarshal(raws[i])
-				if err != nil {
-					return fmt.Errorf("relay: upstream %d: %w", i, err)
-				}
-				parts[i-lo] = st
-			}
-			merged, err := mergeSteps(parts)
-			if err != nil {
-				return err
-			}
-			if err := r.hubs[o].Publish(merged); err != nil {
-				return err
-			}
-			r.structSent[o] = true
-			continue
-		}
-		if err := r.publishPendingStructure(o); err != nil {
-			return err
-		}
-		// The fast path: block-range splice over the recorded spans,
-		// published pre-marshaled so every downstream connection ships
-		// these exact bytes.
-		f, err := adios.SpliceFrames(raws[lo:hi], r.pool)
-		if err != nil {
-			return fmt.Errorf("relay: splice step %d for output %d: %w", infos[0].Step, o, err)
-		}
-		st := &adios.Step{}
-		if err := adios.UnmarshalInto(f.Bytes(), st); err != nil {
-			f.Release()
-			return err
-		}
-		if err := r.hubs[o].PublishFrame(st, f); err != nil {
-			return err
-		}
-	}
-	if structured {
-		for i := range r.pendingStruct {
-			r.pendingStruct[i] = nil
-		}
-	}
-	return nil
-}
-
-// runSteps is the coded-trunk pump: the connection's stream decoder
-// owns the wire format, so the relay merges decoded steps and lets
-// each output hub marshal lazily. Decode-into-reuse still applies:
-// sources fully copied into a merged step are recycled to their
-// readers.
-func (r *Relay) runSteps() error {
-	P := len(r.readers)
-	steps := make([]*adios.Step, P)
-	fetch := func(i int) (bool, error) {
-		prev := r.readers[i].BytesReceived()
-		st, err := r.readers[i].BeginStep()
-		if errors.Is(err, io.EOF) {
-			return true, nil
-		}
-		if err != nil {
-			return false, fmt.Errorf("relay: upstream %d: %w", i, err)
-		}
-		steps[i] = st
-		n := r.readers[i].BytesReceived() - prev
-		r.bytesIn.Add(n)
-		if r.opts.OnIngest != nil {
-			r.opts.OnIngest(i, n)
-		}
-		return false, nil
-	}
-	for {
-		eofs := 0
-		for i := 0; i < P; i++ {
-			if steps[i] != nil {
-				continue
-			}
-			eof, err := fetch(i)
-			if err != nil {
-				return err
-			}
-			if eof {
-				eofs++
-			}
-		}
-		if eofs == P {
-			return nil
-		}
-		if eofs > 0 {
-			return errEndedEarly
-		}
-		target := steps[0].Step
-		for i := 1; i < P; i++ {
-			if steps[i].Step > target {
-				target = steps[i].Step
-			}
-		}
-		aligned := true
-		for i := 0; i < P; i++ {
-			for steps[i].Step < target {
-				if steps[i].Attrs["structure"] == "1" {
-					r.pendingStruct[i] = steps[i]
-				}
-				r.skipped.Add(1)
-				if r.crediter != nil {
-					r.crediter.enqueue(i, steps[i].Step, true)
-				}
-				steps[i] = nil
-				eof, err := fetch(i)
-				if err != nil {
-					return err
-				}
-				if eof {
-					return errEndedEarly
-				}
-				if steps[i].Step > target {
-					aligned = false
-					break
-				}
-			}
-		}
-		if !aligned {
-			continue
-		}
-
-		structured := steps[0].Attrs["structure"] == "1"
-		if err := r.relayAlignedSteps(steps); err != nil {
-			return err
-		}
-		if r.crediter != nil {
-			for i := 0; i < P; i++ {
-				r.crediter.enqueue(i, target, structured)
-			}
-		}
-		r.steps.Add(1)
-		for i := range steps {
-			steps[i] = nil
-		}
-	}
-}
-
-// relayAlignedSteps re-blocks one aligned step of decoded steps.
-func (r *Relay) relayAlignedSteps(steps []*adios.Step) error {
-	structured := steps[0].Attrs["structure"] == "1"
-	for i := range steps {
-		if (steps[i].Attrs["structure"] == "1") != structured {
-			return fmt.Errorf("relay: step %d: source %d structure flag disagrees with source 0", steps[0].Step, i)
-		}
-	}
-	for o := range r.hubs {
+	for o, hub := range r.hubs {
 		lo, hi := r.shard(o)
 		if !structured {
 			if err := r.publishPendingStructure(o); err != nil {
 				return err
 			}
-		}
-		if hi-lo == 1 && !structured {
-			// Single-source shard: pass the decoded step through
-			// unmerged. The hub shares its storage with every consumer,
-			// so it cannot be recycled.
-			if err := r.hubs[o].Publish(steps[lo]); err != nil {
-				return err
+			if r.raw {
+				for i := lo; i < hi; i++ {
+					r.frames[i] = parts[i].raw
+				}
+				f, err := adios.SpliceFrames(r.frames[lo:hi], r.pool)
+				if err != nil {
+					return fmt.Errorf("relay: splice step %d for output %d: %w", parts[0].sim, o, err)
+				}
+				if err := hub.PublishFrame(f); err != nil {
+					return err
+				}
+				continue
 			}
-			continue
 		}
-		merged, err := mergeSteps(steps[lo:hi])
+		steps := make([]*adios.Step, hi-lo)
+		for i := lo; i < hi; i++ {
+			st, err := parts[i].decoded()
+			if err != nil {
+				return fmt.Errorf("relay: upstream %d: %w", i, err)
+			}
+			steps[i-lo] = st
+		}
+		merged, err := mergeSteps(steps)
 		if err != nil {
 			return err
 		}
-		if err := r.hubs[o].Publish(merged); err != nil {
+		if err := hub.Publish(merged); err != nil {
 			return err
 		}
 		if structured {
 			r.structSent[o] = true
 		} else if hi-lo > 1 {
-			// The merge copied every payload: hand the source steps back
-			// to their readers for decode-into-reuse.
 			for i := lo; i < hi; i++ {
-				r.readers[i].Recycle(steps[i])
+				r.readers[i].Recycle(steps[i-lo])
 			}
 		}
 	}
 	if structured {
-		for i := range r.pendingStruct {
-			r.pendingStruct[i] = nil
-		}
+		clear(r.pendingStruct)
 	}
 	return nil
 }

@@ -140,7 +140,8 @@ func ParseConsumers(s string) ([]ConsumerSpec, error) {
 //	          validated against ("" = every implemented codec); an
 //	          unlisted codec in a hello rejects the handshake
 //	policy    default policy for consumers not pre-declared
-//	depth     default queue depth (default 2)
+//	depth     default queue depth (default 2): for block, the steps
+//	          the hub holds for the consumer, on the wire included
 //	queue     the direct stream's queue depth ("adios" only, default 2)
 //	session-ttl
 //	          enables resumable consumer sessions: a disconnected

@@ -1,0 +1,211 @@
+package staging
+
+import (
+	"bytes"
+	"math"
+	"testing"
+
+	"nekrs-sensei/internal/adios"
+	"nekrs-sensei/internal/adios/adiostest"
+)
+
+// spliced returns recorded pb146 step i as the relay would publish
+// it: both ranks' frames spliced into one.
+func spliced(t *testing.T, pool *adios.FramePool, i int) *adios.Frame {
+	t.Helper()
+	ranks := adiostest.PB146Steps(t)[i]
+	f, err := adios.SpliceFrames([][]byte{adios.Marshal(ranks[0]), adios.Marshal(ranks[1])}, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestFramePublishedSubsetsAreMarshalIdentical: for every subset of
+// the pb146 arrays, what a subset consumer of a frame-published entry
+// ships — a cut along the scanned spans — is byte for byte the marshal
+// of the decoded, filtered step; the subset that keeps everything is
+// the published frame itself; and none of it decodes a variable.
+func TestFramePublishedSubsetsAreMarshalIdentical(t *testing.T) {
+	pool := adios.NewFramePool()
+	for step := 0; step < 2; step++ {
+		h := NewHub(nil)
+		var cons []*Consumer
+		for mask := 0; mask < 1<<len(adiostest.Arrays); mask++ {
+			var arrays []string
+			for b, name := range adiostest.Arrays {
+				if mask&(1<<b) != 0 {
+					arrays = append(arrays, name)
+				}
+			}
+			c, err := h.SubscribeArrays("c", Block, 1, arrays)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cons = append(cons, c)
+		}
+		f := spliced(t, pool, step)
+		published := f.Bytes()
+		decoded, err := adios.Unmarshal(published)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.PublishFrame(f); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cons {
+			ref, err := c.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, arrays := ref.Frame(), c.Arrays()
+			want := published
+			if arrays != nil {
+				want = adios.Marshal(filterStep(decoded, arrays))
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("step %d subset %v: shipped frame differs from Marshal(filterStep(...)) (%d vs %d bytes)",
+					step, arrays, len(got), len(want))
+			}
+			if whole := arrays == nil || len(arrays) == len(adiostest.Arrays); whole != (&got[0] == &published[0]) {
+				t.Errorf("step %d subset %v: shares the published frame = %v", step, arrays, !whole)
+			}
+			ref.Release()
+		}
+		if n := h.DecodedVars(); n != 0 {
+			t.Errorf("step %d: serving frames decoded %d variables", step, n)
+		}
+		h.Close()
+	}
+}
+
+// TestFramePublishedStepDecodesWhatIsAsked: an in-process reader of a
+// frame-published entry gets the decoded step of its subset — the
+// values the frame carries — decoded once however often it asks.
+func TestFramePublishedStepDecodesWhatIsAsked(t *testing.T) {
+	h := NewHub(nil)
+	defer h.Close()
+	c, err := h.SubscribeArrays("c", Block, 1, []string{"pressure", "velocity_x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.PublishFrame(spliced(t, adios.NewFramePool(), 0)); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := c.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Release()
+	st := ref.Step()
+	if ref.Step() != st || h.DecodedVars() != 2 {
+		t.Fatalf("two Step calls decoded %d variables, want the subset's 2 once", h.DecodedVars())
+	}
+	ranks := adiostest.PB146Steps(t)[0]
+	for _, name := range []string{"array/velocity_x", "array/pressure"} {
+		want := append(append([]float64(nil), ranks[0].FindVar(name).F64...), ranks[1].FindVar(name).F64...)
+		got := st.FindVar(name)
+		if got == nil || len(got.F64) != len(want) {
+			t.Fatalf("%s missing or of the wrong length", name)
+		}
+		for i := range want {
+			if math.Float64bits(got.F64[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s[%d] = %v, want %v", name, i, got.F64[i], want[i])
+			}
+		}
+	}
+	if len(st.Vars) != 2 {
+		t.Errorf("subset step carries %d variables, want 2", len(st.Vars))
+	}
+}
+
+// TestCodedFormsSameOnFramePublishedHub: a quantize and a
+// temporal-delta consumer receive from a frame-published hub the very
+// frames a Publish-ed hub encodes — a keyframe, a chain frame, and the
+// keyframe a resumed session restarts from — and so decode to the same
+// values bit for bit; the encoder's floats are the only ones decoded
+// (the quantize leaf's one array of five), into storage the stream
+// reuses.
+func TestCodedFormsSameOnFramePublishedHub(t *testing.T) {
+	pool := adios.NewFramePool()
+	for _, tc := range []struct {
+		name    string
+		arrays  []string
+		codecs  []string
+		decoded int64 // variables the frame-published hub decodes over the three steps
+	}{
+		{"quantize", []string{"pressure"}, []string{"quantize:1e-6"}, 3 * 1},
+		// Five arrays per encode; the resumed step is encoded twice, as
+		// the chain's next frame and as the keyframe the reader gets.
+		{"temporal-delta", nil, []string{"temporal-delta"}, 4 * 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			byStep, byFrame := NewHub(nil), NewHub(nil)
+			defer byStep.Close()
+			defer byFrame.Close()
+			var cons [2]*Consumer
+			var dec [2]*adios.StreamDecoder
+			for i, h := range []*Hub{byStep, byFrame} {
+				c, err := h.SubscribeCodecs("c", Block, 4, tc.arrays, tc.codecs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cons[i], dec[i] = c, adios.NewStreamDecoder(true)
+			}
+			wantBase := []int64{-1, -1, -1}
+			if tc.name == "temporal-delta" {
+				wantBase[1] = adiostest.PB146Steps(t)[0][0].Step // the chain frame
+			}
+			for i := 0; i < 3; i++ {
+				f := spliced(t, pool, i)
+				whole, err := adios.Unmarshal(f.Bytes())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := byStep.Publish(whole); err != nil {
+					t.Fatal(err)
+				}
+				if err := byFrame.PublishFrame(f); err != nil {
+					t.Fatal(err)
+				}
+				if i == 2 { // the reader reconnects: its decoder state is gone
+					for j, h := range []*Hub{byStep, byFrame} {
+						h.parkConsumer(cons[j], nil)
+						h.resumeConsumer(cons[j], 0)
+						dec[j] = adios.NewStreamDecoder(true)
+					}
+				}
+				var frames [2][]byte
+				var steps [2]adios.Step
+				for j := range cons {
+					ref, err := cons[j].Next()
+					if err != nil {
+						t.Fatal(err)
+					}
+					frames[j] = append([]byte(nil), ref.Frame()...)
+					ref.Release()
+					if err := dec[j].DecodeInto(frames[j], &steps[j]); err != nil {
+						t.Fatalf("step %d hub %d: %v", i, j, err)
+					}
+				}
+				fi, err := adios.ScanFrame(frames[1])
+				if err != nil || !fi.Encoded || fi.Base != wantBase[i] {
+					t.Fatalf("step %d: coded=%v base=%d (%v), want a coded frame on base %d", i, fi.Encoded, fi.Base, err, wantBase[i])
+				}
+				if !bytes.Equal(frames[0], frames[1]) {
+					t.Fatalf("step %d: frame-published hub ships a different coded frame (%d vs %d bytes)",
+						i, len(frames[1]), len(frames[0]))
+				}
+				if !bytes.Equal(adios.Marshal(&steps[0]), adios.Marshal(&steps[1])) {
+					t.Fatalf("step %d: decoded values differ between the two hubs", i)
+				}
+			}
+			if got := byFrame.DecodedVars(); got != tc.decoded {
+				t.Errorf("frame-published hub decoded %d variables for its encoder, want %d", got, tc.decoded)
+			}
+			if byStep.DecodedVars() != 0 {
+				t.Errorf("Publish-ed hub decoded %d variables", byStep.DecodedVars())
+			}
+		})
+	}
+}

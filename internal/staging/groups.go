@@ -129,17 +129,19 @@ func (g *groupState) nextMemberLocked(c *Consumer) (*StepRef, error) {
 		if g.done {
 			return nil, g.err
 		}
-		if !g.pulling && (len(g.log) < g.base.depth || h.closed) {
+		if !g.pulling && (g.base.held < int64(g.base.depth) || h.closed) {
 			// This member advances the shared cursor on behalf of the
 			// group. The pull loop re-checks this member's own closed
 			// flag on every wake so a detached pump exits promptly.
-			// The log-length guard bounds member skew to the group's
-			// policy window while the stream is live: a stalled member
-			// stops the pulls, so the base cursor lags and the hub
-			// applies the group's single backpressure policy (block
-			// the producer, or drop for the whole group) instead of
-			// the log growing without bound. After Close the ring is
-			// finite, so draining is unbounded-safe.
+			// The log has no bound of its own: its unreleased entries
+			// are the base's held steps, part of the same resident
+			// count the policy bounds. For a block group that count
+			// already stopped the producer (queue + log <= depth, so
+			// there is room whenever something is queued); for a
+			// shedding group a stalled member stops the pulls at depth
+			// held, the base cursor lags, and the hub drops for the
+			// whole group. After Close the ring is finite, so draining
+			// is unbounded-safe.
 			g.pulling = true
 			for {
 				if c.closed {
@@ -214,19 +216,16 @@ func (g *groupState) closeMemberLocked(c *Consumer) {
 	h.cond.Broadcast()
 }
 
-// trimLogLocked pops fully released entries off the log head, waking
-// a puller blocked on the log-length bound. Caller holds h.mu.
+// trimLogLocked pops fully released entries off the log head. Caller
+// holds h.mu (and wakes any puller waiting on the group's window).
 func (g *groupState) trimLogLocked() {
 	n := 0
 	for n < len(g.log) && g.log[n].remaining == 0 {
 		g.log[n] = nil
 		n++
 	}
-	if n > 0 {
-		g.log = g.log[n:]
-		g.logStart += int64(n)
-		g.base.hub.cond.Broadcast()
-	}
+	g.log = g.log[n:]
+	g.logStart += int64(n)
 }
 
 // groupBroker hands out the members of network-attached consumer

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"nekrs-sensei/internal/adios"
 	"nekrs-sensei/internal/codec"
@@ -20,44 +22,112 @@ var ErrClosed = errors.New("staging: hub closed")
 // errConsumerClosed surfaces reads on a detached consumer.
 var errConsumerClosed = errors.New("staging: consumer closed")
 
-// stepEntry is one published timestep in the ring. The step pointer
-// and the lazily marshaled frame are shared by every consumer —
-// fan-out never copies payload data. Consumers that declared an array
-// subset share per-subset views and frames (subs), keyed by the
-// canonical subset key; payload slices are shared with the full step,
-// so a subset view costs headers, not data copies.
+// stepEntry is one published timestep in the ring, shared by every
+// consumer — fan-out never copies payload data. It comes in two
+// shapes. A Publish-ed entry starts from the decoded step and marshals
+// its wire frame on first use. A frame-published entry (PublishFrame:
+// the relay's spliced output, and steps re-read from a spill tier)
+// starts from the frame and its scanned layout: the full form is the
+// frame itself, a subset form is cut from the recorded spans without
+// touching a float, and a decoded step exists only for the forms
+// somebody asked one of. sim and structure are the header fields the
+// hub itself needs, so it never decodes on its own account.
 //
 // Frames lease from the hub's pool; the entry holds one frame
-// reference per marshaled form, returned when the last consumer
-// releases the entry — so the wire buffers of a steady stream recycle
-// instead of accumulating for the GC.
+// reference per form, returned when the last consumer releases the
+// entry — so the wire buffers of a steady stream recycle instead of
+// accumulating for the GC.
 type stepEntry struct {
-	seq   int64
-	step  *adios.Step
-	bytes int64
-	refs  int // consumers (plus the bootstrap hold) yet to release
+	seq       int64
+	sim       int64
+	structure bool
+	bytes     int64
+	refs      int // consumers (plus the bootstrap hold) yet to release
 
 	// trace is the hub's step tracer at publish time (nil when
 	// telemetry is disabled); immutable after construction, so the
 	// marshal path can stamp without taking the hub lock.
 	trace *telemetry.StepTracer
 
-	marshalOnce sync.Once
-	frame       *adios.Frame
+	full form
+	info *adios.FrameInfo // the full frame's layout; frame-published entries only
 
 	subMu sync.Mutex
-	subs  map[string]*subsetForm
-	encs  []*encodedForm // one per codec form key; linear scan (1-3 entries)
+	subs  map[string]*form // per-subset forms by canonical subset key
+	encs  []*encodedForm   // one per codec form key; linear scan (1-3 entries)
 }
 
-// subsetForm is one array subset's shared view of a step entry: the
-// filtered step and its lazily marshaled frame, shared by every
-// consumer that declared the same subset.
-type subsetForm struct {
-	step *adios.Step
+// form is one shape of an entry — the whole step or one array subset
+// of it — as a decoded step and as its plain wire frame, each built at
+// most once and shared by every consumer of that shape. A Publish-ed
+// entry's subset steps share the full step's payload slices, so they
+// cost headers, not data copies.
+type form struct {
+	mu     sync.Mutex
+	step   *adios.Step
+	frame  *adios.Frame
+	arrays []string // what to cut; subset forms of frame-published entries only
+}
 
-	marshalOnce sync.Once
-	frame       *adios.Frame
+// frameLocked returns the form's plain wire frame: marshaled from the
+// step, or cut from the entry's full frame. Caller holds f.mu.
+func (f *form) frameLocked(e *stepEntry, pool *adios.FramePool) []byte {
+	if f.frame == nil {
+		if f.step == nil {
+			f.frame = adios.SubsetFrame(e.full.frame.Bytes(), e.info, f.arrays, pool)
+		} else {
+			f.frame = adios.MarshalFrame(f.step, pool)
+			if f == &e.full {
+				e.trace.Stamp(e.sim, telemetry.StageMarshal)
+			}
+		}
+	}
+	return f.frame.Bytes()
+}
+
+// frameBytes is frameLocked for callers outside the form.
+func (f *form) frameBytes(e *stepEntry, pool *adios.FramePool) []byte {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.frameLocked(e, pool)
+}
+
+// stepFor returns the form's decoded step. A frame-published form is
+// decoded from its bytes on first use: into fresh storage kept on the
+// form when scratch is nil (callers may hold on to what Step returns),
+// or into scratch and not kept — the hub's own encoders, which are
+// done with the floats when they return and reuse one destination per
+// stream. The frame scanned clean when the entry was built, and a
+// frame that scans clean decodes (FuzzScanFrame), so a failure here is
+// a bug.
+func (f *form) stepFor(e *stepEntry, h *Hub, scratch *adios.Step) *adios.Step {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.step != nil {
+		return f.step
+	}
+	raw, dst := f.frameLocked(e, h.pool), scratch
+	if dst == nil {
+		dst = &adios.Step{}
+		f.step = dst
+	}
+	if err := adios.UnmarshalInto(raw, dst); err != nil {
+		panic(fmt.Sprintf("staging: step %d scanned clean but does not decode: %v", e.sim, err))
+	}
+	h.decodedVars.Add(int64(len(dst.Vars)))
+	return dst
+}
+
+// release returns the form's frame lease. Taking f.mu orders it after
+// any in-flight marshal; no new one can start because no consumer
+// holds a reference anymore.
+func (f *form) release() {
+	f.mu.Lock()
+	if f.frame != nil {
+		f.frame.Release()
+		f.frame = nil
+	}
+	f.mu.Unlock()
 }
 
 // encodedForm is one (subset, codec spec) pair's shared wire form of
@@ -88,25 +158,19 @@ type encodedForm struct {
 type codecStream struct {
 	mu  sync.Mutex
 	enc *adios.StreamEncoder
+	// scratch is where frame-published entries are decoded for enc: the
+	// encoder is done with the floats when it returns, so one
+	// destination serves every step of the stream.
+	scratch adios.Step
 }
 
-// releaseFrames returns the entry's pooled frame leases (full form and
-// every subset form). Called when the entry's last reference drops;
-// the empty Do calls order us after any in-flight marshal, and no new
-// marshal can start because no consumer holds a reference anymore.
+// releaseFrames returns the entry's pooled frame leases (every plain
+// and encoded form). Called when the entry's last reference drops.
 func (e *stepEntry) releaseFrames() {
-	e.marshalOnce.Do(func() {})
-	if e.frame != nil {
-		e.frame.Release()
-		e.frame = nil
-	}
+	e.full.release()
 	e.subMu.Lock()
 	for _, f := range e.subs {
-		f.marshalOnce.Do(func() {})
-		if f.frame != nil {
-			f.frame.Release()
-			f.frame = nil
-		}
+		f.release()
 	}
 	for _, f := range e.encs {
 		if f.chainReady.Load() && f.chain != nil {
@@ -138,16 +202,7 @@ func (e *stepEntry) encFormFor(key string) *encodedForm {
 
 // subsetKey canonicalizes an array subset (sorted, comma-joined).
 // Callers pass sorted subsets (normalizeArrays).
-func subsetKey(arrays []string) string {
-	key := ""
-	for i, a := range arrays {
-		if i > 0 {
-			key += ","
-		}
-		key += a
-	}
-	return key
-}
+func subsetKey(arrays []string) string { return strings.Join(arrays, ",") }
 
 // normalizeArrays sorts and deduplicates a requested subset; nil and
 // empty mean "every array".
@@ -173,41 +228,47 @@ func normalizeArrays(arrays []string) []string {
 func filterStep(s *adios.Step, arrays []string) *adios.Step {
 	out := &adios.Step{Step: s.Step, Time: s.Time, Attrs: s.Attrs}
 	for i := range s.Vars {
-		v := &s.Vars[i]
-		const prefix = "array/"
-		if len(v.Name) > len(prefix) && v.Name[:len(prefix)] == prefix {
-			name := v.Name[len(prefix):]
-			keep := false
-			for _, a := range arrays {
-				if a == name {
-					keep = true
-					break
-				}
-			}
-			if !keep {
-				continue
-			}
+		if adios.KeepVar(s.Vars[i].Name, arrays) {
+			out.Vars = append(out.Vars, s.Vars[i])
 		}
-		out.Vars = append(out.Vars, *v)
 	}
 	return out
 }
 
-// subsetFor returns the shared subset view of this entry for the given
-// (normalized, non-empty) arrays. The structure-carrying step is
-// always delivered whole so late-subsetting consumers can still
-// reconstruct the grid.
-func (e *stepEntry) subsetFor(arrays []string) *subsetForm {
+// formFor resolves the shape a consumer declared (normalized arrays,
+// nil = everything). The structure-carrying step is always delivered
+// whole so late-subsetting consumers can still reconstruct the grid,
+// and a subset that keeps every variable is the full form itself —
+// same bytes, no second marshal or cut.
+func (e *stepEntry) formFor(arrays []string) *form {
+	if arrays == nil || e.structure {
+		return &e.full
+	}
 	e.subMu.Lock()
 	defer e.subMu.Unlock()
 	key := subsetKey(arrays)
 	if f := e.subs[key]; f != nil {
 		return f
 	}
-	if e.subs == nil {
-		e.subs = map[string]*subsetForm{}
+	f := &form{arrays: arrays}
+	kept, all := 0, 0
+	if e.info == nil {
+		f.step = filterStep(e.full.step, arrays)
+		kept, all = len(f.step.Vars), len(e.full.step.Vars)
+	} else {
+		all = len(e.info.Vars)
+		for i := range e.info.Vars {
+			if adios.KeepVar(e.info.Vars[i].Name, arrays) {
+				kept++
+			}
+		}
 	}
-	f := &subsetForm{step: filterStep(e.step, arrays)}
+	if kept == all {
+		f = &e.full
+	}
+	if e.subs == nil {
+		e.subs = map[string]*form{}
+	}
 	e.subs[key] = f
 	return f
 }
@@ -262,6 +323,10 @@ type Hub struct {
 	published int64
 	dropped   int64
 	spilled   int64
+
+	// decodedVars counts variables decoded out of frame-published
+	// entries (see DecodedVars).
+	decodedVars atomic.Int64
 
 	// tel holds the hub's telemetry handles; the zero value (all nil)
 	// is the disabled plane and every stamp/increment no-ops.
@@ -331,6 +396,15 @@ type Consumer struct {
 	spilled   int64
 	wireBytes int64
 	closed    bool
+
+	// held counts this consumer's delivered-but-unreleased in-memory
+	// steps: on the wire awaiting credit, parked as inflight, or in a
+	// group's delivery log. blocking counts publishers waiting on this
+	// consumer's full window right now, blockedNs the time such waits
+	// have taken.
+	held      int64
+	blocking  int
+	blockedNs int64
 
 	// Session state (see session.go). A parked consumer keeps its
 	// cursor, window, spill queue, and backpressure claim while its
@@ -407,9 +481,10 @@ type StepRef struct {
 	ge  *groupEntry
 	grp *groupState
 
-	// sp is set for views re-read from a consumer's spill tier: the
-	// step lives in sp's own storage (read back from disk), not in a
-	// ring entry, and Release has nothing to return to the hub.
+	// sp is set for views re-read from a consumer's spill tier: e is
+	// then a private frame-published entry built by Next from the bytes
+	// read back (nil until loaded), not a ring entry, and Release has
+	// nothing to return to the hub but its pooled subset cuts.
 	sp *spillRead
 }
 
@@ -432,83 +507,36 @@ type spillEntry struct {
 	delivered bool  // popped by delivery; the spiller must not requeue it
 }
 
-// spillRead materializes one spilled step on catch-up: the frame is
-// read back from the store and decoded into the read's own storage
-// (Next performs the load outside the hub lock). Subset consumers get
-// a filtered view rebuilt locally — spilled frames are stored whole.
+// spillRead names one spilled step to re-read on catch-up.
 type spillRead struct {
 	store SpillStore
 	id    int64
-
-	frame []byte
-	step  *adios.Step
-
-	sub      *adios.Step // filtered view, built on demand
-	subFrame []byte      // marshaled filtered frame, built on demand
 }
 
-// load reads and decodes the spilled frame; called outside the hub
-// lock by the delivering consumer's goroutine. Idempotent, so a step
+// loadSpilled reads a spill-tier view's frame back and wraps it in a
+// private entry, so it is served like any frame-published step: whole
+// or span-cut for the pump, decoded only for an in-process reader.
+// Called outside the hub lock by the delivering consumer's goroutine
+// (catch-up I/O never stalls the producer). Idempotent, so a step
 // redelivered after a park/resume cycle is not re-read.
-func (s *spillRead) load() error {
-	if s.step != nil {
+func (r *StepRef) loadSpilled() error {
+	if r.sp == nil || r.e != nil {
 		return nil
 	}
-	buf, err := s.store.ReadFrameInto(s.id, nil)
+	buf, err := r.sp.store.ReadFrameInto(r.sp.id, nil)
 	if err != nil {
 		return fmt.Errorf("staging: reading spilled step: %w", err)
 	}
-	st, err := adios.Unmarshal(buf)
-	if err != nil {
+	if r.e, err = frameEntry(adios.WrapFrame(buf)); err != nil {
 		return fmt.Errorf("staging: decoding spilled step: %w", err)
 	}
-	s.frame, s.step = buf, st
 	return nil
-}
-
-// stepFor resolves the delivered view under the consumer's subset.
-func (s *spillRead) stepFor(arrays []string) *adios.Step {
-	if arrays == nil || s.step.Attrs["structure"] == "1" {
-		return s.step
-	}
-	if s.sub == nil {
-		s.sub = filterStep(s.step, arrays)
-	}
-	return s.sub
-}
-
-// frameFor resolves the wire form under the consumer's subset.
-func (s *spillRead) frameFor(arrays []string) []byte {
-	st := s.stepFor(arrays)
-	if st == s.step {
-		return s.frame
-	}
-	if s.subFrame == nil {
-		s.subFrame = adios.Marshal(st)
-	}
-	return s.subFrame
-}
-
-// subset resolves this view's subset form, nil for full delivery
-// (no declared subset, or the structure step, which always travels
-// whole).
-func (r *StepRef) subset() *subsetForm {
-	if r.arrays == nil || r.e.step.Attrs["structure"] == "1" {
-		return nil
-	}
-	return r.e.subsetFor(r.arrays)
 }
 
 // Step returns the shared, read-only step payload, filtered to the
 // consumer's declared array subset.
 func (r *StepRef) Step() *adios.Step {
-	if r.sp != nil {
-		return r.sp.stepFor(r.arrays)
-	}
-	if f := r.subset(); f != nil {
-		return f.step
-	}
-	return r.e.step
+	return r.e.formFor(r.arrays).stepFor(r.e, r.hub, nil)
 }
 
 // Release returns this consumer's reference. Safe to call twice.
@@ -525,17 +553,25 @@ func (r *StepRef) releaseLocked() {
 	}
 	r.released = true
 	if r.sp != nil {
-		return // the read owns its storage; nothing to return to the hub
+		if r.e != nil {
+			r.e.releaseFrames()
+		}
+		return
 	}
 	if r.ge != nil {
 		r.ge.remaining--
 		if r.ge.remaining == 0 {
 			r.ge.ref.releaseLocked()
 			r.grp.trimLogLocked()
+			r.hub.cond.Broadcast() // a puller may be waiting on the group's window
 		}
 		return
 	}
+	r.cons.held--
 	r.hub.releaseRef(r.e)
+	if r.cons.policy == Block {
+		r.hub.cond.Broadcast() // the producer may be waiting on this window
+	}
 }
 
 // releaseRef drops one reference; the last one frees the accounting
@@ -554,10 +590,10 @@ func (h *Hub) releaseRef(e *stepEntry) {
 // are exempt: the bootstrap hold keeps them referenced by design.
 // Caller holds h.mu.
 func (h *Hub) noteRetiredLocked(e *stepEntry) {
-	if h.retireCh == nil || e.step.Attrs["structure"] == "1" {
+	if h.retireCh == nil || e.structure {
 		return
 	}
-	h.retiredQ = append(h.retiredQ, e.step.Step)
+	h.retiredQ = append(h.retiredQ, e.sim)
 	select {
 	case h.retireCh <- struct{}{}:
 	default: // a signal is already pending; DrainRetired batches
@@ -638,14 +674,6 @@ func (h *Hub) validateCodecsLocked(codecs []string) (codec.Spec, error) {
 		return codec.Spec{}, fmt.Errorf("staging: %w", err)
 	}
 	return spec, nil
-}
-
-// validateCodecs is validateCodecsLocked for external callers.
-func (h *Hub) validateCodecs(codecs []string) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	_, err := h.validateCodecsLocked(codecs)
-	return err
 }
 
 // setConsumerCodecsLocked installs a validated codec spec on a
@@ -808,68 +836,99 @@ func (h *Hub) SubscribeCodecs(name string, policy Policy, depth int, arrays, cod
 // Caller holds h.mu.
 func (h *Hub) lag(c *Consumer) int64 { return h.nextSeq - c.cursor }
 
-// Publish stages one timestep for every subscribed consumer. It
-// blocks while any Block-policy consumer is a full window behind
-// (producer-side backpressure); DropOldest/LatestOnly consumers
-// instead lose their oldest undelivered steps. Publishing with no
-// consumers subscribed discards the step (but still retains the first
-// structure step for late subscribers).
-func (h *Hub) Publish(s *adios.Step) error { return h.publish(s, nil) }
+// resident is the number of c's steps the hub holds: queued in the
+// ring or the spill queue, or delivered and not yet released (held).
+// It is the count a Block consumer's depth bounds. Caller holds h.mu.
+func (h *Hub) resident(c *Consumer) int64 { return h.lag(c) + int64(len(c.spillQ)) + c.held }
 
-// PublishFrame is Publish for producers that already hold the step's
-// marshaled wire form — the relay, whose M×N splice assembles output
-// frames byte-for-byte from upstream spans. The frame is installed as
-// the entry's shared full-form frame, so network pumps ship the
-// producer's bytes without ever re-marshaling s (subset and encoded
-// forms still derive from s lazily, as usual). The hub takes
-// ownership of one reference of f in all cases, including errors;
-// f.Bytes() must equal adios.Marshal(s).
-func (h *Hub) PublishFrame(s *adios.Step, f *adios.Frame) error {
-	if f == nil {
-		return h.publish(s, nil)
-	}
-	if err := h.publish(s, f); err != nil {
-		f.Release()
-		return err
-	}
-	return nil
+// Publish stages one timestep for every subscribed consumer. It
+// blocks while any Block-policy consumer has a full window — depth of
+// its steps resident in the hub, whether queued, being shipped, parked
+// or in a group's delivery log (producer-side backpressure);
+// DropOldest/LatestOnly consumers instead lose their oldest
+// undelivered steps. Publishing with no consumers subscribed discards
+// the step (but still retains the first structure step for late
+// subscribers).
+func (h *Hub) Publish(s *adios.Step) error {
+	e := &stepEntry{sim: s.Step, structure: s.Attrs["structure"] == "1", bytes: s.Bytes()}
+	e.full.step = s
+	return h.publish(e)
 }
 
-func (h *Hub) publish(s *adios.Step, f *adios.Frame) error {
+// PublishFrame is Publish for producers that hold the step as a plain
+// (BP05) marshaled frame — the relay, whose M×N splice assembles
+// output frames byte-for-byte from upstream spans. The hub scans the
+// frame's layout and serves the entry from its bytes: full-form
+// consumers ship the frame itself, subset consumers a cut along the
+// scanned spans, and nothing is decoded unless a consumer needs the
+// floats — a codec consumer's encoder (its arrays only, into the
+// stream's reused scratch) or an in-process Step. The hub takes
+// ownership of one reference of f in all cases, including errors.
+func (h *Hub) PublishFrame(f *adios.Frame) error {
+	e, err := frameEntry(f)
+	if err == nil {
+		err = h.publish(e)
+	}
+	if err != nil {
+		f.Release()
+	}
+	return err
+}
+
+// frameEntry builds a frame-published entry around f.
+func frameEntry(f *adios.Frame) (*stepEntry, error) {
+	fi, err := adios.ScanFrame(f.Bytes())
+	if err == nil && fi.Encoded {
+		err = fmt.Errorf("staging: coded (BPC5) frame cannot be published")
+	}
+	if err != nil {
+		return nil, err
+	}
+	e := &stepEntry{sim: fi.Step, structure: fi.Structure, info: &fi}
+	e.full.frame = f
+	for i := range fi.Vars {
+		e.bytes += fi.Vars[i].PayloadLen
+	}
+	return e, nil
+}
+
+// DecodedVars reports how many variables have been decoded out of
+// frame-published entries: zero while every consumer is served from
+// bytes.
+func (h *Hub) DecodedVars() int64 { return h.decodedVars.Load() }
+
+func (h *Hub) publish(e *stepEntry) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for {
 		if h.closed {
 			return ErrClosed
 		}
-		blocked := false
+		var full *Consumer
 		for _, c := range h.consumers {
-			if !c.closed && c.policy == Block && h.lag(c) >= int64(c.depth) {
-				blocked = true
+			if !c.closed && c.policy == Block && h.resident(c) >= int64(c.depth) {
+				full = c
 				break
 			}
 		}
-		if !blocked {
+		if full == nil {
 			break
 		}
+		t0 := time.Now()
+		full.blocking++
 		h.cond.Wait()
+		full.blocking--
+		full.blockedNs += int64(time.Since(t0))
 	}
 
-	e := &stepEntry{seq: h.nextSeq, step: s, bytes: s.Bytes(), trace: h.tel.trace}
-	if f != nil {
-		// Install the producer's frame before the entry is visible and
-		// burn the marshal once, so frameBytes hands every pump these
-		// bytes instead of re-marshaling.
-		e.frame = f
-		e.marshalOnce.Do(func() {})
-	}
+	e.seq, e.trace = h.nextSeq, h.tel.trace
 	h.nextSeq++
 	h.published++
 	h.tel.published.Inc()
-	h.tel.trace.Stamp(s.Step, telemetry.StagePublish)
+	h.tel.trace.Stamp(e.sim, telemetry.StagePublish)
 	h.ring = append(h.ring, e)
 	h.acct.Alloc("staging-hub", e.bytes)
-	if h.bootstrap == nil && s.Attrs["structure"] == "1" {
+	if h.bootstrap == nil && e.structure {
 		h.bootstrap = e
 		e.refs++ // held until Close for late subscribers
 	}
@@ -933,10 +992,10 @@ func (h *Hub) spillOldest(c *Consumer) {
 	c.spilled++
 	h.spilled++
 	h.tel.spilled.Inc()
-	se := &spillEntry{e: e, state: spillMem, sim: e.step.Step}
+	se := &spillEntry{e: e, state: spillMem, sim: e.sim}
 	c.spillQ = append(c.spillQ, se)
 	c.spillWork = append(c.spillWork, se)
-	h.event(telemetry.EventSpillDemote, c.name, e.step.Step,
+	h.event(telemetry.EventSpillDemote, c.name, e.sim,
 		fmt.Sprintf("spill queue depth %d", len(c.spillQ)))
 }
 
@@ -977,8 +1036,7 @@ func (h *Hub) spiller(c *Consumer) {
 		e := se.e
 		h.mu.Unlock()
 
-		frame := e.frameBytes(h.pool)
-		id, err := c.spillStore.AppendFrame(frame)
+		id, err := c.spillStore.AppendFrame(e.full.frameBytes(e, h.pool))
 
 		h.mu.Lock()
 		if err != nil {
@@ -1102,7 +1160,17 @@ type ConsumerStats struct {
 	// a pending bootstrap step. Closed consumers report 0.
 	Lag        int64 `json:"lag"`
 	SpillQueue int   `json:"spill_queue"` // evicted steps queued for (or on) the disk tier
-	Closed     bool  `json:"closed"`      // detached consumers stay listed for reporting
+	// Resident counts the consumer's steps the hub holds — undelivered
+	// ones plus those delivered and not yet released (on the wire,
+	// parked, or in a group log): the number a block consumer's depth
+	// bounds. Blocking reports the producer waiting in Publish on this
+	// consumer's full window right now, BlockedNs the time such waits
+	// have taken so far (the first full consumer is charged when
+	// several are).
+	Resident  int64 `json:"resident"`
+	Blocking  bool  `json:"blocking,omitempty"`
+	BlockedNs int64 `json:"blocked_ns"`
+	Closed    bool  `json:"closed"` // detached consumers stay listed for reporting
 	// Parked marks a session consumer whose reader is disconnected but
 	// whose cursor and window are retained for resume; Suppressed
 	// counts steps withheld below the consumer's resume floor (already
@@ -1113,12 +1181,13 @@ type ConsumerStats struct {
 
 // statsLocked builds one consumer's snapshot. Caller holds h.mu.
 func (h *Hub) statsLocked(c *Consumer) ConsumerStats {
-	lag := h.lag(c) + int64(len(c.spillQ))
+	resident := h.resident(c)
+	lag := resident - c.held
 	if c.pendingBootstrap != nil {
 		lag++
 	}
 	if c.closed {
-		lag = 0
+		lag, resident = 0, 0
 	}
 	return ConsumerStats{
 		Name: c.name, Policy: c.policy, Depth: c.depth, Arrays: c.arrays,
@@ -1126,6 +1195,7 @@ func (h *Hub) statsLocked(c *Consumer) ConsumerStats {
 		Delivered: c.delivered, Dropped: c.dropped, Spilled: c.spilled,
 		WireBytes: c.wireBytes,
 		Cursor:    c.cursor, Lag: lag, SpillQueue: len(c.spillQ), Closed: c.closed,
+		Resident: resident, Blocking: c.blocking > 0, BlockedNs: c.blockedNs,
 		Parked: c.parked, Suppressed: c.suppressed,
 	}
 }
@@ -1221,9 +1291,8 @@ func (c *Consumer) IsClosed() bool {
 
 // Next blocks for this consumer's next step, returning a shared,
 // reference-counted view. io.EOF signals a drained, closed hub. A
-// step re-read from the spill tier is loaded (disk read + decode)
-// here, outside the hub lock, so catch-up I/O never stalls the
-// producer or other consumers.
+// step re-read from the spill tier is read back here, outside the hub
+// lock, so catch-up I/O never stalls the producer or other consumers.
 func (c *Consumer) Next() (*StepRef, error) {
 	h := c.hub
 	h.mu.Lock()
@@ -1241,16 +1310,27 @@ func (c *Consumer) Next() (*StepRef, error) {
 		}
 	}
 	h.mu.Unlock()
+	return loaded(ref, err)
+}
+
+// loaded finishes a delivery outside the hub lock: a spill-tier view
+// is read back, and released again if that fails.
+func loaded(ref *StepRef, err error) (*StepRef, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ref.sp != nil {
-		if lerr := ref.sp.load(); lerr != nil {
-			ref.Release()
-			return nil, lerr
-		}
+	if err := ref.loadSpilled(); err != nil {
+		ref.Release()
+		return nil, err
 	}
 	return ref, nil
+}
+
+// refLocked hands c a counted reference to an in-memory entry. Caller
+// holds h.mu and owns one of e's refs on c's behalf.
+func (c *Consumer) refLocked(e *stepEntry) *StepRef {
+	c.held++
+	return &StepRef{hub: c.hub, e: e, arrays: c.arrays, cons: c}
 }
 
 // tryNextLocked is the non-blocking core of Next: it returns the next
@@ -1270,7 +1350,7 @@ func (c *Consumer) tryNextLocked() (*StepRef, error) {
 		e := c.pendingBootstrap
 		c.pendingBootstrap = nil
 		c.delivered++
-		return &StepRef{hub: h, e: e, arrays: c.arrays, cons: c}, nil
+		return c.refLocked(e), nil
 	}
 	if c.inflight != nil {
 		// Redeliver the step that was in flight when the previous
@@ -1305,12 +1385,12 @@ func (c *Consumer) tryNextLocked() (*StepRef, error) {
 		case spillMem:
 			// Not yet persisted: deliver from memory, inheriting the
 			// queue's hub reference (the spiller no longer sees it).
-			return &StepRef{hub: h, e: se.e, arrays: c.arrays, cons: c}, nil
+			return c.refLocked(se.e), nil
 		case spillWriting:
 			// The spiller owns the queue's reference mid-write; take
 			// our own for the delivery.
 			se.e.refs++
-			return &StepRef{hub: h, e: se.e, arrays: c.arrays, cons: c}, nil
+			return c.refLocked(se.e), nil
 		default: // spillDisk
 			return &StepRef{hub: h, sp: &spillRead{store: c.spillStore, id: se.id}, arrays: c.arrays, cons: c}, nil
 		}
@@ -1318,7 +1398,7 @@ func (c *Consumer) tryNextLocked() (*StepRef, error) {
 	for c.cursor < h.nextSeq {
 		e := h.ring[c.cursor-h.headSeq]
 		c.cursor++
-		if c.resumeFloor > 0 && e.step.Step < c.resumeFloor && e.step.Attrs["structure"] != "1" {
+		if c.resumeFloor > 0 && e.sim < c.resumeFloor && !e.structure {
 			// Below the resume floor (structure steps excepted — the
 			// reattached receiver needs the grid either way): suppress.
 			c.suppressed++
@@ -1329,10 +1409,9 @@ func (c *Consumer) tryNextLocked() (*StepRef, error) {
 			continue
 		}
 		c.delivered++
-		h.tel.trace.Stamp(e.step.Step, telemetry.StageDeliver)
+		h.tel.trace.Stamp(e.sim, telemetry.StageDeliver)
 		h.trim()
-		h.cond.Broadcast() // a Block producer may be waiting on us
-		return &StepRef{hub: h, e: e, arrays: c.arrays, cons: c}, nil
+		return c.refLocked(e), nil
 	}
 	if h.closed {
 		return nil, io.EOF
@@ -1408,46 +1487,24 @@ func (c *Consumer) closeLocked() {
 	h.cond.Broadcast()
 }
 
-// frameBytes returns the entry's marshaled wire form, computing it
-// once into a pooled frame and sharing it across all network
-// consumers.
-func (e *stepEntry) frameBytes(pool *adios.FramePool) []byte {
-	e.marshalOnce.Do(func() {
-		e.frame = adios.MarshalFrame(e.step, pool)
-		e.trace.Stamp(e.step.Step, telemetry.StageMarshal)
-	})
-	return e.frame.Bytes()
-}
-
 // Frame exposes the shared marshaled form of a delivered step (the
 // network pump's zero-copy path), filtered to the consumer's declared
-// subset: consumers sharing a subset share one marshal, and consumers
-// sharing a (subset, codec spec) form share one encode. The returned
-// bytes lease from the hub's frame pool through this reference — do
-// not touch them after Release.
+// subset: consumers sharing a subset share one marshal (or one cut of
+// a published frame), and consumers sharing a (subset, codec spec)
+// form share one encode. The returned bytes lease from the hub's frame
+// pool through this reference — do not touch them after Release.
 func (r *StepRef) Frame() []byte {
-	if r.sp != nil {
-		// Spill catch-ups replay the stored plain frame; the receiver's
-		// decoder drops its temporal state on a plain frame, so the
-		// next live coded delivery must not difference against a step
+	if c := r.cons; c.hasCodec {
+		if !r.e.structure && r.sp == nil {
+			return r.encodedFrame()
+		}
+		// Structure steps and spill catch-ups travel plain; the
+		// receiver's decoder drops its temporal state on a plain frame,
+		// so the next coded delivery must not difference against a step
 		// the decoder no longer holds.
-		if r.cons != nil && r.cons.hasCodec {
-			r.cons.wirePrev = -1
-		}
-		return r.sp.frameFor(r.arrays)
+		c.wirePrev = -1
 	}
-	structure := r.e.step.Attrs["structure"] == "1"
-	if r.cons == nil || !r.cons.hasCodec || structure {
-		if r.cons != nil && r.cons.hasCodec {
-			r.cons.wirePrev = -1 // structure steps travel plain and reset the chain
-		}
-		if f := r.subset(); f != nil {
-			f.marshalOnce.Do(func() { f.frame = adios.MarshalFrame(f.step, r.hub.pool) })
-			return f.frame.Bytes()
-		}
-		return r.e.frameBytes(r.hub.pool)
-	}
-	return r.encodedFrame()
+	return r.e.formFor(r.arrays).frameBytes(r.e, r.hub.pool)
 }
 
 // encodedFrame resolves the coded wire form for a codec consumer:
@@ -1457,15 +1514,13 @@ func (r *StepRef) Frame() []byte {
 func (r *StepRef) encodedFrame() []byte {
 	c := r.cons
 	form := r.e.encFormFor(c.formKey)
-	st := r.e.step
-	if f := r.subset(); f != nil {
-		st = f.step
-	}
+	src := r.e.formFor(r.arrays)
 	if !form.chainReady.Load() {
 		c.stream.mu.Lock()
 		if !form.chainReady.Load() {
+			st := src.stepFor(r.e, r.hub, &c.stream.scratch)
 			form.chain, form.base = c.stream.enc.EncodeFrame(st, r.hub.pool)
-			r.e.trace.Stamp(r.e.step.Step, telemetry.StageMarshal)
+			r.e.trace.Stamp(r.e.sim, telemetry.StageMarshal)
 			form.chainReady.Store(true)
 		}
 		c.stream.mu.Unlock()
@@ -1475,6 +1530,7 @@ func (r *StepRef) encodedFrame() []byte {
 		if !form.keyReady.Load() {
 			c.stream.mu.Lock()
 			if !form.keyReady.Load() {
+				st := src.stepFor(r.e, r.hub, &c.stream.scratch)
 				form.key = c.stream.enc.EncodeKeyFrame(st, r.hub.pool)
 				form.keyReady.Store(true)
 			}
@@ -1484,7 +1540,7 @@ func (r *StepRef) encodedFrame() []byte {
 	} else {
 		out = form.chain.Bytes()
 	}
-	c.wirePrev = r.e.step.Step
+	c.wirePrev = r.e.sim
 	return out
 }
 

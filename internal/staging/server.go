@@ -226,11 +226,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		conn.SetReadDeadline(time.Now().Add(ht)) //nolint:errcheck // best effort
 	}
-	br := bufio.NewReaderSize(conn, 1<<16)
-	dec := json.NewDecoder(br)
 	var h adios.Hello
-	if err := dec.Decode(&h); err != nil {
-		s.setErr(fmt.Errorf("staging: bad reader handshake: %v", err))
+	// The credit bytes follow the hello on the same connection.
+	credits, err := adios.ReadHello(bufio.NewReaderSize(conn, 1<<16), &h)
+	if err != nil {
+		s.setErr(fmt.Errorf("staging: bad reader handshake: %w", err))
 		return
 	}
 	if h.Role != "reader" {
@@ -308,13 +308,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	// the pump below delivers what the consumer still holds and ends at
 	// the hub's end-of-stream. Close waits for it, and bounded it with
 	// the deadline it set on every accepted connection.
-
-	// The credit bytes follow the handshake on the same connection.
-	credits, err := adios.SpliceHandshake(dec, br)
-	if err != nil {
-		s.setErr(err)
-		return
-	}
 
 	bw := bufio.NewWriterSize(conn, 1<<16)
 	// Connection-scoped scratch: the length prefix and credit byte are

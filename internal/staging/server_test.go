@@ -510,7 +510,7 @@ func TestPublishFrameSharesBytes(t *testing.T) {
 	st := mkStep(0)
 	f := adios.MarshalFrame(st, pool)
 	want := f.Bytes()
-	if err := h.PublishFrame(st, f); err != nil {
+	if err := h.PublishFrame(f); err != nil {
 		t.Fatal(err)
 	}
 	ref, err := cons.Next()
@@ -527,7 +527,7 @@ func TestPublishFrameSharesBytes(t *testing.T) {
 	h2 := NewHub(nil)
 	st2 := mkStep(1)
 	f2 := adios.MarshalFrame(st2, pool)
-	if err := h2.PublishFrame(st2, f2); err != nil {
+	if err := h2.PublishFrame(f2); err != nil {
 		t.Fatal(err)
 	}
 	h.Close()

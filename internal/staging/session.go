@@ -62,41 +62,21 @@ func (c *Consumer) NextTimeout(d time.Duration) (*StepRef, error) {
 		h.cond.Wait()
 	}
 	h.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	if ref.sp != nil {
-		if lerr := ref.sp.load(); lerr != nil {
-			ref.Release()
-			return nil, lerr
-		}
-	}
-	return ref, nil
+	return loaded(ref, err)
 }
 
 // SimStep reports the delivered step's sim ordinal (the value carried
-// in the wire frame), -1 when it cannot be determined without I/O.
+// in the wire frame), -1 for a spill-tier view not yet read back.
 func (r *StepRef) SimStep() int64 {
-	if r.sp != nil {
-		if r.sp.step == nil {
-			return -1
-		}
-		return r.sp.step.Step
-	}
 	if r.e == nil {
 		return -1
 	}
-	return r.e.step.Step
+	return r.e.sim
 }
 
 // isStructure reports whether the delivered step carries the grid
 // structure (structure steps are exempt from resume suppression).
-func (r *StepRef) isStructure() bool {
-	if r.sp != nil {
-		return r.sp.step != nil && r.sp.step.Attrs["structure"] == "1"
-	}
-	return r.e != nil && r.e.step.Attrs["structure"] == "1"
-}
+func (r *StepRef) isStructure() bool { return r.e != nil && r.e.structure }
 
 // parkConsumer detaches c's pump without closing the subscription:
 // the cursor, window, spill queue, and backpressure claim all stay

@@ -10,9 +10,12 @@
 // Per-consumer cursors walk the ring under one of four backpressure
 // policies:
 //
-//   - block: the producer waits while this consumer lags queue-depth
-//     steps behind — the paper's synchronous SST semantics, where a
-//     slow endpoint is visible as producer-side queue growth.
+//   - block: the producer waits while queue-depth of this consumer's
+//     steps are resident in the hub — queued, being shipped, parked
+//     with a session or held in a group's delivery log — the paper's
+//     synchronous SST semantics, where a slow endpoint is visible as
+//     producer-side queue growth. The other three bound undelivered
+//     steps only: a step already on the wire cannot be shed.
 //   - drop-oldest: the consumer's window is bounded; when it overflows
 //     the oldest undelivered step is dropped, keeping the producer at
 //     full rate (steady-producer semantics).
@@ -81,8 +84,9 @@ type Policy int
 
 // The four backpressure policies.
 const (
-	// Block makes the producer wait while the consumer's lag reaches
-	// its queue depth (synchronous SST semantics).
+	// Block makes the producer wait while the consumer's resident
+	// steps — undelivered or delivered and unreleased — number its
+	// queue depth (synchronous SST semantics).
 	Block Policy = iota
 	// DropOldest bounds the consumer's window, discarding the oldest
 	// undelivered step on overflow.

@@ -3,6 +3,7 @@ package staging
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"nekrs-sensei/internal/metrics"
 	"nekrs-sensei/internal/telemetry"
@@ -16,7 +17,8 @@ import (
 //     spilled, wire bytes), incremented on the hot path;
 //   - marshal/publish/deliver stamps into the process step-trace ring;
 //   - a scrape-time sampler exporting per-consumer gauges (lag,
-//     cursor, spill-queue depth, delivered, wire bytes) — pull-based,
+//     cursor, spill-queue depth, resident steps, producer-blocked
+//     time, delivered, wire bytes) — pull-based,
 //     so the steady-state loop never pays for them;
 //   - a /statusz section ("staging-hub/<label>") carrying the full
 //     HubStatus snapshot.
@@ -49,6 +51,8 @@ func (h *Hub) SetTelemetry(tel *telemetry.Telemetry, label string) {
 			s.Gauge("staging_consumer_lag_steps", float64(c.Lag), kv...)
 			s.Gauge("staging_consumer_cursor", float64(c.Cursor), kv...)
 			s.Gauge("staging_consumer_spill_queue", float64(c.SpillQueue), kv...)
+			s.Gauge("staging_consumer_resident_steps", float64(c.Resident), kv...)
+			s.Counter("staging_consumer_blocked_seconds_total", float64(c.BlockedNs)/1e9, kv...)
 			s.Counter("staging_consumer_delivered_total", float64(c.Delivered), kv...)
 			s.Counter("staging_consumer_wire_bytes_total", float64(c.WireBytes), kv...)
 		}
@@ -129,14 +133,15 @@ func (h *Hub) codecStreamStatusLocked() []CodecStreamStatus {
 func ConsumerTable(title string, stats []ConsumerStats) *metrics.Table {
 	t := metrics.NewTable(title,
 		"consumer", "policy", "depth", "delivered", "dropped", "spilled",
-		"lag", "spill-q", "wire")
+		"lag", "resident", "blocked", "spill-q", "wire")
 	for _, c := range stats {
 		name := c.Name
 		if c.Closed {
 			name += " (closed)"
 		}
 		t.AddRow(name, c.Policy.String(), c.Depth, c.Delivered, c.Dropped,
-			c.Spilled, c.Lag, c.SpillQueue, metrics.HumanBytes(c.WireBytes))
+			c.Spilled, c.Lag, c.Resident, time.Duration(c.BlockedNs).Round(time.Microsecond),
+			c.SpillQueue, metrics.HumanBytes(c.WireBytes))
 	}
 	return t
 }
