@@ -1,8 +1,9 @@
 # Build/test entry points. `make race` covers the concurrent
 # subsystems (staging hub + spill tier, SST transport, endpoint loop,
-# archive record/replay, MPI runtime, and the render path whose rank
-# goroutines composite out of each other's framebuffers) under the
-# race detector.
+# archive record/replay, MPI runtime, the render path whose rank
+# goroutines composite out of each other's framebuffers, and the mains
+# under cmd/, whose tests run the endpoint, relay and archive
+# in-process) under the race detector.
 # `make bench` regenerates every BENCH_*.json artifact at smoke scale;
 # `make bench-kernels` smoke-runs the solver hot-path benchmarks,
 # `make bench-render` the in situ render ones and `make bench-codec`
@@ -36,7 +37,7 @@ race:
 		./internal/adios/... ./internal/archive/... ./internal/mpirt/... \
 		./internal/telemetry/... ./internal/metrics/... ./internal/codec/... \
 		./internal/relay/... ./internal/faultnet/... ./internal/render/... \
-		./internal/isosurf/... ./internal/catalyst/...
+		./internal/isosurf/... ./internal/catalyst/... ./cmd/...
 
 vet:
 	$(GO) vet ./...

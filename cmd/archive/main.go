@@ -298,7 +298,7 @@ func (c *command) replay() error {
 		replays[i] = rp
 		addrs[i] = rp.Addr()
 	}
-	if err := adios.WriteContact(c.contact, addrs); err != nil {
+	if err := adios.WriteContact(c.contact, addrs, ""); err != nil {
 		return err
 	}
 	fmt.Printf("replaying %d rank archive(s) at pace %s, %d step(s) each max; contact %s\n",

@@ -146,10 +146,7 @@ func (o *options) downstream() []relay.Downstream {
 // readUpstream resolves the upstream contact addresses, polling the
 // file (or directory entry) until it appears.
 func (o *options) readUpstream() ([]string, error) {
-	if o.contactDir != "" {
-		return adios.ReadContactEntry(o.contactDir, o.upstream, o.timeout)
-	}
-	return adios.ReadContact(o.upstream, o.timeout)
+	return adios.ReadContactAt(o.contactDir, o.upstream, o.timeout)
 }
 
 // writePublish publishes the relay's own output addresses for the
@@ -160,10 +157,7 @@ func (o *options) writePublish(addrs []string, telAddr string) error {
 	if o.publish == "" {
 		return nil
 	}
-	if o.contactDir != "" {
-		return adios.WriteContactEntryWith(o.contactDir, o.publish, addrs, telAddr)
-	}
-	return adios.WriteContactWith(o.publish, addrs, telAddr)
+	return adios.WriteContactAt(o.contactDir, o.publish, addrs, telAddr)
 }
 
 func run(o *options, tel *telemetry.Telemetry) error {

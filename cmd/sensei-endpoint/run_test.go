@@ -1,0 +1,242 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"nekrs-sensei/internal/adios"
+	"nekrs-sensei/internal/archive"
+	"nekrs-sensei/internal/staging"
+)
+
+const (
+	testBlocks = 4 // hubs, one block of the mesh each
+	testSteps  = 5
+)
+
+// blockStep is step seq of block b in the scripted stream: a unit hex
+// cell at x in [b, b+1] with one point array; step 0 carries the
+// structure. A synthetic stream rather than adiostest's solved pb146
+// steps: those carry no geometry, and the run is about attachment.
+func blockStep(b, seq int) *adios.Step {
+	vals := make([]float64, 8)
+	for i := range vals {
+		vals[i] = float64(b*100+seq*10+i) * 0.01
+	}
+	s := &adios.Step{
+		Step:  int64(seq),
+		Time:  float64(seq) * 0.1,
+		Attrs: map[string]string{"mesh": "mesh"},
+		Vars:  []adios.Variable{adios.NewF64("array/temperature", vals)},
+	}
+	if seq == 0 {
+		x0 := float64(b)
+		s.Attrs["structure"] = "1"
+		s.Vars = append(s.Vars,
+			adios.NewF64("points", []float64{
+				x0, 0, 0, x0 + 1, 0, 0, x0 + 1, 1, 0, x0, 1, 0,
+				x0, 0, 1, x0 + 1, 0, 1, x0 + 1, 1, 1, x0, 1, 1,
+			}, 8, 3),
+			adios.NewI64("connectivity", []int64{0, 1, 2, 3, 4, 5, 6, 7}),
+			adios.NewI64("offsets", []int64{8}),
+			adios.NewU8("types", []byte{12}),
+		)
+	}
+	return s
+}
+
+// probeConfig samples one point inside every block, so the series is
+// a reduction across however many endpoint ranks hold the blocks.
+const probeConfig = `<sensei>
+  <analysis type="probe" arrays="temperature" points="0.5,0.5,0.5; 1.25,0.5,0.5; 2.5,0.25,0.5; 3.75,0.5,0.75"/>
+</sensei>`
+
+// serveScript serves testBlocks hubs on loopback, publishes the contact
+// file, and — once `readers` handshakes have completed, so that no
+// consumer attaches mid-stream — feeds every hub its block's steps in
+// lockstep and closes them. The returned channel reports the feed.
+func serveScript(t *testing.T, ctx context.Context, contact string, readers int) <-chan error {
+	t.Helper()
+	hubs := make([]*staging.Hub, testBlocks)
+	addrs := make([]string, testBlocks)
+	attached := make(chan struct{}, readers) // one send per handshake
+	for b := range hubs {
+		hubs[b] = staging.NewHub(nil)
+		binder := staging.NewBinder(hubs[b], staging.Block, 2)
+		srv, err := staging.Serve(hubs[b], "127.0.0.1:0", func(req staging.SubscribeRequest) (*staging.Subscription, error) {
+			sub, err := binder.Resolve(req)
+			if err == nil {
+				attached <- struct{}{}
+			}
+			return sub, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		addrs[b] = srv.Addr()
+	}
+	if err := adios.WriteContact(contact, addrs, ""); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		defer func() {
+			for _, h := range hubs {
+				h.Close()
+			}
+		}()
+		for i := 0; i < readers; i++ {
+			select {
+			case <-attached:
+			case <-ctx.Done():
+				done <- fmt.Errorf("%d of %d readers attached: %w", i, readers, ctx.Err())
+				return
+			}
+		}
+		for seq := 0; seq < testSteps; seq++ {
+			for b, h := range hubs {
+				if err := h.Publish(blockStep(b, seq)); err != nil {
+					done <- fmt.Errorf("publish block %d step %d: %w", b, seq, err)
+					return
+				}
+			}
+		}
+		done <- nil
+	}()
+	return done
+}
+
+// runShape drives run() in-process with the given mode flags against a
+// freshly served scripted stream and returns the output directory.
+func runShape(t *testing.T, readers int, flags ...string) string {
+	t.Helper()
+	dir := t.TempDir()
+	contact, config, out := filepath.Join(dir, "contact.txt"), filepath.Join(dir, "endpoint.xml"), filepath.Join(dir, "out")
+	if err := os.WriteFile(config, []byte(probeConfig), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	fed := serveScript(t, ctx, contact, readers)
+	o, err := parseArgs(append([]string{"-contact", contact, "-config", config, "-out", out, "-timeout", "10s"}, flags...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(o, nil); err != nil {
+		t.Fatalf("run %v: %v", flags, err)
+	}
+	if err := <-fed; err != nil {
+		t.Fatalf("feeding %v: %v", flags, err)
+	}
+	return out
+}
+
+// TestRunFourShapes: the four attach shapes are one runtime, so over
+// the same stream each processes the same ordinals and reduces to the
+// same probe series, byte for byte; -consumers 2 writes it twice.
+func TestRunFourShapes(t *testing.T) {
+	var want []byte
+	for _, tc := range []struct {
+		name    string
+		flags   []string
+		readers int      // handshakes across the four hubs
+		outs    []string // output subdirectories holding a probes.csv
+	}{
+		{"direct", []string{"-ranks", "2"}, 4, []string{""}},
+		{"replicas", []string{"-consumer", "ep:block:2", "-consumers", "2"}, 8, []string{"ep-0", "ep-1"}},
+		{"group", []string{"-consumer", "ep:block:2", "-group", "2"}, 8, []string{""}},
+		{"presharded", []string{"-consumer", "ep:block:2", "-group", "2", "-presharded"}, 4, []string{""}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := runShape(t, tc.readers, tc.flags...)
+			for _, sub := range tc.outs {
+				got, err := os.ReadFile(filepath.Join(out, sub, "probes.csv"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows := strings.Split(strings.TrimSpace(string(got)), "\n")[1:] // header first
+				if len(rows) != testSteps {
+					t.Fatalf("%s: %d rows, want one per step (%d):\n%s", sub, len(rows), testSteps, got)
+				}
+				for seq, row := range rows {
+					if !strings.HasPrefix(row, fmt.Sprintf("%d,", seq)) {
+						t.Errorf("%s: row %d is step %q, want ordinal %d", sub, seq, row, seq)
+					}
+				}
+				if want == nil {
+					want = got
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s: probes.csv differs from the direct shape's:\n%s\nwant:\n%s", sub, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestHelloSessionRule: with -retry a reader asks for a resumable
+// session exactly when it is not one member of a consumer group.
+func TestHelloSessionRule(t *testing.T) {
+	for _, tc := range []struct {
+		flags       []string
+		group       int
+		wantSession bool
+	}{
+		{[]string{"-ranks", "2"}, 0, true},
+		{[]string{"-consumer", "ep:block:2", "-consumers", "2"}, 1, true},
+		{[]string{"-consumer", "ep:block:2", "-group", "2"}, 2, false},
+		{[]string{"-consumer", "ep:block:2", "-group", "2", "-presharded"}, 1, true},
+	} {
+		for _, retry := range []string{"0", "3"} {
+			o, err := parseArgs(append([]string{"-retry", retry}, tc.flags...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := o.hello(o.plan(), 1, 0)
+			if want := tc.wantSession && retry != "0"; h.Session != want || h.Group != tc.group || (h.Redial != nil) != (retry != "0") {
+				t.Errorf("%v -retry %s: hello group %d session %v redial %v, want group %d session %v",
+					tc.flags, retry, h.Group, h.Session, h.Redial != nil, tc.group, want)
+			}
+		}
+	}
+}
+
+// TestRecordPresharded: each rank of a presharded group dials its own
+// address range, so the archive must hold every contact address's
+// stream — one rank-NNNN per hub, frames as served — not rank 0's half.
+func TestRecordPresharded(t *testing.T) {
+	rec := filepath.Join(t.TempDir(), "rec")
+	runShape(t, 4, "-consumer", "ep:block:2", "-group", "2", "-presharded", "-record", rec)
+	dirs, err := archive.RankDirs(rec)
+	if err != nil || len(dirs) != testBlocks {
+		t.Fatalf("recorded %v (%v), want %d rank archives", dirs, err, testBlocks)
+	}
+	for b := 0; b < testBlocks; b++ {
+		a, err := archive.Open(archive.RankDir(rec, b), archive.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Len() != testSteps {
+			t.Errorf("block %d: %d recorded steps, want %d", b, a.Len(), testSteps)
+		}
+		for seq := 0; seq < a.Len(); seq++ {
+			frame, err := a.ReadFrameInto(int64(seq), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(frame, adios.Marshal(blockStep(b, seq))) {
+				t.Errorf("block %d step %d: recorded frame is not the served one", b, seq)
+			}
+		}
+		if err := a.Close(); err != nil {
+			t.Error(err)
+		}
+	}
+}

@@ -16,10 +16,11 @@
 //
 //   - cmd/nekrs — drive the solver with a par file and a SENSEI XML
 //     configuration (the paper's Listing 1)
-//   - cmd/sensei-endpoint — the in transit data consumer; with
-//     -policy/-consumers it attaches N replicas to a staging hub, and
-//     with -consumer name:policy:depth -group R it runs one parallel
-//     endpoint of R sharded ranks
+//   - cmd/sensei-endpoint — the in transit data consumer: one
+//     endpoint runtime whose flags choose replicas x ranks (-ranks R
+//     direct; -policy/-consumers N replicas of a staging consumer;
+//     -consumer name:policy:depth -group R one endpoint of R sharded
+//     ranks)
 //   - cmd/archive — record a live run's streams into per-rank
 //     archives, inspect them, and replay them at configurable pacing
 //     (max / realtime / fixed rate) with index-answered step-range

@@ -94,7 +94,7 @@ func (t *tier) run(cdir string, tel *telemetry.Telemetry, wg *sync.WaitGroup) {
 		t.err = err
 		return
 	}
-	if err := adios.WriteContactEntry(cdir, t.entry, t.r.Addrs()); err != nil {
+	if err := adios.WriteContactEntry(cdir, t.entry, t.r.Addrs(), ""); err != nil {
 		t.err = err
 		return
 	}

@@ -99,7 +99,7 @@ func TestUnmarshalErrors(t *testing.T) {
 func TestContactFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "contact.txt")
 	addrs := []string{"127.0.0.1:1111", "127.0.0.1:2222"}
-	if err := WriteContact(path, addrs); err != nil {
+	if err := WriteContact(path, addrs, ""); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadContact(path, time.Second)
@@ -122,7 +122,7 @@ func TestContactFileAppearsLate(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "late.txt")
 	go func() {
 		time.Sleep(30 * time.Millisecond)
-		WriteContact(path, []string{"127.0.0.1:9999"}) //nolint:errcheck
+		WriteContact(path, []string{"127.0.0.1:9999"}, "") //nolint:errcheck
 	}()
 	got, err := ReadContact(path, 2*time.Second)
 	if err != nil || len(got) != 1 {

@@ -37,18 +37,14 @@ var contactSeq atomic.Int64
 // files. The writing process's pid is stamped into a leading comment
 // line so readers can detect a file orphaned by a crashed run (see
 // ReadContact).
-func WriteContact(path string, addrs []string) error {
-	return WriteContactWith(path, addrs, "")
-}
-
-// WriteContactWith is WriteContact plus an optional telemetry
-// exporter address, stamped as a "#telemetry=host:port" comment line.
-// Pre-observatory readers skip it as a comment, so the format stays
-// backwards compatible; the mesh crawler reads it to find every
-// process's /statusz. addrs may be empty for a telemetry-only
-// observer entry (a leaf consumer announcing itself to the crawler
-// without serving anything).
-func WriteContactWith(path string, addrs []string, telemetry string) error {
+//
+// A non-empty telemetry is the writer's exporter address, stamped as a
+// "#telemetry=host:port" comment line. Pre-observatory readers skip it
+// as a comment, so the format stays backwards compatible; the mesh
+// crawler reads it to find every process's /statusz. addrs may be
+// empty for a telemetry-only observer entry (a leaf consumer
+// announcing itself to the crawler without serving anything).
+func WriteContact(path string, addrs []string, telemetry string) error {
 	tmp := fmt.Sprintf("%s.tmp-%d-%d", path, os.Getpid(), contactSeq.Add(1))
 	var b strings.Builder
 	fmt.Fprintf(&b, "#pid=%d\n", os.Getpid())
@@ -154,14 +150,8 @@ func ContactEntryPath(dir, name string) (string, error) {
 
 // WriteContactEntry publishes addrs as the named entry of a contact
 // directory, creating the directory if needed. The entry is written
-// with WriteContact's atomic rename and pid stamp.
-func WriteContactEntry(dir, name string, addrs []string) error {
-	return WriteContactEntryWith(dir, name, addrs, "")
-}
-
-// WriteContactEntryWith is WriteContactEntry plus a telemetry
-// exporter address (see WriteContactWith).
-func WriteContactEntryWith(dir, name string, addrs []string, telemetry string) error {
+// with WriteContact's atomic rename, pid stamp and telemetry line.
+func WriteContactEntry(dir, name string, addrs []string, telemetry string) error {
 	path, err := ContactEntryPath(dir, name)
 	if err != nil {
 		return err
@@ -169,7 +159,26 @@ func WriteContactEntryWith(dir, name string, addrs []string, telemetry string) e
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	return WriteContactWith(path, addrs, telemetry)
+	return WriteContact(path, addrs, telemetry)
+}
+
+// WriteContactAt publishes to wherever a process's contact flags point:
+// entry name of the contact directory dir, or — without a directory —
+// the contact file at path name.
+func WriteContactAt(dir, name string, addrs []string, telemetry string) error {
+	if dir == "" {
+		return WriteContact(name, addrs, telemetry)
+	}
+	return WriteContactEntry(dir, name, addrs, telemetry)
+}
+
+// ReadContactAt is WriteContactAt's reading half: ReadContactEntry
+// with a directory, ReadContact on the path name without one.
+func ReadContactAt(dir, name string, timeout time.Duration) ([]string, error) {
+	if dir == "" {
+		return ReadContact(name, timeout)
+	}
+	return ReadContactEntry(dir, name, timeout)
 }
 
 // ContactEntry is one parsed entry of a contact directory, as seen by

@@ -14,7 +14,7 @@ import (
 func TestContactRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "contact.txt")
 	want := []string{"127.0.0.1:1234", "127.0.0.1:5678"}
-	if err := WriteContact(path, want); err != nil {
+	if err := WriteContact(path, want, ""); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -67,7 +67,7 @@ func TestContactStaleThenFresh(t *testing.T) {
 	}
 	go func() {
 		time.Sleep(50 * time.Millisecond)
-		WriteContact(path, []string{"127.0.0.1:2345"}) //nolint:errcheck
+		WriteContact(path, []string{"127.0.0.1:2345"}, "") //nolint:errcheck
 	}()
 	addrs, err := ReadContact(path, 5*time.Second)
 	if err != nil {
@@ -98,10 +98,10 @@ func itoa(v int) string { return strconv.Itoa(v) }
 
 func TestContactDirEntries(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "mesh-contacts")
-	if err := WriteContactEntry(dir, "hub", []string{"127.0.0.1:9000", "127.0.0.1:9001"}); err != nil {
+	if err := WriteContactEntry(dir, "hub", []string{"127.0.0.1:9000", "127.0.0.1:9001"}, ""); err != nil {
 		t.Fatalf("WriteContactEntry hub: %v", err)
 	}
-	if err := WriteContactEntry(dir, "relay-0", []string{"127.0.0.1:9100"}); err != nil {
+	if err := WriteContactEntry(dir, "relay-0", []string{"127.0.0.1:9100"}, ""); err != nil {
 		t.Fatalf("WriteContactEntry relay-0: %v", err)
 	}
 	addrs, err := ReadContactEntry(dir, "hub", time.Second)
@@ -123,6 +123,20 @@ func TestContactDirEntries(t *testing.T) {
 	}
 	if addrs, err = ReadContact(path, time.Second); err != nil || len(addrs) != 2 {
 		t.Fatalf("ReadContact on entry path = %v, %v", addrs, err)
+	}
+	// The …At pair is what a process's -contact-dir/-contact flags
+	// resolve through: an entry with a directory, a file path without.
+	if err := WriteContactAt(dir, "tier1", []string{"127.0.0.1:9200"}, ""); err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(t.TempDir(), "contact.txt")
+	if err := WriteContactAt("", file, []string{"127.0.0.1:9300"}, ""); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ dir, name, want string }{{dir, "tier1", "127.0.0.1:9200"}, {"", file, "127.0.0.1:9300"}} {
+		if addrs, err := ReadContactAt(tc.dir, tc.name, time.Second); err != nil || len(addrs) != 1 || addrs[0] != tc.want {
+			t.Errorf("ReadContactAt(%q, %q) = %v, %v, want [%s]", tc.dir, tc.name, addrs, err, tc.want)
+		}
 	}
 }
 
@@ -158,7 +172,7 @@ func TestContactEntryNameValidation(t *testing.T) {
 // trips through write and list, and its absence stays compatible.
 func TestContactTelemetryStamp(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "contact.txt")
-	if err := WriteContactWith(path, []string{"127.0.0.1:9000"}, "127.0.0.1:9150"); err != nil {
+	if err := WriteContact(path, []string{"127.0.0.1:9000"}, "127.0.0.1:9150"); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -180,15 +194,15 @@ func TestContactTelemetryStamp(t *testing.T) {
 // (no addresses), liveness from the pid stamp, and name-sorted output.
 func TestListContactEntries(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "mesh")
-	if err := WriteContactEntryWith(dir, "sim", []string{"127.0.0.1:9000", "127.0.0.1:9001"}, "127.0.0.1:9150"); err != nil {
+	if err := WriteContactEntry(dir, "sim", []string{"127.0.0.1:9000", "127.0.0.1:9001"}, "127.0.0.1:9150"); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteContactEntry(dir, "dark", []string{"127.0.0.1:9200"}); err != nil {
+	if err := WriteContactEntry(dir, "dark", []string{"127.0.0.1:9200"}, ""); err != nil {
 		t.Fatal(err)
 	}
 	// A consumer publishes a telemetry-only observer entry: no data
 	// addresses, just the exporter.
-	if err := WriteContactEntryWith(dir, "endpoint", nil, "127.0.0.1:9152"); err != nil {
+	if err := WriteContactEntry(dir, "endpoint", nil, "127.0.0.1:9152"); err != nil {
 		t.Fatal(err)
 	}
 	// A dead process's leftover entry is listed but flagged.

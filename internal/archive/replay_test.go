@@ -49,11 +49,13 @@ func hexStep(step int64) *adios.Step {
 	return s
 }
 
-// captureFunc adapts a closure to the legacy sensei analysis contract.
+// captureFunc adapts a closure to sensei.Analysis: it declares nothing
+// and reads the step through Step.Adaptor().
 type captureFunc func(da sensei.DataAdaptor) error
 
-func (f captureFunc) Execute(da sensei.DataAdaptor) (bool, error) { return false, f(da) }
-func (f captureFunc) Finalize() error                             { return nil }
+func (f captureFunc) Describe() sensei.Requirements         { return sensei.NoRequirements() }
+func (f captureFunc) Execute(st *sensei.Step) (bool, error) { return false, f(st.Adaptor()) }
+func (f captureFunc) Finalize() error                       { return nil }
 
 // runEndpoint attaches one reader to addr under the given consumer
 // options and captures, per executed step, the merged "f" array.
@@ -72,7 +74,7 @@ func runEndpoint(addr string, opts adios.ReaderOptions) (perStep map[int][]float
 		return nil, 0, err
 	}
 	perStep = map[int][]float64{}
-	ep.Analysis().AddLegacyAnalysis("capture", 1, captureFunc(func(da sensei.DataAdaptor) error {
+	ep.Analysis().AddAnalysis("capture", 1, captureFunc(func(da sensei.DataAdaptor) error {
 		g, err := da.Mesh("mesh", true)
 		if err != nil {
 			return err

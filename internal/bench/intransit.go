@@ -12,7 +12,6 @@ import (
 	"nekrs-sensei/internal/core"
 	"nekrs-sensei/internal/fluid"
 	"nekrs-sensei/internal/intransit"
-	"nekrs-sensei/internal/metrics"
 	"nekrs-sensei/internal/mpirt"
 	"nekrs-sensei/internal/nekrs"
 	"nekrs-sensei/internal/sensei"
@@ -119,6 +118,8 @@ type InTransitResult struct {
 	// queue.
 	MemPerNode int64
 
+	// EndpointSteps is what the endpoint group processed (every rank
+	// the same steps), EndpointBytes what its ranks wrote in total.
 	EndpointSteps int
 	EndpointBytes int64
 }
@@ -153,7 +154,6 @@ func RunInTransit(mode InTransitMode, cfg InTransitConfig) (InTransitResult, err
 	if epRanks < 1 {
 		epRanks = 1
 	}
-	srcPerEp := c.SimRanks / epRanks
 
 	// Wide-box weak scaling: x grows with the rank count at fixed
 	// element size h=0.5, y and z stay fixed.
@@ -171,9 +171,8 @@ func RunInTransit(mode InTransitMode, cfg InTransitConfig) (InTransitResult, err
 
 	// Endpoint group (its own world), except for NoTransport where no
 	// data leaves the simulation.
-	epSteps := make([]int, epRanks)
-	epBytes := make([]int64, epRanks)
-	epErrs := make([]error, epRanks)
+	var epStats intransit.GroupStats
+	var epErr error
 	var wg sync.WaitGroup
 	contact := filepath.Join(c.OutputDir, "contact.txt")
 	os.Remove(contact) //nolint:errcheck // stale rendezvous from a prior run
@@ -201,38 +200,36 @@ func RunInTransit(mode InTransitMode, cfg InTransitConfig) (InTransitResult, err
 			defer wg.Done()
 			addrs, err := adios.ReadContact(contact, 30*time.Second)
 			if err != nil {
-				for r := range epErrs {
-					epErrs[r] = err
-				}
+				epErr = err
 				return
 			}
-			mpirt.Run(epRanks, func(comm *mpirt.Comm) {
-				rank := comm.Rank()
-				var readers []*adios.Reader
-				for s := 0; s < srcPerEp; s++ {
-					r, err := adios.OpenReader(addrs[rank*srcPerEp+s])
-					if err != nil {
-						epErrs[rank] = err
-						return
+			// Each endpoint rank reads its share of the writers' streams.
+			group, err := intransit.NewGroup(intransit.GroupConfig{
+				Ranks: epRanks, ConfigXML: []byte(endpointXML), OutputDir: c.OutputDir,
+				Presharded: true, StepDelay: c.EndpointDelay,
+				Sources: func(rank, ranks int) ([]intransit.StepSource, func(), error) {
+					var readers []*adios.Reader
+					cleanup := func() {
+						for _, r := range readers {
+							r.Close()
+						}
 					}
-					defer r.Close()
-					readers = append(readers, r)
-				}
-				ctx := &sensei.Context{
-					Comm: comm, Acct: metrics.NewAccountant(), Timer: metrics.NewTimer(),
-					Storage: metrics.NewStorageCounter(), OutputDir: c.OutputDir,
-				}
-				ep, err := intransit.NewEndpoint(ctx, intransit.Sources(readers...), []byte(endpointXML))
-				if err != nil {
-					epErrs[rank] = err
-					return
-				}
-				ep.StepDelay = c.EndpointDelay
-				n, err := ep.Run()
-				epSteps[rank] = n
-				epBytes[rank] = ctx.Storage.Bytes()
-				epErrs[rank] = err
+					lo, hi := intransit.ShardRange(len(addrs), ranks, rank)
+					for _, addr := range addrs[lo:hi] {
+						r, err := adios.OpenReader(addr)
+						if err != nil {
+							cleanup()
+							return nil, nil, err
+						}
+						readers = append(readers, r)
+					}
+					return intransit.Sources(readers...), cleanup, nil
+				},
 			})
+			if err == nil {
+				epStats, err = group.Run()
+			}
+			epErr = err
 		}()
 	}
 
@@ -286,10 +283,8 @@ func RunInTransit(mode InTransitMode, cfg InTransitConfig) (InTransitResult, err
 			return InTransitResult{}, fmt.Errorf("bench: simulation: %w", err)
 		}
 	}
-	for _, err := range epErrs {
-		if err != nil {
-			return InTransitResult{}, fmt.Errorf("bench: endpoint: %w", err)
-		}
+	if epErr != nil {
+		return InTransitResult{}, fmt.Errorf("bench: endpoint: %w", epErr)
 	}
 	res := InTransitResult{Mode: mode, SimRanks: c.SimRanks}
 	for r := 0; r < c.SimRanks; r++ {
@@ -300,9 +295,6 @@ func RunInTransit(mode InTransitMode, cfg InTransitConfig) (InTransitResult, err
 			res.MemPerNode = memPeaks[r]
 		}
 	}
-	for r := 0; r < epRanks; r++ {
-		res.EndpointSteps += epSteps[r]
-		res.EndpointBytes += epBytes[r]
-	}
+	res.EndpointSteps, res.EndpointBytes = epStats.Steps, epStats.Bytes
 	return res, nil
 }

@@ -11,23 +11,24 @@
 // paper emphasizes), and a slow endpoint shows up on the simulation
 // side only as bounded staging-queue growth.
 //
-// Two endpoint runtimes consume the stream: Endpoint is the paper's
-// serial consumer, and Group is its parallel generalization — R
-// cooperative ranks that claim one staging consumer name as a group,
-// shard the analysis work by block range (reductions merge across
-// ranks, rendering composites via binary swap into one image per
-// step), and realign skewed streams at a per-step barrier with
-// straggler accounting. See group.go and DESIGN.md.
+// One endpoint runtime consumes the stream (group.go, DESIGN.md "The
+// endpoint runtime"): a step loop that every endpoint rank runs on its
+// communicator — pull, agree on a step across ranks, ingest, execute,
+// agree on the outcome, release. An Endpoint is one rank of that loop
+// over sources that are already its own; a Group spawns R of them that
+// claim one staging consumer name, shard the analysis work by block
+// range (reductions merge across ranks, rendering composites via
+// binary swap into one image per step) and charge the per-step barrier
+// waits to a straggler tracker.
 package intransit
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
 	"nekrs-sensei/internal/adios"
+	"nekrs-sensei/internal/metrics"
 	"nekrs-sensei/internal/mpirt"
 	"nekrs-sensei/internal/sensei"
 	"nekrs-sensei/internal/vtkdata"
@@ -45,7 +46,7 @@ type StreamDataAdaptor struct {
 
 	// The shard is the half-open source (block) range this adaptor
 	// merges and exposes; a Group rank owns one shard of the full
-	// stream, a classic endpoint owns [0, nSources).
+	// stream, a standalone Endpoint owns [0, nSources).
 	shardLo, shardHi int
 
 	structures []*vtkdata.UnstructuredGrid // per source, cached
@@ -57,9 +58,9 @@ type StreamDataAdaptor struct {
 	// kept) and the next step's Ingest appends into it. Parking — rather
 	// than truncating in place — preserves the live map's missing-key
 	// semantics: an array that stops arriving is an error in AddArray,
-	// not a silent zero-length delivery. Enabled by the endpoint
-	// runtimes when every configured analysis honours the no-retention
-	// step contract (sensei CanReuseStepStorage).
+	// not a silent zero-length delivery. Enabled by Endpoint.Run
+	// when every configured analysis honours the no-retention step
+	// contract (sensei CanReuseStepStorage).
 	reuseArrays bool
 	arrayPool   map[string][]float64
 }
@@ -93,8 +94,8 @@ func (a *StreamDataAdaptor) SetShard(lo, hi int) error {
 
 // SetStorageReuse enables recycling of the merged per-step array
 // buffers across steps. Only safe when no analysis retains pulled
-// arrays beyond its Execute; the endpoint runtimes decide from the
-// configured analyses' declarations.
+// arrays beyond its Execute; Endpoint.Run decides from the configured
+// analyses' declarations.
 func (a *StreamDataAdaptor) SetStorageReuse(on bool) { a.reuseArrays = on }
 
 // inShard reports whether the source index belongs to this shard.
@@ -292,12 +293,17 @@ func (a *StreamDataAdaptor) ReleaseData() error {
 	return nil
 }
 
-// StepSource delivers one stream of timesteps to an endpoint:
-// io.EOF signals a clean end-of-stream. *adios.Reader (a direct SST
-// stream), *staging.Consumer (a fan-out hub subscription) and
-// *archive.Source (a recorded run read back from disk) all satisfy
-// it, so the same endpoint runtime consumes a live transport or a
-// post hoc archive interchangeably.
+// StepSource delivers one stream of timesteps to an endpoint.
+// *adios.Reader (a direct SST stream), *staging.Consumer (a fan-out hub
+// subscription) and *archive.Source (a recorded run read back from
+// disk) all satisfy it, so the same endpoint runtime consumes a live
+// transport or a post hoc archive interchangeably.
+//
+// io.EOF is a clean end-of-stream only when every source of every
+// endpoint rank reports it in the same round of the step loop. A
+// source that ends while a peer still delivers — at the pull, or while
+// it is being advanced to a step a peer already holds — stopped short
+// of a step the others delivered: it lost data, and the run fails.
 type StepSource interface {
 	BeginStep() (*adios.Step, error)
 }
@@ -333,15 +339,18 @@ func recycleStep(src StepSource, s *adios.Step) {
 	}
 }
 
-// Endpoint drives the in transit consumer: it pulls aligned steps from
-// its step sources and executes a SENSEI ConfigurableAnalysis on each —
-// a Catalyst render, a VTU checkpoint, or nothing, the paper's three
-// measurement points.
+// Endpoint is one rank of the endpoint runtime: it runs the step loop
+// (runRank) on its Context's communicator over sources that are
+// already its own — the whole stream on a one-rank communicator, this
+// rank's share on a larger one — and executes a SENSEI
+// ConfigurableAnalysis on each step: a Catalyst render, a VTU
+// checkpoint, or nothing, the paper's three measurement points.
+// Endpoints sharing a communicator agree on every step, so a failure on
+// one of them ends them all. Group builds one per rank.
 type Endpoint struct {
-	ctx     *sensei.Context
-	sources []StepSource
-	da      *StreamDataAdaptor
-	ca      *sensei.ConfigurableAnalysis
+	ctx *sensei.Context
+	ca  *sensei.ConfigurableAnalysis
+	rs  rankStream
 
 	// StepDelay adds artificial processing time per step, modelling a
 	// slower consumer (saturated filesystem, heavier pipelines). With
@@ -349,9 +358,7 @@ type Endpoint struct {
 	// the mechanism behind the paper's Figure 6 memory overhead.
 	StepDelay time.Duration
 
-	stepsProcessed int
-	stepsSkipped   int
-	stopped        bool
+	straggler *metrics.Straggler // the Group's barrier-wait tracker; nil standalone
 }
 
 // NewEndpoint builds an endpoint over the given step sources with
@@ -363,140 +370,42 @@ func NewEndpoint(ctx *sensei.Context, sources []StepSource, configXML []byte) (*
 			return nil, err
 		}
 	}
-	da := NewStreamDataAdaptor(ctx.Comm, len(sources))
-	da.SetStorageReuse(ca.CanReuseStepStorage())
-	return &Endpoint{
-		ctx:     ctx,
+	return &Endpoint{ctx: ctx, ca: ca, rs: rankStream{
 		sources: sources,
-		da:      da,
-		ca:      ca,
-	}, nil
+		steps:   make([]*adios.Step, len(sources)),
+		da:      NewStreamDataAdaptor(ctx.Comm, len(sources)),
+	}}, nil
 }
 
 // Analysis exposes the endpoint's analysis multiplexer.
 func (e *Endpoint) Analysis() *sensei.ConfigurableAnalysis { return e.ca }
 
 // StepsProcessed reports completed steps.
-func (e *Endpoint) StepsProcessed() int { return e.stepsProcessed }
+func (e *Endpoint) StepsProcessed() int { return e.rs.processed }
 
-// StepsSkipped reports source steps discarded while resynchronizing
-// skewed streams (see Run). Zero when every source delivers the same
-// step sequence — the only case for direct SST and for hub consumers
-// that subscribed before the first publish.
-func (e *Endpoint) StepsSkipped() int { return e.stepsSkipped }
+// StepsSkipped reports source steps discarded while realigning skewed
+// streams (rankStream.advance). Zero when every source delivers the
+// same step sequence — the only case for direct SST and for hub
+// consumers that subscribed before the first publish.
+func (e *Endpoint) StepsSkipped() int { return e.rs.skipped }
 
 // Stopped reports whether an analysis ended the run early through the
 // stop signal (as opposed to the stream reaching end-of-stream).
-func (e *Endpoint) Stopped() bool { return e.stopped }
+func (e *Endpoint) Stopped() bool { return e.rs.stopped }
 
 // Run consumes the streams until every source reaches end-of-stream,
 // executing the configured analyses per step. Returns the number of
-// steps processed. Analyses are finalized on every exit path; a
-// finalize failure (e.g. the .pvd index write) surfaces unless an
-// earlier error takes precedence.
-func (e *Endpoint) Run() (steps int, err error) {
-	defer func() {
-		if ferr := e.ca.Finalize(); ferr != nil && err == nil {
-			err = ferr
-		}
-	}()
-	pending := make([]*adios.Step, len(e.sources))
-	for {
-		eofs := 0
-		for src, r := range e.sources {
-			s, err := r.BeginStep()
-			if errors.Is(err, io.EOF) {
-				eofs++
-				continue
-			}
-			if err != nil {
-				return e.stepsProcessed, fmt.Errorf("intransit: source %d: %w", src, err)
-			}
-			pending[src] = s
-		}
-		if eofs == len(e.sources) {
-			return e.stepsProcessed, nil
-		}
-		if eofs != 0 {
-			return e.stepsProcessed, fmt.Errorf("intransit: %d of %d sources ended early", eofs, len(e.sources))
-		}
-		// Resynchronize: staging-hub sources can deliver different
-		// step subsequences — drop policies shed steps independently
-		// per hub, and consumers attaching mid-stream start at each
-		// hub's current step. Each stream is monotonic, so advancing
-		// every lagging source to the maximum step realigns them.
-		// Discarded steps are counted in StepsSkipped (their
-		// structure, if any, is still captured); lossless consumers
-		// that need zero skips must subscribe before the first
-		// publish (pre-declared consumers in the staging XML).
-		for {
-			var target int64
-			aligned := true
-			for _, s := range pending {
-				if s.Step > target {
-					target = s.Step
-				}
-			}
-			for _, s := range pending {
-				if s.Step != target {
-					aligned = false
-				}
-			}
-			if aligned {
-				break
-			}
-			for src, s := range pending {
-				for s.Step < target {
-					e.stepsSkipped++
-					if err := e.da.IngestStructure(src, s); err != nil {
-						return e.stepsProcessed, err
-					}
-					// The skipped step is fully consumed (its structure,
-					// if any, was just captured by reference — Recycle
-					// refuses structure steps for exactly that reason).
-					recycleStep(e.sources[src], s)
-					next, err := e.sources[src].BeginStep()
-					if err != nil {
-						return e.stepsProcessed, fmt.Errorf("intransit: source %d ended during resync at step %d: %w", src, target, err)
-					}
-					s = next
-					pending[src] = s
-				}
-			}
-		}
-		for src, s := range pending {
-			if err := e.da.Ingest(src, s); err != nil {
-				return e.stepsProcessed, err
-			}
-		}
-		if err := e.da.Seal(); err != nil {
-			return e.stepsProcessed, err
-		}
-		if e.StepDelay > 0 {
-			time.Sleep(e.StepDelay)
-		}
-		stop, err := e.ca.Execute(e.da)
-		if err != nil {
-			return e.stepsProcessed, err
-		}
-		if err := e.da.ReleaseData(); err != nil {
-			return e.stepsProcessed, err
-		}
-		// The analyses are done with this step's data (Ingest copied the
-		// arrays, structure steps are refused by Recycle): hand each
-		// decoded step back to its source for decode-into-reuse.
-		for src, s := range pending {
-			recycleStep(e.sources[src], s)
-			pending[src] = nil
-		}
-		e.stepsProcessed++
-		if stop {
-			// An analysis requested the endpoint stop: exit cleanly
-			// without draining the remaining stream (the producer sees
-			// a dropped connection and unblocks through its error
-			// path, or keeps publishing to its other consumers).
-			e.stopped = true
-			return e.stepsProcessed, nil
-		}
+// steps processed; the error is nil on a rank that stopped because a
+// peer on its communicator failed. Analyses are finalized on every
+// exit path; a finalize failure (e.g. the .pvd index write) surfaces
+// unless an earlier error takes precedence.
+func (e *Endpoint) Run() (int, error) {
+	// Decided here rather than in NewEndpoint: callers add analyses to
+	// Analysis() in between.
+	e.rs.da.SetStorageReuse(e.ca.CanReuseStepStorage())
+	err := runRank(e.ctx.Comm, &e.rs, e.ca, e.StepDelay, e.straggler)
+	if ferr := e.ca.Finalize(); ferr != nil && err == nil {
+		err = ferr
 	}
+	return e.rs.processed, err
 }

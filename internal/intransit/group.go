@@ -13,12 +13,12 @@ import (
 	"nekrs-sensei/internal/telemetry"
 )
 
-// Group is the parallel endpoint runtime: R cooperative ranks consume
-// one logical in-transit stream and shard the analysis work across
-// themselves, so endpoint-side cost no longer caps producer
-// throughput (the serial-endpoint ceiling of the paper's Figures
-// 5/6). Each rank owns a contiguous block (source) range of the
-// stream — histogram and probe reductions merge the shards through
+// Group is the endpoint runtime on R ranks: R cooperative Endpoints on
+// one communicator consume one logical in-transit stream and shard the
+// analysis work across themselves, so endpoint-side cost no longer
+// caps producer throughput (the serial-endpoint ceiling of the paper's
+// Figures 5/6). Each rank owns a contiguous block (source) range of
+// the stream — histogram and probe reductions merge the shards through
 // the group's mpirt collectives exactly as the simulation-side ranks
 // would, and rendering rasterizes each shard locally before
 // depth-compositing across the endpoint ranks via binary swap into a
@@ -28,13 +28,13 @@ import (
 // (staging.SubscribeGroup / the hello's group field), which
 // guarantees every rank sees the identical step sequence per hub;
 // across hubs, drop policies can still shed different steps, so the
-// runtime realigns skewed streams with a cross-rank step agreement
-// and resynchronizes at a per-step barrier whose waits are charged to
-// a metrics.Straggler.
+// step loop (runRank) realigns skewed streams with a cross-rank step
+// agreement and resynchronizes at a per-step barrier whose waits are
+// charged to a metrics.Straggler.
 type Group struct {
 	cfg GroupConfig
 
-	cas []*sensei.ConfigurableAnalysis
+	eps []*Endpoint // one per rank, set by Run
 }
 
 // GroupConfig configures a parallel endpoint group.
@@ -106,12 +106,12 @@ func NewGroup(cfg GroupConfig) (*Group, error) {
 	if cfg.Sources == nil {
 		return nil, fmt.Errorf("intransit: group needs a Sources factory")
 	}
-	return &Group{cfg: cfg, cas: make([]*sensei.ConfigurableAnalysis, cfg.Ranks)}, nil
+	return &Group{cfg: cfg, eps: make([]*Endpoint, cfg.Ranks)}, nil
 }
 
 // Analysis returns rank's analysis multiplexer; valid after Run (for
 // inspecting reduced results, which every rank holds identically).
-func (g *Group) Analysis(rank int) *sensei.ConfigurableAnalysis { return g.cas[rank] }
+func (g *Group) Analysis(rank int) *sensei.ConfigurableAnalysis { return g.eps[rank].ca }
 
 // Per-rank stream status for the cross-rank agreement, ordered so the
 // max-reduction picks the most severe outcome: an error beats a stop
@@ -123,18 +123,23 @@ const (
 	stErr  = 3 // a source failed (or ended early)
 )
 
-// rankStream drives one rank's sources: pulling, local realignment
-// across this rank's hubs, and skip bookkeeping.
+// rankStream is one rank's half of the step loop: its sources, the
+// step each currently holds, the adaptor they merge into, and what the
+// run counted.
 type rankStream struct {
 	sources []StepSource
 	steps   []*adios.Step
 	da      *StreamDataAdaptor
-	skipped int
+	agree   [4]int64 // the step agreement's allreduce operand
 	err     error
+
+	processed, skipped int
+	stopped            bool
+	stepWall           time.Duration // aligned step to barrier exit, summed
 }
 
 // pull fills every empty source slot. Returns stOK/stEOF/stErr.
-func (rs *rankStream) pull() int {
+func (rs *rankStream) pull() int64 {
 	eofs := 0
 	for src, s := range rs.steps {
 		if s != nil {
@@ -163,9 +168,15 @@ func (rs *rankStream) pull() int {
 
 // advance moves every source to at least target, skipping (and
 // structure-capturing) intermediate steps, then realigns locally to
-// the maximum step across this rank's sources. Returns the status and
-// the locally aligned step.
-func (rs *rankStream) advance(target int64) (int, int64) {
+// the maximum step across this rank's sources: staging-hub sources can
+// deliver different step subsequences — drop policies shed steps
+// independently per hub, and consumers attaching mid-stream start at
+// each hub's current step — but each stream is monotonic, so advancing
+// the lagging ones realigns them. Lossless consumers that need zero
+// skips subscribe before the first publish (pre-declared consumers in
+// the staging XML). Returns stOK and the aligned step, or stErr: a
+// source that ends on the way lost data (see StepSource).
+func (rs *rankStream) advance(target int64) (int64, int64) {
 	for {
 		local := target
 		for _, s := range rs.steps {
@@ -185,9 +196,6 @@ func (rs *rankStream) advance(target int64) (int, int64) {
 				// back for decode-into-reuse (structure steps refused).
 				recycleStep(rs.sources[src], s)
 				next, err := rs.sources[src].BeginStep()
-				if errors.Is(err, io.EOF) {
-					return stEOF, 0
-				}
 				if err != nil {
 					rs.err = fmt.Errorf("intransit: source %d ended during resync at step %d: %w", src, local, err)
 					return stErr, 0
@@ -206,27 +214,20 @@ func (rs *rankStream) advance(target int64) (int, int64) {
 }
 
 // Run spawns the R endpoint ranks, consumes the streams to
-// end-of-stream, and executes the sharded analyses per step. Every
-// stage that can fail on a single rank (source setup, initialization,
-// ingest, analysis execution) ends in a cross-rank agreement, so an
-// asymmetric failure — rank 0's image write, one rank's dropped
-// connection — stops the whole group cleanly instead of stranding the
-// peers in a collective. The one remaining MPI-like hazard is a rank
-// failing between the matched collectives *inside* one analysis'
-// Execute; mpirt's kind checking turns that into a panic rather than
-// a silent deadlock where the collective kinds differ.
+// end-of-stream, and executes the sharded analyses per step. Source
+// setup and initialization, like every stage of the step loop, end in
+// a cross-rank agreement, so a failure on one rank stops the whole
+// group cleanly instead of stranding the peers in a collective.
 func (g *Group) Run() (GroupStats, error) {
 	R := g.cfg.Ranks
 	straggler := metrics.NewStraggler(R)
-	if tel := g.cfg.Telemetry; tel != nil {
+	// A group of one has no peer to wait for; exporting its zeros
+	// would only collide across the replicas of one process.
+	if tel := g.cfg.Telemetry; tel != nil && R > 1 {
 		telemetry.RegisterStraggler(tel.Registry(), straggler)
 		tel.RegisterStatus("intransit-group", func() any { return straggler.Stats() })
 	}
 	stats := GroupStats{Ranks: R, Skipped: make([]int, R)}
-	stepsDone := make([]int, R)
-	bytesOut := make([]int64, R)
-	filesOut := make([]int, R)
-	var stepWall time.Duration // rank 0 only
 
 	err := mpirt.RunErr(R, func(comm *mpirt.Comm) error {
 		rank := comm.Rank()
@@ -234,8 +235,6 @@ func (g *Group) Run() (GroupStats, error) {
 		if cleanup != nil {
 			defer cleanup()
 		}
-		// Every phase that can fail on one rank ends in an agreement so
-		// the others exit instead of blocking in a collective.
 		if comm.AllreduceI64Scalar(boolStatus(err != nil), mpirt.OpMax) != stOK {
 			return err
 		}
@@ -244,48 +243,37 @@ func (g *Group) Run() (GroupStats, error) {
 		if g.cfg.Presharded {
 			lo, hi = 0, len(sources)
 		}
-		da := NewStreamDataAdaptor(comm, len(sources))
-		err = da.SetShard(lo, hi)
 		ctx := &sensei.Context{
 			Comm: comm, Acct: metrics.NewAccountant(), Timer: metrics.NewTimer(),
 			Storage: metrics.NewStorageCounter(), OutputDir: g.cfg.OutputDir,
 			Shard:     &sensei.Shard{Rank: rank, Ranks: R, BlockLo: lo, BlockHi: hi},
 			Telemetry: g.cfg.Telemetry,
 		}
-		ca := sensei.NewConfigurableAnalysis(ctx)
-		if err == nil && len(g.cfg.ConfigXML) > 0 {
-			err = ca.InitializeXML(g.cfg.ConfigXML)
+		ep, err := NewEndpoint(ctx, sources, g.cfg.ConfigXML)
+		if err == nil {
+			err = ep.rs.da.SetShard(lo, hi)
 		}
 		if comm.AllreduceI64Scalar(boolStatus(err != nil), mpirt.OpMax) != stOK {
 			return err
 		}
-		da.SetStorageReuse(ca.CanReuseStepStorage())
-		g.cas[rank] = ca
-		defer func() {
-			bytesOut[rank] = ctx.Storage.Bytes()
-			filesOut[rank] = ctx.Storage.Files()
-		}()
-
-		rs := &rankStream{
-			sources: sources,
-			steps:   make([]*adios.Step, len(sources)),
-			da:      da,
-		}
-		runErr := g.runRank(comm, rs, da, ca, straggler, &stepsDone[rank], &stepWall)
-		stats.Skipped[rank] = rs.skipped
-		if ferr := ca.Finalize(); ferr != nil && runErr == nil {
-			runErr = ferr
-		}
-		return runErr
+		ep.StepDelay, ep.straggler = g.cfg.StepDelay, straggler
+		g.eps[rank] = ep
+		_, err = ep.Run()
+		return err
 	})
 
-	stats.Steps = stepsDone[0]
-	stats.Straggler = straggler.Stats()
-	stats.StepWall = stepWall
-	for r := 0; r < R; r++ {
-		stats.Bytes += bytesOut[r]
-		stats.Files += filesOut[r]
+	for rank, ep := range g.eps {
+		if ep == nil {
+			continue // the group stopped before this rank was built
+		}
+		stats.Skipped[rank] = ep.rs.skipped
+		stats.Bytes += ep.ctx.Storage.Bytes()
+		stats.Files += ep.ctx.Storage.Files()
+		if rank == 0 {
+			stats.Steps, stats.StepWall = ep.rs.processed, ep.rs.stepWall
+		}
 	}
+	stats.Straggler = straggler.Stats()
 	return stats, err
 }
 
@@ -296,12 +284,21 @@ func boolStatus(failed bool) int64 {
 	return stOK
 }
 
-// runRank is one rank's step loop: pull, agree on a global target
-// step, realign, execute the shard, barrier.
-func (g *Group) runRank(comm *mpirt.Comm, rs *rankStream, da *StreamDataAdaptor,
-	ca *sensei.ConfigurableAnalysis, straggler *metrics.Straggler,
-	stepsDone *int, stepWall *time.Duration) error {
-	rank := comm.Rank()
+// runRank is the endpoint step loop, one rank's side of it: pull,
+// agree on a global target step, realign, ingest, execute, barrier,
+// release. Every stage that can fail on a single rank — a dropped
+// connection, a shard-shaped ingest error, rank 0's image write — ends
+// in an agreement rather than a bare return, which would leave the
+// peers blocked in their next collective forever. The one remaining
+// MPI-like hazard is a rank failing between the matched collectives
+// *inside* one analysis' Execute; mpirt's kind checking turns that
+// into a panic rather than a silent deadlock where the collective
+// kinds differ. The error is nil on ranks that stopped for a failed
+// peer. On a one-rank communicator every agreement is an uncontended
+// lock and allocates nothing.
+func runRank(comm *mpirt.Comm, rs *rankStream, ca *sensei.ConfigurableAnalysis,
+	delay time.Duration, straggler *metrics.Straggler) error {
+	rank, da := comm.Rank(), rs.da
 	for {
 		status := rs.pull()
 		var local int64
@@ -310,33 +307,28 @@ func (g *Group) runRank(comm *mpirt.Comm, rs *rankStream, da *StreamDataAdaptor,
 		}
 		// Cross-rank resynchronization: hubs shed steps independently
 		// under drop policies, so ranks can surface different step
-		// numbers. Agree on the maximum, advance stragglers, and repeat
-		// until every rank holds the same step (or any rank ends).
+		// numbers. One max-reduction carries the worst and (negated) the
+		// best status and the highest and lowest step: advance to the
+		// highest and repeat until every rank holds it (or any ends).
 		for {
-			res := comm.AllreduceI64([]int64{int64(status), local}, mpirt.OpMax)
-			if res[0] == stErr {
-				return rs.err // nil on ranks that stopped for a failed peer
+			rs.agree = [4]int64{status, -status, local, -local}
+			comm.AllreduceI64InPlace(rs.agree[:], mpirt.OpMax)
+			worst, best, target := rs.agree[0], -rs.agree[1], rs.agree[2]
+			if worst == stErr {
+				return rs.err
 			}
-			if res[0] == stEOF {
-				return nil // group ends when any rank's stream ends
+			if worst == stEOF {
+				if status == stEOF && best != stEOF {
+					return fmt.Errorf("intransit: rank %d's sources ended while peer ranks still deliver", rank)
+				}
+				return nil
 			}
-			agree := int64(0)
-			if local == res[1] {
-				agree = 1
-			}
-			if comm.AllreduceI64Scalar(agree, mpirt.OpMin) == 1 {
+			if target == -rs.agree[3] {
 				break
 			}
-			status, local = rs.advance(res[1])
-			if status != stOK {
-				local = 0
-			}
+			status, local = rs.advance(target)
 		}
 
-		// Execution failures can strike one rank only (rank 0's image
-		// write, a shard-shaped ingest error), so each stage ends in an
-		// agreement rather than a bare return — a bare return would
-		// leave the peers blocked in their next collective forever.
 		stepStart := time.Now()
 		var stepErr error
 		for src, s := range rs.steps {
@@ -350,8 +342,8 @@ func (g *Group) runRank(comm *mpirt.Comm, rs *rankStream, da *StreamDataAdaptor,
 		if comm.AllreduceI64Scalar(boolStatus(stepErr != nil), mpirt.OpMax) != stOK {
 			return stepErr
 		}
-		if g.cfg.StepDelay > 0 {
-			time.Sleep(g.cfg.StepDelay)
+		if delay > 0 {
+			time.Sleep(delay)
 		}
 		var stopReq bool
 		stopReq, stepErr = ca.Execute(da)
@@ -367,20 +359,22 @@ func (g *Group) runRank(comm *mpirt.Comm, rs *rankStream, da *StreamDataAdaptor,
 		barrierStart := time.Now()
 		agreed := comm.AllreduceI64Scalar(execStatus, mpirt.OpMax)
 		straggler.Record(rank, time.Since(barrierStart))
-		if rank == 0 {
-			*stepWall += time.Since(stepStart)
-		}
+		rs.stepWall += time.Since(stepStart)
 		if agreed == stErr {
 			return stepErr
 		}
 		if err := da.ReleaseData(); err != nil {
 			return err
 		}
-		*stepsDone++
+		rs.processed++
 		if agreed == stStop {
-			// One rank's analysis requested a stop: the agreement makes
-			// every rank leave after the same completed step, keeping
-			// the collectives matched.
+			// An analysis requested a stop: the agreement makes every
+			// rank leave after the same completed step, keeping the
+			// collectives matched, without draining the remaining stream
+			// (the producer sees a dropped connection and unblocks
+			// through its error path, or keeps publishing to its other
+			// consumers).
+			rs.stopped = true
 			return nil
 		}
 		// This step's data is consumed (arrays copied by Ingest): hand

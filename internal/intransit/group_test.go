@@ -1,14 +1,18 @@
 package intransit
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"nekrs-sensei/internal/adios"
+	"nekrs-sensei/internal/mpirt"
 	"nekrs-sensei/internal/sensei"
 	"nekrs-sensei/internal/staging"
 
@@ -114,6 +118,11 @@ func runGroupOverHubs(t *testing.T, blocks, ranks, steps int, configXML, outDir 
 	}
 	return g, stats
 }
+
+// histogramAllocsPerStep is what one step of histConfig allocated in
+// the serial Endpoint.Run loop this runtime replaced (measured there
+// with TestOneRankStepLoopAllocations' own method).
+const histogramAllocsPerStep = 19
 
 const histConfig = `<sensei>
   <analysis type="histogram" array="temperature" bins="6"/>
@@ -349,5 +358,182 @@ func TestShardRange(t *testing.T) {
 					tc.n, tc.ranks, r, lo, hi, want[0], want[1])
 			}
 		}
+	}
+}
+
+// TestEndOfStreamRule pins the one end-of-stream rule (StepSource): a
+// run ends cleanly only when every source of every rank ends in the
+// same round; a source that stops short of a step a peer delivered —
+// found at the pull or while realigning, within a rank or across
+// ranks — lost data and fails the run.
+func TestEndOfStreamRule(t *testing.T) {
+	mk := func(b int, seqs ...int) StepSource {
+		s := &scriptedSource{}
+		for _, q := range seqs {
+			s.steps = append(s.steps, blockStep(b, q))
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name    string
+		perRank func() [][]StepSource
+		steps   int
+		wantErr string
+	}{
+		{"every source ends in the same round",
+			func() [][]StepSource { return [][]StepSource{{mk(0, 0, 1, 2)}, {mk(1, 0, 2)}} }, 2, ""},
+		{"a source ends while realigning inside a rank",
+			func() [][]StepSource { return [][]StepSource{{mk(0, 0, 3), mk(1, 0, 1, 2)}} }, 1, "ended during resync"},
+		{"a rank ends while realigning to its peer",
+			func() [][]StepSource { return [][]StepSource{{mk(0, 0, 3)}, {mk(1, 0, 1, 2)}} }, 1, "ended during resync"},
+		{"a rank ends at the pull while its peer delivers",
+			func() [][]StepSource { return [][]StepSource{{mk(0, 0, 1, 2)}, {mk(1, 0, 1)}} }, 2, "while peer ranks still deliver"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			perRank := tc.perRank()
+			g, err := NewGroup(GroupConfig{
+				Ranks: len(perRank), Presharded: true,
+				Sources: func(rank, _ int) ([]StepSource, func(), error) { return perRank[rank], nil, nil },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats, err := g.Run()
+			if tc.wantErr == "" && err != nil {
+				t.Fatalf("clean end-of-stream failed: %v", err)
+			}
+			if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.wantErr)
+			}
+			if stats.Steps != tc.steps {
+				t.Errorf("processed %d steps, want %d", stats.Steps, tc.steps)
+			}
+		})
+	}
+}
+
+// failingSource replays its script, then fails instead of ending.
+type failingSource struct{ scriptedSource }
+
+func (s *failingSource) BeginStep() (*adios.Step, error) {
+	if st, err := s.scriptedSource.BeginStep(); err == nil {
+		return st, nil
+	}
+	return nil, errors.New("connection reset")
+}
+
+// failOnSecond is an analysis with no collective of its own whose
+// second Execute fails.
+type failOnSecond struct{ execs int }
+
+func (f *failOnSecond) Describe() sensei.Requirements { return sensei.NoRequirements() }
+func (f *failOnSecond) Execute(*sensei.Step) (bool, error) {
+	if f.execs++; f.execs == 2 {
+		return false, errors.New("disk full")
+	}
+	return false, nil
+}
+func (f *failOnSecond) Finalize() error { return nil }
+
+// TestEndpointsAsymmetricFailureDoesNotHang: two Endpoints on one
+// 2-rank communicator (the sensei-endpoint -ranks 2 shape) run a
+// reducing analysis; rank 0 alone fails on its second step — its
+// source breaks, or its Execute does. Both must return, rank 0 with
+// the error, instead of rank 1 waiting forever in the histogram's
+// allreduce for a peer that left.
+func TestEndpointsAsymmetricFailureDoesNotHang(t *testing.T) {
+	script := func(b int) scriptedSource {
+		return scriptedSource{steps: []*adios.Step{blockStep(b, 0), blockStep(b, 1), blockStep(b, 2)}}
+	}
+	for _, tc := range []struct {
+		name, wantErr string
+		arm           func(rank0 *Endpoint)
+	}{
+		{"rank 0's source fails", "connection reset", func(ep *Endpoint) {
+			ep.rs.sources[0] = &failingSource{scriptedSource{steps: []*adios.Step{blockStep(0, 0)}}}
+		}},
+		{"rank 0's Execute fails", "disk full", func(ep *Endpoint) {
+			ep.Analysis().AddAnalysis("failer", 1, &failOnSecond{})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			world := mpirt.NewWorld(2)
+			type result struct {
+				rank, steps int
+				err         error
+			}
+			done := make(chan result, 2)
+			for rank := 0; rank < 2; rank++ {
+				src := script(rank)
+				ep, err := NewEndpoint(ctxFor(world.Comm(rank), ""), []StepSource{&src}, []byte(histConfig))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rank == 0 {
+					tc.arm(ep)
+				}
+				go func() {
+					n, err := ep.Run()
+					done <- result{rank, n, err}
+				}()
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			for i := 0; i < 2; i++ {
+				select {
+				case r := <-done:
+					if r.steps != 1 {
+						t.Errorf("rank %d processed %d steps, want 1", r.rank, r.steps)
+					}
+					if r.rank == 0 && (r.err == nil || !strings.Contains(r.err.Error(), tc.wantErr)) {
+						t.Errorf("rank 0 returned %v, want its own failure (%q)", r.err, tc.wantErr)
+					}
+					if r.rank == 1 && r.err != nil {
+						t.Errorf("rank 1 returned %v, want nil (it stopped for its peer)", r.err)
+					}
+				case <-ctx.Done():
+					t.Fatal("an endpoint is still blocked in a collective after its peer failed")
+				}
+			}
+		})
+	}
+}
+
+// TestOneRankStepLoopAllocations: on a one-rank communicator the step
+// loop's agreements must cost nothing per step. The per-step figure is
+// the allocation delta of two run lengths over the same setup; the
+// budgets are what the serial loop this one replaced allocated.
+func TestOneRankStepLoopAllocations(t *testing.T) {
+	const n = 64
+	steps := make([]*adios.Step, 2*n)
+	for i := range steps {
+		steps[i] = blockStep(0, i)
+	}
+	for _, tc := range []struct {
+		name, config string
+		budget       float64
+	}{
+		{"pure sink", "", 0},
+		{"histogram", histConfig, histogramAllocsPerStep},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(n int) float64 {
+				return testing.AllocsPerRun(3, func() {
+					ep, err := NewEndpoint(ctxFor(mpirt.NewWorld(1).Comm(0), ""),
+						[]StepSource{&scriptedSource{steps: steps[:n]}}, []byte(tc.config))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, err := ep.Run(); err != nil || got != n {
+						t.Fatalf("processed %d steps (%v), want %d", got, err, n)
+					}
+				})
+			}
+			perStep := (run(2*n) - run(n)) / n
+			t.Logf("%.2f allocations per step", perStep)
+			if perStep > tc.budget {
+				t.Errorf("one-rank step loop allocates %.2f per step, budget %v", perStep, tc.budget)
+			}
+		})
 	}
 }

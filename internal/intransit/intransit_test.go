@@ -105,7 +105,7 @@ func TestFullPipelineIntegrity(t *testing.T) {
 			return
 		}
 		// Capture each step's merged temperature via a custom analysis.
-		ep.ca.AddLegacyAnalysis("capture", 1, captureFunc(func(da sensei.DataAdaptor) error {
+		ep.ca.AddAnalysis("capture", 1, captureFunc(func(da sensei.DataAdaptor) error {
 			g, err := da.Mesh("mesh", true)
 			if err != nil {
 				return err
@@ -196,13 +196,14 @@ func TestFullPipelineIntegrity(t *testing.T) {
 
 var mu sync.Mutex
 
-// captureFunc adapts a closure to the legacy sensei.AnalysisAdaptor
-// shape (exercising the Legacy compat wrapper end to end); it never
-// requests a stop.
+// captureFunc adapts a closure to sensei.Analysis: it declares nothing
+// and reads the step through Step.Adaptor(), so a test can pull
+// whatever the stream carries. It never requests a stop.
 type captureFunc func(da sensei.DataAdaptor) error
 
-func (f captureFunc) Execute(da sensei.DataAdaptor) (bool, error) { return false, f(da) }
-func (f captureFunc) Finalize() error                             { return nil }
+func (f captureFunc) Describe() sensei.Requirements         { return sensei.NoRequirements() }
+func (f captureFunc) Execute(st *sensei.Step) (bool, error) { return false, f(st.Adaptor()) }
+func (f captureFunc) Finalize() error                       { return nil }
 
 // TestEndpointVTUCheckpoint drives the paper's in transit
 // Checkpointing measurement point end to end: sim -> SST -> endpoint
@@ -457,7 +458,7 @@ func TestEndpointResyncSkewedSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seen []int
-	ep.ca.AddLegacyAnalysis("capture", 1, captureFunc(func(da sensei.DataAdaptor) error {
+	ep.ca.AddAnalysis("capture", 1, captureFunc(func(da sensei.DataAdaptor) error {
 		g, err := da.Mesh("mesh", true)
 		if err != nil {
 			return err
@@ -521,7 +522,7 @@ func TestStagingFanoutEndpoints(t *testing.T) {
 				epErrs[i] = err
 				return
 			}
-			ep.ca.AddLegacyAnalysis("capture", 1, captureFunc(func(da sensei.DataAdaptor) error {
+			ep.ca.AddAnalysis("capture", 1, captureFunc(func(da sensei.DataAdaptor) error {
 				g, err := da.Mesh("mesh", true)
 				if err != nil {
 					return err

@@ -116,27 +116,48 @@ func (c *Comm) AllreduceF64Scalar(v float64, op Op) float64 {
 
 // AllreduceI64 element-wise reduces int64 vectors across all ranks.
 func (c *Comm) AllreduceI64(vals []int64, op Op) []int64 {
-	cp := make([]int64, len(vals))
-	copy(cp, vals)
-	res := c.joinCollective("allreduce-i64", cp, func(contrib []interface{}) interface{} {
-		acc := make([]int64, len(cp))
-		copy(acc, contrib[0].([]int64))
-		for r := 1; r < len(contrib); r++ {
-			v := contrib[r].([]int64)
-			for i := range acc {
-				acc[i] = op.combineI64(acc[i], v[i])
-			}
-		}
-		return acc
-	})
-	out := make([]int64, len(vals))
-	copy(out, res.([]int64))
+	out := append([]int64(nil), vals...)
+	c.AllreduceI64InPlace(out, op)
 	return out
+}
+
+// AllreduceI64InPlace is AllreduceI64 that overwrites vals with the
+// reduced vector and allocates nothing — AllreduceF64InPlace's int64
+// twin: the endpoint step loop agrees on a status and a step number
+// several times per step.
+func (c *Comm) AllreduceI64InPlace(vals []int64, op Op) {
+	rv := c.rv
+	rv.mu.Lock()
+	last := c.arrive("allreduce-i64")
+	rv.i64[c.rank] = vals
+	if !last {
+		c.await()
+		return
+	}
+	acc := append(rv.accI64[:0], rv.i64[0]...)
+	for r := 1; r < len(rv.i64); r++ {
+		v := rv.i64[r]
+		if len(v) != len(acc) {
+			c.fail(fmt.Sprintf("mpirt: allreduce length mismatch: rank %d has %d values, rank 0 has %d", r, len(v), len(acc)))
+		}
+		for i := range acc {
+			acc[i] = op.combineI64(acc[i], v[i])
+		}
+	}
+	for r := range rv.i64 {
+		copy(rv.i64[r], acc)
+		rv.i64[r] = nil
+	}
+	rv.accI64 = acc
+	c.release()
+	rv.mu.Unlock()
 }
 
 // AllreduceI64Scalar reduces one int64 across all ranks.
 func (c *Comm) AllreduceI64Scalar(v int64, op Op) int64 {
-	return c.AllreduceI64([]int64{v}, op)[0]
+	c.scalarI64[0] = v
+	c.AllreduceI64InPlace(c.scalarI64[:], op)
+	return c.scalarI64[0]
 }
 
 // BcastF64 broadcasts root's vector to all ranks; every rank receives a

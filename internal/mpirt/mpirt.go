@@ -98,8 +98,10 @@ type rendezvous struct {
 	// rank reads the slot after it wakes. acc is the reduction
 	// scratch, grown on demand.
 	f64        [][]float64
+	i64        [][]int64
 	send, recv [][][]float64
 	acc        []float64
+	accI64     []int64
 	refs       [][]interface{} // ShareRefs: where each rank wants the table
 }
 
@@ -107,6 +109,7 @@ func newRendezvous(size int) *rendezvous {
 	rv := &rendezvous{
 		contrib: make([]interface{}, size),
 		f64:     make([][]float64, size),
+		i64:     make([][]int64, size),
 		send:    make([][][]float64, size),
 		recv:    make([][][]float64, size),
 		refs:    make([][]interface{}, size),
@@ -198,7 +201,8 @@ type Comm struct {
 	rank  int         // rank within this communicator
 	group []int       // communicator rank -> world rank
 
-	scalar [1]float64 // AllreduceF64Scalar's operand
+	scalar    [1]float64 // AllreduceF64Scalar's operand
+	scalarI64 [1]int64   // AllreduceI64Scalar's operand
 
 	attrs map[interface{}]interface{} // this rank's cached attributes
 }

@@ -136,6 +136,10 @@ func TestAllreduceOps(t *testing.T) {
 		if isum != int64(wantSum) {
 			t.Errorf("int sum = %d, want %d", isum, int64(wantSum))
 		}
+		iv := []int64{int64(c.Rank()), -int64(c.Rank())}
+		if imax := c.AllreduceI64(iv, OpMax); imax[0] != n-1 || imax[1] != 0 || iv[0] != int64(c.Rank()) {
+			t.Errorf("int max = %v (operand now %v), want [%d 0] and the operand untouched", imax, iv, n-1)
+		}
 	})
 }
 
@@ -461,13 +465,15 @@ func TestMixedCollectivesReuseTheRendezvous(t *testing.T) {
 
 func TestInPlaceCollectivesDoNotAllocate(t *testing.T) {
 	c := NewWorld(1).Comm(0)
-	buf := []float64{1, 2}
+	buf, ibuf := []float64{1, 2}, []int64{1, 2}
 	send, recv := [][]float64{{1, 2, 3}}, [][]float64{make([]float64, 3)}
 	refs := make([]interface{}, 1)
 	c.SetAttr(attrKey{}, &buf)
 	allocs := testing.AllocsPerRun(50, func() {
 		c.AllreduceF64InPlace(buf, OpSum)
 		_ = c.AllreduceF64Scalar(3, OpMax)
+		c.AllreduceI64InPlace(ibuf, OpMax)
+		_ = c.AllreduceI64Scalar(3, OpMin)
 		c.AlltoallF64Into(send, recv)
 		c.ShareRefs(&buf, refs)
 		c.Barrier()

@@ -239,7 +239,7 @@ func New(upstream []string, opts Options) (*Relay, error) {
 	}
 
 	r.req = unionRequirements(o.Mesh, o.Downstream)
-	if m := r.req.Mesh(o.Mesh); m != nil && !m.AllArrays && !r.req.IsOpaque() {
+	if m := r.req.Mesh(o.Mesh); m != nil && !m.AllArrays {
 		r.arrays = m.PointArrayNames()
 	}
 	r.codecs = o.TrunkCodecs

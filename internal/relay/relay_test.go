@@ -610,7 +610,7 @@ func TestRelayTreePB146(t *testing.T) {
 		if got := r1.RequestedArrays(); len(got) != 1 || got[0] != "temperature" {
 			fail("tier0 requested %v upstream, want the subtree union [temperature]", got)
 		}
-		if err := adios.WriteContactEntry(cdir, "tier0", r1.Addrs()); err != nil {
+		if err := adios.WriteContactEntry(cdir, "tier0", r1.Addrs(), ""); err != nil {
 			fail("tier0 publish: %v", err)
 			return
 		}
@@ -637,7 +637,7 @@ func TestRelayTreePB146(t *testing.T) {
 			fail("tier1: %v", err)
 			return
 		}
-		if err := adios.WriteContactEntry(cdir, "tier1", r2.Addrs()); err != nil {
+		if err := adios.WriteContactEntry(cdir, "tier1", r2.Addrs(), ""); err != nil {
 			fail("tier1 publish: %v", err)
 			return
 		}

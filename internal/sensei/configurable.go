@@ -29,16 +29,14 @@ import (
 // a shared read-only Step and fans that out to every triggered
 // analysis, so N analyses over one mesh cost one Mesh and one AddArray
 // per distinct array — not N. Bytes pulled are accounted per analysis
-// (PullStats/PullTable). Legacy v1 adaptors (opaque requirements)
-// still pull through the DataAdaptor themselves.
+// (PullStats/PullTable).
 type ConfigurableAnalysis struct {
 	ctx     *Context
 	entries []configEntry
 
 	// scratch is the recycled Step handed to PullInto when
 	// CanReuseStepStorage allows it — nil while any analysis retains
-	// step data (or declares opaquely), in which case every step pulls
-	// into fresh bookkeeping.
+	// step data, in which case every step pulls into fresh bookkeeping.
 	scratch *Step
 
 	pullHist    *telemetry.Histogram // planner pull timing, cached handle
@@ -113,7 +111,7 @@ func (ca *ConfigurableAnalysis) InitializeXML(doc []byte) error {
 		if err != nil {
 			return err
 		}
-		ca.add(typeName, freq, adaptor)
+		ca.AddAnalysis(typeName, freq, adaptor)
 		ca.entries[len(ca.entries)-1].setMaxError(maxErr)
 	}
 	return nil
@@ -129,10 +127,10 @@ func (ca *ConfigurableAnalysis) InitializeFile(path string) error {
 	return ca.InitializeXML(doc)
 }
 
-// add appends one entry, caching its declaration and folding the
-// declared cadence into the trigger frequency (both gates must open,
-// hence the lcm).
-func (ca *ConfigurableAnalysis) add(typeName string, freq int, a Analysis) {
+// AddAnalysis appends a constructed analysis with the given trigger
+// frequency, caching its declaration and folding the declared cadence
+// into the trigger frequency (both gates must open, hence the lcm).
+func (ca *ConfigurableAnalysis) AddAnalysis(typeName string, freq int, a Analysis) {
 	if freq < 1 {
 		freq = 1
 	}
@@ -155,17 +153,6 @@ func (e *configEntry) setMaxError(bound float64) {
 	}
 }
 
-// AddAnalysis appends a programmatically constructed analysis with the
-// given trigger frequency.
-func (ca *ConfigurableAnalysis) AddAnalysis(typeName string, freq int, a Analysis) {
-	ca.add(typeName, freq, a)
-}
-
-// AddLegacyAnalysis appends a v1 adaptor through the compat wrapper.
-func (ca *ConfigurableAnalysis) AddLegacyAnalysis(typeName string, freq int, a AnalysisAdaptor) {
-	ca.add(typeName, freq, Legacy(a))
-}
-
 // NumAnalyses reports the number of enabled analyses.
 func (ca *ConfigurableAnalysis) NumAnalyses() int { return len(ca.entries) }
 
@@ -181,14 +168,10 @@ func (ca *ConfigurableAnalysis) Types() []string {
 // FindAdaptor returns the first enabled analysis of the given type,
 // nil if none — the handle XML-configured drivers use to reach an
 // adaptor's extra API (e.g. the staging hub's stats) after
-// InitializeXML instantiated it. Legacy wrappers are unwrapped so the
-// concrete v1 adaptor type-asserts directly.
+// InitializeXML instantiated it.
 func (ca *ConfigurableAnalysis) FindAdaptor(typeName string) any {
 	for _, e := range ca.entries {
 		if e.typeName == typeName {
-			if lw, ok := e.adaptor.(interface{ Unwrap() AnalysisAdaptor }); ok {
-				return lw.Unwrap()
-			}
 			return e.adaptor
 		}
 	}
@@ -197,24 +180,15 @@ func (ca *ConfigurableAnalysis) FindAdaptor(typeName string) any {
 
 // CanReuseStepStorage reports whether pulled step storage — the Step's
 // bookkeeping and, at the adaptors' discretion, the array buffers
-// under it — may be recycled across steps: true iff every enabled
-// analysis declares its requirements (no opaque legacy pulls the
-// planner cannot see) and none retains step data beyond Execute
-// (StepRetainer). Data adaptors consult this once at bridge/endpoint
-// initialization to decide whether their per-step copies go back into
-// a free list on ReleaseData.
+// under it — may be recycled across steps: true iff no enabled
+// analysis retains step data beyond Execute (StepRetainer). Data
+// adaptors consult this once at bridge/endpoint initialization to
+// decide whether their per-step copies go back into a free list on
+// ReleaseData.
 func (ca *ConfigurableAnalysis) CanReuseStepStorage() bool {
 	for _, e := range ca.entries {
-		if e.reqs.IsOpaque() {
-			return false
-		}
 		if r, ok := e.adaptor.(StepRetainer); ok && r.RetainsStepData() {
 			return false
-		}
-		if lw, ok := e.adaptor.(interface{ Unwrap() AnalysisAdaptor }); ok {
-			if r, ok := lw.Unwrap().(StepRetainer); ok && r.RetainsStepData() {
-				return false
-			}
 		}
 	}
 	return true
@@ -235,7 +209,7 @@ func (ca *ConfigurableAnalysis) Requirements() Requirements {
 // MaxError reports the wire error bound the whole configuration
 // tolerates: the smallest declared maxerror, and only when EVERY
 // enabled analysis that pulls data declares one — a single lossless
-// (or opaque legacy) analysis makes the configuration lossless.
+// analysis makes the configuration lossless.
 // Endpoints use it to derive a quantize codec request when the user
 // gave none.
 func (ca *ConfigurableAnalysis) MaxError() (bound float64, ok bool) {
@@ -244,7 +218,7 @@ func (ca *ConfigurableAnalysis) MaxError() (bound float64, ok bool) {
 			continue // needs no data; constrains nothing
 		}
 		b, set := e.reqs.MaxError()
-		if !set || e.reqs.IsOpaque() {
+		if !set {
 			return 0, false
 		}
 		if !ok || b < bound {
@@ -389,8 +363,7 @@ type PullStat struct {
 	// declaration across all executions. Shared arrays are charged to
 	// every analysis that declared them (the planner pulled them only
 	// once; compare the sum against the "sensei:pull" timer to see the
-	// dedup win). Zero for opaque (legacy) adaptors, which pull outside
-	// the planner.
+	// dedup win).
 	BytesPulled int64
 	// Stopped reports whether this analysis requested a stop.
 	Stopped bool

@@ -100,8 +100,9 @@ func TestConfigMaxError(t *testing.T) {
 }
 
 // TestConfigurableMaxError checks the instantiated planner agrees with
-// the XML-only derivation, including the paths ConfigMaxError cannot
-// see: opaque legacy adaptors must veto lossy transport.
+// the XML-only derivation, including the path ConfigMaxError cannot
+// see: an analysis added in code that declares no tolerance must veto
+// lossy transport.
 func TestConfigurableMaxError(t *testing.T) {
 	ca := NewConfigurableAnalysis(testCtx())
 	cfg := `<sensei>
@@ -114,11 +115,9 @@ func TestConfigurableMaxError(t *testing.T) {
 	if b, ok := ca.MaxError(); !ok || b != 1e-5 {
 		t.Fatalf("MaxError = %v, %v, want 1e-5, true", b, ok)
 	}
-	// A legacy adaptor's needs are unknown — the planner must refuse a
-	// bound no matter what the declared analyses tolerate.
-	ca.AddLegacyAnalysis("capture", 1, legacyNop{})
+	ca.AddAnalysis("tracker", 1, &stepTracker{})
 	if _, ok := ca.MaxError(); ok {
-		t.Fatal("opaque legacy analysis did not veto the error bound")
+		t.Fatal("a lossless analysis did not veto the error bound")
 	}
 
 	// A bad maxerror attribute fails configuration outright.
@@ -132,9 +131,3 @@ func TestConfigurableMaxError(t *testing.T) {
 		t.Fatal("zero maxerror accepted")
 	}
 }
-
-// legacyNop is a minimal v1 adaptor for the opaque-veto test.
-type legacyNop struct{}
-
-func (legacyNop) Execute(DataAdaptor) (bool, error) { return false, nil }
-func (legacyNop) Finalize() error                   { return nil }

@@ -1,9 +1,6 @@
 package sensei
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
 // TestPlannerPullsOnce is the acceptance test for the pull-once data
 // plane: three analyses over one mesh (two sharing array "f", one on
@@ -137,76 +134,4 @@ func TestPlannerStopSignal(t *testing.T) {
 			t.Error("quiet wrongly marked stopped")
 		}
 	}
-}
-
-// TestLegacyWrapper: a v1 adaptor runs under the planner through
-// Legacy, reaching the raw DataAdaptor, and FindAdaptor unwraps it.
-func TestLegacyWrapper(t *testing.T) {
-	ctx := testCtx()
-	ca := NewConfigurableAnalysis(ctx)
-	v1 := &legacyProbe{}
-	ca.AddLegacyAnalysis("v1", 1, v1)
-
-	da := &mockAdaptor{values: []float64{1, 2}}
-	if _, err := ca.Execute(da); err != nil {
-		t.Fatal(err)
-	}
-	if v1.got != 2 {
-		t.Errorf("legacy adaptor saw %d values, want 2", v1.got)
-	}
-	if got := ca.FindAdaptor("v1"); got != v1 {
-		t.Errorf("FindAdaptor did not unwrap the legacy adaptor: %T", got)
-	}
-	if err := ca.Finalize(); err != nil || !v1.finalized {
-		t.Errorf("legacy finalize: %v (finalized=%v)", err, v1.finalized)
-	}
-}
-
-// TestLegacyBoolIsNotStop: v1 adaptors conventionally return
-// `true, nil` on success (the bool was historically discarded); the
-// Legacy wrapper must not reinterpret that as a v2 stop request.
-func TestLegacyBoolIsNotStop(t *testing.T) {
-	ctx := testCtx()
-	ca := NewConfigurableAnalysis(ctx)
-	ca.AddLegacyAnalysis("v1-true", 1, v1ReturnsTrue{})
-	stop, err := ca.Execute(&mockAdaptor{values: []float64{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stop {
-		t.Error("legacy success bool surfaced as a stop request")
-	}
-}
-
-// v1ReturnsTrue follows the old success-bool convention.
-type v1ReturnsTrue struct{}
-
-func (v1ReturnsTrue) Execute(da DataAdaptor) (bool, error) { return true, nil }
-func (v1ReturnsTrue) Finalize() error                      { return nil }
-
-// legacyProbe is a v1 adaptor pulling ad hoc through the DataAdaptor.
-type legacyProbe struct {
-	got       int
-	finalized bool
-}
-
-func (l *legacyProbe) Execute(da DataAdaptor) (bool, error) {
-	g, err := da.Mesh("mesh", true)
-	if err != nil {
-		return false, err
-	}
-	if err := da.AddArray(g, "mesh", AssocPoint, "f"); err != nil {
-		return false, err
-	}
-	arr := g.FindPointData("f")
-	if arr == nil {
-		return false, errors.New("array f missing")
-	}
-	l.got = len(arr.Data)
-	return false, nil
-}
-
-func (l *legacyProbe) Finalize() error {
-	l.finalized = true
-	return nil
 }

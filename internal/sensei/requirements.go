@@ -76,11 +76,6 @@ type Requirements struct {
 	// configured XML frequency by lcm (both gates must open).
 	frequency int
 
-	// opaque marks a legacy (v1) adaptor whose needs are unknown: the
-	// planner cannot pull or subset on its behalf and must hand it the
-	// raw DataAdaptor.
-	opaque bool
-
 	// maxErr, when maxErrSet, is the largest absolute per-value error
 	// the analysis tolerates on its required arrays — the bound an
 	// in-transit reader may hand the wire quantizer. Unset means the
@@ -99,11 +94,6 @@ func normMesh(name string) string {
 // NoRequirements requires nothing (an analysis that only observes
 // time/step metadata).
 func NoRequirements() Requirements { return Requirements{} }
-
-// OpaqueRequirements marks unknown needs — the declaration of the
-// legacy-adaptor compat wrapper. Opaque requirements survive any
-// union and disable upstream subsetting.
-func OpaqueRequirements() Requirements { return Requirements{opaque: true} }
 
 // RequireStructure declares a structure-only need: the mesh geometry
 // with no arrays.
@@ -171,13 +161,8 @@ func (r Requirements) Frequency() int {
 	return r.frequency
 }
 
-// IsOpaque reports whether the requirements are unknown (legacy
-// adaptor): the planner must expose the raw DataAdaptor and upstream
-// senders cannot subset.
-func (r Requirements) IsOpaque() bool { return r.opaque }
-
 // Empty reports whether nothing is required.
-func (r Requirements) Empty() bool { return len(r.meshes) == 0 && !r.opaque }
+func (r Requirements) Empty() bool { return len(r.meshes) == 0 }
 
 // Meshes returns the per-mesh requirements, sorted by mesh name. The
 // returned slice is shared; treat it as read-only.
@@ -207,11 +192,9 @@ func (r Requirements) clone() Requirements {
 // Union merges two declarations: meshes deduplicate by name, a
 // structure-only need is promoted away when the other side pulls
 // arrays from the same mesh, AllArrays absorbs specific lists, array
-// keys deduplicate by (name, assoc), frequencies combine by gcd, and
-// opaqueness is sticky.
+// keys deduplicate by (name, assoc), and frequencies combine by gcd.
 func (r Requirements) Union(o Requirements) Requirements {
 	out := r.clone()
-	out.opaque = r.opaque || o.opaque
 	out.frequency = gcd(r.Frequency(), o.Frequency())
 	// Error tolerances union to the strictest demand: both sides must
 	// tolerate loss for the union to, and the smaller bound wins.
@@ -292,9 +275,6 @@ func lcm(a, b int) int {
 // String renders the declaration compactly, e.g.
 // "mesh{pressure/point,velocity_x/point} every 2".
 func (r Requirements) String() string {
-	if r.opaque {
-		return "opaque (legacy adaptor)"
-	}
 	if r.Empty() {
 		return "none"
 	}

@@ -71,21 +71,12 @@ func TestRequirementsUnion(t *testing.T) {
 			b:    RequireArrays("mesh", AssocPoint, "g"),
 			want: RequireArrays("mesh", AssocPoint, "f", "g"),
 		},
-		{
-			name: "opaque is sticky",
-			a:    OpaqueRequirements(),
-			b:    RequireArrays("mesh", AssocPoint, "f"),
-			want: RequireArrays("mesh", AssocPoint, "f").Union(OpaqueRequirements()),
-		},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, got := range []Requirements{tc.a.Union(tc.b), tc.b.Union(tc.a)} {
 				if !reflect.DeepEqual(got.Meshes(), tc.want.Meshes()) {
 					t.Errorf("union meshes = %+v, want %+v", got.Meshes(), tc.want.Meshes())
-				}
-				if got.IsOpaque() != tc.want.IsOpaque() {
-					t.Errorf("opaque = %v, want %v", got.IsOpaque(), tc.want.IsOpaque())
 				}
 			}
 		})
@@ -140,7 +131,6 @@ func TestRequirementsString(t *testing.T) {
 		want string
 	}{
 		{NoRequirements(), "none"},
-		{OpaqueRequirements(), "opaque (legacy adaptor)"},
 		{RequireAllArrays("mesh"), "mesh{*}"},
 		{RequireStructure("mesh"), "mesh{structure}"},
 		{RequireArrays("mesh", AssocPoint, "f").EveryN(2), "mesh{f/point} every 2"},

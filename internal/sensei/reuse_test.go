@@ -52,13 +52,6 @@ func TestCanReuseStepStorage(t *testing.T) {
 			t.Error("a StepRetainer analysis must disable reuse")
 		}
 	})
-	t.Run("opaque legacy pins storage", func(t *testing.T) {
-		ca := NewConfigurableAnalysis(ctx)
-		ca.AddLegacyAnalysis("legacy", 1, &legacyProbe{})
-		if ca.CanReuseStepStorage() {
-			t.Error("an opaque legacy analysis must disable reuse")
-		}
-	})
 }
 
 // TestPlannerStepReuse: under the no-retention contract the planner

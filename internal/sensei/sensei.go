@@ -14,10 +14,8 @@
 // simulation exactly once per step into a shared read-only Step, and
 // the declarations propagate upstream so in-transit senders ship only
 // the requested arrays (see Requirements, Pull, and the intransit /
-// staging packages). Legacy pull-it-yourself adaptors
-// (AnalysisAdaptor) keep working through the Legacy wrapper. An
-// Analysis may also request a clean stop of the simulation or
-// endpoint loop by returning stop=true from Execute.
+// staging packages). An Analysis may also request a clean stop of the
+// simulation or endpoint loop by returning stop=true from Execute.
 package sensei
 
 import (
@@ -95,28 +93,16 @@ type DataAdaptor interface {
 	ReleaseData() error
 }
 
-// Analysis is the analysis-side interface (v2): Describe declares up
-// front which meshes and arrays Execute will consume, so the planner
+// Analysis is the analysis-side interface: Describe declares up front
+// which meshes and arrays Execute will consume, so the planner
 // (ConfigurableAnalysis) can pull each mesh and array exactly once per
 // step — shared by every triggered analysis through the read-only Step
 // — and in-transit senders can ship only the declared subset. Execute
 // returns stop=true to request that the simulation or endpoint stop
 // cleanly after this step. Finalize flushes state at shutdown.
-//
-// All in-tree adaptors implement Analysis; v1 adaptors that still pull
-// through the raw DataAdaptor keep working via the Legacy wrapper.
 type Analysis interface {
 	Describe() Requirements
 	Execute(step *Step) (bool, error)
-	Finalize() error
-}
-
-// AnalysisAdaptor is the legacy (v1) analysis-side interface: Execute
-// pulls ad hoc through the DataAdaptor itself. Wrap with Legacy to run
-// one under the requirements-driven planner; its pulls are neither
-// deduplicated nor subsettable.
-type AnalysisAdaptor interface {
-	Execute(da DataAdaptor) (bool, error)
 	Finalize() error
 }
 
@@ -161,9 +147,8 @@ type Context struct {
 	Storage *metrics.StorageCounter
 	// OutputDir is where file-producing adaptors write.
 	OutputDir string
-	// Shard is non-nil when this rank executes analyses over one
-	// shard of a parallel endpoint group (see intransit.Group); nil
-	// for in situ and single-endpoint execution.
+	// Shard is this rank's block range when it is one rank of the
+	// endpoint runtime (intransit.Group sets it); nil in situ.
 	Shard *Shard
 	// Telemetry is the process's live observability plane (nil when
 	// disabled — all downstream handles no-op): the planner stamps
@@ -177,8 +162,7 @@ type Context struct {
 	AttrDefaults map[string]string
 }
 
-// Factory instantiates an Analysis from its XML attributes. Factories
-// for v1 adaptors return Legacy(adaptor).
+// Factory instantiates an Analysis from its XML attributes.
 type Factory func(ctx *Context, attrs map[string]string) (Analysis, error)
 
 var (

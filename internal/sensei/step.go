@@ -7,7 +7,7 @@ import (
 )
 
 // Step is the pulled-once, shared, read-only view of one simulation
-// step that v2 analyses consume: for each mesh in the planned union of
+// step that analyses consume: for each mesh in the planned union of
 // requirements it holds one grid with every required array attached.
 // All analyses triggered at the same step share the same Step (and the
 // same grids and arrays) — treat everything reachable from it as
@@ -33,13 +33,13 @@ func (s *Step) TimeStep() int { return s.step }
 func (s *Step) Time() float64 { return s.time }
 
 // Shard reports this rank's slice of a work-sharded endpoint group,
-// nil for in situ and single-endpoint execution.
+// nil in situ.
 func (s *Step) Shard() *Shard { return s.shard }
 
-// Adaptor exposes the underlying DataAdaptor — the escape hatch the
-// legacy compat wrapper uses, and the path for metadata queries that
-// need no bulk data. v2 analyses should consume Mesh/Metadata instead
-// of pulling through it; ad hoc pulls forfeit the pull-once guarantee.
+// Adaptor exposes the underlying DataAdaptor — the path for metadata
+// queries that need no bulk data. Analyses should consume
+// Mesh/Metadata instead of pulling through it; ad hoc pulls forfeit
+// the pull-once guarantee.
 func (s *Step) Adaptor() DataAdaptor { return s.da }
 
 // Mesh returns the pulled grid for the named mesh with every planned
@@ -145,8 +145,7 @@ func (s *Step) bytesPulled(m *MeshRequirement) int64 {
 // mesh is fetched exactly once (structure-only when no arrays are
 // required of it) and each declared array attached exactly once.
 // AllArrays requirements are resolved against the adaptor's advertised
-// metadata. Opaque requirements pull nothing — the legacy adaptor
-// reaches through Adaptor() itself.
+// metadata.
 func Pull(da DataAdaptor, reqs Requirements, shard *Shard) (*Step, error) {
 	return PullInto(da, reqs, shard, nil)
 }
@@ -214,37 +213,3 @@ func PullInto(da DataAdaptor, reqs Requirements, shard *Shard, reuse *Step) (*St
 	}
 	return st, nil
 }
-
-// legacyAnalysis adapts a v1 AnalysisAdaptor (Execute over the raw
-// DataAdaptor) to the v2 Analysis contract. Its requirements are
-// opaque: the planner exposes the DataAdaptor and cannot dedup or
-// subset its pulls.
-type legacyAnalysis struct {
-	a AnalysisAdaptor
-}
-
-// Legacy wraps a v1 AnalysisAdaptor so it runs under the
-// requirements-driven planner unchanged — the migration compat path.
-func Legacy(a AnalysisAdaptor) Analysis { return legacyAnalysis{a: a} }
-
-// Describe implements Analysis: a legacy adaptor's needs are unknown.
-func (l legacyAnalysis) Describe() Requirements { return OpaqueRequirements() }
-
-// Execute implements Analysis by handing the wrapped adaptor the raw
-// DataAdaptor, preserving v1 pull-it-yourself semantics. The v1 bool
-// was a success flag (historically discarded), NOT the v2 stop
-// signal, so it is deliberately dropped here: a wrapped v1 adaptor
-// returning its conventional `true, nil` must not halt the run. v1
-// adaptors that want the stop behavior migrate to Analysis.
-func (l legacyAnalysis) Execute(st *Step) (bool, error) {
-	_, err := l.a.Execute(st.Adaptor())
-	return false, err
-}
-
-// Finalize implements Analysis.
-func (l legacyAnalysis) Finalize() error { return l.a.Finalize() }
-
-// Unwrap exposes the wrapped v1 adaptor (FindAdaptor returns it so
-// drivers can type-assert concrete adaptor types regardless of
-// wrapping).
-func (l legacyAnalysis) Unwrap() AnalysisAdaptor { return l.a }

@@ -319,16 +319,12 @@ func xmlFactory(direct bool) sensei.Factory {
 				for i, b := range all {
 					addrs[i] = string(b)
 				}
-				telAddr := ctx.Telemetry.ServeAddr()
-				var werr error
-				if dir := strings.TrimSpace(attrs["contact-dir"]); dir != "" {
-					werr = adios.WriteContactEntryWith(dir, contact, addrs, telAddr)
-					meshobs.Install(ctx.Telemetry, dir)
-				} else {
-					werr = adios.WriteContactWith(contact, addrs, telAddr)
+				dir := strings.TrimSpace(attrs["contact-dir"])
+				if err := adios.WriteContactAt(dir, contact, addrs, ctx.Telemetry.ServeAddr()); err != nil {
+					return nil, err
 				}
-				if werr != nil {
-					return nil, werr
+				if dir != "" {
+					meshobs.Install(ctx.Telemetry, dir)
 				}
 			}
 		}
