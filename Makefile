@@ -4,7 +4,6 @@
 # goroutines composite out of each other's framebuffers, and the mains
 # under cmd/, whose tests run the endpoint, relay and archive
 # in-process) under the race detector.
-# `make bench` regenerates every BENCH_*.json artifact at smoke scale;
 # `make bench-kernels` smoke-runs the solver hot-path benchmarks,
 # `make bench-render` the in situ render ones and `make bench-codec`
 # the mesh payload ones;
@@ -17,12 +16,13 @@
 #   BASE=<parent> WORKLOADS="pb146-mesh-replay rbc-mesh-live pb146-insitu pb146-solve" make bench-e2e
 # `make generate-check` fails when the generated tensor kernels are
 # stale; `make loc` prints non-test Go lines per package and checks the
-# wire-path packages against scripts/loc.ceiling; `make clean` removes
-# example/figure outputs and bench JSON scratch.
+# wire-path packages and the whole tree against scripts/loc.ceiling;
+# `make clean` removes example/figure outputs. The paper's figures are
+# `go run ./cmd/figures -fig all`, whose exit code is their shape check.
 
 GO ?= go
 
-.PHONY: build test race vet fmt bench bench-kernels bench-render bench-codec bench-e2e generate-check loc telemetry-smoke profile clean all
+.PHONY: build test race vet fmt bench-kernels bench-render bench-codec bench-e2e generate-check loc telemetry-smoke profile clean all
 
 all: build vet fmt test
 
@@ -47,19 +47,6 @@ fmt:
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
-
-# Each sweep runs from inside bench-out/ so the working-directory
-# JSON copies cmd/figures drops for explicit runs land there too,
-# never clobbering the committed BENCH_*.json baselines at the root.
-bench:
-	mkdir -p bench-out
-	cd bench-out && $(GO) run nekrs-sensei/cmd/figures -fig fanout -consumers 1,2 -consumer-delay 500us -out .
-	cd bench-out && $(GO) run nekrs-sensei/cmd/figures -fig subset -requested 1,2,4 -steps 10 -out .
-	cd bench-out && $(GO) run nekrs-sensei/cmd/figures -fig wire -out .
-	cd bench-out && $(GO) run nekrs-sensei/cmd/figures -fig archive -out .
-	cd bench-out && $(GO) run nekrs-sensei/cmd/figures -fig codec -out .
-	cd bench-out && $(GO) run nekrs-sensei/cmd/figures -fig recovery -out .
-	@echo "bench artifacts in bench-out/"
 
 # The solver's per-iteration path, a fixed iteration count each:
 # generated derivative kernels, fused Laplacian/Helmholtz, one CG
@@ -102,8 +89,10 @@ generate-check:
 	git diff --exit-code -- internal/tensor/kernels_gen.go
 
 # Non-test, non-generated Go lines per package. The sum over adios +
-# staging + relay + intransit may only shrink (ROADMAP item 4): lower
-# scripts/loc.ceiling in the PR that earns it, never raise it.
+# staging + relay + intransit may only shrink (ROADMAP item 4), and the
+# whole tree may not outgrow its own ceiling: lower scripts/loc.ceiling
+# in the PR that earns it; a PR that raises the TOTAL line says what
+# the lines bought.
 loc:
 	bash scripts/loc.sh -check
 
@@ -123,5 +112,4 @@ profile:
 
 clean:
 	rm -rf ./*-out
-	rm -f BENCH_fanout.json BENCH_endpoint.json BENCH_archive.json
 	rm -f ./*.pprof

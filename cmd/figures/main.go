@@ -1,6 +1,8 @@
-// Command figures regenerates every figure and table of the paper's
-// evaluation section at laptop scale and prints them as aligned text
-// (plus CSV files for plotting):
+// Command figures regenerates the paper's evaluation at laptop scale —
+// Figures 2 and 3 and the storage comparison (pb146 in situ), Figures
+// 5 and 6 (RBC in transit) — prints each as aligned text, writes a CSV
+// per table, and exits non-zero when a figure's shape is not the
+// paper's:
 //
 //	figures -fig all -out results/
 //	figures -fig 2 -ranks 1,2,4 -steps 60 -interval 10
@@ -8,7 +10,8 @@
 //
 // Rank counts keep the paper's ratios: the in situ sweep doubles ranks
 // twice (the paper's 280/560/1120) and the in transit sweep keeps the
-// 4:1 simulation:endpoint split.
+// 4:1 simulation:endpoint split. How fast each layer runs is measured
+// by the end-to-end benchmark (benchmark/README.md), not here.
 package main
 
 import (
@@ -18,32 +21,188 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"nekrs-sensei/internal/bench"
 	"nekrs-sensei/internal/metrics"
-	"nekrs-sensei/internal/staging"
 )
 
+// options is one invocation: which figure, where to write, and the
+// scale of the runs (0 = the matrix's default).
+type options struct {
+	fig, out, ranks        string
+	steps, interval        int
+	refine, order, imagePx int
+}
+
+// matrices holds the runs the figures share, as in the paper: Figures
+// 2 and 3 and the storage comparison read one pb146 matrix, Figures 5
+// and 6 one RBC matrix. Each is run at most once per invocation.
+type matrices struct {
+	opts   options
+	insitu []bench.InSituResult
+	rbc    []bench.InTransitResult
+	queue  bench.QueueGrowth
+}
+
+// table is one printed table and the CSV file it is written to.
+type table struct {
+	csv string
+	t   *metrics.Table
+}
+
+// figure is one row of the registry: run fills the matrix the figure
+// reads, tables formats it, and check is the shape of that matrix — a
+// verdict that is printed (wall-clock orderings are only ever that),
+// and an error when the part of the shape that does not depend on the
+// clock is not the paper's.
+type figure struct {
+	name   string
+	run    func(*matrices) error
+	tables func(*matrices) []table
+	check  func(*matrices) (verdict string, err error)
+}
+
+var registry = []figure{
+	{"2", (*matrices).runInSitu,
+		func(m *matrices) []table { return []table{{"fig2.csv", bench.Fig2Table(m.insitu)}} },
+		func(m *matrices) (string, error) { return bench.Fig2Verdict(m.insitu), nil }},
+	{"3", (*matrices).runInSitu,
+		func(m *matrices) []table { return []table{{"fig3.csv", bench.Fig3Table(m.insitu)}} },
+		func(m *matrices) (string, error) { return "", bench.CheckFig2And3(m.insitu) }},
+	{"storage", (*matrices).runInSitu,
+		func(m *matrices) []table { return []table{{"storage.csv", bench.StorageTable(m.insitu)}} },
+		func(m *matrices) (string, error) {
+			return fmt.Sprintf("  Checkpointing/Catalyst storage ratio: %.0fx (paper: ~3000x at full scale)\n",
+				bench.StorageRatio(m.insitu)), bench.CheckFig2And3(m.insitu)
+		}},
+	{"5", (*matrices).runRBC,
+		func(m *matrices) []table { return []table{{"fig5.csv", bench.Fig5Table(m.rbc)}} },
+		func(m *matrices) (string, error) { return "", bench.CheckFig5And6(m.rbc) }},
+	{"6", (*matrices).runRBCAndQueue,
+		func(m *matrices) []table {
+			return []table{{"fig6.csv", bench.Fig6Table(m.rbc)}, {"fig6_mechanism.csv", bench.QueueGrowthTable(m.queue)}}
+		},
+		func(m *matrices) (string, error) {
+			if err := bench.CheckFig5And6(m.rbc); err != nil {
+				return "", err
+			}
+			return "", m.queue.Check()
+		}},
+}
+
 func main() {
-	fig := flag.String("fig", "all", "which figure to regenerate: 2, 3, storage, 5, 6, fanout, endpoint-scaling, subset, wire, archive, codec, relay, recovery, all")
-	out := flag.String("out", "figures-out", "output directory (images, checkpoints, CSVs)")
-	ranksFlag := flag.String("ranks", "", "comma-separated rank counts (default 1,2,4 in situ; 4,8,16 in transit)")
-	steps := flag.Int("steps", 0, "timesteps per run (default 30 in situ, 20 in transit)")
-	interval := flag.Int("interval", 0, "trigger cadence in steps (default 10 in situ, 5 in transit)")
-	refine := flag.Int("refine", 1, "mesh refinement factor")
-	order := flag.Int("order", 4, "polynomial order")
-	imagePx := flag.Int("imagepx", 128, "rendered image resolution")
-	consumers := flag.String("consumers", "1,2,4,8", "comma-separated consumer counts for the fan-out comparison")
-	delay := flag.Duration("consumer-delay", 2*time.Millisecond, "per-step endpoint processing time in the fan-out comparison")
-	endpointRanks := flag.String("endpoint-ranks", "1,2,4", "comma-separated endpoint group sizes for the endpoint-scaling sweep")
-	requested := flag.String("requested", "1,2,4", "comma-separated requested-array counts for the subset sweep (full run added automatically)")
+	var o options
+	flag.StringVar(&o.fig, "fig", "all", "which figure to regenerate: "+strings.Join(names(), ", ")+", all")
+	flag.StringVar(&o.out, "out", "figures-out", "output directory (images, checkpoints, CSVs)")
+	flag.StringVar(&o.ranks, "ranks", "", "comma-separated rank counts (default 1,2,4 in situ; 4,8,16 in transit)")
+	flag.IntVar(&o.steps, "steps", 0, "timesteps per run (default 30 in situ, 20 in transit)")
+	flag.IntVar(&o.interval, "interval", 0, "trigger cadence in steps (default 10 in situ, 5 in transit)")
+	flag.IntVar(&o.refine, "refine", 1, "mesh refinement factor")
+	flag.IntVar(&o.order, "order", 4, "polynomial order")
+	flag.IntVar(&o.imagePx, "imagepx", 128, "rendered image resolution")
 	flag.Parse()
 
-	if err := run(*fig, *out, *ranksFlag, *steps, *interval, *refine, *order, *imagePx, *consumers, *delay, *endpointRanks, *requested); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(1)
 	}
+}
+
+func names() []string {
+	out := make([]string, len(registry))
+	for i, f := range registry {
+		out[i] = f.name
+	}
+	return out
+}
+
+// run regenerates the selected figure (or all of them), printing and
+// writing every table before it reports the first failed shape check.
+func run(o options) error {
+	var selected []figure
+	for _, f := range registry {
+		if o.fig == "all" || o.fig == f.name {
+			selected = append(selected, f)
+		}
+	}
+	if len(selected) == 0 {
+		return fmt.Errorf("unknown figure %q (have %s, all)", o.fig, strings.Join(names(), ", "))
+	}
+	if err := os.MkdirAll(o.out, 0o755); err != nil {
+		return err
+	}
+	m := &matrices{opts: o}
+	var failed error
+	for _, f := range selected {
+		if err := f.run(m); err != nil {
+			return err
+		}
+		for _, tb := range f.tables(m) {
+			tb.t.Render(os.Stdout)
+			if err := writeCSV(filepath.Join(o.out, tb.csv), tb.t); err != nil {
+				return err
+			}
+			fmt.Println()
+		}
+		verdict, err := f.check(m)
+		if verdict != "" {
+			fmt.Println(verdict)
+		}
+		if err != nil {
+			fmt.Printf("  SHAPE CHECK FAILED: %v\n\n", err)
+			if failed == nil {
+				failed = err
+			}
+		}
+	}
+	fmt.Printf("artifacts in %s\n", o.out)
+	return failed
+}
+
+func (m *matrices) runInSitu() error {
+	if m.insitu != nil {
+		return nil
+	}
+	ranks, err := parseRanks(m.opts.ranks, []int{1, 2, 4})
+	if err != nil {
+		return err
+	}
+	fmt.Printf("running in situ pb146 matrix (ranks %v)...\n\n", ranks)
+	m.insitu, err = bench.RunFig2And3(ranks, bench.InSituConfig{
+		Steps: m.opts.steps, Interval: m.opts.interval, Refine: m.opts.refine, Order: m.opts.order,
+		ImagePx: m.opts.imagePx, OutputDir: filepath.Join(m.opts.out, "insitu"),
+	})
+	return err
+}
+
+func (m *matrices) transitConfig() bench.InTransitConfig {
+	return bench.InTransitConfig{
+		Steps: m.opts.steps, Interval: m.opts.interval, Order: m.opts.order, ImagePx: m.opts.imagePx,
+		OutputDir: filepath.Join(m.opts.out, "intransit"),
+	}
+}
+
+func (m *matrices) runRBC() error {
+	if m.rbc != nil {
+		return nil
+	}
+	ranks, err := parseRanks(m.opts.ranks, []int{4, 8, 16})
+	if err != nil {
+		return err
+	}
+	fmt.Printf("running in transit RBC weak-scaling matrix (sim ranks %v, endpoints 4:1)...\n\n", ranks)
+	m.rbc, err = bench.RunFig5And6(ranks, m.transitConfig())
+	return err
+}
+
+// runRBCAndQueue adds the Figure 6 mechanism in isolation: a slow
+// endpoint backs up the SST queue and raises sim-side memory.
+func (m *matrices) runRBCAndQueue() error {
+	err := m.runRBC()
+	if err == nil {
+		m.queue, err = bench.QueueGrowthDemo(m.transitConfig())
+	}
+	return err
 }
 
 func parseRanks(s string, def []int) ([]int, error) {
@@ -61,431 +220,11 @@ func parseRanks(s string, def []int) ([]int, error) {
 	return out, nil
 }
 
-func writeCSV(dir, name string, t *metrics.Table) error {
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	t.RenderCSV(f)
-	return nil
-}
-
-func run(fig, out, ranksFlag string, steps, interval, refine, order, imagePx int, consumers string, delay time.Duration, endpointRanks, requested string) error {
-	if err := os.MkdirAll(out, 0o755); err != nil {
-		return err
-	}
-	wantInSitu := fig == "all" || fig == "2" || fig == "3" || fig == "storage"
-	wantInTransit := fig == "all" || fig == "5" || fig == "6"
-	wantFanout := fig == "all" || fig == "fanout"
-	wantEndpoint := fig == "all" || fig == "endpoint-scaling" || fig == "endpoint"
-	wantSubset := fig == "all" || fig == "subset"
-	wantWire := fig == "all" || fig == "wire"
-	wantArchive := fig == "all" || fig == "archive"
-	wantCodec := fig == "all" || fig == "codec"
-	wantRelay := fig == "all" || fig == "relay"
-	wantRecovery := fig == "all" || fig == "recovery"
-	if !wantInSitu && !wantInTransit && !wantFanout && !wantEndpoint && !wantSubset && !wantWire && !wantArchive && !wantCodec && !wantRelay && !wantRecovery {
-		return fmt.Errorf("unknown figure %q", fig)
-	}
-
-	if wantInSitu {
-		ranks, err := parseRanks(ranksFlag, []int{1, 2, 4})
-		if err != nil {
-			return err
-		}
-		cfg := bench.InSituConfig{
-			Steps: steps, Interval: interval, Refine: refine, Order: order,
-			ImagePx: imagePx, OutputDir: filepath.Join(out, "insitu"),
-		}
-		fmt.Printf("running in situ pb146 matrix (ranks %v)...\n", ranks)
-		results, err := bench.RunFig2And3(ranks, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		if fig == "all" || fig == "2" {
-			t := bench.Fig2Table(results)
-			t.Render(os.Stdout)
-			if err := writeCSV(out, "fig2.csv", t); err != nil {
-				return err
-			}
-			fmt.Println()
-		}
-		if fig == "all" || fig == "3" {
-			t := bench.Fig3Table(results)
-			t.Render(os.Stdout)
-			if err := writeCSV(out, "fig3.csv", t); err != nil {
-				return err
-			}
-			fmt.Println()
-		}
-		if fig == "all" || fig == "storage" {
-			t := bench.StorageTable(results)
-			t.Render(os.Stdout)
-			if err := writeCSV(out, "storage.csv", t); err != nil {
-				return err
-			}
-			fmt.Printf("\n  Checkpointing/Catalyst storage ratio: %.0fx (paper: ~3000x at full scale)\n\n",
-				bench.StorageRatio(results))
-		}
-	}
-
-	if wantInTransit {
-		ranks, err := parseRanks(ranksFlag, []int{4, 8, 16})
-		if err != nil {
-			return err
-		}
-		cfg := bench.InTransitConfig{
-			Steps: steps, Interval: interval, Order: order, ImagePx: imagePx,
-			OutputDir: filepath.Join(out, "intransit"),
-		}
-		fmt.Printf("running in transit RBC weak-scaling matrix (sim ranks %v, endpoints 4:1)...\n", ranks)
-		results, err := bench.RunFig5And6(ranks, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		if fig == "all" || fig == "5" {
-			t := bench.Fig5Table(results)
-			t.Render(os.Stdout)
-			if err := writeCSV(out, "fig5.csv", t); err != nil {
-				return err
-			}
-			fmt.Println()
-		}
-		if fig == "all" || fig == "6" {
-			t := bench.Fig6Table(results)
-			t.Render(os.Stdout)
-			if err := writeCSV(out, "fig6.csv", t); err != nil {
-				return err
-			}
-			fmt.Println()
-			// The Figure 6 mechanism in isolation: a slow endpoint
-			// backs up the SST queue and raises sim-side memory.
-			const delay = 150 * time.Millisecond
-			fast, slow, err := bench.QueueGrowthDemo(cfg, delay)
-			if err != nil {
-				return err
-			}
-			qt := bench.QueueGrowthTable(fast, slow, delay)
-			qt.Render(os.Stdout)
-			if err := writeCSV(out, "fig6_mechanism.csv", qt); err != nil {
-				return err
-			}
-			fmt.Println()
-		}
-	}
-	if wantFanout {
-		counts, err := parseRanks(consumers, []int{1, 2, 4, 8})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("running fan-out comparison (consumers %v, %v-slow endpoints)...\n", counts, delay)
-		results, err := bench.RunFanoutMatrix(counts,
-			[]staging.Policy{staging.Block, staging.DropOldest, staging.LatestOnly},
-			bench.FanoutConfig{ConsumerDelay: delay})
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		t := bench.FanoutTable(results)
-		t.Render(os.Stdout)
-		if err := writeCSV(out, "fanout.csv", t); err != nil {
-			return err
-		}
-		// Telemetry overhead on a paced staged run: the sleep-dominated
-		// shape makes the <= 1.05 ratio gate robust to machine noise
-		// while still exercising the full plane (live exporter, scraper).
-		fmt.Println("measuring telemetry overhead (staged fan-out, exporter live)...")
-		tel, err := bench.RunTelemetryOverhead(bench.TelemetryOverheadConfig{
-			Fanout: bench.FanoutConfig{
-				Consumers: 2, Policy: staging.Block, Steps: 32,
-				PayloadF64: 8192, ConsumerDelay: time.Millisecond,
-			},
-		})
-		if err != nil {
-			return err
-		}
-		bench.TelemetryOverheadTable(tel).Render(os.Stdout)
-		if err := writeJSON(filepath.Join(out, "BENCH_fanout.json"), func(w *os.File) error {
-			return bench.WriteFanoutJSON(w, results, &tel)
-		}); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	if wantEndpoint {
-		sweep, err := parseRanks(endpointRanks, []int{1, 2, 4})
-		if err != nil {
-			return err
-		}
-		cfg := bench.EndpointScalingConfig{
-			EndpointRanks: sweep,
-			OutputDir:     filepath.Join(out, "endpoint"),
-		}
-		if steps > 0 {
-			cfg.Steps = steps
-		}
-		fmt.Printf("running endpoint-scaling sweep (4 fixed producers, endpoint groups %v)...\n", sweep)
-		results, err := bench.RunEndpointScaling(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		t := bench.EndpointScalingTable(results)
-		t.Render(os.Stdout)
-		if err := writeCSV(out, "endpoint.csv", t); err != nil {
-			return err
-		}
-		// The artifact lands beside the other figure outputs; an
-		// explicit endpoint-scaling run also drops a copy in the
-		// working directory, where harnesses look for it.
-		paths := []string{filepath.Join(out, "BENCH_endpoint.json")}
-		if fig != "all" {
-			paths = append(paths, "BENCH_endpoint.json")
-		}
-		for _, path := range paths {
-			if err := writeJSON(path, func(w *os.File) error {
-				return bench.WriteEndpointJSON(w, cfg, results)
-			}); err != nil {
-				return err
-			}
-		}
-		if len(results) > 1 {
-			first, last := results[0], results[len(results)-1]
-			fmt.Printf("\n  time-to-image: %.2f ms at %d rank(s) -> %.2f ms at %d ranks (%.1fx)\n\n",
-				float64(first.TimeToImage.Microseconds())/1000, first.EndpointRanks,
-				float64(last.TimeToImage.Microseconds())/1000, last.EndpointRanks,
-				float64(first.TimeToImage)/float64(last.TimeToImage))
-		}
-	}
-	if wantSubset {
-		counts, err := parseRanks(requested, []int{1, 2, 4})
-		if err != nil {
-			return err
-		}
-		cfg := bench.SubsetConfig{}
-		if steps > 0 {
-			cfg.Steps = steps
-		}
-		fmt.Printf("running array-subsetting sweep (requested %v of 6 advertised)...\n", counts)
-		results, err := bench.RunSubsetMatrix(counts, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		t := bench.SubsetTable(results)
-		t.Render(os.Stdout)
-		if err := writeCSV(out, "subset.csv", t); err != nil {
-			return err
-		}
-		// Like the endpoint sweep, an explicit subset run also drops the
-		// artifact in the working directory, where harnesses look for it.
-		paths := []string{filepath.Join(out, "BENCH_subset.json")}
-		if fig != "all" {
-			paths = append(paths, "BENCH_subset.json")
-		}
-		for _, path := range paths {
-			if err := writeJSON(path, func(w *os.File) error {
-				return bench.WriteSubsetJSON(w, cfg, results)
-			}); err != nil {
-				return err
-			}
-		}
-		fmt.Println()
-	}
-	if wantWire {
-		cfg := bench.WireConfig{}
-		if steps > 0 {
-			cfg.Steps = steps
-		}
-		fmt.Printf("running wire/alloc measurement (%d arrays x %d KiB)...\n",
-			6, 64)
-		res, err := bench.RunWireAlloc(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		t := bench.WireTable(res)
-		t.Render(os.Stdout)
-		if err := writeCSV(out, "wire.csv", t); err != nil {
-			return err
-		}
-		// Like the other sweeps, an explicit wire run also drops the
-		// artifact in the working directory, where harnesses look for it.
-		paths := []string{filepath.Join(out, "BENCH_wire.json")}
-		if fig != "all" {
-			paths = append(paths, "BENCH_wire.json")
-		}
-		for _, path := range paths {
-			if err := writeJSON(path, func(w *os.File) error {
-				return bench.WriteWireJSON(w, res)
-			}); err != nil {
-				return err
-			}
-		}
-		fmt.Println()
-	}
-	if wantArchive {
-		cfg := bench.ArchiveConfig{Dir: filepath.Join(out, "archive-bench")}
-		if steps > 0 {
-			cfg.Steps = steps
-		}
-		// A fresh recording per run: record overhead must not include
-		// replaying over an ever-growing archive from earlier sweeps.
-		if err := os.RemoveAll(cfg.Dir); err != nil {
-			return err
-		}
-		fmt.Printf("running archive record/replay measurement (%d arrays x %d KiB)...\n", 6, 64)
-		res, err := bench.RunArchive(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		t := bench.ArchiveTable(res)
-		t.Render(os.Stdout)
-		if err := writeCSV(out, "archive.csv", t); err != nil {
-			return err
-		}
-		// Like the other sweeps, an explicit archive run also drops the
-		// artifact in the working directory, where harnesses look for it.
-		paths := []string{filepath.Join(out, "BENCH_archive.json")}
-		if fig != "all" {
-			paths = append(paths, "BENCH_archive.json")
-		}
-		for _, path := range paths {
-			if err := writeJSON(path, func(w *os.File) error {
-				return bench.WriteArchiveJSON(w, res)
-			}); err != nil {
-				return err
-			}
-		}
-		fmt.Println()
-	}
-	if wantCodec {
-		cfg := bench.CodecConfig{}
-		if steps > 0 {
-			cfg.Steps = steps
-		}
-		fmt.Println("running wire-compression matrix (codec x field + staged fan-out arm)...")
-		res, err := bench.RunCodecMatrix(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		t := bench.CodecTable(res)
-		t.Render(os.Stdout)
-		if err := writeCSV(out, "codec.csv", t); err != nil {
-			return err
-		}
-		fmt.Println()
-		bench.CodecFanoutTable(res).Render(os.Stdout)
-		// Like the other sweeps, an explicit codec run also drops the
-		// artifact in the working directory, where harnesses look for it.
-		paths := []string{filepath.Join(out, "BENCH_codec.json")}
-		if fig != "all" {
-			paths = append(paths, "BENCH_codec.json")
-		}
-		for _, path := range paths {
-			if err := writeJSON(path, func(w *os.File) error {
-				return bench.WriteCodecJSON(w, res)
-			}); err != nil {
-				return err
-			}
-		}
-		fmt.Println()
-	}
-	if wantRelay {
-		cfg := bench.RelayConfig{}
-		if steps > 0 {
-			cfg.Steps = steps
-		}
-		fmt.Println("running staging-mesh matrix (tier depths 0/1/2 under an egress budget, overhead + M x N arms)...")
-		res, err := bench.RunRelayMatrix(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		t := bench.RelayTable(res)
-		t.Render(os.Stdout)
-		if err := writeCSV(out, "relay.csv", t); err != nil {
-			return err
-		}
-		fmt.Printf("\n  relay overhead (no egress, %d consumers): %.1f ms direct vs %.1f ms relayed (%.2fx)\n",
-			res.Overhead.Consumers,
-			float64(res.Overhead.DirectWall.Microseconds())/1000,
-			float64(res.Overhead.RelayedWall.Microseconds())/1000,
-			res.Overhead.Ratio)
-		fmt.Printf("  M x N repartition (%d -> %d): each endpoint rank pulls %.2f of the full stream (ideal %.2f)\n",
-			res.Repartition.Producers, res.Repartition.OutRanks,
-			res.Repartition.RelayShare, res.Repartition.IdealShare)
-		// Like the other sweeps, an explicit relay run also drops the
-		// artifact in the working directory, where harnesses look for it.
-		paths := []string{filepath.Join(out, "BENCH_relay.json")}
-		if fig != "all" {
-			paths = append(paths, "BENCH_relay.json")
-		}
-		for _, path := range paths {
-			if err := writeJSON(path, func(w *os.File) error {
-				return bench.WriteRelayJSON(w, cfg, res)
-			}); err != nil {
-				return err
-			}
-		}
-		fmt.Println()
-	}
-	if wantRecovery {
-		cfg := bench.RecoveryConfig{SpillDir: filepath.Join(out, "recovery-spill")}
-		if steps > 0 {
-			cfg.Steps = steps
-		}
-		// A fresh spill tier per run: resume latency must not include
-		// catching up over an ever-growing archive from earlier sweeps.
-		if err := os.RemoveAll(cfg.SpillDir); err != nil {
-			return err
-		}
-		fmt.Println("running self-healing matrix (heartbeat overhead + injected-kill recovery, block and spill)...")
-		res, err := bench.RunRecoveryMatrix(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		t := bench.RecoveryTable(res)
-		t.Render(os.Stdout)
-		if err := writeCSV(out, "recovery.csv", t); err != nil {
-			return err
-		}
-		fmt.Printf("\n  heartbeat overhead (interval %.0f ms, %d consumers): %.1f ms off vs %.1f ms on (%.2fx)\n",
-			res.Heartbeat.IntervalMs, res.Heartbeat.Consumers,
-			float64(res.Heartbeat.OffWall.Microseconds())/1000,
-			float64(res.Heartbeat.OnWall.Microseconds())/1000,
-			res.Heartbeat.Ratio)
-		// Like the other sweeps, an explicit recovery run also drops the
-		// artifact in the working directory, where harnesses look for it.
-		paths := []string{filepath.Join(out, "BENCH_recovery.json")}
-		if fig != "all" {
-			paths = append(paths, "BENCH_recovery.json")
-		}
-		for _, path := range paths {
-			if err := writeJSON(path, func(w *os.File) error {
-				return bench.WriteRecoveryJSON(w, cfg, res)
-			}); err != nil {
-				return err
-			}
-		}
-		fmt.Println()
-	}
-	fmt.Printf("artifacts in %s\n", out)
-	return nil
-}
-
-// writeJSON creates path and streams the document through write.
-func writeJSON(path string, write func(*os.File) error) error {
+func writeCSV(path string, t *metrics.Table) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return write(f)
+	t.RenderCSV(f)
+	return f.Close()
 }

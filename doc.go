@@ -9,8 +9,9 @@
 // parallel endpoint runtime that shards in-transit analysis across
 // cooperating endpoint ranks with binary-swap image compositing, and
 // a persistent stream archive that records the exact wire frames and
-// replays them post hoc over the same protocol — plus the benchmark
-// harness that regenerates every figure of the paper's evaluation.
+// replays them post hoc over the same protocol — plus the harness that
+// regenerates every figure of the paper's evaluation and checks its
+// shape.
 //
 // Entry points:
 //
@@ -26,11 +27,10 @@
 //     (max / realtime / fixed rate) with index-answered step-range
 //     and array-subset queries; `nekrs -record` and
 //     `sensei-endpoint -record` record at the source
-//   - cmd/figures — regenerate Figures 2/3/5/6, the storage table,
-//     the fan-out comparison (BENCH_fanout.json), the
-//     endpoint-scaling sweep (BENCH_endpoint.json), the
-//     array-subsetting sweep (BENCH_subset.json), and the archive
-//     record/replay measurement (BENCH_archive.json)
+//   - cmd/figures — regenerate Figures 2/3/5/6 and the storage table
+//     and exit non-zero when a figure's shape is not the paper's
+//   - benchmark/ — the end-to-end benchmark: four real workloads, each
+//     with a per-layer time and allocation table (benchmark/README.md)
 //   - examples/ — quickstart, pb146, rbc-intransit, histogram, fanout
 //     (one simulation feeding histogram + probe + render consumers
 //     through the staging hub), endpoint-group (a 4-rank parallel
@@ -51,8 +51,8 @@
 // fan-out, "adios" for the paper's one-reader direct stream), internal/archive (the persistent tier: segment store +
 // sidecar index, crash recovery, spill stores, indexed replay),
 // internal/render (rasterizer and binary-swap compositing), and
-// internal/bench (the figure harness plus the fan-out,
-// endpoint-scaling, and array-subsetting studies).
+// internal/bench (the paper's evaluation: the pb146 and RBC matrices,
+// their tables and their shape checks).
 //
 // README.md is the front door (architecture, quickstarts, figure
 // regeneration); the package inventory, the wire-protocol

@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"nekrs-sensei/internal/adios"
-	"nekrs-sensei/internal/bench"
 	"nekrs-sensei/internal/cases"
 	"nekrs-sensei/internal/core"
 	"nekrs-sensei/internal/fluid"
@@ -264,17 +263,6 @@ func run(telAddr string, hold time.Duration) error {
 	if imgs, _ := filepath.Glob(filepath.Join(out, "*.png")); len(imgs) > 0 {
 		fmt.Printf("\nrender consumer wrote %d image(s) to %s/\n", len(imgs), out)
 	}
-
-	// Finally, the transport economics: direct per-consumer SST vs the
-	// shared hub at 4 consumers with slow endpoints.
-	fmt.Println("\nfan-out transport comparison (synthetic payload, 3ms-slow consumers):")
-	results, err := bench.RunFanoutMatrix([]int{4},
-		[]staging.Policy{staging.Block, staging.DropOldest, staging.LatestOnly},
-		bench.FanoutConfig{Steps: 16, PayloadF64: 8192, ConsumerDelay: 3 * time.Millisecond})
-	if err != nil {
-		return err
-	}
-	bench.FanoutTable(results).Render(os.Stdout)
 
 	if tel != nil {
 		if traces := tel.Tracer().Snapshot(); len(traces) > 0 {

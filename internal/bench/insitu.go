@@ -1,10 +1,11 @@
-// Package bench is the experiment harness that regenerates every
-// figure of the paper's evaluation at laptop scale: the in situ pb146
-// study (Figures 2 and 3 plus the storage-economy comparison) and the
-// in transit RBC weak-scaling study (Figures 5 and 6). Rank counts are
-// scaled down but keep the paper's ratios (1:2:4 for the strong-scaling
-// sweep, sim:endpoint = 4:1 for in transit); EXPERIMENTS.md maps each
-// scaled point to the paper's.
+// Package bench is the paper's evaluation at laptop scale: the in situ
+// pb146 study (Figures 2 and 3 plus the storage-economy comparison) and
+// the in transit RBC weak-scaling study (Figures 5 and 6), each with
+// its tables and its shape as a check. Rank counts are scaled down but
+// keep the paper's ratios (1:2:4 for the strong-scaling sweep,
+// sim:endpoint = 4:1 for in transit). How fast each layer runs is the
+// end-to-end benchmark's to say (benchmark/README.md), not this
+// package's.
 package bench
 
 import (
@@ -84,6 +85,8 @@ type InSituResult struct {
 	Mode  InSituMode
 	Ranks int
 
+	// WallTime is the time-to-solution: the slowest rank's sim.Run,
+	// set-up excluded.
 	WallTime time.Duration
 	// AggMemPeak is the aggregate memory high-water mark across all
 	// ranks (the paper's Figure 3 metric); MaxRankMemPeak is the
@@ -130,13 +133,10 @@ func RunInSitu(mode InSituMode, cfg InSituConfig) (InSituResult, error) {
 		}
 	}
 
-	memPeaks := make([]int64, c.Ranks)
-	bytesOut := make([]int64, c.Ranks)
-	filesOut := make([]int, c.Ranks)
+	perRank := make([]InSituResult, c.Ranks) // one rank's share each; AggMemPeak holds that rank's peak
 	errs := make([]error, c.Ranks)
 
 	pb := cases.PB146(c.Refine, c.Order)
-	start := time.Now()
 	mpirt.Run(c.Ranks, func(comm *mpirt.Comm) {
 		rank := comm.Rank()
 		sim, err := nekrs.NewSim(comm, nil, pb)
@@ -173,29 +173,28 @@ func RunInSitu(mode InSituMode, cfg InSituConfig) (InSituResult, error) {
 			}
 			defer bridge.Finalize() //nolint:errcheck // nothing to surface here
 		}
+		start := time.Now()
 		if err := sim.Run(c.Steps, hook); err != nil {
 			errs[rank] = err
 			return
 		}
-		memPeaks[rank] = sim.Acct.Peak()
-		bytesOut[rank] = sim.Storage.Bytes()
-		filesOut[rank] = sim.Storage.Files()
+		perRank[rank] = InSituResult{
+			WallTime: time.Since(start), AggMemPeak: sim.Acct.Peak(),
+			BytesWritten: sim.Storage.Bytes(), FilesWritten: sim.Storage.Files(),
+		}
 	})
-	wall := time.Since(start)
-
 	for _, err := range errs {
 		if err != nil {
 			return InSituResult{}, err
 		}
 	}
-	res := InSituResult{Mode: mode, Ranks: c.Ranks, WallTime: wall}
-	for r := 0; r < c.Ranks; r++ {
-		res.AggMemPeak += memPeaks[r]
-		if memPeaks[r] > res.MaxRankMemPeak {
-			res.MaxRankMemPeak = memPeaks[r]
-		}
-		res.BytesWritten += bytesOut[r]
-		res.FilesWritten += filesOut[r]
+	res := InSituResult{Mode: mode, Ranks: c.Ranks}
+	for _, r := range perRank {
+		res.WallTime = max(res.WallTime, r.WallTime)
+		res.MaxRankMemPeak = max(res.MaxRankMemPeak, r.AggMemPeak)
+		res.AggMemPeak += r.AggMemPeak
+		res.BytesWritten += r.BytesWritten
+		res.FilesWritten += r.FilesWritten
 	}
 	return res, nil
 }

@@ -15,6 +15,8 @@ import (
 	"nekrs-sensei/internal/mpirt"
 	"nekrs-sensei/internal/nekrs"
 	"nekrs-sensei/internal/sensei"
+
+	_ "nekrs-sensei/internal/staging" // register "adios" analysis (the direct SST stream)
 )
 
 // InTransitMode selects the RBC measurement point of Section 4.2.
@@ -118,8 +120,10 @@ type InTransitResult struct {
 	// queue.
 	MemPerNode int64
 
-	// EndpointSteps is what the endpoint group processed (every rank
-	// the same steps), EndpointBytes what its ranks wrote in total.
+	// Triggers is how many steps trigger the analysis; EndpointSteps is
+	// what the endpoint group processed (every rank the same steps),
+	// EndpointBytes what its ranks wrote in total.
+	Triggers      int
 	EndpointSteps int
 	EndpointBytes int64
 }
@@ -286,14 +290,10 @@ func RunInTransit(mode InTransitMode, cfg InTransitConfig) (InTransitResult, err
 	if epErr != nil {
 		return InTransitResult{}, fmt.Errorf("bench: endpoint: %w", epErr)
 	}
-	res := InTransitResult{Mode: mode, SimRanks: c.SimRanks}
+	res := InTransitResult{Mode: mode, SimRanks: c.SimRanks, Triggers: c.Steps / c.Interval}
 	for r := 0; r < c.SimRanks; r++ {
-		if stepTimes[r] > res.MeanStepTime {
-			res.MeanStepTime = stepTimes[r]
-		}
-		if memPeaks[r] > res.MemPerNode {
-			res.MemPerNode = memPeaks[r]
-		}
+		res.MeanStepTime = max(res.MeanStepTime, stepTimes[r])
+		res.MemPerNode = max(res.MemPerNode, memPeaks[r])
 	}
 	res.EndpointSteps, res.EndpointBytes = epStats.Steps, epStats.Bytes
 	return res, nil

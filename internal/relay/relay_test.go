@@ -175,7 +175,9 @@ func TestUnionRequirementsFold(t *testing.T) {
 // TestRepartitionMatchesDirectMerge: the M×N acceptance property — at
 // P=4 → R=2, each relay output stream must be byte-identical to a
 // direct pull of its shard's sources merged rank-by-rank (what an
-// endpoint rank would have assembled itself from the full streams).
+// endpoint rank would have assembled itself from the full streams),
+// and must cost the endpoint rank its block range's share of the bytes
+// (ideal 1/R; budget 0.6), not the full pull it replaces.
 func TestRepartitionMatchesDirectMerge(t *testing.T) {
 	const P, R, steps = 4, 2, 5
 	hubs, addrs := servedHubs(t, P)
@@ -192,8 +194,9 @@ func TestRepartitionMatchesDirectMerge(t *testing.T) {
 	go func() { runErr <- r.Run() }()
 
 	type result struct {
-		frames [][]byte
-		err    error
+		frames   [][]byte
+		received int64
+		err      error
 	}
 	results := make([]result, R)
 	var wg sync.WaitGroup
@@ -209,6 +212,7 @@ func TestRepartitionMatchesDirectMerge(t *testing.T) {
 			for {
 				st, err := rd.BeginStep()
 				if errors.Is(err, io.EOF) {
+					results[o].received = rd.BytesReceived()
 					return
 				}
 				if err != nil {
@@ -232,9 +236,19 @@ func TestRepartitionMatchesDirectMerge(t *testing.T) {
 		t.Errorf("relay relayed %d steps, want %d", got, steps)
 	}
 
+	var fullPull int64 // what a rank pulling all P full streams receives
+	for b := 0; b < P; b++ {
+		for s := 0; s < steps; s++ {
+			fullPull += int64(len(adios.Marshal(blockStep(b, s))))
+		}
+	}
 	for o := 0; o < R; o++ {
 		if results[o].err != nil {
 			t.Fatalf("output %d: %v", o, results[o].err)
+		}
+		t.Logf("output %d: %d of %d bytes (%.3f)", o, results[o].received, fullPull, float64(results[o].received)/float64(fullPull))
+		if got := results[o].received; got == 0 || float64(got) > 0.6*float64(fullPull) {
+			t.Errorf("output %d received %d bytes, want within 0.6 of the %d-byte full pull", o, got, fullPull)
 		}
 		if len(results[o].frames) != steps {
 			t.Fatalf("output %d received %d steps, want %d", o, len(results[o].frames), steps)

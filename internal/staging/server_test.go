@@ -415,9 +415,8 @@ func TestServerForcedCloseCleanEOS(t *testing.T) {
 // publishes past the drop window, closes the hub and closes the
 // server; the pump then starts on a closed server and must still
 // deliver the consumer's window before end-of-stream, so that every
-// published step is accounted delivered or dropped. (It used to send
-// end-of-stream at once and the window was neither — the one-in-
-// sixteen conservation failure of bench.TestRunFanoutStagedPolicies.)
+// published step is accounted delivered or dropped, under every
+// policy: this is the per-policy conservation check.
 func TestServerCloseDrainsLateStartingPump(t *testing.T) {
 	const published, depth = 8, 2
 	for _, policy := range []Policy{Block, DropOldest, LatestOnly} {

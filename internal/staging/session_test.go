@@ -399,68 +399,79 @@ func drainSteps(r *adios.Reader, out *[]int64, errp *error, wg *sync.WaitGroup) 
 }
 
 // TestSessionResumeOverReset is the wire-level exactly-once test: a
-// block consumer with a session streams through a fault-injected
-// proxy whose connections are hard-reset mid-run — twice — and must
-// still receive every published step exactly once, in order.
+// lossless consumer with a session — block, and spill through its disk
+// tier — streams through a fault-injected proxy whose connections are
+// hard-reset mid-run — twice — and must still receive every published
+// step exactly once, in order.
 func TestSessionResumeOverReset(t *testing.T) {
-	h := NewHub(nil)
-	b := NewBinder(h, Block, 2)
-	b.EnableSessions(10 * time.Second)
-	srv, err := ServeWith(h, "127.0.0.1:0", b.Resolve, ServerOptions{
-		Heartbeat: 20 * time.Millisecond, LivenessTimeout: time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	profile := faultnet.NewProfile()
-	px, err := faultnet.NewProxy("127.0.0.1:0", srv.Addr(), profile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer px.Close()
+	for _, policy := range []Policy{Block, Spill} {
+		t.Run(policy.String(), func(t *testing.T) {
+			stores := map[string]*memSpillStore{}
+			h := hubWithSpill(stores)
+			b := NewBinder(h, policy, 2)
+			b.EnableSessions(10 * time.Second)
+			srv, err := ServeWith(h, "127.0.0.1:0", b.Resolve, ServerOptions{
+				Heartbeat: 20 * time.Millisecond, LivenessTimeout: time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			profile := faultnet.NewProfile()
+			px, err := faultnet.NewProxy("127.0.0.1:0", srv.Addr(), profile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer px.Close()
 
-	r, err := adios.OpenReaderWith(px.Addr(), adios.ReaderOptions{
-		Consumer: "sess", Policy: "block", Depth: 2,
-		Session: true, SessionTTL: 10 * time.Second,
-		Retry:           adios.DefaultRetryPolicy(50),
-		LivenessTimeout: time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []int64
-	var rerr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go drainSteps(r, &got, &rerr, &wg)
+			r, err := adios.OpenReaderWith(px.Addr(), adios.ReaderOptions{
+				Consumer: "sess", Policy: policy.String(), Depth: 2,
+				Session: true, SessionTTL: 10 * time.Second,
+				Retry:           adios.DefaultRetryPolicy(50),
+				LivenessTimeout: time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []int64
+			var rerr error
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go drainSteps(r, &got, &rerr, &wg)
 
-	const steps = 30
-	for i := 0; i < steps; i++ {
-		if err := h.Publish(mkStep(i)); err != nil {
-			t.Fatal(err)
-		}
-		if i == steps/3 || i == 2*steps/3 {
-			profile.ResetAll() // link cut mid-run
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	h.Close()
-	wg.Wait()
+			const steps = 30
+			for i := 0; i < steps; i++ {
+				if err := h.Publish(mkStep(i)); err != nil {
+					t.Fatal(err)
+				}
+				if i == steps/3 || i == 2*steps/3 {
+					profile.ResetAll() // link cut mid-run
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			h.Close()
+			wg.Wait()
 
-	if rerr != nil {
-		t.Fatalf("reader error: %v", rerr)
-	}
-	if len(got) != steps {
-		t.Fatalf("received %d steps, want %d: %v", len(got), steps, got)
-	}
-	for i, s := range got {
-		if s != int64(i) {
-			t.Fatalf("steps not exactly-once in order: %v", got)
-		}
-	}
-	if r.Reconnects() == 0 {
-		t.Error("no reconnects recorded; the fault injection never fired")
+			if rerr != nil {
+				t.Fatalf("reader error: %v", rerr)
+			}
+			if len(got) != steps {
+				t.Fatalf("received %d steps, want %d: %v", len(got), steps, got)
+			}
+			for i, s := range got {
+				if s != int64(i) {
+					t.Fatalf("steps not exactly-once in order: %v", got)
+				}
+			}
+			if r.Reconnects() == 0 {
+				t.Error("no reconnects recorded; the fault injection never fired")
+			}
+			if st := stores["sess"]; st != nil {
+				st.mu.Lock()
+				t.Logf("spill tier took %d of %d steps while the link was down", len(st.frames), steps)
+				st.mu.Unlock()
+			}
+		})
 	}
 }
 
