@@ -13,7 +13,7 @@
 //	archive inspect -dir run-archive
 //
 // Replay it over the unchanged SST wire protocol — any live consumer
-// (sensei-endpoint, including -group, or the examples' endpoint side)
+// (sensei-endpoint, with -ranks R too, or the examples' endpoint side)
 // attaches to the replay's contact file with zero code changes:
 //
 //	archive replay -dir run-archive -contact replay/contact.txt -pace realtime

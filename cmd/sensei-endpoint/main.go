@@ -10,23 +10,25 @@
 //
 // With a staging policy set — via -policy, or a -consumer
 // "name[:policy[:depth]]" spec — the endpoint instead attaches to a
-// staging hub published by the "staging" analysis type. Whatever the
-// flags, the process runs one endpoint runtime (intransit.Group) over
-// an attach plan computed from them:
+// staging hub published by the "staging" analysis type (or to a relay's
+// outputs), announcing a consumer name. Either way the process runs one
+// endpoint runtime (intransit.Group) under one attach rule: a rank
+// dials its own ShardRange of the contact addresses, each as a plain
+// consumer (intransit.ShardSources).
 //
-//	flags                 replicas  ranks  addresses per rank  hello
-//	(direct) -ranks R        1        R    its ShardRange      no consumer name
-//	-consumers N             N        1    all                 name-i, own window
-//	-group R                 1        R    all                 name, group of R
-//	-group R -presharded     1        R    its ShardRange      name, group of one
+//	flags          replicas  ranks  addresses per rank  staged hello
+//	-ranks R          1        R    its ShardRange      name
+//	-consumers N      N        1    all                 name-i, own window
 //
 // Replicas are independent consumers of the configured analysis, each
 // with its own backpressure window and output subdirectory; the ranks
 // of one replica cooperate — reductions merge across them, rendering
-// binary-swap composites into one image per step:
+// binary-swap composites into one image per step. There is one rank per
+// stream at most: to run R ranks against P > R producers exactly, put
+// `relay -out-ranks R` in front.
 //
 //	sensei-endpoint -contact run/contact.txt -config endpoint.xml \
-//	-consumer render:block:2 -group 4
+//	-consumer render:block:2 -ranks 4
 //
 // In every mode, -arrays (or the 4th, +-separated field of a
 // -consumer spec) declares the array subset this endpoint needs: the
@@ -73,8 +75,6 @@ type options struct {
 	policy     string
 	depth      int
 	consumers  int
-	group      int
-	presharded bool
 	name       string
 	arrays     []string // array subset declared in the reader hello
 	codecs     []string // wire-codec request declared in the reader hello
@@ -91,44 +91,18 @@ type options struct {
 	staged bool // a staging policy or consumer spec was given
 }
 
-// attachPlan is how the flags map onto the endpoint runtime: how many
-// independent replicas run, how many cooperating ranks each has, and
-// whether a rank dials every contact address or only its ShardRange of
-// them — the streams are then already its share of the blocks, as the
-// writers of a direct run and a repartitioning relay's outputs are.
-type attachPlan struct {
-	replicas, ranks int
-	sharded         bool
-}
-
-func (o *options) plan() attachPlan {
-	switch {
-	case !o.staged:
-		return attachPlan{replicas: 1, ranks: o.ranks, sharded: true}
-	case o.group > 1:
-		return attachPlan{replicas: 1, ranks: o.group, sharded: o.presharded}
-	}
-	return attachPlan{replicas: o.consumers, ranks: 1}
-}
-
 // hello is what replica's readers announce to contact address src: the
 // array and codec requests always; in staged mode the consumer name
-// (one per replica), its backpressure window and its group size — the
-// replica's ranks when they all dial this address as members of one
-// hub cursor, a plain group of one when the stream is one rank's own.
-// The resilience flags fold in last: with -retry the reader
-// redials through backoff, re-resolving the contact (a restarted hub
-// republishes fresh addresses), and — unless it is one member of a
-// consumer group — announces a resumable session so the hub parks its
+// (one per replica) and its backpressure window. The resilience flags
+// fold in last: with -retry the reader redials through backoff,
+// re-resolving the contact (a restarted hub republishes fresh
+// addresses), and announces a resumable session so the hub parks its
 // cursor and queue across the outage.
-func (o *options) hello(p attachPlan, replica, src int) adios.ReaderOptions {
+func (o *options) hello(replica, src int) adios.ReaderOptions {
 	h := adios.ReaderOptions{Arrays: o.arrays, Codecs: o.codecs, LivenessTimeout: o.liveness}
 	if o.staged {
-		h.Consumer, h.Policy, h.Depth, h.Group = o.name, o.policy, o.depth, p.ranks
-		if p.sharded {
-			h.Group = 1
-		}
-		if p.replicas > 1 {
+		h.Consumer, h.Policy, h.Depth = o.name, o.policy, o.depth
+		if o.consumers > 1 {
 			h.Consumer = fmt.Sprintf("%s-%d", o.name, replica)
 		}
 	}
@@ -141,7 +115,7 @@ func (o *options) hello(p attachPlan, replica, src int) adios.ReaderOptions {
 			}
 			return addrs[src], nil
 		}
-		if h.Group <= 1 && o.sessionTTL > 0 {
+		if o.sessionTTL > 0 {
 			h.Session, h.SessionTTL = true, o.sessionTTL
 		}
 	}
@@ -157,21 +131,19 @@ func parseArgs(argv []string) (*options, error) {
 	fs.StringVar(&o.contact, "contact", "contact.txt", "SST contact file published by the simulation (with -contact-dir: the entry name)")
 	fs.StringVar(&o.contactDir, "contact-dir", "", "contact directory of a multi-hub topology: -contact then names an entry (<dir>/<name>.contact) instead of a file path")
 	fs.StringVar(&o.config, "config", "", "SENSEI XML configuration for the endpoint analyses")
-	fs.IntVar(&o.ranks, "ranks", 1, "endpoint ranks (direct SST mode)")
+	fs.IntVar(&o.ranks, "ranks", 1, "cooperating endpoint ranks; each dials its own share of the contact's streams (at most one rank per stream)")
 	fs.DurationVar(&o.timeout, "timeout", 60*time.Second, "how long to wait for the contact file")
 	fs.StringVar(&o.out, "out", "endpoint-out", "output directory")
 	fs.StringVar(&o.policy, "policy", "", "staging backpressure policy: block, drop-oldest or latest-only (enables staged mode)")
 	fs.IntVar(&o.depth, "depth", 0, "staging queue depth per consumer (0 = hub default)")
 	fs.IntVar(&o.consumers, "consumers", 1, "independent consumer replicas (staged fan-out mode)")
-	fs.IntVar(&o.group, "group", 1, "cooperating endpoint ranks claiming one consumer name as a group (staged mode)")
-	fs.BoolVar(&o.presharded, "presharded", false, "the contact's streams are already shard-ranged (a repartitioning relay's outputs): each group rank attaches to its own address range as a plain consumer and analyzes every local source")
 	fs.StringVar(&o.name, "name", "endpoint", "consumer name announced to the hub")
 	arraysFlag := fs.String("arrays", "", "comma-separated array subset to request in the reader hello (empty = every published array)")
 	codecsFlag := fs.String("codecs", "", "comma-separated wire codec request, e.g. transpose-delta or pressure=quantize:1e-3 (empty = plain frames, or a quantize bound derived from the config's maxerror attributes)")
 	fs.StringVar(&o.record, "record", "", "record the received streams into per-source archives under this directory, one per contact address")
 	spec := fs.String("consumer", "", `consumer spec "name[:policy[:depth[:arrays[:codecs]]]]" (shorthand for -name/-policy/-depth/-arrays/-codecs with +-separated fields, enables staged mode)`)
 	fs.IntVar(&o.retry, "retry", 0, "reconnect attempts after a dial or mid-stream failure (0 = fail fast); exponential backoff with jitter")
-	fs.DurationVar(&o.sessionTTL, "session-ttl", 30*time.Second, "with -retry (direct or staged mode, not -group): ask the hub to park this consumer's cursor and queue for this long across a disconnect (0 = plain reconnect)")
+	fs.DurationVar(&o.sessionTTL, "session-ttl", 30*time.Second, "with -retry: ask the hub to park this consumer's cursor and queue for this long across a disconnect (0 = plain reconnect)")
 	fs.DurationVar(&o.liveness, "liveness", 0, "declare a silent producer dead after this long without frames or keepalives (0 = wait forever)")
 	fs.StringVar(&o.telemetry, "telemetry", "", "serve /metrics, /statusz and /debug/pprof on this address (e.g. 127.0.0.1:9151; empty = off)")
 	fs.StringVar(&o.peerStatus, "peer-status", "", "producer telemetry base URL (e.g. 127.0.0.1:9150); fetched at shutdown to report hub consumer lag and the merged cross-process step trace")
@@ -242,18 +214,10 @@ func parseArgs(argv []string) (*options, error) {
 		return nil, fmt.Errorf("-liveness must be non-negative (got %v)", o.liveness)
 	case o.consumers < 1:
 		return nil, fmt.Errorf("-consumers must be positive (got %d)", o.consumers)
-	case o.group < 1:
-		return nil, fmt.Errorf("-group must be positive (got %d)", o.group)
-	case o.consumers > 1 && o.group > 1:
-		return nil, fmt.Errorf("-consumers (replicas) and -group (one sharded endpoint) are mutually exclusive")
-	case o.group > 1 && !o.staged:
-		return nil, fmt.Errorf("-group needs staged mode: give -policy or -consumer")
 	case o.consumers > 1 && !o.staged:
 		return nil, fmt.Errorf("-consumers > 1 needs staged mode: give -policy or -consumer")
 	case o.consumers > 1 && o.record != "":
 		return nil, fmt.Errorf("-record captures one consumer's stream; drop -consumers (replicas would record duplicates)")
-	case o.presharded && o.group < 2:
-		return nil, fmt.Errorf("-presharded shards sources across group ranks: give -group")
 	}
 	return o, nil
 }
@@ -425,9 +389,9 @@ func (o *options) readContact() ([]string, error) {
 	return adios.ReadContactAt(o.contactDir, o.contact, o.timeout)
 }
 
-// run executes the attach plan: every replica is one intransit.Group
-// whose ranks dial their contact addresses, and all of them feed one
-// summary.
+// run attaches the replicas — each one intransit.Group whose ranks dial
+// their shard of the contact addresses — and feeds one summary from all
+// of them.
 func run(o *options, tel *telemetry.Telemetry) error {
 	cfgXML, err := readConfig(o.config)
 	if err != nil {
@@ -438,8 +402,7 @@ func run(o *options, tel *telemetry.Telemetry) error {
 	if err != nil {
 		return err
 	}
-	p := o.plan()
-	fmt.Printf("attaching %d endpoint(s) of %d rank(s) to %d stream(s)\n", p.replicas, p.ranks, len(addrs))
+	fmt.Printf("attaching %d endpoint(s) of %d rank(s) to %d stream(s)\n", o.consumers, o.ranks, len(addrs))
 
 	// The allocator window opens when the first rank attaches its
 	// sources, so flag parsing and contact-file polling stay out of the
@@ -447,61 +410,48 @@ func run(o *options, tel *telemetry.Telemetry) error {
 	alloc := metrics.NewAllocStats()
 	var allocBegin sync.Once
 	rec := &recorder{dir: o.record}
-	stats := make([]intransit.GroupStats, p.replicas)
-	dirs := make([]string, p.replicas)
-	errs := make([]error, p.replicas)
+	stats := make([]intransit.GroupStats, o.consumers)
+	dirs := make([]string, o.consumers)
+	errs := make([]error, o.consumers)
 	var wg sync.WaitGroup
-	for i := 0; i < p.replicas; i++ {
+	for i := 0; i < o.consumers; i++ {
+		consumer := o.hello(i, 0).Consumer // "" on a direct stream
 		dirs[i] = o.out
-		if p.replicas > 1 {
-			dirs[i] = filepath.Join(o.out, o.hello(p, i, 0).Consumer)
+		if o.consumers > 1 {
+			dirs[i] = filepath.Join(o.out, consumer)
 		}
 		if err := os.MkdirAll(dirs[i], 0o755); err != nil {
 			return err
 		}
+		dial := intransit.ShardSources(addrs, func(_, src int) adios.ReaderOptions { return o.hello(i, src) })
 		group, err := intransit.NewGroup(intransit.GroupConfig{
-			Ranks:      p.ranks,
-			ConfigXML:  cfgXML,
-			OutputDir:  dirs[i],
-			Presharded: p.sharded,
-			StepDelay:  o.stepDelay,
-			Telemetry:  tel,
+			Ranks:     o.ranks,
+			ConfigXML: cfgXML,
+			OutputDir: dirs[i],
+			StepDelay: o.stepDelay,
+			Telemetry: tel,
 			Sources: func(rank, ranks int) ([]intransit.StepSource, func(), error) {
 				allocBegin.Do(alloc.Begin)
-				lo, hi := 0, len(addrs)
-				if p.sharded {
-					lo, hi = intransit.ShardRange(len(addrs), ranks, rank)
+				sources, cleanup, err := dial(rank, ranks)
+				if err != nil {
+					return nil, nil, err
 				}
-				var readers []*adios.Reader
-				cleanup := func() {
-					for _, r := range readers {
-						r.Close()
-					}
-				}
-				for src := lo; src < hi; src++ {
-					h := o.hello(p, i, src)
-					r, err := adios.OpenReaderWith(addrs[src], h)
-					if err != nil {
+				// Every address is dialed by exactly one rank, which also
+				// records it and labels its series.
+				lo, _ := intransit.ShardRange(len(addrs), ranks, rank)
+				for k, s := range sources {
+					r, src := s.(*adios.Reader), lo+k
+					if err := rec.attach(src, r); err != nil {
 						cleanup()
 						return nil, nil, err
 					}
-					readers = append(readers, r)
-					// Each address is recorded once, by the first rank
-					// that dials it: where every rank dials every address
-					// they all see the identical step sequence.
-					if p.sharded || rank == 0 {
-						if err := rec.attach(src, r); err != nil {
-							cleanup()
-							return nil, nil, err
-						}
-					}
 					labels := []string{"rank", fmt.Sprint(rank), "source", fmt.Sprint(src)}
-					if h.Consumer != "" {
-						labels = append(labels, "consumer", h.Consumer)
+					if consumer != "" {
+						labels = append(labels, "consumer", consumer)
 					}
 					r.SetTelemetry(tel, labels...)
 				}
-				return intransit.Sources(readers...), cleanup, nil
+				return sources, cleanup, nil
 			},
 		})
 		if err != nil {
@@ -530,7 +480,7 @@ func run(o *options, tel *telemetry.Telemetry) error {
 		fmt.Printf("endpoint %d done: %d steps, %.2f ms mean time-to-result, %d skipped, %s in %d file(s) written to %s\n",
 			i, st.Steps, float64(st.MeanStepWall().Microseconds())/1000, skipped,
 			metrics.HumanBytes(st.Bytes), st.Files, dirs[i])
-		if p.ranks > 1 {
+		if o.ranks > 1 {
 			st.Straggler.Render(os.Stdout)
 		}
 	}

@@ -38,10 +38,10 @@ func TestParseArgs(t *testing.T) {
 		},
 		{
 			name: "full consumer spec",
-			argv: []string{"-consumer", "render:block:2", "-group", "4"},
+			argv: []string{"-consumer", "render:block:2", "-ranks", "4"},
 			check: func(o *options) string {
-				if !o.staged || o.name != "render" || o.policy != "block" || o.depth != 2 || o.group != 4 {
-					return "want staged group 4 claiming render:block:2"
+				if !o.staged || o.name != "render" || o.policy != "block" || o.depth != 2 || o.ranks != 4 {
+					return "want 4 staged ranks claiming render:block:2"
 				}
 				return ""
 			},
@@ -134,10 +134,19 @@ func TestParseArgs(t *testing.T) {
 		{name: "zero ranks", argv: []string{"-ranks", "0"}, wantErr: "-ranks must be positive"},
 		{name: "negative depth flag", argv: []string{"-policy", "block", "-depth", "-2"}, wantErr: "-depth must be non-negative"},
 		{name: "zero consumers", argv: []string{"-policy", "block", "-consumers", "0"}, wantErr: "-consumers must be positive"},
-		{name: "zero group", argv: []string{"-policy", "block", "-group", "0"}, wantErr: "-group must be positive"},
-		{name: "group without staged mode", argv: []string{"-group", "4"}, wantErr: "-group needs staged mode"},
+		{name: "group flag is gone", argv: []string{"-policy", "block", "-group", "2"}, wantErr: "flag provided but not defined: -group"},
+		{name: "presharded flag is gone", argv: []string{"-policy", "block", "-presharded"}, wantErr: "flag provided but not defined: -presharded"},
 		{name: "replicas without staged mode", argv: []string{"-consumers", "3"}, wantErr: "needs staged mode"},
-		{name: "group and replicas together", argv: []string{"-policy", "block", "-group", "2", "-consumers", "2"}, wantErr: "mutually exclusive"},
+		{
+			name: "replicas of ranks",
+			argv: []string{"-policy", "block", "-ranks", "2", "-consumers", "3"},
+			check: func(o *options) string {
+				if o.ranks != 2 || o.consumers != 3 {
+					return "want 3 replicas of 2 ranks"
+				}
+				return ""
+			},
+		},
 		{name: "positional junk", argv: []string{"stray"}, wantErr: "unexpected arguments"},
 		{
 			name: "telemetry flags pass through",

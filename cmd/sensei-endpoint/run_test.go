@@ -7,11 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"nekrs-sensei/internal/adios"
 	"nekrs-sensei/internal/archive"
+	"nekrs-sensei/internal/faultnet"
 	"nekrs-sensei/internal/staging"
 )
 
@@ -57,30 +59,46 @@ const probeConfig = `<sensei>
   <analysis type="probe" arrays="temperature" points="0.5,0.5,0.5; 1.25,0.5,0.5; 2.5,0.25,0.5; 3.75,0.5,0.75"/>
 </sensei>`
 
-// serveScript serves testBlocks hubs on loopback, publishes the contact
-// file, and — once `readers` handshakes have completed, so that no
-// consumer attaches mid-stream — feeds every hub its block's steps in
-// lockstep and closes them. The returned channel reports the feed.
-func serveScript(t *testing.T, ctx context.Context, contact string, readers int) <-chan error {
+// serveScript serves testBlocks hubs on loopback — sessions on, idle
+// streams heartbeating, so a -retry reader can resume — publishes the
+// contact file, and, once `readers` handshakes have completed, so that
+// no consumer attaches mid-stream, feeds every hub its block's steps in
+// lockstep and closes them. With cut, hub 0 is reached through a
+// faultnet proxy that resets its connection in the middle of step 2's
+// frame. The returned channel reports the feed, the counter every
+// accepted handshake.
+func serveScript(t *testing.T, ctx context.Context, contact string, readers int, cut bool) (<-chan error, *atomic.Int64) {
 	t.Helper()
 	hubs := make([]*staging.Hub, testBlocks)
 	addrs := make([]string, testBlocks)
-	attached := make(chan struct{}, readers) // one send per handshake
+	attached := make(chan struct{}, readers+1) // one send per handshake, the resume after a cut included
+	handshakes := new(atomic.Int64)
 	for b := range hubs {
 		hubs[b] = staging.NewHub(nil)
 		binder := staging.NewBinder(hubs[b], staging.Block, 2)
-		srv, err := staging.Serve(hubs[b], "127.0.0.1:0", func(req staging.SubscribeRequest) (*staging.Subscription, error) {
+		binder.EnableSessions(10 * time.Second)
+		srv, err := staging.ServeWith(hubs[b], "127.0.0.1:0", func(req staging.SubscribeRequest) (*staging.Subscription, error) {
 			sub, err := binder.Resolve(req)
 			if err == nil {
+				handshakes.Add(1)
 				attached <- struct{}{}
 			}
 			return sub, err
-		})
+		}, staging.ServerOptions{Heartbeat: 20 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
 		addrs[b] = srv.Addr()
+	}
+	link := faultnet.NewProfile()
+	if cut {
+		px, err := faultnet.NewProxy("127.0.0.1:0", addrs[0], link)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { px.Close() })
+		addrs[0] = px.Addr()
 	}
 	if err := adios.WriteContact(contact, addrs, ""); err != nil {
 		t.Fatal(err)
@@ -100,6 +118,10 @@ func serveScript(t *testing.T, ctx context.Context, contact string, readers int)
 				return
 			}
 		}
+		if cut {
+			frame := func(seq int) int64 { return int64(len(adios.Marshal(blockStep(0, seq)))) }
+			link.ResetAfterBytes(frame(0) + frame(1) + frame(2)/2)
+		}
 		for seq := 0; seq < testSteps; seq++ {
 			for b, h := range hubs {
 				if err := h.Publish(blockStep(b, seq)); err != nil {
@@ -110,12 +132,13 @@ func serveScript(t *testing.T, ctx context.Context, contact string, readers int)
 		}
 		done <- nil
 	}()
-	return done
+	return done, handshakes
 }
 
 // runShape drives run() in-process with the given mode flags against a
-// freshly served scripted stream and returns the output directory.
-func runShape(t *testing.T, readers int, flags ...string) string {
+// freshly served scripted stream and returns the output directory and
+// run's error.
+func runShape(t *testing.T, readers int, cut bool, flags ...string) (string, error) {
 	t.Helper()
 	dir := t.TempDir()
 	contact, config, out := filepath.Join(dir, "contact.txt"), filepath.Join(dir, "endpoint.xml"), filepath.Join(dir, "out")
@@ -124,38 +147,48 @@ func runShape(t *testing.T, readers int, flags ...string) string {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	fed := serveScript(t, ctx, contact, readers)
+	fed, handshakes := serveScript(t, ctx, contact, readers, cut)
 	o, err := parseArgs(append([]string{"-contact", contact, "-config", config, "-out", out, "-timeout", "10s"}, flags...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run(o, nil); err != nil {
-		t.Fatalf("run %v: %v", flags, err)
-	}
+	runErr := run(o, nil)
 	if err := <-fed; err != nil {
 		t.Fatalf("feeding %v: %v", flags, err)
 	}
-	return out
+	if n := int(handshakes.Load()); cut && runErr == nil && n != readers+1 {
+		t.Fatalf("%d handshakes, want %d and one session resume: the reset never cut a connection", n, readers)
+	}
+	return out, runErr
 }
 
-// TestRunFourShapes: the four attach shapes are one runtime, so over
-// the same stream each processes the same ordinals and reduces to the
-// same probe series, byte for byte; -consumers 2 writes it twice.
-func TestRunFourShapes(t *testing.T) {
+// TestRunShapes: the attach shapes — R ranks direct or staged, N
+// replicas, and their product — are one runtime under one dial rule, so
+// over the same stream each processes the same ordinals and reduces to
+// the same probe series, byte for byte (-consumers 2 writes it twice);
+// so does a 2-rank -retry run one of whose connections is reset
+// mid-stream and resumes its session. More ranks than streams is
+// refused by naming the relay.
+func TestRunShapes(t *testing.T) {
 	var want []byte
 	for _, tc := range []struct {
 		name    string
 		flags   []string
-		readers int      // handshakes across the four hubs
+		readers int      // handshakes across the four hubs before the feed starts
+		cut     bool     // hub 0's connection is reset mid-stream
 		outs    []string // output subdirectories holding a probes.csv
 	}{
-		{"direct", []string{"-ranks", "2"}, 4, []string{""}},
-		{"replicas", []string{"-consumer", "ep:block:2", "-consumers", "2"}, 8, []string{"ep-0", "ep-1"}},
-		{"group", []string{"-consumer", "ep:block:2", "-group", "2"}, 8, []string{""}},
-		{"presharded", []string{"-consumer", "ep:block:2", "-group", "2", "-presharded"}, 4, []string{""}},
+		{"direct", []string{"-ranks", "2"}, 4, false, []string{""}},
+		{"staged", []string{"-consumer", "ep:block:2", "-ranks", "2"}, 4, false, []string{""}},
+		{"replicas", []string{"-consumer", "ep:block:2", "-consumers", "2"}, 8, false, []string{"ep-0", "ep-1"}},
+		{"replicas of ranks", []string{"-consumer", "ep:block:2", "-consumers", "2", "-ranks", "2"}, 8, false, []string{"ep-0", "ep-1"}},
+		{"staged, session resumed over a reset", []string{"-consumer", "ep:block:2", "-ranks", "2", "-retry", "20", "-session-ttl", "10s"}, 4, true, []string{""}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			out := runShape(t, tc.readers, tc.flags...)
+			out, err := runShape(t, tc.readers, tc.cut, tc.flags...)
+			if err != nil {
+				t.Fatalf("run %v: %v", tc.flags, err)
+			}
 			for _, sub := range tc.outs {
 				got, err := os.ReadFile(filepath.Join(out, sub, "probes.csv"))
 				if err != nil {
@@ -179,41 +212,49 @@ func TestRunFourShapes(t *testing.T) {
 			}
 		})
 	}
+	t.Run("more ranks than streams", func(t *testing.T) {
+		_, err := runShape(t, 0, false, "-ranks", "5")
+		if err == nil || !strings.Contains(err.Error(), "relay -out-ranks") {
+			t.Fatalf("-ranks 5 against %d hubs: err = %v, want a refusal naming the relay", testBlocks, err)
+		}
+	})
 }
 
-// TestHelloSessionRule: with -retry a reader asks for a resumable
-// session exactly when it is not one member of a consumer group.
+// TestHelloSessionRule: with -retry every reader of every rank redials
+// and asks for a resumable session, whatever the shape; without it none
+// does.
 func TestHelloSessionRule(t *testing.T) {
-	for _, tc := range []struct {
-		flags       []string
-		group       int
-		wantSession bool
-	}{
-		{[]string{"-ranks", "2"}, 0, true},
-		{[]string{"-consumer", "ep:block:2", "-consumers", "2"}, 1, true},
-		{[]string{"-consumer", "ep:block:2", "-group", "2"}, 2, false},
-		{[]string{"-consumer", "ep:block:2", "-group", "2", "-presharded"}, 1, true},
+	for _, flags := range [][]string{
+		{"-ranks", "2"},
+		{"-consumer", "ep:block:2", "-ranks", "2"},
+		{"-consumer", "ep:block:2", "-consumers", "2"},
 	} {
 		for _, retry := range []string{"0", "3"} {
-			o, err := parseArgs(append([]string{"-retry", retry}, tc.flags...))
+			o, err := parseArgs(append([]string{"-retry", retry}, flags...))
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := o.hello(o.plan(), 1, 0)
-			if want := tc.wantSession && retry != "0"; h.Session != want || h.Group != tc.group || (h.Redial != nil) != (retry != "0") {
-				t.Errorf("%v -retry %s: hello group %d session %v redial %v, want group %d session %v",
-					tc.flags, retry, h.Group, h.Session, h.Redial != nil, tc.group, want)
+			for replica := 0; replica < o.consumers; replica++ {
+				for src := 0; src < testBlocks; src++ {
+					h := o.hello(replica, src)
+					if want := retry != "0"; h.Session != want || (h.Redial != nil) != want {
+						t.Errorf("%v -retry %s, replica %d source %d: hello session %v redial %v, want both %v",
+							flags, retry, replica, src, h.Session, h.Redial != nil, want)
+					}
+				}
 			}
 		}
 	}
 }
 
-// TestRecordPresharded: each rank of a presharded group dials its own
-// address range, so the archive must hold every contact address's
-// stream — one rank-NNNN per hub, frames as served — not rank 0's half.
-func TestRecordPresharded(t *testing.T) {
+// TestRecordEveryRank: each rank dials its own address range, so the
+// archive must hold every contact address's stream — one rank-NNNN per
+// hub, frames as served — not rank 0's half.
+func TestRecordEveryRank(t *testing.T) {
 	rec := filepath.Join(t.TempDir(), "rec")
-	runShape(t, 4, "-consumer", "ep:block:2", "-group", "2", "-presharded", "-record", rec)
+	if _, err := runShape(t, 4, false, "-consumer", "ep:block:2", "-ranks", "2", "-record", rec); err != nil {
+		t.Fatal(err)
+	}
 	dirs, err := archive.RankDirs(rec)
 	if err != nil || len(dirs) != testBlocks {
 		t.Fatalf("recorded %v (%v), want %d rank archives", dirs, err, testBlocks)

@@ -19,9 +19,9 @@
 //     configuration (the paper's Listing 1)
 //   - cmd/sensei-endpoint — the in transit data consumer: one
 //     endpoint runtime whose flags choose replicas x ranks (-ranks R
-//     direct; -policy/-consumers N replicas of a staging consumer;
-//     -consumer name:policy:depth -group R one endpoint of R sharded
-//     ranks)
+//     cooperating ranks, each dialing its own shard of the streams,
+//     direct or with -consumer name:policy:depth staged; -consumers N
+//     replicas of a staging consumer)
 //   - cmd/archive — record a live run's streams into per-rank
 //     archives, inspect them, and replay them at configurable pacing
 //     (max / realtime / fixed rate) with index-answered step-range

@@ -3,9 +3,9 @@
 // group of four cooperating endpoint ranks consumes the stream as ONE
 // logical consumer ("render", pre-declared block policy):
 //
-//   - every endpoint rank attaches to every hub as a consumer-group
-//     member (the hello's group field), so all ranks see the identical
-//     step sequence;
+//   - every endpoint rank dials its own shard of the hubs — here one
+//     each — as the plain consumer "render" (intransit.ShardSources),
+//     and the ranks agree on every step before analyzing it;
 //
 //   - analysis work is sharded by block range: the histogram reduces
 //     its partial counts across the endpoint ranks, and the render
@@ -78,45 +78,30 @@ func run() error {
 	fmt.Printf("%d steps, staging every %d -> %d rendered steps, one composited PNG each\n\n",
 		steps, interval, steps/interval)
 
-	// Endpoint side: a Group whose ranks each attach to every hub as a
-	// member of the consumer group "render".
-	group, err := intransit.NewGroup(intransit.GroupConfig{
-		Ranks:     endpointRanks,
-		ConfigXML: []byte(endpointXML),
-		OutputDir: out,
-		Sources: func(rank, ranks int) ([]intransit.StepSource, func(), error) {
-			addrs, err := adios.ReadContact(contact, 30*time.Second)
-			if err != nil {
-				return nil, nil, err
-			}
-			var readers []*adios.Reader
-			cleanup := func() {
-				for _, r := range readers {
-					r.Close()
-				}
-			}
-			for _, addr := range addrs {
-				r, err := adios.OpenReaderWith(addr, adios.ReaderOptions{
-					Consumer: "render", Group: ranks,
-				})
-				if err != nil {
-					cleanup()
-					return nil, nil, err
-				}
-				readers = append(readers, r)
-			}
-			return intransit.Sources(readers...), cleanup, nil
-		},
-	})
-	if err != nil {
-		return err
-	}
+	// Endpoint side: once the simulation has published its contact, a
+	// Group whose rank r claims the consumer "render" on its own shard
+	// of the hubs.
 	groupDone := make(chan struct{})
+	var group *intransit.Group
 	var groupStats intransit.GroupStats
 	var groupErr error
 	go func() {
 		defer close(groupDone)
-		groupStats, groupErr = group.Run()
+		var addrs []string
+		if addrs, groupErr = adios.ReadContact(contact, 30*time.Second); groupErr != nil {
+			return
+		}
+		group, groupErr = intransit.NewGroup(intransit.GroupConfig{
+			Ranks:     endpointRanks,
+			ConfigXML: []byte(endpointXML),
+			OutputDir: out,
+			Sources: intransit.ShardSources(addrs, func(_, _ int) adios.ReaderOptions {
+				return adios.ReaderOptions{Consumer: "render"}
+			}),
+		})
+		if groupErr == nil {
+			groupStats, groupErr = group.Run()
+		}
 	}()
 
 	// Simulation side: the staging analysis pre-declares the "render"

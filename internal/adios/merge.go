@@ -1,29 +1,26 @@
-package relay
+package adios
 
-import (
-	"fmt"
+import "fmt"
 
-	"nekrs-sensei/internal/adios"
-)
-
-// mergeSteps merges P same-step decoded steps into one, as if their
+// MergeSteps merges P same-step decoded steps into one, as if their
 // producer ranks had been a single rank — the decoded counterpart of
-// adios.SpliceFrames, used for structure steps (which need index
-// rebasing) and coded trunks (which arrive decoded). Array payloads
-// concatenate in source order; for structure steps the geometry
-// merges under the same rule as intransit.StreamDataAdaptor.Seal:
-// points concatenate, connectivity rebases by the running point
-// count, offsets rebase by the running connectivity length, cell
-// types concatenate.
-func mergeSteps(parts []*adios.Step) (*adios.Step, error) {
+// SpliceFrames, and the one place the geometry merge is written down:
+// the relay uses it for structure steps (which need index rebasing) and
+// coded trunks (which arrive decoded), the endpoint's StreamDataAdaptor
+// for the grid of the blocks it holds. Array payloads concatenate in
+// source order; of the structure variables points and cell types
+// concatenate, connectivity rebases by the running point count and
+// offsets by the running connectivity length. One part is returned as
+// is.
+func MergeSteps(parts []*Step) (*Step, error) {
 	if len(parts) == 0 {
-		return nil, fmt.Errorf("relay: merge of no steps")
+		return nil, fmt.Errorf("adios: merge of no steps")
 	}
 	if len(parts) == 1 {
 		return parts[0], nil
 	}
 	first := parts[0]
-	out := &adios.Step{Step: first.Step, Time: first.Time, Attrs: map[string]string{}}
+	out := &Step{Step: first.Step, Time: first.Time, Attrs: map[string]string{}}
 	for k, v := range first.Attrs {
 		out.Attrs[k] = v
 	}
@@ -43,19 +40,19 @@ func mergeSteps(parts []*adios.Step) (*adios.Step, error) {
 
 	for vi := range first.Vars {
 		v0 := &first.Vars[vi]
-		mv := adios.Variable{Name: v0.Name, Kind: v0.Kind}
+		mv := Variable{Name: v0.Name, Kind: v0.Kind}
 		var firstDim int64
 		for i, p := range parts {
 			v := p.FindVar(v0.Name)
 			if v == nil || v.Kind != v0.Kind {
-				return nil, fmt.Errorf("relay: step %d: source %d missing variable %q", first.Step, i, v0.Name)
+				return nil, fmt.Errorf("adios: merge step %d: source %d missing variable %q", first.Step, i, v0.Name)
 			}
 			if len(v.Shape) != len(v0.Shape) {
-				return nil, fmt.Errorf("relay: step %d: variable %q rank differs across sources", first.Step, v0.Name)
+				return nil, fmt.Errorf("adios: merge step %d: variable %q rank differs across sources", first.Step, v0.Name)
 			}
 			for d := 1; d < len(v.Shape); d++ {
 				if v.Shape[d] != v0.Shape[d] {
-					return nil, fmt.Errorf("relay: step %d: variable %q dim %d differs across sources", first.Step, v0.Name, d)
+					return nil, fmt.Errorf("adios: merge step %d: variable %q dim %d differs across sources", first.Step, v0.Name, d)
 				}
 			}
 			if len(v.Shape) > 0 {
@@ -72,11 +69,11 @@ func mergeSteps(parts []*adios.Step) (*adios.Step, error) {
 				}
 			default:
 				switch v.Kind {
-				case adios.KindFloat64:
+				case KindFloat64:
 					mv.F64 = append(mv.F64, v.F64...)
-				case adios.KindInt64:
+				case KindInt64:
 					mv.I64 = append(mv.I64, v.I64...)
-				case adios.KindUint8:
+				case KindUint8:
 					mv.U8 = append(mv.U8, v.U8...)
 				}
 			}

@@ -32,7 +32,10 @@ type Hello struct {
 	Consumer string `json:"consumer,omitempty"`
 	Policy   string `json:"policy,omitempty"`
 	Depth    int    `json:"depth,omitempty"`
-	Group    int    `json:"group,omitempty"`
+	// Group is never sent. It is decoded only so the server can refuse,
+	// by name, a peer from before hub consumer groups were removed
+	// (group > 1) rather than silently serve it as a plain consumer.
+	Group int `json:"group,omitempty"`
 	// Arrays is the reader's declared array subset: only the named
 	// arrays travel on this connection (the structure step is always
 	// shipped whole). Empty means every array the producer publishes.
@@ -224,11 +227,6 @@ type ReaderOptions struct {
 	Policy string
 	// Depth requests the consumer's queue depth (0 = server default).
 	Depth int
-	// Group, when > 1, declares this reader to be one of Group
-	// cooperating members of a consumer group: the hub delivers every
-	// step of the named consumer's stream to all Group readers under
-	// one cursor (a parallel endpoint's ranks attach this way).
-	Group int
 	// Arrays declares the array subset this reader needs: the producer
 	// ships only these (structure step excepted), and rejects the
 	// handshake if one of them is not advertised. Empty requests every
@@ -348,7 +346,7 @@ func (r *Reader) connectTo(addr string) error {
 	enc := json.NewEncoder(conn)
 	h0 := Hello{Type: "hello", Role: "reader",
 		Consumer: r.opts.Consumer, Policy: r.opts.Policy, Depth: r.opts.Depth,
-		Group: r.opts.Group, Arrays: r.opts.Arrays, Codecs: r.opts.Codecs,
+		Arrays: r.opts.Arrays, Codecs: r.opts.Codecs,
 		Session:    r.session,
 		NewSession: r.opts.Session && r.session == "",
 		Resume:     r.lastStep + 1}
@@ -711,16 +709,6 @@ func (r *Reader) stampRawDeliver(recv time.Time) {
 	}
 	if fi, err := ScanFrame(r.frameBuf); err == nil && !fi.Structure {
 		r.tel.trace.StampAt(fi.Step, telemetry.StageDeliver, recv)
-	}
-}
-
-// NoteStep records a consumed sim-step ordinal for resume tracking.
-// BeginStep tracks automatically; raw-path callers (the relay) that
-// scan frames themselves call this after fully handing a step
-// downstream, so a reconnect hello names the right Resume ordinal.
-func (r *Reader) NoteStep(step int64) {
-	if step > r.lastStep {
-		r.lastStep = step
 	}
 }
 

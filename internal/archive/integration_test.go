@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"path/filepath"
-	"reflect"
 	"testing"
 	"time"
 
@@ -15,74 +14,6 @@ import (
 	"nekrs-sensei/internal/sensei"
 	"nekrs-sensei/internal/staging"
 )
-
-// TestReplayConsumerGroup attaches R cooperating readers (the
-// endpoint-group deployment shape) to a replay: the staging server's
-// group brokering works unchanged post hoc, and every member sees
-// the identical step sequence.
-func TestReplayConsumerGroup(t *testing.T) {
-	const steps, members = 5, 2
-	_, dir := recordLiveRun(t, steps)
-	a, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	rp, err := NewReplay(a, ReplayOptions{
-		Consumers: []staging.ConsumerSpec{{Name: "grp", Policy: staging.Block, Depth: 2}},
-		From:      -1, To: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type seq struct {
-		steps []int64
-		err   error
-	}
-	done := make(chan seq, members)
-	for m := 0; m < members; m++ {
-		go func() {
-			r, err := adios.OpenReaderWith(rp.Addr(), adios.ReaderOptions{
-				Consumer: "grp", Group: members,
-			})
-			if err != nil {
-				done <- seq{err: err}
-				return
-			}
-			defer r.Close()
-			var s seq
-			for {
-				st, err := r.BeginStep()
-				if errors.Is(err, io.EOF) {
-					break
-				}
-				if err != nil {
-					s.err = err
-					break
-				}
-				s.steps = append(s.steps, st.Step)
-			}
-			done <- s
-		}()
-	}
-	if err := rp.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var got [][]int64
-	for m := 0; m < members; m++ {
-		s := <-done
-		if s.err != nil {
-			t.Fatal(s.err)
-		}
-		got = append(got, s.steps)
-	}
-	if len(got[0]) != steps {
-		t.Fatalf("member saw %d steps, want %d", len(got[0]), steps)
-	}
-	if !reflect.DeepEqual(got[0], got[1]) {
-		t.Fatalf("group members saw different sequences: %v vs %v", got[0], got[1])
-	}
-}
 
 // TestXMLSpillAttribute exercises the full configuration path: a
 // staging analysis with spill="dir" and a pre-declared spill

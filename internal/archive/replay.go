@@ -13,10 +13,10 @@ import (
 // Replay serves a recorded archive over the unchanged SST wire
 // protocol: the selected steps are published into a staging.Hub and
 // any number of readers attach through staging.Serve exactly as they
-// would to a live run — consumer names, backpressure policies,
-// consumer groups and per-consumer array subsets all work unmodified,
-// so sensei-endpoint (including -group) and every example run post
-// hoc with zero code changes.
+// would to a live run — consumer names, backpressure policies and
+// per-consumer array subsets all work unmodified, so sensei-endpoint
+// (with -ranks R too) and every example run post hoc with zero code
+// changes.
 //
 // Step-range and array-subset selection are answered from the
 // archive's index before anything is decoded: out-of-range records
@@ -152,8 +152,7 @@ func NewReplay(a *Archive, opts ReplayOptions) (*Replay, error) {
 	hub.SetAdvertised(advertise)
 	// The binder gives post hoc attachment the exact semantics of the
 	// live staging adaptor: pre-declared consumers are claimed with
-	// their no-lost-steps cursors, dynamic readers subscribe fresh,
-	// groups are brokered per logical name.
+	// their no-lost-steps cursors, dynamic readers subscribe fresh.
 	binder := staging.NewBinder(hub, staging.Block, 2)
 	for _, spec := range opts.Consumers {
 		if _, err := binder.Declare(spec); err != nil {
@@ -200,10 +199,9 @@ func (r *Replay) Run() error {
 	} else {
 		// Pre-declared consumers: their cursors are subscribed, so no
 		// step can be lost — but a short archive could be published and
-		// the server closed before every declared reader (or every
-		// member of a declared group) has even dialed. A live run's
-		// server outlives attachment because the simulation does; the
-		// replay waits for full attachment instead.
+		// the server closed before every declared reader has even
+		// dialed. A live run's server outlives attachment because the
+		// simulation does; the replay waits for full attachment instead.
 		for !r.binder.FullyAttached() {
 			if err := r.srv.Err(); err != nil {
 				return err

@@ -210,25 +210,8 @@ func RunInTransit(mode InTransitMode, cfg InTransitConfig) (InTransitResult, err
 			// Each endpoint rank reads its share of the writers' streams.
 			group, err := intransit.NewGroup(intransit.GroupConfig{
 				Ranks: epRanks, ConfigXML: []byte(endpointXML), OutputDir: c.OutputDir,
-				Presharded: true, StepDelay: c.EndpointDelay,
-				Sources: func(rank, ranks int) ([]intransit.StepSource, func(), error) {
-					var readers []*adios.Reader
-					cleanup := func() {
-						for _, r := range readers {
-							r.Close()
-						}
-					}
-					lo, hi := intransit.ShardRange(len(addrs), ranks, rank)
-					for _, addr := range addrs[lo:hi] {
-						r, err := adios.OpenReader(addr)
-						if err != nil {
-							cleanup()
-							return nil, nil, err
-						}
-						readers = append(readers, r)
-					}
-					return intransit.Sources(readers...), cleanup, nil
-				},
+				StepDelay: c.EndpointDelay,
+				Sources:   intransit.ShardSources(addrs, func(_, _ int) adios.ReaderOptions { return adios.ReaderOptions{} }),
 			})
 			if err == nil {
 				epStats, err = group.Run()

@@ -84,14 +84,6 @@ func (id ID) Name() string {
 	return fmt.Sprintf("codec(%d)", uint8(id))
 }
 
-// Names lists every codec this build implements, in ID order — the
-// default producer advertisement.
-func Names() []string {
-	out := make([]string, numCodecs)
-	copy(out, idNames[:])
-	return out
-}
-
 // Choice is one negotiated codec selection: which codec, and for
 // Quantize the absolute error bound.
 type Choice struct {

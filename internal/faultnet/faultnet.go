@@ -1,9 +1,8 @@
-// Package faultnet wraps net connections, listeners, and TCP proxies
-// with scriptable fault injection — added latency, bandwidth caps,
-// connection reset after N bytes, blackhole partitions, and link
-// flapping — so the mesh's recovery paths (liveness timeouts, session
-// resume, retry/backoff) can be exercised deterministically in tests
-// without a real failing network.
+// Package faultnet wraps net connections and TCP proxies with
+// scriptable fault injection — added latency, connection reset after N
+// bytes, and blackhole partitions — so the mesh's recovery paths
+// (liveness timeouts, session resume, retry/backoff) can be exercised
+// deterministically in tests without a real failing network.
 //
 // All knobs live on a Profile shared by every connection wrapped with
 // it and may be flipped concurrently while traffic flows. The typical
@@ -32,7 +31,6 @@ import (
 // copy through the wrapper).
 type Profile struct {
 	latencyNs  atomic.Int64 // added once per Write call
-	bandwidth  atomic.Int64 // bytes/sec pacing cap, 0 = unlimited
 	resetAfter atomic.Int64 // armed byte budget before a hard reset, 0 = never
 	moved      atomic.Int64 // bytes moved since the budget was armed
 	blackhole  atomic.Bool
@@ -49,10 +47,6 @@ func NewProfile() *Profile {
 // SetLatency adds d of one-way delay to every Write through wrapped
 // connections (0 clears it).
 func (p *Profile) SetLatency(d time.Duration) { p.latencyNs.Store(int64(d)) }
-
-// SetBandwidth caps throughput to bps bytes/second by pacing writes
-// (0 lifts the cap).
-func (p *Profile) SetBandwidth(bps int64) { p.bandwidth.Store(bps) }
 
 // ResetAfterBytes arms a hard reset once n more bytes (both directions
 // combined, across every wrapped connection) have moved: the
@@ -72,9 +66,6 @@ func (p *Profile) Transferred() int64 { return p.moved.Load() }
 // partition lifts. Data already inside a kernel buffer still drains.
 func (p *Profile) SetBlackhole(v bool) { p.blackhole.Store(v) }
 
-// Blackholed reports whether the link is currently partitioned.
-func (p *Profile) Blackholed() bool { return p.blackhole.Load() }
-
 // ResetAll hard-resets every currently wrapped connection (RST rather
 // than FIN where the transport allows), simulating a peer killed
 // mid-conversation.
@@ -87,18 +78,6 @@ func (p *Profile) ResetAll() {
 	p.mu.Unlock()
 	for _, c := range conns {
 		c.hardReset()
-	}
-}
-
-// Flap partitions the link for down, restores it for up, count times —
-// the classic flaky-switch pattern. Blocks for the whole schedule; run
-// it from its own goroutine when traffic must flow meanwhile.
-func (p *Profile) Flap(down, up time.Duration, count int) {
-	for i := 0; i < count; i++ {
-		p.SetBlackhole(true)
-		time.Sleep(down)
-		p.SetBlackhole(false)
-		time.Sleep(up)
 	}
 }
 
@@ -186,9 +165,6 @@ func (c *Conn) Write(b []byte) (int, error) {
 	if d := c.p.latencyNs.Load(); d > 0 {
 		time.Sleep(time.Duration(d))
 	}
-	if bps := c.p.bandwidth.Load(); bps > 0 {
-		time.Sleep(time.Duration(float64(len(b)) / float64(bps) * float64(time.Second)))
-	}
 	n, err := c.Conn.Write(b)
 	if n > 0 {
 		c.p.account(c, n)
@@ -232,33 +208,6 @@ func (c *Conn) hardReset() {
 		tc.SetLinger(0) //nolint:errcheck // best effort
 	}
 	c.Close() //nolint:errcheck
-}
-
-// Listener accepts fault-injected connections under a profile.
-type Listener struct {
-	net.Listener
-	p *Profile
-}
-
-// WrapListener wraps every accepted connection with the profile. While
-// blackholed, accepted connections are dropped immediately (the dialer
-// sees a reset), modeling a partitioned listener.
-func (p *Profile) WrapListener(l net.Listener) *Listener {
-	return &Listener{Listener: l, p: p}
-}
-
-func (l *Listener) Accept() (net.Conn, error) {
-	for {
-		c, err := l.Listener.Accept()
-		if err != nil {
-			return nil, err
-		}
-		if l.p.blackhole.Load() {
-			c.Close() //nolint:errcheck
-			continue
-		}
-		return l.p.Wrap(c), nil
-	}
 }
 
 // Proxy is a fault-injected TCP forwarder: consumers dial the proxy

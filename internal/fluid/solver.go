@@ -423,10 +423,6 @@ func (s *Solver) Device() *occa.Device { return s.dev }
 // GS returns the solver's gather-scatter handle.
 func (s *Solver) GS() *gs.GS { return s.gsh }
 
-// InvMult returns the per-node inverse multiplicity weights used in
-// global inner products. The slice is shared; do not modify.
-func (s *Solver) InvMult() []float64 { return s.invMult }
-
 // Fields enumerates the primary device-resident fields by name, the
 // set the SENSEI data adaptor exposes.
 func (s *Solver) Fields() map[string]*occa.Memory {

@@ -15,11 +15,11 @@
 // endpoint runtime"): a step loop that every endpoint rank runs on its
 // communicator — pull, agree on a step across ranks, ingest, execute,
 // agree on the outcome, release. An Endpoint is one rank of that loop
-// over sources that are already its own; a Group spawns R of them that
-// claim one staging consumer name, shard the analysis work by block
-// range (reductions merge across ranks, rendering composites via
-// binary swap into one image per step) and charge the per-step barrier
-// waits to a straggler tracker.
+// over sources that are its own; a Group spawns R of them, each dialing
+// its own shard of the streams (ShardSources), so the analysis work is
+// sharded by block range (reductions merge across ranks, rendering
+// composites via binary swap into one image per step), and charges the
+// per-step barrier waits to a straggler tracker.
 package intransit
 
 import (
@@ -44,14 +44,9 @@ type StreamDataAdaptor struct {
 	step int
 	time float64
 
-	// The shard is the half-open source (block) range this adaptor
-	// merges and exposes; a Group rank owns one shard of the full
-	// stream, a standalone Endpoint owns [0, nSources).
-	shardLo, shardHi int
-
-	structures []*vtkdata.UnstructuredGrid // per source, cached
-	merged     *vtkdata.UnstructuredGrid   // merged structure, cached
-	arrays     map[string][]float64        // merged per-step arrays
+	structures []*adios.Step             // per source: its structure variables, cached
+	merged     *vtkdata.UnstructuredGrid // merged structure, cached
+	arrays     map[string][]float64      // merged per-step arrays
 
 	// reuseArrays keeps the merged arrays' backing storage across steps:
 	// ReleaseData parks each buffer in arrayPool (truncated, capacity
@@ -70,26 +65,9 @@ type StreamDataAdaptor struct {
 func NewStreamDataAdaptor(comm *mpirt.Comm, nSources int) *StreamDataAdaptor {
 	return &StreamDataAdaptor{
 		comm:       comm,
-		shardHi:    nSources,
-		structures: make([]*vtkdata.UnstructuredGrid, nSources),
+		structures: make([]*adios.Step, nSources),
 		arrays:     map[string][]float64{},
 	}
-}
-
-// SetShard restricts the adaptor to sources [lo, hi): steps from all
-// sources are still ingested (the stream must keep flowing for
-// resynchronization and flow control), but only the shard's blocks
-// are merged into the exposed grid and arrays. Endpoint-group ranks
-// call this with disjoint ranges so the union of all ranks' grids is
-// the full mesh, which makes the analyses' cross-rank reductions
-// exact. Must be called before the first Ingest.
-func (a *StreamDataAdaptor) SetShard(lo, hi int) error {
-	if lo < 0 || hi > len(a.structures) || lo > hi {
-		return fmt.Errorf("intransit: shard [%d,%d) out of range [0,%d)", lo, hi, len(a.structures))
-	}
-	a.shardLo, a.shardHi = lo, hi
-	a.merged = nil
-	return nil
 }
 
 // SetStorageReuse enables recycling of the merged per-step array
@@ -98,27 +76,47 @@ func (a *StreamDataAdaptor) SetShard(lo, hi int) error {
 // analyses' declarations.
 func (a *StreamDataAdaptor) SetStorageReuse(on bool) { a.reuseArrays = on }
 
-// inShard reports whether the source index belongs to this shard.
-func (a *StreamDataAdaptor) inShard(source int) bool {
-	return source >= a.shardLo && source < a.shardHi
-}
-
 // ShardRange computes rank's balanced contiguous share of n blocks
-// across ranks — the partition Group uses for SetShard.
+// across ranks: the streams an endpoint rank dials (ShardSources) and
+// the upstream sources a relay output re-blocks.
 func ShardRange(n, ranks, rank int) (lo, hi int) {
 	return rank * n / ranks, (rank + 1) * n / ranks
 }
 
-// IngestStructure caches a structure-carrying step's grid without
-// staging its arrays — used when a step is skipped during stream
-// resynchronization but its structure must not be lost. Out-of-shard
-// sources are skipped entirely: caching their geometry would keep
-// every group rank's memory at O(full mesh) when only the shard's
-// blocks are ever merged.
-func (a *StreamDataAdaptor) IngestStructure(source int, s *adios.Step) error {
-	if s.Attrs["structure"] != "1" || !a.inShard(source) {
-		return nil
+// ShardSources is the endpoint runtime's one attach rule, as a
+// GroupConfig.Sources: a rank's sources are its own ShardRange of the
+// contact addresses, each dialed as a plain consumer with the hello
+// opts gives for it. The disjoint shards make the union of the ranks'
+// grids the full mesh, so the analyses' cross-rank reductions are
+// exact. The unit of parallelism is the stream: more ranks than
+// addresses is refused. The sources are the *adios.Reader of the
+// shard's addresses, in address order.
+func ShardSources(addrs []string, opts func(rank, src int) adios.ReaderOptions) func(rank, ranks int) ([]StepSource, func(), error) {
+	return func(rank, ranks int) ([]StepSource, func(), error) {
+		if ranks > len(addrs) {
+			return nil, nil, fmt.Errorf("intransit: %d endpoint ranks for %d stream(s): every rank dials its own shard of the streams and needs at least one, so run at most %d (to re-block P streams into exactly R <= P, put `relay -out-ranks R` in front)", ranks, len(addrs), len(addrs))
+		}
+		var readers []*adios.Reader
+		cleanup := func() {
+			for _, r := range readers {
+				r.Close()
+			}
+		}
+		lo, hi := ShardRange(len(addrs), ranks, rank)
+		for src := lo; src < hi; src++ {
+			r, err := adios.OpenReaderWith(addrs[src], opts(rank, src))
+			if err != nil {
+				cleanup()
+				return nil, nil, fmt.Errorf("intransit: rank %d, stream %d (%s): %w", rank, src, addrs[src], err)
+			}
+			readers = append(readers, r)
+		}
+		return Sources(readers...), cleanup, nil
 	}
+}
+
+// gridOf reads the grid out of a step's structure variables.
+func gridOf(s *adios.Step) *vtkdata.UnstructuredGrid {
 	g := &vtkdata.UnstructuredGrid{}
 	if v := s.FindVar("points"); v != nil {
 		g.Points = v.F64
@@ -132,10 +130,26 @@ func (a *StreamDataAdaptor) IngestStructure(source int, s *adios.Step) error {
 	if v := s.FindVar("types"); v != nil {
 		g.CellTypes = v.U8
 	}
-	if err := g.Validate(); err != nil {
+	return g
+}
+
+// IngestStructure caches a structure-carrying step's grid without
+// staging its arrays — used when a step is skipped during stream
+// resynchronization but its structure must not be lost.
+func (a *StreamDataAdaptor) IngestStructure(source int, s *adios.Step) error {
+	if s.Attrs["structure"] != "1" {
+		return nil
+	}
+	st := &adios.Step{} // the step less its arrays
+	for i := range s.Vars {
+		if adios.KeepVar(s.Vars[i].Name, nil) {
+			st.Vars = append(st.Vars, s.Vars[i])
+		}
+	}
+	if err := gridOf(st).Validate(); err != nil {
 		return fmt.Errorf("intransit: source %d structure: %w", source, err)
 	}
-	a.structures[source] = g
+	a.structures[source] = st
 	a.merged = nil
 	return nil
 }
@@ -146,14 +160,11 @@ func (a *StreamDataAdaptor) Ingest(source int, s *adios.Step) error {
 	if err := a.IngestStructure(source, s); err != nil {
 		return err
 	}
-	if a.structures[source] == nil && a.inShard(source) {
+	if a.structures[source] == nil {
 		return fmt.Errorf("intransit: source %d sent arrays before structure", source)
 	}
 	a.step = int(s.Step)
 	a.time = s.Time
-	if !a.inShard(source) {
-		return nil // another rank's shard: structure cached, arrays skipped
-	}
 	for i := range s.Vars {
 		v := &s.Vars[i]
 		const prefix = "array/"
@@ -171,29 +182,22 @@ func (a *StreamDataAdaptor) Ingest(source int, s *adios.Step) error {
 	return nil
 }
 
-// Seal finalizes the merged structure (the shard's blocks) after all
-// sources ingested.
+// Seal finalizes the merged structure after all sources ingested: the
+// sources' blocks as one grid, under adios.MergeSteps' rebasing rule.
 func (a *StreamDataAdaptor) Seal() error {
 	if a.merged != nil {
 		return nil
 	}
-	m := &vtkdata.UnstructuredGrid{}
-	var pointBase, connBase int64
-	for i, g := range a.structures[a.shardLo:a.shardHi] {
-		if g == nil {
-			return fmt.Errorf("intransit: source %d never sent structure", a.shardLo+i)
+	for i, st := range a.structures {
+		if st == nil {
+			return fmt.Errorf("intransit: source %d never sent structure", i)
 		}
-		m.Points = append(m.Points, g.Points...)
-		for _, c := range g.Connectivity {
-			m.Connectivity = append(m.Connectivity, c+pointBase)
-		}
-		for _, o := range g.Offsets {
-			m.Offsets = append(m.Offsets, o+connBase)
-		}
-		m.CellTypes = append(m.CellTypes, g.CellTypes...)
-		pointBase += int64(g.NumPoints())
-		connBase += int64(len(g.Connectivity))
 	}
+	st, err := adios.MergeSteps(a.structures)
+	if err != nil {
+		return fmt.Errorf("intransit: merged structure: %w", err)
+	}
+	m := gridOf(st)
 	if err := m.Validate(); err != nil {
 		return fmt.Errorf("intransit: merged structure: %w", err)
 	}
@@ -253,13 +257,7 @@ func (a *StreamDataAdaptor) AddArray(g *vtkdata.UnstructuredGrid, meshName strin
 	}
 	data, ok := a.arrays[name]
 	if !ok {
-		if a.shardLo == a.shardHi {
-			// Empty shard (more endpoint ranks than blocks): expose an
-			// empty array so analyses still execute their collectives.
-			data = nil
-		} else {
-			return fmt.Errorf("intransit: array %q not in stream", name)
-		}
+		return fmt.Errorf("intransit: array %q not in stream", name)
 	}
 	if g.FindPointData(name) != nil {
 		return nil
@@ -379,15 +377,6 @@ func NewEndpoint(ctx *sensei.Context, sources []StepSource, configXML []byte) (*
 
 // Analysis exposes the endpoint's analysis multiplexer.
 func (e *Endpoint) Analysis() *sensei.ConfigurableAnalysis { return e.ca }
-
-// StepsProcessed reports completed steps.
-func (e *Endpoint) StepsProcessed() int { return e.rs.processed }
-
-// StepsSkipped reports source steps discarded while realigning skewed
-// streams (rankStream.advance). Zero when every source delivers the
-// same step sequence — the only case for direct SST and for hub
-// consumers that subscribed before the first publish.
-func (e *Endpoint) StepsSkipped() int { return e.rs.skipped }
 
 // Stopped reports whether an analysis ended the run early through the
 // stop signal (as opposed to the stream reaching end-of-stream).

@@ -17,20 +17,18 @@ import (
 // one communicator consume one logical in-transit stream and shard the
 // analysis work across themselves, so endpoint-side cost no longer
 // caps producer throughput (the serial-endpoint ceiling of the paper's
-// Figures 5/6). Each rank owns a contiguous block (source) range of
-// the stream — histogram and probe reductions merge the shards through
-// the group's mpirt collectives exactly as the simulation-side ranks
-// would, and rendering rasterizes each shard locally before
-// depth-compositing across the endpoint ranks via binary swap into a
-// single image per step.
+// Figures 5/6). Each rank's sources are its own contiguous block
+// (source) range of the stream (ShardSources) — histogram and probe
+// reductions merge the shards through the group's mpirt collectives
+// exactly as the simulation-side ranks would, and rendering rasterizes
+// each shard locally before depth-compositing across the endpoint ranks
+// via binary swap into a single image per step.
 //
-// Ranks attach to the staging hub as members of one consumer group
-// (staging.SubscribeGroup / the hello's group field), which
-// guarantees every rank sees the identical step sequence per hub;
-// across hubs, drop policies can still shed different steps, so the
-// step loop (runRank) realigns skewed streams with a cross-rank step
-// agreement and resynchronizes at a per-step barrier whose waits are
-// charged to a metrics.Straggler.
+// Every stream is read by one rank only, and hubs shed steps
+// independently under drop policies, so ranks can surface different
+// step numbers: the step loop (runRank) realigns them with a cross-rank
+// step agreement and resynchronizes at a per-step barrier whose waits
+// are charged to a metrics.Straggler.
 type Group struct {
 	cfg GroupConfig
 
@@ -47,16 +45,15 @@ type GroupConfig struct {
 	// OutputDir is where file-producing analyses write (rank 0 writes
 	// composited images and probe series).
 	OutputDir string
-	// Sources supplies one rank's step sources — typically one
-	// consumer-group member per staging hub, or one SST reader per
-	// assigned writer. Called inside the rank's goroutine; the
+	// Sources supplies one rank's step sources, which are that rank's
+	// own block range and nobody else's (ShardSources builds it from a
+	// contact's addresses). Called inside the rank's goroutine; the
 	// returned cleanup (may be nil) runs when the rank finishes.
 	Sources func(rank, ranks int) ([]StepSource, func(), error)
-	// Presharded declares that each rank's Sources already hold only
-	// that rank's block range — the partitioning happened upstream (a
-	// repartitioning relay's shard-ranged output streams) — so the
-	// rank analyzes every local source instead of re-sharding the
-	// local source list by rank.
+	// Presharded is vestigial: a rank analyzing every one of its sources
+	// is the only behaviour. The field is read nowhere and stays declared
+	// only because benchmark/, which this tree may not edit, still sets
+	// it; it goes in the next change allowed to.
 	Presharded bool
 	// StepDelay adds artificial processing time per rank per step
 	// (skew and slow-consumer experiments).
@@ -239,20 +236,13 @@ func (g *Group) Run() (GroupStats, error) {
 			return err
 		}
 
-		lo, hi := ShardRange(len(sources), R, rank)
-		if g.cfg.Presharded {
-			lo, hi = 0, len(sources)
-		}
 		ctx := &sensei.Context{
 			Comm: comm, Acct: metrics.NewAccountant(), Timer: metrics.NewTimer(),
 			Storage: metrics.NewStorageCounter(), OutputDir: g.cfg.OutputDir,
-			Shard:     &sensei.Shard{Rank: rank, Ranks: R, BlockLo: lo, BlockHi: hi},
+			Shard:     &sensei.Shard{Rank: rank, Ranks: R, BlockHi: len(sources)},
 			Telemetry: g.cfg.Telemetry,
 		}
 		ep, err := NewEndpoint(ctx, sources, g.cfg.ConfigXML)
-		if err == nil {
-			err = ep.rs.da.SetShard(lo, hi)
-		}
 		if comm.AllreduceI64Scalar(boolStatus(err != nil), mpirt.OpMax) != stOK {
 			return err
 		}

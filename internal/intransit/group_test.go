@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -64,31 +65,46 @@ func (s *scriptedSource) BeginStep() (*adios.Step, error) {
 	return st, nil
 }
 
-// runGroupOverHubs publishes `steps` timesteps of `blocks` blocks
-// through one staging hub per block and runs a Group of R ranks over
-// consumer-group members. Returns the group and its stats.
-func runGroupOverHubs(t *testing.T, blocks, ranks, steps int, configXML, outDir string) (*Group, GroupStats) {
+// hubsWithConsumer builds one staging hub per block, each with the
+// plain block consumer "ep" an endpoint rank will read.
+func hubsWithConsumer(t *testing.T, blocks int) ([]*staging.Hub, []*staging.Consumer) {
 	t.Helper()
 	hubs := make([]*staging.Hub, blocks)
-	members := make([][]*staging.Consumer, blocks)
+	cons := make([]*staging.Consumer, blocks)
 	for b := range hubs {
 		hubs[b] = staging.NewHub(nil)
-		ms, err := hubs[b].SubscribeGroup("ep", staging.Block, 4, ranks)
-		if err != nil {
+		var err error
+		if cons[b], err = hubs[b].Subscribe("ep", staging.Block, 4); err != nil {
 			t.Fatal(err)
 		}
-		members[b] = ms
 	}
+	return hubs, cons
+}
+
+// shardOf hands rank its ShardRange of the hubs' consumers — the attach
+// rule of ShardSources, in process.
+func shardOf(cons []*staging.Consumer, rank, ranks int) []StepSource {
+	lo, hi := ShardRange(len(cons), ranks, rank)
+	src := make([]StepSource, 0, hi-lo)
+	for _, c := range cons[lo:hi] {
+		src = append(src, c)
+	}
+	return src
+}
+
+// runGroupOverHubs publishes `steps` timesteps of `blocks` blocks
+// through one staging hub per block and runs a Group of R ranks, each
+// over the plain consumers of its own shard of the hubs. Returns the
+// group and its stats.
+func runGroupOverHubs(t *testing.T, blocks, ranks, steps int, configXML, outDir string) (*Group, GroupStats) {
+	t.Helper()
+	hubs, cons := hubsWithConsumer(t, blocks)
 	g, err := NewGroup(GroupConfig{
 		Ranks:     ranks,
 		ConfigXML: []byte(configXML),
 		OutputDir: outDir,
-		Sources: func(rank, _ int) ([]StepSource, func(), error) {
-			src := make([]StepSource, blocks)
-			for b := range src {
-				src[b] = members[b][rank]
-			}
-			return src, nil, nil
+		Sources: func(rank, ranks int) ([]StepSource, func(), error) {
+			return shardOf(cons, rank, ranks), nil, nil
 		},
 	})
 	if err != nil {
@@ -266,31 +282,19 @@ func TestGroupAsymmetricAnalysisErrorDoesNotHang(t *testing.T) {
 </sensei>`, script)
 
 	const blocks, ranks = 2, 2
-	hubs := make([]*staging.Hub, blocks)
-	members := make([][]*staging.Consumer, blocks)
-	for b := range hubs {
-		hubs[b] = staging.NewHub(nil)
-		ms, err := hubs[b].SubscribeGroup("ep", staging.Block, 4, ranks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		members[b] = ms
-	}
+	hubs, cons := hubsWithConsumer(t, blocks)
 	g, err := NewGroup(GroupConfig{
 		Ranks:     ranks,
 		ConfigXML: []byte(cfg),
 		OutputDir: outFile,
-		Sources: func(rank, _ int) ([]StepSource, func(), error) {
-			src := make([]StepSource, blocks)
-			for b := range src {
-				src[b] = members[b][rank]
-			}
+		Sources: func(rank, ranks int) ([]StepSource, func(), error) {
+			lo, hi := ShardRange(blocks, ranks, rank)
 			cleanup := func() {
-				for b := range members {
-					members[b][rank].Close()
+				for _, c := range cons[lo:hi] {
+					c.Close()
 				}
 			}
-			return src, cleanup, nil
+			return shardOf(cons, rank, ranks), cleanup, nil
 		},
 	})
 	if err != nil {
@@ -310,7 +314,7 @@ func TestGroupAsymmetricAnalysisErrorDoesNotHang(t *testing.T) {
 	if _, err := g.Run(); err == nil {
 		t.Fatal("expected rank 0's write error to surface")
 	}
-	// The producer must unblock too (members closed via cleanup).
+	// The producer must unblock too (consumers closed via cleanup).
 	select {
 	case <-prodDone:
 	case <-time.After(10 * time.Second):
@@ -361,6 +365,65 @@ func TestShardRange(t *testing.T) {
 	}
 }
 
+// TestShardSources: the attach rule dials rank's ShardRange of the
+// addresses and nothing else, refuses more ranks than streams by naming
+// the relay, and closes what it opened when a later dial fails.
+func TestShardSources(t *testing.T) {
+	hubs := make([]*staging.Hub, 3)
+	addrs := make([]string, 3)
+	for b := range hubs {
+		hubs[b] = staging.NewHub(nil)
+		srv, err := staging.Serve(hubs[b], "127.0.0.1:0", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		defer hubs[b].Close()
+		addrs[b] = srv.Addr()
+	}
+	attached := func() (n []int) {
+		for _, h := range hubs {
+			n = append(n, h.ActiveConsumers())
+		}
+		return n
+	}
+	hello := func(rank, src int) adios.ReaderOptions {
+		return adios.ReaderOptions{Consumer: fmt.Sprintf("r%d-s%d", rank, src)}
+	}
+
+	sources, cleanup, err := ShardSources(addrs, hello)(1, 2) // ShardRange(3, 2, 1) = [1, 3)
+	if err != nil || len(sources) != 2 || fmt.Sprint(attached()) != "[0 1 1]" {
+		t.Fatalf("rank 1 of 2: %d sources (%v), hubs see %v consumers, want 2 on hubs 1 and 2", len(sources), err, attached())
+	}
+	if got := hubs[2].Stats()[0].Name; got != "r1-s2" {
+		t.Errorf("hub 2's consumer is %q, want the hello of (rank 1, source 2)", got)
+	}
+	cleanup()
+
+	if _, _, err := ShardSources(addrs, hello)(0, 4); err == nil || !strings.Contains(err.Error(), "relay -out-ranks") {
+		t.Errorf("4 ranks over 3 streams: err = %v, want a refusal naming the relay", err)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0") // an address nobody listens on
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	if _, _, err := ShardSources([]string{addrs[0], dead}, hello)(0, 1); err == nil {
+		t.Fatal("dialing a dead address succeeded")
+	}
+	// A hub notices a closed connection when it next ships a step.
+	if err := hubs[0].Publish(blockStep(0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); hubs[0].ActiveConsumers() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the reader opened before the failed dial was left attached")
+		}
+	}
+}
+
 // TestEndOfStreamRule pins the one end-of-stream rule (StepSource): a
 // run ends cleanly only when every source of every rank ends in the
 // same round; a source that stops short of a step a peer delivered —
@@ -392,7 +455,7 @@ func TestEndOfStreamRule(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			perRank := tc.perRank()
 			g, err := NewGroup(GroupConfig{
-				Ranks: len(perRank), Presharded: true,
+				Ranks:   len(perRank),
 				Sources: func(rank, _ int) ([]StepSource, func(), error) { return perRank[rank], nil, nil },
 			})
 			if err != nil {

@@ -229,9 +229,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size reports the number of ranks in the communicator.
 func (c *Comm) Size() int { return len(c.group) }
 
-// WorldRank reports this rank's index in the world communicator.
-func (c *Comm) WorldRank() int { return c.group[c.rank] }
-
 // send delivers data (already copied by the typed wrapper) to dst.
 func (c *Comm) send(dst, tag int, data interface{}) {
 	if dst < 0 || dst >= len(c.group) {
@@ -280,23 +277,6 @@ func (c *Comm) RecvI64(src, tag int) ([]int64, int) {
 	v, ok := d.([]int64)
 	if !ok {
 		panic(fmt.Sprintf("mpirt: rank %d expected []int64 on tag %d, got %T", c.rank, tag, d))
-	}
-	return v, from
-}
-
-// SendBytes sends a copy of b to dst with the given tag.
-func (c *Comm) SendBytes(dst, tag int, b []byte) {
-	cp := make([]byte, len(b))
-	copy(cp, b)
-	c.send(dst, tag, cp)
-}
-
-// RecvBytes receives a []byte from src (or AnySource) with the given tag.
-func (c *Comm) RecvBytes(src, tag int) ([]byte, int) {
-	d, from := c.recv(src, tag)
-	v, ok := d.([]byte)
-	if !ok {
-		panic(fmt.Sprintf("mpirt: rank %d expected []byte on tag %d, got %T", c.rank, tag, d))
 	}
 	return v, from
 }

@@ -106,9 +106,6 @@ func (d *Device) MallocFrom(tag string, host []float64) *Memory {
 // Len reports the number of values in the buffer.
 func (m *Memory) Len() int { return len(m.data) }
 
-// Tag reports the buffer's diagnostic name.
-func (m *Memory) Tag() string { return m.tag }
-
 // Data exposes the device-side storage for kernels. Host-side code
 // (SENSEI adaptors, checkpoint writers) must use CopyToHost instead, so
 // staging traffic is observable — this mirrors the paper's constraint

@@ -241,7 +241,7 @@ func TestChaosRelayKillRestart(t *testing.T) {
 	// step is the canonical marshal of its two source blocks merged.
 	want := make([][]byte, N)
 	for s := 0; s < N; s++ {
-		merged, err := mergeSteps([]*adios.Step{chaosStep(0, s), chaosStep(1, s)})
+		merged, err := adios.MergeSteps([]*adios.Step{chaosStep(0, s), chaosStep(1, s)})
 		if err != nil {
 			t.Fatal(err)
 		}

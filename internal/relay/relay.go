@@ -12,16 +12,14 @@
 //
 //   - A fan-out tier: downstream it is indistinguishable from a
 //     producer-side staging hub — same SST handshake, same
-//     backpressure policies, same consumer groups, same wire codecs —
-//     so a consumer (or another relay) never knows how deep in the
-//     tree it attached.
+//     backpressure policies, same sessions, same wire codecs — so a
+//     consumer (or another relay) never knows how deep in the tree it
+//     attached.
 //
 //   - An M×N repartitioner: it merges P upstream rank streams at a
-//     step agreement and re-blocks them into R shard-ranged output
-//     streams (intransit.ShardRange block partition), so each
-//     endpoint group rank attaches to exactly one relay output and
-//     receives only its block range, instead of every rank pulling
-//     all P full streams.
+//     step agreement and re-blocks them into R <= P shard-ranged
+//     output streams (intransit.ShardRange block partition), so an
+//     endpoint of R ranks dials exactly one stream per rank.
 //
 // Requirements flow upstream through the tree: the relay unions its
 // declared downstream consumers' array/error declarations
@@ -38,8 +36,8 @@
 // or a cut of it along its spans, to every raw consumer and decodes
 // only the arrays a coded consumer's encoder asks for. Structure steps
 // — once per stream — and coded trunks fall back to a decoded
-// Step-level merge with connectivity/offsets rebasing (the same rule
-// as intransit.StreamDataAdaptor.Seal).
+// Step-level merge with connectivity/offsets rebasing
+// (adios.MergeSteps).
 package relay
 
 import (
@@ -95,19 +93,12 @@ type Options struct {
 	// by name like any staging consumer); their array/error
 	// declarations union into the upstream request.
 	Downstream []Downstream
-	// DefaultPolicy/DefaultDepth apply to dynamically attaching
-	// readers not pre-declared above (default block / 2).
-	DefaultPolicy staging.Policy
-	DefaultDepth  int
 	// TrunkCodecs overrides the wire-codec request on the upstream
 	// edge (codec.ParseSpec grammar). Empty derives it from the
 	// downstream declarations: a quantize request when every declared
 	// consumer tolerates loss, plain frames otherwise. Note a coded
 	// trunk disables the raw splice path (frames must be decoded).
 	TrunkCodecs []string
-	// AdvertiseCodecs is the codec advertisement the relay re-exports
-	// to its own consumers (nil = every implemented codec).
-	AdvertiseCodecs []string
 	// Tier is this relay's depth in the mesh (0 attaches straight to
 	// producer hubs); reported in /statusz.
 	Tier int
@@ -115,12 +106,6 @@ type Options struct {
 	// to the process observability plane (a "relay/<name>" /statusz
 	// section plus the usual per-hub series).
 	Telemetry *telemetry.Telemetry
-	// OnIngest, when non-nil, is called from the relay loop after
-	// every upstream step receive with the source index and its wire
-	// size — the tap the bench harness uses to emulate trunk-link
-	// bandwidth.
-	OnIngest func(source int, wireBytes int64)
-
 	// Retry, when non-nil, makes the relay self-healing: upstream dials
 	// and mid-stream failures retry under the policy's backoff, the
 	// relay announces resumable sessions upstream (the upstream hub
@@ -172,9 +157,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.Mesh == "" {
 		out.Mesh = "mesh"
-	}
-	if out.DefaultDepth <= 0 {
-		out.DefaultDepth = 2
 	}
 	return out
 }
@@ -258,7 +240,6 @@ func New(upstream []string, opts Options) (*Relay, error) {
 	for i := 0; i < o.OutRanks; i++ {
 		hub := staging.NewHub(nil)
 		hub.SetAdvertised(r.arrays)
-		hub.SetCodecAdvertised(o.AdvertiseCodecs)
 		hub.SetTelemetry(o.Telemetry, fmt.Sprintf("%s-out%d", o.Name, i))
 		if o.SpillDir != "" {
 			if err := hub.SetSpillDir(filepath.Join(o.SpillDir, fmt.Sprintf("out%d", i))); err != nil {
@@ -267,7 +248,8 @@ func New(upstream []string, opts Options) (*Relay, error) {
 				return nil, fmt.Errorf("relay: spill dir: %w", err)
 			}
 		}
-		binder := staging.NewBinder(hub, o.DefaultPolicy, o.DefaultDepth)
+		// Readers not pre-declared attach dynamically under block / 2.
+		binder := staging.NewBinder(hub, staging.Block, 0)
 		if o.SessionTTL > 0 {
 			binder.EnableSessions(o.SessionTTL)
 		}
@@ -639,7 +621,7 @@ func (r *Relay) publishPendingStructure(o int) error {
 			return nil
 		}
 	}
-	merged, err := mergeSteps(r.pendingStruct[lo:hi])
+	merged, err := adios.MergeSteps(r.pendingStruct[lo:hi])
 	if err != nil {
 		return err
 	}
@@ -692,11 +674,7 @@ func (r *Relay) fetch(i int, p *part) (eof bool, err error) {
 	if err != nil {
 		return false, fmt.Errorf("relay: upstream %d: %w", i, err)
 	}
-	n := rd.BytesReceived() - before
-	r.bytesIn.Add(n)
-	if r.opts.OnIngest != nil {
-		r.opts.OnIngest(i, n)
-	}
+	r.bytesIn.Add(rd.BytesReceived() - before)
 	return false, nil
 }
 
@@ -827,7 +805,7 @@ func (r *Relay) relayAligned(parts []part) error {
 			}
 			steps[i-lo] = st
 		}
-		merged, err := mergeSteps(steps)
+		merged, err := adios.MergeSteps(steps)
 		if err != nil {
 			return err
 		}

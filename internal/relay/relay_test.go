@@ -89,7 +89,7 @@ func publishScript(t *testing.T, hubs []*staging.Hub, steps int) <-chan error {
 }
 
 func TestMergeStepsRebasesGeometry(t *testing.T) {
-	merged, err := mergeSteps([]*adios.Step{blockStep(0, 0), blockStep(1, 0)})
+	merged, err := adios.MergeSteps([]*adios.Step{blockStep(0, 0), blockStep(1, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestMergeStepsRebasesGeometry(t *testing.T) {
 
 	// A single part passes through untouched.
 	one := blockStep(0, 1)
-	if got, err := mergeSteps([]*adios.Step{one}); err != nil || got != one {
+	if got, err := adios.MergeSteps([]*adios.Step{one}); err != nil || got != one {
 		t.Fatalf("single-part merge = %v, %v; want identity", got, err)
 	}
 
@@ -123,7 +123,7 @@ func TestMergeStepsRebasesGeometry(t *testing.T) {
 	// silent truncation.
 	broken := blockStep(1, 1)
 	broken.Vars[0].Name = "array/other"
-	if _, err := mergeSteps([]*adios.Step{blockStep(0, 1), broken}); err == nil {
+	if _, err := adios.MergeSteps([]*adios.Step{blockStep(0, 1), broken}); err == nil {
 		t.Fatal("expected a missing-variable error")
 	}
 }
@@ -259,7 +259,7 @@ func TestRepartitionMatchesDirectMerge(t *testing.T) {
 			for b := lo; b < hi; b++ {
 				parts[b-lo] = blockStep(b, s)
 			}
-			merged, err := mergeSteps(parts)
+			merged, err := adios.MergeSteps(parts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -314,17 +314,13 @@ func TestGroupThroughRelay(t *testing.T) {
 	go func() { runErr <- r.Run() }()
 
 	g, err := intransit.NewGroup(intransit.GroupConfig{
-		Ranks:      R,
-		ConfigXML:  []byte(histConfig),
-		OutputDir:  t.TempDir(),
-		Presharded: true, // the relay already re-blocked: one output per rank
-		Sources: func(rank, _ int) ([]intransit.StepSource, func(), error) {
-			rd, err := adios.OpenReaderWith(r.Addrs()[rank], adios.ReaderOptions{Consumer: "ep"})
-			if err != nil {
-				return nil, nil, err
-			}
-			return intransit.Sources(rd), func() { rd.Close() }, nil
-		},
+		Ranks:     R,
+		ConfigXML: []byte(histConfig),
+		OutputDir: t.TempDir(),
+		// The relay already re-blocked: one output per rank.
+		Sources: intransit.ShardSources(r.Addrs(), func(_, _ int) adios.ReaderOptions {
+			return adios.ReaderOptions{Consumer: "ep"}
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -132,9 +132,6 @@ type Shard struct {
 	BlockLo, BlockHi int // half-open block (source) range owned here
 }
 
-// Blocks reports the number of blocks owned by this shard.
-func (s *Shard) Blocks() int { return s.BlockHi - s.BlockLo }
-
 func (s *Shard) String() string {
 	return fmt.Sprintf("shard %d/%d (blocks [%d,%d))", s.Rank, s.Ranks, s.BlockLo, s.BlockHi)
 }

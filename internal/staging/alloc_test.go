@@ -165,7 +165,7 @@ func TestSteadyStateAllocBudgetCompressed(t *testing.T) {
 	} {
 		t.Run(codecs[0], func(t *testing.T) {
 			hub := NewHub(nil)
-			cons, err := hub.SubscribeCodecs("gate", Block, 4, nil, codecs)
+			cons, err := hub.SubscribeSpec(ConsumerSpec{Name: "gate", Policy: Block, Depth: 4, Codecs: codecs})
 			if err != nil {
 				t.Fatal(err)
 			}

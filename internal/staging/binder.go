@@ -16,10 +16,7 @@ import (
 // connection at a time; a reconnect after a disconnect gets a fresh
 // subscription under the declared policy), unknown names get fresh
 // subscriptions with the reader's announced policy/depth/arrays or
-// the binder's defaults, and readers announcing group > 1 are
-// brokered into one consumer group per logical name — the first
-// member's claim converts a pre-declared subscription in place,
-// keeping its no-lost-steps cursor.
+// the binder's defaults.
 //
 // With EnableSessions, the binder also owns resumable-session
 // lifecycle: a reader asking for a session gets a resume token, its
@@ -31,10 +28,10 @@ import (
 // sessions expire after a grace TTL and fall back to the classic
 // close path.
 //
-// The XML staging adaptor and the archive replay producer both serve
-// their hubs through a Binder, so live and post hoc attachment
-// semantics are identical. Use Resolve as the staging.Serve
-// SubscribeFunc; Bind remains the positional non-session veneer.
+// The XML staging adaptor, the relay, the archive replay producer and
+// a Serve given no SubscribeFunc all resolve handshakes through a
+// Binder's Resolve, so live and post hoc attachment semantics are
+// identical.
 type Binder struct {
 	hub       *Hub
 	defPolicy Policy
@@ -44,7 +41,6 @@ type Binder struct {
 	specs      map[string]ConsumerSpec // pre-declared consumer shapes
 	registered map[string]*Consumer    // current subscription per declared name
 	claimed    map[string]bool
-	groups     groupBroker // group members handed out per logical name
 	dynSeq     int
 	// sole marks a closed consumer set — a direct stream, analysis type
 	// "adios": the one Block consumer declared, soleName, is the only one
@@ -126,7 +122,7 @@ func (b *Binder) Declare(spec ConsumerSpec) (*Consumer, error) {
 	if spec.Depth == 0 {
 		spec.Depth = b.defDepth
 	}
-	cons, err := b.hub.SubscribeCodecs(spec.Name, spec.Policy, spec.Depth, spec.Arrays, spec.Codecs)
+	cons, err := b.hub.SubscribeSpec(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -173,15 +169,14 @@ func (b *Binder) awaitSole(d time.Duration) {
 }
 
 // FullyAttached reports whether every pre-declared consumer has been
-// claimed by a reader — and, for names claimed as consumer groups,
-// whether all announced members have attached. A short-lived producer
-// (the archive replay) waits on this before publishing, so its server
-// cannot finish and close while declared consumers are still dialing.
+// claimed by a reader. A short-lived producer (the archive replay)
+// waits on this before publishing, so its server cannot finish and
+// close while declared consumers are still dialing.
 func (b *Binder) FullyAttached() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for name := range b.specs {
-		if !b.claimed[name] || !b.groups.complete(name) {
+		if !b.claimed[name] {
 			return false
 		}
 	}
@@ -207,17 +202,6 @@ func (b *Binder) FullyAttached() bool {
 func (b *Binder) Resolve(req SubscribeRequest) (*Subscription, error) {
 	if b.sole {
 		req.Name = soleName
-	}
-	if req.Group > 1 {
-		// Consumer groups keep their own attachment discipline and do
-		// not participate in sessions.
-		cons, err := b.groups.attach(b.hub, req.Name, req.Group, func() (*Consumer, error) {
-			return b.Bind(req.Name, req.Policy, req.Depth, 1, req.Arrays, req.Codecs)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Subscription{Cons: cons}, nil
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -266,16 +250,18 @@ func (b *Binder) Resolve(req SubscribeRequest) (*Subscription, error) {
 			return sub, nil
 		}
 	}
-	cons, err := b.bindLocked(req.Name, req.Policy, req.Depth, req.Arrays, req.Codecs)
+	cons, err := b.bindLocked(req)
 	if err != nil {
 		return nil, err
 	}
 	b.hub.setResumeFloor(cons, req.Resume)
 	sub := &Subscription{Cons: cons}
 	if req.NewSession && b.sessTTL > 0 && len(b.sessions) < b.sessMax {
+		// The configured TTL is the maximum: a reader may ask for a
+		// shorter park, never for a longer hold on the producer.
 		ttl := b.sessTTL
 		if req.SessionTTL > 0 {
-			ttl = req.SessionTTL
+			ttl = min(req.SessionTTL, b.sessTTL)
 		}
 		s := &boundSession{
 			token: b.newTokenLocked(), name: req.Name, cons: cons, ttl: ttl, gen: 1,
@@ -446,25 +432,14 @@ func (b *Binder) MinResume() int64 {
 	return min
 }
 
-// Bind resolves one reader's handshake positionally — the pre-session
-// SubscribeFunc shape, kept for callers that manage consumers
-// directly. A reader claiming a pre-declared name may narrow its
-// array subset and request wire codecs in the hello; an array outside
-// the advertisement or an unsupported codec rejects the handshake. A
-// reader announcing no codecs inherits the declared spec's codecs
-// (the server's handshake reply echoes the effective set either way).
-func (b *Binder) Bind(name, policy string, depth, group int, arrays, codecs []string) (*Consumer, error) {
-	if group > 1 {
-		return b.groups.attach(b.hub, name, group, func() (*Consumer, error) {
-			return b.Bind(name, policy, depth, 1, arrays, codecs)
-		})
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.bindLocked(name, policy, depth, arrays, codecs)
-}
-
-func (b *Binder) bindLocked(name, policy string, depth int, arrays, codecs []string) (*Consumer, error) {
+// bindLocked is the classic (non-session) bind. A reader claiming a
+// pre-declared name may narrow its array subset and request wire codecs
+// in the hello; an array outside the advertisement or an unsupported
+// codec rejects the handshake. A reader announcing no codecs inherits
+// the declared spec's codecs (the server's handshake reply echoes the
+// effective set either way).
+func (b *Binder) bindLocked(req SubscribeRequest) (*Consumer, error) {
+	name, arrays, codecs := req.Name, req.Arrays, req.Codecs
 	if spec, ok := b.specs[name]; ok {
 		cons := b.registered[name]
 		if !b.claimed[name] {
@@ -496,15 +471,13 @@ func (b *Binder) bindLocked(name, policy string, depth int, arrays, codecs []str
 			// subscription). Re-subscribe under the declared policy;
 			// steps shed in between are lost, the structure replays
 			// from the bootstrap.
-			sub := spec.Arrays
 			if len(arrays) > 0 {
-				sub = arrays
+				spec.Arrays = arrays
 			}
-			eff := spec.Codecs
 			if len(codecs) > 0 {
-				eff = codecs
+				spec.Codecs = codecs
 			}
-			nc, err := b.hub.SubscribeCodecs(spec.Name, spec.Policy, spec.Depth, sub, eff)
+			nc, err := b.hub.SubscribeSpec(spec)
 			if err != nil {
 				return nil, err
 			}
@@ -513,22 +486,22 @@ func (b *Binder) bindLocked(name, policy string, depth int, arrays, codecs []str
 		}
 		return nil, fmt.Errorf("already attached")
 	}
-	pol := b.defPolicy
-	if policy != "" {
-		p, err := ParsePolicy(policy)
+	spec := ConsumerSpec{Name: name, Policy: b.defPolicy, Depth: req.Depth, Arrays: arrays, Codecs: codecs}
+	if req.Policy != "" {
+		p, err := ParsePolicy(req.Policy)
 		if err != nil {
 			return nil, err
 		}
-		pol = p
+		spec.Policy = p
 	}
-	if depth <= 0 {
-		depth = b.defDepth
+	if spec.Depth <= 0 {
+		spec.Depth = b.defDepth
 	}
 	if name == "" {
 		b.dynSeq++
-		name = fmt.Sprintf("consumer-%d", b.dynSeq)
+		spec.Name = fmt.Sprintf("consumer-%d", b.dynSeq)
 	}
-	return b.hub.SubscribeCodecs(name, pol, depth, arrays, codecs)
+	return b.hub.SubscribeSpec(spec)
 }
 
 // SessionStats is one resumable session's /statusz row.

@@ -377,64 +377,3 @@ func TestBinderClaimNarrowsCodecs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestGroupConsumerCodecs: the members of a consumer group share the
-// declared codec chain — every member decodes every step bit-exactly
-// over its own connection.
-func TestGroupConsumerCodecs(t *testing.T) {
-	const n, steps, members = 300, 6, 2
-	h := NewHub(nil)
-	srv, err := Serve(h, "127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	errs := make([]error, members)
-	counts := make([]int, members)
-	var wg sync.WaitGroup
-	for i := 0; i < members; i++ {
-		r, err := adios.OpenReaderWith(srv.Addr(), adios.ReaderOptions{
-			Consumer: "par", Policy: "block", Depth: 2, Group: members,
-			Codecs: []string{"temporal-delta"},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(i int, r *adios.Reader) {
-			defer wg.Done()
-			defer r.Close()
-			for {
-				s, err := r.BeginStep()
-				if errors.Is(err, io.EOF) {
-					return
-				}
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				checkCodecStep(t, s, n, 0)
-				counts[i]++
-			}
-		}(i, r)
-	}
-	// Both OpenReaderWith calls returned, so the brokered group consumer
-	// is subscribed; block policy then guarantees full delivery.
-	for i := 0; i < steps; i++ {
-		if err := h.Publish(mkCodecStep(i, n)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h.Close()
-	wg.Wait()
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < members; i++ {
-		if errs[i] != nil {
-			t.Fatalf("member %d: %v", i, errs[i])
-		}
-		if counts[i] != steps {
-			t.Errorf("member %d received %d of %d steps", i, counts[i], steps)
-		}
-	}
-}

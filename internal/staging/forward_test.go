@@ -38,7 +38,7 @@ func TestFramePublishedSubsetsAreMarshalIdentical(t *testing.T) {
 					arrays = append(arrays, name)
 				}
 			}
-			c, err := h.SubscribeArrays("c", Block, 1, arrays)
+			c, err := h.SubscribeSpec(ConsumerSpec{Name: "c", Policy: Block, Depth: 1, Arrays: arrays})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +85,7 @@ func TestFramePublishedSubsetsAreMarshalIdentical(t *testing.T) {
 func TestFramePublishedStepDecodesWhatIsAsked(t *testing.T) {
 	h := NewHub(nil)
 	defer h.Close()
-	c, err := h.SubscribeArrays("c", Block, 1, []string{"pressure", "velocity_x"})
+	c, err := h.SubscribeSpec(ConsumerSpec{Name: "c", Policy: Block, Depth: 1, Arrays: []string{"pressure", "velocity_x"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestCodedFormsSameOnFramePublishedHub(t *testing.T) {
 			var cons [2]*Consumer
 			var dec [2]*adios.StreamDecoder
 			for i, h := range []*Hub{byStep, byFrame} {
-				c, err := h.SubscribeCodecs("c", Block, 4, tc.arrays, tc.codecs)
+				c, err := h.SubscribeSpec(ConsumerSpec{Name: "c", Policy: Block, Depth: 4, Arrays: tc.arrays, Codecs: tc.codecs})
 				if err != nil {
 					t.Fatal(err)
 				}

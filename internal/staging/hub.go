@@ -363,9 +363,7 @@ func NewHub(acct *metrics.Accountant) *Hub {
 
 // Consumer is one subscriber's handle: a cursor into the hub's ring
 // plus the policy that governs how the producer and this cursor
-// interact. A Consumer is either direct (its own hub cursor) or a
-// member of a consumer group (see SubscribeGroup), in which case it
-// reads from the group's shared delivery log instead.
+// interact.
 type Consumer struct {
 	hub    *Hub
 	name   string
@@ -398,10 +396,9 @@ type Consumer struct {
 	closed    bool
 
 	// held counts this consumer's delivered-but-unreleased in-memory
-	// steps: on the wire awaiting credit, parked as inflight, or in a
-	// group's delivery log. blocking counts publishers waiting on this
-	// consumer's full window right now, blockedNs the time such waits
-	// have taken.
+	// steps: on the wire awaiting credit or parked as inflight. blocking
+	// counts publishers waiting on this consumer's full window right now,
+	// blockedNs the time such waits have taken.
 	held      int64
 	blocking  int
 	blockedNs int64
@@ -443,16 +440,6 @@ type Consumer struct {
 	// consumer subscribed after the structure step was published.
 	pendingBootstrap *stepEntry
 
-	// grp is non-nil for group members: Next reads the group's shared
-	// log (fed by the group's single base cursor) and grpIdx counts
-	// the entries this member has consumed. grpClaimed marks members
-	// handed to a reader; once every claimed member closes, unclaimed
-	// members are closed too so the base cursor cannot outlive a
-	// partially attached group (see closeMemberLocked).
-	grp        *groupState
-	grpIdx     int64
-	grpClaimed bool
-
 	// prev is the ref held by BeginStep between calls; owned by the
 	// consumer's single reader goroutine.
 	prev *StepRef
@@ -474,12 +461,6 @@ type StepRef struct {
 	// cons is the owning consumer; Frame consults its negotiated
 	// codec spec and per-connection temporal-chain position.
 	cons *Consumer
-
-	// ge is set for group-member views: Release decrements the log
-	// entry's member count instead of the hub reference, which is
-	// returned (through the group's base ref) by the last member.
-	ge  *groupEntry
-	grp *groupState
 
 	// sp is set for views re-read from a consumer's spill tier: e is
 	// then a private frame-published entry built by Next from the bytes
@@ -555,15 +536,6 @@ func (r *StepRef) releaseLocked() {
 	if r.sp != nil {
 		if r.e != nil {
 			r.e.releaseFrames()
-		}
-		return
-	}
-	if r.ge != nil {
-		r.ge.remaining--
-		if r.ge.remaining == 0 {
-			r.ge.ref.releaseLocked()
-			r.grp.trimLogLocked()
-			r.hub.cond.Broadcast() // a puller may be waiting on the group's window
 		}
 		return
 	}
@@ -659,13 +631,6 @@ func (h *Hub) SetCodecAdvertised(codecs []string) {
 	h.codecAdvertised = codecs
 }
 
-// CodecAdvertised reports the declared codec restriction (nil = any).
-func (h *Hub) CodecAdvertised() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.codecAdvertised
-}
-
 // validateCodecsLocked parses and validates a codec request against
 // the advertisement. Caller holds h.mu.
 func (h *Hub) validateCodecsLocked(codecs []string) (codec.Spec, error) {
@@ -726,13 +691,6 @@ func (h *Hub) SetAdvertised(arrays []string) {
 	h.advertised = normalizeArrays(arrays)
 }
 
-// Advertised reports the declared producer array set (nil = unknown).
-func (h *Hub) Advertised() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.advertised
-}
-
 // validateSubsetLocked rejects subsets naming arrays outside the
 // advertisement (no-op while no advertisement is set), using the wire
 // protocol's shared rejection rule. Caller holds h.mu.
@@ -759,37 +717,33 @@ func (h *Hub) setConsumerArrays(c *Consumer, arrays []string) {
 	c.arrays = normalizeArrays(arrays)
 }
 
-// Subscribe attaches a named consumer receiving every published
-// array. depth <= 0 selects the default window of 2 (the SST default
-// queue depth); LatestOnly forces a window of one. Consumers attached
-// after the first publish receive the retained structure step first.
+// Subscribe attaches a named consumer receiving every published array
+// as plain frames: the positional veneer of SubscribeSpec.
 func (h *Hub) Subscribe(name string, policy Policy, depth int) (*Consumer, error) {
-	return h.SubscribeArrays(name, policy, depth, nil)
+	return h.SubscribeSpec(ConsumerSpec{Name: name, Policy: policy, Depth: depth})
 }
 
-// SubscribeArrays is Subscribe with a declared array subset: the
+// SubscribeSpec attaches the consumer spec describes. Depth <= 0
+// selects the default window of 2 (the SST default queue depth);
+// LatestOnly forces a window of one. Consumers attached after the first
+// publish receive the retained structure step first. With Arrays the
 // consumer receives (and, over the network, is shipped) only the named
-// arrays, except the structure step which always travels whole. Nil or
-// empty arrays mean everything. When the producer advertised its array
-// set, a subset naming an unknown array is rejected.
-func (h *Hub) SubscribeArrays(name string, policy Policy, depth int, arrays []string) (*Consumer, error) {
-	return h.SubscribeCodecs(name, policy, depth, arrays, nil)
-}
-
-// SubscribeCodecs is SubscribeArrays with a wire-compression request:
-// delivered network frames are encoded under the given codec entries
-// (codec.ParseSpec grammar), with same-spec consumers sharing one
-// encode per step. An unknown codec, or one outside the hub's codec
-// advertisement, is rejected. Codecs affect only the wire form
-// (StepRef.Frame); in-process consumers read the shared step as is.
-func (h *Hub) SubscribeCodecs(name string, policy Policy, depth int, arrays, codecs []string) (*Consumer, error) {
+// arrays, except the structure step which always travels whole; when
+// the producer advertised its array set, a subset naming an unknown
+// array is rejected. With Codecs its network frames are encoded under
+// the given entries (codec.ParseSpec grammar), same-spec consumers
+// sharing one encode per step; an unknown codec, or one outside the
+// hub's codec advertisement, is rejected. Codecs affect only the wire
+// form (StepRef.Frame); in-process consumers read the shared step as is.
+func (h *Hub) SubscribeSpec(spec ConsumerSpec) (*Consumer, error) {
+	name, policy, depth := spec.Name, spec.Policy, spec.Depth
 	if depth <= 0 {
 		depth = 2
 	}
 	if policy == LatestOnly {
 		depth = 1
 	}
-	arrays = normalizeArrays(arrays)
+	arrays := normalizeArrays(spec.Arrays)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
@@ -798,12 +752,12 @@ func (h *Hub) SubscribeCodecs(name string, policy Policy, depth int, arrays, cod
 	if err := h.validateSubsetLocked(arrays); err != nil {
 		return nil, err
 	}
-	spec, err := h.validateCodecsLocked(codecs)
+	cspec, err := h.validateCodecsLocked(spec.Codecs)
 	if err != nil {
 		return nil, err
 	}
 	c := &Consumer{hub: h, name: name, policy: policy, depth: depth, arrays: arrays, cursor: h.nextSeq, wirePrev: -1, lastSim: -1}
-	h.setConsumerCodecsLocked(c, spec)
+	h.setConsumerCodecsLocked(c, cspec)
 	if policy == Spill {
 		if h.spillFactory == nil {
 			return nil, fmt.Errorf("staging: consumer %q wants spill policy but the hub has no spill store (SetSpillFactory/SetSpillDir, or the adaptor's spill attribute)", name)
@@ -843,8 +797,8 @@ func (h *Hub) resident(c *Consumer) int64 { return h.lag(c) + int64(len(c.spillQ
 
 // Publish stages one timestep for every subscribed consumer. It
 // blocks while any Block-policy consumer has a full window — depth of
-// its steps resident in the hub, whether queued, being shipped, parked
-// or in a group's delivery log (producer-side backpressure);
+// its steps resident in the hub, whether queued, being shipped or
+// parked (producer-side backpressure);
 // DropOldest/LatestOnly consumers instead lose their oldest
 // undelivered steps. Publishing with no consumers subscribed discards
 // the step (but still retains the first structure step for late
@@ -1161,12 +1115,11 @@ type ConsumerStats struct {
 	Lag        int64 `json:"lag"`
 	SpillQueue int   `json:"spill_queue"` // evicted steps queued for (or on) the disk tier
 	// Resident counts the consumer's steps the hub holds — undelivered
-	// ones plus those delivered and not yet released (on the wire,
-	// parked, or in a group log): the number a block consumer's depth
-	// bounds. Blocking reports the producer waiting in Publish on this
-	// consumer's full window right now, BlockedNs the time such waits
-	// have taken so far (the first full consumer is charged when
-	// several are).
+	// ones plus those delivered and not yet released (on the wire or
+	// parked): the number a block consumer's depth bounds. Blocking
+	// reports the producer waiting in Publish on this consumer's full
+	// window right now, BlockedNs the time such waits have taken so far
+	// (the first full consumer is charged when several are).
 	Resident  int64 `json:"resident"`
 	Blocking  bool  `json:"blocking,omitempty"`
 	BlockedNs int64 `json:"blocked_ns"`
@@ -1298,16 +1251,12 @@ func (c *Consumer) Next() (*StepRef, error) {
 	h.mu.Lock()
 	var ref *StepRef
 	var err error
-	if c.grp != nil {
-		ref, err = c.grp.nextMemberLocked(c)
-	} else {
-		for {
-			ref, err = c.tryNextLocked()
-			if ref != nil || err != nil {
-				break
-			}
-			h.cond.Wait()
+	for {
+		ref, err = c.tryNextLocked()
+		if ref != nil || err != nil {
+			break
 		}
+		h.cond.Wait()
 	}
 	h.mu.Unlock()
 	return loaded(ref, err)
@@ -1436,20 +1385,14 @@ func (c *Consumer) BeginStep() (*adios.Step, error) {
 }
 
 // Close detaches the consumer: its undelivered references are
-// returned and the producer stops waiting on it. Closing the last
-// member of a consumer group closes the group's base cursor.
+// returned and the producer stops waiting on it.
 func (c *Consumer) Close() {
-	h := c.hub
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if c.grp != nil {
-		c.grp.closeMemberLocked(c)
-		return
-	}
+	c.hub.mu.Lock()
+	defer c.hub.mu.Unlock()
 	c.closeLocked()
 }
 
-// closeLocked detaches a direct consumer with h.mu held.
+// closeLocked is Close with h.mu held.
 func (c *Consumer) closeLocked() {
 	h := c.hub
 	if c.closed {

@@ -51,9 +51,8 @@ func blockedPublish(t *testing.T, h *Hub, name string, seq int) <-chan error {
 
 // TestBlockWindowIsResidency: a block:N consumer holds exactly N steps
 // in the hub however they are held — queued, delivered and unreleased,
-// parked as a session's inflight step, awaiting a reader's deferred
-// credit, or sitting in a group's delivery log behind a stalled member
-// — and releasing one reference admits exactly one publish.
+// parked as a session's inflight step, or awaiting a reader's deferred
+// credit — and releasing one reference admits exactly one publish.
 func TestBlockWindowIsResidency(t *testing.T) {
 	type holder struct {
 		// attach subscribes consumer "c"; hold runs once depth steps
@@ -79,36 +78,6 @@ func TestBlockWindowIsResidency(t *testing.T) {
 						t.Fatal(err)
 					}
 					return ref.Release
-				},
-			}
-		},
-		"group of 2, one member stalled": func() *holder {
-			var members []*Consumer
-			return &holder{
-				attach: func(t *testing.T, h *Hub, depth int) {
-					var err error
-					if members, err = h.SubscribeGroup("c", Block, depth, 2); err != nil {
-						t.Fatal(err)
-					}
-				},
-				hold: func(t *testing.T, h *Hub, depth int) func() {
-					// Member 0 keeps up: it pulls every step into the log and
-					// releases its view. Member 1 never reads.
-					for i := 0; i < depth; i++ {
-						ref, err := members[0].Next()
-						if err != nil {
-							t.Fatal(err)
-						}
-						ref.Release()
-					}
-					return func() {
-						ref, err := members[1].Next()
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						ref.Release()
-					}
 				},
 			}
 		},

@@ -16,7 +16,7 @@ import (
 )
 
 // SubscribeRequest carries everything an incoming reader handshake
-// announced. Name/Policy/Depth/Group/Arrays/Codecs are the classic
+// announced. Name/Policy/Depth/Arrays/Codecs are the classic
 // subscription shape (any may be empty/zero); the session fields are
 // the resumable-consumer extension:
 //
@@ -32,7 +32,6 @@ type SubscribeRequest struct {
 	Name   string
 	Policy string
 	Depth  int
-	Group  int
 	Arrays []string
 	Codecs []string
 
@@ -62,13 +61,9 @@ type Subscription struct {
 
 // SubscribeFunc resolves an incoming reader handshake to a hub
 // consumer. Implementations typically claim a pre-registered consumer
-// by name or subscribe a new one. req.Group > 1 declares the reader
-// to be one of Group cooperating members of a consumer group (see
-// Hub.SubscribeGroup): the implementation must hand each of the group
-// readers announcing the same name a distinct member of one shared
-// group. Returning an error — e.g. for an unadvertised array, an
-// unsupported codec, or an unknown session token — rejects the
-// handshake.
+// by name or subscribe a new one. Returning an error — e.g. for an
+// unadvertised array, an unsupported codec, or an unknown session token
+// — rejects the handshake.
 type SubscribeFunc func(req SubscribeRequest) (*Subscription, error)
 
 // ServerOptions tune the per-connection failure-detection behavior.
@@ -81,8 +76,7 @@ type ServerOptions struct {
 
 	// Heartbeat, when > 0, emits a keepalive marker on idle streams at
 	// this period, so reader-side liveness checks survive a slow
-	// producer. Group consumers are exempt (their shared log has its
-	// own wait discipline).
+	// producer.
 	Heartbeat time.Duration
 
 	// LivenessTimeout, when > 0, bounds the credit wait: a reader that
@@ -114,12 +108,12 @@ type Server struct {
 
 // Serve starts a staging server on addr (use "127.0.0.1:0" for an
 // ephemeral port) with default options. subscribe may be nil, in
-// which case every reader gets a fresh consumer with its announced
-// name/policy/depth (policy defaults to block), readers announcing
-// group > 1 are brokered into shared consumer groups by name, and
-// session tokens are rejected as unknown (no resumable sessions —
-// reconnecting readers downgrade to a fresh subscription whose Resume
-// ordinal still suppresses already-consumed steps).
+// which case handshakes resolve through a Binder with nothing declared
+// and sessions off: every reader gets a fresh consumer with its
+// announced name/policy/depth (policy defaults to block), and session
+// tokens are rejected as unknown — reconnecting readers downgrade to a
+// fresh subscription whose Resume ordinal still suppresses
+// already-consumed steps.
 func Serve(hub *Hub, addr string, subscribe SubscribeFunc) (*Server, error) {
 	return ServeWith(hub, addr, subscribe, ServerOptions{})
 }
@@ -131,32 +125,8 @@ func ServeWith(hub *Hub, addr string, subscribe SubscribeFunc, opts ServerOption
 		return nil, fmt.Errorf("staging: listen: %w", err)
 	}
 	s := &Server{hub: hub, ln: ln, subscribe: subscribe, opts: opts, conns: map[net.Conn]*Consumer{}}
-	if s.subscribe == nil {
-		var broker groupBroker
-		s.subscribe = func(req SubscribeRequest) (*Subscription, error) {
-			if req.Session != "" {
-				return nil, fmt.Errorf("%s %q", adios.ReasonUnknownSession, req.Session)
-			}
-			p, err := ParsePolicy(req.Policy)
-			if err != nil {
-				return nil, err
-			}
-			if req.Group > 1 {
-				cons, err := broker.attach(hub, req.Name, req.Group, func() (*Consumer, error) {
-					return hub.SubscribeCodecs(req.Name, p, req.Depth, req.Arrays, req.Codecs)
-				})
-				if err != nil {
-					return nil, err
-				}
-				return &Subscription{Cons: cons}, nil
-			}
-			cons, err := hub.SubscribeCodecs(req.Name, p, req.Depth, req.Arrays, req.Codecs)
-			if err != nil {
-				return nil, err
-			}
-			hub.setResumeFloor(cons, req.Resume)
-			return &Subscription{Cons: cons}, nil
-		}
+	if subscribe == nil {
+		s.subscribe = NewBinder(hub, Block, 0).Resolve
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -237,8 +207,23 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.setErr(fmt.Errorf("staging: bad reader handshake: unexpected role %q", h.Role))
 		return
 	}
+	// A rejection is sent as the handshake reply (the client would
+	// otherwise read a closed connection as a clean, empty
+	// end-of-stream).
+	reject := func(err error) {
+		err = fmt.Errorf("staging: consumer %q: %w", h.Consumer, err)
+		s.setErr(err)
+		json.NewEncoder(conn).Encode(adios.Hello{ //nolint:errcheck // best-effort reject
+			Type: "hello", Role: "rejected", Error: err.Error(),
+		})
+	}
+	if h.Group > 1 {
+		reject(fmt.Errorf("hello announces a consumer group of %d: hub consumer groups were removed, "+
+			"each endpoint rank now dials its own shard of the streams as a plain consumer (sensei-endpoint -ranks R)", h.Group))
+		return
+	}
 	req := SubscribeRequest{
-		Name: h.Consumer, Policy: h.Policy, Depth: h.Depth, Group: h.Group,
+		Name: h.Consumer, Policy: h.Policy, Depth: h.Depth,
 		Arrays: h.Arrays, Codecs: h.Codecs,
 		Session: h.Session, NewSession: h.NewSession, Resume: h.Resume,
 	}
@@ -246,15 +231,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		req.SessionTTL = time.Duration(h.SessionTTL * float64(time.Second))
 	}
 	// Bind before replying so a failed subscription is rejected in the
-	// handshake (the client would otherwise read a closed connection
-	// as a clean, empty end-of-stream).
+	// handshake.
 	sub, err := s.subscribe(req)
 	if err != nil {
-		err = fmt.Errorf("staging: consumer %q: %w", h.Consumer, err)
-		s.setErr(err)
-		json.NewEncoder(conn).Encode(adios.Hello{ //nolint:errcheck // best-effort reject
-			Type: "hello", Role: "rejected", Error: err.Error(),
-		})
+		reject(err)
 		return
 	}
 	cons := sub.Cons

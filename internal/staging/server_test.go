@@ -334,13 +334,13 @@ func TestAdaptorDoubleClaim(t *testing.T) {
 	}
 	ad := a.(*Adaptor)
 	defer ad.Finalize() //nolint:errcheck
-	if _, err := ad.binder.Bind("solo", "", 0, 0, nil, nil); err != nil {
+	if _, err := ad.binder.Resolve(SubscribeRequest{Name: "solo"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ad.binder.Bind("solo", "", 0, 0, nil, nil); err == nil {
+	if _, err := ad.binder.Resolve(SubscribeRequest{Name: "solo"}); err == nil {
 		t.Error("second claim of the same consumer should fail")
 	}
-	if _, err := ad.binder.Bind("", "bogus-policy", 0, 0, nil, nil); err == nil {
+	if _, err := ad.binder.Resolve(SubscribeRequest{Policy: "bogus-policy"}); err == nil {
 		t.Error("bad policy should fail")
 	}
 }

@@ -31,10 +31,9 @@ func IsNextTimeout(err error) bool { return errors.Is(err, errNextTimeout) }
 
 // NextTimeout is Next bounded by d: it returns errNextTimeout when no
 // step became deliverable within d, so a network pump can wake up and
-// keepalive an idle stream. d <= 0, and group members (whose shared
-// log has its own wait discipline), fall back to plain Next.
+// keepalive an idle stream. d <= 0 falls back to plain Next.
 func (c *Consumer) NextTimeout(d time.Duration) (*StepRef, error) {
-	if d <= 0 || c.grp != nil {
+	if d <= 0 {
 		return c.Next()
 	}
 	h := c.hub

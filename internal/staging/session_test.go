@@ -1,6 +1,7 @@
 package staging
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -205,6 +206,35 @@ func TestSessionTTL(t *testing.T) {
 				time.Sleep(120 * time.Millisecond)
 				if sub.Cons.IsClosed() {
 					t.Fatal("grace timer fired after resume")
+				}
+			},
+		},
+		{
+			name: "a hello asking for an hour's park is clamped to the hub's TTL",
+			run: func(t *testing.T, e *sessionEnv) {
+				e.sub.Cons.Close() // leave "greedy" the only window the producer waits on
+				sub, err := e.b.Resolve(SubscribeRequest{
+					Name: "greedy", Policy: "block", Depth: 1, NewSession: true, SessionTTL: time.Hour,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := e.h.Publish(dataStep(0)); err != nil {
+					t.Fatal(err)
+				}
+				errc := blockedPublish(t, e.h, "greedy", 1)
+				e.sub = sub
+				e.park(t) // the reader dies holding its one-step window
+				select {
+				case err := <-errc:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("a dead reader's hour-long park still holds the producer past the hub's 40ms TTL")
+				}
+				if !sub.Cons.IsClosed() {
+					t.Fatal("producer released but the parked consumer is still open")
 				}
 			},
 		},
@@ -585,6 +615,38 @@ func TestServerHandshakeTimeout(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("mute connection held %v, want the ~100ms handshake timeout", elapsed)
+	}
+}
+
+// TestServerRejectsGroupHello: hub consumer groups are gone, and a peer
+// built before that — its hello still announces a group — is refused in
+// the handshake by name instead of being served as a plain consumer.
+func TestServerRejectsGroupHello(t *testing.T) {
+	h := NewHub(nil)
+	defer h.Close()
+	srv, err := Serve(h, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	if _, err := io.WriteString(conn, `{"type":"hello","role":"reader","consumer":"ep","group":2}`+"\n"); err != nil {
+		t.Fatal(err)
+	}
+	var reply adios.Hello
+	if err := json.NewDecoder(conn).Decode(&reply); err != nil {
+		t.Fatal(err)
+	}
+	if reply.Role != "rejected" || !strings.Contains(reply.Error, "consumer groups were removed") {
+		t.Fatalf("reply = %+v, want a rejection naming the removed consumer groups", reply)
+	}
+	if n := h.ActiveConsumers(); n != 0 {
+		t.Fatalf("the rejected hello left %d consumer(s) subscribed", n)
 	}
 }
 

@@ -221,7 +221,7 @@ func TestSpillSubsetConsumer(t *testing.T) {
 	stores := map[string]*memSpillStore{}
 	h := hubWithSpill(stores)
 	h.SetAdvertised([]string{"a", "b"})
-	cons, err := h.SubscribeArrays("sub", Spill, 1, []string{"b"})
+	cons, err := h.SubscribeSpec(ConsumerSpec{Name: "sub", Policy: Spill, Depth: 1, Arrays: []string{"b"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,35 +310,6 @@ func TestSpillNeedsStore(t *testing.T) {
 	h := NewHub(nil)
 	if _, err := h.Subscribe("nostore", Spill, 2); err == nil {
 		t.Fatal("spill subscription without a store accepted")
-	}
-}
-
-// TestSpillGroupRejected: consumer groups keep their single-cursor
-// semantics; spill is per-consumer.
-func TestSpillGroupRejected(t *testing.T) {
-	stores := map[string]*memSpillStore{}
-	h := hubWithSpill(stores)
-	if _, err := h.SubscribeGroup("grp", Spill, 2, 3); err == nil {
-		t.Fatal("spill consumer group accepted")
-	}
-	// The brokered path (a network reader announcing group>1) must not
-	// leak the base subscription it creates before the rejection: an
-	// orphaned spill consumer would silently demote every published
-	// step to disk for the rest of the run.
-	b := NewBinder(h, Block, 2)
-	if _, err := b.Bind("netgrp", "spill", 2, 3, nil, nil); err == nil {
-		t.Fatal("brokered spill group accepted")
-	}
-	if h.ActiveConsumers() != 0 {
-		t.Fatalf("%d consumer(s) leaked by the rejected group attach", h.ActiveConsumers())
-	}
-	for s := 0; s < 5; s++ {
-		if err := h.Publish(spillStep(s, 8)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if h.Spilled() != 0 {
-		t.Fatalf("rejected group attach left a consumer spilling (%d steps demoted)", h.Spilled())
 	}
 }
 

@@ -11,11 +11,11 @@
 // policies:
 //
 //   - block: the producer waits while queue-depth of this consumer's
-//     steps are resident in the hub — queued, being shipped, parked
-//     with a session or held in a group's delivery log — the paper's
-//     synchronous SST semantics, where a slow endpoint is visible as
-//     producer-side queue growth. The other three bound undelivered
-//     steps only: a step already on the wire cannot be shed.
+//     steps are resident in the hub — queued, being shipped or parked
+//     with a session — the paper's synchronous SST semantics, where a
+//     slow endpoint is visible as producer-side queue growth. The
+//     other three bound undelivered steps only: a step already on the
+//     wire cannot be shed.
 //   - drop-oldest: the consumer's window is bounded; when it overflows
 //     the oldest undelivered step is dropped, keeping the producer at
 //     full rate (steady-producer semantics).
@@ -26,14 +26,7 @@
 //     being lost, transparently re-read on catch-up — the consumer
 //     sees every step, in order, and the producer never blocks.
 //
-// A consumer may also be a group of R cooperating readers (a parallel
-// endpoint's ranks): SubscribeGroup keeps ONE cursor and one policy
-// window on the hub and delivers every step to all R members under a
-// single reference count, so the members are guaranteed the identical
-// step sequence — the property that keeps a sharded endpoint's
-// per-step collectives matched (see groups.go and DESIGN.md).
-//
-// Consumers may declare an array subset (SubscribeArrays, or the
+// Consumers may declare an array subset (ConsumerSpec.Arrays, or the
 // reader hello's `arrays` field): delivered steps and network frames
 // are filtered to the declared arrays — per-subset views share the
 // full step's payload slices and same-subset consumers share one
@@ -43,7 +36,7 @@
 // the network, rejects the reader's handshake. Per-consumer shipped
 // bytes are accounted in ConsumerStats.WireBytes.
 //
-// Consumers may likewise negotiate wire compression (SubscribeCodecs,
+// Consumers may likewise negotiate wire compression (ConsumerSpec.Codecs,
 // or the reader hello's `codecs` field, checked against
 // SetCodecAdvertised): their network frames are re-encoded through
 // per-array codec stages (internal/codec) by a shared StreamEncoder —
@@ -63,13 +56,13 @@
 // gated by TestSteadyStateAllocBudget). Frame bytes obtained through
 // StepRef.Frame are valid only until that reference's Release.
 //
-// Entry points: NewHub/Subscribe/SubscribeGroup/Publish for
-// programmatic use, the "staging" and "adios" analysis types
-// (adaptor.go) for Listing-1 XML configuration — the second is the
-// paper's direct stream, this hub with its consumer set closed to one
-// reader — and Serve (server.go), the one server of the adios/SST wire
-// protocol (specified in DESIGN.md), to which `internal/intransit`
-// endpoints attach through the contact-file rendezvous.
+// Entry points: NewHub/SubscribeSpec/Publish for programmatic use, the
+// "staging" and "adios" analysis types (adaptor.go) for Listing-1 XML
+// configuration — the second is the paper's direct stream, this hub
+// with its consumer set closed to one reader — and Serve (server.go),
+// the one server of the adios/SST wire protocol (specified in
+// DESIGN.md), to which `internal/intransit` endpoints attach through
+// the contact-file rendezvous.
 package staging
 
 import (

@@ -51,7 +51,7 @@ func TestSubscribeArraysRejectsUnadvertised(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			h := NewHub(nil)
 			h.SetAdvertised(tc.advertised)
-			c, err := h.SubscribeArrays("c", Block, 2, tc.request)
+			c, err := h.SubscribeSpec(ConsumerSpec{Name: "c", Policy: Block, Depth: 2, Arrays: tc.request})
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -77,7 +77,7 @@ func TestSubsetDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := h.SubscribeArrays("sub", Block, 8, []string{"c", "a"})
+	sub, err := h.SubscribeSpec(ConsumerSpec{Name: "sub", Policy: Block, Depth: 8, Arrays: []string{"c", "a"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +257,11 @@ func TestSubsetWireRejectionAndSavings(t *testing.T) {
 func TestSubsetSharedFrames(t *testing.T) {
 	names := []string{"a", "b"}
 	h := NewHub(nil)
-	c1, err := h.SubscribeArrays("s1", Block, 4, []string{"a"})
+	c1, err := h.SubscribeSpec(ConsumerSpec{Name: "s1", Policy: Block, Depth: 4, Arrays: []string{"a"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := h.SubscribeArrays("s2", Block, 4, []string{"a"})
+	c2, err := h.SubscribeSpec(ConsumerSpec{Name: "s2", Policy: Block, Depth: 4, Arrays: []string{"a"}})
 	if err != nil {
 		t.Fatal(err)
 	}

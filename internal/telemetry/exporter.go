@@ -207,15 +207,6 @@ func (t *Telemetry) EventzSnapshot() *Eventz {
 	}
 }
 
-// StatuszSnapshot builds the /statusz document in-process — what a
-// crawler includes for its own process without a loopback scrape.
-func (t *Telemetry) StatuszSnapshot() *Statusz {
-	if t == nil {
-		return nil
-	}
-	return t.statusz()
-}
-
 // writeJSON renders v as indented JSON.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
