@@ -1,6 +1,6 @@
 # Build/test entry points. `make race` covers the concurrent
 # subsystems (staging hub + spill tier, SST transport, endpoint loop,
-# archive record/replay, MPI runtime, the render path whose rank
+# archive recording and replay, MPI runtime, the render path whose rank
 # goroutines composite out of each other's framebuffers, and the mains
 # under cmd/, whose tests run the endpoint, relay and archive
 # in-process) under the race detector.
@@ -37,7 +37,7 @@ race:
 		./internal/adios/... ./internal/archive/... ./internal/mpirt/... \
 		./internal/telemetry/... ./internal/metrics/... ./internal/codec/... \
 		./internal/relay/... ./internal/faultnet/... ./internal/render/... \
-		./internal/isosurf/... ./internal/catalyst/... ./cmd/...
+		./internal/isosurf/... ./internal/catalyst/... ./internal/shell/... ./cmd/...
 
 vet:
 	$(GO) vet ./...
@@ -98,13 +98,14 @@ loc:
 
 # Curl-smoke the live telemetry plane: real producer + endpoint with
 # -telemetry on, asserting /metrics, /statusz and /debug/pprof answer
-# on both while the stream runs.
+# on both while the stream runs and meshtop -once joins their traces;
+# then the same over a producer -> relay -> endpoint tree.
 telemetry-smoke:
 	bash scripts/telemetry_smoke.sh
 
 # Capture a 10s CPU profile from a running process's telemetry
-# exporter (any of nekrs, sensei-endpoint, archive, examples/fanout
-# started with -telemetry). Inspect with `go tool pprof cpu.pprof`.
+# exporter (any of nekrs, relay, sensei-endpoint, archive replay,
+# examples/fanout started with -telemetry). Inspect with `go tool pprof cpu.pprof`.
 TELEMETRY_URL ?= 127.0.0.1:9150
 profile:
 	curl -fsS -o cpu.pprof "http://$(TELEMETRY_URL)/debug/pprof/profile?seconds=10"

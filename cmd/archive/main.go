@@ -1,12 +1,10 @@
-// Command archive records, inspects and replays persistent step
-// streams — the post hoc side of the data plane. A recording is a
-// directory of per-rank archives (rank-0000/, rank-0001/, ...)
-// mirroring the live run's topology, holding the exact wire frames
-// the producers marshaled.
-//
-// Record a live run (attach to its contact file like any consumer):
-//
-//	archive record -contact run/contact.txt -out run-archive
+// Command archive inspects and replays persistent step streams — the
+// post hoc side of the data plane. A recording is a directory of
+// per-rank archives (rank-0000/, rank-0001/, ...) mirroring the live
+// run's topology, holding the exact wire frames the producers
+// marshaled. Recordings are made at the source (`nekrs -record`) or by
+// any endpoint (`sensei-endpoint -record`; with no -config it is a pure
+// recording sink).
 //
 // Inspect what was captured:
 //
@@ -22,26 +20,20 @@
 // Replay answers step-range (-from/-to) and array-subset (-arrays)
 // queries from the on-disk index: out-of-range records and
 // unrequested payload bytes are never read.
-//
-// Simulations can also record at the source (`nekrs -record`,
-// `sensei-endpoint -record`) without this tool in the loop.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"sync"
-	"time"
 
 	"nekrs-sensei/internal/adios"
 	"nekrs-sensei/internal/archive"
 	"nekrs-sensei/internal/metrics"
+	"nekrs-sensei/internal/shell"
 	"nekrs-sensei/internal/staging"
-	"nekrs-sensei/internal/telemetry"
 )
 
 func main() {
@@ -49,10 +41,11 @@ func main() {
 	if err == flag.ErrHelp {
 		return
 	}
-	if err == nil {
-		err = cmd.run()
-	}
 	if err != nil {
+		fmt.Fprintln(os.Stderr, "archive:", err)
+		os.Exit(2)
+	}
+	if err := cmd.run(); err != nil {
 		fmt.Fprintln(os.Stderr, "archive:", err)
 		os.Exit(1)
 	}
@@ -60,30 +53,22 @@ func main() {
 
 // command is one parsed subcommand invocation.
 type command struct {
-	mode string // "record", "replay", "inspect"
+	mode string // "replay", "inspect"
 
-	// record
-	contact string
-	out     string
-	name    string
-	policy  string
-	depth   int
-	timeout time.Duration
+	dir string
 
 	// replay
-	dir       string
-	pace      archive.Pace
-	from, to  int64
-	consumers []staging.ConsumerSpec
-	wait      int
-
-	// shared
-	arrays    []string
-	telemetry string // exporter listen address ("" = off)
+	contact     string
+	pace        archive.Pace
+	from, to    int64
+	consumers   []staging.ConsumerSpec
+	wait        int
+	arrays      []string
+	shell.Flags // -telemetry
 }
 
 func usage() error {
-	return fmt.Errorf("usage: archive record|replay|inspect [flags] (-h per subcommand)")
+	return fmt.Errorf("usage: archive replay|inspect [flags] (-h per subcommand)")
 }
 
 // parseArgs parses a subcommand line; all grammar lives here so the
@@ -97,14 +82,7 @@ func parseArgs(argv []string) (*command, error) {
 	var arraysFlag, consumersFlag, paceFlag string
 	switch c.mode {
 	case "record":
-		fs.StringVar(&c.contact, "contact", "contact.txt", "contact file of the live run to record")
-		fs.StringVar(&c.out, "out", "run-archive", "recording directory (one rank-NNNN archive per producer)")
-		fs.StringVar(&c.name, "name", "archive", "consumer name announced to staging hubs")
-		fs.StringVar(&c.policy, "policy", "block", "staging backpressure policy for the recording consumer")
-		fs.IntVar(&c.depth, "depth", 8, "staging queue depth for the recording consumer")
-		fs.DurationVar(&c.timeout, "timeout", 60*time.Second, "how long to wait for the contact file")
-		fs.StringVar(&arraysFlag, "arrays", "", "comma-separated array subset to record (empty = everything)")
-		fs.StringVar(&c.telemetry, "telemetry", "", "serve /metrics, /statusz and /debug/pprof on this address (empty = off)")
+		return nil, fmt.Errorf("archive record is gone; record a live run with `sensei-endpoint -record DIR -consumer archive:block:8` (no -config: a pure sink)")
 	case "replay":
 		fs.StringVar(&c.dir, "dir", "run-archive", "recording directory to replay")
 		fs.StringVar(&c.contact, "contact", "contact.txt", "contact file to publish for attaching consumers")
@@ -114,7 +92,7 @@ func parseArgs(argv []string) (*command, error) {
 		fs.StringVar(&arraysFlag, "arrays", "", "comma-separated array subset to replay (empty = everything recorded)")
 		fs.StringVar(&consumersFlag, "consumers", "", `pre-declared consumers "name[:policy[:depth[:arrays]]],..." (none = wait for dynamic attachments)`)
 		fs.IntVar(&c.wait, "wait", 1, "with no pre-declared consumers, reader attachments to wait for before publishing")
-		fs.StringVar(&c.telemetry, "telemetry", "", "serve /metrics, /statusz and /debug/pprof on this address (empty = off)")
+		c.Register(fs, "telemetry")
 	case "inspect":
 		fs.StringVar(&c.dir, "dir", "run-archive", "recording directory to inspect")
 	default:
@@ -131,14 +109,6 @@ func parseArgs(argv []string) (*command, error) {
 			if a = strings.TrimSpace(a); a != "" {
 				c.arrays = append(c.arrays, a)
 			}
-		}
-	}
-	if c.mode == "record" {
-		if _, err := staging.ParsePolicy(c.policy); err != nil {
-			return nil, err
-		}
-		if c.depth < 1 {
-			return nil, fmt.Errorf("-depth must be positive (got %d)", c.depth)
 		}
 	}
 	if c.mode == "replay" {
@@ -166,101 +136,12 @@ func parseArgs(argv []string) (*command, error) {
 
 func (c *command) run() error {
 	switch c.mode {
-	case "record":
-		return c.record()
 	case "replay":
 		return c.replay()
 	case "inspect":
 		return c.inspect()
 	}
 	return usage()
-}
-
-// serveTelemetry starts the metrics/statusz/pprof exporter when
-// -telemetry was given; otherwise it returns a nil (disabled) plane
-// whose handles all no-op.
-func (c *command) serveTelemetry(process string) (*telemetry.Telemetry, func(), error) {
-	if c.telemetry == "" {
-		return nil, func() {}, nil
-	}
-	tel := telemetry.New(process)
-	telemetry.RegisterRuntime(tel.Registry())
-	exp, err := tel.Serve(c.telemetry)
-	if err != nil {
-		return nil, nil, err
-	}
-	fmt.Printf("telemetry: %s/metrics %s/statusz %s/debug/pprof\n",
-		exp.URL(), exp.URL(), exp.URL())
-	return tel, func() { exp.Close() }, nil
-}
-
-// record attaches one recording reader per live producer and streams
-// every received frame — unchanged wire bytes — into per-rank
-// archives until the producers close their streams.
-func (c *command) record() error {
-	addrs, err := adios.ReadContact(c.contact, c.timeout)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("recording %d producer stream(s) into %s (policy %s)\n", len(addrs), c.out, c.policy)
-	tel, stopTel, err := c.serveTelemetry("archive-record")
-	if err != nil {
-		return err
-	}
-	defer stopTel()
-	steps := make([]int64, len(addrs))
-	bytes := make([]int64, len(addrs))
-	errs := make([]error, len(addrs))
-	var wg sync.WaitGroup
-	for i, addr := range addrs {
-		a, err := archive.Open(archive.RankDir(c.out, i), archive.Options{})
-		if err != nil {
-			return err
-		}
-		defer a.Close()
-		a.RegisterTelemetry(tel, fmt.Sprintf("rank-%d", i))
-		wg.Add(1)
-		go func(i int, addr string, a *archive.Archive) {
-			defer wg.Done()
-			r, err := adios.OpenReaderWith(addr, adios.ReaderOptions{
-				Consumer: c.name, Policy: c.policy, Depth: c.depth, Arrays: c.arrays,
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer r.Close()
-			r.SetRecord(a)
-			r.SetTelemetry(tel, "source", fmt.Sprint(i))
-			for {
-				s, err := r.BeginStep()
-				if errors.Is(err, io.EOF) {
-					break
-				}
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				r.Recycle(s)
-			}
-			steps[i] = r.StepsReceived()
-			bytes[i] = r.BytesReceived()
-		}(i, addr, a)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	var totalSteps, totalBytes int64
-	for i := range steps {
-		totalSteps += steps[i]
-		totalBytes += bytes[i]
-	}
-	fmt.Printf("recorded %d step(s), %s across %d rank archive(s) in %s\n",
-		totalSteps, metrics.HumanBytes(totalBytes), len(addrs), c.out)
-	return nil
 }
 
 // replay serves every rank archive through its own hub and publishes
@@ -271,7 +152,7 @@ func (c *command) replay() error {
 	if err != nil {
 		return err
 	}
-	tel, stopTel, err := c.serveTelemetry("archive-replay")
+	tel, stopTel, err := shell.Start("archive-replay", c.Telemetry, adios.Contact{})
 	if err != nil {
 		return err
 	}
@@ -298,7 +179,7 @@ func (c *command) replay() error {
 		replays[i] = rp
 		addrs[i] = rp.Addr()
 	}
-	if err := adios.WriteContact(c.contact, addrs, ""); err != nil {
+	if err := (adios.Contact{Name: c.contact}).Write(addrs, ""); err != nil {
 		return err
 	}
 	fmt.Printf("replaying %d rank archive(s) at pace %s, %d step(s) each max; contact %s\n",

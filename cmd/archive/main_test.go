@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -13,14 +14,9 @@ func TestParseArgs(t *testing.T) {
 	}{
 		{"no args", nil, false, nil},
 		{"bad mode", []string{"rewind"}, false, nil},
-		{"record defaults", []string{"record"}, true, func(c *command) bool {
-			return c.mode == "record" && c.policy == "block" && c.depth == 8 && c.out == "run-archive"
-		}},
-		{"record arrays", []string{"record", "-arrays", "pressure, temperature"}, true, func(c *command) bool {
+		{"replay arrays", []string{"replay", "-arrays", "pressure, temperature"}, true, func(c *command) bool {
 			return len(c.arrays) == 2 && c.arrays[1] == "temperature"
 		}},
-		{"record bad policy", []string{"record", "-policy", "warp"}, false, nil},
-		{"record bad depth", []string{"record", "-depth", "0"}, false, nil},
 		{"replay defaults", []string{"replay"}, true, func(c *command) bool {
 			return c.mode == "replay" && c.pace.Mode == "max" && c.from == -1 && c.to == -1 && c.wait == 1
 		}},
@@ -44,6 +40,10 @@ func TestParseArgs(t *testing.T) {
 			return c.mode == "inspect" && c.dir == "x"
 		}},
 		{"trailing args", []string{"inspect", "x"}, false, nil},
+	}
+	// The deleted subcommand is refused by naming its replacement.
+	if _, err := parseArgs([]string{"record", "-contact", "c.txt"}); err == nil || !strings.Contains(err.Error(), "sensei-endpoint -record") {
+		t.Errorf("archive record: err = %v, want a refusal naming sensei-endpoint -record", err)
 	}
 	for _, tc := range cases {
 		c, err := parseArgs(tc.argv)

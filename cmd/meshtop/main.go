@@ -32,24 +32,28 @@ import (
 
 	"nekrs-sensei/internal/meshobs"
 	"nekrs-sensei/internal/metrics"
+	"nekrs-sensei/internal/shell"
 	"nekrs-sensei/internal/telemetry"
 )
 
 // options carries the parsed command line.
 type options struct {
-	contactDir string
-	meshz      string
-	interval   time.Duration
-	once       bool
-	steps      int
-	events     int
-	lastK      int
+	meshz    string
+	interval time.Duration
+	once     bool
+	steps    int
+	events   int
+	lastK    int
+
+	// -contact-dir: the directory to crawl, every entry advertising
+	// #telemetry= being scraped.
+	shell.Flags
 }
 
 func parseArgs(argv []string) (*options, error) {
 	fs := flag.NewFlagSet("meshtop", flag.ContinueOnError)
 	o := &options{}
-	fs.StringVar(&o.contactDir, "contact-dir", "", "contact directory to crawl (every entry advertising #telemetry= is scraped)")
+	o.Register(fs, "contact-dir")
 	fs.StringVar(&o.meshz, "meshz", "", "telemetry base of a process serving /meshz (remote mode; overrides -contact-dir)")
 	fs.DurationVar(&o.interval, "interval", 2*time.Second, "refresh period")
 	fs.BoolVar(&o.once, "once", false, "print one snapshot and exit (no screen clearing)")
@@ -62,7 +66,7 @@ func parseArgs(argv []string) (*options, error) {
 	if len(fs.Args()) > 0 {
 		return nil, fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	if o.contactDir == "" && o.meshz == "" {
+	if o.ContactDir == "" && o.meshz == "" {
 		return nil, fmt.Errorf("give -contact-dir to crawl or -meshz to attach to a served snapshot")
 	}
 	if o.interval <= 0 {
@@ -78,7 +82,7 @@ func (o *options) snapshot(ctx context.Context) (*meshobs.Snapshot, error) {
 		defer cancel()
 		return meshobs.FetchMeshz(ctx, o.meshz)
 	}
-	return meshobs.Crawl(ctx, o.contactDir, meshobs.Options{LastK: o.lastK})
+	return meshobs.Crawl(ctx, o.ContactDir, meshobs.Options{LastK: o.lastK})
 }
 
 // render writes one full meshtop frame. Pure function of the snapshot

@@ -16,6 +16,7 @@ import (
 	"os"
 	"sync"
 
+	"nekrs-sensei/internal/adios"
 	"nekrs-sensei/internal/archive"
 	"nekrs-sensei/internal/checkpoint"
 	"nekrs-sensei/internal/core"
@@ -24,6 +25,7 @@ import (
 	"nekrs-sensei/internal/mpirt"
 	"nekrs-sensei/internal/nekrs"
 	"nekrs-sensei/internal/sensei"
+	"nekrs-sensei/internal/shell"
 	"nekrs-sensei/internal/telemetry"
 
 	_ "nekrs-sensei/internal/catalyst" // analysis type "catalyst"
@@ -31,65 +33,82 @@ import (
 	_ "nekrs-sensei/internal/staging"  // analysis types "staging" and "adios"
 )
 
-func main() {
-	caseName := flag.String("case", "pb146", "case: pb146, rbc, tgv, cavity")
-	parFile := flag.String("par", "", "NekRS-style .par parameter file")
-	ranks := flag.Int("ranks", 4, "simulated MPI ranks")
-	steps := flag.Int("steps", 100, "timesteps")
-	senseiCfg := flag.String("sensei", "", "SENSEI XML configuration (enables instrumentation)")
-	record := flag.String("record", "", "record the outgoing stream (the hub of the staging or adios analysis) into per-rank archives under this directory")
-	ckEvery := flag.Int("checkpoint-every", 0, "built-in checkpoint cadence in steps (0 = off)")
-	refine := flag.Int("refine", 1, "mesh refinement factor")
-	order := flag.Int("order", 4, "polynomial order")
-	out := flag.String("out", "nekrs-out", "output directory")
-	logEvery := flag.Int("log-every", 10, "print step diagnostics every n steps")
-	sessionTTL := flag.Duration("session-ttl", 0, "staging or adios analysis: retain a disconnected consumer's cursor and queue for this long, resumable exactly-once (0 = off)")
-	telAddr := flag.String("telemetry", "", "serve /metrics, /statusz and /debug/pprof on this address (e.g. 127.0.0.1:9150; empty = off)")
-	flag.Parse()
+// options carries the parsed, validated command line.
+type options struct {
+	caseName, parFile string
+	ranks, steps      int
+	senseiCfg, record string
+	ckEvery           int
+	refine, order     int
+	out               string
+	logEvery          int
+	shell.Flags       // -session-ttl, -telemetry
+}
 
-	if err := validateFlags(*ranks, *steps, *order); err != nil {
+// parseArgs parses argv (without the program name) into options,
+// rejecting impossible run shapes up front instead of letting them fail
+// deep inside mesh partitioning or the solver.
+func parseArgs(argv []string) (*options, error) {
+	fs := flag.NewFlagSet("nekrs", flag.ContinueOnError)
+	o := &options{}
+	fs.StringVar(&o.caseName, "case", "pb146", "case: pb146, rbc, tgv, cavity")
+	fs.StringVar(&o.parFile, "par", "", "NekRS-style .par parameter file")
+	fs.IntVar(&o.ranks, "ranks", 4, "simulated MPI ranks")
+	fs.IntVar(&o.steps, "steps", 100, "timesteps")
+	fs.StringVar(&o.senseiCfg, "sensei", "", "SENSEI XML configuration (enables instrumentation)")
+	fs.StringVar(&o.record, "record", "", "record the outgoing stream (the hub of the staging or adios analysis) into per-rank archives under this directory")
+	fs.IntVar(&o.ckEvery, "checkpoint-every", 0, "built-in checkpoint cadence in steps (0 = off)")
+	fs.IntVar(&o.refine, "refine", 1, "mesh refinement factor")
+	fs.IntVar(&o.order, "order", 4, "polynomial order")
+	fs.StringVar(&o.out, "out", "nekrs-out", "output directory")
+	fs.IntVar(&o.logEvery, "log-every", 10, "print step diagnostics every n steps")
+	o.Register(fs, "session-ttl", "telemetry")
+	if err := fs.Parse(argv); err != nil {
+		return nil, err
+	}
+	switch {
+	case len(fs.Args()) > 0:
+		return nil, fmt.Errorf("unexpected arguments: %v", fs.Args())
+	case o.ranks <= 0:
+		return nil, fmt.Errorf("-ranks must be positive (got %d)", o.ranks)
+	case o.steps <= 0:
+		return nil, fmt.Errorf("-steps must be positive (got %d)", o.steps)
+	case o.order < 1:
+		return nil, fmt.Errorf("-order must be at least 1 (got %d)", o.order)
+	case o.record != "" && o.senseiCfg == "":
+		return nil, fmt.Errorf("-record needs -sensei with a staging or adios analysis (there is no stream to record)")
+	}
+	return o, o.Check()
+}
+
+func main() {
+	o, err := parseArgs(os.Args[1:])
+	if err == flag.ErrHelp {
+		return
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "nekrs:", err)
 		os.Exit(2)
 	}
-	if *record != "" && *senseiCfg == "" {
-		fmt.Fprintln(os.Stderr, "nekrs: -record needs -sensei with a staging or adios analysis (there is no stream to record)")
-		os.Exit(2)
+	// One telemetry plane for the whole process: the simulated ranks are
+	// goroutines sharing a heap, so they share one registry and one
+	// trace ring, labeled per rank. nil when disabled — every handle
+	// handed out downstream no-ops.
+	tel, stopTel, err := shell.Start("nekrs", o.Telemetry, adios.Contact{})
+	if err == nil {
+		err = run(o, tel)
+		stopTel()
 	}
-	if *sessionTTL < 0 {
-		fmt.Fprintln(os.Stderr, "nekrs: -session-ttl must be non-negative")
-		os.Exit(2)
-	}
-	// The resilience flag becomes an attribute default for the
-	// XML-configured analyses: an explicit attribute in the config wins.
-	attrDefaults := map[string]string{}
-	if *sessionTTL > 0 {
-		attrDefaults["session-ttl"] = sessionTTL.String()
-	}
-	if err := run(*caseName, *parFile, *ranks, *steps, *senseiCfg, *record, *ckEvery, *refine, *order, *out, *logEvery, *telAddr, attrDefaults); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "nekrs:", err)
 		os.Exit(1)
 	}
 }
 
-// validateFlags rejects impossible run shapes up front, instead of
-// letting them fail deep inside mesh partitioning or the solver.
-func validateFlags(ranks, steps, order int) error {
-	if ranks <= 0 {
-		return fmt.Errorf("-ranks must be positive (got %d)", ranks)
-	}
-	if steps <= 0 {
-		return fmt.Errorf("-steps must be positive (got %d)", steps)
-	}
-	if order < 1 {
-		return fmt.Errorf("-order must be at least 1 (got %d)", order)
-	}
-	return nil
-}
-
-func run(caseName, parFile string, ranks, steps int, senseiCfg, record string, ckEvery, refine, order int, out string, logEvery int, telAddr string, attrDefaults map[string]string) error {
+func run(o *options, tel *telemetry.Telemetry) error {
 	var par *nekrs.Par
-	if parFile != "" {
-		src, err := os.ReadFile(parFile)
+	if o.parFile != "" {
+		src, err := os.ReadFile(o.parFile)
 		if err != nil {
 			return err
 		}
@@ -97,7 +116,7 @@ func run(caseName, parFile string, ranks, steps int, senseiCfg, record string, c
 			return err
 		}
 	}
-	c, err := nekrs.CaseByName(caseName, refine, order, par)
+	c, err := nekrs.CaseByName(o.caseName, o.refine, o.order, par)
 	if err != nil {
 		return err
 	}
@@ -106,28 +125,11 @@ func run(caseName, parFile string, ranks, steps int, senseiCfg, record string, c
 			return err
 		}
 	}
-	if err := os.MkdirAll(out, 0o755); err != nil {
+	if err := os.MkdirAll(o.out, 0o755); err != nil {
 		return err
 	}
 
-	// One telemetry plane for the whole process: the simulated ranks are
-	// goroutines sharing a heap, so they share one registry and one
-	// trace ring, labeled per rank. nil when disabled — every handle
-	// handed out downstream no-ops.
-	var tel *telemetry.Telemetry
-	if telAddr != "" {
-		tel = telemetry.New("nekrs")
-		telemetry.RegisterRuntime(tel.Registry())
-		exp, err := tel.Serve(telAddr)
-		if err != nil {
-			return err
-		}
-		defer exp.Close()
-		fmt.Printf("telemetry: %s/metrics %s/statusz %s/debug/pprof\n",
-			exp.URL(), exp.URL(), exp.URL())
-	}
-
-	errs := make([]error, ranks)
+	errs := make([]error, o.ranks)
 	// Allocator window over the stepping loop (process-wide: all
 	// simulated ranks share one Go heap) — the steady-state alloc/GC
 	// pressure the zero-allocation data plane is budgeted against. The
@@ -136,7 +138,7 @@ func run(caseName, parFile string, ranks, steps int, senseiCfg, record string, c
 	// signal.
 	alloc := metrics.NewAllocStats()
 	var allocBegin sync.Once
-	mpirt.Run(ranks, func(comm *mpirt.Comm) {
+	mpirt.Run(o.ranks, func(comm *mpirt.Comm) {
 		rank := comm.Rank()
 		sim, err := nekrs.NewSim(comm, nil, c)
 		if err != nil {
@@ -153,30 +155,30 @@ func run(caseName, parFile string, ranks, steps int, senseiCfg, record string, c
 				telemetry.RegisterStorage(tel.Registry(), sim.Storage)
 			}
 		}
-		if ckEvery > 0 {
+		if o.ckEvery > 0 {
 			sim.Checkpoint = &checkpoint.FldWriter{
-				Dir: out, Prefix: c.Name, Acct: sim.Acct, Storage: sim.Storage,
+				Dir: o.out, Prefix: c.Name, Acct: sim.Acct, Storage: sim.Storage,
 			}
-			sim.CheckpointEvery = ckEvery
+			sim.CheckpointEvery = o.ckEvery
 		}
 		var bridge *core.Bridge
 		var recFinish func() error
 		var recArchive *archive.Archive
-		if senseiCfg != "" {
+		if o.senseiCfg != "" {
 			ctx := &sensei.Context{
 				Comm: comm, Acct: sim.Acct, Timer: sim.Timer,
-				Storage: sim.Storage, OutputDir: out,
-				Telemetry: tel, AttrDefaults: attrDefaults,
+				Storage: sim.Storage, OutputDir: o.out,
+				Telemetry: tel, AttrDefaults: o.AttrDefaults(),
 			}
-			bridge, err = core.InitializeFile(ctx, sim.Solver, senseiCfg)
+			bridge, err = core.InitializeFile(ctx, sim.Solver, o.senseiCfg)
 			if err != nil {
 				errs[rank] = err
 				return
 			}
-			if record != "" {
+			if o.record != "" {
 				// Each rank's outgoing stream lands in its own archive,
 				// mirroring the live topology for cmd/archive -replay.
-				recArchive, err = archive.Open(archive.RankDir(record, rank), archive.Options{})
+				recArchive, err = archive.Open(archive.RankDir(o.record, rank), archive.Options{})
 				if err == nil {
 					recFinish, err = archive.AttachAnalysis(bridge.Analysis(), recArchive)
 				}
@@ -189,13 +191,13 @@ func run(caseName, parFile string, ranks, steps int, senseiCfg, record string, c
 				}
 			}
 		}
-		err = sim.Run(steps, func(st fluid.StepStats) error {
+		err = sim.Run(o.steps, func(st fluid.StepStats) error {
 			allocBegin.Do(alloc.Begin)
 			// Stage 1 of the step trace: solver compute done, in-situ
 			// processing about to start. All ranks stamp the shared
 			// slot; last write wins, i.e. the slowest rank's finish.
 			tel.Tracer().Stamp(int64(st.Step), telemetry.StageCompute)
-			if rank == 0 && logEvery > 0 && st.Step%logEvery == 0 {
+			if rank == 0 && o.logEvery > 0 && st.Step%o.logEvery == 0 {
 				fmt.Printf("step %6d  t=%.4f  CFL=%.3f  iters p=%d v=%v\n",
 					st.Step, st.Time, st.CFL, st.PressureIters, st.ViscousIters)
 			}
@@ -241,18 +243,18 @@ func run(caseName, parFile string, ranks, steps int, senseiCfg, record string, c
 			}
 			if rank == 0 {
 				fmt.Printf("recorded %d step(s), %s into %s\n",
-					recorded, metrics.HumanBytes(bytes), record)
+					recorded, metrics.HumanBytes(bytes), o.record)
 			}
 		}
 		if rank == 0 {
 			ke := sim.Solver.KineticEnergy()
 			fmt.Printf("done: %d steps, KE=%.6g, peak mem/rank=%s, storage=%s in %d files\n",
-				steps, ke, metrics.HumanBytes(sim.Acct.Peak()),
+				o.steps, ke, metrics.HumanBytes(sim.Acct.Peak()),
 				metrics.HumanBytes(sim.Storage.Bytes()), sim.Storage.Files())
 			if bridge != nil {
 				bridge.Analysis().PullTable().Render(os.Stdout)
 			}
-			alloc.Window(steps).Table().Render(os.Stdout)
+			alloc.Window(o.steps).Table().Render(os.Stdout)
 		} else {
 			// Collective KE call must be matched on every rank.
 			sim.Solver.KineticEnergy()

@@ -26,9 +26,9 @@ import (
 
 	"nekrs-sensei/internal/adios"
 	"nekrs-sensei/internal/codec"
-	"nekrs-sensei/internal/meshobs"
 	"nekrs-sensei/internal/metrics"
 	"nekrs-sensei/internal/relay"
+	"nekrs-sensei/internal/shell"
 	"nekrs-sensei/internal/staging"
 	"nekrs-sensei/internal/telemetry"
 
@@ -37,10 +37,8 @@ import (
 
 // options carries the parsed, validated command line.
 type options struct {
-	upstream   string
-	publish    string
-	contactDir string
-	timeout    time.Duration
+	upstream string
+	publish  string
 
 	name        string
 	policy      string
@@ -53,14 +51,11 @@ type options struct {
 	trunkCodecs []string
 	consumers   []staging.ConsumerSpec
 
-	spillDir       string
-	retry          int
-	sessionTTL     time.Duration
-	heartbeat      time.Duration
-	liveness       time.Duration
-	waitDownstream time.Duration
+	spillDir string
 
-	telemetry string
+	// -contact-dir, -timeout, -retry, -session-ttl, -heartbeat,
+	// -liveness, -wait-downstream, -telemetry
+	shell.Flags
 }
 
 // parseArgs parses argv (without the program name) into options; the
@@ -68,11 +63,9 @@ type options struct {
 // whole surface is unit-testable.
 func parseArgs(argv []string) (*options, error) {
 	fs := flag.NewFlagSet("relay", flag.ContinueOnError)
-	o := &options{}
+	o := &options{Flags: shell.Flags{Timeout: 60 * time.Second, SessionTTL: 30 * time.Second, Heartbeat: 5 * time.Second}}
 	fs.StringVar(&o.upstream, "upstream", "contact.txt", "upstream tier's contact file (with -contact-dir: the entry name)")
 	fs.StringVar(&o.publish, "publish", "", "contact file to write this relay's output addresses to (with -contact-dir: the entry name; empty = print only)")
-	fs.StringVar(&o.contactDir, "contact-dir", "", "contact directory of a multi-hub topology: -upstream and -publish then name entries (<dir>/<name>.contact) instead of file paths")
-	fs.DurationVar(&o.timeout, "timeout", 60*time.Second, "how long to wait for the upstream contact file")
 	fs.StringVar(&o.name, "name", "relay", "consumer name announced upstream (distinct relays on one upstream need distinct names)")
 	fs.StringVar(&o.policy, "policy", "block", "backpressure policy of the upstream trunk edge: block, drop-oldest or latest-only")
 	fs.IntVar(&o.depth, "depth", 2, "queue depth of the upstream trunk edge")
@@ -84,12 +77,7 @@ func parseArgs(argv []string) (*options, error) {
 	consumersFlag := fs.String("consumers", "", `pre-declared downstream consumers, "name[:policy[:depth[:arrays[:codecs]]]],..." (staging consumer-spec grammar); their array declarations union into the upstream request`)
 	trunkFlag := fs.String("trunk-codecs", "", "comma-separated wire-codec request on the upstream edge (empty = derived from -maxerror, plain frames otherwise; a coded trunk disables the raw splice path)")
 	fs.StringVar(&o.spillDir, "spill", "", "spill directory for the output hubs (enables spill-policy consumers below this relay)")
-	fs.IntVar(&o.retry, "retry", 0, "reconnect attempts after an upstream dial or mid-stream failure (0 = fail fast); > 0 also announces a resumable session upstream and defers trunk credits until steps retire downstream")
-	fs.DurationVar(&o.sessionTTL, "session-ttl", 30*time.Second, "how long this relay's hubs retain a disconnected session's cursor and queue (0 = sessions off); also requested upstream with -retry")
-	fs.DurationVar(&o.heartbeat, "heartbeat", 5*time.Second, "keepalive interval on idle output streams (0 = off)")
-	fs.DurationVar(&o.liveness, "liveness", 0, "declare a silent downstream consumer dead after this long (0 = wait forever)")
-	fs.DurationVar(&o.waitDownstream, "wait-downstream", 0, "with -retry: wait up to this long for pre-declared consumers to re-attach before announcing a resume position upstream")
-	fs.StringVar(&o.telemetry, "telemetry", "", "serve /metrics, /statusz and /debug/pprof on this address (empty = off)")
+	o.Register(fs, "contact-dir", "timeout", "retry", "session-ttl", "heartbeat", "liveness", "wait-downstream", "telemetry")
 	if err := fs.Parse(argv); err != nil {
 		return nil, err
 	}
@@ -123,14 +111,10 @@ func parseArgs(argv []string) (*options, error) {
 		return nil, fmt.Errorf("-out-ranks must be non-negative (got %d)", o.outRanks)
 	case o.maxError < 0:
 		return nil, fmt.Errorf("-maxerror must be non-negative (got %v)", o.maxError)
-	case o.retry < 0:
-		return nil, fmt.Errorf("-retry must be non-negative (got %d)", o.retry)
-	case o.sessionTTL < 0:
-		return nil, fmt.Errorf("-session-ttl must be non-negative (got %v)", o.sessionTTL)
-	case o.contactDir != "" && o.upstream == "":
+	case o.ContactDir != "" && o.upstream == "":
 		return nil, fmt.Errorf("-contact-dir needs an -upstream entry name")
 	}
-	return o, nil
+	return o, o.Check()
 }
 
 // downstream converts the declared consumer specs into relay
@@ -143,25 +127,9 @@ func (o *options) downstream() []relay.Downstream {
 	return out
 }
 
-// readUpstream resolves the upstream contact addresses, polling the
-// file (or directory entry) until it appears.
-func (o *options) readUpstream() ([]string, error) {
-	return adios.ReadContactAt(o.contactDir, o.upstream, o.timeout)
-}
-
-// writePublish publishes the relay's own output addresses for the
-// next tier down (no-op without -publish), stamping the telemetry
-// exporter address into the entry so the mesh observatory can find
-// this relay.
-func (o *options) writePublish(addrs []string, telAddr string) error {
-	if o.publish == "" {
-		return nil
-	}
-	return adios.WriteContactAt(o.contactDir, o.publish, addrs, telAddr)
-}
-
 func run(o *options, tel *telemetry.Telemetry) error {
-	upstream, err := o.readUpstream()
+	from := adios.Contact{Dir: o.ContactDir, Name: o.upstream}
+	upstream, err := from.Read(o.Timeout)
 	if err != nil {
 		return err
 	}
@@ -170,23 +138,19 @@ func run(o *options, tel *telemetry.Telemetry) error {
 		OutRanks: o.outRanks, Listen: o.listen, Mesh: o.mesh,
 		Downstream: o.downstream(), TrunkCodecs: o.trunkCodecs,
 		Tier: o.tier, Telemetry: tel, SpillDir: o.spillDir,
-		SessionTTL: o.sessionTTL, Heartbeat: o.heartbeat, Liveness: o.liveness,
 	}
-	if o.retry > 0 {
-		ropts.Retry = adios.DefaultRetryPolicy(o.retry)
-		ropts.WaitDownstream = o.waitDownstream
-		ropts.RedialUpstream = o.readUpstream
-	}
+	o.Relay(&ropts, from)
 	r, err := relay.New(upstream, ropts)
 	if err != nil {
 		return err
 	}
 	defer r.Close()
-	if err := o.writePublish(r.Addrs(), tel.ServeAddr()); err != nil {
-		return err
-	}
-	if o.contactDir != "" {
-		meshobs.Install(tel, o.contactDir)
+	// The entry for the next tier down carries the telemetry exporter
+	// address, so the mesh observatory can find this relay.
+	if o.publish != "" {
+		if err := (adios.Contact{Dir: o.ContactDir, Name: o.publish}).Write(r.Addrs(), tel.ServeAddr()); err != nil {
+			return err
+		}
 	}
 	fmt.Printf("relay %q tier %d: %d upstream -> %d output stream(s) at %s\n",
 		o.name, o.tier, r.Upstreams(), r.OutRanks(), strings.Join(r.Addrs(), " "))
@@ -204,19 +168,14 @@ func main() {
 	if err == flag.ErrHelp {
 		return
 	}
-	var tel *telemetry.Telemetry
-	if err == nil && o.telemetry != "" {
-		tel = telemetry.New("relay")
-		telemetry.RegisterRuntime(tel.Registry())
-		var exp *telemetry.Exporter
-		if exp, err = tel.Serve(o.telemetry); err == nil {
-			defer exp.Close()
-			fmt.Printf("telemetry: %s/metrics %s/statusz %s/debug/pprof\n",
-				exp.URL(), exp.URL(), exp.URL())
-		}
-	}
 	if err == nil {
-		err = run(o, tel)
+		var tel *telemetry.Telemetry
+		var stopTel func()
+		// No observer entry: the relay's -publish entry carries the stamp.
+		if tel, stopTel, err = shell.Start("relay", o.Telemetry, adios.Contact{Dir: o.ContactDir}); err == nil {
+			err = run(o, tel)
+			stopTel()
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "relay:", err)

@@ -53,6 +53,15 @@ func TestParseArgsRejects(t *testing.T) {
 		{[]string{"-consumers", "a:block:2,a:block:2"}, "duplicate"},
 		{[]string{"-trunk-codecs", "nonsense"}, "nonsense"},
 		{[]string{"-contact-dir", "d", "-upstream", ""}, "-upstream"},
+		// The shell's one validation: every negative duration or count is
+		// an error, and -wait-downstream needs the side that redials.
+		{[]string{"-retry", "-1"}, "-retry must be non-negative"},
+		{[]string{"-session-ttl", "-1s"}, "-session-ttl must be non-negative"},
+		{[]string{"-heartbeat", "-1s"}, "-heartbeat must be non-negative"},
+		{[]string{"-liveness", "-1s"}, "-liveness must be non-negative"},
+		{[]string{"-timeout", "-1s"}, "-timeout must be non-negative"},
+		{[]string{"-retry", "3", "-wait-downstream", "-1s"}, "-wait-downstream must be non-negative"},
+		{[]string{"-wait-downstream", "5s"}, "-wait-downstream needs -retry"},
 	}
 	for _, c := range cases {
 		if _, err := parseArgs(c.argv); err == nil || !strings.Contains(err.Error(), c.want) {

@@ -8,10 +8,10 @@
 // Pair it with `nekrs -sensei adios.xml` where adios.xml enables the
 // "adios" analysis with the same contact path.
 //
-// With a staging policy set — via -policy, or a -consumer
-// "name[:policy[:depth]]" spec — the endpoint instead attaches to a
-// staging hub published by the "staging" analysis type (or to a relay's
-// outputs), announcing a consumer name. Either way the process runs one
+// With a -consumer "name[:policy[:depth[:arrays[:codecs]]]]" spec the
+// endpoint instead attaches to a staging hub published by the "staging"
+// analysis type (or to a relay's outputs), announcing that consumer
+// name and backpressure window. Either way the process runs one
 // endpoint runtime (intransit.Group) under one attach rule: a rank
 // dials its own ShardRange of the contact addresses, each as a plain
 // consumer (intransit.ShardSources).
@@ -30,16 +30,19 @@
 //	sensei-endpoint -contact run/contact.txt -config endpoint.xml \
 //	-consumer render:block:2 -ranks 4
 //
-// In every mode, -arrays (or the 4th, +-separated field of a
-// -consumer spec) declares the array subset this endpoint needs: the
+// On either kind of stream, -arrays (or the 4th, +-separated field of
+// a -consumer spec) declares the array subset this endpoint needs: the
 // producer ships only those arrays — the requirements-driven data
 // plane's wire savings — and rejects the handshake if one of them is
 // not advertised.
+//
+// With -record DIR and no -config the endpoint is a pure sink that
+// archives every source's frames, replayable by `archive replay`:
+//
+//	sensei-endpoint -contact run/contact.txt -record run-archive -consumer archive:block:8
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -53,9 +56,9 @@ import (
 	"nekrs-sensei/internal/archive"
 	"nekrs-sensei/internal/codec"
 	"nekrs-sensei/internal/intransit"
-	"nekrs-sensei/internal/meshobs"
 	"nekrs-sensei/internal/metrics"
 	"nekrs-sensei/internal/sensei"
+	"nekrs-sensei/internal/shell"
 	"nekrs-sensei/internal/staging"
 	"nekrs-sensei/internal/telemetry"
 
@@ -66,60 +69,49 @@ import (
 
 // options carries the parsed, validated command line.
 type options struct {
-	contact    string
-	contactDir string
-	config     string
-	ranks      int
-	timeout    time.Duration
-	out        string
-	policy     string
-	depth      int
-	consumers  int
-	name       string
-	arrays     []string // array subset declared in the reader hello
-	codecs     []string // wire-codec request declared in the reader hello
-	record     string   // directory for per-source archives of the received streams
+	contact   string
+	config    string
+	ranks     int
+	out       string
+	consumers int
+	arrays    []string // array subset declared in the reader hello
+	codecs    []string // wire-codec request declared in the reader hello
+	record    string   // directory for per-source archives of the received streams
+	stepDelay time.Duration
 
-	retry      int           // reconnect attempts after dial/mid-stream failures
-	sessionTTL time.Duration // resumable-session grace period requested from the hub
-	liveness   time.Duration // declare a silent producer dead after this long
+	// spec is the staged consumer -consumer names; nil on a direct stream.
+	spec *staging.ConsumerSpec
 
-	telemetry  string        // exporter listen address ("" = off)
-	peerStatus string        // producer /statusz base URL for the shutdown report
-	stepDelay  time.Duration // artificial per-step processing time
+	// -contact-dir, -timeout, -retry, -session-ttl, -liveness, -telemetry
+	shell.Flags
+}
 
-	staged bool // a staging policy or consumer spec was given
+// name is what this endpoint is called: its hub consumer when staged,
+// and its observer entry in a contact directory either way.
+func (o *options) name() string {
+	if o.spec != nil {
+		return o.spec.Name
+	}
+	return "endpoint"
+}
+
+// from is the rendezvous the -contact-dir/-contact flags name.
+func (o *options) from() adios.Contact {
+	return adios.Contact{Dir: o.ContactDir, Name: o.contact}
 }
 
 // hello is what replica's readers announce to contact address src: the
-// array and codec requests always; in staged mode the consumer name
-// (one per replica) and its backpressure window. The resilience flags
-// fold in last: with -retry the reader redials through backoff,
-// re-resolving the contact (a restarted hub republishes fresh
-// addresses), and announces a resumable session so the hub parks its
-// cursor and queue across the outage.
+// array and codec requests always; when staged the consumer name (one
+// per replica) and its backpressure window; the resilience flags last.
 func (o *options) hello(replica, src int) adios.ReaderOptions {
-	h := adios.ReaderOptions{Arrays: o.arrays, Codecs: o.codecs, LivenessTimeout: o.liveness}
-	if o.staged {
-		h.Consumer, h.Policy, h.Depth = o.name, o.policy, o.depth
+	h := adios.ReaderOptions{Arrays: o.arrays, Codecs: o.codecs}
+	if o.spec != nil {
+		h.Consumer, h.Policy, h.Depth = o.spec.Name, o.spec.Policy.String(), o.spec.Depth
 		if o.consumers > 1 {
-			h.Consumer = fmt.Sprintf("%s-%d", o.name, replica)
+			h.Consumer = fmt.Sprintf("%s-%d", o.spec.Name, replica)
 		}
 	}
-	if o.retry > 0 {
-		h.Retry = adios.DefaultRetryPolicy(o.retry)
-		h.Redial = func() (string, error) {
-			addrs, err := o.readContact()
-			if err != nil || src >= len(addrs) {
-				return "", err
-			}
-			return addrs[src], nil
-		}
-		if o.sessionTTL > 0 {
-			h.Session, h.SessionTTL = true, o.sessionTTL
-		}
-	}
-	return h
+	return o.Reader(h, o.from(), src)
 }
 
 // parseArgs parses argv (without the program name) into options; the
@@ -127,57 +119,30 @@ func (o *options) hello(replica, src int) adios.ReaderOptions {
 // whole surface is unit-testable.
 func parseArgs(argv []string) (*options, error) {
 	fs := flag.NewFlagSet("sensei-endpoint", flag.ContinueOnError)
-	o := &options{}
+	o := &options{Flags: shell.Flags{Timeout: 60 * time.Second, SessionTTL: 30 * time.Second}}
 	fs.StringVar(&o.contact, "contact", "contact.txt", "SST contact file published by the simulation (with -contact-dir: the entry name)")
-	fs.StringVar(&o.contactDir, "contact-dir", "", "contact directory of a multi-hub topology: -contact then names an entry (<dir>/<name>.contact) instead of a file path")
-	fs.StringVar(&o.config, "config", "", "SENSEI XML configuration for the endpoint analyses")
+	fs.StringVar(&o.config, "config", "", "SENSEI XML configuration for the endpoint analyses (empty = pure sink, for -record)")
 	fs.IntVar(&o.ranks, "ranks", 1, "cooperating endpoint ranks; each dials its own share of the contact's streams (at most one rank per stream)")
-	fs.DurationVar(&o.timeout, "timeout", 60*time.Second, "how long to wait for the contact file")
 	fs.StringVar(&o.out, "out", "endpoint-out", "output directory")
-	fs.StringVar(&o.policy, "policy", "", "staging backpressure policy: block, drop-oldest or latest-only (enables staged mode)")
-	fs.IntVar(&o.depth, "depth", 0, "staging queue depth per consumer (0 = hub default)")
-	fs.IntVar(&o.consumers, "consumers", 1, "independent consumer replicas (staged fan-out mode)")
-	fs.StringVar(&o.name, "name", "endpoint", "consumer name announced to the hub")
+	fs.IntVar(&o.consumers, "consumers", 1, "independent consumer replicas of a -consumer spec, announced as name-0, name-1, ...")
 	arraysFlag := fs.String("arrays", "", "comma-separated array subset to request in the reader hello (empty = every published array)")
 	codecsFlag := fs.String("codecs", "", "comma-separated wire codec request, e.g. transpose-delta or pressure=quantize:1e-3 (empty = plain frames, or a quantize bound derived from the config's maxerror attributes)")
 	fs.StringVar(&o.record, "record", "", "record the received streams into per-source archives under this directory, one per contact address")
-	spec := fs.String("consumer", "", `consumer spec "name[:policy[:depth[:arrays[:codecs]]]]" (shorthand for -name/-policy/-depth/-arrays/-codecs with +-separated fields, enables staged mode)`)
-	fs.IntVar(&o.retry, "retry", 0, "reconnect attempts after a dial or mid-stream failure (0 = fail fast); exponential backoff with jitter")
-	fs.DurationVar(&o.sessionTTL, "session-ttl", 30*time.Second, "with -retry: ask the hub to park this consumer's cursor and queue for this long across a disconnect (0 = plain reconnect)")
-	fs.DurationVar(&o.liveness, "liveness", 0, "declare a silent producer dead after this long without frames or keepalives (0 = wait forever)")
-	fs.StringVar(&o.telemetry, "telemetry", "", "serve /metrics, /statusz and /debug/pprof on this address (e.g. 127.0.0.1:9151; empty = off)")
-	fs.StringVar(&o.peerStatus, "peer-status", "", "producer telemetry base URL (e.g. 127.0.0.1:9150); fetched at shutdown to report hub consumer lag and the merged cross-process step trace")
+	spec := fs.String("consumer", "", `staged consumer "name[:policy[:depth[:arrays[:codecs]]]]" to attach to a staging hub as (+-separated array and codec fields; empty = a direct stream)`)
 	fs.DurationVar(&o.stepDelay, "step-delay", 0, "artificial processing time added per step (models a slow analysis)")
+	o.Register(fs, "contact-dir", "timeout", "retry", "session-ttl", "liveness", "telemetry")
 	if err := fs.Parse(argv); err != nil {
 		return nil, err
 	}
 	if len(fs.Args()) > 0 {
 		return nil, fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-
-	if *arraysFlag != "" {
-		for _, a := range strings.Split(*arraysFlag, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				o.arrays = append(o.arrays, a)
-			}
-		}
-	}
-	if *codecsFlag != "" {
-		for _, c := range strings.Split(*codecsFlag, ",") {
-			if c = strings.TrimSpace(c); c != "" {
-				o.codecs = append(o.codecs, c)
-			}
-		}
-		if _, err := codec.ParseSpec(o.codecs); err != nil {
-			return nil, err
-		}
+	o.arrays = splitList(*arraysFlag)
+	o.codecs = splitList(*codecsFlag)
+	if _, err := codec.ParseSpec(o.codecs); err != nil {
+		return nil, err
 	}
 	if *spec != "" {
-		if set["policy"] || set["depth"] || set["name"] || set["arrays"] || set["codecs"] {
-			return nil, fmt.Errorf("-consumer replaces -name/-policy/-depth/-arrays/-codecs; do not combine them")
-		}
 		specs, err := staging.ParseConsumers(*spec)
 		if err != nil {
 			return nil, err
@@ -185,41 +150,47 @@ func parseArgs(argv []string) (*options, error) {
 		if len(specs) != 1 {
 			return nil, fmt.Errorf("-consumer wants exactly one spec, got %d", len(specs))
 		}
-		o.name = specs[0].Name
-		o.policy = specs[0].Policy.String()
-		o.depth = specs[0].Depth
-		o.arrays = specs[0].Arrays
-		o.codecs = specs[0].Codecs
-		o.staged = true
-	}
-	if o.policy != "" {
-		if _, err := staging.ParsePolicy(o.policy); err != nil {
-			return nil, err
+		o.spec = &specs[0]
+		// -arrays/-codecs apply to either kind of stream; a request
+		// made in both places has no one answer.
+		switch {
+		case len(o.arrays) > 0 && len(o.spec.Arrays) > 0:
+			return nil, fmt.Errorf("arrays given twice: in -consumer and -arrays")
+		case len(o.codecs) > 0 && len(o.spec.Codecs) > 0:
+			return nil, fmt.Errorf("codecs given twice: in -consumer and -codecs")
 		}
-		o.staged = true
+		if len(o.spec.Arrays) > 0 {
+			o.arrays = o.spec.Arrays
+		}
+		if len(o.spec.Codecs) > 0 {
+			o.codecs = o.spec.Codecs
+		}
 	}
 
 	switch {
 	case o.ranks < 1:
 		return nil, fmt.Errorf("-ranks must be positive (got %d)", o.ranks)
-	case o.depth < 0:
-		return nil, fmt.Errorf("-depth must be non-negative (got %d)", o.depth)
 	case o.stepDelay < 0:
 		return nil, fmt.Errorf("-step-delay must be non-negative (got %v)", o.stepDelay)
-	case o.retry < 0:
-		return nil, fmt.Errorf("-retry must be non-negative (got %d)", o.retry)
-	case o.sessionTTL < 0:
-		return nil, fmt.Errorf("-session-ttl must be non-negative (got %v)", o.sessionTTL)
-	case o.liveness < 0:
-		return nil, fmt.Errorf("-liveness must be non-negative (got %v)", o.liveness)
 	case o.consumers < 1:
 		return nil, fmt.Errorf("-consumers must be positive (got %d)", o.consumers)
-	case o.consumers > 1 && !o.staged:
-		return nil, fmt.Errorf("-consumers > 1 needs staged mode: give -policy or -consumer")
+	case o.consumers > 1 && o.spec == nil:
+		return nil, fmt.Errorf("-consumers > 1 needs a staged -consumer spec to replicate")
 	case o.consumers > 1 && o.record != "":
 		return nil, fmt.Errorf("-record captures one consumer's stream; drop -consumers (replicas would record duplicates)")
 	}
-	return o, nil
+	return o, o.Check()
+}
+
+// splitList splits a comma-separated flag value, dropping blanks.
+func splitList(v string) []string {
+	var out []string
+	for _, f := range strings.Split(v, ",") {
+		if f = strings.TrimSpace(f); f != "" {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // recorder wires per-source archives onto readers and closes them
@@ -228,6 +199,7 @@ func parseArgs(argv []string) (*options, error) {
 // layout replays like the live topology.
 type recorder struct {
 	dir      string
+	tel      *telemetry.Telemetry // each archive gets an "archive/rank-N" section
 	mu       sync.Mutex
 	archives []*archive.Archive
 }
@@ -242,6 +214,7 @@ func (rec *recorder) attach(src int, r *adios.Reader) error {
 	if err != nil {
 		return err
 	}
+	a.RegisterTelemetry(rec.tel, fmt.Sprintf("rank-%d", src))
 	rec.mu.Lock()
 	rec.archives = append(rec.archives, a)
 	rec.mu.Unlock()
@@ -278,85 +251,17 @@ func main() {
 	if err == flag.ErrHelp {
 		return
 	}
-	var tel *telemetry.Telemetry
-	if err == nil && o.telemetry != "" {
-		tel = telemetry.New("sensei-endpoint")
-		telemetry.RegisterRuntime(tel.Registry())
-		var exp *telemetry.Exporter
-		if exp, err = tel.Serve(o.telemetry); err == nil {
-			defer exp.Close()
-			fmt.Printf("telemetry: %s/metrics %s/statusz %s/debug/pprof\n",
-				exp.URL(), exp.URL(), exp.URL())
-		}
-		// In a contact-directory mesh the endpoint publishes a
-		// telemetry-only observer entry under its consumer name — no
-		// data addresses, just the exporter — so the mesh observatory
-		// can scrape this process's trace ring and resolve hub
-		// consumer rows to it. It also mounts /meshz locally.
-		if err == nil && o.contactDir != "" {
-			err = adios.WriteContactEntry(o.contactDir, o.name, nil, tel.ServeAddr())
-			meshobs.Install(tel, o.contactDir)
-		}
-	}
 	if err == nil {
-		err = run(o, tel)
-	}
-	if err == nil && tel != nil {
-		reportTraces(o.peerStatus, tel)
+		var tel *telemetry.Telemetry
+		var stopTel func()
+		if tel, stopTel, err = shell.Start("sensei-endpoint", o.Telemetry, adios.Contact{Dir: o.ContactDir, Name: o.name()}); err == nil {
+			err = run(o, tel)
+			stopTel()
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sensei-endpoint:", err)
 		os.Exit(1)
-	}
-}
-
-// reportTraces renders the shutdown observability report. With a
-// -peer-status URL it pulls the producer's /statusz and joins the two
-// halves of the pipeline as a process-keyed mesh timeline:
-// producer-side stamps (compute/marshal/publish) from the peer's ring
-// alongside this process's stamps (deliver/decode/pull/analyze/
-// render), keyed by (process, step ordinal), plus the hub's
-// per-consumer backlog table and a bottleneck verdict. The local
-// trace ring is rendered even when the producer is already gone.
-func reportTraces(peerBase string, tel *telemetry.Telemetry) {
-	local := tel.Tracer().Snapshot()
-	if peerBase != "" {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		peer, err := telemetry.FetchStatusz(ctx, peerBase)
-		cancel()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sensei-endpoint: peer status:", err)
-		} else {
-			for name, raw := range peer.Status {
-				if !strings.HasPrefix(name, "staging-hub") {
-					continue
-				}
-				var hs staging.HubStatus
-				if err := json.Unmarshal(raw, &hs); err != nil {
-					fmt.Fprintf(os.Stderr, "sensei-endpoint: decoding %s: %v\n", name, err)
-					continue
-				}
-				staging.ConsumerTable("producer "+name, hs.Consumers).Render(os.Stdout)
-			}
-			peerName := peer.Process
-			if peerName == "" || peerName == tel.Process() {
-				peerName = "producer"
-			}
-			mesh := telemetry.MergeTraces(
-				telemetry.ProcessRing{Process: peerName, Traces: peer.Traces},
-				telemetry.ProcessRing{Process: tel.Process(), Traces: local},
-			)
-			if len(mesh) > 0 {
-				telemetry.MeshTraceTable("step trace (producer + endpoint, ms offsets)", mesh).Render(os.Stdout)
-				if b, ok := telemetry.FindBottleneck(mesh, 16); ok {
-					fmt.Printf("bottleneck: %s\n", b.Verdict())
-				}
-			}
-			return
-		}
-	}
-	if len(local) > 0 {
-		telemetry.TraceTable("step trace (endpoint stages, ms offsets)", local).Render(os.Stdout)
 	}
 }
 
@@ -382,13 +287,6 @@ func deriveCodecs(o *options, cfgXML []byte) {
 	}
 }
 
-// readContact resolves the rendezvous: a plain contact file, or — in
-// -contact-dir mode — the named entry of a shared contact directory
-// (one entry per hub/relay of a staging mesh).
-func (o *options) readContact() ([]string, error) {
-	return adios.ReadContactAt(o.contactDir, o.contact, o.timeout)
-}
-
 // run attaches the replicas — each one intransit.Group whose ranks dial
 // their shard of the contact addresses — and feeds one summary from all
 // of them.
@@ -398,7 +296,7 @@ func run(o *options, tel *telemetry.Telemetry) error {
 		return err
 	}
 	deriveCodecs(o, cfgXML)
-	addrs, err := o.readContact()
+	addrs, err := o.from().Read(o.Timeout)
 	if err != nil {
 		return err
 	}
@@ -409,7 +307,7 @@ func run(o *options, tel *telemetry.Telemetry) error {
 	// per-step numbers (reader dialing is part of the run and counted).
 	alloc := metrics.NewAllocStats()
 	var allocBegin sync.Once
-	rec := &recorder{dir: o.record}
+	rec := &recorder{dir: o.record, tel: tel}
 	stats := make([]intransit.GroupStats, o.consumers)
 	dirs := make([]string, o.consumers)
 	errs := make([]error, o.consumers)

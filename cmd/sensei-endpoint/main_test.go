@@ -4,11 +4,14 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nekrs-sensei/internal/staging"
 )
 
 // TestParseArgs covers the flag surface and the consumer-spec grammar
-// ("name[:policy[:depth]]") including invalid specs and cross-flag
-// rules.
+// ("name[:policy[:depth[:arrays[:codecs]]]]", the one way to name a
+// staged consumer) including invalid specs, cross-flag rules and the
+// refusal of every deleted flag by name.
 func TestParseArgs(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -20,18 +23,8 @@ func TestParseArgs(t *testing.T) {
 			name: "defaults are direct mode",
 			argv: nil,
 			check: func(o *options) string {
-				if o.staged || o.ranks != 1 || o.contact != "contact.txt" {
+				if o.spec != nil || o.ranks != 1 || o.contact != "contact.txt" || o.name() != "endpoint" {
 					return "want direct mode with 1 rank and default contact"
-				}
-				return ""
-			},
-		},
-		{
-			name: "policy flag enables staged mode",
-			argv: []string{"-policy", "latest-only", "-depth", "1", "-consumers", "4"},
-			check: func(o *options) string {
-				if !o.staged || o.policy != "latest-only" || o.depth != 1 || o.consumers != 4 {
-					return "want staged latest-only depth 1 with 4 replicas"
 				}
 				return ""
 			},
@@ -40,7 +33,7 @@ func TestParseArgs(t *testing.T) {
 			name: "full consumer spec",
 			argv: []string{"-consumer", "render:block:2", "-ranks", "4"},
 			check: func(o *options) string {
-				if !o.staged || o.name != "render" || o.policy != "block" || o.depth != 2 || o.ranks != 4 {
+				if o.spec == nil || o.name() != "render" || o.spec.Policy != staging.Block || o.spec.Depth != 2 || o.ranks != 4 {
 					return "want 4 staged ranks claiming render:block:2"
 				}
 				return ""
@@ -50,7 +43,7 @@ func TestParseArgs(t *testing.T) {
 			name: "spec with name only keeps defaults",
 			argv: []string{"-consumer", "hist"},
 			check: func(o *options) string {
-				if !o.staged || o.name != "hist" || o.policy != "block" || o.depth != 0 {
+				if o.spec == nil || o.name() != "hist" || o.spec.Policy != staging.Block || o.spec.Depth != 0 {
 					return "want name hist, default block policy, hub-default depth"
 				}
 				return ""
@@ -60,7 +53,7 @@ func TestParseArgs(t *testing.T) {
 			name: "spec with policy alias",
 			argv: []string{"-consumer", "viz:latest_only"},
 			check: func(o *options) string {
-				if o.policy != "latest-only" {
+				if o.spec.Policy != staging.LatestOnly {
 					return "want normalized latest-only policy"
 				}
 				return ""
@@ -70,13 +63,12 @@ func TestParseArgs(t *testing.T) {
 			name: "timeout and out pass through",
 			argv: []string{"-timeout", "5s", "-out", "results"},
 			check: func(o *options) string {
-				if o.timeout != 5*time.Second || o.out != "results" {
+				if o.Timeout != 5*time.Second || o.out != "results" {
 					return "want timeout 5s, out results"
 				}
 				return ""
 			},
 		},
-		{name: "unknown policy", argv: []string{"-policy", "warp"}, wantErr: "unknown policy"},
 		{name: "spec with bad policy", argv: []string{"-consumer", "a:warp"}, wantErr: "unknown policy"},
 		{name: "spec with bad depth", argv: []string{"-consumer", "a:block:zero"}, wantErr: "bad depth"},
 		{name: "spec with negative depth", argv: []string{"-consumer", "a:block:-1"}, wantErr: "bad depth"},
@@ -92,7 +84,7 @@ func TestParseArgs(t *testing.T) {
 		},
 		{
 			name: "arrays flag",
-			argv: []string{"-policy", "block", "-arrays", "pressure, temperature"},
+			argv: []string{"-consumer", "ep", "-arrays", "pressure, temperature"},
 			check: func(o *options) string {
 				if len(o.arrays) != 2 || o.arrays[1] != "temperature" {
 					return "want arrays [pressure temperature]"
@@ -114,7 +106,7 @@ func TestParseArgs(t *testing.T) {
 		},
 		{
 			name: "codecs flag",
-			argv: []string{"-policy", "block", "-codecs", "temporal-delta, pressure=quantize:1e-6"},
+			argv: []string{"-codecs", "temporal-delta, pressure=quantize:1e-6"},
 			check: func(o *options) string {
 				if len(o.codecs) != 2 || o.codecs[0] != "temporal-delta" || o.codecs[1] != "pressure=quantize:1e-6" {
 					return "want codecs [temporal-delta pressure=quantize:1e-6]"
@@ -122,24 +114,40 @@ func TestParseArgs(t *testing.T) {
 				return ""
 			},
 		},
-		{name: "bad codecs flag", argv: []string{"-policy", "block", "-codecs", "lzma"}, wantErr: `unknown codec "lzma"`},
-		{name: "spec conflicts with codecs flag", argv: []string{"-consumer", "a:block", "-codecs", "transpose-delta"}, wantErr: "do not combine"},
-		{name: "spec conflicts with arrays flag", argv: []string{"-consumer", "a:block:2:x", "-arrays", "y"}, wantErr: "do not combine"},
+		{name: "bad codecs flag", argv: []string{"-codecs", "lzma"}, wantErr: `unknown codec "lzma"`},
+		{
+			name: "codecs flag fills a spec without the field",
+			argv: []string{"-consumer", "a:block:2:x", "-codecs", "transpose-delta"},
+			check: func(o *options) string {
+				if len(o.arrays) != 1 || o.arrays[0] != "x" || len(o.codecs) != 1 || o.codecs[0] != "transpose-delta" {
+					return "want arrays [x] from the spec and codecs [transpose-delta] from the flag"
+				}
+				return ""
+			},
+		},
+		{name: "spec conflicts with codecs flag", argv: []string{"-consumer", "a:block:2:x:transpose-delta", "-codecs", "temporal-delta"}, wantErr: "codecs given twice"},
+		{name: "spec conflicts with arrays flag", argv: []string{"-consumer", "a:block:2:x", "-arrays", "y"}, wantErr: "arrays given twice"},
 		{name: "spec with empty name", argv: []string{"-consumer", ":block"}, wantErr: "empty name"},
 		{name: "two specs", argv: []string{"-consumer", "a:block,b:block"}, wantErr: "exactly one spec"},
-		{name: "spec conflicts with policy flag", argv: []string{"-consumer", "a:block", "-policy", "block"}, wantErr: "do not combine"},
-		{name: "spec conflicts with name flag", argv: []string{"-consumer", "a", "-name", "b"}, wantErr: "do not combine"},
-		{name: "spec conflicts even with explicit defaults", argv: []string{"-consumer", "a", "-name", "endpoint"}, wantErr: "do not combine"},
-		{name: "spec conflicts with explicit zero depth", argv: []string{"-consumer", "a", "-depth", "0"}, wantErr: "do not combine"},
+		// -name, -policy, -depth and -peer-status are deleted. The rows
+		// that used to combine them with a spec keep their argv: what was
+		// a cross-flag conflict is now refused sooner, by the flag's name.
+		{name: "policy flag is gone", argv: []string{"-policy", "latest-only", "-depth", "1", "-consumers", "4"}, wantErr: "flag provided but not defined: -policy"},
+		{name: "unknown policy", argv: []string{"-policy", "warp"}, wantErr: "flag provided but not defined: -policy"},
+		{name: "spec conflicts with policy flag", argv: []string{"-consumer", "a:block", "-policy", "block"}, wantErr: "flag provided but not defined: -policy"},
+		{name: "spec conflicts with name flag", argv: []string{"-consumer", "a", "-name", "b"}, wantErr: "flag provided but not defined: -name"},
+		{name: "spec conflicts even with explicit defaults", argv: []string{"-consumer", "a", "-name", "endpoint"}, wantErr: "flag provided but not defined: -name"},
+		{name: "spec conflicts with explicit zero depth", argv: []string{"-consumer", "a", "-depth", "0"}, wantErr: "flag provided but not defined: -depth"},
+		{name: "negative depth flag", argv: []string{"-consumer", "a", "-depth", "-2"}, wantErr: "flag provided but not defined: -depth"},
+		{name: "peer-status flag is gone", argv: []string{"-telemetry", "127.0.0.1:9151", "-peer-status", "127.0.0.1:9150"}, wantErr: "flag provided but not defined: -peer-status"},
 		{name: "zero ranks", argv: []string{"-ranks", "0"}, wantErr: "-ranks must be positive"},
-		{name: "negative depth flag", argv: []string{"-policy", "block", "-depth", "-2"}, wantErr: "-depth must be non-negative"},
-		{name: "zero consumers", argv: []string{"-policy", "block", "-consumers", "0"}, wantErr: "-consumers must be positive"},
-		{name: "group flag is gone", argv: []string{"-policy", "block", "-group", "2"}, wantErr: "flag provided but not defined: -group"},
-		{name: "presharded flag is gone", argv: []string{"-policy", "block", "-presharded"}, wantErr: "flag provided but not defined: -presharded"},
-		{name: "replicas without staged mode", argv: []string{"-consumers", "3"}, wantErr: "needs staged mode"},
+		{name: "zero consumers", argv: []string{"-consumer", "ep", "-consumers", "0"}, wantErr: "-consumers must be positive"},
+		{name: "group flag is gone", argv: []string{"-consumer", "ep", "-group", "2"}, wantErr: "flag provided but not defined: -group"},
+		{name: "presharded flag is gone", argv: []string{"-consumer", "ep", "-presharded"}, wantErr: "flag provided but not defined: -presharded"},
+		{name: "replicas without staged mode", argv: []string{"-consumers", "3"}, wantErr: "needs a staged -consumer spec"},
 		{
 			name: "replicas of ranks",
-			argv: []string{"-policy", "block", "-ranks", "2", "-consumers", "3"},
+			argv: []string{"-consumer", "ep", "-ranks", "2", "-consumers", "3"},
 			check: func(o *options) string {
 				if o.ranks != 2 || o.consumers != 3 {
 					return "want 3 replicas of 2 ranks"
@@ -150,15 +158,20 @@ func TestParseArgs(t *testing.T) {
 		{name: "positional junk", argv: []string{"stray"}, wantErr: "unexpected arguments"},
 		{
 			name: "telemetry flags pass through",
-			argv: []string{"-telemetry", "127.0.0.1:9151", "-peer-status", "127.0.0.1:9150", "-step-delay", "50ms"},
+			argv: []string{"-telemetry", "127.0.0.1:9151", "-step-delay", "50ms"},
 			check: func(o *options) string {
-				if o.telemetry != "127.0.0.1:9151" || o.peerStatus != "127.0.0.1:9150" || o.stepDelay != 50*time.Millisecond {
-					return "want telemetry addr, peer-status addr and 50ms step delay"
+				if o.Telemetry != "127.0.0.1:9151" || o.stepDelay != 50*time.Millisecond {
+					return "want telemetry addr and 50ms step delay"
 				}
 				return ""
 			},
 		},
 		{name: "negative step delay", argv: []string{"-step-delay", "-1s"}, wantErr: "-step-delay must be non-negative"},
+		// The shell's one validation (internal/shell).
+		{name: "negative retry", argv: []string{"-retry", "-1"}, wantErr: "-retry must be non-negative"},
+		{name: "negative session ttl", argv: []string{"-session-ttl", "-1s"}, wantErr: "-session-ttl must be non-negative"},
+		{name: "negative liveness", argv: []string{"-liveness", "-1s"}, wantErr: "-liveness must be non-negative"},
+		{name: "negative timeout", argv: []string{"-timeout", "-1s"}, wantErr: "-timeout must be non-negative"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

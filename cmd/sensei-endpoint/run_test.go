@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"nekrs-sensei/internal/archive"
 	"nekrs-sensei/internal/faultnet"
 	"nekrs-sensei/internal/staging"
+	"nekrs-sensei/internal/telemetry"
 )
 
 const (
@@ -100,7 +102,7 @@ func serveScript(t *testing.T, ctx context.Context, contact string, readers int,
 		t.Cleanup(func() { px.Close() })
 		addrs[0] = px.Addr()
 	}
-	if err := adios.WriteContact(contact, addrs, ""); err != nil {
+	if err := (adios.Contact{Name: contact}).Write(addrs, ""); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -135,24 +137,32 @@ func serveScript(t *testing.T, ctx context.Context, contact string, readers int,
 	return done, handshakes
 }
 
-// runShape drives run() in-process with the given mode flags against a
-// freshly served scripted stream and returns the output directory and
-// run's error.
+// runShape drives run() in-process with the probe configuration and
+// the given mode flags against a freshly served scripted stream and
+// returns the output directory and run's error.
 func runShape(t *testing.T, readers int, cut bool, flags ...string) (string, error) {
 	t.Helper()
-	dir := t.TempDir()
-	contact, config, out := filepath.Join(dir, "contact.txt"), filepath.Join(dir, "endpoint.xml"), filepath.Join(dir, "out")
+	config := filepath.Join(t.TempDir(), "endpoint.xml")
 	if err := os.WriteFile(config, []byte(probeConfig), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return runScript(t, nil, readers, cut, append([]string{"-config", config}, flags...)...)
+}
+
+// runScript is runShape without a configuration of its own, on the
+// given telemetry plane.
+func runScript(t *testing.T, tel *telemetry.Telemetry, readers int, cut bool, flags ...string) (string, error) {
+	t.Helper()
+	dir := t.TempDir()
+	contact, out := filepath.Join(dir, "contact.txt"), filepath.Join(dir, "out")
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	fed, handshakes := serveScript(t, ctx, contact, readers, cut)
-	o, err := parseArgs(append([]string{"-contact", contact, "-config", config, "-out", out, "-timeout", "10s"}, flags...))
+	o, err := parseArgs(append([]string{"-contact", contact, "-out", out, "-timeout", "10s"}, flags...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	runErr := run(o, nil)
+	runErr := run(o, tel)
 	if err := <-fed; err != nil {
 		t.Fatalf("feeding %v: %v", flags, err)
 	}
@@ -255,6 +265,33 @@ func TestRecordEveryRank(t *testing.T) {
 	if _, err := runShape(t, 4, false, "-consumer", "ep:block:2", "-ranks", "2", "-record", rec); err != nil {
 		t.Fatal(err)
 	}
+	checkRecording(t, rec)
+}
+
+// TestRecordPureSink: -record with no -config is the recording tool —
+// what `archive record` was: a block consumer that runs no analysis,
+// archives every source's frames as served, and registers each archive
+// on the telemetry plane as "archive/rank-N".
+func TestRecordPureSink(t *testing.T) {
+	rec := filepath.Join(t.TempDir(), "rec")
+	tel := telemetry.New("sensei-endpoint")
+	if _, err := runScript(t, tel, 4, false, "-consumer", "archive:block:8", "-record", rec); err != nil {
+		t.Fatal(err)
+	}
+	checkRecording(t, rec)
+	w := httptest.NewRecorder()
+	tel.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/statusz", nil))
+	for b := 0; b < testBlocks; b++ {
+		if section := fmt.Sprintf(`"archive/rank-%d"`, b); !strings.Contains(w.Body.String(), section) {
+			t.Errorf("/statusz has no %s section:\n%s", section, w.Body)
+		}
+	}
+}
+
+// checkRecording asserts rec holds one rank-NNNN archive per hub, each
+// with every step's frame byte-equal to the served one.
+func checkRecording(t *testing.T, rec string) {
+	t.Helper()
 	dirs, err := archive.RankDirs(rec)
 	if err != nil || len(dirs) != testBlocks {
 		t.Fatalf("recorded %v (%v), want %d rank archives", dirs, err, testBlocks)

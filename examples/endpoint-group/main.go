@@ -88,7 +88,7 @@ func run() error {
 	go func() {
 		defer close(groupDone)
 		var addrs []string
-		if addrs, groupErr = adios.ReadContact(contact, 30*time.Second); groupErr != nil {
+		if addrs, groupErr = (adios.Contact{Name: contact}).Read(30 * time.Second); groupErr != nil {
 			return
 		}
 		group, groupErr = intransit.NewGroup(intransit.GroupConfig{

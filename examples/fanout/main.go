@@ -41,6 +41,7 @@ import (
 	"nekrs-sensei/internal/mpirt"
 	"nekrs-sensei/internal/nekrs"
 	"nekrs-sensei/internal/sensei"
+	"nekrs-sensei/internal/shell"
 	"nekrs-sensei/internal/staging"
 	"nekrs-sensei/internal/telemetry"
 
@@ -55,10 +56,11 @@ const (
 )
 
 func main() {
-	telAddr := flag.String("telemetry", "", "serve /metrics, /statusz and /debug/pprof on this address (e.g. 127.0.0.1:9150; empty = off)")
+	var sh shell.Flags
+	sh.Register(flag.CommandLine, "telemetry")
 	hold := flag.Duration("hold", 0, "keep the telemetry exporter alive this long after the run, for curl against /statusz")
 	flag.Parse()
-	if err := run(*telAddr, *hold); err != nil {
+	if err := run(sh.Telemetry, *hold); err != nil {
 		fmt.Fprintln(os.Stderr, "fanout:", err)
 		os.Exit(1)
 	}
@@ -77,7 +79,7 @@ type consumer struct {
 
 func (c *consumer) run(contact, out string, tel *telemetry.Telemetry, wg *sync.WaitGroup) {
 	defer wg.Done()
-	addrs, err := adios.ReadContact(contact, 30*time.Second)
+	addrs, err := adios.Contact{Name: contact}.Read(30 * time.Second)
 	if err != nil {
 		c.err = err
 		return
@@ -123,18 +125,11 @@ func run(telAddr string, hold time.Duration) error {
 	// One telemetry plane spans the whole pipeline: simulation ranks,
 	// hub, wire endpoints and analysis consumers are goroutines in this
 	// process, so a single trace ring collects all 8 stages of a step.
-	var tel *telemetry.Telemetry
-	if telAddr != "" {
-		tel = telemetry.New("fanout")
-		telemetry.RegisterRuntime(tel.Registry())
-		exp, err := tel.Serve(telAddr)
-		if err != nil {
-			return err
-		}
-		defer exp.Close()
-		fmt.Printf("telemetry: %s/metrics %s/statusz %s/debug/pprof\n\n",
-			exp.URL(), exp.URL(), exp.URL())
+	tel, stopTel, err := shell.Start("fanout", telAddr, adios.Contact{})
+	if err != nil {
+		return err
 	}
+	defer stopTel()
 	contact := filepath.Join(out, "contact.txt")
 	os.Remove(contact) //nolint:errcheck // stale rendezvous from a prior run
 

@@ -48,6 +48,7 @@ import (
 	"nekrs-sensei/internal/nekrs"
 	"nekrs-sensei/internal/relay"
 	"nekrs-sensei/internal/sensei"
+	"nekrs-sensei/internal/shell"
 	"nekrs-sensei/internal/staging"
 	"nekrs-sensei/internal/telemetry"
 
@@ -61,10 +62,11 @@ const (
 )
 
 func main() {
-	telAddr := flag.String("telemetry", "", "serve /metrics, /statusz and /debug/pprof on this address (e.g. 127.0.0.1:9151; empty = off)")
+	var sh shell.Flags
+	sh.Register(flag.CommandLine, "telemetry")
 	hold := flag.Duration("hold", 0, "keep the telemetry exporter alive this long after the run, for curl against /statusz")
 	flag.Parse()
-	if err := run(*telAddr, *hold); err != nil {
+	if err := run(sh.Telemetry, *hold); err != nil {
 		fmt.Fprintln(os.Stderr, "relay-tree:", err)
 		os.Exit(1)
 	}
@@ -83,7 +85,7 @@ type tier struct {
 
 func (t *tier) run(cdir string, tel *telemetry.Telemetry, wg *sync.WaitGroup) {
 	defer wg.Done()
-	addrs, err := adios.ReadContactEntry(cdir, t.upstream, 30*time.Second)
+	addrs, err := adios.Contact{Dir: cdir, Name: t.upstream}.Read(30 * time.Second)
 	if err != nil {
 		t.err = fmt.Errorf("rendezvous %q: %w", t.upstream, err)
 		return
@@ -94,7 +96,7 @@ func (t *tier) run(cdir string, tel *telemetry.Telemetry, wg *sync.WaitGroup) {
 		t.err = err
 		return
 	}
-	if err := adios.WriteContactEntry(cdir, t.entry, t.r.Addrs(), ""); err != nil {
+	if err := (adios.Contact{Dir: cdir, Name: t.entry}).Write(t.r.Addrs(), ""); err != nil {
 		t.err = err
 		return
 	}
@@ -114,7 +116,7 @@ type leaf struct {
 
 func (l *leaf) run(cdir, out string, tel *telemetry.Telemetry, wg *sync.WaitGroup) {
 	defer wg.Done()
-	addrs, err := adios.ReadContactEntry(cdir, l.entry, 30*time.Second)
+	addrs, err := adios.Contact{Dir: cdir, Name: l.entry}.Read(30 * time.Second)
 	if err != nil {
 		l.err = fmt.Errorf("rendezvous %q: %w", l.entry, err)
 		return
@@ -158,18 +160,11 @@ func run(telAddr string, hold time.Duration) error {
 		return err
 	}
 
-	var tel *telemetry.Telemetry
-	if telAddr != "" {
-		tel = telemetry.New("relay-tree")
-		telemetry.RegisterRuntime(tel.Registry())
-		exp, err := tel.Serve(telAddr)
-		if err != nil {
-			return err
-		}
-		defer exp.Close()
-		fmt.Printf("telemetry: %s/metrics %s/statusz %s/debug/pprof\n\n",
-			exp.URL(), exp.URL(), exp.URL())
+	tel, stopTel, err := shell.Start("relay-tree", telAddr, adios.Contact{})
+	if err != nil {
+		return err
 	}
+	defer stopTel()
 
 	renderScript := filepath.Join(out, "render.xml")
 	if err := os.WriteFile(renderScript, []byte(`<catalyst>

@@ -99,10 +99,10 @@ func TestUnmarshalErrors(t *testing.T) {
 func TestContactFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "contact.txt")
 	addrs := []string{"127.0.0.1:1111", "127.0.0.1:2222"}
-	if err := WriteContact(path, addrs, ""); err != nil {
+	if err := (Contact{Name: path}).Write(addrs, ""); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadContact(path, time.Second)
+	got, err := (Contact{Name: path}).Read(time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestContactFileRoundTrip(t *testing.T) {
 
 func TestContactFileTimeout(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "never.txt")
-	if _, err := ReadContact(path, 30*time.Millisecond); err == nil {
+	if _, err := (Contact{Name: path}).Read(30 * time.Millisecond); err == nil {
 		t.Error("expected timeout")
 	}
 }
@@ -122,9 +122,9 @@ func TestContactFileAppearsLate(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "late.txt")
 	go func() {
 		time.Sleep(30 * time.Millisecond)
-		WriteContact(path, []string{"127.0.0.1:9999"}, "") //nolint:errcheck
+		(Contact{Name: path}).Write([]string{"127.0.0.1:9999"}, "") //nolint:errcheck
 	}()
-	got, err := ReadContact(path, 2*time.Second)
+	got, err := (Contact{Name: path}).Read(2 * time.Second)
 	if err != nil || len(got) != 1 {
 		t.Fatalf("got %v, %v", got, err)
 	}

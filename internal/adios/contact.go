@@ -22,29 +22,60 @@ import (
 // that connects to the defunct address consumes the (single-use)
 // accept of nothing, or hangs in a handshake that never answers. The
 // writer therefore stamps its pid into the file as a "#pid=N" comment
-// line, and ReadContact treats a file whose writing process is
+// line, and Contact.Read treats a file whose writing process is
 // provably dead as stale: it removes the file and keeps polling for a
 // fresh one instead of returning a dead address.
 
-// contactSeq distinguishes concurrent WriteContact calls within one
-// process, so two publishers never collide on the temp name.
+// Contact names a rendezvous — what a process's -contact-dir/-contact
+// flags (or the XML contact-dir/contact attributes) resolve to: the
+// contact file at path Name, or, with a Dir, the entry
+// "<Dir>/<Name>.contact" of a shared contact directory. A directory
+// carries a multi-hub topology (a staging mesh of producer hubs and
+// relay tiers): each hub or relay publishes one named entry instead of
+// all of them colliding on one path. Every entry is an ordinary contact
+// file, so pid staleness detection and the atomic-rename publish apply
+// per entry.
+type Contact struct{ Dir, Name string }
+
+// path locates the contact file. Entry names must be bare (no path
+// separators): entries are flat by design, one per hub/relay.
+func (c Contact) path() (string, error) {
+	if c.Dir == "" {
+		return c.Name, nil
+	}
+	if c.Name == "" || strings.ContainsAny(c.Name, "/\\") || c.Name == "." || c.Name == ".." {
+		return "", fmt.Errorf("adios: bad contact entry name %q", c.Name)
+	}
+	return filepath.Join(c.Dir, c.Name+".contact"), nil
+}
+
+// contactSeq distinguishes concurrent Write calls within one process,
+// so two publishers never collide on the temp name.
 var contactSeq atomic.Int64
 
-// WriteContact publishes writer addresses (rank order) to path,
-// atomically via rename. The temp name is unique per process and call
-// — a restarting producer racing a leftover publisher can never tear
-// each other's temp file, and pollers only ever observe complete
-// files. The writing process's pid is stamped into a leading comment
-// line so readers can detect a file orphaned by a crashed run (see
-// ReadContact).
+// Write publishes writer addresses (rank order), atomically via
+// rename, creating the contact directory if needed. The temp name is
+// unique per process and call — a restarting producer racing a
+// leftover publisher can never tear each other's temp file, and
+// pollers only ever observe complete files. The writing process's pid
+// is stamped into a leading comment line so readers can detect a file
+// orphaned by a crashed run (see Read).
 //
 // A non-empty telemetry is the writer's exporter address, stamped as a
-// "#telemetry=host:port" comment line. Pre-observatory readers skip it
-// as a comment, so the format stays backwards compatible; the mesh
-// crawler reads it to find every process's /statusz. addrs may be
-// empty for a telemetry-only observer entry (a leaf consumer
-// announcing itself to the crawler without serving anything).
-func WriteContact(path string, addrs []string, telemetry string) error {
+// "#telemetry=host:port" comment line, which plain address readers
+// skip; the mesh crawler reads it to find every process's /statusz.
+// addrs may be empty for a telemetry-only observer entry (a leaf
+// consumer announcing itself to the crawler without serving anything).
+func (c Contact) Write(addrs []string, telemetry string) error {
+	path, err := c.path()
+	if err != nil {
+		return err
+	}
+	if c.Dir != "" {
+		if err := os.MkdirAll(c.Dir, 0o755); err != nil {
+			return err
+		}
+	}
 	tmp := fmt.Sprintf("%s.tmp-%d-%d", path, os.Getpid(), contactSeq.Add(1))
 	var b strings.Builder
 	fmt.Fprintf(&b, "#pid=%d\n", os.Getpid())
@@ -130,57 +161,6 @@ func removeStale(path string, seen []byte) {
 	os.Rename(tmp, path) //nolint:errcheck // we grabbed a fresh publish: restore it
 }
 
-// Contact directories generalize the single shared file to multi-hub
-// topologies (a staging mesh of producer hubs and relay tiers): each
-// hub or relay publishes one named entry — "<name>.contact" inside a
-// shared directory — instead of all of them colliding on one path.
-// Every entry is an ordinary contact file, so pid staleness detection
-// and the atomic-rename publish apply per entry, and single-file mode
-// keeps working unchanged.
-
-// ContactEntryPath locates the named entry inside a contact
-// directory. Names must be bare (no path separators): entries are
-// flat by design, one per hub/relay.
-func ContactEntryPath(dir, name string) (string, error) {
-	if name == "" || strings.ContainsAny(name, "/\\") || name == "." || name == ".." {
-		return "", fmt.Errorf("adios: bad contact entry name %q", name)
-	}
-	return filepath.Join(dir, name+".contact"), nil
-}
-
-// WriteContactEntry publishes addrs as the named entry of a contact
-// directory, creating the directory if needed. The entry is written
-// with WriteContact's atomic rename, pid stamp and telemetry line.
-func WriteContactEntry(dir, name string, addrs []string, telemetry string) error {
-	path, err := ContactEntryPath(dir, name)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return WriteContact(path, addrs, telemetry)
-}
-
-// WriteContactAt publishes to wherever a process's contact flags point:
-// entry name of the contact directory dir, or — without a directory —
-// the contact file at path name.
-func WriteContactAt(dir, name string, addrs []string, telemetry string) error {
-	if dir == "" {
-		return WriteContact(name, addrs, telemetry)
-	}
-	return WriteContactEntry(dir, name, addrs, telemetry)
-}
-
-// ReadContactAt is WriteContactAt's reading half: ReadContactEntry
-// with a directory, ReadContact on the path name without one.
-func ReadContactAt(dir, name string, timeout time.Duration) ([]string, error) {
-	if dir == "" {
-		return ReadContact(name, timeout)
-	}
-	return ReadContactEntry(dir, name, timeout)
-}
-
 // ContactEntry is one parsed entry of a contact directory, as seen by
 // the mesh crawler: the advertised addresses, the writer's liveness
 // (pid probe), and its telemetry exporter address if it published
@@ -194,7 +174,7 @@ type ContactEntry struct {
 }
 
 // ListContactEntries parses every "<name>.contact" entry in a contact
-// directory, sorted by name. Unlike ReadContact it does not poll or
+// directory, sorted by name. Unlike Contact.Read it does not poll or
 // remove stale entries — the crawler wants the directory as-is,
 // including entries from dead processes (reported with Alive=false).
 // In-flight temp and stale-quarantine files are skipped.
@@ -226,24 +206,16 @@ func ListContactEntries(dir string) ([]ContactEntry, error) {
 	return out, nil
 }
 
-// ReadContactEntry polls for the named entry of a contact directory
-// with ReadContact's semantics (stale entries from dead prior runs
-// are removed per entry and polling continues).
-func ReadContactEntry(dir, name string, timeout time.Duration) ([]string, error) {
-	path, err := ContactEntryPath(dir, name)
+// Read polls for the contact file until it appears (or timeout) and
+// returns the advertised addresses. A file stamped with the pid of a
+// process that no longer exists is a leftover from a dead prior run:
+// it is removed (best effort, never racing a concurrent fresh publish)
+// and polling continues until a live run publishes a fresh file.
+func (c Contact) Read(timeout time.Duration) ([]string, error) {
+	path, err := c.path()
 	if err != nil {
 		return nil, err
 	}
-	return ReadContact(path, timeout)
-}
-
-// ReadContact polls for a contact file until it appears (or timeout)
-// and returns the advertised addresses. A file stamped with the pid
-// of a process that no longer exists is a leftover from a dead prior
-// run: it is removed (best effort, never racing a concurrent fresh
-// publish) and polling continues until a live run publishes a fresh
-// file.
-func ReadContact(path string, timeout time.Duration) ([]string, error) {
 	deadline := time.Now().Add(timeout)
 	stale := 0
 	var lastErr error

@@ -14,7 +14,7 @@ import (
 func TestContactRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "contact.txt")
 	want := []string{"127.0.0.1:1234", "127.0.0.1:5678"}
-	if err := WriteContact(path, want, ""); err != nil {
+	if err := (Contact{Name: path}).Write(want, ""); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -24,12 +24,12 @@ func TestContactRoundTrip(t *testing.T) {
 	if !strings.Contains(string(raw), "#pid=") {
 		t.Fatalf("contact file not pid-stamped:\n%s", raw)
 	}
-	addrs, err := ReadContact(path, time.Second)
+	addrs, err := (Contact{Name: path}).Read(time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(addrs) != 2 || addrs[0] != want[0] || addrs[1] != want[1] {
-		t.Fatalf("ReadContact = %v, want %v", addrs, want)
+		t.Fatalf("Read = %v, want %v", addrs, want)
 	}
 }
 
@@ -45,7 +45,7 @@ func TestContactStaleDetection(t *testing.T) {
 	if err := os.WriteFile(path, []byte(stale), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := ReadContact(path, 100*time.Millisecond)
+	_, err := (Contact{Name: path}).Read(100 * time.Millisecond)
 	if err == nil {
 		t.Fatal("stale contact file returned as live")
 	}
@@ -67,14 +67,14 @@ func TestContactStaleThenFresh(t *testing.T) {
 	}
 	go func() {
 		time.Sleep(50 * time.Millisecond)
-		WriteContact(path, []string{"127.0.0.1:2345"}, "") //nolint:errcheck
+		(Contact{Name: path}).Write([]string{"127.0.0.1:2345"}, "") //nolint:errcheck
 	}()
-	addrs, err := ReadContact(path, 5*time.Second)
+	addrs, err := (Contact{Name: path}).Read(5 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(addrs) != 1 || addrs[0] != "127.0.0.1:2345" {
-		t.Fatalf("ReadContact = %v after fresh publish", addrs)
+		t.Fatalf("Read = %v after fresh publish", addrs)
 	}
 }
 
@@ -85,12 +85,12 @@ func TestContactUnstampedCompat(t *testing.T) {
 	if err := os.WriteFile(path, []byte("127.0.0.1:4321\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	addrs, err := ReadContact(path, time.Second)
+	addrs, err := (Contact{Name: path}).Read(time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(addrs) != 1 || addrs[0] != "127.0.0.1:4321" {
-		t.Fatalf("ReadContact = %v", addrs)
+		t.Fatalf("Read = %v", addrs)
 	}
 }
 
@@ -98,51 +98,46 @@ func itoa(v int) string { return strconv.Itoa(v) }
 
 func TestContactDirEntries(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "mesh-contacts")
-	if err := WriteContactEntry(dir, "hub", []string{"127.0.0.1:9000", "127.0.0.1:9001"}, ""); err != nil {
-		t.Fatalf("WriteContactEntry hub: %v", err)
+	if err := (Contact{dir, "hub"}).Write([]string{"127.0.0.1:9000", "127.0.0.1:9001"}, ""); err != nil {
+		t.Fatalf("Write hub: %v", err)
 	}
-	if err := WriteContactEntry(dir, "relay-0", []string{"127.0.0.1:9100"}, ""); err != nil {
-		t.Fatalf("WriteContactEntry relay-0: %v", err)
+	if err := (Contact{dir, "relay-0"}).Write([]string{"127.0.0.1:9100"}, ""); err != nil {
+		t.Fatalf("Write relay-0: %v", err)
 	}
-	addrs, err := ReadContactEntry(dir, "hub", time.Second)
+	addrs, err := (Contact{dir, "hub"}).Read(time.Second)
 	if err != nil {
-		t.Fatalf("ReadContactEntry hub: %v", err)
+		t.Fatalf("Read hub: %v", err)
 	}
 	if len(addrs) != 2 || addrs[1] != "127.0.0.1:9001" {
 		t.Fatalf("hub entry = %v", addrs)
 	}
-	addrs, err = ReadContactEntry(dir, "relay-0", time.Second)
+	addrs, err = (Contact{dir, "relay-0"}).Read(time.Second)
 	if err != nil || len(addrs) != 1 {
 		t.Fatalf("relay-0 entry = %v, %v", addrs, err)
 	}
 	// Entries are plain contact files: single-file readers can point
 	// straight at one.
-	path, err := ContactEntryPath(dir, "hub")
+	path, err := (Contact{dir, "hub"}).path()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if addrs, err = ReadContact(path, time.Second); err != nil || len(addrs) != 2 {
-		t.Fatalf("ReadContact on entry path = %v, %v", addrs, err)
+	if addrs, err = (Contact{Name: path}).Read(time.Second); err != nil || len(addrs) != 2 {
+		t.Fatalf("Read on entry path = %v, %v", addrs, err)
 	}
-	// The …At pair is what a process's -contact-dir/-contact flags
-	// resolve through: an entry with a directory, a file path without.
-	if err := WriteContactAt(dir, "tier1", []string{"127.0.0.1:9200"}, ""); err != nil {
-		t.Fatal(err)
-	}
+	// Without a directory the name is a file path: what a process's
+	// -contact flag resolves to when -contact-dir is unset.
 	file := filepath.Join(t.TempDir(), "contact.txt")
-	if err := WriteContactAt("", file, []string{"127.0.0.1:9300"}, ""); err != nil {
+	if err := (Contact{Name: file}).Write([]string{"127.0.0.1:9300"}, ""); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct{ dir, name, want string }{{dir, "tier1", "127.0.0.1:9200"}, {"", file, "127.0.0.1:9300"}} {
-		if addrs, err := ReadContactAt(tc.dir, tc.name, time.Second); err != nil || len(addrs) != 1 || addrs[0] != tc.want {
-			t.Errorf("ReadContactAt(%q, %q) = %v, %v, want [%s]", tc.dir, tc.name, addrs, err, tc.want)
-		}
+	if addrs, err := (Contact{Name: file}).Read(time.Second); err != nil || len(addrs) != 1 || addrs[0] != "127.0.0.1:9300" {
+		t.Errorf("(Contact{Name: file}).Read = %v, %v", addrs, err)
 	}
 }
 
 func TestContactDirEntryStaleness(t *testing.T) {
 	dir := t.TempDir()
-	path, err := ContactEntryPath(dir, "dead")
+	path, err := (Contact{dir, "dead"}).path()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +147,7 @@ func TestContactDirEntryStaleness(t *testing.T) {
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadContactEntry(dir, "dead", 50*time.Millisecond); err == nil {
+	if _, err := (Contact{dir, "dead"}).Read(50 * time.Millisecond); err == nil {
 		t.Fatal("want timeout after removing stale entry")
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -162,7 +157,7 @@ func TestContactDirEntryStaleness(t *testing.T) {
 
 func TestContactEntryNameValidation(t *testing.T) {
 	for _, bad := range []string{"", "a/b", `a\b`, ".", ".."} {
-		if _, err := ContactEntryPath("d", bad); err == nil {
+		if _, err := (Contact{"d", bad}).path(); err == nil {
 			t.Fatalf("name %q: want error", bad)
 		}
 	}
@@ -172,7 +167,7 @@ func TestContactEntryNameValidation(t *testing.T) {
 // trips through write and list, and its absence stays compatible.
 func TestContactTelemetryStamp(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "contact.txt")
-	if err := WriteContact(path, []string{"127.0.0.1:9000"}, "127.0.0.1:9150"); err != nil {
+	if err := (Contact{Name: path}).Write([]string{"127.0.0.1:9000"}, "127.0.0.1:9150"); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -183,9 +178,9 @@ func TestContactTelemetryStamp(t *testing.T) {
 		t.Fatalf("contact file not telemetry-stamped:\n%s", raw)
 	}
 	// The stamp is a comment: plain address readers never see it.
-	addrs, err := ReadContact(path, time.Second)
+	addrs, err := (Contact{Name: path}).Read(time.Second)
 	if err != nil || len(addrs) != 1 || addrs[0] != "127.0.0.1:9000" {
-		t.Fatalf("ReadContact = %v, %v", addrs, err)
+		t.Fatalf("Read = %v, %v", addrs, err)
 	}
 }
 
@@ -194,19 +189,19 @@ func TestContactTelemetryStamp(t *testing.T) {
 // (no addresses), liveness from the pid stamp, and name-sorted output.
 func TestListContactEntries(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "mesh")
-	if err := WriteContactEntry(dir, "sim", []string{"127.0.0.1:9000", "127.0.0.1:9001"}, "127.0.0.1:9150"); err != nil {
+	if err := (Contact{dir, "sim"}).Write([]string{"127.0.0.1:9000", "127.0.0.1:9001"}, "127.0.0.1:9150"); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteContactEntry(dir, "dark", []string{"127.0.0.1:9200"}, ""); err != nil {
+	if err := (Contact{dir, "dark"}).Write([]string{"127.0.0.1:9200"}, ""); err != nil {
 		t.Fatal(err)
 	}
 	// A consumer publishes a telemetry-only observer entry: no data
 	// addresses, just the exporter.
-	if err := WriteContactEntry(dir, "endpoint", nil, "127.0.0.1:9152"); err != nil {
+	if err := (Contact{dir, "endpoint"}).Write(nil, "127.0.0.1:9152"); err != nil {
 		t.Fatal(err)
 	}
 	// A dead process's leftover entry is listed but flagged.
-	deadPath, err := ContactEntryPath(dir, "zombie")
+	deadPath, err := (Contact{dir, "zombie"}).path()
 	if err != nil {
 		t.Fatal(err)
 	}

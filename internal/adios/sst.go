@@ -712,10 +712,6 @@ func (r *Reader) stampRawDeliver(recv time.Time) {
 	}
 }
 
-// Session reports the resume token issued by a staging hub, "" when
-// none was negotiated.
-func (r *Reader) Session() string { return r.session }
-
 // Reconnects reports how many mid-stream reconnects this reader has
 // performed.
 func (r *Reader) Reconnects() int64 { return r.reconnects }

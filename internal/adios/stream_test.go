@@ -90,7 +90,7 @@ func TestSSTStreamDelivery(t *testing.T) {
 	if r.StepsReceived() != steps {
 		t.Errorf("StepsReceived = %d", r.StepsReceived())
 	}
-	if got := d.cons.Delivered(); got != steps {
+	if got := d.cons.Stats().Delivered; got != steps {
 		t.Errorf("Delivered = %d", got)
 	}
 }

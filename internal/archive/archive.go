@@ -660,14 +660,7 @@ func (a *Archive) ReadSubsetFrameInto(id int64, arrays []string, buf []byte) ([]
 	if len(arrays) == 0 || si.Structure {
 		return a.ReadFrameInto(id, buf)
 	}
-	total := si.VarsOff + 8
-	kept := 0
-	for i := range si.Vars {
-		if adios.KeepVar(si.Vars[i].Name, arrays) {
-			total += si.Vars[i].RecordLen
-			kept++
-		}
-	}
+	total, kept := subsetLen(&si, arrays)
 	a.mu.Lock()
 	f := a.segs[si.Segment]
 	a.mu.Unlock()
@@ -689,6 +682,22 @@ func (a *Archive) ReadSubsetFrameInto(id int64, arrays []string, buf []byte) ([]
 		pos += vs.RecordLen
 	}
 	return buf, nil
+}
+
+// subsetLen is the size of the frame ReadSubsetFrameInto splices for
+// this record and subset, and the number of variables it keeps.
+func subsetLen(si *StepInfo, arrays []string) (total int64, kept int) {
+	if len(arrays) == 0 || si.Structure {
+		return si.FrameLen, len(si.Vars)
+	}
+	total = si.VarsOff + 8
+	for i := range si.Vars {
+		if adios.KeepVar(si.Vars[i].Name, arrays) {
+			total += si.Vars[i].RecordLen
+			kept++
+		}
+	}
+	return total, kept
 }
 
 // IsArchiveDir reports whether dir looks like an archive (holds an

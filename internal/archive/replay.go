@@ -19,9 +19,11 @@ import (
 // changes.
 //
 // Step-range and array-subset selection are answered from the
-// archive's index before anything is decoded: out-of-range records
-// are never read, and with Arrays set the replay reads spliced subset
-// frames, skipping unrequested payload bytes on disk.
+// archive's index: out-of-range records are never read, and with
+// Arrays set the replay reads spliced subset frames, skipping
+// unrequested payload bytes on disk. The frames are published as bytes
+// (staging.Hub.PublishFrame), so a replay decodes nothing unless a
+// consumer's codec needs the floats.
 
 // Pace controls replay timing.
 type Pace struct {
@@ -108,6 +110,7 @@ type Replay struct {
 	srv    *staging.Server
 	binder *staging.Binder
 	ids    []int64
+	pool   *adios.FramePool // read buffers, recycled when the hub releases a step
 
 	published int
 }
@@ -165,7 +168,7 @@ func NewReplay(a *Archive, opts ReplayOptions) (*Replay, error) {
 		hub.Close()
 		return nil, err
 	}
-	return &Replay{a: a, opts: opts, hub: hub, srv: srv, binder: binder, ids: a.Select(opts.From, opts.To)}, nil
+	return &Replay{a: a, opts: opts, hub: hub, srv: srv, binder: binder, ids: a.Select(opts.From, opts.To), pool: adios.NewFramePool()}, nil
 }
 
 // Addr reports the server's contact address for the rendezvous step.
@@ -209,7 +212,6 @@ func (r *Replay) Run() error {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	var buf []byte
 	var prevTime float64
 	havePrev := false
 	var interval time.Duration
@@ -218,17 +220,18 @@ func (r *Replay) Run() error {
 	}
 	next := time.Now()
 	for i, id := range r.ids {
-		frame, err := r.a.ReadSubsetFrameInto(id, r.opts.Arrays, buf)
+		// Pacing reads the step and time off the index; the frame goes
+		// from disk into a leased buffer the hub owns until every
+		// consumer has released the step.
+		st, err := r.a.Info(id)
 		if err != nil {
 			return err
 		}
-		buf = frame
-		// Decode fresh per step: the hub retains published steps until
-		// every consumer releases them, so the decode destination
-		// cannot be recycled here.
-		st, err := adios.Unmarshal(frame)
-		if err != nil {
-			return fmt.Errorf("archive: replay record %d: %w", id, err)
+		n, _ := subsetLen(&st, r.opts.Arrays)
+		f := r.pool.Lease(int(n))
+		if _, err := r.a.ReadSubsetFrameInto(id, r.opts.Arrays, f.Bytes()); err != nil {
+			f.Release()
+			return err
 		}
 		switch r.opts.Pace.Mode {
 		case "realtime":
@@ -255,8 +258,8 @@ func (r *Replay) Run() error {
 				time.Sleep(time.Until(next))
 			}
 		}
-		if err := r.hub.Publish(st); err != nil {
-			return err
+		if err := r.hub.PublishFrame(f); err != nil {
+			return fmt.Errorf("archive: replay record %d: %w", id, err)
 		}
 		r.published++
 	}

@@ -413,6 +413,77 @@ func TestReplayRangeAndSubset(t *testing.T) {
 	}
 }
 
+// frameLog is a FrameSink keeping the received wire frames.
+type frameLog [][]byte
+
+func (l *frameLog) AppendFrame(frame []byte) (int64, error) {
+	*l = append(*l, bytes.Clone(frame))
+	return int64(len(*l) - 1), nil
+}
+
+// TestReplayPublishesFramesUndecoded: a replay hands the hub the bytes
+// it read from disk, so a plain consumer is served without a single
+// decode and receives each record's frame exactly as archived.
+func TestReplayPublishesFramesUndecoded(t *testing.T) {
+	const steps = 6
+	_, dir := recordLiveRun(t, steps)
+	a, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	rp, err := NewReplay(a, ReplayOptions{
+		Consumers: []staging.ConsumerSpec{{Name: "ep", Policy: staging.Block, Depth: 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got frameLog
+	done := make(chan error, 1)
+	go func() {
+		r, err := adios.OpenReaderWith(rp.Addr(), adios.ReaderOptions{Consumer: "ep"})
+		if err != nil {
+			done <- err
+			return
+		}
+		defer r.Close()
+		r.SetRecord(&got)
+		for {
+			st, err := r.BeginStep()
+			if errors.Is(err, io.EOF) {
+				done <- nil
+				return
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+			r.Recycle(st)
+		}
+	}()
+	if err := rp.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n := rp.Hub().DecodedVars(); n != 0 {
+		t.Errorf("replay decoded %d variable(s) to serve a plain consumer, want 0", n)
+	}
+	if len(got) != a.Len() || len(got) != steps {
+		t.Fatalf("received %d frames, archive holds %d, want %d", len(got), a.Len(), steps)
+	}
+	for id, frame := range got {
+		want, err := a.ReadFrameInto(int64(id), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(frame, want) {
+			t.Errorf("record %d: delivered frame differs from the archived one", id)
+		}
+	}
+}
+
 // TestReplayFixedPace sanity-checks fixed pacing actually spaces the
 // publishes out.
 func TestReplayFixedPace(t *testing.T) {

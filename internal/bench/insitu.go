@@ -145,6 +145,7 @@ func RunInSitu(mode InSituMode, cfg InSituConfig) (InSituResult, error) {
 			return
 		}
 		var hook nekrs.StepHook
+		finalize := func() error { return nil }
 		switch mode {
 		case Original:
 			// No SENSEI interface at all.
@@ -171,17 +172,20 @@ func RunInSitu(mode InSituMode, cfg InSituConfig) (InSituResult, error) {
 				_, err := bridge.Update(st.Step, st.Time)
 				return err
 			}
-			defer bridge.Finalize() //nolint:errcheck // nothing to surface here
+			finalize = bridge.Finalize
 		}
 		start := time.Now()
-		if err := sim.Run(c.Steps, hook); err != nil {
-			errs[rank] = err
-			return
-		}
+		err = sim.Run(c.Steps, hook)
 		perRank[rank] = InSituResult{
 			WallTime: time.Since(start), AggMemPeak: sim.Acct.Peak(),
 			BytesWritten: sim.Storage.Bytes(), FilesWritten: sim.Storage.Files(),
 		}
+		// Finalized on every path, outside the measured window; a run
+		// that only fails here has still failed.
+		if ferr := finalize(); err == nil {
+			err = ferr
+		}
+		errs[rank] = err
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -202,7 +202,7 @@ func RunInTransit(mode InTransitMode, cfg InTransitConfig) (InTransitResult, err
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			addrs, err := adios.ReadContact(contact, 30*time.Second)
+			addrs, err := adios.Contact{Name: contact}.Read(30 * time.Second)
 			if err != nil {
 				epErr = err
 				return

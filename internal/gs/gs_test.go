@@ -350,10 +350,12 @@ func TestAssembledFieldIsContinuous(t *testing.T) {
 		for id, v := range local {
 			ids = append(ids, float64(id), v)
 		}
-		all := c.GatherF64(0, ids)
+		all := make([]interface{}, c.Size())
+		c.ShareRefs(ids, all)
 		if c.Rank() == 0 {
 			global := make(map[int64]float64)
-			for _, pairs := range all {
+			for _, ref := range all {
+				pairs := ref.([]float64)
 				for p := 0; p < len(pairs); p += 2 {
 					id, v := int64(pairs[p]), pairs[p+1]
 					if prev, ok := global[id]; ok && prev != v {

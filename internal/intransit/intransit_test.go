@@ -83,7 +83,7 @@ func TestFullPipelineIntegrity(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		addrs, err := adios.ReadContact(contact, 10*time.Second)
+		addrs, err := adios.Contact{Name: contact}.Read(10 * time.Second)
 		if err != nil || len(addrs) != simRanks {
 			endpointErr = fmt.Errorf("contact = %v, %v", addrs, err)
 			return
@@ -169,7 +169,7 @@ func TestFullPipelineIntegrity(t *testing.T) {
 	if endpointErr != nil {
 		t.Fatal(endpointErr)
 	}
-	if addrs, err := adios.ReadContact(contact, 0); err != nil || !reflect.DeepEqual(addrs, addrOf) {
+	if addrs, err := (adios.Contact{Name: contact}).Read(0); err != nil || !reflect.DeepEqual(addrs, addrOf) {
 		t.Errorf("contact lists %v (%v), want the ranks' addresses in rank order %v", addrs, err, addrOf)
 	}
 	for step := range sentPerStep {
@@ -596,7 +596,7 @@ func TestDirectAdaptorFactory(t *testing.T) {
 		"address": "127.0.0.1:0", "queue": "4", "contact": contact,
 	})
 	addr := send.Server().Addr()
-	addrs, err := adios.ReadContact(contact, 0)
+	addrs, err := adios.Contact{Name: contact}.Read(0)
 	if err != nil || len(addrs) != 1 || addrs[0] != addr {
 		t.Errorf("contact = %v, %v", addrs, err)
 	}

@@ -390,9 +390,10 @@ func TestCGBitIdenticalToReference(t *testing.T) {
 					op := OperatorFunc(func(out, in []float64) {
 						// Periodic ring across ranks: every rank
 						// learns its neighbours' end values.
-						ends := comm.AllgatherF64([]float64{in[0], in[nLocal-1]})
-						left := ends[(comm.Rank()+ranks-1)%ranks][1]
-						right := ends[(comm.Rank()+1)%ranks][0]
+						ends := make([]interface{}, ranks)
+						comm.ShareRefs([2]float64{in[0], in[nLocal-1]}, ends)
+						left := ends[(comm.Rank()+ranks-1)%ranks].([2]float64)[1]
+						right := ends[(comm.Rank()+1)%ranks].([2]float64)[0]
 						for i := 0; i < nLocal; i++ {
 							l, r := left, right
 							if i > 0 {

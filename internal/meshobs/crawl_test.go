@@ -32,13 +32,13 @@ func liveMesh(t *testing.T) (dir string, simTel *telemetry.Telemetry) {
 	probeTel.Tracer().Stamp(3, telemetry.StageDeliver)
 	probeTel.Events().Emit(telemetry.EventReconnect, "probe", 3, "redialed")
 
-	if err := adios.WriteContactEntry(dir, "sim", []string{"127.0.0.1:9000"}, simTel.ServeAddr()); err != nil {
+	if err := (adios.Contact{Dir: dir, Name: "sim"}).Write([]string{"127.0.0.1:9000"}, simTel.ServeAddr()); err != nil {
 		t.Fatal(err)
 	}
-	if err := adios.WriteContactEntry(dir, "probe", nil, probeTel.ServeAddr()); err != nil {
+	if err := (adios.Contact{Dir: dir, Name: "probe"}).Write(nil, probeTel.ServeAddr()); err != nil {
 		t.Fatal(err)
 	}
-	if err := adios.WriteContactEntry(dir, "dark", []string{"127.0.0.1:9300"}, ""); err != nil {
+	if err := (adios.Contact{Dir: dir, Name: "dark"}).Write([]string{"127.0.0.1:9300"}, ""); err != nil {
 		t.Fatal(err)
 	}
 	return dir, simTel
@@ -80,7 +80,7 @@ func TestCrawlLiveExporters(t *testing.T) {
 // topology node with the scrape error recorded.
 func TestCrawlDeadExporter(t *testing.T) {
 	dir := t.TempDir()
-	if err := adios.WriteContactEntry(dir, "gone", []string{"127.0.0.1:9000"}, "127.0.0.1:1"); err != nil {
+	if err := (adios.Contact{Dir: dir, Name: "gone"}).Write([]string{"127.0.0.1:9000"}, "127.0.0.1:1"); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := Crawl(context.Background(), dir, Options{Timeout: time.Second})

@@ -3,7 +3,6 @@ package mpirt
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 )
 
 // Op is a reduction operator for Reduce/Allreduce.
@@ -160,59 +159,6 @@ func (c *Comm) AllreduceI64Scalar(v int64, op Op) int64 {
 	return c.scalarI64[0]
 }
 
-// BcastF64 broadcasts root's vector to all ranks; every rank receives a
-// private copy. Non-root ranks may pass nil.
-func (c *Comm) BcastF64(root int, vals []float64) []float64 {
-	var payload interface{}
-	if c.rank == root {
-		cp := make([]float64, len(vals))
-		copy(cp, vals)
-		payload = cp
-	}
-	res := c.joinCollective("bcast-f64", payload, func(contrib []interface{}) interface{} {
-		return contrib[root]
-	})
-	src := res.([]float64)
-	out := make([]float64, len(src))
-	copy(out, src)
-	return out
-}
-
-// BcastBytes broadcasts root's byte slice to all ranks.
-func (c *Comm) BcastBytes(root int, b []byte) []byte {
-	var payload interface{}
-	if c.rank == root {
-		cp := make([]byte, len(b))
-		copy(cp, b)
-		payload = cp
-	}
-	res := c.joinCollective("bcast-bytes", payload, func(contrib []interface{}) interface{} {
-		return contrib[root]
-	})
-	src := res.([]byte)
-	out := make([]byte, len(src))
-	copy(out, src)
-	return out
-}
-
-// GatherF64 gathers each rank's vector to root in rank order; root
-// receives the per-rank slices, other ranks receive nil.
-func (c *Comm) GatherF64(root int, vals []float64) [][]float64 {
-	cp := make([]float64, len(vals))
-	copy(cp, vals)
-	res := c.joinCollective("gather-f64", cp, func(contrib []interface{}) interface{} {
-		out := make([][]float64, len(contrib))
-		for r, v := range contrib {
-			out[r] = v.([]float64)
-		}
-		return out
-	})
-	if c.rank != root {
-		return nil
-	}
-	return res.([][]float64)
-}
-
 // GatherBytes gathers each rank's byte slice to root in rank order.
 func (c *Comm) GatherBytes(root int, b []byte) [][]byte {
 	cp := make([]byte, len(b))
@@ -228,44 +174,6 @@ func (c *Comm) GatherBytes(root int, b []byte) [][]byte {
 		return nil
 	}
 	return res.([][]byte)
-}
-
-// AllgatherF64 gathers each rank's vector to every rank in rank order.
-func (c *Comm) AllgatherF64(vals []float64) [][]float64 {
-	cp := make([]float64, len(vals))
-	copy(cp, vals)
-	res := c.joinCollective("allgather-f64", cp, func(contrib []interface{}) interface{} {
-		out := make([][]float64, len(contrib))
-		for r, v := range contrib {
-			out[r] = v.([]float64)
-		}
-		return out
-	})
-	shared := res.([][]float64)
-	out := make([][]float64, len(shared))
-	for r, v := range shared {
-		out[r] = append([]float64(nil), v...)
-	}
-	return out
-}
-
-// AllgatherI64 gathers each rank's int64 vector to every rank.
-func (c *Comm) AllgatherI64(vals []int64) [][]int64 {
-	cp := make([]int64, len(vals))
-	copy(cp, vals)
-	res := c.joinCollective("allgather-i64", cp, func(contrib []interface{}) interface{} {
-		out := make([][]int64, len(contrib))
-		for r, v := range contrib {
-			out[r] = v.([]int64)
-		}
-		return out
-	})
-	shared := res.([][]int64)
-	out := make([][]int64, len(shared))
-	for r, v := range shared {
-		out[r] = append([]int64(nil), v...)
-	}
-	return out
 }
 
 // AlltoallI64 performs a personalized all-to-all exchange: send[d] goes
@@ -375,15 +283,9 @@ type splitReq struct {
 
 // splitResult is what Split's reduction hands every rank.
 type splitResult struct {
-	ids    map[int]int
 	groups map[int][]int
 	rvs    map[int]*rendezvous
 }
-
-// commIDCounter allocates unique communicator ids during Split; the
-// reduce callback runs on a single goroutine per collective, but Splits
-// on unrelated worlds may race, so the counter is atomic.
-var commIDCounter atomic.Int64
 
 // Split partitions the communicator by color, ordering ranks within each
 // new communicator by (key, old rank), like MPI_Comm_split. Ranks
@@ -403,7 +305,6 @@ func (c *Comm) Split(color, key int) *Comm {
 			colors = append(colors, col)
 		}
 		sort.Ints(colors)
-		ids := make(map[int]int)         // color -> new comm id
 		groups := make(map[int][]int)    // color -> old ranks in new order
 		rvs := make(map[int]*rendezvous) // color -> the new communicator's meeting point
 		for _, col := range colors {
@@ -414,7 +315,6 @@ func (c *Comm) Split(color, key int) *Comm {
 				}
 				return reqs[i].rank < reqs[j].rank
 			})
-			ids[col] = int(commIDCounter.Add(1))
 			g := make([]int, len(reqs))
 			for i, r := range reqs {
 				g[i] = r.rank
@@ -422,7 +322,7 @@ func (c *Comm) Split(color, key int) *Comm {
 			groups[col] = g
 			rvs[col] = newRendezvous(len(g))
 		}
-		return splitResult{ids, groups, rvs}
+		return splitResult{groups, rvs}
 	})
 	if color < 0 {
 		return nil
@@ -437,5 +337,5 @@ func (c *Comm) Split(color, key int) *Comm {
 			newRank = i
 		}
 	}
-	return &Comm{world: c.world, rv: sr.rvs[color], id: sr.ids[color], rank: newRank, group: group}
+	return &Comm{rv: sr.rvs[color], rank: newRank, group: group}
 }

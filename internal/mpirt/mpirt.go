@@ -1,8 +1,7 @@
 // Package mpirt is an in-process message-passing runtime that stands in
 // for MPI in the reproduction. Ranks run as goroutines inside one
-// process; point-to-point messages are matched on (source, tag) and
-// collectives are matched by per-communicator call sequence, exactly
-// like MPI's ordering rules.
+// process and communicate through collectives, matched by
+// per-communicator call sequence exactly like MPI's ordering rule.
 //
 // The paper's experiments ran on 280-1120 MPI ranks across Polaris and
 // JUWELS Booster nodes; here the same communication structure (halo
@@ -18,57 +17,11 @@ import (
 	"sync/atomic"
 )
 
-// AnySource matches a message from any source rank in Recv.
-const AnySource = -1
-
-// envelope is one in-flight point-to-point message.
-type envelope struct {
-	src, tag int
-	data     interface{}
-}
-
-// mailbox is a rank's incoming message queue with blocking matched receive.
-type mailbox struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	q    []envelope
-}
-
-func newMailbox() *mailbox {
-	m := &mailbox{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
-}
-
-func (m *mailbox) put(e envelope) {
-	m.mu.Lock()
-	m.q = append(m.q, e)
-	m.mu.Unlock()
-	m.cond.Broadcast()
-}
-
-// take blocks until a message matching (src, tag) is available and
-// removes it from the queue. src may be AnySource.
-func (m *mailbox) take(src, tag int) envelope {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		for i, e := range m.q {
-			if (src == AnySource || e.src == src) && e.tag == tag {
-				m.q = append(m.q[:i], m.q[i+1:]...)
-				return e
-			}
-		}
-		m.cond.Wait()
-	}
-}
-
-// World is the global communicator context: one mailbox per rank plus
-// the world communicator's collective rendezvous.
+// World is the global communicator context: its size and the world
+// communicator's collective rendezvous.
 type World struct {
-	size  int
-	boxes []*mailbox
-	rv    *rendezvous
+	size int
+	rv   *rendezvous
 }
 
 // rendezvous is a communicator's collective meeting point, shared by
@@ -123,12 +76,7 @@ func NewWorld(n int) *World {
 	if n <= 0 {
 		panic("mpirt: world size must be positive")
 	}
-	w := &World{size: n, rv: newRendezvous(n)}
-	w.boxes = make([]*mailbox, n)
-	for i := range w.boxes {
-		w.boxes[i] = newMailbox()
-	}
-	return w
+	return &World{size: n, rv: newRendezvous(n)}
 }
 
 // Size reports the number of ranks in the world.
@@ -143,7 +91,7 @@ func (w *World) Comm(rank int) *Comm {
 	for i := range group {
 		group[i] = i
 	}
-	return &Comm{world: w, rv: w.rv, id: 0, rank: rank, group: group}
+	return &Comm{rv: w.rv, rank: rank, group: group}
 }
 
 // Run spawns n ranks as goroutines, each executing body with its world
@@ -195,9 +143,7 @@ func RunErr(n int, body func(c *Comm) error) error {
 // for concurrent use by multiple goroutines (matching MPI semantics,
 // where a communicator is driven by its owning rank).
 type Comm struct {
-	world *World
 	rv    *rendezvous // shared with the communicator's other ranks
-	id    int         // communicator id (0 = world)
 	rank  int         // rank within this communicator
 	group []int       // communicator rank -> world rank
 
@@ -228,58 +174,6 @@ func (c *Comm) Rank() int { return c.rank }
 
 // Size reports the number of ranks in the communicator.
 func (c *Comm) Size() int { return len(c.group) }
-
-// send delivers data (already copied by the typed wrapper) to dst.
-func (c *Comm) send(dst, tag int, data interface{}) {
-	if dst < 0 || dst >= len(c.group) {
-		panic(fmt.Sprintf("mpirt: send to rank %d out of range [0,%d)", dst, len(c.group)))
-	}
-	// Tags are namespaced by communicator id so Split'd communicators
-	// cannot intercept each other's traffic.
-	c.world.boxes[c.group[dst]].put(envelope{src: c.rank, tag: c.id<<20 | tag, data: data})
-}
-
-// recv blocks for a message matching (src, tag) and returns its payload
-// and actual source.
-func (c *Comm) recv(src, tag int) (interface{}, int) {
-	e := c.world.boxes[c.group[c.rank]].take(src, c.id<<20|tag)
-	return e.data, e.src
-}
-
-// SendF64 sends a copy of vals to dst with the given tag.
-func (c *Comm) SendF64(dst, tag int, vals []float64) {
-	cp := make([]float64, len(vals))
-	copy(cp, vals)
-	c.send(dst, tag, cp)
-}
-
-// RecvF64 receives a []float64 from src (or AnySource) with the given
-// tag, returning the payload and the actual source rank.
-func (c *Comm) RecvF64(src, tag int) ([]float64, int) {
-	d, from := c.recv(src, tag)
-	v, ok := d.([]float64)
-	if !ok {
-		panic(fmt.Sprintf("mpirt: rank %d expected []float64 on tag %d, got %T", c.rank, tag, d))
-	}
-	return v, from
-}
-
-// SendI64 sends a copy of vals to dst with the given tag.
-func (c *Comm) SendI64(dst, tag int, vals []int64) {
-	cp := make([]int64, len(vals))
-	copy(cp, vals)
-	c.send(dst, tag, cp)
-}
-
-// RecvI64 receives a []int64 from src (or AnySource) with the given tag.
-func (c *Comm) RecvI64(src, tag int) ([]int64, int) {
-	d, from := c.recv(src, tag)
-	v, ok := d.([]int64)
-	if !ok {
-		panic(fmt.Sprintf("mpirt: rank %d expected []int64 on tag %d, got %T", c.rank, tag, d))
-	}
-	return v, from
-}
 
 // arrive registers this rank in the communicator's current collective
 // and reports whether it is the last to arrive. The caller holds

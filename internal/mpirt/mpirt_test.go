@@ -45,76 +45,6 @@ func TestRunErrPropagates(t *testing.T) {
 	}
 }
 
-func TestSendRecvRing(t *testing.T) {
-	const n = 5
-	Run(n, func(c *Comm) {
-		next := (c.Rank() + 1) % n
-		prev := (c.Rank() + n - 1) % n
-		c.SendF64(next, 7, []float64{float64(c.Rank())})
-		got, from := c.RecvF64(prev, 7)
-		if from != prev {
-			t.Errorf("rank %d: from = %d, want %d", c.Rank(), from, prev)
-		}
-		if got[0] != float64(prev) {
-			t.Errorf("rank %d: got %v, want %d", c.Rank(), got, prev)
-		}
-	})
-}
-
-func TestSendCopiesBuffer(t *testing.T) {
-	Run(2, func(c *Comm) {
-		if c.Rank() == 0 {
-			buf := []float64{1, 2, 3}
-			c.SendF64(1, 0, buf)
-			buf[0] = 99 // must not corrupt in-flight message
-			c.Barrier()
-		} else {
-			c.Barrier()
-			got, _ := c.RecvF64(0, 0)
-			if got[0] != 1 {
-				t.Errorf("message corrupted by sender reuse: got %v", got)
-			}
-		}
-	})
-}
-
-func TestRecvAnySource(t *testing.T) {
-	const n = 4
-	Run(n, func(c *Comm) {
-		if c.Rank() == 0 {
-			seen := make(map[int]bool)
-			for i := 0; i < n-1; i++ {
-				v, from := c.RecvF64(AnySource, 3)
-				if int(v[0]) != from {
-					t.Errorf("payload %v does not match source %d", v, from)
-				}
-				seen[from] = true
-			}
-			if len(seen) != n-1 {
-				t.Errorf("saw %d distinct sources, want %d", len(seen), n-1)
-			}
-		} else {
-			c.SendF64(0, 3, []float64{float64(c.Rank())})
-		}
-	})
-}
-
-func TestTagMatching(t *testing.T) {
-	Run(2, func(c *Comm) {
-		if c.Rank() == 0 {
-			// Send out of order with respect to the receiver's Recv order.
-			c.SendF64(1, 20, []float64{20})
-			c.SendF64(1, 10, []float64{10})
-		} else {
-			a, _ := c.RecvF64(0, 10)
-			b, _ := c.RecvF64(0, 20)
-			if a[0] != 10 || b[0] != 20 {
-				t.Errorf("tag matching failed: got %v, %v", a, b)
-			}
-		}
-	})
-}
-
 func TestAllreduceOps(t *testing.T) {
 	const n = 6
 	Run(n, func(c *Comm) {
@@ -155,42 +85,28 @@ func TestAllreduceRepeatedCallsStayMatched(t *testing.T) {
 	})
 }
 
-func TestBcast(t *testing.T) {
-	Run(5, func(c *Comm) {
-		var payload []float64
-		if c.Rank() == 2 {
-			payload = []float64{3.14, 2.71}
-		}
-		got := c.BcastF64(2, payload)
-		if len(got) != 2 || got[0] != 3.14 || got[1] != 2.71 {
-			t.Errorf("rank %d: bcast got %v", c.Rank(), got)
-		}
-		// Mutating the received copy must not affect other ranks.
-		got[0] = float64(c.Rank())
-		c.Barrier()
-		got2 := c.BcastBytes(0, []byte("hello"))
-		if string(got2) != "hello" {
-			t.Errorf("bcast bytes got %q", got2)
-		}
-	})
-}
-
 func TestGatherAndAllgather(t *testing.T) {
 	const n = 4
 	Run(n, func(c *Comm) {
-		parts := c.GatherF64(1, []float64{float64(c.Rank() * 10)})
+		mine := []byte{byte(c.Rank() * 10)}
+		parts := c.GatherBytes(1, mine)
+		mine[0] = 99 // the gathered copy is the root's own
+		c.Barrier()
 		if c.Rank() == 1 {
 			for r := 0; r < n; r++ {
-				if parts[r][0] != float64(r*10) {
+				if len(parts[r]) != 1 || parts[r][0] != byte(r*10) {
 					t.Errorf("gather[%d] = %v", r, parts[r])
 				}
 			}
 		} else if parts != nil {
 			t.Errorf("non-root got %v", parts)
 		}
-		all := c.AllgatherI64([]int64{int64(c.Rank())})
+		// ShareRefs is the allgather: every rank's value, in rank order,
+		// on every rank.
+		all := make([]interface{}, n)
+		c.ShareRefs(int64(c.Rank()), all)
 		for r := 0; r < n; r++ {
-			if all[r][0] != int64(r) {
+			if all[r] != int64(r) {
 				t.Errorf("allgather[%d] = %v", r, all[r])
 			}
 		}
@@ -240,14 +156,14 @@ func TestSplit(t *testing.T) {
 		if sum != float64(n/2) {
 			t.Errorf("sub allreduce = %v, want %d", sum, n/2)
 		}
-		// Point-to-point within sub-communicator.
+		// The sub-communicator's ranks are its own: the gather lands on
+		// its rank 0, in its rank order (descending world rank).
+		parts := sub.GatherBytes(0, []byte{byte(c.Rank())})
 		if sub.Rank() == 0 {
-			sub.SendF64(sub.Size()-1, 5, []float64{8.5})
-		}
-		if sub.Rank() == sub.Size()-1 {
-			v, _ := sub.RecvF64(0, 5)
-			if v[0] != 8.5 {
-				t.Errorf("sub p2p got %v", v)
+			for r, p := range parts {
+				if want := n - 2 + c.Rank()%2 - 2*r; int(p[0]) != want {
+					t.Errorf("sub gather[%d] = world rank %d, want %d", r, p[0], want)
+				}
 			}
 		}
 	})
@@ -268,35 +184,6 @@ func TestSplitNegativeColor(t *testing.T) {
 		}
 		if sub.Size() != 3 {
 			t.Errorf("sub size = %d, want 3", sub.Size())
-		}
-	})
-}
-
-// TestRandomP2PStress drives a random but deadlock-free exchange pattern
-// to shake out matching bugs under concurrency.
-func TestRandomP2PStress(t *testing.T) {
-	const n = 6
-	const rounds = 50
-	Run(n, func(c *Comm) {
-		rng := rand.New(rand.NewSource(int64(c.Rank()) + 1))
-		for round := 0; round < rounds; round++ {
-			// Every rank sends to every other rank, then receives from all.
-			for d := 0; d < n; d++ {
-				if d == c.Rank() {
-					continue
-				}
-				c.SendI64(d, round, []int64{int64(c.Rank()*1000 + round)})
-			}
-			order := rng.Perm(n)
-			for _, s := range order {
-				if s == c.Rank() {
-					continue
-				}
-				v, _ := c.RecvI64(s, round)
-				if v[0] != int64(s*1000+round) {
-					t.Errorf("round %d: from %d got %v", round, s, v)
-				}
-			}
 		}
 	})
 }
@@ -366,11 +253,12 @@ func TestAllreduceInPlaceBitIdenticalToScalars(t *testing.T) {
 						want[i] = c.AllreduceF64Scalar(v, op)
 					}
 					// The ascending-rank fold, spelled out.
+					all := make([]interface{}, n)
 					for i := range vals {
-						all := c.AllgatherF64(vals[i : i+1])
-						acc := all[0][0]
+						c.ShareRefs(vals[i], all)
+						acc := all[0].(float64)
 						for r := 1; r < n; r++ {
-							acc = op.combineF64(acc, all[r][0])
+							acc = op.combineF64(acc, all[r].(float64))
 						}
 						if math.Float64bits(acc) != math.Float64bits(want[i]) {
 							t.Errorf("%d ranks, %v: scalar allreduce %v, ascending-rank fold %v", n, op, want[i], acc)
@@ -440,6 +328,7 @@ func TestMixedCollectivesReuseTheRendezvous(t *testing.T) {
 	Run(n, func(c *Comm) {
 		half := c.Split(c.Rank()%2, c.Rank())
 		buf := make([]float64, 2)
+		refs := make([]interface{}, n)
 		for iter := 0; iter < 300; iter++ {
 			if (iter+c.Rank())%3 == 0 {
 				runtime.Gosched()
@@ -450,14 +339,15 @@ func TestMixedCollectivesReuseTheRendezvous(t *testing.T) {
 				t.Fatalf("iter %d: allreduce = %v", iter, buf)
 			}
 			c.Barrier()
-			if got := c.BcastF64(iter%n, []float64{float64(iter)}); got[0] != float64(iter) {
-				t.Fatalf("iter %d: bcast = %v", iter, got)
+			if got := c.GatherBytes(iter%n, []byte{byte(c.Rank())}); c.Rank() == iter%n && got[3][0] != 3 {
+				t.Fatalf("iter %d: gather = %v", iter, got)
 			}
 			if got := half.AllreduceF64Scalar(1, OpSum); got != 2 {
 				t.Fatalf("iter %d: split allreduce = %v", iter, got)
 			}
-			if got := c.AllgatherI64([]int64{int64(c.Rank())}); got[3][0] != 3 {
-				t.Fatalf("iter %d: allgather = %v", iter, got)
+			c.ShareRefs(c.Rank(), refs)
+			if refs[3] != 3 {
+				t.Fatalf("iter %d: shared refs = %v", iter, refs)
 			}
 		}
 	})

@@ -263,7 +263,7 @@ func TestChaosRelayKillRestart(t *testing.T) {
 			t.Errorf("%s never reconnected — the crash did not exercise the retry path", l.name)
 		}
 	}
-	if r1.Steps() >= N {
+	if r1.Status().Steps >= N {
 		t.Errorf("first relay relayed all %d steps — the kill landed too late to prove recovery", N)
 	}
 	if st := r2.Status(); st.CreditsSent == 0 {

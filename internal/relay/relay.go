@@ -443,22 +443,9 @@ func (r *Relay) OutRanks() int { return len(r.hubs) }
 // Upstreams reports P, the number of upstream streams.
 func (r *Relay) Upstreams() int { return len(r.readers) }
 
-// Requirements returns the unioned downstream declaration the relay
-// requested upstream.
-func (r *Relay) Requirements() sensei.Requirements { return r.req }
-
-// RequestedArrays returns the array subset requested upstream (nil =
-// every published array).
-func (r *Relay) RequestedArrays() []string { return r.arrays }
-
 // Hub returns output o's staging hub (programmatic subscription,
 // stats).
 func (r *Relay) Hub(o int) *staging.Hub { return r.hubs[o] }
-
-// Steps reports aligned steps relayed; Skipped reports per-source
-// steps discarded during stream realignment.
-func (r *Relay) Steps() int64   { return r.steps.Load() }
-func (r *Relay) Skipped() int64 { return r.skipped.Load() }
 
 // Status is the relay's /statusz section.
 type Status struct {

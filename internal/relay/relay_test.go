@@ -232,7 +232,7 @@ func TestRepartitionMatchesDirectMerge(t *testing.T) {
 	if err := <-runErr; err != nil {
 		t.Fatalf("relay run: %v", err)
 	}
-	if got := r.Steps(); got != steps {
+	if got := r.Status().Steps; got != steps {
 		t.Errorf("relay relayed %d steps, want %d", got, steps)
 	}
 
@@ -602,7 +602,7 @@ func TestRelayTreePB146(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		addrs, err := adios.ReadContactEntry(cdir, "sim", 30*time.Second)
+		addrs, err := adios.Contact{Dir: cdir, Name: "sim"}.Read(30 * time.Second)
 		if err != nil {
 			fail("tier0 rendezvous: %v", err)
 			return
@@ -617,10 +617,10 @@ func TestRelayTreePB146(t *testing.T) {
 			fail("tier0: %v", err)
 			return
 		}
-		if got := r1.RequestedArrays(); len(got) != 1 || got[0] != "temperature" {
+		if got := r1.Status().Arrays; len(got) != 1 || got[0] != "temperature" {
 			fail("tier0 requested %v upstream, want the subtree union [temperature]", got)
 		}
-		if err := adios.WriteContactEntry(cdir, "tier0", r1.Addrs(), ""); err != nil {
+		if err := (adios.Contact{Dir: cdir, Name: "tier0"}).Write(r1.Addrs(), ""); err != nil {
 			fail("tier0 publish: %v", err)
 			return
 		}
@@ -631,7 +631,7 @@ func TestRelayTreePB146(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		addrs, err := adios.ReadContactEntry(cdir, "tier0", 30*time.Second)
+		addrs, err := adios.Contact{Dir: cdir, Name: "tier0"}.Read(30 * time.Second)
 		if err != nil {
 			fail("tier1 rendezvous: %v", err)
 			return
@@ -647,7 +647,7 @@ func TestRelayTreePB146(t *testing.T) {
 			fail("tier1: %v", err)
 			return
 		}
-		if err := adios.WriteContactEntry(cdir, "tier1", r2.Addrs(), ""); err != nil {
+		if err := (adios.Contact{Dir: cdir, Name: "tier1"}).Write(r2.Addrs(), ""); err != nil {
 			fail("tier1 publish: %v", err)
 			return
 		}
@@ -664,7 +664,7 @@ func TestRelayTreePB146(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			addrs, err := adios.ReadContactEntry(cdir, entry, 30*time.Second)
+			addrs, err := adios.Contact{Dir: cdir, Name: entry}.Read(30 * time.Second)
 			if err != nil {
 				fail("%s rendezvous: %v", name, err)
 				return

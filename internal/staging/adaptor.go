@@ -320,7 +320,7 @@ func xmlFactory(direct bool) sensei.Factory {
 					addrs[i] = string(b)
 				}
 				dir := strings.TrimSpace(attrs["contact-dir"])
-				if err := adios.WriteContactAt(dir, contact, addrs, ctx.Telemetry.ServeAddr()); err != nil {
+				if err := (adios.Contact{Dir: dir, Name: contact}).Write(addrs, ctx.Telemetry.ServeAddr()); err != nil {
 					return nil, err
 				}
 				if dir != "" {

@@ -1130,6 +1130,11 @@ type ConsumerStats struct {
 	// consumed by the reattached reader in a previous connection).
 	Parked     bool  `json:"parked,omitempty"`
 	Suppressed int64 `json:"suppressed,omitempty"`
+	// SpillErr is a failed demotion ("" while the spill tier is
+	// healthy). After a failure no step is lost — evicted steps stay
+	// deliverable from memory — but the consumer's window is no longer
+	// bounded by its depth.
+	SpillErr string `json:"spill_err,omitempty"`
 }
 
 // statsLocked builds one consumer's snapshot. Caller holds h.mu.
@@ -1142,7 +1147,7 @@ func (h *Hub) statsLocked(c *Consumer) ConsumerStats {
 	if c.closed {
 		lag, resident = 0, 0
 	}
-	return ConsumerStats{
+	st := ConsumerStats{
 		Name: c.name, Policy: c.policy, Depth: c.depth, Arrays: c.arrays,
 		Codecs:    c.codecs,
 		Delivered: c.delivered, Dropped: c.dropped, Spilled: c.spilled,
@@ -1151,6 +1156,10 @@ func (h *Hub) statsLocked(c *Consumer) ConsumerStats {
 		Resident: resident, Blocking: c.blocking > 0, BlockedNs: c.blockedNs,
 		Parked: c.parked, Suppressed: c.suppressed,
 	}
+	if c.spillErr != nil {
+		st.SpillErr = c.spillErr.Error()
+	}
+	return st
 }
 
 // Stats snapshots every consumer's counters in subscription order.
@@ -1167,41 +1176,12 @@ func (h *Hub) Stats() []ConsumerStats {
 // Name reports the consumer's subscription name.
 func (c *Consumer) Name() string { return c.name }
 
-// Policy reports the consumer's backpressure policy.
-func (c *Consumer) Policy() Policy { return c.policy }
-
-// Depth reports the consumer's window depth.
-func (c *Consumer) Depth() int { return c.depth }
-
-// Delivered reports steps handed to this consumer.
-func (c *Consumer) Delivered() int64 {
+// Stats snapshots this consumer's counters: the row Hub.Stats lists
+// for it.
+func (c *Consumer) Stats() ConsumerStats {
 	c.hub.mu.Lock()
 	defer c.hub.mu.Unlock()
-	return c.delivered
-}
-
-// Dropped reports steps this consumer lost to its policy.
-func (c *Consumer) Dropped() int64 {
-	c.hub.mu.Lock()
-	defer c.hub.mu.Unlock()
-	return c.dropped
-}
-
-// Spilled reports steps demoted to this consumer's disk tier.
-func (c *Consumer) Spilled() int64 {
-	c.hub.mu.Lock()
-	defer c.hub.mu.Unlock()
-	return c.spilled
-}
-
-// SpillErr reports a failed demotion (nil while the spill tier is
-// healthy). After a failure no step is lost — evicted steps stay
-// deliverable from memory — but the consumer's window is no longer
-// bounded by its depth.
-func (c *Consumer) SpillErr() error {
-	c.hub.mu.Lock()
-	defer c.hub.mu.Unlock()
-	return c.spillErr
+	return c.hub.statsLocked(c)
 }
 
 // Arrays reports the consumer's declared array subset (nil = all).
@@ -1217,14 +1197,6 @@ func (c *Consumer) Codecs() []string {
 	c.hub.mu.Lock()
 	defer c.hub.mu.Unlock()
 	return c.codecs
-}
-
-// WireBytes reports the marshaled bytes the network pump shipped to
-// this consumer.
-func (c *Consumer) WireBytes() int64 {
-	c.hub.mu.Lock()
-	defer c.hub.mu.Unlock()
-	return c.wireBytes
 }
 
 // addWireBytes accumulates shipped frame bytes (network pump).

@@ -133,8 +133,8 @@ func TestBlockPolicy(t *testing.T) {
 		}
 		ref.Release()
 	}
-	if c.Delivered() != 3 || c.Dropped() != 0 {
-		t.Errorf("delivered=%d dropped=%d", c.Delivered(), c.Dropped())
+	if c.Stats().Delivered != 3 || c.Stats().Dropped != 0 {
+		t.Errorf("delivered=%d dropped=%d", c.Stats().Delivered, c.Stats().Dropped)
 	}
 }
 
@@ -169,8 +169,8 @@ func TestDropOldestPolicy(t *testing.T) {
 	if len(got) != 3 || got[0] != 0 || got[1] != 4 || got[2] != 5 {
 		t.Errorf("delivered %v, want [0 4 5]", got)
 	}
-	if c.Dropped() != 3 || h.Dropped() != 3 {
-		t.Errorf("dropped = %d (hub %d), want 3", c.Dropped(), h.Dropped())
+	if c.Stats().Dropped != 3 || h.Dropped() != 3 {
+		t.Errorf("dropped = %d (hub %d), want 3", c.Stats().Dropped, h.Dropped())
 	}
 }
 
@@ -181,8 +181,8 @@ func TestLatestOnlyPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Depth() != 1 {
-		t.Errorf("latest-only depth = %d, want 1", c.Depth())
+	if c.Stats().Depth != 1 {
+		t.Errorf("latest-only depth = %d, want 1", c.Stats().Depth)
 	}
 	for i := 0; i < 5; i++ {
 		if err := h.Publish(mkStep(i)); err != nil {
@@ -211,8 +211,8 @@ func TestLatestOnlyPolicy(t *testing.T) {
 	if _, err := c.Next(); !errors.Is(err, io.EOF) {
 		t.Errorf("want EOF, got %v", err)
 	}
-	if c.Dropped() != 3 {
-		t.Errorf("dropped = %d, want 3 (structure step deferred, not dropped)", c.Dropped())
+	if c.Stats().Dropped != 3 {
+		t.Errorf("dropped = %d, want 3 (structure step deferred, not dropped)", c.Stats().Dropped)
 	}
 }
 

@@ -164,7 +164,7 @@ func TestAdaptorXML(t *testing.T) {
 		t.Fatal(err)
 	}
 	ad := a.(*Adaptor)
-	addrs, err := adios.ReadContact(contact, 0)
+	addrs, err := adios.Contact{Name: contact}.Read(0)
 	if err != nil || len(addrs) != 1 {
 		t.Fatalf("contact = %v, %v", addrs, err)
 	}

@@ -207,18 +207,3 @@ func (c *Consumer) NextNeeded() int64 {
 	defer c.hub.mu.Unlock()
 	return c.nextNeeded()
 }
-
-// Parked reports whether the consumer is currently parked awaiting a
-// session resume.
-func (c *Consumer) Parked() bool {
-	c.hub.mu.Lock()
-	defer c.hub.mu.Unlock()
-	return c.parked
-}
-
-// Suppressed reports steps withheld below the consumer's resume floor.
-func (c *Consumer) Suppressed() int64 {
-	c.hub.mu.Lock()
-	defer c.hub.mu.Unlock()
-	return c.suppressed
-}

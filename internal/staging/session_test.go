@@ -43,7 +43,7 @@ func (e *sessionEnv) park(t *testing.T) {
 	if !e.sub.Park(nil) {
 		t.Fatal("Park refused: binder did not take ownership")
 	}
-	if !e.sub.Cons.Parked() {
+	if !e.sub.Cons.Stats().Parked {
 		t.Fatal("consumer not parked after Park")
 	}
 }
@@ -107,7 +107,7 @@ func TestSessionClaimConflicts(t *testing.T) {
 				if sub.Session != e.tok {
 					t.Errorf("resume rotated the token: %q -> %q", e.tok, sub.Session)
 				}
-				if sub.Cons.Parked() {
+				if sub.Cons.Stats().Parked {
 					t.Error("consumer still parked after resume")
 				}
 			},
@@ -324,7 +324,7 @@ func TestSessionResumeFloor(t *testing.T) {
 		t.Fatalf("post-resume step %d, want 2 (suppression failed)", got)
 	}
 	ref.Release()
-	if got := sub.Cons.Suppressed(); got != 1 {
+	if got := sub.Cons.Stats().Suppressed; got != 1 {
 		t.Errorf("suppressed = %d, want 1", got)
 	}
 }

@@ -151,13 +151,13 @@ func TestSpillSlowConsumerLosesNothing(t *testing.T) {
 			t.Fatalf("out of order at %d: got step %d", i, s)
 		}
 	}
-	if cons.Spilled() == 0 || h.Spilled() == 0 {
+	if cons.Stats().Spilled == 0 || h.Spilled() == 0 {
 		t.Fatal("no steps were spilled — the test did not exercise the tier")
 	}
-	if cons.Dropped() != 0 {
-		t.Fatalf("spill consumer dropped %d steps", cons.Dropped())
+	if cons.Stats().Dropped != 0 {
+		t.Fatalf("spill consumer dropped %d steps", cons.Stats().Dropped)
 	}
-	if err := cons.SpillErr(); err != nil {
+	if err := cons.Stats().SpillErr; err != "" {
 		t.Fatal(err)
 	}
 	if len(stores["slow"].frames) == 0 {
@@ -286,7 +286,7 @@ func TestSpillStoreFailure(t *testing.T) {
 	// Wait for the spiller to hit the dead disk before draining, so
 	// the delivery path below is deterministically post-failure.
 	deadline := time.Now().Add(5 * time.Second)
-	for cons.SpillErr() == nil {
+	for cons.Stats().SpillErr == "" {
 		if time.Now().After(deadline) {
 			t.Fatal("spill store failure not reported")
 		}

@@ -3,9 +3,7 @@ package staging
 import (
 	"fmt"
 	"sort"
-	"time"
 
-	"nekrs-sensei/internal/metrics"
 	"nekrs-sensei/internal/telemetry"
 )
 
@@ -126,24 +124,6 @@ func (h *Hub) codecStreamStatusLocked() []CodecStreamStatus {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Form < out[j].Form })
 	return out
-}
-
-// ConsumerTable renders consumer stats as a text table — the shutdown
-// report of producers and (via /statusz) remote endpoints.
-func ConsumerTable(title string, stats []ConsumerStats) *metrics.Table {
-	t := metrics.NewTable(title,
-		"consumer", "policy", "depth", "delivered", "dropped", "spilled",
-		"lag", "resident", "blocked", "spill-q", "wire")
-	for _, c := range stats {
-		name := c.Name
-		if c.Closed {
-			name += " (closed)"
-		}
-		t.AddRow(name, c.Policy.String(), c.Depth, c.Delivered, c.Dropped,
-			c.Spilled, c.Lag, c.Resident, time.Duration(c.BlockedNs).Round(time.Microsecond),
-			c.SpillQueue, metrics.HumanBytes(c.WireBytes))
-	}
-	return t
 }
 
 // label helper for per-rank hubs.

@@ -103,12 +103,6 @@ func TestConsumerStatsSnapshot(t *testing.T) {
 		t.Errorf("closed behind = closed %v lag %d, want true 0", b.Closed, b.Lag)
 	}
 
-	out := ConsumerTable("consumers", hub.Stats()).String()
-	for _, want := range []string{"ahead", "behind (closed)", "block"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("consumer table missing %q:\n%s", want, out)
-		}
-	}
 	hub.Close()
 }
 
@@ -253,8 +247,8 @@ func TestCrossProcessTrace(t *testing.T) {
 		t.Fatalf("block reader saw %d of %d steps", len(got), steps)
 	}
 
-	// Both exporters are live; the endpoint assembles the cross-process
-	// view exactly as cmd/sensei-endpoint's -peer-status path does.
+	// Both exporters are live; join the two halves of the pipeline from
+	// the producer's /statusz and the consumer's own ring.
 	prodDoc, err := fetchOwnStatusz(telProd)
 	if err != nil {
 		t.Fatal(err)

@@ -45,14 +45,6 @@ func New(process string) *Telemetry {
 	}
 }
 
-// Process reports the process name ("" when disabled).
-func (t *Telemetry) Process() string {
-	if t == nil {
-		return ""
-	}
-	return t.process
-}
-
 // Registry returns the process registry (nil when disabled).
 func (t *Telemetry) Registry() *Registry {
 	if t == nil {

@@ -63,7 +63,7 @@ func TestNilSafety(t *testing.T) {
 	}
 
 	var tel *Telemetry
-	if tel.Registry() != nil || tel.Tracer() != nil || tel.Process() != "" {
+	if tel.Registry() != nil || tel.Tracer() != nil {
 		t.Error("nil Telemetry handed out non-nil handles")
 	}
 	tel.RegisterStatus("s", func() any { return nil })

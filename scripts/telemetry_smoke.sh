@@ -3,11 +3,14 @@
 #
 # Starts a real producer (cmd/nekrs staging a case over the SST wire)
 # and a real consumer (cmd/sensei-endpoint) with -telemetry enabled on
-# both, then asserts while they run that every observability endpoint
-# answers: /metrics carries the staging/SST series, the producer's
-# /statusz carries the staging-hub section with per-consumer lag, the
-# endpoint's /statusz carries a step trace with consumer-side stages,
-# and /debug/pprof/profile produces a CPU profile on each process.
+# both, rendezvousing through a contact directory, then asserts while
+# they run that every observability endpoint answers: /metrics carries
+# the staging/SST series, the producer's /statusz carries the
+# staging-hub section with per-consumer lag, the endpoint's /statusz
+# carries a step trace with consumer-side stages, /debug/pprof/profile
+# produces a CPU profile on each process, and meshtop -once joins the
+# two processes' traces into one step timeline with a bottleneck
+# verdict.
 #
 # Phase 2 boots a 2-tier relay tree (nekrs -> relay -> endpoint) in a
 # shared contact directory with -telemetry on all three, then asserts
@@ -42,9 +45,10 @@ go build -o "$workdir/sensei-endpoint" ./cmd/sensei-endpoint
 go build -o "$workdir/relay" ./cmd/relay
 go build -o "$workdir/meshtop" ./cmd/meshtop
 
+mesh1="$workdir/mesh1"
 cat > "$workdir/staging.xml" <<EOF
 <sensei>
-  <analysis type="staging" frequency="1" contact="$workdir/contact.txt"
+  <analysis type="staging" frequency="1" contact="sim" contact-dir="$mesh1"
             consumers="smoke:block:4" arrays="pressure"/>
 </sensei>
 EOF
@@ -62,17 +66,17 @@ echo "== starting producer (nekrs) with -telemetry $PROD"
 sim_pid=$!
 
 for _ in $(seq 1 100); do
-    [ -s "$workdir/contact.txt" ] && break
+    [ -s "$mesh1/sim.contact" ] && break
     kill -0 "$sim_pid" 2>/dev/null || { cat "$workdir/nekrs.log"; echo "producer died before rendezvous"; exit 1; }
     sleep 0.1
 done
-[ -s "$workdir/contact.txt" ] || { echo "contact file never appeared"; exit 1; }
+[ -s "$mesh1/sim.contact" ] || { echo "contact entry never appeared"; exit 1; }
 
 echo "== starting endpoint (sensei-endpoint) with -telemetry $CONS"
-"$workdir/sensei-endpoint" -contact "$workdir/contact.txt" \
+"$workdir/sensei-endpoint" -contact-dir "$mesh1" -contact sim \
     -config "$workdir/endpoint.xml" -consumer smoke:block:4 \
     -step-delay 100ms -out "$workdir/ep-out" \
-    -telemetry "$CONS" -peer-status "$PROD" >"$workdir/endpoint.log" 2>&1 &
+    -telemetry "$CONS" >"$workdir/endpoint.log" 2>&1 &
 ep_pid=$!
 
 # fetch URL SUBSTRING — retry until the body contains the marker.
@@ -106,18 +110,29 @@ for p in prod cons; do
 done
 echo "ok: pprof profiles on both processes"
 
+# check_meshtop DIR OUT MARKER... — one meshtop snapshot of the live
+# mesh must contain every marker.
+check_meshtop() {
+    dir=$1 out=$2
+    shift 2
+    "$workdir/meshtop" -contact-dir "$dir" -once > "$out"
+    for marker in "$@"; do
+        grep -q -- "$marker" "$out" || {
+            echo "FAIL: meshtop output missing \"$marker\""
+            cat "$out"
+            exit 1
+        }
+    done
+}
+
+echo "== meshtop -once: the producer + endpoint timeline"
+check_meshtop "$mesh1" "$workdir/meshtop1.out" \
+    "meshtop — 2 process" "producer" "observer" "smoke" "step timeline" "bottleneck:"
+echo "ok: meshtop joined both processes' traces"
+
 echo "== waiting for clean exits"
 wait "$ep_pid"; ep_pid=""
 wait "$sim_pid"; sim_pid=""
-
-# The endpoint's -peer-status report is best-effort (the producer may
-# already be gone by drain time); the trace table printed from its own
-# ring is not.
-grep -q "step trace" "$workdir/endpoint.log" || {
-    echo "FAIL: endpoint never printed a step trace"
-    cat "$workdir/endpoint.log"
-    exit 1
-}
 
 echo "== phase 2: 2-tier relay tree + mesh observatory"
 mesh="$workdir/mesh"
@@ -190,14 +205,7 @@ fetch_jq "http://$RELAY2/meshz" '.processes | length >= 3' "relay serves /meshz 
 fetch "http://$CONS2/eventz" '"total_events"'
 
 echo "== meshtop -once against the live tree"
-"$workdir/meshtop" -contact-dir "$mesh" -once > "$workdir/meshtop.out"
-for marker in "meshtop —" "sim" "tier1" "step timeline"; do
-    grep -q "$marker" "$workdir/meshtop.out" || {
-        echo "FAIL: meshtop output missing \"$marker\""
-        cat "$workdir/meshtop.out"
-        exit 1
-    }
-done
+check_meshtop "$mesh" "$workdir/meshtop.out" "meshtop —" "sim" "tier1" "step timeline"
 echo "ok: meshtop rendered the topology and timeline"
 
 echo "== waiting for clean exits"
