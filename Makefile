@@ -49,9 +49,9 @@ fmt:
 	fi
 
 # The solver's per-iteration path, a fixed iteration count each:
-# generated derivative kernels, fused Laplacian/Helmholtz, one CG
-# iteration, gather-scatter. -benchmem shows the zero-allocation
-# steady state.
+# generated derivative kernels (".../avx2" next to ".../go" where the
+# CPU has AVX2), fused Laplacian/Helmholtz, one CG iteration,
+# gather-scatter. -benchmem shows the zero-allocation steady state.
 bench-kernels:
 	$(GO) test -run='^$$' -bench='Deriv|Laplacian|Helmholtz|CGIteration|GSSum' \
 		-benchmem -benchtime=100x ./internal/tensor ./internal/fluid ./internal/gs
@@ -82,11 +82,12 @@ bench-codec:
 bench-e2e:
 	bash scripts/bench_e2e.sh
 
-# internal/tensor/kernels_gen.go is generated (go generate) and
-# committed; this fails when it no longer matches its generator.
+# internal/tensor/kernels_gen.go and kernels_amd64.s are generated
+# (go generate) and committed; this fails when either no longer
+# matches its generator.
 generate-check:
 	$(GO) generate ./internal/tensor
-	git diff --exit-code -- internal/tensor/kernels_gen.go
+	git diff --exit-code -- internal/tensor/kernels_gen.go internal/tensor/kernels_amd64.s
 
 # Non-test, non-generated Go lines per package. The sum over adios +
 # staging + relay + intransit may only shrink (ROADMAP item 4), and the

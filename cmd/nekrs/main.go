@@ -27,6 +27,7 @@ import (
 	"nekrs-sensei/internal/sensei"
 	"nekrs-sensei/internal/shell"
 	"nekrs-sensei/internal/telemetry"
+	"nekrs-sensei/internal/tensor"
 
 	_ "nekrs-sensei/internal/catalyst" // analysis type "catalyst"
 	_ "nekrs-sensei/internal/probe"    // analysis type "probe"
@@ -129,6 +130,9 @@ func run(o *options, tel *telemetry.Telemetry) error {
 		return err
 	}
 
+	fmt.Printf("nekrs: case %s, order %d, %d rank(s), tensor kernels: %s\n",
+		c.Name, o.order, o.ranks, tensor.KernelPath())
+
 	errs := make([]error, o.ranks)
 	// Allocator window over the stepping loop (process-wide: all
 	// simulated ranks share one Go heap) — the steady-state alloc/GC
@@ -153,6 +157,13 @@ func run(o *options, tel *telemetry.Telemetry) error {
 			telemetry.RegisterAccountant(tel.Registry(), sim.Acct, rankKV...)
 			if rank == 0 {
 				telemetry.RegisterStorage(tel.Registry(), sim.Storage)
+				// Why this producer is as fast as it is: a host without
+				// AVX2 runs the Go kernels, about half the speed.
+				solver := map[string]any{
+					"kernels": tensor.KernelPath(), "nq": sim.Solver.Mesh().Nq,
+					"ranks": o.ranks, "device_workers": sim.Solver.Device().Workers(),
+				}
+				tel.RegisterStatus("solver", func() any { return solver })
 			}
 		}
 		if o.ckEvery > 0 {

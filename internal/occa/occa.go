@@ -69,6 +69,9 @@ func NewDeviceWorkers(mode Mode, workers int, acct *metrics.Accountant) *Device 
 // Mode reports the device backend.
 func (d *Device) Mode() Mode { return d.mode }
 
+// Workers reports how many goroutines a kernel launch is split across.
+func (d *Device) Workers() int { return d.workers }
+
 // D2HBytes reports cumulative device-to-host traffic in bytes.
 func (d *Device) D2HBytes() int64 { return d.d2hBytes.Load() }
 

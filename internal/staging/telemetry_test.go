@@ -146,7 +146,7 @@ func TestHubTelemetryCounters(t *testing.T) {
 		t.Errorf("dropped counter = %d, want hub total %d (nonzero)", got, hub.Dropped())
 	}
 	// Marshal/publish stamps landed in the process trace ring.
-	traces := telemetry.UnionTraces(tel.Tracer().Snapshot())
+	traces := tel.Tracer().Snapshot()
 	if len(traces) != 4 {
 		t.Fatalf("trace ring has %d steps, want 4", len(traces))
 	}
@@ -256,27 +256,37 @@ func TestCrossProcessTrace(t *testing.T) {
 	if _, ok := prodDoc.Status["staging-hub/rank-0"]; !ok {
 		t.Fatalf("producer statusz missing hub section: %v", prodDoc.Status)
 	}
-	merged := telemetry.UnionTraces(prodDoc.Traces, telCons.Tracer().Snapshot())
-	if len(merged) != steps {
-		t.Fatalf("merged trace has %d steps, want %d", len(merged), steps)
+	// The two rings are the two halves of each step: the producer's
+	// stages on its /statusz, the consumer's in its own ring.
+	halves := []struct {
+		ring   []telemetry.StepTrace
+		stages []string
+	}{
+		{prodDoc.Traces, []string{"compute", "marshal", "publish"}},
+		{telCons.Tracer().Snapshot(), []string{"deliver", "decode"}},
 	}
-	for _, tr := range merged {
-		for _, stage := range []string{"compute", "marshal", "publish", "deliver", "decode"} {
-			if _, ok := tr.Stamps[stage]; !ok {
-				t.Errorf("step %d missing %q in merged trace: %+v", tr.Step, stage, tr.Stamps)
+	for _, h := range halves {
+		if len(h.ring) != steps {
+			t.Fatalf("ring with %v has %d steps, want %d", h.stages, len(h.ring), steps)
+		}
+		for _, tr := range h.ring {
+			for _, stage := range h.stages {
+				if _, ok := tr.Stamps[stage]; !ok {
+					t.Errorf("step %d missing %q: %+v", tr.Step, stage, tr.Stamps)
+				}
 			}
 		}
-		if tr.Stages < 5 {
-			t.Errorf("step %d has %d stages, want >= 5", tr.Step, tr.Stages)
-		}
 	}
-	// Stage ordering holds within one merged step: marshal before
-	// deliver, deliver no later than decode.
-	last := merged[len(merged)-1]
-	if last.Stamps["marshal"] > last.Stamps["deliver"] {
-		t.Errorf("step %d marshal stamp after deliver", last.Step)
+	// Stage ordering holds across the halves of one step: marshal
+	// before deliver, deliver no later than decode.
+	prod, cons := prodDoc.Traces[steps-1], halves[1].ring[steps-1]
+	if prod.Step != cons.Step {
+		t.Fatalf("last steps differ: producer %d, consumer %d", prod.Step, cons.Step)
 	}
-	if last.Stamps["deliver"] > last.Stamps["decode"] {
-		t.Errorf("step %d deliver stamp after decode", last.Step)
+	if prod.Stamps["marshal"] > cons.Stamps["deliver"] {
+		t.Errorf("step %d marshal stamp after deliver", prod.Step)
+	}
+	if cons.Stamps["deliver"] > cons.Stamps["decode"] {
+		t.Errorf("step %d deliver stamp after decode", cons.Step)
 	}
 }

@@ -171,38 +171,6 @@ func (t *StepTracer) Snapshot() []StepTrace {
 	return out
 }
 
-// UnionTraces flattens step traces across rings: stamps for the same
-// step ordinal are unioned (later rings win stamp conflicts), with
-// process identity discarded. Useful when the rings are known to hold
-// disjoint stages of one pipeline; for a mesh where the same stage
-// recurs per tier (a relay publishes too), use MergeTraces, which
-// keys by (process, ordinal).
-func UnionTraces(rings ...[]StepTrace) []StepTrace {
-	byStep := make(map[int64]*StepTrace)
-	var steps []int64
-	for _, ring := range rings {
-		for _, tr := range ring {
-			dst := byStep[tr.Step]
-			if dst == nil {
-				dst = &StepTrace{Step: tr.Step, Stamps: make(map[string]int64, NumStages)}
-				byStep[tr.Step] = dst
-				steps = append(steps, tr.Step)
-			}
-			for k, v := range tr.Stamps {
-				dst.Stamps[k] = v
-			}
-		}
-	}
-	sort.Slice(steps, func(i, j int) bool { return steps[i] < steps[j] })
-	out := make([]StepTrace, 0, len(steps))
-	for _, s := range steps {
-		tr := byStep[s]
-		tr.finish()
-		out = append(out, *tr)
-	}
-	return out
-}
-
 // TraceTable renders traces as a text table: one row per step, each
 // stage as a +ms offset from the step's first stamp ("-" when the
 // stage was not reached).

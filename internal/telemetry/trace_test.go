@@ -103,35 +103,6 @@ func TestTracerNilAndBadInput(t *testing.T) {
 	}
 }
 
-func TestUnionTraces(t *testing.T) {
-	producer := []StepTrace{
-		{Step: 7, Stamps: map[string]int64{"compute": 100, "marshal": 110, "publish": 120}},
-		{Step: 8, Stamps: map[string]int64{"compute": 200}},
-	}
-	endpoint := []StepTrace{
-		{Step: 7, Stamps: map[string]int64{"deliver": 130, "decode": 140, "publish": 121}},
-		{Step: 9, Stamps: map[string]int64{"deliver": 300}},
-	}
-	merged := UnionTraces(producer, endpoint)
-	if len(merged) != 3 {
-		t.Fatalf("merged %d steps, want 3", len(merged))
-	}
-	if merged[0].Step != 7 || merged[1].Step != 8 || merged[2].Step != 9 {
-		t.Fatalf("merged steps out of order: %+v", merged)
-	}
-	step7 := merged[0]
-	if step7.Stages != 5 {
-		t.Errorf("step 7 has %d stages, want 5", step7.Stages)
-	}
-	// Later ring wins stamp conflicts.
-	if step7.Stamps["publish"] != 121 {
-		t.Errorf("publish stamp = %d, want endpoint's 121", step7.Stamps["publish"])
-	}
-	if step7.SpanMs != float64(140-100)/1e6 {
-		t.Errorf("span = %g ms", step7.SpanMs)
-	}
-}
-
 func TestTraceTable(t *testing.T) {
 	traces := []StepTrace{{
 		Step:   4,

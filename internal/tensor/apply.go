@@ -8,20 +8,40 @@ package tensor
 
 //go:generate go run gen.go
 
-// The six derivative kernels below dispatch on nq alone: the sizes the
-// cases run (see gen.go) go to generated kernels that hold the pencil
-// being contracted in registers; every other size takes the generic
-// loops further down, which are also the reference the generated code
-// is tested against, bit for bit. Both form each output value the same
-// way — start from zero (DerivR/S/T) or from the value already in out
-// (DerivRT/ST/TT) and add the products in ascending m — which is the
-// summation-order contract the pinned solver trajectories rest on.
+// The six derivative kernels below dispatch on nq and the CPU alone:
+// the sizes the cases run (see gen.go) go to AVX2 assembly on an amd64
+// that has it (avx2_amd64.go) and otherwise to generated Go kernels
+// that hold the pencil being contracted in registers; every other size
+// takes the generic loops further down, which are also the reference
+// the generated code is tested against, bit for bit. All three form
+// each output value the same way — start from zero (DerivR/S/T) or
+// from the value already in out (DerivRT/ST/TT) and add the products
+// in ascending m, each product rounded before it is added — which is
+// the summation-order contract the pinned solver trajectories rest on.
+
+// axis names the direction a derivative kernel contracts along.
+type axis int
+
+const (
+	axisR axis = iota
+	axisS
+	axisT
+)
+
+// KernelPath names what the generated sizes run on this machine:
+// "avx2" (the assembly) or "go" (the generated Go kernels).
+func KernelPath() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "go"
+}
 
 // DerivR applies the 1D operator D (row-major Nq x Nq) along the r
 // (fastest) axis of one element: out[k,j,i] = sum_m D[i,m] u[k,j,m].
 // u and out hold one element; out must not alias u.
 func DerivR(d []float64, nq int, u, out []float64) {
-	if !derivRFixed(d, nq, u, out) {
+	if !derivAVX2(axisR, false, d, nq, u, out) && !derivRFixed(d, nq, u, out) {
 		derivRGeneric(d, nq, u, out)
 	}
 }
@@ -29,7 +49,7 @@ func DerivR(d []float64, nq int, u, out []float64) {
 // DerivS applies D along the s (middle) axis: out[k,j,i] = sum_m D[j,m] u[k,m,i].
 // out must not alias u.
 func DerivS(d []float64, nq int, u, out []float64) {
-	if !derivSFixed(d, nq, u, out) {
+	if !derivAVX2(axisS, false, d, nq, u, out) && !derivSFixed(d, nq, u, out) {
 		derivSGeneric(d, nq, u, out)
 	}
 }
@@ -37,7 +57,7 @@ func DerivS(d []float64, nq int, u, out []float64) {
 // DerivT applies D along the t (slowest) axis: out[k,j,i] = sum_m D[k,m] u[m,j,i].
 // out must not alias u.
 func DerivT(d []float64, nq int, u, out []float64) {
-	if !derivTFixed(d, nq, u, out) {
+	if !derivAVX2(axisT, false, d, nq, u, out) && !derivTFixed(d, nq, u, out) {
 		derivTGeneric(d, nq, u, out)
 	}
 }
@@ -46,7 +66,7 @@ func DerivT(d []float64, nq int, u, out []float64) {
 // out[k,j,i] += sum_m D[m,i] u[k,j,m]. Used for the D^T G D weak
 // Laplacian. out may hold prior partial sums; it must not alias u.
 func DerivRT(d []float64, nq int, u, out []float64) {
-	if !derivRTFixed(d, nq, u, out) {
+	if !derivAVX2(axisR, true, d, nq, u, out) && !derivRTFixed(d, nq, u, out) {
 		derivRTGeneric(d, nq, u, out)
 	}
 }
@@ -54,7 +74,7 @@ func DerivRT(d []float64, nq int, u, out []float64) {
 // DerivST accumulates the transpose application along s:
 // out[k,j,i] += sum_m D[m,j] u[k,m,i]. out must not alias u.
 func DerivST(d []float64, nq int, u, out []float64) {
-	if !derivSTFixed(d, nq, u, out) {
+	if !derivAVX2(axisS, true, d, nq, u, out) && !derivSTFixed(d, nq, u, out) {
 		derivSTGeneric(d, nq, u, out)
 	}
 }
@@ -62,7 +82,7 @@ func DerivST(d []float64, nq int, u, out []float64) {
 // DerivTT accumulates the transpose application along t:
 // out[k,j,i] += sum_m D[m,k] u[m,j,i]. out must not alias u.
 func DerivTT(d []float64, nq int, u, out []float64) {
-	if !derivTTFixed(d, nq, u, out) {
+	if !derivAVX2(axisT, true, d, nq, u, out) && !derivTTFixed(d, nq, u, out) {
 		derivTTGeneric(d, nq, u, out)
 	}
 }

@@ -1,0 +1,8 @@
+//go:build !amd64
+
+package tensor
+
+// useAVX2 is never set off amd64: the generated Go kernels run.
+var useAVX2 = false
+
+func derivAVX2(ax axis, transpose bool, d []float64, nq int, u, out []float64) bool { return false }

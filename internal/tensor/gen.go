@@ -1,16 +1,19 @@
 //go:build ignore
 
-// gen writes kernels_gen.go: the derivative kernels of apply.go with
-// the loops over the contraction index unrolled for fixed Nq, so the
-// pencil being contracted stays in registers and the derivative matrix
-// is addressed by constant offsets. Run with `go generate` from this
+// gen writes the derivative kernels of apply.go for fixed Nq, twice.
+// kernels_gen.go unrolls the loops over the contraction index in Go,
+// so the pencil being contracted stays in registers and the derivative
+// matrix is addressed by constant offsets. kernels_amd64.s is the same
+// arithmetic as one AVX2 small matrix product, C = (0 | C) + A·B, four
+// output values per register. Run with `go generate` from this
 // directory.
 //
 // Every generated kernel forms each output value from exactly the
 // floating-point operations of its generic counterpart in the same
 // order — start from zero (or the prior value, for the accumulating
-// transposes), add the products in ascending contraction index — so
-// the results are bit-identical; kernels_test.go holds them to that.
+// transposes), add the products in ascending contraction index, one
+// rounding per multiply and one per add — so the results are
+// bit-identical; kernels_test.go holds them to that.
 package main
 
 import (
@@ -71,9 +74,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gen:", err)
 		os.Exit(1)
 	}
-	if err := os.WriteFile("kernels_gen.go", src, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "gen:", err)
-		os.Exit(1)
+	for name, text := range map[string][]byte{"kernels_gen.go": src, "kernels_amd64.s": asm()} {
+		if err := os.WriteFile(name, text, 0o644); err != nil {
+			fmt.Fprintln(os.Stderr, "gen:", err)
+			os.Exit(1)
+		}
 	}
 }
 
@@ -122,4 +127,96 @@ func kernel(b *bytes.Buffer, fn string, ax axis, nq int, transpose bool) {
 		fmt.Fprintf(b, "%s}\n", indent)
 	}
 	b.WriteString("}\n\n")
+}
+
+// asmHeader opens kernels_amd64.s with the lane masks of the tails: a
+// tail of t lanes loads its mask 8*(3-t) bytes in.
+const asmHeader = `// Code generated by go run gen.go; DO NOT EDIT.
+
+#include "textflag.h"
+
+DATA tailmask<>+0(SB)/8, $-1
+DATA tailmask<>+8(SB)/8, $-1
+DATA tailmask<>+16(SB)/8, $-1
+DATA tailmask<>+24(SB)/8, $0
+DATA tailmask<>+32(SB)/8, $0
+DATA tailmask<>+40(SB)/8, $0
+GLOBL tailmask<>(SB), RODATA|NOPTR, $48
+`
+
+// asm emits, for every size, the product C = (0 | C) + A·B of an
+// nq x nq A with an nq x L B in the two shapes the kernels need:
+// mm<nq>planes runs n products with L = nq, C advancing a plane each
+// time and A and B by aStep and bStep elements (one of them the fixed
+// derivative matrix, step 0); mm<nq>wide runs one with L = nq*nq.
+func asm() []byte {
+	var b bytes.Buffer
+	b.WriteString(asmHeader)
+	for _, nq := range sizes {
+		for _, planes := range []bool{true, false} {
+			L, name, args, frame := nq*nq, "wide", "acc bool", 25
+			if planes {
+				L, name, args, frame = nq, "planes", "n, aStep, bStep int, acc bool", 49
+			}
+			fmt.Fprintf(&b, "\n// func mm%d%s(c, a, b *float64, %s)\n", nq, name, args)
+			fmt.Fprintf(&b, "TEXT ·mm%d%s(SB), NOSPLIT, $0-%d\n", nq, name, frame)
+			b.WriteString("\tMOVQ c+0(FP), DI\n\tMOVQ a+8(FP), SI\n\tMOVQ b+16(FP), DX\n")
+			fmt.Fprintf(&b, "\tMOVBLZX acc+%d(FP), AX\n", frame-1)
+			if tail := L % 4; tail > 0 {
+				fmt.Fprintf(&b, "\tVMOVDQU tailmask<>+%d(SB), Y10\n", 8*(3-tail))
+			}
+			if planes {
+				b.WriteString("\tMOVQ n+24(FP), CX\n\tMOVQ aStep+32(FP), R8\n\tMOVQ bStep+40(FP), R9\n")
+				b.WriteString("\tSHLQ $3, R8\n\tSHLQ $3, R9\nloop:\n")
+				for col := 0; col < L; col += 4 {
+					tile(&b, nq, L, col, min(4, L-col))
+				}
+				fmt.Fprintf(&b, "\tADDQ $%d, DI\n\tADDQ R8, SI\n\tADDQ R9, DX\n", 8*nq*nq)
+			} else {
+				fmt.Fprintf(&b, "\tMOVQ $%d, CX\nloop:\n", L/4)
+				tile(&b, nq, L, 0, 4)
+				b.WriteString("\tADDQ $32, DI\n\tADDQ $32, DX\n")
+			}
+			b.WriteString("\tDECQ CX\n\tJNE  loop\n")
+			if !planes && L%4 > 0 {
+				tile(&b, nq, L, 0, L%4)
+			}
+			b.WriteString("\tVZEROUPPER\n\tRET\n")
+		}
+	}
+	return b.Bytes()
+}
+
+// tile emits lanes (at most four) adjacent columns of the product, all
+// nq rows of them: columns col onward of the rows of C (at DI) and B
+// (at DX), both L values long; A is at SI and AX says whether C starts
+// from its prior content. Row r accumulates in Yr, one output value
+// per lane, and takes a[r][m]*b[m][lane] in ascending m as a multiply
+// and then an add — never a fused multiply-add, which would round once
+// where the contract rounds twice. Fewer than four lanes go through
+// the mask in Y10, so no byte outside the rows is read or written.
+func tile(b *bytes.Buffer, nq, L, col, lanes int) {
+	load, store := "VMOVUPD %d(%s), Y%d", "VMOVUPD Y%d, %d(DI)"
+	if lanes < 4 {
+		load, store = "VMASKMOVPD %d(%s), Y10, Y%d", "VMASKMOVPD Y%d, Y10, %d(DI)"
+	}
+	label := fmt.Sprintf("c%dl%d", col, lanes)
+	fmt.Fprintf(b, "\tTESTL AX, AX\n\tJEQ  zero%s\n", label)
+	for r := 0; r < nq; r++ {
+		fmt.Fprintf(b, "\t"+load+"\n", 8*(r*L+col), "DI", r)
+	}
+	fmt.Fprintf(b, "\tJMP  sum%s\nzero%s:\n", label, label)
+	for r := 0; r < nq; r++ {
+		fmt.Fprintf(b, "\tVXORPD Y%d, Y%d, Y%d\n", r, r, r)
+	}
+	fmt.Fprintf(b, "sum%s:\n", label)
+	for m := 0; m < nq; m++ {
+		fmt.Fprintf(b, "\t"+load+"\n", 8*(m*L+col), "DX", 8)
+		for r := 0; r < nq; r++ {
+			fmt.Fprintf(b, "\tVBROADCASTSD %d(SI), Y9\n\tVMULPD Y8, Y9, Y9\n\tVADDPD Y9, Y%d, Y%d\n", 8*(r*nq+m), r, r)
+		}
+	}
+	for r := 0; r < nq; r++ {
+		fmt.Fprintf(b, "\t"+store+"\n", r, 8*(r*L+col))
+	}
 }

@@ -1,9 +1,11 @@
 package tensor
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 )
 
@@ -22,53 +24,143 @@ var derivKernels = []derivKernel{
 	{"DerivTT", DerivTT, derivTTGeneric, true},
 }
 
+// kernelPaths are the paths the generated sizes can take on this
+// machine: the assembly if the CPU has AVX2, and the generated Go
+// kernels. usePath switches to one for the rest of the test.
+func kernelPaths() []string {
+	if useAVX2 {
+		return []string{"avx2", "go"}
+	}
+	return []string{"go"}
+}
+
+func usePath(tb testing.TB, path string) {
+	prev := useAVX2
+	useAVX2 = path == "avx2"
+	tb.Cleanup(func() { useAVX2 = prev })
+}
+
+// operandLayouts place a kernel's operands in memory: each returns n
+// values whose content the caller sets. guard_linux_test.go adds the
+// two that put an inaccessible page right after and right before them.
+type operandLayout struct {
+	name  string
+	alloc func(tb testing.TB, n int) []float64
+}
+
+var operandLayouts = []operandLayout{
+	{"plain", func(_ testing.TB, n int) []float64 { return make([]float64, n) }},
+	// One value past an allocation boundary: never 32-byte aligned.
+	{"odd offset", func(_ testing.TB, n int) []float64 { return make([]float64, n+1)[1:] }},
+}
+
 // TestKernelsBitIdenticalToGeneric is the summation-order contract:
-// for Nq 2..12 every exported kernel — generated or not — returns
-// exactly the bits of the generic loops, on dense random data, on data
-// with the exact zeros Dirichlet masks and solid regions produce, and
-// on signed zeros; the accumulating transposes on top of prior content.
+// for Nq 2..12 every exported kernel — on every path this machine has,
+// generated or not — returns exactly the bits of the generic loops, on
+// dense random data, on data with the exact zeros Dirichlet masks and
+// solid regions produce, and on signed zeros; the accumulating
+// transposes on top of prior content. Under the guard-page layouts a
+// single access outside [0,nq^2) of d or [0,nq^3) of u and out is a
+// fault, which ends the test binary.
 func TestKernelsBitIdenticalToGeneric(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for nq := 2; nq <= 12; nq++ {
-		nodes, _ := GLL(nq)
-		d := DerivMatrix(nodes)
-		np := nq * nq * nq
-		for _, k := range derivKernels {
-			for trial := 0; trial < 6; trial++ {
-				u := make([]float64, np)
-				for i := range u {
-					u[i] = rng.NormFloat64()
-					if trial >= 2 && rng.Intn(3) == 0 {
-						u[i] = 0
-					}
-					if trial >= 4 && rng.Intn(4) == 0 {
-						u[i] = math.Copysign(0, -1)
+	for _, path := range kernelPaths() {
+		for _, lay := range operandLayouts {
+			t.Run(path+"/"+lay.name, func(t *testing.T) {
+				usePath(t, path)
+				rng := rand.New(rand.NewSource(13))
+				for nq := 2; nq <= 12; nq++ {
+					nodes, _ := GLL(nq)
+					np := nq * nq * nq
+					d, u, got := lay.alloc(t, nq*nq), lay.alloc(t, np), lay.alloc(t, np)
+					copy(d, DerivMatrix(nodes))
+					want := make([]float64, np)
+					for _, k := range derivKernels {
+						for trial := 0; trial < 6; trial++ {
+							for i := range u {
+								u[i] = rng.NormFloat64()
+								if trial >= 2 && rng.Intn(3) == 0 {
+									u[i] = 0
+								}
+								if trial >= 4 && rng.Intn(4) == 0 {
+									u[i] = math.Copysign(0, -1)
+								}
+							}
+							for i := range got {
+								switch {
+								case !k.accumulates:
+									got[i] = math.NaN() // must be overwritten
+								case trial%2 == 0:
+									got[i] = rng.NormFloat64()
+								default:
+									got[i] = 0
+								}
+								want[i] = got[i]
+							}
+							k.fast(d, nq, u, got)
+							k.generic(d, nq, u, want)
+							for i := range got {
+								if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+									t.Fatalf("%s nq=%d trial %d: out[%d] = %v (%#x), generic %v (%#x)", k.name, nq, trial, i,
+										got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+								}
+							}
+						}
 					}
 				}
-				got := make([]float64, np)
-				want := make([]float64, np)
-				if k.accumulates && trial%2 == 0 {
-					for i := range got {
-						got[i] = rng.NormFloat64()
-						want[i] = got[i]
-					}
-				}
-				k.fast(d, nq, u, got)
-				k.generic(d, nq, u, want)
-				for i := range got {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%s nq=%d trial %d: out[%d] = %v (%#x), generic %v (%#x)", k.name, nq, trial, i,
-							got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-					}
+			})
+		}
+	}
+}
+
+// TestShortOperandsPanic: an operand one value short of nq^2 or nq^3
+// is a Go panic on every path — the array conversions of the generated
+// Go kernels, the index checks in front of the assembly — even when
+// its capacity would have covered what the kernel touches.
+func TestShortOperandsPanic(t *testing.T) {
+	for _, path := range kernelPaths() {
+		usePath(t, path)
+		for _, nq := range generatedSizes {
+			np := nq * nq * nq
+			for _, k := range derivKernels {
+				for short := 0; short < 3; short++ {
+					ops := [3][]float64{make([]float64, nq*nq), make([]float64, np), make([]float64, np)}
+					ops[short] = ops[short][:len(ops[short])-1]
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Errorf("%s path %s nq=%d: operand %d one value short did not panic", k.name, path, nq, short)
+							}
+						}()
+						k.fast(ops[0], nq, ops[1], ops[2])
+					}()
 				}
 			}
 		}
 	}
 }
 
+// TestAssemblyHasNoFMA: a fused multiply-add rounds once where the
+// contract rounds twice, so the generated assembly may not hold one.
+func TestAssemblyHasNoFMA(t *testing.T) {
+	text, err := os.ReadFile("kernels_amd64.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []string{"VMULPD", "VADDPD"} {
+		if !bytes.Contains(text, []byte(op)) {
+			t.Errorf("kernels_amd64.s has no %s: is it still the kernels?", op)
+		}
+	}
+	for _, op := range []string{"VFM", "VFNM"} {
+		if i := bytes.Index(text, []byte(op)); i >= 0 {
+			t.Errorf("kernels_amd64.s holds a fused multiply-add: %q", text[i:i+12])
+		}
+	}
+}
+
 // TestGeneratedSizesDispatch: the sizes the cases run must reach a
-// generated kernel, or the solver silently falls back to loops three
-// times slower.
+// generated kernel — and, on a machine with AVX2, the assembly — or
+// the solver silently falls back to loops several times slower.
 func TestGeneratedSizesDispatch(t *testing.T) {
 	have := make(map[int]bool)
 	for _, nq := range generatedSizes {
@@ -85,11 +177,15 @@ func TestGeneratedSizesDispatch(t *testing.T) {
 		if got := derivRFixed(d, nq, u, out); got != have[nq] {
 			t.Errorf("derivRFixed(nq=%d) = %v, generatedSizes says %v", nq, got, have[nq])
 		}
+		if got := derivAVX2(axisR, false, d, nq, u, out); got != (useAVX2 && have[nq]) {
+			t.Errorf("derivAVX2(nq=%d) = %v with AVX2 %v, generatedSizes says %v", nq, got, useAVX2, have[nq])
+		}
 	}
 }
 
 // BenchmarkDeriv reports ns per point per derivative for every kernel
-// at the Nq the cases run, streaming over 64 elements.
+// at the Nq the cases run, streaming over 64 elements, on each path
+// this machine has (".../avx2" next to ".../go").
 func BenchmarkDeriv(b *testing.B) {
 	const elems = 64
 	for _, nq := range []int{4, 6, 7, 8} {
@@ -102,14 +198,17 @@ func BenchmarkDeriv(b *testing.B) {
 			u[i] = math.Sin(float64(i) * 1e-3)
 		}
 		for _, k := range derivKernels {
-			b.Run(fmt.Sprintf("nq=%d/%s", nq, k.name), func(b *testing.B) {
-				for it := 0; it < b.N; it++ {
-					for e := 0; e < elems; e++ {
-						k.fast(d, nq, u[e*np:(e+1)*np], out[e*np:(e+1)*np])
+			for _, path := range kernelPaths() {
+				b.Run(fmt.Sprintf("nq=%d/%s/%s", nq, k.name, path), func(b *testing.B) {
+					usePath(b, path)
+					for it := 0; it < b.N; it++ {
+						for e := 0; e < elems; e++ {
+							k.fast(d, nq, u[e*np:(e+1)*np], out[e*np:(e+1)*np])
+						}
 					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*elems*np), "ns/point")
-			})
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*elems*np), "ns/point")
+				})
+			}
 		}
 	}
 }

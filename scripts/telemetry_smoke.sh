@@ -6,7 +6,8 @@
 # both, rendezvousing through a contact directory, then asserts while
 # they run that every observability endpoint answers: /metrics carries
 # the staging/SST series, the producer's /statusz carries the
-# staging-hub section with per-consumer lag, the endpoint's /statusz
+# staging-hub section with per-consumer lag and the solver section
+# naming the tensor kernel path, the endpoint's /statusz
 # carries a step trace with consumer-side stages, /debug/pprof/profile
 # produces a CPU profile on each process, and meshtop -once joins the
 # two processes' traces into one step timeline with a bottleneck
@@ -98,6 +99,7 @@ fetch() {
 fetch "http://$PROD/metrics" "staging_published_steps_total"
 fetch "http://$PROD/statusz" "staging-hub"
 fetch "http://$PROD/statusz" '"lag"'
+fetch "http://$PROD/statusz" '"kernels"' # the solver section: which tensor kernels run
 fetch "http://$CONS/metrics" "sst_reader_steps_total"
 fetch "http://$CONS/statusz" '"deliver"'
 fetch "http://$CONS/statusz" '"analyze"'
