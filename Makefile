@@ -49,11 +49,13 @@ fmt:
 	fi
 
 # The solver's per-iteration path, a fixed iteration count each:
-# generated derivative kernels (".../avx2" next to ".../go" where the
-# CPU has AVX2), fused Laplacian/Helmholtz, one CG iteration,
-# gather-scatter. -benchmem shows the zero-allocation steady state.
+# generated derivative kernels and the metric contraction (".../avx2"
+# next to ".../go" where the CPU has AVX2), fused Laplacian/Helmholtz,
+# one CG iteration (one rank on a periodic box, and pb146 order 6 on
+# two ranks as pb146-solve runs it), gather-scatter on pb146's two-rank
+# numbering. -benchmem shows the zero-allocation steady state.
 bench-kernels:
-	$(GO) test -run='^$$' -bench='Deriv|Laplacian|Helmholtz|CGIteration|GSSum' \
+	$(GO) test -run='^$$' -bench='Deriv|Metric|Laplacian|Helmholtz|CGIteration|GSSum' \
 		-benchmem -benchtime=100x ./internal/tensor ./internal/fluid ./internal/gs
 
 # The in situ render path, a fixed iteration count each: rasteriser

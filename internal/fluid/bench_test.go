@@ -76,13 +76,15 @@ func BenchmarkHelmholtz(b *testing.B) {
 	reportPerPoint(b, s.n)
 }
 
-// BenchmarkCGIteration times one iteration of the pressure solve at
-// order 6 — operator, gather-scatter, the fused vector passes and the
-// reductions — by running solves capped at 25 iterations that cannot
-// converge.
-func BenchmarkCGIteration(b *testing.B) {
-	const iters = 25
-	s := benchSolver(b, 6)
+// BenchSolver and BenchCG serve BenchmarkCGIteration, which is in
+// package fluid_test so that it can build pb146 through cases.
+var BenchSolver = benchSolver
+
+// BenchCG returns one pressure solve of s, capped at iters iterations
+// it cannot converge in: each call zeroes the pressure and runs Jacobi
+// CG on a fixed smooth right-hand side, and returns the iteration
+// count.
+func BenchCG(s *Solver, iters int) func() int {
 	rhs := s.scr2
 	for i := range rhs {
 		rhs[i] = s.mesh.B[i] * math.Sin(2*math.Pi*s.mesh.X[i]) * math.Cos(2*math.Pi*s.mesh.Z[i])
@@ -91,17 +93,12 @@ func BenchmarkCGIteration(b *testing.B) {
 	opts := s.solverOptions(1e-300, s.diagA, true)
 	opts.MaxIter = iters
 	x := s.P.Data()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() int {
 		for j := range x {
 			x[j] = 0
 		}
-		if res := krylov.CG(s.pOp, rhs, x, &s.cg, opts); res.Iters != iters {
-			b.Fatalf("solve stopped after %d iterations", res.Iters)
-		}
+		return krylov.CG(s.pOp, rhs, x, &s.cg, opts).Iters
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/iters/1e3, "us/iter")
 }
 
 // BenchmarkStep times whole steps of the same solver.

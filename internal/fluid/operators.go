@@ -95,14 +95,7 @@ func (s *Solver) helmholtzElems(elo, ehi int) {
 		ue := a.in[off : off+np : off+np]
 		oe := a.out[off : off+np : off+np]
 		ur, us, ut := derivs3(d, nq, ue, w)
-		ge := g[6*off : 6*(off+np)]
-		for p := range ur {
-			g6 := ge[6*p : 6*p+6 : 6*p+6]
-			r, sv, tv := ur[p], us[p], ut[p]
-			ur[p] = g6[0]*r + g6[1]*sv + g6[2]*tv
-			us[p] = g6[1]*r + g6[3]*sv + g6[4]*tv
-			ut[p] = g6[2]*r + g6[4]*sv + g6[5]*tv
-		}
+		tensor.Metric(g[6*off:6*(off+np)], ur, us, ut)
 		for p := range oe {
 			oe[p] = 0
 		}
@@ -223,36 +216,33 @@ func (s *Solver) divergenceElems(elo, ehi int) {
 func (s *Solver) laplacianDiagLocal() []float64 {
 	nq, np := s.nq, s.np
 	d := s.mesh.D
-	g := s.mesh.G
 	diag := make([]float64, s.n)
 	for e := 0; e < s.nelt; e++ {
-		off := e * np
+		ge := s.mesh.G[6*e*np : 6*(e+1)*np]
+		grr, grs, grt := ge[:np], ge[np:2*np], ge[2*np:3*np]
+		gss, gst, gtt := ge[3*np:4*np], ge[4*np:5*np], ge[5*np:]
 		for k := 0; k < nq; k++ {
 			for j := 0; j < nq; j++ {
 				for i := 0; i < nq; i++ {
-					p := off + k*nq*nq + j*nq + i
+					p := k*nq*nq + j*nq + i
 					var v float64
 					// rr: sum_m D[m,i]^2 Grr(m, j, k)
 					for m := 0; m < nq; m++ {
-						q := off + k*nq*nq + j*nq + m
-						v += d[m*nq+i] * d[m*nq+i] * g[6*q]
+						v += d[m*nq+i] * d[m*nq+i] * grr[k*nq*nq+j*nq+m]
 					}
 					// ss: sum_m D[m,j]^2 Gss(i, m, k)
 					for m := 0; m < nq; m++ {
-						q := off + k*nq*nq + m*nq + i
-						v += d[m*nq+j] * d[m*nq+j] * g[6*q+3]
+						v += d[m*nq+j] * d[m*nq+j] * gss[k*nq*nq+m*nq+i]
 					}
 					// tt: sum_m D[m,k]^2 Gtt(i, j, m)
 					for m := 0; m < nq; m++ {
-						q := off + m*nq*nq + j*nq + i
-						v += d[m*nq+k] * d[m*nq+k] * g[6*q+5]
+						v += d[m*nq+k] * d[m*nq+k] * gtt[m*nq*nq+j*nq+i]
 					}
 					// cross terms at the point itself.
-					g6 := g[6*p : 6*p+6]
-					v += 2 * d[i*nq+i] * d[j*nq+j] * g6[1]
-					v += 2 * d[i*nq+i] * d[k*nq+k] * g6[2]
-					v += 2 * d[j*nq+j] * d[k*nq+k] * g6[4]
-					diag[p] = v
+					v += 2 * d[i*nq+i] * d[j*nq+j] * grs[p]
+					v += 2 * d[i*nq+i] * d[k*nq+k] * grt[p]
+					v += 2 * d[j*nq+j] * d[k*nq+k] * gst[p]
+					diag[e*np+p] = v
 				}
 			}
 		}

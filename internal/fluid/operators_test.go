@@ -61,10 +61,14 @@ func (r *refOps) derivs(in []float64) {
 
 func (r *refOps) laplacian(in, out []float64) {
 	s := r.s
-	g := s.mesh.G
+	g, np := s.mesh.G, s.np
 	r.derivs(in)
 	for p := 0; p < s.n; p++ {
-		g6 := g[6*p : 6*p+6]
+		// G is six planes per element: rr, rs, rt, ss, st, tt.
+		var g6 [6]float64
+		for c := range g6 {
+			g6[c] = g[6*(p/np)*np+c*np+p%np]
+		}
 		a, b, c := r.wr[p], r.ws[p], r.wt[p]
 		r.wr[p] = g6[0]*a + g6[1]*b + g6[2]*c
 		r.ws[p] = g6[1]*a + g6[3]*b + g6[4]*c

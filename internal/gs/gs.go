@@ -69,22 +69,28 @@ type GS struct {
 	comm *mpirt.Comm
 	n    int
 
-	// Groups of local indices that share a gid, in CSR form: group k
-	// is idx[off[k]:off[k+1]], ascending. local holds the gids whose
-	// copies are all on this rank; shared the gids other ranks hold
-	// too, ordered by (owner rank, gid).
-	local, shared groups
+	// copies holds, for every gid with two or more copies on this
+	// rank, its local indices in ascending order, bucketed by count.
+	// shared lists the gids other ranks hold too, ordered by (owner
+	// rank, gid): rep[k] is one local copy of the k-th, whose combined
+	// value is this rank's partial, and shared group k its copies.
+	copies buckets
+	rep    []int32
+	shared groups
 
 	// Exchange buffers, one slice per peer rank, reused by every
 	// Apply. Contributor role: send[d] carries this rank's partial
 	// value of each shared gid owned by d, back[d] receives the
-	// totals in the same order. Owner role: recv[src] receives src's
-	// partials, reply[src] returns the totals; ownContrib[src][k] is
-	// the slot (into totals) of the k-th value exchanged with src.
-	send, back  [][]float64
-	recv, reply [][]float64
-	ownContrib  [][]int32
-	totals      []float64
+	// totals in the same order; sendAll and backAll are the same
+	// values as one slice each, in shared-group order. Owner role:
+	// recv[src] receives src's partials, reply[src] returns the
+	// totals; ownContrib[src][k] is the slot (into totals) of the k-th
+	// value exchanged with src.
+	send, back       [][]float64
+	sendAll, backAll []float64
+	recv, reply      [][]float64
+	ownContrib       [][]int32
+	totals           []float64
 
 	mult []float64 // node multiplicity (copies across all ranks)
 }
@@ -106,6 +112,94 @@ func (g *groups) add(members []int) {
 // count reports the number of groups.
 func (g *groups) count() int { return len(g.off) - 1 }
 
+// group returns group k.
+func (g *groups) group(k int) []int32 { return g.idx[g.off[k]:g.off[k+1]] }
+
+// bucketSizes are the group sizes stored at a fixed stride: on a box
+// mesh a node is copied into the 2 elements of a face, the 4 of an
+// edge or the 8 of a vertex.
+var bucketSizes = [...]int{2, 4, 8}
+
+// buckets holds index groups: fixed[b] the groups of bucketSizes[b]
+// members back to back, rest those of any other size.
+type buckets struct {
+	fixed [len(bucketSizes)][]int32
+	rest  groups
+}
+
+func (b *buckets) add(members []int) {
+	for j, n := range bucketSizes {
+		if len(members) == n {
+			for _, i := range members {
+				b.fixed[j] = append(b.fixed[j], int32(i))
+			}
+			return
+		}
+	}
+	b.rest.add(members)
+}
+
+// combine folds every group's values with op in member order and
+// writes the result to all of its members. Sum, every solver
+// iteration's, runs one unrolled loop per bucket; Min and Max, which
+// only set-up uses, and the remainder, empty on a box mesh, walk the
+// groups one at a time.
+func (b *buckets) combine(u []float64, op Op) {
+	if op == OpSum {
+		sum2(u, b.fixed[0])
+		sum4(u, b.fixed[1])
+		sum8(u, b.fixed[2])
+	} else {
+		for j, idx := range b.fixed {
+			n := bucketSizes[j]
+			for k := 0; k < len(idx); k += n {
+				fold(u, idx[k:k+n:k+n], op)
+			}
+		}
+	}
+	for k, n := 0, b.rest.count(); k < n; k++ {
+		fold(u, b.rest.group(k), op)
+	}
+}
+
+// fold combines one group with op and writes the result to its members.
+func fold(u []float64, grp []int32, op Op) {
+	acc := u[grp[0]]
+	for _, i := range grp[1:] {
+		acc = op.combine(acc, u[i])
+	}
+	for _, i := range grp {
+		u[i] = acc
+	}
+}
+
+// sum2, sum4 and sum8 sum each group of a fixed-stride bucket, left to
+// right, into all of its members.
+func sum2(u []float64, idx []int32) {
+	for k := 0; k+2 <= len(idx); k += 2 {
+		g := idx[k : k+2 : k+2]
+		v := u[g[0]] + u[g[1]]
+		u[g[0]], u[g[1]] = v, v
+	}
+}
+
+func sum4(u []float64, idx []int32) {
+	for k := 0; k+4 <= len(idx); k += 4 {
+		g := idx[k : k+4 : k+4]
+		v := u[g[0]] + u[g[1]] + u[g[2]] + u[g[3]]
+		u[g[0]], u[g[1]], u[g[2]], u[g[3]] = v, v, v, v
+	}
+}
+
+func sum8(u []float64, idx []int32) {
+	for k := 0; k+8 <= len(idx); k += 8 {
+		g := idx[k : k+8 : k+8]
+		v := u[g[0]] + u[g[1]] + u[g[2]] + u[g[3]] + u[g[4]] + u[g[5]] + u[g[6]] + u[g[7]]
+		u[g[0]], u[g[1]], u[g[2]], u[g[3]] = v, v, v, v
+		u[g[4]], u[g[5]], u[g[6]], u[g[7]] = v, v, v, v
+	}
+}
+
 // owner maps a global id to its owning rank.
 func owner(gid int64, size int) int {
 	// Knuth multiplicative hash for spread; gids are dense so modulo
@@ -119,7 +213,7 @@ func owner(gid int64, size int) int {
 // Every rank of comm must call New collectively with its own ids.
 func New(comm *mpirt.Comm, gids []int64) *GS {
 	size := comm.Size()
-	g := &GS{comm: comm, n: len(gids), local: newGroups(), shared: newGroups()}
+	g := &GS{comm: comm, n: len(gids), copies: buckets{rest: newGroups()}, shared: newGroups()}
 
 	// Group local indices by gid.
 	byGid := make(map[int64][]int, len(gids))
@@ -179,18 +273,23 @@ func New(comm *mpirt.Comm, gids []int64) *GS {
 	}
 	sharedFlags := comm.AlltoallI64(replyFlags)
 
-	// Contributor: split gids into purely-local groups and shared
-	// groups ordered by (owner, gid) — the same order the owner
-	// recorded above.
+	// Contributor: bucket every gid this rank holds more than once, in
+	// the order of its first copy so that a sweep walks u forward, and
+	// list the shared ones ordered by (owner, gid) — the same order
+	// the owner recorded above.
+	for i, id := range gids {
+		if members := byGid[id]; len(members) > 1 && members[0] == i {
+			g.copies.add(members)
+		}
+	}
 	sendCount := make([]int, size)
 	for d := 0; d < size; d++ {
 		flags := sharedFlags[d]
 		for k, id := range sendSetup[d] {
 			if flags[k] == 1 {
 				g.shared.add(byGid[id])
+				g.rep = append(g.rep, int32(byGid[id][0]))
 				sendCount[d]++
-			} else if len(byGid[id]) > 1 {
-				g.local.add(byGid[id])
 			}
 		}
 	}
@@ -199,8 +298,10 @@ func New(comm *mpirt.Comm, gids []int64) *GS {
 	for src, plan := range g.ownContrib {
 		recvCount[src] = len(plan)
 	}
-	g.send, g.back = peerBuffers(sendCount)
-	g.recv, g.reply = peerBuffers(recvCount)
+	var flat []float64
+	g.send, g.back, flat = peerBuffers(sendCount)
+	g.sendAll, g.backAll = flat[:len(g.rep)], flat[len(g.rep):]
+	g.recv, g.reply, _ = peerBuffers(recvCount)
 
 	// Multiplicity via a Sum on ones.
 	ones := make([]float64, len(gids))
@@ -213,13 +314,14 @@ func New(comm *mpirt.Comm, gids []int64) *GS {
 }
 
 // peerBuffers carves two sets of per-peer buffers, counts[p] values
-// for peer p in each, out of one allocation.
-func peerBuffers(counts []int) (a, b [][]float64) {
+// for peer p in each, out of one allocation: flat, the first set's
+// values in peer order followed by the second's.
+func peerBuffers(counts []int) (a, b [][]float64, flat []float64) {
 	total := 0
 	for _, c := range counts {
 		total += c
 	}
-	flat := make([]float64, 2*total)
+	flat = make([]float64, 2*total)
 	a, b = make([][]float64, len(counts)), make([][]float64, len(counts))
 	pos := 0
 	for p, c := range counts {
@@ -227,7 +329,7 @@ func peerBuffers(counts []int) (a, b [][]float64) {
 		b[p] = flat[total+pos : total+pos+c : total+pos+c]
 		pos += c
 	}
-	return a, b
+	return a, b, flat
 }
 
 // Len reports the local vector length the exchange was built for.
@@ -252,35 +354,16 @@ func (g *GS) Apply(u []float64, op Op) {
 		panic("gs: vector length does not match setup")
 	}
 
-	// Purely local duplicates.
-	idx := g.local.idx
-	for k, n := 0, g.local.count(); k < n; k++ {
-		grp := idx[g.local.off[k]:g.local.off[k+1]]
-		acc := u[grp[0]]
-		for _, i := range grp[1:] {
-			acc = op.combine(acc, u[i])
-		}
-		for _, i := range grp {
-			u[i] = acc
-		}
-	}
+	// Every node's copies on this rank, shared or not: a shared
+	// node's combined copies are this rank's partial.
+	g.copies.combine(u, op)
 	if g.comm.Size() == 1 {
 		return // a node is shared only when two ranks hold it
 	}
 
-	// Locally combine shared groups and ship partials to owners.
-	idx = g.shared.idx
-	k := 0
-	for _, buf := range g.send {
-		for j := range buf {
-			grp := idx[g.shared.off[k]:g.shared.off[k+1]]
-			acc := u[grp[0]]
-			for _, i := range grp[1:] {
-				acc = op.combine(acc, u[i])
-			}
-			buf[j] = acc
-			k++
-		}
+	// Ship the partials to their owners.
+	for k, i := range g.rep {
+		g.sendAll[k] = u[i]
 	}
 	g.comm.AlltoallF64Into(g.send, g.recv)
 
@@ -293,6 +376,12 @@ func (g *GS) Apply(u []float64, op Op) {
 	}
 	for src, buf := range g.recv {
 		plan := g.ownContrib[src]
+		if op == OpSum {
+			for j, v := range buf {
+				totals[plan[j]] += v
+			}
+			continue
+		}
 		for j, v := range buf {
 			totals[plan[j]] = op.combine(totals[plan[j]], v)
 		}
@@ -305,14 +394,10 @@ func (g *GS) Apply(u []float64, op Op) {
 	}
 	g.comm.AlltoallF64Into(g.reply, g.back)
 
-	// Scatter combined values to all local copies.
-	k = 0
-	for _, buf := range g.back {
-		for _, v := range buf {
-			for _, i := range idx[g.shared.off[k]:g.shared.off[k+1]] {
-				u[i] = v
-			}
-			k++
+	// Scatter the totals to all local copies.
+	for k, v := range g.backAll {
+		for _, i := range g.shared.group(k) {
+			u[i] = v
 		}
 	}
 }

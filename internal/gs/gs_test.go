@@ -79,57 +79,97 @@ func orderedReference(gids [][]int64, vals [][]float64, op Op) [][]float64 {
 	return out
 }
 
+// syntheticIDs returns id maps for size ranks in which a rank holds
+// each of 300 gids 0 to 9 times, at shuffled positions: local and
+// shared groups of every size from 1 to 9.
+func syntheticIDs(rng *rand.Rand, size int) [][]int64 {
+	gids := make([][]int64, size)
+	for id := int64(0); id < 300; id++ {
+		for r := range gids {
+			for c := rng.Intn(10); c > 0; c-- {
+				gids[r] = append(gids[r], id)
+			}
+		}
+	}
+	for _, ids := range gids {
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	}
+	return gids
+}
+
 // TestApplyBitIdenticalToOrderedReference: on the node numbering of a
-// real mesh split over 1, 2 and 3 ranks, every op returns exactly the
-// bits the documented order of combination gives — including repeated
-// calls on the reused exchange buffers.
+// real mesh and on a synthetic id map whose groups fill every bucket
+// and the remainder, split over 1, 2 and 3 ranks, every op returns
+// exactly the bits the documented order of combination gives —
+// including repeated calls on the reused exchange buffers.
 func TestApplyBitIdenticalToOrderedReference(t *testing.T) {
 	cfg := mesh.BoxConfig{Nx: 3, Ny: 2, Nz: 3, Lx: 1, Ly: 1, Lz: 1, Order: 3, Periodic: [3]bool{false, false, true}}
 	rng := rand.New(rand.NewSource(17))
 	for _, size := range []int{1, 2, 3} {
-		gids := make([][]int64, size)
-		for r := range gids {
+		meshIDs := make([][]int64, size)
+		for r := range meshIDs {
 			m, err := mesh.NewBox(cfg, r, size)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gids[r] = m.GlobalID
+			meshIDs[r] = m.GlobalID
 		}
-		const rounds = 3
-		vals := make([][][]float64, rounds)
-		for k := range vals {
-			vals[k] = make([][]float64, size)
-			for r := range gids {
-				vals[k][r] = make([]float64, len(gids[r]))
-				for i := range vals[k][r] {
-					vals[k][r][i] = rng.NormFloat64()
-					if rng.Intn(6) == 0 {
-						vals[k][r][i] = 0
+		checkOrdered(t, rng, "mesh", meshIDs, false)
+		checkOrdered(t, rng, "synthetic", syntheticIDs(rng, size), true)
+	}
+}
+
+// checkOrdered runs every op three times on random values over gids
+// and compares each result with orderedReference, bit for bit. With
+// everyBucket, each rank's fixed-stride buckets and remainder must all
+// hold groups.
+func checkOrdered(t *testing.T, rng *rand.Rand, name string, gids [][]int64, everyBucket bool) {
+	t.Helper()
+	size := len(gids)
+	const rounds = 3
+	vals := make([][][]float64, rounds)
+	for k := range vals {
+		vals[k] = make([][]float64, size)
+		for r := range gids {
+			vals[k][r] = make([]float64, len(gids[r]))
+			for i := range vals[k][r] {
+				vals[k][r][i] = rng.NormFloat64()
+				if rng.Intn(6) == 0 {
+					vals[k][r][i] = 0
+				}
+			}
+		}
+	}
+	for _, op := range []Op{OpSum, OpMin, OpMax} {
+		got := make([][][]float64, rounds)
+		for k := range got {
+			got[k] = make([][]float64, size)
+		}
+		mpirt.Run(size, func(c *mpirt.Comm) {
+			g := New(c, gids[c.Rank()])
+			if everyBucket {
+				for j, idx := range g.copies.fixed {
+					if len(idx) == 0 {
+						t.Errorf("%s, %d ranks: rank %d has no group of %d copies", name, size, c.Rank(), bucketSizes[j])
 					}
 				}
-			}
-		}
-		for _, op := range []Op{OpSum, OpMin, OpMax} {
-			got := make([][][]float64, rounds)
-			for k := range got {
-				got[k] = make([][]float64, size)
-			}
-			mpirt.Run(size, func(c *mpirt.Comm) {
-				g := New(c, gids[c.Rank()])
-				for k := 0; k < rounds; k++ {
-					u := append([]float64(nil), vals[k][c.Rank()]...)
-					g.Apply(u, op)
-					got[k][c.Rank()] = u
+				if g.copies.rest.count() == 0 {
+					t.Errorf("%s, %d ranks: rank %d has no group in the remainder", name, size, c.Rank())
 				}
-			})
+			}
 			for k := 0; k < rounds; k++ {
-				want := orderedReference(gids, vals[k], op)
-				for r := range want {
-					for i := range want[r] {
-						if math.Float64bits(got[k][r][i]) != math.Float64bits(want[r][i]) {
-							t.Fatalf("%d ranks, op %d, round %d: rank %d node %d = %v, reference %v",
-								size, op, k, r, i, got[k][r][i], want[r][i])
-						}
+				u := append([]float64(nil), vals[k][c.Rank()]...)
+				g.Apply(u, op)
+				got[k][c.Rank()] = u
+			}
+		})
+		for k := 0; k < rounds; k++ {
+			want := orderedReference(gids, vals[k], op)
+			for r := range want {
+				for i := range want[r] {
+					if math.Float64bits(got[k][r][i]) != math.Float64bits(want[r][i]) {
+						t.Fatalf("%s, %d ranks, op %d, round %d: rank %d node %d = %v, reference %v",
+							name, size, op, k, r, i, got[k][r][i], want[r][i])
 					}
 				}
 			}
@@ -137,16 +177,31 @@ func TestApplyBitIdenticalToOrderedReference(t *testing.T) {
 	}
 }
 
-// TestApplyDoesNotAllocate: the exchange runs on the buffers New built.
+// TestApplyDoesNotAllocate: the exchange runs on the buffers New built,
+// on one rank and, through the shared path, on two.
 func TestApplyDoesNotAllocate(t *testing.T) {
-	m, err := mesh.NewBox(mesh.BoxConfig{Nx: 2, Ny: 2, Nz: 2, Lx: 1, Ly: 1, Lz: 1, Order: 3}, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := New(mpirt.NewWorld(1).Comm(0), m.GlobalID)
-	u := make([]float64, m.NumNodes())
-	if allocs := testing.AllocsPerRun(20, func() { g.Sum(u) }); allocs != 0 {
-		t.Errorf("Sum allocates %v times per call, want 0", allocs)
+	cfg := mesh.BoxConfig{Nx: 2, Ny: 2, Nz: 2, Lx: 1, Ly: 1, Lz: 1, Order: 3}
+	for _, size := range []int{1, 2} {
+		mpirt.Run(size, func(c *mpirt.Comm) {
+			m, err := mesh.NewBox(cfg, c.Rank(), size)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			g := New(c, m.GlobalID)
+			u := make([]float64, m.NumNodes())
+			if c.Rank() != 0 {
+				// AllocsPerRun calls once to warm up, then runs times.
+				for i := 0; i < 21; i++ {
+					g.Sum(u)
+				}
+				return
+			}
+			// The count is the process's: both ranks' calls.
+			if allocs := testing.AllocsPerRun(20, func() { g.Sum(u) }); allocs != 0 {
+				t.Errorf("%d rank(s): Sum allocates %v times per call, want 0", size, allocs)
+			}
+		})
 	}
 }
 
@@ -384,30 +439,5 @@ func TestLengthMismatchPanics(t *testing.T) {
 			}
 		}()
 		g.Sum(make([]float64, 2))
-	})
-}
-
-func BenchmarkGSSum(b *testing.B) {
-	cfg := mesh.BoxConfig{Nx: 8, Ny: 8, Nz: 8, Lx: 1, Ly: 1, Lz: 1, Order: 5}
-	const size = 4
-	b.ReportAllocs()
-	mpirt.Run(size, func(c *mpirt.Comm) {
-		m, err := mesh.NewBox(cfg, c.Rank(), size)
-		if err != nil {
-			b.Error(err)
-			return
-		}
-		g := New(c, m.GlobalID)
-		u := make([]float64, m.NumNodes())
-		for i := range u {
-			u[i] = float64(i % 17)
-		}
-		c.Barrier()
-		if c.Rank() == 0 {
-			b.ResetTimer()
-		}
-		for i := 0; i < b.N; i++ {
-			g.Sum(u)
-		}
 	})
 }

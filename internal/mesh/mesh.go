@@ -81,11 +81,13 @@ type Mesh struct {
 	GlobalID []int64
 
 	// Geometric factors per point:
-	//   G:   6 per point (Grr, Grs, Grt, Gss, Gst, Gtt), scaled by w*J,
-	//        for the weak Laplacian D^T G D.
+	//   G:   the weak Laplacian's D^T G D metric, scaled by w*J, as six
+	//        planes per element: G[6*e*Np + c*Np + p] with c = 0..5 for
+	//        Grr, Grs, Grt, Gss, Gst, Gtt, so an element's slice
+	//        G[6*e*Np : 6*(e+1)*Np] is what tensor.Metric takes.
 	//   B:   quadrature mass w*J (unassembled diagonal mass matrix).
-	//   RX:  9 per point (rx, sx, tx, ry, sy, ty, rz, sz, tz) for
-	//        physical gradients.
+	//   RX:  9 per point, interleaved (rx, sx, tx, ry, sy, ty, rz, sz,
+	//        tz), for physical gradients.
 	//   Jac: Jacobian determinant.
 	G   []float64
 	B   []float64
@@ -360,13 +362,13 @@ func (m *Mesh) buildGeometricFactors() {
 			r9[3], r9[4], r9[5] = ry, sy, ty
 			r9[6], r9[7], r9[8] = rzv, sz, tz
 
-			g6 := m.G[6*gp : 6*gp+6]
-			g6[0] = wJ * (rx*rx + ry*ry + rzv*rzv) // Grr
-			g6[1] = wJ * (rx*sx + ry*sy + rzv*sz)  // Grs
-			g6[2] = wJ * (rx*tx + ry*ty + rzv*tz)  // Grt
-			g6[3] = wJ * (sx*sx + sy*sy + sz*sz)   // Gss
-			g6[4] = wJ * (sx*tx + sy*ty + sz*tz)   // Gst
-			g6[5] = wJ * (tx*tx + ty*ty + tz*tz)   // Gtt
+			ge := m.G[6*e*np+p:]
+			ge[0] = wJ * (rx*rx + ry*ry + rzv*rzv)   // Grr
+			ge[np] = wJ * (rx*sx + ry*sy + rzv*sz)   // Grs
+			ge[2*np] = wJ * (rx*tx + ry*ty + rzv*tz) // Grt
+			ge[3*np] = wJ * (sx*sx + sy*sy + sz*sz)  // Gss
+			ge[4*np] = wJ * (sx*tx + sy*ty + sz*tz)  // Gst
+			ge[5*np] = wJ * (tx*tx + ty*ty + tz*tz)  // Gtt
 		}
 	}
 }

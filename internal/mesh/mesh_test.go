@@ -260,9 +260,20 @@ func TestGeometricFactorsAffine(t *testing.T) {
 				t.Fatalf("RX[%d][%d] = %v, want %v", p, a, r9[a], want[a])
 			}
 		}
-		g6 := m.G[6*p : 6*p+6]
+		// G is six planes per element: rr, rs, rt, ss, st, tt.
+		e, q := p/m.Np, p%m.Np
+		var g6 [6]float64
+		for c := range g6 {
+			g6[c] = m.G[6*e*m.Np+c*m.Np+q]
+		}
 		if math.Abs(g6[1]) > 1e-14 || math.Abs(g6[2]) > 1e-14 || math.Abs(g6[4]) > 1e-14 {
 			t.Fatalf("off-diagonal G nonzero at %d: %v", p, g6)
+		}
+		// Grr = w*J*rx^2, Gss = w*J*sy^2, Gtt = w*J*tz^2.
+		for c, scale := range map[int]float64{0: 4, 3: 4, 5: 0.25} {
+			if want := m.B[p] * scale; math.Abs(g6[c]-want) > 1e-12*want {
+				t.Fatalf("G[%d] at %d = %v, want %v", c, p, g6[c], want)
+			}
 		}
 	}
 }

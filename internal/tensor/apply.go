@@ -87,6 +87,43 @@ func DerivTT(d []float64, nq int, u, out []float64) {
 	}
 }
 
+// Metric applies the symmetric geometric factors of one element to its
+// reference gradient, pointwise and in place:
+//
+//	ur = (Grr*ur + Grs*us) + Grt*ut
+//	us = (Grs*ur + Gss*us) + Gst*ut
+//	ut = (Grt*ur + Gst*us) + Gtt*ut
+//
+// every right-hand side read before the call. g holds six planes of
+// n = len(ur) values, in the order rr, rs, rt, ss, st, tt (an element
+// of mesh.G); us and ut hold n values too. It runs in AVX2 assembly
+// where the CPU has it and otherwise as metricGeneric, with the same
+// bits either way.
+func Metric(g, ur, us, ut []float64) {
+	n := len(ur)
+	if n == 0 {
+		return
+	}
+	_, _, _ = g[6*n-1], us[n-1], ut[n-1]
+	if !metricAVX2(g, ur, us, ut) {
+		metricGeneric(g, ur, us, ut)
+	}
+}
+
+// metricGeneric is Metric in Go, the reference for the assembly.
+func metricGeneric(g, ur, us, ut []float64) {
+	n := len(ur)
+	grr, grs, grt := g[:n:n], g[n:2*n:2*n], g[2*n:3*n:3*n]
+	gss, gst, gtt := g[3*n:4*n:4*n], g[4*n:5*n:5*n], g[5*n:6*n:6*n]
+	us, ut = us[:n:n], ut[:n:n]
+	for p := range ur {
+		r, s, t := ur[p], us[p], ut[p]
+		ur[p] = grr[p]*r + grs[p]*s + grt[p]*t
+		us[p] = grs[p]*r + gss[p]*s + gst[p]*t
+		ut[p] = grt[p]*r + gst[p]*s + gtt[p]*t
+	}
+}
+
 // The generic kernels. The c == 0 shortcuts skip adding a signed zero
 // to a sum that is never -0, which changes no bit on finite data.
 

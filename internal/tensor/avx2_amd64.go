@@ -7,7 +7,8 @@ package tensor
 // columns wide; along s the same per k-plane, L = nq; along r, A is
 // the k-plane and B is D^T (or D). Lanes hold different output values,
 // so each value is still formed by the operations of the generic loops
-// in their order.
+// in their order. Metric's loop (metricPlanes) is pointwise: four
+// points per register, the same three expressions per lane.
 
 // useAVX2 selects the assembly. It is decided once, from CPUID alone;
 // the tests clear it to reach the generated Go kernels.
@@ -44,6 +45,19 @@ func mm7wide(c, a, b *float64, acc bool)
 
 //go:noescape
 func mm8wide(c, a, b *float64, acc bool)
+
+//go:noescape
+func metricPlanes(geo, r, s, t *float64, n int)
+
+// metricAVX2 runs Metric in assembly and reports whether it did. Metric
+// has checked every operand's length.
+func metricAVX2(g, ur, us, ut []float64) bool {
+	if !useAVX2 {
+		return false
+	}
+	metricPlanes(&g[0], &ur[0], &us[0], &ut[0], len(ur))
+	return true
+}
 
 // derivAVX2 runs the derivative along ax (transposed and accumulating
 // if transpose) in assembly and reports whether it did: AVX2 present

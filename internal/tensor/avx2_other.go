@@ -6,3 +6,5 @@ package tensor
 var useAVX2 = false
 
 func derivAVX2(ax axis, transpose bool, d []float64, nq int, u, out []float64) bool { return false }
+
+func metricAVX2(g, ur, us, ut []float64) bool { return false }

@@ -5,8 +5,8 @@
 // so the pencil being contracted stays in registers and the derivative
 // matrix is addressed by constant offsets. kernels_amd64.s is the same
 // arithmetic as one AVX2 small matrix product, C = (0 | C) + A·B, four
-// output values per register. Run with `go generate` from this
-// directory.
+// output values per register, followed by the AVX2 body of Metric.
+// Run with `go generate` from this directory.
 //
 // Every generated kernel forms each output value from exactly the
 // floating-point operations of its generic counterpart in the same
@@ -184,7 +184,76 @@ func asm() []byte {
 			b.WriteString("\tVZEROUPPER\n\tRET\n")
 		}
 	}
+	metric(&b)
 	return b.Bytes()
+}
+
+// metric emits metricPlanes, Metric's loop: four points per iteration,
+// then a tail of n mod 4 through the mask at 8*(3-tail) bytes into
+// tailmask. SI and R9 address the planes rr, rs, rt and ss, st, tt, R8
+// is a plane's length in bytes.
+func metric(b *bytes.Buffer) {
+	b.WriteString(`
+// func metricPlanes(geo, r, s, t *float64, n int)
+TEXT ·metricPlanes(SB), NOSPLIT, $0-40
+	MOVQ geo+0(FP), SI
+	MOVQ r+8(FP), DI
+	MOVQ s+16(FP), DX
+	MOVQ t+24(FP), BX
+	MOVQ n+32(FP), CX
+	MOVQ CX, R8
+	SHLQ $3, R8
+	LEAQ (SI)(R8*2), R9
+	ADDQ R8, R9
+	MOVQ CX, AX
+	ANDQ $3, AX
+	SHRQ $2, CX
+	JEQ  tail
+loop:
+`)
+	metricQuad(b, false)
+	b.WriteString(`	ADDQ $32, SI
+	ADDQ $32, R9
+	ADDQ $32, DI
+	ADDQ $32, DX
+	ADDQ $32, BX
+	DECQ CX
+	JNE  loop
+tail:
+	TESTQ AX, AX
+	JEQ  done
+	LEAQ tailmask<>(SB), R10
+	NEGQ AX
+	VMOVDQU 24(R10)(AX*8), Y10
+`)
+	metricQuad(b, true)
+	b.WriteString("done:\n\tVZEROUPPER\n\tRET\n")
+}
+
+// metricQuad emits four points of Metric (fewer through the mask in
+// Y10): the gradient into Y0-Y2 and the six planes into Y3-Y8 before
+// anything is stored, then output o as (G[o][0]·r + G[o][1]·s) +
+// G[o][2]·t in Y9, Y11 and Y12 — each product rounded before it is
+// added, as the Go expression does, never fused.
+func metricQuad(b *bytes.Buffer, masked bool) {
+	load, store := "\tVMOVUPD %s, Y%d\n", "\tVMOVUPD Y%d, %s\n"
+	if masked {
+		load, store = "\tVMASKMOVPD %s, Y10, Y%d\n", "\tVMASKMOVPD Y%d, Y10, %s\n"
+	}
+	grad := []string{"(DI)", "(DX)", "(BX)"}
+	for i, at := range append(grad, "(SI)", "(SI)(R8*1)", "(SI)(R8*2)", "(R9)", "(R9)(R8*1)", "(R9)(R8*2)") {
+		fmt.Fprintf(b, load, at, i)
+	}
+	out := []int{9, 11, 12}
+	for o, row := range [3][3]int{{0, 1, 2}, {1, 3, 4}, {2, 4, 5}} {
+		fmt.Fprintf(b, "\tVMULPD Y%d, Y0, Y%d\n", 3+row[0], out[o])
+		for term := 1; term < 3; term++ {
+			fmt.Fprintf(b, "\tVMULPD Y%d, Y%d, Y13\n\tVADDPD Y13, Y%d, Y%d\n", 3+row[term], term, out[o], out[o])
+		}
+	}
+	for o, at := range grad {
+		fmt.Fprintf(b, store, out[o], at)
+	}
 }
 
 // tile emits lanes (at most four) adjacent columns of the product, all

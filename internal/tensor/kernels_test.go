@@ -59,9 +59,11 @@ var operandLayouts = []operandLayout{
 // generated or not — returns exactly the bits of the generic loops, on
 // dense random data, on data with the exact zeros Dirichlet masks and
 // solid regions produce, and on signed zeros; the accumulating
-// transposes on top of prior content. Under the guard-page layouts a
-// single access outside [0,nq^2) of d or [0,nq^3) of u and out is a
-// fault, which ends the test binary.
+// transposes on top of prior content; and so does Metric, on one
+// element and on two points more. Under the guard-page layouts a
+// single access outside [0,nq^2) of d or [0,nq^3) of u and out (outside
+// its n or 6n values, for Metric) is a fault, which ends the test
+// binary.
 func TestKernelsBitIdenticalToGeneric(t *testing.T) {
 	for _, path := range kernelPaths() {
 		for _, lay := range operandLayouts {
@@ -106,8 +108,49 @@ func TestKernelsBitIdenticalToGeneric(t *testing.T) {
 							}
 						}
 					}
+					// One element, and two points more: every tail
+					// of 0-3 lanes.
+					for _, n := range []int{np, np + 2} {
+						checkMetric(t, lay, rng, n)
+					}
 				}
 			})
+		}
+	}
+}
+
+// checkMetric holds Metric on n points to metricGeneric, bit for bit,
+// with g, ur, us and ut each placed by lay.
+func checkMetric(t *testing.T, lay operandLayout, rng *rand.Rand, n int) {
+	t.Helper()
+	g := lay.alloc(t, 6*n)
+	got := [3][]float64{lay.alloc(t, n), lay.alloc(t, n), lay.alloc(t, n)}
+	for trial := 0; trial < 6; trial++ {
+		for i := range g {
+			g[i] = rng.NormFloat64()
+		}
+		var want [3][]float64
+		for c, v := range got {
+			for i := range v {
+				v[i] = rng.NormFloat64()
+				if trial >= 2 && rng.Intn(3) == 0 {
+					v[i] = 0
+				}
+				if trial >= 4 && rng.Intn(4) == 0 {
+					v[i] = math.Copysign(0, -1)
+				}
+			}
+			want[c] = append([]float64(nil), v...)
+		}
+		Metric(g, got[0], got[1], got[2])
+		metricGeneric(g, want[0], want[1], want[2])
+		for c := range got {
+			for i := range got[c] {
+				if math.Float64bits(got[c][i]) != math.Float64bits(want[c][i]) {
+					t.Fatalf("Metric n=%d trial %d: output %d [%d] = %v (%#x), generic %v (%#x)", n, trial, c, i,
+						got[c][i], math.Float64bits(got[c][i]), want[c][i], math.Float64bits(want[c][i]))
+				}
+			}
 		}
 	}
 }
@@ -135,6 +178,19 @@ func TestShortOperandsPanic(t *testing.T) {
 					}()
 				}
 			}
+			// Metric takes its length from ur: g, us and ut can be short.
+			for _, short := range []int{0, 2, 3} {
+				ops := [4][]float64{make([]float64, 6*np), make([]float64, np), make([]float64, np), make([]float64, np)}
+				ops[short] = ops[short][:len(ops[short])-1]
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("Metric path %s n=%d: operand %d one value short did not panic", path, np, short)
+						}
+					}()
+					Metric(ops[0], ops[1], ops[2], ops[3])
+				}()
+			}
 		}
 	}
 }
@@ -146,7 +202,7 @@ func TestAssemblyHasNoFMA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range []string{"VMULPD", "VADDPD"} {
+	for _, op := range []string{"VMULPD", "VADDPD", "TEXT ·mm7planes", "TEXT ·metricPlanes"} {
 		if !bytes.Contains(text, []byte(op)) {
 			t.Errorf("kernels_amd64.s has no %s: is it still the kernels?", op)
 		}
@@ -210,5 +266,27 @@ func BenchmarkDeriv(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// BenchmarkMetric reports ns per point of the metric contraction at
+// nq = 7, streaming over 64 elements, on each path this machine has.
+func BenchmarkMetric(b *testing.B) {
+	const elems, np = 64, 7 * 7 * 7
+	g, u := make([]float64, 6*elems*np), make([]float64, 3*elems*np)
+	for i := range g {
+		g[i] = math.Sin(float64(i) * 1e-3)
+	}
+	for _, path := range kernelPaths() {
+		b.Run(path, func(b *testing.B) {
+			usePath(b, path)
+			for it := 0; it < b.N; it++ {
+				for e := 0; e < elems; e++ {
+					ue := u[3*e*np : 3*(e+1)*np]
+					Metric(g[6*e*np:6*(e+1)*np], ue[:np], ue[np:2*np], ue[2*np:])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*elems*np), "ns/point")
+		})
 	}
 }
