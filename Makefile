@@ -17,12 +17,13 @@
 # `make generate-check` fails when the generated tensor kernels are
 # stale; `make loc` prints non-test Go lines per package and checks the
 # wire-path packages and the whole tree against scripts/loc.ceiling;
-# `make clean` removes example/figure outputs. The paper's figures are
+# `make recipes` runs README's deployment recipes as printed;
+# `make clean` removes example/figure/recipe outputs. The paper's figures are
 # `go run ./cmd/figures -fig all`, whose exit code is their shape check.
 
 GO ?= go
 
-.PHONY: build test race vet fmt bench-kernels bench-render bench-codec bench-e2e generate-check loc telemetry-smoke profile clean all
+.PHONY: build test race vet fmt bench-kernels bench-render bench-codec bench-e2e generate-check loc telemetry-smoke recipes profile clean all
 
 all: build vet fmt test
 
@@ -106,14 +107,22 @@ loc:
 telemetry-smoke:
 	bash scripts/telemetry_smoke.sh
 
+# Run every `sh recipe` block of README.md as printed (fan-out,
+# endpoint group, relay tree, post hoc replay), each in a fresh
+# directory against binaries built once, each ending in its own check.
+recipes:
+	bash scripts/recipes.sh
+
 # Capture a 10s CPU profile from a running process's telemetry
-# exporter (any of nekrs, relay, sensei-endpoint, archive replay,
-# examples/fanout started with -telemetry). Inspect with `go tool pprof cpu.pprof`.
+# exporter (any of nekrs, relay, sensei-endpoint, archive replay started
+# with -telemetry), e.g. a solver run long enough to profile:
+#   go run ./cmd/nekrs -case pb146 -order 6 -steps 2000 -telemetry 127.0.0.1:9150 &
+# Inspect with `go tool pprof cpu.pprof`.
 TELEMETRY_URL ?= 127.0.0.1:9150
 profile:
 	curl -fsS -o cpu.pprof "http://$(TELEMETRY_URL)/debug/pprof/profile?seconds=10"
 	@echo "wrote cpu.pprof (go tool pprof cpu.pprof)"
 
 clean:
-	rm -rf ./*-out
+	rm -rf ./*-out ./bin
 	rm -f ./*.pprof

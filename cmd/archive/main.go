@@ -11,8 +11,8 @@
 //	archive inspect -dir run-archive
 //
 // Replay it over the unchanged SST wire protocol — any live consumer
-// (sensei-endpoint, with -ranks R too, or the examples' endpoint side)
-// attaches to the replay's contact file with zero code changes:
+// (sensei-endpoint, with -ranks R too) attaches to the replay's
+// contact file with zero code changes:
 //
 //	archive replay -dir run-archive -contact replay/contact.txt -pace realtime
 //	sensei-endpoint -contact replay/contact.txt -config endpoint.xml -consumer render:block:2

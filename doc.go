@@ -31,12 +31,12 @@
 //     and exit non-zero when a figure's shape is not the paper's
 //   - benchmark/ — the end-to-end benchmark: four real workloads, each
 //     with a per-layer time and allocation table (benchmark/README.md)
-//   - examples/ — quickstart, pb146, rbc-intransit, histogram, fanout
-//     (one simulation feeding histogram + probe + render consumers
-//     through the staging hub), endpoint-group (a 4-rank parallel
-//     endpoint compositing one PNG per step), and posthoc (record a
-//     run with no consumer attached, then replay it into an ordinary
-//     endpoint and re-query it from the on-disk index)
+//   - examples/ — quickstart (the API), histogram (a SENSEI
+//     mini-analysis from XML), pb146 and rbc-intransit (the paper's
+//     in situ and in transit use cases); every other topology — staged
+//     fan-out, an endpoint group, a relay tree, post hoc replay — is a
+//     README recipe over the binaries, run as printed by
+//     scripts/recipes.sh
 //
 // Key packages: internal/sensei (DataAdaptor, the requirements-driven
 // Analysis contract — declare-what-you-need Describe, pull-once

@@ -158,13 +158,13 @@ func TestOpenReaderBadServer(t *testing.T) {
 		conn.Write([]byte("not json\n")) //nolint:errcheck
 		conn.Close()
 	}()
-	if _, err := OpenReader(ln.Addr().String()); err == nil {
+	if _, err := OpenReaderWith(ln.Addr().String(), ReaderOptions{}); err == nil {
 		t.Error("expected handshake error")
 	}
 }
 
 func TestOpenReaderNoServer(t *testing.T) {
-	if _, err := OpenReader("127.0.0.1:1"); err == nil {
+	if _, err := OpenReaderWith("127.0.0.1:1", ReaderOptions{}); err == nil {
 		t.Error("expected dial error")
 	}
 }

@@ -94,7 +94,7 @@ func TestOversizedHelloRefusedBothSides(t *testing.T) {
 		io.Copy(conn, hugeHello(1<<20)) //nolint:errcheck // the reader hangs up partway
 		conn.Close()
 	}()
-	if _, err := adios.OpenReader(ln.Addr().String()); !errors.Is(err, adios.ErrHelloTooLarge) {
+	if _, err := adios.OpenReaderWith(ln.Addr().String(), adios.ReaderOptions{}); !errors.Is(err, adios.ErrHelloTooLarge) {
 		t.Errorf("reader saw %v, want ErrHelloTooLarge", err)
 	}
 }

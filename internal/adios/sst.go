@@ -274,14 +274,10 @@ type ReaderOptions struct {
 	DeferCredit bool
 }
 
-// OpenReader connects to a writer's advertised address and completes
-// the control handshake.
-func OpenReader(addr string) (*Reader, error) {
-	return OpenReaderWith(addr, ReaderOptions{})
-}
-
-// OpenReaderWith is OpenReader carrying staging consumer options in
-// the handshake. With opts.Retry set the initial dial retries under
+// OpenReaderWith connects to a writer's advertised address and
+// completes the control handshake, carrying the consumer options in
+// it (the zero value: a plain reader of a direct stream). With
+// opts.Retry set the initial dial retries under
 // exponential backoff with jitter; handshake rejections are permanent
 // and fail immediately.
 func OpenReaderWith(addr string, opts ReaderOptions) (*Reader, error) {

@@ -66,7 +66,7 @@ func TestSSTStreamDelivery(t *testing.T) {
 		d.close()
 	}()
 
-	r, err := adios.OpenReader(d.srv.Addr())
+	r, err := adios.OpenReaderWith(d.srv.Addr(), adios.ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestSSTBackpressure(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 	// A consumer drains the queue and unblocks the producer.
-	r, err := adios.OpenReader(d.srv.Addr())
+	r, err := adios.OpenReaderWith(d.srv.Addr(), adios.ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestSSTQueueGrowsWithSlowConsumer(t *testing.T) {
 	if got, want := acct.CategoryInUse("staging-hub"), 8*adios.SampleStep().Bytes(); got != want {
 		t.Errorf("staged bytes = %d, want %d", got, want)
 	}
-	r, err := adios.OpenReader(d.srv.Addr())
+	r, err := adios.OpenReaderWith(d.srv.Addr(), adios.ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestReaderRecycleRoundTrip(t *testing.T) {
 		}
 		d.close()
 	}()
-	r, err := adios.OpenReader(d.srv.Addr())
+	r, err := adios.OpenReaderWith(d.srv.Addr(), adios.ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestSSTCodecNegotiation(t *testing.T) {
 
 	t.Run("identity request leaves the wire plain", func(t *testing.T) {
 		d := serveDirect(t, nil, 2)
-		r, err := adios.OpenReader(d.srv.Addr())
+		r, err := adios.OpenReaderWith(d.srv.Addr(), adios.ReaderOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +331,7 @@ func BenchmarkSSTThroughput(b *testing.B) {
 	data := make([]float64, 50000)
 	s := &adios.Step{Step: 1, Time: 0.1, Vars: []adios.Variable{adios.NewF64("u", data)}}
 	d := serveDirect(b, nil, 4)
-	r, err := adios.OpenReader(d.srv.Addr())
+	r, err := adios.OpenReaderWith(d.srv.Addr(), adios.ReaderOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,11 +7,11 @@
 // versus post hoc file I/O through ADIOS2 BP files; this package
 // closes the loop by making the same wire format durable. A recorded
 // run replays through the unchanged SST wire protocol (Replay), so
-// every live consumer — sensei-endpoint, intransit.Group, the
-// examples — runs post hoc with zero code changes; and the staging
-// hub's `spill` backpressure policy demotes evicted steps here
-// instead of dropping them, so a slow consumer loses nothing while
-// the producer never blocks.
+// every live consumer — sensei-endpoint, intransit.Group — runs post
+// hoc with zero code changes; and the staging hub's `spill`
+// backpressure policy demotes evicted steps here instead of dropping
+// them, so a slow consumer loses nothing while the producer never
+// blocks.
 //
 // # On-disk format
 //
@@ -646,21 +646,56 @@ func (a *Archive) ReadFrameInto(id int64, buf []byte) ([]byte, error) {
 
 // ReadSubsetFrameInto answers an array-subset query from the index:
 // it splices a valid frame containing only the requested arrays (and
-// every non-array variable) by reading the frame header and the
-// selected variable records (adios.KeepVar, the rule the staging hub
-// applies on delivery, so spliced subsets match staged subsets byte for
-// byte) — unrequested payload bytes are never read from disk. A nil/empty subset, or a structure-carrying step
-// (which always travels whole), reads the full frame. The spliced
-// bytes are identical to marshaling the subset-filtered step.
+// every non-array variable, the grid structure included) by reading
+// the frame header and the selected variable records (adios.KeepVar,
+// the rule the staging hub applies on delivery) — unrequested payload
+// bytes are never read from disk. A nil/empty subset reads the full
+// frame. The spliced bytes are identical to marshaling the
+// subset-filtered step.
 func (a *Archive) ReadSubsetFrameInto(id int64, arrays []string, buf []byte) ([]byte, error) {
+	return a.readSelected(id, -1, -1, arrays, buf)
+}
+
+// inRange reports whether the step lies in the range query [from, to]
+// (negative bounds are open).
+func (si *StepInfo) inRange(from, to int64) bool {
+	return (from < 0 || si.Step >= from) && (to < 0 || si.Step <= to)
+}
+
+// selection is what a range query [from, to] with an array subset
+// reads of the record: in range, the subset (whole when it is empty);
+// outside it, where Select picks only structure records, the structure
+// variables alone (KeepVar over no arrays), so the record bootstraps
+// the grid without carrying a step the query excluded.
+func (si *StepInfo) selection(from, to int64, arrays []string) (keep []string, whole bool) {
+	if !si.inRange(from, to) {
+		return nil, false
+	}
+	return arrays, len(arrays) == 0
+}
+
+// selectedLen is the size of the frame readSelected returns.
+func (si *StepInfo) selectedLen(from, to int64, arrays []string) int64 {
+	keep, whole := si.selection(from, to, arrays)
+	if whole {
+		return si.FrameLen
+	}
+	n, _ := spliceLen(si, keep)
+	return n
+}
+
+// readSelected reads record id as the range query [from, to] with the
+// array subset delivers it (selection), into buf grown as needed.
+func (a *Archive) readSelected(id, from, to int64, arrays []string, buf []byte) ([]byte, error) {
 	si, err := a.Info(id)
 	if err != nil {
 		return nil, err
 	}
-	if len(arrays) == 0 || si.Structure {
+	keep, whole := si.selection(from, to, arrays)
+	if whole {
 		return a.ReadFrameInto(id, buf)
 	}
-	total, kept := subsetLen(&si, arrays)
+	total, kept := spliceLen(&si, keep)
 	a.mu.Lock()
 	f := a.segs[si.Segment]
 	a.mu.Unlock()
@@ -673,7 +708,7 @@ func (a *Archive) ReadSubsetFrameInto(id int64, arrays []string, buf []byte) ([]
 	pos := si.VarsOff + 8
 	for i := range si.Vars {
 		vs := &si.Vars[i]
-		if !adios.KeepVar(vs.Name, arrays) {
+		if !adios.KeepVar(vs.Name, keep) {
 			continue
 		}
 		if _, err := f.ReadAt(buf[pos:pos+vs.RecordLen], frameBase+vs.RecordOff); err != nil {
@@ -684,12 +719,9 @@ func (a *Archive) ReadSubsetFrameInto(id int64, arrays []string, buf []byte) ([]
 	return buf, nil
 }
 
-// subsetLen is the size of the frame ReadSubsetFrameInto splices for
-// this record and subset, and the number of variables it keeps.
-func subsetLen(si *StepInfo, arrays []string) (total int64, kept int) {
-	if len(arrays) == 0 || si.Structure {
-		return si.FrameLen, len(si.Vars)
-	}
+// spliceLen is the size of the frame spliced from this record's
+// variables that adios.KeepVar keeps for arrays, and their number.
+func spliceLen(si *StepInfo, arrays []string) (total int64, kept int) {
 	total = si.VarsOff + 8
 	for i := range si.Vars {
 		if adios.KeepVar(si.Vars[i].Name, arrays) {

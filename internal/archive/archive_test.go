@@ -368,13 +368,13 @@ func TestSubsetSpliceMatchesMarshal(t *testing.T) {
 		t.Fatalf("subset decoded wrong vars: %+v", st.Vars)
 	}
 
-	// Structure steps always travel whole, whatever the query.
+	// A structure step keeps its grid, whatever the query.
 	sFrame, err := a.ReadSubsetFrameInto(0, []string{"temperature"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(sFrame, adios.Marshal(testStructure())) {
-		t.Fatal("structure step was subset on read")
+		t.Fatal("structure step lost variables on read")
 	}
 }
 

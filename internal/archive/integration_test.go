@@ -102,7 +102,7 @@ func TestAttachAnalysisRecordsDirectStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	ad := ca.FindAdaptor("adios").(*staging.Adaptor)
-	r, err := adios.OpenReader(ad.Server().Addr())
+	r, err := adios.OpenReaderWith(ad.Server().Addr(), adios.ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

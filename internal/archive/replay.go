@@ -15,8 +15,7 @@ import (
 // any number of readers attach through staging.Serve exactly as they
 // would to a live run — consumer names, backpressure policies and
 // per-consumer array subsets all work unmodified, so sensei-endpoint
-// (with -ranks R too) and every example run post hoc with zero code
-// changes.
+// (with -ranks R too) runs post hoc with zero code changes.
 //
 // Step-range and array-subset selection are answered from the
 // archive's index: out-of-range records are never read, and with
@@ -219,6 +218,7 @@ func (r *Replay) Run() error {
 		interval = time.Duration(float64(time.Second) / r.opts.Pace.PerSec)
 	}
 	next := time.Now()
+	from, to, arrays := r.opts.From, r.opts.To, r.opts.Arrays
 	for i, id := range r.ids {
 		// Pacing reads the step and time off the index; the frame goes
 		// from disk into a leased buffer the hub owns until every
@@ -227,9 +227,8 @@ func (r *Replay) Run() error {
 		if err != nil {
 			return err
 		}
-		n, _ := subsetLen(&st, r.opts.Arrays)
-		f := r.pool.Lease(int(n))
-		if _, err := r.a.ReadSubsetFrameInto(id, r.opts.Arrays, f.Bytes()); err != nil {
+		f := r.pool.Lease(int(st.selectedLen(from, to, arrays)))
+		if _, err := r.a.readSelected(id, from, to, arrays, f.Bytes()); err != nil {
 			f.Release()
 			return err
 		}
@@ -241,13 +240,11 @@ func (r *Replay) Run() error {
 					time.Sleep(time.Duration(dt / r.opts.Pace.Speed * float64(time.Second)))
 				}
 			}
-			// Structure steps replay regardless of the range; when one
+			// Structure records replay regardless of the range; when one
 			// falls outside it, the gap to the first in-range step is
 			// skipped history, not a recorded interval — reset the
 			// pacing clock instead of sleeping it out.
-			inRange := (r.opts.From < 0 || st.Step >= r.opts.From) &&
-				(r.opts.To < 0 || st.Step <= r.opts.To)
-			if inRange {
+			if st.inRange(from, to) {
 				prevTime, havePrev = st.Time, true
 			} else {
 				havePrev = false

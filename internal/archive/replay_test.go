@@ -3,9 +3,9 @@ package archive
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -58,13 +58,17 @@ func (f captureFunc) Execute(st *sensei.Step) (bool, error) { return false, f(st
 func (f captureFunc) Finalize() error                       { return nil }
 
 // runEndpoint attaches one reader to addr under the given consumer
-// options and captures, per executed step, the merged "f" array.
-func runEndpoint(addr string, opts adios.ReaderOptions) (perStep map[int][]float64, steps int, err error) {
+// options and captures, per executed step, the merged "f" array (and,
+// with a non-nil wire, every frame received).
+func runEndpoint(addr string, opts adios.ReaderOptions, wire adios.FrameSink) (perStep map[int][]float64, steps int, err error) {
 	r, err := adios.OpenReaderWith(addr, opts)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer r.Close()
+	if wire != nil {
+		r.SetRecord(wire)
+	}
 	ctx := &sensei.Context{
 		Comm: mpirt.NewWorld(1).Comm(0), Acct: metrics.NewAccountant(),
 		Timer: metrics.NewTimer(), Storage: metrics.NewStorageCounter(),
@@ -123,7 +127,7 @@ func recordLiveRun(t *testing.T, steps int) (live map[int][]float64, dir string)
 	}
 	done := make(chan result, 1)
 	go func() {
-		perStep, _, err := runEndpoint(srv.Addr(), adios.ReaderOptions{Consumer: "hist"})
+		perStep, _, err := runEndpoint(srv.Addr(), adios.ReaderOptions{Consumer: "hist"}, nil)
 		done <- result{perStep, err}
 	}()
 
@@ -189,7 +193,7 @@ func TestRecordReplayEndpointEquivalence(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		perStep, _, err := runEndpoint(rp.Addr(), adios.ReaderOptions{Consumer: "hist"})
+		perStep, _, err := runEndpoint(rp.Addr(), adios.ReaderOptions{Consumer: "hist"}, nil)
 		done <- result{perStep, err}
 	}()
 	if err := rp.Run(); err != nil {
@@ -278,7 +282,7 @@ func TestRecordReplayEquivalenceCompressed(t *testing.T) {
 			go func() {
 				perStep, _, err := runEndpoint(srv.Addr(), adios.ReaderOptions{
 					Consumer: "hist", Codecs: []string{tc.codec},
-				})
+				}, nil)
 				done <- result{perStep, err}
 			}()
 			for s := 0; s < steps; s++ {
@@ -328,7 +332,7 @@ func TestRecordReplayEquivalenceCompressed(t *testing.T) {
 			go func() {
 				perStep, _, err := runEndpoint(rp.Addr(), adios.ReaderOptions{
 					Consumer: "hist", Codecs: []string{tc.codec},
-				})
+				}, nil)
 				done <- result{perStep, err}
 			}()
 			if err := rp.Run(); err != nil {
@@ -351,65 +355,90 @@ func abs(x float64) float64 {
 }
 
 // TestReplayRangeAndSubset replays a recorded run restricted by step
-// range and array subset: the endpoint sees only the selected window,
-// and the wire never carries the unrequested array.
+// range and array subset: the endpoint analyses exactly the selected
+// window, and the wire never carries the unrequested array. The
+// structure record before the range still travels, as the grid alone,
+// whether it was recorded on its own or on the first data step (as
+// nekrs records it).
 func TestReplayRangeAndSubset(t *testing.T) {
 	const steps = 8
-	_, dir := recordLiveRun(t, steps)
-	a, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
+	grid := hexStep(0)
+	grid.Vars = grid.Vars[:4] // the structure variables alone
+	own := []*adios.Step{grid}
+	firstData := []*adios.Step{hexStep(0)}
+	for s := int64(1); s < steps; s++ {
+		own = append(own, hexStep(s))
+		firstData = append(firstData, hexStep(s))
 	}
-	defer a.Close()
-
-	rp, err := NewReplay(a, ReplayOptions{
-		Consumers: []staging.ConsumerSpec{{Name: "ep", Policy: staging.Block, Depth: 2}},
-		From:      3, To: 5,
-		Arrays: []string{"f"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type caught struct {
-		steps []int64
-		bad   error
-	}
-	done := make(chan caught, 1)
-	go func() {
-		r, err := adios.OpenReaderWith(rp.Addr(), adios.ReaderOptions{Consumer: "ep"})
-		if err != nil {
-			done <- caught{bad: err}
-			return
-		}
-		defer r.Close()
-		var c caught
-		for {
-			st, err := r.BeginStep()
-			if errors.Is(err, io.EOF) {
-				break
-			}
+	for _, tc := range []struct {
+		name     string
+		recorded []*adios.Step
+	}{
+		{"structure record of its own", own},
+		{"structure on the first data step", firstData},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := Open(t.TempDir(), Options{})
 			if err != nil {
-				c.bad = err
-				break
+				t.Fatal(err)
 			}
-			if st.FindVar("array/g") != nil && st.Attrs["structure"] != "1" {
-				c.bad = fmt.Errorf("step %d: unrequested array on the wire", st.Step)
-				break
+			defer a.Close()
+			for _, s := range tc.recorded {
+				if _, err := a.AppendFrame(adios.Marshal(s)); err != nil {
+					t.Fatal(err)
+				}
 			}
-			c.steps = append(c.steps, st.Step)
-		}
-		done <- c
-	}()
-	if err := rp.Run(); err != nil {
-		t.Fatal(err)
-	}
-	c := <-done
-	if c.bad != nil {
-		t.Fatal(c.bad)
-	}
-	want := []int64{0, 3, 4, 5} // structure always replays
-	if !reflect.DeepEqual(c.steps, want) {
-		t.Fatalf("replayed steps %v, want %v", c.steps, want)
+			rp, err := NewReplay(a, ReplayOptions{
+				Consumers: []staging.ConsumerSpec{{Name: "ep", Policy: staging.Block, Depth: 2}},
+				From:      3, To: 5,
+				Arrays: []string{"f"},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wire frameLog
+			type result struct {
+				perStep map[int][]float64
+				err     error
+			}
+			done := make(chan result, 1)
+			go func() {
+				perStep, _, err := runEndpoint(rp.Addr(), adios.ReaderOptions{Consumer: "ep"}, &wire)
+				done <- result{perStep, err}
+			}()
+			if err := rp.Run(); err != nil {
+				t.Fatal(err)
+			}
+			res := <-done
+			if res.err != nil {
+				t.Fatal(res.err)
+			}
+			var onWire []int64
+			for _, frame := range wire {
+				st, err := adios.Unmarshal(frame)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.FindVar("array/g") != nil {
+					t.Fatalf("step %d: unrequested array on the wire", st.Step)
+				}
+				if st.Step < 3 && st.FindVar("array/f") != nil {
+					t.Fatalf("step %d before the range carries data", st.Step)
+				}
+				onWire = append(onWire, st.Step)
+			}
+			if want := []int64{0, 3, 4, 5}; !reflect.DeepEqual(onWire, want) {
+				t.Fatalf("replayed steps %v, want %v", onWire, want)
+			}
+			var analysed []int
+			for s := range res.perStep {
+				analysed = append(analysed, s)
+			}
+			slices.Sort(analysed)
+			if want := []int{3, 4, 5}; !reflect.DeepEqual(analysed, want) {
+				t.Fatalf("endpoint analysed steps %v, want %v", analysed, want)
+			}
+		})
 	}
 }
 

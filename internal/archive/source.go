@@ -17,7 +17,8 @@ type Source struct {
 	ids []int64
 	pos int
 
-	arrays []string // array-subset query, nil = everything
+	from, to int64    // step-range query
+	arrays   []string // array-subset query, nil = everything
 
 	buf   []byte // grow-only frame read scratch
 	spare *adios.Step
@@ -25,17 +26,17 @@ type Source struct {
 
 // Select resolves a sim-step range query against the index: record
 // ordinals of every step with from <= Step <= to (negative bounds are
-// open). Structure-carrying steps are always included — consumers
-// cannot reconstruct the grid without them, and the endpoint's
-// resynchronization skips them past the range cheaply.
+// open). Structure-carrying records are always included — consumers
+// cannot reconstruct the grid without them — and one outside the range
+// is read as its structure alone, which an endpoint caches without
+// analysing it.
 func (a *Archive) Select(from, to int64) []int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var ids []int64
 	for i := range a.index {
 		si := &a.index[i]
-		if si.Structure ||
-			(from < 0 || si.Step >= from) && (to < 0 || si.Step <= to) {
+		if si.Structure || si.inRange(from, to) {
 			ids = append(ids, si.ID)
 		}
 	}
@@ -47,7 +48,7 @@ func (a *Archive) Select(from, to int64) []int64 {
 // index, so unrequested payloads are never read from disk). Each
 // Source is an independent cursor; use one per consumer goroutine.
 func (a *Archive) Source(from, to int64, arrays []string) *Source {
-	return &Source{a: a, ids: a.Select(from, to), arrays: arrays}
+	return &Source{a: a, ids: a.Select(from, to), from: from, to: to, arrays: arrays}
 }
 
 // Len reports the number of steps this source will deliver.
@@ -62,7 +63,7 @@ func (s *Source) BeginStep() (*adios.Step, error) {
 	}
 	id := s.ids[s.pos]
 	s.pos++
-	frame, err := s.a.ReadSubsetFrameInto(id, s.arrays, s.buf)
+	frame, err := s.a.readSelected(id, s.from, s.to, s.arrays, s.buf)
 	if err != nil {
 		return nil, err
 	}

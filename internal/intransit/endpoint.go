@@ -134,11 +134,12 @@ func gridOf(s *adios.Step) *vtkdata.UnstructuredGrid {
 }
 
 // IngestStructure caches a structure-carrying step's grid without
-// staging its arrays — used when a step is skipped during stream
-// resynchronization but its structure must not be lost.
-func (a *StreamDataAdaptor) IngestStructure(source int, s *adios.Step) error {
+// staging its arrays: the step loop runs it on every step it pulls, so
+// a step skipped during stream resynchronization never loses its
+// structure. bare reports a step that is the grid alone, with no arrays.
+func (a *StreamDataAdaptor) IngestStructure(source int, s *adios.Step) (bare bool, err error) {
 	if s.Attrs["structure"] != "1" {
-		return nil
+		return false, nil
 	}
 	st := &adios.Step{} // the step less its arrays
 	for i := range s.Vars {
@@ -147,17 +148,17 @@ func (a *StreamDataAdaptor) IngestStructure(source int, s *adios.Step) error {
 		}
 	}
 	if err := gridOf(st).Validate(); err != nil {
-		return fmt.Errorf("intransit: source %d structure: %w", source, err)
+		return false, fmt.Errorf("intransit: source %d structure: %w", source, err)
 	}
 	a.structures[source] = st
 	a.merged = nil
-	return nil
+	return len(st.Vars) == len(s.Vars), nil
 }
 
 // Ingest absorbs one source's step: structure (if present) is cached,
 // arrays are staged for merging. Call for every source, then Seal.
 func (a *StreamDataAdaptor) Ingest(source int, s *adios.Step) error {
-	if err := a.IngestStructure(source, s); err != nil {
+	if _, err := a.IngestStructure(source, s); err != nil {
 		return err
 	}
 	if a.structures[source] == nil {
@@ -228,9 +229,7 @@ func (a *StreamDataAdaptor) MeshMetadata(i int) (*sensei.MeshMetadata, error) {
 		md.ArrayNames = append(md.ArrayNames, name)
 		md.ArrayAssoc = append(md.ArrayAssoc, sensei.AssocPoint)
 	}
-	sort.Strings(md.ArrayNames)
-	// Re-derive assoc slice length after sorting (all point arrays).
-	md.ArrayAssoc = md.ArrayAssoc[:len(md.ArrayNames)]
+	sort.Strings(md.ArrayNames) // every assoc is a point: no reorder
 	return md, nil
 }
 

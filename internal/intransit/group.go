@@ -135,6 +135,19 @@ type rankStream struct {
 	stepWall           time.Duration // aligned step to barrier exit, summed
 }
 
+// next returns source src's next step with its structure, if it carries
+// one, already cached, so a step skipped in realignment never loses it.
+// A step that is the grid alone (a structure record replayed from before
+// the requested range) is cached and passed over, never analysed.
+func (rs *rankStream) next(src int) (s *adios.Step, err error) {
+	for bare := true; bare && err == nil; {
+		if s, err = rs.sources[src].BeginStep(); err == nil {
+			bare, err = rs.da.IngestStructure(src, s)
+		}
+	}
+	return s, err
+}
+
 // pull fills every empty source slot. Returns stOK/stEOF/stErr.
 func (rs *rankStream) pull() int64 {
 	eofs := 0
@@ -142,7 +155,7 @@ func (rs *rankStream) pull() int64 {
 		if s != nil {
 			continue
 		}
-		next, err := rs.sources[src].BeginStep()
+		next, err := rs.next(src)
 		if errors.Is(err, io.EOF) {
 			eofs++
 			continue
@@ -185,14 +198,10 @@ func (rs *rankStream) advance(target int64) (int64, int64) {
 		for src, s := range rs.steps {
 			for s.Step < local {
 				rs.skipped++
-				if err := rs.da.IngestStructure(src, s); err != nil {
-					rs.err = err
-					return stErr, 0
-				}
 				// Skipped steps are consumed here; hand their storage
 				// back for decode-into-reuse (structure steps refused).
 				recycleStep(rs.sources[src], s)
-				next, err := rs.sources[src].BeginStep()
+				next, err := rs.next(src)
 				if err != nil {
 					rs.err = fmt.Errorf("intransit: source %d ended during resync at step %d: %w", src, local, err)
 					return stErr, 0

@@ -90,7 +90,7 @@ func TestFullPipelineIntegrity(t *testing.T) {
 		}
 		var readers []*adios.Reader
 		for _, a := range addrs {
-			r, err := adios.OpenReader(a)
+			r, err := adios.OpenReaderWith(a, adios.ReaderOptions{})
 			if err != nil {
 				endpointErr = err
 				return
@@ -219,7 +219,7 @@ func TestEndpointVTUCheckpoint(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		r, err := adios.OpenReader(<-addrCh)
+		r, err := adios.OpenReaderWith(<-addrCh, adios.ReaderOptions{})
 		if err != nil {
 			epErr = err
 			return
@@ -279,7 +279,7 @@ func TestStructureSentOnce(t *testing.T) {
 	s := newSolver(t, comm, 1)
 	ctx := ctxFor(comm, "")
 	send := directAdaptor(t, ctx, map[string]string{"queue": "4", "arrays": "pressure"})
-	r, err := adios.OpenReader(send.Server().Addr())
+	r, err := adios.OpenReaderWith(send.Server().Addr(), adios.ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,7 +602,7 @@ func TestDirectAdaptorFactory(t *testing.T) {
 	}
 	// Connect a sink so Finalize's end-of-stream delivery completes
 	// without waiting for the close deadline.
-	r, err := adios.OpenReader(addr)
+	r, err := adios.OpenReaderWith(addr, adios.ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,7 +641,7 @@ func TestDirectSecondReaderRejected(t *testing.T) {
 	defer first.Close()
 	got := make(chan error, 1)
 	go func() {
-		second, err := adios.OpenReader(addr)
+		second, err := adios.OpenReaderWith(addr, adios.ReaderOptions{})
 		if err == nil {
 			second.Close()
 		}

@@ -65,19 +65,6 @@ type StragglerStats struct {
 	Ranks []RankWait
 }
 
-// Straggler reports the rank the others spent the most time waiting
-// for — the one with the smallest accumulated wait (-1 if empty).
-func (st StragglerStats) Straggler() int {
-	rank := -1
-	var min time.Duration
-	for _, r := range st.Ranks {
-		if rank == -1 || r.Total < min {
-			rank, min = r.Rank, r.Total
-		}
-	}
-	return rank
-}
-
 // MaxWait reports the largest per-rank total wait — the time the most
 // starved rank spent idle at barriers.
 func (st StragglerStats) MaxWait() time.Duration {

@@ -171,7 +171,6 @@ type Adaptor struct {
 	closeWait time.Duration
 
 	structureSent bool
-	stepsStaged   int
 }
 
 // New builds a staging adaptor over an existing hub (programmatic
@@ -345,9 +344,6 @@ func (a *Adaptor) Hub() *Hub { return a.hub }
 // Server exposes the network server, nil for programmatic adaptors.
 func (a *Adaptor) Server() *Server { return a.server }
 
-// StepsStaged reports Execute calls that published a step.
-func (a *Adaptor) StepsStaged() int { return a.stepsStaged }
-
 // sendSet is the arrays a step must carry: the configured set (nil =
 // every advertised array), shrunk on a closed consumer set to the one
 // reader's declared subset.
@@ -415,11 +411,7 @@ func (a *Adaptor) Execute(st *sensei.Step) (bool, error) {
 		// ("released" by the bridge affects accounting only).
 		step.Vars = append(step.Vars, adios.NewF64("array/"+name, arr.Data))
 	}
-	if err := a.hub.Publish(step); err != nil {
-		return false, err
-	}
-	a.stepsStaged++
-	return false, nil
+	return false, a.hub.Publish(step)
 }
 
 // Finalize closes the hub (consumers drain and see end-of-stream) and

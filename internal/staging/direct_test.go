@@ -57,7 +57,7 @@ func TestDirectBlocksAtQueue(t *testing.T) {
 		t.Error("staged steps not accounted")
 	}
 
-	r, err := adios.OpenReader(ad.Server().Addr())
+	r, err := adios.OpenReaderWith(ad.Server().Addr(), adios.ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestDirectCloseWait(t *testing.T) {
 			t.Fatalf("Finalize returned (%v) without waiting for the reader", err)
 		case <-time.After(100 * time.Millisecond):
 		}
-		r, err := adios.OpenReader(ad.Server().Addr())
+		r, err := adios.OpenReaderWith(ad.Server().Addr(), adios.ReaderOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

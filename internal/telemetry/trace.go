@@ -1,12 +1,9 @@
 package telemetry
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
-
-	"nekrs-sensei/internal/metrics"
 )
 
 // Stage is one stop on a step's path through the pipeline. The stamps
@@ -169,37 +166,4 @@ func (t *StepTracer) Snapshot() []StepTrace {
 	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Step < out[j].Step })
 	return out
-}
-
-// TraceTable renders traces as a text table: one row per step, each
-// stage as a +ms offset from the step's first stamp ("-" when the
-// stage was not reached).
-func TraceTable(title string, traces []StepTrace) *metrics.Table {
-	headers := []string{"step"}
-	for s := Stage(0); s < NumStages; s++ {
-		headers = append(headers, s.String())
-	}
-	headers = append(headers, "span_ms")
-	t := metrics.NewTable(title, headers...)
-	for _, tr := range traces {
-		var base int64
-		for _, ns := range tr.Stamps {
-			if base == 0 || ns < base {
-				base = ns
-			}
-		}
-		row := make([]interface{}, 0, len(headers))
-		row = append(row, tr.Step)
-		for s := Stage(0); s < NumStages; s++ {
-			ns, ok := tr.Stamps[s.String()]
-			if !ok {
-				row = append(row, "-")
-				continue
-			}
-			row = append(row, fmt.Sprintf("+%.2f", float64(ns-base)/1e6))
-		}
-		row = append(row, fmt.Sprintf("%.2f", tr.SpanMs))
-		t.AddRow(row...)
-	}
-	return t
 }

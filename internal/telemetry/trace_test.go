@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -100,20 +99,6 @@ func TestTracerNilAndBadInput(t *testing.T) {
 	live.Stamp(1, NumStages)
 	if len(live.Snapshot()) != 0 {
 		t.Error("bad inputs recorded a trace")
-	}
-}
-
-func TestTraceTable(t *testing.T) {
-	traces := []StepTrace{{
-		Step:   4,
-		Stamps: map[string]int64{"compute": 1_000_000, "render": 3_000_000},
-	}}
-	traces[0].finish()
-	out := TraceTable("trace", traces).String()
-	for _, want := range []string{"compute", "render", "+0.00", "+2.00", "-"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table missing %q:\n%s", want, out)
-		}
 	}
 }
 
