@@ -12,9 +12,10 @@
 // same handshake, backpressure policies, consumer groups and wire
 // codecs, so sensei-endpoint (or another relay) points -contact at
 // the relay's published contact entry and never knows how deep in the
-// tree it attached. Declared consumers' array subsets and -maxerror
-// tolerances union into the upstream request, so a subtree that only
-// reads "pressure" costs "pressure" on every trunk above it.
+// tree it attached. Declared consumers' array subsets union into the
+// upstream request, so a subtree that only reads "pressure" costs
+// "pressure" on every trunk above it. The trunk carries plain frames;
+// a consumer's wire codecs apply on its own edge below the relay.
 package main
 
 import (
@@ -25,7 +26,6 @@ import (
 	"time"
 
 	"nekrs-sensei/internal/adios"
-	"nekrs-sensei/internal/codec"
 	"nekrs-sensei/internal/metrics"
 	"nekrs-sensei/internal/relay"
 	"nekrs-sensei/internal/shell"
@@ -40,16 +40,14 @@ type options struct {
 	upstream string
 	publish  string
 
-	name        string
-	policy      string
-	depth       int
-	outRanks    int
-	listen      string
-	mesh        string
-	tier        int
-	maxError    float64
-	trunkCodecs []string
-	consumers   []staging.ConsumerSpec
+	name      string
+	policy    string
+	depth     int
+	outRanks  int
+	listen    string
+	mesh      string
+	tier      int
+	consumers []staging.ConsumerSpec
 
 	spillDir string
 
@@ -73,9 +71,7 @@ func parseArgs(argv []string) (*options, error) {
 	fs.StringVar(&o.listen, "listen", "127.0.0.1:0", "listen address for the output servers (each output picks its own port)")
 	fs.StringVar(&o.mesh, "mesh", "mesh", "mesh name for the requirement union")
 	fs.IntVar(&o.tier, "tier", 0, "this relay's depth in the mesh (0 = attached straight to producer hubs); reported in /statusz")
-	fs.Float64Var(&o.maxError, "maxerror", 0, "absolute per-value error every declared consumer tolerates (> 0 lets the relay request a quantized trunk)")
 	consumersFlag := fs.String("consumers", "", `pre-declared downstream consumers, "name[:policy[:depth[:arrays[:codecs]]]],..." (staging consumer-spec grammar); their array declarations union into the upstream request`)
-	trunkFlag := fs.String("trunk-codecs", "", "comma-separated wire-codec request on the upstream edge (empty = derived from -maxerror, plain frames otherwise; a coded trunk disables the raw splice path)")
 	fs.StringVar(&o.spillDir, "spill", "", "spill directory for the output hubs (enables spill-policy consumers below this relay)")
 	o.Register(fs, "contact-dir", "timeout", "retry", "session-ttl", "heartbeat", "liveness", "wait-downstream", "telemetry")
 	if err := fs.Parse(argv); err != nil {
@@ -91,16 +87,6 @@ func parseArgs(argv []string) (*options, error) {
 		}
 		o.consumers = specs
 	}
-	if *trunkFlag != "" {
-		for _, c := range strings.Split(*trunkFlag, ",") {
-			if c = strings.TrimSpace(c); c != "" {
-				o.trunkCodecs = append(o.trunkCodecs, c)
-			}
-		}
-		if _, err := codec.ParseSpec(o.trunkCodecs); err != nil {
-			return nil, err
-		}
-	}
 	if _, err := staging.ParsePolicy(o.policy); err != nil {
 		return nil, err
 	}
@@ -109,8 +95,6 @@ func parseArgs(argv []string) (*options, error) {
 		return nil, fmt.Errorf("-depth must be positive (got %d)", o.depth)
 	case o.outRanks < 0:
 		return nil, fmt.Errorf("-out-ranks must be non-negative (got %d)", o.outRanks)
-	case o.maxError < 0:
-		return nil, fmt.Errorf("-maxerror must be non-negative (got %v)", o.maxError)
 	case o.ContactDir != "" && o.upstream == "":
 		return nil, fmt.Errorf("-contact-dir needs an -upstream entry name")
 	}
@@ -118,11 +102,11 @@ func parseArgs(argv []string) (*options, error) {
 }
 
 // downstream converts the declared consumer specs into relay
-// declarations, attaching the shared -maxerror tolerance to each.
+// declarations.
 func (o *options) downstream() []relay.Downstream {
 	out := make([]relay.Downstream, len(o.consumers))
 	for i, spec := range o.consumers {
-		out[i] = relay.Downstream{Spec: spec, MaxError: o.maxError}
+		out[i] = relay.Downstream{Spec: spec}
 	}
 	return out
 }
@@ -136,8 +120,8 @@ func run(o *options, tel *telemetry.Telemetry) error {
 	ropts := relay.Options{
 		Name: o.name, Policy: o.policy, Depth: o.depth,
 		OutRanks: o.outRanks, Listen: o.listen, Mesh: o.mesh,
-		Downstream: o.downstream(), TrunkCodecs: o.trunkCodecs,
-		Tier: o.tier, Telemetry: tel, SpillDir: o.spillDir,
+		Downstream: o.downstream(), Tier: o.tier,
+		Telemetry: tel, SpillDir: o.spillDir,
 	}
 	o.Relay(&ropts, from)
 	r, err := relay.New(upstream, ropts)

@@ -13,7 +13,7 @@ func TestParseArgsDefaults(t *testing.T) {
 	if o.upstream != "contact.txt" || o.policy != "block" || o.depth != 2 {
 		t.Fatalf("unexpected defaults: %+v", o)
 	}
-	if o.outRanks != 0 || len(o.consumers) != 0 || len(o.trunkCodecs) != 0 {
+	if o.outRanks != 0 || len(o.consumers) != 0 {
 		t.Fatalf("unexpected defaults: %+v", o)
 	}
 }
@@ -21,9 +21,8 @@ func TestParseArgsDefaults(t *testing.T) {
 func TestParseArgsConsumersAndCodecs(t *testing.T) {
 	o, err := parseArgs([]string{
 		"-contact-dir", "run/mesh", "-upstream", "sim", "-publish", "tier1",
-		"-out-ranks", "2", "-maxerror", "1e-3",
-		"-consumers", "hist:block:2:pressure,render:latest-only:1:pressure+velocity_x",
-		"-trunk-codecs", "transpose-delta",
+		"-out-ranks", "2",
+		"-consumers", "hist:block:2:pressure,render:latest-only:1:pressure+velocity_x:quantize;1e-3",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -32,11 +31,15 @@ func TestParseArgsConsumersAndCodecs(t *testing.T) {
 		t.Fatalf("consumers = %+v", o.consumers)
 	}
 	ds := o.downstream()
-	if len(ds) != 2 || ds[0].MaxError != 1e-3 || ds[1].Spec.Arrays[1] != "velocity_x" {
+	if len(ds) != 2 || ds[1].Spec.Arrays[1] != "velocity_x" || len(ds[1].Spec.Codecs) != 1 {
 		t.Fatalf("downstream = %+v", ds)
 	}
-	if len(o.trunkCodecs) != 1 || o.trunkCodecs[0] != "transpose-delta" {
-		t.Fatalf("trunkCodecs = %v", o.trunkCodecs)
+	// The trunk is always plain: codecs are a leaf edge's business, and
+	// the flags that once asked for a coded trunk are gone.
+	for _, gone := range []string{"-trunk-codecs", "-maxerror"} {
+		if _, err := parseArgs([]string{gone, "1e-3"}); err == nil {
+			t.Errorf("%s still parses", gone)
+		}
 	}
 }
 
@@ -49,9 +52,8 @@ func TestParseArgsRejects(t *testing.T) {
 		{[]string{"-policy", "bogus"}, "policy"},
 		{[]string{"-depth", "0"}, "-depth"},
 		{[]string{"-out-ranks", "-1"}, "-out-ranks"},
-		{[]string{"-maxerror", "-0.5"}, "-maxerror"},
 		{[]string{"-consumers", "a:block:2,a:block:2"}, "duplicate"},
-		{[]string{"-trunk-codecs", "nonsense"}, "nonsense"},
+		{[]string{"-consumers", "a:block:2:pressure:nonsense"}, "nonsense"},
 		{[]string{"-contact-dir", "d", "-upstream", ""}, "-upstream"},
 		// The shell's one validation: every negative duration or count is
 		// an error, and -wait-downstream needs the side that redials.

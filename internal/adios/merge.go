@@ -4,14 +4,12 @@ import "fmt"
 
 // MergeSteps merges P same-step decoded steps into one, as if their
 // producer ranks had been a single rank — the decoded counterpart of
-// SpliceFrames, and the one place the geometry merge is written down:
-// the relay uses it for structure steps (which need index rebasing) and
-// coded trunks (which arrive decoded), the endpoint's StreamDataAdaptor
-// for the grid of the blocks it holds. Array payloads concatenate in
-// source order; of the structure variables points and cell types
-// concatenate, connectivity rebases by the running point count and
-// offsets by the running connectivity length. One part is returned as
-// is.
+// SpliceFrames (which produces its marshaled bytes), used by the
+// endpoint's StreamDataAdaptor for the grid of the blocks it holds.
+// Array payloads concatenate in source order; of the structure
+// variables points and cell types concatenate, connectivity rebases by
+// the running point count and offsets by the running connectivity
+// length. One part is returned as is.
 func MergeSteps(parts []*Step) (*Step, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("adios: merge of no steps")

@@ -8,17 +8,9 @@ import (
 // This file is the relay's block-range splice: SpliceFrames merges
 // the marshaled frames of several producer ranks' same-numbered steps
 // into one frame, payload bytes copied span-to-span over the
-// ScanFrame layout — the M×N repartitioner's fast path never decodes
-// a float. The subset-frame machinery splices records *out* of one
-// frame; this is its dual, splicing same-named records *across*
-// frames.
-
-// ErrSpliceStructure marks a splice refused because an input frame
-// carries the grid structure: connectivity and offsets need per-block
-// rebasing (see intransit.StreamDataAdaptor.Seal), which is a decode,
-// not a byte splice. Callers merge structure steps at the Step level
-// instead.
-var ErrSpliceStructure = fmt.Errorf("adios: splice of structure frames needs a decoded merge")
+// ScanFrame layout — the M×N repartitioner never decodes a float. The
+// subset-frame machinery splices records *out* of one frame; this is
+// its dual, splicing same-named records *across* frames.
 
 // varHeader is the per-variable header layout SpliceFrames re-reads
 // from a record span: ScanFrame skips shapes, so the splice recovers
@@ -43,16 +35,41 @@ func varShape(raw []byte, vs *VarSpan) ([]uint64, error) {
 	return dims, nil
 }
 
+// rebaseBy is how far one input shifts the rebased words of the
+// inputs after it, as MergeSteps rebases: int64 connectivity by the
+// input's points, int64 offsets by its connectivity entries; 0 for
+// every other variable.
+func rebaseBy(fi *FrameInfo, vs *VarSpan) uint64 {
+	if vs.Kind != KindInt64 {
+		return 0
+	}
+	switch vs.Name {
+	case "connectivity":
+		if p := fi.FindVar("points"); p != nil && p.Kind == KindFloat64 {
+			return uint64(p.Elems / 3)
+		}
+	case "offsets":
+		if c := fi.FindVar("connectivity"); c != nil && c.Kind == KindInt64 {
+			return uint64(c.Elems)
+		}
+	}
+	return 0
+}
+
 // SpliceFrames concatenates P same-step plain BP05 frames into one:
 // the output carries frames[0]'s header (step, time, attributes) and
 // variable order, with each variable's payload the concatenation of
 // every input's payload bytes in frame order — the wire form the
-// producers would have marshaled had they been one rank. Shaped
+// producers would have marshaled had they been one rank, and the bytes
+// of Marshal(MergeSteps(...)) over the decoded inputs. Shaped
 // variables sum their first (block-distributed) dimension; trailing
-// dimensions must agree. Every input must carry the same variable
-// names, kinds and step number; codec-encoded (BPC5) and
-// structure-carrying frames are refused (ErrSpliceStructure for the
-// latter — rebase-merge those at the Step level).
+// dimensions must agree. Structure frames splice too: int64
+// "connectivity" and "offsets" words are rebased, as MergeSteps does,
+// by the points and connectivity entries of the inputs before them.
+// Every input must carry the same variable names, kinds and structure
+// flag, and data frames the same step number (a relay re-blocks grids
+// its sources sent at different steps; the output takes frames[0]'s);
+// codec-encoded (BPC5) frames are refused.
 //
 // The result is leased from pool: release it when done (a staging hub
 // publish takes ownership instead, see Hub.PublishFrame).
@@ -69,14 +86,15 @@ func SpliceFrames(frames [][]byte, pool *FramePool) (*Frame, error) {
 		if fi.Encoded {
 			return nil, fmt.Errorf("adios: splice input %d: codec-encoded frame", i)
 		}
-		if fi.Structure {
-			return nil, ErrSpliceStructure
-		}
-		if fi.Step != infos[0].Step && i > 0 {
-			return nil, fmt.Errorf("adios: splice step mismatch: input %d has step %d, input 0 has %d", i, fi.Step, infos[0].Step)
-		}
-		if i > 0 && len(fi.Vars) != len(infos[0].Vars) {
-			return nil, fmt.Errorf("adios: splice input %d has %d vars, input 0 has %d", i, len(fi.Vars), len(infos[0].Vars))
+		if i > 0 {
+			switch {
+			case fi.Step != infos[0].Step && !fi.Structure:
+				return nil, fmt.Errorf("adios: splice step mismatch: input %d has step %d, input 0 has %d", i, fi.Step, infos[0].Step)
+			case fi.Structure != infos[0].Structure:
+				return nil, fmt.Errorf("adios: splice input %d structure flag differs from input 0", i)
+			case len(fi.Vars) != len(infos[0].Vars):
+				return nil, fmt.Errorf("adios: splice input %d has %d vars, input 0 has %d", i, len(fi.Vars), len(infos[0].Vars))
+			}
 		}
 		infos[i] = fi
 	}
@@ -143,9 +161,18 @@ func SpliceFrames(frames [][]byte, pool *FramePool) (*Frame, error) {
 			elems += infos[i].Vars[v].Elems
 		}
 		putU64(uint64(elems))
+		var base uint64 // what this input's words rebase by: 0 but for structure
 		for i, raw := range frames {
 			vs := &infos[i].Vars[v]
-			off += copy(dst[off:], raw[vs.PayloadOff:vs.PayloadOff+vs.PayloadLen])
+			src := raw[vs.PayloadOff : vs.PayloadOff+vs.PayloadLen]
+			if base == 0 {
+				off += copy(dst[off:], src)
+			} else {
+				for k := 0; k < len(src); k += 8 {
+					putU64(binary.LittleEndian.Uint64(src[k:]) + base)
+				}
+			}
+			base += rebaseBy(&infos[i], vs)
 		}
 	}
 	if int64(off) != size {

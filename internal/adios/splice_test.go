@@ -102,12 +102,12 @@ func TestSpliceFramesRefusals(t *testing.T) {
 	if _, err := SpliceFrames(nil, pool); err == nil {
 		t.Fatal("want error for empty input")
 	}
-	st := &Step{Step: 1, Attrs: map[string]string{"structure": "1"},
-		Vars: []Variable{NewF64("points", []float64{0, 0, 0}, 1, 3)}}
-	if _, err := SpliceFrames([][]byte{Marshal(st)}, pool); err != ErrSpliceStructure {
-		t.Fatalf("structure frame: got %v, want ErrSpliceStructure", err)
-	}
 	a := Marshal(blockStep(1, 0, 4))
+	flagged := blockStep(1, 1, 4)
+	flagged.Attrs["structure"] = "1"
+	if _, err := SpliceFrames([][]byte{a, Marshal(flagged)}, pool); err == nil {
+		t.Fatal("want error for a structure flag that differs across inputs")
+	}
 	b := Marshal(blockStep(2, 1, 4))
 	if _, err := SpliceFrames([][]byte{a, b}, pool); err == nil {
 		t.Fatal("want error for step mismatch")
@@ -116,6 +116,61 @@ func TestSpliceFramesRefusals(t *testing.T) {
 		Vars: []Variable{NewF64("array/other", []float64{1})}}
 	if _, err := SpliceFrames([][]byte{a, Marshal(c)}, pool); err == nil {
 		t.Fatal("want error for var mismatch")
+	}
+}
+
+// structureBlock is rank r's block of a structure step: one hex cell
+// shifted along x, plus one point array.
+func structureBlock(r int) *Step {
+	x := float64(r)
+	return &Step{
+		Step: 0, Time: 0,
+		Attrs: map[string]string{"mesh": "mesh", "structure": "1"},
+		Vars: []Variable{
+			NewF64("points", []float64{
+				x, 0, 0, x + 1, 0, 0, x + 1, 1, 0, x, 1, 0,
+				x, 0, 1, x + 1, 0, 1, x + 1, 1, 1, x, 1, 1,
+			}, 8, 3),
+			NewI64("connectivity", []int64{0, 1, 2, 3, 4, 5, 6, 7}),
+			NewI64("offsets", []int64{8}),
+			NewU8("types", []byte{12}),
+			NewF64("array/temperature", []float64{0, 1, 2, 3, 4, 5, 6, float64(r)}),
+		},
+	}
+}
+
+// TestSpliceFramesRebasesStructure: structure frames splice into the
+// bytes of the decoded merge, connectivity and offsets rebased.
+func TestSpliceFramesRebasesStructure(t *testing.T) {
+	pool := NewFramePool()
+	const ranks = 3
+	frames := make([][]byte, ranks)
+	parts := make([]*Step, ranks)
+	for r := range parts {
+		parts[r] = structureBlock(r)
+		frames[r] = Marshal(parts[r])
+	}
+	f, err := SpliceFrames(frames, pool)
+	if err != nil {
+		t.Fatalf("SpliceFrames: %v", err)
+	}
+	defer f.Release()
+	merged, err := MergeSteps(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(f.Bytes(), Marshal(merged)) {
+		t.Fatal("spliced structure frame differs from the marshaled MergeSteps")
+	}
+	out, err := Unmarshal(f.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := out.FindVar("connectivity").I64; c[8] != 8 || c[23] != 23 {
+		t.Fatalf("connectivity not rebased: %v", c)
+	}
+	if o := out.FindVar("offsets").I64; len(o) != 3 || o[2] != 24 {
+		t.Fatalf("offsets not rebased: %v", o)
 	}
 }
 
@@ -137,6 +192,7 @@ func FuzzSpliceFrames(f *testing.F) {
 	shaped := blockStep(7, 1, 6)
 	shaped.Vars[0].Shape = []int64{2, 3}
 	f.Add(Marshal(shaped))
+	f.Add(Marshal(structureBlock(1))) // a grid, spliced alone
 
 	pool := NewFramePool()
 	f.Fuzz(func(t *testing.T, raw []byte) {

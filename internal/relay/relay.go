@@ -22,22 +22,20 @@
 //     endpoint of R ranks dials exactly one stream per rank.
 //
 // Requirements flow upstream through the tree: the relay unions its
-// declared downstream consumers' array/error declarations
+// declared downstream consumers' array declarations
 // (sensei.Requirements.Union) and requests exactly that union from
 // its upstream in the hello — re-advertising it downward — so a
 // subtree that only ever reads "pressure" costs "pressure" on every
 // trunk above it.
 //
-// The data path never decodes a float when it can avoid it: with a
-// plain (uncoded) trunk, upstream frames are received raw
-// (adios.Reader.BeginRawStep), re-blocked span-by-span
-// (adios.SpliceFrames over ScanFrame layouts), and published as bytes
-// (staging.Hub.PublishFrame): the output hub ships the spliced frame,
-// or a cut of it along its spans, to every raw consumer and decodes
-// only the arrays a coded consumer's encoder asks for. Structure steps
-// — once per stream — and coded trunks fall back to a decoded
-// Step-level merge with connectivity/offsets rebasing
-// (adios.MergeSteps).
+// There is one data path, and it decodes no float: the trunk always
+// carries plain frames, received raw (adios.Reader.BeginRawStep),
+// re-blocked span-by-span (adios.SpliceFrames over ScanFrame layouts,
+// rebasing connectivity and offsets on the once-per-stream structure
+// step), and published as bytes (staging.Hub.PublishFrame). The output
+// hub ships the spliced frame, or a cut of it along its spans, to
+// every raw consumer, and encodes for a coded consumer (a lossy leaf's
+// quantizer included) on its own edge.
 package relay
 
 import (
@@ -57,16 +55,10 @@ import (
 	"nekrs-sensei/internal/telemetry"
 )
 
-// Downstream is one pre-declared consumer of a relay's output hubs
-// (the staging.ConsumerSpec shape plus the requirement metadata that
-// flows upstream).
+// Downstream is one pre-declared consumer of a relay's output hubs;
+// its array subset flows upstream.
 type Downstream struct {
 	Spec staging.ConsumerSpec
-	// MaxError, when > 0, declares the consumer tolerates up to this
-	// absolute per-value error: if every declared consumer is lossy,
-	// the relay may request quantized trunk frames from upstream at
-	// the strictest declared bound.
-	MaxError float64
 }
 
 // Options configures a relay node.
@@ -90,15 +82,9 @@ type Options struct {
 	// Mesh names the mesh for the requirement union (default "mesh").
 	Mesh string
 	// Downstream pre-declares consumers on every output hub (claimed
-	// by name like any staging consumer); their array/error
-	// declarations union into the upstream request.
+	// by name like any staging consumer); their array declarations
+	// union into the upstream request.
 	Downstream []Downstream
-	// TrunkCodecs overrides the wire-codec request on the upstream
-	// edge (codec.ParseSpec grammar). Empty derives it from the
-	// downstream declarations: a quantize request when every declared
-	// consumer tolerates loss, plain frames otherwise. Note a coded
-	// trunk disables the raw splice path (frames must be decoded).
-	TrunkCodecs []string
 	// Tier is this relay's depth in the mesh (0 attaches straight to
 	// producer hubs); reported in /statusz.
 	Tier int
@@ -175,13 +161,11 @@ type Relay struct {
 
 	req    sensei.Requirements // downstream union
 	arrays []string            // upstream subset request (nil = all)
-	codecs []string            // trunk codec request
-	raw    bool                // splice path active (plain trunk)
 
 	// Per-source/per-output stream state, owned by the Run goroutine.
-	pendingStruct []*adios.Step // structure held from skipped steps
-	structSent    []bool        // per output
-	frames        [][]byte      // per source: splice input scratch
+	pendingStruct [][]byte // per source: grid of a skipped structure step
+	structSent    []bool   // per output
+	frames        [][]byte // per source: splice input scratch
 
 	steps   atomic.Int64
 	skipped atomic.Int64
@@ -224,13 +208,6 @@ func New(upstream []string, opts Options) (*Relay, error) {
 	if m := r.req.Mesh(o.Mesh); m != nil && !m.AllArrays {
 		r.arrays = m.PointArrayNames()
 	}
-	r.codecs = o.TrunkCodecs
-	if len(r.codecs) == 0 {
-		if bound, ok := r.req.MaxError(); ok {
-			r.codecs = []string{"quantize:" + strconv.FormatFloat(bound, 'g', -1, 64)}
-		}
-	}
-	r.raw = len(r.codecs) == 0
 
 	// Downstream edge first: R hubs, each re-advertising the union and
 	// carrying every pre-declared consumer. Building (and listening)
@@ -272,7 +249,7 @@ func New(upstream []string, opts Options) (*Relay, error) {
 		r.binders = append(r.binders, binder)
 		r.servers = append(r.servers, srv)
 	}
-	r.pendingStruct = make([]*adios.Step, len(upstream))
+	r.pendingStruct = make([][]byte, len(upstream))
 	r.structSent = make([]bool, o.OutRanks)
 	r.frames = make([][]byte, len(upstream))
 
@@ -294,7 +271,7 @@ func New(upstream []string, opts Options) (*Relay, error) {
 	for i, addr := range upstream {
 		ropts := adios.ReaderOptions{
 			Consumer: o.Name, Policy: o.Policy, Depth: o.Depth,
-			Arrays: r.arrays, Codecs: r.codecs,
+			Arrays: r.arrays,
 		}
 		if o.Retry != nil {
 			ropts.Retry = o.Retry
@@ -401,27 +378,17 @@ func (r *Relay) startCrediting() {
 // unionRequirements folds the declared downstream consumers into one
 // sensei.Requirements — the subtree's need, which becomes the
 // upstream hello. No declarations means the relay must be able to
-// serve anything (dynamic attachment), i.e. all arrays, lossless.
+// serve anything (dynamic attachment), i.e. all arrays.
 func unionRequirements(mesh string, ds []Downstream) sensei.Requirements {
 	if len(ds) == 0 {
 		return sensei.RequireAllArrays(mesh)
 	}
 	var req sensei.Requirements
-	for i, d := range ds {
-		var one sensei.Requirements
+	for _, d := range ds {
 		if len(d.Spec.Arrays) == 0 {
-			one = sensei.RequireAllArrays(mesh)
-		} else {
-			one = sensei.RequireArrays(mesh, sensei.AssocPoint, d.Spec.Arrays...)
+			return sensei.RequireAllArrays(mesh)
 		}
-		if d.MaxError > 0 {
-			one = one.WithMaxError(d.MaxError)
-		}
-		if i == 0 {
-			req = one
-		} else {
-			req = req.Union(one)
-		}
+		req = req.Union(sensei.RequireArrays(mesh, sensei.AssocPoint, d.Spec.Arrays...))
 	}
 	return req
 }
@@ -453,10 +420,9 @@ type Status struct {
 	Tier     int      `json:"tier"`
 	Upstream int      `json:"upstream_streams"`
 	OutRanks int      `json:"out_ranks"`
-	Mode     string   `json:"mode"` // "splice" (raw re-block) or "decode" (coded trunk)
+	Mode     string   `json:"mode"` // always "splice": the one data path
 	Requires string   `json:"requires"`
 	Arrays   []string `json:"trunk_arrays,omitempty"` // empty = all
-	Codecs   []string `json:"trunk_codecs,omitempty"`
 	Steps    int64    `json:"steps_relayed"`
 	Skipped  int64    `json:"steps_skipped"`
 	BytesIn  int64    `json:"trunk_bytes_in"`
@@ -479,13 +445,9 @@ func (r *Relay) Status() Status {
 	st := Status{
 		Name: r.opts.Name, Tier: r.opts.Tier,
 		Upstream: len(r.readers), OutRanks: len(r.hubs),
-		Mode: "splice", Requires: r.req.String(),
-		Arrays: r.arrays, Codecs: r.codecs,
+		Mode: "splice", Requires: r.req.String(), Arrays: r.arrays,
 		Steps: r.steps.Load(), Skipped: r.skipped.Load(),
 		BytesIn: r.bytesIn.Load(),
-	}
-	if !r.raw {
-		st.Mode = "decode"
 	}
 	for _, h := range r.hubs {
 		for _, c := range h.Stats() {
@@ -594,8 +556,18 @@ func (r *Relay) shard(o int) (lo, hi int) {
 	return intransit.ShardRange(len(r.readers), len(r.hubs), o)
 }
 
-// publishPendingStructure delivers the merged structure held from
-// skipped steps to output o, if o has not yet seen one and every
+// publish splices one output's shard frames and publishes the result
+// as bytes.
+func (r *Relay) publish(o int, frames [][]byte) error {
+	f, err := adios.SpliceFrames(frames, r.pool)
+	if err != nil {
+		return fmt.Errorf("relay: splice for output %d: %w", o, err)
+	}
+	return r.hubs[o].PublishFrame(f)
+}
+
+// publishPendingStructure delivers the grid held from skipped
+// structure steps to output o, if o has not yet seen one and every
 // shard source holds one. Streams without structure (bare array
 // streams) never trigger it.
 func (r *Relay) publishPendingStructure(o int) error {
@@ -608,11 +580,7 @@ func (r *Relay) publishPendingStructure(o int) error {
 			return nil
 		}
 	}
-	merged, err := adios.MergeSteps(r.pendingStruct[lo:hi])
-	if err != nil {
-		return err
-	}
-	if err := r.hubs[o].Publish(merged); err != nil {
+	if err := r.publish(o, r.pendingStruct[lo:hi]); err != nil {
 		return err
 	}
 	r.structSent[o] = true
@@ -621,39 +589,20 @@ func (r *Relay) publishPendingStructure(o int) error {
 
 var errEndedEarly = fmt.Errorf("relay: upstream source ended mid-stream while peers continued")
 
-// part is one upstream source's current step: the raw frame (plain
-// trunk; the reader's receive buffer, valid until its next fetch) or
-// the decoded step (coded trunk, whose connection decoder owns the
-// wire format), with the header fields step agreement runs on.
+// part is one upstream source's current step: the raw frame (the
+// reader's receive buffer, valid until its next fetch) and its layout.
 type part struct {
-	raw       []byte
-	step      *adios.Step
-	sim       int64
-	structure bool
+	raw  []byte
+	info adios.FrameInfo
 }
 
-// decoded returns the part as a step, decoding a raw frame into fresh
-// storage.
-func (p *part) decoded() (*adios.Step, error) {
-	if p.step != nil {
-		return p.step, nil
-	}
-	return adios.Unmarshal(p.raw)
-}
-
-// fetch receives source i's next step into p; eof reports a clean end
+// fetch receives source i's next frame into p; eof reports a clean end
 // of that stream.
 func (r *Relay) fetch(i int, p *part) (eof bool, err error) {
 	rd := r.readers[i]
 	before := rd.BytesReceived()
-	if r.raw {
-		var fi adios.FrameInfo
-		if p.raw, err = rd.BeginRawStep(); err == nil {
-			fi, err = adios.ScanFrame(p.raw)
-		}
-		p.sim, p.structure = fi.Step, fi.Structure
-	} else if p.step, err = rd.BeginStep(); err == nil {
-		p.sim, p.structure = p.step.Step, p.step.Attrs["structure"] == "1"
+	if p.raw, err = rd.BeginRawStep(); err == nil {
+		p.info, err = adios.ScanFrame(p.raw)
 	}
 	if errors.Is(err, io.EOF) {
 		return true, nil
@@ -665,10 +614,10 @@ func (r *Relay) fetch(i int, p *part) (eof bool, err error) {
 	return false, nil
 }
 
-// run is the relay pump for either trunk: receive one step from every
-// source, realign skewed streams to the max step seen (structure from
-// skipped steps is kept), re-block the aligned step into the outputs,
-// and queue its upstream credits.
+// run is the relay pump: receive one frame from every source, realign
+// skewed streams to the max step seen (the grid of a skipped structure
+// step is kept), re-block the aligned step into the outputs, and queue
+// its upstream credits.
 func (r *Relay) run() error {
 	P := len(r.readers)
 	parts := make([]part, P)
@@ -694,26 +643,26 @@ func (r *Relay) run() error {
 		if eofs > 0 {
 			return errEndedEarly
 		}
-		target := parts[0].sim
+		target := parts[0].info.Step
 		for i := 1; i < P; i++ {
-			target = max(target, parts[i].sim)
+			target = max(target, parts[i].info.Step)
 		}
 		aligned := true
 		for i := range parts {
 			p := &parts[i]
-			for p.sim < target {
-				if p.structure {
-					st, err := p.decoded()
-					if err != nil {
-						return fmt.Errorf("relay: upstream %d structure: %w", i, err)
-					}
-					r.pendingStruct[i] = st
+			for p.info.Step < target {
+				if p.info.Structure {
+					// Only the grid survives the skip: its arrays belong to
+					// a step the outputs never publish.
+					f := adios.SubsetFrame(p.raw, &p.info, nil, r.pool)
+					r.pendingStruct[i] = append([]byte(nil), f.Bytes()...)
+					f.Release()
 				}
 				r.skipped.Add(1)
 				if r.crediter != nil {
 					// Discarded during realignment: never published, so
 					// nothing downstream can retire it. Credit at once.
-					r.crediter.enqueue(i, p.sim, true)
+					r.crediter.enqueue(i, p.info.Step, true)
 				}
 				eof, err := r.fetch(i, p)
 				if err != nil {
@@ -722,7 +671,7 @@ func (r *Relay) run() error {
 				if eof {
 					return errEndedEarly
 				}
-				if p.sim > target {
+				if p.info.Step > target {
 					aligned = false // overshoot: re-agree next round
 					break
 				}
@@ -740,7 +689,7 @@ func (r *Relay) run() error {
 			// they never retire — credit immediately. Data steps wait
 			// for retirement from every output hub.
 			for i := range parts {
-				r.crediter.enqueue(i, target, parts[0].structure)
+				r.crediter.enqueue(i, target, parts[0].info.Structure)
 			}
 		}
 		r.steps.Add(1)
@@ -749,62 +698,32 @@ func (r *Relay) run() error {
 }
 
 // relayAligned re-blocks one aligned step (every source at the same
-// step number) into the R outputs. Structure steps — once per stream —
-// are decoded and merged with point/connectivity rebasing, and the hub
-// retains them as the bootstrap for late subscribers. A data step on
-// the plain trunk is a block-range splice over the recorded spans,
-// published as bytes: every downstream connection ships them (or a cut
-// of them) and the relay decodes nothing. On a coded trunk the decoded
-// steps merge instead, and sources the merge copied are recycled to
-// their readers for decode-into-reuse.
+// step number) into the R outputs: a block-range splice over the
+// scanned spans, published as bytes, so every downstream connection
+// ships them (or a cut of them) and the relay decodes nothing. A
+// structure step — once per stream — splices with its connectivity and
+// offsets rebased, and the hub retains it as the bootstrap for late
+// subscribers.
 func (r *Relay) relayAligned(parts []part) error {
-	structured := parts[0].structure
+	structured := parts[0].info.Structure
 	for i := range parts {
-		if parts[i].structure != structured {
-			return fmt.Errorf("relay: step %d: source %d structure flag disagrees with source 0", parts[0].sim, i)
+		if parts[i].info.Structure != structured {
+			return fmt.Errorf("relay: step %d: source %d structure flag disagrees with source 0", parts[0].info.Step, i)
 		}
+		r.frames[i] = parts[i].raw
 	}
-	for o, hub := range r.hubs {
-		lo, hi := r.shard(o)
+	for o := range r.hubs {
 		if !structured {
 			if err := r.publishPendingStructure(o); err != nil {
 				return err
 			}
-			if r.raw {
-				for i := lo; i < hi; i++ {
-					r.frames[i] = parts[i].raw
-				}
-				f, err := adios.SpliceFrames(r.frames[lo:hi], r.pool)
-				if err != nil {
-					return fmt.Errorf("relay: splice step %d for output %d: %w", parts[0].sim, o, err)
-				}
-				if err := hub.PublishFrame(f); err != nil {
-					return err
-				}
-				continue
-			}
 		}
-		steps := make([]*adios.Step, hi-lo)
-		for i := lo; i < hi; i++ {
-			st, err := parts[i].decoded()
-			if err != nil {
-				return fmt.Errorf("relay: upstream %d: %w", i, err)
-			}
-			steps[i-lo] = st
-		}
-		merged, err := adios.MergeSteps(steps)
-		if err != nil {
-			return err
-		}
-		if err := hub.Publish(merged); err != nil {
+		lo, hi := r.shard(o)
+		if err := r.publish(o, r.frames[lo:hi]); err != nil {
 			return err
 		}
 		if structured {
 			r.structSent[o] = true
-		} else if hi-lo > 1 {
-			for i := lo; i < hi; i++ {
-				r.readers[i].Recycle(steps[i-lo])
-			}
 		}
 	}
 	if structured {

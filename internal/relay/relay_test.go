@@ -135,38 +135,15 @@ func TestUnionRequirementsFold(t *testing.T) {
 		t.Fatalf("empty union = %v, want all arrays", all)
 	}
 
-	spec := func(name string, arrays []string, maxErr float64) Downstream {
-		return Downstream{
-			Spec:     staging.ConsumerSpec{Name: name, Arrays: arrays},
-			MaxError: maxErr,
-		}
+	spec := func(name string, arrays ...string) Downstream {
+		return Downstream{Spec: staging.ConsumerSpec{Name: name, Arrays: arrays}}
 	}
-	// Arrays union; the error bound survives only when every consumer
-	// tolerates loss, and the strictest bound wins.
-	req := unionRequirements("mesh", []Downstream{
-		spec("a", []string{"pressure"}, 1e-2),
-		spec("b", []string{"temperature"}, 1e-3),
-	})
-	names := req.Mesh("mesh").PointArrayNames()
-	if len(names) != 2 {
+	req := unionRequirements("mesh", []Downstream{spec("a", "pressure"), spec("b", "temperature")})
+	if names := req.Mesh("mesh").PointArrayNames(); len(names) != 2 {
 		t.Fatalf("unioned arrays = %v", names)
 	}
-	if bound, ok := req.MaxError(); !ok || bound != 1e-3 {
-		t.Fatalf("MaxError = %v, %v; want strictest declared bound 1e-3", bound, ok)
-	}
-	// One lossless consumer forces a lossless trunk.
-	req = unionRequirements("mesh", []Downstream{
-		spec("a", []string{"pressure"}, 1e-2),
-		spec("b", []string{"temperature"}, 0),
-	})
-	if _, ok := req.MaxError(); ok {
-		t.Fatal("a lossless consumer must clear the union's error bound")
-	}
 	// A consumer with no array subset widens the union to everything.
-	req = unionRequirements("mesh", []Downstream{
-		spec("a", []string{"pressure"}, 0),
-		spec("b", nil, 0),
-	})
+	req = unionRequirements("mesh", []Downstream{spec("a", "pressure"), spec("b")})
 	if m := req.Mesh("mesh"); !m.AllArrays {
 		t.Fatalf("union with an all-arrays consumer = %v, want all arrays", req)
 	}
@@ -375,29 +352,30 @@ func TestGroupThroughRelay(t *testing.T) {
 	}
 }
 
-// TestCodedTrunkRelay: a subtree where every declared consumer
-// tolerates loss negotiates a quantized trunk upstream; the relay
-// then runs the decoded merge path and the leaf still sees values
-// within the declared bound.
-func TestCodedTrunkRelay(t *testing.T) {
+// TestLossyLeafOverPlainTrunk: a subtree whose only consumer is lossy
+// still gets plain frames on the trunk — the relay splices, it never
+// decodes — and the leaf's quantizer runs on its own edge below the
+// relay, so the leaf sees values within its bound.
+func TestLossyLeafOverPlainTrunk(t *testing.T) {
 	const P, steps, bound = 2, 4, 1e-3
 	hubs, addrs := servedHubs(t, P)
+	codecs := []string{"quantize:0.001"}
 	r, err := New(addrs, Options{
 		Name: "lossy", OutRanks: 1,
 		Downstream: []Downstream{
-			{Spec: staging.ConsumerSpec{Name: "leaf", Policy: staging.Block, Depth: 4}, MaxError: bound},
+			{Spec: staging.ConsumerSpec{Name: "leaf", Policy: staging.Block, Depth: 4, Codecs: codecs}},
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := r.Status(); st.Mode != "decode" || len(st.Codecs) != 1 || st.Codecs[0] != "quantize:0.001" {
-		t.Fatalf("status = %+v, want a decode-mode quantize:0.001 trunk", st)
+	if st := r.Status(); st.Mode != "splice" {
+		t.Fatalf("status = %+v, want the splice path", st)
 	}
 	runErr := make(chan error, 1)
 	go func() { runErr <- r.Run() }()
 
-	rd, err := adios.OpenReaderWith(r.Addrs()[0], adios.ReaderOptions{Consumer: "leaf"})
+	rd, err := adios.OpenReaderWith(r.Addrs()[0], adios.ReaderOptions{Consumer: "leaf", Codecs: codecs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,6 +433,78 @@ func TestCodedTrunkRelay(t *testing.T) {
 				t.Fatalf("step %d value %d: %g vs %g exceeds bound %g", g.seq, i, g.vals[i], want[i], bound)
 			}
 		}
+	}
+}
+
+// TestRealignKeepsSkippedGrid: sources whose structure steps arrive at
+// different steps are realigned by skipping them; the outputs still get
+// the grid — once, before the first data step, as the grid alone (the
+// skipped steps' arrays are never published) — and then every aligned
+// data step.
+func TestRealignKeepsSkippedGrid(t *testing.T) {
+	hubs, addrs := servedHubs(t, 2)
+	r, err := New(addrs, Options{
+		Name: "realign", OutRanks: 1,
+		Downstream: []Downstream{{Spec: staging.ConsumerSpec{Name: "leaf", Policy: staging.Block, Depth: 4}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runErr := make(chan error, 1)
+	go func() { runErr <- r.Run() }()
+	rd, err := adios.OpenReaderWith(r.Addrs()[0], adios.ReaderOptions{Consumer: "leaf"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+
+	// Source 0 sends its grid at step 0, source 1 at step 1; both then
+	// send steps 2 and 3.
+	late := blockStep(1, 0)
+	late.Step = 1
+	script := [][]*adios.Step{
+		{blockStep(0, 0), blockStep(0, 2), blockStep(0, 3)},
+		{late, blockStep(1, 2), blockStep(1, 3)},
+	}
+	for b, h := range hubs {
+		for _, st := range script[b] {
+			if err := h.Publish(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h.Close()
+	}
+	var got []*adios.Step
+	for {
+		st, err := rd.BeginStep()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, st)
+	}
+	if err := <-runErr; err != nil {
+		t.Fatalf("relay run: %v", err)
+	}
+	if len(got) != 3 {
+		t.Fatalf("leaf received %d steps, want the grid and steps 2, 3", len(got))
+	}
+	grid := got[0]
+	if grid.Attrs["structure"] != "1" || grid.FindVar("array/temperature") != nil {
+		t.Fatalf("first step = %+v, want the grid alone", grid)
+	}
+	if conn := grid.FindVar("connectivity"); conn == nil || len(conn.I64) != 16 || conn.I64[15] != 15 {
+		t.Fatalf("grid connectivity = %v, want both blocks rebased", conn)
+	}
+	for k, st := range got[1:] {
+		if st.Step != int64(k+2) || len(st.FindVar("array/temperature").F64) != 16 {
+			t.Fatalf("data step %d = %+v, want step %d with both blocks", k, st, k+2)
+		}
+	}
+	if st := r.Status(); st.Skipped != 2 || st.Steps != 2 {
+		t.Errorf("status %+v, want 2 skipped and 2 relayed", st)
 	}
 }
 

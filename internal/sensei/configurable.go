@@ -3,6 +3,7 @@ package sensei
 import (
 	"encoding/xml"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"time"
@@ -45,10 +46,9 @@ type ConfigurableAnalysis struct {
 
 type configEntry struct {
 	typeName  string
-	frequency int // lcm of the XML frequency and the declared cadence
+	frequency int // the XML frequency
 	adaptor   Analysis
 	reqs      Requirements // cached Describe() from initialization
-	maxErr    float64      // XML maxerror attribute, 0 = lossless; folded into reqs
 
 	executions  int
 	bytesPulled int64
@@ -99,20 +99,18 @@ func (ca *ConfigurableAnalysis) InitializeXML(doc []byte) error {
 			}
 			freq = v
 		}
-		maxErr := 0.0
+		// maxerror shapes the wire request (ConfigMaxError), not the
+		// pull; a bad one still fails configuration here.
 		if me, ok := attrs["maxerror"]; ok {
-			v, err := strconv.ParseFloat(me, 64)
-			if err != nil || !(v > 0) {
+			if v, err := strconv.ParseFloat(me, 64); err != nil || !(v > 0) {
 				return fmt.Errorf("sensei: analysis %d: bad maxerror %q (want a positive absolute error bound)", i, me)
 			}
-			maxErr = v
 		}
 		adaptor, err := NewAnalysisAdaptor(typeName, ca.ctx, attrs)
 		if err != nil {
 			return err
 		}
 		ca.AddAnalysis(typeName, freq, adaptor)
-		ca.entries[len(ca.entries)-1].setMaxError(maxErr)
 	}
 	return nil
 }
@@ -128,29 +126,14 @@ func (ca *ConfigurableAnalysis) InitializeFile(path string) error {
 }
 
 // AddAnalysis appends a constructed analysis with the given trigger
-// frequency, caching its declaration and folding the declared cadence
-// into the trigger frequency (both gates must open, hence the lcm).
+// frequency, caching its declaration.
 func (ca *ConfigurableAnalysis) AddAnalysis(typeName string, freq int, a Analysis) {
-	if freq < 1 {
-		freq = 1
-	}
-	reqs := a.Describe()
 	ca.entries = append(ca.entries, configEntry{
 		typeName:  typeName,
-		frequency: lcm(freq, reqs.Frequency()),
+		frequency: max(freq, 1),
 		adaptor:   a,
-		reqs:      reqs,
+		reqs:      a.Describe(),
 	})
-}
-
-// setMaxError installs the XML maxerror declaration on an entry,
-// folding it into the cached requirements (the fold repeats after
-// every per-step re-Describe).
-func (e *configEntry) setMaxError(bound float64) {
-	e.maxErr = bound
-	if bound > 0 {
-		e.reqs = e.reqs.WithMaxError(bound)
-	}
 }
 
 // NumAnalyses reports the number of enabled analyses.
@@ -206,34 +189,13 @@ func (ca *ConfigurableAnalysis) Requirements() Requirements {
 	return u
 }
 
-// MaxError reports the wire error bound the whole configuration
-// tolerates: the smallest declared maxerror, and only when EVERY
-// enabled analysis that pulls data declares one — a single lossless
-// analysis makes the configuration lossless.
-// Endpoints use it to derive a quantize codec request when the user
-// gave none.
-func (ca *ConfigurableAnalysis) MaxError() (bound float64, ok bool) {
-	for _, e := range ca.entries {
-		if e.reqs.Empty() && e.maxErr <= 0 {
-			continue // needs no data; constrains nothing
-		}
-		b, set := e.reqs.MaxError()
-		if !set {
-			return 0, false
-		}
-		if !ok || b < bound {
-			bound, ok = b, true
-		}
-	}
-	return bound, ok
-}
-
 // ConfigMaxError inspects a configuration document WITHOUT
 // instantiating its analyses and reports the wire error bound it
 // tolerates: the smallest maxerror attribute, and only when every
-// enabled analysis declares one. Endpoints call this before dialing —
-// deriving a codec request must not construct adaptors (and their
-// side effects) twice.
+// enabled analysis declares one — a single lossless analysis makes the
+// configuration lossless. Endpoints call this before dialing to derive
+// a quantize codec request when the user gave none; it constructs no
+// adaptor (and so none of their side effects).
 func ConfigMaxError(doc []byte) (bound float64, ok bool) {
 	var cfg xSensei
 	if err := xml.Unmarshal(doc, &cfg); err != nil {
@@ -248,7 +210,7 @@ func ConfigMaxError(doc []byte) (bound float64, ok bool) {
 			continue
 		}
 		v, err := strconv.ParseFloat(attrs["maxerror"], 64)
-		if err != nil || !(v > 0) || v > maxFinite {
+		if err != nil || !(v > 0) || math.IsInf(v, 1) {
 			return 0, false
 		}
 		if !ok || v < bound {
@@ -277,9 +239,6 @@ func (ca *ConfigurableAnalysis) Execute(da DataAdaptor) (stop bool, err error) {
 		// in-transit sender whose reader announced an array subset
 		// mid-run) shrink the pull as soon as they know less is needed.
 		e.reqs = e.adaptor.Describe()
-		if e.maxErr > 0 {
-			e.reqs = e.reqs.WithMaxError(e.maxErr)
-		}
 		triggered = append(triggered, e)
 		union = union.Union(e.reqs)
 	}

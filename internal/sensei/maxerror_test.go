@@ -1,53 +1,6 @@
 package sensei
 
-import (
-	"math"
-	"testing"
-)
-
-func TestWithMaxError(t *testing.T) {
-	r := RequireArrays("mesh", AssocPoint, "f")
-	if _, ok := r.MaxError(); ok {
-		t.Fatal("fresh requirements must be lossless")
-	}
-	r2 := r.WithMaxError(1e-3)
-	if b, ok := r2.MaxError(); !ok || b != 1e-3 {
-		t.Fatalf("MaxError = %v, %v, want 1e-3, true", b, ok)
-	}
-	if _, ok := r.MaxError(); ok {
-		t.Fatal("WithMaxError mutated its receiver")
-	}
-	// Non-positive or non-finite bounds clear back to lossless.
-	for _, bad := range []float64{0, -1, math.Inf(1), math.NaN()} {
-		if _, ok := r2.WithMaxError(bad).MaxError(); ok {
-			t.Errorf("WithMaxError(%v) left a bound set", bad)
-		}
-	}
-}
-
-func TestUnionMaxError(t *testing.T) {
-	loose := RequireArrays("mesh", AssocPoint, "f").WithMaxError(1e-2)
-	tight := RequireArrays("mesh", AssocPoint, "g").WithMaxError(1e-5)
-	lossless := RequireArrays("mesh", AssocPoint, "h")
-
-	if b, ok := loose.Union(tight).MaxError(); !ok || b != 1e-5 {
-		t.Errorf("both set: got %v, %v, want the strict minimum 1e-5", b, ok)
-	}
-	if b, ok := tight.Union(loose).MaxError(); !ok || b != 1e-5 {
-		t.Errorf("union not symmetric: got %v, %v", b, ok)
-	}
-	// One lossless party forces the union lossless: the wire cannot
-	// quantize data some consumer needs exact.
-	if _, ok := loose.Union(lossless).MaxError(); ok {
-		t.Error("union with a lossless analysis kept a bound")
-	}
-	if _, ok := lossless.Union(loose).MaxError(); ok {
-		t.Error("union with a lossless analysis kept a bound (reversed)")
-	}
-	if _, ok := lossless.Union(lossless).MaxError(); ok {
-		t.Error("two lossless analyses unioned to lossy")
-	}
-}
+import "testing"
 
 func TestConfigMaxError(t *testing.T) {
 	for _, tc := range []struct {
@@ -99,10 +52,9 @@ func TestConfigMaxError(t *testing.T) {
 	}
 }
 
-// TestConfigurableMaxError checks the instantiated planner agrees with
-// the XML-only derivation, including the path ConfigMaxError cannot
-// see: an analysis added in code that declares no tolerance must veto
-// lossy transport.
+// TestConfigurableMaxError: the configuration validates each maxerror
+// attribute, and the bound shapes only the wire request ConfigMaxError
+// derives — never the pull plan, which holds arrays alone.
 func TestConfigurableMaxError(t *testing.T) {
 	ca := NewConfigurableAnalysis(testCtx())
 	cfg := `<sensei>
@@ -112,12 +64,11 @@ func TestConfigurableMaxError(t *testing.T) {
 	if err := ca.InitializeXML([]byte(cfg)); err != nil {
 		t.Fatal(err)
 	}
-	if b, ok := ca.MaxError(); !ok || b != 1e-5 {
-		t.Fatalf("MaxError = %v, %v, want 1e-5, true", b, ok)
+	if b, ok := ConfigMaxError([]byte(cfg)); !ok || b != 1e-5 {
+		t.Fatalf("ConfigMaxError = %v, %v, want 1e-5, true", b, ok)
 	}
-	ca.AddAnalysis("tracker", 1, &stepTracker{})
-	if _, ok := ca.MaxError(); ok {
-		t.Fatal("a lossless analysis did not veto the error bound")
+	if got := ca.Requirements().String(); got != "mesh{f/point,g/point}" {
+		t.Fatalf("pull plan = %q, want the two arrays alone", got)
 	}
 
 	// A bad maxerror attribute fails configuration outright.

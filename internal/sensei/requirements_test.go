@@ -37,15 +37,15 @@ func TestRequirementsUnion(t *testing.T) {
 		},
 		{
 			name: "structure-only promoted away by arrays",
-			a:    RequireStructure("mesh"),
+			a:    RequireArrays("mesh", AssocPoint),
 			b:    RequireArrays("mesh", AssocPoint, "f"),
 			want: RequireArrays("mesh", AssocPoint, "f"),
 		},
 		{
 			name: "structure-only survives structure-only",
-			a:    RequireStructure("mesh"),
-			b:    RequireStructure("mesh"),
-			want: RequireStructure("mesh"),
+			a:    RequireArrays("mesh", AssocPoint),
+			b:    RequireArrays("mesh", AssocPoint),
+			want: RequireArrays("mesh", AssocPoint),
 		},
 		{
 			name: "all-arrays absorbs specific lists",
@@ -56,7 +56,7 @@ func TestRequirementsUnion(t *testing.T) {
 		{
 			name: "all-arrays absorbs structure-only",
 			a:    RequireAllArrays("mesh"),
-			b:    RequireStructure("mesh"),
+			b:    RequireArrays("mesh", AssocPoint),
 			want: RequireAllArrays("mesh"),
 		},
 		{
@@ -100,20 +100,6 @@ func TestRequirementsUnionDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestRequirementsFrequency(t *testing.T) {
-	a := RequireArrays("mesh", AssocPoint, "f").EveryN(4)
-	b := RequireArrays("mesh", AssocPoint, "g").EveryN(6)
-	if got := a.Union(b).Frequency(); got != 2 {
-		t.Errorf("union frequency = %d, want gcd 2", got)
-	}
-	if got := NoRequirements().Frequency(); got != 1 {
-		t.Errorf("zero-value frequency = %d, want 1", got)
-	}
-	if got := lcm(4, 6); got != 12 {
-		t.Errorf("lcm(4,6) = %d, want 12", got)
-	}
-}
-
 func TestRequirementsPointArrayNames(t *testing.T) {
 	r := RequireArrays("mesh", AssocPoint, "b", "a").Union(RequireArrays("mesh", AssocCell, "c"))
 	if got := r.Mesh("mesh").PointArrayNames(); !reflect.DeepEqual(got, []string{"a", "b"}) {
@@ -132,8 +118,8 @@ func TestRequirementsString(t *testing.T) {
 	}{
 		{NoRequirements(), "none"},
 		{RequireAllArrays("mesh"), "mesh{*}"},
-		{RequireStructure("mesh"), "mesh{structure}"},
-		{RequireArrays("mesh", AssocPoint, "f").EveryN(2), "mesh{f/point} every 2"},
+		{RequireArrays("mesh", AssocPoint), "mesh{structure}"},
+		{RequireArrays("mesh", AssocPoint, "f").Union(RequireArrays("mesh", AssocCell, "c")), "mesh{c/cell,f/point}"},
 	} {
 		if got := tc.r.String(); got != tc.want {
 			t.Errorf("String() = %q, want %q", got, tc.want)
