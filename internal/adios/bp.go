@@ -27,13 +27,12 @@
 // stages from internal/codec, temporal-delta chains with shared
 // keyframes, and the same pooled-frame discipline. Connections that
 // negotiate nothing are byte-identical to the plain BP05 wire. See
-// DESIGN.md "Wire compression".
+// DESIGN.md "Wire compression". Both formats are drawn, and read by
+// one bounds-checked walk, in frame.go.
 package adios
 
 import (
-	"bytes"
 	"encoding/binary"
-	"fmt"
 	"math"
 	"sort"
 
@@ -239,234 +238,14 @@ func ReuseStep(s *Step) *Step {
 	return s
 }
 
-// decodeAttrsInto decodes an attribute section — the attr-count word
-// at pos followed by length-prefixed key/value pairs — into out's
-// attribute map, reusing it. Fast path: verify — without mutating —
-// that the frame's attrs are exactly the map's current contents (the
-// steady state, where attrs repeat per step: zero allocations). Any
-// mismatch, a stale or missing key, or a duplicate key in a hostile
-// frame falls back to a full rebuild, so the decoded map is always
-// exactly the frame's attrs (last write wins on duplicates, matching
-// a fresh decode). Returns the offset just past the section. Shared
-// by the BP05 and BPC5 decoders.
-func decodeAttrsInto(raw []byte, pos int, out *Step) (int, error) {
-	getU64 := func() (uint64, error) {
-		if pos+8 > len(raw) {
-			return 0, fmt.Errorf("adios: truncated at %d", pos)
-		}
-		v := binary.LittleEndian.Uint64(raw[pos:])
-		pos += 8
-		return v, nil
-	}
-	getBytes := func() ([]byte, error) {
-		n, err := getU64()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(len(raw)-pos) {
-			return nil, fmt.Errorf("adios: truncated string")
-		}
-		b := raw[pos : pos+int(n)]
-		pos += int(n)
-		return b, nil
-	}
-	nattr, err := getU64()
-	if err != nil {
-		return pos, err
-	}
-	if nattr > uint64(len(raw)-pos)/16 { // each attr needs two length words
-		return pos, fmt.Errorf("adios: attr count %d exceeds frame", nattr)
-	}
-	if out.Attrs == nil {
-		out.Attrs = make(map[string]string, nattr)
-	}
-	const attrFastPathMax = 16
-	attrStart := pos
-	match := nattr <= attrFastPathMax && uint64(len(out.Attrs)) == nattr
-	var seenKeys [attrFastPathMax][]byte
-	for i := uint64(0); i < nattr; i++ {
-		kb, err := getBytes()
-		if err != nil {
-			return pos, err
-		}
-		vb, err := getBytes()
-		if err != nil {
-			return pos, err
-		}
-		if match {
-			for j := uint64(0); j < i; j++ {
-				if bytes.Equal(seenKeys[j], kb) {
-					match = false // duplicate key: counting is unreliable
-				}
-			}
-			seenKeys[i] = kb
-			if cur, ok := out.Attrs[string(kb)]; !ok || cur != string(vb) {
-				match = false
-			}
-		}
-	}
-	if !match {
-		clear(out.Attrs)
-		pos = attrStart
-		for i := uint64(0); i < nattr; i++ {
-			kb, _ := getBytes() // region validated by the first pass
-			vb, _ := getBytes()
-			out.Attrs[string(kb)] = string(vb)
-		}
-	}
-	return pos, nil
-}
-
 // UnmarshalInto decodes a step marshaled by Marshal into out, reusing
 // out's attribute map, variable headers, shape slices and payload
 // storage wherever capacities allow — the decode side of the
 // zero-allocation steady state. A zero-valued out behaves like a
 // fresh Unmarshal; a recycled out (see ReuseStep) decodes a stream of
 // same-shaped steps without allocating. On error out's contents are
-// unspecified.
+// unspecified. It is DecodeInto on a nil StreamDecoder, which refuses
+// BPC5 frames.
 func UnmarshalInto(raw []byte, out *Step) error {
-	if len(raw) < 4 || string(raw[:4]) != bpMagic {
-		if IsEncodedFrame(raw) {
-			return fmt.Errorf("adios: encoded (BPC5) frame needs a StreamDecoder")
-		}
-		return fmt.Errorf("adios: bad magic")
-	}
-	pos := 4
-	getU64 := func() (uint64, error) {
-		if pos+8 > len(raw) {
-			return 0, fmt.Errorf("adios: truncated at %d", pos)
-		}
-		v := binary.LittleEndian.Uint64(raw[pos:])
-		pos += 8
-		return v, nil
-	}
-	// getBytes returns the next length-prefixed region in place (no
-	// copy): callers compare against existing strings before allocating.
-	// Lengths are validated against the remaining bytes before any
-	// conversion to int, so a hostile frame cannot overflow the bounds
-	// checks into a huge or negative allocation.
-	getBytes := func() ([]byte, error) {
-		n, err := getU64()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(len(raw)-pos) {
-			return nil, fmt.Errorf("adios: truncated string")
-		}
-		b := raw[pos : pos+int(n)]
-		pos += int(n)
-		return b, nil
-	}
-	v, err := getU64()
-	if err != nil {
-		return err
-	}
-	out.Step = int64(v)
-	if v, err = getU64(); err != nil {
-		return err
-	}
-	out.Time = math.Float64frombits(v)
-	pos, err = decodeAttrsInto(raw, pos, out)
-	if err != nil {
-		return err
-	}
-	nvars, err := getU64()
-	if err != nil {
-		return err
-	}
-	if nvars > uint64(len(raw)-pos)/25 { // name len + kind + ndim + elem count
-		return fmt.Errorf("adios: var count %d exceeds frame", nvars)
-	}
-	if cap(out.Vars) >= int(nvars) {
-		out.Vars = out.Vars[:nvars]
-	} else {
-		out.Vars = make([]Variable, nvars)
-	}
-	for i := uint64(0); i < nvars; i++ {
-		vv := &out.Vars[i]
-		nb, err := getBytes()
-		if err != nil {
-			return err
-		}
-		if vv.Name != string(nb) {
-			vv.Name = string(nb)
-		}
-		if pos >= len(raw) {
-			return fmt.Errorf("adios: truncated kind")
-		}
-		vv.Kind = Kind(raw[pos])
-		pos++
-		ndim, err := getU64()
-		if err != nil {
-			return err
-		}
-		if ndim > uint64(len(raw)-pos)/8 {
-			return fmt.Errorf("adios: shape rank %d exceeds frame", ndim)
-		}
-		if vv.Shape == nil && ndim > 0 || cap(vv.Shape) < int(ndim) {
-			vv.Shape = make([]int64, ndim)
-		} else {
-			vv.Shape = vv.Shape[:ndim]
-		}
-		for d := uint64(0); d < ndim; d++ {
-			s, err := getU64()
-			if err != nil {
-				return err
-			}
-			vv.Shape[d] = int64(s)
-		}
-		n, err := getU64()
-		if err != nil {
-			return err
-		}
-		// Truncate the payload slices the new kind does not use, so a
-		// reused Variable that changed kind cannot expose stale data
-		// (capacity is kept for a later flip back).
-		switch vv.Kind {
-		case KindFloat64:
-			vv.I64, vv.U8 = vv.I64[:0], vv.U8[:0]
-		case KindInt64:
-			vv.F64, vv.U8 = vv.F64[:0], vv.U8[:0]
-		case KindUint8:
-			vv.F64, vv.I64 = vv.F64[:0], vv.I64[:0]
-		}
-		switch vv.Kind {
-		case KindFloat64:
-			if n > uint64(len(raw)-pos)/8 {
-				return fmt.Errorf("adios: truncated f64 payload")
-			}
-			if vv.F64 == nil || cap(vv.F64) < int(n) {
-				vv.F64 = make([]float64, n)
-			} else {
-				vv.F64 = vv.F64[:n]
-			}
-			lebytes.Get(vv.F64, raw[pos:])
-			pos += 8 * int(n)
-		case KindInt64:
-			if n > uint64(len(raw)-pos)/8 {
-				return fmt.Errorf("adios: truncated i64 payload")
-			}
-			if vv.I64 == nil || cap(vv.I64) < int(n) {
-				vv.I64 = make([]int64, n)
-			} else {
-				vv.I64 = vv.I64[:n]
-			}
-			lebytes.Get(vv.I64, raw[pos:])
-			pos += 8 * int(n)
-		case KindUint8:
-			if n > uint64(len(raw)-pos) {
-				return fmt.Errorf("adios: truncated u8 payload")
-			}
-			if vv.U8 == nil || cap(vv.U8) < int(n) {
-				vv.U8 = make([]byte, n)
-			} else {
-				vv.U8 = vv.U8[:n]
-			}
-			copy(vv.U8, raw[pos:pos+int(n)])
-			pos += int(n)
-		default:
-			return fmt.Errorf("adios: unknown kind %d", vv.Kind)
-		}
-	}
-	return nil
+	return (*StreamDecoder)(nil).DecodeInto(raw, out)
 }

@@ -1,6 +1,7 @@
 package adios
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -17,23 +18,18 @@ import (
 // raw payloads, and the stream encoder/decoder pair that owns the
 // inter-step state the temporal codec needs.
 //
-// Layout (everything little-endian, strings length-prefixed):
-//
-//	"BPC5" | u64 step | f64 time | u64 base+1 | attrs (as BP05)
-//	| u64 nvars | per var:
-//	    name | kind u8 | codec u8 | f64 param
-//	    | u64 nshape | shapes | u64 elems | u64 enclen | enc bytes
-//
-// The base word records the step number the frame's temporal-delta
-// payloads difference against, offset by one so zero means "no base"
-// (a keyframe). Only float64 variables under the "array/" prefix are
-// ever coded; everything else — and any array whose negotiated choice
-// is identity — ships its payload verbatim with codec byte 0, and the
-// quantizer's param field carries the error bound the decoder
-// reconstructs with. Uncoded BP05 frames remain valid on any
-// connection (the spill tier and structure steps use this), so both
-// formats are distinguished by magic and a StreamDecoder accepts
-// either; a plain UnmarshalInto rejects BPC5 with a telling error.
+// The frame layout is drawn beside BP05's in frame.go, whose walk
+// reads both. The base word records the step number the frame's
+// temporal-delta payloads difference against, offset by one so zero
+// means "no base" (a keyframe). Only float64 variables under the
+// "array/" prefix are ever coded; everything else — and any array
+// whose negotiated choice is identity — ships its payload verbatim
+// with codec byte 0, and the quantizer's param field carries the error
+// bound the decoder reconstructs with. Uncoded BP05 frames remain
+// valid on any connection (the spill tier and structure steps use
+// this), so both formats are distinguished by magic and a
+// StreamDecoder accepts either; a plain UnmarshalInto rejects BPC5
+// with a telling error.
 const bpcMagic = "BPC5"
 
 // IsEncodedFrame reports whether raw is a BPC5 (codec-encoded) frame.
@@ -319,20 +315,151 @@ func NewStreamDecoder(temporal bool) *StreamDecoder {
 }
 
 // DecodeInto decodes a wire frame of either format into out, reusing
-// out's storage like UnmarshalInto. A BP05 frame (structure step,
-// spill catch-up) resets the temporal state — the hub guarantees the
-// next coded frame after any gap is a keyframe.
+// out's storage like UnmarshalInto; a nil decoder is UnmarshalInto and
+// refuses BPC5. A BP05 frame (structure step, spill catch-up) resets
+// the temporal state — the hub guarantees the next coded frame after
+// any gap is a keyframe.
 func (d *StreamDecoder) DecodeInto(raw []byte, out *Step) error {
-	if !IsEncodedFrame(raw) {
-		d.hasPrev = false
-		return UnmarshalInto(raw, out)
+	encoded := IsEncodedFrame(raw)
+	if d == nil && encoded {
+		return fmt.Errorf("adios: encoded (BPC5) frame needs a StreamDecoder")
 	}
-	if err := d.decodeEncodedInto(raw, out); err != nil {
+	var hasBase bool
+	err := walkFrame(raw, func(h frameHead) error {
+		if hasBase = h.baseWord != 0; hasBase {
+			base := int64(h.baseWord) - 1
+			if !d.temporal {
+				return fmt.Errorf("adios: temporal frame on a connection that negotiated no temporal codec")
+			}
+			if !d.hasPrev || d.prevStep != base {
+				return fmt.Errorf("adios: temporal frame needs base step %d, decoder holds %d", base, d.lastStep())
+			}
+		}
+		out.Step, out.Time = h.step, h.time
+		decodeAttrsInto(&h, out)
+		if cap(out.Vars) >= h.nvars {
+			out.Vars = out.Vars[:h.nvars]
+		} else {
+			out.Vars = make([]Variable, h.nvars)
+		}
+		return nil
+	}, func(i int, r varRecord) error {
+		return d.decodeVar(&out.Vars[i], raw, &r, hasBase)
+	})
+	if d == nil {
+		return err
+	}
+	if err != nil || !encoded {
 		d.hasPrev = false
 		return err
 	}
 	if d.temporal && out.Attrs["structure"] != "1" {
 		d.snapshot(out)
+	}
+	return nil
+}
+
+// decodeAttrsInto sets out's attribute map to the frame's attributes,
+// reusing it. Fast path: verify — without mutating — that the frame's
+// attrs are exactly the map's current contents (the steady state,
+// where attrs repeat per step: zero allocations). Any mismatch, a
+// stale or missing key, or a duplicate key in a hostile frame falls
+// back to a full rebuild, so the decoded map is always exactly the
+// frame's attrs (last write wins on duplicates, matching a fresh
+// decode).
+func decodeAttrsInto(h *frameHead, out *Step) {
+	if out.Attrs == nil {
+		out.Attrs = make(map[string]string, h.nattr)
+	}
+	const attrFastPathMax = 16
+	match := h.nattr <= attrFastPathMax && len(out.Attrs) == h.nattr
+	var seenKeys [attrFastPathMax][]byte
+	rest := h.attrs
+	for i := 0; match && i < h.nattr; i++ {
+		var kb, vb []byte
+		kb, vb, rest = nextAttr(rest)
+		for j := 0; j < i; j++ {
+			if bytes.Equal(seenKeys[j], kb) {
+				match = false // duplicate key: counting is unreliable
+			}
+		}
+		seenKeys[i] = kb
+		if cur, ok := out.Attrs[string(kb)]; !ok || cur != string(vb) {
+			match = false
+		}
+	}
+	if match {
+		return
+	}
+	clear(out.Attrs)
+	for rest = h.attrs; len(rest) > 0; {
+		var kb, vb []byte
+		kb, vb, rest = nextAttr(rest)
+		out.Attrs[string(kb)] = string(vb)
+	}
+}
+
+// decodeVar decodes one walked variable record into vv, reusing its
+// name, shape and payload storage. hasBase reports whether the frame
+// differences against a base step (only a temporal decoder holding it
+// gets this far).
+func (d *StreamDecoder) decodeVar(vv *Variable, raw []byte, r *varRecord, hasBase bool) error {
+	if vv.Name != string(r.name) {
+		vv.Name = string(r.name)
+	}
+	vv.Kind = r.kind
+	if vv.Shape == nil && r.rank > 0 || cap(vv.Shape) < r.rank {
+		vv.Shape = make([]int64, r.rank)
+	} else {
+		vv.Shape = vv.Shape[:r.rank]
+	}
+	lebytes.Get(vv.Shape, raw[r.shapeOff:])
+	// Truncate the payload slices the new kind does not use, so a
+	// reused Variable that changed kind cannot expose stale data
+	// (capacity is kept for a later flip back).
+	switch vv.Kind {
+	case KindFloat64:
+		vv.I64, vv.U8 = vv.I64[:0], vv.U8[:0]
+	case KindInt64:
+		vv.F64, vv.U8 = vv.F64[:0], vv.U8[:0]
+	case KindUint8:
+		vv.F64, vv.I64 = vv.F64[:0], vv.I64[:0]
+	}
+	n, enc := r.elems, r.payload
+	if r.codec == codec.Identity {
+		decodePlainPayload(vv, n, enc)
+		return nil
+	}
+	if vv.Kind != KindFloat64 {
+		return fmt.Errorf("adios: codec %s on non-float64 variable %q", r.codec.Name(), vv.Name)
+	}
+	if n > 16*uint64(len(enc)) {
+		// Element count is decoupled from the payload length for coded
+		// payloads; bound it before allocating. A zero-RLE token yields
+		// at most 128 output bytes, so n elements (8n bytes) need at
+		// least n/16 encoded bytes — anything sparser is hostile.
+		return fmt.Errorf("adios: coded element count %d exceeds payload %d", n, len(enc))
+	}
+	vv.F64 = resize(vv.F64, n)
+	var err error
+	switch r.codec {
+	case codec.TransposeDelta:
+		err = codec.DecodeTransposeDelta(vv.F64, enc, &d.sc)
+	case codec.TemporalDelta:
+		if !hasBase {
+			return fmt.Errorf("adios: temporal payload %q in a keyframe", vv.Name)
+		}
+		err = codec.DecodeTemporalDelta(vv.F64, d.prev[vv.Name], enc, &d.sc)
+	case codec.Quantize:
+		if !(r.param > 0) || math.IsInf(r.param, 0) {
+			return fmt.Errorf("adios: quantized payload %q declares bad bound %v", vv.Name, r.param)
+		}
+		err = codec.DecodeQuantize(vv.F64, r.param, enc, &d.sc)
+	default:
+		return fmt.Errorf("adios: unknown codec %d on %q", uint8(r.codec), vv.Name)
+	}
+	if err != nil {
+		return fmt.Errorf("adios: decode %q: %w", vv.Name, err)
 	}
 	return nil
 }
@@ -356,176 +483,6 @@ func (d *StreamDecoder) snapshot(s *Step) {
 	d.hasPrev = true
 }
 
-// decodeEncodedInto is UnmarshalInto for the BPC5 layout.
-func (d *StreamDecoder) decodeEncodedInto(raw []byte, out *Step) error {
-	pos := 4
-	getU64 := func() (uint64, error) {
-		if pos+8 > len(raw) {
-			return 0, fmt.Errorf("adios: truncated at %d", pos)
-		}
-		v := binary.LittleEndian.Uint64(raw[pos:])
-		pos += 8
-		return v, nil
-	}
-	getBytes := func() ([]byte, error) {
-		n, err := getU64()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(len(raw)-pos) {
-			return nil, fmt.Errorf("adios: truncated string")
-		}
-		b := raw[pos : pos+int(n)]
-		pos += int(n)
-		return b, nil
-	}
-	v, err := getU64()
-	if err != nil {
-		return err
-	}
-	out.Step = int64(v)
-	if v, err = getU64(); err != nil {
-		return err
-	}
-	out.Time = math.Float64frombits(v)
-	baseWord, err := getU64()
-	if err != nil {
-		return err
-	}
-	base, hasBase := int64(baseWord)-1, baseWord != 0
-	if hasBase {
-		if !d.temporal {
-			return fmt.Errorf("adios: temporal frame on a connection that negotiated no temporal codec")
-		}
-		if !d.hasPrev || d.prevStep != base {
-			return fmt.Errorf("adios: temporal frame needs base step %d, decoder holds %d", base, d.lastStep())
-		}
-	}
-	pos, err = decodeAttrsInto(raw, pos, out)
-	if err != nil {
-		return err
-	}
-	nvars, err := getU64()
-	if err != nil {
-		return err
-	}
-	if nvars > uint64(len(raw)-pos)/42 { // minimal var record size
-		return fmt.Errorf("adios: var count %d exceeds frame", nvars)
-	}
-	if cap(out.Vars) >= int(nvars) {
-		out.Vars = out.Vars[:nvars]
-	} else {
-		out.Vars = make([]Variable, nvars)
-	}
-	for i := uint64(0); i < nvars; i++ {
-		vv := &out.Vars[i]
-		nb, err := getBytes()
-		if err != nil {
-			return err
-		}
-		if vv.Name != string(nb) {
-			vv.Name = string(nb)
-		}
-		if pos+2 > len(raw) {
-			return fmt.Errorf("adios: truncated var header")
-		}
-		vv.Kind = Kind(raw[pos])
-		cid := codec.ID(raw[pos+1])
-		pos += 2
-		pw, err := getU64()
-		if err != nil {
-			return err
-		}
-		param := math.Float64frombits(pw)
-		ndim, err := getU64()
-		if err != nil {
-			return err
-		}
-		if ndim > uint64(len(raw)-pos)/8 {
-			return fmt.Errorf("adios: shape rank %d exceeds frame", ndim)
-		}
-		if vv.Shape == nil && ndim > 0 || cap(vv.Shape) < int(ndim) {
-			vv.Shape = make([]int64, ndim)
-		} else {
-			vv.Shape = vv.Shape[:ndim]
-		}
-		for dd := uint64(0); dd < ndim; dd++ {
-			s, err := getU64()
-			if err != nil {
-				return err
-			}
-			vv.Shape[dd] = int64(s)
-		}
-		n, err := getU64()
-		if err != nil {
-			return err
-		}
-		enclen, err := getU64()
-		if err != nil {
-			return err
-		}
-		if enclen > uint64(len(raw)-pos) {
-			return fmt.Errorf("adios: truncated payload for %q", vv.Name)
-		}
-		enc := raw[pos : pos+int(enclen)]
-		pos += int(enclen)
-		switch vv.Kind {
-		case KindFloat64:
-			vv.I64, vv.U8 = vv.I64[:0], vv.U8[:0]
-		case KindInt64:
-			vv.F64, vv.U8 = vv.F64[:0], vv.U8[:0]
-		case KindUint8:
-			vv.F64, vv.I64 = vv.F64[:0], vv.I64[:0]
-		default:
-			return fmt.Errorf("adios: unknown kind %d", vv.Kind)
-		}
-		if cid == codec.Identity {
-			if err := decodePlainPayload(vv, n, enc); err != nil {
-				return err
-			}
-			continue
-		}
-		if vv.Kind != KindFloat64 {
-			return fmt.Errorf("adios: codec %s on non-float64 variable %q", cid.Name(), vv.Name)
-		}
-		if n > 16*uint64(len(enc)) {
-			// Element count is decoupled from enclen for coded payloads;
-			// bound it before allocating. A zero-RLE token yields at most
-			// 128 output bytes, so n elements (8n bytes) need at least
-			// n/16 encoded bytes — anything sparser is hostile.
-			return fmt.Errorf("adios: coded element count %d exceeds payload %d", n, len(enc))
-		}
-		if vv.F64 == nil || cap(vv.F64) < int(n) {
-			vv.F64 = make([]float64, n)
-		} else {
-			vv.F64 = vv.F64[:n]
-		}
-		switch cid {
-		case codec.TransposeDelta:
-			err = codec.DecodeTransposeDelta(vv.F64, enc, &d.sc)
-		case codec.TemporalDelta:
-			if !hasBase {
-				return fmt.Errorf("adios: temporal payload %q in a keyframe", vv.Name)
-			}
-			err = codec.DecodeTemporalDelta(vv.F64, d.prev[vv.Name], enc, &d.sc)
-		case codec.Quantize:
-			if !(param > 0) || math.IsInf(param, 0) {
-				return fmt.Errorf("adios: quantized payload %q declares bad bound %v", vv.Name, param)
-			}
-			err = codec.DecodeQuantize(vv.F64, param, enc, &d.sc)
-		default:
-			return fmt.Errorf("adios: unknown codec %d on %q", uint8(cid), vv.Name)
-		}
-		if err != nil {
-			return fmt.Errorf("adios: decode %q: %w", vv.Name, err)
-		}
-	}
-	if pos != len(raw) {
-		return fmt.Errorf("adios: %d trailing bytes after frame", len(raw)-pos)
-	}
-	return nil
-}
-
 func (d *StreamDecoder) lastStep() int64 {
 	if !d.hasPrev {
 		return -1
@@ -533,40 +490,29 @@ func (d *StreamDecoder) lastStep() int64 {
 	return d.prevStep
 }
 
-// decodePlainPayload decodes a verbatim (codec 0) payload of n
-// elements from enc into the reused variable storage.
-func decodePlainPayload(vv *Variable, n uint64, enc []byte) error {
+// decodePlainPayload decodes a verbatim payload of n elements from enc
+// (its exact size, checked by the walk) into the reused variable
+// storage.
+func decodePlainPayload(vv *Variable, n uint64, enc []byte) {
 	switch vv.Kind {
 	case KindFloat64:
-		if uint64(len(enc)) != 8*n {
-			return fmt.Errorf("adios: plain payload for %q is %d bytes, want %d", vv.Name, len(enc), 8*n)
-		}
-		if vv.F64 == nil || cap(vv.F64) < int(n) {
-			vv.F64 = make([]float64, n)
-		} else {
-			vv.F64 = vv.F64[:n]
-		}
+		vv.F64 = resize(vv.F64, n)
 		lebytes.Get(vv.F64, enc)
 	case KindInt64:
-		if uint64(len(enc)) != 8*n {
-			return fmt.Errorf("adios: plain payload for %q is %d bytes, want %d", vv.Name, len(enc), 8*n)
-		}
-		if vv.I64 == nil || cap(vv.I64) < int(n) {
-			vv.I64 = make([]int64, n)
-		} else {
-			vv.I64 = vv.I64[:n]
-		}
+		vv.I64 = resize(vv.I64, n)
 		lebytes.Get(vv.I64, enc)
 	case KindUint8:
-		if uint64(len(enc)) != n {
-			return fmt.Errorf("adios: plain payload for %q is %d bytes, want %d", vv.Name, len(enc), n)
-		}
-		if vv.U8 == nil || cap(vv.U8) < int(n) {
-			vv.U8 = make([]byte, n)
-		} else {
-			vv.U8 = vv.U8[:n]
-		}
+		vv.U8 = resize(vv.U8, n)
 		copy(vv.U8, enc)
 	}
-	return nil
+}
+
+// resize returns s resliced to n elements, reallocated when its
+// capacity falls short. A nil s is always allocated, so an empty
+// decoded payload is an empty slice, never nil.
+func resize[T any](s []T, n uint64) []T {
+	if s == nil || cap(s) < int(n) {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -385,7 +385,8 @@ func TestPlainUnmarshalRejectsEncoded(t *testing.T) {
 // or to one that holds the chain's base step. It must answer with an
 // error or a step — never panic — and never size storage past what the
 // frame's own bytes could decode to (a zero-RLE token yields at most
-// 128 bytes: the 16:1 element bound of decodeEncodedInto).
+// 128 bytes: the 16:1 element bound of decodeVar). A frame it accepts
+// scans clean.
 func FuzzStreamDecoder(f *testing.F) {
 	enc := NewStreamEncoder(mustSpec(f, "temporal-delta", "p=quantize:0.001"))
 	pool := NewFramePool()
@@ -403,6 +404,7 @@ func FuzzStreamDecoder(f *testing.F) {
 		f.Add(chain, held)
 		f.Add(Marshal(mkStep(2)), held)
 		f.Add(chain[:len(chain)/2], held)
+		f.Add(append(key[:len(key):len(key)], 0xAB), held) // one trailing byte
 		f.Add([]byte("BPC5"), held)
 		f.Add([]byte{}, held)
 	}
@@ -442,6 +444,9 @@ func FuzzStreamDecoder(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if _, serr := ScanFrame(raw); serr != nil {
+			t.Fatalf("frame decodes but does not scan: %v", serr)
 		}
 		// A decoded step is a whole one: it marshals, and decoding the
 		// same frame into recycled storage gives the same step.

@@ -2,13 +2,11 @@ package adios
 
 import (
 	"encoding/binary"
-	"fmt"
-	"math"
 	"slices"
 	"strings"
 )
 
-// This file is the header-only walk of a marshaled frame: ScanFrame
+// This file is the layout half of the frame walk (frame.go): ScanFrame
 // recovers the frame's layout — step/time, the structure flag, and
 // every variable's byte span — without decoding any payload. The
 // persistent archive (internal/archive) indexes frames with it, and
@@ -34,6 +32,11 @@ type VarSpan struct {
 	// and Param its parameter (the quantizer's error bound).
 	Codec uint8
 	Param float64
+
+	// shapeOff and rank locate the shape words (VarSpan.dim) for
+	// SpliceFrames; an archive index does not keep them.
+	shapeOff int64
+	rank     int
 }
 
 // FrameInfo is the decoded layout of one marshaled frame.
@@ -99,155 +102,29 @@ func (fi *FrameInfo) FindVar(name string) *VarSpan {
 	return nil
 }
 
-// ScanFrame walks a frame marshaled by Marshal/MarshalInto and
-// returns its layout without decoding payloads: header fields are
-// parsed, payload bytes are skipped. The scan validates the same
-// bounds as UnmarshalInto, so a frame that scans clean also decodes.
+// ScanFrame returns the layout of a frame of either format without
+// decoding payloads. It is a visitor over the same walk as
+// UnmarshalInto, so a plain frame scans clean exactly when it decodes.
 func ScanFrame(raw []byte) (FrameInfo, error) {
 	var fi FrameInfo
-	if len(raw) < 4 || string(raw[:4]) != bpMagic && string(raw[:4]) != bpcMagic {
-		return fi, fmt.Errorf("adios: bad magic")
-	}
-	fi.Encoded = string(raw[:4]) == bpcMagic
-	fi.Base = -1
-	pos := int64(4)
-	n := int64(len(raw))
-	getU64 := func() (uint64, error) {
-		if pos+8 > n {
-			return 0, fmt.Errorf("adios: truncated at %d", pos)
-		}
-		v := binary.LittleEndian.Uint64(raw[pos:])
-		pos += 8
-		return v, nil
-	}
-	getBytes := func() ([]byte, error) {
-		l, err := getU64()
-		if err != nil {
-			return nil, err
-		}
-		if l > uint64(n-pos) {
-			return nil, fmt.Errorf("adios: truncated string")
-		}
-		b := raw[pos : pos+int64(l)]
-		pos += int64(l)
-		return b, nil
-	}
-	v, err := getU64()
-	if err != nil {
-		return fi, err
-	}
-	fi.Step = int64(v)
-	if v, err = getU64(); err != nil {
-		return fi, err
-	}
-	fi.Time = math.Float64frombits(v)
-	if fi.Encoded {
-		bw, err := getU64()
-		if err != nil {
-			return fi, err
-		}
-		fi.Base = int64(bw) - 1
-	}
-	nattr, err := getU64()
-	if err != nil {
-		return fi, err
-	}
-	if nattr > uint64(n-pos)/16 {
-		return fi, fmt.Errorf("adios: attr count %d exceeds frame", nattr)
-	}
-	for i := uint64(0); i < nattr; i++ {
-		kb, err := getBytes()
-		if err != nil {
-			return fi, err
-		}
-		vb, err := getBytes()
-		if err != nil {
-			return fi, err
-		}
-		if string(kb) == "structure" && string(vb) == "1" {
-			fi.Structure = true
-		}
-	}
-	fi.VarsOff = pos
-	nvars, err := getU64()
-	if err != nil {
-		return fi, err
-	}
-	if nvars > uint64(n-pos)/25 {
-		return fi, fmt.Errorf("adios: var count %d exceeds frame", nvars)
-	}
-	fi.Vars = make([]VarSpan, 0, nvars)
-	for i := uint64(0); i < nvars; i++ {
-		var vs VarSpan
-		vs.RecordOff = pos
-		nb, err := getBytes()
-		if err != nil {
-			return fi, err
-		}
-		vs.Name = string(nb)
-		if pos >= n {
-			return fi, fmt.Errorf("adios: truncated kind")
-		}
-		vs.Kind = Kind(raw[pos])
-		pos++
-		if fi.Encoded {
-			if pos >= n {
-				return fi, fmt.Errorf("adios: truncated codec byte")
+	err := walkFrame(raw, func(h frameHead) error {
+		fi = FrameInfo{Step: h.step, Time: h.time, Encoded: h.encoded, Base: int64(h.baseWord) - 1,
+			VarsOff: int64(h.varsOff), Vars: make([]VarSpan, h.nvars)}
+		for rest := h.attrs; len(rest) > 0; {
+			var k, v []byte
+			k, v, rest = nextAttr(rest)
+			if string(k) == "structure" && string(v) == "1" {
+				fi.Structure = true
 			}
-			vs.Codec = raw[pos]
-			pos++
-			pw, err := getU64()
-			if err != nil {
-				return fi, err
-			}
-			vs.Param = math.Float64frombits(pw)
 		}
-		ndim, err := getU64()
-		if err != nil {
-			return fi, err
-		}
-		if ndim > uint64(n-pos)/8 {
-			return fi, fmt.Errorf("adios: shape rank %d exceeds frame", ndim)
-		}
-		pos += 8 * int64(ndim)
-		elems, err := getU64()
-		if err != nil {
-			return fi, err
-		}
-		var width int64
-		switch vs.Kind {
-		case KindFloat64, KindInt64:
-			width = 8
-		case KindUint8:
-			width = 1
-		default:
-			return fi, fmt.Errorf("adios: unknown kind %d", vs.Kind)
-		}
-		vs.Elems = int64(elems)
-		if fi.Encoded {
-			enclen, err := getU64()
-			if err != nil {
-				return fi, err
-			}
-			if enclen > uint64(n-pos) {
-				return fi, fmt.Errorf("adios: truncated payload for %q", vs.Name)
-			}
-			vs.PayloadOff = pos
-			vs.PayloadLen = int64(enclen)
-		} else {
-			if width > 1 && elems > uint64(n-pos)/uint64(width) ||
-				width == 1 && elems > uint64(n-pos) {
-				return fi, fmt.Errorf("adios: truncated payload for %q", vs.Name)
-			}
-			vs.PayloadOff = pos
-			vs.PayloadLen = int64(elems) * width
-		}
-		pos += vs.PayloadLen
-		vs.RecordLen = pos - vs.RecordOff
-		fi.Vars = append(fi.Vars, vs)
-	}
-	if pos != n {
-		return fi, fmt.Errorf("adios: %d trailing bytes after frame", n-pos)
-	}
-	return fi, nil
+		return nil
+	}, func(i int, r varRecord) error {
+		vs, end := &fi.Vars[i], r.payloadOff+len(r.payload)
+		vs.Name, vs.Kind, vs.Codec, vs.Param = string(r.name), r.kind, uint8(r.codec), r.param
+		vs.RecordOff, vs.RecordLen = int64(r.off), int64(end-r.off)
+		vs.PayloadOff, vs.PayloadLen, vs.Elems = int64(r.payloadOff), int64(len(r.payload)), int64(r.elems)
+		vs.shapeOff, vs.rank = int64(r.shapeOff), r.rank
+		return nil
+	})
+	return fi, err
 }

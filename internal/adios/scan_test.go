@@ -83,12 +83,14 @@ func TestScanFrameTruncated(t *testing.T) {
 // hold. The hub ships bytes along the spans a clean scan reports, so a
 // clean scan must mean: every span lies inside raw, a plain frame
 // decodes, and any subset cut along the spans decodes to the step with
-// those variables filtered out.
+// those variables filtered out. Conversely a plain frame that decodes
+// must scan clean: the hub, relay and archive refuse what does not.
 func FuzzScanFrame(f *testing.F) {
 	plain := Marshal(sampleStep())
 	f.Add(plain)
 	f.Add(Marshal(blockStep(3, 1, 9)))
 	f.Add(plain[:len(plain)/2])
+	f.Add(append(plain[:len(plain):len(plain)], 0xAB)) // one trailing byte
 	f.Add([]byte("BP05"))
 	f.Add([]byte{})
 	enc := NewStreamEncoder(mustSpec(f, "transpose-delta"))
@@ -106,6 +108,9 @@ func FuzzScanFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		fi, err := ScanFrame(raw)
 		if err != nil {
+			if _, derr := Unmarshal(raw); derr == nil {
+				t.Fatalf("frame decodes but does not scan: %v", err)
+			}
 			return
 		}
 		n := int64(len(raw))

@@ -12,29 +12,6 @@ import (
 // subset-frame machinery splices records *out* of one frame; this is
 // its dual, splicing same-named records *across* frames.
 
-// varHeader is the per-variable header layout SpliceFrames re-reads
-// from a record span: ScanFrame skips shapes, so the splice recovers
-// them here (the shape words sit between the kind byte and the
-// element count).
-func varShape(raw []byte, vs *VarSpan) ([]uint64, error) {
-	// record = name(8+len) kind(1) ndim(8) dims elems(8) payload
-	pos := vs.RecordOff + 8 + int64(len(vs.Name)) + 1
-	if pos+8 > int64(len(raw)) {
-		return nil, fmt.Errorf("adios: truncated shape for %q", vs.Name)
-	}
-	ndim := binary.LittleEndian.Uint64(raw[pos:])
-	pos += 8
-	dims := make([]uint64, ndim)
-	for i := range dims {
-		if pos+8 > int64(len(raw)) {
-			return nil, fmt.Errorf("adios: truncated shape for %q", vs.Name)
-		}
-		dims[i] = binary.LittleEndian.Uint64(raw[pos:])
-		pos += 8
-	}
-	return dims, nil
-}
-
 // rebaseBy is how far one input shifts the rebased words of the
 // inputs after it, as MergeSteps rebases: int64 connectivity by the
 // input's points, int64 offsets by its connectivity entries; 0 for
@@ -100,35 +77,30 @@ func SpliceFrames(frames [][]byte, pool *FramePool) (*Frame, error) {
 	}
 
 	// Size pass: header + var count + per-var headers and summed
-	// payloads (shapes validated as they are read).
+	// payloads (shapes checked across inputs as they are read).
 	shapes := make([][]uint64, len(infos[0].Vars))
 	size := int64(infos[0].VarsOff) + 8
 	for v := range infos[0].Vars {
 		v0 := &infos[0].Vars[v]
-		shape, err := varShape(frames[0], v0)
-		if err != nil {
-			return nil, err
-		}
-		for i := 1; i < len(frames); i++ {
+		shape := make([]uint64, v0.rank)
+		for i, raw := range frames {
 			vi := &infos[i].Vars[v]
 			if vi.Name != v0.Name || vi.Kind != v0.Kind {
 				return nil, fmt.Errorf("adios: splice input %d var %d is %q/%d, input 0 has %q/%d",
 					i, v, vi.Name, vi.Kind, v0.Name, v0.Kind)
 			}
-			si, err := varShape(frames[i], vi)
-			if err != nil {
-				return nil, err
+			if vi.rank != v0.rank {
+				return nil, fmt.Errorf("adios: splice var %q: rank %d vs %d", v0.Name, vi.rank, v0.rank)
 			}
-			if len(si) != len(shape) {
-				return nil, fmt.Errorf("adios: splice var %q: rank %d vs %d", v0.Name, len(si), len(shape))
-			}
-			for d := 1; d < len(shape); d++ {
-				if si[d] != shape[d] {
-					return nil, fmt.Errorf("adios: splice var %q: dim %d is %d vs %d", v0.Name, d, si[d], shape[d])
+			for d := range shape {
+				switch dim := vi.dim(raw, d); {
+				case d == 0:
+					shape[0] += dim
+				case i == 0:
+					shape[d] = dim
+				case dim != shape[d]:
+					return nil, fmt.Errorf("adios: splice var %q: dim %d is %d vs %d", v0.Name, d, dim, shape[d])
 				}
-			}
-			if len(shape) > 0 {
-				shape[0] += si[0]
 			}
 		}
 		shapes[v] = shape

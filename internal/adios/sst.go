@@ -186,7 +186,7 @@ type Reader struct {
 	frameBuf []byte         // grow-only receive scratch, reused per frame
 	spare    *Step          // recycled decode destination (see Recycle)
 	record   FrameSink      // receives every received frame (see SetRecord)
-	dec      *StreamDecoder // non-nil when the reader negotiated codecs
+	dec      *StreamDecoder // codec-negotiated readers only; nil decodes BP05 alone
 	ack      [1]byte
 
 	// Resilience state. addr/opts are retained for reconnects; session
@@ -468,11 +468,7 @@ func (r *Reader) BeginStep() (*Step, error) {
 		} else {
 			r.spare = nil
 		}
-		if r.dec != nil {
-			if err := r.dec.DecodeInto(r.frameBuf, st); err != nil {
-				return nil, err
-			}
-		} else if err := UnmarshalInto(r.frameBuf, st); err != nil {
+		if err := r.dec.DecodeInto(r.frameBuf, st); err != nil {
 			return nil, err
 		}
 		structure := st.Attrs["structure"] == "1"

@@ -97,9 +97,10 @@ func (f *form) frameBytes(e *stepEntry, pool *adios.FramePool) []byte {
 // form when scratch is nil (callers may hold on to what Step returns),
 // or into scratch and not kept — the hub's own encoders, which are
 // done with the floats when they return and reuse one destination per
-// stream. The frame scanned clean when the entry was built, and a
-// frame that scans clean decodes (FuzzScanFrame), so a failure here is
-// a bug.
+// stream. The frame scanned clean when the entry was built, and
+// ScanFrame and UnmarshalInto are visitors over one walk of the frame,
+// so a plain frame that scans clean decodes by construction: the panic
+// is a safety check.
 func (f *form) stepFor(e *stepEntry, h *Hub, scratch *adios.Step) *adios.Step {
 	f.mu.Lock()
 	defer f.mu.Unlock()
