@@ -9,7 +9,7 @@
 // by the `filename` attribute of its <analysis> element — preserving
 // the paper's property that rendering setup changes without
 // recompiling the simulation. Every rank rasterizes only its local
-// blocks; images are depth-composited to rank 0 and written there.
+// blocks; pipeline i's image is composited and written on rank i mod size.
 package catalyst
 
 import (
@@ -204,7 +204,7 @@ type Adaptor struct {
 	create      func(path string) (io.WriteCloser, error) // os.Create, but for tests
 
 	imagesWritten int
-	lastFrames    []*render.Framebuffer // rank 0: last composited frames
+	lastFrames    []*render.Framebuffer // the last frames of the pipelines this rank roots
 }
 
 // New builds the adaptor programmatically.
@@ -237,13 +237,12 @@ func init() {
 	})
 }
 
-// ImagesWritten reports how many PNG files this rank has written
-// (only rank 0 writes).
+// ImagesWritten reports how many PNG files this rank has written: the
+// images of the pipelines it is root of.
 func (a *Adaptor) ImagesWritten() int { return a.imagesWritten }
 
-// LastFrames exposes rank 0's most recent composited framebuffers for
-// testing and interactive use. They are the pipelines' compositors'
-// images: the next Execute overwrites them.
+// LastFrames returns the composited frames of the pipelines this rank
+// roots, in pipeline order: their compositors' images, redrawn by Execute.
 func (a *Adaptor) LastFrames() []*render.Framebuffer { return a.lastFrames }
 
 // fitCameras reduces the global mesh bounding box and fits every
@@ -296,9 +295,9 @@ func (a *Adaptor) Describe() sensei.Requirements {
 	return sensei.RequireArrays(a.meshName, sensei.AssocPoint, a.fields()...)
 }
 
-// Execute implements sensei.Analysis: runs each pipeline's filter over
-// the shared pulled step, renders locally, composites, and writes PNGs
-// on rank 0. Every image is on disk when it returns.
+// Execute implements sensei.Analysis: filters, draws and composites
+// each pipeline i to rank i mod size, then, past every collective, writes
+// the PNGs this rank roots. They are on disk when it returns.
 func (a *Adaptor) Execute(st *sensei.Step) (bool, error) {
 	g, err := st.Mesh(a.meshName)
 	if err != nil {
@@ -308,16 +307,22 @@ func (a *Adaptor) Execute(st *sensei.Step) (bool, error) {
 
 	a.lastFrames = a.lastFrames[:0]
 	for i := range a.pipelines {
-		if err := a.render(i, g, st.TimeStep()); err != nil {
+		if err := a.render(i, g); err != nil {
+			return false, err
+		}
+	}
+	rank, size := a.ctx.Comm.Rank(), a.ctx.Comm.Size()
+	for j, fb := range a.lastFrames { // frame j is pipeline rank + j*size's
+		if err := a.writePNG(a.pipelines[rank+j*size].Output, st.TimeStep(), fb); err != nil {
 			return false, err
 		}
 	}
 	return false, nil
 }
 
-// render runs pipeline i: filter, draw, composite, write. What it
-// tells the accountant it takes back on every way out.
-func (a *Adaptor) render(i int, g *vtkdata.UnstructuredGrid, step int) error {
+// render runs pipeline i: filter, draw, composite to rank i mod size.
+// What it tells the accountant it takes back on every way out.
+func (a *Adaptor) render(i int, g *vtkdata.UnstructuredGrid) error {
 	p := &a.pipelines[i]
 	color := g.FindPointData(p.Field)
 	if color == nil {
@@ -363,14 +368,9 @@ func (a *Adaptor) render(i int, g *vtkdata.UnstructuredGrid, step int) error {
 	defer a.ctx.Acct.Free("catalyst-fb", fb.Bytes())
 	render.Draw(fb, a.cameras[i], soup, render.ColormapByName(p.Colormap), smin, smax, render.DefaultLight())
 
-	final := a.compositors[i].Composite(a.ctx.Comm, fb, 0)
-	if final == nil {
-		return nil
+	if final := a.compositors[i].Composite(a.ctx.Comm, fb, i%a.ctx.Comm.Size()); final != nil {
+		a.lastFrames = append(a.lastFrames, final)
 	}
-	if err := a.writePNG(p.Output, step, final); err != nil {
-		return err
-	}
-	a.lastFrames = append(a.lastFrames, final)
 	return nil
 }
 

@@ -1,10 +1,12 @@
 package catalyst
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-
 	"testing"
 
 	"nekrs-sensei/internal/core"
@@ -16,10 +18,13 @@ import (
 	"nekrs-sensei/internal/sensei"
 )
 
+// newSolver builds a small box solver on the unit cube: 2×2×2 elements
+// of order 3, or one element along x per rank on more than two ranks
+// (three cannot split 2×2×2).
 func newSolver(t *testing.T, comm *mpirt.Comm, size int) *fluid.Solver {
 	t.Helper()
 	m, err := mesh.NewBox(mesh.BoxConfig{
-		Nx: 2, Ny: 2, Nz: 2, Lx: 1, Ly: 1, Lz: 1, Order: 3,
+		Nx: max(2, size), Ny: 2, Nz: 2, Lx: 1, Ly: 1, Lz: 1, Order: 3,
 	}, comm.Rank(), size)
 	if err != nil {
 		t.Fatal(err)
@@ -143,51 +148,63 @@ func TestExecuteWritesImages(t *testing.T) {
 	}
 }
 
+// TestExecuteParallelComposite: pipeline i is composited to rank
+// i mod size and written there, on every communicator size: each image
+// is written once, by its root, which keeps exactly the frames of the
+// pipelines it roots, and the ranks' storage adds up to the two files.
 func TestExecuteParallelComposite(t *testing.T) {
-	dir := t.TempDir()
-	const size = 4
-	mpirt.Run(size, func(c *mpirt.Comm) {
-		s := newSolver(t, c, size)
-		acct := metrics.NewAccountant()
-		ctx := &sensei.Context{
-			Comm: c, Acct: acct, Timer: metrics.NewTimer(),
-			Storage: metrics.NewStorageCounter(), OutputDir: dir,
-		}
-		ps, err := ParsePipelines([]byte(testScript))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		a := New(ctx, "mesh", ps)
-		da := core.NewNekDataAdaptor(s, acct)
-		da.SetStep(7, 0.007)
-		st, err := sensei.Pull(da, a.Describe(), nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if _, err := a.Execute(st); err != nil {
-			t.Error(err)
-			return
-		}
-		if c.Rank() == 0 {
-			if a.ImagesWritten() != 2 {
-				t.Errorf("rank 0 images = %d", a.ImagesWritten())
+	names := []string{"slice_000005.png", "iso_000005.png"} // pulled's step
+	for _, size := range []int{1, 2, 3, 4} {
+		t.Run(fmt.Sprintf("ranks%d", size), func(t *testing.T) {
+			dir := t.TempDir()
+			files := make([]int, size)
+			frames := make([][]string, len(names)) // per pipeline: the digests of the frames its roots kept
+			mpirt.Run(size, func(c *mpirt.Comm) {
+				a, ctx, st := pulled(t, c, size, testScript, dir)
+				if _, err := a.Execute(st); err != nil {
+					t.Error(err)
+					return
+				}
+				var mine []int
+				for i := c.Rank(); i < len(names); i += size {
+					mine = append(mine, i)
+				}
+				if a.ImagesWritten() != len(mine) || len(a.LastFrames()) != len(mine) {
+					t.Errorf("rank %d: %d images written and %d frames kept, want pipelines %v",
+						c.Rank(), a.ImagesWritten(), len(a.LastFrames()), mine)
+					return
+				}
+				for j, fb := range a.LastFrames() {
+					digest := sha256.Sum256(fb.Color)
+					frames[mine[j]] = append(frames[mine[j]], hex.EncodeToString(digest[:]))
+				}
+				// The composited slice must cover pixels from all ranks'
+				// parts of the plane; one rank of two covers about half of
+				// it (~235 px at 64x64), the full slice about 470.
+				if c.Rank() == 0 && a.LastFrames()[0].CoveredPixels() < 400 {
+					t.Errorf("composited coverage = %d, want the whole slice", a.LastFrames()[0].CoveredPixels())
+				}
+				files[c.Rank()] = ctx.Storage.Files()
+			})
+			total := 0
+			for _, n := range files {
+				total += n
 			}
-			// The composited slice must cover pixels from all ranks'
-			// quadrants; one rank alone covers about a quarter of the
-			// plane (~120 px at 64x64), the full slice about 470.
-			fb := a.LastFrames()[0]
-			if fb.CoveredPixels() < 400 {
-				t.Errorf("composited coverage = %d, want the whole slice", fb.CoveredPixels())
+			if total != 2 {
+				t.Errorf("files per rank %v, want 2 in all", files)
 			}
-		} else if a.ImagesWritten() != 0 {
-			t.Errorf("rank %d wrote %d images", c.Rank(), a.ImagesWritten())
-		}
-	})
-	files, _ := filepath.Glob(filepath.Join(dir, "*.png"))
-	if len(files) != 2 {
-		t.Errorf("png files = %d, want 2", len(files))
+			// Each pipeline's file holds the pixels of the one frame its
+			// root kept.
+			for i, name := range names {
+				if len(frames[i]) != 1 {
+					t.Errorf("pipeline %d: %d ranks kept its frame, want its root alone", i, len(frames[i]))
+					continue
+				}
+				if got := decodedDigest(t, filepath.Join(dir, name)); got != frames[i][0] {
+					t.Errorf("%s does not hold pipeline %d's composited frame", name, i)
+				}
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"nekrs-sensei/internal/core"
 	"nekrs-sensei/internal/metrics"
@@ -105,6 +106,39 @@ func TestErrorPathsFreeAccounting(t *testing.T) {
 		accountedNothing(t, ctx)
 		if ctx.Acct.CategoryPeak("catalyst-geom") == 0 && tc.arrays != nil {
 			t.Errorf("%s: the first pipeline should have rendered before the failure", tc.name)
+		}
+	}
+}
+
+// TestUnwritableOutputDoesNotHang: on two ranks with two pipelines and
+// an output directory that cannot be made, every rank returns the
+// mkdir error. A write between two pipelines' composites would let the
+// rank whose image failed return while its peer waits in the next
+// composite for it forever; the deadline turns that hang into a
+// failure.
+func TestUnwritableOutputDoesNotHang(t *testing.T) {
+	blocked := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocked, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const size = 2
+	errs := make([]error, size)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		mpirt.Run(size, func(c *mpirt.Comm) {
+			a, _, st := pulled(t, c, size, testScript, filepath.Join(blocked, "out"))
+			_, errs[c.Rank()] = a.Execute(st)
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a rank is still blocked 30 s after the image writes failed")
+	}
+	for r, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "not a directory") {
+			t.Errorf("rank %d: Execute returned %v, want the mkdir error", r, err)
 		}
 	}
 }

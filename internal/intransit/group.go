@@ -42,8 +42,8 @@ type GroupConfig struct {
 	// ConfigXML is the SENSEI analysis configuration every rank runs
 	// (empty = pure sink).
 	ConfigXML []byte
-	// OutputDir is where file-producing analyses write (rank 0 writes
-	// composited images and probe series).
+	// OutputDir is where file-producing analyses write (Catalyst
+	// pipeline i's image on rank i mod Ranks, probe series on rank 0).
 	OutputDir string
 	// Sources supplies one rank's step sources, which are that rank's
 	// own block range and nobody else's (ShardSources builds it from a
@@ -286,15 +286,15 @@ func boolStatus(failed bool) int64 {
 // runRank is the endpoint step loop, one rank's side of it: pull,
 // agree on a global target step, realign, ingest, execute, barrier,
 // release. Every stage that can fail on a single rank — a dropped
-// connection, a shard-shaped ingest error, rank 0's image write — ends
-// in an agreement rather than a bare return, which would leave the
-// peers blocked in their next collective forever. The one remaining
-// MPI-like hazard is a rank failing between the matched collectives
-// *inside* one analysis' Execute; mpirt's kind checking turns that
-// into a panic rather than a silent deadlock where the collective
-// kinds differ. The error is nil on ranks that stopped for a failed
-// peer. On a one-rank communicator every agreement is an uncontended
-// lock and allocates nothing.
+// connection, a shard-shaped ingest error, an image write — ends in an
+// agreement rather than a bare return, which would leave the peers
+// blocked in their next collective forever. The one remaining hazard is
+// a rank failing between the matched collectives *inside* one analysis'
+// Execute (not Catalyst's: it writes after its last composite); mpirt's
+// kind checking turns that into a panic rather than a silent deadlock
+// where the collective kinds differ. The error is nil on ranks that
+// stopped for a failed peer. On a one-rank communicator every agreement
+// is an uncontended lock and allocates nothing.
 func runRank(comm *mpirt.Comm, rs *rankStream, ca *sensei.ConfigurableAnalysis,
 	delay time.Duration, straggler *metrics.Straggler) error {
 	rank, da := comm.Rank(), rs.da

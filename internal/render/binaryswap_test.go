@@ -44,23 +44,29 @@ func framebuffersEqual(a, b *Framebuffer) bool {
 }
 
 // TestBinarySwapMatchesSerial: binary-swap compositing must produce
-// bit-identical output to the serial gather reduction.
+// bit-identical output to the serial gather reduction, whichever rank
+// is the root.
 func TestBinarySwapMatchesSerial(t *testing.T) {
 	for _, size := range []int{2, 3, 4, 5, 6, 7, 8} {
-		var swapped, serial *Framebuffer
-		mpirt.Run(size, func(c *mpirt.Comm) {
-			fb := randomFB(16, 12, int64(c.Rank())+7)
-			s1 := new(Compositor).Composite(c, fb, 0)
-			s2 := CompositeToRoot(c, fb, 0)
-			if c.Rank() == 0 {
-				swapped, serial = s1, s2
+		for root := 0; root < size; root++ {
+			var swapped, serial *Framebuffer
+			mpirt.Run(size, func(c *mpirt.Comm) {
+				fb := randomFB(16, 12, int64(c.Rank())+7)
+				s1 := new(Compositor).Composite(c, fb, root)
+				s2 := CompositeToRoot(c, fb, 0)
+				if c.Rank() == root {
+					swapped = s1
+				}
+				if c.Rank() == 0 {
+					serial = s2
+				}
+			})
+			if swapped == nil || serial == nil {
+				t.Fatalf("size %d root %d: missing root image", size, root)
 			}
-		})
-		if swapped == nil || serial == nil {
-			t.Fatalf("size %d: missing root image", size)
-		}
-		if !framebuffersEqual(swapped, serial) {
-			t.Errorf("size %d: binary swap differs from serial composite", size)
+			if !framebuffersEqual(swapped, serial) {
+				t.Errorf("size %d root %d: binary swap differs from serial composite to rank 0", size, root)
+			}
 		}
 	}
 }
