@@ -71,12 +71,14 @@ bench-render:
 # The mesh payload path, a fixed iteration count each: the three wire
 # codecs and the zero-RLE stage on rank 0's arrays of two consecutive
 # pb146 steps (solved once per test binary, internal/adios/adiostest),
-# each with its MB/s of raw array and its raw/encoded ratio, and the
-# BP05 marshal and unmarshal of one such step. -benchmem shows the
-# steady state: 0 allocs/op.
+# each with its MB/s of raw array and its raw/encoded ratio, the BP05
+# marshal and unmarshal of one such step, and the histogram's range
+# and bin passes over two of its arrays. The codecs and the histogram
+# run once per kernel path (".../avx2" next to ".../go" where the CPU
+# has AVX2). -benchmem shows the steady state: 0 allocs/op.
 bench-codec:
-	$(GO) test -run '^$$' -bench 'Quantize|TransposeDelta|TemporalDelta|Zrle|MarshalInto|UnmarshalInto' \
-		-benchmem -benchtime=200x ./internal/codec ./internal/adios
+	$(GO) test -run '^$$' -bench 'Quantize|TransposeDelta|TemporalDelta|Zrle|MarshalInto|UnmarshalInto|HistogramPB146' \
+		-benchmem -benchtime=200x ./internal/codec ./internal/adios ./internal/sensei
 
 # Ten alternating parent/change pairs of `bash benchmark/run.sh` and
 # the benchmark's -compare over them (benchmark/README.md, "Noise").

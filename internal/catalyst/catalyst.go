@@ -350,15 +350,7 @@ func (a *Adaptor) render(i int, g *vtkdata.UnstructuredGrid) error {
 	// Scalar range must agree across ranks for consistent colors.
 	smin, smax := p.Min, p.Max
 	if smin == smax {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, v := range color.Data {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
+		lo, hi := sensei.Range(color.Data)
 		smin = a.ctx.Comm.AllreduceF64Scalar(lo, mpirt.OpMin)
 		smax = a.ctx.Comm.AllreduceF64Scalar(hi, mpirt.OpMax)
 	}

@@ -5,11 +5,13 @@ import (
 
 	"nekrs-sensei/internal/adios/adiostest"
 	"nekrs-sensei/internal/codec"
+	"nekrs-sensei/internal/cpuid"
 )
 
 // The codec benchmarks run on rank 0's five arrays of two consecutive
 // pb146 steps (the temporal codec differences the second against the
-// first); each reports raw MB/s and raw over encoded bytes.
+// first); each reports raw MB/s and raw over encoded bytes, once per
+// kernel path this machine has ("…/avx2" next to "…/go").
 
 const quantizeBound = 1e-6 // the mesh-replay workload's hist-q leaf
 
@@ -52,43 +54,57 @@ func arrays(b *testing.B) (cur, base [][]float64) {
 	return cur, base
 }
 
+// onPaths runs f as a sub-benchmark per kernel path.
+func onPaths(b *testing.B, f func(b *testing.B)) {
+	for _, path := range cpuid.Paths() {
+		b.Run(path, func(b *testing.B) {
+			cpuid.Use(b, path)
+			f(b)
+		})
+	}
+}
+
 func benchEncode(b *testing.B, c coder) {
 	cur, base := arrays(b)
-	var sc codec.Scratch
-	enc := make([][]byte, len(cur))
-	var raw, coded int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		raw, coded = 0, 0
-		for a, src := range cur {
-			enc[a] = c.encode(enc[a][:0], src, base[a], &sc)
-			raw += 8 * len(src)
-			coded += len(enc[a])
+	onPaths(b, func(b *testing.B) {
+		var sc codec.Scratch
+		enc := make([][]byte, len(cur))
+		var raw, coded int
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			raw, coded = 0, 0
+			for a, src := range cur {
+				enc[a] = c.encode(enc[a][:0], src, base[a], &sc)
+				raw += 8 * len(src)
+				coded += len(enc[a])
+			}
 		}
-	}
-	b.SetBytes(int64(raw))
-	b.ReportMetric(float64(raw)/float64(coded), "ratio")
+		b.SetBytes(int64(raw))
+		b.ReportMetric(float64(raw)/float64(coded), "ratio")
+	})
 }
 
 func benchDecode(b *testing.B, c coder) {
 	cur, base := arrays(b)
-	var sc codec.Scratch
-	enc := make([][]byte, len(cur))
-	raw := 0
-	for a, src := range cur {
-		enc[a] = c.encode(nil, src, base[a], &sc)
-		raw += 8 * len(src)
-	}
-	dst := make([]float64, len(cur[0]))
-	b.SetBytes(int64(raw))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for a := range cur {
-			if err := c.decode(dst, base[a], enc[a], &sc); err != nil {
-				b.Fatal(err)
+	onPaths(b, func(b *testing.B) {
+		var sc codec.Scratch
+		enc := make([][]byte, len(cur))
+		raw := 0
+		for a, src := range cur {
+			enc[a] = c.encode(nil, src, base[a], &sc)
+			raw += 8 * len(src)
+		}
+		dst := make([]float64, len(cur[0]))
+		b.SetBytes(int64(raw))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for a := range cur {
+				if err := c.decode(dst, base[a], enc[a], &sc); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	}
+	})
 }
 
 func BenchmarkTransposeDeltaEncode(b *testing.B) { benchEncode(b, transposeDelta) }

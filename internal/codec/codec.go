@@ -42,6 +42,7 @@ import (
 	"strconv"
 	"strings"
 
+	"nekrs-sensei/internal/cpuid"
 	"nekrs-sensei/internal/lebytes"
 )
 
@@ -407,12 +408,18 @@ func undeltaAgainst(dst []float64, src []uint64, base []float64) {
 // dst: dst[p*n+i] = byte p of src[i], len(dst) = 8*len(src). Grouping
 // same-significance bytes is what turns small deltas into long zero
 // runs. Planes whose byte of or — the OR of all of src — is zero hold
-// nothing but zeros and are left unwritten: the RLE stage emits them
-// as runs without reading them.
+// nothing but zeros, which the RLE stage emits as runs without reading
+// them: the Go loop leaves them unwritten (the AVX2 kernel, which takes
+// whole blocks of 32 lanes first, writes their zeros).
 func transpose(dst []byte, src []uint64, or uint64) {
 	n := len(src)
 	live, k := livePlanes(or)
 	i := 0
+	if cpuid.AVX2 && n >= 32 {
+		_ = dst[8*n-1]
+		i = n &^ 31
+		transposeAVX2(&dst[0], &src[0], n, i)
+	}
 	for ; i+8 <= n; i += 8 {
 		s := src[i : i+8 : i+8]
 		var t [8]uint64
@@ -428,18 +435,24 @@ func transpose(dst []byte, src []uint64, or uint64) {
 	}
 }
 
-// untranspose inverts transpose, len(src) = 8*len(dst), without
-// reading the planes that are all zero.
+// untranspose inverts transpose, len(src) = 8*len(dst). The AVX2
+// kernel takes whole blocks of 32 lanes first; the Go loop then skips
+// the planes whose part it reads is all zero.
 func untranspose(dst []uint64, src []byte) {
 	n := len(dst)
+	i := 0
+	if cpuid.AVX2 && n >= 32 {
+		_ = src[8*n-1]
+		i = n &^ 31
+		untransposeAVX2(&dst[0], &src[0], n, i)
+	}
 	var or uint64
 	for p := 0; p < 8; p++ {
-		if !allZero(src[p*n : (p+1)*n]) {
+		if !allZero(src[p*n+i : (p+1)*n]) {
 			or |= 0xff << (8 * p)
 		}
 	}
 	live, k := livePlanes(or)
-	i := 0
 	for ; i+8 <= n; i += 8 {
 		var t [8]uint64
 		for _, p := range live[:k] {
@@ -800,8 +813,35 @@ func AppendQuantize(dst []byte, src []float64, bound float64, sc *Scratch) []byt
 		// 2*bound overflowed; no quantization grid exists.
 		return appendRaw(dst, src)
 	}
-	lanes := sc.lanes(len(src))
-	prev, or := uint64(0), uint64(0)
+	n := len(src)
+	lanes := sc.lanes(n)
+	i, prev, or, ok := 0, uint64(0), uint64(0), true
+	for ok && i < n {
+		j := n
+		if cpuid.AVX2 {
+			// The kernel takes whole blocks until one it cannot take
+			// exactly; the Go loop takes that block (or the tail), and
+			// the kernel resumes after it.
+			if m := (n - i) &^ 3; m > 0 {
+				var k int
+				k, prev, or = quantizeAVX2(&lanes[i], &src[i], m, step, bound, prev, or)
+				i += k
+			}
+			j = min(i+4, n)
+		}
+		prev, or, ok = quantizeGo(lanes[i:j], src[i:j], step, bound, prev, or)
+		i = j
+	}
+	if !ok {
+		return appendRaw(dst, src)
+	}
+	return appendLanes(dst, lanes, or, src, sc)
+}
+
+// quantizeGo is AppendQuantize's loop over src from the previous
+// integer prev and the lanes' OR so far; ok is false at the first
+// value that fails the check.
+func quantizeGo(lanes []uint64, src []float64, step, bound float64, prev, or uint64) (_, _ uint64, ok bool) {
 	for i, x := range src {
 		q := math.Round(x / step)
 		// Verify representability and the bound on the actual
@@ -809,7 +849,7 @@ func AppendQuantize(dst []byte, src []float64, bound float64, sc *Scratch) []byt
 		// than the int mapping is faithful; reject and fall back. Both
 		// comparisons are written to treat NaN as a failure.
 		if !(math.Abs(q) <= 1<<53) || !(math.Abs(x-q*step) <= bound) {
-			return appendRaw(dst, src)
+			return prev, or, false
 		}
 		b := uint64(int64(q))
 		z := fold(b - prev)
@@ -817,7 +857,7 @@ func AppendQuantize(dst []byte, src []float64, bound float64, sc *Scratch) []byt
 		or |= z
 		prev = b
 	}
-	return appendLanes(dst, lanes, or, src, sc)
+	return prev, or, true
 }
 
 // DecodeQuantize decodes into dst with the bound the frame declared.
@@ -834,10 +874,32 @@ func DecodeQuantize(dst []float64, bound float64, enc []byte, sc *Scratch) error
 		return err
 	}
 	step := 2 * bound
-	acc := uint64(0)
+	n := len(lanes)
+	i, acc := 0, uint64(0)
+	for i < n {
+		j := n
+		if cpuid.AVX2 {
+			// As in AppendQuantize: the Go loop takes the block the
+			// kernel stopped at (sums it cannot convert exactly).
+			if m := (n - i) &^ 3; m > 0 {
+				var k int
+				k, acc = dequantizeAVX2(&dst[i], &lanes[i], m, step, acc)
+				i += k
+			}
+			j = min(i+4, n)
+		}
+		acc = dequantizeGo(dst[i:j], lanes[i:j], step, acc)
+		i = j
+	}
+	return nil
+}
+
+// dequantizeGo is DecodeQuantize's loop over lanes from the running
+// integer acc, which it returns.
+func dequantizeGo(dst []float64, lanes []uint64, step float64, acc uint64) uint64 {
 	for i, z := range lanes {
 		acc += unfold(z)
 		dst[i] = float64(int64(acc)) * step
 	}
-	return nil
+	return acc
 }

@@ -1,10 +1,10 @@
 #include "textflag.h"
 
-// hasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
+// probeAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
 // state across context switches (CPUID leaves 1 and 7, XGETBV).
 //
-// func hasAVX2() bool
-TEXT ·hasAVX2(SB), NOSPLIT, $0-1
+// func probeAVX2() bool
+TEXT ·probeAVX2(SB), NOSPLIT, $0-1
 	MOVB $0, ret+0(FP)
 	XORL AX, AX
 	CPUID

@@ -2,7 +2,6 @@ package sensei
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 
 	"nekrs-sensei/internal/mpirt"
@@ -20,6 +19,7 @@ type Histogram struct {
 
 	lastEdges  []float64
 	lastCounts []int64
+	sub        []int64 // the bin kernel's sub-counts, reused
 }
 
 // NewHistogram constructs the analysis directly (tests, examples).
@@ -63,32 +63,14 @@ func (h *Histogram) Execute(st *Step) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range arr.Data {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
+	lo, hi := Range(arr.Data)
 	lo = h.ctx.Comm.AllreduceF64Scalar(lo, mpirt.OpMin)
 	hi = h.ctx.Comm.AllreduceF64Scalar(hi, mpirt.OpMax)
 	if hi <= lo {
 		hi = lo + 1
 	}
 	counts := make([]int64, h.bins)
-	scale := float64(h.bins) / (hi - lo)
-	for _, v := range arr.Data {
-		b := int((v - lo) * scale)
-		if b >= h.bins {
-			b = h.bins - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		counts[b]++
-	}
+	h.sub = binCounts(counts, h.sub, arr.Data, lo, float64(h.bins)/(hi-lo))
 	counts = h.ctx.Comm.AllreduceI64(counts, mpirt.OpSum)
 	h.lastCounts = counts
 	h.lastEdges = make([]float64, h.bins+1)

@@ -1,5 +1,7 @@
 package tensor
 
+import "nekrs-sensei/internal/cpuid"
+
 // Field layout convention used throughout the solver: a scalar field on
 // one spectral element of order N (Nq = N+1 points per direction) is a
 // flat slice of length Nq^3 indexed u[k*Nq*Nq + j*Nq + i], with i the
@@ -31,7 +33,7 @@ const (
 // KernelPath names what the generated sizes run on this machine:
 // "avx2" (the assembly) or "go" (the generated Go kernels).
 func KernelPath() string {
-	if useAVX2 {
+	if cpuid.AVX2 {
 		return "avx2"
 	}
 	return "go"

@@ -1,5 +1,7 @@
 package tensor
 
+import "nekrs-sensei/internal/cpuid"
+
 // The AVX2 path of the derivative kernels (kernels_amd64.s, written by
 // gen.go). All six are one small matrix product, C = (0 | C) + A·B
 // with A nq x nq and the products added in ascending contraction
@@ -8,13 +10,8 @@ package tensor
 // the k-plane and B is D^T (or D). Lanes hold different output values,
 // so each value is still formed by the operations of the generic loops
 // in their order. Metric's loop (metricPlanes) is pointwise: four
-// points per register, the same three expressions per lane.
-
-// useAVX2 selects the assembly. It is decided once, from CPUID alone;
-// the tests clear it to reach the generated Go kernels.
-var useAVX2 = hasAVX2()
-
-func hasAVX2() bool
+// points per register, the same three expressions per lane. The
+// assembly runs when cpuid.AVX2 is set.
 
 //go:noescape
 func mm4planes(c, a, b *float64, n, aStep, bStep int, acc bool)
@@ -52,7 +49,7 @@ func metricPlanes(geo, r, s, t *float64, n int)
 // metricAVX2 runs Metric in assembly and reports whether it did. Metric
 // has checked every operand's length.
 func metricAVX2(g, ur, us, ut []float64) bool {
-	if !useAVX2 {
+	if !cpuid.AVX2 {
 		return false
 	}
 	metricPlanes(&g[0], &ur[0], &us[0], &ut[0], len(ur))
@@ -64,7 +61,7 @@ func metricAVX2(g, ur, us, ut []float64) bool {
 // and nq a generated size. Indexing the last element of each operand
 // first makes a short slice panic here, not fault in the assembly.
 func derivAVX2(ax axis, transpose bool, d []float64, nq int, u, out []float64) bool {
-	if !useAVX2 || nq < 4 || nq > 8 {
+	if !cpuid.AVX2 || nq < 4 || nq > 8 {
 		return false
 	}
 	nq2 := nq * nq

@@ -2,8 +2,7 @@
 
 package tensor
 
-// useAVX2 is never set off amd64: the generated Go kernels run.
-var useAVX2 = false
+// Off amd64 the generated Go kernels run.
 
 func derivAVX2(ax axis, transpose bool, d []float64, nq int, u, out []float64) bool { return false }
 

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"os"
 	"testing"
+
+	"nekrs-sensei/internal/cpuid"
 )
 
 type derivKernel struct {
@@ -24,21 +26,9 @@ var derivKernels = []derivKernel{
 	{"DerivTT", DerivTT, derivTTGeneric, true},
 }
 
-// kernelPaths are the paths the generated sizes can take on this
-// machine: the assembly if the CPU has AVX2, and the generated Go
-// kernels. usePath switches to one for the rest of the test.
-func kernelPaths() []string {
-	if useAVX2 {
-		return []string{"avx2", "go"}
-	}
-	return []string{"go"}
-}
-
-func usePath(tb testing.TB, path string) {
-	prev := useAVX2
-	useAVX2 = path == "avx2"
-	tb.Cleanup(func() { useAVX2 = prev })
-}
+// The generated sizes run the assembly if the CPU has AVX2, else the
+// generated Go kernels; cpuid.Paths lists them and cpuid.Use switches
+// to one for the rest of the test.
 
 // operandLayouts place a kernel's operands in memory: each returns n
 // values whose content the caller sets. guard_linux_test.go adds the
@@ -65,10 +55,10 @@ var operandLayouts = []operandLayout{
 // its n or 6n values, for Metric) is a fault, which ends the test
 // binary.
 func TestKernelsBitIdenticalToGeneric(t *testing.T) {
-	for _, path := range kernelPaths() {
+	for _, path := range cpuid.Paths() {
 		for _, lay := range operandLayouts {
 			t.Run(path+"/"+lay.name, func(t *testing.T) {
-				usePath(t, path)
+				cpuid.Use(t, path)
 				rng := rand.New(rand.NewSource(13))
 				for nq := 2; nq <= 12; nq++ {
 					nodes, _ := GLL(nq)
@@ -160,8 +150,8 @@ func checkMetric(t *testing.T, lay operandLayout, rng *rand.Rand, n int) {
 // Go kernels, the index checks in front of the assembly — even when
 // its capacity would have covered what the kernel touches.
 func TestShortOperandsPanic(t *testing.T) {
-	for _, path := range kernelPaths() {
-		usePath(t, path)
+	for _, path := range cpuid.Paths() {
+		cpuid.Use(t, path)
 		for _, nq := range generatedSizes {
 			np := nq * nq * nq
 			for _, k := range derivKernels {
@@ -233,8 +223,8 @@ func TestGeneratedSizesDispatch(t *testing.T) {
 		if got := derivRFixed(d, nq, u, out); got != have[nq] {
 			t.Errorf("derivRFixed(nq=%d) = %v, generatedSizes says %v", nq, got, have[nq])
 		}
-		if got := derivAVX2(axisR, false, d, nq, u, out); got != (useAVX2 && have[nq]) {
-			t.Errorf("derivAVX2(nq=%d) = %v with AVX2 %v, generatedSizes says %v", nq, got, useAVX2, have[nq])
+		if got := derivAVX2(axisR, false, d, nq, u, out); got != (cpuid.AVX2 && have[nq]) {
+			t.Errorf("derivAVX2(nq=%d) = %v with AVX2 %v, generatedSizes says %v", nq, got, cpuid.AVX2, have[nq])
 		}
 	}
 }
@@ -254,9 +244,9 @@ func BenchmarkDeriv(b *testing.B) {
 			u[i] = math.Sin(float64(i) * 1e-3)
 		}
 		for _, k := range derivKernels {
-			for _, path := range kernelPaths() {
+			for _, path := range cpuid.Paths() {
 				b.Run(fmt.Sprintf("nq=%d/%s/%s", nq, k.name, path), func(b *testing.B) {
-					usePath(b, path)
+					cpuid.Use(b, path)
 					for it := 0; it < b.N; it++ {
 						for e := 0; e < elems; e++ {
 							k.fast(d, nq, u[e*np:(e+1)*np], out[e*np:(e+1)*np])
@@ -277,9 +267,9 @@ func BenchmarkMetric(b *testing.B) {
 	for i := range g {
 		g[i] = math.Sin(float64(i) * 1e-3)
 	}
-	for _, path := range kernelPaths() {
+	for _, path := range cpuid.Paths() {
 		b.Run(path, func(b *testing.B) {
-			usePath(b, path)
+			cpuid.Use(b, path)
 			for it := 0; it < b.N; it++ {
 				for e := 0; e < elems; e++ {
 					ue := u[3*e*np : 3*(e+1)*np]
