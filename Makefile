@@ -3,7 +3,8 @@
 # archive recording and replay, MPI runtime, the render path whose rank
 # goroutines composite out of each other's framebuffers, and the mains
 # under cmd/, whose tests run the endpoint, relay and archive
-# in-process) under the race detector.
+# in-process) under the race detector, and the payload views of
+# internal/lebytes, which -race runs with checkptr on.
 # `make bench-kernels` smoke-runs the solver hot-path benchmarks,
 # `make bench-render` the in situ render ones and `make bench-codec`
 # the mesh payload ones;
@@ -35,7 +36,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/staging/... ./internal/intransit/... \
-		./internal/adios/... ./internal/archive/... ./internal/mpirt/... \
+		./internal/adios/... ./internal/lebytes/... ./internal/archive/... ./internal/mpirt/... \
 		./internal/telemetry/... ./internal/metrics/... ./internal/codec/... \
 		./internal/relay/... ./internal/faultnet/... ./internal/render/... \
 		./internal/isosurf/... ./internal/catalyst/... ./internal/shell/... ./cmd/...
@@ -71,7 +72,7 @@ bench-render:
 # The mesh payload path, a fixed iteration count each: the three wire
 # codecs and the zero-RLE stage on rank 0's arrays of two consecutive
 # pb146 steps (solved once per test binary, internal/adios/adiostest),
-# each with its MB/s of raw array and its raw/encoded ratio, the BP05
+# each with its MB/s of raw array and its raw/encoded ratio, the BP06
 # marshal and unmarshal of one such step, and the histogram's range
 # and bin passes over two of its arrays. The codecs and the histogram
 # run once per kernel path (".../avx2" next to ".../go" where the CPU

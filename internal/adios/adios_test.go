@@ -22,13 +22,25 @@ func sampleStep() *Step {
 	}
 }
 
+// contents is s without what records how it holds its storage (its
+// own frame buffer, which payloads are views of it), for comparing
+// decoded steps with built ones by value.
+func contents(s *Step) *Step {
+	c := *s
+	c.frame, c.Vars = nil, append([]Variable(nil), s.Vars...)
+	for i := range c.Vars {
+		c.Vars[i].view = false
+	}
+	return &c
+}
+
 func TestMarshalRoundTrip(t *testing.T) {
 	s := sampleStep()
 	got, err := Unmarshal(Marshal(s))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(s, got) {
+	if !reflect.DeepEqual(s, contents(got)) {
 		t.Errorf("round trip mismatch:\n  in:  %+v\n  out: %+v", s, got)
 	}
 }
@@ -77,7 +89,7 @@ func TestMarshalProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return reflect.DeepEqual(s, got)
+		return reflect.DeepEqual(s, contents(got))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

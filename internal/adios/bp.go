@@ -22,25 +22,19 @@
 //
 // A reader may negotiate per-array wire compression in its hello
 // (ReaderOptions.Codecs, checked against the producer's
-// advertisement); such a connection carries "BPC5" frames produced by
+// advertisement); such a connection carries "BPC6" frames produced by
 // a StreamEncoder and decoded by a StreamDecoder — per-variable codec
 // stages from internal/codec, temporal-delta chains with shared
 // keyframes, and the same pooled-frame discipline. Connections that
-// negotiate nothing are byte-identical to the plain BP05 wire. See
+// negotiate nothing are byte-identical to the plain BP06 wire. See
 // DESIGN.md "Wire compression". Both formats are drawn, and read by
 // one bounds-checked walk, in frame.go.
 package adios
 
-import (
-	"encoding/binary"
-	"math"
-	"sort"
-
-	"nekrs-sensei/internal/lebytes"
-)
+import "nekrs-sensei/internal/lebytes"
 
 // bpMagic heads every marshaled step.
-const bpMagic = "BP05"
+const bpMagic = "BP06"
 
 // Kind discriminates variable payload types.
 type Kind uint8
@@ -61,6 +55,11 @@ type Variable struct {
 	F64 []float64
 	I64 []int64
 	U8  []byte
+
+	// view marks a payload decoded as a view of a frame: a later
+	// decode into this Variable replaces it and never writes through
+	// it.
+	view bool
 }
 
 // NewF64 builds a float64 variable.
@@ -110,6 +109,11 @@ type Step struct {
 	Time  float64
 	Attrs map[string]string
 	Vars  []Variable
+
+	// frame is the wire buffer the step owns and its verbatim payloads
+	// view: its copy of the frame (DecodeInto), or the receive buffer a
+	// Reader handed it (BeginStep), which Recycle takes back.
+	frame []byte
 }
 
 // FindVar returns the named variable or nil.
@@ -133,15 +137,28 @@ func (s *Step) Bytes() int64 {
 
 // MarshaledSize reports the exact wire size of a step — the buffer
 // MarshalInto fills completely, with no growth or trailing slack.
-func MarshaledSize(s *Step) int {
-	n := len(bpMagic) + 8 + 8 + 8 // magic, step, time, attr count
+func MarshaledSize(s *Step) int { return frameSize(s, false, nil) }
+
+// frameSize is the exact size of s in the grammar of frame.go: BP06,
+// or BPC6 when coded, with enc[i] the coded payload of variable i (nil
+// ships it verbatim).
+func frameSize(s *Step, coded bool, enc [][]byte) int {
+	c := 0 // BPC6 adds a base word, and per record a codec byte and two words
+	if coded {
+		c = 1
+	}
+	n := len(bpMagic) + 8 + 8 + 8*c + 8 // magic, step, time, base, attr count
 	for k, v := range s.Attrs {
 		n += 8 + len(k) + 8 + len(v)
 	}
-	n += 8 // var count
+	n = lebytes.Align(n) + 8 // var count
 	for i := range s.Vars {
 		v := &s.Vars[i]
-		n += 8 + len(v.Name) + 1 + 8 + 8*len(v.Shape) + 8 + int(v.Bytes())
+		payload := int(v.Bytes())
+		if coded && enc[i] != nil {
+			payload = len(enc[i])
+		}
+		n += lebytes.Align(8+len(v.Name)+1+c) + 16*c + 8 + 8*len(v.Shape) + 8 + lebytes.Align(payload)
 	}
 	return n
 }
@@ -151,51 +168,7 @@ func MarshaledSize(s *Step) int {
 // zero-growth encode under Marshal and MarshalFrame). Returns the
 // bytes written.
 func MarshalInto(s *Step, dst []byte) int {
-	off := copy(dst, bpMagic)
-	putU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(dst[off:], v)
-		off += 8
-	}
-	putString := func(str string) {
-		putU64(uint64(len(str)))
-		off += copy(dst[off:], str)
-	}
-	putU64(uint64(s.Step))
-	putU64(math.Float64bits(s.Time))
-	putU64(uint64(len(s.Attrs)))
-	// Sorted attribute order for deterministic output; the usual
-	// handful of keys sorts on the stack.
-	var few [8]string
-	keys := few[:0]
-	for k := range s.Attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		putString(k)
-		putString(s.Attrs[k])
-	}
-	putU64(uint64(len(s.Vars)))
-	for i := range s.Vars {
-		v := &s.Vars[i]
-		putString(v.Name)
-		dst[off] = byte(v.Kind)
-		off++
-		putU64(uint64(len(v.Shape)))
-		for _, d := range v.Shape {
-			putU64(uint64(d))
-		}
-		putU64(uint64(v.Len()))
-		switch v.Kind {
-		case KindFloat64:
-			off += lebytes.Put(dst[off:], v.F64)
-		case KindInt64:
-			off += lebytes.Put(dst[off:], v.I64)
-		case KindUint8:
-			off += copy(dst[off:], v.U8)
-		}
-	}
-	return off
+	return (*StreamEncoder)(nil).writeFrame(s, dst, -1, false)
 }
 
 // Marshal serializes a step in BP-style binary form.
@@ -239,13 +212,23 @@ func ReuseStep(s *Step) *Step {
 }
 
 // UnmarshalInto decodes a step marshaled by Marshal into out, reusing
-// out's attribute map, variable headers, shape slices and payload
-// storage wherever capacities allow — the decode side of the
-// zero-allocation steady state. A zero-valued out behaves like a
-// fresh Unmarshal; a recycled out (see ReuseStep) decodes a stream of
-// same-shaped steps without allocating. On error out's contents are
-// unspecified. It is DecodeInto on a nil StreamDecoder, which refuses
-// BPC5 frames.
+// out's attribute map, variable headers, shape slices and frame
+// buffer wherever capacities allow — the decode side of the
+// zero-allocation steady state. The frame is copied once into out's
+// own buffer and out's payloads view that copy, so the caller keeps
+// raw. A zero-valued out behaves like a fresh Unmarshal; a recycled
+// out (see ReuseStep) decodes a stream of same-shaped steps without
+// allocating. On error out's contents are unspecified. It is
+// DecodeInto on a nil StreamDecoder, which refuses BPC6 frames.
 func UnmarshalInto(raw []byte, out *Step) error {
 	return (*StreamDecoder)(nil).DecodeInto(raw, out)
+}
+
+// ViewInto decodes the plain frame raw into out without copying a
+// payload: out's variables view raw (lebytes.View) and are valid only
+// while raw's bytes are — the staging hub's scratch decode of a frame
+// it holds leased. A non-nil arrays keeps only the variables KeepVar
+// selects, so a subset decodes straight out of the full frame.
+func ViewInto(raw []byte, arrays []string, out *Step) error {
+	return (*StreamDecoder)(nil).decode(raw, out, arrays)
 }

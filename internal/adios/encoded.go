@@ -13,26 +13,26 @@ import (
 	"nekrs-sensei/internal/lebytes"
 )
 
-// This file is the encoded sibling of bp.go: the BPC5 frame format
+// This file is the encoded sibling of bp.go: the BPC6 frame format
 // that carries per-variable codec output (internal/codec) instead of
 // raw payloads, and the stream encoder/decoder pair that owns the
 // inter-step state the temporal codec needs.
 //
-// The frame layout is drawn beside BP05's in frame.go, whose walk
+// The frame layout is drawn beside BP06's in frame.go, whose walk
 // reads both. The base word records the step number the frame's
 // temporal-delta payloads difference against, offset by one so zero
 // means "no base" (a keyframe). Only float64 variables under the
 // "array/" prefix are ever coded; everything else — and any array
 // whose negotiated choice is identity — ships its payload verbatim
 // with codec byte 0, and the quantizer's param field carries the error
-// bound the decoder reconstructs with. Uncoded BP05 frames remain
+// bound the decoder reconstructs with. Uncoded BP06 frames remain
 // valid on any connection (the spill tier and structure steps use
 // this), so both formats are distinguished by magic and a
-// StreamDecoder accepts either; a plain UnmarshalInto rejects BPC5
+// StreamDecoder accepts either; a plain UnmarshalInto rejects BPC6
 // with a telling error.
-const bpcMagic = "BPC5"
+const bpcMagic = "BPC6"
 
-// IsEncodedFrame reports whether raw is a BPC5 (codec-encoded) frame.
+// IsEncodedFrame reports whether raw is a BPC6 (codec-encoded) frame.
 func IsEncodedFrame(raw []byte) bool {
 	return len(raw) >= 4 && string(raw[:4]) == bpcMagic
 }
@@ -47,7 +47,7 @@ func codecEligible(v *Variable) bool {
 	return v.Kind == KindFloat64 && strings.HasPrefix(v.Name, arrayPrefix)
 }
 
-// StreamEncoder encodes the steps of one logical stream as BPC5
+// StreamEncoder encodes the steps of one logical stream as BPC6
 // frames under a negotiated codec.Spec, owning the previous-step
 // snapshots the temporal codec differences against. Not safe for
 // concurrent use; the staging hub serializes chains with a per-stream
@@ -56,8 +56,7 @@ type StreamEncoder struct {
 	spec codec.Spec
 	sc   codec.Scratch
 
-	enc  [][]byte // per-variable encoded payload scratch, reused
-	keys []string // attr-sort scratch, reused
+	enc [][]byte // per-variable encoded payload scratch, reused
 
 	// Temporal state: copies of the last EncodeFrame'd step's arrays.
 	prev     map[string][]float64
@@ -113,22 +112,19 @@ func (e *StreamEncoder) choiceFor(v *Variable, temporalOK bool) codec.Choice {
 }
 
 // encodeVars fills e.enc with each eligible variable's coded payload
-// and returns (total encoded payload bytes, whether any variable used
-// the temporal codec). Ineligible or identity variables get a nil
-// entry and ship verbatim.
-func (e *StreamEncoder) encodeVars(s *Step, temporalOK bool) (int, bool) {
+// and reports whether any variable used the temporal codec.
+// Ineligible or identity variables get a nil entry and ship verbatim.
+func (e *StreamEncoder) encodeVars(s *Step, temporalOK bool) bool {
 	if cap(e.enc) < len(s.Vars) {
 		e.enc = make([][]byte, len(s.Vars))
 	}
 	e.enc = e.enc[:len(s.Vars)]
-	total := 0
 	usedTemporal := false
 	var raw, coded int64 // one telemetry update per frame, not two per variable
 	for i := range s.Vars {
 		v := &s.Vars[i]
 		if !codecEligible(v) {
 			e.enc[i] = nil
-			total += int(v.Bytes())
 			continue
 		}
 		ch := e.choiceFor(v, temporalOK)
@@ -138,7 +134,6 @@ func (e *StreamEncoder) encodeVars(s *Step, temporalOK bool) (int, bool) {
 		switch ch.ID {
 		case codec.Identity:
 			e.enc[i] = nil
-			total += int(v.Bytes())
 			continue
 		case codec.TransposeDelta:
 			buf = codec.AppendTransposeDelta(buf[:0], v.F64, &e.sc)
@@ -149,35 +144,26 @@ func (e *StreamEncoder) encodeVars(s *Step, temporalOK bool) (int, bool) {
 			buf = codec.AppendQuantize(buf[:0], v.F64, ch.Bound, &e.sc)
 		}
 		e.enc[i] = buf
-		total += len(buf)
 		raw += v.Bytes()
 		coded += int64(len(buf))
 	}
 	e.rawBytes.Add(raw)
 	e.encBytes.Add(coded)
-	return total, usedTemporal
+	return usedTemporal
 }
 
-// encodedSize is MarshaledSize for the BPC5 layout, given the total
-// payload bytes computed by encodeVars.
-func encodedSize(s *Step, payload int) int {
-	n := len(bpcMagic) + 8 + 8 + 8 + 8 // magic, step, time, base, attr count
-	for k, v := range s.Attrs {
-		n += 8 + len(k) + 8 + len(v)
+// writeFrame writes s into dst, which must be exactly frameSize bytes:
+// as a BP06 frame on a nil encoder (MarshalInto), else as a BPC6 frame
+// whose base word is base and whose coded payloads come from e.enc.
+// Pads are written as zeros, whatever dst held. Returns the bytes
+// written.
+func (e *StreamEncoder) writeFrame(s *Step, dst []byte, base int64, temporalOK bool) int {
+	coded := e != nil
+	magic := bpMagic
+	if coded {
+		magic = bpcMagic
 	}
-	n += 8 // var count
-	for i := range s.Vars {
-		v := &s.Vars[i]
-		// name | kind | codec | param | nshape | shapes | elems | enclen
-		n += 8 + len(v.Name) + 1 + 1 + 8 + 8 + 8*len(v.Shape) + 8 + 8
-	}
-	return n + payload
-}
-
-// marshalEncoded writes the BPC5 frame into dst (exactly
-// encodedSize bytes), pulling coded payloads from e.enc.
-func (e *StreamEncoder) marshalEncoded(s *Step, dst []byte, base int64, temporalOK bool) {
-	off := copy(dst, bpcMagic)
+	off := copy(dst, magic)
 	putU64 := func(v uint64) {
 		binary.LittleEndian.PutUint64(dst[off:], v)
 		off += 8
@@ -188,92 +174,98 @@ func (e *StreamEncoder) marshalEncoded(s *Step, dst []byte, base int64, temporal
 	}
 	putU64(uint64(s.Step))
 	putU64(math.Float64bits(s.Time))
-	putU64(uint64(base + 1)) // 0 = no base
+	if coded {
+		putU64(uint64(base + 1)) // 0 = no base
+	}
 	putU64(uint64(len(s.Attrs)))
-	keys := e.keys[:0]
+	// Sorted attribute order for deterministic output; the usual
+	// handful of keys sorts on the stack.
+	var few [8]string
+	keys := few[:0]
 	for k := range s.Attrs {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	e.keys = keys
 	for _, k := range keys {
 		putString(k)
 		putString(s.Attrs[k])
 	}
+	off = lebytes.Pad(dst, off)
 	putU64(uint64(len(s.Vars)))
 	for i := range s.Vars {
 		v := &s.Vars[i]
 		putString(v.Name)
 		dst[off] = byte(v.Kind)
 		off++
-		ch, enc := codec.Choice{ID: codec.Identity}, e.enc[i]
-		if enc != nil {
-			ch = e.choiceFor(v, temporalOK)
+		var ch codec.Choice // Identity: a verbatim payload
+		var enc []byte
+		if coded {
+			if enc = e.enc[i]; enc != nil {
+				ch = e.choiceFor(v, temporalOK)
+			}
+			dst[off] = byte(ch.ID)
+			off++
 		}
-		dst[off] = byte(ch.ID)
-		off++
-		putU64(math.Float64bits(ch.Bound))
+		off = lebytes.Pad(dst, off)
+		if coded {
+			putU64(math.Float64bits(ch.Bound))
+		}
 		putU64(uint64(len(v.Shape)))
 		for _, d := range v.Shape {
 			putU64(uint64(d))
 		}
 		putU64(uint64(v.Len()))
-		if enc != nil {
+		if coded && enc != nil {
 			putU64(uint64(len(enc)))
-			off += copy(dst[off:], enc)
-			continue
+		} else if coded {
+			putU64(uint64(v.Bytes()))
 		}
-		putU64(uint64(v.Bytes()))
-		switch v.Kind {
-		case KindFloat64:
+		switch {
+		case enc != nil:
+			off += copy(dst[off:], enc)
+		case v.Kind == KindFloat64:
 			off += lebytes.Put(dst[off:], v.F64)
-		case KindInt64:
+		case v.Kind == KindInt64:
 			off += lebytes.Put(dst[off:], v.I64)
-		case KindUint8:
+		case v.Kind == KindUint8:
 			off += copy(dst[off:], v.U8)
 		}
+		off = lebytes.Pad(dst, off)
 	}
+	return off
 }
 
-// snapshot copies the step's codec-eligible temporal arrays into the
-// encoder's previous-step state, reusing capacity.
-func (e *StreamEncoder) snapshot(s *Step) {
+// snapshot copies the step's codec-eligible arrays — only those spec
+// codes temporally, when spec is non-nil — into prev, reusing capacity:
+// the previous step both ends of a temporal chain difference against.
+func snapshot(prev map[string][]float64, s *Step, spec *codec.Spec) {
 	for i := range s.Vars {
 		v := &s.Vars[i]
-		if !codecEligible(v) {
+		if !codecEligible(v) || spec != nil && spec.For(strings.TrimPrefix(v.Name, arrayPrefix)).ID != codec.TemporalDelta {
 			continue
 		}
-		if e.spec.For(strings.TrimPrefix(v.Name, arrayPrefix)).ID != codec.TemporalDelta {
-			continue
-		}
-		p := e.prev[v.Name]
-		if cap(p) < len(v.F64) {
-			p = make([]float64, len(v.F64))
-		}
-		p = p[:len(v.F64)]
+		p := resize(prev[v.Name], uint64(len(v.F64)))
 		copy(p, v.F64)
-		e.prev[v.Name] = p
+		prev[v.Name] = p
 	}
-	e.prevStep = s.Step
-	e.hasPrev = true
 }
 
-// EncodeFrame marshals s as a BPC5 frame into a frame leased from p,
+// EncodeFrame marshals s as a BPC6 frame into a frame leased from p,
 // advancing the encoder's temporal chain: temporal arrays difference
 // against the previous EncodeFrame'd step, and the returned base is
 // that step's number (-1 when the frame is a keyframe — only
 // consumers whose last delivered step equals base can decode a
 // non-keyframe; hand others EncodeKeyFrame's form).
 func (e *StreamEncoder) EncodeFrame(s *Step, p *FramePool) (f *Frame, base int64) {
-	payload, usedTemporal := e.encodeVars(s, true)
 	base = -1
-	if usedTemporal {
+	if e.encodeVars(s, true) {
 		base = e.prevStep
 	}
-	f = p.Lease(encodedSize(s, payload))
-	e.marshalEncoded(s, f.Bytes(), base, true)
+	f = p.Lease(frameSize(s, true, e.enc))
+	e.writeFrame(s, f.Bytes(), base, true)
 	if e.spec.UsesTemporal() {
-		e.snapshot(s)
+		snapshot(e.prev, s, &e.spec)
+		e.prevStep, e.hasPrev = s.Step, true
 	}
 	return f, base
 }
@@ -283,14 +275,14 @@ func (e *StreamEncoder) EncodeFrame(s *Step, p *FramePool) (f *Frame, base int64
 // the self-contained form shared by consumers that missed the chain's
 // base step (drop-oldest gaps, fresh attaches).
 func (e *StreamEncoder) EncodeKeyFrame(s *Step, p *FramePool) *Frame {
-	payload, _ := e.encodeVars(s, false)
-	f := p.Lease(encodedSize(s, payload))
-	e.marshalEncoded(s, f.Bytes(), -1, false)
+	e.encodeVars(s, false)
+	f := p.Lease(frameSize(s, true, e.enc))
+	e.writeFrame(s, f.Bytes(), -1, false)
 	return f
 }
 
 // StreamDecoder decodes the frames of one connection, accepting both
-// BP05 and BPC5 and owning the previous-step arrays temporal frames
+// BP06 and BPC6 and owning the previous-step arrays temporal frames
 // difference against. Not safe for concurrent use.
 type StreamDecoder struct {
 	sc codec.Scratch
@@ -315,16 +307,27 @@ func NewStreamDecoder(temporal bool) *StreamDecoder {
 }
 
 // DecodeInto decodes a wire frame of either format into out, reusing
-// out's storage like UnmarshalInto; a nil decoder is UnmarshalInto and
-// refuses BPC5. A BP05 frame (structure step, spill catch-up) resets
-// the temporal state — the hub guarantees the next coded frame after
-// any gap is a keyframe.
+// out's storage like UnmarshalInto: raw is copied once into out's own
+// frame buffer, which out's verbatim payloads then view, so out owns
+// what it holds and the caller keeps raw. A nil decoder is
+// UnmarshalInto and refuses BPC6. A BP06 frame (structure step, spill
+// catch-up) resets the temporal state — the hub guarantees the next
+// coded frame after any gap is a keyframe.
 func (d *StreamDecoder) DecodeInto(raw []byte, out *Step) error {
+	out.frame = append(out.frame[:0], raw...)
+	return d.decode(out.frame, out, nil)
+}
+
+// decode is DecodeInto without the copy: out's verbatim payloads view
+// raw (lebytes.View), so out is valid exactly as long as raw's bytes
+// are. A non-nil arrays keeps only the variables KeepVar selects.
+func (d *StreamDecoder) decode(raw []byte, out *Step, arrays []string) error {
 	encoded := IsEncodedFrame(raw)
 	if d == nil && encoded {
-		return fmt.Errorf("adios: encoded (BPC5) frame needs a StreamDecoder")
+		return fmt.Errorf("adios: encoded (BPC6) frame needs a StreamDecoder")
 	}
 	var hasBase bool
+	kept := 0
 	err := walkFrame(raw, func(h frameHead) error {
 		if hasBase = h.baseWord != 0; hasBase {
 			base := int64(h.baseWord) - 1
@@ -344,8 +347,16 @@ func (d *StreamDecoder) DecodeInto(raw []byte, out *Step) error {
 		}
 		return nil
 	}, func(i int, r varRecord) error {
-		return d.decodeVar(&out.Vars[i], raw, &r, hasBase)
+		vv := &out.Vars[kept]
+		if err := d.decodeVar(vv, raw, &r, hasBase); err != nil {
+			return err
+		}
+		if arrays == nil || KeepVar(vv.Name, arrays) {
+			kept++
+		}
+		return nil
 	})
+	out.Vars = out.Vars[:kept]
 	if d == nil {
 		return err
 	}
@@ -354,7 +365,8 @@ func (d *StreamDecoder) DecodeInto(raw []byte, out *Step) error {
 		return err
 	}
 	if d.temporal && out.Attrs["structure"] != "1" {
-		d.snapshot(out)
+		snapshot(d.prev, out, nil)
+		d.prevStep, d.hasPrev = out.Step, true
 	}
 	return nil
 }
@@ -414,6 +426,10 @@ func (d *StreamDecoder) decodeVar(vv *Variable, raw []byte, r *varRecord, hasBas
 		vv.Shape = vv.Shape[:r.rank]
 	}
 	lebytes.Get(vv.Shape, raw[r.shapeOff:])
+	if vv.view {
+		// The payload views an earlier frame: never write through it.
+		vv.F64, vv.I64, vv.U8, vv.view = nil, nil, nil, false
+	}
 	// Truncate the payload slices the new kind does not use, so a
 	// reused Variable that changed kind cannot expose stale data
 	// (capacity is kept for a later flip back).
@@ -426,8 +442,15 @@ func (d *StreamDecoder) decodeVar(vv *Variable, raw []byte, r *varRecord, hasBas
 		vv.F64, vv.I64 = vv.F64[:0], vv.I64[:0]
 	}
 	n, enc := r.elems, r.payload
-	if r.codec == codec.Identity {
-		decodePlainPayload(vv, n, enc)
+	if r.codec == codec.Identity { // verbatim: a view of the frame
+		switch vv.Kind {
+		case KindFloat64:
+			vv.F64, vv.view = lebytes.View(vv.F64, enc)
+		case KindInt64:
+			vv.I64, vv.view = lebytes.View(vv.I64, enc)
+		case KindUint8:
+			vv.U8, vv.view = enc[:n:n], true
+		}
 		return nil
 	}
 	if vv.Kind != KindFloat64 {
@@ -464,47 +487,11 @@ func (d *StreamDecoder) decodeVar(vv *Variable, raw []byte, r *varRecord, hasBas
 	return nil
 }
 
-// snapshot mirrors StreamEncoder.snapshot on the decode side.
-func (d *StreamDecoder) snapshot(s *Step) {
-	for i := range s.Vars {
-		v := &s.Vars[i]
-		if !codecEligible(v) {
-			continue
-		}
-		p := d.prev[v.Name]
-		if cap(p) < len(v.F64) {
-			p = make([]float64, len(v.F64))
-		}
-		p = p[:len(v.F64)]
-		copy(p, v.F64)
-		d.prev[v.Name] = p
-	}
-	d.prevStep = s.Step
-	d.hasPrev = true
-}
-
 func (d *StreamDecoder) lastStep() int64 {
 	if !d.hasPrev {
 		return -1
 	}
 	return d.prevStep
-}
-
-// decodePlainPayload decodes a verbatim payload of n elements from enc
-// (its exact size, checked by the walk) into the reused variable
-// storage.
-func decodePlainPayload(vv *Variable, n uint64, enc []byte) {
-	switch vv.Kind {
-	case KindFloat64:
-		vv.F64 = resize(vv.F64, n)
-		lebytes.Get(vv.F64, enc)
-	case KindInt64:
-		vv.I64 = resize(vv.I64, n)
-		lebytes.Get(vv.I64, enc)
-	case KindUint8:
-		vv.U8 = resize(vv.U8, n)
-		copy(vv.U8, enc)
-	}
 }
 
 // resize returns s resliced to n elements, reallocated when its

@@ -7,6 +7,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"nekrs-sensei/internal/codec"
 )
@@ -87,7 +88,7 @@ func TestStreamRoundTripAllCodecs(t *testing.T) {
 				in := codedStep(step, 257) // odd length: partial transpose lane
 				f, base := enc.EncodeFrame(in, pool)
 				if !IsEncodedFrame(f.Bytes()) {
-					t.Fatalf("step %d: EncodeFrame produced non-BPC5 frame", step)
+					t.Fatalf("step %d: EncodeFrame produced non-BPC6 frame", step)
 				}
 				wantBase := int64(-1)
 				if spec.UsesTemporal() && step > 0 {
@@ -194,7 +195,7 @@ func TestStreamTemporalKeyframes(t *testing.T) {
 	}
 }
 
-// TestStreamDecoderResetOnPlainFrame: a BP05 frame (structure step,
+// TestStreamDecoderResetOnPlainFrame: a BP06 frame (structure step,
 // spill catch-up) invalidates the decoder's temporal state, so a chain
 // frame right after it is refused until a keyframe re-anchors.
 func TestStreamDecoderResetOnPlainFrame(t *testing.T) {
@@ -207,7 +208,7 @@ func TestStreamDecoderResetOnPlainFrame(t *testing.T) {
 	decodeFrame(t, dec, f0.Bytes())
 
 	// A plain frame interleaves (the hub ships structure steps and
-	// spill catch-ups as BP05).
+	// spill catch-ups as BP06).
 	structure := codedStep(1, 32)
 	structure.Attrs["structure"] = "1"
 	decodeFrame(t, dec, Marshal(structure))
@@ -231,7 +232,7 @@ func TestStreamDecoderResetOnPlainFrame(t *testing.T) {
 	}
 }
 
-// TestEncodedGoldenFrame pins the BPC5 byte layout against an
+// TestEncodedGoldenFrame pins the BPC6 byte layout against an
 // independently constructed frame: header words, the per-variable
 // codec byte and param, and the coded payload from the codec package's
 // own golden test.
@@ -253,17 +254,20 @@ func TestEncodedGoldenFrame(t *testing.T) {
 		want.Write(b[:])
 	}
 	str := func(s string) { u64(uint64(len(s))); want.WriteString(s) }
-	want.WriteString("BPC5")
+	pad := func() { want.Write(make([]byte, -want.Len()&7)) }
+	want.WriteString("BPC6")
 	u64(9)                      // step
 	u64(math.Float64bits(0.25)) // time
 	u64(0)                      // base+1: keyframe
 	u64(1)                      // one attribute
 	str("case")
 	str("rbc")
+	pad()
 	u64(1) // one variable
 	str("array/p")
 	want.WriteByte(byte(KindFloat64))
 	want.WriteByte(byte(codec.TransposeDelta))
+	pad()
 	u64(math.Float64bits(0)) // param: unused for lossless codecs
 	u64(1)                   // rank
 	u64(3)                   // shape
@@ -274,9 +278,10 @@ func TestEncodedGoldenFrame(t *testing.T) {
 	u64(uint64(len(payload)))
 	header := want.Len()
 	want.Write(payload)
+	pad()
 
 	if !bytes.Equal(f.Bytes(), want.Bytes()) {
-		t.Errorf("BPC5 frame layout changed:\n got %x\nwant %x", f.Bytes(), want.Bytes())
+		t.Errorf("BPC6 frame layout changed:\n got %x\nwant %x", f.Bytes(), want.Bytes())
 	}
 
 	// The same frame with the payload an encoder before the sign fold
@@ -288,7 +293,7 @@ func TestEncodedGoldenFrame(t *testing.T) {
 	}
 }
 
-// TestScanFrameEncoded: the header-only walk recovers a BPC5 frame's
+// TestScanFrameEncoded: the header-only walk recovers a BPC6 frame's
 // layout — codec bytes, quantizer params, enclen-sized payload spans —
 // without decoding.
 func TestScanFrameEncoded(t *testing.T) {
@@ -353,8 +358,8 @@ func TestScanFrameEncoded(t *testing.T) {
 	}
 }
 
-// TestPlainUnmarshalRejectsEncoded: a BP05-only decode path meeting a
-// BPC5 frame must fail loudly, not misparse, and plain marshaling is
+// TestPlainUnmarshalRejectsEncoded: a BP06-only decode path meeting a
+// BPC6 frame must fail loudly, not misparse, and plain marshaling is
 // byte-identical to what it was before codecs existed (same magic,
 // decodable by UnmarshalInto).
 func TestPlainUnmarshalRejectsEncoded(t *testing.T) {
@@ -364,10 +369,10 @@ func TestPlainUnmarshalRejectsEncoded(t *testing.T) {
 	defer f.Release()
 	var out Step
 	if err := UnmarshalInto(f.Bytes(), &out); err == nil {
-		t.Fatal("UnmarshalInto accepted a BPC5 frame")
+		t.Fatal("UnmarshalInto accepted a BPC6 frame")
 	}
 	plain := Marshal(codedStep(0, 16))
-	if string(plain[:4]) != "BP05" {
+	if string(plain[:4]) != "BP06" {
 		t.Fatalf("plain magic = %q", plain[:4])
 	}
 	if err := UnmarshalInto(plain, &out); err != nil {
@@ -380,7 +385,7 @@ func TestPlainUnmarshalRejectsEncoded(t *testing.T) {
 	}
 }
 
-// FuzzStreamDecoder feeds the BPC5 decoder whatever a peer could send:
+// FuzzStreamDecoder feeds the BPC6 decoder whatever a peer could send:
 // arbitrary bytes and mutated key and chain frames, to a fresh decoder
 // or to one that holds the chain's base step. It must answer with an
 // error or a step — never panic — and never size storage past what the
@@ -405,7 +410,7 @@ func FuzzStreamDecoder(f *testing.F) {
 		f.Add(Marshal(mkStep(2)), held)
 		f.Add(chain[:len(chain)/2], held)
 		f.Add(append(key[:len(key):len(key)], 0xAB), held) // one trailing byte
-		f.Add([]byte("BPC5"), held)
+		f.Add([]byte("BPC6"), held)
 		f.Add([]byte{}, held)
 	}
 	// A retired and an unknown payload mode, and an element count far
@@ -464,4 +469,35 @@ func FuzzStreamDecoder(f *testing.F) {
 			t.Fatal("fresh and recycled decodes disagree")
 		}
 	})
+}
+
+// TestDecodeNeverWritesThroughAView: a step whose payloads view a frame
+// (ViewInto, or a Reader step viewing its receive buffer) that is then
+// decoded into again — here from a coded frame of the same shape, whose
+// arrays need storage of their own — gets fresh storage: the frame it
+// viewed is never written.
+func TestDecodeNeverWritesThroughAView(t *testing.T) {
+	plain := Marshal(codedStep(1, 64))
+	viewed := append([]byte(nil), plain...)
+	var out Step
+	if err := ViewInto(viewed, nil, &out); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := ScanFrame(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u := out.FindVar("array/u").F64; &u[0] != (*float64)(unsafe.Pointer(&viewed[fi.FindVar("array/u").PayloadOff])) {
+		t.Fatal("ViewInto copied the payload instead of viewing the frame")
+	}
+	coded, _ := NewStreamEncoder(mustSpec(t, "transpose-delta")).EncodeFrame(codedStep(2, 64), NewFramePool())
+	if err := NewStreamDecoder(false).DecodeInto(coded.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(viewed, plain) {
+		t.Fatal("a coded decode wrote through a view into the frame it viewed")
+	}
+	if got, want := out.FindVar("array/u").F64[5], codedStep(2, 64).Vars[0].F64[5]; got != want {
+		t.Fatalf("decoded u[5] = %v, want %v", got, want)
+	}
 }

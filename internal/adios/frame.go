@@ -2,6 +2,7 @@ package adios
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -15,36 +16,49 @@ import (
 // walkFrame, which checks every bound once before a visitor sees a
 // byte. A plain frame one entry point accepts, the others accept.
 //
-// Layout, little-endian; str is a u64 length and that many bytes, and
-// a dash marks a field the format does not carry:
+// Layout, little-endian; str is a u64 length and that many bytes, pad
+// is the zero bytes up to the next multiple of 8 from the frame start,
+// and a dash marks a field the format does not carry:
 //
-//	field          BP05 (plain)        BPC5 (codec-encoded)
-//	magic          "BP05"              "BPC5"
+//	field          BP06 (plain)        BPC6 (codec-encoded)
+//	magic          "BP06"              "BPC6"
 //	step           u64                 u64
 //	time           f64                 f64
 //	base+1         -                   u64, 0 = keyframe
 //	attrs          u64 n, n × (key str, value str)
+//	               pad                 pad
 //	nvars          u64                 u64
 //	per variable:
 //	  name         str                 str
 //	  kind         u8                  u8
 //	  codec        -                   u8, 0 = verbatim
+//	               pad                 pad
 //	  param        -                   f64, the quantizer's bound
 //	  shape        u64 rank, rank × u64
 //	  elems        u64                 u64
 //	  payload len  -                   u64
 //	  payload      elems × width       payload len bytes
+//	               pad                 pad
 //
 // A verbatim payload is elems × width bytes in both formats (width 8
 // for float64 and int64, 1 for uint8); a coded one is whatever its
-// codec emitted, and only the StreamDecoder can check it.
+// codec emitted, and only the StreamDecoder can check it. Every record
+// is a whole number of words and starts on one, so a payload starts on
+// a word: in a word-aligned buffer a decoder can read a verbatim one
+// in place (lebytes.View), and cutting or splicing whole records keeps
+// that true. The pads must be present and zero. BP05/BPC5, the same
+// grammar without pads, is refused by name (ErrRetiredFormat).
+
+// ErrRetiredFormat marks a frame of an older format this build no
+// longer reads.
+var ErrRetiredFormat = errors.New("retired frame format")
 
 // frameHead is what walkFrame reads before the variable records.
 type frameHead struct {
-	encoded  bool // BPC5
+	encoded  bool // BPC6
 	step     int64
 	time     float64
-	baseWord uint64 // BPC5 base step + 1; 0 for a keyframe and in BP05
+	baseWord uint64 // BPC6 base step + 1; 0 for a keyframe and in BP06
 	nattr    int
 	attrs    []byte // the nattr key/value pairs, already bounds-checked
 	varsOff  int    // offset of the var-count word
@@ -63,10 +77,10 @@ func nextAttr(pairs []byte) (k, v, rest []byte) {
 // varRecord is one walked variable record. Its byte slices alias the
 // frame.
 type varRecord struct {
-	off        int // the record starts at raw[off] and ends with payload
+	off, end   int // the record is raw[off:end], payload and pad included
 	name       []byte
 	kind       Kind
-	codec      codec.ID // BPC5 only; Identity is a verbatim payload
+	codec      codec.ID // BPC6 only; Identity is a verbatim payload
 	param      float64
 	shapeOff   int // the shape is rank u64 words at raw[shapeOff:]
 	rank       int
@@ -87,24 +101,25 @@ func (k Kind) width() uint64 {
 	return 0
 }
 
-// walker reads raw front to back. A short read sticks: every later
-// read returns zero bytes without moving pos, so the walk checks err
+// walker reads raw front to back. A failed read sticks: every later
+// read returns zero bytes without moving pos, so the walk checks fail
 // once per field group rather than once per word.
 type walker struct {
-	raw   []byte
-	pos   int
-	short bool
+	raw  []byte
+	pos  int
+	fail error
 }
 
 func (w *walker) left() uint64 { return uint64(len(w.raw) - w.pos) }
 
-// take returns the next n bytes in place, or nil once the walk ran
-// short. n is compared with the bytes left before any conversion to
-// int, so a hostile length cannot overflow into a huge or negative
-// slice.
+// take returns the next n bytes in place, or nil once the walk failed.
+// n is compared with the bytes left before any conversion to int, so a
+// hostile length cannot overflow into a huge or negative slice.
 func (w *walker) take(n uint64) []byte {
-	if w.short || n > w.left() {
-		w.short = true
+	if w.fail == nil && n > w.left() {
+		w.fail = fmt.Errorf("adios: truncated at %d", w.pos)
+	}
+	if w.fail != nil {
 		return nil
 	}
 	w.pos += int(n)
@@ -125,11 +140,14 @@ func (w *walker) u8() uint8 {
 	return 0
 }
 
-func (w *walker) err() error {
-	if w.short {
-		return fmt.Errorf("adios: truncated at %d", w.pos)
+// pad takes the zero bytes up to the next word.
+func (w *walker) pad() {
+	p := w.take(uint64(-w.pos & 7))
+	for i, b := range p {
+		if b != 0 && w.fail == nil {
+			w.fail = fmt.Errorf("adios: nonzero pad byte at %d", w.pos-len(p)+i)
+		}
 	}
-	return nil
 }
 
 // walkFrame reads raw against the grammar above. visitHead gets the
@@ -139,8 +157,13 @@ func (w *walker) err() error {
 // its records: no trailing bytes.
 func walkFrame(raw []byte, visitHead func(frameHead) error, visitVar func(int, varRecord) error) error {
 	var h frameHead
-	h.encoded = IsEncodedFrame(raw)
-	if !h.encoded && (len(raw) < 4 || string(raw[:4]) != bpMagic) {
+	switch string(raw[:min(4, len(raw))]) {
+	case bpMagic:
+	case bpcMagic:
+		h.encoded = true
+	case "BP05", "BPC5":
+		return fmt.Errorf("adios: %s frame, this build reads %s/%s: %w", raw[:4], bpMagic, bpcMagic, ErrRetiredFormat)
+	default:
 		return fmt.Errorf("adios: bad magic")
 	}
 	w := walker{raw: raw, pos: 4}
@@ -150,22 +173,24 @@ func walkFrame(raw []byte, visitHead func(frameHead) error, visitVar func(int, v
 		h.baseWord = w.u64()
 	}
 	nattr := w.u64()
-	if !w.short && nattr > w.left()/16 { // each attr needs two length words
+	if w.fail == nil && nattr > w.left()/16 { // each attr needs two length words
 		return fmt.Errorf("adios: attr count %d exceeds frame", nattr)
 	}
 	attrsOff := w.pos
-	for i := uint64(0); i < nattr && !w.short; i++ {
+	for i := uint64(0); i < nattr && w.fail == nil; i++ {
 		w.take(w.u64())
 		w.take(w.u64())
 	}
-	h.attrs, h.nattr, h.varsOff = raw[attrsOff:w.pos], int(nattr), w.pos
+	h.attrs, h.nattr = raw[attrsOff:w.pos], int(nattr)
+	w.pad()
+	h.varsOff = w.pos
 	nvars := w.u64()
 	minRecord := uint64(8 + 1 + 8 + 8) // name length, kind, rank, elems
 	if h.encoded {
 		minRecord += 1 + 8 + 8 // codec, param, payload length
 	}
-	if w.short {
-		return w.err()
+	if w.fail != nil {
+		return w.fail
 	}
 	if nvars > w.left()/minRecord {
 		return fmt.Errorf("adios: var count %d exceeds frame", nvars)
@@ -180,21 +205,24 @@ func walkFrame(raw []byte, visitHead func(frameHead) error, visitVar func(int, v
 		r.kind = Kind(w.u8())
 		if h.encoded {
 			r.codec = codec.ID(w.u8())
+		}
+		w.pad()
+		if h.encoded {
 			r.param = math.Float64frombits(w.u64())
 		}
 		rank := w.u64()
-		if !w.short && rank > w.left()/8 {
+		if w.fail == nil && rank > w.left()/8 {
 			return fmt.Errorf("adios: shape rank %d exceeds frame", rank)
 		}
 		r.shapeOff, r.rank = w.pos, int(rank)
 		w.take(8 * rank)
 		r.elems = w.u64()
-		var size uint64 // BP05 derives it from elems below
+		var size uint64 // BP06 derives it from elems below
 		if h.encoded {
 			size = w.u64()
 		}
-		if w.short {
-			return w.err()
+		if w.fail != nil {
+			return w.fail
 		}
 		width := r.kind.width()
 		switch {
@@ -212,6 +240,11 @@ func walkFrame(raw []byte, visitHead func(frameHead) error, visitVar func(int, v
 		}
 		r.payloadOff = w.pos
 		r.payload = w.take(size)
+		w.pad()
+		if w.fail != nil {
+			return w.fail
+		}
+		r.end = w.pos
 		if err := visitVar(i, r); err != nil {
 			return err
 		}

@@ -2,15 +2,17 @@ package adios
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 )
 
 // TestEntryPointsAgreeOnHostileFrames feeds every reader of the frame
 // grammar the same hostile frames: Unmarshal, UnmarshalInto into
 // recycled storage, a StreamDecoder and ScanFrame must give one
-// accept/reject answer per frame. The plain decoders refuse BPC5 by
-// design, so on a BPC5 row they must refuse while the other two give
+// accept/reject answer per frame. The plain decoders refuse BPC6 by
+// design, so on a BPC6 row they must refuse while the other two give
 // the row's answer.
 func TestEntryPointsAgreeOnHostileFrames(t *testing.T) {
 	plain := Marshal(sampleStep())
@@ -42,6 +44,17 @@ func TestEntryPointsAgreeOnHostileFrames(t *testing.T) {
 		}
 		return b
 	}
+	retired := func(raw []byte, magic string) []byte {
+		return append([]byte(magic), raw[4:]...)
+	}
+	// splice replaces raw[from:to] with ins.
+	splice := func(raw []byte, from, to int64, ins []byte) []byte {
+		return append(append(append([]byte(nil), raw[:from]...), ins...), raw[to:]...)
+	}
+	last := fi.Vars[len(fi.Vars)-1]
+	if last.Kind != KindUint8 || last.PayloadLen%8 == 0 || -(v0.RecordOff+8+int64(len(v0.Name))+1)&7 != 7 {
+		t.Fatalf("sample frame lacks the pads the rows below cut: %+v", fi.Vars)
+	}
 	rows := []struct {
 		name string
 		raw  []byte
@@ -54,10 +67,18 @@ func TestEntryPointsAgreeOnHostileFrames(t *testing.T) {
 		{"var count past frame", with(plain, fi.VarsOff, 1<<60, 8), false},
 		{"shape rank past frame", with(plain, kindOff+1, 1<<60, 8), false},
 		{"element count past frame", with(plain, v0.PayloadOff-8, 1<<60, 8), false},
-		{"BPC5 keyframe", bpc, true},
-		{"BPC5 trailing byte", append(bpc[:len(bpc):len(bpc)], 0xAB), false},
-		{"BPC5 payload length past frame", with(bpc, meta.PayloadOff-8, 1<<60, 8), false},
-		{"BPC5 verbatim payload short of its elements", with(bpc, meta.PayloadOff-16, 2, 8), false},
+		{"retired BP05 magic", retired(plain, "BP05"), false},
+		{"nonzero header pad", with(plain, fi.VarsOff-1, 0xAB, 1), false},
+		{"nonzero pad after a kind byte", with(plain, kindOff+1, 0xAB, 1), false},
+		{"nonzero pad after a byte payload", with(plain, last.PayloadOff+last.PayloadLen, 0xAB, 1), false},
+		{"missing pad after a kind byte", splice(plain, kindOff+1, kindOff+8, nil), false},
+		{"record not a whole number of words", splice(plain, v0.PayloadOff+v0.PayloadLen, v0.PayloadOff+v0.PayloadLen, []byte{0}), false},
+		{"BPC6 keyframe", bpc, true},
+		{"retired BPC5 magic", retired(bpc, "BPC5"), false},
+		{"BPC6 nonzero pad after the codec byte", with(bpc, meta.RecordOff+8+int64(len(meta.Name))+2, 0xAB, 1), false},
+		{"BPC6 trailing byte", append(bpc[:len(bpc):len(bpc)], 0xAB), false},
+		{"BPC6 payload length past frame", with(bpc, meta.PayloadOff-8, 1<<60, 8), false},
+		{"BPC6 verbatim payload short of its elements", with(bpc, meta.PayloadOff-16, 2, 8), false},
 	}
 	for _, raw := range [][]byte{plain, bpc} {
 		for cut := 0; cut < len(raw); cut++ {
@@ -69,6 +90,11 @@ func TestEntryPointsAgreeOnHostileFrames(t *testing.T) {
 		}
 	}
 
+	for _, magic := range []string{"BP05", "BPC5"} {
+		if _, err := ScanFrame(retired(plain, magic)); !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), magic) {
+			t.Errorf("a %s frame is refused with %v, want ErrRetiredFormat naming it", magic, err)
+		}
+	}
 	verdict := func(err error) string {
 		if err != nil {
 			return "reject (" + err.Error() + ")"

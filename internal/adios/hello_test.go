@@ -98,3 +98,44 @@ func TestOversizedHelloRefusedBothSides(t *testing.T) {
 		t.Errorf("reader saw %v, want ErrHelloTooLarge", err)
 	}
 }
+
+// TestReaderRefusesOtherFrameFormat: a reader names its frame format
+// in its hello, and refuses a writer whose hello names another (or
+// none), naming both, even under a retry policy: the refusal is
+// permanent.
+func TestReaderRefusesOtherFrameFormat(t *testing.T) {
+	for _, format := range []string{"bp05", ""} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		heard := make(chan adios.Hello, 4)
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				var h adios.Hello
+				if _, err := adios.ReadHello(bufio.NewReader(conn), &h); err == nil {
+					heard <- h
+					json.NewEncoder(conn).Encode(adios.Hello{Type: "hello", Role: "writer", Marshal: format}) //nolint:errcheck
+				}
+				conn.Close()
+			}
+		}()
+		_, err = adios.OpenReaderWith(ln.Addr().String(), adios.ReaderOptions{Retry: &adios.RetryPolicy{MaxAttempts: 3}})
+		ln.Close()
+		var rej *adios.RejectedError
+		if !errors.As(err, &rej) || !strings.Contains(err.Error(), `frame format "`+format+`"`) ||
+			!strings.Contains(err.Error(), `"`+adios.FrameFormat+`"`) {
+			t.Errorf("writer speaking %q: reader error %v, want a refusal naming both formats", format, err)
+		}
+		if h := <-heard; h.Marshal != adios.FrameFormat {
+			t.Errorf("reader hello names format %q, want %q", h.Marshal, adios.FrameFormat)
+		}
+		if len(heard) != 0 {
+			t.Errorf("writer speaking %q: the reader dialed again after a format refusal", format)
+		}
+	}
+}

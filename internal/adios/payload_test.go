@@ -15,13 +15,18 @@ import (
 	"nekrs-sensei/internal/codec"
 )
 
-// marshalReference is the BP05 layout written one element at a time,
-// as Marshal wrote numeric payloads before they became bulk copies:
-// the oracle the frame bytes must not move from.
+// marshalReference is the BP06 layout written one element at a time,
+// every pad spelled out: the oracle the frame bytes must not move
+// from.
 func marshalReference(s *adios.Step) []byte {
-	out := []byte("BP05")
+	out := []byte("BP06")
 	u64 := func(v uint64) { out = binary.LittleEndian.AppendUint64(out, v) }
 	str := func(s string) { u64(uint64(len(s))); out = append(out, s...) }
+	pad := func() {
+		for len(out)%8 != 0 {
+			out = append(out, 0)
+		}
+	}
 	u64(uint64(s.Step))
 	u64(math.Float64bits(s.Time))
 	u64(uint64(len(s.Attrs)))
@@ -34,11 +39,13 @@ func marshalReference(s *adios.Step) []byte {
 		str(k)
 		str(s.Attrs[k])
 	}
+	pad()
 	u64(uint64(len(s.Vars)))
 	for i := range s.Vars {
 		v := &s.Vars[i]
 		str(v.Name)
 		out = append(out, byte(v.Kind))
+		pad()
 		u64(uint64(len(v.Shape)))
 		for _, d := range v.Shape {
 			u64(uint64(d))
@@ -51,6 +58,7 @@ func marshalReference(s *adios.Step) []byte {
 			u64(uint64(x))
 		}
 		out = append(out, v.U8...)
+		pad()
 	}
 	return out
 }
@@ -113,7 +121,7 @@ func TestMarshalBytesPinned(t *testing.T) {
 	const want = "93c2faafd17fb44970e9141383f75c03573df332dcceaa3b23edac43830bb6bc"
 	sum := sha256.Sum256(adios.Marshal(mixedStep()))
 	if got := hex.EncodeToString(sum[:]); got != want {
-		t.Fatalf("BP05 bytes moved: digest %s, want %s", got, want)
+		t.Fatalf("BP06 bytes moved: digest %s, want %s", got, want)
 	}
 }
 

@@ -179,7 +179,7 @@ func TestUnmarshalIntoReuseEquivalence(t *testing.T) {
 // and, on success, the canonical re-marshaled form.
 func FuzzUnmarshalInto(f *testing.F) {
 	f.Add(Marshal(sampleStep()))
-	f.Add([]byte("BP05"))
+	f.Add([]byte("BP06"))
 	f.Add([]byte{})
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 4; i++ {

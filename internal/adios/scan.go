@@ -21,14 +21,17 @@ type VarSpan struct {
 	Kind Kind
 
 	// RecordOff/RecordLen span the variable's whole record: name,
-	// kind, shape, element count and payload. Concatenating selected
-	// records after the frame header yields a valid subset frame.
+	// kind, shape, element count, payload and pads, a whole number of
+	// words. Concatenating selected records after the frame header
+	// yields a valid subset frame.
 	RecordOff, RecordLen int64
-	// PayloadOff/PayloadLen span just the encoded payload bytes.
+	// PayloadOff/PayloadLen span just the encoded payload bytes; the
+	// payload starts on a word, and its pad (< 8 zero bytes) ends the
+	// record.
 	PayloadOff, PayloadLen int64
 	// Elems is the payload's element count.
 	Elems int64
-	// Codec is the wire codec byte (BPC5 frames only; 0 = verbatim)
+	// Codec is the wire codec byte (BPC6 frames only; 0 = verbatim)
 	// and Param its parameter (the quantizer's error bound).
 	Codec uint8
 	Param float64
@@ -45,7 +48,7 @@ type FrameInfo struct {
 	Time      float64
 	Structure bool // the frame carries the grid structure
 
-	// Encoded reports a BPC5 (codec-encoded) frame; Base is the step
+	// Encoded reports a BPC6 (codec-encoded) frame; Base is the step
 	// its temporal payloads difference against (-1 for a keyframe).
 	Encoded bool
 	Base    int64
@@ -119,9 +122,9 @@ func ScanFrame(raw []byte) (FrameInfo, error) {
 		}
 		return nil
 	}, func(i int, r varRecord) error {
-		vs, end := &fi.Vars[i], r.payloadOff+len(r.payload)
+		vs := &fi.Vars[i]
 		vs.Name, vs.Kind, vs.Codec, vs.Param = string(r.name), r.kind, uint8(r.codec), r.param
-		vs.RecordOff, vs.RecordLen = int64(r.off), int64(end-r.off)
+		vs.RecordOff, vs.RecordLen = int64(r.off), int64(r.end-r.off)
 		vs.PayloadOff, vs.PayloadLen, vs.Elems = int64(r.payloadOff), int64(len(r.payload)), int64(r.elems)
 		vs.shapeOff, vs.rank = int64(r.shapeOff), r.rank
 		return nil

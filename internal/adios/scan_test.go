@@ -91,7 +91,7 @@ func FuzzScanFrame(f *testing.F) {
 	f.Add(Marshal(blockStep(3, 1, 9)))
 	f.Add(plain[:len(plain)/2])
 	f.Add(append(plain[:len(plain):len(plain)], 0xAB)) // one trailing byte
-	f.Add([]byte("BP05"))
+	f.Add([]byte("BP06"))
 	f.Add([]byte{})
 	enc := NewStreamEncoder(mustSpec(f, "transpose-delta"))
 	coded, _ := enc.EncodeFrame(codedStep(1, 50), NewFramePool())
@@ -114,18 +114,23 @@ func FuzzScanFrame(f *testing.F) {
 			return
 		}
 		n := int64(len(raw))
-		if fi.VarsOff < 4 || fi.VarsOff+8 > n {
-			t.Fatalf("VarsOff %d outside a %d-byte frame", fi.VarsOff, n)
+		if fi.VarsOff < 4 || fi.VarsOff+8 > n || fi.VarsOff%8 != 0 {
+			t.Fatalf("VarsOff %d outside a %d-byte frame or off the word grid", fi.VarsOff, n)
 		}
 		for _, vs := range fi.Vars {
-			if vs.RecordOff < fi.VarsOff+8 || vs.RecordLen < 0 || vs.RecordOff+vs.RecordLen > n ||
-				vs.PayloadOff < vs.RecordOff || vs.PayloadLen < 0 ||
-				vs.PayloadOff+vs.PayloadLen != vs.RecordOff+vs.RecordLen {
+			recEnd, payEnd := vs.RecordOff+vs.RecordLen, vs.PayloadOff+vs.PayloadLen
+			if vs.RecordOff < fi.VarsOff+8 || vs.RecordLen < 0 || recEnd > n ||
+				vs.PayloadOff < vs.RecordOff || vs.PayloadLen < 0 || payEnd > recEnd || recEnd-payEnd > 7 {
 				t.Fatalf("span of %q leaves the frame or its record: %+v (frame %d bytes)", vs.Name, vs, n)
+			}
+			// Whole-word records, so every payload (the 8-byte ones a
+			// decoder views in place included) starts on a word.
+			if vs.RecordOff%8 != 0 || vs.RecordLen%8 != 0 || vs.PayloadOff%8 != 0 {
+				t.Fatalf("span of %q is off the word grid: %+v", vs.Name, vs)
 			}
 		}
 		if fi.Encoded {
-			return // BPC5 payloads are the StreamDecoder's to vet (FuzzStreamDecoder)
+			return // BPC6 payloads are the StreamDecoder's to vet (FuzzStreamDecoder)
 		}
 		full, err := Unmarshal(raw)
 		if err != nil {

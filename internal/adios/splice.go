@@ -3,6 +3,8 @@ package adios
 import (
 	"encoding/binary"
 	"fmt"
+
+	"nekrs-sensei/internal/lebytes"
 )
 
 // This file is the relay's block-range splice: SpliceFrames merges
@@ -33,7 +35,7 @@ func rebaseBy(fi *FrameInfo, vs *VarSpan) uint64 {
 	return 0
 }
 
-// SpliceFrames concatenates P same-step plain BP05 frames into one:
+// SpliceFrames concatenates P same-step plain BP06 frames into one:
 // the output carries frames[0]'s header (step, time, attributes) and
 // variable order, with each variable's payload the concatenation of
 // every input's payload bytes in frame order — the wire form the
@@ -46,7 +48,7 @@ func rebaseBy(fi *FrameInfo, vs *VarSpan) uint64 {
 // Every input must carry the same variable names, kinds and structure
 // flag, and data frames the same step number (a relay re-blocks grids
 // its sources sent at different steps; the output takes frames[0]'s);
-// codec-encoded (BPC5) frames are refused.
+// codec-encoded (BPC6) frames are refused.
 //
 // The result is leased from pool: release it when done (a staging hub
 // publish takes ownership instead, see Hub.PublishFrame).
@@ -76,8 +78,8 @@ func SpliceFrames(frames [][]byte, pool *FramePool) (*Frame, error) {
 		infos[i] = fi
 	}
 
-	// Size pass: header + var count + per-var headers and summed
-	// payloads (shapes checked across inputs as they are read).
+	// Size pass: header + var count + per-var headers and summed,
+	// padded payloads (shapes checked across inputs as they are read).
 	shapes := make([][]uint64, len(infos[0].Vars))
 	size := int64(infos[0].VarsOff) + 8
 	for v := range infos[0].Vars {
@@ -104,10 +106,11 @@ func SpliceFrames(frames [][]byte, pool *FramePool) (*Frame, error) {
 			}
 		}
 		shapes[v] = shape
-		size += 8 + int64(len(v0.Name)) + 1 + 8 + 8*int64(len(shape)) + 8
+		var payload int64
 		for i := range frames {
-			size += infos[i].Vars[v].PayloadLen
+			payload += infos[i].Vars[v].PayloadLen
 		}
+		size += int64(lebytes.Align(8+len(v0.Name)+1)+8+8*len(shape)+8) + int64(lebytes.Align(int(payload)))
 	}
 
 	f := pool.Lease(int(size))
@@ -123,7 +126,7 @@ func SpliceFrames(frames [][]byte, pool *FramePool) (*Frame, error) {
 		putU64(uint64(len(v0.Name)))
 		off += copy(dst[off:], v0.Name)
 		dst[off] = byte(v0.Kind)
-		off++
+		off = lebytes.Pad(dst, off+1)
 		putU64(uint64(len(shapes[v])))
 		for _, d := range shapes[v] {
 			putU64(d)
@@ -146,6 +149,7 @@ func SpliceFrames(frames [][]byte, pool *FramePool) (*Frame, error) {
 			}
 			base += rebaseBy(&infos[i], vs)
 		}
+		off = lebytes.Pad(dst, off)
 	}
 	if int64(off) != size {
 		f.Release()

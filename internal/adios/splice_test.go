@@ -187,7 +187,7 @@ func FuzzSpliceFrames(f *testing.F) {
 	f.Add(Marshal(blockStep(8, 1, 5))) // another step
 	f.Add(Marshal(blockStep(7, 1, 0))) // empty block
 	f.Add(Marshal(sampleStep()))       // other variables
-	f.Add([]byte("BP05"))
+	f.Add([]byte("BP06"))
 	f.Add([]byte{})
 	shaped := blockStep(7, 1, 6)
 	shaped.Vars[0].Shape = []int64{2, 3}
@@ -202,8 +202,14 @@ func FuzzSpliceFrames(f *testing.F) {
 				continue
 			}
 			var st Step
-			if _, serr := ScanFrame(out.Bytes()); serr != nil {
+			sfi, serr := ScanFrame(out.Bytes())
+			if serr != nil {
 				t.Fatalf("spliced frame does not scan: %v", serr)
+			}
+			for _, vs := range sfi.Vars {
+				if vs.RecordOff%8 != 0 || vs.RecordLen%8 != 0 || vs.PayloadOff%8 != 0 {
+					t.Fatalf("spliced record %q is off the word grid: %+v", vs.Name, vs)
+				}
 			}
 			if derr := UnmarshalInto(out.Bytes(), &st); derr != nil {
 				t.Fatalf("spliced frame does not decode: %v", derr)

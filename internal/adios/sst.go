@@ -24,18 +24,17 @@ import (
 // stream to the first reader whatever it announces. Error carries a
 // handshake-level rejection reason (Role "rejected").
 type Hello struct {
-	Type    string `json:"type"`
-	Role    string `json:"role"`
-	Engine  string `json:"engine,omitempty"`
+	Type   string `json:"type"`
+	Role   string `json:"role"`
+	Engine string `json:"engine,omitempty"`
+	// Marshal names the frame format the peer speaks, FrameFormat. Each
+	// side refuses a hello naming another (an older peer names none),
+	// naming both formats.
 	Marshal string `json:"marshal,omitempty"`
 
 	Consumer string `json:"consumer,omitempty"`
 	Policy   string `json:"policy,omitempty"`
 	Depth    int    `json:"depth,omitempty"`
-	// Group is never sent. It is decoded only so the server can refuse,
-	// by name, a peer from before hub consumer groups were removed
-	// (group > 1) rather than silently serve it as a plain consumer.
-	Group int `json:"group,omitempty"`
 	// Arrays is the reader's declared array subset: only the named
 	// arrays travel on this connection (the structure step is always
 	// shipped whole). Empty means every array the producer publishes.
@@ -46,7 +45,7 @@ type Hello struct {
 	// Codecs is the reader's wire-compression request (codec.ParseSpec
 	// grammar: a default choice and/or "array=choice" overrides). The
 	// producer rejects a hello naming a codec it does not advertise,
-	// mirroring the Arrays rule; empty means identity (plain BP05).
+	// mirroring the Arrays rule; empty means identity (plain BP06).
 	Codecs []string `json:"codecs,omitempty"`
 	Error  string   `json:"error,omitempty"`
 
@@ -63,6 +62,10 @@ type Hello struct {
 	Resume     int64   `json:"resume,omitempty"`
 	SessionTTL float64 `json:"session_ttl,omitempty"`
 }
+
+// FrameFormat is the frame grammar this build writes and reads
+// (frame.go), as both hellos name it.
+const FrameFormat = "bp06"
 
 // Heartbeat wire encoding. Both are invisible to the frame payloads:
 // a producer emits HeartbeatMarker as a length prefix with no frame
@@ -175,18 +178,18 @@ func CheckAdvertised(requested, advertise []string) error {
 }
 
 // Reader is the consumer side of an SST stream. Its receive path is
-// allocation-free in the steady state: frames land in a grow-only
-// connection-scoped buffer, and callers that return consumed steps
-// with Recycle get them decoded in place (UnmarshalInto) instead of
-// into fresh storage.
+// allocation-free in the steady state: a frame lands in a receive
+// buffer that the decoded step takes with it and views, and callers
+// that return consumed steps with Recycle hand the step and its buffer
+// back, so one buffer and one step serve the whole stream.
 type Reader struct {
 	conn net.Conn
 	br   *bufio.Reader
 
-	frameBuf []byte         // grow-only receive scratch, reused per frame
+	frameBuf []byte         // receive buffer; BeginStep hands it to the step, Recycle returns it
 	spare    *Step          // recycled decode destination (see Recycle)
 	record   FrameSink      // receives every received frame (see SetRecord)
-	dec      *StreamDecoder // codec-negotiated readers only; nil decodes BP05 alone
+	dec      *StreamDecoder // codec-negotiated readers only; nil decodes BP06 alone
 	ack      [1]byte
 
 	// Resilience state. addr/opts are retained for reconnects; session
@@ -234,7 +237,7 @@ type ReaderOptions struct {
 	Arrays []string
 	// Codecs requests wire compression (codec.ParseSpec grammar). The
 	// producer rejects the handshake if it names a codec outside the
-	// producer's advertisement. Empty requests plain BP05.
+	// producer's advertisement. Empty requests plain BP06.
 	Codecs []string
 
 	// Retry, when non-nil, makes the reader resilient: the initial dial
@@ -291,42 +294,10 @@ func OpenReaderWith(addr string, opts ReaderOptions) (*Reader, error) {
 	if opts.Retry == nil {
 		return r, r.connectTo(addr)
 	}
-	pol := opts.Retry.withDefaults()
-	attempts := pol.MaxAttempts
-	if attempts <= 0 {
-		attempts = 1
+	if err := r.dial(1); err != nil {
+		return nil, err
 	}
-	start := time.Now()
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			time.Sleep(pol.Backoff(a - 1))
-			if pol.MaxElapsed > 0 && time.Since(start) >= pol.MaxElapsed {
-				break
-			}
-			if opts.Redial != nil {
-				if fresh, err := opts.Redial(); err == nil && fresh != "" {
-					r.addr = fresh
-				}
-			}
-		}
-		err := r.connectTo(r.addr)
-		if err == nil {
-			return r, nil
-		}
-		var rej *RejectedError
-		if errors.As(err, &rej) {
-			if strings.Contains(rej.Reason, ReasonStillAttached) {
-				// The hub still counts a previous incarnation of this
-				// consumer as live; back off until liveness parks it.
-				lastErr = err
-				continue
-			}
-			return nil, err
-		}
-		lastErr = err
-	}
-	return nil, lastErr
+	return r, nil
 }
 
 // connectTo dials addr and runs the reader handshake, installing the
@@ -340,7 +311,7 @@ func (r *Reader) connectTo(addr string) error {
 		return fmt.Errorf("adios: dial %s: %w", addr, err)
 	}
 	enc := json.NewEncoder(conn)
-	h0 := Hello{Type: "hello", Role: "reader",
+	h0 := Hello{Type: "hello", Role: "reader", Marshal: FrameFormat,
 		Consumer: r.opts.Consumer, Policy: r.opts.Policy, Depth: r.opts.Depth,
 		Arrays: r.opts.Arrays, Codecs: r.opts.Codecs,
 		Session:    r.session,
@@ -367,6 +338,10 @@ func (r *Reader) connectTo(addr string) error {
 	if h.Role != "writer" {
 		conn.Close()
 		return fmt.Errorf("adios: bad writer handshake: unexpected role %q", h.Role)
+	}
+	if h.Marshal != FrameFormat {
+		conn.Close()
+		return &RejectedError{Reason: fmt.Sprintf("writer speaks frame format %q, this reader %q", h.Marshal, FrameFormat)}
 	}
 	// Configure the decoder from the echoed effective codecs (the
 	// producer may assign codecs to a pre-declared staging consumer the
@@ -399,63 +374,57 @@ func (r *Reader) connectTo(addr string) error {
 	return nil
 }
 
-// redial runs the reconnect loop after a mid-stream failure: backoff
-// with jitter, optional address re-resolution, and the unknown-session
-// downgrade (the hub forgot the session — TTL expiry or hub restart —
-// so retry as a fresh subscription carrying the Resume ordinal; the
-// hub's resume floor suppresses already-consumed steps).
-func (r *Reader) redial() error {
+// dial runs connectTo under the retry policy, for the initial attach
+// (initial 1: its first attempt goes at once) and after a mid-stream
+// failure (0): backoff with jitter before every later attempt,
+// optional address re-resolution, and the two rejections a resilient
+// reader outlasts — a hub that has not yet declared a previous
+// connection dead (still attached: keep any token, back off, retry),
+// and a hub that lost or expired the session (unknown session: retry
+// as a fresh subscription carrying the Resume ordinal, whose floor
+// suppresses already-consumed steps). Any other rejection is
+// permanent.
+func (r *Reader) dial(initial int) error {
 	pol := r.opts.Retry.withDefaults()
-	attempts := pol.MaxAttempts
-	if attempts <= 0 {
-		attempts = 1
-	}
 	start := time.Now()
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		time.Sleep(pol.Backoff(a))
-		if pol.MaxElapsed > 0 && time.Since(start) >= pol.MaxElapsed {
-			break
-		}
-		if r.opts.Redial != nil {
-			if fresh, err := r.opts.Redial(); err == nil && fresh != "" {
-				r.addr = fresh
+	lastErr := fmt.Errorf("adios: reconnect retry budget exhausted")
+	for a := 0; a < max(pol.MaxAttempts, 1); a++ {
+		if a >= initial {
+			time.Sleep(pol.Backoff(a - initial))
+			if pol.MaxElapsed > 0 && time.Since(start) >= pol.MaxElapsed {
+				break
+			}
+			if r.opts.Redial != nil {
+				if fresh, err := r.opts.Redial(); err == nil && fresh != "" {
+					r.addr = fresh
+				}
 			}
 		}
 		err := r.connectTo(r.addr)
-		if err == nil {
-			return nil
-		}
 		var rej *RejectedError
-		if errors.As(err, &rej) {
-			if r.session != "" && strings.Contains(rej.Reason, ReasonUnknownSession) {
-				// The hub lost (or expired) the session: downgrade to a
-				// fresh subscription carrying our Resume ordinal.
-				r.session = ""
-				lastErr = err
-				continue
-			}
-			if r.session != "" && strings.Contains(rej.Reason, ReasonStillAttached) {
-				// The hub has not declared our old connection dead yet:
-				// keep the token, back off, retry.
-				lastErr = err
-				continue
-			}
+		switch {
+		case err == nil:
+			return nil
+		case !errors.As(err, &rej):
+		case strings.Contains(rej.Reason, ReasonStillAttached) && (initial == 1 || r.session != ""):
+		case strings.Contains(rej.Reason, ReasonUnknownSession) && r.session != "":
+			r.session = ""
+		default:
 			return err
 		}
 		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("adios: reconnect retry budget exhausted")
 	}
 	return lastErr
 }
 
 // BeginStep blocks for the next step; io.EOF signals a clean
 // end-of-stream. Receiving a step returns its credit to the writer,
-// releasing the corresponding staging-queue slot. The returned step is
-// fresh storage unless the caller recycled a previous one (Recycle),
-// in which case it is decoded in place.
+// releasing the corresponding staging-queue slot. The step owns the
+// receive buffer its frame arrived in, and its verbatim payloads view
+// that buffer: until Recycle gives both back, the next step arrives in
+// a fresh buffer, so a step that is never recycled stays intact. It is
+// fresh storage unless the caller recycled a previous one, in which
+// case it is decoded in place.
 func (r *Reader) BeginStep() (*Step, error) {
 	for {
 		recv, err := r.receiveFrame()
@@ -468,7 +437,8 @@ func (r *Reader) BeginStep() (*Step, error) {
 		} else {
 			r.spare = nil
 		}
-		if err := r.dec.DecodeInto(r.frameBuf, st); err != nil {
+		st.frame, r.frameBuf = r.frameBuf, nil
+		if err := r.dec.decode(st.frame, st, nil); err != nil {
 			return nil, err
 		}
 		structure := st.Attrs["structure"] == "1"
@@ -510,7 +480,7 @@ func (r *Reader) receiveFrame() (time.Time, error) {
 			return time.Time{}, err
 		}
 		r.conn.Close()
-		if rerr := r.redial(); rerr != nil {
+		if rerr := r.dial(0); rerr != nil {
 			return time.Time{}, fmt.Errorf("adios: stream failed (%v); reconnect failed: %w", err, rerr)
 		}
 		r.reconnects++
@@ -660,11 +630,11 @@ func (r *Reader) readFullLiveness(buf []byte) error {
 // bytes are the reader's internal receive buffer, valid only until
 // the next BeginStep/BeginRawStep; ScanFrame recovers the layout.
 // io.EOF signals a clean end-of-stream. Streams that negotiated wire
-// codecs refuse raw reads: their frames are BPC5 temporal deltas that
+// codecs refuse raw reads: their frames are BPC6 temporal deltas that
 // only the connection's stateful decoder can interpret.
 func (r *Reader) BeginRawStep() ([]byte, error) {
 	if r.dec != nil {
-		return nil, fmt.Errorf("adios: raw step read on a codec-negotiated stream (frames are BPC5 deltas; use BeginStep)")
+		return nil, fmt.Errorf("adios: raw step read on a codec-negotiated stream (frames are BPC6 deltas; use BeginStep)")
 	}
 	for {
 		recv, err := r.receiveFrame()
@@ -708,15 +678,19 @@ func (r *Reader) stampRawDeliver(recv time.Time) {
 // performed.
 func (r *Reader) Reconnects() int64 { return r.reconnects }
 
-// Recycle returns a consumed step's storage to the reader so the next
-// BeginStep decodes into it instead of allocating. Call only once the
-// caller (and everything it handed the step to) is done reading it —
-// the decoded contents are overwritten in place. Structure-carrying
-// steps are refused (ReuseStep): their payload slices live on in grid
-// caches downstream.
+// Recycle returns a consumed step's storage, and the receive buffer it
+// owns, to the reader so the next BeginStep receives and decodes into
+// them instead of allocating. Call only once the caller (and
+// everything it handed the step to) is done reading it — the contents
+// are overwritten in place. Structure-carrying steps are refused
+// (ReuseStep): their payload slices live on in grid caches downstream.
 func (r *Reader) Recycle(s *Step) {
 	if s := ReuseStep(s); s != nil {
 		r.spare = s
+		if cap(s.frame) > cap(r.frameBuf) {
+			r.frameBuf = s.frame
+		}
+		s.frame = nil
 	}
 }
 

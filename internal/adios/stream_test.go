@@ -226,6 +226,63 @@ func TestReaderRecycleRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnrecycledStepStaysIntact: a step's payloads view the buffer its
+// frame arrived in, and the step owns that buffer until it is
+// recycled, so a step that never is — the structure step, whose
+// arrays grid caches keep, or any step the caller holds on to — reads
+// the same after many later BeginSteps as when it arrived.
+func TestUnrecycledStepStaysIntact(t *testing.T) {
+	d := serveDirect(t, nil, 2)
+	const steps = 8
+	mk := func(i int) *adios.Step {
+		s := &adios.Step{
+			Step: int64(i), Time: float64(i),
+			Attrs: map[string]string{"mesh": "mesh"},
+			Vars: []adios.Variable{
+				adios.NewF64("array/u", []float64{float64(i), float64(i) + 0.5}),
+				adios.NewI64("connectivity", []int64{int64(i), 7}),
+				adios.NewU8("types", []byte{byte(i), 12, 12}),
+			},
+		}
+		if i == 0 {
+			s.Attrs["structure"] = "1"
+		}
+		return s
+	}
+	go func() {
+		for i := 0; i < steps; i++ {
+			if err := d.hub.Publish(mk(i)); err != nil {
+				t.Errorf("publish %d: %v", i, err)
+				return
+			}
+		}
+		d.close()
+	}()
+	r, err := adios.OpenReaderWith(d.srv.Addr(), adios.ReaderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	held := map[int]*adios.Step{}
+	for i := 0; i < steps; i++ {
+		s, err := r.BeginStep()
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if i == 0 || i == 3 {
+			held[i] = s
+		}
+		if i != 3 {
+			r.Recycle(s) // refused for the structure step
+		}
+	}
+	for i, s := range held {
+		if got, want := adios.Marshal(s), adios.Marshal(mk(i)); string(got) != string(want) {
+			t.Errorf("step %d changed after later steps arrived", i)
+		}
+	}
+}
+
 // TestSSTCodecNegotiation drives the reader's side of codec
 // negotiation: codec requests outside the advertisement are rejected at
 // handshake, and an accepted request compresses the stream end-to-end —

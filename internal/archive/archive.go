@@ -24,11 +24,11 @@
 //
 // A data record is
 //
-//	u64 frameLen | frame bytes (BP05 ...) | u32 crc32(frame)
+//	u64 frameLen | frame bytes (BP06 ...) | u32 crc32(frame)
 //
 // and an index record is
 //
-//	"AIX1" | u64 payloadLen | payload | u32 crc32(payload)
+//	"AIX2" | u64 payloadLen | payload | u32 crc32(payload)
 //
 // where the payload carries the step's ordinal, sim step/time, the
 // structure flag, its (segment, offset, length) location and every
@@ -45,11 +45,14 @@
 // indexed record — valid records (length in bounds, BP magic, crc)
 // are re-indexed, and the first invalid record truncates the final
 // segment, discarding the torn tail. Data before the tear is never
-// touched.
+// touched. An archive of the retired BP05 format (index magic "AIX1",
+// or a checksummed record holding a BP05/BPC5 frame) is refused by
+// name, never recovered: its records are not torn, only old.
 package archive
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -64,7 +67,8 @@ import (
 const (
 	segPattern = "segment-%06d.seg"
 	indexName  = "index.bin"
-	idxMagic   = "AIX1"
+	idxMagic   = "AIX2" // indexes BP06 frames
+	oldMagic   = "AIX1" // indexed BP05 frames: refused by name
 
 	recHeadLen = 8 // u64 frame length
 	recTailLen = 4 // u32 crc32(frame)
@@ -270,6 +274,9 @@ func (a *Archive) loadIndex() (int64, error) {
 		}
 		segSizes[i] = size
 	}
+	if len(raw) >= 4 && string(raw[:4]) == oldMagic {
+		return 0, fmt.Errorf("archive: %s: index %s of BP05 frames, this build reads BP06: re-record it", a.dir, oldMagic)
+	}
 	var trusted int64
 	pos := int64(0)
 	for {
@@ -434,8 +441,12 @@ func (a *Archive) reindexTail() error {
 			var err error
 			if ok {
 				// A record that passes crc but does not scan as a frame
-				// is treated like a tear in the final segment.
-				si, err = a.buildInfo(frame, seg, off, flen)
+				// is treated like a tear in the final segment — unless it
+				// is a frame of a retired format, which is never torn
+				// data to truncate but an archive to refuse.
+				if si, err = a.buildInfo(frame, seg, off, flen); errors.Is(err, adios.ErrRetiredFormat) {
+					return err
+				}
 			}
 			if !ok || err != nil {
 				if seg != len(a.segs)-1 {

@@ -2,11 +2,15 @@ package archive
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"nekrs-sensei/internal/adios"
@@ -469,5 +473,44 @@ func TestRejectsGarbageFrame(t *testing.T) {
 	}
 	if a.Len() != 0 {
 		t.Fatal("garbage frame indexed")
+	}
+}
+
+// TestRetiredFormatRefused: an archive recorded in the retired BP05
+// format is refused by name at Open, never recovered — with its index
+// gone, its checksummed BP05 record is not a torn tail to truncate
+// (with one segment that would be the whole archive), and with its
+// index present, the index's own magic names it.
+func TestRetiredFormatRefused(t *testing.T) {
+	dir := t.TempDir()
+	frame := []byte("BP05")
+	for _, w := range []uint64{3, 0, 0, 0} { // step, time, no attrs, no vars
+		frame = binary.LittleEndian.AppendUint64(frame, w)
+	}
+	rec := binary.LittleEndian.AppendUint64(nil, uint64(len(frame)))
+	rec = append(rec, frame...)
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(frame, crcTable))
+	seg := filepath.Join(dir, fmt.Sprintf(segPattern, 0))
+	if err := os.WriteFile(seg, rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, index := range []string{"", "AIX1"} {
+		if index != "" {
+			if err := os.WriteFile(filepath.Join(dir, indexName), []byte(index+"\x00\x00\x00\x00\x00\x00\x00\x00"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, ro := range []bool{false, true} {
+			a, err := Open(dir, Options{ReadOnly: ro})
+			if err == nil {
+				a.Close()
+			}
+			if err == nil || !strings.Contains(err.Error(), "BP05") {
+				t.Errorf("index %q, read-only %v: Open = %v, want an error naming BP05", index, ro, err)
+			}
+			if st, err := os.Stat(seg); err != nil || st.Size() != int64(len(rec)) {
+				t.Fatalf("index %q, read-only %v: the BP05 segment is now %v bytes (%v), was %d", index, ro, st.Size(), err, len(rec))
+			}
+		}
 	}
 }

@@ -216,7 +216,7 @@ func TestRecordReplayEndpointEquivalence(t *testing.T) {
 // must match the plain run bit-for-bit under the lossless codecs and
 // within the declared bound under the quantizer, live and replayed
 // alike — and the archive must keep recording the producer's plain
-// BP05 frames verbatim while a codec consumer is attached.
+// BP06 frames verbatim while a codec consumer is attached.
 func TestRecordReplayEquivalenceCompressed(t *testing.T) {
 	const steps = 6
 	const bound = 1e-6
@@ -309,7 +309,7 @@ func TestRecordReplayEquivalenceCompressed(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got, adios.Marshal(hexStep(int64(id)))) {
-					t.Fatalf("recorded frame %d is not the plain BP05 marshal", id)
+					t.Fatalf("recorded frame %d is not the plain BP06 marshal", id)
 				}
 			}
 			if err := a.Close(); err != nil {

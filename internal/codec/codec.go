@@ -65,7 +65,7 @@ const (
 // Payload mode bytes (first byte of every encoded payload). Mode 1
 // was the coded form over two's-complement deltas; it only ever
 // travelled on live connections (archives and spill store plain
-// BP05), so it was replaced, not versioned, and is refused.
+// BP06), so it was replaced, not versioned, and is refused.
 const (
 	modeRaw    = 0 // verbatim little-endian float64 bytes follow
 	modeFolded = 2 // sign-folded delta lanes, transposed and zero-RLE'd, follow
@@ -182,7 +182,7 @@ func ParseSpec(entries []string) (Spec, error) {
 }
 
 // IsIdentity reports whether the spec leaves every array uncoded —
-// the wire then stays plain BP05 end to end.
+// the wire then stays plain BP06 end to end.
 func (s Spec) IsIdentity() bool {
 	if s.Default.ID != Identity {
 		return false

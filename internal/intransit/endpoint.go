@@ -49,13 +49,14 @@ type StreamDataAdaptor struct {
 	arrays     map[string][]float64      // merged per-step arrays
 
 	// reuseArrays keeps the merged arrays' backing storage across steps:
-	// ReleaseData parks each buffer in arrayPool (truncated, capacity
-	// kept) and the next step's Ingest appends into it. Parking — rather
-	// than truncating in place — preserves the live map's missing-key
-	// semantics: an array that stops arriving is an error in AddArray,
-	// not a silent zero-length delivery. Enabled by Endpoint.Run
-	// when every configured analysis honours the no-retention step
-	// contract (sensei CanReuseStepStorage).
+	// a lone source's are its step's own, recycled with the step; the
+	// concatenations of several ReleaseData parks in arrayPool
+	// (truncated, capacity kept) for the next step's Ingest to append
+	// into. Parking — rather than truncating in place — preserves the
+	// live map's missing-key semantics: an array that stops arriving is
+	// an error in AddArray, not a silent zero-length delivery. Enabled
+	// by Endpoint.Run when every configured analysis honours the
+	// no-retention step contract (sensei CanReuseStepStorage).
 	reuseArrays bool
 	arrayPool   map[string][]float64
 }
@@ -156,7 +157,8 @@ func (a *StreamDataAdaptor) IngestStructure(source int, s *adios.Step) (bare boo
 }
 
 // Ingest absorbs one source's step: structure (if present) is cached,
-// arrays are staged for merging. Call for every source, then Seal.
+// arrays are staged for merging — a lone source's as they are, with
+// no copy. Call for every source, then Seal.
 func (a *StreamDataAdaptor) Ingest(source int, s *adios.Step) error {
 	if _, err := a.IngestStructure(source, s); err != nil {
 		return err
@@ -171,6 +173,10 @@ func (a *StreamDataAdaptor) Ingest(source int, s *adios.Step) error {
 		const prefix = "array/"
 		if len(v.Name) > len(prefix) && v.Name[:len(prefix)] == prefix {
 			name := v.Name[len(prefix):]
+			if len(a.structures) == 1 {
+				a.arrays[name] = v.F64
+				continue
+			}
 			buf, ok := a.arrays[name]
 			if !ok && a.reuseArrays {
 				// Recycled capacity from a previous step, if any.
@@ -272,21 +278,20 @@ func (a *StreamDataAdaptor) TimeStep() int { return a.step }
 
 // ReleaseData implements sensei.DataAdaptor: per-step arrays are
 // dropped, the merged structure persists. Under storage reuse each
-// buffer is parked (truncated, capacity kept) for the next step's
-// Ingest; the live map is emptied either way, so a vanished array is
-// a missing key — an AddArray error — not stale data.
+// concatenated buffer is parked (truncated, capacity kept) for the
+// next step's Ingest; the live map is emptied either way, so a
+// vanished array is a missing key — an AddArray error — not stale
+// data.
 func (a *StreamDataAdaptor) ReleaseData() error {
-	if a.reuseArrays {
+	if a.reuseArrays && len(a.structures) > 1 {
 		if a.arrayPool == nil {
 			a.arrayPool = map[string][]float64{}
 		}
 		for k, v := range a.arrays {
 			a.arrayPool[k] = v[:0]
-			delete(a.arrays, k)
 		}
-		return nil
 	}
-	a.arrays = map[string][]float64{}
+	clear(a.arrays)
 	return nil
 }
 

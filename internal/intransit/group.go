@@ -376,10 +376,14 @@ func runRank(comm *mpirt.Comm, rs *rankStream, ca *sensei.ConfigurableAnalysis,
 			rs.stopped = true
 			return nil
 		}
-		// This step's data is consumed (arrays copied by Ingest): hand
-		// each decoded step back to its source for decode-into-reuse.
+		// This step's data is consumed: hand each decoded step back to
+		// its source for decode-into-reuse — unless it is a lone
+		// source's, whose arrays Ingest lent an analysis that may keep
+		// them.
 		for i, s := range rs.steps {
-			recycleStep(rs.sources[i], s)
+			if len(rs.steps) > 1 || da.reuseArrays {
+				recycleStep(rs.sources[i], s)
+			}
 			rs.steps[i] = nil
 		}
 	}

@@ -97,22 +97,27 @@ func (f *form) frameBytes(e *stepEntry, pool *adios.FramePool) []byte {
 // form when scratch is nil (callers may hold on to what Step returns),
 // or into scratch and not kept — the hub's own encoders, which are
 // done with the floats when they return and reuse one destination per
-// stream. The frame scanned clean when the entry was built, and
-// ScanFrame and UnmarshalInto are visitors over one walk of the frame,
-// so a plain frame that scans clean decodes by construction: the panic
-// is a safety check.
+// stream. The scratch decode copies nothing: it views the full frame
+// the entry holds leased, a subset form's records picked straight out
+// of it rather than out of a cut copy. The frame scanned clean when
+// the entry was built, and ScanFrame and the decoders are visitors
+// over one walk of the frame, so a plain frame that scans clean
+// decodes by construction: the panic is a safety check.
 func (f *form) stepFor(e *stepEntry, h *Hub, scratch *adios.Step) *adios.Step {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.step != nil {
 		return f.step
 	}
-	raw, dst := f.frameLocked(e, h.pool), scratch
-	if dst == nil {
+	dst, err := scratch, error(nil)
+	if dst != nil {
+		err = adios.ViewInto(e.full.frame.Bytes(), f.arrays, dst)
+	} else {
+		raw := f.frameLocked(e, h.pool)
 		dst = &adios.Step{}
-		f.step = dst
+		f.step, err = dst, adios.UnmarshalInto(raw, dst)
 	}
-	if err := adios.UnmarshalInto(raw, dst); err != nil {
+	if err != nil {
 		panic(fmt.Sprintf("staging: step %d scanned clean but does not decode: %v", e.sim, err))
 	}
 	h.decodedVars.Add(int64(len(dst.Vars)))
@@ -159,9 +164,10 @@ type encodedForm struct {
 type codecStream struct {
 	mu  sync.Mutex
 	enc *adios.StreamEncoder
-	// scratch is where frame-published entries are decoded for enc: the
-	// encoder is done with the floats when it returns, so one
-	// destination serves every step of the stream.
+	// scratch is where frame-published entries are decoded for enc, as
+	// views of the entry's frame: the encoder is done with the floats
+	// when it returns, so one destination serves every step of the
+	// stream.
 	scratch adios.Step
 }
 
@@ -811,7 +817,7 @@ func (h *Hub) Publish(s *adios.Step) error {
 }
 
 // PublishFrame is Publish for producers that hold the step as a plain
-// (BP05) marshaled frame — the relay, whose M×N splice assembles
+// (BP06) marshaled frame — the relay, whose M×N splice assembles
 // output frames byte-for-byte from upstream spans. The hub scans the
 // frame's layout and serves the entry from its bytes: full-form
 // consumers ship the frame itself, subset consumers a cut along the
@@ -834,7 +840,7 @@ func (h *Hub) PublishFrame(f *adios.Frame) error {
 func frameEntry(f *adios.Frame) (*stepEntry, error) {
 	fi, err := adios.ScanFrame(f.Bytes())
 	if err == nil && fi.Encoded {
-		err = fmt.Errorf("staging: coded (BPC5) frame cannot be published")
+		err = fmt.Errorf("staging: coded (BPC6) frame cannot be published")
 	}
 	if err != nil {
 		return nil, err
@@ -1193,7 +1199,7 @@ func (c *Consumer) Arrays() []string {
 }
 
 // Codecs reports the consumer's negotiated wire-codec entries in
-// canonical form (nil = identity, plain BP05 frames).
+// canonical form (nil = identity, plain BP06 frames).
 func (c *Consumer) Codecs() []string {
 	c.hub.mu.Lock()
 	defer c.hub.mu.Unlock()

@@ -217,9 +217,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			Type: "hello", Role: "rejected", Error: err.Error(),
 		})
 	}
-	if h.Group > 1 {
-		reject(fmt.Errorf("hello announces a consumer group of %d: hub consumer groups were removed, "+
-			"each endpoint rank now dials its own shard of the streams as a plain consumer (sensei-endpoint -ranks R)", h.Group))
+	if h.Marshal != adios.FrameFormat {
+		reject(fmt.Errorf("reader speaks frame format %q, this producer %q", h.Marshal, adios.FrameFormat))
 		return
 	}
 	req := SubscribeRequest{
@@ -262,7 +261,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// configures its decoder from this reply. Session confirms (or
 	// issues) the resume token.
 	if err := json.NewEncoder(conn).Encode(adios.Hello{
-		Type: "hello", Role: "writer", Engine: "sst-staging", Marshal: "bp",
+		Type: "hello", Role: "writer", Engine: "sst-staging", Marshal: adios.FrameFormat,
 		Codecs: cons.Codecs(), Session: sub.Session,
 	}); err != nil {
 		s.setErr(err)

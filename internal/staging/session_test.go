@@ -618,10 +618,11 @@ func TestServerHandshakeTimeout(t *testing.T) {
 	}
 }
 
-// TestServerRejectsGroupHello: hub consumer groups are gone, and a peer
-// built before that — its hello still announces a group — is refused in
-// the handshake by name instead of being served as a plain consumer.
-func TestServerRejectsGroupHello(t *testing.T) {
+// TestServerRefusesOtherFrameFormats: a reader hello naming a frame
+// format other than this build's — an older peer names none, or still
+// announces a consumer group — is refused in the handshake, the reply
+// naming both formats, and subscribes nothing.
+func TestServerRefusesOtherFrameFormats(t *testing.T) {
 	h := NewHub(nil)
 	defer h.Close()
 	srv, err := Serve(h, "127.0.0.1:0", nil)
@@ -629,24 +630,31 @@ func TestServerRejectsGroupHello(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-	if _, err := io.WriteString(conn, `{"type":"hello","role":"reader","consumer":"ep","group":2}`+"\n"); err != nil {
-		t.Fatal(err)
-	}
-	var reply adios.Hello
-	if err := json.NewDecoder(conn).Decode(&reply); err != nil {
-		t.Fatal(err)
-	}
-	if reply.Role != "rejected" || !strings.Contains(reply.Error, "consumer groups were removed") {
-		t.Fatalf("reply = %+v, want a rejection naming the removed consumer groups", reply)
+	for _, tc := range []struct{ hello, format string }{
+		{`{"type":"hello","role":"reader","consumer":"ep","group":2}`, `""`},
+		{`{"type":"hello","role":"reader","consumer":"ep","marshal":"bp05"}`, `"bp05"`},
+	} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+		if _, err := io.WriteString(conn, tc.hello+"\n"); err != nil {
+			t.Fatal(err)
+		}
+		var reply adios.Hello
+		err = json.NewDecoder(conn).Decode(&reply)
+		conn.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reply.Role != "rejected" || !strings.Contains(reply.Error, "frame format "+tc.format) ||
+			!strings.Contains(reply.Error, `"`+adios.FrameFormat+`"`) {
+			t.Errorf("hello %s: reply = %+v, want a rejection naming %s and %q", tc.hello, reply, tc.format, adios.FrameFormat)
+		}
 	}
 	if n := h.ActiveConsumers(); n != 0 {
-		t.Fatalf("the rejected hello left %d consumer(s) subscribed", n)
+		t.Fatalf("the rejected hellos left %d consumer(s) subscribed", n)
 	}
 }
 
