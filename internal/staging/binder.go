@@ -5,6 +5,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nekrs-sensei/internal/adios"
@@ -54,7 +55,6 @@ type Binder struct {
 	sessMax      int
 	sessions     map[string]*boundSession // by token
 	parkedByName map[string]*boundSession // parked sessions per logical name
-	sessSeq      int
 	sessIssued   int64
 	sessResumed  int64
 	sessAdopted  int64
@@ -274,9 +274,13 @@ func (b *Binder) Resolve(req SubscribeRequest) (*Subscription, error) {
 	return sub, nil
 }
 
+// Tokens are numbered across every binder of the process and carry its
+// start time beside the pid, so a dead hub's token (a relay replaced in
+// one process, or a restart reusing the pid) is never reissued.
+var tokenSeq, processStart = new(atomic.Int64), time.Now().UnixNano()
+
 func (b *Binder) newTokenLocked() string {
-	b.sessSeq++
-	return fmt.Sprintf("sess-%d-%d", os.Getpid(), b.sessSeq)
+	return fmt.Sprintf("sess-%d-%x-%d", os.Getpid(), processStart, tokenSeq.Add(1))
 }
 
 // subject names a session in journal events: the logical consumer
@@ -293,14 +297,7 @@ func (s *boundSession) subject() string {
 // Resume ordinal, codec chain reset to a keyframe), and a
 // fresh-generation park handed to the new pump.
 func (b *Binder) resumeLocked(s *boundSession, resume int64) *Subscription {
-	if s.timer != nil {
-		s.timer.Stop()
-		s.timer = nil
-	}
-	if s.name != "" && b.parkedByName[s.name] == s {
-		delete(b.parkedByName, s.name)
-	}
-	s.parked = false
+	b.unparkLocked(s)
 	s.gen++
 	b.hub.resumeConsumer(s.cons, resume)
 	b.sessResumed++
@@ -366,12 +363,17 @@ func (b *Binder) expireSession(s *boundSession, gen int) {
 
 func (b *Binder) dropSessionLocked(s *boundSession) {
 	delete(b.sessions, s.token)
-	if s.name != "" && b.parkedByName[s.name] == s {
-		delete(b.parkedByName, s.name)
-	}
+	b.unparkLocked(s)
+}
+
+// unparkLocked disarms s's grace timer and unlists it as parked.
+func (b *Binder) unparkLocked(s *boundSession) {
 	if s.timer != nil {
 		s.timer.Stop()
 		s.timer = nil
+	}
+	if s.name != "" && b.parkedByName[s.name] == s {
+		delete(b.parkedByName, s.name)
 	}
 	s.parked = false
 }
@@ -384,14 +386,10 @@ func (b *Binder) Shutdown() {
 	b.mu.Lock()
 	var discard []*Consumer
 	for _, s := range b.sessions {
-		if s.timer != nil {
-			s.timer.Stop()
-			s.timer = nil
-		}
 		if s.parked {
 			discard = append(discard, s.cons)
 		}
-		s.parked = false
+		b.unparkLocked(s)
 	}
 	b.sessions = map[string]*boundSession{}
 	b.parkedByName = map[string]*boundSession{}

@@ -144,6 +144,28 @@ func TestSessionClaimConflicts(t *testing.T) {
 			},
 			wantErr: adios.ReasonUnknownSession,
 		},
+		{
+			// A replacement relay in the same process (or a restart
+			// that reuses the pid) must not hand a reader the token a
+			// dead hub gave another: presented by the reader it used to
+			// belong to, that token would name someone else's live
+			// session and back off until the grace TTL ran out.
+			name: "token a replaced hub issued is unknown to its successor",
+			setup: func(t *testing.T, e *sessionEnv) {
+				old := &sessionEnv{h: NewHub(nil)}
+				defer old.h.Close()
+				old.b = NewBinder(old.h, Block, 2)
+				old.b.EnableSessions(time.Minute)
+				old.bind(t, "leaf-a")
+				stale := old.tok
+				e.bind(t, "leaf-b")
+				e.tok = stale
+			},
+			req: func(e *sessionEnv) SubscribeRequest {
+				return SubscribeRequest{Name: "leaf-a", Session: e.tok}
+			},
+			wantErr: adios.ReasonUnknownSession,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
