@@ -640,11 +640,26 @@ func TestServerHandshakeTimeout(t *testing.T) {
 	}
 }
 
+// TestServerRejectsGroupHello: hub consumer groups are gone, and a peer
+// built before that — its hello still announces a group and names no
+// frame format — is refused in the handshake by the format it lacks
+// instead of being served as a plain consumer.
+func TestServerRejectsGroupHello(t *testing.T) {
+	refuseHello(t, `{"type":"hello","role":"reader","consumer":"ep","group":2}`, `""`)
+}
+
 // TestServerRefusesOtherFrameFormats: a reader hello naming a frame
-// format other than this build's — an older peer names none, or still
-// announces a consumer group — is refused in the handshake, the reply
+// format other than this build's is refused in the handshake, the reply
 // naming both formats, and subscribes nothing.
 func TestServerRefusesOtherFrameFormats(t *testing.T) {
+	refuseHello(t, `{"type":"hello","role":"reader","consumer":"ep","marshal":"bp05"}`, `"bp05"`)
+}
+
+// refuseHello sends hello to a fresh hub's server and requires a
+// rejection naming format (as quoted in the reply) and this build's
+// frame format, with no consumer left subscribed.
+func refuseHello(t *testing.T, hello, format string) {
+	t.Helper()
 	h := NewHub(nil)
 	defer h.Close()
 	srv, err := Serve(h, "127.0.0.1:0", nil)
@@ -652,31 +667,25 @@ func TestServerRefusesOtherFrameFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	for _, tc := range []struct{ hello, format string }{
-		{`{"type":"hello","role":"reader","consumer":"ep","group":2}`, `""`},
-		{`{"type":"hello","role":"reader","consumer":"ep","marshal":"bp05"}`, `"bp05"`},
-	} {
-		conn, err := net.Dial("tcp", srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		conn.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-		if _, err := io.WriteString(conn, tc.hello+"\n"); err != nil {
-			t.Fatal(err)
-		}
-		var reply adios.Hello
-		err = json.NewDecoder(conn).Decode(&reply)
-		conn.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reply.Role != "rejected" || !strings.Contains(reply.Error, "frame format "+tc.format) ||
-			!strings.Contains(reply.Error, `"`+adios.FrameFormat+`"`) {
-			t.Errorf("hello %s: reply = %+v, want a rejection naming %s and %q", tc.hello, reply, tc.format, adios.FrameFormat)
-		}
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	if _, err := io.WriteString(conn, hello+"\n"); err != nil {
+		t.Fatal(err)
+	}
+	var reply adios.Hello
+	if err := json.NewDecoder(conn).Decode(&reply); err != nil {
+		t.Fatal(err)
+	}
+	if reply.Role != "rejected" || !strings.Contains(reply.Error, "frame format "+format) ||
+		!strings.Contains(reply.Error, `"`+adios.FrameFormat+`"`) {
+		t.Fatalf("hello %s: reply = %+v, want a rejection naming %s and %q", hello, reply, format, adios.FrameFormat)
 	}
 	if n := h.ActiveConsumers(); n != 0 {
-		t.Fatalf("the rejected hellos left %d consumer(s) subscribed", n)
+		t.Fatalf("the rejected hello left %d consumer(s) subscribed", n)
 	}
 }
 
