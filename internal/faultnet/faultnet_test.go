@@ -56,8 +56,15 @@ func TestProxyPassthrough(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("echo mismatch: %q != %q", got, msg)
 	}
-	if tr := px.Profile().Transferred(); tr < int64(2*len(msg)) {
-		t.Fatalf("transferred %d, want >= %d (both directions)", tr, 2*len(msg))
+	// The proxy charges a write once it returns, which can be after the
+	// echo has already reached the client: wait for the charge to land.
+	want := int64(2 * len(msg))
+	deadline := time.Now().Add(5 * time.Second)
+	for px.Profile().Transferred() < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if tr := px.Profile().Transferred(); tr < want {
+		t.Fatalf("transferred %d, want >= %d (both directions)", tr, want)
 	}
 }
 
