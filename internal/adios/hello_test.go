@@ -74,6 +74,10 @@ func TestOversizedHelloRefusedBothSides(t *testing.T) {
 		t.Fatal(err)
 	}
 	io.Copy(conn, hugeHello(1<<20)) //nolint:errcheck // the server hangs up partway
+	// The write can finish into loopback buffers before the server has
+	// even accepted the connection; wait for its hang-up (EOF or reset),
+	// so closing the server cannot beat its refusal.
+	io.Copy(io.Discard, conn) //nolint:errcheck // a reset is the hang-up too
 	conn.Close()
 	hub.Close()
 	srv.Close() // waits for the connection's goroutine, so Err is settled

@@ -108,7 +108,14 @@ func (fi *FrameInfo) FindVar(name string) *VarSpan {
 // ScanFrame returns the layout of a frame of either format without
 // decoding payloads. It is a visitor over the same walk as
 // UnmarshalInto, so a plain frame scans clean exactly when it decodes.
-func ScanFrame(raw []byte) (FrameInfo, error) {
+func ScanFrame(raw []byte) (FrameInfo, error) { return ScanFrameAfter(raw, nil) }
+
+// ScanFrameAfter is ScanFrame for a stream of same-shaped frames: a
+// variable whose name bytes equal those of the variable at the same
+// index of prev (the previous frame's layout; nil for none) takes
+// prev's string instead of a copy of its own, so a steady stream's
+// scans allocate only their Vars. The layout is ScanFrame's.
+func ScanFrameAfter(raw []byte, prev *FrameInfo) (FrameInfo, error) {
 	var fi FrameInfo
 	err := walkFrame(raw, func(h frameHead) error {
 		fi = FrameInfo{Step: h.step, Time: h.time, Encoded: h.encoded, Base: int64(h.baseWord) - 1,
@@ -123,7 +130,12 @@ func ScanFrame(raw []byte) (FrameInfo, error) {
 		return nil
 	}, func(i int, r varRecord) error {
 		vs := &fi.Vars[i]
-		vs.Name, vs.Kind, vs.Codec, vs.Param = string(r.name), r.kind, uint8(r.codec), r.param
+		if prev != nil && i < len(prev.Vars) && prev.Vars[i].Name == string(r.name) {
+			vs.Name = prev.Vars[i].Name
+		} else {
+			vs.Name = string(r.name)
+		}
+		vs.Kind, vs.Codec, vs.Param = r.kind, uint8(r.codec), r.param
 		vs.RecordOff, vs.RecordLen = int64(r.off), int64(r.end-r.off)
 		vs.PayloadOff, vs.PayloadLen, vs.Elems = int64(r.payloadOff), int64(len(r.payload)), int64(r.elems)
 		vs.shapeOff, vs.rank = int64(r.shapeOff), r.rank

@@ -3,6 +3,7 @@ package adios
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -85,28 +86,38 @@ func TestScanFrameTruncated(t *testing.T) {
 // decodes, and any subset cut along the spans decodes to the step with
 // those variables filtered out. Conversely a plain frame that decodes
 // must scan clean: the hub, relay and archive refuse what does not.
+// The hub scans each frame after the previous one's layout, so a scan
+// after any prior layout (prev's, clean or not) must be the same scan:
+// same error, same spans, same names.
 func FuzzScanFrame(f *testing.F) {
 	plain := Marshal(sampleStep())
-	f.Add(plain)
-	f.Add(Marshal(blockStep(3, 1, 9)))
-	f.Add(plain[:len(plain)/2])
-	f.Add(append(plain[:len(plain):len(plain)], 0xAB)) // one trailing byte
-	f.Add([]byte("BP06"))
-	f.Add([]byte{})
+	block := Marshal(blockStep(3, 1, 9))
+	f.Add(plain, plain)
+	f.Add(block, plain)
+	f.Add(plain, block)
+	f.Add(plain[:len(plain)/2], plain)
+	f.Add(append(plain[:len(plain):len(plain)], 0xAB), plain) // one trailing byte
+	f.Add([]byte("BP06"), plain)
+	f.Add([]byte{}, []byte{})
 	enc := NewStreamEncoder(mustSpec(f, "transpose-delta"))
 	coded, _ := enc.EncodeFrame(codedStep(1, 50), NewFramePool())
-	f.Add(coded.Bytes())
+	f.Add(coded.Bytes(), plain)
 	fi, err := ScanFrame(plain)
 	if err != nil {
 		f.Fatal(err)
 	}
 	huge := append([]byte(nil), plain...) // an element count past the frame
 	binary.LittleEndian.PutUint64(huge[fi.Vars[0].PayloadOff-8:], 1<<60)
-	f.Add(huge)
+	f.Add(huge, plain)
 
 	pool := NewFramePool()
-	f.Fuzz(func(t *testing.T, raw []byte) {
+	f.Fuzz(func(t *testing.T, raw, prevRaw []byte) {
 		fi, err := ScanFrame(raw)
+		prev, _ := ScanFrame(prevRaw)
+		after, aerr := ScanFrameAfter(raw, &prev)
+		if (aerr == nil) != (err == nil) || err == nil && !reflect.DeepEqual(after, fi) {
+			t.Fatalf("scan after a prior layout differs: %+v (%v), alone %+v (%v)", after, aerr, fi, err)
+		}
 		if err != nil {
 			if _, derr := Unmarshal(raw); derr == nil {
 				t.Fatalf("frame decodes but does not scan: %v", err)

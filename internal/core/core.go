@@ -43,13 +43,11 @@ type NekDataAdaptor struct {
 	structure *vtkdata.UnstructuredGrid // cached points+cells, no arrays
 	mirrors   map[string][]float64      // persistent D2H staging buffers
 
-	// reuseCopies recycles per-step VTK array copies through copyPool
-	// instead of dropping them to the GC — enabled by the bridge when
-	// every configured analysis honours the no-retention step contract
-	// (sensei.ConfigurableAnalysis.CanReuseStepStorage).
-	reuseCopies bool
-	copyPool    map[string][]float64 // one spare buffer per array
-	liveCopies  []namedCopy          // copies handed out this step
+	// Per-step VTK array copies recycle through copyPool instead of
+	// going to the GC: no analysis reads a step's arrays past its
+	// Execute (sensei.Analysis).
+	copyPool   map[string][]float64 // one spare buffer per array
+	liveCopies []namedCopy          // copies handed out this step
 
 	// Derived vorticity fields, computed on device on demand once per
 	// step (the omega arrays NekRS pipelines commonly request).
@@ -72,22 +70,12 @@ func NewNekDataAdaptor(s *fluid.Solver, acct *metrics.Accountant) *NekDataAdapto
 	da := &NekDataAdaptor{
 		solver: s, acct: acct,
 		mirrors:  make(map[string][]float64),
+		copyPool: make(map[string][]float64),
 		vortStep: -1,
 	}
 	da.structure = da.buildStructure()
 	da.acct.Alloc("vtk-structure", da.structure.Bytes())
 	return da
-}
-
-// SetCopyReuse enables (or disables) recycling of the per-step VTK
-// array copies across triggers. Only safe when no analysis retains
-// references to pulled arrays beyond its Execute — the bridge decides
-// from the configured analyses' declarations.
-func (da *NekDataAdaptor) SetCopyReuse(on bool) {
-	da.reuseCopies = on
-	if on && da.copyPool == nil {
-		da.copyPool = make(map[string][]float64)
-	}
 }
 
 // buildStructure converts the rank's spectral elements to a VTK
@@ -248,19 +236,17 @@ func (da *NekDataAdaptor) AddArray(g *vtkdata.UnstructuredGrid, meshName string,
 	return g.AddPointData(arrayName, 1, vtkCopy)
 }
 
-// takeCopy hands out the per-step VTK buffer for one array: a recycled
-// buffer from the pool under copy reuse, a fresh one otherwise. Every
-// copy is recorded so ReleaseData can return it.
+// takeCopy hands out the per-step VTK buffer for one array: the pool's
+// spare when it fits, a fresh one otherwise. Every copy is recorded so
+// ReleaseData can return it.
 func (da *NekDataAdaptor) takeCopy(name string, n int) []float64 {
 	buf := da.copyPool[name]
-	if da.reuseCopies && len(buf) == n {
+	if len(buf) == n {
 		delete(da.copyPool, name)
 	} else {
 		buf = make([]float64, n)
 	}
-	if da.reuseCopies {
-		da.liveCopies = append(da.liveCopies, namedCopy{name: name, buf: buf})
-	}
+	da.liveCopies = append(da.liveCopies, namedCopy{name: name, buf: buf})
 	return buf
 }
 
@@ -271,8 +257,8 @@ func (da *NekDataAdaptor) Time() float64 { return da.time }
 func (da *NekDataAdaptor) TimeStep() int { return da.step }
 
 // ReleaseData implements sensei.DataAdaptor: per-step VTK array copies
-// are dropped — recycled into the copy pool under copy reuse, left to
-// the GC otherwise; the structure and mirrors persist across triggers.
+// are recycled into the copy pool; the structure and mirrors persist
+// across triggers.
 func (da *NekDataAdaptor) ReleaseData() error {
 	da.acct.Free("vtk-copy", da.liveArrays)
 	da.liveArrays = 0
@@ -300,7 +286,6 @@ func Initialize(ctx *sensei.Context, s *fluid.Solver, configXML []byte) (*Bridge
 	if err := ca.InitializeXML(configXML); err != nil {
 		return nil, err
 	}
-	da.SetCopyReuse(ca.CanReuseStepStorage())
 	return &Bridge{da: da, ca: ca}, nil
 }
 
@@ -312,7 +297,6 @@ func InitializeFile(ctx *sensei.Context, s *fluid.Solver, path string) (*Bridge,
 	if err := ca.InitializeFile(path); err != nil {
 		return nil, err
 	}
-	da.SetCopyReuse(ca.CanReuseStepStorage())
 	return &Bridge{da: da, ca: ca}, nil
 }
 

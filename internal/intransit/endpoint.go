@@ -48,17 +48,15 @@ type StreamDataAdaptor struct {
 	merged     *vtkdata.UnstructuredGrid // merged structure, cached
 	arrays     map[string][]float64      // merged per-step arrays
 
-	// reuseArrays keeps the merged arrays' backing storage across steps:
-	// a lone source's are its step's own, recycled with the step; the
+	// The merged arrays' backing storage is kept across steps (no
+	// analysis reads a step past its Execute, sensei.Analysis): a lone
+	// source's are its step's own, recycled with the step; the
 	// concatenations of several ReleaseData parks in arrayPool
 	// (truncated, capacity kept) for the next step's Ingest to append
 	// into. Parking — rather than truncating in place — preserves the
 	// live map's missing-key semantics: an array that stops arriving is
-	// an error in AddArray, not a silent zero-length delivery. Enabled
-	// by Endpoint.Run when every configured analysis honours the
-	// no-retention step contract (sensei CanReuseStepStorage).
-	reuseArrays bool
-	arrayPool   map[string][]float64
+	// an error in AddArray, not a silent zero-length delivery.
+	arrayPool map[string][]float64
 }
 
 // NewStreamDataAdaptor builds an adaptor expecting blocks from
@@ -71,11 +69,9 @@ func NewStreamDataAdaptor(comm *mpirt.Comm, nSources int) *StreamDataAdaptor {
 	}
 }
 
-// SetStorageReuse enables recycling of the merged per-step array
-// buffers across steps. Only safe when no analysis retains pulled
-// arrays beyond its Execute; Endpoint.Run decides from the configured
-// analyses' declarations.
-func (a *StreamDataAdaptor) SetStorageReuse(on bool) { a.reuseArrays = on }
+// SetStorageReuse does nothing: the merged per-step array buffers
+// always recycle across steps.
+func (a *StreamDataAdaptor) SetStorageReuse(bool) {}
 
 // ShardRange computes rank's balanced contiguous share of n blocks
 // across ranks: the streams an endpoint rank dials (ShardSources) and
@@ -178,7 +174,7 @@ func (a *StreamDataAdaptor) Ingest(source int, s *adios.Step) error {
 				continue
 			}
 			buf, ok := a.arrays[name]
-			if !ok && a.reuseArrays {
+			if !ok {
 				// Recycled capacity from a previous step, if any.
 				buf = a.arrayPool[name]
 				delete(a.arrayPool, name)
@@ -277,13 +273,13 @@ func (a *StreamDataAdaptor) Time() float64 { return a.time }
 func (a *StreamDataAdaptor) TimeStep() int { return a.step }
 
 // ReleaseData implements sensei.DataAdaptor: per-step arrays are
-// dropped, the merged structure persists. Under storage reuse each
-// concatenated buffer is parked (truncated, capacity kept) for the
+// dropped, the merged structure persists. Each concatenated buffer of
+// several sources is parked (truncated, capacity kept) for the
 // next step's Ingest; the live map is emptied either way, so a
 // vanished array is a missing key — an AddArray error — not stale
 // data.
 func (a *StreamDataAdaptor) ReleaseData() error {
-	if a.reuseArrays && len(a.structures) > 1 {
+	if len(a.structures) > 1 {
 		if a.arrayPool == nil {
 			a.arrayPool = map[string][]float64{}
 		}
@@ -393,9 +389,6 @@ func (e *Endpoint) Stopped() bool { return e.rs.stopped }
 // exit path; a finalize failure (e.g. the .pvd index write) surfaces
 // unless an earlier error takes precedence.
 func (e *Endpoint) Run() (int, error) {
-	// Decided here rather than in NewEndpoint: callers add analyses to
-	// Analysis() in between.
-	e.rs.da.SetStorageReuse(e.ca.CanReuseStepStorage())
 	err := runRank(e.ctx.Comm, &e.rs, e.ca, e.StepDelay, e.straggler)
 	if ferr := e.ca.Finalize(); ferr != nil && err == nil {
 		err = ferr

@@ -377,13 +377,9 @@ func runRank(comm *mpirt.Comm, rs *rankStream, ca *sensei.ConfigurableAnalysis,
 			return nil
 		}
 		// This step's data is consumed: hand each decoded step back to
-		// its source for decode-into-reuse — unless it is a lone
-		// source's, whose arrays Ingest lent an analysis that may keep
-		// them.
+		// its source for decode-into-reuse.
 		for i, s := range rs.steps {
-			if len(rs.steps) > 1 || da.reuseArrays {
-				recycleStep(rs.sources[i], s)
-			}
+			recycleStep(rs.sources[i], s)
 			rs.steps[i] = nil
 		}
 	}

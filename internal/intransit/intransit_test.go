@@ -796,14 +796,13 @@ func mkHubStep(seq int, names []string) *adios.Step {
 	return s
 }
 
-// TestStorageReuseVanishedArray: with storage reuse enabled, an array
-// that stops arriving mid-stream must still be a hard AddArray error
+// TestStorageReuseVanishedArray: under storage reuse an array that
+// stops arriving mid-stream must still be a hard AddArray error
 // (missing key), not a silent zero-length delivery from a recycled
 // buffer.
 func TestStorageReuseVanishedArray(t *testing.T) {
 	comm := mpirt.NewWorld(1).Comm(0)
 	da := NewStreamDataAdaptor(comm, 1)
-	da.SetStorageReuse(true)
 
 	structure := &adios.Step{
 		Step: 0, Attrs: map[string]string{"structure": "1"},
@@ -872,7 +871,6 @@ func TestStorageReuseVanishedArray(t *testing.T) {
 func TestLoneSourceIngestCopiesNothing(t *testing.T) {
 	for _, sources := range []int{1, 2} {
 		da := NewStreamDataAdaptor(mpirt.NewWorld(1).Comm(0), sources)
-		da.SetStorageReuse(true)
 		steps := make([]*adios.Step, sources)
 		for seq := 0; seq < 2; seq++ {
 			for b := range steps {
@@ -901,73 +899,6 @@ func TestLoneSourceIngestCopiesNothing(t *testing.T) {
 			if err := da.ReleaseData(); err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-}
-
-// retainer is an analysis that keeps every step's temperature array as
-// handed to it, uncopied, past its Execute — which it declares
-// (sensei.StepRetainer), so the endpoint must not recycle the storage
-// under it.
-type retainer struct{ kept [][]float64 }
-
-func (r *retainer) Describe() sensei.Requirements { return sensei.NoRequirements() }
-func (r *retainer) Finalize() error               { return nil }
-func (r *retainer) RetainsStepData() bool         { return true }
-func (r *retainer) Execute(st *sensei.Step) (bool, error) {
-	da := st.Adaptor()
-	g, err := da.Mesh("mesh", true)
-	if err == nil {
-		err = da.AddArray(g, "mesh", sensei.AssocPoint, "temperature")
-	}
-	if err == nil {
-		r.kept = append(r.kept, g.FindPointData("temperature").Data)
-	}
-	return false, err
-}
-
-// TestRetainedArraysStayIntact: over a real SST reader, whose steps
-// view the buffer their frame arrived in, an analysis that retains
-// the arrays finds every step's values intact after the run.
-func TestRetainedArraysStayIntact(t *testing.T) {
-	h := staging.NewHub(nil)
-	srv, err := staging.Serve(h, "127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	r, err := adios.OpenReaderWith(srv.Addr(), adios.ReaderOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	const steps = 6
-	published := make(chan error, 1)
-	go func() {
-		var err error
-		for seq := 0; seq < steps && err == nil; seq++ {
-			err = h.Publish(blockStep(0, seq))
-		}
-		if cerr := h.Close(); err == nil {
-			err = cerr
-		}
-		published <- err
-	}()
-	ep, err := NewEndpoint(ctxFor(mpirt.NewWorld(1).Comm(0), ""), Sources(r), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keep := &retainer{}
-	ep.Analysis().AddAnalysis("retainer", 1, keep)
-	if n, err := ep.Run(); err != nil || n != steps {
-		t.Fatalf("processed %d steps (%v), want %d", n, err, steps)
-	}
-	if err := <-published; err != nil {
-		t.Fatal(err)
-	}
-	for seq, got := range keep.kept {
-		if want := blockStep(0, seq).Vars[0].F64; !reflect.DeepEqual(got, want) {
-			t.Errorf("step %d's retained array now reads %v, want %v", seq, got, want)
 		}
 	}
 }

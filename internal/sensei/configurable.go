@@ -35,9 +35,9 @@ type ConfigurableAnalysis struct {
 	ctx     *Context
 	entries []configEntry
 
-	// scratch is the recycled Step handed to PullInto when
-	// CanReuseStepStorage allows it — nil while any analysis retains
-	// step data, in which case every step pulls into fresh bookkeeping.
+	// scratch is the recycled Step handed to PullInto: no analysis
+	// holds a step past Execute (Analysis), so each pull reuses the
+	// last one's bookkeeping.
 	scratch *Step
 
 	pullHist    *telemetry.Histogram // planner pull timing, cached handle
@@ -161,22 +161,6 @@ func (ca *ConfigurableAnalysis) FindAdaptor(typeName string) any {
 	return nil
 }
 
-// CanReuseStepStorage reports whether pulled step storage — the Step's
-// bookkeeping and, at the adaptors' discretion, the array buffers
-// under it — may be recycled across steps: true iff no enabled
-// analysis retains step data beyond Execute (StepRetainer). Data
-// adaptors consult this once at bridge/endpoint initialization to
-// decide whether their per-step copies go back into a free list on
-// ReleaseData.
-func (ca *ConfigurableAnalysis) CanReuseStepStorage() bool {
-	for _, e := range ca.entries {
-		if r, ok := e.adaptor.(StepRetainer); ok && r.RetainsStepData() {
-			return false
-		}
-	}
-	return true
-}
-
 // Requirements returns the union of every enabled analysis' declared
 // requirements — the full data plan, as computed at initialization.
 // In-transit senders consult the per-consumer subset instead; this
@@ -290,11 +274,8 @@ func (ca *ConfigurableAnalysis) Execute(da DataAdaptor) (stop bool, err error) {
 	}
 	tel.Tracer().Stamp(int64(step), telemetry.StageAnalyze)
 	// Recycle the step's bookkeeping for the next pull once every
-	// triggered analysis has run — but only under the no-retention
-	// contract; a retaining analysis may still be reading it.
-	if ca.CanReuseStepStorage() {
-		ca.scratch = st
-	}
+	// triggered analysis has run.
+	ca.scratch = st
 	return stop, nil
 }
 

@@ -99,24 +99,13 @@ type DataAdaptor interface {
 // step — shared by every triggered analysis through the read-only Step
 // — and in-transit senders can ship only the declared subset. Execute
 // returns stop=true to request that the simulation or endpoint stop
-// cleanly after this step. Finalize flushes state at shutdown.
+// cleanly after this step, and may read the step's data only until it
+// returns: the planner and the data adaptors reuse that storage for
+// the next step. Finalize flushes state at shutdown.
 type Analysis interface {
 	Describe() Requirements
 	Execute(step *Step) (bool, error)
 	Finalize() error
-}
-
-// StepRetainer is the opt-out from the data plane's storage-recycling
-// contract. By default an analysis may only read pulled step data
-// during the Execute call that received it, which lets the planner and
-// the data adaptors reuse array storage across steps (the
-// zero-allocation steady state). An analysis that keeps references
-// beyond Execute — the staging adaptor shares pulled array slices with
-// hub consumers for as long as they hold the step — implements
-// StepRetainer returning true, and the planner pins fresh storage per
-// step for the whole run (ConfigurableAnalysis.CanReuseStepStorage).
-type StepRetainer interface {
-	RetainsStepData() bool
 }
 
 // Shard describes this rank's slice of a work-sharded analysis

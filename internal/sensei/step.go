@@ -154,10 +154,9 @@ func Pull(da DataAdaptor, reqs Requirements, shard *Shard) (*Step, error) {
 // reuse step (from a previous PullInto over the same adaptor) has its
 // maps cleared and reused instead of reallocated, so the planner's
 // per-step overhead reaches a zero-allocation steady state. Only the
-// Step's own structures are recycled here; whether the *array* storage
-// under the grids may also be reused across steps is the adaptors'
-// decision, gated by ConfigurableAnalysis.CanReuseStepStorage. Callers
-// must not pass a reuse step that any analysis still holds.
+// Step's own structures are recycled here; the adaptors recycle the
+// array storage under the grids themselves. Callers must not pass a
+// reuse step that any analysis still holds.
 func PullInto(da DataAdaptor, reqs Requirements, shard *Shard, reuse *Step) (*Step, error) {
 	st := reuse
 	if st == nil {

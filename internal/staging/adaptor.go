@@ -331,13 +331,6 @@ func xmlFactory(direct bool) sensei.Factory {
 	}
 }
 
-// RetainsStepData implements sensei.StepRetainer: published steps
-// share the pulled arrays' backing slices with every hub consumer,
-// which may hold them (and frames marshaled from them) long after
-// Execute returns — so the planner must pin fresh array storage per
-// step while a staging analysis is enabled.
-func (a *Adaptor) RetainsStepData() bool { return true }
-
 // Hub exposes the staging hub (stats, programmatic subscription).
 func (a *Adaptor) Hub() *Hub { return a.hub }
 
@@ -406,9 +399,8 @@ func (a *Adaptor) Execute(st *sensei.Step) (bool, error) {
 		if arr == nil {
 			return false, fmt.Errorf("staging: array %q not attached", name)
 		}
-		// The per-trigger VTK copy is never written again after this
-		// Execute, so the hub shares it with every consumer un-copied
-		// ("released" by the bridge affects accounting only).
+		// Publish marshals the step before it returns, so the data
+		// adaptor may recycle this storage for the next step.
 		step.Vars = append(step.Vars, adios.NewF64("array/"+name, arr.Data))
 	}
 	return false, a.hub.Publish(step)

@@ -446,10 +446,9 @@ func (b *Binder) bindLocked(req SubscribeRequest) (*Consumer, error) {
 				// time: validate it, then swap it onto the pre-declared
 				// subscription so the kept cursor ships the narrowed
 				// set from here on.
-				if err := b.hub.validateSubset(arrays); err != nil {
+				if err := b.hub.narrowConsumer(cons, arrays); err != nil {
 					return nil, err
 				}
-				b.hub.setConsumerArrays(cons, arrays)
 			}
 			// (Re)install the codec binding after any array narrowing so
 			// the shared-encode form key reflects the final subset. The

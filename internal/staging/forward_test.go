@@ -2,7 +2,10 @@ package staging
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math"
+	"sync"
 	"testing"
 
 	"nekrs-sensei/internal/adios"
@@ -19,6 +22,18 @@ func spliced(t *testing.T, pool *adios.FramePool, i int) *adios.Frame {
 		t.Fatal(err)
 	}
 	return f
+}
+
+// filterStep is the reference subset of s: only the named arrays, plus
+// every non-array variable (e.g. the structure), payloads shared.
+func filterStep(s *adios.Step, arrays []string) *adios.Step {
+	out := &adios.Step{Step: s.Step, Time: s.Time, Attrs: s.Attrs}
+	for i := range s.Vars {
+		if adios.KeepVar(s.Vars[i].Name, arrays) {
+			out.Vars = append(out.Vars, s.Vars[i])
+		}
+	}
+	return out
 }
 
 // TestFramePublishedSubsetsAreMarshalIdentical: for every subset of
@@ -203,9 +218,147 @@ func TestCodedFormsSameOnFramePublishedHub(t *testing.T) {
 			if got := byFrame.DecodedVars(); got != tc.decoded {
 				t.Errorf("frame-published hub decoded %d variables for its encoder, want %d", got, tc.decoded)
 			}
-			if byStep.DecodedVars() != 0 {
-				t.Errorf("Publish-ed hub decoded %d variables", byStep.DecodedVars())
-			}
 		})
+	}
+}
+
+// TestPublishOwnsItsBytes is Publish's contract: the hub holds a copy
+// of the step once Publish returns, so a producer that overwrites every
+// published array straight away changes nothing any consumer receives.
+// Full, subset, coded and spilled consumers each get the bytes Marshal
+// gave before the overwrite, and no delivered Step aliases a producer
+// slice.
+func TestPublishOwnsItsBytes(t *testing.T) {
+	names := []string{"a", "b", "c"}
+	subset := []string{"a", "c"}
+	stores := map[string]*memSpillStore{}
+	h := hubWithSpill(stores)
+	defer h.Close()
+	cons := map[string]*Consumer{}
+	for _, spec := range []ConsumerSpec{
+		{Name: "full", Policy: Block, Depth: 8},
+		{Name: "subset", Policy: Block, Depth: 8, Arrays: subset},
+		{Name: "coded", Policy: Block, Depth: 8, Codecs: []string{"transpose-delta"}},
+		{Name: "spilled", Policy: Spill, Depth: 1},
+	} {
+		c, err := h.SubscribeSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cons[spec.Name] = c
+	}
+	const steps = 4
+	var published []*adios.Step
+	var whole, cut [][]byte
+	for i := 0; i < steps; i++ {
+		s := mkWideStep(i, names, 16)
+		whole = append(whole, adios.Marshal(s))
+		cut = append(cut, adios.Marshal(filterStep(s, subset)))
+		if i == 0 { // the structure step travels whole
+			cut[0] = whole[0]
+		}
+		if err := h.Publish(s); err != nil {
+			t.Fatal(err)
+		}
+		for j := range s.Vars {
+			for k := range s.Vars[j].F64 {
+				s.Vars[j].F64[k] = -1
+			}
+		}
+		published = append(published, s)
+	}
+	// Steps 1 and 2 leave the spilled consumer's one-step window; wait
+	// until both are on disk, so its deliveries read the spill tier.
+	waitFor(t, func() bool {
+		st := stores["spilled"]
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return len(st.frames) == steps-2
+	})
+
+	dec := adios.NewStreamDecoder(true)
+	for name, c := range cons {
+		want := whole
+		if name == "subset" {
+			want = cut
+		}
+		for i := 0; i < steps; i++ {
+			ref, err := c.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := ref.Frame()
+			if name == "coded" {
+				var st adios.Step
+				if err := dec.DecodeInto(got, &st); err != nil {
+					t.Fatalf("coded step %d: %v", i, err)
+				}
+				got = adios.Marshal(&st)
+			}
+			if !bytes.Equal(got, want[i]) {
+				t.Errorf("%s step %d: delivered bytes are not the step as published", name, i)
+			}
+			st := ref.Step()
+			if !bytes.Equal(adios.Marshal(st), want[i]) {
+				t.Errorf("%s step %d: Step() is not the step as published", name, i)
+			}
+			for j := range st.Vars {
+				v := &st.Vars[j]
+				if p := published[i].FindVar(v.Name); len(v.F64) > 0 && &v.F64[0] == &p.F64[0] {
+					t.Errorf("%s step %d: %s aliases the producer's array", name, i, v.Name)
+				}
+			}
+			ref.Release()
+		}
+	}
+}
+
+// TestConcurrentPublishersKeepTheirNames: the hub scans each frame
+// after the last one's layout, whoever published it, and cuts subsets
+// by the scanned names. Two producers publishing differently named
+// steps into one hub at once must each see their own arrays cut.
+func TestConcurrentPublishersKeepTheirNames(t *testing.T) {
+	h := NewHub(nil)
+	c, err := h.SubscribeSpec(ConsumerSpec{Name: "c", Policy: Block, Depth: 4, Arrays: []string{"a", "y"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perProducer = 50
+	var wg sync.WaitGroup
+	for _, names := range [][]string{{"a", "b"}, {"x", "y", "z"}} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= perProducer; i++ {
+				if err := h.Publish(mkWideStep(i, names, 4)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		h.Close()
+	}()
+	for got := 0; ; got++ {
+		ref, err := c.Next()
+		if errors.Is(err, io.EOF) {
+			if got != 2*perProducer {
+				t.Errorf("delivered %d steps, want %d", got, 2*perProducer)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := adios.Unmarshal(ref.Frame())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Vars) != 1 || st.Vars[0].Name != "array/a" && st.Vars[0].Name != "array/y" {
+			t.Fatalf("step %d: subset cut holds %+v, want one of array/a, array/y", st.Step, st.Vars)
+		}
+		ref.Release()
 	}
 }

@@ -22,35 +22,36 @@ var ErrClosed = errors.New("staging: hub closed")
 // errConsumerClosed surfaces reads on a detached consumer.
 var errConsumerClosed = errors.New("staging: consumer closed")
 
+// errSubscribed sends Publish back to marshal again: a consumer
+// subscribed while it marshaled, and may take arrays the frame lacks.
+var errSubscribed = errors.New("staging: a consumer subscribed")
+
 // stepEntry is one published timestep in the ring, shared by every
-// consumer — fan-out never copies payload data. It comes in two
-// shapes. A Publish-ed entry starts from the decoded step and marshals
-// its wire frame on first use. A frame-published entry (PublishFrame:
-// the relay's spliced output, and steps re-read from a spill tier)
-// starts from the frame and its scanned layout: the full form is the
-// frame itself, a subset form is cut from the recorded spans without
-// touching a float, and a decoded step exists only for the forms
-// somebody asked one of. sim and structure are the header fields the
-// hub itself needs, so it never decodes on its own account.
+// consumer — fan-out never copies payload data. Every entry is a plain
+// frame the hub owns (marshaled by Publish, spliced by the relay and
+// handed to PublishFrame, or re-read from a spill tier) and its
+// scanned layout: the full form is the frame itself, a subset form is
+// cut from the recorded spans without touching a float, and a decoded
+// step exists only for the forms somebody asked one of. The layout
+// holds the header fields the hub itself needs (step, structure), so
+// it never decodes on its own account.
 //
 // Frames lease from the hub's pool; the entry holds one frame
 // reference per form, returned when the last consumer releases the
 // entry — so the wire buffers of a steady stream recycle instead of
 // accumulating for the GC.
 type stepEntry struct {
-	seq       int64
-	sim       int64
-	structure bool
-	bytes     int64
-	refs      int // consumers (plus the bootstrap hold) yet to release
+	seq   int64
+	bytes int64
+	refs  int // consumers (plus the bootstrap hold) yet to release
 
 	// trace is the hub's step tracer at publish time (nil when
 	// telemetry is disabled); immutable after construction, so the
-	// marshal path can stamp without taking the hub lock.
+	// codec path can stamp without taking the hub lock.
 	trace *telemetry.StepTracer
 
 	full form
-	info *adios.FrameInfo // the full frame's layout; frame-published entries only
+	info adios.FrameInfo // the full frame's layout
 
 	subMu sync.Mutex
 	subs  map[string]*form // per-subset forms by canonical subset key
@@ -58,48 +59,33 @@ type stepEntry struct {
 }
 
 // form is one shape of an entry — the whole step or one array subset
-// of it — as a decoded step and as its plain wire frame, each built at
-// most once and shared by every consumer of that shape. A Publish-ed
-// entry's subset steps share the full step's payload slices, so they
-// cost headers, not data copies.
+// of it — as its plain wire frame and as a decoded step owning its
+// storage, each built at most once and shared by every consumer of
+// that shape.
 type form struct {
 	mu     sync.Mutex
 	step   *adios.Step
 	frame  *adios.Frame
-	arrays []string // what to cut; subset forms of frame-published entries only
+	arrays []string // what to cut; subset forms only
 }
 
-// frameLocked returns the form's plain wire frame: marshaled from the
-// step, or cut from the entry's full frame. Caller holds f.mu.
+// frameLocked returns the form's plain wire frame, a subset form's cut
+// from the entry's full frame on first use. Caller holds f.mu.
 func (f *form) frameLocked(e *stepEntry, pool *adios.FramePool) []byte {
 	if f.frame == nil {
-		if f.step == nil {
-			f.frame = adios.SubsetFrame(e.full.frame.Bytes(), e.info, f.arrays, pool)
-		} else {
-			f.frame = adios.MarshalFrame(f.step, pool)
-			if f == &e.full {
-				e.trace.Stamp(e.sim, telemetry.StageMarshal)
-			}
-		}
+		f.frame = adios.SubsetFrame(e.full.frame.Bytes(), &e.info, f.arrays, pool)
 	}
 	return f.frame.Bytes()
 }
 
-// frameBytes is frameLocked for callers outside the form.
-func (f *form) frameBytes(e *stepEntry, pool *adios.FramePool) []byte {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.frameLocked(e, pool)
-}
-
-// stepFor returns the form's decoded step. A frame-published form is
-// decoded from its bytes on first use: into fresh storage kept on the
-// form when scratch is nil (callers may hold on to what Step returns),
-// or into scratch and not kept — the hub's own encoders, which are
-// done with the floats when they return and reuse one destination per
-// stream. The scratch decode copies nothing: it views the full frame
-// the entry holds leased, a subset form's records picked straight out
-// of it rather than out of a cut copy. The frame scanned clean when
+// stepFor returns the form's decoded step, decoded from its bytes on
+// first use: into fresh storage kept on the form when scratch is nil
+// (callers may hold on to what Step returns), or into scratch and not
+// kept — the hub's own encoders, which are done with the floats when
+// they return and reuse one destination per stream. The scratch decode
+// copies nothing: it views the full frame the entry holds leased, a
+// subset form's records picked straight out of it rather than out of a
+// cut copy. The frame scanned clean when
 // the entry was built, and ScanFrame and the decoders are visitors
 // over one walk of the frame, so a plain frame that scans clean
 // decodes by construction: the panic is a safety check.
@@ -118,15 +104,15 @@ func (f *form) stepFor(e *stepEntry, h *Hub, scratch *adios.Step) *adios.Step {
 		f.step, err = dst, adios.UnmarshalInto(raw, dst)
 	}
 	if err != nil {
-		panic(fmt.Sprintf("staging: step %d scanned clean but does not decode: %v", e.sim, err))
+		panic(fmt.Sprintf("staging: step %d scanned clean but does not decode: %v", e.info.Step, err))
 	}
 	h.decodedVars.Add(int64(len(dst.Vars)))
 	return dst
 }
 
 // release returns the form's frame lease. Taking f.mu orders it after
-// any in-flight marshal; no new one can start because no consumer
-// holds a reference anymore.
+// any in-flight cut; no new one can start because no consumer holds a
+// reference anymore.
 func (f *form) release() {
 	f.mu.Lock()
 	if f.frame != nil {
@@ -164,10 +150,9 @@ type encodedForm struct {
 type codecStream struct {
 	mu  sync.Mutex
 	enc *adios.StreamEncoder
-	// scratch is where frame-published entries are decoded for enc, as
-	// views of the entry's frame: the encoder is done with the floats
-	// when it returns, so one destination serves every step of the
-	// stream.
+	// scratch is where entries are decoded for enc, as views of the
+	// entry's frame: the encoder is done with the floats when it
+	// returns, so one destination serves every step of the stream.
 	scratch adios.Step
 }
 
@@ -229,26 +214,13 @@ func normalizeArrays(arrays []string) []string {
 	return out[:n]
 }
 
-// filterStep builds a subset view of s containing only the named
-// arrays (plus every non-array variable, e.g. the structure). Var
-// payloads are shared, not copied.
-func filterStep(s *adios.Step, arrays []string) *adios.Step {
-	out := &adios.Step{Step: s.Step, Time: s.Time, Attrs: s.Attrs}
-	for i := range s.Vars {
-		if adios.KeepVar(s.Vars[i].Name, arrays) {
-			out.Vars = append(out.Vars, s.Vars[i])
-		}
-	}
-	return out
-}
-
 // formFor resolves the shape a consumer declared (normalized arrays,
 // nil = everything). The structure-carrying step is always delivered
 // whole so late-subsetting consumers can still reconstruct the grid,
 // and a subset that keeps every variable is the full form itself —
-// same bytes, no second marshal or cut.
+// same bytes, no second cut.
 func (e *stepEntry) formFor(arrays []string) *form {
-	if arrays == nil || e.structure {
+	if arrays == nil || e.info.Structure {
 		return &e.full
 	}
 	e.subMu.Lock()
@@ -257,20 +229,13 @@ func (e *stepEntry) formFor(arrays []string) *form {
 	if f := e.subs[key]; f != nil {
 		return f
 	}
-	f := &form{arrays: arrays}
-	kept, all := 0, 0
-	if e.info == nil {
-		f.step = filterStep(e.full.step, arrays)
-		kept, all = len(f.step.Vars), len(e.full.step.Vars)
-	} else {
-		all = len(e.info.Vars)
-		for i := range e.info.Vars {
-			if adios.KeepVar(e.info.Vars[i].Name, arrays) {
-				kept++
-			}
+	f, kept := &form{arrays: arrays}, 0
+	for i := range e.info.Vars {
+		if adios.KeepVar(e.info.Vars[i].Name, arrays) {
+			kept++
 		}
 	}
-	if kept == all {
+	if kept == len(e.info.Vars) {
 		f = &e.full
 	}
 	if e.subs == nil {
@@ -291,11 +256,14 @@ type Hub struct {
 	acct *metrics.Accountant
 	pool *adios.FramePool // marshaled frames lease here, recycle on last release
 
+	layout adios.FrameInfo // the last entry's, whose names the next scan reuses
+
 	ring    []*stepEntry // ring[i] holds seq headSeq+i
 	headSeq int64        // seq of ring[0]
 	nextSeq int64        // seq the next Publish receives
 
-	consumers []*Consumer
+	consumers  []*Consumer
+	subscribed int64 // SubscribeSpec calls, the consumer set's generation
 
 	// advertised, when non-nil, is the array set the producer
 	// publishes: subscriptions declaring a subset are validated
@@ -331,8 +299,8 @@ type Hub struct {
 	dropped   int64
 	spilled   int64
 
-	// decodedVars counts variables decoded out of frame-published
-	// entries (see DecodedVars).
+	// decodedVars counts variables decoded out of entries' frames (see
+	// DecodedVars).
 	decodedVars atomic.Int64
 
 	// tel holds the hub's telemetry handles; the zero value (all nil)
@@ -361,7 +329,10 @@ func (h *Hub) event(kind, subject string, step int64, detail string) {
 }
 
 // NewHub creates an empty hub. Staged payload bytes are tracked under
-// the accountant's "staging-hub" category (nil disables accounting).
+// the accountant's "staging-hub" category (nil disables accounting): a
+// step is charged the payload it was published with, as an ADIOS2
+// writer buffers the whole step, though Publish keeps only the arrays
+// the hub's consumers take.
 func NewHub(acct *metrics.Accountant) *Hub {
 	h := &Hub{acct: acct, pool: adios.NewFramePool()}
 	h.cond = sync.NewCond(&h.mu)
@@ -470,9 +441,9 @@ type StepRef struct {
 	cons *Consumer
 
 	// sp is set for views re-read from a consumer's spill tier: e is
-	// then a private frame-published entry built by Next from the bytes
-	// read back (nil until loaded), not a ring entry, and Release has
-	// nothing to return to the hub but its pooled subset cuts.
+	// then a private entry built by Next from the bytes read back (nil
+	// until loaded), not a ring entry, and Release has nothing to
+	// return to the hub but its pooled subset cuts.
 	sp *spillRead
 }
 
@@ -502,11 +473,11 @@ type spillRead struct {
 }
 
 // loadSpilled reads a spill-tier view's frame back and wraps it in a
-// private entry, so it is served like any frame-published step: whole
-// or span-cut for the pump, decoded only for an in-process reader.
-// Called outside the hub lock by the delivering consumer's goroutine
-// (catch-up I/O never stalls the producer). Idempotent, so a step
-// redelivered after a park/resume cycle is not re-read.
+// private entry, so it is served like any ring step: whole or span-cut
+// for the pump, decoded only for an in-process reader. Called outside
+// the hub lock by the delivering consumer's goroutine (catch-up I/O
+// never stalls the producer). Idempotent, so a step redelivered after
+// a park/resume cycle is not re-read.
 func (r *StepRef) loadSpilled() error {
 	if r.sp == nil || r.e != nil {
 		return nil
@@ -515,7 +486,7 @@ func (r *StepRef) loadSpilled() error {
 	if err != nil {
 		return fmt.Errorf("staging: reading spilled step: %w", err)
 	}
-	if r.e, err = frameEntry(adios.WrapFrame(buf)); err != nil {
+	if r.e, err = frameEntry(adios.WrapFrame(buf), nil); err != nil {
 		return fmt.Errorf("staging: decoding spilled step: %w", err)
 	}
 	return nil
@@ -569,10 +540,10 @@ func (h *Hub) releaseRef(e *stepEntry) {
 // are exempt: the bootstrap hold keeps them referenced by design.
 // Caller holds h.mu.
 func (h *Hub) noteRetiredLocked(e *stepEntry) {
-	if h.retireCh == nil || e.structure {
+	if h.retireCh == nil || e.info.Structure {
 		return
 	}
-	h.retiredQ = append(h.retiredQ, e.sim)
+	h.retiredQ = append(h.retiredQ, e.info.Step)
 	select {
 	case h.retireCh <- struct{}{}:
 	default: // a signal is already pending; DrainRetired batches
@@ -698,30 +669,23 @@ func (h *Hub) SetAdvertised(arrays []string) {
 	h.advertised = normalizeArrays(arrays)
 }
 
-// validateSubsetLocked rejects subsets naming arrays outside the
-// advertisement (no-op while no advertisement is set), using the wire
-// protocol's shared rejection rule. Caller holds h.mu.
-func (h *Hub) validateSubsetLocked(arrays []string) error {
-	if err := adios.CheckAdvertised(arrays, h.advertised); err != nil {
-		return fmt.Errorf("staging: %w", err)
+// narrowConsumer replaces an existing subscription's subset with a
+// narrower one — the path that lets a reader narrow a pre-declared
+// consumer at attach time without losing its cursor. An array outside
+// the advertisement or the declared subset is refused: the steps
+// queued for the consumer carry only what it declared (Publish).
+func (h *Hub) narrowConsumer(c *Consumer, arrays []string) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	allowed := c.arrays
+	if allowed == nil {
+		allowed = h.advertised
 	}
-	return nil
-}
-
-// validateSubset is validateSubsetLocked for external callers.
-func (h *Hub) validateSubset(arrays []string) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.validateSubsetLocked(normalizeArrays(arrays))
-}
-
-// setConsumerArrays replaces an existing subscription's declared
-// subset — the path that lets a reader narrow a pre-declared consumer
-// at attach time without losing its cursor.
-func (h *Hub) setConsumerArrays(c *Consumer, arrays []string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	if err := adios.CheckAdvertised(arrays, allowed); err != nil {
+		return fmt.Errorf("staging: consumer %q: %w", c.name, err)
+	}
 	c.arrays = normalizeArrays(arrays)
+	return nil
 }
 
 // Subscribe attaches a named consumer receiving every published array
@@ -741,7 +705,7 @@ func (h *Hub) Subscribe(name string, policy Policy, depth int) (*Consumer, error
 // the given entries (codec.ParseSpec grammar), same-spec consumers
 // sharing one encode per step; an unknown codec, or one outside the
 // hub's codec advertisement, is rejected. Codecs affect only the wire
-// form (StepRef.Frame); in-process consumers read the shared step as is.
+// form (StepRef.Frame); in-process consumers read the plain step.
 func (h *Hub) SubscribeSpec(spec ConsumerSpec) (*Consumer, error) {
 	name, policy, depth := spec.Name, spec.Policy, spec.Depth
 	if depth <= 0 {
@@ -756,8 +720,8 @@ func (h *Hub) SubscribeSpec(spec ConsumerSpec) (*Consumer, error) {
 	if h.closed {
 		return nil, ErrClosed
 	}
-	if err := h.validateSubsetLocked(arrays); err != nil {
-		return nil, err
+	if err := adios.CheckAdvertised(arrays, h.advertised); err != nil {
+		return nil, fmt.Errorf("staging: %w", err)
 	}
 	cspec, err := h.validateCodecsLocked(spec.Codecs)
 	if err != nil {
@@ -790,6 +754,7 @@ func (h *Hub) SubscribeSpec(spec ConsumerSpec) (*Consumer, error) {
 		h.bootstrap.refs++
 	}
 	h.consumers = append(h.consumers, c)
+	h.subscribed++
 	return c, nil
 }
 
@@ -802,18 +767,56 @@ func (h *Hub) lag(c *Consumer) int64 { return h.nextSeq - c.cursor }
 // It is the count a Block consumer's depth bounds. Caller holds h.mu.
 func (h *Hub) resident(c *Consumer) int64 { return h.lag(c) + int64(len(c.spillQ)) + c.held }
 
-// Publish stages one timestep for every subscribed consumer. It
-// blocks while any Block-policy consumer has a full window — depth of
-// its steps resident in the hub, whether queued, being shipped or
-// parked (producer-side backpressure);
-// DropOldest/LatestOnly consumers instead lose their oldest
-// undelivered steps. Publishing with no consumers subscribed discards
-// the step (but still retains the first structure step for late
-// subscribers).
+// Publish stages one timestep for every subscribed consumer: s is
+// marshaled into a frame of the hub's pool before anything else, so
+// the caller may overwrite s's arrays as soon as Publish returns, and
+// the frame is published as PublishFrame would. The frame carries only
+// the arrays the open consumers take (keptLocked); a consumer
+// subscribing meanwhile sends Publish back to marshal again. It blocks
+// while any Block-policy consumer has a full window — depth of its
+// steps resident in the hub, whether queued, being shipped or parked
+// (producer-side backpressure); DropOldest/LatestOnly consumers
+// instead lose their oldest undelivered steps. Publishing with no
+// consumers subscribed discards the step (but still retains the first
+// structure step for late subscribers).
 func (h *Hub) Publish(s *adios.Step) error {
-	e := &stepEntry{sim: s.Step, structure: s.Attrs["structure"] == "1", bytes: s.Bytes()}
-	e.full.step = s
-	return h.publish(e)
+	for {
+		h.mu.Lock()
+		kept, subscribed, trace := h.keptLocked(s), h.subscribed, h.tel.trace
+		h.mu.Unlock()
+		f := adios.MarshalFrame(kept, h.pool)
+		trace.Stamp(s.Step, telemetry.StageMarshal)
+		if err := h.publish(f, subscribed, s.Bytes()); err != errSubscribed {
+			return err
+		}
+	}
+}
+
+// keptLocked is s cut to the variables some open consumer receives:
+// the non-array ones, and each array a consumer takes. A structure step
+// stays whole, since it bootstraps late subscribers whatever they take.
+// Payloads are s's own. Caller holds h.mu.
+func (h *Hub) keptLocked(s *adios.Step) *adios.Step {
+	if s.Attrs["structure"] == "1" {
+		return s
+	}
+	var union []string
+	for _, c := range h.consumers {
+		switch {
+		case c.closed:
+		case c.arrays == nil:
+			return s
+		default:
+			union = append(union, c.arrays...)
+		}
+	}
+	out := &adios.Step{Step: s.Step, Time: s.Time, Attrs: s.Attrs}
+	for i := range s.Vars {
+		if adios.KeepVar(s.Vars[i].Name, union) {
+			out.Vars = append(out.Vars, s.Vars[i])
+		}
+	}
+	return out
 }
 
 // PublishFrame is Publish for producers that hold the step as a plain
@@ -825,27 +828,19 @@ func (h *Hub) Publish(s *adios.Step) error {
 // floats — a codec consumer's encoder (its arrays only, into the
 // stream's reused scratch) or an in-process Step. The hub takes
 // ownership of one reference of f in all cases, including errors.
-func (h *Hub) PublishFrame(f *adios.Frame) error {
-	e, err := frameEntry(f)
-	if err == nil {
-		err = h.publish(e)
-	}
-	if err != nil {
-		f.Release()
-	}
-	return err
-}
+func (h *Hub) PublishFrame(f *adios.Frame) error { return h.publish(f, -1, -1) }
 
-// frameEntry builds a frame-published entry around f.
-func frameEntry(f *adios.Frame) (*stepEntry, error) {
-	fi, err := adios.ScanFrame(f.Bytes())
+// frameEntry builds the ring entry around f, scanning its layout after
+// prev (nil for none). It is the one constructor of an entry.
+func frameEntry(f *adios.Frame, prev *adios.FrameInfo) (*stepEntry, error) {
+	fi, err := adios.ScanFrameAfter(f.Bytes(), prev)
 	if err == nil && fi.Encoded {
 		err = fmt.Errorf("staging: coded (BPC6) frame cannot be published")
 	}
 	if err != nil {
 		return nil, err
 	}
-	e := &stepEntry{sim: fi.Step, structure: fi.Structure, info: &fi}
+	e := &stepEntry{info: fi}
 	e.full.frame = f
 	for i := range fi.Vars {
 		e.bytes += fi.Vars[i].PayloadLen
@@ -853,14 +848,32 @@ func frameEntry(f *adios.Frame) (*stepEntry, error) {
 	return e, nil
 }
 
-// DecodedVars reports how many variables have been decoded out of
-// frame-published entries: zero while every consumer is served from
-// bytes.
+// DecodedVars reports how many variables the hub has decoded out of
+// its frames — for a codec consumer's encoder or an in-process Step:
+// zero while every consumer is served from bytes.
 func (h *Hub) DecodedVars() int64 { return h.decodedVars.Load() }
 
-func (h *Hub) publish(e *stepEntry) error {
+// publish appends f's entry to the ring, its layout scanned after the
+// last entry's. Publish passes the consumer set's generation it
+// marshaled f for (a consumer subscribing since fails the call with
+// errSubscribed) and the payload bytes to charge (NewHub); -1 stands
+// for neither. The hub owns f from here, errors included.
+func (h *Hub) publish(f *adios.Frame, subscribed, staged int64) (err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	defer func() {
+		if err != nil {
+			f.Release()
+		}
+	}()
+	e, err := frameEntry(f, &h.layout)
+	if err != nil {
+		return err
+	}
+	h.layout = e.info
+	if staged >= 0 {
+		e.bytes = staged
+	}
 	for {
 		if h.closed {
 			return ErrClosed
@@ -881,15 +894,18 @@ func (h *Hub) publish(e *stepEntry) error {
 		full.blocking--
 		full.blockedNs += int64(time.Since(t0))
 	}
+	if subscribed >= 0 && subscribed != h.subscribed {
+		return errSubscribed
+	}
 
 	e.seq, e.trace = h.nextSeq, h.tel.trace
 	h.nextSeq++
 	h.published++
 	h.tel.published.Inc()
-	h.tel.trace.Stamp(e.sim, telemetry.StagePublish)
+	h.tel.trace.Stamp(e.info.Step, telemetry.StagePublish)
 	h.ring = append(h.ring, e)
 	h.acct.Alloc("staging-hub", e.bytes)
-	if h.bootstrap == nil && e.structure {
+	if h.bootstrap == nil && e.info.Structure {
 		h.bootstrap = e
 		e.refs++ // held until Close for late subscribers
 	}
@@ -911,7 +927,7 @@ func (h *Hub) publish(e *stepEntry) error {
 	}
 	if e.refs == 0 {
 		h.acct.Free("staging-hub", e.bytes)
-		e.releaseFrames() // no consumer will ever marshal or read it
+		e.releaseFrames() // no consumer will ever read it
 		h.noteRetiredLocked(e)
 	}
 	h.trim()
@@ -953,15 +969,15 @@ func (h *Hub) spillOldest(c *Consumer) {
 	c.spilled++
 	h.spilled++
 	h.tel.spilled.Inc()
-	se := &spillEntry{e: e, state: spillMem, sim: e.sim}
+	se := &spillEntry{e: e, state: spillMem, sim: e.info.Step}
 	c.spillQ = append(c.spillQ, se)
 	c.spillWork = append(c.spillWork, se)
-	h.event(telemetry.EventSpillDemote, c.name, e.sim,
+	h.event(telemetry.EventSpillDemote, c.name, e.info.Step,
 		fmt.Sprintf("spill queue depth %d", len(c.spillQ)))
 }
 
-// spiller is a Spill consumer's background demotion loop: it marshals
-// and appends queued entries to the store (outside the hub lock) and
+// spiller is a Spill consumer's background demotion loop: it appends
+// queued entries' frames to the store (outside the hub lock) and
 // releases their hub references once on disk. Exits when the consumer
 // detaches, or when the hub is closed and nothing is left to persist.
 // On an append error the entry stays deliverable from memory, the
@@ -997,7 +1013,7 @@ func (h *Hub) spiller(c *Consumer) {
 		e := se.e
 		h.mu.Unlock()
 
-		id, err := c.spillStore.AppendFrame(e.full.frameBytes(e, h.pool))
+		id, err := c.spillStore.AppendFrame(e.full.frame.Bytes())
 
 		h.mu.Lock()
 		if err != nil {
@@ -1225,21 +1241,7 @@ func (c *Consumer) IsClosed() bool {
 // reference-counted view. io.EOF signals a drained, closed hub. A
 // step re-read from the spill tier is read back here, outside the hub
 // lock, so catch-up I/O never stalls the producer or other consumers.
-func (c *Consumer) Next() (*StepRef, error) {
-	h := c.hub
-	h.mu.Lock()
-	var ref *StepRef
-	var err error
-	for {
-		ref, err = c.tryNextLocked()
-		if ref != nil || err != nil {
-			break
-		}
-		h.cond.Wait()
-	}
-	h.mu.Unlock()
-	return loaded(ref, err)
-}
+func (c *Consumer) Next() (*StepRef, error) { return c.NextTimeout(0) }
 
 // loaded finishes a delivery outside the hub lock: a spill-tier view
 // is read back, and released again if that fails.
@@ -1326,7 +1328,7 @@ func (c *Consumer) tryNextLocked() (*StepRef, error) {
 	for c.cursor < h.nextSeq {
 		e := h.ring[c.cursor-h.headSeq]
 		c.cursor++
-		if c.resumeFloor > 0 && e.sim < c.resumeFloor && !e.structure {
+		if c.resumeFloor > 0 && e.info.Step < c.resumeFloor && !e.info.Structure {
 			// Below the resume floor (structure steps excepted — the
 			// reattached receiver needs the grid either way): suppress.
 			c.suppressed++
@@ -1337,7 +1339,7 @@ func (c *Consumer) tryNextLocked() (*StepRef, error) {
 			continue
 		}
 		c.delivered++
-		h.tel.trace.Stamp(e.sim, telemetry.StageDeliver)
+		h.tel.trace.Stamp(e.info.Step, telemetry.StageDeliver)
 		h.trim()
 		return c.refLocked(e), nil
 	}
@@ -1411,13 +1413,13 @@ func (c *Consumer) closeLocked() {
 
 // Frame exposes the shared marshaled form of a delivered step (the
 // network pump's zero-copy path), filtered to the consumer's declared
-// subset: consumers sharing a subset share one marshal (or one cut of
-// a published frame), and consumers sharing a (subset, codec spec)
+// subset: consumers sharing a subset share one frame (the published
+// one, or one cut of it), and consumers sharing a (subset, codec spec)
 // form share one encode. The returned bytes lease from the hub's frame
 // pool through this reference — do not touch them after Release.
 func (r *StepRef) Frame() []byte {
 	if c := r.cons; c.hasCodec {
-		if !r.e.structure && r.sp == nil {
+		if !r.e.info.Structure && r.sp == nil {
 			return r.encodedFrame()
 		}
 		// Structure steps and spill catch-ups travel plain; the
@@ -1426,7 +1428,10 @@ func (r *StepRef) Frame() []byte {
 		// the decoder no longer holds.
 		c.wirePrev = -1
 	}
-	return r.e.formFor(r.arrays).frameBytes(r.e, r.hub.pool)
+	f := r.e.formFor(r.arrays)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.frameLocked(r.e, r.hub.pool)
 }
 
 // encodedFrame resolves the coded wire form for a codec consumer:
@@ -1442,7 +1447,7 @@ func (r *StepRef) encodedFrame() []byte {
 		if !form.chainReady.Load() {
 			st := src.stepFor(r.e, r.hub, &c.stream.scratch)
 			form.chain, form.base = c.stream.enc.EncodeFrame(st, r.hub.pool)
-			r.e.trace.Stamp(r.e.sim, telemetry.StageMarshal)
+			r.e.trace.Stamp(r.e.info.Step, telemetry.StageMarshal)
 			form.chainReady.Store(true)
 		}
 		c.stream.mu.Unlock()
@@ -1462,7 +1467,7 @@ func (r *StepRef) encodedFrame() []byte {
 	} else {
 		out = form.chain.Bytes()
 	}
-	c.wirePrev = r.e.sim
+	c.wirePrev = r.e.info.Step
 	return out
 }
 

@@ -31,21 +31,20 @@ func IsNextTimeout(err error) bool { return errors.Is(err, errNextTimeout) }
 
 // NextTimeout is Next bounded by d: it returns errNextTimeout when no
 // step became deliverable within d, so a network pump can wake up and
-// keepalive an idle stream. d <= 0 falls back to plain Next.
+// keepalive an idle stream. d <= 0 waits without bound, as Next does.
 func (c *Consumer) NextTimeout(d time.Duration) (*StepRef, error) {
-	if d <= 0 {
-		return c.Next()
-	}
 	h := c.hub
 	deadline := time.Now().Add(d)
-	// cond.Wait cannot time out; a one-shot timer broadcasting the
-	// hub's condition bounds the wait instead.
-	t := time.AfterFunc(d, func() {
-		h.mu.Lock()
-		h.cond.Broadcast()
-		h.mu.Unlock()
-	})
-	defer t.Stop()
+	if d > 0 {
+		// cond.Wait cannot time out; a one-shot timer broadcasting the
+		// hub's condition bounds the wait instead.
+		t := time.AfterFunc(d, func() {
+			h.mu.Lock()
+			h.cond.Broadcast()
+			h.mu.Unlock()
+		})
+		defer t.Stop()
+	}
 	h.mu.Lock()
 	var ref *StepRef
 	var err error
@@ -54,7 +53,7 @@ func (c *Consumer) NextTimeout(d time.Duration) (*StepRef, error) {
 		if ref != nil || err != nil {
 			break
 		}
-		if !time.Now().Before(deadline) {
+		if d > 0 && !time.Now().Before(deadline) {
 			err = errNextTimeout
 			break
 		}
@@ -70,12 +69,12 @@ func (r *StepRef) SimStep() int64 {
 	if r.e == nil {
 		return -1
 	}
-	return r.e.sim
+	return r.e.info.Step
 }
 
 // isStructure reports whether the delivered step carries the grid
 // structure (structure steps are exempt from resume suppression).
-func (r *StepRef) isStructure() bool { return r.e != nil && r.e.structure }
+func (r *StepRef) isStructure() bool { return r.e != nil && r.e.info.Structure }
 
 // parkConsumer detaches c's pump without closing the subscription:
 // the cursor, window, spill queue, and backpressure claim all stay

@@ -4,9 +4,10 @@
 // measures, generalized from one consumer to many.
 //
 // The hub keeps a ring of published timesteps with reference-counted,
-// zero-copy payloads: every consumer sees the same *adios.Step (and,
-// on the network path, the same marshaled frame), so fan-out to eight
-// consumers costs one marshal and no data copies on the producer.
+// shared payloads: Publish marshals each step once, cut to the arrays
+// its consumers take, into a frame the hub owns, and every consumer is
+// served from that frame, so fan-out to eight consumers costs one
+// marshal and no further copies.
 // Per-consumer cursors walk the ring under one of four backpressure
 // policies:
 //
@@ -28,9 +29,8 @@
 //
 // Consumers may declare an array subset (ConsumerSpec.Arrays, or the
 // reader hello's `arrays` field): delivered steps and network frames
-// are filtered to the declared arrays — per-subset views share the
-// full step's payload slices and same-subset consumers share one
-// marshal — except the structure-carrying step, which always travels
+// are filtered to the declared arrays — a subset is cut from the
+// published frame once and shared by same-subset consumers — except the structure-carrying step, which always travels
 // whole. When the producer advertised its array set (SetAdvertised),
 // a subset naming an unknown array fails the subscription and, over
 // the network, rejects the reader's handshake. Per-consumer shipped

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nekrs-sensei/internal/adios"
+	"nekrs-sensei/internal/metrics"
 )
 
 // mkWideStep builds a step carrying n named arrays of width float64s;
@@ -81,8 +82,10 @@ func TestSubsetDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var published []*adios.Step
 	for i := 0; i < 3; i++ {
-		if err := h.Publish(mkWideStep(i, names, 8)); err != nil {
+		published = append(published, mkWideStep(i, names, 8))
+		if err := h.Publish(published[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -128,15 +131,106 @@ func TestSubsetDelivery(t *testing.T) {
 		if ss.FindVar("array/b") != nil || ss.FindVar("array/d") != nil {
 			t.Error("subset consumer received an unrequested array")
 		}
-		// Payload is shared with the full step, not copied.
-		if &ss.FindVar("array/a").F64[0] != &fs.FindVar("array/a").F64[0] {
-			t.Error("subset view copied the payload")
+		// Both steps are the hub's own decodes, not the producer's arrays.
+		for _, s := range []*adios.Step{fs, ss} {
+			if &s.FindVar("array/a").F64[0] == &published[seq].FindVar("array/a").F64[0] {
+				t.Error("delivered step aliases the producer's arrays")
+			}
 		}
 	}
 	for _, c := range []*Consumer{full, sub} {
 		if _, err := c.BeginStep(); !errors.Is(err, io.EOF) {
 			t.Errorf("%s: want EOF, got %v", c.Name(), err)
 		}
+	}
+}
+
+// TestPublishCarriesWhatConsumersTake: Publish copies only the arrays
+// its consumers take, but the structure step whole (it bootstraps late
+// subscribers), charges the accountant the step as published, and a
+// consumer subscribing while Publish waits on a full window still
+// receives its own arrays in the step it waits on.
+func TestPublishCarriesWhatConsumersTake(t *testing.T) {
+	names := []string{"a", "b", "c", "d"}
+	acct := metrics.NewAccountant()
+	h := NewHub(acct)
+	defer h.Close()
+	if err := h.Publish(mkWideStep(0, names, 8)); err != nil { // no consumer yet
+		t.Fatal(err)
+	}
+	first, err := h.SubscribeSpec(ConsumerSpec{Name: "first", Policy: Block, Depth: 1, Arrays: []string{"a"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Publish(mkWideStep(1, names, 8)); err != nil {
+		t.Fatal(err)
+	}
+	h.mu.Lock()
+	bootstrap, step1 := len(h.bootstrap.info.Vars), len(h.ring[len(h.ring)-1].info.Vars)
+	h.mu.Unlock()
+	if bootstrap != 5 || step1 != 1 {
+		t.Errorf("frames carry %d and %d variables, want the whole structure step (5) and the one array taken", bootstrap, step1)
+	}
+	// Both steps are charged as published: the structure step's points
+	// and four arrays, step 1's four arrays.
+	if got, want := acct.CategoryInUse("staging-hub"), int64(8*(24+4*8)+4*8*8); got != want {
+		t.Errorf("hub charges %d bytes, want %d", got, want)
+	}
+	published := make(chan error, 1)
+	go func() { published <- h.Publish(mkWideStep(2, names, 8)) }()
+	waitFor(t, func() bool { return first.Stats().Blocking })
+	late, err := h.SubscribeSpec(ConsumerSpec{Name: "late", Policy: Block, Depth: 1, Arrays: []string{"c"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := func(c *Consumer, want ...string) {
+		t.Helper()
+		ref, err := c.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ref.Release()
+		var got []string
+		for _, v := range ref.Step().Vars {
+			got = append(got, v.Name)
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("%s: step %d carries %v, want %v", c.Name(), ref.SimStep(), got, want)
+		}
+	}
+	whole := []string{"points", "array/a", "array/b", "array/c", "array/d"}
+	next(first, whole...)
+	next(first, "array/a") // frees the window Publish waits on
+	if err := <-published; err != nil {
+		t.Fatal(err)
+	}
+	next(first, "array/a")
+	next(late, whole...)
+	next(late, "array/c")
+}
+
+// TestClaimOnlyNarrows: a reader claiming a pre-declared consumer may
+// narrow its declared subset but not widen it, since the steps queued
+// for the consumer carry only the arrays it declared.
+func TestClaimOnlyNarrows(t *testing.T) {
+	h := NewHub(nil)
+	defer h.Close()
+	h.SetAdvertised([]string{"a", "b", "c"})
+	b := NewBinder(h, Block, 2)
+	for _, name := range []string{"wide", "narrow"} {
+		if _, err := b.Declare(ConsumerSpec{Name: name, Arrays: []string{"a", "b"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := b.Resolve(SubscribeRequest{Name: "wide", Arrays: []string{"a", "c"}}); err == nil {
+		t.Error("a claim widening the declared subset was accepted")
+	}
+	sub, err := b.Resolve(SubscribeRequest{Name: "narrow", Arrays: []string{"b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sub.Cons.Arrays(); len(got) != 1 || got[0] != "b" {
+		t.Errorf("narrowed consumer takes %v, want [b]", got)
 	}
 }
 

@@ -277,16 +277,21 @@ func TestCrossProcessTrace(t *testing.T) {
 			}
 		}
 	}
-	// Stage ordering holds across the halves of one step: marshal
-	// before deliver, deliver no later than decode.
-	prod, cons := prodDoc.Traces[steps-1], halves[1].ring[steps-1]
-	if prod.Step != cons.Step {
-		t.Fatalf("last steps differ: producer %d, consumer %d", prod.Step, cons.Step)
-	}
-	if prod.Stamps["marshal"] > cons.Stamps["deliver"] {
-		t.Errorf("step %d marshal stamp after deliver", prod.Step)
-	}
-	if cons.Stamps["deliver"] > cons.Stamps["decode"] {
-		t.Errorf("step %d deliver stamp after decode", cons.Step)
+	// Stage ordering holds across the halves of every step: Publish
+	// marshals before the step enters the ring, so compute ≤ marshal ≤
+	// publish ≤ deliver, and deliver is no later than decode.
+	for i, prod := range prodDoc.Traces {
+		cons := halves[1].ring[i]
+		if prod.Step != cons.Step {
+			t.Fatalf("trace %d: producer step %d, consumer step %d", i, prod.Step, cons.Step)
+		}
+		order := []int64{prod.Stamps["compute"], prod.Stamps["marshal"], prod.Stamps["publish"],
+			cons.Stamps["deliver"], cons.Stamps["decode"]}
+		for j := 1; j < len(order); j++ {
+			if order[j-1] > order[j] {
+				t.Errorf("step %d: stamps %v out of compute ≤ marshal ≤ publish ≤ deliver ≤ decode order", prod.Step, order)
+				break
+			}
+		}
 	}
 }
