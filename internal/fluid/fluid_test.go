@@ -122,6 +122,63 @@ func TestLaplacianAnnihilatesLinears(t *testing.T) {
 	}
 }
 
+// TestAnisotropicBoxGeometry: on a box whose element edges differ on
+// every axis, the one block of geometric factors all elements share is
+// exact on one rank and on two: the volume, the gradient of a
+// quadratic, and the weak Laplacian's energy u^T A_L u = ∫|∇u|². An
+// isotropic mesh cannot tell the axes' h apart; this one fails if two
+// of them are swapped in the shared block.
+func TestAnisotropicBoxGeometry(t *testing.T) {
+	cfg := mesh.BoxConfig{Nx: 4, Ny: 3, Nz: 2, Lx: 2, Ly: 0.9, Lz: 3, Order: 3} // h = 0.5, 0.3, 1.5
+	lx, ly, lz := cfg.Lx, cfg.Ly, cfg.Lz
+	vol := lx * ly * lz
+	// u = x² + 2y² + 3z², ∇u = (2x, 4y, 6z).
+	energy := vol * (4*lx*lx + 16*ly*ly + 36*lz*lz) / 3
+	for _, ranks := range []int{1, 2} {
+		mpirt.Run(ranks, func(c *mpirt.Comm) {
+			m, err := mesh.NewBox(cfg, c.Rank(), ranks)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if len(m.G) != 6*m.Np || len(m.RX) != 9*m.Np {
+				t.Errorf("len(G) = %d, len(RX) = %d, want %d and %d", len(m.G), len(m.RX), 6*m.Np, 9*m.Np)
+				return
+			}
+			s, err := NewSolver(Config{Mesh: m, Comm: c, Dev: occa.NewDevice(occa.CUDA, nil), Nu: 1, Dt: 0.01})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			u, au := make([]float64, s.n), make([]float64, s.n)
+			gx, gy, gz := make([]float64, s.n), make([]float64, s.n), make([]float64, s.n)
+			for i := range u {
+				x, y, z := m.X[i], m.Y[i], m.Z[i]
+				u[i] = x*x + 2*y*y + 3*z*z
+			}
+			s.gradient(u, gx, gy, gz)
+			for i := range u {
+				want := [3]float64{2 * m.X[i], 4 * m.Y[i], 6 * m.Z[i]}
+				if math.Abs(gx[i]-want[0]) > 1e-10 || math.Abs(gy[i]-want[1]) > 1e-10 || math.Abs(gz[i]-want[2]) > 1e-10 {
+					t.Errorf("ranks=%d: gradient at %d = (%v, %v, %v), want %v", ranks, i, gx[i], gy[i], gz[i], want)
+					return
+				}
+			}
+			s.localLaplacian(u, au)
+			var e float64
+			for i := range u {
+				e += u[i] * au[i]
+			}
+			if got := c.AllreduceF64Scalar(e, mpirt.OpSum); math.Abs(got-energy) > 1e-12*energy {
+				t.Errorf("ranks=%d: u^T A_L u = %.15g, want %.15g", ranks, got, energy)
+			}
+			if got := c.AllreduceF64Scalar(m.LocalVolume(), mpirt.OpSum); math.Abs(got-vol) > 1e-14*vol {
+				t.Errorf("ranks=%d: volume = %.17g, want %.17g", ranks, got, vol)
+			}
+		})
+	}
+}
+
 // TestLaplacianSymmetric: <A u, v> = <u, A v> for continuous fields —
 // the property CG depends on.
 func TestLaplacianSymmetric(t *testing.T) {
@@ -244,10 +301,10 @@ func TestHeatDecay(t *testing.T) {
 
 // TestTaylorGreenDecay: the 2D Taylor-Green vortex is an exact
 // Navier-Stokes solution with kinetic energy decaying as exp(-4 nu t).
+// It is the witness examples/quickstart prints: at t = 0.1 the solver
+// is within 1e-5 relative of the analytic decay (4.2e-6 when written),
+// on every architecture, unlike the bit-level TestPinnedTrajectories.
 func TestTaylorGreenDecay(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long numerical integration")
-	}
 	nu := 0.1
 	L := 2 * math.Pi
 	m := boxMesh(t, 3, 3, 3, 4, L, L, L, [3]bool{true, true, true})
@@ -272,7 +329,7 @@ func TestTaylorGreenDecay(t *testing.T) {
 	keEnd := s.KineticEnergy()
 	want := math.Exp(-4 * nu * s.Time())
 	got := keEnd / ke0
-	if relErr := math.Abs(got-want) / want; relErr > 0.01 {
+	if relErr := math.Abs(got-want) / want; relErr > 1e-5 {
 		t.Errorf("KE ratio = %v, want %v (rel err %g)", got, want, relErr)
 	}
 	if div := s.DivergenceL2(); div > 2*div0 {

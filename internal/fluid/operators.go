@@ -9,7 +9,9 @@ import "nekrs-sensei/internal/tensor"
 // and writes its output once. Every output value is formed by the same
 // floating-point operations in the same order as the textbook
 // formulation (derivative sweeps over the whole mesh, then pointwise
-// sweeps) that operators_test.go keeps as the reference.
+// sweeps) that operators_test.go keeps as the reference. The metric
+// terms are the reference element's (mesh.G, mesh.RX), the same block
+// for every element.
 
 // stackElem is the node count of the largest element (Nq = 8) whose
 // scratch is carved from the kernel's stack frame; larger elements
@@ -95,7 +97,7 @@ func (s *Solver) helmholtzElems(elo, ehi int) {
 		ue := a.in[off : off+np : off+np]
 		oe := a.out[off : off+np : off+np]
 		ur, us, ut := derivs3(d, nq, ue, w)
-		tensor.Metric(g[6*off:6*(off+np)], ur, us, ut)
+		tensor.Metric(g, ur, us, ut)
 		for p := range oe {
 			oe[p] = 0
 		}
@@ -140,10 +142,9 @@ func (s *Solver) gradientElems(elo, ehi int) {
 	for e := elo; e < ehi; e++ {
 		off := e * np
 		ur, us, ut := derivs3(d, nq, a.in[off:off+np:off+np], w)
-		re := rx[9*off : 9*(off+np)]
 		ox, oy, oz := a.outx[off:off+np:off+np], a.outy[off:off+np:off+np], a.outz[off:off+np:off+np]
 		for p := range ur {
-			r9 := re[9*p : 9*p+9 : 9*p+9]
+			r9 := rx[9*p : 9*p+9 : 9*p+9]
 			ox[p] = r9[0]*ur[p] + r9[1]*us[p] + r9[2]*ut[p]
 			oy[p] = r9[3]*ur[p] + r9[4]*us[p] + r9[5]*ut[p]
 			oz[p] = r9[6]*ur[p] + r9[7]*us[p] + r9[8]*ut[p]
@@ -169,11 +170,10 @@ func (s *Solver) advectElems(elo, ehi int) {
 	for e := elo; e < ehi; e++ {
 		off := e * np
 		ur, us, ut := derivs3(d, nq, a.in[off:off+np:off+np], w)
-		re := rx[9*off : 9*(off+np)]
 		ue, ve, we := u[off:off+np:off+np], v[off:off+np:off+np], wv[off:off+np:off+np]
 		oe := a.out[off : off+np : off+np]
 		for p := range ur {
-			r9 := re[9*p : 9*p+9 : 9*p+9]
+			r9 := rx[9*p : 9*p+9 : 9*p+9]
 			gx := r9[0]*ur[p] + r9[1]*us[p] + r9[2]*ut[p]
 			gy := r9[3]*ur[p] + r9[4]*us[p] + r9[5]*ut[p]
 			gz := r9[6]*ur[p] + r9[7]*us[p] + r9[8]*ut[p]
@@ -201,51 +201,51 @@ func (s *Solver) divergenceElems(elo, ehi int) {
 		for p := range oe {
 			oe[p] = 0
 		}
-		re := rx[9*off : 9*(off+np)]
 		for comp, field := range [3][]float64{a.ax, a.ay, a.az} {
 			ur, us, ut := derivs3(d, nq, field[off:off+np:off+np], w)
 			for p := range ur {
-				r3 := re[9*p+3*comp : 9*p+3*comp+3 : 9*p+3*comp+3]
+				r3 := rx[9*p+3*comp : 9*p+3*comp+3 : 9*p+3*comp+3]
 				oe[p] += r3[0]*ur[p] + r3[1]*us[p] + r3[2]*ut[p]
 			}
 		}
 	}
 }
 
-// laplacianDiagLocal returns the unassembled diagonal of A_L.
+// laplacianDiagLocal returns the unassembled diagonal of A_L: the
+// reference element's, repeated in every element.
 func (s *Solver) laplacianDiagLocal() []float64 {
 	nq, np := s.nq, s.np
-	d := s.mesh.D
+	d, g := s.mesh.D, s.mesh.G
+	grr, grs, grt := g[:np], g[np:2*np], g[2*np:3*np]
+	gss, gst, gtt := g[3*np:4*np], g[4*np:5*np], g[5*np:]
 	diag := make([]float64, s.n)
-	for e := 0; e < s.nelt; e++ {
-		ge := s.mesh.G[6*e*np : 6*(e+1)*np]
-		grr, grs, grt := ge[:np], ge[np:2*np], ge[2*np:3*np]
-		gss, gst, gtt := ge[3*np:4*np], ge[4*np:5*np], ge[5*np:]
-		for k := 0; k < nq; k++ {
-			for j := 0; j < nq; j++ {
-				for i := 0; i < nq; i++ {
-					p := k*nq*nq + j*nq + i
-					var v float64
-					// rr: sum_m D[m,i]^2 Grr(m, j, k)
-					for m := 0; m < nq; m++ {
-						v += d[m*nq+i] * d[m*nq+i] * grr[k*nq*nq+j*nq+m]
-					}
-					// ss: sum_m D[m,j]^2 Gss(i, m, k)
-					for m := 0; m < nq; m++ {
-						v += d[m*nq+j] * d[m*nq+j] * gss[k*nq*nq+m*nq+i]
-					}
-					// tt: sum_m D[m,k]^2 Gtt(i, j, m)
-					for m := 0; m < nq; m++ {
-						v += d[m*nq+k] * d[m*nq+k] * gtt[m*nq*nq+j*nq+i]
-					}
-					// cross terms at the point itself.
-					v += 2 * d[i*nq+i] * d[j*nq+j] * grs[p]
-					v += 2 * d[i*nq+i] * d[k*nq+k] * grt[p]
-					v += 2 * d[j*nq+j] * d[k*nq+k] * gst[p]
-					diag[e*np+p] = v
+	for k := 0; k < nq; k++ {
+		for j := 0; j < nq; j++ {
+			for i := 0; i < nq; i++ {
+				p := k*nq*nq + j*nq + i
+				var v float64
+				// rr: sum_m D[m,i]^2 Grr(m, j, k)
+				for m := 0; m < nq; m++ {
+					v += d[m*nq+i] * d[m*nq+i] * grr[k*nq*nq+j*nq+m]
 				}
+				// ss: sum_m D[m,j]^2 Gss(i, m, k)
+				for m := 0; m < nq; m++ {
+					v += d[m*nq+j] * d[m*nq+j] * gss[k*nq*nq+m*nq+i]
+				}
+				// tt: sum_m D[m,k]^2 Gtt(i, j, m)
+				for m := 0; m < nq; m++ {
+					v += d[m*nq+k] * d[m*nq+k] * gtt[m*nq*nq+j*nq+i]
+				}
+				// cross terms at the point itself.
+				v += 2 * d[i*nq+i] * d[j*nq+j] * grs[p]
+				v += 2 * d[i*nq+i] * d[k*nq+k] * grt[p]
+				v += 2 * d[j*nq+j] * d[k*nq+k] * gst[p]
+				diag[p] = v
 			}
 		}
+	}
+	for off := np; off < s.n; off += np {
+		copy(diag[off:off+np], diag[:np])
 	}
 	return diag
 }

@@ -64,10 +64,10 @@ func (r *refOps) laplacian(in, out []float64) {
 	g, np := s.mesh.G, s.np
 	r.derivs(in)
 	for p := 0; p < s.n; p++ {
-		// G is six planes per element: rr, rs, rt, ss, st, tt.
+		// G is the reference element's six planes: rr, rs, rt, ss, st, tt.
 		var g6 [6]float64
 		for c := range g6 {
-			g6[c] = g[6*(p/np)*np+c*np+p%np]
+			g6[c] = g[c*np+p%np]
 		}
 		a, b, c := r.wr[p], r.ws[p], r.wt[p]
 		r.wr[p] = g6[0]*a + g6[1]*b + g6[2]*c
@@ -103,10 +103,10 @@ func (r *refOps) helmholtz(in, out []float64, visc, h0 float64, withBrinkman boo
 }
 
 func (r *refOps) gradient(in, outx, outy, outz []float64) {
-	rx := r.s.mesh.RX
+	rx, np := r.s.mesh.RX, r.s.np
 	r.derivs(in)
 	for p := 0; p < r.s.n; p++ {
-		r9 := rx[9*p : 9*p+9]
+		r9 := rx[9*(p%np) : 9*(p%np)+9]
 		outx[p] = r9[0]*r.wr[p] + r9[1]*r.ws[p] + r9[2]*r.wt[p]
 		outy[p] = r9[3]*r.wr[p] + r9[4]*r.ws[p] + r9[5]*r.wt[p]
 		outz[p] = r9[6]*r.wr[p] + r9[7]*r.ws[p] + r9[8]*r.wt[p]
@@ -114,14 +114,14 @@ func (r *refOps) gradient(in, outx, outy, outz []float64) {
 }
 
 func (r *refOps) divergence(ax, ay, az, out []float64) {
-	rx := r.s.mesh.RX
+	rx, np := r.s.mesh.RX, r.s.np
 	for p := range out {
 		out[p] = 0
 	}
 	for comp, field := range [3][]float64{ax, ay, az} {
 		r.derivs(field)
 		for p := 0; p < r.s.n; p++ {
-			r9 := rx[9*p : 9*p+9]
+			r9 := rx[9*(p%np) : 9*(p%np)+9]
 			out[p] += r9[3*comp]*r.wr[p] + r9[3*comp+1]*r.ws[p] + r9[3*comp+2]*r.wt[p]
 		}
 	}
@@ -138,9 +138,10 @@ func (r *refOps) advect(in, out []float64) {
 }
 
 // operatorTestSolver builds a solver of the given order on nelem
-// elements whose metric arrays are overwritten with random values, so
-// the off-diagonal geometric factors a box mesh leaves at zero take
-// part, with a Brinkman field that is zero on a third of the nodes.
+// elements whose geometric factors are overwritten with random values,
+// so the off-diagonal terms a box mesh leaves at zero take part: the
+// one G and RX block every element shares, and B node by node, as the
+// kernels index it. The Brinkman field is zero on a third of the nodes.
 func operatorTestSolver(t *testing.T, rng *rand.Rand, order, nelem int, dev *occa.Device) *Solver {
 	t.Helper()
 	m, err := mesh.NewBox(mesh.BoxConfig{Nx: nelem, Ny: 1, Nz: 1, Lx: float64(nelem), Ly: 1, Lz: 1, Order: order}, 0, 1)

@@ -1,9 +1,10 @@
 // Package mesh builds hexahedral spectral-element meshes, their global
-// (C0) node numbering, rank partitioning, and the per-point geometric
-// factors required by the weak operators. Box meshes with optional
-// per-axis periodicity and smooth coordinate mappings cover all cases
-// in the paper's evaluation: the pb146 pebble bed (an immersed-geometry
-// box) and the Rayleigh-Bénard mesoscale box.
+// (C0) node numbering, rank partitioning, and the geometric factors
+// required by the weak operators. Axis-aligned box meshes with optional
+// per-axis periodicity cover all cases in the paper's evaluation: the
+// pb146 pebble bed (an immersed-geometry box) and the Rayleigh-Bénard
+// mesoscale box. Every element of such a mesh is the same brick,
+// shifted, so the factors are those of one reference element.
 package mesh
 
 import (
@@ -19,11 +20,6 @@ type BoxConfig struct {
 	Lx, Ly, Lz float64 // domain extents; the box is [0,Lx]x[0,Ly]x[0,Lz]
 	Order      int     // polynomial order N (Nq = N+1 GLL points per axis)
 	Periodic   [3]bool // per-axis periodicity
-
-	// Map, when non-nil, smoothly deforms the box coordinates. The
-	// geometric factors are computed from the mapped coordinates, so
-	// any diffeomorphism of the box is supported.
-	Map func(x, y, z float64) (float64, float64, float64)
 }
 
 // Face identifies one face of the global box.
@@ -80,19 +76,18 @@ type Mesh struct {
 	// and rank boundaries, wrapped across periodic faces).
 	GlobalID []int64
 
-	// Geometric factors per point:
-	//   G:   the weak Laplacian's D^T G D metric, scaled by w*J, as six
-	//        planes per element: G[6*e*Np + c*Np + p] with c = 0..5 for
-	//        Grr, Grs, Grt, Gss, Gst, Gtt, so an element's slice
-	//        G[6*e*Np : 6*(e+1)*Np] is what tensor.Metric takes.
-	//   B:   quadrature mass w*J (unassembled diagonal mass matrix).
-	//   RX:  9 per point, interleaved (rx, sx, tx, ry, sy, ty, rz, sz,
-	//        tz), for physical gradients.
-	//   Jac: Jacobian determinant.
-	G   []float64
-	B   []float64
-	RX  []float64
-	Jac []float64
+	// Geometric factors. G and RX belong to the reference element and
+	// serve every element; B is per node.
+	//   G:  the weak Laplacian's D^T G D metric, scaled by w*J, as six
+	//       planes of Np values: G[c*Np + p] with c = 0..5 for Grr, Grs,
+	//       Grt, Gss, Gst, Gtt, which is what tensor.Metric takes.
+	//   RX: 9 per point, interleaved (rx, sx, tx, ry, sy, ty, rz, sz,
+	//       tz), for physical gradients: RX[9*p : 9*p+9].
+	//   B:  quadrature mass w*J (unassembled diagonal mass matrix),
+	//       length Nelt*Np, the reference element's w*J in every element.
+	G  []float64
+	RX []float64
+	B  []float64
 }
 
 // Factor3 splits size into a (px, py, pz) rank grid with px*py*pz ==
@@ -222,14 +217,10 @@ func (m *Mesh) buildElements() {
 						y := (float64(ey) + (m.Nodes1D[j]+1)/2) * hy
 						for i := 0; i < nq; i++ {
 							x := (float64(ex) + (m.Nodes1D[i]+1)/2) * hx
-							xx, yy, zz := x, y, z
-							if cfg.Map != nil {
-								xx, yy, zz = cfg.Map(x, y, z)
-							}
 							idx := base + k*nq*nq + j*nq + i
-							m.X[idx] = xx
-							m.Y[idx] = yy
-							m.Z[idx] = zz
+							m.X[idx] = x
+							m.Y[idx] = y
+							m.Z[idx] = z
 						}
 					}
 				}
@@ -295,17 +286,31 @@ func (m *Mesh) buildGlobalIDs() {
 	}
 }
 
-// buildGeometricFactors computes per-point Jacobians, inverse metrics,
-// quadrature mass, and the symmetric G tensor for the weak Laplacian.
+// buildGeometricFactors computes the inverse metrics, quadrature mass
+// and symmetric G tensor of the reference element from its local
+// coordinates, (ξ+1)/2·h along each axis. J = hx*hy*hz/8 is positive
+// because NewBox validated the extents.
 func (m *Mesh) buildGeometricFactors() {
+	cfg := m.Cfg
 	nq := m.Nq
 	np := m.Np
-	n := m.Nelt * np
-	m.G = make([]float64, 6*n)
-	m.B = make([]float64, n)
-	m.RX = make([]float64, 9*n)
-	m.Jac = make([]float64, n)
+	hx := cfg.Lx / float64(cfg.Nx)
+	hy := cfg.Ly / float64(cfg.Ny)
+	hz := cfg.Lz / float64(cfg.Nz)
+	m.G = make([]float64, 6*np)
+	m.RX = make([]float64, 9*np)
+	m.B = make([]float64, m.Nelt*np)
 
+	xe := make([]float64, np)
+	ye := make([]float64, np)
+	ze := make([]float64, np)
+	for p := range xe {
+		i, j, k := p%nq, (p/nq)%nq, p/(nq*nq)
+		xe[p] = (m.Nodes1D[i] + 1) / 2 * hx
+		ye[p] = (m.Nodes1D[j] + 1) / 2 * hy
+		ze[p] = (m.Nodes1D[k] + 1) / 2 * hz
+		m.B[p] = m.Weights1D[i] * m.Weights1D[j] * m.Weights1D[k] // w, times J below
+	}
 	xr := make([]float64, np)
 	xs := make([]float64, np)
 	xt := make([]float64, np)
@@ -315,61 +320,49 @@ func (m *Mesh) buildGeometricFactors() {
 	zr := make([]float64, np)
 	zs := make([]float64, np)
 	zt := make([]float64, np)
+	tensor.DerivR(m.D, nq, xe, xr)
+	tensor.DerivS(m.D, nq, xe, xs)
+	tensor.DerivT(m.D, nq, xe, xt)
+	tensor.DerivR(m.D, nq, ye, yr)
+	tensor.DerivS(m.D, nq, ye, ys)
+	tensor.DerivT(m.D, nq, ye, yt)
+	tensor.DerivR(m.D, nq, ze, zr)
+	tensor.DerivS(m.D, nq, ze, zs)
+	tensor.DerivT(m.D, nq, ze, zt)
 
-	for e := 0; e < m.Nelt; e++ {
-		xe := m.X[e*np : (e+1)*np]
-		ye := m.Y[e*np : (e+1)*np]
-		ze := m.Z[e*np : (e+1)*np]
-		tensor.DerivR(m.D, nq, xe, xr)
-		tensor.DerivS(m.D, nq, xe, xs)
-		tensor.DerivT(m.D, nq, xe, xt)
-		tensor.DerivR(m.D, nq, ye, yr)
-		tensor.DerivS(m.D, nq, ye, ys)
-		tensor.DerivT(m.D, nq, ye, yt)
-		tensor.DerivR(m.D, nq, ze, zr)
-		tensor.DerivS(m.D, nq, ze, zs)
-		tensor.DerivT(m.D, nq, ze, zt)
+	for p := 0; p < np; p++ {
+		J := xr[p]*(ys[p]*zt[p]-yt[p]*zs[p]) -
+			xs[p]*(yr[p]*zt[p]-yt[p]*zr[p]) +
+			xt[p]*(yr[p]*zs[p]-ys[p]*zr[p])
+		inv := 1 / J
+		rx := (ys[p]*zt[p] - yt[p]*zs[p]) * inv
+		ry := (xt[p]*zs[p] - xs[p]*zt[p]) * inv
+		rzv := (xs[p]*yt[p] - xt[p]*ys[p]) * inv
+		sx := (yt[p]*zr[p] - yr[p]*zt[p]) * inv
+		sy := (xr[p]*zt[p] - xt[p]*zr[p]) * inv
+		sz := (xt[p]*yr[p] - xr[p]*yt[p]) * inv
+		tx := (yr[p]*zs[p] - ys[p]*zr[p]) * inv
+		ty := (xs[p]*zr[p] - xr[p]*zs[p]) * inv
+		tz := (xr[p]*ys[p] - xs[p]*yr[p]) * inv
 
-		for p := 0; p < np; p++ {
-			J := xr[p]*(ys[p]*zt[p]-yt[p]*zs[p]) -
-				xs[p]*(yr[p]*zt[p]-yt[p]*zr[p]) +
-				xt[p]*(yr[p]*zs[p]-ys[p]*zr[p])
-			if J <= 0 {
-				panic(fmt.Sprintf("mesh: non-positive Jacobian %g in element %d", J, e))
-			}
-			inv := 1 / J
-			rx := (ys[p]*zt[p] - yt[p]*zs[p]) * inv
-			ry := (xt[p]*zs[p] - xs[p]*zt[p]) * inv
-			rzv := (xs[p]*yt[p] - xt[p]*ys[p]) * inv
-			sx := (yt[p]*zr[p] - yr[p]*zt[p]) * inv
-			sy := (xr[p]*zt[p] - xt[p]*zr[p]) * inv
-			sz := (xt[p]*yr[p] - xr[p]*yt[p]) * inv
-			tx := (yr[p]*zs[p] - ys[p]*zr[p]) * inv
-			ty := (xs[p]*zr[p] - xr[p]*zs[p]) * inv
-			tz := (xr[p]*ys[p] - xs[p]*yr[p]) * inv
+		wJ := m.B[p] * J
+		m.B[p] = wJ
 
-			gp := e*np + p
-			i := p % nq
-			j := (p / nq) % nq
-			k := p / (nq * nq)
-			w := m.Weights1D[i] * m.Weights1D[j] * m.Weights1D[k]
-			wJ := w * J
-			m.Jac[gp] = J
-			m.B[gp] = wJ
+		r9 := m.RX[9*p : 9*p+9]
+		r9[0], r9[1], r9[2] = rx, sx, tx
+		r9[3], r9[4], r9[5] = ry, sy, ty
+		r9[6], r9[7], r9[8] = rzv, sz, tz
 
-			r9 := m.RX[9*gp : 9*gp+9]
-			r9[0], r9[1], r9[2] = rx, sx, tx
-			r9[3], r9[4], r9[5] = ry, sy, ty
-			r9[6], r9[7], r9[8] = rzv, sz, tz
-
-			ge := m.G[6*e*np+p:]
-			ge[0] = wJ * (rx*rx + ry*ry + rzv*rzv)   // Grr
-			ge[np] = wJ * (rx*sx + ry*sy + rzv*sz)   // Grs
-			ge[2*np] = wJ * (rx*tx + ry*ty + rzv*tz) // Grt
-			ge[3*np] = wJ * (sx*sx + sy*sy + sz*sz)  // Gss
-			ge[4*np] = wJ * (sx*tx + sy*ty + sz*tz)  // Gst
-			ge[5*np] = wJ * (tx*tx + ty*ty + tz*tz)  // Gtt
-		}
+		ge := m.G[p:]
+		ge[0] = wJ * (rx*rx + ry*ry + rzv*rzv)   // Grr
+		ge[np] = wJ * (rx*sx + ry*sy + rzv*sz)   // Grs
+		ge[2*np] = wJ * (rx*tx + ry*ty + rzv*tz) // Grt
+		ge[3*np] = wJ * (sx*sx + sy*sy + sz*sz)  // Gss
+		ge[4*np] = wJ * (sx*tx + sy*ty + sz*tz)  // Gst
+		ge[5*np] = wJ * (tx*tx + ty*ty + tz*tz)  // Gtt
+	}
+	for e := 1; e < m.Nelt; e++ {
+		copy(m.B[e*np:(e+1)*np], m.B[:np])
 	}
 }
 
@@ -385,8 +378,8 @@ func (m *Mesh) LocalVolume() float64 {
 // MinSpacing returns the smallest nodal spacing on this rank, the
 // length scale used in CFL estimates.
 func (m *Mesh) MinSpacing() float64 {
-	// For a (possibly mapped) box the tightest spacing is between the
-	// first two GLL nodes of the smallest element edge.
+	// The tightest spacing is between the first two GLL nodes of the
+	// shortest element edge.
 	cfg := m.Cfg
 	h := math.Min(cfg.Lx/float64(cfg.Nx), math.Min(cfg.Ly/float64(cfg.Ny), cfg.Lz/float64(cfg.Nz)))
 	return h * (m.Nodes1D[1] - m.Nodes1D[0]) / 2

@@ -81,39 +81,6 @@ func TestBoxVolumeParallel(t *testing.T) {
 	})
 }
 
-func TestMappedMeshVolume(t *testing.T) {
-	// A trilinear shear map has constant Jacobian factor 1 per the
-	// determinant (shear preserves volume); quadrature must be exact.
-	cfg := BoxConfig{
-		Nx: 2, Ny: 2, Nz: 2, Lx: 1, Ly: 1, Lz: 1, Order: 5,
-		Map: func(x, y, z float64) (float64, float64, float64) {
-			return x + 0.3*y, y + 0.1*z, z
-		},
-	}
-	m, err := NewBox(cfg, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.LocalVolume(); math.Abs(got-1) > 1e-12 {
-		t.Errorf("sheared volume = %v, want 1", got)
-	}
-}
-
-func TestNonPositiveJacobianPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for orientation-reversing map")
-		}
-	}()
-	cfg := BoxConfig{
-		Nx: 1, Ny: 1, Nz: 1, Lx: 1, Ly: 1, Lz: 1, Order: 2,
-		Map: func(x, y, z float64) (float64, float64, float64) {
-			return -x, y, z // reflection: negative Jacobian
-		},
-	}
-	NewBox(cfg, 0, 1) //nolint:errcheck // panics before returning
-}
-
 // TestGlobalIDsMatchCoordinates: nodes sharing a global id must have
 // identical physical coordinates (up to periodic wrapping).
 func TestGlobalIDsMatchCoordinates(t *testing.T) {
@@ -240,39 +207,42 @@ func TestBoundaryNodesEmptyOnPeriodicAxis(t *testing.T) {
 }
 
 // TestGeometricFactorsAffine: for an axis-aligned box the metric is
-// diagonal and constant per element.
+// diagonal and constant, and one reference element's factors serve
+// every element.
 func TestGeometricFactorsAffine(t *testing.T) {
 	cfg := BoxConfig{Nx: 2, Ny: 1, Nz: 1, Lx: 2, Ly: 1, Lz: 4, Order: 3}
 	m, err := NewBox(cfg, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// dx/dr = hx/2 = 0.5, dy/ds = 0.5, dz/dt = 2 -> J = 0.5.
 	for p := 0; p < m.NumNodes(); p++ {
-		if math.Abs(m.Jac[p]-0.5) > 1e-12 {
-			t.Fatalf("J[%d] = %v, want 0.5", p, m.Jac[p])
+		// dx/dr = hx/2 = 0.5, dy/ds = 0.5, dz/dt = 2 -> J = 0.5.
+		q := p % m.Np
+		nq := m.Nq
+		w := m.Weights1D[q%nq] * m.Weights1D[q/nq%nq] * m.Weights1D[q/(nq*nq)]
+		if want := 0.5 * w; math.Abs(m.B[p]-want) > 1e-12*want {
+			t.Fatalf("B[%d] = %v, want w*J = %v", p, m.B[p], want)
 		}
 		// rx = 2, sy = 2, tz = 0.5; off-diagonals zero.
-		r9 := m.RX[9*p : 9*p+9]
+		r9 := m.RX[9*q : 9*q+9]
 		want := [9]float64{2, 0, 0, 0, 2, 0, 0, 0, 0.5}
 		for a := 0; a < 9; a++ {
 			if math.Abs(r9[a]-want[a]) > 1e-12 {
-				t.Fatalf("RX[%d][%d] = %v, want %v", p, a, r9[a], want[a])
+				t.Fatalf("RX[%d][%d] = %v, want %v", q, a, r9[a], want[a])
 			}
 		}
-		// G is six planes per element: rr, rs, rt, ss, st, tt.
-		e, q := p/m.Np, p%m.Np
+		// G is six planes: rr, rs, rt, ss, st, tt.
 		var g6 [6]float64
 		for c := range g6 {
-			g6[c] = m.G[6*e*m.Np+c*m.Np+q]
+			g6[c] = m.G[c*m.Np+q]
 		}
 		if math.Abs(g6[1]) > 1e-14 || math.Abs(g6[2]) > 1e-14 || math.Abs(g6[4]) > 1e-14 {
-			t.Fatalf("off-diagonal G nonzero at %d: %v", p, g6)
+			t.Fatalf("off-diagonal G nonzero at %d: %v", q, g6)
 		}
 		// Grr = w*J*rx^2, Gss = w*J*sy^2, Gtt = w*J*tz^2.
 		for c, scale := range map[int]float64{0: 4, 3: 4, 5: 0.25} {
 			if want := m.B[p] * scale; math.Abs(g6[c]-want) > 1e-12*want {
-				t.Fatalf("G[%d] at %d = %v, want %v", c, p, g6[c], want)
+				t.Fatalf("G[%d] at %d = %v, want %v", c, q, g6[c], want)
 			}
 		}
 	}
