@@ -47,34 +47,37 @@ func pinnedCase(name string) cases.Case {
 	panic("unknown pinned case " + name)
 }
 
-// pinned was recorded at commit eef326f (PR 12), before the solver hot
-// path was rebuilt: generic tensor loops, four-collective CG, map-based
-// gather-scatter. Performance work must reproduce it.
+// pinned was first recorded before the solver hot path was rebuilt
+// (generic tensor loops, four-collective CG, map-based gather-scatter)
+// and re-recorded once since, when box meshes began to share one
+// reference element's geometric factors: that moved the diagnostics by
+// at most 3.2e-8 relative and no iteration count. Performance work
+// must reproduce it.
 var pinned = []pin{
 	{name: "pb146-o3", ranks: 1,
 		iters: [pinnedSteps][5]int{{25, 4, 4, 3, 4}, {60, 3, 3, 3, 3}, {54, 3, 3, 3, 3}, {49, 3, 3, 3, 3}, {47, 3, 3, 3, 3}, {44, 3, 3, 3, 3}},
-		diag:  [4]float64{9.9910314900567018e-05, 0.10685363014655544, 0.019712756293652635, 6.8702611985360553e-07}},
+		diag:  [4]float64{9.991031490056695e-05, 0.10685363014655518, 0.019712756293652635, 6.8702611985360416e-07}},
 	{name: "pb146-o3", ranks: 2,
 		iters: [pinnedSteps][5]int{{25, 4, 4, 3, 4}, {60, 3, 3, 3, 3}, {54, 3, 3, 3, 3}, {49, 3, 3, 3, 3}, {47, 3, 3, 3, 3}, {44, 3, 3, 3, 3}},
-		diag:  [4]float64{9.991031490056695e-05, 0.10685363014655554, 0.019712756293652628, 6.8702611985363656e-07}},
+		diag:  [4]float64{9.991031490056695e-05, 0.10685363014655534, 0.019712756293652638, 6.8702611985363444e-07}},
 	{name: "pb146-o6", ranks: 1,
 		iters: [pinnedSteps][5]int{{59, 6, 6, 6, 5}, {139, 5, 5, 5, 5}, {122, 5, 5, 5, 5}, {106, 5, 5, 5, 4}, {100, 5, 5, 5, 4}, {93, 5, 5, 5, 4}},
-		diag:  [4]float64{9.3754132709538709e-05, 0.10237180653446171, 0.017559437864277602, 1.3995268669618995e-06}},
+		diag:  [4]float64{9.3754132709994805e-05, 0.10237180653536845, 0.017559437865819934, 1.3995268669781125e-06}},
 	{name: "pb146-o6", ranks: 2,
 		iters: [pinnedSteps][5]int{{59, 6, 6, 6, 5}, {139, 5, 5, 5, 5}, {122, 5, 5, 5, 5}, {106, 5, 5, 5, 4}, {100, 5, 5, 5, 4}, {93, 5, 5, 5, 4}},
-		diag:  [4]float64{9.3754132712476625e-05, 0.10237180653963462, 0.017559437863650901, 1.3995268670532107e-06}},
+		diag:  [4]float64{9.3754132712002843e-05, 0.10237180653799791, 0.017559437864974395, 1.3995268670392821e-06}},
 	{name: "rbc-o3", ranks: 1,
 		iters: [pinnedSteps][5]int{{17, 3, 3, 3, 1}, {20, 3, 3, 3, 1}, {18, 3, 3, 3, 1}, {15, 3, 3, 3, 1}, {17, 3, 3, 3, 1}, {17, 3, 3, 3, 1}},
-		diag:  [4]float64{5.054866841154294e-08, 0.00020803472986919097, 0.00039743857648230212, 8.5029285390165974e-07}},
+		diag:  [4]float64{5.0548668412024174e-08, 0.0002080347289524545, 0.00039743857551458148, 8.5029285181250655e-07}},
 	{name: "rbc-o3", ranks: 2,
 		iters: [pinnedSteps][5]int{{17, 3, 3, 3, 1}, {20, 3, 3, 3, 1}, {18, 3, 3, 3, 1}, {15, 3, 3, 3, 1}, {17, 3, 3, 3, 1}, {17, 3, 3, 3, 1}},
-		diag:  [4]float64{5.0548668410655613e-08, 0.0002080347316191612, 0.00039743857803398175, 8.5029285802705293e-07}},
+		diag:  [4]float64{5.0548668412063051e-08, 0.00020803472888038338, 0.00039743857540130111, 8.5029285166180817e-07}},
 	{name: "rbc-o7", ranks: 1,
 		iters: [pinnedSteps][5]int{{58, 5, 5, 5, 2}, {59, 4, 4, 4, 2}, {57, 4, 4, 4, 2}, {51, 4, 4, 4, 1}, {49, 4, 4, 4, 1}, {48, 4, 4, 4, 1}},
-		diag:  [4]float64{5.2912435306631982e-08, 5.4840161298451941e-05, 0.0004309584629004936, 8.8695870390392979e-07}},
+		diag:  [4]float64{5.2912435306657294e-08, 5.4840160005876621e-05, 0.00043095846407221821, 8.8695870604779591e-07}},
 	{name: "rbc-o7", ranks: 2,
 		iters: [pinnedSteps][5]int{{58, 5, 5, 5, 2}, {59, 4, 4, 4, 2}, {57, 4, 4, 4, 2}, {51, 4, 4, 4, 1}, {49, 4, 4, 4, 1}, {48, 4, 4, 4, 1}},
-		diag:  [4]float64{5.2912435306606188e-08, 5.4840161923311148e-05, 0.00043095846305714981, 8.8695870205321172e-07}},
+		diag:  [4]float64{5.2912435306657202e-08, 5.484016019658882e-05, 0.00043095846406747445, 8.8695870588858622e-07}},
 }
 
 // runPinned advances the case pinnedSteps steps and returns rank 0's
