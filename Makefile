@@ -18,13 +18,14 @@
 # `make generate-check` fails when the generated tensor kernels are
 # stale; `make loc` prints non-test Go lines per package and checks the
 # wire-path packages and the whole tree against scripts/loc.ceiling;
-# `make recipes` runs README's deployment recipes as printed;
+# `make docpaths` fails when README.md or DESIGN.md names a path that
+# no longer exists; `make recipes` runs README's deployment recipes as printed;
 # `make clean` removes example/figure/recipe outputs. The paper's figures are
 # `go run ./cmd/figures -fig all`, whose exit code is their shape check.
 
 GO ?= go
 
-.PHONY: build test race vet fmt bench-kernels bench-render bench-codec bench-e2e generate-check loc telemetry-smoke recipes profile clean all
+.PHONY: build test race vet fmt bench-kernels bench-render bench-codec bench-e2e generate-check loc docpaths telemetry-smoke recipes profile clean all
 
 all: build vet fmt test
 
@@ -102,6 +103,11 @@ generate-check:
 # the lines bought.
 loc:
 	bash scripts/loc.sh -check
+
+# Every backticked internal/, cmd/, examples/ or scripts/ path in
+# README.md and DESIGN.md exists.
+docpaths:
+	bash scripts/docpaths.sh
 
 # Curl-smoke the live telemetry plane: real producer + endpoint with
 # -telemetry on, asserting /metrics, /statusz and /debug/pprof answer

@@ -2,7 +2,10 @@
 // Figures 2 and 3 and the storage comparison (pb146 in situ), Figures
 // 5 and 6 (RBC in transit) — prints each as aligned text, writes a CSV
 // per table, and exits non-zero when a figure's shape is not the
-// paper's:
+// paper's. Every run is the binaries a user runs: figures builds nekrs
+// and sensei-endpoint once (it needs the go toolchain, as go run does),
+// launches them as processes meeting at a contact file, and reads the
+// summary.json each writes into its -out:
 //
 //	figures -fig all -out results/
 //	figures -fig 2 -ranks 1,2,4 -steps 60 -interval 10
@@ -15,14 +18,15 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"time"
 
-	"nekrs-sensei/internal/bench"
 	"nekrs-sensei/internal/metrics"
 )
 
@@ -32,6 +36,8 @@ type options struct {
 	fig, out, ranks        string
 	steps, interval        int
 	refine, order, imagePx int
+
+	bin string // holds nekrs and sensei-endpoint; "" = run builds them
 }
 
 // matrices holds the runs the figures share, as in the paper: Figures
@@ -39,9 +45,9 @@ type options struct {
 // and 6 one RBC matrix. Each is run at most once per invocation.
 type matrices struct {
 	opts   options
-	insitu []bench.InSituResult
-	rbc    []bench.InTransitResult
-	queue  bench.QueueGrowth
+	insitu []InSituResult
+	rbc    []InTransitResult
+	queue  QueueGrowth
 }
 
 // table is one printed table and the CSV file it is written to.
@@ -64,26 +70,26 @@ type figure struct {
 
 var registry = []figure{
 	{"2", (*matrices).runInSitu,
-		func(m *matrices) []table { return []table{{"fig2.csv", bench.Fig2Table(m.insitu)}} },
-		func(m *matrices) (string, error) { return bench.Fig2Verdict(m.insitu), nil }},
+		func(m *matrices) []table { return []table{{"fig2.csv", Fig2Table(m.insitu)}} },
+		func(m *matrices) (string, error) { return Fig2Verdict(m.insitu), nil }},
 	{"3", (*matrices).runInSitu,
-		func(m *matrices) []table { return []table{{"fig3.csv", bench.Fig3Table(m.insitu)}} },
-		func(m *matrices) (string, error) { return "", bench.CheckFig2And3(m.insitu) }},
+		func(m *matrices) []table { return []table{{"fig3.csv", Fig3Table(m.insitu)}} },
+		func(m *matrices) (string, error) { return "", CheckFig2And3(m.insitu) }},
 	{"storage", (*matrices).runInSitu,
-		func(m *matrices) []table { return []table{{"storage.csv", bench.StorageTable(m.insitu)}} },
+		func(m *matrices) []table { return []table{{"storage.csv", StorageTable(m.insitu)}} },
 		func(m *matrices) (string, error) {
 			return fmt.Sprintf("  Checkpointing/Catalyst storage ratio: %.0fx (paper: ~3000x at full scale)\n",
-				bench.StorageRatio(m.insitu)), bench.CheckFig2And3(m.insitu)
+				StorageRatio(m.insitu)), CheckFig2And3(m.insitu)
 		}},
 	{"5", (*matrices).runRBC,
-		func(m *matrices) []table { return []table{{"fig5.csv", bench.Fig5Table(m.rbc)}} },
-		func(m *matrices) (string, error) { return "", bench.CheckFig5And6(m.rbc) }},
+		func(m *matrices) []table { return []table{{"fig5.csv", Fig5Table(m.rbc)}} },
+		func(m *matrices) (string, error) { return "", CheckFig5And6(m.rbc) }},
 	{"6", (*matrices).runRBCAndQueue,
 		func(m *matrices) []table {
-			return []table{{"fig6.csv", bench.Fig6Table(m.rbc)}, {"fig6_mechanism.csv", bench.QueueGrowthTable(m.queue)}}
+			return []table{{"fig6.csv", Fig6Table(m.rbc)}, {"fig6_mechanism.csv", QueueGrowthTable(m.queue)}}
 		},
 		func(m *matrices) (string, error) {
-			if err := bench.CheckFig5And6(m.rbc); err != nil {
+			if err := CheckFig5And6(m.rbc); err != nil {
 				return "", err
 			}
 			return "", m.queue.Check()
@@ -131,6 +137,14 @@ func run(o options) error {
 	if err := os.MkdirAll(o.out, 0o755); err != nil {
 		return err
 	}
+	if o.bin == "" {
+		bin, err := buildBinaries()
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(bin)
+		o.bin = bin
+	}
 	m := &matrices{opts: o}
 	var failed error
 	for _, f := range selected {
@@ -168,18 +182,22 @@ func (m *matrices) runInSitu() error {
 		return err
 	}
 	fmt.Printf("running in situ pb146 matrix (ranks %v)...\n\n", ranks)
-	m.insitu, err = bench.RunFig2And3(ranks, bench.InSituConfig{
-		Steps: m.opts.steps, Interval: m.opts.interval, Refine: m.opts.refine, Order: m.opts.order,
-		ImagePx: m.opts.imagePx, OutputDir: filepath.Join(m.opts.out, "insitu"),
-	})
-	return err
+	for _, r := range ranks {
+		res, err := interleaved([3]InSituMode{Original, Checkpointing, Catalyst},
+			func(mode InSituMode) (InSituResult, error) { return m.inSitu(mode, r) },
+			func(r *InSituResult) *time.Duration { return &r.WallTime })
+		if err != nil {
+			return fmt.Errorf("%d ranks: %w", r, err)
+		}
+		m.insitu = append(m.insitu, res...)
+	}
+	return nil
 }
 
-func (m *matrices) transitConfig() bench.InTransitConfig {
-	return bench.InTransitConfig{
-		Steps: m.opts.steps, Interval: m.opts.interval, Order: m.opts.order, ImagePx: m.opts.imagePx,
-		OutputDir: filepath.Join(m.opts.out, "intransit"),
-	}
+// transit is the in transit matrix's scale at simRanks.
+func (m *matrices) transit(simRanks int) transit {
+	return transit{simRanks: simRanks, steps: cmp.Or(m.opts.steps, 20),
+		interval: cmp.Or(m.opts.interval, 5), order: m.opts.order, queue: 2}
 }
 
 func (m *matrices) runRBC() error {
@@ -191,17 +209,53 @@ func (m *matrices) runRBC() error {
 		return err
 	}
 	fmt.Printf("running in transit RBC weak-scaling matrix (sim ranks %v, endpoints 4:1)...\n\n", ranks)
-	m.rbc, err = bench.RunFig5And6(ranks, m.transitConfig())
-	return err
+	for _, r := range ranks {
+		res, err := interleaved([3]InTransitMode{NoTransport, EndpointCheckpoint, EndpointCatalyst},
+			func(mode InTransitMode) (InTransitResult, error) {
+				return m.inTransit(filepath.Join(m.opts.out, "intransit", fmt.Sprintf("%s-%d", mode, r)), mode, m.transit(r))
+			},
+			func(r *InTransitResult) *time.Duration { return &r.MeanStepTime })
+		if err != nil {
+			return fmt.Errorf("%d sim ranks: %w", r, err)
+		}
+		m.rbc = append(m.rbc, res...)
+	}
+	return nil
 }
 
-// runRBCAndQueue adds the Figure 6 mechanism in isolation: a slow
-// endpoint backs up the SST queue and raises sim-side memory.
+// runRBCAndQueue adds the Figure 6 mechanism in isolation to the in
+// transit matrix.
 func (m *matrices) runRBCAndQueue() error {
 	err := m.runRBC()
 	if err == nil {
-		m.queue, err = bench.QueueGrowthDemo(m.transitConfig())
+		err = m.runQueue()
 	}
+	return err
+}
+
+// runQueue is the Figure 6 mechanism: the same checkpointing workflow
+// with an endpoint that keeps up and with one that falls a trigger
+// behind per trigger (-step-delay twice the trigger period the fast
+// arm measured, whatever the solver's speed), which backs up the
+// producer's SST queue and raises sim-side memory. The fast arm's
+// trigger period must exceed its endpoint's processing time — heavier
+// steps (order 6 at least: at order 4 one scheduling stall of the
+// endpoint backs its queue up like the slow one's) and a trigger every
+// other step — and the queue is deeper than the trigger count, so
+// occupancy shows consumption lag rather than the cap: the fast
+// endpoint keeps one or two frames staged, the slow one nearly every
+// trigger.
+func (m *matrices) runQueue() error {
+	t := transit{simRanks: 4, steps: cmp.Or(m.opts.steps, 12), interval: 2, order: max(m.opts.order, 6)}
+	t.queue = t.steps/t.interval + 2
+	dir := filepath.Join(m.opts.out, "intransit", "mechanism")
+	fast, err := m.inTransit(dir, EndpointCheckpoint, t)
+	if err != nil {
+		return err
+	}
+	t.delay = 2 * time.Duration(t.interval) * fast.MeanStepTime
+	slow, err := m.inTransit(dir, EndpointCheckpoint, t)
+	m.queue = QueueGrowth{Fast: fast, Slow: slow, Delay: t.delay}
 	return err
 }
 

@@ -2,13 +2,27 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"nekrs-sensei/internal/bench"
 )
+
+// binDir holds the nekrs and sensei-endpoint every test launches,
+// built once for the package.
+var binDir string
+
+func TestMain(m *testing.M) {
+	var err error
+	if binDir, err = buildBinaries(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	code := m.Run()
+	os.RemoveAll(binDir)
+	os.Exit(code)
+}
 
 // TestRegistryIsThePapersFigures: the registry holds the paper's
 // evaluation and nothing else, and an unknown name says what it holds.
@@ -36,7 +50,7 @@ func TestStorageFigure(t *testing.T) {
 	}
 	out := t.TempDir()
 	err := run(options{
-		fig: "storage", out: out, ranks: "2",
+		fig: "storage", out: out, ranks: "2", bin: binDir,
 		steps: 6, interval: 3, refine: 1, order: 2, imagePx: 32,
 	})
 	if err != nil {
@@ -64,11 +78,11 @@ func TestFailedShapeIsRunsError(t *testing.T) {
 	registry = append(registry[:len(registry):len(registry)], figure{
 		name:   "broken",
 		run:    func(*matrices) error { return nil },
-		tables: func(m *matrices) []table { return []table{{"broken.csv", bench.Fig2Table(nil)}} },
+		tables: func(m *matrices) []table { return []table{{"broken.csv", Fig2Table(nil)}} },
 		check:  func(*matrices) (string, error) { return "", wrong },
 	})
 	out := t.TempDir()
-	if err := run(options{fig: "broken", out: out}); !errors.Is(err, wrong) {
+	if err := run(options{fig: "broken", out: out, bin: binDir}); !errors.Is(err, wrong) {
 		t.Errorf("run = %v, want the failed check", err)
 	}
 	if _, err := os.Stat(filepath.Join(out, "broken.csv")); err != nil {

@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"cmp"
@@ -9,6 +9,73 @@ import (
 
 	"nekrs-sensei/internal/metrics"
 )
+
+// InSituMode selects the pb146 configuration of Section 4.1.
+type InSituMode string
+
+// The paper's three in situ configurations.
+const (
+	// Original: nekrs without the SENSEI interface (baseline).
+	Original InSituMode = "Original"
+	// Checkpointing: built-in raw field dumps every n steps.
+	Checkpointing InSituMode = "Checkpointing"
+	// Catalyst: SENSEI + Catalyst rendering every n steps (GPU->CPU
+	// staging included).
+	Catalyst InSituMode = "Catalyst"
+)
+
+// InSituResult is one row of the Figure 2/3 data.
+type InSituResult struct {
+	Mode  InSituMode
+	Ranks int
+
+	// WallTime is the time-to-solution: the slowest rank's stepping
+	// loop, set-up excluded.
+	WallTime time.Duration
+	// AggMemPeak is the aggregate memory high-water mark across all
+	// ranks (the paper's Figure 3 metric); MaxRankMemPeak is the
+	// per-rank maximum.
+	AggMemPeak     int64
+	MaxRankMemPeak int64
+
+	BytesWritten int64
+	FilesWritten int
+}
+
+// InTransitMode selects the RBC measurement point of Section 4.2.
+type InTransitMode string
+
+// The paper's three in transit measurement points.
+const (
+	// NoTransport: SENSEI runs with no analysis adaptor enabled.
+	NoTransport InTransitMode = "NoTransport"
+	// EndpointCheckpoint: the SENSEI endpoint writes pressure and
+	// velocity as VTU files.
+	EndpointCheckpoint InTransitMode = "Checkpointing"
+	// EndpointCatalyst: the endpoint renders two images per trigger.
+	EndpointCatalyst InTransitMode = "Catalyst"
+)
+
+// InTransitResult is one row of the Figure 5/6 data.
+type InTransitResult struct {
+	Mode     InTransitMode
+	SimRanks int
+
+	// MeanStepTime is the paper's Figure 5 metric: mean wall time per
+	// timestep on the simulation ranks (max over ranks).
+	MeanStepTime time.Duration
+	// MemPerNode is the Figure 6 metric: simulation-rank memory
+	// high-water mark (max over ranks), including the SST staging
+	// queue.
+	MemPerNode int64
+
+	// Triggers is how many steps trigger the analysis; EndpointSteps is
+	// what the endpoint group processed (every rank the same steps),
+	// EndpointBytes what its ranks wrote in total.
+	Triggers      int
+	EndpointSteps int
+	EndpointBytes int64
+}
 
 // rounds is how often the matrix runners measure each mode. The
 // machine's speed wanders by tens of percent between runs that differ
@@ -22,7 +89,7 @@ const rounds = 3
 // not depend on the clock and are the last round's. One run is
 // discarded first: the first run after the machine idled is up to 2.8x
 // slower than the same run repeated, and it would be the baseline's.
-func interleaved[M fmt.Stringer, R any](modes [3]M, run func(M) (R, error), wall func(*R) *time.Duration) ([]R, error) {
+func interleaved[M ~string, R any](modes [3]M, run func(M) (R, error), wall func(*R) *time.Duration) ([]R, error) {
 	if _, err := run(modes[0]); err != nil {
 		return nil, fmt.Errorf("%s: %w", modes[0], err)
 	}
@@ -55,25 +122,6 @@ func inSituAt(results []InSituResult, mode InSituMode, ranks int) (out InSituRes
 	return out
 }
 
-// RunFig2And3 executes the Figure 2/3 matrix: every in situ mode at
-// every rank count (one shared set of runs feeds both figures, as in
-// the paper), measured as interleaved describes.
-func RunFig2And3(rankCounts []int, base InSituConfig) ([]InSituResult, error) {
-	var out []InSituResult
-	for _, ranks := range rankCounts {
-		cfg := base
-		cfg.Ranks = ranks
-		res, err := interleaved([3]InSituMode{Original, Checkpointing, Catalyst},
-			func(mode InSituMode) (InSituResult, error) { return RunInSitu(mode, cfg) },
-			func(r *InSituResult) *time.Duration { return &r.WallTime })
-		if err != nil {
-			return nil, fmt.Errorf("bench: %d ranks: %w", ranks, err)
-		}
-		out = append(out, res...)
-	}
-	return out, nil
-}
-
 // Fig2Table formats the time-to-solution comparison (paper Figure 2).
 // The "vs Original" column makes the paper's configuration ordering
 // explicit independent of the host's core count: the simulated ranks
@@ -89,7 +137,7 @@ func Fig2Table(results []InSituResult) *metrics.Table {
 		if b := inSituAt(results, Original, r.Ranks).WallTime.Seconds(); b > 0 {
 			rel = fmt.Sprintf("%.3fx", r.WallTime.Seconds()/b)
 		}
-		t.AddRow(r.Ranks, r.Mode.String(), r.WallTime.Seconds(), rel)
+		t.AddRow(r.Ranks, r.Mode, r.WallTime.Seconds(), rel)
 	}
 	return t
 }
@@ -104,7 +152,7 @@ func Fig3Table(results []InSituResult) *metrics.Table {
 		if r.Mode == Original {
 			continue
 		}
-		t.AddRow(r.Ranks, r.Mode.String(),
+		t.AddRow(r.Ranks, r.Mode,
 			metrics.HumanBytes(r.AggMemPeak), metrics.HumanBytes(r.MaxRankMemPeak))
 	}
 	return t
@@ -120,28 +168,17 @@ func StorageTable(results []InSituResult) *metrics.Table {
 		if r.Mode == Original {
 			continue
 		}
-		t.AddRow(r.Ranks, r.Mode.String(), metrics.HumanBytes(r.BytesWritten), r.FilesWritten)
+		t.AddRow(r.Ranks, r.Mode, metrics.HumanBytes(r.BytesWritten), r.FilesWritten)
 	}
 	return t
 }
 
 // StorageRatio returns Checkpointing bytes / Catalyst bytes at the
-// largest common rank count, the paper's "three orders of magnitude"
-// claim.
+// last rank count, the paper's "three orders of magnitude" claim.
 func StorageRatio(results []InSituResult) float64 {
-	var ck, cat int64
-	for _, r := range results {
-		switch r.Mode {
-		case Checkpointing:
-			ck = r.BytesWritten
-		case Catalyst:
-			cat = r.BytesWritten
-		}
-	}
-	if cat == 0 {
-		return 0
-	}
-	return float64(ck) / float64(cat)
+	ranks := results[len(results)-1].Ranks
+	return float64(inSituAt(results, Checkpointing, ranks).BytesWritten) /
+		float64(inSituAt(results, Catalyst, ranks).BytesWritten)
 }
 
 // Fig2Verdict states the measured time ordering per rank count next
@@ -185,25 +222,6 @@ func CheckFig2And3(results []InSituResult) error {
 	return nil
 }
 
-// RunFig5And6 executes the Figure 5/6 weak-scaling matrix: every
-// in transit measurement point at every simulation rank count,
-// measured as interleaved describes.
-func RunFig5And6(rankCounts []int, base InTransitConfig) ([]InTransitResult, error) {
-	var out []InTransitResult
-	for _, ranks := range rankCounts {
-		cfg := base
-		cfg.SimRanks = ranks
-		res, err := interleaved([3]InTransitMode{NoTransport, EndpointCheckpoint, EndpointCatalyst},
-			func(mode InTransitMode) (InTransitResult, error) { return RunInTransit(mode, cfg) },
-			func(r *InTransitResult) *time.Duration { return &r.MeanStepTime })
-		if err != nil {
-			return nil, fmt.Errorf("bench: %d sim ranks: %w", ranks, err)
-		}
-		out = append(out, res...)
-	}
-	return out, nil
-}
-
 // Fig5Table formats the mean time per timestep on simulation ranks
 // under weak scaling (paper Figure 5). The "vs NoTransport" column is
 // the paper's finding — Catalyst and Checkpointing stay close to the
@@ -225,7 +243,7 @@ func Fig5Table(results []InTransitResult) *metrics.Table {
 		if b := base[r.SimRanks]; b > 0 {
 			rel = fmt.Sprintf("%.3fx", us/b)
 		}
-		t.AddRow(r.SimRanks, r.Mode.String(), us/1000, rel)
+		t.AddRow(r.SimRanks, r.Mode, us/1000, rel)
 	}
 	return t
 }
@@ -237,7 +255,7 @@ func Fig6Table(results []InTransitResult) *metrics.Table {
 		"Figure 6: RBC memory footprint per simulation rank (in transit, weak scaling)",
 		"sim ranks", "measurement", "per-rank peak")
 	for _, r := range results {
-		t.AddRow(r.SimRanks, r.Mode.String(), metrics.HumanBytes(r.MemPerNode))
+		t.AddRow(r.SimRanks, r.Mode, metrics.HumanBytes(r.MemPerNode))
 	}
 	return t
 }
@@ -277,43 +295,6 @@ func CheckFig5And6(results []InTransitResult) error {
 type QueueGrowth struct {
 	Fast, Slow InTransitResult
 	Delay      time.Duration
-}
-
-// QueueGrowthDemo demonstrates the Figure 6 mechanism: a slow endpoint
-// backs up the producer-side SST staging queue, raising
-// simulation-rank memory, while a fast endpoint leaves it near the
-// NoTransport baseline. The slow endpoint's delay is twice the trigger
-// period the fast arm measured, so it falls a trigger behind per
-// trigger whatever the solver's speed.
-func QueueGrowthDemo(cfg InTransitConfig) (QueueGrowth, error) {
-	cfg.EndpointDelay = 0
-	// Make the producer's trigger period exceed the fast endpoint's
-	// processing time (heavier solver steps: at order 4 the fast run is
-	// so short that one scheduling stall of the endpoint backs its
-	// queue up like the slow one's; trigger every other step), and
-	// keep the staging queue deeper than the trigger count, so
-	// occupancy reflects consumption lag rather than the cap: the fast
-	// endpoint keeps one or two frames staged, the slow one
-	// accumulates nearly every trigger.
-	cfg.Interval = 2
-	if cfg.Order < 6 {
-		cfg.Order = 6
-	}
-	if cfg.Steps == 0 {
-		cfg.Steps = 12
-	}
-	if triggers := cfg.Steps / cfg.Interval; cfg.QueueLimit < triggers+2 {
-		cfg.QueueLimit = triggers + 2
-	}
-	var q QueueGrowth
-	var err error
-	if q.Fast, err = RunInTransit(EndpointCheckpoint, cfg); err != nil {
-		return q, err
-	}
-	q.Delay = 2 * time.Duration(cfg.Interval) * q.Fast.MeanStepTime
-	cfg.EndpointDelay = q.Delay
-	q.Slow, err = RunInTransit(EndpointCheckpoint, cfg)
-	return q, err
 }
 
 // Check is the mechanism's shape: the slow endpoint raised

@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"path/filepath"
@@ -6,16 +6,15 @@ import (
 	"testing"
 )
 
-// tiny returns the smallest meaningful in situ configuration.
-func tiny(dir string) InSituConfig {
-	return InSituConfig{
-		Ranks: 2, Steps: 6, Interval: 3, Refine: 1, Order: 2,
-		ImagePx: 32, OutputDir: dir,
-	}
+// tiny returns the matrices at the smallest meaningful scale, writing
+// under a temporary directory: 6 steps, a trigger every 3.
+func tiny(t *testing.T) *matrices {
+	return &matrices{opts: options{out: t.TempDir(), bin: binDir,
+		steps: 6, interval: 3, refine: 1, order: 2, imagePx: 32}}
 }
 
 func TestRunInSituOriginal(t *testing.T) {
-	res, err := RunInSitu(Original, tiny(t.TempDir()))
+	res, err := tiny(t).inSitu(Original, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,8 +33,8 @@ func TestRunInSituOriginal(t *testing.T) {
 }
 
 func TestRunInSituCheckpointing(t *testing.T) {
-	dir := t.TempDir()
-	res, err := RunInSitu(Checkpointing, tiny(dir))
+	m := tiny(t)
+	res, err := m.inSitu(Checkpointing, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,31 +45,26 @@ func TestRunInSituCheckpointing(t *testing.T) {
 	if res.BytesWritten == 0 {
 		t.Error("no checkpoint bytes")
 	}
-	matches, _ := filepath.Glob(filepath.Join(dir, "pb146.f*"))
+	matches, _ := filepath.Glob(filepath.Join(m.opts.out, "insitu", "Checkpointing-2", "pb146.f*"))
 	if len(matches) != 4 {
 		t.Errorf("found %d field files", len(matches))
 	}
 }
 
 func TestRunInSituCatalyst(t *testing.T) {
-	dir := t.TempDir()
-	res, err := RunInSitu(Catalyst, tiny(dir))
+	m := tiny(t)
+	res, err := m.inSitu(Catalyst, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two triggers x two pipelines = 4 images, written by rank 0.
-	matches, _ := filepath.Glob(filepath.Join(dir, "*.png"))
-	if len(matches) != 4 {
-		t.Errorf("found %d images: %v", len(matches), matches)
+	// Two triggers x two pipelines = 4 images, pipeline i's written by
+	// rank i mod 2 and each counted once.
+	matches, _ := filepath.Glob(filepath.Join(m.opts.out, "insitu", "Catalyst-2", "*.png"))
+	if len(matches) != 4 || res.FilesWritten != 4 {
+		t.Errorf("found %d images, %d counted: %v", len(matches), res.FilesWritten, matches)
 	}
 	if res.BytesWritten == 0 {
 		t.Error("no image bytes accounted")
-	}
-}
-
-func TestRunInSituValidation(t *testing.T) {
-	if _, err := RunInSitu(Catalyst, InSituConfig{Ranks: 1}); err == nil {
-		t.Error("expected OutputDir error")
 	}
 }
 
@@ -82,21 +76,21 @@ func TestFigure23Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment matrix")
 	}
-	dir := t.TempDir()
-	base := tiny(dir)
-	base.Steps = 8
-	base.Interval = 2 // dense triggers so overheads exceed noise
-	results, err := RunFig2And3([]int{1, 2}, base)
-	if err != nil {
+	m := tiny(t)
+	m.opts.ranks = "1,2"
+	m.opts.steps = 8
+	m.opts.interval = 2 // dense triggers so overheads exceed noise
+	if err := m.runInSitu(); err != nil {
 		t.Fatal(err)
 	}
+	results := m.insitu
 	if len(results) != 6 {
 		t.Fatalf("results = %d", len(results))
 	}
 	// Wall-clock ordering (Original fastest) is cmd/figures' verdict
 	// line, not an assertion here: `go test ./...` runs package binaries
-	// concurrently, so sub-100ms wall times in this process carry
-	// unbounded scheduler noise. Here only check the timers ran.
+	// concurrently, so sub-100ms wall times carry unbounded scheduler
+	// noise. Here only check the timers ran.
 	for _, r := range results {
 		if r.WallTime <= 0 {
 			t.Errorf("%s at %d ranks: missing wall time", r.Mode, r.Ranks)
@@ -125,15 +119,9 @@ func TestFigure23Shapes(t *testing.T) {
 	}
 }
 
-func tinyTransit(dir string) InTransitConfig {
-	return InTransitConfig{
-		SimRanks: 4, ElemsPerRankZ: 1, NxNy: 4, Order: 2,
-		Steps: 6, Interval: 3, ImagePx: 32, OutputDir: dir,
-	}
-}
-
 func TestRunInTransitNoTransport(t *testing.T) {
-	res, err := RunInTransit(NoTransport, tinyTransit(t.TempDir()))
+	m := tiny(t)
+	res, err := m.inTransit(m.opts.out, NoTransport, m.transit(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +134,8 @@ func TestRunInTransitNoTransport(t *testing.T) {
 }
 
 func TestRunInTransitCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	res, err := RunInTransit(EndpointCheckpoint, tinyTransit(dir))
+	m := tiny(t)
+	res, err := m.inTransit(m.opts.out, EndpointCheckpoint, m.transit(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,22 +146,22 @@ func TestRunInTransitCheckpoint(t *testing.T) {
 	if res.EndpointBytes == 0 {
 		t.Error("endpoint wrote nothing")
 	}
-	vtus, _ := filepath.Glob(filepath.Join(dir, "rbc_*.vtu"))
+	vtus, _ := filepath.Glob(filepath.Join(m.opts.out, "endpoint", "rbc_*.vtu"))
 	if len(vtus) != 2 {
 		t.Errorf("vtu files = %d, want 2", len(vtus))
 	}
 }
 
 func TestRunInTransitCatalyst(t *testing.T) {
-	dir := t.TempDir()
-	res, err := RunInTransit(EndpointCatalyst, tinyTransit(dir))
+	m := tiny(t)
+	res, err := m.inTransit(m.opts.out, EndpointCatalyst, m.transit(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.EndpointSteps != 2 {
 		t.Errorf("endpoint steps = %d, want 2", res.EndpointSteps)
 	}
-	pngs, _ := filepath.Glob(filepath.Join(dir, "*.png"))
+	pngs, _ := filepath.Glob(filepath.Join(m.opts.out, "endpoint", "*.png"))
 	if len(pngs) != 4 {
 		t.Errorf("images = %d, want 4 (2 steps x 2 pipelines)", len(pngs))
 	}
@@ -186,11 +174,12 @@ func TestFigure56Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment matrix")
 	}
-	dir := t.TempDir()
-	results, err := RunFig5And6([]int{4, 8}, tinyTransit(dir))
-	if err != nil {
+	m := tiny(t)
+	m.opts.ranks = "4,8"
+	if err := m.runRBC(); err != nil {
 		t.Fatal(err)
 	}
+	results := m.rbc
 	if len(results) != 6 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -213,12 +202,12 @@ func TestQueueGrowthMechanism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive mechanism demo")
 	}
-	cfg := tinyTransit(t.TempDir())
-	cfg.Steps = 12
-	q, err := QueueGrowthDemo(cfg)
-	if err != nil {
+	m := tiny(t)
+	m.opts.steps = 12
+	if err := m.runQueue(); err != nil {
 		t.Fatal(err)
 	}
+	q := m.queue
 	if err := q.Check(); err != nil {
 		t.Error(err)
 	}

@@ -8,16 +8,22 @@
 // The -sensei flag points at a Listing-1-style XML configuration;
 // omitting it reproduces the paper's "Original" configuration, and
 // -checkpoint-every enables the built-in field dumps ("Checkpointing").
+// A run that succeeds writes <-out>/summary.json (see summary).
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
+	"slices"
 	"sync"
+	"time"
 
 	"nekrs-sensei/internal/adios"
 	"nekrs-sensei/internal/archive"
+	"nekrs-sensei/internal/cases"
 	"nekrs-sensei/internal/checkpoint"
 	"nekrs-sensei/internal/core"
 	"nekrs-sensei/internal/fluid"
@@ -106,6 +112,17 @@ func main() {
 	}
 }
 
+// summary is what a run that succeeded writes to <-out>/summary.json:
+// the slowest rank's stepping-loop seconds (set-up and finalize
+// excluded), each rank's accountant peak, and the storage written,
+// summed over ranks.
+type summary struct {
+	LoopSeconds  float64 `json:"loop_s"`
+	PeakBytes    []int64 `json:"peak_bytes"`
+	StorageBytes int64   `json:"storage_bytes"`
+	StorageFiles int     `json:"storage_files"`
+}
+
 func run(o *options, tel *telemetry.Telemetry) error {
 	var par *nekrs.Par
 	if o.parFile != "" {
@@ -134,6 +151,11 @@ func run(o *options, tel *telemetry.Telemetry) error {
 		c.Name, o.order, o.ranks, tensor.KernelPath())
 
 	errs := make([]error, o.ranks)
+	loops := make([]time.Duration, o.ranks)
+	peaks := make([]int64, o.ranks)
+	storage := make([]*metrics.StorageCounter, o.ranks)
+	var ke float64           // rank 0's copy of the collective
+	var pulls *metrics.Table // rank 0's pull table, with -sensei
 	// Allocator window over the stepping loop (process-wide: all
 	// simulated ranks share one Go heap) — the steady-state alloc/GC
 	// pressure the zero-allocation data plane is budgeted against. The
@@ -202,15 +224,24 @@ func run(o *options, tel *telemetry.Telemetry) error {
 				}
 			}
 		}
+		start := time.Now()
 		err = sim.Run(o.steps, func(st fluid.StepStats) error {
 			allocBegin.Do(alloc.Begin)
 			// Stage 1 of the step trace: solver compute done, in-situ
 			// processing about to start. All ranks stamp the shared
 			// slot; last write wins, i.e. the slowest rank's finish.
 			tel.Tracer().Stamp(int64(st.Step), telemetry.StageCompute)
-			if rank == 0 && o.logEvery > 0 && st.Step%o.logEvery == 0 {
-				fmt.Printf("step %6d  t=%.4f  CFL=%.3f  iters p=%d v=%v\n",
-					st.Step, st.Time, st.CFL, st.PressureIters, st.ViscousIters)
+			if o.logEvery > 0 && st.Step%o.logEvery == 0 {
+				// The Nusselt number is a collective, so every rank
+				// takes it on the same steps.
+				var nu string
+				if c.Name == "rbc" {
+					nu = fmt.Sprintf("  Nu=%.4f", cases.Nusselt(sim.Solver, c.Kappa))
+				}
+				if rank == 0 {
+					fmt.Printf("step %6d  t=%.4f  CFL=%.3f  iters p=%d v=%v%s\n",
+						st.Step, st.Time, st.CFL, st.PressureIters, st.ViscousIters, nu)
+				}
 			}
 			if bridge != nil {
 				stop, err := bridge.Update(st.Step, st.Time)
@@ -229,6 +260,7 @@ func run(o *options, tel *telemetry.Telemetry) error {
 			}
 			return nil
 		})
+		loops[rank] = time.Since(start)
 		if err != nil {
 			errs[rank] = err
 			return
@@ -257,18 +289,14 @@ func run(o *options, tel *telemetry.Telemetry) error {
 					recorded, metrics.HumanBytes(bytes), o.record)
 			}
 		}
+		// Collective KE call must be matched on every rank.
+		energy := sim.Solver.KineticEnergy()
+		peaks[rank], storage[rank] = sim.Acct.Peak(), sim.Storage
 		if rank == 0 {
-			ke := sim.Solver.KineticEnergy()
-			fmt.Printf("done: %d steps, KE=%.6g, peak mem/rank=%s, storage=%s in %d files\n",
-				o.steps, ke, metrics.HumanBytes(sim.Acct.Peak()),
-				metrics.HumanBytes(sim.Storage.Bytes()), sim.Storage.Files())
+			ke = energy
 			if bridge != nil {
-				bridge.Analysis().PullTable().Render(os.Stdout)
+				pulls = bridge.Analysis().PullTable()
 			}
-			alloc.Window(o.steps).Table().Render(os.Stdout)
-		} else {
-			// Collective KE call must be matched on every rank.
-			sim.Solver.KineticEnergy()
 		}
 	})
 	for _, err := range errs {
@@ -276,5 +304,21 @@ func run(o *options, tel *telemetry.Telemetry) error {
 			return err
 		}
 	}
-	return nil
+	sum := summary{LoopSeconds: slices.Max(loops).Seconds(), PeakBytes: peaks}
+	for _, s := range storage {
+		sum.StorageBytes += s.Bytes()
+		sum.StorageFiles += s.Files()
+	}
+	fmt.Printf("done: %d steps, KE=%.6g, peak mem/rank=%s, storage=%s in %d files\n",
+		o.steps, ke, metrics.HumanBytes(slices.Max(peaks)),
+		metrics.HumanBytes(sum.StorageBytes), sum.StorageFiles)
+	if pulls != nil {
+		pulls.Render(os.Stdout)
+	}
+	alloc.Window(o.steps).Table().Render(os.Stdout)
+	js, err := json.Marshal(sum)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(o.out, "summary.json"), append(js, '\n'), 0o644)
 }

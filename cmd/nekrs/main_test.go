@@ -1,9 +1,11 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -130,5 +132,52 @@ func TestRunRecords(t *testing.T) {
 			t.Errorf("rank %d: reader drained %d steps, archive holds %d", rank, drained[rank], len(index))
 		}
 		a.Close()
+	}
+}
+
+// TestSummaryCountsEveryRank: on 2 ranks each rank writes its own
+// checkpoints, and summary.json's storage totals are the whole run's —
+// what a walk of -out finds besides the summary itself — with one
+// memory peak per rank.
+func TestSummaryCountsEveryRank(t *testing.T) {
+	out := t.TempDir()
+	o, err := parseArgs([]string{"-case", "pb146", "-ranks", "2", "-order", "2", "-steps", "4",
+		"-checkpoint-every", "2", "-out", out, "-log-every", "0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(o, nil); err != nil {
+		t.Fatal(err)
+	}
+	js, err := os.ReadFile(filepath.Join(out, "summary.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum summary
+	if err := json.Unmarshal(js, &sum); err != nil {
+		t.Fatal(err)
+	}
+	var bytes int64
+	files := 0
+	err = filepath.WalkDir(out, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || d.Name() == "summary.json" {
+			return err
+		}
+		info, err := d.Info()
+		if err == nil {
+			bytes += info.Size()
+			files++
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files != 4 || sum.StorageFiles != files || sum.StorageBytes != bytes {
+		t.Errorf("summary says %d B in %d files; -out holds %d B in %d files (want 4: 2 ranks x 2 dumps)",
+			sum.StorageBytes, sum.StorageFiles, bytes, files)
+	}
+	if len(sum.PeakBytes) != 2 || sum.PeakBytes[0] <= 0 || sum.PeakBytes[1] <= 0 || sum.LoopSeconds <= 0 {
+		t.Errorf("summary = %+v, want a peak per rank and the loop's time", sum)
 	}
 }

@@ -40,9 +40,13 @@
 // archives every source's frames, replayable by `archive replay`:
 //
 //	sensei-endpoint -contact run/contact.txt -record run-archive -consumer archive:block:8
+//
+// A run that succeeds writes <-out>/summary.json: each replica's
+// processed steps and the bytes and files its ranks wrote.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -383,5 +387,20 @@ func run(o *options, tel *telemetry.Telemetry) error {
 		}
 	}
 	alloc.Window(stats[0].Steps).Table().Render(os.Stdout)
-	return nil
+	type replica struct {
+		Steps int   `json:"steps"`
+		Bytes int64 `json:"bytes"`
+		Files int   `json:"files"`
+	}
+	var sum struct {
+		Replicas []replica `json:"replicas"`
+	}
+	for _, st := range stats {
+		sum.Replicas = append(sum.Replicas, replica{st.Steps, st.Bytes, st.Files})
+	}
+	js, err := json.Marshal(sum)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(o.out, "summary.json"), append(js, '\n'), 0o644)
 }

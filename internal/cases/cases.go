@@ -272,9 +272,10 @@ func RBC(ra, pr, gamma float64, nx, nz, order int) Case {
 }
 
 // Nusselt computes the RBC Nusselt number from the solver state in
-// free-fall units: Nu = 1 + sqrt(Ra*Pr) * <w T>. Collective.
-func Nusselt(s *fluid.Solver, ra, pr float64) float64 {
-	return 1 + math.Sqrt(ra*pr)*s.ScalarFlux()
+// free-fall units: Nu = 1 + <w T>/kappa, kappa = 1/sqrt(Ra*Pr) the
+// case's diffusivity. Collective.
+func Nusselt(s *fluid.Solver, kappa float64) float64 {
+	return 1 + s.ScalarFlux()/kappa
 }
 
 // TaylorGreen is the periodic 2D Taylor-Green vortex in a [0,2pi]^3

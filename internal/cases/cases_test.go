@@ -271,7 +271,7 @@ func TestNusseltConductionState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nu := Nusselt(s, 2000, 1); math.Abs(nu-1) > 1e-10 {
+	if nu := Nusselt(s, c.Kappa); math.Abs(nu-1) > 1e-10 {
 		t.Errorf("conduction Nu = %v, want 1", nu)
 	}
 }

@@ -147,8 +147,28 @@ func TestCaseByNameRBCFromPar(t *testing.T) {
 	if pr := c.Nu / c.Kappa; math.Abs(pr-0.9) > 1e-12 {
 		t.Errorf("Pr = %v", pr)
 	}
-	if c.Mesh.Lx != 4 {
-		t.Errorf("gamma = %v", c.Mesh.Lx)
+	if c.Mesh.Lx != 4 || c.Mesh.Ly != 4 || c.Mesh.Nx != 4 {
+		t.Errorf("gamma = %v: box %v x %v, %d elements along x", 4, c.Mesh.Lx, c.Mesh.Ly, c.Mesh.Nx)
+	}
+	// gammax widens x alone at the same element size (1 here); a width
+	// that is not a whole number of elements is refused.
+	for _, tc := range []struct {
+		gammaX string
+		nx     int // 0 = refused
+	}{{"12", 12}, {"1", 1}, {"4.5", 0}, {"0", 0}, {"inf", 0}} {
+		p, err := ParsePar(samplePar + "gammax = " + tc.gammaX + "\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := CaseByName("rbc", 1, 3, p)
+		switch {
+		case tc.nx == 0 && err == nil:
+			t.Errorf("gammax = %s accepted: %d elements", tc.gammaX, c.Mesh.Nx)
+		case tc.nx != 0 && err != nil:
+			t.Errorf("gammax = %s: %v", tc.gammaX, err)
+		case tc.nx != 0 && (c.Mesh.Nx != tc.nx || c.Mesh.Lx != float64(tc.nx) || c.Mesh.Ly != 4 || c.Mesh.Ny != 4):
+			t.Errorf("gammax = %s: box %v x %v with %d x %d elements", tc.gammaX, c.Mesh.Lx, c.Mesh.Ly, c.Mesh.Nx, c.Mesh.Ny)
+		}
 	}
 }
 

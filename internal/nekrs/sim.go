@@ -3,6 +3,7 @@ package nekrs
 import (
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 
 	"nekrs-sensei/internal/cases"
@@ -85,7 +86,9 @@ func ApplyPar(c *cases.Case, p *Par) error {
 
 // CaseByName builds a named case at the given refinement and order,
 // with RBC parameters from the parameter file's [CASEDATA] section
-// when present.
+// when present: rayleigh, prandtl, gamma (the aspect ratio Lx = Ly)
+// and gammax, which widens the box along x alone at the same element
+// size (the in transit weak-scaling box) and defaults to gamma.
 func CaseByName(name string, refine, order int, p *Par) (cases.Case, error) {
 	switch name {
 	case "pb146":
@@ -93,6 +96,7 @@ func CaseByName(name string, refine, order int, p *Par) (cases.Case, error) {
 	case "rbc":
 		ra, pr, gamma := 1e5, 0.71, 2.0
 		nx, nz := 4*refine, 3*refine
+		gammaX := gamma
 		if p != nil {
 			var err error
 			if ra, err = p.GetFloat("casedata", "rayleigh", ra); err != nil {
@@ -104,8 +108,18 @@ func CaseByName(name string, refine, order int, p *Par) (cases.Case, error) {
 			if gamma, err = p.GetFloat("casedata", "gamma", gamma); err != nil {
 				return cases.Case{}, err
 			}
+			if gammaX, err = p.GetFloat("casedata", "gammax", gamma); err != nil {
+				return cases.Case{}, err
+			}
 		}
-		return cases.RBC(ra, pr, gamma, nx, nz, order), nil
+		c := cases.RBC(ra, pr, gamma, nx, nz, order)
+		h := gamma / float64(nx) // the element size, kept along x
+		ex := math.Round(gammaX / h)
+		if !(ex >= 1 && math.Abs(gammaX-ex*h) <= 1e-9*gammaX) {
+			return cases.Case{}, fmt.Errorf("nekrs: [casedata] gammax = %g is not a whole number of elements of size %g", gammaX, h)
+		}
+		c.Mesh.Nx, c.Mesh.Lx = int(ex), gammaX
+		return c, nil
 	case "tgv":
 		return cases.TaylorGreen(0.1, 3*refine, order), nil
 	case "cavity":
