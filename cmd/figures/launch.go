@@ -97,12 +97,12 @@ func (s nekrsSummary) loop() time.Duration {
 	return time.Duration(s.LoopSeconds * float64(time.Second))
 }
 
-// endpointSummary is the summary.json sensei-endpoint writes.
+// endpointSummary is what the figures read of the summary.json
+// sensei-endpoint writes.
 type endpointSummary struct {
 	Replicas []struct {
 		Steps int   `json:"steps"`
 		Bytes int64 `json:"bytes"`
-		Files int   `json:"files"`
 	} `json:"replicas"`
 }
 
@@ -241,6 +241,9 @@ func (m *matrices) inTransit(dir string, mode InTransitMode, t transit) (InTrans
 		var ep endpointSummary
 		if err := readSummary(epDir, &ep); err != nil {
 			return InTransitResult{}, err
+		}
+		if len(ep.Replicas) != 1 {
+			return InTransitResult{}, fmt.Errorf("%s: %d endpoint replicas, want 1", epDir, len(ep.Replicas))
 		}
 		res.EndpointSteps, res.EndpointBytes = ep.Replicas[0].Steps, ep.Replicas[0].Bytes
 	}

@@ -234,10 +234,12 @@ func (m *matrices) runRBCAndQueue() error {
 }
 
 // runQueue is the Figure 6 mechanism: the same checkpointing workflow
-// with an endpoint that keeps up and with one that falls a trigger
-// behind per trigger (-step-delay twice the trigger period the fast
-// arm measured, whatever the solver's speed), which backs up the
-// producer's SST queue and raises sim-side memory. The fast arm's
+// with an endpoint that keeps up and with one that takes four of the
+// trigger periods the fast arm measured per step (-step-delay), which
+// backs up the producer's SST queue and raises sim-side memory. Four
+// periods keep it behind while the machine runs the slow arm up to 4x
+// slower than the fast one (a concurrent go test ./... has made it
+// 2.3x slower, past a two-period delay). The fast arm's
 // trigger period must exceed its endpoint's processing time — heavier
 // steps (order 6 at least: at order 4 one scheduling stall of the
 // endpoint backs its queue up like the slow one's) and a trigger every
@@ -253,7 +255,7 @@ func (m *matrices) runQueue() error {
 	if err != nil {
 		return err
 	}
-	t.delay = 2 * time.Duration(t.interval) * fast.MeanStepTime
+	t.delay = 4 * time.Duration(t.interval) * fast.MeanStepTime
 	slow, err := m.inTransit(dir, EndpointCheckpoint, t)
 	m.queue = QueueGrowth{Fast: fast, Slow: slow, Delay: t.delay}
 	return err
