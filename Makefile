@@ -19,13 +19,14 @@
 # stale; `make loc` prints non-test Go lines per package and checks the
 # wire-path packages and the whole tree against scripts/loc.ceiling;
 # `make docpaths` fails when README.md or DESIGN.md names a path that
-# no longer exists; `make recipes` runs README's deployment recipes as printed;
+# no longer exists; `make docflags` when README's process-flag table
+# disagrees with a binary's -h; `make recipes` runs README's deployment recipes as printed;
 # `make clean` removes example/figure/recipe outputs. The paper's figures are
 # `go run ./cmd/figures -fig all`, whose exit code is their shape check.
 
 GO ?= go
 
-.PHONY: build test race vet fmt bench-kernels bench-render bench-codec bench-e2e generate-check loc docpaths telemetry-smoke recipes profile clean all
+.PHONY: build test race vet fmt bench-kernels bench-render bench-codec bench-e2e generate-check loc docpaths docflags telemetry-smoke recipes profile clean all
 
 all: build vet fmt test
 
@@ -108,6 +109,11 @@ loc:
 # README.md and DESIGN.md exists.
 docpaths:
 	bash scripts/docpaths.sh
+
+# README.md's process-flag table marks a binary ✓ for exactly the
+# flags of that row its -h lists.
+docflags:
+	bash scripts/docflags.sh
 
 # Curl-smoke the live telemetry plane: real producer + endpoint with
 # -telemetry on, asserting /metrics, /statusz and /debug/pprof answer

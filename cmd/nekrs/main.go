@@ -49,7 +49,7 @@ type options struct {
 	refine, order     int
 	out               string
 	logEvery          int
-	shell.Flags       // -session-ttl, -telemetry
+	shell.Flags       // -telemetry
 }
 
 // parseArgs parses argv (without the program name) into options,
@@ -69,7 +69,7 @@ func parseArgs(argv []string) (*options, error) {
 	fs.IntVar(&o.order, "order", 4, "polynomial order")
 	fs.StringVar(&o.out, "out", "nekrs-out", "output directory")
 	fs.IntVar(&o.logEvery, "log-every", 10, "print step diagnostics every n steps")
-	o.Register(fs, "session-ttl", "telemetry")
+	o.Register(fs, "telemetry")
 	if err := fs.Parse(argv); err != nil {
 		return nil, err
 	}
@@ -201,7 +201,7 @@ func run(o *options, tel *telemetry.Telemetry) error {
 			ctx := &sensei.Context{
 				Comm: comm, Acct: sim.Acct, Timer: sim.Timer,
 				Storage: sim.Storage, OutputDir: o.out,
-				Telemetry: tel, AttrDefaults: o.AttrDefaults(),
+				Telemetry: tel,
 			}
 			bridge, err = core.InitializeFile(ctx, sim.Solver, o.senseiCfg)
 			if err != nil {

@@ -51,8 +51,8 @@ type options struct {
 
 	spillDir string
 
-	// -contact-dir, -timeout, -retry, -session-ttl, -heartbeat,
-	// -liveness, -wait-downstream, -telemetry
+	// -contact-dir, -timeout, -retry, -session-ttl, -liveness,
+	// -wait-downstream, -telemetry
 	shell.Flags
 }
 
@@ -61,7 +61,7 @@ type options struct {
 // whole surface is unit-testable.
 func parseArgs(argv []string) (*options, error) {
 	fs := flag.NewFlagSet("relay", flag.ContinueOnError)
-	o := &options{Flags: shell.Flags{Timeout: 60 * time.Second, SessionTTL: 30 * time.Second, Heartbeat: 5 * time.Second}}
+	o := &options{Flags: shell.Flags{Timeout: 60 * time.Second, SessionTTL: 30 * time.Second}}
 	fs.StringVar(&o.upstream, "upstream", "contact.txt", "upstream tier's contact file (with -contact-dir: the entry name)")
 	fs.StringVar(&o.publish, "publish", "", "contact file to write this relay's output addresses to (with -contact-dir: the entry name; empty = print only)")
 	fs.StringVar(&o.name, "name", "relay", "consumer name announced upstream (distinct relays on one upstream need distinct names)")
@@ -73,7 +73,7 @@ func parseArgs(argv []string) (*options, error) {
 	fs.IntVar(&o.tier, "tier", 0, "this relay's depth in the mesh (0 = attached straight to producer hubs); reported in /statusz")
 	consumersFlag := fs.String("consumers", "", `pre-declared downstream consumers, "name[:policy[:depth[:arrays[:codecs]]]],..." (staging consumer-spec grammar); their array declarations union into the upstream request`)
 	fs.StringVar(&o.spillDir, "spill", "", "spill directory for the output hubs (enables spill-policy consumers below this relay)")
-	o.Register(fs, "contact-dir", "timeout", "retry", "session-ttl", "heartbeat", "liveness", "wait-downstream", "telemetry")
+	o.Register(fs, "contact-dir", "timeout", "retry", "session-ttl", "liveness", "wait-downstream", "telemetry")
 	if err := fs.Parse(argv); err != nil {
 		return nil, err
 	}

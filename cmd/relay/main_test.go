@@ -59,7 +59,8 @@ func TestParseArgsRejects(t *testing.T) {
 		// an error, and -wait-downstream needs the side that redials.
 		{[]string{"-retry", "-1"}, "-retry must be non-negative"},
 		{[]string{"-session-ttl", "-1s"}, "-session-ttl must be non-negative"},
-		{[]string{"-heartbeat", "-1s"}, "-heartbeat must be non-negative"},
+		// Heartbeats are paced by each reader's hello, not by the relay.
+		{[]string{"-heartbeat", "1s"}, "flag provided but not defined: -heartbeat"},
 		{[]string{"-liveness", "-1s"}, "-liveness must be non-negative"},
 		{[]string{"-timeout", "-1s"}, "-timeout must be non-negative"},
 		{[]string{"-retry", "3", "-wait-downstream", "-1s"}, "-wait-downstream must be non-negative"},

@@ -61,8 +61,8 @@ const probeConfig = `<sensei>
   <analysis type="probe" arrays="temperature" points="0.5,0.5,0.5; 1.25,0.5,0.5; 2.5,0.25,0.5; 3.75,0.5,0.75"/>
 </sensei>`
 
-// serveScript serves testBlocks hubs on loopback — sessions on, idle
-// streams heartbeating, so a -retry reader can resume — publishes the
+// serveScript serves testBlocks hubs on loopback — each granting the
+// session a -retry reader asks for, so it can resume — publishes the
 // contact file, and, once `readers` handshakes have completed, so that
 // no consumer attaches mid-stream, feeds every hub its block's steps in
 // lockstep and closes them. With cut, hub 0 is reached through a
@@ -78,7 +78,6 @@ func serveScript(t *testing.T, ctx context.Context, contact string, readers int,
 	for b := range hubs {
 		hubs[b] = staging.NewHub(nil)
 		binder := staging.NewBinder(hubs[b], staging.Block, 2)
-		binder.EnableSessions(10 * time.Second)
 		srv, err := staging.ServeWith(hubs[b], "127.0.0.1:0", func(req staging.SubscribeRequest) (*staging.Subscription, error) {
 			sub, err := binder.Resolve(req)
 			if err == nil {
@@ -86,7 +85,7 @@ func serveScript(t *testing.T, ctx context.Context, contact string, readers int,
 				attached <- struct{}{}
 			}
 			return sub, err
-		}, staging.ServerOptions{Heartbeat: 20 * time.Millisecond})
+		}, staging.ServerOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

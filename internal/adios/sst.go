@@ -55,12 +55,17 @@ type Hello struct {
 	// names the first sim-step ordinal it has NOT yet consumed (0 =
 	// nothing consumed / resume from the parked cursor), so the hub
 	// redelivers exactly the steps the reader is missing. SessionTTL is
-	// the reader's requested grace period in seconds (the hub clamps it
-	// to its configured maximum).
+	// the reader's requested grace period in seconds (0 = the hub's
+	// default; the hub clamps it to its maximum).
 	Session    string  `json:"session,omitempty"`
 	NewSession bool    `json:"new_session,omitempty"`
 	Resume     int64   `json:"resume,omitempty"`
 	SessionTTL float64 `json:"session_ttl,omitempty"`
+	// Liveness is the reader's liveness timeout in seconds: the hub
+	// heartbeats an idle stream often enough that a reader waiting this
+	// long for traffic has heard from it (0 = the reader does not time
+	// the producer out).
+	Liveness float64 `json:"liveness,omitempty"`
 }
 
 // FrameFormat is the frame grammar this build writes and reads
@@ -255,7 +260,7 @@ type ReaderOptions struct {
 	// resumes exactly-once from the acked position.
 	Session bool
 	// SessionTTL is the requested park grace period (0 = the server's
-	// default; the server clamps requests to its configured maximum).
+	// default; the server clamps requests to its maximum).
 	SessionTTL time.Duration
 	// Resume, when > 0, names the first sim-step ordinal this reader
 	// has NOT yet consumed: the hub suppresses earlier steps, so a
@@ -265,7 +270,8 @@ type ReaderOptions struct {
 	// no producer traffic at all — neither frames nor heartbeat markers
 	// — before declaring the peer hung. While waiting it emits
 	// keepalive credit bytes so a liveness-checking producer sees it
-	// alive; pair it with the producer's Heartbeat interval.
+	// alive. The hello announces it, and the producer heartbeats an idle
+	// stream at a third of it.
 	LivenessTimeout time.Duration
 	// DeferCredit suppresses the automatic per-frame step credit: the
 	// caller acknowledges each received step explicitly with Credit,
@@ -316,10 +322,9 @@ func (r *Reader) connectTo(addr string) error {
 		Arrays: r.opts.Arrays, Codecs: r.opts.Codecs,
 		Session:    r.session,
 		NewSession: r.opts.Session && r.session == "",
-		Resume:     r.lastStep + 1}
-	if r.opts.SessionTTL > 0 {
-		h0.SessionTTL = r.opts.SessionTTL.Seconds()
-	}
+		Resume:     r.lastStep + 1,
+		SessionTTL: r.opts.SessionTTL.Seconds(),
+		Liveness:   r.opts.LivenessTimeout.Seconds()}
 	if err := enc.Encode(h0); err != nil {
 		conn.Close()
 		return err

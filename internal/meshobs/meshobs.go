@@ -83,7 +83,6 @@ type SessionRow struct {
 
 type SessionTable struct {
 	Label    string       `json:"label,omitempty"`
-	Enabled  bool         `json:"enabled"`
 	Issued   int64        `json:"issued"`
 	Resumed  int64        `json:"resumed"`
 	Adopted  int64        `json:"adopted"`

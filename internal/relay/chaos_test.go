@@ -44,9 +44,8 @@ func chaosServedHub(t *testing.T, name string) (*staging.Hub, string, *telemetry
 	hub := staging.NewHub(nil)
 	hub.SetTelemetry(tel, "rank-0")
 	binder := staging.NewBinder(hub, staging.Block, 4)
-	binder.EnableSessions(10 * time.Second)
 	srv, err := staging.ServeWith(hub, "127.0.0.1:0", binder.Resolve, staging.ServerOptions{
-		Heartbeat: 20 * time.Millisecond, LivenessTimeout: 2 * time.Second,
+		LivenessTimeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,9 +138,9 @@ func TestChaosRelayKillRestart(t *testing.T) {
 				{Spec: staging.ConsumerSpec{Name: "leaf-block", Policy: staging.Block, Depth: 2}},
 				{Spec: staging.ConsumerSpec{Name: "leaf-spill", Policy: staging.Spill, Depth: 2}},
 			},
-			Retry:      adios.DefaultRetryPolicy(400),
-			SessionTTL: 10 * time.Second,
-			Heartbeat:  20 * time.Millisecond, Liveness: 2 * time.Second,
+			Retry:          adios.DefaultRetryPolicy(400),
+			SessionTTL:     10 * time.Second,
+			Liveness:       2 * time.Second,
 			WaitDownstream: wait,
 			RedialUpstream: func() ([]string, error) { return prodAddrs, nil },
 		}

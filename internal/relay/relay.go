@@ -101,16 +101,13 @@ type Options struct {
 	// every not-yet-delivered step still parked upstream and no lossless
 	// consumer below it misses a step.
 	Retry *adios.RetryPolicy
-	// SessionTTL enables resumable sessions on the relay's output
-	// servers (downstream readers park and resume across disconnects)
-	// and is also the park grace the relay requests upstream. 0
-	// disables downstream sessions.
+	// SessionTTL is the park grace the relay requests upstream with
+	// Retry (0 = the upstream hub's default). Downstream readers get
+	// the sessions and heartbeats their own hellos ask for.
 	SessionTTL time.Duration
-	// Heartbeat is the idle keepalive period on downstream connections
-	// (0 disables); Liveness bounds both the downstream credit wait and
-	// the upstream silent-producer wait (0 disables).
-	Heartbeat time.Duration
-	Liveness  time.Duration
+	// Liveness bounds both the downstream credit wait and the upstream
+	// silent-producer wait (0 disables).
+	Liveness time.Duration
 	// SpillDir, when non-empty, gives every output hub a disk tier so
 	// Spill-policy consumers can be declared (or attach dynamically)
 	// below this relay; each hub spills under its own subdirectory.
@@ -227,9 +224,6 @@ func New(upstream []string, opts Options) (*Relay, error) {
 		}
 		// Readers not pre-declared attach dynamically under block / 2.
 		binder := staging.NewBinder(hub, staging.Block, 0)
-		if o.SessionTTL > 0 {
-			binder.EnableSessions(o.SessionTTL)
-		}
 		for _, d := range o.Downstream {
 			if _, err := binder.Declare(d.Spec); err != nil {
 				hub.Close()
@@ -238,7 +232,7 @@ func New(upstream []string, opts Options) (*Relay, error) {
 			}
 		}
 		srv, err := staging.ServeWith(hub, o.Listen, binder.Resolve, staging.ServerOptions{
-			Heartbeat: o.Heartbeat, LivenessTimeout: o.Liveness,
+			LivenessTimeout: o.Liveness,
 		})
 		if err != nil {
 			hub.Close()
@@ -271,14 +265,13 @@ func New(upstream []string, opts Options) (*Relay, error) {
 	for i, addr := range upstream {
 		ropts := adios.ReaderOptions{
 			Consumer: o.Name, Policy: o.Policy, Depth: o.Depth,
-			Arrays: r.arrays,
+			Arrays: r.arrays, LivenessTimeout: o.Liveness,
 		}
 		if o.Retry != nil {
 			ropts.Retry = o.Retry
 			ropts.Session = true
 			ropts.SessionTTL = o.SessionTTL
 			ropts.Resume = resume
-			ropts.LivenessTimeout = o.Liveness
 			ropts.DeferCredit = true
 			if o.RedialUpstream != nil {
 				src := i
@@ -461,11 +454,9 @@ func (r *Relay) Status() Status {
 		st.CreditsSent = r.crediter.Sent()
 		st.CreditsPending = r.crediter.Pending()
 	}
-	if r.opts.SessionTTL > 0 {
-		st.Sessions = make([]staging.SessionStatus, len(r.binders))
-		for i, b := range r.binders {
-			st.Sessions[i] = b.SessionStatus()
-		}
+	st.Sessions = make([]staging.SessionStatus, len(r.binders))
+	for i, b := range r.binders {
+		st.Sessions[i] = b.SessionStatus()
 	}
 	return st
 }

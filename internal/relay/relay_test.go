@@ -6,11 +6,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"nekrs-sensei/internal/adios"
+	"nekrs-sensei/internal/faultnet"
 	"nekrs-sensei/internal/intransit"
 	"nekrs-sensei/internal/metrics"
 	"nekrs-sensei/internal/mpirt"
@@ -86,6 +88,38 @@ func publishScript(t *testing.T, hubs []*staging.Hub, steps int) <-chan error {
 		done <- nil
 	}()
 	return done
+}
+
+// TestLivenessWithoutRetry: Liveness bounds the upstream wait with or
+// without Retry. An upstream that goes silent — its link blackholed,
+// so neither frames nor heartbeats arrive — ends Run with an error
+// within a few liveness periods instead of leaving it waiting forever.
+func TestLivenessWithoutRetry(t *testing.T) {
+	hubs, addrs := servedHubs(t, 1)
+	defer hubs[0].Close()
+	link := faultnet.NewProfile()
+	px, err := faultnet.NewProxy("127.0.0.1:0", addrs[0], link)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer px.Close()
+	r, err := New([]string{px.Addr()}, Options{Liveness: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	link.SetBlackhole(true)
+	defer link.SetBlackhole(false)
+	run := make(chan error, 1)
+	go func() { run <- r.Run() }()
+	select {
+	case err := <-run:
+		if err == nil || !strings.Contains(err.Error(), "liveness") {
+			t.Fatalf("Run = %v, want a liveness timeout", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run still waiting on a silent upstream 5s into a 200ms liveness bound")
+	}
 }
 
 func TestMergeStepsRebasesGeometry(t *testing.T) {

@@ -141,11 +141,6 @@ type Context struct {
 	// pull/analyze/render stages and publishes pull/execute timing
 	// histograms into it.
 	Telemetry *telemetry.Telemetry
-	// AttrDefaults are analysis attributes injected into every
-	// configured element unless the element sets the key itself — how
-	// CLI flags (e.g. cmd/nekrs -session-ttl) reach XML-configured
-	// adaptors without editing the config.
-	AttrDefaults map[string]string
 }
 
 // Factory instantiates an Analysis from its XML attributes.
@@ -183,16 +178,6 @@ func NewAnalysisAdaptor(typeName string, ctx *Context, attrs map[string]string) 
 	registryMu.RUnlock()
 	if f == nil {
 		return nil, fmt.Errorf("sensei: unknown analysis type %q (registered: %v)", typeName, RegisteredTypes())
-	}
-	if len(ctx.AttrDefaults) > 0 {
-		merged := make(map[string]string, len(attrs)+len(ctx.AttrDefaults))
-		for k, v := range ctx.AttrDefaults {
-			merged[k] = v
-		}
-		for k, v := range attrs {
-			merged[k] = v
-		}
-		attrs = merged
 	}
 	return f(ctx, attrs)
 }

@@ -1,7 +1,7 @@
 // Package shell is what the mains share of being a process in the
 // mesh: the rendezvous, resilience and telemetry flags are declared,
 // validated and wired here once, and a main states only which it has.
-// Not a framework: a flag struct, three mappings out, one bootstrap.
+// Not a framework: a flag struct, two mappings out, one bootstrap.
 package shell
 
 import (
@@ -23,7 +23,6 @@ type Flags struct {
 	Timeout        time.Duration
 	Retry          int
 	SessionTTL     time.Duration
-	Heartbeat      time.Duration
 	Liveness       time.Duration
 	WaitDownstream time.Duration
 	Telemetry      string
@@ -41,11 +40,9 @@ func (f *Flags) Register(fs *flag.FlagSet, names ...string) {
 		case "retry":
 			fs.IntVar(&f.Retry, "retry", f.Retry, "reconnect attempts after a dial or mid-stream failure, under exponential backoff with jitter (0 = fail fast)")
 		case "session-ttl":
-			fs.DurationVar(&f.SessionTTL, "session-ttl", f.SessionTTL, "how long a hub retains a disconnected consumer's cursor and queue for an exactly-once resume (0 = off); a dialling side requests it with -retry")
-		case "heartbeat":
-			fs.DurationVar(&f.Heartbeat, "heartbeat", f.Heartbeat, "keepalive interval on idle served streams (0 = off)")
+			fs.DurationVar(&f.SessionTTL, "session-ttl", f.SessionTTL, "with -retry: the session grace asked of the hub, how long it keeps this consumer's cursor and queue across a disconnect for an exactly-once resume (at most 5m)")
 		case "liveness":
-			fs.DurationVar(&f.Liveness, "liveness", f.Liveness, "declare a peer dead after this long without frames, credits or keepalives (0 = wait forever)")
+			fs.DurationVar(&f.Liveness, "liveness", f.Liveness, "declare a peer dead after this long without frames, credits or keepalives; the hello asks the producer to heartbeat at a third of it (0 = wait forever)")
 		case "wait-downstream":
 			fs.DurationVar(&f.WaitDownstream, "wait-downstream", f.WaitDownstream, "with -retry: wait up to this long for pre-declared consumers to re-attach before announcing a resume position upstream")
 		case "telemetry":
@@ -62,8 +59,8 @@ func (f *Flags) Check() error {
 	if f.Retry < 0 {
 		return fmt.Errorf("-retry must be non-negative (got %d)", f.Retry)
 	}
-	names := []string{"timeout", "session-ttl", "heartbeat", "liveness", "wait-downstream"}
-	for i, d := range []time.Duration{f.Timeout, f.SessionTTL, f.Heartbeat, f.Liveness, f.WaitDownstream} {
+	names := []string{"timeout", "session-ttl", "liveness", "wait-downstream"}
+	for i, d := range []time.Duration{f.Timeout, f.SessionTTL, f.Liveness, f.WaitDownstream} {
 		if d < 0 {
 			return fmt.Errorf("-%s must be non-negative (got %v)", names[i], d)
 		}
@@ -97,26 +94,16 @@ func (f *Flags) Reader(h adios.ReaderOptions, c adios.Contact, src int) adios.Re
 	return h
 }
 
-// Relay sets a relay's resilience: what its output servers grant
-// downstream always, and with -retry the self-healing upstream edge,
-// which resolves the upstream contact again before each reconnect.
+// Relay sets a relay's resilience: the liveness bound on both edges
+// always, and with -retry the self-healing upstream edge, which
+// resolves the upstream contact again before each reconnect.
 func (f *Flags) Relay(o *relay.Options, upstream adios.Contact) {
-	o.SessionTTL, o.Heartbeat, o.Liveness = f.SessionTTL, f.Heartbeat, f.Liveness
+	o.SessionTTL, o.Liveness = f.SessionTTL, f.Liveness
 	if f.Retry > 0 {
 		o.Retry = adios.DefaultRetryPolicy(f.Retry)
 		o.WaitDownstream = f.WaitDownstream
 		o.RedialUpstream = func() ([]string, error) { return upstream.Read(f.Timeout) }
 	}
-}
-
-// AttrDefaults is the resilience a producer hands its XML-configured
-// analyses (sensei.Context.AttrDefaults); an explicit attribute wins.
-func (f *Flags) AttrDefaults() map[string]string {
-	attrs := map[string]string{}
-	if f.SessionTTL > 0 {
-		attrs["session-ttl"] = f.SessionTTL.String()
-	}
-	return attrs
 }
 
 // Start serves the process's telemetry plane on addr and prints where.

@@ -23,7 +23,6 @@ func TestRegisterAndCheck(t *testing.T) {
 		{[]string{"-retry", "-1"}, "-retry must be non-negative"},
 		{[]string{"-timeout", "-1s"}, "-timeout must be non-negative"},
 		{[]string{"-session-ttl", "-1s"}, "-session-ttl must be non-negative"},
-		{[]string{"-heartbeat", "-1s"}, "-heartbeat must be non-negative"},
 		{[]string{"-liveness", "-1s"}, "-liveness must be non-negative"},
 		{[]string{"-retry", "1", "-wait-downstream", "-1s"}, "-wait-downstream must be non-negative"},
 		{[]string{"-wait-downstream", "5s"}, "-wait-downstream needs -retry"},
@@ -32,7 +31,7 @@ func TestRegisterAndCheck(t *testing.T) {
 		f := Flags{Timeout: time.Minute, SessionTTL: 30 * time.Second}
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
 		fs.SetOutput(new(strings.Builder))
-		f.Register(fs, "contact-dir", "timeout", "retry", "session-ttl", "heartbeat", "liveness", "wait-downstream")
+		f.Register(fs, "contact-dir", "timeout", "retry", "session-ttl", "liveness", "wait-downstream")
 		err := fs.Parse(tc.argv)
 		if err == nil {
 			err = f.Check()
@@ -50,25 +49,22 @@ func TestRegisterAndCheck(t *testing.T) {
 
 // TestMappings: -retry is what turns on the redial (resolving the
 // contact again), the session and the relay's deferred upstream edge;
-// without it only the serving side's fields and the liveness bound go
+// without it only the liveness bound and the relay's session request go
 // out.
 func TestMappings(t *testing.T) {
 	c := adios.Contact{Dir: t.TempDir(), Name: "sim"}
 	if err := c.Write([]string{"a:1", "b:2"}, ""); err != nil {
 		t.Fatal(err)
 	}
-	f := Flags{Timeout: time.Second, SessionTTL: 10 * time.Second, Heartbeat: time.Second, Liveness: 2 * time.Second}
+	f := Flags{Timeout: time.Second, SessionTTL: 10 * time.Second, Liveness: 2 * time.Second}
 	h := f.Reader(adios.ReaderOptions{Consumer: "ep"}, c, 1)
 	if h.Consumer != "ep" || h.LivenessTimeout != 2*time.Second || h.Retry != nil || h.Redial != nil || h.Session {
 		t.Errorf("hello without -retry = %+v", h)
 	}
 	var ro relay.Options
 	f.Relay(&ro, c)
-	if ro.SessionTTL != 10*time.Second || ro.Heartbeat != time.Second || ro.Liveness != 2*time.Second || ro.Retry != nil || ro.RedialUpstream != nil {
+	if ro.SessionTTL != 10*time.Second || ro.Liveness != 2*time.Second || ro.Retry != nil || ro.RedialUpstream != nil {
 		t.Errorf("relay options without -retry = %+v", ro)
-	}
-	if got := f.AttrDefaults(); len(got) != 1 || got["session-ttl"] != "10s" {
-		t.Errorf("attribute defaults = %v", got)
 	}
 
 	f.Retry, f.WaitDownstream = 3, time.Second

@@ -2,7 +2,9 @@ package staging
 
 import (
 	"fmt"
+	"maps"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -110,8 +112,9 @@ func ParseConsumers(s string) ([]ConsumerSpec, error) {
 // its hello announces, a second concurrent one is rejected "already
 // attached", the producer pulls only the arrays that reader asked for,
 // and Finalize gives a reader yet to dial closeWait to collect what is
-// staged; consumers, policy, depth and spill do not apply to it.
-// XML attributes:
+// staged. Sessions and heartbeats are what each reader's hello asks
+// for. XML attributes (any other is refused, naming it; consumers,
+// policy, depth and spill are "staging" only, queue "adios" only):
 //
 //	address   server listen address (default 127.0.0.1:0)
 //	contact   contact file for the rendezvous (rank 0 writes it); with
@@ -142,22 +145,10 @@ func ParseConsumers(s string) ([]ConsumerSpec, error) {
 //	policy    default policy for consumers not pre-declared
 //	depth     default queue depth (default 2): for block, the steps
 //	          the hub holds for the consumer, on the wire included
-//	queue     the direct stream's queue depth ("adios" only, default 2)
-//	session-ttl
-//	          enables resumable consumer sessions: a disconnected
-//	          reader's cursor, policy window, and spill queue are
-//	          retained for this grace period (Go duration, e.g. "30s")
-//	          and an exactly-once resume picks up from the acked
-//	          position
-//	heartbeat per-connection idle keepalive period (Go duration; ""
-//	          disables) so reader-side liveness checks survive a slow
-//	          producer
+//	queue     the direct stream's queue depth (default 2)
 //	liveness  credit-wait liveness bound (Go duration; "" disables): a
 //	          reader that neither credits nor keepalives within the
-//	          window is declared dead (parked when sessions are on)
-//	handshake-timeout
-//	          bound on an accepted connection completing its hello
-//	          (default 10s; "off" disables)
+//	          window is declared dead (its session, if any, parks)
 type Adaptor struct {
 	ctx      *sensei.Context
 	hub      *Hub
@@ -190,15 +181,50 @@ func New(ctx *sensei.Context, hub *Hub, meshName string, arrays []string) *Adapt
 const closeWait = 5 * time.Second
 
 func init() {
-	sensei.Register("staging", xmlFactory(false))
-	sensei.Register("adios", xmlFactory(true))
+	sensei.Register("staging", xmlFactory("staging"))
+	sensei.Register("adios", xmlFactory("adios"))
+}
+
+// xmlAttrs is every attribute each analysis type reads: those any
+// analysis element carries, those the two types share, its own.
+var xmlAttrs = map[string][]string{
+	"staging": strings.Fields(sharedAttrs + " spill consumers policy depth"),
+	"adios":   strings.Fields(sharedAttrs + " queue"),
+}
+
+const sharedAttrs = "type enabled frequency maxerror address contact contact-dir mesh arrays codecs liveness"
+
+// readerSide names what replaced the producer attributes a config may
+// still carry.
+var readerSide = map[string]string{
+	"session-ttl":       "a reader asks for its session with -retry and its park grace with -session-ttl",
+	"heartbeat":         "a reader's -liveness paces the heartbeats it gets",
+	"handshake-timeout": "a hello has a fixed 10s to arrive",
+}
+
+// checkAttrs refuses an attribute the factory would not read, naming
+// it, so a typo or a leftover is not silently ignored.
+func checkAttrs(typ string, attrs map[string]string) error {
+	for _, k := range slices.Sorted(maps.Keys(attrs)) {
+		if why, ok := readerSide[k]; ok {
+			return fmt.Errorf("staging: attribute %q is gone: %s", k, why)
+		}
+		if !slices.Contains(xmlAttrs[typ], k) {
+			return fmt.Errorf("staging: analysis type %q has no attribute %q", typ, k)
+		}
+	}
+	return nil
 }
 
 // xmlFactory is the XML-configured adaptor: hub, binder, network server
-// and contact-file rendezvous. direct (analysis type "adios") closes
-// the consumer set.
-func xmlFactory(direct bool) sensei.Factory {
+// and contact-file rendezvous. Analysis type "adios" closes the
+// consumer set.
+func xmlFactory(typ string) sensei.Factory {
+	direct := typ == "adios"
 	return func(ctx *sensei.Context, attrs map[string]string) (sensei.Analysis, error) {
+		if err := checkAttrs(typ, attrs); err != nil {
+			return nil, err
+		}
 		hub := NewHub(ctx.Acct)
 		var arrays []string
 		if a := strings.TrimSpace(attrs["arrays"]); a != "" {
@@ -263,32 +289,10 @@ func xmlFactory(direct bool) sensei.Factory {
 			}
 		}
 		var sopts ServerOptions
-		parseDur := func(key string) (time.Duration, error) {
-			v := strings.TrimSpace(attrs[key])
-			if v == "" || v == "off" {
-				return 0, nil
+		if v := strings.TrimSpace(attrs["liveness"]); v != "" && v != "off" {
+			if sopts.LivenessTimeout, err = time.ParseDuration(v); err != nil {
+				return nil, fmt.Errorf("staging: bad liveness %q: %w", v, err)
 			}
-			d, err := time.ParseDuration(v)
-			if err != nil {
-				return 0, fmt.Errorf("staging: bad %s %q: %w", key, v, err)
-			}
-			return d, nil
-		}
-		if ttl, err := parseDur("session-ttl"); err != nil {
-			return nil, err
-		} else if ttl > 0 {
-			ad.binder.EnableSessions(ttl)
-		}
-		if sopts.Heartbeat, err = parseDur("heartbeat"); err != nil {
-			return nil, err
-		}
-		if sopts.LivenessTimeout, err = parseDur("liveness"); err != nil {
-			return nil, err
-		}
-		if v := strings.TrimSpace(attrs["handshake-timeout"]); v == "off" {
-			sopts.HandshakeTimeout = -1
-		} else if sopts.HandshakeTimeout, err = parseDur("handshake-timeout"); err != nil {
-			return nil, err
 		}
 		if ctx.Telemetry != nil {
 			binder := ad.binder

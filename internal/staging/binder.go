@@ -1,6 +1,7 @@
 package staging
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"sort"
@@ -19,15 +20,14 @@ import (
 // subscriptions with the reader's announced policy/depth/arrays or
 // the binder's defaults.
 //
-// With EnableSessions, the binder also owns resumable-session
-// lifecycle: a reader asking for a session gets a resume token, its
-// consumer parks (cursor, window, spill queue, and backpressure claim
-// intact) instead of closing when the connection dies, and a
-// reconnect presenting the token — or, for a reader that lost its
-// token across a restart, re-announcing the same name with a session
-// request — resumes exactly where the acked position left off. Parked
-// sessions expire after a grace TTL and fall back to the classic
-// close path.
+// The binder also owns resumable-session lifecycle, and grants every
+// reader the session it asks for: a resume token, and a consumer that
+// parks (cursor, window, spill queue, and backpressure claim intact)
+// instead of closing when the connection dies. A reconnect presenting
+// the token — or, for a reader that lost its token across a restart,
+// re-announcing the same name with a session request — resumes exactly
+// where the acked position left off. A parked session expires after
+// its grace TTL and falls back to the classic close path.
 //
 // The XML staging adaptor, the relay, the archive replay producer and
 // a Serve given no SubscribeFunc all resolve handshakes through a
@@ -50,9 +50,9 @@ type Binder struct {
 	// is rejected "already attached", and nothing attaches dynamically.
 	sole bool
 
-	// Resumable-session state (nil maps until EnableSessions).
+	// Resumable-session state. sessTTL caps a granted park grace
+	// (maxSessionTTL).
 	sessTTL      time.Duration
-	sessMax      int
 	sessions     map[string]*boundSession // by token
 	parkedByName map[string]*boundSession // parked sessions per logical name
 	sessIssued   int64
@@ -82,6 +82,14 @@ const soleName = "direct"
 // churn cannot grow binder state without bound.
 const defaultSessionMax = 256
 
+// A session's park grace is what its reader asked for, or
+// defaultSessionTTL, clamped to maxSessionTTL: a reader may ask for a
+// shorter park, never for a longer hold on the producer.
+const (
+	defaultSessionTTL = 30 * time.Second
+	maxSessionTTL     = 5 * time.Minute
+)
+
 // NewBinder builds a binder over hub with defaults for dynamically
 // attaching readers (defDepth <= 0 selects 2).
 func NewBinder(hub *Hub, defPolicy Policy, defDepth int) *Binder {
@@ -90,29 +98,13 @@ func NewBinder(hub *Hub, defPolicy Policy, defDepth int) *Binder {
 	}
 	return &Binder{
 		hub: hub, defPolicy: defPolicy, defDepth: defDepth,
-		specs:      map[string]ConsumerSpec{},
-		registered: map[string]*Consumer{},
-		claimed:    map[string]bool{},
+		specs:        map[string]ConsumerSpec{},
+		registered:   map[string]*Consumer{},
+		claimed:      map[string]bool{},
+		sessTTL:      maxSessionTTL,
+		sessions:     map[string]*boundSession{},
+		parkedByName: map[string]*boundSession{},
 	}
-}
-
-// EnableSessions turns on resumable sessions with the given park
-// grace TTL (how long a disconnected consumer's position and
-// backpressure claim are retained; ttl <= 0 selects 30s).
-func (b *Binder) EnableSessions(ttl time.Duration) {
-	if ttl <= 0 {
-		ttl = 30 * time.Second
-	}
-	b.mu.Lock()
-	b.sessTTL = ttl
-	if b.sessMax == 0 {
-		b.sessMax = defaultSessionMax
-	}
-	if b.sessions == nil {
-		b.sessions = map[string]*boundSession{}
-		b.parkedByName = map[string]*boundSession{}
-	}
-	b.mu.Unlock()
 }
 
 // Declare pre-subscribes one consumer so no step is missed while its
@@ -197,8 +189,8 @@ func (b *Binder) FullyAttached() bool {
 //     case, where the token died with the process but the name and
 //     resume position survive;
 //  3. otherwise the classic bind runs, a resume floor installs when
-//     the reader announced one, and a fresh token is issued when
-//     sessions are enabled and the reader asked for one.
+//     the reader announced one, and a fresh token is issued when the
+//     reader asked for one.
 func (b *Binder) Resolve(req SubscribeRequest) (*Subscription, error) {
 	if b.sole {
 		req.Name = soleName
@@ -222,7 +214,7 @@ func (b *Binder) Resolve(req SubscribeRequest) (*Subscription, error) {
 		}
 		return b.resumeLocked(s, req.Resume), nil
 	}
-	if req.NewSession && req.Name != "" && b.sessions != nil {
+	if req.NewSession && req.Name != "" {
 		// A live (unparked) session under the same name means the hub
 		// has not yet declared the previous incarnation dead: transient,
 		// the reader backs off rather than hitting "already attached".
@@ -256,19 +248,14 @@ func (b *Binder) Resolve(req SubscribeRequest) (*Subscription, error) {
 	}
 	b.hub.setResumeFloor(cons, req.Resume)
 	sub := &Subscription{Cons: cons}
-	if req.NewSession && b.sessTTL > 0 && len(b.sessions) < b.sessMax {
-		// The configured TTL is the maximum: a reader may ask for a
-		// shorter park, never for a longer hold on the producer.
-		ttl := b.sessTTL
-		if req.SessionTTL > 0 {
-			ttl = min(req.SessionTTL, b.sessTTL)
-		}
+	if req.NewSession && len(b.sessions) < defaultSessionMax {
+		ttl := min(cmp.Or(req.SessionTTL, defaultSessionTTL), b.sessTTL)
 		s := &boundSession{
 			token: b.newTokenLocked(), name: req.Name, cons: cons, ttl: ttl, gen: 1,
 		}
 		b.sessions[s.token] = s
 		b.sessIssued++
-		sub.Session = s.token
+		sub.Session, sub.TTL = s.token, s.ttl
 		sub.Park = b.parkFunc(s, s.gen)
 	}
 	return sub, nil
@@ -303,7 +290,7 @@ func (b *Binder) resumeLocked(s *boundSession, resume int64) *Subscription {
 	b.sessResumed++
 	b.hub.event(telemetry.EventSessionResumed, s.subject(), s.cons.NextNeeded(),
 		fmt.Sprintf("connection generation %d", s.gen))
-	return &Subscription{Cons: s.cons, Session: s.token, Park: b.parkFunc(s, s.gen)}
+	return &Subscription{Cons: s.cons, Session: s.token, TTL: s.ttl, Park: b.parkFunc(s, s.gen)}
 }
 
 // parkFunc builds the Subscription.Park hook for one connection
@@ -512,22 +499,18 @@ type SessionStats struct {
 
 // SessionStatus is the binder's /statusz session table.
 type SessionStatus struct {
-	Enabled    bool           `json:"enabled"`
-	TTLSeconds float64        `json:"ttl_seconds,omitempty"`
-	Issued     int64          `json:"issued"`
-	Resumed    int64          `json:"resumed"`
-	Adopted    int64          `json:"adopted"`
-	Expired    int64          `json:"expired"`
-	Sessions   []SessionStats `json:"sessions,omitempty"`
+	Issued   int64          `json:"issued"`
+	Resumed  int64          `json:"resumed"`
+	Adopted  int64          `json:"adopted"`
+	Expired  int64          `json:"expired"`
+	Sessions []SessionStats `json:"sessions,omitempty"`
 }
 
 // SessionStatus snapshots the binder's session table for /statusz.
 func (b *Binder) SessionStatus() SessionStatus {
 	b.mu.Lock()
 	st := SessionStatus{
-		Enabled:    b.sessTTL > 0,
-		TTLSeconds: b.sessTTL.Seconds(),
-		Issued:     b.sessIssued, Resumed: b.sessResumed,
+		Issued: b.sessIssued, Resumed: b.sessResumed,
 		Adopted: b.sessAdopted, Expired: b.sessExpired,
 	}
 	rows := make([]SessionStats, 0, len(b.sessions))

@@ -211,7 +211,7 @@ func TestDirectSessionResumeOverCut(t *testing.T) {
 	const steps = 30
 	run := func(cut bool) [][]byte {
 		ad := newDirect(t, testCtx(t.TempDir()), map[string]string{
-			"session-ttl": "10s", "heartbeat": "20ms", "liveness": "1s",
+			"liveness": "1s",
 		})
 		profile := faultnet.NewProfile()
 		px, err := faultnet.NewProxy("127.0.0.1:0", ad.Server().Addr(), profile)
@@ -283,7 +283,7 @@ func TestDirectSessionResumeOverCut(t *testing.T) {
 // dead process stopped.
 func TestDirectSessionAdoptedByReplacement(t *testing.T) {
 	const steps = 12
-	ad := newDirect(t, testCtx(t.TempDir()), map[string]string{"session-ttl": "10s"})
+	ad := newDirect(t, testCtx(t.TempDir()), nil)
 	addr := ad.Server().Addr()
 	go func() {
 		for i := 0; i < steps; i++ {

@@ -48,8 +48,10 @@ type Subscription struct {
 
 	// Session is the resume token issued (or confirmed) for this
 	// connection; "" means the subscription is not resumable and a
-	// transport failure closes the consumer.
+	// transport failure closes the consumer. TTL is the session's park
+	// grace.
 	Session string
+	TTL     time.Duration
 
 	// Park, when non-nil, is offered the consumer after a transport
 	// failure instead of a close; inflight is the delivered-but-unacked
@@ -71,13 +73,8 @@ type ServerOptions struct {
 	// HandshakeTimeout bounds how long an accepted connection may sit
 	// before completing its hello (a dialer that connects and goes
 	// silent would otherwise pin a goroutine forever). 0 means a 10s
-	// default; negative disables the bound.
+	// default.
 	HandshakeTimeout time.Duration
-
-	// Heartbeat, when > 0, emits a keepalive marker on idle streams at
-	// this period, so reader-side liveness checks survive a slow
-	// producer.
-	Heartbeat time.Duration
 
 	// LivenessTimeout, when > 0, bounds the credit wait: a reader that
 	// neither credits the delivered step nor sends keepalives within
@@ -87,6 +84,24 @@ type ServerOptions struct {
 }
 
 const defaultHandshakeTimeout = 10 * time.Second
+
+// minPoll floors a liveness poll (awaitCredit) and a heartbeat period.
+const minPoll = 10 * time.Millisecond
+
+// heartbeatPeriod is how often an idle stream is heartbeaten: a third
+// of the shorter of the reader's liveness timeout and its session's
+// park grace (so a silent reader is found, and parked, well inside the
+// grace), never under minPoll. 0 — a reader that announced neither —
+// is no heartbeat.
+func heartbeatPeriod(liveness, ttl time.Duration) time.Duration {
+	if liveness <= 0 || (ttl > 0 && ttl < liveness) {
+		liveness = ttl
+	}
+	if liveness <= 0 {
+		return 0
+	}
+	return max(liveness/3, minPoll)
+}
 
 // Server accepts any number of SST readers on one address and pumps
 // each one from its own hub consumer — the one producer-side server of
@@ -108,12 +123,10 @@ type Server struct {
 
 // Serve starts a staging server on addr (use "127.0.0.1:0" for an
 // ephemeral port) with default options. subscribe may be nil, in
-// which case handshakes resolve through a Binder with nothing declared
-// and sessions off: every reader gets a fresh consumer with its
-// announced name/policy/depth (policy defaults to block), and session
-// tokens are rejected as unknown — reconnecting readers downgrade to a
-// fresh subscription whose Resume ordinal still suppresses
-// already-consumed steps.
+// which case handshakes resolve through a Binder with nothing declared:
+// every reader gets a fresh consumer with its announced
+// name/policy/depth (policy defaults to block), and the session it
+// asks for.
 func Serve(hub *Hub, addr string, subscribe SubscribeFunc) (*Server, error) {
 	return ServeWith(hub, addr, subscribe, ServerOptions{})
 }
@@ -190,12 +203,11 @@ func (s *Server) serveConn(conn net.Conn) {
 	// Bound the handshake: an accepted connection that never completes
 	// its hello must not pin this goroutine (and its conns slot) for
 	// the life of the server.
-	if ht := s.opts.HandshakeTimeout; ht >= 0 {
-		if ht == 0 {
-			ht = defaultHandshakeTimeout
-		}
-		conn.SetReadDeadline(time.Now().Add(ht)) //nolint:errcheck // best effort
+	ht := s.opts.HandshakeTimeout
+	if ht <= 0 {
+		ht = defaultHandshakeTimeout
 	}
+	conn.SetReadDeadline(time.Now().Add(ht)) //nolint:errcheck // best effort
 	var h adios.Hello
 	// The credit bytes follow the hello on the same connection.
 	credits, err := adios.ReadHello(bufio.NewReaderSize(conn, 1<<16), &h)
@@ -225,9 +237,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		Name: h.Consumer, Policy: h.Policy, Depth: h.Depth,
 		Arrays: h.Arrays, Codecs: h.Codecs,
 		Session: h.Session, NewSession: h.NewSession, Resume: h.Resume,
-	}
-	if h.SessionTTL > 0 {
-		req.SessionTTL = time.Duration(h.SessionTTL * float64(time.Second))
+		SessionTTL: seconds(h.SessionTTL),
 	}
 	// Bind before replying so a failed subscription is rejected in the
 	// handshake.
@@ -237,6 +247,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 	cons := sub.Cons
+	heartbeat := heartbeatPeriod(seconds(h.Liveness), sub.TTL)
 	// A resumable session parks on transport failure instead of
 	// closing; everything else — clean end-of-stream, handshake-era
 	// errors, refused parks — closes the consumer on the way out.
@@ -293,7 +304,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// stack arrays reused for every step of the pump.
 	var lenBuf [8]byte
 	for {
-		ref, err := cons.NextTimeout(s.opts.Heartbeat)
+		ref, err := cons.NextTimeout(heartbeat)
 		if IsNextTimeout(err) {
 			// Idle stream: prove liveness without touching the frame
 			// sequence. A reader that vanished surfaces here as a write
@@ -358,6 +369,11 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
+// seconds converts a hello's seconds field; a negative one is 0.
+func seconds(s float64) time.Duration {
+	return max(time.Duration(s*float64(time.Second)), 0)
+}
+
 // errConsumerSilent marks a consumer liveness timeout — a sentinel so
 // the pump can journal the heartbeat miss distinctly from ordinary
 // connection failures.
@@ -371,10 +387,7 @@ func awaitCredit(conn net.Conn, credits io.Reader, liveness time.Duration) error
 	var b [1]byte
 	for {
 		if liveness > 0 {
-			interval := liveness / 3
-			if interval < 10*time.Millisecond {
-				interval = 10 * time.Millisecond
-			}
+			interval := max(liveness/3, minPoll)
 			deadline := time.Now().Add(liveness)
 			for {
 				conn.SetReadDeadline(time.Now().Add(interval)) //nolint:errcheck // best effort

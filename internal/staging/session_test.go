@@ -155,7 +155,6 @@ func TestSessionClaimConflicts(t *testing.T) {
 				old := &sessionEnv{h: NewHub(nil)}
 				defer old.h.Close()
 				old.b = NewBinder(old.h, Block, 2)
-				old.b.EnableSessions(time.Minute)
 				old.bind(t, "leaf-a")
 				stale := old.tok
 				e.bind(t, "leaf-b")
@@ -172,7 +171,6 @@ func TestSessionClaimConflicts(t *testing.T) {
 			e := &sessionEnv{h: NewHub(nil)}
 			defer e.h.Close()
 			e.b = NewBinder(e.h, Block, 2)
-			e.b.EnableSessions(time.Minute)
 			if tc.setup != nil {
 				tc.setup(t, e)
 			}
@@ -279,7 +277,7 @@ func TestSessionTTL(t *testing.T) {
 			e := &sessionEnv{h: NewHub(nil)}
 			defer e.h.Close()
 			e.b = NewBinder(e.h, Block, 2)
-			e.b.EnableSessions(40 * time.Millisecond)
+			e.b.sessTTL = 40 * time.Millisecond
 			e.bind(t, "solo")
 			tc.run(t, e)
 		})
@@ -294,7 +292,6 @@ func TestSessionResumeFloor(t *testing.T) {
 	h := NewHub(nil)
 	defer h.Close()
 	b := NewBinder(h, Block, 4)
-	b.EnableSessions(time.Minute)
 	e := &sessionEnv{h: h, b: b}
 	e.bind(t, "solo")
 	cons := e.sub.Cons
@@ -359,7 +356,6 @@ func TestSessionAdoptRedeliversBootstrap(t *testing.T) {
 	h := NewHub(nil)
 	defer h.Close()
 	b := NewBinder(h, Block, 4)
-	b.EnableSessions(time.Minute)
 	e := &sessionEnv{h: h, b: b}
 	e.bind(t, "solo")
 	cons := e.sub.Cons
@@ -461,9 +457,8 @@ func TestSessionResumeOverReset(t *testing.T) {
 			stores := map[string]*memSpillStore{}
 			h := hubWithSpill(stores)
 			b := NewBinder(h, policy, 2)
-			b.EnableSessions(10 * time.Second)
 			srv, err := ServeWith(h, "127.0.0.1:0", b.Resolve, ServerOptions{
-				Heartbeat: 20 * time.Millisecond, LivenessTimeout: time.Second,
+				LivenessTimeout: time.Second,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -535,9 +530,8 @@ func TestSessionCodecKeyframeRestart(t *testing.T) {
 	const n, steps = 256, 30
 	h := NewHub(nil)
 	b := NewBinder(h, Block, 2)
-	b.EnableSessions(10 * time.Second)
 	srv, err := ServeWith(h, "127.0.0.1:0", b.Resolve, ServerOptions{
-		Heartbeat: 20 * time.Millisecond, LivenessTimeout: time.Second,
+		LivenessTimeout: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -695,9 +689,7 @@ func refuseHello(t *testing.T, hello, format string) {
 // the same reader declares the producer hung in bounded time.
 func TestHeartbeatKeepsIdleStreamAlive(t *testing.T) {
 	h := NewHub(nil)
-	srv, err := ServeWith(h, "127.0.0.1:0", nil, ServerOptions{
-		Heartbeat: 25 * time.Millisecond,
-	})
+	srv, err := ServeWith(h, "127.0.0.1:0", nil, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -742,9 +734,7 @@ func TestHeartbeatKeepsIdleStreamAlive(t *testing.T) {
 func TestLivenessDetectsHungProducer(t *testing.T) {
 	h := NewHub(nil)
 	defer h.Close()
-	srv, err := ServeWith(h, "127.0.0.1:0", nil, ServerOptions{
-		Heartbeat: 20 * time.Millisecond,
-	})
+	srv, err := ServeWith(h, "127.0.0.1:0", nil, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
