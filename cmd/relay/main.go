@@ -45,8 +45,6 @@ type options struct {
 	depth     int
 	outRanks  int
 	listen    string
-	mesh      string
-	tier      int
 	consumers []staging.ConsumerSpec
 
 	spillDir string
@@ -69,8 +67,6 @@ func parseArgs(argv []string) (*options, error) {
 	fs.IntVar(&o.depth, "depth", 2, "queue depth of the upstream trunk edge")
 	fs.IntVar(&o.outRanks, "out-ranks", 0, "R, the number of shard-ranged output streams (0 = one per upstream stream, a pure fan-out tier)")
 	fs.StringVar(&o.listen, "listen", "127.0.0.1:0", "listen address for the output servers (each output picks its own port)")
-	fs.StringVar(&o.mesh, "mesh", "mesh", "mesh name for the requirement union")
-	fs.IntVar(&o.tier, "tier", 0, "this relay's depth in the mesh (0 = attached straight to producer hubs); reported in /statusz")
 	consumersFlag := fs.String("consumers", "", `pre-declared downstream consumers, "name[:policy[:depth[:arrays[:codecs]]]],..." (staging consumer-spec grammar); their array declarations union into the upstream request`)
 	fs.StringVar(&o.spillDir, "spill", "", "spill directory for the output hubs (enables spill-policy consumers below this relay)")
 	o.Register(fs, "contact-dir", "timeout", "retry", "session-ttl", "liveness", "wait-downstream", "telemetry")
@@ -119,8 +115,7 @@ func run(o *options, tel *telemetry.Telemetry) error {
 	}
 	ropts := relay.Options{
 		Name: o.name, Policy: o.policy, Depth: o.depth,
-		OutRanks: o.outRanks, Listen: o.listen, Mesh: o.mesh,
-		Downstream: o.downstream(), Tier: o.tier,
+		OutRanks: o.outRanks, Listen: o.listen, Downstream: o.downstream(),
 		Telemetry: tel, SpillDir: o.spillDir,
 	}
 	o.Relay(&ropts, from)
@@ -136,8 +131,8 @@ func run(o *options, tel *telemetry.Telemetry) error {
 			return err
 		}
 	}
-	fmt.Printf("relay %q tier %d: %d upstream -> %d output stream(s) at %s\n",
-		o.name, o.tier, r.Upstreams(), r.OutRanks(), strings.Join(r.Addrs(), " "))
+	fmt.Printf("relay %q: %d upstream -> %d output stream(s) at %s\n",
+		o.name, r.Upstreams(), r.OutRanks(), strings.Join(r.Addrs(), " "))
 	if err := r.Run(); err != nil {
 		return err
 	}

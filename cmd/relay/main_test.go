@@ -62,6 +62,12 @@ func TestParseArgsRejects(t *testing.T) {
 		// Heartbeats are paced by each reader's hello, not by the relay.
 		{[]string{"-heartbeat", "1s"}, "flag provided but not defined: -heartbeat"},
 		{[]string{"-liveness", "-1s"}, "-liveness must be non-negative"},
+		{[]string{"-liveness", "5ms"}, "-liveness must be 0 or at least 30ms"},
+		// A relay's tier and the union's mesh are not settable: meshtop
+		// derives the tier from the crawled edges, and the union is of
+		// array names alone.
+		{[]string{"-tier", "1"}, "flag provided but not defined: -tier"},
+		{[]string{"-mesh", "mesh"}, "flag provided but not defined: -mesh"},
 		{[]string{"-timeout", "-1s"}, "-timeout must be non-negative"},
 		{[]string{"-retry", "3", "-wait-downstream", "-1s"}, "-wait-downstream must be non-negative"},
 		{[]string{"-wait-downstream", "5s"}, "-wait-downstream needs -retry"},

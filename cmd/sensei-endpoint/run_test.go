@@ -85,7 +85,7 @@ func serveScript(t *testing.T, ctx context.Context, contact string, readers int,
 				attached <- struct{}{}
 			}
 			return sub, err
-		}, staging.ServerOptions{})
+		}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,9 +246,9 @@ func TestHelloSessionRule(t *testing.T) {
 			for replica := 0; replica < o.consumers; replica++ {
 				for src := 0; src < testBlocks; src++ {
 					h := o.hello(replica, src)
-					if want := retry != "0"; h.Session != want || (h.Redial != nil) != want {
-						t.Errorf("%v -retry %s, replica %d source %d: hello session %v redial %v, want both %v",
-							flags, retry, replica, src, h.Session, h.Redial != nil, want)
+					if want := retry != "0"; (h.Retry > 0) != want || (h.Redial != nil) != want {
+						t.Errorf("%v -retry %s, replica %d source %d: hello retry %d redial %v, want both %v",
+							flags, retry, replica, src, h.Retry, h.Redial != nil, want)
 					}
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"net"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -178,5 +179,30 @@ func TestOpenReaderBadServer(t *testing.T) {
 func TestOpenReaderNoServer(t *testing.T) {
 	if _, err := OpenReaderWith("127.0.0.1:1", ReaderOptions{}); err == nil {
 		t.Error("expected dial error")
+	}
+}
+
+// TestBackoffBounds: the delay before the a-th retry is the doubling
+// d = min(50ms·2^a, 2s), jittered down by at most half.
+func TestBackoffBounds(t *testing.T) {
+	for a := 0; a <= 8; a++ {
+		d := min(50*time.Millisecond<<a, 2*time.Second)
+		for range 200 {
+			if b := backoff(a); b < d/2 || b > d {
+				t.Fatalf("backoff(%d) = %v, want within [%v, %v]", a, b, d/2, d)
+			}
+		}
+	}
+}
+
+// TestLivenessFloor: a liveness under three of the producer's 10 ms
+// heartbeat floors would call a live idle producer dead, so the reader
+// refuses it before dialling.
+func TestLivenessFloor(t *testing.T) {
+	for _, l := range []time.Duration{time.Millisecond, 5 * time.Millisecond, 29 * time.Millisecond} {
+		_, err := OpenReaderWith("127.0.0.1:1", ReaderOptions{LivenessTimeout: l})
+		if err == nil || !strings.Contains(err.Error(), "liveness "+l.String()+" is under 30ms") {
+			t.Errorf("liveness %v: err = %v, want a refusal naming the 30ms floor", l, err)
+		}
 	}
 }

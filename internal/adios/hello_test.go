@@ -128,7 +128,7 @@ func TestReaderRefusesOtherFrameFormat(t *testing.T) {
 				conn.Close()
 			}
 		}()
-		_, err = adios.OpenReaderWith(ln.Addr().String(), adios.ReaderOptions{Retry: &adios.RetryPolicy{MaxAttempts: 3}})
+		_, err = adios.OpenReaderWith(ln.Addr().String(), adios.ReaderOptions{Retry: 3})
 		ln.Close()
 		var rej *adios.RejectedError
 		if !errors.As(err, &rej) || !strings.Contains(err.Error(), `frame format "`+format+`"`) ||

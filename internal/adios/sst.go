@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net"
 	"strings"
 	"sync"
@@ -84,6 +85,11 @@ const (
 	CreditStep      = 1 // one step consumed: release the staged frame
 	CreditKeepalive = 2 // consumer idle but alive: reset liveness clock
 )
+
+// MinLiveness is the shortest reader liveness bound: three periods of
+// the producer's heartbeat floor (10 ms), so a live idle producer is
+// always heard from inside it.
+const MinLiveness = 30 * time.Millisecond
 
 // ReasonUnknownSession prefixes the rejection reason a staging hub
 // gives a reader presenting a session token it no longer (or never)
@@ -245,20 +251,19 @@ type ReaderOptions struct {
 	// producer's advertisement. Empty requests plain BP06.
 	Codecs []string
 
-	// Retry, when non-nil, makes the reader resilient: the initial dial
-	// retries under the policy's backoff, and a mid-stream transport
-	// failure reconnects and resumes transparently instead of surfacing
-	// an error.
-	Retry *RetryPolicy
+	// Retry, when > 0, makes the reader resilient: it bounds the
+	// consecutive failed attempts of the initial dial and of each
+	// reconnect after a mid-stream transport failure, which resumes
+	// transparently instead of surfacing an error. A retrying reader
+	// also asks the hub for a resumable session: on disconnect the hub
+	// parks this consumer's cursor, window and spill queue for a grace
+	// TTL, and a reconnect presenting the issued token resumes
+	// exactly-once from the acked position.
+	Retry int
 	// Redial, when non-nil, re-resolves the producer's address before a
 	// reconnect attempt (a restarted producer rendezvouses again with a
 	// fresh port). Returning "" falls back to the previous address.
 	Redial func() (string, error)
-	// Session requests a resumable session from a staging hub: on
-	// disconnect the hub parks this consumer's cursor, window, and spill
-	// queue for a grace TTL, and a reconnect presenting the issued token
-	// resumes exactly-once from the acked position.
-	Session bool
 	// SessionTTL is the requested park grace period (0 = the server's
 	// default; the server clamps requests to its maximum).
 	SessionTTL time.Duration
@@ -271,7 +276,8 @@ type ReaderOptions struct {
 	// — before declaring the peer hung. While waiting it emits
 	// keepalive credit bytes so a liveness-checking producer sees it
 	// alive. The hello announces it, and the producer heartbeats an idle
-	// stream at a third of it.
+	// stream at a third of it, never more often than every 10 ms, so a
+	// bound under MinLiveness is refused.
 	LivenessTimeout time.Duration
 	// DeferCredit suppresses the automatic per-frame step credit: the
 	// caller acknowledges each received step explicitly with Credit,
@@ -286,18 +292,22 @@ type ReaderOptions struct {
 // OpenReaderWith connects to a writer's advertised address and
 // completes the control handshake, carrying the consumer options in
 // it (the zero value: a plain reader of a direct stream). With
-// opts.Retry set the initial dial retries under
+// opts.Retry > 0 the initial dial retries under
 // exponential backoff with jitter; handshake rejections are permanent
 // and fail immediately.
 func OpenReaderWith(addr string, opts ReaderOptions) (*Reader, error) {
 	if _, err := codec.ParseSpec(opts.Codecs); err != nil {
 		return nil, err
 	}
+	if opts.LivenessTimeout > 0 && opts.LivenessTimeout < MinLiveness {
+		return nil, fmt.Errorf("adios: liveness %v is under %v: the producer heartbeats at most every %v, so an idle live stream would be declared dead",
+			opts.LivenessTimeout, MinLiveness, MinLiveness/3)
+	}
 	r := &Reader{addr: addr, opts: opts, lastStep: opts.Resume - 1}
 	if opts.Resume <= 0 {
 		r.lastStep = -1
 	}
-	if opts.Retry == nil {
+	if opts.Retry <= 0 {
 		return r, r.connectTo(addr)
 	}
 	if err := r.dial(1); err != nil {
@@ -321,7 +331,7 @@ func (r *Reader) connectTo(addr string) error {
 		Consumer: r.opts.Consumer, Policy: r.opts.Policy, Depth: r.opts.Depth,
 		Arrays: r.opts.Arrays, Codecs: r.opts.Codecs,
 		Session:    r.session,
-		NewSession: r.opts.Session && r.session == "",
+		NewSession: r.opts.Retry > 0 && r.session == "",
 		Resume:     r.lastStep + 1,
 		SessionTTL: r.opts.SessionTTL.Seconds(),
 		Liveness:   r.opts.LivenessTimeout.Seconds()}
@@ -379,7 +389,27 @@ func (r *Reader) connectTo(addr string) error {
 	return nil
 }
 
-// dial runs connectTo under the retry policy, for the initial attach
+// Reconnect backoff of a retrying reader: exponential from retryBase
+// to retryMax, each delay jittered down by up to half so restarted
+// subtrees do not re-dial their upstream in lockstep; one outage gives
+// up after Retry failed attempts or retryBudget, whichever comes first.
+const (
+	retryBase   = 50 * time.Millisecond
+	retryMax    = 2 * time.Second
+	retryBudget = 30 * time.Second
+)
+
+// backoff is the delay before the attempt-th (0-based) retry.
+func backoff(attempt int) time.Duration {
+	d := retryBase
+	for i := 0; i < attempt && d < retryMax; i++ {
+		d *= 2
+	}
+	d = min(d, retryMax)
+	return d - time.Duration(rand.Float64()*float64(d/2))
+}
+
+// dial runs connectTo under the retry bounds, for the initial attach
 // (initial 1: its first attempt goes at once) and after a mid-stream
 // failure (0): backoff with jitter before every later attempt,
 // optional address re-resolution, and the two rejections a resilient
@@ -390,13 +420,12 @@ func (r *Reader) connectTo(addr string) error {
 // suppresses already-consumed steps). Any other rejection is
 // permanent.
 func (r *Reader) dial(initial int) error {
-	pol := r.opts.Retry.withDefaults()
 	start := time.Now()
 	lastErr := fmt.Errorf("adios: reconnect retry budget exhausted")
-	for a := 0; a < max(pol.MaxAttempts, 1); a++ {
+	for a := 0; a < max(r.opts.Retry, 1); a++ {
 		if a >= initial {
-			time.Sleep(pol.Backoff(a - initial))
-			if pol.MaxElapsed > 0 && time.Since(start) >= pol.MaxElapsed {
+			time.Sleep(backoff(a - initial))
+			if time.Since(start) >= retryBudget {
 				break
 			}
 			if r.opts.Redial != nil {
@@ -481,7 +510,7 @@ func (r *Reader) receiveFrame() (time.Time, error) {
 			r.tel.events.Emit(telemetry.EventHeartbeatMiss, r.tel.subject, r.lastStep+1,
 				fmt.Sprintf("producer %s silent past liveness timeout", r.addr))
 		}
-		if !retryable || r.opts.Retry == nil {
+		if !retryable || r.opts.Retry <= 0 {
 			return time.Time{}, err
 		}
 		r.conn.Close()
@@ -592,9 +621,6 @@ func (r *Reader) readFullLiveness(buf []byte) error {
 		return err
 	}
 	interval := liveness / 3
-	if interval <= 0 {
-		interval = liveness
-	}
 	last := time.Now()
 	defer r.conn.SetReadDeadline(time.Time{}) //nolint:errcheck // restore blocking reads
 	off := 0

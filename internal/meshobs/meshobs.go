@@ -90,7 +90,8 @@ type SessionTable struct {
 	Sessions []SessionRow `json:"sessions,omitempty"`
 }
 
-// RelayInfo mirrors relay.Status.
+// RelayInfo mirrors relay.Status, plus the relay's Tier in the tree,
+// which Assemble derives from the edges (relayTiers).
 type RelayInfo struct {
 	Name               string         `json:"name"`
 	Tier               int            `json:"tier"`
@@ -224,6 +225,7 @@ func Assemble(dir string, nodes []Node, lastK int) *Snapshot {
 		snap.Processes = append(snap.Processes, p)
 	}
 	snap.Edges = buildEdges(snap.Processes)
+	relayTiers(snap.Processes, snap.Edges)
 	snap.Steps = telemetry.MergeTraces(rings...)
 	snap.Latency = telemetry.AttributeLatency(snap.Steps, lastK)
 	if b, ok := telemetry.FindBottleneck(snap.Steps, lastK); ok {
@@ -325,4 +327,37 @@ func buildEdges(procs []Process) []Edge {
 		}
 	}
 	return edges
+}
+
+// relayTiers sets each relay's tier from the edges into it: 0 when a
+// process that is not a relay feeds it (a producer, an archive replay),
+// otherwise one more than the tier of the relay feeding it. The walk
+// goes breadth-first from the non-relay feeders and places each relay
+// once, so a cycle in a stale contact directory ends it; a relay that
+// no crawled process feeds stays at 0.
+func relayTiers(procs []Process, edges []Edge) {
+	relays := make(map[string]*RelayInfo) // entry -> relay section
+	for i := range procs {
+		if r := procs[i].Relay; r != nil {
+			r.Tier = 0
+			relays[procs[i].Entry] = r
+		}
+	}
+	placed := make(map[string]bool)
+	feeds := func(from string) bool { return relays[from] == nil }
+	for tier := 0; ; tier++ {
+		level := make(map[string]bool)
+		for _, e := range edges {
+			if r := relays[e.To]; r != nil && !placed[e.To] && feeds(e.From) {
+				r.Tier, level[e.To] = tier, true
+			}
+		}
+		if len(level) == 0 {
+			return
+		}
+		for entry := range level {
+			placed[entry] = true
+		}
+		feeds = func(from string) bool { return level[from] }
+	}
 }

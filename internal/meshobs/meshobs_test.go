@@ -3,6 +3,7 @@ package meshobs
 import (
 	"encoding/json"
 	"errors"
+	"maps"
 	"testing"
 
 	"nekrs-sensei/internal/adios"
@@ -41,7 +42,7 @@ func meshNodes(t *testing.T) []Node {
 	rel := &telemetry.Statusz{
 		Process: "relay", PID: 101, UptimeSec: 11,
 		Status: map[string]json.RawMessage{
-			"relay/relay": rawSection(t, RelayInfo{Name: "relay", Tier: 1, Upstream: 1, OutRanks: 1, Steps: 9}),
+			"relay/relay": rawSection(t, RelayInfo{Name: "relay", Upstream: 1, OutRanks: 1, Steps: 9}),
 			"staging-hub/relay-out0": rawSection(t, HubInfo{
 				Published: 9,
 				Consumers: []HubConsumer{{
@@ -80,7 +81,7 @@ func TestAssembleTopologyAndEdges(t *testing.T) {
 	if len(snap.Processes) != 3 {
 		t.Fatalf("assembled %d processes, want 3", len(snap.Processes))
 	}
-	if snap.Processes[1].Relay == nil || snap.Processes[1].Relay.Tier != 1 {
+	if snap.Processes[1].Relay == nil || snap.Processes[1].Relay.Tier != 0 {
 		t.Errorf("relay section not decoded: %+v", snap.Processes[1])
 	}
 	if len(snap.Processes[0].Hubs) != 1 || snap.Processes[0].Hubs[0].Label != "rank-0" {
@@ -171,5 +172,53 @@ func TestAssembleAliasFolding(t *testing.T) {
 	}
 	if len(snap.Edges) != 1 || snap.Edges[0].To != "tier2-a" {
 		t.Errorf("edge resolution through aliases = %+v", snap.Edges)
+	}
+}
+
+// TestAssembleDerivesTiers: a relay's tier is read off the edges into
+// it — 0 below a producer or an archive replay, one more per relay
+// above it — and a cyclic (stale) directory still assembles.
+func TestAssembleDerivesTiers(t *testing.T) {
+	// node is a crawled process serving one hub to the named consumers;
+	// relay, when non-empty, is the consumer name it announces upstream.
+	node := func(entry, relay string, consumers ...string) Node {
+		st := &telemetry.Statusz{Status: map[string]json.RawMessage{}}
+		var h HubInfo
+		for _, c := range consumers {
+			h.Consumers = append(h.Consumers, HubConsumer{Name: c, Policy: "block"})
+		}
+		st.Status["staging-hub/out0"] = rawSection(t, h)
+		if relay != "" {
+			st.Status["relay/"+relay] = rawSection(t, RelayInfo{Name: relay})
+		}
+		return Node{Entry: adios.ContactEntry{Name: entry, Telemetry: entry, Alive: true}, Status: st}
+	}
+	tiers := func(nodes ...Node) map[string]int {
+		out := map[string]int{}
+		for _, p := range Assemble("", nodes, 0).Processes {
+			if p.Relay != nil {
+				out[p.Entry] = p.Relay.Tier
+			}
+		}
+		return out
+	}
+	got := tiers(
+		node("sim", "", "r0"),
+		node("tier0", "r0", "r1"),
+		node("tier1", "r1", "leaf"),
+		Node{Entry: adios.ContactEntry{Name: "leaf", Telemetry: "leaf", Alive: true}},
+		node("replay", "", "rr"),
+		node("below-replay", "rr", "x"),
+	)
+	if want := map[string]int{"tier0": 0, "tier1": 1, "below-replay": 0}; !maps.Equal(got, want) {
+		t.Errorf("tiers = %v, want %v", got, want)
+	}
+	// a -> b -> a with nothing feeding either, then the same loop below
+	// a producer: the walk ends, and the fed relay is the loop's tier 0.
+	if got := tiers(node("a", "a", "b"), node("b", "b", "a")); !maps.Equal(got, map[string]int{"a": 0, "b": 0}) {
+		t.Errorf("unfed cycle tiers = %v, want both 0", got)
+	}
+	if got := tiers(node("sim", "", "a"), node("a", "a", "b"), node("b", "b", "a")); !maps.Equal(got, map[string]int{"a": 0, "b": 1}) {
+		t.Errorf("fed cycle tiers = %v, want a 0, b 1", got)
 	}
 }

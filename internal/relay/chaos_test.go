@@ -44,9 +44,7 @@ func chaosServedHub(t *testing.T, name string) (*staging.Hub, string, *telemetry
 	hub := staging.NewHub(nil)
 	hub.SetTelemetry(tel, "rank-0")
 	binder := staging.NewBinder(hub, staging.Block, 4)
-	srv, err := staging.ServeWith(hub, "127.0.0.1:0", binder.Resolve, staging.ServerOptions{
-		LivenessTimeout: 2 * time.Second,
-	})
+	srv, err := staging.ServeWith(hub, "127.0.0.1:0", binder.Resolve, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,9 +69,9 @@ type chaosLeaf struct {
 func startChaosLeaf(t *testing.T, name, addr string) *chaosLeaf {
 	t.Helper()
 	rd, err := adios.OpenReaderWith(addr, adios.ReaderOptions{
-		Consumer: name,
-		Session:  true, SessionTTL: 10 * time.Second,
-		Retry:           adios.DefaultRetryPolicy(400),
+		Consumer:        name,
+		SessionTTL:      10 * time.Second,
+		Retry:           400,
 		Redial:          func() (string, error) { return addr, nil },
 		LivenessTimeout: 2 * time.Second,
 	})
@@ -138,7 +136,7 @@ func TestChaosRelayKillRestart(t *testing.T) {
 				{Spec: staging.ConsumerSpec{Name: "leaf-block", Policy: staging.Block, Depth: 2}},
 				{Spec: staging.ConsumerSpec{Name: "leaf-spill", Policy: staging.Spill, Depth: 2}},
 			},
-			Retry:          adios.DefaultRetryPolicy(400),
+			Retry:          400,
 			SessionTTL:     10 * time.Second,
 			Liveness:       2 * time.Second,
 			WaitDownstream: wait,

@@ -22,11 +22,14 @@
 //     endpoint of R ranks dials exactly one stream per rank.
 //
 // Requirements flow upstream through the tree: the relay unions its
-// declared downstream consumers' array declarations
-// (sensei.Requirements.Union) and requests exactly that union from
-// its upstream in the hello — re-advertising it downward — so a
+// declared downstream consumers' array subsets (a consumer that
+// declares none needs every array) and requests exactly that union
+// from its upstream in the hello — re-advertising it downward — so a
 // subtree that only ever reads "pressure" costs "pressure" on every
 // trunk above it.
+//
+// A relay does not know its depth in the tree; the mesh observatory
+// derives it from the edges it crawls (meshobs.Assemble).
 //
 // There is one data path, and it decodes no float: the trunk always
 // carries plain frames, received raw (adios.Reader.BeginRawStep),
@@ -43,6 +46,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -50,7 +54,6 @@ import (
 
 	"nekrs-sensei/internal/adios"
 	"nekrs-sensei/internal/intransit"
-	"nekrs-sensei/internal/sensei"
 	"nekrs-sensei/internal/staging"
 	"nekrs-sensei/internal/telemetry"
 )
@@ -79,28 +82,23 @@ type Options struct {
 	// Listen is the listen address for every output server (default
 	// "127.0.0.1:0"; each output picks its own ephemeral port).
 	Listen string
-	// Mesh names the mesh for the requirement union (default "mesh").
-	Mesh string
 	// Downstream pre-declares consumers on every output hub (claimed
 	// by name like any staging consumer); their array declarations
 	// union into the upstream request.
 	Downstream []Downstream
-	// Tier is this relay's depth in the mesh (0 attaches straight to
-	// producer hubs); reported in /statusz.
-	Tier int
 	// Telemetry, when non-nil, attaches the relay and its output hubs
 	// to the process observability plane (a "relay/<name>" /statusz
 	// section plus the usual per-hub series).
 	Telemetry *telemetry.Telemetry
-	// Retry, when non-nil, makes the relay self-healing: upstream dials
-	// and mid-stream failures retry under the policy's backoff, the
-	// relay announces resumable sessions upstream (the upstream hub
+	// Retry, when > 0, makes the relay self-healing: upstream dials and
+	// mid-stream failures retry up to Retry attempts under backoff, the
+	// relay holds resumable sessions upstream (the upstream hub
 	// parks its cursor across a disconnect), and — crucially — upstream
 	// step credits are deferred until each step has fully drained the
 	// relay's own output hubs, so a crashed-and-restarted relay finds
 	// every not-yet-delivered step still parked upstream and no lossless
 	// consumer below it misses a step.
-	Retry *adios.RetryPolicy
+	Retry int
 	// SessionTTL is the park grace the relay requests upstream with
 	// Retry (0 = the upstream hub's default). Downstream readers get
 	// the sessions and heartbeats their own hellos ask for.
@@ -138,9 +136,6 @@ func (o *Options) withDefaults() Options {
 	if out.Listen == "" {
 		out.Listen = "127.0.0.1:0"
 	}
-	if out.Mesh == "" {
-		out.Mesh = "mesh"
-	}
 	return out
 }
 
@@ -156,8 +151,7 @@ type Relay struct {
 	binders []*staging.Binder
 	pool    *adios.FramePool
 
-	req    sensei.Requirements // downstream union
-	arrays []string            // upstream subset request (nil = all)
+	arrays []string // downstream union, the upstream subset request (nil = all)
 
 	// Per-source/per-output stream state, owned by the Run goroutine.
 	pendingStruct [][]byte // per source: grid of a skipped structure step
@@ -201,10 +195,7 @@ func New(upstream []string, opts Options) (*Relay, error) {
 		return nil, fmt.Errorf("relay: out-ranks %d outside [1, %d upstreams]", o.OutRanks, len(upstream))
 	}
 
-	r.req = unionRequirements(o.Mesh, o.Downstream)
-	if m := r.req.Mesh(o.Mesh); m != nil && !m.AllArrays {
-		r.arrays = m.PointArrayNames()
-	}
+	r.arrays = unionArrays(o.Downstream)
 
 	// Downstream edge first: R hubs, each re-advertising the union and
 	// carrying every pre-declared consumer. Building (and listening)
@@ -231,9 +222,7 @@ func New(upstream []string, opts Options) (*Relay, error) {
 				return nil, fmt.Errorf("relay: declare %q: %w", d.Spec.Name, err)
 			}
 		}
-		srv, err := staging.ServeWith(hub, o.Listen, binder.Resolve, staging.ServerOptions{
-			LivenessTimeout: o.Liveness,
-		})
+		srv, err := staging.ServeWith(hub, o.Listen, binder.Resolve, o.Liveness)
 		if err != nil {
 			hub.Close()
 			r.teardown()
@@ -259,7 +248,7 @@ func New(upstream []string, opts Options) (*Relay, error) {
 	// session, the subtree's minimum resume position, and deferred
 	// credits (see Options.Retry).
 	resume := int64(0)
-	if o.Retry != nil {
+	if o.Retry > 0 {
 		resume = r.minResume()
 	}
 	for i, addr := range upstream {
@@ -267,9 +256,8 @@ func New(upstream []string, opts Options) (*Relay, error) {
 			Consumer: o.Name, Policy: o.Policy, Depth: o.Depth,
 			Arrays: r.arrays, LivenessTimeout: o.Liveness,
 		}
-		if o.Retry != nil {
+		if o.Retry > 0 {
 			ropts.Retry = o.Retry
-			ropts.Session = true
 			ropts.SessionTTL = o.SessionTTL
 			ropts.Resume = resume
 			ropts.DeferCredit = true
@@ -293,7 +281,7 @@ func New(upstream []string, opts Options) (*Relay, error) {
 		r.readers = append(r.readers, rd)
 	}
 
-	if o.Retry != nil {
+	if o.Retry > 0 {
 		r.startCrediting()
 		if resume > 0 {
 			// A non-zero resume means a predecessor's subtree position
@@ -368,22 +356,23 @@ func (r *Relay) startCrediting() {
 	}()
 }
 
-// unionRequirements folds the declared downstream consumers into one
-// sensei.Requirements — the subtree's need, which becomes the
-// upstream hello. No declarations means the relay must be able to
-// serve anything (dynamic attachment), i.e. all arrays.
-func unionRequirements(mesh string, ds []Downstream) sensei.Requirements {
+// unionArrays is the subtree's need, which becomes the upstream
+// request: the sorted, deduplicated union of the declared consumers'
+// array subsets, or nil (every array) when none is declared or one
+// declares none.
+func unionArrays(ds []Downstream) []string {
 	if len(ds) == 0 {
-		return sensei.RequireAllArrays(mesh)
+		return nil
 	}
-	var req sensei.Requirements
+	var out []string
 	for _, d := range ds {
 		if len(d.Spec.Arrays) == 0 {
-			return sensei.RequireAllArrays(mesh)
+			return nil
 		}
-		req = req.Union(sensei.RequireArrays(mesh, sensei.AssocPoint, d.Spec.Arrays...))
+		out = append(out, d.Spec.Arrays...)
 	}
-	return req
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Addrs lists the relay's output server addresses in shard-rank order
@@ -410,11 +399,9 @@ func (r *Relay) Hub(o int) *staging.Hub { return r.hubs[o] }
 // Status is the relay's /statusz section.
 type Status struct {
 	Name     string   `json:"name"`
-	Tier     int      `json:"tier"`
 	Upstream int      `json:"upstream_streams"`
 	OutRanks int      `json:"out_ranks"`
-	Mode     string   `json:"mode"` // always "splice": the one data path
-	Requires string   `json:"requires"`
+	Mode     string   `json:"mode"`                   // always "splice": the one data path
 	Arrays   []string `json:"trunk_arrays,omitempty"` // empty = all
 	Steps    int64    `json:"steps_relayed"`
 	Skipped  int64    `json:"steps_skipped"`
@@ -436,9 +423,8 @@ type Status struct {
 // goroutine).
 func (r *Relay) Status() Status {
 	st := Status{
-		Name: r.opts.Name, Tier: r.opts.Tier,
-		Upstream: len(r.readers), OutRanks: len(r.hubs),
-		Mode: "splice", Requires: r.req.String(), Arrays: r.arrays,
+		Name: r.opts.Name, Upstream: len(r.readers), OutRanks: len(r.hubs),
+		Mode: "splice", Arrays: r.arrays,
 		Steps: r.steps.Load(), Skipped: r.skipped.Load(),
 		BytesIn: r.bytesIn.Load(),
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -164,22 +165,20 @@ func TestMergeStepsRebasesGeometry(t *testing.T) {
 
 func TestUnionRequirementsFold(t *testing.T) {
 	// No declarations: the relay must be able to serve anything.
-	all := unionRequirements("mesh", nil)
-	if m := all.Mesh("mesh"); m == nil || !m.AllArrays {
-		t.Fatalf("empty union = %v, want all arrays", all)
+	if all := unionArrays(nil); all != nil {
+		t.Fatalf("empty union = %v, want nil (all arrays)", all)
 	}
 
 	spec := func(name string, arrays ...string) Downstream {
 		return Downstream{Spec: staging.ConsumerSpec{Name: name, Arrays: arrays}}
 	}
-	req := unionRequirements("mesh", []Downstream{spec("a", "pressure"), spec("b", "temperature")})
-	if names := req.Mesh("mesh").PointArrayNames(); len(names) != 2 {
-		t.Fatalf("unioned arrays = %v", names)
+	got := unionArrays([]Downstream{spec("a", "temperature", "pressure"), spec("b", "pressure")})
+	if !slices.Equal(got, []string{"pressure", "temperature"}) {
+		t.Fatalf("unioned arrays = %v, want [pressure temperature]", got)
 	}
 	// A consumer with no array subset widens the union to everything.
-	req = unionRequirements("mesh", []Downstream{spec("a", "pressure"), spec("b")})
-	if m := req.Mesh("mesh"); !m.AllArrays {
-		t.Fatalf("union with an all-arrays consumer = %v, want all arrays", req)
+	if got := unionArrays([]Downstream{spec("a", "pressure"), spec("b")}); got != nil {
+		t.Fatalf("union with an all-arrays consumer = %v, want nil (all arrays)", got)
 	}
 }
 
@@ -555,7 +554,7 @@ func TestMidTreeCrashCleanEOF(t *testing.T) {
 	run1 := make(chan error, 1)
 	go func() { run1 <- r1.Run() }()
 	r2, err := New(r1.Addrs(), Options{
-		Name: "t1", OutRanks: 1, Tier: 1,
+		Name: "t1", OutRanks: 1,
 		Downstream: []Downstream{
 			{Spec: staging.ConsumerSpec{Name: "leaf", Policy: staging.Block, Depth: 2}},
 		},
@@ -692,7 +691,7 @@ func TestRelayTreePB146(t *testing.T) {
 			return
 		}
 		r1, err = New(addrs, Options{
-			Name: "tier0", Tier: 0,
+			Name: "tier0",
 			Downstream: []Downstream{
 				{Spec: staging.ConsumerSpec{Name: "tier1", Policy: staging.Block, Depth: 2, Arrays: []string{"temperature"}}},
 			},
@@ -721,7 +720,7 @@ func TestRelayTreePB146(t *testing.T) {
 			return
 		}
 		r2, err = New(addrs, Options{
-			Name: "tier1", Tier: 1, OutRanks: 1,
+			Name: "tier1", OutRanks: 1,
 			Downstream: []Downstream{
 				{Spec: staging.ConsumerSpec{Name: "histogram", Policy: staging.Block, Depth: 2, Arrays: []string{"temperature"}}},
 				{Spec: staging.ConsumerSpec{Name: "render", Policy: staging.Block, Depth: 2, Arrays: []string{"temperature"}}},

@@ -40,9 +40,9 @@ func (f *Flags) Register(fs *flag.FlagSet, names ...string) {
 		case "retry":
 			fs.IntVar(&f.Retry, "retry", f.Retry, "reconnect attempts after a dial or mid-stream failure, under exponential backoff with jitter (0 = fail fast)")
 		case "session-ttl":
-			fs.DurationVar(&f.SessionTTL, "session-ttl", f.SessionTTL, "with -retry: the session grace asked of the hub, how long it keeps this consumer's cursor and queue across a disconnect for an exactly-once resume (at most 5m)")
+			fs.DurationVar(&f.SessionTTL, "session-ttl", f.SessionTTL, "with -retry: the session grace asked of the hub, how long it keeps this consumer's cursor and queue across a disconnect for an exactly-once resume (0 = the hub's 30s; at most 5m)")
 		case "liveness":
-			fs.DurationVar(&f.Liveness, "liveness", f.Liveness, "declare a peer dead after this long without frames, credits or keepalives; the hello asks the producer to heartbeat at a third of it (0 = wait forever)")
+			fs.DurationVar(&f.Liveness, "liveness", f.Liveness, "declare a peer dead after this long without frames, credits or keepalives; the hello asks the producer to heartbeat at a third of it (0 = wait forever; else at least 30ms)")
 		case "wait-downstream":
 			fs.DurationVar(&f.WaitDownstream, "wait-downstream", f.WaitDownstream, "with -retry: wait up to this long for pre-declared consumers to re-attach before announcing a resume position upstream")
 		case "telemetry":
@@ -53,7 +53,8 @@ func (f *Flags) Register(fs *flag.FlagSet, names ...string) {
 	}
 }
 
-// Check is the one validation: no negative duration or count, and
+// Check is the one validation: no negative duration or count, a
+// liveness no shorter than the producer's heartbeat floor allows, and
 // -wait-downstream only means something on a side that redials.
 func (f *Flags) Check() error {
 	if f.Retry < 0 {
@@ -65,6 +66,9 @@ func (f *Flags) Check() error {
 			return fmt.Errorf("-%s must be non-negative (got %v)", names[i], d)
 		}
 	}
+	if f.Liveness > 0 && f.Liveness < adios.MinLiveness {
+		return fmt.Errorf("-liveness must be 0 or at least %v (got %v)", adios.MinLiveness, f.Liveness)
+	}
 	if f.WaitDownstream > 0 && f.Retry == 0 {
 		return fmt.Errorf("-wait-downstream needs -retry")
 	}
@@ -73,22 +77,19 @@ func (f *Flags) Check() error {
 
 // Reader folds a dialling side's resilience into the hello h it sends
 // to address src of contact c: the liveness bound always; with -retry
-// the backoff policy, a Redial that resolves c again (a restarted hub
-// republishes fresh addresses) and, given a -session-ttl, a session the
-// hub parks across the outage.
+// the attempt count, which also asks the hub for a session it parks
+// across the outage for -session-ttl, and a Redial that resolves c
+// again (a restarted hub republishes fresh addresses).
 func (f *Flags) Reader(h adios.ReaderOptions, c adios.Contact, src int) adios.ReaderOptions {
 	h.LivenessTimeout = f.Liveness
 	if f.Retry > 0 {
-		h.Retry = adios.DefaultRetryPolicy(f.Retry)
+		h.Retry, h.SessionTTL = f.Retry, f.SessionTTL
 		h.Redial = func() (string, error) {
 			addrs, err := c.Read(f.Timeout)
 			if err != nil || src >= len(addrs) {
 				return "", err
 			}
 			return addrs[src], nil
-		}
-		if f.SessionTTL > 0 {
-			h.Session, h.SessionTTL = true, f.SessionTTL
 		}
 	}
 	return h
@@ -100,7 +101,7 @@ func (f *Flags) Reader(h adios.ReaderOptions, c adios.Contact, src int) adios.Re
 func (f *Flags) Relay(o *relay.Options, upstream adios.Contact) {
 	o.SessionTTL, o.Liveness = f.SessionTTL, f.Liveness
 	if f.Retry > 0 {
-		o.Retry = adios.DefaultRetryPolicy(f.Retry)
+		o.Retry = f.Retry
 		o.WaitDownstream = f.WaitDownstream
 		o.RedialUpstream = func() ([]string, error) { return upstream.Read(f.Timeout) }
 	}

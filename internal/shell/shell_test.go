@@ -24,6 +24,8 @@ func TestRegisterAndCheck(t *testing.T) {
 		{[]string{"-timeout", "-1s"}, "-timeout must be non-negative"},
 		{[]string{"-session-ttl", "-1s"}, "-session-ttl must be non-negative"},
 		{[]string{"-liveness", "-1s"}, "-liveness must be non-negative"},
+		{[]string{"-liveness", "5ms"}, "-liveness must be 0 or at least 30ms"},
+		{[]string{"-liveness", "30ms"}, ""},
 		{[]string{"-retry", "1", "-wait-downstream", "-1s"}, "-wait-downstream must be non-negative"},
 		{[]string{"-wait-downstream", "5s"}, "-wait-downstream needs -retry"},
 		{[]string{"-telemetry", "x"}, "flag provided but not defined"}, // not asked for
@@ -58,25 +60,25 @@ func TestMappings(t *testing.T) {
 	}
 	f := Flags{Timeout: time.Second, SessionTTL: 10 * time.Second, Liveness: 2 * time.Second}
 	h := f.Reader(adios.ReaderOptions{Consumer: "ep"}, c, 1)
-	if h.Consumer != "ep" || h.LivenessTimeout != 2*time.Second || h.Retry != nil || h.Redial != nil || h.Session {
+	if h.Consumer != "ep" || h.LivenessTimeout != 2*time.Second || h.Retry != 0 || h.Redial != nil {
 		t.Errorf("hello without -retry = %+v", h)
 	}
 	var ro relay.Options
 	f.Relay(&ro, c)
-	if ro.SessionTTL != 10*time.Second || ro.Liveness != 2*time.Second || ro.Retry != nil || ro.RedialUpstream != nil {
+	if ro.SessionTTL != 10*time.Second || ro.Liveness != 2*time.Second || ro.Retry != 0 || ro.RedialUpstream != nil {
 		t.Errorf("relay options without -retry = %+v", ro)
 	}
 
 	f.Retry, f.WaitDownstream = 3, time.Second
 	h = f.Reader(adios.ReaderOptions{}, c, 1)
-	if h.Retry == nil || !h.Session || h.SessionTTL != 10*time.Second {
+	if h.Retry != 3 || h.SessionTTL != 10*time.Second {
 		t.Fatalf("hello with -retry = %+v", h)
 	}
 	if addr, err := h.Redial(); err != nil || addr != "b:2" {
 		t.Errorf("redial of source 1 = %q, %v, want b:2", addr, err)
 	}
 	f.Relay(&ro, c)
-	if ro.Retry == nil || ro.WaitDownstream != time.Second {
+	if ro.Retry != 3 || ro.WaitDownstream != time.Second {
 		t.Fatalf("relay options with -retry = %+v", ro)
 	}
 	if addrs, err := ro.RedialUpstream(); err != nil || len(addrs) != 2 {

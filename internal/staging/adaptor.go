@@ -288,9 +288,9 @@ func xmlFactory(typ string) sensei.Factory {
 				return nil, err
 			}
 		}
-		var sopts ServerOptions
+		var liveness time.Duration
 		if v := strings.TrimSpace(attrs["liveness"]); v != "" && v != "off" {
-			if sopts.LivenessTimeout, err = time.ParseDuration(v); err != nil {
+			if liveness, err = time.ParseDuration(v); err != nil {
 				return nil, fmt.Errorf("staging: bad liveness %q: %w", v, err)
 			}
 		}
@@ -303,7 +303,7 @@ func xmlFactory(typ string) sensei.Factory {
 		if addr == "" {
 			addr = "127.0.0.1:0"
 		}
-		srv, err := ServeWith(hub, addr, ad.binder.Resolve, sopts)
+		srv, err := ServeWith(hub, addr, ad.binder.Resolve, liveness)
 		if err != nil {
 			return nil, err
 		}

@@ -220,8 +220,8 @@ func TestDirectSessionResumeOverCut(t *testing.T) {
 		}
 		defer px.Close()
 		r, err := adios.OpenReaderWith(px.Addr(), adios.ReaderOptions{
-			Session: true, SessionTTL: 10 * time.Second,
-			Retry:           adios.DefaultRetryPolicy(50),
+			SessionTTL:      10 * time.Second,
+			Retry:           50,
 			LivenessTimeout: time.Second,
 		})
 		if err != nil {
@@ -291,7 +291,7 @@ func TestDirectSessionAdoptedByReplacement(t *testing.T) {
 		}
 		ad.Finalize() //nolint:errcheck
 	}()
-	first, err := adios.OpenReaderWith(addr, adios.ReaderOptions{Session: true})
+	first, err := adios.OpenReaderWith(addr, adios.ReaderOptions{Retry: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestDirectSessionAdoptedByReplacement(t *testing.T) {
 	first.Close() // the process dies; its token dies with it
 
 	second, err := adios.OpenReaderWith(addr, adios.ReaderOptions{
-		Session: true, Retry: adios.DefaultRetryPolicy(50),
+		Retry: 50,
 	})
 	if err != nil {
 		t.Fatalf("replacement: %v", err)

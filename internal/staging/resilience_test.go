@@ -44,7 +44,7 @@ func TestSessionNeedsNoProducerConfig(t *testing.T) {
 				}
 				defer px.Close()
 				r, err := adios.OpenReaderWith(px.Addr(), adios.ReaderOptions{
-					Consumer: "ep", Session: true, Retry: adios.DefaultRetryPolicy(50),
+					Consumer: "ep", Retry: 50,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -68,25 +68,15 @@ type Subscription struct {
 // — rejects the handshake.
 type SubscribeFunc func(req SubscribeRequest) (*Subscription, error)
 
-// ServerOptions tune the per-connection failure-detection behavior.
-type ServerOptions struct {
-	// HandshakeTimeout bounds how long an accepted connection may sit
-	// before completing its hello (a dialer that connects and goes
-	// silent would otherwise pin a goroutine forever). 0 means a 10s
-	// default.
-	HandshakeTimeout time.Duration
+// handshakeTimeout bounds how long an accepted connection may sit
+// before completing its hello: a dialer that connects and goes silent
+// must not pin a goroutine (and its conns slot) for the life of the
+// server. A variable only so a test can shorten it.
+var handshakeTimeout = 10 * time.Second
 
-	// LivenessTimeout, when > 0, bounds the credit wait: a reader that
-	// neither credits the delivered step nor sends keepalives within
-	// this window is declared dead and its connection dropped (a
-	// resumable session parks instead of closing).
-	LivenessTimeout time.Duration
-}
-
-const defaultHandshakeTimeout = 10 * time.Second
-
-// minPoll floors a liveness poll (awaitCredit) and a heartbeat period.
-const minPoll = 10 * time.Millisecond
+// minPoll floors a liveness poll (awaitCredit) and a heartbeat period:
+// a third of the shortest liveness a reader may announce.
+const minPoll = adios.MinLiveness / 3
 
 // heartbeatPeriod is how often an idle stream is heartbeaten: a third
 // of the shorter of the reader's liveness timeout and its session's
@@ -111,7 +101,7 @@ type Server struct {
 	hub       *Hub
 	ln        net.Listener
 	subscribe SubscribeFunc
-	opts      ServerOptions
+	liveness  time.Duration
 
 	wg sync.WaitGroup
 
@@ -122,22 +112,25 @@ type Server struct {
 }
 
 // Serve starts a staging server on addr (use "127.0.0.1:0" for an
-// ephemeral port) with default options. subscribe may be nil, in
+// ephemeral port) with no liveness bound. subscribe may be nil, in
 // which case handshakes resolve through a Binder with nothing declared:
 // every reader gets a fresh consumer with its announced
 // name/policy/depth (policy defaults to block), and the session it
 // asks for.
 func Serve(hub *Hub, addr string, subscribe SubscribeFunc) (*Server, error) {
-	return ServeWith(hub, addr, subscribe, ServerOptions{})
+	return ServeWith(hub, addr, subscribe, 0)
 }
 
-// ServeWith is Serve with explicit failure-detection options.
-func ServeWith(hub *Hub, addr string, subscribe SubscribeFunc, opts ServerOptions) (*Server, error) {
+// ServeWith is Serve with a liveness bound on the credit wait: when >
+// 0, a reader that neither credits the delivered step nor sends
+// keepalives within it is declared dead and its connection dropped (a
+// resumable session parks instead of closing).
+func ServeWith(hub *Hub, addr string, subscribe SubscribeFunc, liveness time.Duration) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("staging: listen: %w", err)
 	}
-	s := &Server{hub: hub, ln: ln, subscribe: subscribe, opts: opts, conns: map[net.Conn]*Consumer{}}
+	s := &Server{hub: hub, ln: ln, subscribe: subscribe, liveness: liveness, conns: map[net.Conn]*Consumer{}}
 	if subscribe == nil {
 		s.subscribe = NewBinder(hub, Block, 0).Resolve
 	}
@@ -200,14 +193,7 @@ func (s *Server) acceptLoop() {
 // frames with the credit-per-step flow control of the SST data plane.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	// Bound the handshake: an accepted connection that never completes
-	// its hello must not pin this goroutine (and its conns slot) for
-	// the life of the server.
-	ht := s.opts.HandshakeTimeout
-	if ht <= 0 {
-		ht = defaultHandshakeTimeout
-	}
-	conn.SetReadDeadline(time.Now().Add(ht)) //nolint:errcheck // best effort
+	conn.SetReadDeadline(time.Now().Add(handshakeTimeout)) //nolint:errcheck // best effort
 	var h adios.Hello
 	// The credit bytes follow the hello on the same connection.
 	credits, err := adios.ReadHello(bufio.NewReaderSize(conn, 1<<16), &h)
@@ -356,7 +342,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		// Reader-driven flow control: hold this step's reference until
 		// the consumer returns its credit, so a slow endpoint shows up
 		// as staged-byte growth on the hub.
-		if err := awaitCredit(conn, credits, s.opts.LivenessTimeout); err != nil {
+		if err := awaitCredit(conn, credits, s.liveness); err != nil {
 			if errors.Is(err, errConsumerSilent) {
 				s.hub.event(telemetry.EventHeartbeatMiss, cons.name, ref.SimStep(),
 					"no credit or keepalive from consumer")

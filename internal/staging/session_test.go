@@ -457,9 +457,7 @@ func TestSessionResumeOverReset(t *testing.T) {
 			stores := map[string]*memSpillStore{}
 			h := hubWithSpill(stores)
 			b := NewBinder(h, policy, 2)
-			srv, err := ServeWith(h, "127.0.0.1:0", b.Resolve, ServerOptions{
-				LivenessTimeout: time.Second,
-			})
+			srv, err := ServeWith(h, "127.0.0.1:0", b.Resolve, time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -473,8 +471,8 @@ func TestSessionResumeOverReset(t *testing.T) {
 
 			r, err := adios.OpenReaderWith(px.Addr(), adios.ReaderOptions{
 				Consumer: "sess", Policy: policy.String(), Depth: 2,
-				Session: true, SessionTTL: 10 * time.Second,
-				Retry:           adios.DefaultRetryPolicy(50),
+				SessionTTL:      10 * time.Second,
+				Retry:           50,
 				LivenessTimeout: time.Second,
 			})
 			if err != nil {
@@ -530,9 +528,7 @@ func TestSessionCodecKeyframeRestart(t *testing.T) {
 	const n, steps = 256, 30
 	h := NewHub(nil)
 	b := NewBinder(h, Block, 2)
-	srv, err := ServeWith(h, "127.0.0.1:0", b.Resolve, ServerOptions{
-		LivenessTimeout: time.Second,
-	})
+	srv, err := ServeWith(h, "127.0.0.1:0", b.Resolve, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,9 +542,9 @@ func TestSessionCodecKeyframeRestart(t *testing.T) {
 
 	r, err := adios.OpenReaderWith(px.Addr(), adios.ReaderOptions{
 		Consumer: "sess", Policy: "block", Depth: 2,
-		Codecs:  []string{"temporal-delta"},
-		Session: true, SessionTTL: 10 * time.Second,
-		Retry:           adios.DefaultRetryPolicy(50),
+		Codecs:          []string{"temporal-delta"},
+		SessionTTL:      10 * time.Second,
+		Retry:           50,
 		LivenessTimeout: time.Second,
 	})
 	if err != nil {
@@ -606,14 +602,14 @@ func TestSessionCodecKeyframeRestart(t *testing.T) {
 }
 
 // TestServerHandshakeTimeout: a connection that never sends its hello
-// is cut loose after the configured handshake timeout instead of
-// holding a serveConn goroutine forever.
+// is cut loose after the handshake timeout (lowered here from its 10 s)
+// instead of holding a serveConn goroutine forever.
 func TestServerHandshakeTimeout(t *testing.T) {
+	defer func(d time.Duration) { handshakeTimeout = d }(handshakeTimeout)
+	handshakeTimeout = 100 * time.Millisecond
 	h := NewHub(nil)
 	defer h.Close()
-	srv, err := ServeWith(h, "127.0.0.1:0", nil, ServerOptions{
-		HandshakeTimeout: 100 * time.Millisecond,
-	})
+	srv, err := ServeWith(h, "127.0.0.1:0", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -689,7 +685,7 @@ func refuseHello(t *testing.T, hello, format string) {
 // the same reader declares the producer hung in bounded time.
 func TestHeartbeatKeepsIdleStreamAlive(t *testing.T) {
 	h := NewHub(nil)
-	srv, err := ServeWith(h, "127.0.0.1:0", nil, ServerOptions{})
+	srv, err := ServeWith(h, "127.0.0.1:0", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -734,7 +730,7 @@ func TestHeartbeatKeepsIdleStreamAlive(t *testing.T) {
 func TestLivenessDetectsHungProducer(t *testing.T) {
 	h := NewHub(nil)
 	defer h.Close()
-	srv, err := ServeWith(h, "127.0.0.1:0", nil, ServerOptions{})
+	srv, err := ServeWith(h, "127.0.0.1:0", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,8 @@
 # shared contact directory with -telemetry on all three, then asserts
 # the mesh observatory over it: /meshz reports every process in the
 # topology and at least one complete cross-tier step timeline (>= 6
-# stages spanning >= 3 processes), and meshtop -once renders it.
+# stages spanning >= 3 processes), and meshtop -once renders it, the
+# relay's tier (relay/0, read off its edge from the producer) included.
 #
 # Usage: scripts/telemetry_smoke.sh   (from the repo root)
 set -eu
@@ -207,7 +208,7 @@ fetch_jq "http://$RELAY2/meshz" '.processes | length >= 3' "relay serves /meshz 
 fetch "http://$CONS2/eventz" '"total_events"'
 
 echo "== meshtop -once against the live tree"
-check_meshtop "$mesh" "$workdir/meshtop.out" "meshtop —" "sim" "tier1" "step timeline"
+check_meshtop "$mesh" "$workdir/meshtop.out" "meshtop —" "sim" "tier1" "relay/0" "step timeline"
 echo "ok: meshtop rendered the topology and timeline"
 
 echo "== waiting for clean exits"
