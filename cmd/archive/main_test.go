@@ -31,7 +31,7 @@ func TestParseArgs(t *testing.T) {
 			return c.from == 10 && c.to == 20
 		}},
 		{"replay inverted range", []string{"replay", "-from", "20", "-to", "10"}, false, nil},
-		{"replay consumers", []string{"replay", "-consumers", "render:latest-only:1,hist:block:2"}, true, func(c *command) bool {
+		{"replay consumers", []string{"replay", "-consumers", "render:drop-oldest:1,hist:block:2"}, true, func(c *command) bool {
 			return len(c.consumers) == 2 && c.consumers[0].Name == "render"
 		}},
 		{"replay bad consumers", []string{"replay", "-consumers", "a:warp"}, false, nil},

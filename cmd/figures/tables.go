@@ -297,9 +297,13 @@ type QueueGrowth struct {
 	Delay      time.Duration
 }
 
-// Check is the mechanism's shape: the slow endpoint raised
-// simulation-side memory.
+// Check is the mechanism's shape: both endpoints processed every
+// trigger, and the slow one raised simulation-side memory.
 func (q QueueGrowth) Check() error {
+	if q.Fast.EndpointSteps != q.Fast.Triggers || q.Slow.EndpointSteps != q.Slow.Triggers {
+		return fmt.Errorf("figure 6 mechanism: the fast endpoint processed %d of %d triggers, the slow one %d of %d",
+			q.Fast.EndpointSteps, q.Fast.Triggers, q.Slow.EndpointSteps, q.Slow.Triggers)
+	}
 	if q.Slow.MemPerNode <= q.Fast.MemPerNode {
 		return fmt.Errorf("figure 6 mechanism: slow endpoint (+%v/step) did not raise sim memory: fast %d, slow %d",
 			q.Delay, q.Fast.MemPerNode, q.Slow.MemPerNode)

@@ -256,8 +256,18 @@ func TestChecksRejectWrongShapes(t *testing.T) {
 		t.Error("transport that added no memory passed")
 	}
 
-	same := InTransitResult{MemPerNode: 100}
+	same := InTransitResult{Triggers: 6, EndpointSteps: 6, MemPerNode: 100}
 	if (QueueGrowth{Fast: same, Slow: same}).Check() == nil {
 		t.Error("a slow endpoint that raised no memory passed")
+	}
+	grew := same
+	grew.MemPerNode = 200
+	if err := (QueueGrowth{Fast: same, Slow: grew}).Check(); err != nil {
+		t.Errorf("paper-shaped mechanism rejected: %v", err)
+	}
+	missed := grew
+	missed.EndpointSteps = 5
+	if (QueueGrowth{Fast: same, Slow: missed}).Check() == nil {
+		t.Error("a slow endpoint that missed a trigger passed")
 	}
 }

@@ -40,12 +40,10 @@ type options struct {
 	upstream string
 	publish  string
 
-	name      string
-	policy    string
-	depth     int
+	trunk     staging.ConsumerSpec // this relay as its upstream's consumer
 	outRanks  int
 	listen    string
-	consumers []staging.ConsumerSpec
+	consumers []relay.Downstream
 
 	spillDir string
 
@@ -62,9 +60,7 @@ func parseArgs(argv []string) (*options, error) {
 	o := &options{Flags: shell.Flags{Timeout: 60 * time.Second, SessionTTL: 30 * time.Second}}
 	fs.StringVar(&o.upstream, "upstream", "contact.txt", "upstream tier's contact file (with -contact-dir: the entry name)")
 	fs.StringVar(&o.publish, "publish", "", "contact file to write this relay's output addresses to (with -contact-dir: the entry name; empty = print only)")
-	fs.StringVar(&o.name, "name", "relay", "consumer name announced upstream (distinct relays on one upstream need distinct names)")
-	fs.StringVar(&o.policy, "policy", "block", "backpressure policy of the upstream trunk edge: block, drop-oldest or latest-only")
-	fs.IntVar(&o.depth, "depth", 2, "queue depth of the upstream trunk edge")
+	trunkFlag := fs.String("consumer", "relay:block:2", `this relay as its upstream's consumer, "name[:policy[:depth]]" (sensei-endpoint -consumer grammar; distinct relays on one upstream need distinct names)`)
 	fs.IntVar(&o.outRanks, "out-ranks", 0, "R, the number of shard-ranged output streams (0 = one per upstream stream, a pure fan-out tier)")
 	fs.StringVar(&o.listen, "listen", "127.0.0.1:0", "listen address for the output servers (each output picks its own port)")
 	consumersFlag := fs.String("consumers", "", `pre-declared downstream consumers, "name[:policy[:depth[:arrays[:codecs]]]],..." (staging consumer-spec grammar); their array declarations union into the upstream request`)
@@ -76,35 +72,30 @@ func parseArgs(argv []string) (*options, error) {
 	if len(fs.Args()) > 0 {
 		return nil, fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	if *consumersFlag != "" {
-		specs, err := staging.ParseConsumers(*consumersFlag)
-		if err != nil {
-			return nil, err
-		}
-		o.consumers = specs
-	}
-	if _, err := staging.ParsePolicy(o.policy); err != nil {
+	downstream, err := staging.ParseConsumers(*consumersFlag)
+	if err != nil {
 		return nil, err
 	}
+	for _, spec := range downstream {
+		o.consumers = append(o.consumers, relay.Downstream{Spec: spec})
+	}
+	trunk, err := staging.ParseConsumers(*trunkFlag)
 	switch {
-	case o.depth < 1:
-		return nil, fmt.Errorf("-depth must be positive (got %d)", o.depth)
+	case err != nil:
+		return nil, err
+	case len(trunk) != 1:
+		return nil, fmt.Errorf("-consumer wants exactly one spec, got %d", len(trunk))
+	case len(trunk[0].Arrays) > 0 || len(trunk[0].Codecs) > 0:
+		// The trunk carries the union of the -consumers arrays, in plain
+		// frames: neither is this relay's to choose.
+		return nil, fmt.Errorf("-consumer %q: the arrays and codecs fields are refused: the trunk request is the union of -consumers, in plain frames", *trunkFlag)
 	case o.outRanks < 0:
 		return nil, fmt.Errorf("-out-ranks must be non-negative (got %d)", o.outRanks)
 	case o.ContactDir != "" && o.upstream == "":
 		return nil, fmt.Errorf("-contact-dir needs an -upstream entry name")
 	}
+	o.trunk = trunk[0]
 	return o, o.Check()
-}
-
-// downstream converts the declared consumer specs into relay
-// declarations.
-func (o *options) downstream() []relay.Downstream {
-	out := make([]relay.Downstream, len(o.consumers))
-	for i, spec := range o.consumers {
-		out[i] = relay.Downstream{Spec: spec}
-	}
-	return out
 }
 
 func run(o *options, tel *telemetry.Telemetry) error {
@@ -114,8 +105,8 @@ func run(o *options, tel *telemetry.Telemetry) error {
 		return err
 	}
 	ropts := relay.Options{
-		Name: o.name, Policy: o.policy, Depth: o.depth,
-		OutRanks: o.outRanks, Listen: o.listen, Downstream: o.downstream(),
+		Name: o.trunk.Name, Policy: o.trunk.Policy.String(), Depth: o.trunk.Depth,
+		OutRanks: o.outRanks, Listen: o.listen, Downstream: o.consumers,
 		Telemetry: tel, SpillDir: o.spillDir,
 	}
 	o.Relay(&ropts, from)
@@ -132,7 +123,7 @@ func run(o *options, tel *telemetry.Telemetry) error {
 		}
 	}
 	fmt.Printf("relay %q: %d upstream -> %d output stream(s) at %s\n",
-		o.name, r.Upstreams(), r.OutRanks(), strings.Join(r.Addrs(), " "))
+		o.trunk.Name, r.Upstreams(), r.OutRanks(), strings.Join(r.Addrs(), " "))
 	if err := r.Run(); err != nil {
 		return err
 	}

@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"nekrs-sensei/internal/staging"
 )
 
 func TestParseArgsDefaults(t *testing.T) {
@@ -10,7 +12,7 @@ func TestParseArgsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.upstream != "contact.txt" || o.policy != "block" || o.depth != 2 {
+	if o.upstream != "contact.txt" || o.trunk.Name != "relay" || o.trunk.Policy != staging.Block || o.trunk.Depth != 2 {
 		t.Fatalf("unexpected defaults: %+v", o)
 	}
 	if o.outRanks != 0 || len(o.consumers) != 0 {
@@ -22,15 +24,15 @@ func TestParseArgsConsumersAndCodecs(t *testing.T) {
 	o, err := parseArgs([]string{
 		"-contact-dir", "run/mesh", "-upstream", "sim", "-publish", "tier1",
 		"-out-ranks", "2",
-		"-consumers", "hist:block:2:pressure,render:latest-only:1:pressure+velocity_x:quantize;1e-3",
+		"-consumers", "hist:block:2:pressure,render:drop-oldest:1:pressure+velocity_x:quantize;1e-3",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(o.consumers) != 2 || o.consumers[0].Name != "hist" || o.consumers[1].Name != "render" {
-		t.Fatalf("consumers = %+v", o.consumers)
+	ds := o.consumers
+	if len(ds) != 2 || ds[0].Spec.Name != "hist" || ds[1].Spec.Name != "render" {
+		t.Fatalf("consumers = %+v", ds)
 	}
-	ds := o.downstream()
 	if len(ds) != 2 || ds[1].Spec.Arrays[1] != "velocity_x" || len(ds[1].Spec.Codecs) != 1 {
 		t.Fatalf("downstream = %+v", ds)
 	}
@@ -49,8 +51,16 @@ func TestParseArgsRejects(t *testing.T) {
 		want string
 	}{
 		{[]string{"extra"}, "unexpected arguments"},
-		{[]string{"-policy", "bogus"}, "policy"},
-		{[]string{"-depth", "0"}, "-depth"},
+		{[]string{"-consumer", "t1:bogus"}, "unknown policy"},
+		{[]string{"-consumer", "t1:block:0"}, "bad depth"},
+		{[]string{"-consumer", "t1,t2"}, "exactly one spec"},
+		// The trunk request is the union of -consumers, in plain frames.
+		{[]string{"-consumer", "t1:block:2:pressure"}, "arrays and codecs fields are refused"},
+		{[]string{"-consumer", "t1:block:2::quantize;1e-3"}, "arrays and codecs fields are refused"},
+		// -name, -policy and -depth are one -consumer spec.
+		{[]string{"-name", "t1"}, "flag provided but not defined: -name"},
+		{[]string{"-policy", "block"}, "flag provided but not defined: -policy"},
+		{[]string{"-depth", "2"}, "flag provided but not defined: -depth"},
 		{[]string{"-out-ranks", "-1"}, "-out-ranks"},
 		{[]string{"-consumers", "a:block:2,a:block:2"}, "duplicate"},
 		{[]string{"-consumers", "a:block:2:pressure:nonsense"}, "nonsense"},
@@ -76,5 +86,17 @@ func TestParseArgsRejects(t *testing.T) {
 		if _, err := parseArgs(c.argv); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("parseArgs(%v) = %v, want error containing %q", c.argv, err, c.want)
 		}
+	}
+}
+
+// TestParseArgsTrunkConsumer: the -consumer spec names the relay's
+// upstream edge; the fields it leaves out keep their defaults.
+func TestParseArgsTrunkConsumer(t *testing.T) {
+	o, err := parseArgs([]string{"-consumer", "tier1:drop-oldest"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.trunk.Name != "tier1" || o.trunk.Policy != staging.DropOldest || o.trunk.Depth != 0 {
+		t.Fatalf("trunk = %+v, want tier1, drop-oldest, the relay's default depth", o.trunk)
 	}
 }

@@ -49,16 +49,9 @@ func TestParseArgs(t *testing.T) {
 				return ""
 			},
 		},
-		{
-			name: "spec with policy alias",
-			argv: []string{"-consumer", "viz:latest_only"},
-			check: func(o *options) string {
-				if o.spec.Policy != staging.LatestOnly {
-					return "want normalized latest-only policy"
-				}
-				return ""
-			},
-		},
+		// latest-only was drop-oldest with a window of one; the refusal
+		// names the spec to write instead.
+		{name: "spec with retired policy", argv: []string{"-consumer", "viz:latest-only"}, wantErr: "drop-oldest:1"},
 		{
 			name: "timeout and out pass through",
 			argv: []string{"-timeout", "5s", "-out", "results"},
@@ -74,7 +67,7 @@ func TestParseArgs(t *testing.T) {
 		{name: "spec with negative depth", argv: []string{"-consumer", "a:block:-1"}, wantErr: "bad depth"},
 		{
 			name: "spec with arrays subset",
-			argv: []string{"-consumer", "viz:latest-only:1:pressure+velocity_x"},
+			argv: []string{"-consumer", "viz:drop-oldest:1:pressure+velocity_x"},
 			check: func(o *options) string {
 				if len(o.arrays) != 2 || o.arrays[0] != "pressure" || o.arrays[1] != "velocity_x" {
 					return "want arrays [pressure velocity_x]"
@@ -132,7 +125,7 @@ func TestParseArgs(t *testing.T) {
 		// -name, -policy, -depth and -peer-status are deleted. The rows
 		// that used to combine them with a spec keep their argv: what was
 		// a cross-flag conflict is now refused sooner, by the flag's name.
-		{name: "policy flag is gone", argv: []string{"-policy", "latest-only", "-depth", "1", "-consumers", "4"}, wantErr: "flag provided but not defined: -policy"},
+		{name: "policy flag is gone", argv: []string{"-policy", "drop-oldest", "-depth", "1", "-consumers", "4"}, wantErr: "flag provided but not defined: -policy"},
 		{name: "unknown policy", argv: []string{"-policy", "warp"}, wantErr: "flag provided but not defined: -policy"},
 		{name: "spec conflicts with policy flag", argv: []string{"-consumer", "a:block", "-policy", "block"}, wantErr: "flag provided but not defined: -policy"},
 		{name: "spec conflicts with name flag", argv: []string{"-consumer", "a", "-name", "b"}, wantErr: "flag provided but not defined: -name"},

@@ -2,6 +2,7 @@ package adios_test
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
@@ -141,5 +142,58 @@ func TestReaderRefusesOtherFrameFormat(t *testing.T) {
 		if len(heard) != 0 {
 			t.Errorf("writer speaking %q: the reader dialed again after a format refusal", format)
 		}
+	}
+}
+
+// TestReaderReportsTruncatedStream: a producer that closes at a frame
+// boundary without the zero-length end-of-stream marker has cut the
+// stream. The reader says so, wrapping io.ErrUnexpectedEOF, and never
+// passes the cut off as io.EOF.
+func TestReaderReportsTruncatedStream(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		var h adios.Hello
+		credits, err := adios.ReadHello(br, &h)
+		if err != nil {
+			return
+		}
+		json.NewEncoder(conn).Encode(adios.Hello{Type: "hello", Role: "writer", Marshal: adios.FrameFormat}) //nolint:errcheck
+		for step := range 2 {
+			s := adios.SampleStep()
+			s.Step = int64(step)
+			frame := adios.Marshal(s)
+			var n [8]byte
+			binary.LittleEndian.PutUint64(n[:], uint64(len(frame)))
+			conn.Write(append(n[:], frame...)) //nolint:errcheck
+			if _, err := credits.ReadByte(); err != nil {
+				return
+			}
+		}
+		// Close here: at a frame boundary, with no marker.
+	}()
+	r, err := adios.OpenReaderWith(ln.Addr().String(), adios.ReaderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for step := range 2 {
+		if s, err := r.BeginStep(); err != nil || s.Step != int64(step) {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	_, err = r.BeginStep()
+	if errors.Is(err, io.EOF) || !errors.Is(err, io.ErrUnexpectedEOF) ||
+		!strings.Contains(err.Error(), "stream truncated after step 1") {
+		t.Fatalf("reader ended with %v, want stream truncated after step 1", err)
 	}
 }

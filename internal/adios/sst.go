@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -237,7 +238,7 @@ type Reader struct {
 type ReaderOptions struct {
 	// Consumer names the hub consumer to attach as.
 	Consumer string
-	// Policy requests "block", "drop-oldest" or "latest-only".
+	// Policy requests "block", "drop-oldest" or "spill".
 	Policy string
 	// Depth requests the consumer's queue depth (0 = server default).
 	Depth int
@@ -452,13 +453,15 @@ func (r *Reader) dial(initial int) error {
 }
 
 // BeginStep blocks for the next step; io.EOF signals a clean
-// end-of-stream. Receiving a step returns its credit to the writer,
-// releasing the corresponding staging-queue slot. The step owns the
-// receive buffer its frame arrived in, and its verbatim payloads view
-// that buffer: until Recycle gives both back, the next step arrives in
-// a fresh buffer, so a step that is never recycled stays intact. It is
-// fresh storage unless the caller recycled a previous one, in which
-// case it is decoded in place.
+// end-of-stream, and a stream cut before its marker is an error
+// wrapping io.ErrUnexpectedEOF (see truncated). Receiving a step
+// returns its credit to the writer, releasing the corresponding
+// staging-queue slot. The step owns the receive buffer its frame
+// arrived in, and its verbatim payloads view that buffer: until
+// Recycle gives both back, the next step arrives in a fresh buffer,
+// so a step that is never recycled stays intact. It is fresh storage
+// unless the caller recycled a previous one, in which case it is
+// decoded in place.
 func (r *Reader) BeginStep() (*Step, error) {
 	for {
 		recv, err := r.receiveFrame()
@@ -539,10 +542,7 @@ func (r *Reader) receiveFrameOnce() (recv time.Time, retryable bool, err error) 
 	var n uint64
 	for {
 		if err := r.readFullLiveness(lenBuf[:]); err != nil {
-			// An abrupt close at a frame boundary surfaces as io.EOF from
-			// the prefix read; without the explicit zero-length marker it
-			// is a transport failure, not a clean end-of-stream.
-			return time.Time{}, true, err
+			return time.Time{}, true, r.truncated(err)
 		}
 		n = binary.LittleEndian.Uint64(lenBuf[:])
 		if n == HeartbeatMarker {
@@ -559,7 +559,7 @@ func (r *Reader) receiveFrameOnce() (recv time.Time, retryable bool, err error) 
 		r.frameBuf = make([]byte, n)
 	}
 	if err := r.readFullLiveness(r.frameBuf); err != nil {
-		return time.Time{}, true, err
+		return time.Time{}, true, r.truncated(err)
 	}
 	// Delivery time is when the payload finished arriving; BeginStep's
 	// trace stamp waits for its decode to learn the step ordinal.
@@ -572,7 +572,7 @@ func (r *Reader) receiveFrameOnce() (recv time.Time, retryable bool, err error) 
 	if !r.opts.DeferCredit {
 		r.ack[0] = CreditStep
 		if _, err := r.conn.Write(r.ack[:]); err != nil {
-			return time.Time{}, true, fmt.Errorf("adios: returning step credit: %w", err)
+			return time.Time{}, true, r.truncated(fmt.Errorf("adios: returning step credit: %w", err))
 		}
 		r.tel.credits.Inc()
 	}
@@ -581,6 +581,22 @@ func (r *Reader) receiveFrameOnce() (recv time.Time, retryable bool, err error) 
 	r.tel.steps.Inc()
 	r.tel.bytes.Add(int64(n))
 	return recv, false, nil
+}
+
+// truncated names a transport failure that ended the stream before
+// its end-of-stream marker. A cut at a frame boundary reads as io.EOF,
+// which must not pass for the marker's clean end.
+func (r *Reader) truncated(err error) error {
+	if errors.Is(err, errProducerSilent) {
+		return err
+	}
+	if errors.Is(err, io.EOF) {
+		err = io.ErrUnexpectedEOF
+	}
+	if r.lastStep < 0 { // no step decoded yet, or a raw reader: it tracks none
+		return fmt.Errorf("adios: stream truncated after %d frames: %w", r.stepsRecv, err)
+	}
+	return fmt.Errorf("adios: stream truncated after step %d: %w", r.lastStep, err)
 }
 
 // Credit acknowledges one received step under DeferCredit, in receive
@@ -635,8 +651,7 @@ func (r *Reader) readFullLiveness(buf []byte) error {
 			if off == len(buf) && errors.Is(err, io.EOF) {
 				break
 			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
 				if time.Since(last) >= liveness {
 					return fmt.Errorf("adios: producer silent for %v (%w)", liveness, errProducerSilent)
 				}
@@ -645,9 +660,6 @@ func (r *Reader) readFullLiveness(buf []byte) error {
 					return fmt.Errorf("adios: sending keepalive: %w", werr)
 				}
 				continue
-			}
-			if off > 0 && errors.Is(err, io.EOF) {
-				return io.ErrUnexpectedEOF
 			}
 			return err
 		}

@@ -502,7 +502,7 @@ func TestStagingFanoutEndpoints(t *testing.T) {
 	}{
 		{"sync", staging.Block, 2},
 		{"lossy", staging.DropOldest, 2},
-		{"viz", staging.LatestOnly, 1},
+		{"viz", staging.DropOldest, 1},
 	}
 	processed := make([]int, len(specs))
 	lastTemp := make([][]float64, len(specs))

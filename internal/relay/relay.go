@@ -204,11 +204,11 @@ func New(upstream []string, opts Options) (*Relay, error) {
 	// resume upstream.
 	for i := 0; i < o.OutRanks; i++ {
 		hub := staging.NewHub(nil)
+		r.hubs = append(r.hubs, hub) // teardown closes it on a failure below
 		hub.SetAdvertised(r.arrays)
 		hub.SetTelemetry(o.Telemetry, fmt.Sprintf("%s-out%d", o.Name, i))
 		if o.SpillDir != "" {
 			if err := hub.SetSpillDir(filepath.Join(o.SpillDir, fmt.Sprintf("out%d", i))); err != nil {
-				hub.Close()
 				r.teardown()
 				return nil, fmt.Errorf("relay: spill dir: %w", err)
 			}
@@ -217,18 +217,15 @@ func New(upstream []string, opts Options) (*Relay, error) {
 		binder := staging.NewBinder(hub, staging.Block, 0)
 		for _, d := range o.Downstream {
 			if _, err := binder.Declare(d.Spec); err != nil {
-				hub.Close()
 				r.teardown()
 				return nil, fmt.Errorf("relay: declare %q: %w", d.Spec.Name, err)
 			}
 		}
 		srv, err := staging.ServeWith(hub, o.Listen, binder.Resolve, o.Liveness)
 		if err != nil {
-			hub.Close()
 			r.teardown()
 			return nil, fmt.Errorf("relay: listen: %w", err)
 		}
-		r.hubs = append(r.hubs, hub)
 		r.binders = append(r.binders, binder)
 		r.servers = append(r.servers, srv)
 	}

@@ -18,10 +18,10 @@ import (
 // ConsumerSpec is one pre-declared consumer from the XML consumers
 // attribute: "name[:policy[:depth[:arrays[:codecs]]]]" where arrays
 // is a `+`-separated subset of the published arrays (e.g.
-// "render:latest-only:1:pressure+velocity_x") and codecs a
+// "render:drop-oldest:1:pressure+velocity_x") and codecs a
 // `+`-separated wire-codec request in codec.ParseSpec grammar (e.g.
 // "probe:block:2::transpose-delta" or
-// "render:latest-only:1:pressure:quantize;1e-3" — a quantizer bound
+// "render:drop-oldest:1:pressure:quantize;1e-3" — a quantizer bound
 // uses `;` in place of `:` inside the spec field). An empty arrays
 // field means every published array; an empty codecs field means
 // plain frames.
@@ -34,7 +34,7 @@ type ConsumerSpec struct {
 }
 
 // ParseConsumers parses a comma-separated consumer list, e.g.
-// "hist:block:2,probe:drop-oldest:4,render:latest-only:1:pressure+velocity_x".
+// "hist:block:2,probe:drop-oldest:4,render:drop-oldest:1:pressure+velocity_x".
 func ParseConsumers(s string) ([]ConsumerSpec, error) {
 	var out []ConsumerSpec
 	seen := map[string]bool{}
@@ -135,7 +135,7 @@ func ParseConsumers(s string) ([]ConsumerSpec, error) {
 //	consumers pre-declared consumers,
 //	          "name[:policy[:depth[:arrays[:codecs]]]],..." with
 //	          +-separated arrays (e.g.
-//	          "render:latest-only:1:pressure+velocity_x") — subscribed
+//	          "render:drop-oldest:1:pressure+velocity_x") — subscribed
 //	          at initialization so no step is missed while endpoints
 //	          attach; the arrays field subsets what is shipped to that
 //	          consumer, the codecs field compresses its wire frames
@@ -410,10 +410,12 @@ func (a *Adaptor) Execute(st *sensei.Step) (bool, error) {
 	return false, a.hub.Publish(step)
 }
 
-// Finalize closes the hub (consumers drain and see end-of-stream) and
-// then the network server, waiting for every pump to deliver its
-// remaining steps. A direct stream first gives an unattached reader
-// closeWait to claim what is staged.
+// Finalize closes the hub and then drains the network server
+// (Server.Close): every reader that keeps returning credits receives
+// its remaining steps and then the end-of-stream marker, however slow
+// it is; one that makes no progress for the liveness bound is cut
+// without the marker and fails as truncated. A direct stream first
+// gives an unattached reader closeWait to claim what is staged.
 func (a *Adaptor) Finalize() error {
 	if a.binder != nil {
 		a.binder.awaitSole(a.closeWait)

@@ -695,14 +695,14 @@ func (h *Hub) Subscribe(name string, policy Policy, depth int) (*Consumer, error
 }
 
 // SubscribeSpec attaches the consumer spec describes. Depth <= 0
-// selects the default window of 2 (the SST default queue depth);
-// LatestOnly forces a window of one. Consumers attached after the first
-// publish receive the retained structure step first. With Arrays the
-// consumer receives (and, over the network, is shipped) only the named
-// arrays, except the structure step which always travels whole; when
-// the producer advertised its array set, a subset naming an unknown
-// array is rejected. With Codecs its network frames are encoded under
-// the given entries (codec.ParseSpec grammar), same-spec consumers
+// selects the default window of 2 (the SST default queue depth).
+// Consumers attached after the first publish receive the retained
+// structure step first. With Arrays the consumer receives (and, over
+// the network, is shipped) only the named arrays, except the
+// structure step which always travels whole; when the producer
+// advertised its array set, a subset naming an unknown array is
+// rejected. With Codecs its network frames are encoded under the
+// given entries (codec.ParseSpec grammar), same-spec consumers
 // sharing one encode per step; an unknown codec, or one outside the
 // hub's codec advertisement, is rejected. Codecs affect only the wire
 // form (StepRef.Frame); in-process consumers read the plain step.
@@ -710,9 +710,6 @@ func (h *Hub) SubscribeSpec(spec ConsumerSpec) (*Consumer, error) {
 	name, policy, depth := spec.Name, spec.Policy, spec.Depth
 	if depth <= 0 {
 		depth = 2
-	}
-	if policy == LatestOnly {
-		depth = 1
 	}
 	arrays := normalizeArrays(spec.Arrays)
 	h.mu.Lock()
@@ -775,10 +772,10 @@ func (h *Hub) resident(c *Consumer) int64 { return h.lag(c) + int64(len(c.spillQ
 // subscribing meanwhile sends Publish back to marshal again. It blocks
 // while any Block-policy consumer has a full window — depth of its
 // steps resident in the hub, whether queued, being shipped or parked
-// (producer-side backpressure); DropOldest/LatestOnly consumers
-// instead lose their oldest undelivered steps. Publishing with no
-// consumers subscribed discards the step (but still retains the first
-// structure step for late subscribers).
+// (producer-side backpressure); DropOldest consumers instead lose
+// their oldest undelivered steps. Publishing with no consumers
+// subscribed discards the step (but still retains the first structure
+// step for late subscribers).
 func (h *Hub) Publish(s *adios.Step) error {
 	for {
 		h.mu.Lock()
@@ -915,7 +912,7 @@ func (h *Hub) publish(f *adios.Frame, subscribed, staged int64) (err error) {
 		}
 		e.refs++
 		switch c.policy {
-		case DropOldest, LatestOnly:
+		case DropOldest:
 			for h.lag(c) > int64(c.depth) {
 				h.dropOldest(c)
 			}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -29,36 +30,39 @@ func mkStep(seq int) *adios.Step {
 }
 
 func TestParsePolicy(t *testing.T) {
-	cases := map[string]Policy{
-		"block": Block, "": Block,
-		"drop-oldest": DropOldest, "drop_oldest": DropOldest,
-		"latest-only": LatestOnly, "latest": LatestOnly,
-	}
+	cases := map[string]Policy{"block": Block, "": Block, "drop-oldest": DropOldest, "spill": Spill}
 	for in, want := range cases {
 		got, err := ParsePolicy(in)
 		if err != nil || got != want {
 			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Error("expected error for bogus policy")
+	// One spelling per policy: the aliases are refused, and the retired
+	// latest-only is refused naming the spec that replaces it.
+	for _, in := range []string{"bogus", "drop_oldest", "dropoldest", "latest", "latest_only", "latestonly"} {
+		if _, err := ParsePolicy(in); err == nil {
+			t.Errorf("ParsePolicy(%q) accepted", in)
+		}
 	}
-	for _, p := range []Policy{Block, DropOldest, LatestOnly} {
-		if p.String() == "" {
-			t.Error("empty policy name")
+	if _, err := ParsePolicy("latest-only"); err == nil || !strings.Contains(err.Error(), "drop-oldest:1") {
+		t.Errorf("ParsePolicy(latest-only) = %v, want a refusal naming drop-oldest:1", err)
+	}
+	for _, p := range []Policy{Block, DropOldest, Spill} {
+		if got, err := ParsePolicy(p.String()); err != nil || got != p {
+			t.Errorf("policy %d does not round-trip its name %q", p, p.String())
 		}
 	}
 }
 
 func TestParseConsumers(t *testing.T) {
-	specs, err := ParseConsumers("hist:block:2, probe:drop-oldest:4 ,render:latest-only, sub:block:2:pressure+velocity_x")
+	specs, err := ParseConsumers("hist:block:2, probe:drop-oldest:4 ,render:drop-oldest:1, sub:block:2:pressure+velocity_x")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []ConsumerSpec{
 		{Name: "hist", Policy: Block, Depth: 2},
 		{Name: "probe", Policy: DropOldest, Depth: 4},
-		{Name: "render", Policy: LatestOnly},
+		{Name: "render", Policy: DropOldest, Depth: 1},
 		{Name: "sub", Policy: Block, Depth: 2, Arrays: []string{"pressure", "velocity_x"}},
 	}
 	if len(specs) != len(want) {
@@ -174,15 +178,13 @@ func TestDropOldestPolicy(t *testing.T) {
 	}
 }
 
-// TestLatestOnlyPolicy: the consumer always sees the freshest step.
-func TestLatestOnlyPolicy(t *testing.T) {
+// TestDropOldestWindowOfOne: a drop-oldest window of one always sees
+// the freshest step.
+func TestDropOldestWindowOfOne(t *testing.T) {
 	h := NewHub(nil)
-	c, err := h.Subscribe("viz", LatestOnly, 7 /* forced to 1 */)
+	c, err := h.Subscribe("viz", DropOldest, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if c.Stats().Depth != 1 {
-		t.Errorf("latest-only depth = %d, want 1", c.Stats().Depth)
 	}
 	for i := 0; i < 5; i++ {
 		if err := h.Publish(mkStep(i)); err != nil {
@@ -381,7 +383,7 @@ func TestFanoutConcurrent(t *testing.T) {
 		{"block-a", Block, 2},
 		{"block-b", Block, 4},
 		{"drop", DropOldest, 3},
-		{"latest", LatestOnly, 1},
+		{"latest", DropOldest, 1},
 		{"wide", DropOldest, 16},
 	}
 	results := make([]result, len(specs))

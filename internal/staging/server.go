@@ -2,13 +2,16 @@ package staging
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nekrs-sensei/internal/adios"
@@ -74,7 +77,7 @@ type SubscribeFunc func(req SubscribeRequest) (*Subscription, error)
 // server. A variable only so a test can shorten it.
 var handshakeTimeout = 10 * time.Second
 
-// minPoll floors a liveness poll (awaitCredit) and a heartbeat period:
+// minPoll floors a pump's poll and a heartbeat period:
 // a third of the shortest liveness a reader may announce.
 const minPoll = adios.MinLiveness / 3
 
@@ -105,10 +108,11 @@ type Server struct {
 
 	wg sync.WaitGroup
 
-	mu     sync.Mutex
-	conns  map[net.Conn]*Consumer // nil until the handshake binds one
-	err    error
-	closed bool
+	mu      sync.Mutex
+	conns   map[net.Conn]*Consumer // nil until the handshake binds one
+	err     error
+	closed  bool         // Close or Abort ran: no more readers
+	drainAt atomic.Int64 // unix ns Close began draining; 0 while serving or after Abort
 }
 
 // Serve starts a staging server on addr (use "127.0.0.1:0" for an
@@ -162,10 +166,7 @@ func (s *Server) acceptLoop() {
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if !closed {
+			if !errors.Is(err, net.ErrClosed) {
 				s.setErr(fmt.Errorf("staging: accept: %w", err))
 			}
 			return
@@ -219,15 +220,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		reject(fmt.Errorf("reader speaks frame format %q, this producer %q", h.Marshal, adios.FrameFormat))
 		return
 	}
-	req := SubscribeRequest{
+	// Bind before replying so a failed subscription is rejected in the
+	// handshake.
+	sub, err := s.subscribe(SubscribeRequest{
 		Name: h.Consumer, Policy: h.Policy, Depth: h.Depth,
 		Arrays: h.Arrays, Codecs: h.Codecs,
 		Session: h.Session, NewSession: h.NewSession, Resume: h.Resume,
 		SessionTTL: seconds(h.SessionTTL),
-	}
-	// Bind before replying so a failed subscription is rejected in the
-	// handshake.
-	sub, err := s.subscribe(req)
+	})
 	if err != nil {
 		reject(err)
 		return
@@ -264,85 +264,49 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.setErr(err)
 		return
 	}
-	conn.SetReadDeadline(time.Time{}) //nolint:errcheck // handshake done; pump manages its own deadlines
 	s.mu.Lock()
-	closed := s.closed
-	if !closed {
-		s.conns[conn] = cons
-	}
+	s.conns[conn] = cons
+	aborted := s.closed && s.drainAt.Load() == 0
 	s.mu.Unlock()
-	if closed && !s.hub.Closed() {
-		// The server closed, hub still open, between handshake and pump
-		// start — after Close walked the connections, so nobody closed
-		// this consumer: hand the reader an empty-but-clean stream
-		// instead of a dropped connection.
-		var eos [8]byte
-		conn.Write(eos[:]) //nolint:errcheck // best-effort EOS
-		return
+	if aborted {
+		return // Abort walked the connections during this handshake
 	}
-	// A server closed after its hub drains like any other (see Close):
-	// the pump below delivers what the consumer still holds and ends at
-	// the hub's end-of-stream. Close waits for it, and bounded it with
-	// the deadline it set on every accepted connection.
 
-	bw := bufio.NewWriterSize(conn, 1<<16)
-	// Connection-scoped scratch: the length prefix and credit byte are
-	// stack arrays reused for every step of the pump.
-	var lenBuf [8]byte
+	p := &pump{s: s, conn: conn, credits: credits, last: time.Now(),
+		poll: max(cmp.Or(s.liveness, drainGrace)/3, minPoll)}
 	for {
 		ref, err := cons.NextTimeout(heartbeat)
-		if IsNextTimeout(err) {
+		if errors.Is(err, errNextTimeout) {
 			// Idle stream: prove liveness without touching the frame
 			// sequence. A reader that vanished surfaces here as a write
 			// error instead of a silent forever-blocked Next.
-			binary.LittleEndian.PutUint64(lenBuf[:], adios.HeartbeatMarker)
-			if _, werr := bw.Write(lenBuf[:]); werr != nil {
-				parkOr(nil, werr)
-				return
-			}
-			if werr := bw.Flush(); werr != nil {
+			if werr := p.send(adios.HeartbeatMarker, nil); werr != nil {
 				parkOr(nil, werr)
 				return
 			}
 			continue
 		}
 		if errors.Is(err, io.EOF) {
-			binary.LittleEndian.PutUint64(lenBuf[:], 0)
-			bw.Write(lenBuf[:]) //nolint:errcheck // best-effort EOS
-			bw.Flush()          //nolint:errcheck
+			// The hub closed and this consumer has nothing left: the one
+			// place a stream ends cleanly.
+			p.send(0, nil) //nolint:errcheck // the reader is gone either way
 			return
 		}
 		if err != nil {
-			// Consumer closed under us (server shutdown with the hub
-			// still open, or a forced detach). The stream is truncated
-			// but the connection is healthy, so propagate a clean
-			// end-of-stream: the reader — possibly a downstream relay
-			// with its own subscribers — finishes with io.EOF instead of
-			// surfacing a raw connection error to its whole subtree.
-			binary.LittleEndian.PutUint64(lenBuf[:], 0)
-			bw.Write(lenBuf[:]) //nolint:errcheck // best-effort EOS
-			bw.Flush()          //nolint:errcheck
+			// Consumer closed under us (Abort, a session adopted
+			// elsewhere): no marker, so the reader sees the stream cut.
 			return
 		}
 		frame := ref.Frame()
 		cons.addWireBytes(int64(len(frame)))
-		binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(frame)))
-		if _, err := bw.Write(lenBuf[:]); err != nil {
-			parkOr(ref, err)
-			return
-		}
-		if _, err := bw.Write(frame); err != nil {
-			parkOr(ref, err)
-			return
-		}
-		if err := bw.Flush(); err != nil {
+		if err := p.send(uint64(len(frame)), frame); err != nil {
 			parkOr(ref, err)
 			return
 		}
 		// Reader-driven flow control: hold this step's reference until
 		// the consumer returns its credit, so a slow endpoint shows up
 		// as staged-byte growth on the hub.
-		if err := awaitCredit(conn, credits, s.liveness); err != nil {
+		if err := p.awaitCredit(); err != nil {
 			if errors.Is(err, errConsumerSilent) {
 				s.hub.event(telemetry.EventHeartbeatMiss, cons.name, ref.SimStep(),
 					"no credit or keepalive from consumer")
@@ -360,78 +324,117 @@ func seconds(s float64) time.Duration {
 	return max(time.Duration(s*float64(time.Second)), 0)
 }
 
-// errConsumerSilent marks a consumer liveness timeout — a sentinel so
-// the pump can journal the heartbeat miss distinctly from ordinary
-// connection failures.
-var errConsumerSilent = errors.New("consumer liveness timeout")
+// errConsumerSilent marks a reader cut for making no progress — a
+// sentinel so the pump can journal the heartbeat miss distinctly from
+// ordinary connection failures.
+var errConsumerSilent = errors.New("consumer made no progress")
 
-// awaitCredit blocks for one step credit, skipping keepalive bytes.
-// With liveness > 0 the wait is bounded: the connection's read
-// deadline polls at liveness/3 so a genuinely dead reader (no credit,
-// no keepalives) is detected within roughly the liveness window.
-func awaitCredit(conn net.Conn, credits io.Reader, liveness time.Duration) error {
-	var b [1]byte
+// pump is one reader's data plane. Every blocking write and credit
+// read polls under a deadline, so the pump itself cuts a reader that
+// makes no progress — no frame bytes accepted, no credit, no keepalive
+// — for too long (stalled), also when Close starts its drain while the
+// pump is blocked.
+type pump struct {
+	s       *Server
+	conn    net.Conn
+	credits io.Reader
+	last    time.Time     // the reader's last progress
+	poll    time.Duration // deadline of one blocking call
+
+	// Connection-scoped scratch, reused for every step.
+	lenBuf [8]byte
+	ack    [1]byte
+	iov    [2][]byte
+	bufs   net.Buffers
+}
+
+// send writes one length prefix and the frame after it (none for a
+// marker) in one vectored write, resumed across polls.
+func (p *pump) send(n uint64, frame []byte) error {
+	binary.LittleEndian.PutUint64(p.lenBuf[:], n)
+	p.bufs = append(p.iov[:0], p.lenBuf[:])
+	if len(frame) > 0 {
+		p.bufs = append(p.bufs, frame)
+	}
 	for {
-		if liveness > 0 {
-			interval := max(liveness/3, minPoll)
-			deadline := time.Now().Add(liveness)
-			for {
-				conn.SetReadDeadline(time.Now().Add(interval)) //nolint:errcheck // best effort
-				_, err := io.ReadFull(credits, b[:])
-				if err == nil {
-					break
-				}
-				var ne net.Error
-				if errors.As(err, &ne) && ne.Timeout() {
-					if time.Now().After(deadline) {
-						conn.SetReadDeadline(time.Time{}) //nolint:errcheck
-						return fmt.Errorf("%w after %v", errConsumerSilent, liveness)
-					}
-					continue
-				}
-				conn.SetReadDeadline(time.Time{}) //nolint:errcheck
-				return err
-			}
-			conn.SetReadDeadline(time.Time{}) //nolint:errcheck
-		} else if _, err := io.ReadFull(credits, b[:]); err != nil {
+		p.conn.SetWriteDeadline(time.Now().Add(p.poll)) //nolint:errcheck // best effort
+		m, err := p.bufs.WriteTo(p.conn)
+		if m > 0 {
+			p.last = time.Now()
+		}
+		if err == nil {
+			return nil
+		}
+		if err := p.stalled(err); err != nil {
 			return err
 		}
-		if b[0] == adios.CreditKeepalive {
-			continue // proof of life, not a step credit
-		}
-		return nil
 	}
 }
 
-// Close stops accepting, nudges stuck connections with a deadline,
-// and waits for every pump to finish. Close the hub first: pumps then
-// drain their consumers' remaining steps and exit through the
-// end-of-stream path — a pump that has only just completed its
-// handshake included. If the hub is still open, consumers are closed
-// forcibly instead (undelivered steps are returned to the hub) — but
-// their readers still receive a clean end-of-stream marker, so an
-// abrupt producer-side shutdown surfaces downstream as io.EOF, never
-// as a raw connection error.
+// awaitCredit blocks for one step credit; a keepalive byte is
+// progress, not credit.
+func (p *pump) awaitCredit() error {
+	for {
+		p.conn.SetReadDeadline(time.Now().Add(p.poll)) //nolint:errcheck // best effort
+		if _, err := io.ReadFull(p.credits, p.ack[:]); err != nil {
+			if err := p.stalled(err); err != nil {
+				return err
+			}
+			continue
+		}
+		p.last = time.Now()
+		if p.ack[0] != adios.CreditKeepalive {
+			return nil
+		}
+	}
+}
+
+// stalled judges a failed poll: nil to keep waiting, the error itself
+// when it is no timeout, errConsumerSilent once the reader has made no
+// progress for the server's liveness — or, without one, for drainGrace
+// counted from Close's drain at the earliest.
+func (p *pump) stalled(err error) error {
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		return err
+	}
+	bound, from := p.s.liveness, p.last
+	if bound <= 0 {
+		drain := p.s.drainAt.Load()
+		if drain == 0 {
+			return nil // serving, unbounded
+		}
+		bound, from = drainGrace, time.Unix(0, max(from.UnixNano(), drain))
+	}
+	if time.Since(from) < bound {
+		return nil
+	}
+	return fmt.Errorf("%w for %v", errConsumerSilent, bound)
+}
+
+// drainGrace bounds a drain's wait on a reader that makes no progress,
+// on a server with no liveness; a variable only so a test can shorten it.
+var drainGrace = 5 * time.Second
+
+// Close drains: it stops accepting readers and waits for every pump to
+// deliver what its consumer holds and end the stream with the
+// end-of-stream marker, so a clean end means every step was delivered.
+// Close the hub first. A pump cuts a reader that makes no progress for
+// the server's liveness (drainGrace without one); each credit restarts
+// that count, so a slow reader that keeps up its credits is drained to
+// its last step. Close with the hub still open is Abort.
 //
 // Close always returns nil: per-connection failures are consumer-side
 // conditions (a crashed endpoint, a rejected claim) and must not fail
 // the producer's shutdown. Inspect Err for diagnostics.
 func (s *Server) Close() error {
-	hubClosed := s.hub.Closed()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
+	if !s.hub.Closed() {
+		s.Abort()
 		return nil
 	}
-	s.closed = true
-	for conn, cons := range s.conns {
-		// Bound the drain: a client that stops returning credits
-		// cannot hold the pump (and us) forever.
-		conn.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck // best effort
-		if cons != nil && !hubClosed {
-			cons.Close() // a pump blocked in Next exits immediately
-		}
+	s.mu.Lock()
+	if !s.closed {
+		s.closed = true
+		s.drainAt.Store(time.Now().UnixNano())
 	}
 	s.mu.Unlock()
 	s.ln.Close()
@@ -439,27 +442,24 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// Abort tears the server down abruptly — no drain deadline, no clean
-// end-of-stream: live connections are hard-reset (linger zero where
+// Abort tears the server down abruptly — no drain, no end-of-stream
+// marker: live connections are hard-reset (linger zero where
 // the transport allows) and every bound consumer is closed. It models
 // a crashed process for chaos testing and powers forced relay
 // restarts; downstream readers see a transport error and enter their
 // retry path.
 func (s *Server) Abort() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	}
-	s.closed = true
-	for conn, cons := range s.conns {
-		if tc, ok := conn.(*net.TCPConn); ok {
-			tc.SetLinger(0) //nolint:errcheck // best effort: RST, not FIN
-		}
-		conn.Close() //nolint:errcheck
-		if cons != nil {
-			cons.Close()
+	if !s.closed {
+		s.closed = true
+		for conn, cons := range s.conns {
+			if tc, ok := conn.(*net.TCPConn); ok {
+				tc.SetLinger(0) //nolint:errcheck // best effort: RST, not FIN
+			}
+			conn.Close() //nolint:errcheck
+			if cons != nil {
+				cons.Close()
+			}
 		}
 	}
 	s.mu.Unlock()

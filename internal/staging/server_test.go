@@ -41,7 +41,7 @@ func TestServerFanout(t *testing.T) {
 	opts := []adios.ReaderOptions{
 		{Consumer: "sync", Policy: "block", Depth: 2},
 		{Consumer: "lossy", Policy: "drop-oldest", Depth: 2},
-		{Consumer: "viz", Policy: "latest-only"},
+		{Consumer: "viz", Policy: "drop-oldest", Depth: 1},
 	}
 	results := make([]result, len(opts))
 	var wg sync.WaitGroup
@@ -155,7 +155,7 @@ func TestAdaptorXML(t *testing.T) {
 	contact := filepath.Join(dir, "contact.txt")
 	ctx := testCtx(dir)
 	a, err := sensei.NewAnalysisAdaptor("staging", ctx, map[string]string{
-		"consumers": "hist:block:2,viz:latest-only",
+		"consumers": "hist:block:2,viz:drop-oldest:1",
 		"contact":   contact,
 		"policy":    "drop-oldest",
 		"depth":     "3",
@@ -218,7 +218,7 @@ func TestAdaptorXML(t *testing.T) {
 		t.Errorf("extra (dynamic) got nothing")
 	}
 	// The unattached "viz" consumer must not have blocked the stream;
-	// its steps were dropped by latest-only.
+	// its steps were dropped by its window of one.
 	stats := ad.Hub().Stats()
 	byName := map[string]ConsumerStats{}
 	for _, s := range stats {
@@ -327,7 +327,7 @@ func TestReconnectPreDeclaredConsumer(t *testing.T) {
 func TestAdaptorDoubleClaim(t *testing.T) {
 	ctx := testCtx(t.TempDir())
 	a, err := sensei.NewAnalysisAdaptor("staging", ctx, map[string]string{
-		"consumers": "solo:latest-only",
+		"consumers": "solo:drop-oldest:1",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -359,12 +359,10 @@ func TestAdaptorBadAttrs(t *testing.T) {
 	}
 }
 
-// TestServerForcedCloseCleanEOS: closing the server while the hub is
-// still open force-closes the pump's consumer mid-stream — the
-// attached reader (possibly a downstream relay feeding a whole
-// subtree) must see a clean end-of-stream, not a raw connection
-// error.
-func TestServerForcedCloseCleanEOS(t *testing.T) {
+// TestServerCloseWithHubOpenTruncates: closing the server while the
+// hub is still open is Abort. The attached reader must not mistake the
+// cut for a clean end: it ends with the truncation error, not io.EOF.
+func TestServerCloseWithHubOpenTruncates(t *testing.T) {
 	h := NewHub(nil)
 	srv, err := Serve(h, "127.0.0.1:0", nil)
 	if err != nil {
@@ -399,13 +397,119 @@ func TestServerForcedCloseCleanEOS(t *testing.T) {
 	}
 	select {
 	case err := <-got:
-		if !errors.Is(err, io.EOF) {
-			t.Fatalf("reader ended with %v, want io.EOF", err)
+		if errors.Is(err, io.EOF) || !strings.Contains(err.Error(), "stream truncated") {
+			t.Fatalf("reader ended with %v, want the truncation error", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("reader never saw end-of-stream")
+		t.Fatal("reader never saw the stream end")
 	}
 	h.Close()
+}
+
+// TestServerCloseDrainsSlowReader: Close after hub.Close delivers every
+// step to a reader that keeps returning its credits, however long that
+// takes past the drain's silence bound, and only then ends the stream
+// cleanly.
+func TestServerCloseDrainsSlowReader(t *testing.T) {
+	const published, perStep = 12, 600 * time.Millisecond
+	h := NewHub(nil)
+	srv, err := Serve(h, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := adios.OpenReaderWith(srv.Addr(), adios.ReaderOptions{Consumer: "slow", Policy: "block", Depth: published})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	waitFor(t, func() bool {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		return len(h.consumers) == 1
+	})
+	for i := 0; i < published; i++ {
+		if err := h.Publish(mkStep(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make(chan int, 1)
+	end := make(chan error, 1)
+	go func() {
+		n := 0
+		defer func() { got <- n }()
+		for {
+			_, err := r.BeginStep()
+			if err != nil {
+				end <- err
+				return
+			}
+			n++
+			time.Sleep(perStep)
+		}
+	}()
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := <-got; n != published {
+		t.Errorf("slow reader got %d of %d steps", n, published)
+	}
+	if err := <-end; !errors.Is(err, io.EOF) {
+		t.Errorf("slow reader ended with %v, want io.EOF", err)
+	}
+}
+
+// TestServerCutsSilentReader: a reader that stops returning credits is
+// cut once it has made no progress for the server's liveness, or,
+// without one, for drainGrace after Close began draining; the cut
+// carries no end-of-stream marker, so the reader ends truncated, never
+// with io.EOF.
+func TestServerCutsSilentReader(t *testing.T) {
+	defer func(d time.Duration) { drainGrace = d }(drainGrace)
+	drainGrace = 300 * time.Millisecond
+	for _, liveness := range []time.Duration{150 * time.Millisecond, 0} {
+		h := NewHub(nil)
+		srv, err := ServeWith(h, "127.0.0.1:0", nil, liveness)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := adios.OpenReaderWith(srv.Addr(), adios.ReaderOptions{Consumer: "silent", Policy: "block", Depth: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, func() bool {
+			h.mu.Lock()
+			defer h.mu.Unlock()
+			return len(h.consumers) == 1
+		})
+		for i := 0; i < 3; i++ {
+			if err := h.Publish(mkStep(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := r.BeginStep(); err != nil { // one step, then silence
+			t.Fatal(err)
+		}
+		h.Close()
+		start := time.Now()
+		srv.Close()
+		if d := time.Since(start); d > 2*time.Second {
+			t.Errorf("liveness %v: Close took %v on a silent reader", liveness, d)
+		}
+		if err := srv.Err(); err == nil || !strings.Contains(err.Error(), "made no progress") {
+			t.Errorf("liveness %v: server error %v, want the silent reader cut", liveness, err)
+		}
+		var rerr error
+		for rerr == nil {
+			_, rerr = r.BeginStep()
+		}
+		if errors.Is(rerr, io.EOF) || !strings.Contains(rerr.Error(), "stream truncated") {
+			t.Errorf("liveness %v: silent reader ended with %v, want the truncation error", liveness, rerr)
+		}
+		r.Close()
+	}
 }
 
 // TestServerCloseDrainsLateStartingPump: hub.Close then Server.Close
@@ -419,7 +523,7 @@ func TestServerForcedCloseCleanEOS(t *testing.T) {
 // policy: this is the per-policy conservation check.
 func TestServerCloseDrainsLateStartingPump(t *testing.T) {
 	const published, depth = 8, 2
-	for _, policy := range []Policy{Block, DropOldest, LatestOnly} {
+	for _, policy := range []Policy{Block, DropOldest} {
 		h := NewHub(nil)
 		bound, release := make(chan struct{}), make(chan struct{})
 		srv, err := Serve(h, "127.0.0.1:0", func(req SubscribeRequest) (*Subscription, error) {

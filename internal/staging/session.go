@@ -26,9 +26,6 @@ import (
 // available — the pump's cue to emit a heartbeat.
 var errNextTimeout = errors.New("staging: next step timeout")
 
-// IsNextTimeout reports whether err is NextTimeout's deadline signal.
-func IsNextTimeout(err error) bool { return errors.Is(err, errNextTimeout) }
-
 // NextTimeout is Next bounded by d: it returns errNextTimeout when no
 // step became deliverable within d, so a network pump can wake up and
 // keepalive an idle stream. d <= 0 waits without bound, as Next does.

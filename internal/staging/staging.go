@@ -8,20 +8,20 @@
 // its consumers take, into a frame the hub owns, and every consumer is
 // served from that frame, so fan-out to eight consumers costs one
 // marshal and no further copies.
-// Per-consumer cursors walk the ring under one of four backpressure
-// policies:
+// Per-consumer cursors walk the ring under one of three backpressure
+// policies — SST's block and discard, plus spill:
 //
 //   - block: the producer waits while queue-depth of this consumer's
 //     steps are resident in the hub — queued, being shipped or parked
 //     with a session — the paper's synchronous SST semantics, where a
 //     slow endpoint is visible as producer-side queue growth. The
-//     other three bound undelivered steps only: a step already on the
+//     other two bound undelivered steps only: a step already on the
 //     wire cannot be shed.
 //   - drop-oldest: the consumer's window is bounded; when it overflows
 //     the oldest undelivered step is dropped, keeping the producer at
-//     full rate (steady-producer semantics).
-//   - latest-only: a drop-oldest window of one — visualization-style
-//     consumers always render the freshest state.
+//     full rate (steady-producer semantics). A window of one
+//     (drop-oldest:1) is the visualization consumer that always
+//     renders the freshest state.
 //   - spill: a bounded window whose overflow demotes to a disk tier
 //     (SpillStore, typically an internal/archive archive) instead of
 //     being lost, transparently re-read on catch-up — the consumer
@@ -75,7 +75,7 @@ import (
 // Policy selects a consumer's backpressure behaviour.
 type Policy int
 
-// The four backpressure policies.
+// The three backpressure policies.
 const (
 	// Block makes the producer wait while the consumer's resident
 	// steps — undelivered or delivered and unreleased — number its
@@ -84,8 +84,6 @@ const (
 	// DropOldest bounds the consumer's window, discarding the oldest
 	// undelivered step on overflow.
 	DropOldest
-	// LatestOnly keeps only the freshest undelivered step.
-	LatestOnly
 	// Spill bounds the consumer's in-ring window like DropOldest, but
 	// overflowing steps demote to a disk tier (SpillStore) instead of
 	// being lost, and are transparently re-read on catch-up: the
@@ -102,8 +100,6 @@ func (p Policy) String() string {
 		return "block"
 	case DropOldest:
 		return "drop-oldest"
-	case LatestOnly:
-		return "latest-only"
 	case Spill:
 		return "spill"
 	}
@@ -132,19 +128,17 @@ func (p *Policy) UnmarshalJSON(b []byte) error {
 }
 
 // ParsePolicy parses a policy name as it appears in XML attributes and
-// command-line flags.
+// command-line flags: one spelling per policy.
 func ParsePolicy(s string) (Policy, error) {
 	switch s {
 	case "block", "":
 		return Block, nil
-	case "drop-oldest", "drop_oldest", "dropoldest":
+	case "drop-oldest":
 		return DropOldest, nil
-	case "latest-only", "latest_only", "latest", "latestonly":
-		return LatestOnly, nil
 	case "spill":
 		return Spill, nil
 	}
-	return Block, fmt.Errorf("staging: unknown policy %q (want block, drop-oldest, latest-only or spill)", s)
+	return Block, fmt.Errorf("staging: unknown policy %q (want block, drop-oldest or spill; the freshest step alone is drop-oldest:1)", s)
 }
 
 // SpillStore is the disk tier behind the Spill policy: evicted steps

@@ -112,11 +112,11 @@ func TestHubTelemetryCounters(t *testing.T) {
 	tel := telemetry.New("hub-test")
 	hub := NewHub(nil)
 	hub.SetTelemetry(tel, "rank-0")
-	cons, err := hub.Subscribe("viz", LatestOnly, 1)
+	cons, err := hub.Subscribe("viz", DropOldest, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Publish 4 without consuming: latest-only drops all but the newest.
+	// Publish 4 without consuming: a window of one drops all but the newest.
 	for i := 0; i < 4; i++ {
 		if err := hub.Publish(mkStep(i)); err != nil {
 			t.Fatal(err)

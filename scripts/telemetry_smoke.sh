@@ -166,7 +166,7 @@ grep -q "#telemetry=" "$mesh/sim.contact" || {
 }
 
 "$workdir/relay" -contact-dir "$mesh" -upstream sim -publish tier1 \
-    -name relay -out-ranks 1 -consumers smoke:block:4 \
+    -consumer relay -out-ranks 1 -consumers smoke:block:4 \
     -telemetry "$RELAY2" >"$workdir/relay.log" 2>&1 &
 relay_pid=$!
 
