@@ -18,15 +18,17 @@
 # `make generate-check` fails when the generated tensor kernels are
 # stale; `make loc` prints non-test Go lines per package and checks the
 # wire-path packages and the whole tree against scripts/loc.ceiling;
-# `make docpaths` fails when README.md or DESIGN.md names a path that
-# no longer exists; `make docflags` when README's process-flag table
+# `make knobs` counts settable values (flags, XML attributes, .par keys,
+# option-struct fields) and checks the total against scripts/knobs.ceiling;
+# `make docpaths` fails when README.md or DESIGN.md names a path or a
+# declaration that no longer exists; `make docflags` when README's process-flag table
 # disagrees with a binary's -h; `make recipes` runs README's deployment recipes as printed;
 # `make clean` removes example/figure/recipe outputs. The paper's figures are
 # `go run ./cmd/figures -fig all`, whose exit code is their shape check.
 
 GO ?= go
 
-.PHONY: build test race vet fmt bench-kernels bench-render bench-codec bench-e2e generate-check loc docpaths docflags telemetry-smoke recipes profile clean all
+.PHONY: build test race vet fmt bench-kernels bench-render bench-codec bench-e2e generate-check loc knobs docpaths docflags telemetry-smoke recipes profile clean all
 
 all: build vet fmt test
 
@@ -105,8 +107,15 @@ generate-check:
 loc:
 	bash scripts/loc.sh -check
 
+# Settable values, per binary, analysis type, .par file and option
+# struct, totalled; the total may not outgrow scripts/knobs.ceiling:
+# lower it in the PR that earns it; a PR that raises it says why.
+knobs:
+	bash scripts/knobs.sh -check
+
 # Every backticked internal/, cmd/, examples/ or scripts/ path in
-# README.md and DESIGN.md exists.
+# README.md and DESIGN.md exists, and so does every backticked
+# pkg.Name or Type.Method declaration.
 docpaths:
 	bash scripts/docpaths.sh
 

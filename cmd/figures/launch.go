@@ -100,10 +100,8 @@ func (s nekrsSummary) loop() time.Duration {
 // endpointSummary is what the figures read of the summary.json
 // sensei-endpoint writes.
 type endpointSummary struct {
-	Replicas []struct {
-		Steps int   `json:"steps"`
-		Bytes int64 `json:"bytes"`
-	} `json:"replicas"`
+	Steps int   `json:"steps"`
+	Bytes int64 `json:"bytes"`
 }
 
 // catalystScript is the pb146 rendering pipeline: the two images the
@@ -242,10 +240,7 @@ func (m *matrices) inTransit(dir string, mode InTransitMode, t transit) (InTrans
 		if err := readSummary(epDir, &ep); err != nil {
 			return InTransitResult{}, err
 		}
-		if len(ep.Replicas) != 1 {
-			return InTransitResult{}, fmt.Errorf("%s: %d endpoint replicas, want 1", epDir, len(ep.Replicas))
-		}
-		res.EndpointSteps, res.EndpointBytes = ep.Replicas[0].Steps, ep.Replicas[0].Bytes
+		res.EndpointSteps, res.EndpointBytes = ep.Steps, ep.Bytes
 	}
 	return res, nil
 }

@@ -12,20 +12,14 @@
 // endpoint instead attaches to a staging hub published by the "staging"
 // analysis type (or to a relay's outputs), announcing that consumer
 // name and backpressure window. Either way the process runs one
-// endpoint runtime (intransit.Group) under one attach rule: a rank
-// dials its own ShardRange of the contact addresses, each as a plain
-// consumer (intransit.ShardSources).
-//
-//	flags          replicas  ranks  addresses per rank  staged hello
-//	-ranks R          1        R    its ShardRange      name
-//	-consumers N      N        1    all                 name-i, own window
-//
-// Replicas are independent consumers of the configured analysis, each
-// with its own backpressure window and output subdirectory; the ranks
-// of one replica cooperate — reductions merge across them, rendering
-// binary-swap composites into one image per step. There is one rank per
-// stream at most: to run R ranks against P > R producers exactly, put
-// `relay -out-ranks R` in front.
+// endpoint runtime (intransit.Group) under one attach rule: each of
+// its -ranks R ranks dials its own ShardRange of the contact
+// addresses, each as a plain consumer (intransit.ShardSources). The
+// ranks cooperate — reductions merge across them, rendering
+// binary-swap composites into one image per step. There is one rank
+// per stream at most: to run R ranks against P > R producers exactly,
+// put `relay -out-ranks R` in front. To run N independent consumers,
+// run N endpoints, each with its own -consumer name.
 //
 //	sensei-endpoint -contact run/contact.txt -config endpoint.xml \
 //	-consumer render:block:2 -ranks 4
@@ -41,8 +35,8 @@
 //
 //	sensei-endpoint -contact run/contact.txt -record run-archive -consumer archive:block:8
 //
-// A run that succeeds writes <-out>/summary.json: each replica's
-// processed steps and the bytes and files its ranks wrote.
+// A run that succeeds writes <-out>/summary.json: the processed steps
+// and the bytes and files the ranks wrote.
 package main
 
 import (
@@ -77,7 +71,6 @@ type options struct {
 	config    string
 	ranks     int
 	out       string
-	consumers int
 	arrays    []string // array subset declared in the reader hello
 	codecs    []string // wire-codec request declared in the reader hello
 	record    string   // directory for per-source archives of the received streams
@@ -104,16 +97,13 @@ func (o *options) from() adios.Contact {
 	return adios.Contact{Dir: o.ContactDir, Name: o.contact}
 }
 
-// hello is what replica's readers announce to contact address src: the
-// array and codec requests always; when staged the consumer name (one
-// per replica) and its backpressure window; the resilience flags last.
-func (o *options) hello(replica, src int) adios.ReaderOptions {
+// hello is what the reader of contact address src announces: the
+// array and codec requests always; when staged the consumer name and
+// its backpressure window; the resilience flags last.
+func (o *options) hello(src int) adios.ReaderOptions {
 	h := adios.ReaderOptions{Arrays: o.arrays, Codecs: o.codecs}
 	if o.spec != nil {
 		h.Consumer, h.Policy, h.Depth = o.spec.Name, o.spec.Policy.String(), o.spec.Depth
-		if o.consumers > 1 {
-			h.Consumer = fmt.Sprintf("%s-%d", o.spec.Name, replica)
-		}
 	}
 	return o.Reader(h, o.from(), src)
 }
@@ -128,7 +118,6 @@ func parseArgs(argv []string) (*options, error) {
 	fs.StringVar(&o.config, "config", "", "SENSEI XML configuration for the endpoint analyses (empty = pure sink, for -record)")
 	fs.IntVar(&o.ranks, "ranks", 1, "cooperating endpoint ranks; each dials its own share of the contact's streams (at most one rank per stream)")
 	fs.StringVar(&o.out, "out", "endpoint-out", "output directory")
-	fs.IntVar(&o.consumers, "consumers", 1, "independent consumer replicas of a -consumer spec, announced as name-0, name-1, ...")
 	arraysFlag := fs.String("arrays", "", "comma-separated array subset to request in the reader hello (empty = every published array)")
 	codecsFlag := fs.String("codecs", "", "comma-separated wire codec request, e.g. transpose-delta or pressure=quantize:1e-3 (empty = plain frames, or a quantize bound derived from the config's maxerror attributes)")
 	fs.StringVar(&o.record, "record", "", "record the received streams into per-source archives under this directory, one per contact address")
@@ -176,12 +165,6 @@ func parseArgs(argv []string) (*options, error) {
 		return nil, fmt.Errorf("-ranks must be positive (got %d)", o.ranks)
 	case o.stepDelay < 0:
 		return nil, fmt.Errorf("-step-delay must be non-negative (got %v)", o.stepDelay)
-	case o.consumers < 1:
-		return nil, fmt.Errorf("-consumers must be positive (got %d)", o.consumers)
-	case o.consumers > 1 && o.spec == nil:
-		return nil, fmt.Errorf("-consumers > 1 needs a staged -consumer spec to replicate")
-	case o.consumers > 1 && o.record != "":
-		return nil, fmt.Errorf("-record captures one consumer's stream; drop -consumers (replicas would record duplicates)")
 	}
 	return o, o.Check()
 }
@@ -291,9 +274,8 @@ func deriveCodecs(o *options, cfgXML []byte) {
 	}
 }
 
-// run attaches the replicas — each one intransit.Group whose ranks dial
-// their shard of the contact addresses — and feeds one summary from all
-// of them.
+// run attaches the endpoint — one intransit.Group whose ranks dial
+// their shard of the contact addresses — and writes its summary.
 func run(o *options, tel *telemetry.Telemetry) error {
 	cfgXML, err := readConfig(o.config)
 	if err != nil {
@@ -304,7 +286,10 @@ func run(o *options, tel *telemetry.Telemetry) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("attaching %d endpoint(s) of %d rank(s) to %d stream(s)\n", o.consumers, o.ranks, len(addrs))
+	fmt.Printf("attaching %d endpoint rank(s) to %d stream(s)\n", o.ranks, len(addrs))
+	if err := os.MkdirAll(o.out, 0o755); err != nil {
+		return err
+	}
 
 	// The allocator window opens when the first rank attaches its
 	// sources, so flag parsing and contact-file polling stay out of the
@@ -312,93 +297,64 @@ func run(o *options, tel *telemetry.Telemetry) error {
 	alloc := metrics.NewAllocStats()
 	var allocBegin sync.Once
 	rec := &recorder{dir: o.record, tel: tel}
-	stats := make([]intransit.GroupStats, o.consumers)
-	dirs := make([]string, o.consumers)
-	errs := make([]error, o.consumers)
-	var wg sync.WaitGroup
-	for i := 0; i < o.consumers; i++ {
-		consumer := o.hello(i, 0).Consumer // "" on a direct stream
-		dirs[i] = o.out
-		if o.consumers > 1 {
-			dirs[i] = filepath.Join(o.out, consumer)
-		}
-		if err := os.MkdirAll(dirs[i], 0o755); err != nil {
-			return err
-		}
-		dial := intransit.ShardSources(addrs, func(_, src int) adios.ReaderOptions { return o.hello(i, src) })
-		group, err := intransit.NewGroup(intransit.GroupConfig{
-			Ranks:     o.ranks,
-			ConfigXML: cfgXML,
-			OutputDir: dirs[i],
-			StepDelay: o.stepDelay,
-			Telemetry: tel,
-			Sources: func(rank, ranks int) ([]intransit.StepSource, func(), error) {
-				allocBegin.Do(alloc.Begin)
-				sources, cleanup, err := dial(rank, ranks)
-				if err != nil {
+	consumer := o.hello(0).Consumer // "" on a direct stream
+	dial := intransit.ShardSources(addrs, func(_, src int) adios.ReaderOptions { return o.hello(src) })
+	group, err := intransit.NewGroup(intransit.GroupConfig{
+		Ranks:     o.ranks,
+		ConfigXML: cfgXML,
+		OutputDir: o.out,
+		StepDelay: o.stepDelay,
+		Telemetry: tel,
+		Sources: func(rank, ranks int) ([]intransit.StepSource, func(), error) {
+			allocBegin.Do(alloc.Begin)
+			sources, cleanup, err := dial(rank, ranks)
+			if err != nil {
+				return nil, nil, err
+			}
+			// Every address is dialed by exactly one rank, which also
+			// records it and labels its series.
+			lo, _ := intransit.ShardRange(len(addrs), ranks, rank)
+			for k, s := range sources {
+				r, src := s.(*adios.Reader), lo+k
+				if err := rec.attach(src, r); err != nil {
+					cleanup()
 					return nil, nil, err
 				}
-				// Every address is dialed by exactly one rank, which also
-				// records it and labels its series.
-				lo, _ := intransit.ShardRange(len(addrs), ranks, rank)
-				for k, s := range sources {
-					r, src := s.(*adios.Reader), lo+k
-					if err := rec.attach(src, r); err != nil {
-						cleanup()
-						return nil, nil, err
-					}
-					labels := []string{"rank", fmt.Sprint(rank), "source", fmt.Sprint(src)}
-					if consumer != "" {
-						labels = append(labels, "consumer", consumer)
-					}
-					r.SetTelemetry(tel, labels...)
+				labels := []string{"rank", fmt.Sprint(rank), "source", fmt.Sprint(src)}
+				if consumer != "" {
+					labels = append(labels, "consumer", consumer)
 				}
-				return sources, cleanup, nil
-			},
-		})
-		if err != nil {
-			return err
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			stats[i], errs[i] = group.Run()
-		}()
+				r.SetTelemetry(tel, labels...)
+			}
+			return sources, cleanup, nil
+		},
+	})
+	if err != nil {
+		return err
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	st, err := group.Run()
+	if err != nil {
+		return err
 	}
 	if err := rec.close(); err != nil {
 		return err
 	}
-	for i, st := range stats {
-		skipped := 0
-		for _, s := range st.Skipped {
-			skipped += s
-		}
-		fmt.Printf("endpoint %d done: %d steps, %.2f ms mean time-to-result, %d skipped, %s in %d file(s) written to %s\n",
-			i, st.Steps, float64(st.MeanStepWall().Microseconds())/1000, skipped,
-			metrics.HumanBytes(st.Bytes), st.Files, dirs[i])
-		if o.ranks > 1 {
-			st.Straggler.Render(os.Stdout)
-		}
+	skipped := 0
+	for _, s := range st.Skipped {
+		skipped += s
 	}
-	alloc.Window(stats[0].Steps).Table().Render(os.Stdout)
-	type replica struct {
+	fmt.Printf("endpoint done: %d steps, %.2f ms mean time-to-result, %d skipped, %s in %d file(s) written to %s\n",
+		st.Steps, float64(st.MeanStepWall().Microseconds())/1000, skipped,
+		metrics.HumanBytes(st.Bytes), st.Files, o.out)
+	if o.ranks > 1 {
+		st.Straggler.Render(os.Stdout)
+	}
+	alloc.Window(st.Steps).Table().Render(os.Stdout)
+	js, err := json.Marshal(struct {
 		Steps int   `json:"steps"`
 		Bytes int64 `json:"bytes"`
 		Files int   `json:"files"`
-	}
-	var sum struct {
-		Replicas []replica `json:"replicas"`
-	}
-	for _, st := range stats {
-		sum.Replicas = append(sum.Replicas, replica{st.Steps, st.Bytes, st.Files})
-	}
-	js, err := json.Marshal(sum)
+	}{st.Steps, st.Bytes, st.Files})
 	if err != nil {
 		return err
 	}

@@ -125,7 +125,7 @@ func TestParseArgs(t *testing.T) {
 		// -name, -policy, -depth and -peer-status are deleted. The rows
 		// that used to combine them with a spec keep their argv: what was
 		// a cross-flag conflict is now refused sooner, by the flag's name.
-		{name: "policy flag is gone", argv: []string{"-policy", "drop-oldest", "-depth", "1", "-consumers", "4"}, wantErr: "flag provided but not defined: -policy"},
+		{name: "policy flag is gone", argv: []string{"-policy", "drop-oldest", "-depth", "1"}, wantErr: "flag provided but not defined: -policy"},
 		{name: "unknown policy", argv: []string{"-policy", "warp"}, wantErr: "flag provided but not defined: -policy"},
 		{name: "spec conflicts with policy flag", argv: []string{"-consumer", "a:block", "-policy", "block"}, wantErr: "flag provided but not defined: -policy"},
 		{name: "spec conflicts with name flag", argv: []string{"-consumer", "a", "-name", "b"}, wantErr: "flag provided but not defined: -name"},
@@ -134,20 +134,9 @@ func TestParseArgs(t *testing.T) {
 		{name: "negative depth flag", argv: []string{"-consumer", "a", "-depth", "-2"}, wantErr: "flag provided but not defined: -depth"},
 		{name: "peer-status flag is gone", argv: []string{"-telemetry", "127.0.0.1:9151", "-peer-status", "127.0.0.1:9150"}, wantErr: "flag provided but not defined: -peer-status"},
 		{name: "zero ranks", argv: []string{"-ranks", "0"}, wantErr: "-ranks must be positive"},
-		{name: "zero consumers", argv: []string{"-consumer", "ep", "-consumers", "0"}, wantErr: "-consumers must be positive"},
 		{name: "group flag is gone", argv: []string{"-consumer", "ep", "-group", "2"}, wantErr: "flag provided but not defined: -group"},
 		{name: "presharded flag is gone", argv: []string{"-consumer", "ep", "-presharded"}, wantErr: "flag provided but not defined: -presharded"},
-		{name: "replicas without staged mode", argv: []string{"-consumers", "3"}, wantErr: "needs a staged -consumer spec"},
-		{
-			name: "replicas of ranks",
-			argv: []string{"-consumer", "ep", "-ranks", "2", "-consumers", "3"},
-			check: func(o *options) string {
-				if o.ranks != 2 || o.consumers != 3 {
-					return "want 3 replicas of 2 ranks"
-				}
-				return ""
-			},
-		},
+		{name: "consumers flag is gone", argv: []string{"-consumer", "ep", "-ranks", "2", "-consumers", "3"}, wantErr: "flag provided but not defined: -consumers"},
 		{name: "positional junk", argv: []string{"stray"}, wantErr: "unexpected arguments"},
 		{
 			name: "telemetry flags pass through",

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -77,7 +78,7 @@ func serveScript(t *testing.T, ctx context.Context, contact string, readers int,
 	handshakes := new(atomic.Int64)
 	for b := range hubs {
 		hubs[b] = staging.NewHub(nil)
-		binder := staging.NewBinder(hubs[b], staging.Block, 2)
+		binder := staging.NewBinder(hubs[b])
 		srv, err := staging.ServeWith(hubs[b], "127.0.0.1:0", func(req staging.SubscribeRequest) (*staging.Subscription, error) {
 			sub, err := binder.Resolve(req)
 			if err == nil {
@@ -171,53 +172,55 @@ func runScript(t *testing.T, tel *telemetry.Telemetry, readers int, cut bool, fl
 	return out, runErr
 }
 
-// TestRunShapes: the attach shapes — R ranks direct or staged, N
-// replicas, and their product — are one runtime under one dial rule, so
-// over the same stream each processes the same ordinals and reduces to
-// the same probe series, byte for byte (-consumers 2 writes it twice);
-// so does a 2-rank -retry run one of whose connections is reset
-// mid-stream and resumes its session. More ranks than streams is
+// TestRunShapes: the attach shapes — R ranks, direct or staged — are
+// one runtime under one dial rule, so over the same stream each
+// processes the same ordinals and reduces to the same probe series,
+// byte for byte; so does a 2-rank -retry run one of whose connections
+// is reset mid-stream and resumes its session. More ranks than streams is
 // refused by naming the relay.
 func TestRunShapes(t *testing.T) {
 	var want []byte
 	for _, tc := range []struct {
 		name    string
 		flags   []string
-		readers int      // handshakes across the four hubs before the feed starts
-		cut     bool     // hub 0's connection is reset mid-stream
-		outs    []string // output subdirectories holding a probes.csv
+		readers int  // handshakes across the four hubs before the feed starts
+		cut     bool // hub 0's connection is reset mid-stream
 	}{
-		{"direct", []string{"-ranks", "2"}, 4, false, []string{""}},
-		{"staged", []string{"-consumer", "ep:block:2", "-ranks", "2"}, 4, false, []string{""}},
-		{"replicas", []string{"-consumer", "ep:block:2", "-consumers", "2"}, 8, false, []string{"ep-0", "ep-1"}},
-		{"replicas of ranks", []string{"-consumer", "ep:block:2", "-consumers", "2", "-ranks", "2"}, 8, false, []string{"ep-0", "ep-1"}},
-		{"staged, session resumed over a reset", []string{"-consumer", "ep:block:2", "-ranks", "2", "-retry", "20", "-session-ttl", "10s"}, 4, true, []string{""}},
+		{"direct", []string{"-ranks", "2"}, 4, false},
+		{"staged", []string{"-consumer", "ep:block:2", "-ranks", "2"}, 4, false},
+		{"staged, session resumed over a reset", []string{"-consumer", "ep:block:2", "-ranks", "2", "-retry", "20", "-session-ttl", "10s"}, 4, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out, err := runShape(t, tc.readers, tc.cut, tc.flags...)
 			if err != nil {
 				t.Fatalf("run %v: %v", tc.flags, err)
 			}
-			for _, sub := range tc.outs {
-				got, err := os.ReadFile(filepath.Join(out, sub, "probes.csv"))
-				if err != nil {
-					t.Fatal(err)
+			got, err := os.ReadFile(filepath.Join(out, "probes.csv"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := strings.Split(strings.TrimSpace(string(got)), "\n")[1:] // header first
+			if len(rows) != testSteps {
+				t.Fatalf("%d rows, want one per step (%d):\n%s", len(rows), testSteps, got)
+			}
+			for seq, row := range rows {
+				if !strings.HasPrefix(row, fmt.Sprintf("%d,", seq)) {
+					t.Errorf("row %d is step %q, want ordinal %d", seq, row, seq)
 				}
-				rows := strings.Split(strings.TrimSpace(string(got)), "\n")[1:] // header first
-				if len(rows) != testSteps {
-					t.Fatalf("%s: %d rows, want one per step (%d):\n%s", sub, len(rows), testSteps, got)
-				}
-				for seq, row := range rows {
-					if !strings.HasPrefix(row, fmt.Sprintf("%d,", seq)) {
-						t.Errorf("%s: row %d is step %q, want ordinal %d", sub, seq, row, seq)
-					}
-				}
-				if want == nil {
-					want = got
-				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("%s: probes.csv differs from the direct shape's:\n%s\nwant:\n%s", sub, got, want)
-				}
+			}
+			if want == nil {
+				want = got
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("probes.csv differs from the direct shape's:\n%s\nwant:\n%s", got, want)
+			}
+			js, err := os.ReadFile(filepath.Join(out, "summary.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum struct{ Steps int }
+			if err := json.Unmarshal(js, &sum); err != nil || sum.Steps != testSteps {
+				t.Errorf("summary.json %s (%v): want %d steps", js, err, testSteps)
 			}
 		})
 	}
@@ -236,20 +239,17 @@ func TestHelloSessionRule(t *testing.T) {
 	for _, flags := range [][]string{
 		{"-ranks", "2"},
 		{"-consumer", "ep:block:2", "-ranks", "2"},
-		{"-consumer", "ep:block:2", "-consumers", "2"},
 	} {
 		for _, retry := range []string{"0", "3"} {
 			o, err := parseArgs(append([]string{"-retry", retry}, flags...))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for replica := 0; replica < o.consumers; replica++ {
-				for src := 0; src < testBlocks; src++ {
-					h := o.hello(replica, src)
-					if want := retry != "0"; (h.Retry > 0) != want || (h.Redial != nil) != want {
-						t.Errorf("%v -retry %s, replica %d source %d: hello retry %d redial %v, want both %v",
-							flags, retry, replica, src, h.Retry, h.Redial != nil, want)
-					}
+			for src := 0; src < testBlocks; src++ {
+				h := o.hello(src)
+				if want := retry != "0"; (h.Retry > 0) != want || (h.Redial != nil) != want {
+					t.Errorf("%v -retry %s, source %d: hello retry %d redial %v, want both %v",
+						flags, retry, src, h.Retry, h.Redial != nil, want)
 				}
 			}
 		}

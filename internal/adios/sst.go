@@ -46,8 +46,8 @@ type Hello struct {
 	Arrays []string `json:"arrays,omitempty"`
 	// Codecs is the reader's wire-compression request (codec.ParseSpec
 	// grammar: a default choice and/or "array=choice" overrides). The
-	// producer rejects a hello naming a codec it does not advertise,
-	// mirroring the Arrays rule; empty means identity (plain BP06).
+	// producer rejects a hello naming a codec this build does not
+	// implement; empty means identity (plain BP06).
 	Codecs []string `json:"codecs,omitempty"`
 	Error  string   `json:"error,omitempty"`
 
@@ -248,8 +248,8 @@ type ReaderOptions struct {
 	// published array.
 	Arrays []string
 	// Codecs requests wire compression (codec.ParseSpec grammar). The
-	// producer rejects the handshake if it names a codec outside the
-	// producer's advertisement. Empty requests plain BP06.
+	// producer rejects the handshake if it names an unknown codec.
+	// Empty requests plain BP06.
 	Codecs []string
 
 	// Retry, when > 0, makes the reader resilient: it bounds the

@@ -155,7 +155,7 @@ func NewReplay(a *Archive, opts ReplayOptions) (*Replay, error) {
 	// The binder gives post hoc attachment the exact semantics of the
 	// live staging adaptor: pre-declared consumers are claimed with
 	// their no-lost-steps cursors, dynamic readers subscribe fresh.
-	binder := staging.NewBinder(hub, staging.Block, 2)
+	binder := staging.NewBinder(hub)
 	for _, spec := range opts.Consumers {
 		if _, err := binder.Declare(spec); err != nil {
 			hub.Close()

@@ -112,7 +112,7 @@ func recordLiveRun(t *testing.T, steps int) (live map[int][]float64, dir string)
 	}
 	// Pre-declare the live consumer so it loses no steps; the binder
 	// hands the declared subscription to the attaching reader.
-	binder := staging.NewBinder(hub, staging.Block, 2)
+	binder := staging.NewBinder(hub)
 	if _, err := binder.Declare(staging.ConsumerSpec{Name: "hist", Policy: staging.Block, Depth: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestRecordReplayEquivalenceCompressed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			binder := staging.NewBinder(hub, staging.Block, 2)
+			binder := staging.NewBinder(hub)
 			if _, err := binder.Declare(staging.ConsumerSpec{Name: "hist", Policy: staging.Block, Depth: 2}); err != nil {
 				t.Fatal(err)
 			}

@@ -221,6 +221,11 @@ func New(ctx *sensei.Context, meshName string, pipelines []Pipeline) *Adaptor {
 
 func init() {
 	sensei.Register("catalyst", func(ctx *sensei.Context, attrs map[string]string) (sensei.Analysis, error) {
+		// pipeline names the script kind, as SENSEI's does; a script
+		// is the only kind.
+		if err := sensei.CheckAttrs("catalyst", attrs, "mesh", "pipeline", "filename"); err != nil {
+			return nil, err
+		}
 		path := attrs["filename"]
 		if path == "" {
 			return nil, fmt.Errorf("catalyst: filename attribute (pipeline script) required")

@@ -40,6 +40,9 @@ func NewVTUCheckpoint(ctx *sensei.Context, meshName string, arrays []string, pre
 
 func init() {
 	sensei.Register("checkpoint", func(ctx *sensei.Context, attrs map[string]string) (sensei.Analysis, error) {
+		if err := sensei.CheckAttrs("checkpoint", attrs, "mesh", "arrays", "prefix"); err != nil {
+			return nil, err
+		}
 		var arrays []string
 		if a := strings.TrimSpace(attrs["arrays"]); a != "" {
 			for _, s := range strings.Split(a, ",") {

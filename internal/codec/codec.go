@@ -243,87 +243,6 @@ func (s Spec) Entries() []string {
 // map key when sharing one encode among same-spec consumers.
 func (s Spec) Key() string { return strings.Join(s.Entries(), ",") }
 
-// UnsupportedCodecError reports a codecs request naming a codec the
-// producer does not advertise (or that no build implements). The
-// staging server rejects the handshake with it, mirroring the arrays
-// negotiation.
-type UnsupportedCodecError struct {
-	Codec     string
-	Advertise []string
-}
-
-func (e *UnsupportedCodecError) Error() string {
-	if len(e.Advertise) == 0 {
-		return fmt.Sprintf("codec: codec %q is not supported", e.Codec)
-	}
-	return fmt.Sprintf("codec: codec %q is not advertised by the producer (advertised: %s)",
-		e.Codec, strings.Join(e.Advertise, ", "))
-}
-
-// CheckAdvertised validates a hello's codecs entries against the
-// producer's advertisement: every named codec must parse and, when
-// advertise is non-nil, appear in it. A nil advertisement accepts any
-// codec this build implements; a nil or empty request always passes
-// (identity needs no negotiation).
-func CheckAdvertised(entries, advertise []string) (Spec, error) {
-	sp, err := ParseSpec(entries)
-	if err != nil {
-		return Spec{}, err
-	}
-	if advertise == nil {
-		return sp, nil
-	}
-	ok := func(id ID) bool {
-		if id == Identity {
-			return true
-		}
-		for _, a := range advertise {
-			if a == id.Name() {
-				return true
-			}
-		}
-		return false
-	}
-	if !ok(sp.Default.ID) {
-		return Spec{}, &UnsupportedCodecError{Codec: sp.Default.ID.Name(), Advertise: advertise}
-	}
-	for _, c := range sp.PerArray {
-		if !ok(c.ID) {
-			return Spec{}, &UnsupportedCodecError{Codec: c.ID.Name(), Advertise: advertise}
-		}
-	}
-	return sp, nil
-}
-
-// ParseAdvertise parses a comma-separated producer advertisement
-// ("identity,transpose-delta"), validating each name. Empty input
-// returns nil: advertise everything.
-func ParseAdvertise(s string) ([]string, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
-	}
-	var out []string
-	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		found := false
-		for _, n := range idNames {
-			if n == name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("codec: unknown codec %q in advertisement", name)
-		}
-		out = append(out, name)
-	}
-	return out, nil
-}
-
 // Scratch holds the reusable intermediates of one encode or decode
 // stream. Buffers grow to the largest array seen and are reused, so
 // steady-state transforms allocate nothing.

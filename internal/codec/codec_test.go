@@ -97,59 +97,6 @@ func TestSpecQueries(t *testing.T) {
 	}
 }
 
-func TestCheckAdvertised(t *testing.T) {
-	cases := []struct {
-		name      string
-		entries   []string
-		advertise []string
-		wantErr   string
-	}{
-		{name: "nil advertisement accepts all", entries: []string{"temporal-delta"}, advertise: nil},
-		{name: "advertised codec passes", entries: []string{"transpose-delta"}, advertise: []string{"transpose-delta"}},
-		{name: "identity always passes", entries: nil, advertise: []string{}},
-		{
-			name: "unadvertised default rejected", entries: []string{"quantize:1e-3"},
-			advertise: []string{"transpose-delta"}, wantErr: `"quantize" is not advertised`,
-		},
-		{
-			name: "unadvertised override rejected", entries: []string{"p=temporal-delta"},
-			advertise: []string{"transpose-delta"}, wantErr: `"temporal-delta" is not advertised`,
-		},
-		{
-			name:    "unknown codec rejected even with nil advertisement",
-			entries: []string{"zstd"}, advertise: nil, wantErr: `unknown codec "zstd"`,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := CheckAdvertised(tc.entries, tc.advertise)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("CheckAdvertised(%v, %v): %v", tc.entries, tc.advertise, err)
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("CheckAdvertised(%v, %v) err = %v, want substring %q",
-					tc.entries, tc.advertise, err, tc.wantErr)
-			}
-		})
-	}
-}
-
-func TestParseAdvertise(t *testing.T) {
-	adv, err := ParseAdvertise(" identity, transpose-delta ")
-	if err != nil || len(adv) != 2 || adv[1] != "transpose-delta" {
-		t.Fatalf("ParseAdvertise = %v, %v", adv, err)
-	}
-	if adv, err = ParseAdvertise(""); err != nil || adv != nil {
-		t.Fatalf("empty advertisement = %v, %v; want nil, nil", adv, err)
-	}
-	if _, err = ParseAdvertise("identity,brotli"); err == nil {
-		t.Fatal("unknown name in advertisement accepted")
-	}
-}
-
 // --- payload corpora ---
 
 // smoothField mimics the Rayleigh–Bénard-like fields the paper's pb146

@@ -228,7 +228,7 @@ func (g *Group) Run() (GroupStats, error) {
 	R := g.cfg.Ranks
 	straggler := metrics.NewStraggler(R)
 	// A group of one has no peer to wait for; exporting its zeros
-	// would only collide across the replicas of one process.
+	// would only collide across the groups of one process.
 	if tel := g.cfg.Telemetry; tel != nil && R > 1 {
 		telemetry.RegisterStraggler(tel.Registry(), straggler)
 		tel.RegisterStatus("intransit-group", func() any { return straggler.Stats() })

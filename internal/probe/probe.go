@@ -90,6 +90,9 @@ func ParsePoints(s string) ([]Point, error) {
 
 func init() {
 	sensei.Register("probe", func(ctx *sensei.Context, attrs map[string]string) (sensei.Analysis, error) {
+		if err := sensei.CheckAttrs("probe", attrs, "mesh", "points", "arrays", "output"); err != nil {
+			return nil, err
+		}
 		points, err := ParsePoints(attrs["points"])
 		if err != nil {
 			return nil, err

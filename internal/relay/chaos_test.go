@@ -43,7 +43,7 @@ func chaosServedHub(t *testing.T, name string) (*staging.Hub, string, *telemetry
 	tel := telemetry.New(name)
 	hub := staging.NewHub(nil)
 	hub.SetTelemetry(tel, "rank-0")
-	binder := staging.NewBinder(hub, staging.Block, 4)
+	binder := staging.NewBinder(hub)
 	srv, err := staging.ServeWith(hub, "127.0.0.1:0", binder.Resolve, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)

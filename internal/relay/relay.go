@@ -213,8 +213,8 @@ func New(upstream []string, opts Options) (*Relay, error) {
 				return nil, fmt.Errorf("relay: spill dir: %w", err)
 			}
 		}
-		// Readers not pre-declared attach dynamically under block / 2.
-		binder := staging.NewBinder(hub, staging.Block, 0)
+		// Readers not pre-declared attach with what their hellos ask for.
+		binder := staging.NewBinder(hub)
 		for _, d := range o.Downstream {
 			if _, err := binder.Declare(d.Spec); err != nil {
 				r.teardown()

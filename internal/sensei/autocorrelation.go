@@ -37,6 +37,9 @@ func NewAutocorrelation(ctx *Context, meshName, array string, window int) *Autoc
 
 func init() {
 	Register("autocorrelation", func(ctx *Context, attrs map[string]string) (Analysis, error) {
+		if err := CheckAttrs("autocorrelation", attrs, "mesh", "array", "window"); err != nil {
+			return nil, err
+		}
 		array := attrs["array"]
 		if array == "" {
 			return nil, fmt.Errorf("sensei: autocorrelation: array attribute required")

@@ -32,6 +32,9 @@ func NewHistogram(ctx *Context, meshName, array string, bins int) *Histogram {
 
 func init() {
 	Register("histogram", func(ctx *Context, attrs map[string]string) (Analysis, error) {
+		if err := CheckAttrs("histogram", attrs, "mesh", "array", "bins"); err != nil {
+			return nil, err
+		}
 		bins := 10
 		if b, ok := attrs["bins"]; ok {
 			v, err := strconv.Atoi(b)

@@ -20,7 +20,10 @@ package sensei
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"nekrs-sensei/internal/metrics"
@@ -157,6 +160,27 @@ func Register(typeName string, f Factory) {
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	registry[typeName] = f
+}
+
+// elementAttrs are what ConfigurableAnalysis reads of every analysis
+// element, whatever its type.
+var elementAttrs = []string{"type", "enabled", "frequency", "maxerror"}
+
+// CheckAttrs refuses an attribute the factory of typ would not read,
+// naming the type and the attribute, so a typo or a leftover is not
+// silently ignored. reads lists what that factory reads beside the
+// attributes every analysis element carries (type, enabled, frequency,
+// maxerror). Every in-tree factory calls it first, with its reads as
+// string literals: they are the XML settable values scripts/knobs.sh
+// counts.
+func CheckAttrs(typ string, attrs map[string]string, reads ...string) error {
+	for _, k := range slices.Sorted(maps.Keys(attrs)) {
+		if !slices.Contains(elementAttrs, k) && !slices.Contains(reads, k) {
+			return fmt.Errorf("sensei: analysis type %q has no attribute %q (it reads %s)",
+				typ, k, strings.Join(reads, ", "))
+		}
+	}
+	return nil
 }
 
 // RegisteredTypes lists the known analysis types, sorted.

@@ -112,9 +112,10 @@ func ParseConsumers(s string) ([]ConsumerSpec, error) {
 // its hello announces, a second concurrent one is rejected "already
 // attached", the producer pulls only the arrays that reader asked for,
 // and Finalize gives a reader yet to dial closeWait to collect what is
-// staged. Sessions and heartbeats are what each reader's hello asks
-// for. XML attributes (any other is refused, naming it; consumers,
-// policy, depth and spill are "staging" only, queue "adios" only):
+// staged. A dynamic reader's policy, window, arrays and codecs, its
+// session and its heartbeats are what its hello asks for. XML
+// attributes (any other is refused, naming it; consumers and spill
+// are "staging" only, queue "adios" only):
 //
 //	address   server listen address (default 127.0.0.1:0)
 //	contact   contact file for the rendezvous (rank 0 writes it); with
@@ -139,12 +140,6 @@ func ParseConsumers(s string) ([]ConsumerSpec, error) {
 //	          at initialization so no step is missed while endpoints
 //	          attach; the arrays field subsets what is shipped to that
 //	          consumer, the codecs field compresses its wire frames
-//	codecs    comma-separated codec names consumer requests are
-//	          validated against ("" = every implemented codec); an
-//	          unlisted codec in a hello rejects the handshake
-//	policy    default policy for consumers not pre-declared
-//	depth     default queue depth (default 2): for block, the steps
-//	          the hub holds for the consumer, on the wire included
 //	queue     the direct stream's queue depth (default 2)
 //	liveness  credit-wait liveness bound (Go duration; "" disables): a
 //	          reader that neither credits nor keepalives within the
@@ -156,8 +151,6 @@ type Adaptor struct {
 	meshName string
 	arrays   []string
 
-	defPolicy Policy
-	defDepth  int
 	binder    *Binder // resolves reader handshakes, built at serve time
 	closeWait time.Duration
 
@@ -170,10 +163,7 @@ func New(ctx *sensei.Context, hub *Hub, meshName string, arrays []string) *Adapt
 	if meshName == "" {
 		meshName = "mesh"
 	}
-	return &Adaptor{
-		ctx: ctx, hub: hub, meshName: meshName, arrays: arrays,
-		defDepth: 2,
-	}
+	return &Adaptor{ctx: ctx, hub: hub, meshName: meshName, arrays: arrays}
 }
 
 // closeWait bounds how long a direct stream's Finalize waits for its
@@ -185,35 +175,29 @@ func init() {
 	sensei.Register("adios", xmlFactory("adios"))
 }
 
-// xmlAttrs is every attribute each analysis type reads: those any
-// analysis element carries, those the two types share, its own.
-var xmlAttrs = map[string][]string{
-	"staging": strings.Fields(sharedAttrs + " spill consumers policy depth"),
-	"adios":   strings.Fields(sharedAttrs + " queue"),
-}
-
-const sharedAttrs = "type enabled frequency maxerror address contact contact-dir mesh arrays codecs liveness"
-
-// readerSide names what replaced the producer attributes a config may
-// still carry.
-var readerSide = map[string]string{
+// retired names what replaced the producer attributes a config may
+// still carry: the reader side sets each of them now.
+var retired = map[string]string{
+	"policy":            "a reader's hello picks its policy (sensei-endpoint -consumer name:policy:depth)",
+	"depth":             "a reader's hello picks its window (sensei-endpoint -consumer name:policy:depth)",
+	"codecs":            "a reader's hello picks its codecs, and any implemented codec is served",
 	"session-ttl":       "a reader asks for its session with -retry and its park grace with -session-ttl",
 	"heartbeat":         "a reader's -liveness paces the heartbeats it gets",
 	"handshake-timeout": "a hello has a fixed 10s to arrive",
 }
 
 // checkAttrs refuses an attribute the factory would not read, naming
-// it, so a typo or a leftover is not silently ignored.
+// it, and names what replaced a retired one.
 func checkAttrs(typ string, attrs map[string]string) error {
 	for _, k := range slices.Sorted(maps.Keys(attrs)) {
-		if why, ok := readerSide[k]; ok {
+		if why, ok := retired[k]; ok {
 			return fmt.Errorf("staging: attribute %q is gone: %s", k, why)
 		}
-		if !slices.Contains(xmlAttrs[typ], k) {
-			return fmt.Errorf("staging: analysis type %q has no attribute %q", typ, k)
-		}
 	}
-	return nil
+	if typ == "adios" {
+		return sensei.CheckAttrs("adios", attrs, "address", "contact", "contact-dir", "mesh", "arrays", "liveness", "queue")
+	}
+	return sensei.CheckAttrs("staging", attrs, "address", "contact", "contact-dir", "mesh", "arrays", "liveness", "spill", "consumers")
 }
 
 // xmlFactory is the XML-configured adaptor: hub, binder, network server
@@ -235,13 +219,6 @@ func xmlFactory(typ string) sensei.Factory {
 		// A configured array set is the advertisement consumer subset
 		// requests are validated against (handshake rejection).
 		hub.SetAdvertised(arrays)
-		if c := strings.TrimSpace(attrs["codecs"]); c != "" {
-			adv, err := codec.ParseAdvertise(c)
-			if err != nil {
-				return nil, fmt.Errorf("staging: %w", err)
-			}
-			hub.SetCodecAdvertised(adv)
-		}
 		// One hub per simulated rank: attach each to the process
 		// telemetry plane under its rank label (no-op when disabled).
 		hub.SetTelemetry(ctx.Telemetry, RankLabel(ctx.Comm.Rank()))
@@ -256,31 +233,19 @@ func xmlFactory(typ string) sensei.Factory {
 			}
 		}
 		ad := New(ctx, hub, attrs["mesh"], arrays)
-		if p := attrs["policy"]; p != "" {
-			pol, err := ParsePolicy(p)
-			if err != nil {
-				return nil, err
-			}
-			ad.defPolicy = pol
-		}
-		depthKey := "depth"
-		if direct {
-			depthKey = "queue"
-		}
-		if d := attrs[depthKey]; d != "" {
-			v, err := strconv.Atoi(d)
-			if err != nil || v < 1 {
-				return nil, fmt.Errorf("staging: bad %s %q", depthKey, d)
-			}
-			ad.defDepth = v
-		}
 		specs, err := ParseConsumers(attrs["consumers"])
 		if err != nil {
 			return nil, err
 		}
-		ad.binder = NewBinder(hub, ad.defPolicy, ad.defDepth)
+		ad.binder = NewBinder(hub)
 		if direct {
-			specs = []ConsumerSpec{{Name: soleName, Policy: Block}}
+			sole := ConsumerSpec{Name: soleName, Policy: Block}
+			if q := attrs["queue"]; q != "" {
+				if sole.Depth, err = strconv.Atoi(q); err != nil || sole.Depth < 1 {
+					return nil, fmt.Errorf("staging: bad queue %q", q)
+				}
+			}
+			specs = []ConsumerSpec{sole}
 			ad.binder.sole, ad.closeWait = true, closeWait
 		}
 		for _, spec := range specs {

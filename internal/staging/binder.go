@@ -17,8 +17,9 @@ import (
 // pre-declared consumers: declared names are claimed (one live
 // connection at a time; a reconnect after a disconnect gets a fresh
 // subscription under the declared policy), unknown names get fresh
-// subscriptions with the reader's announced policy/depth/arrays or
-// the binder's defaults.
+// subscriptions with the policy, depth and arrays the reader's hello
+// announced (block and the hub's default window of 2 when it names
+// none).
 //
 // The binder also owns resumable-session lifecycle, and grants every
 // reader the session it asks for: a resume token, and a consumer that
@@ -34,9 +35,7 @@ import (
 // Binder's Resolve, so live and post hoc attachment semantics are
 // identical.
 type Binder struct {
-	hub       *Hub
-	defPolicy Policy
-	defDepth  int
+	hub *Hub
 
 	mu         sync.Mutex
 	specs      map[string]ConsumerSpec // pre-declared consumer shapes
@@ -90,14 +89,10 @@ const (
 	maxSessionTTL     = 5 * time.Minute
 )
 
-// NewBinder builds a binder over hub with defaults for dynamically
-// attaching readers (defDepth <= 0 selects 2).
-func NewBinder(hub *Hub, defPolicy Policy, defDepth int) *Binder {
-	if defDepth <= 0 {
-		defDepth = 2
-	}
+// NewBinder builds a binder over hub.
+func NewBinder(hub *Hub) *Binder {
 	return &Binder{
-		hub: hub, defPolicy: defPolicy, defDepth: defDepth,
+		hub:          hub,
 		specs:        map[string]ConsumerSpec{},
 		registered:   map[string]*Consumer{},
 		claimed:      map[string]bool{},
@@ -109,11 +104,8 @@ func NewBinder(hub *Hub, defPolicy Policy, defDepth int) *Binder {
 
 // Declare pre-subscribes one consumer so no step is missed while its
 // reader attaches; the subscription is claimed by the first reader
-// announcing the name. A zero Depth takes the binder default.
+// announcing the name. A zero Depth takes the hub's default window.
 func (b *Binder) Declare(spec ConsumerSpec) (*Consumer, error) {
-	if spec.Depth == 0 {
-		spec.Depth = b.defDepth
-	}
 	cons, err := b.hub.SubscribeSpec(spec)
 	if err != nil {
 		return nil, err
@@ -419,7 +411,7 @@ func (b *Binder) MinResume() int64 {
 
 // bindLocked is the classic (non-session) bind. A reader claiming a
 // pre-declared name may narrow its array subset and request wire codecs
-// in the hello; an array outside the advertisement or an unsupported
+// in the hello; an array outside the advertisement or an unknown
 // codec rejects the handshake. A reader announcing no codecs inherits
 // the declared spec's codecs (the server's handshake reply echoes the
 // effective set either way).
@@ -470,17 +462,11 @@ func (b *Binder) bindLocked(req SubscribeRequest) (*Consumer, error) {
 		}
 		return nil, fmt.Errorf("already attached")
 	}
-	spec := ConsumerSpec{Name: name, Policy: b.defPolicy, Depth: req.Depth, Arrays: arrays, Codecs: codecs}
-	if req.Policy != "" {
-		p, err := ParsePolicy(req.Policy)
-		if err != nil {
-			return nil, err
-		}
-		spec.Policy = p
+	p, err := ParsePolicy(req.Policy)
+	if err != nil {
+		return nil, err
 	}
-	if spec.Depth <= 0 {
-		spec.Depth = b.defDepth
-	}
+	spec := ConsumerSpec{Name: name, Policy: p, Depth: req.Depth, Arrays: arrays, Codecs: codecs}
 	if name == "" {
 		b.dynSeq++
 		spec.Name = fmt.Sprintf("consumer-%d", b.dynSeq)

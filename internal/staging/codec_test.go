@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -51,38 +50,6 @@ func checkCodecStep(t *testing.T, got *adios.Step, n int, bound float64) {
 			t.Fatalf("step %d: element %d error %g exceeds %g", got.Step, i, e, bound)
 		}
 	}
-}
-
-// TestServerCodecNegotiation is the staging mirror of the direct-SST
-// rejection test: a hub advertisement bounds what readers may request,
-// and the rejection happens in the handshake.
-func TestServerCodecNegotiation(t *testing.T) {
-	h := NewHub(nil)
-	h.SetCodecAdvertised([]string{"identity", "transpose-delta"})
-	srv, err := Serve(h, "127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close() //nolint:errcheck
-
-	if _, err := adios.OpenReaderWith(srv.Addr(), adios.ReaderOptions{
-		Consumer: "q", Codecs: []string{"quantize:1e-3"},
-	}); err == nil || !strings.Contains(err.Error(), "quantize") {
-		t.Fatalf("unadvertised codec: err = %v, want quantize rejection", err)
-	}
-	if _, err := adios.OpenReaderWith(srv.Addr(), adios.ReaderOptions{
-		Consumer: "t", Codecs: []string{"temporal-delta"},
-	}); err == nil || !strings.Contains(err.Error(), "temporal-delta") {
-		t.Fatalf("unadvertised codec: err = %v, want temporal-delta rejection", err)
-	}
-	r, err := adios.OpenReaderWith(srv.Addr(), adios.ReaderOptions{
-		Consumer: "ok", Codecs: []string{"transpose-delta"},
-	})
-	if err != nil {
-		t.Fatalf("advertised codec rejected: %v", err)
-	}
-	r.Close()
-	h.Close()
 }
 
 // TestServerCompressedFanout attaches mixed-codec consumers to one
@@ -253,27 +220,19 @@ func TestCompressedDropOldestGaps(t *testing.T) {
 	}
 }
 
-// TestAdaptorCodecsXML covers the XML surface: a "codecs" attribute
-// bounds the hub advertisement, a per-consumer codecs field assigns
-// compression the endpoint never asked for (the handshake echo
-// configures its decoder), and bad attributes fail configuration.
+// TestAdaptorCodecsXML covers the XML surface: a per-consumer codecs
+// field assigns compression the endpoint never asked for (the
+// handshake echo configures its decoder), and bad codec fields fail
+// configuration.
 func TestAdaptorCodecsXML(t *testing.T) {
 	ctx := testCtx(t.TempDir())
 	a, err := sensei.NewAnalysisAdaptor("staging", ctx, map[string]string{
 		"consumers": "viz:block:2::transpose-delta,raw:block:2",
-		"codecs":    "identity,transpose-delta",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ad := a.(*Adaptor)
-
-	// The advertisement from the codecs attribute rejects outsiders.
-	if _, err := adios.OpenReaderWith(ad.Server().Addr(), adios.ReaderOptions{
-		Consumer: "dyn", Codecs: []string{"temporal-delta"},
-	}); err == nil || !strings.Contains(err.Error(), "temporal-delta") {
-		t.Fatalf("advertisement: err = %v, want rejection", err)
-	}
 
 	// "viz" was declared with a codec; the attaching reader requests
 	// none and must still decode (reply echo carries the spec).
@@ -322,7 +281,6 @@ func TestAdaptorCodecsXML(t *testing.T) {
 
 	// Bad attributes fail at construction.
 	for _, attrs := range []map[string]string{
-		{"codecs": "zfp"},
 		{"consumers": "a:block:2::bogus"},
 		{"consumers": "a:block:2::quantize"},
 	} {

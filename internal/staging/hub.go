@@ -270,11 +270,6 @@ type Hub struct {
 	// against it and rejected when they name an unknown array.
 	advertised []string
 
-	// codecAdvertised, when non-nil, restricts which wire codecs
-	// subscriptions may request; nil accepts every codec the build
-	// implements. Unknown codec names are always rejected.
-	codecAdvertised []string
-
 	// codecStreams holds the shared encode chain per canonical
 	// (subset, spec) form key; same-spec consumers share one encoder
 	// (and thus one encode per step).
@@ -597,22 +592,10 @@ func (h *Hub) SetSpillDir(dir string) error {
 	return nil
 }
 
-// SetCodecAdvertised restricts the wire codecs this hub's producer is
-// willing to apply: subscriptions requesting a codec outside the list
-// are rejected (and, through the network server, reject the reader's
-// handshake), mirroring SetAdvertised for arrays. Nil clears the
-// restriction — any implemented codec is accepted; unknown codec
-// names are rejected either way.
-func (h *Hub) SetCodecAdvertised(codecs []string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.codecAdvertised = codecs
-}
-
-// validateCodecsLocked parses and validates a codec request against
-// the advertisement. Caller holds h.mu.
-func (h *Hub) validateCodecsLocked(codecs []string) (codec.Spec, error) {
-	spec, err := codec.CheckAdvertised(codecs, h.codecAdvertised)
+// parseCodecs parses a codec request: an unknown codec name or a
+// malformed entry is refused.
+func parseCodecs(codecs []string) (codec.Spec, error) {
+	spec, err := codec.ParseSpec(codecs)
 	if err != nil {
 		return codec.Spec{}, fmt.Errorf("staging: %w", err)
 	}
@@ -648,12 +631,12 @@ func (h *Hub) setConsumerCodecsLocked(c *Consumer, spec codec.Spec) {
 // pre-declared consumer with its own compression request at attach
 // time (after any array narrowing, so the form key is final).
 func (h *Hub) setConsumerCodecs(c *Consumer, codecs []string) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	spec, err := h.validateCodecsLocked(codecs)
+	spec, err := parseCodecs(codecs)
 	if err != nil {
 		return err
 	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	h.setConsumerCodecsLocked(c, spec)
 	return nil
 }
@@ -703,15 +686,19 @@ func (h *Hub) Subscribe(name string, policy Policy, depth int) (*Consumer, error
 // advertised its array set, a subset naming an unknown array is
 // rejected. With Codecs its network frames are encoded under the
 // given entries (codec.ParseSpec grammar), same-spec consumers
-// sharing one encode per step; an unknown codec, or one outside the
-// hub's codec advertisement, is rejected. Codecs affect only the wire
-// form (StepRef.Frame); in-process consumers read the plain step.
+// sharing one encode per step; an unknown codec is rejected. Codecs
+// affect only the wire form (StepRef.Frame); in-process consumers read
+// the plain step.
 func (h *Hub) SubscribeSpec(spec ConsumerSpec) (*Consumer, error) {
 	name, policy, depth := spec.Name, spec.Policy, spec.Depth
 	if depth <= 0 {
 		depth = 2
 	}
 	arrays := normalizeArrays(spec.Arrays)
+	cspec, err := parseCodecs(spec.Codecs)
+	if err != nil {
+		return nil, err
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
@@ -719,10 +706,6 @@ func (h *Hub) SubscribeSpec(spec ConsumerSpec) (*Consumer, error) {
 	}
 	if err := adios.CheckAdvertised(arrays, h.advertised); err != nil {
 		return nil, fmt.Errorf("staging: %w", err)
-	}
-	cspec, err := h.validateCodecsLocked(spec.Codecs)
-	if err != nil {
-		return nil, err
 	}
 	c := &Consumer{hub: h, name: name, policy: policy, depth: depth, arrays: arrays, cursor: h.nextSeq, wirePrev: -1, lastSim: -1}
 	h.setConsumerCodecsLocked(c, cspec)

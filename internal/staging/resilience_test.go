@@ -166,7 +166,8 @@ func TestHeartbeatPeriod(t *testing.T) {
 
 // TestAdaptorRefusesUnreadAttrs: an attribute the factory would not
 // read is refused by name, and one a reader now sets points at the
-// reader's flag; the attributes any analysis element carries pass.
+// reader's hello or flag; the attributes any analysis element carries
+// pass.
 func TestAdaptorRefusesUnreadAttrs(t *testing.T) {
 	for _, tc := range []struct {
 		typ, key, want string
@@ -174,7 +175,11 @@ func TestAdaptorRefusesUnreadAttrs(t *testing.T) {
 		{"staging", "polcy", `analysis type "staging" has no attribute "polcy"`},
 		{"staging", "queue", `has no attribute "queue"`},
 		{"adios", "consumers", `analysis type "adios" has no attribute "consumers"`},
-		{"adios", "depth", `has no attribute "depth"`},
+		{"adios", "depth", `attribute "depth" is gone`},
+		{"staging", "policy", `attribute "policy" is gone: a reader's hello picks its policy`},
+		{"staging", "depth", `attribute "depth" is gone: a reader's hello picks its window`},
+		{"staging", "codecs", `attribute "codecs" is gone: a reader's hello picks its codecs`},
+		{"adios", "codecs", `attribute "codecs" is gone`},
 		{"staging", "session-ttl", "-session-ttl"},
 		{"adios", "session-ttl", "-retry"},
 		{"staging", "heartbeat", "-liveness"},

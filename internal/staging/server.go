@@ -136,7 +136,7 @@ func ServeWith(hub *Hub, addr string, subscribe SubscribeFunc, liveness time.Dur
 	}
 	s := &Server{hub: hub, ln: ln, subscribe: subscribe, liveness: liveness, conns: map[net.Conn]*Consumer{}}
 	if subscribe == nil {
-		s.subscribe = NewBinder(hub, Block, 0).Resolve
+		s.subscribe = NewBinder(hub).Resolve
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()

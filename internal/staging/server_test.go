@@ -157,8 +157,6 @@ func TestAdaptorXML(t *testing.T) {
 	a, err := sensei.NewAnalysisAdaptor("staging", ctx, map[string]string{
 		"consumers": "hist:block:2,viz:drop-oldest:1",
 		"contact":   contact,
-		"policy":    "drop-oldest",
-		"depth":     "3",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -227,8 +225,8 @@ func TestAdaptorXML(t *testing.T) {
 	if byName["viz"].Dropped == 0 {
 		t.Errorf("viz stats = %+v, want drops (never attached)", byName["viz"])
 	}
-	if byName["extra"].Policy != DropOldest || byName["extra"].Depth != 3 {
-		t.Errorf("extra consumer defaults = %+v, want drop-oldest depth 3", byName["extra"])
+	if byName["extra"].Policy != Block || byName["extra"].Depth != 2 {
+		t.Errorf("extra consumer = %+v, want what a hello naming neither gets: block depth 2", byName["extra"])
 	}
 }
 
@@ -349,9 +347,6 @@ func TestAdaptorBadAttrs(t *testing.T) {
 	ctx := testCtx(t.TempDir())
 	for _, attrs := range []map[string]string{
 		{"consumers": "a:warp"},
-		{"policy": "warp"},
-		{"depth": "0"},
-		{"depth": "x"},
 	} {
 		if _, err := sensei.NewAnalysisAdaptor("staging", ctx, attrs); err == nil {
 			t.Errorf("attrs %v: expected error", attrs)

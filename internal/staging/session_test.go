@@ -154,7 +154,7 @@ func TestSessionClaimConflicts(t *testing.T) {
 			setup: func(t *testing.T, e *sessionEnv) {
 				old := &sessionEnv{h: NewHub(nil)}
 				defer old.h.Close()
-				old.b = NewBinder(old.h, Block, 2)
+				old.b = NewBinder(old.h)
 				old.bind(t, "leaf-a")
 				stale := old.tok
 				e.bind(t, "leaf-b")
@@ -170,7 +170,7 @@ func TestSessionClaimConflicts(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := &sessionEnv{h: NewHub(nil)}
 			defer e.h.Close()
-			e.b = NewBinder(e.h, Block, 2)
+			e.b = NewBinder(e.h)
 			if tc.setup != nil {
 				tc.setup(t, e)
 			}
@@ -276,7 +276,7 @@ func TestSessionTTL(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := &sessionEnv{h: NewHub(nil)}
 			defer e.h.Close()
-			e.b = NewBinder(e.h, Block, 2)
+			e.b = NewBinder(e.h)
 			e.b.sessTTL = 40 * time.Millisecond
 			e.bind(t, "solo")
 			tc.run(t, e)
@@ -291,7 +291,7 @@ func TestSessionTTL(t *testing.T) {
 func TestSessionResumeFloor(t *testing.T) {
 	h := NewHub(nil)
 	defer h.Close()
-	b := NewBinder(h, Block, 4)
+	b := NewBinder(h)
 	e := &sessionEnv{h: h, b: b}
 	e.bind(t, "solo")
 	cons := e.sub.Cons
@@ -355,7 +355,7 @@ func TestSessionResumeFloor(t *testing.T) {
 func TestSessionAdoptRedeliversBootstrap(t *testing.T) {
 	h := NewHub(nil)
 	defer h.Close()
-	b := NewBinder(h, Block, 4)
+	b := NewBinder(h)
 	e := &sessionEnv{h: h, b: b}
 	e.bind(t, "solo")
 	cons := e.sub.Cons
@@ -456,7 +456,7 @@ func TestSessionResumeOverReset(t *testing.T) {
 		t.Run(policy.String(), func(t *testing.T) {
 			stores := map[string]*memSpillStore{}
 			h := hubWithSpill(stores)
-			b := NewBinder(h, policy, 2)
+			b := NewBinder(h)
 			srv, err := ServeWith(h, "127.0.0.1:0", b.Resolve, time.Second)
 			if err != nil {
 				t.Fatal(err)
@@ -527,7 +527,7 @@ func TestSessionResumeOverReset(t *testing.T) {
 func TestSessionCodecKeyframeRestart(t *testing.T) {
 	const n, steps = 256, 30
 	h := NewHub(nil)
-	b := NewBinder(h, Block, 2)
+	b := NewBinder(h)
 	srv, err := ServeWith(h, "127.0.0.1:0", b.Resolve, time.Second)
 	if err != nil {
 		t.Fatal(err)

@@ -37,8 +37,8 @@
 // bytes are accounted in ConsumerStats.WireBytes.
 //
 // Consumers may likewise negotiate wire compression (ConsumerSpec.Codecs,
-// or the reader hello's `codecs` field, checked against
-// SetCodecAdvertised): their network frames are re-encoded through
+// or the reader hello's `codecs` field; any implemented codec is
+// served): their network frames are re-encoded through
 // per-array codec stages (internal/codec) by a shared StreamEncoder —
 // same-codec, same-subset consumers share one encode the way subset
 // consumers share one marshal, with temporal-delta chains anchored by

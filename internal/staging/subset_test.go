@@ -216,7 +216,7 @@ func TestClaimOnlyNarrows(t *testing.T) {
 	h := NewHub(nil)
 	defer h.Close()
 	h.SetAdvertised([]string{"a", "b", "c"})
-	b := NewBinder(h, Block, 2)
+	b := NewBinder(h)
 	for _, name := range []string{"wide", "narrow"} {
 		if _, err := b.Declare(ConsumerSpec{Name: name, Arrays: []string{"a", "b"}}); err != nil {
 			t.Fatal(err)
