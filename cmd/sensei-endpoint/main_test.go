@@ -134,9 +134,13 @@ func TestParseArgs(t *testing.T) {
 		{name: "negative depth flag", argv: []string{"-consumer", "a", "-depth", "-2"}, wantErr: "flag provided but not defined: -depth"},
 		{name: "peer-status flag is gone", argv: []string{"-telemetry", "127.0.0.1:9151", "-peer-status", "127.0.0.1:9150"}, wantErr: "flag provided but not defined: -peer-status"},
 		{name: "zero ranks", argv: []string{"-ranks", "0"}, wantErr: "-ranks must be positive"},
+		// -consumers is deleted too (run N endpoints for N replicas); its
+		// rows keep their argv and are refused by the flag's name.
+		{name: "zero consumers", argv: []string{"-consumer", "ep", "-consumers", "0"}, wantErr: "flag provided but not defined: -consumers"},
+		{name: "replicas without staged mode", argv: []string{"-consumers", "3"}, wantErr: "flag provided but not defined: -consumers"},
+		{name: "replicas of ranks", argv: []string{"-consumer", "ep", "-ranks", "2", "-consumers", "3"}, wantErr: "flag provided but not defined: -consumers"},
 		{name: "group flag is gone", argv: []string{"-consumer", "ep", "-group", "2"}, wantErr: "flag provided but not defined: -group"},
 		{name: "presharded flag is gone", argv: []string{"-consumer", "ep", "-presharded"}, wantErr: "flag provided but not defined: -presharded"},
-		{name: "consumers flag is gone", argv: []string{"-consumer", "ep", "-ranks", "2", "-consumers", "3"}, wantErr: "flag provided but not defined: -consumers"},
 		{name: "positional junk", argv: []string{"stray"}, wantErr: "unexpected arguments"},
 		{
 			name: "telemetry flags pass through",

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -142,85 +145,103 @@ func serveScript(t *testing.T, ctx context.Context, contact string, readers int,
 // returns the output directory and run's error.
 func runShape(t *testing.T, readers int, cut bool, flags ...string) (string, error) {
 	t.Helper()
+	outs, err := runReplicas(t, readers, cut, 0, flags...)
+	return outs[0], err
+}
+
+// runReplicas is runShape for n endpoints at once (one when n is 0),
+// the way n endpoint processes attach as replicas: endpoint i adds
+// "-consumer ep-i:block:2" to flags and writes to its own directory.
+func runReplicas(t *testing.T, readers int, cut bool, n int, flags ...string) ([]string, error) {
+	t.Helper()
 	config := filepath.Join(t.TempDir(), "endpoint.xml")
 	if err := os.WriteFile(config, []byte(probeConfig), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return runScript(t, nil, readers, cut, append([]string{"-config", config}, flags...)...)
+	flags = append([]string{"-config", config}, flags...)
+	if n == 0 {
+		return runEndpoints(t, nil, readers, cut, flags)
+	}
+	endpoints := make([][]string, n)
+	for i := range endpoints {
+		endpoints[i] = append(slices.Clip(flags), "-consumer", fmt.Sprintf("ep-%d:block:2", i))
+	}
+	return runEndpoints(t, nil, readers, cut, endpoints...)
 }
 
 // runScript is runShape without a configuration of its own, on the
 // given telemetry plane.
 func runScript(t *testing.T, tel *telemetry.Telemetry, readers int, cut bool, flags ...string) (string, error) {
 	t.Helper()
+	outs, err := runEndpoints(t, tel, readers, cut, flags)
+	return outs[0], err
+}
+
+// runEndpoints runs one endpoint per flag set concurrently against one
+// freshly served scripted stream and returns their output directories
+// and the first run error.
+func runEndpoints(t *testing.T, tel *telemetry.Telemetry, readers int, cut bool, endpoints ...[]string) ([]string, error) {
+	t.Helper()
 	dir := t.TempDir()
-	contact, out := filepath.Join(dir, "contact.txt"), filepath.Join(dir, "out")
+	contact := filepath.Join(dir, "contact.txt")
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	fed, handshakes := serveScript(t, ctx, contact, readers, cut)
-	o, err := parseArgs(append([]string{"-contact", contact, "-out", out, "-timeout", "10s"}, flags...))
-	if err != nil {
-		t.Fatal(err)
+	outs := make([]string, len(endpoints))
+	errs := make([]error, len(endpoints))
+	var wg sync.WaitGroup
+	for i, flags := range endpoints {
+		outs[i] = filepath.Join(dir, fmt.Sprintf("out-%d", i))
+		o, err := parseArgs(append([]string{"-contact", contact, "-out", outs[i], "-timeout", "10s"}, flags...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = run(o, tel)
+		}()
 	}
-	runErr := run(o, tel)
+	wg.Wait()
+	runErr := errors.Join(errs...)
 	if err := <-fed; err != nil {
-		t.Fatalf("feeding %v: %v", flags, err)
+		t.Fatalf("feeding %v: %v", endpoints, err)
 	}
 	if n := int(handshakes.Load()); cut && runErr == nil && n != readers+1 {
 		t.Fatalf("%d handshakes, want %d and one session resume: the reset never cut a connection", n, readers)
 	}
-	return out, runErr
+	return outs, runErr
 }
 
-// TestRunShapes: the attach shapes — R ranks, direct or staged — are
-// one runtime under one dial rule, so over the same stream each
-// processes the same ordinals and reduces to the same probe series,
-// byte for byte; so does a 2-rank -retry run one of whose connections
-// is reset mid-stream and resumes its session. More ranks than streams is
-// refused by naming the relay.
+// TestRunShapes: the attach shapes — R ranks direct or staged, N
+// endpoints as replicas, and their product — are one runtime under one
+// dial rule, so over the same stream each processes the same ordinals
+// and reduces to the same probe series, byte for byte (two replicas
+// write it twice); so does a 2-rank -retry run one of whose connections
+// is reset mid-stream and resumes its session. More ranks than streams
+// is refused by naming the relay.
 func TestRunShapes(t *testing.T) {
 	var want []byte
 	for _, tc := range []struct {
-		name    string
-		flags   []string
-		readers int  // handshakes across the four hubs before the feed starts
-		cut     bool // hub 0's connection is reset mid-stream
+		name     string
+		flags    []string
+		replicas int  // endpoints run at once, each its own staged consumer; 0 runs flags alone
+		readers  int  // handshakes across the four hubs before the feed starts
+		cut      bool // hub 0's connection is reset mid-stream
 	}{
-		{"direct", []string{"-ranks", "2"}, 4, false},
-		{"staged", []string{"-consumer", "ep:block:2", "-ranks", "2"}, 4, false},
-		{"staged, session resumed over a reset", []string{"-consumer", "ep:block:2", "-ranks", "2", "-retry", "20", "-session-ttl", "10s"}, 4, true},
+		{"direct", []string{"-ranks", "2"}, 0, 4, false},
+		{"staged", []string{"-consumer", "ep:block:2", "-ranks", "2"}, 0, 4, false},
+		{"replicas", nil, 2, 8, false},
+		{"replicas of ranks", []string{"-ranks", "2"}, 2, 8, false},
+		{"staged, session resumed over a reset", []string{"-consumer", "ep:block:2", "-ranks", "2", "-retry", "20", "-session-ttl", "10s"}, 0, 4, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			out, err := runShape(t, tc.readers, tc.cut, tc.flags...)
+			outs, err := runReplicas(t, tc.readers, tc.cut, tc.replicas, tc.flags...)
 			if err != nil {
 				t.Fatalf("run %v: %v", tc.flags, err)
 			}
-			got, err := os.ReadFile(filepath.Join(out, "probes.csv"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows := strings.Split(strings.TrimSpace(string(got)), "\n")[1:] // header first
-			if len(rows) != testSteps {
-				t.Fatalf("%d rows, want one per step (%d):\n%s", len(rows), testSteps, got)
-			}
-			for seq, row := range rows {
-				if !strings.HasPrefix(row, fmt.Sprintf("%d,", seq)) {
-					t.Errorf("row %d is step %q, want ordinal %d", seq, row, seq)
-				}
-			}
-			if want == nil {
-				want = got
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("probes.csv differs from the direct shape's:\n%s\nwant:\n%s", got, want)
-			}
-			js, err := os.ReadFile(filepath.Join(out, "summary.json"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var sum struct{ Steps int }
-			if err := json.Unmarshal(js, &sum); err != nil || sum.Steps != testSteps {
-				t.Errorf("summary.json %s (%v): want %d steps", js, err, testSteps)
+			for _, out := range outs {
+				checkShape(t, out, &want)
 			}
 		})
 	}
@@ -230,6 +251,40 @@ func TestRunShapes(t *testing.T) {
 			t.Fatalf("-ranks 5 against %d hubs: err = %v, want a refusal naming the relay", testBlocks, err)
 		}
 	})
+}
+
+// checkShape requires out to hold one probe row per step in order and
+// a summary of every step, and its probes.csv to equal *want (which the
+// first call sets).
+func checkShape(t *testing.T, out string, want *[]byte) {
+	t.Helper()
+	got, err := os.ReadFile(filepath.Join(out, "probes.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.Split(strings.TrimSpace(string(got)), "\n")[1:] // header first
+	if len(rows) != testSteps {
+		t.Fatalf("%d rows, want one per step (%d):\n%s", len(rows), testSteps, got)
+	}
+	for seq, row := range rows {
+		if !strings.HasPrefix(row, fmt.Sprintf("%d,", seq)) {
+			t.Errorf("row %d is step %q, want ordinal %d", seq, row, seq)
+		}
+	}
+	if *want == nil {
+		*want = got
+	}
+	if !bytes.Equal(got, *want) {
+		t.Errorf("probes.csv differs from the direct shape's:\n%s\nwant:\n%s", got, *want)
+	}
+	js, err := os.ReadFile(filepath.Join(out, "summary.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum struct{ Steps int }
+	if err := json.Unmarshal(js, &sum); err != nil || sum.Steps != testSteps {
+		t.Errorf("summary.json %s (%v): want %d steps", js, err, testSteps)
+	}
 }
 
 // TestHelloSessionRule: with -retry every reader of every rank redials

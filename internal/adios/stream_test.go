@@ -6,8 +6,10 @@ package adios_test
 // claims.
 
 import (
+	"encoding/json"
 	"io"
 	"math"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -283,11 +285,38 @@ func TestUnrecycledStepStaysIntact(t *testing.T) {
 	}
 }
 
-// TestSSTCodecNegotiation drives the reader's side of codec
-// negotiation: an unknown codec fails before the dial, and an accepted
-// request compresses the stream end-to-end — including a structure
-// step mid-stream that resets the temporal chain.
+// TestSSTCodecNegotiation drives codec negotiation on a direct stream:
+// the producer offers exactly the codecs this build implements, so a
+// hello naming another is rejected at handshake, an unknown codec fails
+// the reader before the dial, and an accepted request compresses the
+// stream end-to-end — including a structure step mid-stream that
+// resets the temporal chain.
 func TestSSTCodecNegotiation(t *testing.T) {
+	t.Run("reject unadvertised codec", func(t *testing.T) {
+		d := serveDirect(t, nil, 2)
+		defer d.close()
+		// The reader itself would refuse the name before dialing, so
+		// the producer's check is reached by a hand-written hello.
+		conn, err := net.Dial("tcp", d.srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+		if err := json.NewEncoder(conn).Encode(adios.Hello{
+			Type: "hello", Role: "reader", Marshal: adios.FrameFormat, Codecs: []string{"zstd"},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var reply adios.Hello
+		if err := json.NewDecoder(conn).Decode(&reply); err != nil {
+			t.Fatal(err)
+		}
+		if reply.Role != "rejected" || !strings.Contains(reply.Error, `"zstd"`) {
+			t.Fatalf("reply = %+v, want a rejection naming zstd", reply)
+		}
+	})
+
 	t.Run("bad codec spec fails before dial", func(t *testing.T) {
 		if _, err := adios.OpenReaderWith("127.0.0.1:1", adios.ReaderOptions{Codecs: []string{"bogus"}}); err == nil ||
 			!strings.Contains(err.Error(), "bogus") {

@@ -97,6 +97,37 @@ func TestSpecQueries(t *testing.T) {
 	}
 }
 
+// TestCheckAdvertised checks a hello's codec request the way the
+// producer does now that it advertises no subset: by ParseSpec alone,
+// so every codec this build implements passes and an unknown name is
+// still refused.
+func TestCheckAdvertised(t *testing.T) {
+	cases := []struct {
+		name    string
+		entries []string
+		wantErr string
+	}{
+		{name: "nil advertisement accepts all", entries: []string{"temporal-delta"}},
+		{name: "advertised codec passes", entries: []string{"transpose-delta"}},
+		{name: "identity always passes", entries: nil},
+		{name: "unknown codec rejected even with nil advertisement", entries: []string{"zstd"}, wantErr: `unknown codec "zstd"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ParseSpec(tc.entries)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("ParseSpec(%v): %v", tc.entries, err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("ParseSpec(%v) err = %v, want substring %q", tc.entries, err, tc.wantErr)
+			}
+		})
+	}
+}
+
 // --- payload corpora ---
 
 // smoothField mimics the Rayleigh–Bénard-like fields the paper's pb146

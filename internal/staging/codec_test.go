@@ -1,9 +1,12 @@
 package staging
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
 	"math"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -50,6 +53,54 @@ func checkCodecStep(t *testing.T, got *adios.Step, n int, bound float64) {
 			t.Fatalf("step %d: element %d error %g exceeds %g", got.Step, i, e, bound)
 		}
 	}
+}
+
+// TestServerCodecNegotiation is the staging mirror of the direct-SST
+// rejection test: with no producer advertisement, readers may request
+// any codec this build implements, and a hello naming an unknown one is
+// refused in the handshake, leaving no consumer behind.
+func TestServerCodecNegotiation(t *testing.T) {
+	h := NewHub(nil)
+	srv, err := Serve(h, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close() //nolint:errcheck
+
+	// The reader refuses an unknown codec before it dials, so the
+	// producer's own check is reached by a hand-written hello.
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	if err := json.NewEncoder(conn).Encode(adios.Hello{
+		Type: "hello", Role: "reader", Consumer: "z", Marshal: adios.FrameFormat, Codecs: []string{"zstd"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var reply adios.Hello
+	if err := json.NewDecoder(conn).Decode(&reply); err != nil {
+		t.Fatal(err)
+	}
+	if reply.Role != "rejected" || !strings.Contains(reply.Error, `"zstd"`) {
+		t.Fatalf("unknown codec: reply = %+v, want a rejection naming zstd", reply)
+	}
+	if n := h.ActiveConsumers(); n != 0 {
+		t.Fatalf("the rejected hello left %d consumer(s) subscribed", n)
+	}
+
+	for name, codecs := range map[string][]string{
+		"q": {"quantize:1e-3"}, "t": {"temporal-delta"}, "ok": {"transpose-delta"},
+	} {
+		r, err := adios.OpenReaderWith(srv.Addr(), adios.ReaderOptions{Consumer: name, Codecs: codecs})
+		if err != nil {
+			t.Fatalf("codec %v rejected: %v", codecs, err)
+		}
+		r.Close()
+	}
+	h.Close()
 }
 
 // TestServerCompressedFanout attaches mixed-codec consumers to one
