@@ -66,7 +66,8 @@ bench-kernels:
 
 # The in situ render path, a fixed iteration count each: rasteriser
 # (against the reference loop it must match bit for bit), binary-swap
-# composite, PNG writer (against image/png), the cell filters and one
+# composite, PNG writer (against image/png and the Up + compress/zlib
+# encoder it replaced), the cell filters and one
 # whole Catalyst trigger of the pb146-insitu workload. -benchmem shows
 # the steady state: 0 allocs/op but for the image files' os.Create.
 bench-render:

@@ -254,8 +254,8 @@ func TestRunShapes(t *testing.T) {
 }
 
 // checkShape requires out to hold one probe row per step in order and
-// a summary of every step, and its probes.csv to equal *want (which the
-// first call sets).
+// a summary of every step that counts probes.csv as its one file, and
+// its probes.csv to equal *want (which the first call sets).
 func checkShape(t *testing.T, out string, want *[]byte) {
 	t.Helper()
 	got, err := os.ReadFile(filepath.Join(out, "probes.csv"))
@@ -281,9 +281,15 @@ func checkShape(t *testing.T, out string, want *[]byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sum struct{ Steps int }
+	var sum struct {
+		Steps, Files int
+		Bytes        int64
+	}
 	if err := json.Unmarshal(js, &sum); err != nil || sum.Steps != testSteps {
 		t.Errorf("summary.json %s (%v): want %d steps", js, err, testSteps)
+	}
+	if sum.Files != 1 || sum.Bytes != int64(len(got)) {
+		t.Errorf("summary.json %s counts %d files of %d bytes, want probes.csv alone: 1 of %d", js, sum.Files, sum.Bytes, len(got))
 	}
 }
 

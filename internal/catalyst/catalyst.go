@@ -226,6 +226,9 @@ func init() {
 		if err := sensei.CheckAttrs("catalyst", attrs, "mesh", "pipeline", "filename"); err != nil {
 			return nil, err
 		}
+		if kind, ok := attrs["pipeline"]; ok && kind != "script" {
+			return nil, fmt.Errorf("catalyst: analysis type %q runs pipeline=\"script\", not %q", "catalyst", kind)
+		}
 		path := attrs["filename"]
 		if path == "" {
 			return nil, fmt.Errorf("catalyst: filename attribute (pipeline script) required")

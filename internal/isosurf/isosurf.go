@@ -11,10 +11,7 @@
 // 256-case tables.)
 package isosurf
 
-import (
-	"nekrs-sensei/internal/mesh"
-	"nekrs-sensei/internal/render"
-)
+import "nekrs-sensei/internal/render"
 
 // tets lists the 6-tetrahedron decomposition of a hexahedron whose
 // corners are ordered (i,j,k),(i+1,j,k),(i+1,j+1,k),(i,j+1,k), then the
@@ -146,39 +143,4 @@ func ContourGrid(nx, ny, nz int, x, y, z, f, s []float64, iso float64, out *rend
 			}
 		}
 	}
-}
-
-// Contour extracts the iso level of field f over all local elements of
-// the mesh, carrying the secondary scalar s (pass f again to color by
-// the contoured field itself).
-func Contour(m *mesh.Mesh, f, s []float64, iso float64) *render.TriangleSoup {
-	out := &render.TriangleSoup{}
-	nq, np := m.Nq, m.Np
-	for e := 0; e < m.Nelt; e++ {
-		off := e * np
-		ContourGrid(nq, nq, nq,
-			m.X[off:off+np], m.Y[off:off+np], m.Z[off:off+np],
-			f[off:off+np], s[off:off+np], iso, out)
-	}
-	return out
-}
-
-// SlicePlane extracts the plane {x : n.x = c} through the mesh,
-// colored by the scalar s. Implemented as the zero contour of the
-// plane's signed distance, which is exact for the linear distance
-// field.
-func SlicePlane(m *mesh.Mesh, normal [3]float64, c float64, s []float64) *render.TriangleSoup {
-	out := &render.TriangleSoup{}
-	nq, np := m.Nq, m.Np
-	dist := make([]float64, np)
-	for e := 0; e < m.Nelt; e++ {
-		off := e * np
-		for p := 0; p < np; p++ {
-			dist[p] = normal[0]*m.X[off+p] + normal[1]*m.Y[off+p] + normal[2]*m.Z[off+p] - c
-		}
-		ContourGrid(nq, nq, nq,
-			m.X[off:off+np], m.Y[off:off+np], m.Z[off:off+np],
-			dist, s[off:off+np], 0, out)
-	}
-	return out
 }

@@ -9,6 +9,41 @@ import (
 	"nekrs-sensei/internal/render"
 )
 
+// contourMesh extracts the iso level of field f over all local elements of
+// the mesh, carrying the secondary scalar s (pass f again to color by
+// the contoured field itself).
+func contourMesh(m *mesh.Mesh, f, s []float64, iso float64) *render.TriangleSoup {
+	out := &render.TriangleSoup{}
+	nq, np := m.Nq, m.Np
+	for e := 0; e < m.Nelt; e++ {
+		off := e * np
+		ContourGrid(nq, nq, nq,
+			m.X[off:off+np], m.Y[off:off+np], m.Z[off:off+np],
+			f[off:off+np], s[off:off+np], iso, out)
+	}
+	return out
+}
+
+// slicePlane extracts the plane {x : n.x = c} through the mesh,
+// colored by the scalar s. Implemented as the zero contour of the
+// plane's signed distance, which is exact for the linear distance
+// field.
+func slicePlane(m *mesh.Mesh, normal [3]float64, c float64, s []float64) *render.TriangleSoup {
+	out := &render.TriangleSoup{}
+	nq, np := m.Nq, m.Np
+	dist := make([]float64, np)
+	for e := 0; e < m.Nelt; e++ {
+		off := e * np
+		for p := 0; p < np; p++ {
+			dist[p] = normal[0]*m.X[off+p] + normal[1]*m.Y[off+p] + normal[2]*m.Z[off+p] - c
+		}
+		ContourGrid(nq, nq, nq,
+			m.X[off:off+np], m.Y[off:off+np], m.Z[off:off+np],
+			dist, s[off:off+np], 0, out)
+	}
+	return out
+}
+
 // regularGrid builds an n^3 point grid over [0,1]^3 with field values
 // from fn and secondary scalar from sn.
 func regularGrid(n int, fn, sn func(x, y, z float64) float64) (x, y, z, f, s []float64) {
@@ -169,7 +204,7 @@ func TestMeshContourAndSlice(t *testing.T) {
 	for i := range f {
 		f[i] = m.X[i] // linear field
 	}
-	soup := Contour(m, f, f, 0.5)
+	soup := contourMesh(m, f, f, 0.5)
 	if soup.NumTriangles() == 0 {
 		t.Fatal("mesh contour empty")
 	}
@@ -178,7 +213,7 @@ func TestMeshContourAndSlice(t *testing.T) {
 			t.Fatalf("contour x = %v, want 0.5", soup.Positions[i])
 		}
 	}
-	slice := SlicePlane(m, [3]float64{0, 0, 1}, 0.25, f)
+	slice := slicePlane(m, [3]float64{0, 0, 1}, 0.25, f)
 	if slice.NumTriangles() == 0 {
 		t.Fatal("slice empty")
 	}
@@ -207,7 +242,7 @@ func TestWatertightPlaneNoGaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := make([]float64, m.NumNodes())
-	slice := SlicePlane(m, [3]float64{1, 0, 0}, 0.77, s)
+	slice := slicePlane(m, [3]float64{1, 0, 0}, 0.77, s)
 	var area float64
 	for tr := 0; tr < slice.NumTriangles(); tr++ {
 		area += triArea(slice.Positions[9*tr : 9*tr+9])

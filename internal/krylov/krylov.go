@@ -1,6 +1,6 @@
 // Package krylov provides the iterative solvers used by the solver's
 // pressure-Poisson and Helmholtz systems: preconditioned conjugate
-// gradients and restarted GMRES. Operators are abstract. The inner
+// gradients. Operators are abstract. The inner
 // product is described rather than injected — per-node weights (the
 // inverse multiplicity of a distributed solver) and a global sum for
 // the rank-local partial sums — so CG can fuse its reductions into its
@@ -79,22 +79,6 @@ func (o *Options) allSum(partial []float64) {
 	if o.AllSum != nil {
 		o.AllSum(partial)
 	}
-}
-
-// dot is the (weighted, global) inner product GMRES uses.
-func (o *Options) dot(a, b []float64) float64 {
-	var s [1]float64
-	if w := o.Weight; w != nil {
-		for i := range a {
-			s[0] += w[i] * a[i] * b[i]
-		}
-	} else {
-		for i := range a {
-			s[0] += a[i] * b[i]
-		}
-	}
-	o.allSum(s[:])
-	return s[0]
 }
 
 // Workspace holds CG's four work vectors (residual, preconditioned
@@ -282,121 +266,4 @@ func removeMean(v, w []float64, o *Options, sum []float64) {
 	for i := range v {
 		v[i] -= mean
 	}
-}
-
-// GMRES solves A x = b for general (possibly nonsymmetric) A with
-// restarted GMRES(m), starting from the guess in x and overwriting it.
-func GMRES(op Operator, b, x []float64, restart int, opts Options) Result {
-	o := opts.withDefaults()
-	if restart <= 0 {
-		restart = 30
-	}
-	n := len(b)
-	normb := math.Sqrt(o.dot(b, b))
-	tol := math.Max(o.Tol*normb, o.AbsTol)
-
-	r := make([]float64, n)
-	w := make([]float64, n)
-	// Krylov basis.
-	v := make([][]float64, restart+1)
-	for i := range v {
-		v[i] = make([]float64, n)
-	}
-	h := make([][]float64, restart+1)
-	for i := range h {
-		h[i] = make([]float64, restart)
-	}
-	cs := make([]float64, restart)
-	sn := make([]float64, restart)
-	s := make([]float64, restart+1)
-
-	totalIters := 0
-	for cycle := 0; totalIters < o.MaxIter; cycle++ {
-		op.Apply(r, x)
-		for i := range r {
-			r[i] = b[i] - r[i]
-		}
-		beta := math.Sqrt(o.dot(r, r))
-		if beta <= tol {
-			return Result{Iters: totalIters, Residual: beta, Converged: true}
-		}
-		inv := 1 / beta
-		for i := range r {
-			v[0][i] = r[i] * inv
-		}
-		for i := range s {
-			s[i] = 0
-		}
-		s[0] = beta
-
-		k := 0
-		for ; k < restart && totalIters < o.MaxIter; k++ {
-			totalIters++
-			op.Apply(w, v[k])
-			// Modified Gram-Schmidt.
-			for j := 0; j <= k; j++ {
-				h[j][k] = o.dot(w, v[j])
-				for i := range w {
-					w[i] -= h[j][k] * v[j][i]
-				}
-			}
-			h[k+1][k] = math.Sqrt(o.dot(w, w))
-			if h[k+1][k] > 1e-300 {
-				inv := 1 / h[k+1][k]
-				for i := range w {
-					v[k+1][i] = w[i] * inv
-				}
-			}
-			// Apply accumulated Givens rotations to the new column.
-			for j := 0; j < k; j++ {
-				t := cs[j]*h[j][k] + sn[j]*h[j+1][k]
-				h[j+1][k] = -sn[j]*h[j][k] + cs[j]*h[j+1][k]
-				h[j][k] = t
-			}
-			// New rotation to annihilate h[k+1][k].
-			denom := math.Hypot(h[k][k], h[k+1][k])
-			if denom == 0 {
-				cs[k], sn[k] = 1, 0
-			} else {
-				cs[k] = h[k][k] / denom
-				sn[k] = h[k+1][k] / denom
-			}
-			h[k][k] = cs[k]*h[k][k] + sn[k]*h[k+1][k]
-			h[k+1][k] = 0
-			s[k+1] = -sn[k] * s[k]
-			s[k] = cs[k] * s[k]
-			if math.Abs(s[k+1]) <= tol {
-				k++
-				break
-			}
-		}
-		// Back-substitute y from the k x k triangular system.
-		y := make([]float64, k)
-		for i := k - 1; i >= 0; i-- {
-			sum := s[i]
-			for j := i + 1; j < k; j++ {
-				sum -= h[i][j] * y[j]
-			}
-			y[i] = sum / h[i][i]
-		}
-		for j := 0; j < k; j++ {
-			for i := range x {
-				x[i] += y[j] * v[j][i]
-			}
-		}
-		// Convergence check on the true residual.
-		op.Apply(r, x)
-		for i := range r {
-			r[i] = b[i] - r[i]
-		}
-		res := math.Sqrt(o.dot(r, r))
-		if res <= tol {
-			return Result{Iters: totalIters, Residual: res, Converged: true}
-		}
-	}
-	op.Apply(r, x)
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	return Result{Iters: totalIters, Residual: math.Sqrt(o.dot(r, r)), Converged: false}
 }

@@ -261,10 +261,13 @@ func (a *Adaptor) appendCSV(step int, row []float64) error {
 	return err
 }
 
-// Finalize closes the CSV.
+// Finalize closes the CSV and counts it as one file of its size.
 func (a *Adaptor) Finalize() error {
-	if a.file != nil {
-		return a.file.Close()
+	if a.file == nil {
+		return nil
 	}
-	return nil
+	if st, err := a.file.Stat(); err == nil {
+		a.ctx.Storage.AddFile(st.Size())
+	}
+	return a.file.Close()
 }

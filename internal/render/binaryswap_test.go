@@ -1,7 +1,9 @@
 package render
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -9,6 +11,39 @@ import (
 
 	"nekrs-sensei/internal/mpirt"
 )
+
+// compositeToRoot is the serial reference the binary swap is tested
+// against: color and depth buffers are gathered to root, which keeps
+// the nearest fragment per pixel. Collective; returns the composited
+// image on root and nil elsewhere.
+func compositeToRoot(comm *mpirt.Comm, fb *Framebuffer, root int) *Framebuffer {
+	// Pack color || depth.
+	buf := make([]byte, len(fb.Color)+4*len(fb.Depth))
+	copy(buf, fb.Color)
+	for i, d := range fb.Depth {
+		binary.LittleEndian.PutUint32(buf[len(fb.Color)+4*i:], math.Float32bits(d))
+	}
+	parts := comm.GatherBytes(root, buf)
+	if comm.Rank() != root {
+		return nil
+	}
+	out := NewFramebuffer(fb.W, fb.H)
+	npix := fb.W * fb.H
+	for _, p := range parts {
+		if len(p) != len(buf) {
+			panic(fmt.Sprintf("render: composite size mismatch: %d vs %d", len(p), len(buf)))
+		}
+		colors := p[:4*npix]
+		for i := 0; i < npix; i++ {
+			d := math.Float32frombits(binary.LittleEndian.Uint32(p[4*npix+4*i:]))
+			if d < out.Depth[i] {
+				out.Depth[i] = d
+				copy(out.Color[4*i:4*i+4], colors[4*i:4*i+4])
+			}
+		}
+	}
+	return out
+}
 
 // randomFB fills a framebuffer with deterministic per-rank content.
 func randomFB(w, h int, seed int64) *Framebuffer {
@@ -53,7 +88,7 @@ func TestBinarySwapMatchesSerial(t *testing.T) {
 			mpirt.Run(size, func(c *mpirt.Comm) {
 				fb := randomFB(16, 12, int64(c.Rank())+7)
 				s1 := new(Compositor).Composite(c, fb, root)
-				s2 := CompositeToRoot(c, fb, 0)
+				s2 := compositeToRoot(c, fb, 0)
 				if c.Rank() == root {
 					swapped = s1
 				}
@@ -82,7 +117,7 @@ func TestBinarySwapProperty(t *testing.T) {
 		mpirt.Run(size, func(c *mpirt.Comm) {
 			fb := randomFB(w, h, seed+int64(c.Rank())*31)
 			s1 := new(Compositor).Composite(c, fb, 0)
-			s2 := CompositeToRoot(c, fb, 0)
+			s2 := compositeToRoot(c, fb, 0)
 			if c.Rank() == 0 {
 				ok = framebuffersEqual(s1, s2)
 			}
@@ -103,7 +138,7 @@ func TestCompositeDispatch(t *testing.T) {
 		mpirt.Run(size, func(c *mpirt.Comm) {
 			fb := randomFB(10, 10, int64(c.Rank()))
 			g := Composite(c, fb, 0)
-			w := CompositeToRoot(c, fb, 0)
+			w := compositeToRoot(c, fb, 0)
 			if c.Rank() == 0 {
 				got, want = g, w
 			}
@@ -142,7 +177,7 @@ func TestCompositeRepeatCalls(t *testing.T) {
 			for call, shape := range [][3]int{{16, 12, 7}, {16, 12, 7}, {16, 12, 99}, {9, 5, 3}, {16, 12, 7}} {
 				fb := randomFB(shape[0], shape[1], int64(shape[2]*10+c.Rank()))
 				got := comp.Composite(c, fb, 0)
-				want := CompositeToRoot(c, fb, 0)
+				want := compositeToRoot(c, fb, 0)
 				if c.Rank() != 0 {
 					if got != nil {
 						t.Errorf("size %d call %d: rank %d got an image", size, call, c.Rank())

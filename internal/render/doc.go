@@ -9,7 +9,6 @@
 // group's ranks in transit. Power-of-two communicators run the
 // classic binary-swap exchange (log2 P stages, each halving the owned
 // image region); other sizes first fold the surplus ranks' full
-// framebuffers into the largest power-of-two subset. CompositeToRoot
-// is the serial gather reference implementation the swap is tested
-// against, and EncodePNG writes the final image.
+// framebuffers into the largest power-of-two subset. EncodePNG writes
+// the final image.
 package render

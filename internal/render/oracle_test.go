@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"image"
+	"image/png"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -364,6 +367,45 @@ func TestDrawMatchesReferenceSolver(t *testing.T) {
 				for _, px := range []int{128, 512} {
 					sameAsReference(t, fmt.Sprintf("%s order %d at %d px", sc.name, order, px), px, px, sc.cam, sc.soup, sc.cmap, sc.smin, sc.smax)
 				}
+			}
+		}
+	}
+}
+
+// TestPNGSizeOnSolverFrames: the benchmark pipelines' frames of the
+// real pb146 and RBC solvers at order 5, 512², decode to their pixels
+// and take at most 5 % more bytes than the Up + zlib.BestSpeed encoder
+// this package used before writes.
+func TestPNGSizeOnSolverFrames(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves order-5 cases")
+	}
+	var enc PNGEncoder
+	var ref ZlibPNGEncoder
+	fb := NewFramebuffer(512, 512)
+	for _, c := range []cases.Case{cases.PB146(1, 5), cases.RBC(1e5, 0.71, 2, 4, 3, 5)} {
+		for _, sc := range solverScenes(t, c) {
+			fb.Clear([4]uint8{0, 0, 0, 255})
+			Draw(fb, sc.cam, sc.soup, ColormapByName(sc.cmap), sc.smin, sc.smax, DefaultLight())
+			var file bytes.Buffer
+			got, err := enc.Encode(&file, fb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			img, err := png.Decode(&file)
+			if err != nil {
+				t.Fatalf("%s: %v", sc.name, err)
+			}
+			if rgba, ok := img.(*image.RGBA); !ok || !bytes.Equal(rgba.Pix, fb.Color) {
+				t.Errorf("%s: the file does not decode to the frame", sc.name)
+			}
+			want, err := ref.Encode(io.Discard, fb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%s: %d bytes, %d by zlib (%.3f)", sc.name, got, want, float64(got)/float64(want))
+			if float64(got) > 1.05*float64(want) {
+				t.Errorf("%s: %d bytes, more than 1.05 × zlib's %d", sc.name, got, want)
 			}
 		}
 	}

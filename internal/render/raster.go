@@ -29,12 +29,6 @@ func (s *TriangleSoup) Reset() {
 	s.Positions, s.Scalars = s.Positions[:0], s.Scalars[:0]
 }
 
-// Merge appends all triangles of other into s.
-func (s *TriangleSoup) Merge(other *TriangleSoup) {
-	s.Positions = append(s.Positions, other.Positions...)
-	s.Scalars = append(s.Scalars, other.Scalars...)
-}
-
 // Bytes reports the soup's memory footprint.
 func (s *TriangleSoup) Bytes() int64 {
 	return int64(len(s.Positions)+len(s.Scalars)) * 8

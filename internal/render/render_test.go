@@ -194,7 +194,7 @@ func TestCompositeToRoot(t *testing.T) {
 		z := float64(c.Rank()) // larger z = nearer to camera at z=5
 		light := Light{Dir: Vec3{0, 0, -1}, Ambient: 1, Diffuse: 0}
 		Draw(fb, testCamera(), bigTriangle(z, float64(c.Rank())/2), Grayscale, 0, 1, light)
-		out := CompositeToRoot(c, fb, 0)
+		out := compositeToRoot(c, fb, 0)
 		if c.Rank() == 0 {
 			if out == nil {
 				t.Error("root got nil image")

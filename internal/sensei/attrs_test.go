@@ -20,7 +20,8 @@ import (
 // TestMisspeltAttributeFails: every in-tree analysis type refuses an
 // attribute it does not read, naming the type and the attribute, so
 // `<analysis type="histogram" array="pressure" bin="16"/>` fails instead
-// of running with 10 bins. Each element is otherwise valid.
+// of running with 10 bins. Each element is otherwise valid. A catalyst
+// pipeline kind other than the XML script is refused by name too.
 func TestMisspeltAttributeFails(t *testing.T) {
 	dir := t.TempDir()
 	script := filepath.Join(dir, "slice.xml")
@@ -37,6 +38,7 @@ func TestMisspeltAttributeFails(t *testing.T) {
 		{"probe", `arrays="pressure" points="0.5,0.5,0.5" ouput="p.csv"`, "ouput"},
 		{"checkpoint", `arrays="pressure" prefx="ck"`, "prefx"},
 		{"catalyst", fmt.Sprintf(`pipeline="script" filename=%q mesh_name="mesh"`, script), "mesh_name"},
+		{"catalyst", fmt.Sprintf(`pipeline="pythonscript" filename=%q`, script), "pythonscript"},
 		{"staging", `consumers="hist:block:2" contct="c.txt"`, "contct"},
 		{"adios", `queue="2" arrray="pressure"`, "arrray"},
 	} {
