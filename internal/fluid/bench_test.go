@@ -97,7 +97,7 @@ func BenchCG(s *Solver, iters int) func() int {
 		for j := range x {
 			x[j] = 0
 		}
-		return krylov.CG(s.pOp, rhs, x, &s.cg, opts).Iters
+		return krylov.CG(s.pOp, rhs, x, &s.cgPS, opts).Iters
 	}
 }
 

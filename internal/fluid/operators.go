@@ -211,14 +211,13 @@ func (s *Solver) divergenceElems(elo, ehi int) {
 	}
 }
 
-// laplacianDiagLocal returns the unassembled diagonal of A_L: the
-// reference element's, repeated in every element.
-func (s *Solver) laplacianDiagLocal() []float64 {
+// laplacianDiagLocal writes the unassembled diagonal of A_L into
+// diag: the reference element's, repeated in every element.
+func (s *Solver) laplacianDiagLocal(diag []float64) {
 	nq, np := s.nq, s.np
 	d, g := s.mesh.D, s.mesh.G
 	grr, grs, grt := g[:np], g[np:2*np], g[2*np:3*np]
 	gss, gst, gtt := g[3*np:4*np], g[4*np:5*np], g[5*np:]
-	diag := make([]float64, s.n)
 	for k := 0; k < nq; k++ {
 		for j := 0; j < nq; j++ {
 			for i := 0; i < nq; i++ {
@@ -247,26 +246,18 @@ func (s *Solver) laplacianDiagLocal() []float64 {
 	for off := np; off < s.n; off += np {
 		copy(diag[off:off+np], diag[:np])
 	}
-	return diag
 }
 
-// laplacianDiag returns the assembled diagonal of the weak Laplacian,
-// used as the pressure Jacobi preconditioner.
-func (s *Solver) laplacianDiag() []float64 {
-	diag := s.laplacianDiagLocal()
-	s.gsh.Sum(diag)
-	return diag
-}
-
-// buildHelmholtzDiags (re)builds the assembled Jacobi diagonals of the
-// velocity and scalar Helmholtz operators for the given b0/dt.
+// buildHelmholtzDiags rebuilds in place the assembled Jacobi diagonals
+// of the velocity and scalar Helmholtz operators for b0dt, forming the
+// local Laplacian diagonal in scr1 (free where Step calls this).
 func (s *Solver) buildHelmholtzDiags(b0dt float64) {
-	if s.diagB0 == b0dt && s.diagHV != nil {
+	if s.diagB0 == b0dt {
 		return
 	}
-	local := s.laplacianDiagLocal()
+	local := s.scr1
+	s.laplacianDiagLocal(local)
 	b := s.mesh.B
-	s.diagHV = make([]float64, s.n)
 	for i := range s.diagHV {
 		chi := 0.0
 		if s.brink != nil {
@@ -275,21 +266,16 @@ func (s *Solver) buildHelmholtzDiags(b0dt float64) {
 		s.diagHV[i] = s.cfg.Nu*local[i] + (b0dt+chi)*b[i]
 	}
 	s.gsh.Sum(s.diagHV)
-	for i := range s.diagHV {
-		if s.maskV[i] == 0 {
-			s.diagHV[i] = 1
-		}
+	for _, i := range s.dirV {
+		s.diagHV[i] = 1
 	}
 	if s.cfg.Temperature {
-		s.diagHT = make([]float64, s.n)
 		for i := range s.diagHT {
 			s.diagHT[i] = s.cfg.Kappa*local[i] + b0dt*b[i]
 		}
 		s.gsh.Sum(s.diagHT)
-		for i := range s.diagHT {
-			if s.maskT[i] == 0 {
-				s.diagHT[i] = 1
-			}
+		for _, i := range s.dirT {
+			s.diagHT[i] = 1
 		}
 	}
 	s.diagB0 = b0dt

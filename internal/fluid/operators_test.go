@@ -258,3 +258,52 @@ func TestKernelsIndependentOfWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestDirichletListMatchesFloatMask: masking with the Dirichlet node
+// list (zeroRows) and adding a lift give the bits of the dense forms
+// they replaced — v*mask with a 0/1 float mask, and x+bc with an
+// all-zero bc when there is no lift — on data holding ±0, ±Inf, NaN
+// and values of both signs at free and at Dirichlet nodes.
+func TestDirichletListMatchesFloatMask(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const n = 4096
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), -1.5, 2.5, math.SmallestNonzeroFloat64}
+	field := func() []float64 {
+		f := make([]float64, n)
+		randomField(rng, f)
+		for i := range f {
+			if rng.Intn(3) == 0 {
+				f[i] = special[rng.Intn(len(special))]
+			}
+		}
+		return f
+	}
+	mask := make([]float64, n)
+	var dir []int32
+	for i := range mask {
+		mask[i] = 1
+		if rng.Intn(4) == 0 {
+			mask[i] = 0
+			dir = append(dir, int32(i))
+		}
+	}
+	v, want := field(), make([]float64, n)
+	for i := range v {
+		want[i] = v[i] * mask[i]
+	}
+	zeroRows(v, dir)
+	sameBits(t, "zeroRows", v, want)
+
+	for _, bc := range [][]float64{field(), nil} {
+		dense := bc
+		if dense == nil {
+			dense = make([]float64, n)
+		}
+		x, got := field(), make([]float64, n)
+		for i := range want {
+			want[i] = x[i] + dense[i]
+		}
+		addLift(got, x, bc)
+		sameBits(t, fmt.Sprintf("addLift (lift %v)", bc != nil), got, want)
+	}
+}

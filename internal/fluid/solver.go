@@ -109,8 +109,9 @@ type Solver struct {
 	u1, v1, w1, t1     []float64
 	fu1, fv1, fw1, ft1 []float64
 
-	// Masks (1 = free dof, 0 = Dirichlet) and boundary-value fields.
-	maskV, maskT   []float64
+	// Dirichlet nodes (ascending) and, only where a face prescribes a
+	// value, the lifting fields, zero off those faces.
+	dirV, dirT     []int32
 	ub, vb, wb, tb []float64
 
 	invMult []float64
@@ -120,21 +121,22 @@ type Solver struct {
 
 	// Jacobi diagonals: pressure Laplacian and Helmholtz (velocity,
 	// scalar); the Helmholtz diagonals depend on the BDF coefficient
-	// and are rebuilt when it changes.
+	// and are rebuilt in place when it changes.
 	diagA          []float64 // assembled diag of the weak Laplacian
 	diagHV, diagHT []float64
 	diagB0         float64 // b0/dt the Helmholtz diagonals were built with
 
-	// Work arrays. DESIGN.md ("Solver hot path") maps which array
+	// Work arrays. DESIGN.md ("Workspace aliasing") maps which array
 	// plays which role in each phase of Step.
-	gx, gy, gz     []float64
 	fu, fv, fw, ft []float64
-	ru, rv, rw, rt []float64
+	ru, rv, rw     []float64
 	scr1, scr2     []float64
 
-	// cg is the workspace of every Krylov solve: three arrays of its
-	// own and scr1, which is free whenever a solve runs.
-	cg krylov.Workspace
+	// CG workspaces of arrays free while the solve runs: fu fv fw
+	// scr1 for the pressure and scalar, and fv fw scr1 with the
+	// component's spent right-hand side for the velocity.
+	cgPS  krylov.Workspace
+	cgVel [3]krylov.Workspace
 
 	// Element kernels, built once, and their operands (operators.go).
 	kHelmholtz, kGradient, kAdvect, kDivergence *occa.Kernel
@@ -147,7 +149,7 @@ type Solver struct {
 	// sum their inner products reduce with, built once so a step
 	// creates no closures. b0dt is the BDF coefficient over dt of the
 	// step in progress, which the Helmholtz operators read.
-	pOp, vOp, tOp krylov.Operator
+	pOp, vOp, tOp *assembledOp
 	allSum        func(partial []float64)
 	b0dt          float64
 
@@ -185,7 +187,7 @@ type assembledOp struct {
 	visc     float64
 	mass     bool
 	brinkman bool
-	mask     []float64 // nil: no Dirichlet rows
+	dir      []int32 // Dirichlet rows; nil for the pressure
 }
 
 // Apply implements krylov.Operator.
@@ -197,10 +199,14 @@ func (o *assembledOp) Apply(out, in []float64) {
 		s.localLaplacian(in, out)
 	}
 	s.gsh.Sum(out)
-	if mask := o.mask; mask != nil {
-		for i := range out {
-			out[i] *= mask[i]
-		}
+	zeroRows(out, o.dir)
+}
+
+// zeroRows masks v: the product with a 0/1 mask, formed only at the
+// Dirichlet nodes dir where it is 0, since v*1 keeps v's bits.
+func zeroRows(v []float64, dir []int32) {
+	for _, i := range dir {
+		v[i] *= 0
 	}
 }
 
@@ -263,18 +269,17 @@ func NewSolver(cfg Config) (*Solver, error) {
 	}
 	s.u1, s.v1, s.w1 = alloc(n), alloc(n), alloc(n)
 	s.fu1, s.fv1, s.fw1 = alloc(n), alloc(n), alloc(n)
-	s.maskV = alloc(n)
-	s.ub, s.vb, s.wb = alloc(n), alloc(n), alloc(n)
-	s.gx, s.gy, s.gz = alloc(n), alloc(n), alloc(n)
 	s.fu, s.fv, s.fw = alloc(n), alloc(n), alloc(n)
 	s.ru, s.rv, s.rw = alloc(n), alloc(n), alloc(n)
 	s.scr1, s.scr2 = alloc(n), alloc(n)
-	s.cg = krylov.Workspace{R: alloc(n), Z: alloc(n), P: alloc(n), Q: s.scr1}
+	s.diagA, s.diagHV = alloc(n), alloc(n)
 	if cfg.Temperature {
-		s.t1, s.ft1 = alloc(n), alloc(n)
-		s.maskT = alloc(n)
-		s.tb = alloc(n)
-		s.ft, s.rt = alloc(n), alloc(n)
+		s.t1, s.ft1, s.ft = alloc(n), alloc(n), alloc(n)
+		s.diagHT = alloc(n)
+	}
+	s.cgPS = krylov.Workspace{R: s.fu, Z: s.fv, P: s.fw, Q: s.scr1}
+	for c, r := range [3][]float64{s.ru, s.rv, s.rw} {
+		s.cgVel[c] = krylov.Workspace{R: s.fv, Z: s.fw, P: r, Q: s.scr1}
 	}
 
 	// Multiplicity weights for global inner products.
@@ -291,14 +296,21 @@ func NewSolver(cfg Config) (*Solver, error) {
 
 	s.buildKernels()
 	s.buildMasks()
+	if len(s.velFaces) > 0 {
+		s.ub, s.vb, s.wb = alloc(n), alloc(n), alloc(n)
+	}
+	if len(s.tempFaces) > 0 {
+		s.tb = alloc(n)
+	}
 	s.buildBrinkman()
 	s.allSum = func(partial []float64) { s.comm.AllreduceF64InPlace(partial, mpirt.OpSum) }
 	s.pOp = &assembledOp{s: s}
-	s.vOp = &assembledOp{s: s, visc: cfg.Nu, mass: true, brinkman: true, mask: s.maskV}
+	s.vOp = &assembledOp{s: s, visc: cfg.Nu, mass: true, brinkman: true, dir: s.dirV}
 	if cfg.Temperature {
-		s.tOp = &assembledOp{s: s, visc: cfg.Kappa, mass: true, mask: s.maskT}
+		s.tOp = &assembledOp{s: s, visc: cfg.Kappa, mass: true, dir: s.dirT}
 	}
-	s.diagA = s.laplacianDiag()
+	s.laplacianDiagLocal(s.diagA)
+	s.gsh.Sum(s.diagA)
 	s.applyInitialConditions()
 	s.refreshBoundaryValues(0)
 	return s, nil
@@ -314,39 +326,56 @@ func sortedFaces[V any](m map[mesh.Face]V) []mesh.Face {
 	return fs
 }
 
-// buildMasks marks the Dirichlet nodes and keeps, for the faces that
+// buildMasks lists the Dirichlet nodes and keeps, for the faces that
 // prescribe a value, the node lists refreshBoundaryValues walks every
 // step (faces in ascending order, so where two meet the later one
 // wins, on every step alike).
 func (s *Solver) buildMasks() {
-	for i := range s.maskV {
-		s.maskV[i] = 1
-	}
-	for _, f := range sortedFaces(s.cfg.VelBC) {
-		nodes := s.mesh.BoundaryNodes(f)
-		for _, i := range nodes {
-			s.maskV[i] = 0
-		}
+	velBC := sortedFaces(s.cfg.VelBC)
+	for _, f := range velBC {
 		if value := s.cfg.VelBC[f].Value; value != nil {
-			s.velFaces = append(s.velFaces, velFace{value, nodes})
+			s.velFaces = append(s.velFaces, velFace{value, s.mesh.BoundaryNodes(f)})
 		}
 	}
-	s.gsh.Min(s.maskV)
+	s.dirV = s.dirichletNodes(velBC)
 	if s.cfg.Temperature {
-		for i := range s.maskT {
-			s.maskT[i] = 1
-		}
-		for _, f := range sortedFaces(s.cfg.TempBC) {
-			nodes := s.mesh.BoundaryNodes(f)
-			for _, i := range nodes {
-				s.maskT[i] = 0
-			}
+		tempBC := sortedFaces(s.cfg.TempBC)
+		for _, f := range tempBC {
 			if value := s.cfg.TempBC[f].Value; value != nil {
-				s.tempFaces = append(s.tempFaces, tempFace{value, nodes})
+				s.tempFaces = append(s.tempFaces, tempFace{value, s.mesh.BoundaryNodes(f)})
 			}
 		}
-		s.gsh.Min(s.maskT)
+		s.dirT = s.dirichletNodes(tempBC)
 	}
+}
+
+// dirichletNodes returns, ascending, the nodes of the faces, combined
+// over the ranks that share a node in a 0/1 mask formed in scr1 (which
+// no step has used yet).
+func (s *Solver) dirichletNodes(faces []mesh.Face) []int32 {
+	mask, k := s.scr1, 0
+	for i := range mask {
+		mask[i] = 1
+	}
+	for _, f := range faces {
+		for _, i := range s.mesh.BoundaryNodes(f) {
+			mask[i] = 0
+		}
+	}
+	s.gsh.Min(mask)
+	for _, m := range mask {
+		if m == 0 {
+			k++
+		}
+	}
+	s.cfg.Acct.Alloc("solver-work", int64(k)*4)
+	dir := make([]int32, 0, k)
+	for i, m := range mask {
+		if m == 0 {
+			dir = append(dir, int32(i))
+		}
+	}
+	return dir
 }
 
 func (s *Solver) buildBrinkman() {

@@ -59,13 +59,54 @@ func (s *Solver) computeExplicitTerms(t float64) {
 
 // bdfRHS forms the BDF/EXT right-hand side r = (b1 u^n + b2 u^{n-1})/dt
 // + e0 F^n + e1 F^{n-1} of one field and rotates its histories in the
-// same sweep: u1 <- u^n, f1 <- F^n.
+// same sweep: u1 <- u^n, f1 <- F^n. r may be f.
 func bdfRHS(r, u, u1, f, f1 []float64, b1, b2, e0, e1, dt float64) {
 	u, u1, f, f1 = u[:len(r)], u1[:len(r)], f[:len(r)], f1[:len(r)]
 	for i := range r {
 		ui, fi := u[i], f[i]
 		r[i] = (b1*ui+b2*u1[i])/dt + e0*fi + e1*f1[i]
 		u1[i], f1[i] = ui, fi
+	}
+}
+
+// helmholtzSolve solves op's system for the field f with Dirichlet
+// lifting: b = gs(B r - H_L bc) masked, in scr2; x, which may be r,
+// starts from f's interior part, (f - bc) masked; then f = x + bc.
+// Without a lifting field bc is zero: H_L bc is +0 everywhere and
+// subtracting it changes no bit, so it is skipped, and f - +0 is f.
+func (s *Solver) helmholtzSolve(op *assembledOp, f, r, bc, x []float64, ws *krylov.Workspace, opts krylov.Options) int {
+	b := s.mesh.B
+	if bc != nil {
+		s.helmholtzLocal(bc, s.scr1, op.visc, s.b0dt, op.brinkman)
+		for i := 0; i < s.n; i++ {
+			s.scr2[i] = b[i]*r[i] - s.scr1[i]
+			x[i] = f[i] - bc[i]
+		}
+	} else {
+		for i := 0; i < s.n; i++ {
+			s.scr2[i] = b[i] * r[i]
+		}
+		copy(x, f)
+	}
+	s.gsh.Sum(s.scr2)
+	zeroRows(s.scr2, op.dir)
+	zeroRows(x, op.dir)
+	iters := krylov.CG(op, s.scr2, x, ws, opts).Iters
+	addLift(f, x, bc)
+	return iters
+}
+
+// addLift sets f = x + bc. Without a lifting field the sum is still
+// formed, as x + 0: adding the zero lift turns -0 into +0.
+func addLift(f, x, bc []float64) {
+	if bc == nil {
+		for i := range x {
+			f[i] = x[i] + 0
+		}
+		return
+	}
+	for i := range x {
+		f[i] = x[i] + bc[i]
 	}
 }
 
@@ -96,7 +137,7 @@ func (s *Solver) Step() StepStats {
 	bdfRHS(s.rv, v, s.v1, s.fv, s.fv1, b1, b2, e0, e1, dt)
 	bdfRHS(s.rw, w, s.w1, s.fw, s.fw1, b1, b2, e0, e1, dt)
 	if s.cfg.Temperature {
-		bdfRHS(s.rt, s.T.Data(), s.t1, s.ft, s.ft1, b1, b2, e0, e1, dt)
+		bdfRHS(s.ft, s.T.Data(), s.t1, s.ft, s.ft1, b1, b2, e0, e1, dt)
 	}
 	begin = lap(timer, "advection", begin)
 
@@ -108,83 +149,34 @@ func (s *Solver) Step() StepStats {
 		s.scr2[i] = -b[i] * s.scr1[i]
 	}
 	s.gsh.Sum(s.scr2)
-	pRes := krylov.CG(s.pOp, s.scr2, s.P.Data(), &s.cg, s.solverOptions(s.cfg.PressureTol, s.diagA, true))
+	pRes := krylov.CG(s.pOp, s.scr2, s.P.Data(), &s.cgPS, s.solverOptions(s.cfg.PressureTol, s.diagA, true))
 	begin = lap(timer, "pressure", begin)
 
-	// Velocity Helmholtz solves with Dirichlet lifting.
-	s.gradient(s.P.Data(), s.gx, s.gy, s.gz)
+	// Velocity Helmholtz solves with Dirichlet lifting. grad p goes
+	// into fu fv fw (F^n was rotated into fu1… above) and is folded
+	// into the right-hand sides: r - grad p, rounded once as before.
+	s.gradient(s.P.Data(), s.fu, s.fv, s.fw)
+	for i := 0; i < s.n; i++ {
+		s.ru[i] -= s.fu[i]
+		s.rv[i] -= s.fv[i]
+		s.rw[i] -= s.fw[i]
+	}
 	s.refreshBoundaryValues(tNew)
 	s.buildHelmholtzDiags(b0dt)
 
 	var viscIters [3]int
-	comps := [3]struct {
-		vel, r, grad, bc []float64
-	}{
-		{u, s.ru, s.gx, s.ub},
-		{v, s.rv, s.gy, s.vb},
-		{w, s.rw, s.gz, s.wb},
-	}
+	rs, bcs := [3][]float64{s.ru, s.rv, s.rw}, [3][]float64{s.ub, s.vb, s.wb}
 	hOpts := s.solverOptions(s.cfg.VelocityTol, s.diagHV, false)
-	for c := range comps {
-		cm := &comps[c]
-		// rhs = gs(B (r - grad p) - H_L bc) * mask. Without a
-		// prescribed boundary value bc is identically zero, H_L bc
-		// is +0 everywhere and subtracting it changes no bit, so the
-		// operator application is skipped.
-		if len(s.velFaces) > 0 {
-			s.helmholtzLocal(cm.bc, s.scr1, s.cfg.Nu, b0dt, true)
-			for i := 0; i < s.n; i++ {
-				s.scr2[i] = b[i]*(cm.r[i]-cm.grad[i]) - s.scr1[i]
-			}
-		} else {
-			for i := 0; i < s.n; i++ {
-				s.scr2[i] = b[i] * (cm.r[i] - cm.grad[i])
-			}
-		}
-		s.gsh.Sum(s.scr2)
-		for i := 0; i < s.n; i++ {
-			s.scr2[i] *= s.maskV[i]
-		}
-		// Warm start from the previous solution's interior part.
-		x := s.fu // reuse as solve buffer; histories were rotated above
-		for i := 0; i < s.n; i++ {
-			x[i] = (cm.vel[i] - cm.bc[i]) * s.maskV[i]
-		}
-		res := krylov.CG(s.vOp, s.scr2, x, &s.cg, hOpts)
-		viscIters[c] = res.Iters
-		for i := 0; i < s.n; i++ {
-			cm.vel[i] = x[i] + cm.bc[i]
-		}
+	for c, vel := range [3][]float64{u, v, w} {
+		viscIters[c] = s.helmholtzSolve(s.vOp, vel, rs[c], bcs[c], s.fu, &s.cgVel[c], hOpts)
 	}
 	begin = lap(timer, "viscous", begin)
 
-	// Scalar (temperature) Helmholtz.
+	// Scalar (temperature) Helmholtz: ft is its rhs, then its x.
 	scalarIters := 0
 	if s.cfg.Temperature {
-		tp := s.T.Data()
-		if len(s.tempFaces) > 0 {
-			s.helmholtzLocal(s.tb, s.scr1, s.cfg.Kappa, b0dt, false)
-			for i := 0; i < s.n; i++ {
-				s.scr2[i] = b[i]*s.rt[i] - s.scr1[i]
-			}
-		} else {
-			for i := 0; i < s.n; i++ {
-				s.scr2[i] = b[i] * s.rt[i]
-			}
-		}
-		s.gsh.Sum(s.scr2)
-		for i := 0; i < s.n; i++ {
-			s.scr2[i] *= s.maskT[i]
-		}
-		x := s.ft
-		for i := 0; i < s.n; i++ {
-			x[i] = (tp[i] - s.tb[i]) * s.maskT[i]
-		}
-		res := krylov.CG(s.tOp, s.scr2, x, &s.cg, s.solverOptions(s.cfg.ScalarTol, s.diagHT, false))
-		scalarIters = res.Iters
-		for i := 0; i < s.n; i++ {
-			tp[i] = x[i] + s.tb[i]
-		}
+		scalarIters = s.helmholtzSolve(s.tOp, s.T.Data(), s.ft, s.tb, s.ft, &s.cgPS,
+			s.solverOptions(s.cfg.ScalarTol, s.diagHT, false))
 		lap(timer, "scalar", begin)
 	}
 
@@ -209,16 +201,6 @@ func lap(timer *metrics.Timer, phase string, begin time.Time) time.Time {
 	now := time.Now()
 	timer.Add(phase, now.Sub(begin))
 	return now
-}
-
-// Run advances n steps, invoking hook (if non-nil) after each step.
-func (s *Solver) Run(n int, hook func(StepStats)) {
-	for i := 0; i < n; i++ {
-		st := s.Step()
-		if hook != nil {
-			hook(st)
-		}
-	}
 }
 
 // CFL estimates the advective CFL number of the current state.
