@@ -67,11 +67,11 @@ bench-kernels:
 # The in situ render path, a fixed iteration count each: rasteriser
 # (against the reference loop it must match bit for bit), binary-swap
 # composite, PNG writer (against image/png and the Up + compress/zlib
-# encoder it replaced), the cell filters and one
-# whole Catalyst trigger of the pb146-insitu workload. -benchmem shows
+# encoder it replaced), the cell filters a 256-cell range at a time
+# and one whole Catalyst trigger of the pb146-insitu workload. -benchmem shows
 # the steady state: 0 allocs/op but for the image files' os.Create.
 bench-render:
-	$(GO) test -run '^$$' -bench 'Draw|Composite|EncodePNG|ContourCells|SliceCells|CatalystExecute' \
+	$(GO) test -run '^$$' -bench 'Draw|Composite|EncodePNG|CellRange|CatalystExecute' \
 		-benchmem -benchtime=20x ./internal/render ./internal/isosurf ./internal/catalyst
 
 # The mesh payload path, a fixed iteration count each: the three wire

@@ -180,13 +180,12 @@ func ParsePipelines(doc []byte) ([]Pipeline, error) {
 // Adaptor is the Catalyst analysis adaptor.
 //
 // It renders every trigger into workspaces it keeps for its lifetime
-// (DESIGN.md, "Render hot path"): one triangle soup and one
+// (DESIGN.md, "Render hot path"): one triangle soup holding one chunk
+// of cells' triangles, drawn before the next chunk is cut into it, one
 // framebuffer that the pipelines use in turn, a compositor per
-// pipeline whose output is that pipeline's frame, the slice filter's
-// distance scratch and the PNG encoder. The accountant is told what it
-// was told when these were allocated per image — the live soup and one
-// framebuffer for the length of a pipeline — so the memory figures of
-// a run are those of the paper's transient Catalyst buffers.
+// pipeline whose output is that pipeline's frame, and the PNG encoder.
+// The accountant is told of the soup and one framebuffer for the
+// length of a pipeline, as if they were allocated per image.
 type Adaptor struct {
 	ctx       *sensei.Context
 	meshName  string
@@ -194,8 +193,7 @@ type Adaptor struct {
 
 	cameras []render.Camera // per pipeline, fitted to the global mesh bounds once
 
-	soup        render.TriangleSoup
-	dist        []float64 // slice filters' signed distances
+	soup        render.TriangleSoup // one chunk's triangles
 	fb          *render.Framebuffer
 	compositors []render.Compositor // per pipeline
 	png         render.PNGEncoder
@@ -207,6 +205,10 @@ type Adaptor struct {
 	lastFrames    []*render.Framebuffer // the last frames of the pipelines this rank roots
 }
 
+// chunkCells is how many cells a filter cuts before their triangles are
+// drawn; the soup has room for all they can yield, 294,912 bytes.
+const chunkCells, chunkTriangles = 256, 256 * isosurf.MaxCellTriangles
+
 // New builds the adaptor programmatically.
 func New(ctx *sensei.Context, meshName string, pipelines []Pipeline) *Adaptor {
 	if meshName == "" {
@@ -214,6 +216,7 @@ func New(ctx *sensei.Context, meshName string, pipelines []Pipeline) *Adaptor {
 	}
 	return &Adaptor{
 		ctx: ctx, meshName: meshName, pipelines: pipelines,
+		soup:        render.TriangleSoup{Positions: make([]float64, 0, 9*chunkTriangles), Scalars: make([]float64, 0, 3*chunkTriangles)},
 		compositors: make([]render.Compositor, len(pipelines)),
 		create:      func(path string) (io.WriteCloser, error) { return os.Create(path) },
 	}
@@ -328,50 +331,68 @@ func (a *Adaptor) Execute(st *sensei.Step) (bool, error) {
 	return false, nil
 }
 
-// render runs pipeline i: filter, draw, composite to rank i mod size.
-// What it tells the accountant it takes back on every way out.
+// render runs pipeline i: filter and draw a chunk of cells at a time,
+// composite to rank i mod size. What it tells the accountant it takes
+// back on every way out.
 func (a *Adaptor) render(i int, g *vtkdata.UnstructuredGrid) error {
 	p := &a.pipelines[i]
-	color := g.FindPointData(p.Field)
-	if color == nil {
-		return fmt.Errorf("catalyst: array %q missing", p.Field)
-	}
-	soup := &a.soup
-	soup.Reset()
-	var err error
-	switch {
-	case p.Slice != nil:
-		a.dist, err = isosurf.SliceCellsInto(soup, a.dist, g, p.Slice.Normal, p.Slice.Offset, color.Data)
-	case p.Contour != nil:
-		cf := g.FindPointData(p.Contour.Field)
-		if cf == nil {
-			return fmt.Errorf("catalyst: contour array %q missing", p.Contour.Field)
-		}
-		err = isosurf.ContourCellsInto(soup, g, cf.Data, color.Data, p.Contour.Iso)
-	}
+	color, err := pointArray(g, "array", p.Field)
 	if err != nil {
 		return err
 	}
-	a.ctx.Acct.Alloc("catalyst-geom", soup.Bytes())
-	defer a.ctx.Acct.Free("catalyst-geom", soup.Bytes())
+	var field []float64
+	if p.Contour != nil {
+		if field, err = pointArray(g, "contour array", p.Contour.Field); err != nil {
+			return err
+		}
+	}
 
 	// Scalar range must agree across ranks for consistent colors.
 	smin, smax := p.Min, p.Max
 	if smin == smax {
-		lo, hi := sensei.Range(color.Data)
+		lo, hi := sensei.Range(color)
 		smin = a.ctx.Comm.AllreduceF64Scalar(lo, mpirt.OpMin)
 		smax = a.ctx.Comm.AllreduceF64Scalar(hi, mpirt.OpMax)
 	}
 
+	geom := a.soup.Bytes()
+	a.ctx.Acct.Alloc("catalyst-geom", geom)
+	defer a.ctx.Acct.Free("catalyst-geom", geom)
 	fb := a.framebuffer(p.Width, p.Height)
 	a.ctx.Acct.Alloc("catalyst-fb", fb.Bytes())
 	defer a.ctx.Acct.Free("catalyst-fb", fb.Bytes())
-	render.Draw(fb, a.cameras[i], soup, render.ColormapByName(p.Colormap), smin, smax, render.DefaultLight())
+
+	// Draw treats each triangle on its own, in soup order, so chunks
+	// drawn in cell order give the pixels of one whole soup.
+	cmap, light := render.ColormapByName(p.Colormap), render.DefaultLight()
+	for c0 := 0; c0 < g.NumCells(); c0 += chunkCells {
+		c1 := min(c0+chunkCells, g.NumCells())
+		a.soup.Reset()
+		if p.Slice != nil {
+			isosurf.SliceCellRange(&a.soup, g, p.Slice.Normal, p.Slice.Offset, color, c0, c1)
+		} else {
+			isosurf.ContourCellRange(&a.soup, g, field, color, p.Contour.Iso, c0, c1)
+		}
+		render.Draw(fb, a.cameras[i], &a.soup, cmap, smin, smax, light)
+	}
 
 	if final := a.compositors[i].Composite(a.ctx.Comm, fb, i%a.ctx.Comm.Size()); final != nil {
 		a.lastFrames = append(a.lastFrames, final)
 	}
 	return nil
+}
+
+// pointArray returns the values of g's point array name, which must
+// hold one per point: the filters index them by point.
+func pointArray(g *vtkdata.UnstructuredGrid, what, name string) ([]float64, error) {
+	switch arr := g.FindPointData(name); {
+	case arr == nil:
+		return nil, fmt.Errorf("catalyst: %s %q missing", what, name)
+	case len(arr.Data) != g.NumPoints():
+		return nil, fmt.Errorf("catalyst: %s %q has %d values for %d points", what, name, len(arr.Data), g.NumPoints())
+	default:
+		return arr.Data, nil
+	}
 }
 
 // framebuffer returns the shared framebuffer, cleared, at w×h.

@@ -2,6 +2,7 @@ package catalyst
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
 	"os"
@@ -107,6 +108,26 @@ func TestErrorPathsFreeAccounting(t *testing.T) {
 		if ctx.Acct.CategoryPeak("catalyst-geom") == 0 && tc.arrays != nil {
 			t.Errorf("%s: the first pipeline should have rendered before the failure", tc.name)
 		}
+	}
+}
+
+// TestShortArrayRefused: a color or contour array that does not hold
+// one value per point — as a malformed frame from a peer could carry —
+// fails Execute by name before any pipeline draws it, and the
+// accountant gets its bytes back.
+func TestShortArrayRefused(t *testing.T) {
+	for _, name := range []string{"velocity_x", "temperature"} {
+		a, ctx, st := pulled(t, mpirt.NewWorld(1).Comm(0), 1, testScript, t.TempDir())
+		g, err := st.Mesh("mesh")
+		if err != nil {
+			t.Fatal(err)
+		}
+		arr := g.FindPointData(name)
+		arr.Data = arr.Data[:len(arr.Data)-1]
+		if _, err := a.Execute(st); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q has %d values for %d points", name, len(arr.Data), g.NumPoints())) {
+			t.Errorf("%s one value short: Execute returned %v", name, err)
+		}
+		accountedNothing(t, ctx)
 	}
 }
 

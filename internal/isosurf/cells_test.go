@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nekrs-sensei/internal/render"
@@ -11,12 +12,12 @@ import (
 )
 
 // vtkHexToLattice maps VTK hexahedron corner order to the 2x2x2
-// lattice order ContourGrid expects (i fastest, then j, then k).
+// lattice order contourGrid expects (i fastest, then j, then k).
 var vtkHexToLattice = [8]int{0, 1, 3, 2, 4, 5, 7, 6}
 
 // contourCellsReference and sliceCellsReference are ContourCells and
 // SliceCells as they stood before the render hot path was rebuilt:
-// every cell copied into a 2x2x2 lattice and handed to ContourGrid.
+// every cell copied into a 2x2x2 lattice and handed to contourGrid.
 func contourCellsReference(g *vtkdata.UnstructuredGrid, f, s []float64, iso float64) *render.TriangleSoup {
 	out := &render.TriangleSoup{}
 	var x, y, z, fv, sv [8]float64
@@ -37,7 +38,7 @@ func contourCellsReference(g *vtkdata.UnstructuredGrid, f, s []float64, iso floa
 			fv[lat] = f[p]
 			sv[lat] = s[p]
 		}
-		ContourGrid(2, 2, 2, x[:], y[:], z[:], fv[:], sv[:], iso, out)
+		contourGrid(2, 2, 2, x[:], y[:], z[:], fv[:], sv[:], iso, out)
 	}
 	return out
 }
@@ -144,47 +145,73 @@ func sameSoup(a, b *render.TriangleSoup) bool {
 	return reflect.DeepEqual(bits(a.Positions), bits(b.Positions)) && reflect.DeepEqual(bits(a.Scalars), bits(b.Scalars))
 }
 
-// TestCellFiltersInto: the Into variants append to what the soup
-// holds, reuse its storage and the distance scratch, and report a
-// field of the wrong length.
+// TestCellRangesConcatenate: the range forms over any split of the
+// cells — empty and one-cell ranges included — append, range after
+// range, the bits ContourCells and SliceCells emit for the whole grid.
+func TestCellRangesConcatenate(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for seed := int64(1); seed <= 3; seed++ {
+		g, f, s := hexGrid(9, seed)
+		nc := g.NumCells()
+		wantContour, _ := ContourCells(g, f, s, 0.1)
+		wantSlice, _ := SliceCells(g, [3]float64{1, -2, 0.5}, 0.1, s)
+		for split := 0; split < 20; split++ {
+			// Cut points, sorted, repeats kept: a repeat is an empty
+			// range, neighbours one apart a one-cell range.
+			cuts := []int{0, nc}
+			for k := rng.Intn(40); k > 0; k-- {
+				c := rng.Intn(nc + 1)
+				cuts = append(cuts, c, c, min(c+1, nc))
+			}
+			slices.Sort(cuts)
+			var contour, slice render.TriangleSoup
+			for k := 0; k+1 < len(cuts); k++ {
+				ContourCellRange(&contour, g, f, s, 0.1, cuts[k], cuts[k+1])
+				SliceCellRange(&slice, g, [3]float64{1, -2, 0.5}, 0.1, s, cuts[k], cuts[k+1])
+			}
+			if !sameSoup(&contour, wantContour) {
+				t.Errorf("seed %d cuts %v: contour ranges differ from ContourCells (%d vs %d triangles)",
+					seed, cuts, contour.NumTriangles(), wantContour.NumTriangles())
+			}
+			if !sameSoup(&slice, wantSlice) {
+				t.Errorf("seed %d cuts %v: slice ranges differ from SliceCells (%d vs %d triangles)",
+					seed, cuts, slice.NumTriangles(), wantSlice.NumTriangles())
+			}
+		}
+	}
+}
+
+// TestCellFiltersInto: the range forms append to what the soup holds,
+// fill a soup with room for their cells without allocating, and the
+// whole-grid forms report a field of the wrong length.
 func TestCellFiltersInto(t *testing.T) {
 	g, f, s := hexGrid(6, 4)
 	want, _ := ContourCells(g, f, s, 0)
 	var soup render.TriangleSoup
 	soup.Append(render.Vec3{}, render.Vec3{X: 1}, render.Vec3{Y: 1}, 7, 8, 9)
-	if err := ContourCellsInto(&soup, g, f, s, 0); err != nil {
-		t.Fatal(err)
-	}
+	ContourCellRange(&soup, g, f, s, 0, 0, g.NumCells())
 	if soup.NumTriangles() != 1+want.NumTriangles() || soup.Scalars[0] != 7 ||
 		!reflect.DeepEqual(soup.Positions[9:], want.Positions) {
-		t.Error("ContourCellsInto did not append to the soup")
+		t.Error("ContourCellRange did not append to the soup")
 	}
 
-	wantSlice, _ := SliceCells(g, [3]float64{0, 0, 1}, 0.4, s)
-	var dist []float64
-	var err error
+	const chunk = 16
+	full := chunk * MaxCellTriangles
+	soup = render.TriangleSoup{Positions: make([]float64, 0, 9*full), Scalars: make([]float64, 0, 3*full)}
 	allocs := testing.AllocsPerRun(5, func() {
-		soup.Reset()
-		if dist, err = SliceCellsInto(&soup, dist, g, [3]float64{0, 0, 1}, 0.4, s); err != nil {
-			t.Fatal(err)
-		}
-		soup.Reset()
-		if err = ContourCellsInto(&soup, g, f, s, 0); err != nil {
-			t.Fatal(err)
+		for c0 := 0; c0 < g.NumCells(); c0 += chunk {
+			c1 := min(c0+chunk, g.NumCells())
+			soup.Reset()
+			SliceCellRange(&soup, g, [3]float64{0, 0, 1}, 0.4, s, c0, c1)
+			soup.Reset()
+			ContourCellRange(&soup, g, f, s, 0, c0, c1)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("filters into a warm soup allocate %v times per run, want 0", allocs)
-	}
-	soup.Reset()
-	if dist, err = SliceCellsInto(&soup, dist, g, [3]float64{0, 0, 1}, 0.4, s); err != nil || !sameSoup(&soup, wantSlice) {
-		t.Errorf("SliceCellsInto with reused scratch: err %v, same %v", err, sameSoup(&soup, wantSlice))
-	}
-	if len(dist) != g.NumPoints() {
-		t.Errorf("distance scratch has %d values for %d points", len(dist), g.NumPoints())
+		t.Errorf("range filters into a soup of %d triangles allocate %v times per run, want 0", full, allocs)
 	}
 
-	if err := ContourCellsInto(&soup, g, f[:10], s, 0); err == nil {
+	if _, err := ContourCells(g, f[:10], s, 0); err == nil {
 		t.Error("short field accepted")
 	}
 	if _, err := SliceCells(g, [3]float64{0, 0, 1}, 0.4, s[:10]); err == nil {
@@ -194,37 +221,37 @@ func TestCellFiltersInto(t *testing.T) {
 
 func benchGrid() (*vtkdata.UnstructuredGrid, []float64, []float64) { return hexGrid(20, 1) }
 
-func BenchmarkContourCells(b *testing.B) {
-	g, f, s := benchGrid()
-	var soup render.TriangleSoup
-	if err := ContourCellsInto(&soup, g, f, s, 0); err != nil { // the first call grows the soup
-		b.Fatal(err)
-	}
+// benchmarkCellRange fills one soup with room for benchChunk cells a
+// range at a time over the whole grid, the way catalyst.Adaptor feeds
+// its rasteriser.
+func benchmarkCellRange(b *testing.B, g *vtkdata.UnstructuredGrid, fill func(out *render.TriangleSoup, c0, c1 int)) {
+	const benchChunk = 256
+	full := benchChunk * MaxCellTriangles
+	soup := render.TriangleSoup{Positions: make([]float64, 0, 9*full), Scalars: make([]float64, 0, 3*full)}
+	tris := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		soup.Reset()
-		if err := ContourCellsInto(&soup, g, f, s, 0); err != nil {
-			b.Fatal(err)
+		tris = 0
+		for c0 := 0; c0 < g.NumCells(); c0 += benchChunk {
+			soup.Reset()
+			fill(&soup, c0, min(c0+benchChunk, g.NumCells()))
+			tris += soup.NumTriangles()
 		}
 	}
-	b.ReportMetric(float64(soup.NumTriangles()), "triangles")
+	b.ReportMetric(float64(tris), "triangles")
 }
 
-func BenchmarkSliceCells(b *testing.B) {
+func BenchmarkContourCellRange(b *testing.B) {
+	g, f, s := benchGrid()
+	benchmarkCellRange(b, g, func(out *render.TriangleSoup, c0, c1 int) {
+		ContourCellRange(out, g, f, s, 0, c0, c1)
+	})
+}
+
+func BenchmarkSliceCellRange(b *testing.B) {
 	g, _, s := benchGrid()
-	var soup render.TriangleSoup
-	dist, err := SliceCellsInto(&soup, nil, g, [3]float64{0, 1, 0}, 0.5, s) // the first call grows soup and scratch
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		soup.Reset()
-		if dist, err = SliceCellsInto(&soup, dist, g, [3]float64{0, 1, 0}, 0.5, s); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(soup.NumTriangles()), "triangles")
+	benchmarkCellRange(b, g, func(out *render.TriangleSoup, c0, c1 int) {
+		SliceCellRange(out, g, [3]float64{0, 1, 0}, 0.5, s, c0, c1)
+	})
 }

@@ -26,12 +26,6 @@ var tets = [6][4]int{
 	{0, 5, 1, 6},
 }
 
-// corner offsets (di, dj, dk) of the hex corner order above.
-var corners = [8][3]int{
-	{0, 0, 0}, {1, 0, 0}, {1, 1, 0}, {0, 1, 0},
-	{0, 0, 1}, {1, 0, 1}, {1, 1, 1}, {0, 1, 1},
-}
-
 // edgeVert linearly interpolates the iso crossing on edge (a, b).
 func edgeVert(pa, pb render.Vec3, fa, fb, sa, sb, iso float64) (render.Vec3, float64) {
 	t := 0.5
@@ -104,43 +98,5 @@ func marchTet(p [4]render.Vec3, f [4]float64, s [4]float64, iso float64, out *re
 		v11, s11 := edgeVert(p[hi[1]], p[lo[1]], f[hi[1]], f[lo[1]], s[hi[1]], s[lo[1]], iso)
 		out.Append(v00, v01, v11, s00, s01, s11)
 		out.Append(v00, v11, v10, s00, s11, s10)
-	}
-}
-
-// ContourGrid contours the iso level of f over one curvilinear grid of
-// nx x ny x nz points (index k*nx*ny + j*nx + i), interpolating the
-// secondary scalar s onto the surface. Results are appended to out.
-func ContourGrid(nx, ny, nz int, x, y, z, f, s []float64, iso float64, out *render.TriangleSoup) {
-	idx := func(i, j, k int) int { return k*nx*ny + j*nx + i }
-	for k := 0; k+1 < nz; k++ {
-		for j := 0; j+1 < ny; j++ {
-			for i := 0; i+1 < nx; i++ {
-				var cp [8]render.Vec3
-				var cf, cs [8]float64
-				// Quick reject: all corners same side.
-				allAbove, allBelow := true, true
-				for c, d := range corners {
-					q := idx(i+d[0], j+d[1], k+d[2])
-					cp[c] = render.Vec3{X: x[q], Y: y[q], Z: z[q]}
-					cf[c] = f[q]
-					cs[c] = s[q]
-					if cf[c] >= iso {
-						allBelow = false
-					} else {
-						allAbove = false
-					}
-				}
-				if allAbove || allBelow {
-					continue
-				}
-				for _, tet := range tets {
-					marchTet(
-						[4]render.Vec3{cp[tet[0]], cp[tet[1]], cp[tet[2]], cp[tet[3]]},
-						[4]float64{cf[tet[0]], cf[tet[1]], cf[tet[2]], cf[tet[3]]},
-						[4]float64{cs[tet[0]], cs[tet[1]], cs[tet[2]], cs[tet[3]]},
-						iso, out)
-				}
-			}
-		}
 	}
 }

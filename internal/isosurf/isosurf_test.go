@@ -9,6 +9,52 @@ import (
 	"nekrs-sensei/internal/render"
 )
 
+// corner offsets (di, dj, dk) of the hex corner order of tets.
+var corners = [8][3]int{
+	{0, 0, 0}, {1, 0, 0}, {1, 1, 0}, {0, 1, 0},
+	{0, 0, 1}, {1, 0, 1}, {1, 1, 1}, {0, 1, 1},
+}
+
+// contourGrid contours the iso level of f over one curvilinear grid of
+// nx x ny x nz points (index k*nx*ny + j*nx + i), interpolating the
+// secondary scalar s onto the surface. Results are appended to out:
+// the reference of the cell filters and the lattice the geometric
+// tests below march.
+func contourGrid(nx, ny, nz int, x, y, z, f, s []float64, iso float64, out *render.TriangleSoup) {
+	idx := func(i, j, k int) int { return k*nx*ny + j*nx + i }
+	for k := 0; k+1 < nz; k++ {
+		for j := 0; j+1 < ny; j++ {
+			for i := 0; i+1 < nx; i++ {
+				var cp [8]render.Vec3
+				var cf, cs [8]float64
+				// Quick reject: all corners same side.
+				allAbove, allBelow := true, true
+				for c, d := range corners {
+					q := idx(i+d[0], j+d[1], k+d[2])
+					cp[c] = render.Vec3{X: x[q], Y: y[q], Z: z[q]}
+					cf[c] = f[q]
+					cs[c] = s[q]
+					if cf[c] >= iso {
+						allBelow = false
+					} else {
+						allAbove = false
+					}
+				}
+				if allAbove || allBelow {
+					continue
+				}
+				for _, tet := range tets {
+					marchTet(
+						[4]render.Vec3{cp[tet[0]], cp[tet[1]], cp[tet[2]], cp[tet[3]]},
+						[4]float64{cf[tet[0]], cf[tet[1]], cf[tet[2]], cf[tet[3]]},
+						[4]float64{cs[tet[0]], cs[tet[1]], cs[tet[2]], cs[tet[3]]},
+						iso, out)
+				}
+			}
+		}
+	}
+}
+
 // contourMesh extracts the iso level of field f over all local elements of
 // the mesh, carrying the secondary scalar s (pass f again to color by
 // the contoured field itself).
@@ -17,7 +63,7 @@ func contourMesh(m *mesh.Mesh, f, s []float64, iso float64) *render.TriangleSoup
 	nq, np := m.Nq, m.Np
 	for e := 0; e < m.Nelt; e++ {
 		off := e * np
-		ContourGrid(nq, nq, nq,
+		contourGrid(nq, nq, nq,
 			m.X[off:off+np], m.Y[off:off+np], m.Z[off:off+np],
 			f[off:off+np], s[off:off+np], iso, out)
 	}
@@ -37,7 +83,7 @@ func slicePlane(m *mesh.Mesh, normal [3]float64, c float64, s []float64) *render
 		for p := 0; p < np; p++ {
 			dist[p] = normal[0]*m.X[off+p] + normal[1]*m.Y[off+p] + normal[2]*m.Z[off+p] - c
 		}
-		ContourGrid(nq, nq, nq,
+		contourGrid(nq, nq, nq,
 			m.X[off:off+np], m.Y[off:off+np], m.Z[off:off+np],
 			dist, s[off:off+np], 0, out)
 	}
@@ -89,7 +135,7 @@ func TestPlaneContourExact(t *testing.T) {
 		func(x, y, z float64) float64 { return z },
 		func(x, y, z float64) float64 { return x })
 	out := &render.TriangleSoup{}
-	ContourGrid(n, n, n, x, y, z, f, s, 0.4, out)
+	contourGrid(n, n, n, x, y, z, f, s, 0.4, out)
 	if out.NumTriangles() == 0 {
 		t.Fatal("no triangles")
 	}
@@ -124,7 +170,7 @@ func TestSphereContour(t *testing.T) {
 		},
 		func(x, y, z float64) float64 { return 1 })
 	out := &render.TriangleSoup{}
-	ContourGrid(n, n, n, x, y, z, f, s, 0.3, out)
+	contourGrid(n, n, n, x, y, z, f, s, 0.3, out)
 	if out.NumTriangles() < 100 {
 		t.Fatalf("too few triangles: %d", out.NumTriangles())
 	}
@@ -150,7 +196,7 @@ func TestNoCrossingEmpty(t *testing.T) {
 		func(x, y, z float64) float64 { return 1 },
 		func(x, y, z float64) float64 { return 0 })
 	out := &render.TriangleSoup{}
-	ContourGrid(n, n, n, x, y, z, f, s, 5, out)
+	contourGrid(n, n, n, x, y, z, f, s, 5, out)
 	if out.NumTriangles() != 0 {
 		t.Errorf("expected empty, got %d triangles", out.NumTriangles())
 	}
@@ -166,7 +212,7 @@ func TestVerticesInsideBBox(t *testing.T) {
 			func(x, y, z float64) float64 { return rng() },
 			func(x, y, z float64) float64 { return rng() })
 		out := &render.TriangleSoup{}
-		ContourGrid(n, n, n, x, y, z, fv, s, 0.5, out)
+		contourGrid(n, n, n, x, y, z, fv, s, 0.5, out)
 		for i := 0; i < len(out.Positions); i += 3 {
 			for d := 0; d < 3; d++ {
 				v := out.Positions[i+d]
@@ -262,6 +308,6 @@ func BenchmarkSphereContour(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		out := &render.TriangleSoup{}
-		ContourGrid(n, n, n, x, y, z, f, s, 0.3, out)
+		contourGrid(n, n, n, x, y, z, f, s, 0.3, out)
 	}
 }

@@ -372,6 +372,45 @@ func TestDrawMatchesReferenceSolver(t *testing.T) {
 	}
 }
 
+// TestDrawInPiecesMatchesWhole: the benchmark pipelines' soups drawn
+// as consecutive pieces of random length — empty and one-triangle
+// pieces included — one Draw per piece, give the color and depth bits
+// of one Draw over the whole soup: what catalyst.Adaptor relies on when
+// it draws each chunk of cells as soon as it is cut.
+func TestDrawInPiecesMatchesWhole(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, order := range []int{3, 5} {
+		if testing.Short() && order == 5 {
+			continue
+		}
+		for _, c := range []cases.Case{cases.PB146(1, order), cases.RBC(1e5, 0.71, 2, 4, 3, order)} {
+			for _, sc := range solverScenes(t, c) {
+				whole, pieces := NewFramebuffer(256, 256), NewFramebuffer(256, 256)
+				cmap := ColormapByName(sc.cmap)
+				Draw(whole, sc.cam, sc.soup, cmap, sc.smin, sc.smax, DefaultLight())
+				n, drawn := sc.soup.NumTriangles(), 0
+				for t0 := 0; t0 < n; {
+					t1 := min(n, t0+[]int{0, 1, rng.Intn(50), rng.Intn(3000)}[rng.Intn(4)])
+					piece := &TriangleSoup{Positions: sc.soup.Positions[9*t0 : 9*t1], Scalars: sc.soup.Scalars[3*t0 : 3*t1]}
+					Draw(pieces, sc.cam, piece, cmap, sc.smin, sc.smax, DefaultLight())
+					drawn += piece.NumTriangles()
+					t0 = t1
+				}
+				what := fmt.Sprintf("%s order %d", sc.name, order)
+				if drawn != n || whole.CoveredPixels() == 0 {
+					t.Fatalf("%s: drew %d of %d triangles in pieces, %d pixels whole", what, drawn, n, whole.CoveredPixels())
+				}
+				if !bytes.Equal(pieces.Color, whole.Color) {
+					t.Errorf("%s: color drawn in pieces differs from the whole soup's", what)
+				}
+				if !bytes.Equal(depthBits(pieces), depthBits(whole)) {
+					t.Errorf("%s: depth drawn in pieces differs from the whole soup's", what)
+				}
+			}
+		}
+	}
+}
+
 // TestPNGSizeOnSolverFrames: the benchmark pipelines' frames of the
 // real pb146 and RBC solvers at order 5, 512², decode to their pixels
 // and take at most 5 % more bytes than the Up + zlib.BestSpeed encoder

@@ -29,9 +29,9 @@ func (s *TriangleSoup) Reset() {
 	s.Positions, s.Scalars = s.Positions[:0], s.Scalars[:0]
 }
 
-// Bytes reports the soup's memory footprint.
+// Bytes reports the storage the soup holds, filled or not.
 func (s *TriangleSoup) Bytes() int64 {
-	return int64(len(s.Positions)+len(s.Scalars)) * 8
+	return int64(cap(s.Positions)+cap(s.Scalars)) * 8
 }
 
 // Light is a directional light with ambient and diffuse coefficients.
