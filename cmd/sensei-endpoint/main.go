@@ -119,7 +119,7 @@ func parseArgs(argv []string) (*options, error) {
 	fs.IntVar(&o.ranks, "ranks", 1, "cooperating endpoint ranks; each dials its own share of the contact's streams (at most one rank per stream)")
 	fs.StringVar(&o.out, "out", "endpoint-out", "output directory")
 	arraysFlag := fs.String("arrays", "", "comma-separated array subset to request in the reader hello (empty = every published array)")
-	codecsFlag := fs.String("codecs", "", "comma-separated wire codec request, e.g. transpose-delta or pressure=quantize:1e-3 (empty = plain frames, or a quantize bound derived from the config's maxerror attributes)")
+	codecsFlag := fs.String("codecs", "", "comma-separated wire codec request, each coded frame decoding alone: transpose-delta (lossless) or quantize:BOUND for every array, or ARRAY=CODEC for one, e.g. pressure=quantize:1e-3 (empty = plain frames, or a quantize bound derived from the config's maxerror attributes)")
 	fs.StringVar(&o.record, "record", "", "record the received streams into per-source archives under this directory, one per contact address")
 	spec := fs.String("consumer", "", `staged consumer "name[:policy[:depth[:arrays[:codecs]]]]" to attach to a staging hub as (+-separated array and codec fields; empty = a direct stream)`)
 	fs.DurationVar(&o.stepDelay, "step-delay", 0, "artificial processing time added per step (models a slow analysis)")

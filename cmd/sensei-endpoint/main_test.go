@@ -99,15 +99,17 @@ func TestParseArgs(t *testing.T) {
 		},
 		{
 			name: "codecs flag",
-			argv: []string{"-codecs", "temporal-delta, pressure=quantize:1e-6"},
+			argv: []string{"-codecs", "transpose-delta, pressure=quantize:1e-6"},
 			check: func(o *options) string {
-				if len(o.codecs) != 2 || o.codecs[0] != "temporal-delta" || o.codecs[1] != "pressure=quantize:1e-6" {
-					return "want codecs [temporal-delta pressure=quantize:1e-6]"
+				if len(o.codecs) != 2 || o.codecs[0] != "transpose-delta" || o.codecs[1] != "pressure=quantize:1e-6" {
+					return "want codecs [transpose-delta pressure=quantize:1e-6]"
 				}
 				return ""
 			},
 		},
 		{name: "bad codecs flag", argv: []string{"-codecs", "lzma"}, wantErr: `unknown codec "lzma"`},
+		{name: "retired codecs flag", argv: []string{"-codecs", "transpose-delta,pressure=temporal-delta"}, wantErr: "temporal-delta is retired"},
+		{name: "spec with retired codec", argv: []string{"-consumer", "a:block:2:x:temporal-delta"}, wantErr: "temporal-delta is retired"},
 		{
 			name: "codecs flag fills a spec without the field",
 			argv: []string{"-consumer", "a:block:2:x", "-codecs", "transpose-delta"},
@@ -118,7 +120,7 @@ func TestParseArgs(t *testing.T) {
 				return ""
 			},
 		},
-		{name: "spec conflicts with codecs flag", argv: []string{"-consumer", "a:block:2:x:transpose-delta", "-codecs", "temporal-delta"}, wantErr: "codecs given twice"},
+		{name: "spec conflicts with codecs flag", argv: []string{"-consumer", "a:block:2:x:transpose-delta", "-codecs", "quantize:1e-3"}, wantErr: "codecs given twice"},
 		{name: "spec conflicts with arrays flag", argv: []string{"-consumer", "a:block:2:x", "-arrays", "y"}, wantErr: "arrays given twice"},
 		{name: "spec with empty name", argv: []string{"-consumer", ":block"}, wantErr: "empty name"},
 		{name: "two specs", argv: []string{"-consumer", "a:block,b:block"}, wantErr: "exactly one spec"},

@@ -24,8 +24,8 @@
 // (ReaderOptions.Codecs, checked against the producer's
 // advertisement); such a connection carries "BPC6" frames produced by
 // a StreamEncoder and decoded by a StreamDecoder — per-variable codec
-// stages from internal/codec, temporal-delta chains with shared
-// keyframes, and the same pooled-frame discipline. Connections that
+// stages from internal/codec, each frame decoding alone, and the same
+// pooled-frame discipline. Connections that
 // negotiate nothing are byte-identical to the plain BP06 wire. See
 // DESIGN.md "Wire compression". Both formats are drawn, and read by
 // one bounds-checked walk, in frame.go.
@@ -168,7 +168,7 @@ func frameSize(s *Step, coded bool, enc [][]byte) int {
 // zero-growth encode under Marshal and MarshalFrame). Returns the
 // bytes written.
 func MarshalInto(s *Step, dst []byte) int {
-	return (*StreamEncoder)(nil).writeFrame(s, dst, -1, false)
+	return (*StreamEncoder)(nil).writeFrame(s, dst)
 }
 
 // Marshal serializes a step in BP-style binary form.

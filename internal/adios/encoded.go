@@ -15,17 +15,17 @@ import (
 
 // This file is the encoded sibling of bp.go: the BPC6 frame format
 // that carries per-variable codec output (internal/codec) instead of
-// raw payloads, and the stream encoder/decoder pair that owns the
-// inter-step state the temporal codec needs.
+// raw payloads, and the stream encoder/decoder pair that reuses its
+// scratch across a stream's steps. Every BPC6 frame decodes alone.
 //
 // The frame layout is drawn beside BP06's in frame.go, whose walk
-// reads both. The base word records the step number the frame's
-// temporal-delta payloads difference against, offset by one so zero
-// means "no base" (a keyframe). Only float64 variables under the
-// "array/" prefix are ever coded; everything else — and any array
-// whose negotiated choice is identity — ships its payload verbatim
-// with codec byte 0, and the quantizer's param field carries the error
-// bound the decoder reconstructs with. Uncoded BP06 frames remain
+// reads both. The base word, where the retired temporal-delta named
+// the step it differenced against, is always 0 (frame.go refuses any
+// other). Only float64 variables under the "array/" prefix are ever
+// coded; everything else — and any array whose negotiated choice is
+// identity — ships its payload verbatim with codec byte 0, and the
+// quantizer's param field carries the error bound the decoder
+// reconstructs with. Uncoded BP06 frames remain
 // valid on any connection (the spill tier and structure steps use
 // this), so both formats are distinguished by magic and a
 // StreamDecoder accepts either; a plain UnmarshalInto rejects BPC6
@@ -48,20 +48,14 @@ func codecEligible(v *Variable) bool {
 }
 
 // StreamEncoder encodes the steps of one logical stream as BPC6
-// frames under a negotiated codec.Spec, owning the previous-step
-// snapshots the temporal codec differences against. Not safe for
-// concurrent use; the staging hub serializes chains with a per-stream
-// mutex.
+// frames under a negotiated codec.Spec, reusing its scratch from step
+// to step. Not safe for concurrent use; the staging hub serializes
+// encodes with a per-stream mutex.
 type StreamEncoder struct {
 	spec codec.Spec
 	sc   codec.Scratch
 
 	enc [][]byte // per-variable encoded payload scratch, reused
-
-	// Temporal state: copies of the last EncodeFrame'd step's arrays.
-	prev     map[string][]float64
-	prevStep int64
-	hasPrev  bool
 
 	// Accounting for telemetry: totals since construction. Atomic so
 	// stats readers can poll while the owning goroutine encodes.
@@ -70,11 +64,8 @@ type StreamEncoder struct {
 
 // NewStreamEncoder returns an encoder for one negotiated spec.
 func NewStreamEncoder(spec codec.Spec) *StreamEncoder {
-	return &StreamEncoder{spec: spec, prev: map[string][]float64{}}
+	return &StreamEncoder{spec: spec}
 }
-
-// Spec returns the encoder's negotiated spec.
-func (e *StreamEncoder) Spec() codec.Spec { return e.spec }
 
 // Ratio reports encoded/raw payload bytes over the encoder's
 // lifetime (1 until something was encoded).
@@ -93,33 +84,18 @@ func (e *StreamEncoder) BytesRaw() int64 { return e.rawBytes.Load() }
 // shipped as.
 func (e *StreamEncoder) BytesEncoded() int64 { return e.encBytes.Load() }
 
-// Reset drops the temporal state: the next frame is a keyframe.
-func (e *StreamEncoder) Reset() { e.hasPrev = false }
-
-// choiceFor resolves the negotiated choice for a variable, demoting
-// temporal to transpose-delta when no usable base exists.
-func (e *StreamEncoder) choiceFor(v *Variable, temporalOK bool) codec.Choice {
-	ch := e.spec.For(strings.TrimPrefix(v.Name, arrayPrefix))
-	if ch.ID == codec.TemporalDelta {
-		if !temporalOK || !e.hasPrev {
-			return codec.Choice{ID: codec.TransposeDelta}
-		}
-		if base, ok := e.prev[v.Name]; !ok || len(base) != len(v.F64) {
-			return codec.Choice{ID: codec.TransposeDelta}
-		}
-	}
-	return ch
+// choiceFor resolves the negotiated choice for a variable.
+func (e *StreamEncoder) choiceFor(v *Variable) codec.Choice {
+	return e.spec.For(strings.TrimPrefix(v.Name, arrayPrefix))
 }
 
-// encodeVars fills e.enc with each eligible variable's coded payload
-// and reports whether any variable used the temporal codec.
+// encodeVars fills e.enc with each eligible variable's coded payload.
 // Ineligible or identity variables get a nil entry and ship verbatim.
-func (e *StreamEncoder) encodeVars(s *Step, temporalOK bool) bool {
+func (e *StreamEncoder) encodeVars(s *Step) {
 	if cap(e.enc) < len(s.Vars) {
 		e.enc = make([][]byte, len(s.Vars))
 	}
 	e.enc = e.enc[:len(s.Vars)]
-	usedTemporal := false
 	var raw, coded int64 // one telemetry update per frame, not two per variable
 	for i := range s.Vars {
 		v := &s.Vars[i]
@@ -127,7 +103,7 @@ func (e *StreamEncoder) encodeVars(s *Step, temporalOK bool) bool {
 			e.enc[i] = nil
 			continue
 		}
-		ch := e.choiceFor(v, temporalOK)
+		ch := e.choiceFor(v)
 		// Reuse the slot's previous capacity: a steady stream of
 		// same-shaped steps encodes without allocating.
 		buf := e.enc[i]
@@ -137,9 +113,6 @@ func (e *StreamEncoder) encodeVars(s *Step, temporalOK bool) bool {
 			continue
 		case codec.TransposeDelta:
 			buf = codec.AppendTransposeDelta(buf[:0], v.F64, &e.sc)
-		case codec.TemporalDelta:
-			buf = codec.AppendTemporalDelta(buf[:0], v.F64, e.prev[v.Name], &e.sc)
-			usedTemporal = true
 		case codec.Quantize:
 			buf = codec.AppendQuantize(buf[:0], v.F64, ch.Bound, &e.sc)
 		}
@@ -149,15 +122,13 @@ func (e *StreamEncoder) encodeVars(s *Step, temporalOK bool) bool {
 	}
 	e.rawBytes.Add(raw)
 	e.encBytes.Add(coded)
-	return usedTemporal
 }
 
 // writeFrame writes s into dst, which must be exactly frameSize bytes:
 // as a BP06 frame on a nil encoder (MarshalInto), else as a BPC6 frame
-// whose base word is base and whose coded payloads come from e.enc.
-// Pads are written as zeros, whatever dst held. Returns the bytes
-// written.
-func (e *StreamEncoder) writeFrame(s *Step, dst []byte, base int64, temporalOK bool) int {
+// whose coded payloads come from e.enc. Pads are written as zeros,
+// whatever dst held. Returns the bytes written.
+func (e *StreamEncoder) writeFrame(s *Step, dst []byte) int {
 	coded := e != nil
 	magic := bpMagic
 	if coded {
@@ -175,7 +146,7 @@ func (e *StreamEncoder) writeFrame(s *Step, dst []byte, base int64, temporalOK b
 	putU64(uint64(s.Step))
 	putU64(math.Float64bits(s.Time))
 	if coded {
-		putU64(uint64(base + 1)) // 0 = no base
+		putU64(0) // base word
 	}
 	putU64(uint64(len(s.Attrs)))
 	// Sorted attribute order for deterministic output; the usual
@@ -201,7 +172,7 @@ func (e *StreamEncoder) writeFrame(s *Step, dst []byte, base int64, temporalOK b
 		var enc []byte
 		if coded {
 			if enc = e.enc[i]; enc != nil {
-				ch = e.choiceFor(v, temporalOK)
+				ch = e.choiceFor(v)
 			}
 			dst[off] = byte(ch.ID)
 			off++
@@ -235,84 +206,29 @@ func (e *StreamEncoder) writeFrame(s *Step, dst []byte, base int64, temporalOK b
 	return off
 }
 
-// snapshot copies the step's codec-eligible arrays — only those spec
-// codes temporally, when spec is non-nil — into prev, reusing capacity:
-// the previous step both ends of a temporal chain difference against.
-func snapshot(prev map[string][]float64, s *Step, spec *codec.Spec) {
-	for i := range s.Vars {
-		v := &s.Vars[i]
-		if !codecEligible(v) || spec != nil && spec.For(strings.TrimPrefix(v.Name, arrayPrefix)).ID != codec.TemporalDelta {
-			continue
-		}
-		p := resize(prev[v.Name], uint64(len(v.F64)))
-		copy(p, v.F64)
-		prev[v.Name] = p
-	}
-}
-
-// EncodeFrame marshals s as a BPC6 frame into a frame leased from p,
-// advancing the encoder's temporal chain: temporal arrays difference
-// against the previous EncodeFrame'd step, and the returned base is
-// that step's number (-1 when the frame is a keyframe — only
-// consumers whose last delivered step equals base can decode a
-// non-keyframe; hand others EncodeKeyFrame's form).
-func (e *StreamEncoder) EncodeFrame(s *Step, p *FramePool) (f *Frame, base int64) {
-	base = -1
-	if e.encodeVars(s, true) {
-		base = e.prevStep
-	}
-	f = p.Lease(frameSize(s, true, e.enc))
-	e.writeFrame(s, f.Bytes(), base, true)
-	if e.spec.UsesTemporal() {
-		snapshot(e.prev, s, &e.spec)
-		e.prevStep, e.hasPrev = s.Step, true
-	}
-	return f, base
-}
-
-// EncodeKeyFrame marshals s with the temporal codec demoted to
-// transpose-delta and without touching the encoder's chain state —
-// the self-contained form shared by consumers that missed the chain's
-// base step (drop-oldest gaps, fresh attaches).
-func (e *StreamEncoder) EncodeKeyFrame(s *Step, p *FramePool) *Frame {
-	e.encodeVars(s, false)
+// EncodeFrame marshals s as a BPC6 frame into a frame leased from p.
+func (e *StreamEncoder) EncodeFrame(s *Step, p *FramePool) *Frame {
+	e.encodeVars(s)
 	f := p.Lease(frameSize(s, true, e.enc))
-	e.writeFrame(s, f.Bytes(), -1, false)
+	e.writeFrame(s, f.Bytes())
 	return f
 }
 
 // StreamDecoder decodes the frames of one connection, accepting both
-// BP06 and BPC6 and owning the previous-step arrays temporal frames
-// difference against. Not safe for concurrent use.
+// BP06 and BPC6 and reusing its scratch from frame to frame. Not safe
+// for concurrent use.
 type StreamDecoder struct {
 	sc codec.Scratch
-
-	// temporal enables previous-step snapshots; decoders for streams
-	// that never negotiated the temporal codec skip the copies.
-	temporal bool
-	prev     map[string][]float64
-	prevStep int64
-	hasPrev  bool
 }
 
-// NewStreamDecoder returns a decoder. temporal must be true when the
-// stream may carry temporal-delta frames (it is always safe, at the
-// cost of one array copy per decoded step).
-func NewStreamDecoder(temporal bool) *StreamDecoder {
-	d := &StreamDecoder{temporal: temporal}
-	if temporal {
-		d.prev = map[string][]float64{}
-	}
-	return d
-}
+// NewStreamDecoder returns a decoder.
+func NewStreamDecoder() *StreamDecoder { return &StreamDecoder{} }
 
 // DecodeInto decodes a wire frame of either format into out, reusing
 // out's storage like UnmarshalInto: raw is copied once into out's own
 // frame buffer, which out's verbatim payloads then view, so out owns
 // what it holds and the caller keeps raw. A nil decoder is
-// UnmarshalInto and refuses BPC6. A BP06 frame (structure step, spill
-// catch-up) resets the temporal state — the hub guarantees the next
-// coded frame after any gap is a keyframe.
+// UnmarshalInto and refuses BPC6.
 func (d *StreamDecoder) DecodeInto(raw []byte, out *Step) error {
 	out.frame = append(out.frame[:0], raw...)
 	return d.decode(out.frame, out, nil)
@@ -326,18 +242,8 @@ func (d *StreamDecoder) decode(raw []byte, out *Step, arrays []string) error {
 	if d == nil && encoded {
 		return fmt.Errorf("adios: encoded (BPC6) frame needs a StreamDecoder")
 	}
-	var hasBase bool
 	kept := 0
 	err := walkFrame(raw, func(h frameHead) error {
-		if hasBase = h.baseWord != 0; hasBase {
-			base := int64(h.baseWord) - 1
-			if !d.temporal {
-				return fmt.Errorf("adios: temporal frame on a connection that negotiated no temporal codec")
-			}
-			if !d.hasPrev || d.prevStep != base {
-				return fmt.Errorf("adios: temporal frame needs base step %d, decoder holds %d", base, d.lastStep())
-			}
-		}
 		out.Step, out.Time = h.step, h.time
 		decodeAttrsInto(&h, out)
 		if cap(out.Vars) >= h.nvars {
@@ -348,7 +254,7 @@ func (d *StreamDecoder) decode(raw []byte, out *Step, arrays []string) error {
 		return nil
 	}, func(i int, r varRecord) error {
 		vv := &out.Vars[kept]
-		if err := d.decodeVar(vv, raw, &r, hasBase); err != nil {
+		if err := d.decodeVar(vv, raw, &r); err != nil {
 			return err
 		}
 		if arrays == nil || KeepVar(vv.Name, arrays) {
@@ -357,18 +263,7 @@ func (d *StreamDecoder) decode(raw []byte, out *Step, arrays []string) error {
 		return nil
 	})
 	out.Vars = out.Vars[:kept]
-	if d == nil {
-		return err
-	}
-	if err != nil || !encoded {
-		d.hasPrev = false
-		return err
-	}
-	if d.temporal && out.Attrs["structure"] != "1" {
-		snapshot(d.prev, out, nil)
-		d.prevStep, d.hasPrev = out.Step, true
-	}
-	return nil
+	return err
 }
 
 // decodeAttrsInto sets out's attribute map to the frame's attributes,
@@ -412,10 +307,8 @@ func decodeAttrsInto(h *frameHead, out *Step) {
 }
 
 // decodeVar decodes one walked variable record into vv, reusing its
-// name, shape and payload storage. hasBase reports whether the frame
-// differences against a base step (only a temporal decoder holding it
-// gets this far).
-func (d *StreamDecoder) decodeVar(vv *Variable, raw []byte, r *varRecord, hasBase bool) error {
+// name, shape and payload storage.
+func (d *StreamDecoder) decodeVar(vv *Variable, raw []byte, r *varRecord) error {
 	if vv.Name != string(r.name) {
 		vv.Name = string(r.name)
 	}
@@ -468,11 +361,6 @@ func (d *StreamDecoder) decodeVar(vv *Variable, raw []byte, r *varRecord, hasBas
 	switch r.codec {
 	case codec.TransposeDelta:
 		err = codec.DecodeTransposeDelta(vv.F64, enc, &d.sc)
-	case codec.TemporalDelta:
-		if !hasBase {
-			return fmt.Errorf("adios: temporal payload %q in a keyframe", vv.Name)
-		}
-		err = codec.DecodeTemporalDelta(vv.F64, d.prev[vv.Name], enc, &d.sc)
 	case codec.Quantize:
 		if !(r.param > 0) || math.IsInf(r.param, 0) {
 			return fmt.Errorf("adios: quantized payload %q declares bad bound %v", vv.Name, r.param)
@@ -485,13 +373,6 @@ func (d *StreamDecoder) decodeVar(vv *Variable, raw []byte, r *varRecord, hasBas
 		return fmt.Errorf("adios: decode %q: %w", vv.Name, err)
 	}
 	return nil
-}
-
-func (d *StreamDecoder) lastStep() int64 {
-	if !d.hasPrev {
-		return -1
-	}
-	return d.prevStep
 }
 
 // resize returns s resliced to n elements, reallocated when its

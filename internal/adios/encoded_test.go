@@ -13,9 +13,9 @@ import (
 )
 
 // codedStep builds a step with one codec-eligible array whose values
-// evolve smoothly with the step number (temporal deltas stay small),
-// plus an ineligible int64 variable and a non-array float64 variable
-// that must always ship verbatim.
+// evolve smoothly with the step number, plus an ineligible int64
+// variable and a non-array float64 variable that must always ship
+// verbatim.
 func codedStep(step int64, n int) *Step {
 	u := make([]float64, n)
 	for i := range u {
@@ -75,27 +75,19 @@ func TestStreamRoundTripAllCodecs(t *testing.T) {
 	}{
 		{name: "identity", spec: nil},
 		{name: "transpose-delta", spec: []string{"transpose-delta"}},
-		{name: "temporal-delta", spec: []string{"temporal-delta"}},
 		{name: "quantize", spec: []string{"quantize:1e-6"}, bound: 1e-6},
-		{name: "per-array override", spec: []string{"transpose-delta", "u=temporal-delta"}},
+		{name: "per-array override", spec: []string{"quantize:1e-6", "u=transpose-delta"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := mustSpec(t, tc.spec...)
 			enc := NewStreamEncoder(spec)
-			dec := NewStreamDecoder(spec.UsesTemporal())
+			dec := NewStreamDecoder()
 			pool := NewFramePool()
 			for step := int64(0); step < 5; step++ {
 				in := codedStep(step, 257) // odd length: partial transpose lane
-				f, base := enc.EncodeFrame(in, pool)
+				f := enc.EncodeFrame(in, pool)
 				if !IsEncodedFrame(f.Bytes()) {
 					t.Fatalf("step %d: EncodeFrame produced non-BPC6 frame", step)
-				}
-				wantBase := int64(-1)
-				if spec.UsesTemporal() && step > 0 {
-					wantBase = step - 1
-				}
-				if base != wantBase {
-					t.Fatalf("step %d: base = %d, want %d", step, base, wantBase)
 				}
 				out := decodeFrame(t, dec, f.Bytes())
 				f.Release()
@@ -139,72 +131,15 @@ func TestStreamRoundTripAllCodecs(t *testing.T) {
 	}
 }
 
-// TestStreamTemporalKeyframes covers the chain-repair paths: a
-// consumer that missed the base step must get EncodeKeyFrame's
-// self-contained form, a chain frame against the wrong base must be
-// refused, and Reset restarts the chain.
-func TestStreamTemporalKeyframes(t *testing.T) {
-	spec := mustSpec(t, "temporal-delta")
-	enc := NewStreamEncoder(spec)
-	pool := NewFramePool()
-
-	s0, s1, s2 := codedStep(0, 64), codedStep(1, 64), codedStep(2, 64)
-	f0, _ := enc.EncodeFrame(s0, pool)
-	f1, base1 := enc.EncodeFrame(s1, pool)
-	key1 := enc.EncodeKeyFrame(s1, pool)
-	f2, base2 := enc.EncodeFrame(s2, pool)
-	if base1 != 0 || base2 != 1 {
-		t.Fatalf("bases = %d, %d, want 0, 1", base1, base2)
-	}
-
-	// The chain decoder follows f0 -> f1 -> f2.
-	chain := NewStreamDecoder(true)
-	decodeFrame(t, chain, f0.Bytes())
-	decodeFrame(t, chain, f1.Bytes())
-	got := decodeFrame(t, chain, f2.Bytes())
-	if !f64BitsEqual(s2.FindVar("array/u").F64, got.FindVar("array/u").F64) {
-		t.Fatal("chain decode diverged")
-	}
-
-	// A decoder that missed step 0 cannot take the chain frame...
-	late := NewStreamDecoder(true)
-	var scratch Step
-	if err := late.DecodeInto(f1.Bytes(), &scratch); err == nil ||
-		!strings.Contains(err.Error(), "base step") {
-		t.Fatalf("chain frame without base: err = %v", err)
-	}
-	// ...but the keyframe is self-contained and re-anchors the chain.
-	got = decodeFrame(t, late, key1.Bytes())
-	if !f64BitsEqual(s1.FindVar("array/u").F64, got.FindVar("array/u").F64) {
-		t.Fatal("keyframe decode mismatch")
-	}
-	got = decodeFrame(t, late, f2.Bytes())
-	if !f64BitsEqual(s2.FindVar("array/u").F64, got.FindVar("array/u").F64) {
-		t.Fatal("chain after keyframe diverged")
-	}
-
-	// EncodeKeyFrame must not have advanced the encoder's chain: after
-	// Reset the next frame is again a keyframe.
-	enc.Reset()
-	f3, base3 := enc.EncodeFrame(codedStep(3, 64), pool)
-	if base3 != -1 {
-		t.Fatalf("base after Reset = %d, want -1", base3)
-	}
-	for _, f := range []*Frame{f0, f1, key1, f2, f3} {
-		f.Release()
-	}
-}
-
 // TestStreamDecoderResetOnPlainFrame: a BP06 frame (structure step,
-// spill catch-up) invalidates the decoder's temporal state, so a chain
-// frame right after it is refused until a keyframe re-anchors.
+// spill catch-up) inside a coded stream leaves the decoder able to
+// decode the next coded frame bit for bit: every frame decodes alone.
 func TestStreamDecoderResetOnPlainFrame(t *testing.T) {
-	spec := mustSpec(t, "temporal-delta")
-	enc := NewStreamEncoder(spec)
+	enc := NewStreamEncoder(mustSpec(t, "transpose-delta"))
 	pool := NewFramePool()
-	dec := NewStreamDecoder(true)
+	dec := NewStreamDecoder()
 
-	f0, _ := enc.EncodeFrame(codedStep(0, 32), pool)
+	f0 := enc.EncodeFrame(codedStep(0, 32), pool)
 	decodeFrame(t, dec, f0.Bytes())
 
 	// A plain frame interleaves (the hub ships structure steps and
@@ -214,20 +149,12 @@ func TestStreamDecoderResetOnPlainFrame(t *testing.T) {
 	decodeFrame(t, dec, Marshal(structure))
 
 	s2 := codedStep(2, 32)
-	f2, base2 := enc.EncodeFrame(s2, pool)
-	if base2 != 0 {
-		t.Fatalf("base = %d, want 0", base2)
-	}
-	var scratch Step
-	if err := dec.DecodeInto(f2.Bytes(), &scratch); err == nil {
-		t.Fatal("chain frame after plain frame should fail")
-	}
-	key2 := enc.EncodeKeyFrame(s2, pool)
-	got := decodeFrame(t, dec, key2.Bytes())
+	f2 := enc.EncodeFrame(s2, pool)
+	got := decodeFrame(t, dec, f2.Bytes())
 	if !f64BitsEqual(s2.FindVar("array/u").F64, got.FindVar("array/u").F64) {
-		t.Fatal("keyframe after plain frame mismatch")
+		t.Fatal("coded frame after plain frame mismatch")
 	}
-	for _, f := range []*Frame{f0, f2, key2} {
+	for _, f := range []*Frame{f0, f2} {
 		f.Release()
 	}
 }
@@ -244,7 +171,7 @@ func TestEncodedGoldenFrame(t *testing.T) {
 	}
 	enc := NewStreamEncoder(mustSpec(t, "transpose-delta"))
 	pool := NewFramePool()
-	f, _ := enc.EncodeFrame(s, pool)
+	f := enc.EncodeFrame(s, pool)
 	defer f.Release()
 
 	var want bytes.Buffer
@@ -258,7 +185,7 @@ func TestEncodedGoldenFrame(t *testing.T) {
 	want.WriteString("BPC6")
 	u64(9)                      // step
 	u64(math.Float64bits(0.25)) // time
-	u64(0)                      // base+1: keyframe
+	u64(0)                      // base word: always 0
 	u64(1)                      // one attribute
 	str("case")
 	str("rbc")
@@ -288,7 +215,7 @@ func TestEncodedGoldenFrame(t *testing.T) {
 	// wrote (mode 1, two's-complement deltas) is refused, not misread.
 	retired := append(want.Bytes()[:header:header], 0x01, 0x91, 0x03, 0xf0, 0x00, 0x08, 0x3f, 0x81)
 	var out Step
-	if err := NewStreamDecoder(false).DecodeInto(retired, &out); !errors.Is(err, codec.ErrMode) {
+	if err := NewStreamDecoder().DecodeInto(retired, &out); !errors.Is(err, codec.ErrMode) {
 		t.Errorf("frame with a mode 1 payload: err = %v, want codec.ErrMode", err)
 	}
 }
@@ -297,15 +224,15 @@ func TestEncodedGoldenFrame(t *testing.T) {
 // layout — codec bytes, quantizer params, enclen-sized payload spans —
 // without decoding.
 func TestScanFrameEncoded(t *testing.T) {
-	enc := NewStreamEncoder(mustSpec(t, "temporal-delta", "p=quantize:0.001"))
+	enc := NewStreamEncoder(mustSpec(t, "transpose-delta", "p=quantize:0.001"))
 	pool := NewFramePool()
 	mkStep := func(step int64) *Step {
 		s := codedStep(step, 100)
 		s.Vars = append(s.Vars, NewF64("array/p", []float64{1, 2, 3, 4}, 4))
 		return s
 	}
-	f0, _ := enc.EncodeFrame(mkStep(0), pool)
-	f1, _ := enc.EncodeFrame(mkStep(1), pool)
+	f0 := enc.EncodeFrame(mkStep(0), pool)
+	f1 := enc.EncodeFrame(mkStep(1), pool)
 	defer f0.Release()
 	defer f1.Release()
 
@@ -313,11 +240,9 @@ func TestScanFrameEncoded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fi.Encoded || fi.Base != -1 || fi.Step != 0 {
-		t.Fatalf("keyframe scan: %+v", fi)
+	if !fi.Encoded || fi.Step != 0 {
+		t.Fatalf("first frame scan: %+v", fi)
 	}
-	// First frame: no temporal base yet, so array/u demotes to
-	// transpose-delta.
 	if vs := fi.FindVar("array/u"); vs == nil || vs.Codec != byte(codec.TransposeDelta) {
 		t.Fatalf("array/u span: %+v", vs)
 	}
@@ -333,11 +258,8 @@ func TestScanFrameEncoded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi.Base != 0 {
-		t.Fatalf("chain frame Base = %d, want 0", fi.Base)
-	}
-	if vs := fi.FindVar("array/u"); vs == nil || vs.Codec != byte(codec.TemporalDelta) {
-		t.Fatalf("chained array/u span: %+v", vs)
+	if vs := fi.FindVar("array/u"); vs == nil || vs.Codec != byte(codec.TransposeDelta) {
+		t.Fatalf("second frame's array/u span: %+v", vs)
 	}
 	// The payload span is the coded length, smaller than the raw array.
 	if vs := fi.FindVar("array/u"); vs.PayloadLen >= 100*8 {
@@ -365,7 +287,7 @@ func TestScanFrameEncoded(t *testing.T) {
 func TestPlainUnmarshalRejectsEncoded(t *testing.T) {
 	enc := NewStreamEncoder(mustSpec(t, "transpose-delta"))
 	pool := NewFramePool()
-	f, _ := enc.EncodeFrame(codedStep(0, 16), pool)
+	f := enc.EncodeFrame(codedStep(0, 16), pool)
 	defer f.Release()
 	var out Step
 	if err := UnmarshalInto(f.Bytes(), &out); err == nil {
@@ -379,61 +301,72 @@ func TestPlainUnmarshalRejectsEncoded(t *testing.T) {
 		t.Fatal(err)
 	}
 	// And a codec-capable decoder accepts the plain frame unchanged.
-	dec := NewStreamDecoder(true)
+	dec := NewStreamDecoder()
 	if err := dec.DecodeInto(plain, &out); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // FuzzStreamDecoder feeds the BPC6 decoder whatever a peer could send:
-// arbitrary bytes and mutated key and chain frames, to a fresh decoder
-// or to one that holds the chain's base step. It must answer with an
+// arbitrary bytes and mutated coded frames, to a fresh decoder or to
+// a warm one that already decoded a frame. It must answer with an
 // error or a step — never panic — and never size storage past what the
 // frame's own bytes could decode to (a zero-RLE token yields at most
 // 128 bytes: the 16:1 element bound of decodeVar). A frame it accepts
-// scans clean.
+// scans clean, and decodes the same on a fresh decoder.
 func FuzzStreamDecoder(f *testing.F) {
-	enc := NewStreamEncoder(mustSpec(f, "temporal-delta", "p=quantize:0.001"))
+	enc := NewStreamEncoder(mustSpec(f, "transpose-delta", "p=quantize:0.001"))
 	pool := NewFramePool()
 	mkStep := func(step int64) *Step {
 		s := codedStep(step, 100)
 		s.Vars = append(s.Vars, NewF64("array/p", []float64{1, 2, 3, 4}, 4))
 		return s
 	}
-	keyFrame, _ := enc.EncodeFrame(mkStep(0), pool)
-	chainFrame, _ := enc.EncodeFrame(mkStep(1), pool)
-	key, chain := keyFrame.Bytes(), chainFrame.Bytes()
+	first, next := enc.EncodeFrame(mkStep(0), pool).Bytes(), enc.EncodeFrame(mkStep(1), pool).Bytes()
 
-	for _, held := range []bool{false, true} {
-		f.Add(key, held)
-		f.Add(chain, held)
-		f.Add(Marshal(mkStep(2)), held)
-		f.Add(chain[:len(chain)/2], held)
-		f.Add(append(key[:len(key):len(key)], 0xAB), held) // one trailing byte
-		f.Add([]byte("BPC6"), held)
-		f.Add([]byte{}, held)
+	for _, warm := range []bool{false, true} {
+		f.Add(first, warm)
+		f.Add(next, warm)
+		f.Add(Marshal(mkStep(2)), warm)
+		f.Add(next[:len(next)/2], warm)
+		f.Add(append(first[:len(first):len(first)], 0xAB), warm) // one trailing byte
+		f.Add([]byte("BPC6"), warm)
+		f.Add([]byte{}, warm)
 	}
 	// A retired and an unknown payload mode, and an element count far
 	// past what the payload could hold.
-	fi, err := ScanFrame(key)
+	fi, err := ScanFrame(first)
 	if err != nil {
 		f.Fatal(err)
 	}
 	u := fi.FindVar("array/u")
 	for _, mode := range []byte{1, 3} {
-		bad := append([]byte(nil), key...)
+		bad := append([]byte(nil), first...)
 		bad[u.PayloadOff] = mode
 		f.Add(bad, false)
 	}
-	huge := append([]byte(nil), key...)
+	huge := append([]byte(nil), first...)
 	binary.LittleEndian.PutUint64(huge[u.PayloadOff-16:], 1<<40)
 	f.Add(huge, false)
+	// The retired temporal-delta codec: a frame naming a base step, and
+	// one whose array carries codec byte 2. Both are refused by name.
+	based := append([]byte(nil), next...)
+	binary.LittleEndian.PutUint64(based[20:], 1)
+	temporal := append([]byte(nil), next...)
+	temporal[u.RecordOff+8+int64(len(u.Name))+1] = byte(codec.TemporalDelta)
+	for _, bad := range [][]byte{based, temporal} {
+		if err := NewStreamDecoder().DecodeInto(bad, &Step{}); !errors.Is(err, codec.ErrRetired) || !strings.Contains(err.Error(), "temporal-delta") {
+			f.Fatalf("retired codec frame: err = %v, want codec.ErrRetired naming temporal-delta", err)
+		}
+		f.Add(bad, false)
+		f.Add(bad, true)
+	}
 
-	f.Fuzz(func(t *testing.T, raw []byte, held bool) {
-		dec := NewStreamDecoder(true)
-		var base Step
-		if held {
-			if err := dec.DecodeInto(key, &base); err != nil {
+	f.Fuzz(func(t *testing.T, raw []byte, warm bool) {
+		dec := NewStreamDecoder()
+		var prev Step
+		if warm {
+			if err := dec.DecodeInto(first, &prev); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -454,19 +387,14 @@ func FuzzStreamDecoder(f *testing.F) {
 			t.Fatalf("frame decodes but does not scan: %v", serr)
 		}
 		// A decoded step is a whole one: it marshals, and decoding the
-		// same frame into recycled storage gives the same step.
+		// same frame on a fresh decoder into recycled storage gives the
+		// same step.
 		want := Marshal(&out)
-		again := NewStreamDecoder(true)
-		if held {
-			if err := again.DecodeInto(key, &base); err != nil {
-				t.Fatal(err)
-			}
+		if err := NewStreamDecoder().DecodeInto(raw, &prev); err != nil {
+			t.Fatalf("decode succeeded, fresh recycled decode: %v", err)
 		}
-		if err := again.DecodeInto(raw, &base); err != nil {
-			t.Fatalf("fresh decode succeeded, recycled decode: %v", err)
-		}
-		if !bytes.Equal(Marshal(&base), want) {
-			t.Fatal("fresh and recycled decodes disagree")
+		if !bytes.Equal(Marshal(&prev), want) {
+			t.Fatal("warm and fresh decodes disagree")
 		}
 	})
 }
@@ -490,8 +418,8 @@ func TestDecodeNeverWritesThroughAView(t *testing.T) {
 	if u := out.FindVar("array/u").F64; &u[0] != (*float64)(unsafe.Pointer(&viewed[fi.FindVar("array/u").PayloadOff])) {
 		t.Fatal("ViewInto copied the payload instead of viewing the frame")
 	}
-	coded, _ := NewStreamEncoder(mustSpec(t, "transpose-delta")).EncodeFrame(codedStep(2, 64), NewFramePool())
-	if err := NewStreamDecoder(false).DecodeInto(coded.Bytes(), &out); err != nil {
+	coded := NewStreamEncoder(mustSpec(t, "transpose-delta")).EncodeFrame(codedStep(2, 64), NewFramePool())
+	if err := NewStreamDecoder().DecodeInto(coded.Bytes(), &out); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(viewed, plain) {

@@ -24,7 +24,7 @@ import (
 //	magic          "BP06"              "BPC6"
 //	step           u64                 u64
 //	time           f64                 f64
-//	base+1         -                   u64, 0 = keyframe
+//	base           -                   u64, always 0
 //	attrs          u64 n, n × (key str, value str)
 //	               pad                 pad
 //	nvars          u64                 u64
@@ -47,7 +47,10 @@ import (
 // a word: in a word-aligned buffer a decoder can read a verbatim one
 // in place (lebytes.View), and cutting or splicing whole records keeps
 // that true. The pads must be present and zero. BP05/BPC5, the same
-// grammar without pads, is refused by name (ErrRetiredFormat).
+// grammar without pads, is refused by name (ErrRetiredFormat). So is
+// the retired temporal-delta codec (codec.ErrRetired): a base word
+// other than 0, the step its frames differenced against, or a codec
+// byte of 2.
 
 // ErrRetiredFormat marks a frame of an older format this build no
 // longer reads.
@@ -55,14 +58,13 @@ var ErrRetiredFormat = errors.New("retired frame format")
 
 // frameHead is what walkFrame reads before the variable records.
 type frameHead struct {
-	encoded  bool // BPC6
-	step     int64
-	time     float64
-	baseWord uint64 // BPC6 base step + 1; 0 for a keyframe and in BP06
-	nattr    int
-	attrs    []byte // the nattr key/value pairs, already bounds-checked
-	varsOff  int    // offset of the var-count word
-	nvars    int
+	encoded bool // BPC6
+	step    int64
+	time    float64
+	nattr   int
+	attrs   []byte // the nattr key/value pairs, already bounds-checked
+	varsOff int    // offset of the var-count word
+	nvars   int
 }
 
 // nextAttr splits the first key/value pair off a suffix of a walked
@@ -169,8 +171,8 @@ func walkFrame(raw []byte, visitHead func(frameHead) error, visitVar func(int, v
 	w := walker{raw: raw, pos: 4}
 	h.step = int64(w.u64())
 	h.time = math.Float64frombits(w.u64())
-	if h.encoded {
-		h.baseWord = w.u64()
+	if h.encoded && w.u64() != 0 {
+		return fmt.Errorf("adios: frame names a base step: %w", codec.ErrRetired)
 	}
 	nattr := w.u64()
 	if w.fail == nil && nattr > w.left()/16 { // each attr needs two length words
@@ -205,6 +207,9 @@ func walkFrame(raw []byte, visitHead func(frameHead) error, visitVar func(int, v
 		r.kind = Kind(w.u8())
 		if h.encoded {
 			r.codec = codec.ID(w.u8())
+			if r.codec == codec.TemporalDelta {
+				return fmt.Errorf("adios: %q carries codec byte %d: %w", r.name, r.codec, codec.ErrRetired)
+			}
 		}
 		w.pad()
 		if h.encoded {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"nekrs-sensei/internal/codec"
 )
 
 // TestEntryPointsAgreeOnHostileFrames feeds every reader of the frame
@@ -23,7 +25,7 @@ func TestEntryPointsAgreeOnHostileFrames(t *testing.T) {
 	v0 := fi.Vars[0]
 	kindOff := v0.RecordOff + 8 + int64(len(v0.Name))
 	enc := NewStreamEncoder(mustSpec(t, "transpose-delta"))
-	coded, _ := enc.EncodeFrame(codedStep(1, 50), NewFramePool())
+	coded := enc.EncodeFrame(codedStep(1, 50), NewFramePool())
 	bpc := coded.Bytes()
 	cfi, err := ScanFrame(bpc)
 	if err != nil {
@@ -55,6 +57,10 @@ func TestEntryPointsAgreeOnHostileFrames(t *testing.T) {
 	if last.Kind != KindUint8 || last.PayloadLen%8 == 0 || -(v0.RecordOff+8+int64(len(v0.Name))+1)&7 != 7 {
 		t.Fatalf("sample frame lacks the pads the rows below cut: %+v", fi.Vars)
 	}
+	// The retired temporal-delta codec's two marks: a base step, and
+	// its codec byte on a variable.
+	based := with(bpc, 20, 1, 8)
+	temporal := with(bpc, cfi.FindVar("array/u").RecordOff+8+int64(len("array/u"))+1, 2, 1)
 	rows := []struct {
 		name string
 		raw  []byte
@@ -73,7 +79,9 @@ func TestEntryPointsAgreeOnHostileFrames(t *testing.T) {
 		{"nonzero pad after a byte payload", with(plain, last.PayloadOff+last.PayloadLen, 0xAB, 1), false},
 		{"missing pad after a kind byte", splice(plain, kindOff+1, kindOff+8, nil), false},
 		{"record not a whole number of words", splice(plain, v0.PayloadOff+v0.PayloadLen, v0.PayloadOff+v0.PayloadLen, []byte{0}), false},
-		{"BPC6 keyframe", bpc, true},
+		{"BPC6", bpc, true},
+		{"BPC6 base word not 0", based, false},
+		{"BPC6 codec byte 2", temporal, false},
 		{"retired BPC5 magic", retired(bpc, "BPC5"), false},
 		{"BPC6 nonzero pad after the codec byte", with(bpc, meta.RecordOff+8+int64(len(meta.Name))+2, 0xAB, 1), false},
 		{"BPC6 trailing byte", append(bpc[:len(bpc):len(bpc)], 0xAB), false},
@@ -93,6 +101,11 @@ func TestEntryPointsAgreeOnHostileFrames(t *testing.T) {
 	for _, magic := range []string{"BP05", "BPC5"} {
 		if _, err := ScanFrame(retired(plain, magic)); !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), magic) {
 			t.Errorf("a %s frame is refused with %v, want ErrRetiredFormat naming it", magic, err)
+		}
+	}
+	for _, raw := range [][]byte{based, temporal} {
+		if _, err := ScanFrame(raw); !errors.Is(err, codec.ErrRetired) || !strings.Contains(err.Error(), "temporal-delta") {
+			t.Errorf("a frame of the retired codec is refused with %v, want codec.ErrRetired naming it", err)
 		}
 	}
 	verdict := func(err error) string {
@@ -116,7 +129,7 @@ func TestEntryPointsAgreeOnHostileFrames(t *testing.T) {
 		}{
 			{"Unmarshal", unmarshalErr, row.ok && !encoded},
 			{"UnmarshalInto", UnmarshalInto(row.raw, recycled), row.ok && !encoded},
-			{"StreamDecoder.DecodeInto", NewStreamDecoder(false).DecodeInto(row.raw, &Step{}), row.ok},
+			{"StreamDecoder.DecodeInto", NewStreamDecoder().DecodeInto(row.raw, &Step{}), row.ok},
 			{"ScanFrame", scanErr, row.ok},
 		} {
 			if (got.err == nil) != got.want {

@@ -2,6 +2,7 @@ package adios_test
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"nekrs-sensei/internal/adios"
+	"nekrs-sensei/internal/codec"
 	"nekrs-sensei/internal/staging"
 )
 
@@ -60,6 +62,102 @@ func TestReadHelloCap(t *testing.T) {
 	if err != nil || string(got) != string([]byte{adios.CreditStep, adios.CreditKeepalive}) {
 		t.Errorf("bytes after the hello = %v (%v), want the two credit bytes", got, err)
 	}
+}
+
+// helloTrailer is what FuzzReadHello sends after the fuzzed bytes: the
+// newline json.Encoder ends a hello with, then a NUL — which no JSON
+// value can contain, so the hello always ends before the trailer — and
+// the start of a data plane, two credit bytes and a frame magic.
+var helloTrailer = []byte{'\n', 0, adios.CreditStep, adios.CreditKeepalive, 'B', 'P', 'C', '6'}
+
+// FuzzReadHello feeds the handshake's parser arbitrary bytes followed by
+// helloTrailer, as a peer could send them, after up to a little more
+// than MaxHelloBytes of leading blanks: the fuzzer keeps its inputs
+// short, and a hello past the cap is one number away. It must never
+// panic, and must pull at most MaxHelloBytes and one read-ahead buffer
+// from the peer. Against a reference decode with no cap: a hello that needs more
+// than MaxHelloBytes is ErrHelloTooLarge; after a hello that parses,
+// the data plane is every byte the hello did not use, less one leading
+// newline — the trailer among them, byte for byte — and its codecs
+// either parse or are refused by codec.ParseSpec, never parsing to the
+// retired temporal-delta.
+func FuzzReadHello(f *testing.F) {
+	line := func(h adios.Hello) []byte {
+		b, err := json.Marshal(h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	const maxPad = adios.MaxHelloBytes + 1<<10
+	good := line(adios.Hello{Type: "hello", Role: "reader", Marshal: adios.FrameFormat, Consumer: "c",
+		Codecs: []string{"transpose-delta", "pressure=quantize:1e-3"}})
+	for _, seed := range [][]byte{
+		good,
+		append(good[:len(good):len(good)], '\n'),
+		append(good[:len(good):len(good)], " {}"...),
+		line(adios.Hello{Type: "hello", Role: "reader", Codecs: []string{"temporal-delta"}}),
+		line(adios.Hello{Type: "hello", Role: "writer", Codecs: []string{"quantize"}}),
+		[]byte("{}"), []byte("null"), []byte(`{"type":`), []byte("[1,2]"), []byte("7"), []byte{}, []byte("\n"),
+	} {
+		f.Add(seed, uint32(0))
+	}
+	// Blanks that leave the hello just under, at and over the cap.
+	for _, pad := range []int{adios.MaxHelloBytes - len(good), adios.MaxHelloBytes - len(good) + 1, adios.MaxHelloBytes} {
+		f.Add(good, uint32(pad))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, pad uint32) {
+		blanks := int(pad % maxPad)
+		wire := make([]byte, blanks, blanks+len(data)+len(helloTrailer))
+		for i := range wire {
+			wire[i] = ' '
+		}
+		wire = append(append(wire, data...), helloTrailer...)
+		src := &countingReader{r: bytes.NewReader(wire)}
+		var h adios.Hello
+		rest, err := adios.ReadHello(bufio.NewReaderSize(src, 1<<16), &h)
+		if src.n > adios.MaxHelloBytes+1<<16 {
+			t.Fatalf("pulled %d bytes for the hello, cap is %d plus one buffer", src.n, adios.MaxHelloBytes)
+		}
+		ref := json.NewDecoder(bytes.NewReader(wire))
+		var refHello adios.Hello
+		refErr := ref.Decode(&refHello)
+		used := ref.InputOffset()
+		if refErr == nil && used > adios.MaxHelloBytes && !errors.Is(err, adios.ErrHelloTooLarge) {
+			t.Fatalf("a %d-byte hello: err = %v, want ErrHelloTooLarge", used, err)
+		}
+		if err != nil {
+			return
+		}
+		if refErr != nil || used > int64(blanks+len(data)) {
+			t.Fatalf("ReadHello accepted a hello the reference decode does not end before the trailer (%v, %d of %d bytes)", refErr, used, blanks+len(data))
+		}
+		want := wire[used:]
+		if want[0] == '\n' {
+			want = want[1:]
+		}
+		got, err := io.ReadAll(rest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) || !bytes.HasSuffix(got, helloTrailer[1:]) {
+			t.Fatalf("data plane after the hello = %q, want %q", got, want)
+		}
+		sp, err := codec.ParseSpec(h.Codecs)
+		if err != nil {
+			return
+		}
+		choices := []codec.Choice{sp.Default}
+		for _, ch := range sp.PerArray {
+			choices = append(choices, ch)
+		}
+		for _, ch := range choices {
+			if ch.ID == codec.TemporalDelta {
+				t.Fatalf("codecs %q parse to the retired temporal-delta", h.Codecs)
+			}
+		}
+	})
 }
 
 // TestOversizedHelloRefusedBothSides: the server refuses a reader's

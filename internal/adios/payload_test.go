@@ -134,7 +134,7 @@ func TestWireSteadyStateDoesNotAllocate(t *testing.T) {
 	s := pb146Step(t)
 	frame := make([]byte, adios.MarshaledSize(s))
 	var out adios.Step
-	spec, err := codec.ParseSpec([]string{"temporal-delta", "pressure=quantize:1e-6"})
+	spec, err := codec.ParseSpec([]string{"transpose-delta", "pressure=quantize:1e-6"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +151,7 @@ func TestWireSteadyStateDoesNotAllocate(t *testing.T) {
 			}
 		}},
 		{"EncodeFrame", 1, func() {
-			f, _ := enc.EncodeFrame(s, pool)
-			f.Release()
+			enc.EncodeFrame(s, pool).Release()
 		}},
 	} {
 		tc.call()
@@ -183,6 +182,55 @@ func BenchmarkUnmarshalIntoPB146(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := adios.UnmarshalInto(frame, &out); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// pinnedChains are the BPC6 digests TestEncodeFrameBytesPinned checks:
+// per spec, the SHA-256 of each rank's EncodeFrame outputs over the
+// recorded pb146 steps, concatenated in step order. They were recorded
+// when the wire still carried a step-over-step codec; none of these
+// specs used it, and their frames did not move when it went.
+var pinnedChains = []struct {
+	spec  []string
+	ranks [2]string
+}{
+	{[]string{"transpose-delta"}, [2]string{
+		"22cbfb5f44c957fe4b00bd132670ef1a967ff4d6f2cc4ded6b41f8856acbd6ea",
+		"8691738d1b071480d47a997f5561174d6ee6e9467e538fc5096978a5dcd26726",
+	}},
+	{[]string{"quantize:1e-6"}, [2]string{
+		"bc7e0304877e92f44b5301140c057bedf2aaeb53b28f9ff8b5fcc96b3bd3d90d",
+		"3294d5ede530b354fa03973e25040a09902030b48fee732ad3a16d060e77fc78",
+	}},
+	{[]string{"transpose-delta", "pressure=quantize:1e-3"}, [2]string{
+		"3fd2c9e245b75b4b3f93f8e010e761c5888ac16614fbb5656db57f6af6d9c051",
+		"edd2dfc3665831a21d0904bfc21739bd397a7ad07cd0b6b5b5e556339953175e",
+	}},
+}
+
+// TestEncodeFrameBytesPinned is the byte-identity witness of the coded
+// wire: one encoder per rank and spec encodes the recorded pb146 steps
+// in order, and the digest of its frames must not move.
+func TestEncodeFrameBytesPinned(t *testing.T) {
+	steps := adiostest.PB146Steps(t)
+	pool := adios.NewFramePool()
+	for _, pin := range pinnedChains {
+		spec, err := codec.ParseSpec(pin.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rank, want := range pin.ranks {
+			enc := adios.NewStreamEncoder(spec)
+			h := sha256.New()
+			for _, ranks := range steps {
+				f := enc.EncodeFrame(ranks[rank], pool)
+				h.Write(f.Bytes())
+				f.Release()
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != want {
+				t.Errorf("spec %q rank %d: BPC6 chain digest %s, want %s", pin.spec, rank, got, want)
+			}
 		}
 	}
 }

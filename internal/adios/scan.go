@@ -48,10 +48,8 @@ type FrameInfo struct {
 	Time      float64
 	Structure bool // the frame carries the grid structure
 
-	// Encoded reports a BPC6 (codec-encoded) frame; Base is the step
-	// its temporal payloads difference against (-1 for a keyframe).
+	// Encoded reports a BPC6 (codec-encoded) frame.
 	Encoded bool
-	Base    int64
 
 	// VarsOff is the offset of the variable-count word: raw[:VarsOff]
 	// is the frame header (magic, step, time, base word, attributes)
@@ -118,7 +116,7 @@ func ScanFrame(raw []byte) (FrameInfo, error) { return ScanFrameAfter(raw, nil) 
 func ScanFrameAfter(raw []byte, prev *FrameInfo) (FrameInfo, error) {
 	var fi FrameInfo
 	err := walkFrame(raw, func(h frameHead) error {
-		fi = FrameInfo{Step: h.step, Time: h.time, Encoded: h.encoded, Base: int64(h.baseWord) - 1,
+		fi = FrameInfo{Step: h.step, Time: h.time, Encoded: h.encoded,
 			VarsOff: int64(h.varsOff), Vars: make([]VarSpan, h.nvars)}
 		for rest := h.attrs; len(rest) > 0; {
 			var k, v []byte

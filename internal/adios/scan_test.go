@@ -100,7 +100,7 @@ func FuzzScanFrame(f *testing.F) {
 	f.Add([]byte("BP06"), plain)
 	f.Add([]byte{}, []byte{})
 	enc := NewStreamEncoder(mustSpec(f, "transpose-delta"))
-	coded, _ := enc.EncodeFrame(codedStep(1, 50), NewFramePool())
+	coded := enc.EncodeFrame(codedStep(1, 50), NewFramePool())
 	f.Add(coded.Bytes(), plain)
 	fi, err := ScanFrame(plain)
 	if err != nil {

@@ -318,10 +318,9 @@ func OpenReaderWith(addr string, opts ReaderOptions) (*Reader, error) {
 }
 
 // connectTo dials addr and runs the reader handshake, installing the
-// connection, splice buffer, and (fresh) stream decoder on r. Called
-// for the initial attach and every reconnect: the decoder is rebuilt
-// each time because temporal codec chains cannot survive a reconnect —
-// the hub restarts the chain from a keyframe on resume.
+// connection, splice buffer, and stream decoder on r. Called for the
+// initial attach and every reconnect: the effective codecs are the
+// ones this handshake echoes.
 func (r *Reader) connectTo(addr string) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -383,7 +382,7 @@ func (r *Reader) connectTo(addr string) error {
 		r.session = h.Session
 	}
 	if !espec.IsIdentity() {
-		r.dec = NewStreamDecoder(espec.UsesTemporal())
+		r.dec = NewStreamDecoder()
 	} else {
 		r.dec = nil
 	}
@@ -673,11 +672,11 @@ func (r *Reader) readFullLiveness(buf []byte) error {
 // bytes are the reader's internal receive buffer, valid only until
 // the next BeginStep/BeginRawStep; ScanFrame recovers the layout.
 // io.EOF signals a clean end-of-stream. Streams that negotiated wire
-// codecs refuse raw reads: their frames are BPC6 temporal deltas that
-// only the connection's stateful decoder can interpret.
+// codecs refuse raw reads: their frames are BPC6, whose coded payloads
+// only a StreamDecoder reads, and the splice takes plain frames.
 func (r *Reader) BeginRawStep() ([]byte, error) {
 	if r.dec != nil {
-		return nil, fmt.Errorf("adios: raw step read on a codec-negotiated stream (frames are BPC6 deltas; use BeginStep)")
+		return nil, fmt.Errorf("adios: raw step read on a codec-negotiated stream (frames are BPC6; use BeginStep)")
 	}
 	for {
 		recv, err := r.receiveFrame()

@@ -7,6 +7,7 @@ package adios_test
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"nekrs-sensei/internal/adios"
+	"nekrs-sensei/internal/codec"
 	"nekrs-sensei/internal/metrics"
 	"nekrs-sensei/internal/staging"
 )
@@ -287,16 +289,17 @@ func TestUnrecycledStepStaysIntact(t *testing.T) {
 
 // TestSSTCodecNegotiation drives codec negotiation on a direct stream:
 // the producer offers exactly the codecs this build implements, so a
-// hello naming another is rejected at handshake, an unknown codec fails
-// the reader before the dial, and an accepted request compresses the
-// stream end-to-end — including a structure step mid-stream that
-// resets the temporal chain.
+// hello naming another — or the retired temporal-delta — is rejected at
+// handshake, such a codec fails the reader before the dial, and an
+// accepted request compresses the stream end-to-end — including a
+// plain structure step mid-stream.
 func TestSSTCodecNegotiation(t *testing.T) {
-	t.Run("reject unadvertised codec", func(t *testing.T) {
+	// rejectedHello sends a hand-written hello asking for codecs and
+	// returns the producer's reply: the reader itself would refuse a
+	// bad name before dialing.
+	rejectedHello := func(t *testing.T, codecs ...string) adios.Hello {
 		d := serveDirect(t, nil, 2)
 		defer d.close()
-		// The reader itself would refuse the name before dialing, so
-		// the producer's check is reached by a hand-written hello.
 		conn, err := net.Dial("tcp", d.srv.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -304,7 +307,7 @@ func TestSSTCodecNegotiation(t *testing.T) {
 		defer conn.Close()
 		conn.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
 		if err := json.NewEncoder(conn).Encode(adios.Hello{
-			Type: "hello", Role: "reader", Marshal: adios.FrameFormat, Codecs: []string{"zstd"},
+			Type: "hello", Role: "reader", Marshal: adios.FrameFormat, Codecs: codecs,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +315,10 @@ func TestSSTCodecNegotiation(t *testing.T) {
 		if err := json.NewDecoder(conn).Decode(&reply); err != nil {
 			t.Fatal(err)
 		}
-		if reply.Role != "rejected" || !strings.Contains(reply.Error, `"zstd"`) {
+		return reply
+	}
+	t.Run("reject unadvertised codec", func(t *testing.T) {
+		if reply := rejectedHello(t, "zstd"); reply.Role != "rejected" || !strings.Contains(reply.Error, `"zstd"`) {
 			t.Fatalf("reply = %+v, want a rejection naming zstd", reply)
 		}
 	})
@@ -324,7 +330,16 @@ func TestSSTCodecNegotiation(t *testing.T) {
 		}
 	})
 
-	t.Run("temporal stream with structure step", func(t *testing.T) {
+	t.Run("retired codec refused by name", func(t *testing.T) {
+		if reply := rejectedHello(t, "temporal-delta"); reply.Role != "rejected" || !strings.Contains(reply.Error, "temporal-delta is retired") {
+			t.Fatalf("reply = %+v, want a rejection naming temporal-delta", reply)
+		}
+		if _, err := adios.OpenReaderWith("127.0.0.1:1", adios.ReaderOptions{Codecs: []string{"pressure=temporal-delta"}}); !errors.Is(err, codec.ErrRetired) {
+			t.Fatalf("err = %v, want codec.ErrRetired before the dial", err)
+		}
+	})
+
+	t.Run("coded stream with structure step", func(t *testing.T) {
 		d := serveDirect(t, nil, 4)
 		const steps = 8
 		want := make([]*adios.Step, steps)
@@ -344,7 +359,7 @@ func TestSSTCodecNegotiation(t *testing.T) {
 			}
 			errCh <- d.hub.Close()
 		}()
-		r, err := adios.OpenReaderWith(d.srv.Addr(), adios.ReaderOptions{Codecs: []string{"temporal-delta"}})
+		r, err := adios.OpenReaderWith(d.srv.Addr(), adios.ReaderOptions{Codecs: []string{"transpose-delta"}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +386,7 @@ func TestSSTCodecNegotiation(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.close()
-		if got := d.cons.Codecs(); len(got) != 1 || got[0] != "temporal-delta" {
+		if got := d.cons.Codecs(); len(got) != 1 || got[0] != "transpose-delta" {
 			t.Errorf("consumer codecs = %v", got)
 		}
 		cs := d.hub.Status().CodecStreams

@@ -252,7 +252,6 @@ func TestRecordReplayEquivalenceCompressed(t *testing.T) {
 		bound float64
 	}{
 		{codec: "transpose-delta"},
-		{codec: "temporal-delta"},
 		{codec: "quantize:1e-6", bound: bound},
 	} {
 		t.Run(tc.codec, func(t *testing.T) {

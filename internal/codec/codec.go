@@ -2,16 +2,13 @@
 // the data plane: pure transform stages over float64 payloads plus
 // the spec grammar consumers use to request them.
 //
-// Four codecs are defined:
+// Three codecs are defined, and each codes one array of one step: a
+// coded frame decodes alone.
 //
 //	identity        raw little-endian float64 bytes, the PR 3 wire
 //	transpose-delta lossless: per-element wrapping difference of the
 //	                u64 bit patterns, sign-folded, then 8-lane byte
 //	                transpose, then a zero-run-length pass
-//	temporal-delta  lossless: the same difference against the SAME
-//	                array in the previous encoded step, then fold +
-//	                transpose + zero-RLE; falls back to
-//	                transpose-delta when no base exists
 //	quantize        lossy with a declared absolute error bound b: each
 //	                value is stored as round(x/(2b)) and reconstructed
 //	                as q*(2b), guaranteeing |x - x'| <= b; values the
@@ -29,6 +26,13 @@
 //
 // The package is deliberately free of any adios/staging imports: it
 // transforms slices. Frame framing lives in internal/adios.
+//
+// ID 2 was temporal-delta, the same difference against the array of
+// the step the receiver decoded last. Its chains tied every coded
+// frame to a connection's history, so it is retired from the wire:
+// ParseSpec refuses it by name (ErrRetired) and frame walks refuse its
+// codec byte. AppendTemporalDelta and DecodeTemporalDelta remain as
+// transforms only.
 package codec
 
 import (
@@ -54,7 +58,8 @@ const (
 	Identity ID = 0
 	// TransposeDelta is the lossless spatial codec.
 	TransposeDelta ID = 1
-	// TemporalDelta is the lossless step-over-step codec.
+	// TemporalDelta is the retired step-over-step codec: no spec
+	// selects it and no frame may carry it (ErrRetired).
 	TemporalDelta ID = 2
 	// Quantize is the lossy bounded-error codec.
 	Quantize ID = 3
@@ -74,6 +79,10 @@ const (
 // ErrMode marks a payload whose mode byte no encoder of this format
 // writes.
 var ErrMode = errors.New("codec: unknown payload mode")
+
+// ErrRetired marks a request for, or a payload of, the retired
+// temporal-delta codec.
+var ErrRetired = errors.New("codec: temporal-delta is retired (every coded frame decodes alone; transpose-delta is the lossless codec)")
 
 var idNames = [numCodecs]string{"identity", "transpose-delta", "temporal-delta", "quantize"}
 
@@ -113,6 +122,9 @@ func parseChoice(s string) (Choice, error) {
 	}
 	if !found {
 		return Choice{}, fmt.Errorf("codec: unknown codec %q", name)
+	}
+	if id == TemporalDelta {
+		return Choice{}, ErrRetired
 	}
 	if id != Quantize {
 		if hasParam {
@@ -193,20 +205,6 @@ func (s Spec) IsIdentity() bool {
 		}
 	}
 	return true
-}
-
-// UsesTemporal reports whether any selection is the temporal codec —
-// such streams carry inter-step state and need keyframe resets.
-func (s Spec) UsesTemporal() bool {
-	if s.Default.ID == TemporalDelta {
-		return true
-	}
-	for _, c := range s.PerArray {
-		if c.ID == TemporalDelta {
-			return true
-		}
-	}
-	return false
 }
 
 // For returns the choice for the named array (bare name, no prefix).
@@ -303,7 +301,7 @@ func undeltaBits(dst []float64, src []uint64) {
 }
 
 // deltaAgainst is deltaBits against base's bit patterns instead of the
-// previous element's (the temporal codec's inner stage). Lengths must
+// previous element's (AppendTemporalDelta's inner stage). Lengths must
 // match.
 func deltaAgainst(dst []uint64, src, base []float64) (or uint64) {
 	for i, x := range src {
@@ -688,17 +686,16 @@ func DecodeTransposeDelta(dst []float64, enc []byte, sc *Scratch) error {
 	return nil
 }
 
-// AppendTemporalDelta appends the temporal-delta coding of src
-// against base (the same array in the previously encoded step).
-// len(base) must equal len(src); callers fall back to
-// AppendTransposeDelta when no valid base exists.
+// AppendTemporalDelta appends the coding of src against base (the same
+// array one step earlier); len(base) must equal len(src). No wire
+// carries it (ErrRetired): it is a transform the benchmark probes.
 func AppendTemporalDelta(dst []byte, src, base []float64, sc *Scratch) []byte {
 	lanes := sc.lanes(len(src))
 	return appendLanes(dst, lanes, deltaAgainst(lanes, src, base), src, sc)
 }
 
-// DecodeTemporalDelta decodes into dst against base, the decoder's
-// copy of the same array from the frame's base step.
+// DecodeTemporalDelta inverts AppendTemporalDelta against the same
+// base.
 func DecodeTemporalDelta(dst []float64, base []float64, enc []byte, sc *Scratch) error {
 	body, coded, err := payloadBody(enc)
 	if err != nil {

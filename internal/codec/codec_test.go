@@ -21,7 +21,6 @@ func TestParseSpec(t *testing.T) {
 		{name: "nil is identity", entries: nil, wantKey: ""},
 		{name: "empty entries are identity", entries: []string{"", "  "}, wantKey: ""},
 		{name: "bare default", entries: []string{"transpose-delta"}, wantKey: "transpose-delta"},
-		{name: "temporal default", entries: []string{"temporal-delta"}, wantKey: "temporal-delta"},
 		{name: "quantize with bound", entries: []string{"quantize:1e-3"}, wantKey: "quantize:0.001"},
 		{
 			name:    "per-array override",
@@ -30,8 +29,8 @@ func TestParseSpec(t *testing.T) {
 		},
 		{
 			name:    "entries canonicalize sorted",
-			entries: []string{"b=transpose-delta", "a=temporal-delta"},
-			wantKey: "a=temporal-delta,b=transpose-delta",
+			entries: []string{"b=transpose-delta", "a=quantize:0.5"},
+			wantKey: "a=quantize:0.5,b=transpose-delta",
 		},
 		{name: "unknown codec", entries: []string{"lz4"}, wantErr: `unknown codec "lz4"`},
 		{name: "quantize without bound", entries: []string{"quantize"}, wantErr: "requires an error bound"},
@@ -40,8 +39,10 @@ func TestParseSpec(t *testing.T) {
 		{name: "quantize negative bound", entries: []string{"quantize:-1"}, wantErr: "bad quantize bound"},
 		{name: "quantize inf bound", entries: []string{"quantize:Inf"}, wantErr: "bad quantize bound"},
 		{name: "parameter on lossless codec", entries: []string{"transpose-delta:3"}, wantErr: "takes no parameter"},
-		{name: "two defaults", entries: []string{"transpose-delta", "temporal-delta"}, wantErr: "two default codec entries"},
-		{name: "duplicate array", entries: []string{"a=transpose-delta", "a=temporal-delta"}, wantErr: `"a" has two codec entries`},
+		{name: "two defaults", entries: []string{"transpose-delta", "quantize:1e-3"}, wantErr: "two default codec entries"},
+		{name: "duplicate array", entries: []string{"a=transpose-delta", "a=quantize:1e-3"}, wantErr: `"a" has two codec entries`},
+		{name: "temporal default", entries: []string{"temporal-delta"}, wantErr: "temporal-delta is retired"},
+		{name: "retired override", entries: []string{"transpose-delta", "pressure=temporal-delta"}, wantErr: "temporal-delta is retired"},
 		{name: "empty array name", entries: []string{"=transpose-delta"}, wantErr: "empty array name"},
 	}
 	for _, tc := range cases {
@@ -69,18 +70,15 @@ func TestParseSpec(t *testing.T) {
 }
 
 func TestSpecQueries(t *testing.T) {
-	sp, err := ParseSpec([]string{"transpose-delta", "pressure=temporal-delta", "raw=identity"})
+	sp, err := ParseSpec([]string{"transpose-delta", "pressure=quantize:1e-3", "raw=identity"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sp.IsIdentity() {
 		t.Fatal("spec with transforms reported identity")
 	}
-	if !sp.UsesTemporal() {
-		t.Fatal("per-array temporal-delta not detected")
-	}
-	if got := sp.For("pressure").ID; got != TemporalDelta {
-		t.Fatalf("For(pressure) = %v, want temporal-delta", got)
+	if got := sp.For("pressure"); got != (Choice{ID: Quantize, Bound: 1e-3}) {
+		t.Fatalf("For(pressure) = %v, want quantize:0.001", got)
 	}
 	if got := sp.For("raw").ID; got != Identity {
 		t.Fatalf("For(raw) = %v, want identity", got)
@@ -107,10 +105,11 @@ func TestCheckAdvertised(t *testing.T) {
 		entries []string
 		wantErr string
 	}{
-		{name: "nil advertisement accepts all", entries: []string{"temporal-delta"}},
+		{name: "nil advertisement accepts all", entries: []string{"quantize:1e-3"}},
 		{name: "advertised codec passes", entries: []string{"transpose-delta"}},
 		{name: "identity always passes", entries: nil},
 		{name: "unknown codec rejected even with nil advertisement", entries: []string{"zstd"}, wantErr: `unknown codec "zstd"`},
+		{name: "retired codec rejected by name", entries: []string{"temporal-delta"}, wantErr: "temporal-delta is retired"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

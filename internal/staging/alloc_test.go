@@ -155,12 +155,11 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 
 // TestSteadyStateAllocBudgetCompressed holds the compressed data
 // plane to the same per-step allocation budget as the plain one: the
-// encoder's scratch, the temporal snapshots, and the pooled frames
-// must all reuse their storage once warm.
+// encoder's scratch and the pooled frames must reuse their storage
+// once warm.
 func TestSteadyStateAllocBudgetCompressed(t *testing.T) {
 	for _, codecs := range [][]string{
 		{"transpose-delta"},
-		{"temporal-delta"},
 		{"quantize:1e-6"},
 	} {
 		t.Run(codecs[0], func(t *testing.T) {

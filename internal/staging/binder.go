@@ -273,8 +273,7 @@ func (s *boundSession) subject() string {
 
 // resumeLocked reattaches a parked session: grace timer disarmed,
 // consumer resumed (in-flight step settled against the reader's
-// Resume ordinal, codec chain reset to a keyframe), and a
-// fresh-generation park handed to the new pump.
+// Resume ordinal), and a fresh-generation park handed to the new pump.
 func (b *Binder) resumeLocked(s *boundSession, resume int64) *Subscription {
 	b.unparkLocked(s)
 	s.gen++

@@ -57,8 +57,9 @@ func checkCodecStep(t *testing.T, got *adios.Step, n int, bound float64) {
 
 // TestServerCodecNegotiation is the staging mirror of the direct-SST
 // rejection test: with no producer advertisement, readers may request
-// any codec this build implements, and a hello naming an unknown one is
-// refused in the handshake, leaving no consumer behind.
+// any codec this build implements, and a hello naming an unknown one,
+// or the retired temporal-delta, is refused in the handshake, leaving
+// no consumer behind.
 func TestServerCodecNegotiation(t *testing.T) {
 	h := NewHub(nil)
 	srv, err := Serve(h, "127.0.0.1:0", nil)
@@ -67,32 +68,34 @@ func TestServerCodecNegotiation(t *testing.T) {
 	}
 	defer srv.Close() //nolint:errcheck
 
-	// The reader refuses an unknown codec before it dials, so the
-	// producer's own check is reached by a hand-written hello.
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-	if err := json.NewEncoder(conn).Encode(adios.Hello{
-		Type: "hello", Role: "reader", Consumer: "z", Marshal: adios.FrameFormat, Codecs: []string{"zstd"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var reply adios.Hello
-	if err := json.NewDecoder(conn).Decode(&reply); err != nil {
-		t.Fatal(err)
-	}
-	if reply.Role != "rejected" || !strings.Contains(reply.Error, `"zstd"`) {
-		t.Fatalf("unknown codec: reply = %+v, want a rejection naming zstd", reply)
-	}
-	if n := h.ActiveConsumers(); n != 0 {
-		t.Fatalf("the rejected hello left %d consumer(s) subscribed", n)
+	// The reader refuses a bad codec before it dials, so the producer's
+	// own check is reached by a hand-written hello.
+	for name, want := range map[string]string{"zstd": `"zstd"`, "temporal-delta": "temporal-delta is retired"} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+		if err := json.NewEncoder(conn).Encode(adios.Hello{
+			Type: "hello", Role: "reader", Consumer: "z", Marshal: adios.FrameFormat, Codecs: []string{name},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var reply adios.Hello
+		if err := json.NewDecoder(conn).Decode(&reply); err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+		if reply.Role != "rejected" || !strings.Contains(reply.Error, want) {
+			t.Fatalf("codec %s: reply = %+v, want a rejection naming it", name, reply)
+		}
+		if n := h.ActiveConsumers(); n != 0 {
+			t.Fatalf("the rejected hello left %d consumer(s) subscribed", n)
+		}
 	}
 
 	for name, codecs := range map[string][]string{
-		"q": {"quantize:1e-3"}, "t": {"temporal-delta"}, "ok": {"transpose-delta"},
+		"q": {"quantize:1e-3"}, "ok": {"transpose-delta"},
 	} {
 		r, err := adios.OpenReaderWith(srv.Addr(), adios.ReaderOptions{Consumer: name, Codecs: codecs})
 		if err != nil {
@@ -104,9 +107,9 @@ func TestServerCodecNegotiation(t *testing.T) {
 }
 
 // TestServerCompressedFanout attaches mixed-codec consumers to one
-// hub: two sharing a codec spec (one encode chain), one quantizing,
+// hub: two sharing a codec spec (one encode stream), one quantizing,
 // one plain. Every consumer must see correct data, and the hub status
-// must report exactly the two shared encode chains.
+// must report exactly the two shared encode streams.
 func TestServerCompressedFanout(t *testing.T) {
 	const n, steps = 400, 12
 	h := NewHub(nil)
@@ -120,8 +123,8 @@ func TestServerCompressedFanout(t *testing.T) {
 		codecs []string
 		bound  float64
 	}{
-		{name: "td-a", codecs: []string{"temporal-delta"}},
-		{name: "td-b", codecs: []string{"temporal-delta"}},
+		{name: "td-a", codecs: []string{"transpose-delta"}},
+		{name: "td-b", codecs: []string{"transpose-delta"}},
 		{name: "quant", codecs: []string{"quantize:1e-6"}, bound: 1e-6},
 		{name: "plain"},
 	}
@@ -179,18 +182,18 @@ func TestServerCompressedFanout(t *testing.T) {
 
 	st := h.Status()
 	if len(st.CodecStreams) != 2 {
-		t.Fatalf("CodecStreams = %+v, want the two shared chains", st.CodecStreams)
+		t.Fatalf("CodecStreams = %+v, want the two shared streams", st.CodecStreams)
 	}
 	for _, cs := range st.CodecStreams {
 		if cs.RawBytes == 0 || !(cs.Ratio > 0 && cs.Ratio < 1) {
-			t.Errorf("chain %q: raw %d ratio %v, want compression", cs.Form, cs.RawBytes, cs.Ratio)
+			t.Errorf("stream %q: raw %d ratio %v, want compression", cs.Form, cs.RawBytes, cs.Ratio)
 		}
 	}
 	byName := map[string]ConsumerStats{}
 	for _, c := range st.Consumers {
 		byName[c.Name] = c
 	}
-	if got := byName["td-a"].Codecs; len(got) != 1 || got[0] != "temporal-delta" {
+	if got := byName["td-a"].Codecs; len(got) != 1 || got[0] != "transpose-delta" {
 		t.Errorf("td-a codecs = %v", got)
 	}
 	if got := byName["plain"].Codecs; got != nil {
@@ -198,11 +201,11 @@ func TestServerCompressedFanout(t *testing.T) {
 	}
 }
 
-// TestCompressedDropOldestGaps runs a temporal-delta consumer slow
+// TestCompressedDropOldestGaps runs a transpose-delta consumer slow
 // enough to force drop-oldest gaps, with a structure step mid-stream.
-// Every delivered frame must still decode — the hub has to hand the
-// consumer a keyframe whenever its last delivered step is not the
-// chain's base — and the payloads must be exact.
+// Every delivered frame must still decode — each coded frame decodes
+// alone, whatever the consumer missed before it — and the payloads
+// must be exact.
 func TestCompressedDropOldestGaps(t *testing.T) {
 	const n, steps = 256, 40
 	h := NewHub(nil)
@@ -212,7 +215,7 @@ func TestCompressedDropOldestGaps(t *testing.T) {
 	}
 	r, err := adios.OpenReaderWith(srv.Addr(), adios.ReaderOptions{
 		Consumer: "slow", Policy: "drop-oldest", Depth: 2,
-		Codecs: []string{"temporal-delta"},
+		Codecs: []string{"transpose-delta"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +247,7 @@ func TestCompressedDropOldestGaps(t *testing.T) {
 	for i := 0; i < steps; i++ {
 		s := mkCodecStep(i, n)
 		if i == steps/2 {
-			s.Attrs["structure"] = "1" // mid-stream structure: plain frame, chain reset
+			s.Attrs["structure"] = "1" // mid-stream structure: a plain frame
 		}
 		if err := h.Publish(s); err != nil {
 			t.Fatal(err)
@@ -267,7 +270,7 @@ func TestCompressedDropOldestGaps(t *testing.T) {
 		t.Fatalf("stats = %+v, want drops (the whole point of the gap test)", stats)
 	}
 	if len(got) == steps {
-		t.Fatal("no gaps occurred; the keyframe path was not exercised")
+		t.Fatal("no gaps occurred; the gap path was not exercised")
 	}
 }
 
@@ -330,13 +333,17 @@ func TestAdaptorCodecsXML(t *testing.T) {
 		t.Errorf("results = %v, want %d each", results, steps)
 	}
 
-	// Bad attributes fail at construction.
+	// Bad attributes fail at construction, the retired codec by name.
 	for _, attrs := range []map[string]string{
 		{"consumers": "a:block:2::bogus"},
 		{"consumers": "a:block:2::quantize"},
+		{"consumers": "a:block:2::temporal-delta"},
 	} {
-		if _, err := sensei.NewAnalysisAdaptor("staging", testCtx(t.TempDir()), attrs); err == nil {
+		_, err := sensei.NewAnalysisAdaptor("staging", testCtx(t.TempDir()), attrs)
+		if err == nil {
 			t.Errorf("attrs %v: expected error", attrs)
+		} else if strings.Contains(attrs["consumers"], "temporal") && !strings.Contains(err.Error(), "temporal-delta is retired") {
+			t.Errorf("attrs %v: error %v does not name the retired codec", attrs, err)
 		}
 	}
 }

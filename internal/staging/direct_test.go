@@ -171,7 +171,7 @@ func TestDirectCodecNegotiation(t *testing.T) {
 	const n, steps = 256, 6
 	ad := newDirect(t, testCtx(t.TempDir()), nil)
 	addr := ad.Server().Addr()
-	r, err := adios.OpenReaderWith(addr, adios.ReaderOptions{Codecs: []string{"temporal-delta"}})
+	r, err := adios.OpenReaderWith(addr, adios.ReaderOptions{Codecs: []string{"transpose-delta"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,30 +123,23 @@ func (f *form) release() {
 }
 
 // encodedForm is one (subset, codec spec) pair's shared wire form of
-// a step entry: the chain frame — encoded as part of the stream's
-// temporal chain, recording which step its deltas difference against
-// — and, built only when some consumer missed that base, a
-// self-contained keyframe. Same-spec consumers share both encodes,
-// exactly like shared subset frames.
-// Encodes happen under the form's codecStream mutex (every consumer
-// sharing the form key shares the stream); the atomic ready flags
-// publish the finished frames to releaseFrames, which runs only after
-// the last reference dropped and so never races an in-flight encode.
-// Plain fields instead of sync.Once keep the steady-state delivery
-// path free of per-step closure allocations.
+// a step entry: one BPC6 frame, which decodes alone, encoded once and
+// shared by every consumer of that form key, exactly like shared
+// subset frames. The encode happens under the form's codecStream mutex
+// (every consumer sharing the form key shares the stream); the atomic
+// ready flag publishes the finished frame to releaseFrames, which runs
+// only after the last reference dropped and so never races an
+// in-flight encode. A plain field instead of sync.Once keeps the
+// steady-state delivery path free of per-step closure allocations.
 type encodedForm struct {
 	form string // canonical form key this encode belongs to
 
-	chainReady atomic.Bool
-	chain      *adios.Frame
-	base       int64 // temporal base step, -1 = self-contained
-
-	keyReady atomic.Bool
-	key      *adios.Frame
+	ready atomic.Bool
+	frame *adios.Frame
 }
 
-// codecStream serializes the shared temporal chain of one
-// (subset, spec) encode stream across the consumers that share it.
+// codecStream serializes the encodes of one (subset, spec) stream
+// across the consumers that share it.
 type codecStream struct {
 	mu  sync.Mutex
 	enc *adios.StreamEncoder
@@ -165,13 +158,9 @@ func (e *stepEntry) releaseFrames() {
 		f.release()
 	}
 	for _, f := range e.encs {
-		if f.chainReady.Load() && f.chain != nil {
-			f.chain.Release()
-			f.chain = nil
-		}
-		if f.keyReady.Load() && f.key != nil {
-			f.key.Release()
-			f.key = nil
+		if f.ready.Load() && f.frame != nil {
+			f.frame.Release()
+			f.frame = nil
 		}
 	}
 	e.subMu.Unlock()
@@ -270,7 +259,7 @@ type Hub struct {
 	// against it and rejected when they name an unknown array.
 	advertised []string
 
-	// codecStreams holds the shared encode chain per canonical
+	// codecStreams holds the shared encode stream per canonical
 	// (subset, spec) form key; same-spec consumers share one encoder
 	// (and thus one encode per step).
 	codecStreams map[string]*codecStream
@@ -349,17 +338,13 @@ type Consumer struct {
 
 	// Wire-compression state. codecs holds the negotiated request
 	// entries, spec their parsed form; formKey is the canonical
-	// "subset|spec" cache key and stream the shared encode chain for
-	// it. wirePrev is the step number of the last coded frame shipped
-	// on this consumer's connection (-1 after anything that resets the
-	// receiver's temporal state: attach, structure step, spill
-	// catch-up) — owned by the consumer's pump goroutine, like prev.
+	// "subset|spec" cache key and stream the shared encode stream for
+	// it.
 	codecs   []string
 	spec     codec.Spec
 	hasCodec bool
 	formKey  string
 	stream   *codecStream
-	wirePrev int64
 
 	cursor    int64
 	delivered int64
@@ -432,7 +417,7 @@ type StepRef struct {
 	arrays []string
 
 	// cons is the owning consumer; Frame consults its negotiated
-	// codec spec and per-connection temporal-chain position.
+	// codec spec.
 	cons *Consumer
 
 	// sp is set for views re-read from a consumer's spill tier: e is
@@ -614,7 +599,6 @@ func (h *Hub) setConsumerCodecsLocked(c *Consumer, spec codec.Spec) {
 	c.spec = spec
 	c.hasCodec = true
 	c.formKey = subsetKey(c.arrays) + "|" + spec.Key()
-	c.wirePrev = -1
 	if h.codecStreams == nil {
 		h.codecStreams = map[string]*codecStream{}
 	}
@@ -707,7 +691,7 @@ func (h *Hub) SubscribeSpec(spec ConsumerSpec) (*Consumer, error) {
 	if err := adios.CheckAdvertised(arrays, h.advertised); err != nil {
 		return nil, fmt.Errorf("staging: %w", err)
 	}
-	c := &Consumer{hub: h, name: name, policy: policy, depth: depth, arrays: arrays, cursor: h.nextSeq, wirePrev: -1, lastSim: -1}
+	c := &Consumer{hub: h, name: name, policy: policy, depth: depth, arrays: arrays, cursor: h.nextSeq, lastSim: -1}
 	h.setConsumerCodecsLocked(c, cspec)
 	if policy == Spill {
 		if h.spillFactory == nil {
@@ -1264,9 +1248,7 @@ func (c *Consumer) tryNextLocked() (*StepRef, error) {
 	}
 	if c.inflight != nil {
 		// Redeliver the step that was in flight when the previous
-		// connection died (already counted in delivered). A codec
-		// consumer's wirePrev was reset at resume, so the re-shipped
-		// wire form is a self-contained keyframe.
+		// connection died (already counted in delivered).
 		ref := c.inflight
 		c.inflight = nil
 		return ref, nil
@@ -1398,15 +1380,9 @@ func (c *Consumer) closeLocked() {
 // form share one encode. The returned bytes lease from the hub's frame
 // pool through this reference — do not touch them after Release.
 func (r *StepRef) Frame() []byte {
-	if c := r.cons; c.hasCodec {
-		if !r.e.info.Structure && r.sp == nil {
-			return r.encodedFrame()
-		}
-		// Structure steps and spill catch-ups travel plain; the
-		// receiver's decoder drops its temporal state on a plain frame,
-		// so the next coded delivery must not difference against a step
-		// the decoder no longer holds.
-		c.wirePrev = -1
+	// Structure steps and spill catch-ups travel plain.
+	if r.cons.hasCodec && !r.e.info.Structure && r.sp == nil {
+		return r.encodedFrame()
 	}
 	f := r.e.formFor(r.arrays)
 	f.mu.Lock()
@@ -1414,41 +1390,23 @@ func (r *StepRef) Frame() []byte {
 	return f.frameLocked(r.e, r.hub.pool)
 }
 
-// encodedFrame resolves the coded wire form for a codec consumer:
-// the shared chain frame when this consumer's receiver holds the
-// frame's temporal base, the shared self-contained keyframe
-// otherwise (first delivery, or a gap after drop/spill/structure).
+// encodedFrame returns the coded wire form for a codec consumer: the
+// entry's frame under the consumer's (subset, spec) key, encoded by
+// whichever of the consumers sharing that key ships it first.
 func (r *StepRef) encodedFrame() []byte {
 	c := r.cons
 	form := r.e.encFormFor(c.formKey)
-	src := r.e.formFor(r.arrays)
-	if !form.chainReady.Load() {
+	if !form.ready.Load() {
 		c.stream.mu.Lock()
-		if !form.chainReady.Load() {
-			st := src.stepFor(r.e, r.hub, &c.stream.scratch)
-			form.chain, form.base = c.stream.enc.EncodeFrame(st, r.hub.pool)
+		if !form.ready.Load() {
+			st := r.e.formFor(r.arrays).stepFor(r.e, r.hub, &c.stream.scratch)
+			form.frame = c.stream.enc.EncodeFrame(st, r.hub.pool)
 			r.e.trace.Stamp(r.e.info.Step, telemetry.StageMarshal)
-			form.chainReady.Store(true)
+			form.ready.Store(true)
 		}
 		c.stream.mu.Unlock()
 	}
-	var out []byte
-	if form.base >= 0 && form.base != c.wirePrev {
-		if !form.keyReady.Load() {
-			c.stream.mu.Lock()
-			if !form.keyReady.Load() {
-				st := src.stepFor(r.e, r.hub, &c.stream.scratch)
-				form.key = c.stream.enc.EncodeKeyFrame(st, r.hub.pool)
-				form.keyReady.Store(true)
-			}
-			c.stream.mu.Unlock()
-		}
-		out = form.key.Bytes()
-	} else {
-		out = form.chain.Bytes()
-	}
-	c.wirePrev = r.e.info.Step
-	return out
+	return form.frame.Bytes()
 }
 
 // String describes the hub for logs.

@@ -13,14 +13,13 @@ import (
 // the park grace TTL; once it expires the consumer is discarded
 // through the normal close path.
 //
-// Exactly-once across the gap comes from three pieces working
-// together: the pump hands the delivered-but-unacked in-flight step
-// back at park time (redelivered first on resume, unless the reader's
-// Resume ordinal proves the credit was sent before the cut); the
-// resume resets the consumer's temporal codec position so the next
-// coded frame is a self-contained keyframe (the receiver's decoder
-// state died with the connection); and a resume floor suppresses
-// steps the reader provably consumed.
+// Exactly-once across the gap comes from two pieces working together:
+// the pump hands the delivered-but-unacked in-flight step back at park
+// time (redelivered first on resume, unless the reader's Resume
+// ordinal proves the credit was sent before the cut); and a resume
+// floor suppresses steps the reader provably consumed. A coded frame
+// decodes alone, so the new connection's decoder needs nothing from
+// the old one.
 
 // errNextTimeout signals NextTimeout's deadline passing with no step
 // available — the pump's cue to emit a heartbeat.
@@ -100,8 +99,7 @@ func (h *Hub) parkConsumer(c *Consumer, inflight *StepRef) bool {
 // the first sim-step ordinal the reader has NOT consumed: it raises
 // the consumer's resume floor and settles the in-flight step (the
 // reader's credit was sent before the cut iff the in-flight ordinal
-// is below resume). The temporal codec position resets so the next
-// coded frame restarts the chain from a keyframe.
+// is below resume).
 func (h *Hub) resumeConsumer(c *Consumer, resume int64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -117,9 +115,6 @@ func (h *Hub) resumeConsumer(c *Consumer, resume int64) {
 			c.inflight.releaseLocked()
 			c.inflight = nil
 		}
-	}
-	if c.hasCodec {
-		c.wirePrev = -1 // the reconnecting receiver lost its decoder state
 	}
 	h.cond.Broadcast()
 }

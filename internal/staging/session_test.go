@@ -521,9 +521,10 @@ func TestSessionResumeOverReset(t *testing.T) {
 }
 
 // TestSessionCodecKeyframeRestart runs the exactly-once scenario on a
-// temporal-delta chain: the codec's wirePrev state is broken by the
-// reconnect, so the hub must restart the chain with a keyframe — every
-// delivered payload still decodes bit-exact.
+// transpose-delta stream: the reconnect gives the reader a fresh
+// decoder, and since every coded frame decodes alone, every delivered
+// payload — the redelivered in-flight step included — still decodes
+// bit-exact.
 func TestSessionCodecKeyframeRestart(t *testing.T) {
 	const n, steps = 256, 30
 	h := NewHub(nil)
@@ -542,7 +543,7 @@ func TestSessionCodecKeyframeRestart(t *testing.T) {
 
 	r, err := adios.OpenReaderWith(px.Addr(), adios.ReaderOptions{
 		Consumer: "sess", Policy: "block", Depth: 2,
-		Codecs:          []string{"temporal-delta"},
+		Codecs:          []string{"transpose-delta"},
 		SessionTTL:      10 * time.Second,
 		Retry:           50,
 		LivenessTimeout: time.Second,
@@ -567,8 +568,7 @@ func TestSessionCodecKeyframeRestart(t *testing.T) {
 				rerr = err
 				return
 			}
-			// Bit-exact even though reconnects broke the delta chain:
-			// resume restarted it from a keyframe.
+			// Bit-exact across the reconnects.
 			checkCodecStep(t, s, n, 0)
 			mu.Lock()
 			got = append(got, s.Step)

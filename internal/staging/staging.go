@@ -41,9 +41,8 @@
 // served): their network frames are re-encoded through
 // per-array codec stages (internal/codec) by a shared StreamEncoder —
 // same-codec, same-subset consumers share one encode the way subset
-// consumers share one marshal, with temporal-delta chains anchored by
-// shared keyframes when a consumer's last delivered step is not the
-// chain's base. Codecs affect only the wire form: in-process
+// consumers share one marshal, and every coded frame decodes alone.
+// Codecs affect only the wire form: in-process
 // consumers, the recording sink, and the spill tier all see the plain
 // marshaled frame (see DESIGN.md "Wire compression").
 //
