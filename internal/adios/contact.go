@@ -77,16 +77,7 @@ func (c Contact) Write(addrs []string, telemetry string) error {
 		}
 	}
 	tmp := fmt.Sprintf("%s.tmp-%d-%d", path, os.Getpid(), contactSeq.Add(1))
-	var b strings.Builder
-	fmt.Fprintf(&b, "#pid=%d\n", os.Getpid())
-	if telemetry != "" {
-		fmt.Fprintf(&b, "#telemetry=%s\n", telemetry)
-	}
-	for _, a := range addrs {
-		b.WriteString(a)
-		b.WriteByte('\n')
-	}
-	if err := os.WriteFile(tmp, []byte(b.String()), 0o644); err != nil {
+	if err := os.WriteFile(tmp, formatContact(addrs, os.Getpid(), telemetry), 0o644); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
@@ -96,11 +87,27 @@ func (c Contact) Write(addrs []string, telemetry string) error {
 	return nil
 }
 
+// formatContact is a contact file's text as Write publishes it, which
+// parseContact reads back.
+func formatContact(addrs []string, pid int, telemetry string) []byte {
+	var b strings.Builder
+	fmt.Fprintf(&b, "#pid=%d\n", pid)
+	if telemetry != "" {
+		fmt.Fprintf(&b, "#telemetry=%s\n", telemetry)
+	}
+	for _, a := range addrs {
+		b.WriteString(a)
+		b.WriteByte('\n')
+	}
+	return []byte(b.String())
+}
+
 // parseContact splits a contact file into its advertised addresses,
 // the writer pid (0 if the file carries none — files written before
 // pid stamping, or by other tools), and the writer's telemetry
 // exporter address ("" if unadvertised). Other comment lines are
-// skipped.
+// skipped. A stamp that is not a positive pid counts as none: pidAlive
+// would probe a process group for it.
 func parseContact(raw []byte) (addrs []string, pid int, telemetry string) {
 	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
 		line = strings.TrimSpace(line)
@@ -109,7 +116,7 @@ func parseContact(raw []byte) (addrs []string, pid int, telemetry string) {
 		}
 		if strings.HasPrefix(line, "#") {
 			if v, ok := strings.CutPrefix(line, "#pid="); ok {
-				if p, err := strconv.Atoi(strings.TrimSpace(v)); err == nil {
+				if p, err := strconv.Atoi(strings.TrimSpace(v)); err == nil && p > 0 {
 					pid = p
 				}
 			}

@@ -3,6 +3,7 @@ package adios
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -245,4 +246,41 @@ func TestListContactEntriesMissingDir(t *testing.T) {
 	if _, err := ListContactEntries(filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Fatal("want error for a missing directory")
 	}
+}
+
+// FuzzParseContact feeds the contact parser arbitrary bytes, as a
+// foreign tool or a torn file could leave them: it never panics, and
+// the pid it reads is 0 (no stamp) or positive, never a process group
+// for pidAlive to probe. Text formatted as Contact.Write writes it
+// parses back to the same addresses, pid and telemetry address.
+func FuzzParseContact(f *testing.F) {
+	for _, seed := range []string{
+		"#pid=42\n#telemetry=127.0.0.1:9150\n127.0.0.1:1\n127.0.0.1:2\n",
+		"#pid=-5\n127.0.0.1:1\n", "#pid=-1\n127.0.0.1:1\n", "#pid=0\n", "#pid= 7 \r\n",
+		"#pid=99999999999999999999\n", "#telemetry=\n#other\n\n  x  \n", "", "#", "\n\n",
+	} {
+		f.Add([]byte(seed), "127.0.0.1:1,127.0.0.1:2", 1234, "127.0.0.1:9150")
+	}
+	f.Add([]byte{}, "", -5, "")
+	f.Fuzz(func(t *testing.T, raw []byte, addrList string, pid int, tel string) {
+		if _, p, _ := parseContact(raw); p < 0 {
+			t.Fatalf("parseContact(%q) read pid %d", raw, p)
+		}
+		var addrs []string
+		if addrList != "" {
+			addrs = strings.Split(addrList, ",")
+		}
+		for _, a := range addrs {
+			if a == "" || a != strings.TrimSpace(a) || strings.ContainsAny(a, "\n") || strings.HasPrefix(a, "#") {
+				return // not an address Write is given
+			}
+		}
+		if pid <= 0 || tel != strings.TrimSpace(tel) || strings.ContainsAny(tel, "\n") {
+			return
+		}
+		gotAddrs, gotPid, gotTel := parseContact(formatContact(addrs, pid, tel))
+		if !slices.Equal(gotAddrs, addrs) || gotPid != pid || gotTel != tel {
+			t.Fatalf("round trip of (%q, %d, %q) read (%q, %d, %q)", addrs, pid, tel, gotAddrs, gotPid, gotTel)
+		}
+	})
 }

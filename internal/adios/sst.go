@@ -11,7 +11,6 @@ import (
 	"net"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"nekrs-sensei/internal/codec"
@@ -216,12 +215,8 @@ type Reader struct {
 	dedup      bool
 	reconnects int64
 
-	// Deferred-credit plumbing: Credit may run on another goroutine, so
-	// it uses its own guarded view of the connection; creditedFloor is
-	// the highest step ordinal the latest handshake already settled
-	// (credits at or below it are swallowed).
-	wmu           sync.Mutex
-	wconn         net.Conn
+	// creditedFloor is the highest step ordinal the latest handshake
+	// already settled: deferred credits at or below it are swallowed.
 	creditedFloor int64
 
 	stepsRecv int64
@@ -282,8 +277,9 @@ type ReaderOptions struct {
 	LivenessTimeout time.Duration
 	// DeferCredit suppresses the automatic per-frame step credit: the
 	// caller acknowledges each received step explicitly with Credit,
-	// once it has truly finished with it (a relay credits upstream only
-	// after the step drained its downstream hubs). The producer then
+	// from the reading goroutine, once it has truly finished with it (a
+	// relay credits upstream only after the step drained its downstream
+	// hubs, and sends Keepalive while it waits). The producer then
 	// retains each step until the deferred credit arrives, which is
 	// what makes a crash between receive and downstream delivery
 	// recoverable: the step is still parked upstream.
@@ -371,13 +367,10 @@ func (r *Reader) connectTo(addr string) error {
 		conn.Close()
 		return fmt.Errorf("adios: writer announced bad codecs: %w", err)
 	}
-	r.conn, r.br = conn, combined
-	r.wmu.Lock()
 	// This handshake's Resume ordinal (lastStep+1) settles everything
 	// below it on the producer; deferred credits for those steps must
 	// be swallowed, not sent, or the credit stream desynchronizes.
-	r.wconn, r.creditedFloor = conn, r.lastStep
-	r.wmu.Unlock()
+	r.conn, r.br, r.creditedFloor = conn, combined, r.lastStep
 	if h.Session != "" {
 		r.session = h.Session
 	}
@@ -592,28 +585,37 @@ func (r *Reader) truncated(err error) error {
 	if errors.Is(err, io.EOF) {
 		err = io.ErrUnexpectedEOF
 	}
-	if r.lastStep < 0 { // no step decoded yet, or a raw reader: it tracks none
+	if r.lastStep < 0 { // no step received yet
 		return fmt.Errorf("adios: stream truncated after %d frames: %w", r.stepsRecv, err)
 	}
 	return fmt.Errorf("adios: stream truncated after step %d: %w", r.lastStep, err)
 }
 
 // Credit acknowledges one received step under DeferCredit, in receive
-// order. Safe to call from a goroutine other than the receiving one.
-// Credits for steps a reconnect handshake already settled (the hello's
-// Resume ordinal proves them consumed) are swallowed, so the credit
-// byte stream never desynchronizes from the producer's pending frame.
+// order. Call it from the reading goroutine, between reads. Credits for
+// steps a reconnect handshake already settled (the hello's Resume
+// ordinal proves them consumed) are swallowed, so the credit byte
+// stream never desynchronizes from the producer's pending frame.
 func (r *Reader) Credit(step int64) error {
-	r.wmu.Lock()
-	defer r.wmu.Unlock()
 	if step >= 0 && step <= r.creditedFloor {
 		return nil
 	}
-	b := [1]byte{CreditStep}
-	if _, err := r.wconn.Write(b[:]); err != nil {
+	r.ack[0] = CreditStep
+	if _, err := r.conn.Write(r.ack[:]); err != nil {
 		return fmt.Errorf("adios: returning deferred step credit: %w", err)
 	}
 	r.tel.credits.Inc()
+	return nil
+}
+
+// Keepalive tells a liveness-checking producer this reader is alive
+// while it holds a deferred credit back and reads nothing. Call it
+// from the reading goroutine, between reads.
+func (r *Reader) Keepalive() error {
+	r.ack[0] = CreditKeepalive
+	if _, err := r.conn.Write(r.ack[:]); err != nil {
+		return fmt.Errorf("adios: sending keepalive: %w", err)
+	}
 	return nil
 }
 
@@ -654,9 +656,8 @@ func (r *Reader) readFullLiveness(buf []byte) error {
 				if time.Since(last) >= liveness {
 					return fmt.Errorf("adios: producer silent for %v (%w)", liveness, errProducerSilent)
 				}
-				kb := [1]byte{CreditKeepalive}
-				if _, werr := r.conn.Write(kb[:]); werr != nil {
-					return fmt.Errorf("adios: sending keepalive: %w", werr)
+				if werr := r.Keepalive(); werr != nil {
+					return werr
 				}
 				continue
 			}
@@ -683,19 +684,23 @@ func (r *Reader) BeginRawStep() ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !r.dedup {
-			r.stampRawDeliver(recv)
-			return r.frameBuf, nil
-		}
-		fi, err := ScanFrame(r.frameBuf)
-		if err != nil {
+		if len(r.frameBuf) < 12 {
 			return r.frameBuf, nil // let the caller surface the scan error
 		}
-		if !fi.Structure && fi.Step <= r.lastStep {
-			continue // replay after reconnect: already consumed
+		// The step word follows the magic. Tracking it lets a reconnect
+		// hello name the first step still owed, as BeginStep's does.
+		step := int64(binary.LittleEndian.Uint64(r.frameBuf[4:12]))
+		if r.dedup {
+			fi, err := ScanFrame(r.frameBuf)
+			if err != nil {
+				return r.frameBuf, nil // let the caller surface the scan error
+			}
+			if !fi.Structure && step <= r.lastStep {
+				continue // replay after reconnect: already consumed
+			}
 		}
-		if fi.Step > r.lastStep {
-			r.lastStep = fi.Step
+		if step > r.lastStep {
+			r.lastStep = step
 			r.dedup = false
 		}
 		r.stampRawDeliver(recv)

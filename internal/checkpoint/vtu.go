@@ -97,7 +97,7 @@ func (c *VTUCheckpoint) Execute(st *sensei.Step) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	n, err := vtkdata.WriteVTU(f, g, vtkdata.WriteOptions{Encoding: vtkdata.AppendedRaw})
+	n, err := vtkdata.WriteVTU(f, g)
 	f.Close()
 	if err != nil {
 		return false, err

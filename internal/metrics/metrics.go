@@ -16,9 +16,9 @@
 // another exported method while holding it (so there is no lock
 // nesting and no self-deadlock). Reads return copies (Snapshot, Stats)
 // or scalars — never references into guarded state — so callers can
-// hold results across further mutations. Timer.Start captures the
-// begin time outside the lock; only the returned stop function takes
-// it (via Add), so a phase being timed never holds the mutex. All
+// hold results across further mutations. A caller times a phase
+// outside the lock and charges it with Add, so a phase being timed
+// never holds the mutex. All
 // methods are nil-receiver safe: a nil instrument is a disabled one.
 // The telemetry exporter relies on this contract — its scrape-time
 // samplers call Snapshot/Stats from the HTTP serving goroutine while
@@ -165,16 +165,6 @@ func NewTimer() *Timer {
 	return &Timer{phases: make(map[string]*PhaseStat)}
 }
 
-// Start begins timing the named phase and returns a stop function.
-// Typical use: defer t.Start("solve")().
-func (t *Timer) Start(name string) func() {
-	if t == nil {
-		return func() {}
-	}
-	begin := time.Now()
-	return func() { t.Add(name, time.Since(begin)) }
-}
-
 // Add accumulates d under the named phase.
 func (t *Timer) Add(name string, d time.Duration) {
 	if t == nil {
@@ -189,13 +179,6 @@ func (t *Timer) Add(name string, d time.Duration) {
 	}
 	p.Total += d
 	p.Count++
-}
-
-// Time runs f while timing it under the named phase.
-func (t *Timer) Time(name string, f func()) {
-	stop := t.Start(name)
-	f()
-	stop()
 }
 
 // Total reports the accumulated time of one phase.

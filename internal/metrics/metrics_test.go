@@ -117,20 +117,6 @@ func TestTimerAccumulates(t *testing.T) {
 	}
 }
 
-func TestTimerStartStop(t *testing.T) {
-	tm := NewTimer()
-	stop := tm.Start("phase")
-	time.Sleep(time.Millisecond)
-	stop()
-	if tm.Total("phase") <= 0 {
-		t.Error("elapsed time not recorded")
-	}
-	tm.Time("f", func() { time.Sleep(time.Millisecond) })
-	if tm.Snapshot()["f"].Count != 1 {
-		t.Error("Time did not record")
-	}
-}
-
 func TestStorageCounter(t *testing.T) {
 	s := NewStorageCounter()
 	s.AddFile(1000)

@@ -55,9 +55,9 @@ func TestInstrumentsConcurrent(t *testing.T) {
 		go func(w int) {
 			defer writersWG.Done()
 			for i := 0; i < iters; i++ {
-				stopTiming := timer.Start("phase")
+				begin := time.Now()
 				timer.Add("other", time.Microsecond)
-				stopTiming()
+				timer.Add("phase", time.Since(begin))
 				acct.Alloc("cat", 64)
 				acct.Free("cat", 64)
 				storage.AddFile(1)

@@ -39,6 +39,12 @@
 // hub ships the spliced frame, or a cut of it along its spans, to
 // every raw consumer, and encodes for a coded consumer (a lossy leaf's
 // quantizer included) on its own edge.
+//
+// A retrying relay (Options.Retry) runs the pump as one loop, as an
+// ADIOS2 reader brackets a step with BeginStep/EndStep: fetch, publish,
+// wait until the step retired from every output (staging.Hub.AwaitDrained),
+// then credit it upstream, so a step the subtree has not drained is
+// still parked upstream when the relay dies.
 package relay
 
 import (
@@ -93,18 +99,19 @@ type Options struct {
 	// Retry, when > 0, makes the relay self-healing: upstream dials and
 	// mid-stream failures retry up to Retry attempts under backoff, the
 	// relay holds resumable sessions upstream (the upstream hub
-	// parks its cursor across a disconnect), and — crucially — upstream
-	// step credits are deferred until each step has fully drained the
-	// relay's own output hubs, so a crashed-and-restarted relay finds
-	// every not-yet-delivered step still parked upstream and no lossless
-	// consumer below it misses a step.
+	// parks its cursor across a disconnect), and — crucially — Run
+	// returns a step's upstream credits only once the step has retired
+	// from every output hub (Hub.AwaitDrained), so a crashed-and-restarted
+	// relay finds every not-yet-delivered step still parked upstream and
+	// no lossless consumer below it misses a step.
 	Retry int
 	// SessionTTL is the park grace the relay requests upstream with
 	// Retry (0 = the upstream hub's default). Downstream readers get
 	// the sessions and heartbeats their own hellos ask for.
 	SessionTTL time.Duration
 	// Liveness bounds both the downstream credit wait and the upstream
-	// silent-producer wait (0 disables).
+	// silent-producer wait (0 disables). With Retry, the relay sends
+	// every upstream a keepalive each Liveness/3 while a step drains.
 	Liveness time.Duration
 	// SpillDir, when non-empty, gives every output hub a disk tier so
 	// Spill-policy consumers can be declared (or attach dynamically)
@@ -162,13 +169,10 @@ type Relay struct {
 	skipped atomic.Int64
 	bytesIn atomic.Int64
 
-	// Deferred-credit machinery (Retry mode): output hubs signal
-	// retired steps on retireCh; the crediting goroutine drains them
-	// and releases upstream credits in receive order per reader.
-	crediter   *crediter
-	retireCh   chan struct{}
-	creditDone chan struct{}
-	creditWG   sync.WaitGroup
+	// Deferred credits (Retry mode): frames received whose upstream
+	// credit is still held back, and credits returned.
+	creditsPending atomic.Int64
+	creditsSent    atomic.Int64
 
 	closed    atomic.Bool
 	killed    atomic.Bool
@@ -278,14 +282,11 @@ func New(upstream []string, opts Options) (*Relay, error) {
 		r.readers = append(r.readers, rd)
 	}
 
-	if o.Retry > 0 {
-		r.startCrediting()
-		if resume > 0 {
-			// A non-zero resume means a predecessor's subtree position
-			// survived into this instance — the restarted-relay path.
-			o.Telemetry.Events().Emit(telemetry.EventRelayRebind, o.Name, resume,
-				fmt.Sprintf("resumed %d upstream stream(s) at the subtree's position", len(upstream)))
-		}
+	if resume > 0 {
+		// A non-zero resume means a predecessor's subtree position
+		// survived into this instance — the restarted-relay path.
+		o.Telemetry.Events().Emit(telemetry.EventRelayRebind, o.Name, resume,
+			fmt.Sprintf("resumed %d upstream stream(s) at the subtree's position", len(upstream)))
 	}
 
 	if o.Telemetry != nil {
@@ -322,35 +323,6 @@ func (r *Relay) minResume() int64 {
 		return 0
 	}
 	return min
-}
-
-// startCrediting arms deferred upstream crediting: every output hub
-// reports step retirements on a shared channel, and a listener
-// goroutine folds them into the crediter, which releases upstream
-// credits in frame order (see credit.go).
-func (r *Relay) startCrediting() {
-	r.crediter = newCrediter(r.readers, len(r.hubs))
-	r.retireCh = make(chan struct{}, 1)
-	r.creditDone = make(chan struct{})
-	for _, h := range r.hubs {
-		h.SetRetireNotify(r.retireCh)
-	}
-	r.creditWG.Add(1)
-	go func() {
-		defer r.creditWG.Done()
-		for {
-			select {
-			case <-r.retireCh:
-			case <-r.creditDone:
-				return
-			}
-			var sims []int64
-			for _, h := range r.hubs {
-				sims = append(sims, h.DrainRetired()...)
-			}
-			r.crediter.onRetired(sims)
-		}
-	}()
 }
 
 // unionArrays is the subtree's need, which becomes the upstream
@@ -433,10 +405,8 @@ func (r *Relay) Status() Status {
 	for _, rd := range r.readers {
 		st.UpstreamReconnects += rd.Reconnects()
 	}
-	if r.crediter != nil {
-		st.CreditsSent = r.crediter.Sent()
-		st.CreditsPending = r.crediter.Pending()
-	}
+	st.CreditsSent = r.creditsSent.Load()
+	st.CreditsPending = int(r.creditsPending.Load())
 	st.Sessions = make([]staging.SessionStatus, len(r.binders))
 	for i, b := range r.binders {
 		st.Sessions[i] = b.SessionStatus()
@@ -488,15 +458,7 @@ func (r *Relay) teardown() {
 				r.closeErr = err
 			}
 		}
-		r.stopCrediting()
 	})
-}
-
-func (r *Relay) stopCrediting() {
-	if r.creditDone != nil {
-		close(r.creditDone)
-		r.creditWG.Wait()
-	}
 }
 
 // Kill terminates the relay abruptly — the fault-injection model of a
@@ -518,10 +480,11 @@ func (r *Relay) Kill() {
 		for _, s := range r.servers {
 			s.Abort()
 		}
+		// Readers were closed first, so a credit Run attempts once the
+		// hubs let go fails to write and stays held back.
 		for _, h := range r.hubs {
 			h.Close()
 		}
-		r.stopCrediting()
 	})
 }
 
@@ -573,6 +536,11 @@ type part struct {
 // fetch receives source i's next frame into p; eof reports a clean end
 // of that stream.
 func (r *Relay) fetch(i int, p *part) (eof bool, err error) {
+	if r.closed.Load() {
+		// A read on the closed reader would reconnect, and its resume
+		// hello would settle upstream a step Kill kept from the leaves.
+		return false, staging.ErrClosed
+	}
 	rd := r.readers[i]
 	before := rd.BytesReceived()
 	if p.raw, err = rd.BeginRawStep(); err == nil {
@@ -585,13 +553,56 @@ func (r *Relay) fetch(i int, p *part) (eof bool, err error) {
 		return false, fmt.Errorf("relay: upstream %d: %w", i, err)
 	}
 	r.bytesIn.Add(rd.BytesReceived() - before)
+	if r.opts.Retry > 0 {
+		r.creditsPending.Add(1)
+	}
 	return false, nil
+}
+
+// credit returns source i's held-back credit for step (Retry mode; a
+// plain reader credits on receipt). A failed write leaves it held
+// back: a broken upstream reconnects on the next fetch, whose resume
+// hello settles the step, and a killed relay's upstream session keeps
+// the step for the replacement.
+func (r *Relay) credit(i int, step int64) {
+	if r.opts.Retry == 0 {
+		return
+	}
+	r.creditsPending.Add(-1)
+	if r.readers[i].Credit(step) == nil {
+		r.creditsSent.Add(1)
+	}
+}
+
+// awaitRetired waits until the step just published has retired from
+// every output hub. With Liveness set it sends each upstream a
+// keepalive every Liveness/3 meanwhile, so a liveness-bounded producer
+// waiting for the held-back credit never cuts the relay.
+func (r *Relay) awaitRetired() error {
+	for _, h := range r.hubs {
+		for {
+			drained, err := h.AwaitDrained(r.opts.Liveness / 3)
+			if err != nil {
+				return err
+			}
+			if drained {
+				break
+			}
+			for _, rd := range r.readers {
+				rd.Keepalive() //nolint:errcheck // a broken upstream reconnects on the next fetch
+			}
+		}
+	}
+	return nil
 }
 
 // run is the relay pump: receive one frame from every source, realign
 // skewed streams to the max step seen (the grid of a skipped structure
-// step is kept), re-block the aligned step into the outputs, and queue
-// its upstream credits.
+// step is kept), re-block the aligned step into the outputs and, in
+// Retry mode, wait for it to retire from them before returning its
+// upstream credits. Skipped and structure steps are credited at once:
+// the outputs never publish the one, and hold the other for late
+// subscribers until Close.
 func (r *Relay) run() error {
 	P := len(r.readers)
 	parts := make([]part, P)
@@ -633,11 +644,7 @@ func (r *Relay) run() error {
 					f.Release()
 				}
 				r.skipped.Add(1)
-				if r.crediter != nil {
-					// Discarded during realignment: never published, so
-					// nothing downstream can retire it. Credit at once.
-					r.crediter.enqueue(i, p.info.Step, true)
-				}
+				r.credit(i, p.info.Step)
 				eof, err := r.fetch(i, p)
 				if err != nil {
 					return err
@@ -658,13 +665,13 @@ func (r *Relay) run() error {
 		if err := r.relayAligned(parts); err != nil {
 			return err
 		}
-		if r.crediter != nil {
-			// Structure steps live in the hubs forever (bootstrap), so
-			// they never retire — credit immediately. Data steps wait
-			// for retirement from every output hub.
-			for i := range parts {
-				r.crediter.enqueue(i, target, parts[0].info.Structure)
+		if r.opts.Retry > 0 && !parts[0].info.Structure {
+			if err := r.awaitRetired(); err != nil {
+				return err
 			}
+		}
+		for i := range parts {
+			r.credit(i, target)
 		}
 		r.steps.Add(1)
 		clear(have)

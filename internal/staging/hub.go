@@ -273,10 +273,9 @@ type Hub struct {
 	// still receive the grid structure.
 	bootstrap *stepEntry
 
-	// Retire notification (SetRetireNotify): data steps whose last
-	// reference dropped are queued here for the owner's crediting loop.
-	retiredQ []int64
-	retireCh chan<- struct{}
+	// unretired counts published data steps some consumer still
+	// references (AwaitDrained); structure steps are exempt.
+	unretired int
 
 	closed    bool
 	published int64
@@ -511,46 +510,44 @@ func (h *Hub) releaseRef(e *stepEntry) {
 	if e.refs == 0 {
 		h.acct.Free("staging-hub", e.bytes)
 		e.releaseFrames()
-		h.noteRetiredLocked(e)
+		if !e.info.Structure {
+			h.unretired--
+			if h.unretired == 0 {
+				h.cond.Broadcast() // AwaitDrained; releases wake only Block producers
+			}
+		}
 	}
 }
 
-// noteRetiredLocked queues a fully-released data step's sim ordinal
-// for the retire-notify subscriber (no-op otherwise). Structure steps
-// are exempt: the bootstrap hold keeps them referenced by design.
-// Caller holds h.mu.
-func (h *Hub) noteRetiredLocked(e *stepEntry) {
-	if h.retireCh == nil || e.info.Structure {
-		return
-	}
-	h.retiredQ = append(h.retiredQ, e.info.Step)
-	select {
-	case h.retireCh <- struct{}{}:
-	default: // a signal is already pending; DrainRetired batches
-	}
-}
-
-// SetRetireNotify installs a retire signal channel: whenever a
-// published data step's last reference drops — every consumer
-// consumed, dropped, or persisted it — the step's sim ordinal is
-// queued and ch receives a non-blocking signal. Collect the queue
-// with DrainRetired. A relay uses this to defer its upstream step
-// credits until each step has fully drained its downstream hubs,
-// making the upstream hold the end-to-end recovery copy.
-func (h *Hub) SetRetireNotify(ch chan<- struct{}) {
+// AwaitDrained waits until no published data step is still
+// referenced: every consumer delivered and released it, dropped it, or
+// spilled it. Structure steps are exempt, since the bootstrap hold
+// keeps them by design. It returns false once d has passed with a step
+// still held (d <= 0 waits without bound), and ErrClosed when the hub
+// closes first. A retrying relay waits here before it returns a step's
+// upstream credit.
+func (h *Hub) AwaitDrained(d time.Duration) (bool, error) {
 	h.mu.Lock()
-	h.retireCh = ch
-	h.mu.Unlock()
-}
-
-// DrainRetired returns the retired sim ordinals queued since the last
-// drain (in retirement order).
-func (h *Hub) DrainRetired() []int64 {
-	h.mu.Lock()
-	q := h.retiredQ
-	h.retiredQ = nil
-	h.mu.Unlock()
-	return q
+	defer h.mu.Unlock()
+	if h.unretired > 0 && d > 0 {
+		wake := time.AfterFunc(d, func() {
+			h.mu.Lock()
+			h.cond.Broadcast()
+			h.mu.Unlock()
+		})
+		defer wake.Stop()
+	}
+	deadline := time.Now().Add(d)
+	for h.unretired > 0 {
+		if h.closed {
+			return false, ErrClosed
+		}
+		if d > 0 && !time.Now().Before(deadline) {
+			return false, nil
+		}
+		h.cond.Wait()
+	}
+	return true, nil
 }
 
 // SetSpillFactory installs the factory materializing a disk tier per
@@ -892,7 +889,8 @@ func (h *Hub) publish(f *adios.Frame, subscribed, staged int64) (err error) {
 	if e.refs == 0 {
 		h.acct.Free("staging-hub", e.bytes)
 		e.releaseFrames() // no consumer will ever read it
-		h.noteRetiredLocked(e)
+	} else if !e.info.Structure {
+		h.unretired++
 	}
 	h.trim()
 	h.cond.Broadcast()

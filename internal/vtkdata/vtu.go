@@ -2,30 +2,13 @@ package vtkdata
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/binary"
 	"encoding/xml"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
-	"strings"
 )
-
-// Encoding selects how binary payloads are stored in a VTU file.
-type Encoding int
-
-// Supported encodings: AppendedRaw is the compact production format
-// (raw bytes after the XML body); InlineBase64 keeps the file pure XML.
-const (
-	AppendedRaw Encoding = iota
-	InlineBase64
-)
-
-// WriteOptions configures WriteVTU.
-type WriteOptions struct {
-	Encoding Encoding
-}
 
 // countingWriter tracks bytes written for storage accounting.
 type countingWriter struct {
@@ -84,9 +67,10 @@ func withHeader(data []byte) []byte {
 	return out
 }
 
-// WriteVTU serializes the grid as a VTK XML UnstructuredGrid file and
-// returns the number of bytes written.
-func WriteVTU(w io.Writer, g *UnstructuredGrid, opts WriteOptions) (int64, error) {
+// WriteVTU serializes the grid as a VTK XML UnstructuredGrid file,
+// every payload as raw bytes in the appended section after the XML
+// body, and returns the number of bytes written.
+func WriteVTU(w io.Writer, g *UnstructuredGrid) (int64, error) {
 	if err := g.Validate(); err != nil {
 		return 0, err
 	}
@@ -94,7 +78,7 @@ func WriteVTU(w io.Writer, g *UnstructuredGrid, opts WriteOptions) (int64, error
 	var blobs []blob
 	offset := 0
 
-	// emit writes one DataArray element in the configured encoding.
+	// emit writes one DataArray element and schedules its payload.
 	emit := func(vtkType, name string, ncomp int, payload []byte) {
 		comp := ""
 		if ncomp > 0 {
@@ -104,17 +88,10 @@ func WriteVTU(w io.Writer, g *UnstructuredGrid, opts WriteOptions) (int64, error
 		if name != "" {
 			nameAttr = fmt.Sprintf(` Name="%s"`, xmlEscape(name))
 		}
-		switch opts.Encoding {
-		case AppendedRaw:
-			fmt.Fprintf(cw, `        <DataArray type="%s"%s%s format="appended" offset="%d"/>`+"\n",
-				vtkType, nameAttr, comp, offset)
-			blobs = append(blobs, blob{withHeader(payload)})
-			offset += 8 + len(payload)
-		case InlineBase64:
-			enc := base64.StdEncoding.EncodeToString(withHeader(payload))
-			fmt.Fprintf(cw, `        <DataArray type="%s"%s%s format="binary">%s</DataArray>`+"\n",
-				vtkType, nameAttr, comp, enc)
-		}
+		fmt.Fprintf(cw, `        <DataArray type="%s"%s%s format="appended" offset="%d"/>`+"\n",
+			vtkType, nameAttr, comp, offset)
+		blobs = append(blobs, blob{withHeader(payload)})
+		offset += 8 + len(payload)
 	}
 
 	fmt.Fprint(cw, `<?xml version="1.0"?>`+"\n")
@@ -146,16 +123,14 @@ func WriteVTU(w io.Writer, g *UnstructuredGrid, opts WriteOptions) (int64, error
 
 	fmt.Fprint(cw, "    </Piece>\n")
 	fmt.Fprint(cw, "  </UnstructuredGrid>\n")
-	if opts.Encoding == AppendedRaw {
-		fmt.Fprint(cw, `  <AppendedData encoding="raw">`)
-		fmt.Fprint(cw, "_")
-		for _, b := range blobs {
-			if _, err := cw.Write(b.data); err != nil {
-				return cw.n, err
-			}
+	fmt.Fprint(cw, `  <AppendedData encoding="raw">`)
+	fmt.Fprint(cw, "_")
+	for _, b := range blobs {
+		if _, err := cw.Write(b.data); err != nil {
+			return cw.n, err
 		}
-		fmt.Fprint(cw, "</AppendedData>\n")
 	}
+	fmt.Fprint(cw, "</AppendedData>\n")
 	fmt.Fprint(cw, "</VTKFile>\n")
 	return cw.n, nil
 }
@@ -223,7 +198,8 @@ type xDataArray struct {
 	Content    string `xml:",chardata"`
 }
 
-// ReadVTU parses a VTU file produced by WriteVTU (either encoding).
+// ReadVTU parses a VTU file produced by WriteVTU. Arrays in any other
+// format (inline base64 "binary", ascii) are refused by name.
 func ReadVTU(r io.Reader) (*UnstructuredGrid, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -273,19 +249,6 @@ func ReadVTU(r io.Reader) (*UnstructuredGrid, error) {
 				return nil, fmt.Errorf("vtkdata: array %q: truncated payload", a.Name)
 			}
 			return appended[off+8 : off+8+n], nil
-		case "binary":
-			dec, err := base64.StdEncoding.DecodeString(strings.TrimSpace(a.Content))
-			if err != nil {
-				return nil, fmt.Errorf("vtkdata: array %q: base64: %w", a.Name, err)
-			}
-			if len(dec) < 8 {
-				return nil, fmt.Errorf("vtkdata: array %q: short payload", a.Name)
-			}
-			n := int(binary.LittleEndian.Uint64(dec))
-			if 8+n > len(dec) {
-				return nil, fmt.Errorf("vtkdata: array %q: truncated payload", a.Name)
-			}
-			return dec[8 : 8+n], nil
 		default:
 			return nil, fmt.Errorf("vtkdata: array %q: unsupported format %q", a.Name, a.Format)
 		}

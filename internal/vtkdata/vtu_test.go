@@ -77,7 +77,7 @@ func gridsEqual(t *testing.T, a, b *UnstructuredGrid) {
 func TestRoundTripAppendedRaw(t *testing.T) {
 	g := unitHexGrid()
 	var buf bytes.Buffer
-	n, err := WriteVTU(&buf, g, WriteOptions{Encoding: AppendedRaw})
+	n, err := WriteVTU(&buf, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,23 +91,10 @@ func TestRoundTripAppendedRaw(t *testing.T) {
 	gridsEqual(t, g, got)
 }
 
-func TestRoundTripInlineBase64(t *testing.T) {
-	g := unitHexGrid()
-	var buf bytes.Buffer
-	if _, err := WriteVTU(&buf, g, WriteOptions{Encoding: InlineBase64}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadVTU(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gridsEqual(t, g, got)
-}
-
-// TestRoundTripProperty: random grids survive write/read in both
-// encodings, including special float values.
+// TestRoundTripProperty: random grids survive write/read, including
+// special float values.
 func TestRoundTripProperty(t *testing.T) {
-	f := func(seed int64, useRaw bool) bool {
+	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		np := 8 + rng.Intn(40)
 		g := &UnstructuredGrid{}
@@ -130,12 +117,8 @@ func TestRoundTripProperty(t *testing.T) {
 		if err := g.AddPointData("s", 1, vals); err != nil {
 			return false
 		}
-		enc := InlineBase64
-		if useRaw {
-			enc = AppendedRaw
-		}
 		var buf bytes.Buffer
-		if _, err := WriteVTU(&buf, g, WriteOptions{Encoding: enc}); err != nil {
+		if _, err := WriteVTU(&buf, g); err != nil {
 			return false
 		}
 		got, err := ReadVTU(&buf)
@@ -213,7 +196,7 @@ func TestWriteVTURejectsInvalid(t *testing.T) {
 	g := unitHexGrid()
 	g.Connectivity[0] = -1
 	var buf bytes.Buffer
-	if _, err := WriteVTU(&buf, g, WriteOptions{}); err == nil {
+	if _, err := WriteVTU(&buf, g); err == nil {
 		t.Error("expected validation error")
 	}
 }
@@ -245,13 +228,20 @@ func TestReadVTUErrors(t *testing.T) {
 	if _, err := ReadVTU(strings.NewReader(`<?xml version="1.0"?><VTKFile type="ImageData"></VTKFile>`)); err == nil {
 		t.Error("expected type error")
 	}
+	// Inline base64 is not a format WriteVTU writes: refused by name.
+	inline := `<VTKFile type="UnstructuredGrid"><UnstructuredGrid><Piece NumberOfPoints="1" NumberOfCells="0">` +
+		`<Points><DataArray type="Float64" Name="Points" NumberOfComponents="3" format="binary">GAAAAAAAAAA=</DataArray></Points>` +
+		`</Piece></UnstructuredGrid></VTKFile>`
+	if _, err := ReadVTU(strings.NewReader(inline)); err == nil || !strings.Contains(err.Error(), `"binary"`) {
+		t.Errorf("inline base64 array: err = %v, want a refusal naming the format", err)
+	}
 }
 
 func TestArrayNameEscaping(t *testing.T) {
 	g := unitHexGrid()
 	g.PointData[0].Name = `weird "<name>" & more`
 	var buf bytes.Buffer
-	if _, err := WriteVTU(&buf, g, WriteOptions{Encoding: InlineBase64}); err != nil {
+	if _, err := WriteVTU(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadVTU(&buf)

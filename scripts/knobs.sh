@@ -21,7 +21,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-structs="adios.ReaderOptions relay.Options intransit.GroupConfig archive.ReplayOptions mesh.BoxConfig vtkdata.WriteOptions"
+structs="adios.ReaderOptions relay.Options intransit.GroupConfig archive.ReplayOptions mesh.BoxConfig"
 
 bin=$(mktemp -d)
 trap 'rm -rf "$bin"' EXIT
